@@ -928,7 +928,7 @@ let offline_cmd seed json =
    two invocations can be compared with cmp(1) — the determinism gate CI
    relies on.  Exits non-zero when a LOAD CHECK fails. *)
 let load_cmd seed rate clients think duration peps shards users domains zipf cache_ttl
-    cache_entries service_time batch max_inflight queue pdp_max_inflight rule_cost compiled
+    cache_entries service_time batch max_inflight queue pdp_max_inflight rule_cost
     churn_period churn_flush json =
   let module W = Dacs_workload.Workload in
   let arrivals =
@@ -952,7 +952,6 @@ let load_cmd seed rate clients think duration peps shards users domains zipf cac
         (if max_inflight > 0 then Some { Pep.max_inflight; max_queue = queue } else None);
       pdp_max_inflight = (if pdp_max_inflight > 0 then Some pdp_max_inflight else None);
       rule_cost;
-      compiled;
       partition = None;
       offline = false;
       churn =
@@ -1277,18 +1276,8 @@ let rule_cost_arg =
     & opt float 0.0
     & info [ "rule-cost" ] ~docv:"S"
         ~doc:
-          "Extra virtual seconds of shard occupancy per rule the evaluation scans (0 keeps the \
-           flat service-time model).")
-
-let compiled_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "compiled" ]
-        ~doc:
-          "Evaluate through the compiled (target-indexed) policy form instead of the interpreter; \
-           decisions are identical, shard occupancy scales with dispatched candidates instead of \
-           the whole rule list.")
+          "Extra virtual seconds of shard occupancy per rule compiled dispatch selects (0 keeps \
+           the flat service-time model).")
 
 let churn_period_arg =
   Arg.(
@@ -1346,7 +1335,7 @@ let load_t =
       const load_cmd $ sim_seed_arg $ rate_arg $ clients_arg $ think_arg $ duration_arg $ peps_arg
       $ shards_arg $ users_arg $ domains_arg $ zipf_arg $ cache_ttl_arg $ cache_entries_arg
       $ service_time_arg $ batch_arg $ max_inflight_arg $ queue_arg $ pdp_inflight_arg
-      $ rule_cost_arg $ compiled_flag $ churn_period_arg $ churn_flush_flag $ json_flag)
+      $ rule_cost_arg $ churn_period_arg $ churn_flush_flag $ json_flag)
 
 let delta_t =
   Cmd.v

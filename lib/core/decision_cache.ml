@@ -23,6 +23,7 @@ type t = {
   order : (string * int) Queue.t;
   mirror : mirror option;
   mutable next_stamp : int;
+  mutable purges : int;  (* full and region purges applied so far *)
   mutable stats : stats;
 }
 
@@ -50,6 +51,7 @@ let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
     order = Queue.create ();
     mirror;
     next_stamp = 0;
+    purges = 0;
     stats = { hits = 0; misses = 0; expiries = 0; evictions = 0; stale_hits = 0 };
   }
 
@@ -115,8 +117,15 @@ let evict_one t =
   in
   go ()
 
-let put t ~now ~key result =
+let purges t = t.purges
+
+let put ?since t ~now ~key result =
+  (* The put/purge race: a fill whose descent started before a purge
+     carries an answer the purge may have meant to drop; storing it would
+     resurrect that entry for a whole TTL. *)
+  let purged_since = match since with Some n -> n < t.purges | None -> false in
   match result.Dacs_policy.Decision.decision with
+  | _ when purged_since -> ()
   | Dacs_policy.Decision.Indeterminate _ ->
     (* Never cache errors: an Indeterminate is a statement about the
        authorisation machinery at one instant, not about the policy, and
@@ -136,7 +145,8 @@ let invalidate t ~key = Hashtbl.remove t.table key
 
 let invalidate_all t =
   Hashtbl.reset t.table;
-  Queue.clear t.order
+  Queue.clear t.order;
+  t.purges <- t.purges + 1
 
 (* A key is droppable for a region when the context it decodes to lies
    inside it.  Undecodable keys (Sha_hex digests, vocabulary from
@@ -157,6 +167,7 @@ let invalidate_region t region =
     invalidate_all t;
     n
   | Dacs_policy.Delta.Zones _ ->
+    t.purges <- t.purges + 1;
     let doomed =
       Hashtbl.fold (fun key _ acc -> if key_in_region region key then key :: acc else acc) t.table []
     in

@@ -40,12 +40,21 @@ val lookup : t -> now:float -> max_stale:float -> key:string -> lookup
     [Fresh] counts as a hit, [Stale] and [Absent] as misses; entries
     expired beyond [max_stale] are removed and counted as expiries. *)
 
-val put : t -> now:float -> key:string -> Dacs_policy.Decision.result -> unit
+val put : ?since:int -> t -> now:float -> key:string -> Dacs_policy.Decision.result -> unit
 (** Permit, Deny and NotApplicable are all cached under the same TTL —
     negative caching: absorbing a hot denied request saves the same
     round trips as a hot granted one.  Indeterminate results are never
     stored: they describe a machinery fault at one instant, and caching
-    one would keep failing requests after the fault clears. *)
+    one would keep failing requests after the fault clears.
+
+    [since] is the {!purges} count read when the answer's descent
+    started: if the cache has been purged since, the fill is dropped, so
+    an answer in flight across a purge cannot re-enter the cache after
+    it (the L1 twin of the shared L2's sent-before-purge rejection). *)
+
+val purges : t -> int
+(** Purges applied so far: each {!invalidate_all} and each
+    {!invalidate_region} with a non-[Empty] region counts one. *)
 
 val invalidate : t -> key:string -> unit
 val invalidate_all : t -> unit

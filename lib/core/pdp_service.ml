@@ -66,9 +66,7 @@ type t = {
   h_pip_fetch : Metrics.histogram;
   mutable busy_until : float;
   mutable inflight : int;
-  mutable root : Policy.child option;
-  mutable compiled_root : Compiled.t option;  (* in step with [root] when [use_compiled] *)
-  mutable use_compiled : bool;
+  mutable policy : Compiled.t option;  (* its [Compiled.source] is the installed tree *)
   mutable version : int;
   mutable fetched_at : float;
 }
@@ -79,33 +77,21 @@ let tracer t = Service.tracer t.services
 
 let now t = Dacs_net.Net.now (Service.net t.services)
 
-(* Keep the compiled form in step with the interpreted root whenever
-   compiled evaluation is on; recompilation is incremental, so policy
-   refreshes that only touch part of the tree stay cheap. *)
-let sync_compiled t =
-  if t.use_compiled then
-    t.compiled_root <-
-      (match t.root with
-      | None -> None
-      | Some root ->
-        Some
-          (match t.compiled_root with
-          | None -> Compiled.compile root
-          | Some prev -> Compiled.recompile prev root))
+(* Every installed or fetched tree is compiled; recompilation is
+   incremental, so policy refreshes that only touch part of the tree stay
+   cheap, and an unchanged tree keeps its epoch. *)
+let sync_compiled t root =
+  t.policy <-
+    Some (match t.policy with None -> Compiled.compile root | Some prev -> Compiled.recompile prev root)
 
 let install_policy t root =
-  t.root <- Some root;
-  sync_compiled t;
+  sync_compiled t root;
   t.fetched_at <- now t
 
-let set_compiled t on =
-  t.use_compiled <- on;
-  if on then sync_compiled t else t.compiled_root <- None
-
-let compiled_enabled t = t.use_compiled
+let compiled_enabled _ = true
 
 let compilation_epoch t =
-  match t.compiled_root with None -> 0 | Some c -> Compiled.epoch c
+  match t.policy with None -> 0 | Some c -> Compiled.epoch c
 
 let policy_version t = t.version
 
@@ -138,7 +124,7 @@ let reset_stats t =
 (* Resolve a policy reference against the locally cached tree: a direct
    child of the cached root set. *)
 let local_ref_resolver t id =
-  match t.root with
+  match Option.map Compiled.source t.policy with
   | Some (Policy.Inline_set s) ->
     List.find_opt (fun c -> Policy.child_id c = id) s.Policy.children
   | Some _ | None -> None
@@ -146,7 +132,7 @@ let local_ref_resolver t id =
 (* --- policy freshness -------------------------------------------------- *)
 
 let needs_refresh t =
-  match (t.pap, t.root, t.refresh) with
+  match (t.pap, t.policy, t.refresh) with
   | None, _, _ -> false
   | Some _, None, _ -> true
   | Some _, Some _, Never -> false
@@ -167,8 +153,7 @@ let ensure_policy t k =
           | Ok body -> (
             match Wire.parse_policy_response body with
             | Ok (version, Some child) ->
-              t.root <- Some child;
-              sync_compiled t;
+              sync_compiled t child;
               t.version <- version;
               t.fetched_at <- now t
             | Ok (_, None) ->
@@ -215,13 +200,9 @@ let evaluate_pass t ~subject_sym ctx attempted =
   in
   let resolve_ref = local_ref_resolver t in
   let result =
-    match t.root with
+    match t.policy with
     | None -> Decision.indeterminate "no policy installed"
-    | Some root -> (
-      match t.compiled_root with
-      | Some c when t.use_compiled && Compiled.source c == root ->
-        Compiled.evaluate ~resolve ~resolve_ref ctx c
-      | _ -> Policy.evaluate_child ~resolve ~resolve_ref ctx root)
+    | Some c -> Compiled.evaluate ~resolve ~resolve_ref ctx c
   in
   (result, List.sort_uniq compare !misses)
 
@@ -359,27 +340,12 @@ let evaluate_local t ctx k =
   Trace.set_current tr saved
 
 (* With a positive [rule_cost] the occupancy grows with the number of
-   rules evaluation actually scans: the whole tree when interpreting,
-   only the dispatched candidates when compiled — which is what lets the
-   e18 ablation show compiled evaluation as shard capacity, not just as
-   lower wall-clock per call. *)
+   rules evaluation actually scans: only the candidates target-indexed
+   dispatch selects for the request. *)
 let scan_occupancy t ctx =
-  if t.rule_cost <= 0.0 then 0.0
-  else
-    let scanned =
-      match t.root with
-      | None -> 0
-      | Some root -> (
-        match t.compiled_root with
-        | Some c when t.use_compiled && Compiled.source c == root ->
-          Compiled.candidate_count c ctx
-        | _ -> (
-          match root with
-          | Policy.Inline_policy p -> Policy.rule_count p
-          | Policy.Inline_set s -> Policy.set_rule_count ~resolve_ref:(local_ref_resolver t) s
-          | Policy.Policy_ref _ -> 0))
-    in
-    t.rule_cost *. float_of_int scanned
+  match t.policy with
+  | Some c when t.rule_cost > 0.0 -> t.rule_cost *. float_of_int (Compiled.candidate_count c ctx)
+  | Some _ | None -> 0.0
 
 (* Capacity model: with a positive [service_time] each evaluation occupies
    the PDP for that long in virtual time, queueing FIFO behind whatever is
@@ -418,8 +384,7 @@ let overloaded t =
 let overload_reason = "pdp overloaded"
 
 let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retry
-    ?(service_time = 0.0) ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl ?(attr_batch = true)
-    ?(compiled = false) () =
+    ?(service_time = 0.0) ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl ?(attr_batch = true) () =
   let refresh =
     match refresh with
     | Some r -> r
@@ -456,14 +421,11 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
           ~labels:[ ("node", node) ] "pdp_pip_fetch_seconds";
       busy_until = 0.0;
       inflight = 0;
-      root;
-      compiled_root = None;
-      use_compiled = compiled;
+      policy = Option.map Compiled.compile root;
       version = 0;
       fetched_at = -.infinity;
     }
   in
-  sync_compiled t;
   (match attr_cache with
   | None -> ()
   | Some ac ->

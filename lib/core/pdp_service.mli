@@ -27,7 +27,6 @@ val create :
   ?max_inflight:int ->
   ?attr_cache_ttl:float ->
   ?attr_batch:bool ->
-  ?compiled:bool ->
   unit ->
   t
 (** [refresh] defaults to [Every_query] when a PAP is given, else
@@ -62,11 +61,15 @@ val create :
 
     [rule_cost] (seconds of virtual time per rule scanned, default 0)
     extends the capacity model: each query additionally occupies the PDP
-    for [rule_cost] times the number of rules evaluation considers — the
-    whole tree when interpreting, only the dispatched candidates when
-    compiled — so compiled evaluation shows up as shard capacity in
-    saturation experiments.  [compiled] (default false) starts the PDP
-    with compiled evaluation on (see {!set_compiled}). *)
+    for [rule_cost] times the number of rules evaluation considers —
+    the candidates {!Dacs_policy.Compiled} dispatch selects for the
+    request.
+
+    Every installed or fetched policy is compiled
+    ({!Dacs_policy.Compiled.compile}, then incrementally
+    {!Dacs_policy.Compiled.recompile}) and every decision is served by
+    {!Dacs_policy.Compiled.evaluate}; {!Dacs_policy.Policy.evaluate_child}
+    remains the reference the differential oracle checks it against. *)
 
 val node : t -> Dacs_net.Net.node_id
 
@@ -74,24 +77,20 @@ val attr_cache : t -> Cache_hierarchy.Attr_cache.t option
 (** The attribute cache, when [attr_cache_ttl] was given. *)
 
 val install_policy : t -> Dacs_policy.Policy.child -> unit
-(** Local installation (also what a PAP fetch does internally). *)
+(** Local installation (also what a PAP fetch does internally): compiles
+    the tree, incrementally against the previously installed one. *)
 
 val policy_version : t -> int
 (** Last version seen from the PAP (0 when none). *)
 
-val set_compiled : t -> bool -> unit
-(** Toggle compiled evaluation.  Turning it on compiles the currently
-    installed policy (and every subsequently installed or fetched one,
-    incrementally); turning it off drops the compiled form and reverts
-    to the interpreter.  Decisions are identical either way — the
-    equivalence is enforced by the differential oracle suite. *)
-
 val compiled_enabled : t -> bool
+(** Always [true]: compiled evaluation is the only serving evaluator.
+    Kept for callers that attribute evaluation cost to it. *)
 
 val compilation_epoch : t -> int
-(** Epoch of the current compiled form (0 when compiled evaluation is
-    off or no policy is installed).  Bumped whenever an installed or
-    fetched policy actually changed the tree. *)
+(** Epoch of the current compiled form (0 when no policy is installed).
+    Bumped whenever an installed or fetched policy actually changed the
+    tree; a structurally identical install keeps it. *)
 
 val evaluate_local :
   t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit

@@ -80,7 +80,7 @@ type meta = {
   shard : Dacs_net.Net.node_id option;  (** the shard that answered; [None] when none could *)
   batch : int;  (** queries in the frame that carried this answer; 0 when no frame *)
   failovers : int;  (** shards excluded before this answer *)
-  epoch : int;  (** deciding PDP's compilation epoch (0 = interpreted/unknown) *)
+  epoch : int;  (** deciding PDP's compilation epoch (0 = unknown) *)
 }
 
 val decide_meta :

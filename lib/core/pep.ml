@@ -386,9 +386,9 @@ let trace_tag tr =
   | Some ctx -> Printf.sprintf "%Lx" ctx.Trace.trace_id
   | None -> ""
 
-let l1_put t cache ~key result =
+let l1_put ?since t cache ~key result =
   match cache with
-  | Some cache -> Decision_cache.put cache ~now:(now t) ~key result
+  | Some cache -> Decision_cache.put ?since cache ~now:(now t) ~key result
   | None -> ()
 
 let l2_put t ~key result =
@@ -582,6 +582,9 @@ let tier_decide t ~tier ~cache ctx k =
       Trace.record (tracer t) "pep:cache-hit";
       k (result, prov Provenance.L1)
     | Decision_cache.Stale _ | Decision_cache.Absent ->
+      (* A publish landing while the live query is in flight must keep
+         its answer out of L1. *)
+      let since = Option.map Decision_cache.purges cache in
       let live () =
         Metrics.inc t.counters.c_pdp_calls;
         let started = now t in
@@ -592,7 +595,7 @@ let tier_decide t ~tier ~cache ctx k =
             let { Pdp_tier.shard; batch; failovers; epoch } = meta in
             match outcome with
             | Ok result ->
-              l1_put t cache ~key result;
+              l1_put ?since t cache ~key result;
               l2_put t ~key result;
               k (result, prov ?shard ~batch ~failovers ~epoch Provenance.Live)
             | Error reason -> (

@@ -31,7 +31,8 @@ type t = {
   stale_age : float;  (** seconds past TTL for [Stale] serves; 0 otherwise *)
   epoch : int;
       (** deciding PDP's compilation epoch — or, for [Offline] serves,
-          the replica's offline epoch; 0 = interpreted/unknown *)
+          the replica's offline epoch; 0 = unknown (no policy installed,
+          or a rung that did not consult a PDP) *)
   at : float;  (** virtual-clock time the decision was delivered *)
   log_head : string option;
       (** offline log head (short digest) the decision was served from;

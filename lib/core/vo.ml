@@ -65,7 +65,7 @@ let issuer_key t issuer =
 let merged_audit t = Audit.merge (List.map Domain.audit t.domains)
 
 let pdp_tier t ~node ~shards ?batch ?linger ?vnodes ?service_time ?rule_cost ?max_inflight
-    ?refresh ?compiled ?root () =
+    ?refresh ?root () =
   if shards < 1 then invalid_arg "Vo.pdp_tier: shards must be >= 1";
   let net = Service.net t.services in
   let replicas =
@@ -74,8 +74,7 @@ let pdp_tier t ~node ~shards ?batch ?linger ?vnodes ?service_time ?rule_cost ?ma
         Dacs_net.Net.add_node net id;
         Pdp_service.create t.services ~node:id
           ~name:(Printf.sprintf "%s-pdp-%d" t.name i)
-          ?root ~pap:(Pap.node t.vo_pap) ?refresh ?service_time ?rule_cost ?max_inflight
-          ?compiled ())
+          ?root ~pap:(Pap.node t.vo_pap) ?refresh ?service_time ?rule_cost ?max_inflight ())
   in
   let tier =
     Pdp_tier.create t.services ~node ~shards:(List.map Pdp_service.node replicas) ?batch ?linger

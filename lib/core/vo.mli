@@ -49,14 +49,13 @@ val pdp_tier :
   ?rule_cost:float ->
   ?max_inflight:int ->
   ?refresh:Pdp_service.policy_refresh ->
-  ?compiled:bool ->
   ?root:Dacs_policy.Policy.child ->
   unit ->
   Pdp_tier.t * Pdp_service.t list
 (** Stand up [shards] PDP replicas ([<name>.pdp.0] …) bound to the VO
     PAP and a {!Pdp_tier} dispatching to them from [node] (typically the
     enforcement point's node).  [batch]/[linger]/[vnodes] configure the
-    tier, [service_time]/[rule_cost]/[max_inflight]/[refresh]/[compiled]/[root]
+    tier, [service_time]/[rule_cost]/[max_inflight]/[refresh]/[root]
     each replica (see {!Pdp_service.create}).  Returns the tier and the replicas so callers
     can install policies or crash individual shards. *)
 

@@ -59,8 +59,8 @@ let parse_authz_query node =
 
 let authz_response ?(epoch = 0) result =
   (* The deciding PDP's compilation epoch rides the response as an
-     attribute (provenance); 0 — interpreted or unknown — is the default
-     and is omitted, so pre-epoch frames stay byte-identical. *)
+     attribute (provenance); 0 — unknown — is the default and is
+     omitted. *)
   let attrs = if epoch > 0 then [ ("Epoch", string_of_int epoch) ] else [] in
   Xml.element "AuthzResponse" ~attrs ~children:[ Dacs_policy.Xacml_xml.result_to_xml result ]
 

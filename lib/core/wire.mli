@@ -23,8 +23,7 @@ val parse_authz_query : Xml.t -> (Dacs_policy.Context.t, string) result
 
 val authz_response : ?epoch:int -> Dacs_policy.Decision.result -> Xml.t
 (** [epoch] (default 0) is the deciding PDP's compilation epoch; positive
-    epochs ride the response as provenance, 0 is omitted so frames from
-    interpreted PDPs are unchanged. *)
+    epochs ride the response as provenance, 0 (unknown) is omitted. *)
 
 val authz_response_epoch : Xml.t -> int
 (** The compilation epoch carried by a (possibly signed) authorisation

@@ -70,8 +70,9 @@ val reused_leaves : t -> int
 
 val candidate_count : t -> Context.t -> int
 (** Rules evaluation would consider for this request, summed over all
-    leaves (the selectivity measure for the compiled-vs-interpreted
-    ablation).  [Policy_ref] children are not counted. *)
+    leaves (the selectivity measure, and the scan count a PDP's
+    [rule_cost] occupancy is charged for).  [Policy_ref] children are
+    not counted. *)
 
 val pruned_rules : t -> Context.t -> Rule.t list
 (** The rules dispatch skips for this request (the complement of the

@@ -133,24 +133,6 @@ and applicability ?resolve ?resolve_ref ctx child =
 
 let rule_count p = List.length p.rules
 
-let rec set_rule_count ?resolve_ref set =
-  List.fold_left
-    (fun acc child ->
-      acc
-      +
-      match child with
-      | Inline_policy p -> rule_count p
-      | Inline_set s -> set_rule_count ?resolve_ref s
-      | Policy_ref id -> (
-        match resolve_ref with
-        | None -> 0
-        | Some r -> (
-          match r id with
-          | Some (Inline_policy p) -> rule_count p
-          | Some (Inline_set s) -> set_rule_count ?resolve_ref s
-          | Some (Policy_ref _) | None -> 0)))
-    0 set.children
-
 let pp fmt p =
   Format.fprintf fmt "policy %s v%d (%s, %d rules)" p.id p.version
     (Combine.name p.rule_combining) (List.length p.rules)

@@ -79,5 +79,4 @@ val applicability : ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Conte
 (** {1 Inspection} *)
 
 val rule_count : t -> int
-val set_rule_count : ?resolve_ref:ref_resolver -> set -> int
 val pp : Format.formatter -> t -> unit

@@ -36,7 +36,6 @@ type scenario = {
   admission : Pep.admission option;
   pdp_max_inflight : int option;
   rule_cost : float;
-  compiled : bool;
   partition : partition option;
   offline : bool;
   churn : churn option;
@@ -59,7 +58,6 @@ let default =
     admission = Some { Pep.max_inflight = 32; max_queue = 32 };
     pdp_max_inflight = Some 64;
     rule_cost = 0.0;
-    compiled = false;
     partition = None;
     offline = false;
     churn = None;
@@ -171,10 +169,8 @@ let role_of u = roles.(u mod Array.length roles)
    doctor/nurse rules are written out once per guarded resource (each
    pinned to its resource-id, the nurse rule also to the read action), so
    the policy grows with the deployment the way a real multi-resource
-   store does: decisions are identical to the three-rule form, but an
-   interpreter scans ~2 rules per resource while compiled dispatch jumps
-   straight to the guarded resource's pair — the compiled-vs-interpreted
-   ablation's lever. *)
+   store does: decisions are identical to the three-rule form, while
+   compiled dispatch jumps straight to the guarded resource's pair. *)
 let serving_policy ~resources =
   let per_resource i =
     let res = Printf.sprintf "res%d" i in
@@ -251,8 +247,7 @@ let run s =
         Net.add_node net node;
         Pdp_service.create services ~node ~name:node
           ~root:(Policy.Inline_policy (serving_policy ~resources:s.peps))
-          ~service_time:s.service_time ~rule_cost:s.rule_cost ~compiled:s.compiled
-          ?max_inflight:s.pdp_max_inflight ())
+          ~service_time:s.service_time ~rule_cost:s.rule_cost ?max_inflight:s.pdp_max_inflight ())
   in
   let shard_nodes = List.map Pdp_service.node shards in
   (* Enforcement points: one resource each, spread across the domains,

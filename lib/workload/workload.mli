@@ -56,7 +56,6 @@ type scenario = {
   rule_cost : float;
       (** extra per-rule-scanned PDP occupancy (seconds); 0 keeps the
           flat [service_time] model *)
-  compiled : bool;  (** evaluate shards through the compiled policy form *)
   partition : partition option;  (** cut PEPs off from the decision tier *)
   offline : bool;
       (** give every PEP an offline replica holding the serving policy,
@@ -68,15 +67,14 @@ type scenario = {
 val default : scenario
 (** 1 domain, 4 PEPs, 2 shards, 200 users, zipf 1.1, open-loop 200 req/s
     for 5 s, cache off (capacity 1024 when enabled), 4 ms service time,
-    admission (32, 32), per-shard bound 64, seed 42, no rule cost,
-    interpreted evaluation, no partition, offline mode off.
+    admission (32, 32), per-shard bound 64, seed 42, no rule cost, no
+    partition, offline mode off.
 
     The serving policy guards each PEP's resource with its own
     doctor/nurse rule pair (all pinned by resource-id) over a final
-    default-deny, so an interpreter scans ~2 rules per PEP while
-    compiled dispatch considers only the requested resource's pair —
-    with a positive [rule_cost], the [compiled] toggle becomes a
-    capacity ablation. *)
+    default-deny, so compiled dispatch considers only the requested
+    resource's pair — with a positive [rule_cost], that is what each
+    query occupies a shard for. *)
 
 val latency_buckets : float list
 (** Log-spaced (powers of two from 0.5 ms) upper bounds of the latency

@@ -434,13 +434,16 @@ let region_rules extra =
   @ extra
   @ [ Rule.deny "default-deny" ]
 
-let lab_region =
-  let mk rules = Policy.make ~id:"region-base" ~rule_combining:Combine.First_applicable rules in
-  let base = mk (region_rules []) in
-  let widened =
-    mk (region_rules [ Rule.permit ~target:Target.(any |> resource_is "resource-id" "lab") "lab-bonus" ])
-  in
-  Delta.between (Some (Policy.Inline_policy base)) (Some (Policy.Inline_policy widened))
+let region_policy rules =
+  Policy.Inline_policy (Policy.make ~id:"region-base" ~rule_combining:Combine.First_applicable rules)
+
+let region_base = region_policy (region_rules [])
+
+let region_widened =
+  region_policy
+    (region_rules [ Rule.permit ~target:Target.(any |> resource_is "resource-id" "lab") "lab-bonus" ])
+
+let lab_region = Delta.between (Some region_base) (Some region_widened)
 
 let rctx resource =
   Context.make
@@ -552,6 +555,52 @@ let test_region_put_race () =
   Engine.run (Net.engine net) ~until:10.0;
   check int_ "no further rejections" 1 (Cache_hierarchy.L2.rejected_puts l2);
   check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.size l2)
+
+(* The same race one level down: a publish lands while a live query is in
+   flight, so the shard answers under the old policy and the PEP's L1 is
+   purged before that answer arrives.  The answer is still served, but it
+   must not enter L1, where it would outlive the purge for a whole TTL. *)
+let test_l1_put_after_purge_race () =
+  let net = Net.create ~seed:29L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let pdp = Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:region_base () in
+  let l1 = Decision_cache.create ~ttl:60.0 () in
+  let tier = Pdp_tier.create services ~node:(add "pep") ~shards:[ "pdp" ] () in
+  let pep =
+    Pep.create services ~node:"pep" ~domain:"d" ~resource:"lab" (Pep.Sharded { tier; cache = Some l1 })
+  in
+  (* The query sent at t=1 is decided at t=1.2 and answered at t=1.4;
+     the publish and its L1 purge land in between. *)
+  Net.set_latency net "pep" "pdp" 0.2;
+  let nurse =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "bob"); ("role", Value.String "nurse") ]
+      ~resource:[ ("resource-id", Value.String "lab") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  let ask at answer =
+    Engine.schedule_at (Net.engine net) ~at (fun () ->
+        Pep.decide_explained pep nurse (fun r p -> answer := Some (r.Decision.decision, p.Provenance.stage)))
+  in
+  let first = ref None and second = ref None in
+  ask 1.0 first;
+  Engine.schedule_at (Net.engine net) ~at:1.3 (fun () ->
+      Pdp_service.install_policy pdp region_widened;
+      ignore (Pep.invalidate_region pep lab_region));
+  Engine.run (Net.engine net) ~until:4.0;
+  check bool_ "the in-flight query was answered under the old policy" true
+    (!first = Some (Decision.Deny, Provenance.Live));
+  check int_ "its answer did not enter L1" 0 (Decision_cache.size l1);
+  ask 5.0 second;
+  Engine.run (Net.engine net) ~until:10.0;
+  check bool_ "the next query is decided live under the new policy" true
+    (!second = Some (Decision.Permit, Provenance.Live));
+  check int_ "a fill with no purge in flight is stored" 1 (Decision_cache.size l1)
 
 (* --- the whole hierarchy under revocation ------------------------------- *)
 
@@ -668,6 +717,8 @@ let () =
             test_region_anti_entropy_repair;
           Alcotest.test_case "an in-flight put cannot outlive a region purge" `Quick
             test_region_put_race;
+          Alcotest.test_case "a live answer in flight across a purge stays out of L1" `Quick
+            test_l1_put_after_purge_race;
         ] );
       ( "revocation",
         [

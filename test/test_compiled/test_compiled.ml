@@ -17,7 +17,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Obligation = Dacs_policy.Obligation
 module Value = Dacs_policy.Value
-module Index = Dacs_policy.Index
 module Compiled = Dacs_policy.Compiled
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
@@ -64,7 +63,7 @@ let test_recompile_on_publish () =
   let pap = Pap.create services ~node:"pap" ~name:"pap" ~root:(permit_policy "a") () in
   let pdp =
     Pdp_service.create services ~node:"pdp" ~name:"pdp" ~pap:"pap"
-      ~refresh:Pdp_service.Every_query ~compiled:true ()
+      ~refresh:Pdp_service.Every_query ()
   in
   let decide () =
     let answer = ref None in
@@ -74,11 +73,48 @@ let test_recompile_on_publish () =
   in
   check_result "before publish" Decision.permit (decide ());
   let epoch_before = Pdp_service.compilation_epoch pdp in
-  Alcotest.(check bool) "compiled on" true (Pdp_service.compiled_enabled pdp);
+  Alcotest.(check bool) "compiled is the serving evaluator" true
+    (Pdp_service.compiled_enabled pdp);
   Pap.publish pap (deny_policy "a");
   check_result "after publish" Decision.deny (decide ());
   Alcotest.(check bool) "pdp epoch bumped" true (Pdp_service.compilation_epoch pdp > epoch_before);
   Alcotest.(check int) "pap epoch" 2 (Pap.compilation_epoch pap)
+
+(* Compiled evaluation is the default, not an option: a shard built with
+   no optional arguments answers a live query through a sharded PEP with
+   a compilation epoch in its provenance, which moves on a changing
+   install and stays put on a structurally identical one. *)
+let test_default_shard_serves_compiled () =
+  let net = Net.create ~seed:9L () in
+  let services = Service.create (Dacs_net.Rpc.create net) in
+  Net.add_node net "pdp";
+  Net.add_node net "pep";
+  let pdp = Pdp_service.create services ~node:"pdp" ~name:"pdp" () in
+  Pdp_service.install_policy pdp (permit_policy "a");
+  let tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp" ] () in
+  let pep =
+    Pep.create services ~node:"pep" ~domain:"d" ~resource:"chart"
+      (Pep.Sharded { tier; cache = None })
+  in
+  let decide () =
+    let answer = ref None in
+    Pep.decide_explained pep ctx (fun r p -> answer := Some (r, p));
+    Net.run net;
+    Option.get !answer
+  in
+  let result, prov = decide () in
+  check_result "live answer" Decision.permit result;
+  Alcotest.(check bool) "answered live" true (prov.Provenance.stage = Provenance.Live);
+  Alcotest.(check bool) "epoch >= 1" true (prov.Provenance.epoch >= 1);
+  Pdp_service.install_policy pdp (deny_policy "a");
+  let result, changed = decide () in
+  check_result "changed policy served" Decision.deny result;
+  Alcotest.(check bool) "changing install bumps the epoch" true
+    (changed.Provenance.epoch > prov.Provenance.epoch);
+  Pdp_service.install_policy pdp (deny_policy "a");
+  let _, same = decide () in
+  Alcotest.(check int) "identical install keeps the epoch" changed.Provenance.epoch
+    same.Provenance.epoch
 
 (* Epochs count *semantic* changes: a no-op publish bumps the version
    (it is still an administrative action) but leaves the compiled epoch
@@ -155,9 +191,7 @@ let test_non_string_axis_disables_pruning () =
   (match reference.Decision.decision with
   | Decision.Indeterminate _ -> ()
   | d -> Alcotest.failf "expected Indeterminate, got %s" (Decision.decision_to_string d));
-  Alcotest.(check int) "no pruning" (Compiled.rule_count c) (Compiled.candidate_count c uri_ctx);
-  (* The target index declines identically. *)
-  check_result "indexed == reference" reference (Index.evaluate uri_ctx (Index.build (Policy.make ~id:"p" [ Rule.permit ~target:Target.(any |> resource_is "resource-id" "chart") "r" ])))
+  Alcotest.(check int) "no pruning" (Compiled.rule_count c) (Compiled.candidate_count c uri_ctx)
 
 (* Subject sections evaluate before resource sections, and an error
    there short-circuits the whole target to Indeterminate — even when
@@ -395,6 +429,8 @@ let () =
         [
           Alcotest.test_case "PDP picks up a publish and recompiles" `Quick test_recompile_on_publish;
           Alcotest.test_case "epoch counts semantic changes only" `Quick test_epoch_monotonic;
+          Alcotest.test_case "default shard serves compiled" `Quick
+            test_default_shard_serves_compiled;
         ] );
       ( "dispatch",
         [

@@ -1,11 +1,10 @@
 (* Differential-testing oracle for evaluator equivalence.
 
-   Five evaluation paths now coexist: the reference tree walk
-   (Policy.evaluate), the target-indexed evaluator (Index.evaluate), the
-   compiled form (Compiled.evaluate), the sharded PDP tier (Pdp_tier
-   routing to Pdp_service replicas over the simulated network — run with
-   compiled shards here, so the wire path exercises the compiled
-   evaluator too), and the full caching ladder.  This oracle generates
+   Four evaluation paths coexist: the reference tree walk
+   (Policy.evaluate), the compiled form (Compiled.evaluate), the sharded
+   PDP tier (Pdp_tier routing to Pdp_service replicas over the simulated
+   network — shards always serve through the compiled evaluator, so the
+   wire path exercises it too), and the full caching ladder.  This oracle generates
    random policies and request contexts from seeded, shrinkable QCheck
    arbitraries and asserts all paths return identical decisions —
    including obligations and Indeterminate propagation — for every
@@ -25,7 +24,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Obligation = Dacs_policy.Obligation
 module Value = Dacs_policy.Value
-module Index = Dacs_policy.Index
 module Compiled = Dacs_policy.Compiled
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
@@ -140,21 +138,18 @@ let fail_diverged ~alg ~expected ~got expected_label got_label =
   QCheck.Test.fail_reportf "[%s] %s %s <> %s %s (%s)" alg expected_label (show_result expected)
     got_label (show_result got) (seed_hint ())
 
-(* --- oracle 1: reference vs target index vs compiled ------------------- *)
+(* --- oracle 1: reference vs compiled ------------------------------------ *)
 
-let index_oracle (name, alg) =
+let compiled_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "compiled/index == reference (%s)" name)
+    ~name:(Printf.sprintf "compiled == reference (%s)" name)
     ~count:1000 arb_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate ctx policy in
-      let indexed = Index.evaluate ctx (Index.build policy) in
       let compiled = Compiled.evaluate ctx (Compiled.compile (Policy.Inline_policy policy)) in
-      if not (result_equal reference indexed) then
-        fail_diverged ~alg:name ~expected:reference ~got:indexed "reference" "indexed"
-      else if not (result_equal reference compiled) then
+      if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
       else true)
 
@@ -164,14 +159,14 @@ let index_oracle (name, alg) =
    serving the generated policy, one batched query routed by the ring.
    The tier must agree with the in-process reference evaluation — wire
    encoding, batching and shard routing may not change any decision. *)
-let tier_evaluate ?(compiled = false) root ctx =
+let tier_evaluate root ctx =
   let net = Net.create ~seed:11L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   let shards =
     List.init 3 (fun i ->
         let node = Printf.sprintf "pdp%d" i in
         Net.add_node net node;
-        ignore (Pdp_service.create services ~node ~name:node ~root ~compiled ());
+        ignore (Pdp_service.create services ~node ~name:node ~root ());
         node)
   in
   Net.add_node net "dispatch";
@@ -189,7 +184,7 @@ let tier_oracle (name, alg) =
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate ctx policy in
-      match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+      match tier_evaluate (Policy.Inline_policy policy) ctx with
       | None -> QCheck.Test.fail_reportf "[%s] tier never answered (%s)" name (seed_hint ())
       | Some (Error e) ->
         QCheck.Test.fail_reportf "[%s] tier failed closed: %s (%s)" name e (seed_hint ())
@@ -476,8 +471,7 @@ let delegation_tier_oracle (name, alg) =
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate_child ctx root in
       (* Possibly-empty filtered sets are exactly the shape the compiled
-         set walker has to get right; the interpreted tier covers the
-         uncompiled wire path alongside. *)
+         set walker has to get right, in process and behind the wire. *)
       let compiled = Compiled.evaluate ctx (Compiled.compile root) in
       if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
@@ -583,7 +577,7 @@ let negotiation_oracle (name, alg) =
       if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
       else
-        match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+        match tier_evaluate (Policy.Inline_policy policy) ctx with
         | None -> QCheck.Test.fail_reportf "[%s] tier never answered (%s)" name (seed_hint ())
         | Some (Error e) ->
           QCheck.Test.fail_reportf "[%s] tier failed closed: %s (%s)" name e (seed_hint ())
@@ -762,15 +756,11 @@ let empty_rules_cases =
             true
             (Decision.equal_decision reference.Decision.decision Decision.Not_applicable
             && reference.Decision.obligations = []);
-          let indexed = Index.evaluate ctx (Index.build policy) in
           let compiled = Compiled.evaluate ctx (Compiled.compile (Policy.Inline_policy policy)) in
-          Alcotest.(check bool)
-            (Printf.sprintf "[%s] indexed == reference" name)
-            true (result_equal reference indexed);
           Alcotest.(check bool)
             (Printf.sprintf "[%s] compiled == reference" name)
             true (result_equal reference compiled);
-          match tier_evaluate ~compiled:true (Policy.Inline_policy policy) ctx with
+          match tier_evaluate (Policy.Inline_policy policy) ctx with
           | Some (Ok tiered) ->
             Alcotest.(check bool)
               (Printf.sprintf "[%s] tier == reference" name)
@@ -783,7 +773,8 @@ let () =
   Alcotest.run "dacs_oracle"
     [
       ("empty-rules-directed", empty_rules_cases);
-      ("index-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (index_oracle a)) algorithms);
+      ( "compiled-differential",
+        List.map (fun a -> QCheck_alcotest.to_alcotest (compiled_oracle a)) algorithms );
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);
       ( "cached-ladder-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (cached_oracle a)) algorithms );

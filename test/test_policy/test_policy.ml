@@ -590,7 +590,7 @@ let test_policy_rule_counts () =
         Policy.Inline_set (Policy.make_set ~id:"s2" [ Policy.Inline_policy doctor_read_policy ]);
       ]
   in
-  check int_ "recursive count" 4 (Policy.set_rule_count set)
+  check int_ "recursive count" 4 (Compiled.rule_count (Compiled.compile (Policy.Inline_set set)))
 
 (* --- xml round-trips ------------------------------------------------------------------- *)
 
@@ -893,7 +893,10 @@ let test_variables_validation () =
           ~variables:[ ("a", Expr.Variable_ref "a") ]
           [ Rule.permit ~condition:(Expr.Variable_ref "a") "r" ]))
 
-(* --- target index ------------------------------------------------------------------------------- *)
+(* --- target-indexed dispatch ---------------------------------------------------------------------- *)
+
+(* The compiled evaluator buckets rules by their resource-id pins; these
+   check that dispatch through the buckets decides as the linear walk does. *)
 
 let resource_rule effect i =
   let mk = match effect with Rule.Permit -> Rule.permit | Rule.Deny -> Rule.deny in
@@ -906,6 +909,8 @@ let indexed_policy =
     (List.init 100 (fun i -> resource_rule (if i mod 3 = 0 then Rule.Deny else Rule.Permit) i)
     @ [ Rule.deny "fallback-deny" ])
 
+let compile_policy p = Compiled.compile (Policy.Inline_policy p)
+
 let resource_ctx i =
   Context.make ~subject:[ ("subject-id", Value.String "alice"); ("role", Value.String "doctor") ]
     ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" i)) ]
@@ -913,24 +918,24 @@ let resource_ctx i =
     ()
 
 let test_index_equivalence () =
-  let idx = Index.build indexed_policy in
-  check int_ "rule count" 101 (Index.rule_count idx);
-  check int_ "buckets" 100 (Index.bucket_count idx);
+  let idx = compile_policy indexed_policy in
+  check int_ "rule count" 101 (Compiled.rule_count idx);
+  check int_ "buckets" 100 (Compiled.bucket_count idx);
   List.iter
     (fun i ->
       check decision_testable
         (Printf.sprintf "res%d same decision" i)
         (Policy.evaluate (resource_ctx i) indexed_policy).Decision.decision
-        (Index.evaluate (resource_ctx i) idx).Decision.decision)
+        (Compiled.evaluate (resource_ctx i) idx).Decision.decision)
     [ 0; 1; 2; 50; 99; 1000 (* unknown resource -> fallback deny *) ]
 
 let test_index_selectivity () =
-  let idx = Index.build indexed_policy in
+  let idx = compile_policy indexed_policy in
   (* A request for one resource considers its bucket plus the fallback. *)
-  check int_ "two candidates" 2 (Index.candidate_count idx (resource_ctx 5));
+  check int_ "two candidates" 2 (Compiled.candidate_count idx (resource_ctx 5));
   (* No resource-id: the pre-filter cannot prune. *)
   check int_ "no pruning without resource-id" 101
-    (Index.candidate_count idx (Context.make ~subject:[ ("subject-id", Value.String "a") ] ()))
+    (Compiled.candidate_count idx (Context.make ~subject:[ ("subject-id", Value.String "a") ] ()))
 
 let test_index_respects_document_order () =
   (* Two rules for the same resource with opposite effects: first-applicable
@@ -942,12 +947,9 @@ let test_index_respects_document_order () =
         Rule.permit ~target:Target.(any |> resource_is "resource-id" "x") "permit-second";
       ]
   in
-  let ctx =
-    Context.make ~resource:[ ("resource-id", Value.String "x") ] ()
-  in
-  let idx = Index.build p in
+  let ctx = Context.make ~resource:[ ("resource-id", Value.String "x") ] () in
   check_decision "linear" Decision.Deny (Policy.evaluate ctx p);
-  check_decision "indexed" Decision.Deny (Index.evaluate ctx idx)
+  check_decision "indexed" Decision.Deny (Compiled.evaluate ctx (compile_policy p))
 
 let prop_index_equivalent =
   (* Random policies over a small resource pool: indexed and linear
@@ -973,14 +975,13 @@ let prop_index_equivalent =
   QCheck.Test.make ~name:"indexed evaluation = linear evaluation" ~count:300
     (QCheck.make ~print:(fun p -> Xacml_xml.child_to_string (Policy.Inline_policy p)) gen)
     (fun p ->
-      let idx = Index.build p in
+      let idx = compile_policy p in
       List.for_all
         (fun i ->
           Decision.equal_decision
             (Policy.evaluate (resource_ctx i) p).Decision.decision
-            (Index.evaluate (resource_ctx i) idx).Decision.decision)
+            (Compiled.evaluate (resource_ctx i) idx).Decision.decision)
         [ 0; 1; 2; 3; 4; 5; 99 ])
-
 
 (* --- explanation ------------------------------------------------------------------------------- *)
 
