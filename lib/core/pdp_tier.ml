@@ -54,7 +54,7 @@ type t = {
   vnodes : int;
   call_timeout : float;
   retry : Dacs_net.Rpc.retry_policy option;
-  verify : t -> Xml.t -> (Decision.result, string) result;
+  mutable trust : Dacs_crypto.Cert.Trust_store.t option;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
   c_failovers : Metrics.counter;
@@ -187,7 +187,11 @@ and flush t shard =
               in
               match part with
               | Ok body -> (
-                match t.verify t body with
+                match
+                  Wire.decode_authz_response ?trust:t.trust
+                    ~now:(Dacs_net.Net.now (Service.net t.services))
+                    body
+                with
                 | Ok decision ->
                   item.deliver (Ok decision) (meta ~epoch:(Wire.authz_response_epoch body))
                 | Error e ->
@@ -229,12 +233,12 @@ let decide_meta ?key t ctx deliver =
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 
+let require_signed_decisions t trust = t.trust <- Some trust
+
 (* --- construction ------------------------------------------------------- *)
 
-let default_verify _t body = Wire.parse_authz_response body
-
 let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes = 16)
-    ?(call_timeout = 1.0) ?retry ?verify () =
+    ?(call_timeout = 1.0) ?retry () =
   if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
   if vnodes < 1 then invalid_arg "Pdp_tier.create: vnodes must be >= 1";
   if linger < 0.0 then invalid_arg "Pdp_tier.create: negative linger";
@@ -251,7 +255,7 @@ let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes 
     vnodes;
     call_timeout;
     retry;
-    verify = (match verify with Some f -> fun _t body -> f body | None -> default_verify);
+    trust = None;
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
     c_dispatch =

@@ -36,17 +36,21 @@ val create :
   ?vnodes:int ->
   ?call_timeout:float ->
   ?retry:Dacs_net.Rpc.retry_policy ->
-  ?verify:(Dacs_xml.Xml.t -> (Dacs_policy.Decision.result, string) result) ->
   unit ->
   t
 (** Dispatcher issuing calls from [node].  [batch] (default 8) is the
     maximum queries per frame; [linger] (default 0) how long a partial
     batch waits before flushing; [vnodes] (default 16) ring points per
     shard; [call_timeout] (default 1 s) and [retry] are handed to the
-    underlying batched call.  [verify] decodes each per-query response
-    body (default {!Wire.parse_authz_response}; pass a
-    {!Wire.verify_signed_authz_response} wrapper to require signed
-    decisions). *)
+    underlying batched call.  Each per-query response body is decoded
+    by {!Wire.decode_authz_response}; see {!require_signed_decisions}. *)
+
+val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
+(** From now on, accept only per-query answers signed by a PDP whose
+    certificate chains to the given trust store.  A forged or unsigned
+    answer is delivered as an [Indeterminate] decision ("unacceptable
+    PDP response: ...") from the shard that sent it — the PEP denies
+    it, and the shard is not failed over. *)
 
 val node : t -> Dacs_net.Net.node_id
 val shards : t -> Dacs_net.Net.node_id list

@@ -257,7 +257,10 @@ let admission t = t.admission
 let admission_inflight t = t.inflight
 let admission_queue_length t = Queue.length t.waiting
 
-let require_signed_decisions t trust = t.decision_trust <- Some trust
+let require_signed_decisions t trust =
+  match t.mode with
+  | Sharded { tier; _ } -> Pdp_tier.require_signed_decisions tier trust
+  | Pull _ | Push _ | Agent _ -> t.decision_trust <- Some trust
 
 let set_retry_policy t retry = t.retry <- retry
 let retry_policy t = t.retry
@@ -364,7 +367,7 @@ let enforce t ~subject ~action ?provenance (result : Decision.result) reply =
     Metrics.inc t.counters.c_denied;
     reply (Wire.access_denied ~reason:(Printf.sprintf "authorisation error: %s" m))
 
-(* --- pull mode ------------------------------------------------------------ *)
+(* --- the decision ladder ---------------------------------------------------- *)
 
 let build_context t ~subject_attrs ~action =
   Context.make ~subject:subject_attrs
@@ -373,11 +376,12 @@ let build_context t ~subject_attrs ~action =
     ~environment:[ ("time", Value.Time (now t)) ]
     ()
 
-(* Ladder plumbing shared by pull and sharded modes: L1 fresh -> L2 fresh
-   -> live tier -> bounded-stale L1 -> offline log -> fail closed.
-   Identical concurrent
-   queries (same request key) are coalesced onto one descent.  Every exit
-   mints a provenance record naming the rung that answered. *)
+(* One ladder serves pull and sharded modes: L1 fresh -> L2 fresh -> live
+   -> bounded-stale L1 -> offline log -> fail closed.  Identical
+   concurrent queries (same request key) are coalesced onto one descent.
+   Every exit mints a provenance record naming the rung that answered.
+   Only the live rung differs by mode; both deliver the same
+   (outcome, serving metadata) pair. *)
 
 (* The ambient trace id as the exemplar tag for latency histograms — ""
    (no exemplar) when tracing is off. *)
@@ -397,24 +401,25 @@ let l2_put t ~key result =
   | None -> ()
 
 (* Consult the domain's shared cache between an L1 miss and the live
-   tier.  A hit also warms L1, so the replica that asked converges to
-   answering locally.  An unreachable or malformed L2 is a miss. *)
-let consult_l2 t cache ~key ~miss k =
+   tier; [k] receives the hit, or [None] for a miss.  A hit also warms
+   L1, so the replica that asked converges to answering locally.  An
+   unreachable or malformed L2 is a miss. *)
+let consult_l2 t cache ~key k =
   match t.l2 with
-  | None -> miss ()
+  | None -> k None
   | Some l2 ->
     let started = now t in
     let tag = trace_tag (tracer t) in
     Cache_hierarchy.L2.remote_lookup t.services ~src:t.node ~l2 ~key (fun answer ->
         Metrics.observe_exemplar t.counters.h_l2_lookup (now t -. started) ~trace:tag
           ~at:(now t);
-        match answer with
+        (match answer with
         | Some result ->
           Metrics.inc t.counters.c_l2_hits;
           Trace.record (tracer t) "pep:l2-hit";
-          l1_put t cache ~key result;
-          k result
-        | None -> miss ())
+          l1_put t cache ~key result
+        | None -> ());
+        k answer)
 
 (* Waiters folded onto an identical in-flight descent are served by the
    leader's provenance, re-flagged as coalesced — theirs was not a
@@ -475,97 +480,43 @@ let offline_serve t ctx ~mk k =
       Trace.record (tracer t) "pep:offline-serve";
       Some (k (result, mk ~epoch:(Offline.epoch o) ~log_head:head)))
 
-let pull_decide t ~pdps ~cache ~call_timeout ctx k =
-  let key = Decision_cache.request_key ctx in
-  match join_flight t ~key k with
-  | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
-  | Cache_hierarchy.Single_flight.Leader k -> (
-    let prov = provenance_minter t in
-    let found =
-      match cache with
-      | None -> Decision_cache.Absent
-      | Some cache -> Decision_cache.lookup cache ~now:(now t) ~max_stale:t.stale_window ~key
-    in
-    match found with
-    | Decision_cache.Fresh result ->
-      Metrics.inc t.counters.c_cache_hits;
-      Trace.record (tracer t) "pep:cache-hit";
-      k (result, prov Provenance.L1)
-    | Decision_cache.Stale _ | Decision_cache.Absent ->
-      (* Degraded availability (§ dependability): with every replica down, a
-         decision expired by at most [stale_window] seconds is still served
-         — the last answer the policy actually gave — in preference to
-         denying all access.  Beyond the bound we fail closed. *)
-      let degrade ~failovers () =
-        match found with
-        | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
-          Metrics.inc t.counters.c_stale_serves;
-          Trace.record (tracer t) "pep:stale-serve";
-          k (result, prov ~failovers ~stale_age:age Provenance.Stale)
-        | _ -> (
-          let mk ~epoch ~log_head = prov ~failovers ~epoch ~log_head Provenance.Offline in
-          match offline_serve t ctx ~mk k with
-          | Some () -> ()
-          | None ->
-            k
-              ( Decision.indeterminate "no decision point reachable",
-                prov ~failovers Provenance.Fail_closed ))
-      in
-      let live_started = ref 0.0 in
-      let live_tag = ref "" in
-      let live_done () =
-        Metrics.observe_exemplar t.counters.h_live_call (now t -. !live_started)
-          ~trace:!live_tag ~at:(now t)
-      in
-      let rec try_pdps ~failovers = function
-        | [] ->
-          live_done ();
-          degrade ~failovers ()
-        | pdp :: rest ->
-          Metrics.inc t.counters.c_pdp_calls;
-          Service.call_resilient t.services ~src:t.node ~dst:pdp ~service:"authz-query"
-            ~timeout:call_timeout ?retry:t.retry (Wire.authz_query ctx)
-            (fun response ->
-              match response with
-              | Ok body -> (
-                let parsed =
-                  match t.decision_trust with
-                  | None -> Wire.parse_authz_response body
-                  | Some trust ->
-                    (* Only authenticated decisions are enforceable. *)
-                    Result.map fst (Wire.verify_signed_authz_response ~trust ~now:(now t) body)
-                in
-                live_done ();
-                match parsed with
-                | Ok result ->
-                  l1_put t cache ~key result;
-                  l2_put t ~key result;
-                  k
-                    ( result,
-                      prov ~shard:pdp ~failovers ~epoch:(Wire.authz_response_epoch body)
-                        Provenance.Live )
-                | Error e ->
-                  k
-                    ( Decision.indeterminate ("unacceptable PDP response: " ^ e),
-                      prov ~shard:pdp ~failovers Provenance.Live ))
-              | Error _ ->
-                (* Failover to the next replica (§ dependability). *)
-                if rest <> [] then begin
-                  Metrics.inc t.counters.c_failovers;
-                  Trace.record (tracer t) ("pep:failover from " ^ pdp)
-                end;
-                try_pdps ~failovers:(failovers + 1) rest)
-      in
-      let live () =
-        live_started := now t;
-        live_tag := trace_tag (tracer t);
-        try_pdps ~failovers:0 pdps
-      in
-      consult_l2 t cache ~key ~miss:live (fun result -> k (result, prov Provenance.L2)))
+(* The sharded live rung: the tier routes, batches and fails over across
+   shards itself — one PDP call per descent. *)
+let tier_live t tier ~key ctx deliver =
+  Metrics.inc t.counters.c_pdp_calls;
+  Pdp_tier.decide_meta ~key tier ctx deliver
 
-(* --- sharded mode --------------------------------------------------------- *)
+(* The pull live rung: ordered failover over the replicas (§ dependability),
+   one plain authz-query per attempt.  An answer that does not decode, or
+   is not signed by a trusted PDP when signatures are required, is that
+   replica's Indeterminate — not a reason to fail over. *)
+let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
+  let rec attempt ~failovers = function
+    | [] ->
+      deliver (Error "no decision point reachable")
+        { Pdp_tier.shard = None; batch = 0; failovers; epoch = 0 }
+    | pdp :: rest ->
+      Metrics.inc t.counters.c_pdp_calls;
+      Service.call_resilient t.services ~src:t.node ~dst:pdp ~service:"authz-query"
+        ~timeout:call_timeout ?retry:t.retry (Wire.authz_query ctx) (function
+        | Ok body -> (
+          let meta epoch = { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch } in
+          match Wire.decode_authz_response ?trust:t.decision_trust ~now:(now t) body with
+          | Ok result -> deliver (Ok result) (meta (Wire.authz_response_epoch body))
+          | Error e ->
+            deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) (meta 0))
+        | Error _ ->
+          if rest <> [] then begin
+            Metrics.inc t.counters.c_failovers;
+            Trace.record (tracer t) ("pep:failover from " ^ pdp)
+          end;
+          attempt ~failovers:(failovers + 1) rest)
+  in
+  attempt ~failovers:0 pdps
 
-let tier_decide t ~tier ~cache ctx k =
+(* [live] is a closed function of its [source] (the tier, or the pull
+   failover list) so that picking the rung allocates nothing per decision. *)
+let ladder t ~cache ~live source ctx k =
   let key = Decision_cache.request_key ctx in
   match join_flight t ~key k with
   | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
@@ -585,38 +536,44 @@ let tier_decide t ~tier ~cache ctx k =
       (* A publish landing while the live query is in flight must keep
          its answer out of L1. *)
       let since = Option.map Decision_cache.purges cache in
-      let live () =
-        Metrics.inc t.counters.c_pdp_calls;
-        let started = now t in
-        let tag = trace_tag (tracer t) in
-        Pdp_tier.decide_meta ~key tier ctx (fun outcome meta ->
-            Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
-              ~at:(now t);
-            let { Pdp_tier.shard; batch; failovers; epoch } = meta in
-            match outcome with
-            | Ok result ->
-              l1_put ?since t cache ~key result;
-              l2_put t ~key result;
-              k (result, prov ?shard ~batch ~failovers ~epoch Provenance.Live)
-            | Error reason -> (
-              (* Same degradation ladder as pull mode, per shard: the tier
-                 already exhausted its replicas, so serve a bounded-stale
-                 decision if we hold one, else fail closed. *)
-              match found with
-              | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
-                Metrics.inc t.counters.c_stale_serves;
-                Trace.record (tracer t) "pep:stale-serve";
-                k (result, prov ~failovers ~stale_age:age Provenance.Stale)
-              | _ -> (
-                let mk ~epoch ~log_head =
-                  prov ~failovers ~epoch ~log_head Provenance.Offline
-                in
-                match offline_serve t ctx ~mk k with
-                | Some () -> ()
-                | None ->
-                  k (Decision.indeterminate reason, prov ~failovers Provenance.Fail_closed))))
-      in
-      consult_l2 t cache ~key ~miss:live (fun result -> k (result, prov Provenance.L2)))
+      consult_l2 t cache ~key (function
+        | Some result -> k (result, prov Provenance.L2)
+        | None ->
+          let started = now t in
+          let tag = trace_tag (tracer t) in
+          live t source ~key ctx (fun outcome meta ->
+              Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
+                ~at:(now t);
+              let { Pdp_tier.shard; batch; failovers; epoch } = meta in
+              match outcome with
+              | Ok result ->
+                l1_put ?since t cache ~key result;
+                (* The L2 drops an Indeterminate anyway: do not send it. *)
+                (match result.Decision.decision with
+                | Decision.Indeterminate _ -> ()
+                | Decision.Permit | Decision.Deny | Decision.Not_applicable ->
+                  l2_put t ~key result);
+                k (result, prov ?shard ~batch ~failovers ~epoch Provenance.Live)
+              | Error reason -> (
+                (* Degraded availability (§ dependability): with every
+                   replica down, a decision expired by at most
+                   [stale_window] seconds is still served — the last
+                   answer the policy actually gave — in preference to
+                   denying all access.  Beyond the bound, and with no
+                   offline log to decide from, we fail closed. *)
+                match found with
+                | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
+                  Metrics.inc t.counters.c_stale_serves;
+                  Trace.record (tracer t) "pep:stale-serve";
+                  k (result, prov ~failovers ~stale_age:age Provenance.Stale)
+                | _ -> (
+                  let mk ~epoch ~log_head =
+                    prov ~failovers ~epoch ~log_head Provenance.Offline
+                  in
+                  match offline_serve t ctx ~mk k with
+                  | Some () -> ()
+                  | None ->
+                    k (Decision.indeterminate reason, prov ~failovers Provenance.Fail_closed))))))
 
 (* --- push mode --------------------------------------------------------------- *)
 
@@ -683,8 +640,8 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
    exist on the wire, so it is out of scope here. *)
 let decide_admitted t ctx k =
   match t.mode with
-  | Pull { pdps; cache; call_timeout } -> pull_decide t ~pdps ~cache ~call_timeout ctx k
-  | Sharded { tier; cache } -> tier_decide t ~tier ~cache ctx k
+  | Pull { pdps; cache; call_timeout } -> ladder t ~cache ~live:pull_live (pdps, call_timeout) ctx k
+  | Sharded { tier; cache } -> ladder t ~cache ~live:tier_live tier ctx k
   | Agent pdp ->
     Pdp_service.evaluate_local pdp ctx (fun result ->
         k

@@ -7,8 +7,9 @@
       into an authorisation query to its PDP (with decision caching and
       ordered failover across PDP replicas — the dependability machinery).
     - {b Sharded}: pull semantics over a {!Pdp_tier} — queries are
-      hash-partitioned and batched across PDP replicas, with the same
-      caching, stale-degradation and fail-closed behaviour per shard.
+      hash-partitioned and batched across PDP replicas.  Pull and
+      sharded PEPs descend one decision ladder (see {!decide}); only its
+      live step differs.
     - {b Push} (capability-issuing, Fig. 2): the request must carry a
       signed capability assertion; the PEP verifies it locally, optionally
       checks revocation with the issuer, and can still consult a local PDP
@@ -28,8 +29,9 @@ type mode =
     }
   | Sharded of { tier : Pdp_tier.t; cache : Decision_cache.t option }
       (** Enforcement fans out through a sharded, batched PDP tier; the
-          cache and {!set_stale_window} degradation apply exactly as in
-          pull mode. *)
+          tier is the live step of the same ladder pull mode descends,
+          so the cache, {!set_stale_window} and signed-decision rules
+          are identical. *)
   | Push of {
       trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
       check_revocation : Dacs_net.Net.node_id option;
@@ -71,9 +73,13 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
 
 val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit
 (** The decision ladder for a context without the inbound access RPC or
-    enforcement: L1 fresh -> L2 fresh -> live tier -> bounded-stale L1 ->
+    enforcement: L1 fresh -> L2 fresh -> live -> bounded-stale L1 ->
     offline log -> fail closed, with identical concurrent queries
-    coalesced.  This is
+    coalesced.  Pull and sharded modes share this one ladder; the live
+    step is ordered failover over the PDPs (pull) or one tier call
+    (sharded).  A live answer in flight across an L1 purge is served
+    but not stored, and an Indeterminate live answer is never published
+    to the L2.  This is
     what the differential oracle drives to prove that no cache level can
     change a decision.  In push mode (capabilities live on the wire)
     answers Indeterminate. *)
@@ -115,10 +121,11 @@ val set_coalescing : t -> bool -> unit
 val coalescing : t -> bool
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
-(** Pull mode only: from now on, accept only decision responses signed by
-    a PDP whose certificate chains to the given trust store (mutual
-    authentication of §3.2 — a forged or unsigned decision is treated as
-    Indeterminate and therefore denied). *)
+(** Pull and sharded modes: from now on, accept only decision responses
+    signed by a PDP whose certificate chains to the given trust store
+    (mutual authentication of §3.2 — a forged or unsigned decision is
+    treated as Indeterminate and therefore denied).  A sharded PEP
+    delegates to {!Pdp_tier.require_signed_decisions} on its tier. *)
 
 val set_pull_pdps : t -> Dacs_net.Net.node_id list -> unit
 (** Replace the failover list of a pull-mode PEP — how a discovery
@@ -163,12 +170,14 @@ val shed_reason : string
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
 (** Retry each PDP (pull) / revocation authority (push) call with
     backoff before giving up on that replica.  [None] (the default)
-    restores single-attempt calls. *)
+    restores single-attempt calls.  Sharded PEPs ignore this: their
+    tier takes its retry policy from [Pdp_tier.create ?retry]. *)
 
 val retry_policy : t -> Dacs_net.Rpc.retry_policy option
 
 val set_stale_window : t -> float -> unit
-(** Pull mode with a cache only: when every PDP replica is unreachable,
+(** Pull or sharded mode with a cache only: when the live step reaches no
+    PDP (every pull replica, or every tier shard, is unreachable),
     serve a cached decision expired by at most this many seconds instead
     of denying (recorded in [stale_serves]).  The safety bound: a served
     decision is never older than [cache ttl + window], and it is always

@@ -135,6 +135,11 @@ let verify_signed_authz_response ~trust ~now node =
         Ok (result, cert))
   | _ -> Error "SignedAuthzResponse lacks response, certificate or signature"
 
+let decode_authz_response ?trust ~now node =
+  match trust with
+  | None -> parse_authz_response node
+  | Some trust -> Result.map fst (verify_signed_authz_response ~trust ~now node)
+
 (* --- attribute query ------------------------------------------------------- *)
 
 let attribute_query ~category ~attribute_id ~subject =

@@ -52,6 +52,17 @@ val verify_signed_authz_response :
     (directly or via a one-level chain to a stored root) and valid at
     [now]; returns the decision and the signer. *)
 
+val decode_authz_response :
+  ?trust:Dacs_crypto.Cert.Trust_store.t ->
+  now:float ->
+  Xml.t ->
+  (Dacs_policy.Decision.result, string) result
+(** The one decoder for a live decision answer, used by pull PEPs and the
+    sharded tier alike: without [trust] a plain {!parse_authz_response};
+    with it only a signed response accepted by
+    {!verify_signed_authz_response} decodes — "only authenticated
+    decisions are enforceable" (§3.2). *)
+
 (** {1 Attribute queries (PDP → PIP)} *)
 
 val attribute_query :

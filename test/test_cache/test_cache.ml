@@ -556,11 +556,22 @@ let test_region_put_race () =
   check int_ "no further rejections" 1 (Cache_hierarchy.L2.rejected_puts l2);
   check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.size l2)
 
+(* A PEP on node "pep" whose live rung reaches the single PDP "pdp",
+   either as a pull PEP's failover list or through a one-shard tier — the
+   two live steps of the one decision ladder. *)
+let pep_over_pdp services ~sharded ~resource cache =
+  let mode =
+    if sharded then
+      Pep.Sharded { tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp" ] (); cache }
+    else Pep.Pull { pdps = [ "pdp" ]; cache; call_timeout = 5.0 }
+  in
+  Pep.create services ~node:"pep" ~domain:"d" ~resource mode
+
 (* The same race one level down: a publish lands while a live query is in
-   flight, so the shard answers under the old policy and the PEP's L1 is
+   flight, so the PDP answers under the old policy and the PEP's L1 is
    purged before that answer arrives.  The answer is still served, but it
    must not enter L1, where it would outlive the purge for a whole TTL. *)
-let test_l1_put_after_purge_race () =
+let test_l1_put_after_purge_race ~sharded () =
   let net = Net.create ~seed:29L () in
   let services = Service.create (Rpc.create net) in
   let add id =
@@ -569,10 +580,8 @@ let test_l1_put_after_purge_race () =
   in
   let pdp = Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:region_base () in
   let l1 = Decision_cache.create ~ttl:60.0 () in
-  let tier = Pdp_tier.create services ~node:(add "pep") ~shards:[ "pdp" ] () in
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"lab" (Pep.Sharded { tier; cache = Some l1 })
-  in
+  Net.add_node net "pep";
+  let pep = pep_over_pdp services ~sharded ~resource:"lab" (Some l1) in
   (* The query sent at t=1 is decided at t=1.2 and answered at t=1.4;
      the publish and its L1 purge land in between. *)
   Net.set_latency net "pep" "pdp" 0.2;
@@ -601,6 +610,35 @@ let test_l1_put_after_purge_race () =
   check bool_ "the next query is decided live under the new policy" true
     (!second = Some (Decision.Permit, Provenance.Live));
   check int_ "a fill with no purge in flight is stored" 1 (Decision_cache.size l1)
+
+(* The shared L2 drops an Indeterminate, so the ladder must not spend a
+   cache-put on one.  A PDP with a zero in-flight bound sheds every query
+   with an Indeterminate, which arrives as an ordinary live answer. *)
+let test_no_l2_put_for_indeterminate ~sharded () =
+  let net = Net.create ~seed:31L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  ignore
+    (Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:region_base ~max_inflight:0
+       ());
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  Net.add_node net "pep";
+  let pep =
+    pep_over_pdp services ~sharded ~resource:"lab" (Some (Decision_cache.create ~ttl:60.0 ()))
+  in
+  Pep.set_l2 pep (Some "l2");
+  let answer = ref None in
+  Pep.decide_explained pep (rctx "lab") (fun r p ->
+      answer := Some (r.Decision.decision, p.Provenance.stage));
+  Net.run net;
+  check bool_ "the overloaded PDP answered Indeterminate live" true
+    (match !answer with Some (Decision.Indeterminate _, Provenance.Live) -> true | _ -> false);
+  let st = Cache_hierarchy.L2.stats l2 in
+  check int_ "the L2 was consulted" 1 st.Cache_hierarchy.L2.lookups;
+  check int_ "no cache-put reached the L2" 0 st.Cache_hierarchy.L2.puts
 
 (* --- the whole hierarchy under revocation ------------------------------- *)
 
@@ -706,6 +744,10 @@ let () =
             test_invalidation_fanout;
           Alcotest.test_case "anti-entropy applies a lost purge within one round" `Quick
             test_anti_entropy_backstop;
+          Alcotest.test_case "a pull PEP sends no L2 put for an Indeterminate" `Quick
+            (test_no_l2_put_for_indeterminate ~sharded:false);
+          Alcotest.test_case "a sharded PEP sends no L2 put for an Indeterminate" `Quick
+            (test_no_l2_put_for_indeterminate ~sharded:true);
         ] );
       ( "region-invalidation",
         [
@@ -718,7 +760,10 @@ let () =
           Alcotest.test_case "an in-flight put cannot outlive a region purge" `Quick
             test_region_put_race;
           Alcotest.test_case "a live answer in flight across a purge stays out of L1" `Quick
-            test_l1_put_after_purge_race;
+            (test_l1_put_after_purge_race ~sharded:true);
+          Alcotest.test_case "a pull PEP's answer in flight across a purge stays out of L1"
+            `Quick
+            (test_l1_put_after_purge_race ~sharded:false);
         ] );
       ( "revocation",
         [

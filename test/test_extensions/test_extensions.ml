@@ -233,7 +233,9 @@ let test_wire_signed_response_untrusted_signer () =
   | Error e -> check bool_ "names the signer" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "rogue signer must be rejected"
 
-let test_pep_requires_signed_decisions () =
+(* Both live rungs decode through the same trust check: a pull PEP's
+   failover list and a sharded PEP's tier reject unsigned answers alike. *)
+let test_pep_requires_signed_decisions ~sharded () =
   let net, services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
   List.iter (Net.add_node net) [ "signing-pdp"; "plain-pdp"; "pep"; "client" ];
   let policy = doctor_read_policy "r" in
@@ -241,10 +243,13 @@ let test_pep_requires_signed_decisions () =
     (Pdp_service.create services ~node:"signing-pdp" ~name:"s" ~root:policy
        ~signer:(pdp_keys.Rsa.private_, pdp_cert) ());
   ignore (Pdp_service.create services ~node:"plain-pdp" ~name:"p" ~root:policy ());
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 })
+  let mode =
+    if sharded then
+      Pep.Sharded
+        { tier = Pdp_tier.create services ~node:"pep" ~shards:[ "signing-pdp" ] (); cache = None }
+    else Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 }
   in
+  let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" mode in
   Pep.require_signed_decisions pep trust;
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
   let got = ref None in
@@ -744,7 +749,10 @@ let () =
         [
           Alcotest.test_case "roundtrip and tamper" `Quick test_wire_signed_response_roundtrip;
           Alcotest.test_case "untrusted signer" `Quick test_wire_signed_response_untrusted_signer;
-          Alcotest.test_case "PEP requires signatures" `Quick test_pep_requires_signed_decisions;
+          Alcotest.test_case "PEP requires signatures" `Quick
+            (test_pep_requires_signed_decisions ~sharded:false);
+          Alcotest.test_case "sharded PEP requires signatures" `Quick
+            (test_pep_requires_signed_decisions ~sharded:true);
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
         ] );

@@ -206,8 +206,10 @@ let tier_oracle (name, alg) =
    reference evaluation sees the same attributes inline.  No stage may
    change the decision or the obligations (the fail-closed floor, which
    answers Indeterminate by design, asserts that shape instead), and
-   every stage's provenance record must name the rung that was forced. *)
-let cached_ladder_evaluate root cspec =
+   every stage's provenance record must name the rung that was forced.
+   [sharded] picks the PEP's live rung: a pull PEP's failover list, or a
+   one-shard tier — the one ladder must hold through both. *)
+let cached_ladder_evaluate ~sharded root cspec =
   let net = Net.create ~seed:23L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   let add id =
@@ -223,10 +225,14 @@ let cached_ladder_evaluate root cspec =
        ~attr_cache_ttl:600.0 ());
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:600.0 () in
   let cache = Decision_cache.create ~ttl:600.0 () in
-  let pep =
-    Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
+  let pep_node = add "pep" in
+  let mode =
+    if sharded then
+      Pep.Sharded
+        { tier = Pdp_tier.create services ~node:pep_node ~shards:[ "pdp" ] (); cache = Some cache }
+    else Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 }
   in
+  let pep = Pep.create services ~node:pep_node ~domain:"d" ~resource:"r" ~content:"c" mode in
   Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
   (* Lean context: role withheld, resolved at the PIP on the cached path. *)
   let ctx =
@@ -354,6 +360,16 @@ let check_ladder_stage ~alg:name ~reference
           fail_diverged ~alg:name ~expected:reference ~got:cached "reference"
             (Printf.sprintf "cached stage %s" stage)
 
+(* The cached ladder checked against the reference through both live
+   rungs; a failure names the rung as [alg/pull] or [alg/sharded]. *)
+let check_both_live_rungs ~alg ~reference root cspec =
+  List.for_all
+    (fun (rung, sharded) ->
+      List.for_all
+        (check_ladder_stage ~alg:(alg ^ "/" ^ rung) ~reference)
+        (cached_ladder_evaluate ~sharded root cspec))
+    [ ("pull", false); ("sharded", true) ]
+
 let cached_oracle (name, alg) =
   QCheck.Test.make
     ~name:(Printf.sprintf "caching ladder == reference (%s)" name)
@@ -365,10 +381,7 @@ let cached_oracle (name, alg) =
       let compiled = Compiled.evaluate ctx (Compiled.compile (Policy.Inline_policy policy)) in
       if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
-      else
-        List.for_all
-          (check_ladder_stage ~alg:name ~reference)
-          (cached_ladder_evaluate (Policy.Inline_policy policy) cspec))
+      else check_both_live_rungs ~alg:name ~reference (Policy.Inline_policy policy) cspec)
 
 let algorithms =
   [
@@ -492,9 +505,7 @@ let delegation_cached_oracle (name, alg) =
       let _, _, cspec = case in
       let root = delegation_filtered_root alg case in
       let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
-      List.for_all
-        (check_ladder_stage ~alg:name ~reference)
-        (cached_ladder_evaluate root cspec))
+      check_both_live_rungs ~alg:name ~reference root cspec)
 
 (* --- oracle 5: negotiation-gated requests ------------------------------- *)
 
@@ -632,10 +643,12 @@ let scheme_oracle (name, alg) =
       let reference = Policy.evaluate (ctx_of_spec cspec) policy in
       let root = Policy.Inline_policy policy in
       let packed =
-        with_scheme Decision_cache.Packed (fun () -> cached_ladder_evaluate root cspec)
+        with_scheme Decision_cache.Packed (fun () ->
+            cached_ladder_evaluate ~sharded:false root cspec)
       in
       let sha =
-        with_scheme Decision_cache.Sha_hex (fun () -> cached_ladder_evaluate root cspec)
+        with_scheme Decision_cache.Sha_hex (fun () ->
+            cached_ladder_evaluate ~sharded:false root cspec)
       in
       List.for_all (check_ladder_stage ~alg:name ~reference) packed
       && schemes_agree ~alg:name packed sha)
@@ -649,10 +662,12 @@ let delegation_scheme_oracle (name, alg) =
       let root = delegation_filtered_root alg case in
       let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
       let packed =
-        with_scheme Decision_cache.Packed (fun () -> cached_ladder_evaluate root cspec)
+        with_scheme Decision_cache.Packed (fun () ->
+            cached_ladder_evaluate ~sharded:false root cspec)
       in
       let sha =
-        with_scheme Decision_cache.Sha_hex (fun () -> cached_ladder_evaluate root cspec)
+        with_scheme Decision_cache.Sha_hex (fun () ->
+            cached_ladder_evaluate ~sharded:false root cspec)
       in
       List.for_all (check_ladder_stage ~alg:name ~reference) packed
       && schemes_agree ~alg:name packed sha)
