@@ -5,6 +5,10 @@
      dune exec bench/main.exe e2 e4      # selected experiments
      dune exec bench/main.exe micro      # micro-benchmarks only
 
+   Each experiment runs in its own forked child (Dacs_experiment); the
+   gated ones (e16..e23) declare their CHECKs there, and the exit status
+   is non-zero when any gate fails or never produces a verdict.
+
    The paper (DSN'08 requirements/architecture paper) has no numeric
    tables; each experiment operationalises one of its figures or §3
    claims.  EXPERIMENTS.md records claim vs measurement. *)
@@ -28,46 +32,13 @@ module Rbac = Dacs_rbac.Rbac
 module Compile = Dacs_rbac.Compile
 module Rng = Dacs_crypto.Rng
 module Rsa = Dacs_crypto.Rsa
+module Experiment = Dacs_experiment.Experiment
+module Gate = Experiment.Gate
 open Dacs_core
 
 let header title claim =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '-');
   Printf.printf "claim: %s\n\n" claim
-
-(* Gated experiments (the ones CI greps CHECK lines from) record their
-   failures here so the harness can exit non-zero — a grep that never runs
-   because the binary died must not read as success, and neither must a
-   FAIL line the grep pattern missed. *)
-let gate_failures : string list ref = ref []
-
-let record_gate_failures tag failures =
-  gate_failures := List.map (fun f -> tag ^ ": " ^ f) failures @ !gate_failures
-
-(* Machine-readable snapshot of an experiment's headline numbers, for CI
-   artifacts and cross-run comparison: BENCH_<tag>.json under the bench
-   history directory (bench/history/ next to the committed trajectory
-   ledger; $DACS_HISTORY overrides it — the perturbed-baseline test
-   points it at a scratch directory).  Values are pre-rendered JSON
-   literals. *)
-let history_dir () =
-  match Sys.getenv_opt "DACS_HISTORY" with Some d when d <> "" -> d | _ -> "bench/history"
-
-let rec ensure_dir d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let write_bench_json tag fields =
-  let dir = history_dir () in
-  ensure_dir dir;
-  let oc = open_out (Filename.concat dir (Printf.sprintf "BENCH_%s.json" tag)) in
-  Printf.fprintf oc "{\n%s\n}\n"
-    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields));
-  close_out oc
-
-let json_f v = Printf.sprintf "%.4f" v
-let json_i v = string_of_int v
 
 let fresh () =
   let net = Net.create () in
@@ -1046,7 +1017,11 @@ let e15_telemetry () =
 (* E16 — sharded, batched PDP tier: shard count x batch size ablation   *)
 (* ==================================================================== *)
 
-let e16_sharded_tier () =
+let e16_sharded_tier =
+  Experiment.v "e16"
+    ~gates:Gate.[ exact "all-requests-granted"; exact "balanced-shards";
+                  ratio "speedup>=3x at 4 shards" ~at_least:3.0 ]
+  @@ fun x ->
   header "E16  Sharded, batched PDP tier (shard count x batch size ablation)"
     "hash-partitioning the Fig. 3 flow across PDP replicas multiplies sustained \
      throughput near-linearly in shards (>= 3x at 4 shards), and batching cuts \
@@ -1121,7 +1096,7 @@ let e16_sharded_tier () =
   let _, _, base_tput, _, _, _ = run ~shards:0 ~batch:1 in
   Printf.printf "%-22s %8s %10s %10s %9s %9s %11s\n" "configuration" "granted" "makespan" "req/s"
     "speedup" "msgs/req" "mean batch";
-  let failures = ref [] in
+  let short = ref [] in
   let row label (granted, makespan, tput, msgs, tier, _) =
     let mean_batch =
       match tier with
@@ -1131,8 +1106,7 @@ let e16_sharded_tier () =
     in
     Printf.printf "%-22s %8d %9.3fs %10.0f %8.2fx %9.1f %11s\n" label granted makespan tput
       (tput /. base_tput) msgs mean_batch;
-    if granted <> requests then
-      failures := Printf.sprintf "%s: only %d/%d granted" label granted requests :: !failures
+    if granted <> requests then short := Printf.sprintf "%s: %d/%d" label granted requests :: !short
   in
   row "single PDP (pull)" (run ~shards:0 ~batch:1);
   List.iter (fun shards -> row (Printf.sprintf "%d shards, batch 8" shards) (run ~shards ~batch:8))
@@ -1143,31 +1117,27 @@ let e16_sharded_tier () =
   let _, _, tput4, _, _, per_shard = run ~shards:4 ~batch:8 in
   Printf.printf "\nper-shard evaluations (4 shards, batch 8):\n";
   List.iter (fun (node, n) -> Printf.printf "  %-14s %6d evaluations\n" node n) per_shard;
-  let speedup = tput4 /. base_tput in
-  if List.exists (fun (_, n) -> n = 0) per_shard then
-    failures := "a shard evaluated zero queries under the balanced workload" :: !failures;
-  if speedup < 3.0 then
-    failures := Printf.sprintf "4-shard speedup %.2fx below 3x" speedup :: !failures;
-  Printf.printf "\nE16 CHECK balanced-shards: %s\n"
-    (if List.exists (fun (_, n) -> n = 0) per_shard then "FAIL" else "PASS");
-  Printf.printf "E16 CHECK speedup>=3x at 4 shards: %s (%.2fx)\n"
-    (if speedup < 3.0 then "FAIL" else "PASS")
-    speedup;
-  List.iter (fun f -> Printf.printf "E16 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e16" !failures;
-  write_bench_json "e16"
-    [
-      ("single_pdp_req_s", json_f base_tput);
-      ("four_shards_req_s", json_f tput4);
-      ("speedup_4_shards", json_f speedup);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  print_newline ();
+  Experiment.check x "all-requests-granted" (!short = [])
+    (if !short = [] then "every configuration granted every request"
+     else "short: " ^ String.concat ", " (List.rev !short));
+  let least = List.fold_left (fun acc (_, n) -> min acc n) max_int per_shard in
+  Experiment.check x "balanced-shards" (least > 0)
+    (Printf.sprintf "least-loaded of %d shards evaluated %d queries" (List.length per_shard) least);
+  Experiment.ratio x "speedup>=3x at 4 shards" tput4 base_tput;
+  Experiment.metric x "single_pdp_req_s" base_tput;
+  Experiment.metric x "four_shards_req_s" tput4;
+  Experiment.metric x "speedup_4_shards" (tput4 /. base_tput)
 
 (* ==================================================================== *)
 (* E17 — hierarchical caching + batched attribute resolution ablation   *)
 (* ==================================================================== *)
 
-let e17_cache_hierarchy () =
+let e17_cache_hierarchy =
+  Experiment.v "e17"
+    ~gates:Gate.[ exact "all-requests-granted"; exact "warm msgs/req < 2.2 (full config)";
+                  ratio "attr RPCs/decision reduced >= 2x by batching" ~at_least:2.0 ]
+  @@ fun x ->
   header "E17  Hierarchical caching + batched attribute resolution (ablation)"
     "stacking the cache hierarchy — per-PEP L1, domain-shared L2, PDP attribute \
      cache with one-round-trip batched PIP fetches, single-flight coalescing — \
@@ -1319,7 +1289,7 @@ let e17_cache_hierarchy () =
   in
   Printf.printf "%-20s %9s %9s %9s %11s %8s %10s %9s %9s\n" "configuration" "granted" "cold m/r"
     "warm m/r" "attr frames" "l2 hits" "coalesced" "p50 (ms)" "p99 (ms)";
-  let failures = ref [] in
+  let short = ref [] in
   let results =
     List.map
       (fun (label, l2, attr_batch, coalesce) ->
@@ -1328,8 +1298,7 @@ let e17_cache_hierarchy () =
         in
         Printf.printf "%-20s %4d/%-4d %9.2f %9.2f %11d %8d %10d %9.2f %9.2f\n" label granted total
           cold_mpr warm_mpr frames l2_hits coalesced p50 p99;
-        if granted <> total then
-          failures := Printf.sprintf "%s: only %d/%d granted" label granted total :: !failures;
+        if granted <> total then short := Printf.sprintf "%s: %d/%d" label granted total :: !short;
         (label, r))
       configs
   in
@@ -1340,32 +1309,30 @@ let e17_cache_hierarchy () =
   let _, _, _, full_warm, _, _, _, _, _ = List.assoc "full (+coalescing)" results in
   let legacy = frames_of "l1+l2" and batched = frames_of "l1+l2+attr-batch" in
   let reduction = float_of_int legacy /. float_of_int (max 1 batched) in
-  if full_warm >= 2.2 then
-    failures := Printf.sprintf "warm msgs/req %.2f not < 2.2" full_warm :: !failures;
-  if reduction < 2.0 then
-    failures := Printf.sprintf "attribute-frame reduction %.2fx below 2x" reduction :: !failures;
-  Printf.printf "\nE17 CHECK warm msgs/req < 2.2 (full config): %s (%.2f)\n"
-    (if full_warm < 2.2 then "PASS" else "FAIL")
-    full_warm;
-  Printf.printf "E17 CHECK attr RPCs/decision reduced >= 2x by batching: %s (%.2fx, %d -> %d frames)\n"
-    (if reduction >= 2.0 then "PASS" else "FAIL")
-    reduction legacy batched;
-  List.iter (fun f -> Printf.printf "E17 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e17" !failures;
-  write_bench_json "e17"
-    [
-      ("warm_msgs_per_req", json_f full_warm);
-      ("attr_frame_reduction", json_f reduction);
-      ("attr_frames_sequential", json_i legacy);
-      ("attr_frames_batched", json_i batched);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  print_newline ();
+  Experiment.check x "all-requests-granted" (!short = [])
+    (if !short = [] then "every configuration granted every request"
+     else "short: " ^ String.concat ", " (List.rev !short));
+  Experiment.check x "warm msgs/req < 2.2 (full config)" (full_warm < 2.2)
+    (Printf.sprintf "%.2f" full_warm);
+  Experiment.ratio x "attr RPCs/decision reduced >= 2x by batching"
+    ~detail:(Printf.sprintf "%d -> %d frames" legacy batched)
+    (float_of_int legacy) (float_of_int (max 1 batched));
+  Experiment.metric x "warm_msgs_per_req" full_warm;
+  Experiment.metric x "attr_frame_reduction" reduction;
+  Experiment.count x "attr_frames_sequential" legacy;
+  Experiment.count x "attr_frames_batched" batched
 
 (* ==================================================================== *)
 (* E18 — workload engine: overload protection ablation                  *)
 (* ==================================================================== *)
 
-let e18_workload () =
+let e18_workload =
+  Experiment.v "e18"
+    ~gates:Gate.[ exact "conservation"; exact "shedding-engages"; exact "p99-bounded";
+                  exact "no-shed-below-saturation"; exact "cache-relieves-shedding";
+                  exact "determinism" ]
+  @@ fun x ->
   header "E18  Open-loop workload vs overload protection (rate x shards x cache)"
     "under open-loop Poisson arrivals past saturation, the bounded admission \
      queue sheds the excess (pep_shed_total > 0) while p99 latency of admitted \
@@ -1407,11 +1374,7 @@ let e18_workload () =
       [ 100.0; 400.0; 1600.0 ]
   in
   let get rate shards cache_ttl = List.assoc (rate, shards, cache_ttl) rows in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E18 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let check = Experiment.check x in
   (* Every row must conserve requests regardless of load. *)
   let conserved = List.for_all (fun (_, r) -> W.conservation_ok r) rows in
   print_newline ();
@@ -1441,27 +1404,25 @@ let e18_workload () =
   check "determinism"
     (W.render rerun = W.render saturated)
     "same-seed saturating run renders byte-identical";
-  List.iter (fun f -> Printf.printf "E18 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e18" !failures;
-  write_bench_json "e18"
-    [
-      ("shed_saturated_1_shard", json_i saturated.W.shed);
-      ("shed_saturated_cached", json_i cached.W.shed);
-      ("worst_admitted_p99_s", json_f worst_p99);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  Experiment.count x "shed_saturated_1_shard" saturated.W.shed;
+  Experiment.count x "shed_saturated_cached" cached.W.shed;
+  Experiment.metric x "worst_admitted_p99_s" worst_p99
 
 (* ==================================================================== *)
 (* E19 — compiled evaluation vs the interpreter reference               *)
 (* ==================================================================== *)
 
-let e19_compiled_eval () =
+let e19_compiled_eval =
+  Experiment.v "e19"
+    ~gates:Gate.[ exact "decisions-identical";
+                  ratio "compiled-speedup>=5x on deep tree" ~at_least:5.0 ]
+  @@ fun x ->
   header "E19  Compiled vs interpreted evaluation (target-indexed dispatch, §3.1 scalability)"
     "compiling the policy tree into per-(resource, action) buckets makes \
      per-decision cost depend on the matching rules, not the store size: \
      >= 5x cheaper than the interpreter reference on a deep tree, identical \
      decisions everywhere";
-  let failures = ref [] in
+  let diverged = ref [] and compared = ref 0 in
   let result_equal (a : Decision.result) (b : Decision.result) =
     Decision.equal_decision a.Decision.decision b.Decision.decision
     && a.Decision.obligations = b.Decision.obligations
@@ -1475,8 +1436,9 @@ let e19_compiled_eval () =
         let child = Policy.Inline_policy (sized_policy n) in
         let c = Dacs_policy.Compiled.compile child in
         let ctx = request_for (n - 1) in
+        incr compared;
         if not (result_equal (Policy.evaluate_child ctx child) (Dacs_policy.Compiled.evaluate ctx c))
-        then failures := Printf.sprintf "flat %d rules: compiled decision diverged" n :: !failures;
+        then diverged := Printf.sprintf "flat %d rules" n :: !diverged;
         let interp = time_us (fun () -> ignore (Policy.evaluate_child ctx child)) in
         let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate ctx c)) in
         Printf.printf "%8d %16.2f %14.2f %9.1fx %12d\n" n interp comp (interp /. comp)
@@ -1520,8 +1482,9 @@ let e19_compiled_eval () =
           ~action:[ ("action-id", Value.String "read") ]
           ()
       in
+      incr compared;
       if not (result_equal (Policy.evaluate_child ctx deep) (Dacs_policy.Compiled.evaluate ctx c))
-      then failures := Printf.sprintf "deep tree: compiled diverged on %s" rid :: !failures)
+      then diverged := Printf.sprintf "deep tree on %s" rid :: !diverged)
     [ "res0-0"; "res7-31"; "res15-63"; "nosuch" ];
   let interp = time_us (fun () -> ignore (Policy.evaluate_child deep_ctx deep)) in
   let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate deep_ctx c)) in
@@ -1531,33 +1494,17 @@ let e19_compiled_eval () =
     "interpreted" interp "compiled" comp deep_speedup
     (Dacs_policy.Compiled.candidate_count c deep_ctx)
     (Dacs_policy.Compiled.rule_count c);
-  if deep_speedup < 5.0 then
-    failures := Printf.sprintf "deep-tree speedup %.1fx below 5x" deep_speedup :: !failures;
-  let diverged =
-    List.exists
-      (fun f ->
-        let has sub =
-          let n = String.length sub in
-          let rec go i = i + n <= String.length f && (String.sub f i n = sub || go (i + 1)) in
-          go 0
-        in
-        has "diverged")
-      !failures
-  in
-  Printf.printf "\nE19 CHECK decisions-identical: %s\n" (if diverged then "FAIL" else "PASS");
-  Printf.printf "E19 CHECK compiled-speedup>=5x on deep tree: %s (%.1fx)\n"
-    (if deep_speedup >= 5.0 then "PASS" else "FAIL")
-    deep_speedup;
-  List.iter (fun f -> Printf.printf "E19 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e19" !failures;
-  write_bench_json "e19"
-    (List.map (fun (n, s) -> (Printf.sprintf "flat_speedup_%d_rules" n, json_f s)) flat_speedups
-    @ [
-        ("deep_tree_speedup", json_f deep_speedup);
-        ("deep_tree_interpreted_us", json_f interp);
-        ("deep_tree_compiled_us", json_f comp);
-        ("gate_failures", json_i (List.length !failures));
-      ])
+  print_newline ();
+  Experiment.check x "decisions-identical" (!diverged = [])
+    (if !diverged = [] then Printf.sprintf "%d requests, compiled = interpreter" !compared
+     else "diverged: " ^ String.concat ", " (List.rev !diverged));
+  Experiment.ratio x "compiled-speedup>=5x on deep tree" interp comp;
+  List.iter
+    (fun (n, s) -> Experiment.metric x (Printf.sprintf "flat_speedup_%d_rules" n) s)
+    flat_speedups;
+  Experiment.metric x "deep_tree_speedup" deep_speedup;
+  Experiment.metric x "deep_tree_interpreted_us" interp;
+  Experiment.metric x "deep_tree_compiled_us" comp
 
 (* ==================================================================== *)
 (* E20 — bench trajectory ledger + regression gate                      *)
@@ -1572,51 +1519,18 @@ let e19_compiled_eval () =
    recorded in the embedded snapshots but never gated: only metrics that
    are byte-identical per seed can fail a build honestly. *)
 
-let e20_tolerance = 1.10
-
-let read_file_opt path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  end
-  else None
-
-let last_line s =
-  let lines = String.split_on_char '\n' s in
-  List.fold_left (fun acc l -> if String.trim l = "" then acc else Some l) None lines
-
-(* Pull a numeric field out of a ledger line by its quoted key — the
-   entries are written by this file, so the first occurrence is the e20
-   object's own field. *)
-let find_float_field line key =
-  let needle = Printf.sprintf "%S:" key in
-  let nlen = String.length needle and llen = String.length line in
-  let rec search i =
-    if i + nlen > llen then None
-    else if String.sub line i nlen = needle then begin
-      let start = i + nlen in
-      let stop = ref start in
-      while
-        !stop < llen && (match line.[!stop] with ',' | '}' | ']' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub line start (!stop - start)))
-    end
-    else search (i + 1)
-  in
-  search 0
-
-let e20_trajectory () =
+let e20_trajectory =
+  Experiment.v "e20"
+    ~gates:Gate.[ no_worse "p99-regression" ~key:"p99_s" ~better:`Lower;
+                  no_worse "msgs-per-req-regression" ~key:"msgs_per_req" ~better:`Lower;
+                  no_worse "shed-regression" ~key:"shed_saturated" ~better:`Lower ]
+  @@ fun x ->
   header "E20  Bench trajectory ledger + regression gate"
     "the serving path's deterministic metrics (steady p99, messages per \
      request, saturated shedding) must not worsen beyond tolerance against \
      the previous committed ledger entry; every run appends its own entry \
-     with the e16..e19 snapshots embedded, so the trajectory across PRs is \
-     reviewable history, not folklore";
+     with the other gated experiments' snapshots embedded, so the \
+     trajectory across PRs is reviewable history, not folklore";
   let module W = Dacs_workload.Workload in
   let steady = W.run { W.default with W.seed = 11; cache_ttl = 30.0; duration = 4.0 } in
   let saturated =
@@ -1632,71 +1546,15 @@ let e20_trajectory () =
   let p99 = steady.W.latency.W.p99 in
   let mpr = float_of_int steady.W.messages /. float_of_int steady.W.offered in
   let shed = saturated.W.shed in
-  let pr = match Sys.getenv_opt "DACS_PR" with Some p when p <> "" -> p | _ -> "local" in
-  let dir = history_dir () in
-  let ledger = Filename.concat dir "ledger.jsonl" in
-  Printf.printf "this run (pr=%s):\n" pr;
+  Printf.printf "this run:\n";
   Printf.printf "  %-32s %10.6f s\n" "steady-state p99 (cached, 200 req/s)" p99;
   Printf.printf "  %-32s %10.2f\n" "messages per request (steady)" mpr;
   Printf.printf "  %-32s %10d\n" "saturated shed (1600 req/s, 1 shard)" shed;
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E20 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
-  print_newline ();
-  (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E20 CHECK regression: PASS (first ledger entry, nothing to compare)\n"
-  | Some prev -> (
-    match
-      ( find_float_field prev "p99_s",
-        find_float_field prev "msgs_per_req",
-        find_float_field prev "shed_saturated" )
-    with
-    | Some prev_p99, Some prev_mpr, Some prev_shed ->
-      check "p99-regression"
-        (p99 <= (prev_p99 *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%.6fs vs %.6fs last entry, tolerance %d%%" p99 prev_p99
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)));
-      check "msgs-per-req-regression"
-        (mpr <= (prev_mpr *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%.2f vs %.2f last entry, tolerance %d%%" mpr prev_mpr
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)));
-      check "shed-regression"
-        (float_of_int shed <= Float.ceil (prev_shed *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%d vs %.0f last entry, tolerance %d%%" shed prev_shed
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)))
-    | _ ->
-      check "ledger-parseable" false
-        (Printf.sprintf "could not parse previous entry in %s" ledger)));
-  (* Append this run's entry, embedding whatever e16..e19 snapshots the
-     run produced (absent when e20 runs standalone). *)
-  let minify s = String.map (fun c -> if c = '\n' then ' ' else c) (String.trim s) in
-  let snapshots =
-    List.filter_map
-      (fun tag ->
-        Option.map
-          (fun s -> Printf.sprintf "%S:%s" tag (minify s))
-          (read_file_opt (Filename.concat dir (Printf.sprintf "BENCH_%s.json" tag))))
-      [ "e16"; "e17"; "e18"; "e19"; "e21"; "e22"; "e23" ]
-  in
-  ensure_dir dir;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 ledger in
-  Printf.fprintf oc
-    "{\"pr\":%S,\"e20\":{\"p99_s\":%.6f,\"msgs_per_req\":%.4f,\"shed_saturated\":%d},\"snapshots\":{%s}}\n"
-    pr p99 mpr shed (String.concat "," snapshots);
-  close_out oc;
-  Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots)\n" pr ledger
-    (List.length snapshots);
-  List.iter (fun f -> Printf.printf "E20 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e20" !failures;
-  write_bench_json "e20"
-    [
-      ("steady_p99_s", json_f p99);
-      ("steady_msgs_per_req", json_f mpr);
-      ("saturated_shed", json_i shed);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  Experiment.metric x ~digits:6 "p99_s" p99;
+  Experiment.metric x "msgs_per_req" mpr;
+  Experiment.count x "shed_saturated" shed;
+  Experiment.append_ledger x;
+  print_newline ()
 
 (* ==================================================================== *)
 (* E21 — partition -> heal ablation (offline authorization)             *)
@@ -1714,7 +1572,16 @@ let e20_trajectory () =
      are all virtual-clock deterministic, so they gate against the
      previous ledger entry like the e20 trio. *)
 
-let e21_offline () =
+let e21_offline =
+  Experiment.v "e21"
+    ~gates:Gate.[ exact "offline-serves-partition"; exact "post-heal-convergence";
+                  exact "deny-wins"; exact "retroactive-invalidation";
+                  no_worse "convergence-rounds-regression" ~key:"convergence_rounds"
+                    ~better:`Lower;
+                  no_worse "replayed-events-regression" ~key:"replayed_events" ~better:`Lower;
+                  no_worse "invalidations-regression" ~key:"retroactive_invalidations"
+                    ~better:`Lower ]
+  @@ fun x ->
   header "E21  Partition -> heal ablation (offline authorization)"
     "a partitioned domain serves from its signed event log instead of failing \
      closed, and heal reconverges every replica by deny-wins replay in a \
@@ -1822,11 +1689,7 @@ let e21_offline () =
   Printf.printf "  %-32s %8d\n" "retroactive invalidations" invalidations;
   Printf.printf "  %-32s %8d\n" "deny-wins conflicts" conflicts;
   print_newline ();
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E21 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let check = Experiment.check x in
   check "offline-serves-partition"
     (closed.W.errors > 0 && served.W.offline_serves > 0 && served.W.errors < closed.W.errors)
     (Printf.sprintf "errors %d -> %d, %d offline serves" closed.W.errors served.W.errors
@@ -1840,47 +1703,14 @@ let e21_offline () =
   check "retroactive-invalidation"
     (invalidations >= n)
     (Printf.sprintf "%d contradicted offline decisions purged" invalidations);
-  (* regression gates against the previous ledger entry's embedded e21
-     snapshot (absent on the first run: nothing to compare) *)
-  let ledger = Filename.concat (history_dir ()) "ledger.jsonl" in
-  (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E21 CHECK regression: PASS (no ledger, nothing to compare)\n"
-  | Some prev -> (
-    match
-      ( find_float_field prev "convergence_rounds",
-        find_float_field prev "replayed_events",
-        find_float_field prev "retroactive_invalidations" )
-    with
-    | Some prev_rounds, Some prev_replayed, Some prev_inval ->
-      check "convergence-rounds-regression"
-        (float_of_int !rounds <= (prev_rounds *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%d vs %.0f last entry, tolerance %d%%" !rounds prev_rounds
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)));
-      check "replayed-events-regression"
-        (float_of_int replayed <= (prev_replayed *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%d vs %.0f last entry, tolerance %d%%" replayed prev_replayed
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)));
-      check "invalidations-regression"
-        (float_of_int invalidations <= (prev_inval *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%d vs %.0f last entry, tolerance %d%%" invalidations prev_inval
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)))
-    | _ ->
-      Printf.printf
-        "E21 CHECK regression: PASS (previous entry has no e21 snapshot, nothing to compare)\n"));
-  List.iter (fun f -> Printf.printf "E21 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e21" !failures;
-  write_bench_json "e21"
-    [
-      ("fail_closed_errors", json_i closed.W.errors);
-      ("offline_serves", json_i served.W.offline_serves);
-      ("offline_errors", json_i served.W.errors);
-      ("offline_decides_partition", json_i !offline_decides);
-      ("convergence_rounds", json_i !rounds);
-      ("replayed_events", json_i replayed);
-      ("retroactive_invalidations", json_i invalidations);
-      ("conflicts", json_i conflicts);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  Experiment.count x "fail_closed_errors" closed.W.errors;
+  Experiment.count x "offline_serves" served.W.offline_serves;
+  Experiment.count x "offline_errors" served.W.errors;
+  Experiment.count x "offline_decides_partition" !offline_decides;
+  Experiment.count x "convergence_rounds" !rounds;
+  Experiment.count x "replayed_events" replayed;
+  Experiment.count x "retroactive_invalidations" invalidations;
+  Experiment.count x "conflicts" conflicts
 
 (* ==================================================================== *)
 (* E22 — million-user scale: key scheme x cache tier                    *)
@@ -1900,7 +1730,13 @@ let e21_offline () =
    Resident key bytes come from {!Decision_cache.key_bytes}: the packed
    scheme must at least halve what the cache pins per entry. *)
 
-let e22_scale () =
+let e22_scale =
+  Experiment.v "e22"
+    ~gates:Gate.[ ratio "key-build-speedup" ~at_least:2.0; exact "warm-decides-synchronous";
+                  ratio "warm-decide-speedup" ~at_least:2.0; exact "resident-key-bytes";
+                  exact "decisions-unchanged"; exact "msgs-per-req-unchanged";
+                  exact "o-active-state"; exact "determinism"; exact "conservation" ]
+  @@ fun x ->
   header "E22  Million-user serving path (key scheme x cache tier)"
     "interning identities and packing cache keys as integer tuples makes the \
      warm decide path >= 2x faster than the sorted-string + SHA-256 scheme at \
@@ -1913,11 +1749,7 @@ let e22_scale () =
     Decision_cache.set_key_scheme scheme;
     Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
   in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E22 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let check = Experiment.check x in
   (* -- part 1: key construction ------------------------------------- *)
   (* The e17 attribute shape: identity plus the role/clearance/department
      triple a PIP would have resolved, over a 16-resource estate. *)
@@ -2019,12 +1851,10 @@ let e22_scale () =
         let t0 = Sys.time () in
         Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> incr answered)) ctxs;
         let dt = Sys.time () -. t0 in
-        if !answered <> draws then
-          failures := Printf.sprintf "%d of %d warm decides answered synchronously" !answered draws :: !failures;
-        (float_of_int draws /. dt, Decision_cache.key_bytes cache, Decision_cache.size cache))
+        (!answered, float_of_int draws /. dt, Decision_cache.key_bytes cache, Decision_cache.size cache))
   in
-  let sha_thr, sha_bytes, sha_entries = measure Decision_cache.Sha_hex in
-  let packed_thr, packed_bytes, packed_entries = measure Decision_cache.Packed in
+  let sha_sync, sha_thr, sha_bytes, sha_entries = measure Decision_cache.Sha_hex in
+  let packed_sync, packed_thr, packed_bytes, packed_entries = measure Decision_cache.Packed in
   let decide_speedup = packed_thr /. sha_thr in
   let st = Intern.stats Intern.global in
   Printf.printf "\nwarm-L1 decide, %d draws over %d-user Zipf(%.1f) (%d distinct):\n" draws
@@ -2060,10 +1890,16 @@ let e22_scale () =
         r.W.denied r.W.errors (mpr r) r.W.active_users)
     [ ("sha-hex", sha_run); ("packed", packed_run) ];
   print_newline ();
-  check "key-build-speedup" (key_speedup >= 2.0)
-    (Printf.sprintf "packed %.3f us vs sha %.3f us, %.1fx >= 2x" packed_us sha_us key_speedup);
-  check "warm-decide-speedup" (decide_speedup >= 2.0)
-    (Printf.sprintf "%.0f vs %.0f decides/s, %.1fx >= 2x" packed_thr sha_thr decide_speedup);
+  Experiment.ratio x "key-build-speedup"
+    ~detail:(Printf.sprintf "packed %.3f us vs sha %.3f us" packed_us sha_us)
+    sha_us packed_us;
+  check "warm-decides-synchronous"
+    (sha_sync = draws && packed_sync = draws)
+    (Printf.sprintf "%d sha and %d packed of %d warm decides answered from L1" sha_sync packed_sync
+       draws);
+  Experiment.ratio x "warm-decide-speedup"
+    ~detail:(Printf.sprintf "%.0f vs %.0f decides/s" packed_thr sha_thr)
+    packed_thr sha_thr;
   check "resident-key-bytes"
     (packed_entries = sha_entries && packed_bytes * 2 <= sha_bytes)
     (Printf.sprintf "%d bytes packed vs %d sha over %d entries (<= half)" packed_bytes sha_bytes
@@ -2087,21 +1923,15 @@ let e22_scale () =
   check "conservation"
     (W.conservation_ok packed_run && W.conservation_ok sha_run)
     "completed = offered and answers sum up under both schemes";
-  List.iter (fun f -> Printf.printf "E22 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e22" !failures;
-  write_bench_json "e22"
-    [
-      ("key_build_speedup", json_f key_speedup);
-      ("warm_decide_speedup", json_f decide_speedup);
-      ("packed_decides_per_s", json_f packed_thr);
-      ("sha_decides_per_s", json_f sha_thr);
-      ("packed_key_bytes", json_i packed_bytes);
-      ("sha_key_bytes", json_i sha_bytes);
-      ("working_set", json_i working_set);
-      ("active_users_1m", json_i packed_run.W.active_users);
-      ("msgs_per_req_1m", json_f (mpr packed_run));
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  Experiment.metric x "key_build_speedup" key_speedup;
+  Experiment.metric x "warm_decide_speedup" decide_speedup;
+  Experiment.metric x "packed_decides_per_s" packed_thr;
+  Experiment.metric x "sha_decides_per_s" sha_thr;
+  Experiment.count x "packed_key_bytes" packed_bytes;
+  Experiment.count x "sha_key_bytes" sha_bytes;
+  Experiment.count x "working_set" working_set;
+  Experiment.count x "active_users_1m" packed_run.W.active_users;
+  Experiment.metric x "msgs_per_req_1m" (mpr packed_run)
 
 (* ==================================================================== *)
 (* E23 — policy churn: targeted region invalidation vs full flush       *)
@@ -2123,7 +1953,18 @@ let e22_scale () =
      messages per request, gated against the previous ledger entry
      with the e20 tolerance band. *)
 
-let e23_churn () =
+let e23_churn =
+  Experiment.v "e23"
+    ~gates:Gate.[ exact "corpus-decisions-identical"; exact "corpus-decisions-identical-sha";
+                  exact "corpus-hit-retention"; exact "corpus-targeted-drops-fewer";
+                  exact "sha-degrades-soundly"; exact "regions-bounded";
+                  exact "workload-conservation"; exact "workload-publishes";
+                  exact "workload-hit-retention"; exact "workload-msgs-per-req";
+                  exact "workload-determinism";
+                  no_worse "hit-ratio-regression" ~key:"churn_hit_ratio" ~better:`Higher;
+                  no_worse "churn-msgs-per-req-regression" ~key:"churn_msgs_per_req"
+                    ~better:`Lower ]
+  @@ fun x ->
   header "E23  Policy churn: targeted region invalidation vs full flush"
     "a publish's change-impact region purges only the affected cached \
      decisions: decision streams stay byte-identical to a full flush and an \
@@ -2131,11 +1972,7 @@ let e23_churn () =
      entries and spends fewer messages per request under churn";
   let module W = Dacs_workload.Workload in
   let module D = Dacs_policy.Delta in
-  let failures = ref [] in
-  let check name ok detail =
-    Printf.printf "E23 CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail;
-    if not ok then failures := Printf.sprintf "%s (%s)" name detail :: !failures
-  in
+  let check = Experiment.check x in
   let with_scheme scheme f =
     let saved = Decision_cache.key_scheme () in
     Decision_cache.set_key_scheme scheme;
@@ -2273,47 +2110,18 @@ let e23_churn () =
   check "workload-determinism"
     (W.render targeted_run = W.render targeted_rerun)
     "same-seed churn report renders byte-identical";
-  (* regression gates against the previous ledger entry's embedded e23
-     snapshot (absent on the first run: nothing to compare) *)
-  let hit_ratio =
-    float_of_int targeted_run.W.cache_hits /. float_of_int (max 1 full_run.W.cache_hits)
-  in
-  let ledger = Filename.concat (history_dir ()) "ledger.jsonl" in
-  (match Option.bind (read_file_opt ledger) last_line with
-  | None -> Printf.printf "E23 CHECK regression: PASS (no ledger, nothing to compare)\n"
-  | Some prev -> (
-    match
-      (find_float_field prev "churn_hit_ratio", find_float_field prev "churn_msgs_per_req")
-    with
-    | Some prev_ratio, Some prev_mpr ->
-      check "hit-ratio-regression"
-        (hit_ratio >= (prev_ratio /. e20_tolerance) -. 1e-9)
-        (Printf.sprintf "%.2fx vs %.2fx last entry, tolerance %d%%" hit_ratio prev_ratio
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)));
-      check "churn-msgs-per-req-regression"
-        (mpr targeted_run <= (prev_mpr *. e20_tolerance) +. 1e-9)
-        (Printf.sprintf "%.2f vs %.2f last entry, tolerance %d%%" (mpr targeted_run) prev_mpr
-           (int_of_float ((e20_tolerance -. 1.0) *. 100.0)))
-    | _ ->
-      Printf.printf
-        "E23 CHECK regression: PASS (previous entry has no e23 snapshot, nothing to compare)\n"));
-  List.iter (fun f -> Printf.printf "E23 FAILURE: %s\n" f) !failures;
-  record_gate_failures "e23" !failures;
-  write_bench_json "e23"
-    [
-      ("seq_targeted_hits", json_i p_thits);
-      ("seq_full_hits", json_i p_fhits);
-      ("seq_targeted_drops", json_i p_tdrop);
-      ("seq_full_drops", json_i p_fdrop);
-      ("max_region_zones", json_i !max_zones);
-      ("targeted_cache_hits", json_i targeted_run.W.cache_hits);
-      ("full_cache_hits", json_i full_run.W.cache_hits);
-      ("churn_hit_ratio", json_f hit_ratio);
-      ("churn_msgs_per_req", json_f (mpr targeted_run));
-      ("full_msgs_per_req", json_f (mpr full_run));
-      ("publishes", json_i targeted_run.W.publishes);
-      ("gate_failures", json_i (List.length !failures));
-    ]
+  Experiment.count x "seq_targeted_hits" p_thits;
+  Experiment.count x "seq_full_hits" p_fhits;
+  Experiment.count x "seq_targeted_drops" p_tdrop;
+  Experiment.count x "seq_full_drops" p_fdrop;
+  Experiment.count x "max_region_zones" !max_zones;
+  Experiment.count x "targeted_cache_hits" targeted_run.W.cache_hits;
+  Experiment.count x "full_cache_hits" full_run.W.cache_hits;
+  Experiment.metric x "churn_hit_ratio"
+    (float_of_int targeted_run.W.cache_hits /. float_of_int (max 1 full_run.W.cache_hits));
+  Experiment.metric x "churn_msgs_per_req" (mpr targeted_run);
+  Experiment.metric x "full_msgs_per_req" (mpr full_run);
+  Experiment.count x "publishes" targeted_run.W.publishes
 
 (* ==================================================================== *)
 (* Micro-benchmarks (Bechamel)                                          *)
@@ -2372,51 +2180,31 @@ let micro () =
 
 (* ==================================================================== *)
 
-let experiments =
-  [
-    ("e1", e1_vo_baseline);
-    ("e2", e2_push_vs_pull);
-    ("e3", e3_xacml_eval);
-    ("e4", e4_caching);
-    ("e5", e5_syndication);
-    ("e6", e6_message_size);
-    ("e7", e7_conflicts);
-    ("e8", e8_dependability);
-    ("e9", e9_negotiation);
-    ("e10", e10_delegation);
-    ("e11", e11_rbac_scale);
-    ("e12", e12_discovery_ablation);
-    ("e14", e14_resilience);
-    ("e15", e15_telemetry);
-    ("e16", e16_sharded_tier);
-    ("e17", e17_cache_hierarchy);
-    ("e18", e18_workload);
-    ("e19", e19_compiled_eval);
-    ("e21", e21_offline);
-    ("e22", e22_scale);
-    ("e23", e23_churn);
-    ("e20", e20_trajectory);
-    ("micro", micro);
-  ]
-
 let () =
-  let requested = List.tl (Array.to_list Sys.argv) in
-  let to_run =
-    if requested = [] then experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown experiment %S (available: %s)\n" name
-              (String.concat ", " (List.map fst experiments));
-            None)
-        requested
-  in
-  List.iter (fun (_, f) -> f ()) to_run;
-  if !gate_failures <> [] then begin
-    Printf.printf "\n%d gated check(s) failed:\n" (List.length !gate_failures);
-    List.iter (fun f -> Printf.printf "  %s\n" f) !gate_failures;
-    exit 1
-  end
+  let plain name f = Experiment.v name (fun _ -> f ()) in
+  Experiment.main
+    [
+      plain "e1" e1_vo_baseline;
+      plain "e2" e2_push_vs_pull;
+      plain "e3" e3_xacml_eval;
+      plain "e4" e4_caching;
+      plain "e5" e5_syndication;
+      plain "e6" e6_message_size;
+      plain "e7" e7_conflicts;
+      plain "e8" e8_dependability;
+      plain "e9" e9_negotiation;
+      plain "e10" e10_delegation;
+      plain "e11" e11_rbac_scale;
+      plain "e12" e12_discovery_ablation;
+      plain "e14" e14_resilience;
+      plain "e15" e15_telemetry;
+      e16_sharded_tier;
+      e17_cache_hierarchy;
+      e18_workload;
+      e19_compiled_eval;
+      e21_offline;
+      e22_scale;
+      e23_churn;
+      e20_trajectory;
+      plain "micro" micro;
+    ]

@@ -13,6 +13,7 @@ module Decision = Dacs_policy.Decision
 module Combine = Dacs_policy.Combine
 module Xacml = Dacs_policy.Xacml_xml
 module Validate = Dacs_policy.Validate
+module Experiment = Dacs_experiment.Experiment
 open Dacs_core
 
 let read_file path =
@@ -461,14 +462,10 @@ let tier_cmd shards batch seed requests json =
     Printf.printf
       "\ntier: %d dispatched, %d batches, %d failovers after the crash, %d failed closed\n"
       s.Pdp_tier.dispatched s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.exhausted;
-    Printf.printf "outcome: %d/%d answered, %d granted\n" !answered total !granted
+    Printf.printf "outcome: %d/%d answered, %d granted\n\n" !answered total !granted
   end;
-  let ok = !granted = total in
-  if not json then
-    Printf.printf "\nTIER CHECK all-requests-granted: %s (%d/%d)\n"
-      (if ok then "PASS" else "FAIL")
-      !granted total;
-  if ok then 0 else 1
+  Experiment.checks ~quiet:json "tier"
+    [ ("all-requests-granted", !granted = total, Printf.sprintf "%d/%d" !granted total) ]
 
 (* --- cache ------------------------------------------------------------------- *)
 
@@ -602,14 +599,8 @@ let cache_cmd seed json =
       ("invalidation-empties-l2", l2_size = 0, Printf.sprintf "size %d" l2_size);
     ]
   in
-  if not json then begin
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "CACHE CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
-  end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  if not json then print_newline ();
+  Experiment.checks ~quiet:json "cache" checks
 
 (* --- explain ------------------------------------------------------------------ *)
 
@@ -747,13 +738,9 @@ let explain_cmd seed json =
     print_string (Report.attribution services);
     print_newline ();
     print_string (Report.critical_path services);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "EXPLAIN CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  Experiment.checks ~quiet:json "explain" checks
 
 (* --- slo ---------------------------------------------------------------------- *)
 
@@ -800,13 +787,9 @@ let slo_cmd seed json =
     print_string (W.render healthy);
     Printf.printf "\noffered 10x capacity (%d decisions):\n" overloaded.W.slo.Slo.total;
     print_string (W.render overloaded);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "SLO CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  Experiment.checks ~quiet:json "slo" checks
 
 (* --- offline ------------------------------------------------------------------ *)
 
@@ -913,13 +896,9 @@ let offline_cmd seed json =
     print_string (W.render base);
     Printf.printf "\nwith offline replicas (served from the signed log):\n";
     print_string (W.render off);
-    print_newline ();
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "OFFLINE CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
+    print_newline ()
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  Experiment.checks ~quiet:json "offline" checks
 
 (* --- load -------------------------------------------------------------------- *)
 
@@ -988,13 +967,9 @@ let load_cmd seed rate clients think duration peps shards users domains zipf cac
            shards, %d users, zipf %.2f, cache ttl %.1f\n\n"
           seed clients think_time duration peps shards users zipf cache_ttl);
       print_string (W.render report);
-      print_newline ();
-      List.iter
-        (fun (name, ok, detail) ->
-          Printf.printf "LOAD CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-        checks
+      print_newline ()
     end;
-    if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+    Experiment.checks ~quiet:json "load" checks
 
 (* --- delta ------------------------------------------------------------------- *)
 
@@ -1083,12 +1058,8 @@ let delta_cmd json =
     Printf.printf "publish gen1 -> gen2 (retargets it to res2):\n  %s\n\n"
       (Delta.to_string region12);
     Printf.printf "targeted invalidation: dropped %d of %d warm L1 entries\n\n" dropped warm;
-    List.iter
-      (fun (name, ok, detail) ->
-        Printf.printf "DELTA CHECK %s: %s (%s)\n" name (if ok then "PASS" else "FAIL") detail)
-      checks
   end;
-  if List.for_all (fun (_, ok, _) -> ok) checks then 0 else 1
+  Experiment.checks ~quiet:json "delta" checks
 
 (* --- cmdliner wiring ------------------------------------------------------------ *)
 

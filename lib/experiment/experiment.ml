@@ -1,0 +1,289 @@
+type kind = Exact | Ratio of float | Ledger of string * [ `Lower | `Higher ]
+type gate = { name : string; kind : kind }
+
+module Gate = struct
+  let exact name = { name; kind = Exact }
+  let ratio name ~at_least = { name; kind = Ratio at_least }
+  let no_worse name ~key ~better = { name; kind = Ledger (key, better) }
+end
+
+let tolerance = 1.10
+
+(* --- the ledger's last entry ------------------------------------------- *)
+
+(* The JSON subset ledger lines are written in: objects, strings, numbers. *)
+type json = Num of float | Str of string | Obj of (string * json) list
+
+exception Malformed
+
+let parse_json s =
+  let n = String.length s and pos = ref 0 in
+  let peek () = if !pos < n then s.[!pos] else raise Malformed in
+  let rec skip () = if !pos < n && String.contains " \t\r\n" s.[!pos] then (incr pos; skip ()) in
+  let eat c = skip (); if peek () <> c then raise Malformed; incr pos in
+  let str () =
+    eat '"';
+    let b = Buffer.create 16 in
+    while peek () <> '"' do
+      if peek () = '\\' then incr pos;
+      Buffer.add_char b (peek ());
+      incr pos
+    done;
+    incr pos;
+    Buffer.contents b
+  in
+  let rec value () =
+    skip ();
+    match peek () with
+    | '{' -> incr pos; skip (); if peek () = '}' then (incr pos; Obj []) else members []
+    | '"' -> Str (str ())
+    | _ -> (
+      let start = !pos in
+      while !pos < n && not (String.contains ",} \t\r\n" s.[!pos]) do incr pos done;
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> Num f
+      | None -> raise Malformed)
+  and members acc =
+    let k = str () in
+    eat ':';
+    let acc = (k, value ()) :: acc in
+    skip ();
+    match peek () with
+    | ',' -> incr pos; members acc
+    | '}' -> incr pos; Obj (List.rev acc)
+    | _ -> raise Malformed
+  in
+  match value () with
+  | v -> skip (); if !pos = n then Some v else None
+  | exception Malformed -> None
+
+type baseline = No_entry | Unparseable | Entry of string * (string * json) list
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let read_baseline ledger =
+  let lines =
+    if Sys.file_exists ledger then
+      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' (read_file ledger))
+    else []
+  in
+  match List.rev lines with
+  | [] -> No_entry
+  | last :: _ -> (
+    match parse_json last with
+    | Some (Obj fields) ->
+      Entry ((match List.assoc_opt "pr" fields with Some (Str p) -> p | _ -> "?"), fields)
+    | _ -> Unparseable)
+
+(* (experiment, key) in an entry: the experiment's own top-level object
+   (where the appending experiment records itself) or its embedded
+   snapshot — never whichever snapshot happens to mention [key] first. *)
+let lookup fields ~experiment ~key =
+  let section =
+    match List.assoc_opt experiment fields with
+    | Some (Obj o) -> Some o
+    | _ -> (
+      match List.assoc_opt "snapshots" fields with
+      | Some (Obj snaps) -> (
+        match List.assoc_opt experiment snaps with Some (Obj o) -> Some o | _ -> None)
+      | _ -> None)
+  in
+  match Option.bind section (List.assoc_opt key) with
+  | None -> `Missing
+  | Some (Num f) -> `Value f
+  | Some _ -> `Malformed
+
+(* --- collector ----------------------------------------------------------- *)
+
+type history = { dir : string; pr : string; baseline : baseline; gated : string list }
+
+type t = {
+  name : string;
+  quiet : bool;
+  gates : gate list;
+  history : history option;
+  mutable verdicts : (string * bool) list;  (** newest first *)
+  mutable metrics : (string * float * string) list;  (** key, value, JSON literal; newest first *)
+}
+
+let collector ?(quiet = false) ?history name gates =
+  { name; quiet; gates; history; verdicts = []; metrics = [] }
+
+let record t name label ok detail =
+  if List.mem_assoc name t.verdicts then invalid_arg ("Experiment: gate evaluated twice: " ^ name);
+  t.verdicts <- (name, ok) :: t.verdicts;
+  if not t.quiet then
+    Printf.printf "%s CHECK %s: %s (%s)\n" (String.uppercase_ascii t.name) name label detail
+
+let verdict t name ok detail = record t name (if ok then "PASS" else "FAIL") ok detail
+
+let declared t name =
+  match List.find_opt (fun (g : gate) -> g.name = name) t.gates with
+  | Some g -> g.kind
+  | None -> invalid_arg ("Experiment: undeclared gate: " ^ name)
+
+let check t name ok detail =
+  match declared t name with
+  | Exact -> verdict t name ok detail
+  | _ -> invalid_arg ("Experiment: not an exact gate: " ^ name)
+
+let ratio t name ?detail num den =
+  match declared t name with
+  | Ratio at_least ->
+    let r = num /. den in
+    verdict t name (r >= at_least)
+      (Printf.sprintf "%.2fx >= %gx%s" r at_least
+         (match detail with Some d -> ", " ^ d | None -> ""))
+  | _ -> invalid_arg ("Experiment: not a ratio gate: " ^ name)
+
+let metric t ?(digits = 4) key v = t.metrics <- (key, v, Printf.sprintf "%.*f" digits v) :: t.metrics
+let count t key n = t.metrics <- (key, float_of_int n, string_of_int n) :: t.metrics
+
+let judge_ledger t name key better =
+  match List.find_opt (fun (k, _, _) -> k = key) t.metrics with
+  | None -> verdict t name false (Printf.sprintf "metric %S never recorded" key)
+  | Some (_, v, _) -> (
+    let skip why = record t name "SKIP" true why in
+    match t.history with
+    | None -> skip "no ledger"
+    | Some h -> (
+      let fail_parse () =
+        verdict t name false
+          (Printf.sprintf "could not parse the last entry of %s"
+             (Filename.concat h.dir "ledger.jsonl"))
+      in
+      match h.baseline with
+      | No_entry -> skip "no ledger entry, nothing to compare"
+      | Unparseable -> fail_parse ()
+      | Entry (pr, fields) -> (
+        match lookup fields ~experiment:t.name ~key with
+        | `Missing -> skip (Printf.sprintf "entry %S has no %s %s, nothing to compare" pr t.name key)
+        | `Malformed -> fail_parse ()
+        | `Value prev ->
+          let ok =
+            match better with
+            | `Lower -> v <= (prev *. tolerance) +. 1e-9
+            | `Higher -> v >= (prev /. tolerance) -. 1e-9
+          in
+          verdict t name ok
+            (Printf.sprintf "%s %g vs %g in entry %S, tolerance %.0f%%" key v prev pr
+               ((tolerance -. 1.0) *. 100.0)))))
+
+(* Closes the run: ledger gates are judged, open gates fail.  Returns the
+   number of failed gates. *)
+let close t =
+  List.iter
+    (fun (g : gate) ->
+      match g.kind with
+      | Ledger (key, better) -> judge_ledger t g.name key better
+      | Exact | Ratio _ ->
+        if not (List.mem_assoc g.name t.verdicts) then
+          verdict t g.name false "declared but never evaluated")
+    t.gates;
+  List.length (List.filter (fun (_, ok) -> not ok) t.verdicts)
+
+let checks ?quiet name results =
+  let t = collector ?quiet name (List.map (fun (g, _, _) -> Gate.exact g) results) in
+  List.iter (fun (g, ok, detail) -> check t g ok detail) results;
+  if close t = 0 then 0 else 1
+
+(* --- snapshots and the ledger ------------------------------------------- *)
+
+let rec ensure_dir d =
+  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+    ensure_dir (Filename.dirname d);
+    try Sys.mkdir d 0o755 with Sys_error _ -> ()
+  end
+
+let snapshot_path h name = Filename.concat h.dir (Printf.sprintf "BENCH_%s.json" name)
+
+let write_snapshot h t failed =
+  ensure_dir h.dir;
+  let fields =
+    List.rev_map (fun (k, _, lit) -> (k, lit)) t.metrics @ [ ("gate_failures", string_of_int failed) ]
+  in
+  let oc = open_out (snapshot_path h t.name) in
+  Printf.fprintf oc "{\n%s\n}\n"
+    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields));
+  close_out oc
+
+let append_ledger t =
+  let h = match t.history with Some h -> h | None -> invalid_arg "Experiment.append_ledger" in
+  let minify s = String.map (fun c -> if c = '\n' then ' ' else c) (String.trim s) in
+  let snapshots =
+    List.filter_map
+      (fun name ->
+        let path = snapshot_path h name in
+        if name <> t.name && Sys.file_exists path then
+          Some (Printf.sprintf "%S:%s" name (minify (read_file path)))
+        else None)
+      h.gated
+  in
+  let own = List.rev_map (fun (k, _, lit) -> Printf.sprintf "%S:%s" k lit) t.metrics in
+  let ledger = Filename.concat h.dir "ledger.jsonl" in
+  ensure_dir h.dir;
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 ledger in
+  Printf.fprintf oc "{\"pr\":%S,%S:{%s},\"snapshots\":{%s}}\n" h.pr t.name (String.concat "," own)
+    (String.concat "," snapshots);
+  close_out oc;
+  Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots)\n" h.pr ledger
+    (List.length snapshots)
+
+(* --- registry and isolated runs ----------------------------------------- *)
+
+type experiment = { e_name : string; e_gates : gate list; body : t -> unit }
+
+let v ?(gates = []) name body = { e_name = name; e_gates = gates; body }
+
+(* The child never returns: [_exit] skips the parent's at_exit handlers. *)
+let in_child h e =
+  let t = collector ~history:h e.e_name e.e_gates in
+  let status =
+    match e.body t with
+    | () ->
+      let failed = close t in
+      if e.e_gates <> [] then write_snapshot h t failed;
+      if failed = 0 then 0 else 1
+    | exception exn ->
+      Printf.eprintf "%s raised %s\n" e.e_name (Printexc.to_string exn);
+      2
+  in
+  flush_all ();
+  Unix._exit status
+
+let isolated h e =
+  flush_all ();
+  match Unix.fork () with
+  | 0 -> in_child h e
+  | pid -> ( match snd (Unix.waitpid [] pid) with Unix.WEXITED n -> n | _ -> 2)
+
+let run ~history ~pr experiments names =
+  let h =
+    {
+      dir = history;
+      pr;
+      baseline = read_baseline (Filename.concat history "ledger.jsonl");
+      gated = List.filter_map (fun e -> if e.e_gates <> [] then Some e.e_name else None) experiments;
+    }
+  in
+  let known n = List.find_opt (fun e -> e.e_name = n) experiments in
+  let unknown = List.filter (fun n -> known n = None) names in
+  List.iter
+    (fun n ->
+      Printf.eprintf "unknown experiment %S (available: %s)\n" n
+        (String.concat ", " (List.map (fun e -> e.e_name) experiments)))
+    unknown;
+  let selected = if names = [] then experiments else List.filter_map known names in
+  let failed = List.filter (fun e -> isolated h e <> 0) selected in
+  if failed <> [] then
+    Printf.printf "\n%d experiment(s) failed: %s\n" (List.length failed)
+      (String.concat ", " (List.map (fun e -> e.e_name) failed));
+  if failed = [] && unknown = [] then 0 else 1
+
+let main experiments =
+  let env var default = match Sys.getenv_opt var with Some s when s <> "" -> s | _ -> default in
+  exit
+    (run ~history:(env "DACS_HISTORY" "bench/history") ~pr:(env "DACS_PR" "local") experiments
+       (List.tl (Array.to_list Sys.argv)))

@@ -1,0 +1,128 @@
+(* Gate-harness suite: a failing or never-evaluated gate makes the exit
+   status non-zero, ledger gates read (experiment, key) from the right
+   place in the baseline entry, a perturbed or unparseable baseline
+   fails, the baseline is read before any experiment appends to the
+   ledger, and experiments do not share process state. *)
+
+module E = Dacs_experiment.Experiment
+module Gate = E.Gate
+
+let status = Alcotest.(check int)
+
+let history lines =
+  let dir = Filename.temp_dir "dacs-experiment" "" in
+  at_exit (fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir);
+  let oc = open_out (Filename.concat dir "ledger.jsonl") in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  dir
+
+let ledger_lines dir =
+  let ic = open_in (Filename.concat dir "ledger.jsonl") in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
+  let lines = go [] in
+  close_in ic;
+  List.length lines
+
+let run dir experiments names = E.run ~history:dir ~pr:"test" experiments names
+
+(* An experiment with one lower-is-better ledger gate on [key]. *)
+let gated_on ?(key = "k") name value =
+  E.v name
+    ~gates:[ Gate.no_worse "k-regression" ~key ~better:`Lower ]
+    (fun x -> E.metric x key value)
+
+let test_failing_gate () =
+  status "one of two checks failed" 1 (E.checks ~quiet:true "t" [ ("a", true, ""); ("b", false, "") ]);
+  status "every check passed" 0 (E.checks ~quiet:true "t" [ ("a", true, ""); ("b", true, "") ]);
+  let ratio_of num =
+    E.v "r" ~gates:[ Gate.ratio "r" ~at_least:2.0 ] (fun x -> E.ratio x "r" num 2.0)
+  in
+  let dir = history [] in
+  status "ratio below its floor" 1 (run dir [ ratio_of 3.0 ] []);
+  status "ratio at its floor" 0 (run dir [ ratio_of 4.0 ] []);
+  status "a failing experiment fails the run" 1
+    (run dir
+       [ E.v "ok" ~gates:[ Gate.exact "g" ] (fun x -> E.check x "g" true "");
+         E.v "bad" ~gates:[ Gate.exact "g" ] (fun x -> E.check x "g" false "") ]
+       [])
+
+let test_unevaluated_gate () =
+  let dir = history [ {|{"pr":"base","snapshots":{"e":{"k":1.0}}}|} ] in
+  let forgetful gate = E.v "e" ~gates:[ Gate.exact "a"; gate ] (fun x -> E.check x "a" true "") in
+  status "declared exact gate never evaluated" 1 (run dir [ forgetful (Gate.exact "forgotten") ] []);
+  status "declared ratio gate never evaluated" 1
+    (run dir [ forgetful (Gate.ratio "forgotten" ~at_least:1.0) ] []);
+  status "ledger gate whose metric was never recorded" 1
+    (run dir [ forgetful (Gate.no_worse "k-regression" ~key:"k" ~better:`Lower) ] []);
+  status "unknown experiment name" 1 (run dir [ E.v "e" ignore ] [ "nosuch" ]);
+  status "an undeclared gate fails the run" 1
+    (run dir [ E.v "e" (fun x -> E.check x "undeclared" true "") ] [])
+
+let test_ledger_reads_experiment_key () =
+  (* "other" carries the same key first, with a value "mine" would fail
+     against; only (mine, k) may be compared. *)
+  let dir =
+    history [ {|{"pr":"base","snapshots":{"other":{"k":1.0},"mine":{"k":100.0}}}|} ]
+  in
+  status "compared against (mine, k) = 100" 0 (run dir [ gated_on "mine" 50.0 ] []);
+  status "and fails beyond its tolerance" 1 (run dir [ gated_on "mine" 200.0 ] []);
+  let dir = history [ {|{"pr":"base","e20":{"p99_s":0.02},"snapshots":{}}|} ] in
+  status "top-level object of the appending experiment" 0
+    (run dir [ gated_on ~key:"p99_s" "e20" 0.021 ] []);
+  status "no baseline value: SKIP, not FAIL" 0 (run dir [ gated_on "fresh" 1e9 ] [])
+
+let test_perturbed_baseline () =
+  let dir =
+    history
+      [ {|{"pr":"perturbed","e20":{"p99_s":0.000001,"msgs_per_req":0.0001,"shed_saturated":0},"snapshots":{}}|} ]
+  in
+  status "absurdly fast previous entry" 1 (run dir [ gated_on ~key:"p99_s" "e20" 0.02 ] []);
+  let dir = history [ {|{"pr":"good","e20":{"p99_s":0.02}}|}; {|{"pr":"torn","e20":{"p99_s":|} ] in
+  status "unparseable last entry" 1 (run dir [ gated_on ~key:"p99_s" "e20" 0.02 ] []);
+  let dir = history [ {|{"pr":"odd","snapshots":{"e":{"k":"fast"}}}|} ] in
+  status "non-numeric baseline value" 1 (run dir [ gated_on "e" 1.0 ] [])
+
+let test_baseline_read_before_append () =
+  let dir = history [ {|{"pr":"base","snapshots":{"b":{"k":1.0}}}|} ] in
+  let appender =
+    E.v "a" ~gates:[ Gate.exact "ran" ] (fun x ->
+        E.check x "ran" true "";
+        E.metric x "m" 1.0;
+        E.append_ledger x)
+  in
+  (* "a" appends an entry without a "b" snapshot; a baseline re-read
+     after it would SKIP b's gate instead of failing it. *)
+  status "b judged against the entry that preceded the run" 1
+    (run dir [ appender; gated_on "b" 5.0 ] [ "a"; "b" ]);
+  Alcotest.(check int) "a appended one entry" 2 (ledger_lines dir)
+
+let test_isolation () =
+  let runs = ref 0 in
+  let counting =
+    E.v "p" ~gates:[ Gate.exact "first-in-its-process" ] (fun x ->
+        incr runs;
+        E.check x "first-in-its-process" (!runs = 1) (string_of_int !runs))
+  in
+  status "each experiment starts from the parent's state" 0
+    (run (history []) [ counting ] [ "p"; "p"; "p" ]);
+  Alcotest.(check int) "the parent never ran a body" 0 !runs
+
+let () =
+  Alcotest.run "experiment"
+    [
+      ( "gates",
+        [
+          Alcotest.test_case "failing gate fails the status" `Quick test_failing_gate;
+          Alcotest.test_case "never-evaluated gate fails the status" `Quick test_unevaluated_gate;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "reads (experiment, key)" `Quick test_ledger_reads_experiment_key;
+          Alcotest.test_case "perturbed baseline fails" `Quick test_perturbed_baseline;
+          Alcotest.test_case "baseline read before any append" `Quick test_baseline_read_before_append;
+        ] );
+      ("isolation", [ Alcotest.test_case "forked experiments" `Quick test_isolation ]);
+    ]
