@@ -2137,6 +2137,8 @@ let micro () =
   let policy100 = sized_policy 100 in
   let policy_xml = Dacs_policy.Xacml_xml.child_to_string (Policy.Inline_policy policy100) in
   let ctx = request_for 99 in
+  let query_envelope = Soap.envelope (Wire.authz_query ctx) in
+  let query_xml = Xml.to_string query_envelope in
   let pa =
     Policy.make ~id:"pa" ~issuer:"a"
       (List.init 20 (fun i ->
@@ -2156,6 +2158,8 @@ let micro () =
       Test.make ~name:"rsa-512 verify"
         (Staged.stage (fun () -> Rsa.verify keys.Rsa.public "msg" ~signature));
       Test.make ~name:"xml parse (100-rule policy)" (Staged.stage (fun () -> Xml.of_string policy_xml));
+      Test.make ~name:"xml parse (authz-query envelope)" (Staged.stage (fun () -> Xml.of_string query_xml));
+      Test.make ~name:"xml print (authz-query envelope)" (Staged.stage (fun () -> Xml.to_string query_envelope));
       Test.make ~name:"policy eval (100 rules)" (Staged.stage (fun () -> Policy.evaluate ctx policy100));
       Test.make ~name:"conflict scan (20x20 rules)" (Staged.stage (fun () -> Conflict.find_between pa pb));
     ]

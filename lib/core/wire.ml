@@ -10,7 +10,7 @@ let attr_or_error node name =
   | None -> Error (Printf.sprintf "<%s> is missing attribute %s" (Xml.tag node) name)
 
 let expect_tag node name =
-  if Xml.local_name (Xml.tag node) = name then Ok ()
+  if Xml.has_local_name (Xml.tag node) name then Ok ()
   else Error (Printf.sprintf "expected <%s>, got <%s>" name (Xml.tag node))
 
 (* Shared encoding of attribute (name, value) lists. *)
@@ -68,7 +68,7 @@ let authz_response_epoch node =
   let node =
     (* Accept the signed envelope too: the epoch lives on the inner
        response, covered by the signature. *)
-    if Xml.local_name (Xml.tag node) = "SignedAuthzResponse" then
+    if Xml.has_local_name (Xml.tag node) "SignedAuthzResponse" then
       Option.value (Xml.find_child node "AuthzResponse") ~default:node
     else node
   in

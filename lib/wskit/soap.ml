@@ -13,7 +13,7 @@ let envelope ?(headers = []) body =
       @ [ Xml.element "soap:Body" ~children:[ body ] ])
 
 let of_xml node =
-  if Xml.local_name (Xml.tag node) <> "Envelope" then Error "expected a SOAP Envelope"
+  if not (Xml.has_local_name (Xml.tag node) "Envelope") then Error "expected a SOAP Envelope"
   else begin
     let headers =
       match Xml.find_child node "Header" with
@@ -47,7 +47,7 @@ let fault_body f =
       ]
 
 let fault_of_body node =
-  if Xml.local_name (Xml.tag node) <> "Fault" then None
+  if not (Xml.has_local_name (Xml.tag node) "Fault") then None
   else
     Some
       {

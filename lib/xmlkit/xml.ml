@@ -44,18 +44,28 @@ let children = function Element e -> e.children | Text _ -> []
 let child_elements node =
   List.filter_map (function Element e -> Some e | Text _ -> None) (children node)
 
-let find_children node name =
-  let want = local_name name in
-  List.filter
-    (function Element e -> local_name e.tag = want | Text _ -> false)
-    (children node)
+(* Offset of the local part of [name]: just past its first ':', else 0. *)
+let rec local_start name i =
+  if i >= String.length name then 0
+  else if String.unsafe_get name i = ':' then i + 1
+  else local_start name (i + 1)
 
-let find_child node name =
-  match find_children node name with [] -> None | n :: _ -> Some n
+(* [t] from index [j] on equals [s] from index [i + j] on; [s] is long enough. *)
+let rec same_from s i t j =
+  j >= String.length t || (String.unsafe_get s (i + j) = String.unsafe_get t j && same_from s i t (j + 1))
+
+let has_local_name tag name =
+  let start = local_start tag 0 in
+  String.length tag - start = String.length name && same_from tag start name 0
+
+let named want = function Element e -> has_local_name e.tag want | Text _ -> false
+let find_children node name = List.filter (named (local_name name)) (children node)
+let find_child node name = List.find_opt (named (local_name name)) (children node)
 
 let rec text_content node =
   match node with
   | Text s -> s
+  | Element { children = [ Text s ]; _ } -> s
   | Element e -> String.concat "" (List.map text_content e.children)
 
 let is_element = function Element _ -> true | Text _ -> false
@@ -64,33 +74,46 @@ let is_element = function Element _ -> true | Text _ -> false
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let escaped = function
+  | '&' -> "&amp;"
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '"' -> "&quot;"
+  | '\'' -> "&apos;"
+  | _ -> ""
+
+(* Appends [s] escaped, copying each run without specials in one piece. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let e = escaped (String.unsafe_get s i) in
+    if String.length e > 0 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_string buf e;
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
-let print_attrs buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape v);
-      Buffer.add_char buf '"')
-    attrs
+let rec print_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf k;
+    Buffer.add_string buf "=\"";
+    add_escaped buf v;
+    Buffer.add_char buf '"';
+    print_attrs buf rest
 
 let rec print_compact buf node =
   match node with
-  | Text s -> Buffer.add_string buf (escape s)
+  | Text s -> add_escaped buf s
   | Element e ->
     Buffer.add_char buf '<';
     Buffer.add_string buf e.tag;
@@ -98,11 +121,17 @@ let rec print_compact buf node =
     if e.children = [] then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
-      List.iter (print_compact buf) e.children;
+      print_all buf e.children;
       Buffer.add_string buf "</";
       Buffer.add_string buf e.tag;
       Buffer.add_char buf '>'
     end
+
+and print_all buf = function
+  | [] -> ()
+  | node :: rest ->
+    print_compact buf node;
+    print_all buf rest
 
 let to_string node =
   let buf = Buffer.create 256 in
@@ -116,7 +145,7 @@ let to_pretty_string ?(indent = 2) node =
     match node with
     | Text s ->
       pad level;
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '\n'
     | Element e ->
       pad level;
@@ -127,7 +156,7 @@ let to_pretty_string ?(indent = 2) node =
       | [] -> Buffer.add_string buf "/>\n"
       | [ Text s ] ->
         Buffer.add_char buf '>';
-        Buffer.add_string buf (escape s);
+        add_escaped buf s;
         Buffer.add_string buf "</";
         Buffer.add_string buf e.tag;
         Buffer.add_string buf ">\n"
@@ -188,42 +217,31 @@ let rec depth = function
 
 exception Parse_error of { line : int; column : int; message : string }
 
-type parser_state = { src : string; mutable pos : int; mutable line : int; mutable bol : int }
+let max_depth = 256
 
-let fail st message =
-  raise (Parse_error { line = st.line; column = st.pos - st.bol + 1; message })
+(* The parser scans [src] by index and tracks nothing but the offset; text
+   and attribute runs without markup become one [String.sub] each, and [buf]
+   (empty between runs) assembles only the runs that entities, CDATA,
+   comments or PIs interrupt. *)
+type parser = { src : string; mutable pos : int; buf : Buffer.t }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let fail p message =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to p.pos - 1 do
+    if String.unsafe_get p.src i = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  raise (Parse_error { line = !line; column = p.pos - !bol + 1; message })
 
-let advance st =
-  (if st.pos < String.length st.src then
-     match st.src.[st.pos] with
-     | '\n' ->
-       st.line <- st.line + 1;
-       st.bol <- st.pos + 1
-     | _ -> ());
-  st.pos <- st.pos + 1
+let at_end p = p.pos >= String.length p.src
+let looking_at p s = p.pos + String.length s <= String.length p.src && same_from p.src p.pos s 0
 
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+let expect p s =
+  if looking_at p s then p.pos <- p.pos + String.length s else fail p (Printf.sprintf "expected %S" s)
 
-let expect st s =
-  if looking_at st s then
-    for _ = 1 to String.length s do
-      advance st
-    done
-  else fail st (Printf.sprintf "expected %S" s)
-
-let skip_ws st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ()
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let is_name_char c =
   (c >= 'a' && c <= 'z')
@@ -231,18 +249,43 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.' || c = ':'
 
-let parse_name st =
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_name_char c ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ();
-  if st.pos = start then fail st "expected a name";
-  String.sub st.src start (st.pos - start)
+let rec ws_end s i = if i < String.length s && is_ws (String.unsafe_get s i) then ws_end s (i + 1) else i
+let rec name_end s i = if i < String.length s && is_name_char (String.unsafe_get s i) then name_end s (i + 1) else i
+
+(* First index from [i] on holding [a] or [b], or the length of [s]. *)
+let rec index_either s i a b =
+  if i >= String.length s then i
+  else
+    let c = String.unsafe_get s i in
+    if c = a || c = b then i else index_either s (i + 1) a b
+
+(* First index from [i] on where [t] occurs in [s], or -1. *)
+let rec find_from s i t =
+  if i + String.length t > String.length s then -1
+  else if same_from s i t 0 then i
+  else find_from s (i + 1) t
+
+let skip_ws p = p.pos <- ws_end p.src p.pos
+
+(* Leaves the cursor after a non-empty name and returns where it began. *)
+let name_span p =
+  let start = p.pos in
+  p.pos <- name_end p.src start;
+  if p.pos = start then fail p "expected a name";
+  start
+
+let parse_name p =
+  let start = name_span p in
+  String.sub p.src start (p.pos - start)
+
+(* Moves the cursor past the first [closing] at or after it. *)
+let skip_until p closing =
+  let i = find_from p.src p.pos closing in
+  if i < 0 then begin
+    p.pos <- String.length p.src;
+    fail p (Printf.sprintf "unterminated construct, expected %S" closing)
+  end;
+  p.pos <- i + String.length closing
 
 let utf8_of_code buf code =
   (* Encode a Unicode scalar value as UTF-8. *)
@@ -263,189 +306,207 @@ let utf8_of_code buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let parse_entity st buf =
-  (* Called with st.pos on '&'. *)
-  advance st;
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some ';' -> ()
-    | Some _ ->
-      advance st;
-      go ()
-    | None -> fail st "unterminated entity reference"
+let span_is s start len t = len = String.length t && same_from s start t 0
+
+let predefined_entity src start len =
+  if span_is src start len "lt" then Some '<'
+  else if span_is src start len "gt" then Some '>'
+  else if span_is src start len "amp" then Some '&'
+  else if span_is src start len "quot" then Some '"'
+  else if span_is src start len "apos" then Some '\''
+  else None
+
+(* Decodes the reference at the cursor (on '&') into [p.buf]. *)
+let parse_entity p =
+  let src = p.src in
+  let start = p.pos + 1 in
+  let semi =
+    match String.index_from src start ';' with
+    | semi -> semi
+    | exception Not_found ->
+      p.pos <- String.length src;
+      fail p "unterminated entity reference"
   in
-  go ();
-  let name = String.sub st.src start (st.pos - start) in
-  advance st;
-  match name with
-  | "lt" -> Buffer.add_char buf '<'
-  | "gt" -> Buffer.add_char buf '>'
-  | "amp" -> Buffer.add_char buf '&'
-  | "quot" -> Buffer.add_char buf '"'
-  | "apos" -> Buffer.add_char buf '\''
-  | _ ->
+  p.pos <- semi + 1;
+  match predefined_entity src start (semi - start) with
+  | Some c -> Buffer.add_char p.buf c
+  | None ->
+    let name = String.sub src start (semi - start) in
     if String.length name > 1 && name.[0] = '#' then begin
       let code =
         try
           if name.[1] = 'x' || name.[1] = 'X' then
             int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
           else int_of_string (String.sub name 1 (String.length name - 1))
-        with _ -> fail st (Printf.sprintf "bad character reference &%s;" name)
+        with _ -> fail p (Printf.sprintf "bad character reference &%s;" name)
       in
-      if code < 0 || code > 0x10FFFF then fail st "character reference out of range";
-      utf8_of_code buf code
+      if code < 0 || code > 0x10FFFF then fail p "character reference out of range";
+      utf8_of_code p.buf code
     end
-    else fail st (Printf.sprintf "unknown entity &%s;" name)
+    else fail p (Printf.sprintf "unknown entity &%s;" name)
 
-let parse_attr_value st =
-  let quote =
-    match peek st with
-    | Some (('"' | '\'') as q) ->
-      advance st;
-      q
-    | _ -> fail st "expected a quoted attribute value"
-  in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated attribute value"
-    | Some c when c = quote -> advance st
-    | Some '&' ->
-      parse_entity st buf;
-      go ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let skip_until st closing =
-  let rec go () =
-    if looking_at st closing then expect st closing
-    else if peek st = None then fail st (Printf.sprintf "unterminated construct, expected %S" closing)
-    else begin
-      advance st;
-      go ()
-    end
-  in
-  go ()
-
-let rec skip_misc st =
-  skip_ws st;
-  if looking_at st "<?" then begin
-    skip_until st "?>";
-    skip_misc st
+(* The buffered run so far, leaving [p.buf] empty; [""] when there is none. *)
+let take_buffer p =
+  if Buffer.length p.buf = 0 then ""
+  else begin
+    let s = Buffer.contents p.buf in
+    Buffer.clear p.buf;
+    s
   end
-  else if looking_at st "<!--" then begin
-    skip_until st "-->";
-    skip_misc st
+
+let rec attr_value_rest p quote =
+  let src = p.src in
+  if at_end p then fail p "unterminated attribute value"
+  else
+    match String.unsafe_get src p.pos with
+    | c when c = quote ->
+      p.pos <- p.pos + 1;
+      take_buffer p
+    | '&' ->
+      parse_entity p;
+      attr_value_rest p quote
+    | _ ->
+      let stop = index_either src p.pos quote '&' in
+      Buffer.add_substring p.buf src p.pos (stop - p.pos);
+      p.pos <- stop;
+      attr_value_rest p quote
+
+let parse_attr_value p =
+  let src = p.src in
+  let quote = if at_end p then ' ' else src.[p.pos] in
+  if quote <> '"' && quote <> '\'' then fail p "expected a quoted attribute value";
+  let start = p.pos + 1 in
+  let stop = index_either src start quote '&' in
+  if stop < String.length src && String.unsafe_get src stop = quote then begin
+    p.pos <- stop + 1;
+    String.sub src start (stop - start)
   end
-  else if looking_at st "<!DOCTYPE" then begin
+  else begin
+    p.pos <- start;
+    attr_value_rest p quote
+  end
+
+let rec skip_misc p =
+  skip_ws p;
+  if looking_at p "<?" then begin
+    skip_until p "?>";
+    skip_misc p
+  end
+  else if looking_at p "<!--" then begin
+    skip_until p "-->";
+    skip_misc p
+  end
+  else if looking_at p "<!DOCTYPE" then begin
     (* Skip to the matching '>' (internal subsets with nested brackets are
        out of scope for this subset). *)
-    skip_until st ">";
-    skip_misc st
+    skip_until p ">";
+    skip_misc p
   end
 
-let rec parse_element st =
-  expect st "<";
-  let tag = parse_name st in
-  let rec attrs_loop acc =
-    skip_ws st;
-    match peek st with
-    | Some '/' ->
-      advance st;
-      expect st ">";
-      Element { tag; attrs = List.rev acc; children = [] }
-    | Some '>' ->
-      advance st;
-      let children = parse_content st tag in
-      Element { tag; attrs = List.rev acc; children }
-    | Some c when is_name_char c ->
-      let name = parse_name st in
-      skip_ws st;
-      expect st "=";
-      skip_ws st;
-      let value = parse_attr_value st in
-      if List.mem_assoc name acc then fail st (Printf.sprintf "duplicate attribute %s" name);
-      attrs_loop ((name, value) :: acc)
-    | _ -> fail st "malformed start tag"
-  in
-  attrs_loop []
+(* A comment, CDATA section or PI at the cursor, which character data
+   continues across; any other '<' starts a child element or closing tag. *)
+let at_interruption p = looking_at p "<!--" || looking_at p "<![CDATA[" || looking_at p "<?"
 
-and parse_content st tag =
-  let buf = Buffer.create 16 in
-  let flush_text acc =
-    if Buffer.length buf = 0 then acc
-    else begin
-      let s = Buffer.contents buf in
-      Buffer.clear buf;
-      Text s :: acc
-    end
-  in
-  let rec go acc =
-    if looking_at st "</" then begin
-      let acc = flush_text acc in
-      expect st "</";
-      let closing = parse_name st in
-      if closing <> tag then
-        fail st (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" closing tag);
-      skip_ws st;
-      expect st ">";
-      List.rev acc
-    end
-    else if looking_at st "<!--" then begin
-      skip_until st "-->";
-      go acc
-    end
-    else if looking_at st "<![CDATA[" then begin
-      expect st "<![CDATA[";
-      let start = st.pos in
-      let rec find () =
-        if looking_at st "]]>" then begin
-          Buffer.add_string buf (String.sub st.src start (st.pos - start));
-          expect st "]]>"
-        end
-        else if peek st = None then fail st "unterminated CDATA section"
-        else begin
-          advance st;
-          find ()
-        end
-      in
-      find ();
-      go acc
-    end
-    else if looking_at st "<?" then begin
-      skip_until st "?>";
-      go acc
-    end
-    else
-      match peek st with
-      | None -> fail st (Printf.sprintf "unterminated element <%s>" tag)
-      | Some '<' ->
-        let acc = flush_text acc in
-        let child = parse_element st in
-        go (child :: acc)
-      | Some '&' ->
-        parse_entity st buf;
-        go acc
-      | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go acc
-  in
-  go []
+let skip_interruption p =
+  if looking_at p "<![CDATA[" then begin
+    let start = p.pos + 9 in
+    let stop = find_from p.src start "]]>" in
+    if stop < 0 then begin
+      p.pos <- String.length p.src;
+      fail p "unterminated CDATA section"
+    end;
+    Buffer.add_substring p.buf p.src start (stop - start);
+    p.pos <- stop + 3
+  end
+  else skip_until p (if looking_at p "<?" then "?>" else "-->")
+
+(* Character data in [p.buf] up to the next child element or closing tag. *)
+let rec buffered_text p tag =
+  let src = p.src in
+  if at_end p then fail p (Printf.sprintf "unterminated element <%s>" tag)
+  else
+    match String.unsafe_get src p.pos with
+    | '&' ->
+      parse_entity p;
+      buffered_text p tag
+    | '<' when at_interruption p ->
+      skip_interruption p;
+      buffered_text p tag
+    | '<' -> take_buffer p
+    | _ ->
+      let stop = index_either src p.pos '<' '&' in
+      Buffer.add_substring p.buf src p.pos (stop - p.pos);
+      p.pos <- stop;
+      buffered_text p tag
+
+(* Character data from the cursor up to the next child element or closing
+   tag, where it leaves the cursor; [""] when there is none. *)
+let text_run p tag =
+  let src = p.src in
+  let start = p.pos in
+  p.pos <- index_either src start '<' '&';
+  if (not (at_end p)) && String.unsafe_get src p.pos = '<' && not (at_interruption p) then
+    if p.pos = start then "" else String.sub src start (p.pos - start)
+  else begin
+    Buffer.add_substring p.buf src start (p.pos - start);
+    buffered_text p tag
+  end
+
+(* The cursor is on '<'; [depth] counts the element about to be read. *)
+let rec parse_element p depth =
+  if depth > max_depth then fail p (Printf.sprintf "elements nested deeper than %d" max_depth);
+  p.pos <- p.pos + 1;
+  let tag = parse_name p in
+  parse_attrs p tag depth []
+
+and parse_attrs p tag depth acc =
+  skip_ws p;
+  (* The end of input reads as a blank, which no branch accepts. *)
+  let c = if at_end p then ' ' else String.unsafe_get p.src p.pos in
+  if c = '/' then begin
+    p.pos <- p.pos + 1;
+    expect p ">";
+    Element { tag; attrs = List.rev acc; children = [] }
+  end
+  else if c = '>' then begin
+    p.pos <- p.pos + 1;
+    let children = parse_content p tag depth [] in
+    Element { tag; attrs = List.rev acc; children }
+  end
+  else if is_name_char c then begin
+    let name = parse_name p in
+    skip_ws p;
+    expect p "=";
+    skip_ws p;
+    let value = parse_attr_value p in
+    if List.mem_assoc name acc then fail p (Printf.sprintf "duplicate attribute %s" name);
+    parse_attrs p tag depth ((name, value) :: acc)
+  end
+  else fail p "malformed start tag"
+
+and parse_content p tag depth acc =
+  let text = text_run p tag in
+  let acc = if String.length text = 0 then acc else Text text :: acc in
+  if looking_at p "</" then begin
+    p.pos <- p.pos + 2;
+    let start = name_span p in
+    let len = p.pos - start in
+    if not (span_is p.src start len tag) then
+      fail p
+        (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" (String.sub p.src start len) tag);
+    skip_ws p;
+    expect p ">";
+    List.rev acc
+  end
+  else parse_content p tag depth (parse_element p (depth + 1) :: acc)
 
 let of_string src =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
-  skip_misc st;
-  if peek st <> Some '<' then fail st "expected a root element";
-  let root = parse_element st in
-  skip_misc st;
-  if peek st <> None then fail st "trailing content after the root element";
+  let p = { src; pos = 0; buf = Buffer.create 64 } in
+  skip_misc p;
+  if at_end p || src.[p.pos] <> '<' then fail p "expected a root element";
+  let root = parse_element p 1 in
+  skip_misc p;
+  if not (at_end p) then fail p "trailing content after the root element";
   root
 
 let of_string_opt src = try Some (of_string src) with Parse_error _ -> None

@@ -37,6 +37,10 @@ val local_name : string -> string
 val prefix : string -> string option
 (** [prefix "saml:Assertion"] is [Some "saml"]. *)
 
+val has_local_name : string -> string -> bool
+(** [has_local_name tag name] is [local_name tag = name], compared in
+    place without copying the local part out of [tag]. *)
+
 val attr : t -> string -> string option
 (** [attr node name] is the value of attribute [name], if present. *)
 
@@ -57,7 +61,8 @@ val find_children : t -> string -> t list
 (** All child elements whose local name matches, in document order. *)
 
 val text_content : t -> string
-(** Concatenation of all text descendants. *)
+(** Concatenation of all text descendants; an element whose only child is
+    text returns that child's string itself. *)
 
 val is_element : t -> bool
 
@@ -85,10 +90,22 @@ val escape : string -> string
 (** {1 Parsing} *)
 
 exception Parse_error of { line : int; column : int; message : string }
+(** [line] and [column] (both 1-based; the column counts bytes) locate the
+    offending byte.  The parser tracks only a byte offset and works them
+    out when it raises, so well-formed input never pays for them. *)
+
+val max_depth : int
+(** The deepest element nesting {!of_string} accepts: 256, where a leaf
+    root has depth 1 (as in {!depth}).  The parser recurses once per
+    level, so the bound keeps hostile input from exhausting the stack;
+    the deepest document the DACS encoders produce nests about ten
+    levels. *)
 
 val of_string : string -> t
-(** Parse a complete document (prolog and doctype are skipped).
-    @raise Parse_error on malformed input. *)
+(** Parse a complete document (prolog and doctype are skipped) in one
+    pass over the bytes.
+    @raise Parse_error on malformed input, including an element nested
+    deeper than {!max_depth} (reported at its ['<']). *)
 
 val of_string_opt : string -> t option
 

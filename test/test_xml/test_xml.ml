@@ -263,24 +263,249 @@ let prop_parser_total =
       match Xml.of_string_opt s with
       | Some _ | None -> true)
 
-let prop_parser_total_xmlish =
-  (* The same, over strings biased towards XML-ish fragments. *)
+let xmlish_fragments =
   let fragment =
     QCheck.Gen.oneofl
       [ "<"; ">"; "/>"; "</a>"; "<a"; "a=\""; "\""; "&"; "&amp;"; "&#"; ";"; "<![CDATA["; "]]>";
         "<!--"; "-->"; "<?"; "?>"; "x"; " "; "<a>"; "<!DOCTYPE" ]
   in
-  QCheck.Test.make ~name:"parser is total on XML-ish fragments" ~count:1000
-    (QCheck.make
-       ~print:(fun l -> String.concat "" l)
-       QCheck.Gen.(list_size (0 -- 20) fragment))
-    (fun frags ->
+  QCheck.make ~print:(fun l -> String.concat "" l) QCheck.Gen.(list_size (0 -- 20) fragment)
+
+let prop_parser_total_xmlish =
+  (* The same, over strings biased towards XML-ish fragments. *)
+  QCheck.Test.make ~name:"parser is total on XML-ish fragments" ~count:1000 xmlish_fragments (fun frags ->
       match Xml.of_string_opt (String.concat "" frags) with
       | Some _ | None -> true)
 
+let prop_has_local_name =
+  let name = QCheck.(string_gen_of_size Gen.(0 -- 6) Gen.(oneofl [ 'a'; 'b'; ':' ])) in
+  QCheck.Test.make ~name:"has_local_name agrees with local_name" ~count:1000 (QCheck.pair name name)
+    (fun (tag, want) -> Xml.has_local_name tag want = (Xml.local_name tag = want))
+
+(* --- the previous parser as a reference oracle ------------------------------ *)
+
+(* What one parser made of an input: its tree, or its Parse_error. *)
+type outcome = Tree of Xml.t | Error_at of int * int * string | Raised of string
+
+let outcome parse src =
+  match parse src with
+  | tree -> Tree tree
+  | exception Xml.Parse_error { line; column; message } -> Error_at (line, column, message)
+  | exception Xml_reference.Parse_error { line; column; message } -> Error_at (line, column, message)
+  | exception e -> Raised (Printexc.to_string e)
+
+let show_outcome = function
+  | Tree t -> "tree " ^ Xml.to_string t
+  | Error_at (line, column, message) -> Printf.sprintf "error at %d:%d: %s" line column message
+  | Raised e -> "raised " ^ e
+
+let agrees_with_reference src =
+  let got = outcome Xml.of_string src and want = outcome Xml_reference.of_string src in
+  got = want
+  || QCheck.Test.fail_reportf "input %S@.parser:    %s@.reference: %s" src (show_outcome got) (show_outcome want)
+
+(* Well-formed documents over everything the parser accepts: entities,
+   numeric references, CDATA, comments, PIs, prefixed names, both quote
+   styles, whitespace inside tags, a prolog and an epilog. *)
+let gen_document =
+  let open QCheck.Gen in
+  let chars cs size = string_size ~gen:(oneofl cs) size in
+  let ws = oneofl [ ""; ""; " "; "\n"; "\t "; "\r\n" ] in
+  let reference =
+    oneofl [ "&lt;"; "&gt;"; "&amp;"; "&quot;"; "&apos;"; "&#65;"; "&#x4E2D;"; "&#233;"; "&#X42;"; "&#0;" ]
+  in
+  let interruption =
+    oneof
+      [
+        map (fun s -> "<![CDATA[" ^ s ^ "]]>") (chars [ 'a'; '<'; '&'; ']'; '\n' ] (0 -- 5));
+        map (fun s -> "<!--" ^ s ^ "-->") (chars [ 'a'; '-'; ' '; '<'; '\n' ] (0 -- 5));
+        map (fun s -> "<?pi" ^ s ^ "?>") (chars [ 'a'; ' '; '?'; '\n' ] (0 -- 5));
+      ]
+  in
+  let text =
+    frequency
+      [
+        (3, chars [ 'a'; 'z'; ' '; '\n'; '\t'; '>'; '"'; '\''; ']'; '-'; '/'; '=' ] (1 -- 6));
+        (2, reference);
+        (1, interruption);
+      ]
+  in
+  let attribute name =
+    oneofl [ '"'; '\'' ] >>= fun quote ->
+    let other = if quote = '"' then '\'' else '"' in
+    list_size (0 -- 3) (frequency [ (3, chars [ 'v'; ' '; '<'; '>'; '\n'; other ] (1 -- 4)); (1, reference) ])
+    >>= fun value ->
+    pair ws ws >|= fun (w1, w2) ->
+    Printf.sprintf " %s%s=%s%c%s%c" name w1 w2 quote (String.concat "" value) quote
+  in
+  let name = oneofl [ "a"; "b"; "Rule"; "ns:Elt"; "soap:Body"; "x.y-z_1" ] in
+  let rec element depth =
+    name >>= fun tag ->
+    oneofl [ []; [ "id" ]; [ "x"; "ns:y" ]; [ "id"; "x"; "ns:y" ] ] >>= fun names ->
+    flatten_l (List.map attribute names) >>= fun attrs ->
+    pair ws ws >>= fun (before_gt, before_close) ->
+    let content = if depth = 0 then text else frequency [ (3, text); (2, element (depth - 1)) ] in
+    frequency [ (1, return []); (3, list_size (0 -- 4) content) ] >|= fun children ->
+    let open_tag = "<" ^ tag ^ String.concat "" attrs ^ before_gt in
+    if children = [] && before_close = "" then open_tag ^ "/>"
+    else Printf.sprintf "%s>%s</%s%s>" open_tag (String.concat "" children) tag before_close
+  in
+  let misc = oneofl [ ""; "\n"; "<!-- note -->"; "<?pi x?>"; "\n<!---->\n" ] in
+  let prolog = oneofl [ ""; "<?xml version=\"1.0\"?>\n"; "<!DOCTYPE note>"; "<?xml version='1.0'?><!DOCTYPE a>\n" ] in
+  map (fun (((p, m), root), e) -> p ^ m ^ root ^ e) (pair (pair (pair prolog misc) (element 4)) misc)
+
+let prop_reference_documents =
+  QCheck.Test.make ~name:"parser = reference on generated documents" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_document) (fun doc ->
+      agrees_with_reference doc
+      && (match outcome Xml.of_string doc with
+         | Tree _ -> true
+         | o -> QCheck.Test.fail_reportf "generated document rejected: %s" (show_outcome o)))
+
+(* One byte of a generated document replaced, deleted or duplicated. *)
+let gen_mutation =
+  let open QCheck.Gen in
+  gen_document >>= fun doc ->
+  let n = String.length doc in
+  int_bound (n - 1) >>= fun i ->
+  oneof [ char; oneofl [ '<'; '>'; '/'; '&'; ';'; '"'; '\''; '='; '!'; '?'; '-'; '['; ']'; ' '; '\n'; '#'; 'x' ] ]
+  >>= fun c ->
+  oneofl
+    [
+      String.mapi (fun j d -> if j = i then c else d) doc;
+      String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1);
+      String.sub doc 0 i ^ String.make 1 c ^ String.sub doc i (n - i);
+    ]
+
+let prop_reference_mutations =
+  QCheck.Test.make ~name:"parser = reference on one-byte mutations" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutation) agrees_with_reference
+
+let prop_reference_bytes =
+  QCheck.Test.make ~name:"parser = reference on random bytes" ~count:1000 QCheck.string agrees_with_reference
+
+let prop_reference_fragments =
+  QCheck.Test.make ~name:"parser = reference on XML-ish fragments" ~count:1000 xmlish_fragments (fun frags ->
+      agrees_with_reference (String.concat "" frags))
+
+(* --- SOAP frames of every wire encoder ---------------------------------------- *)
+
+module Soap = Dacs_ws.Soap
+module Wire = Dacs_core.Wire
+module Value = Dacs_policy.Value
+module Context = Dacs_policy.Context
+module Decision = Dacs_policy.Decision
+module Policy = Dacs_policy.Policy
+module Rule = Dacs_policy.Rule
+module Target = Dacs_policy.Target
+module Expr = Dacs_policy.Expr
+
+let wire_envelopes () =
+  let subject = [ ("subject-id", Value.String "alice & <bob>"); ("role", Value.String "doctor"); ("q", Value.String "\"'") ] in
+  let ctx =
+    Context.make ~subject ~resource:[ ("resource-id", Value.String "r1") ]
+      ~action:[ ("action-id", Value.String "read") ] ~environment:[ ("now", Value.Time 12.5) ] ()
+  in
+  let result = Decision.with_obligations Decision.permit [ Dacs_policy.Obligation.audit ] in
+  let policy resource =
+    Policy.Inline_policy
+      (Policy.make ~id:("p-" ^ resource) ~issuer:"domain-a"
+         [
+           Rule.permit
+             ~target:Target.(any |> subject_is "role" "doctor" |> resource_is "resource-id" resource)
+             ~condition:
+               (Expr.Apply
+                  ( "and",
+                    [ Expr.one_of (Expr.subject_attr "role") [ "doctor"; "nurse" ];
+                      Expr.Apply ("integer-greater-than", [ Expr.int 3; Expr.int 2 ]) ] ))
+             "permit-doctor";
+           Rule.deny "default-deny";
+         ])
+  in
+  let set =
+    Policy.Inline_set
+      (Policy.make_set ~id:"root"
+         [ policy "r1"; Policy.Inline_set (Policy.make_set ~id:"inner" [ policy "r2" ]); Policy.Policy_ref "p-ext" ])
+  in
+  let event =
+    { Wire.le_author = "domain-a"; le_seq = 3; le_at = 1.5; le_epoch = 1; le_frontier = [ ("domain-a", 3); ("domain-b", 1) ];
+      le_kind = "decide"; le_fields = [ ("key", "k<&>"); ("decision", "Permit") ]; le_digest = "\x00\xffdigest";
+      le_tag = "\x01tag" }
+  in
+  let keys = Dacs_crypto.Rsa.generate (Dacs_crypto.Rng.create 7L) ~bits:512 in
+  let cert =
+    Dacs_crypto.Cert.self_signed keys ~subject:"cn=pdp" ~serial:1 ~not_before:0.0 ~not_after:1e9
+  in
+  let bodies =
+    [
+      ("access_request", Wire.access_request ~subject ~action:"read");
+      ("authz_query", Wire.authz_query ctx);
+      ("authz_response", Wire.authz_response ~epoch:3 result);
+      ("signed_authz_response", Wire.signed_authz_response ~epoch:3 ~key:keys.Dacs_crypto.Rsa.private_ ~cert result);
+      ("attribute_query", Wire.attribute_query ~category:Context.Subject ~attribute_id:"role" ~subject:"alice");
+      ("attribute_result", Wire.attribute_result [ Value.String "doctor"; Value.Int 3; Value.Bool true ]);
+      ("attribute_subscribe", Wire.attribute_subscribe ());
+      ("attribute_invalidate", Wire.attribute_invalidate ~subject:"alice" ~attribute_id:"role");
+      ("cache_lookup", Wire.cache_lookup ~key:"alice|read|r1");
+      ("cache_answer", Wire.cache_answer (Some result));
+      ("cache_answer (miss)", Wire.cache_answer None);
+      ("cache_put", Wire.cache_put ~sent_at:1.25 ~key:"alice|read|r1" result);
+      ("cache_invalidate", Wire.cache_invalidate ~epoch:2 (Some "p-r1"));
+      ("cache_region", Wire.cache_region ~epoch:2 (Dacs_policy.Delta.between (Some (policy "r1")) (Some (policy "r2"))));
+      ("cache_sync", Wire.cache_sync ~known_epoch:1);
+      ("cache_epoch", Wire.cache_epoch ~epoch:4);
+      ("policy_query", Wire.policy_query ~scope:"domain-a" ~known_version:1);
+      ("policy_response", Wire.policy_response ~version:2 (Some set));
+      ("policy_update", Wire.policy_update ~version:2 set);
+      ("log_event", Wire.log_event event);
+      ("log_sync_request", Wire.log_sync_request ~frontier:[ ("domain-a", 3); ("domain-b", 1) ]);
+      ("log_sync_response", Wire.log_sync_response ~head:"\x02head" [ event; event ]);
+      ("capability_request", Wire.capability_request ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]);
+      ("revocation_check", Wire.revocation_check ~assertion_id:"a-1");
+      ("revocation_status", Wire.revocation_status ~revoked:true);
+      ("access_granted", Wire.access_granted ~content:"data <x> & 'y'" ~encrypted:false ());
+      ("access_denied", Wire.access_denied ~reason:"no & never");
+      ("fault", Soap.fault_body { Soap.code = "Receiver"; reason = "PDP <overloaded>" });
+    ]
+  in
+  let plain = List.map (fun (name, body) -> (name, { Soap.headers = []; body })) bodies in
+  let signed =
+    Dacs_ws.Security.sign ~key:keys.Dacs_crypto.Rsa.private_ ~cert { Soap.headers = []; body = Wire.authz_query ctx }
+  in
+  ("authz_query (WS-Security header)", signed) :: plain
+
+let test_wire_frames_reprint () =
+  List.iter
+    (fun (name, envelope) ->
+      let bytes = Soap.to_string envelope in
+      check string_ (name ^ ": print, parse, print") bytes (Xml.to_string (Xml.of_string bytes));
+      check bool_ (name ^ ": same tree as the reference") true
+        (outcome Xml.of_string bytes = outcome Xml_reference.of_string bytes))
+    (wire_envelopes ())
+
+(* --- nesting depth limit -------------------------------------------------------- *)
+
+let nested n = String.concat "" (List.init n (fun _ -> "<a>")) ^ String.concat "" (List.init n (fun _ -> "</a>"))
+
+let test_depth_limit () =
+  let deepest =
+    List.fold_left (fun acc (_, e) -> max acc (Xml.depth (Xml.of_string (Soap.to_string e)))) 0 (wire_envelopes ())
+  in
+  check bool_ (Printf.sprintf "deepest encoder frame (%d) well below the limit" deepest) true (4 * deepest < Xml.max_depth);
+  check int_ "limit itself accepted" Xml.max_depth (Xml.depth (Xml.of_string (nested Xml.max_depth)));
+  (match Xml.of_string (nested (Xml.max_depth + 1)) with
+  | _ -> Alcotest.fail "expected a depth error"
+  | exception Xml.Parse_error { line; column; message } ->
+    check int_ "line" 1 line;
+    check int_ "column of the offending '<'" ((3 * Xml.max_depth) + 1) column;
+    check string_ "message" (Printf.sprintf "elements nested deeper than %d" Xml.max_depth) message);
+  let hostile = "<soap:Envelope><soap:Body>" ^ nested 100_000 ^ "</soap:Body></soap:Envelope>" in
+  check bool_ "100,000 nested elements are a SOAP error" true (Result.is_error (Soap.parse hostile))
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_print_parse_roundtrip; prop_canonical_idempotent; prop_canonical_stable_string;
-    prop_parser_total; prop_parser_total_xmlish ]
+    prop_parser_total; prop_parser_total_xmlish; prop_has_local_name; prop_reference_documents;
+    prop_reference_mutations; prop_reference_bytes; prop_reference_fragments ]
 
 let suite =
   [
@@ -312,6 +537,8 @@ let suite =
     Alcotest.test_case "path text" `Quick test_path_text;
     Alcotest.test_case "path exists" `Quick test_path_exists;
     Alcotest.test_case "path errors" `Quick test_path_errors;
+    Alcotest.test_case "wire frames reprint byte for byte" `Quick test_wire_frames_reprint;
+    Alcotest.test_case "nesting depth limit" `Quick test_depth_limit;
   ]
   @ props
 
