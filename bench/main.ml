@@ -1963,6 +1963,8 @@ let e23_churn =
                   exact "workload-determinism";
                   no_worse "hit-ratio-regression" ~key:"churn_hit_ratio" ~better:`Higher;
                   no_worse "churn-msgs-per-req-regression" ~key:"churn_msgs_per_req"
+                    ~better:`Lower;
+                  no_worse "purge-words-regression" ~key:"purge_words_per_entry"
                     ~better:`Lower ]
   @@ fun x ->
   header "E23  Policy churn: targeted region invalidation vs full flush"
@@ -2071,6 +2073,36 @@ let e23_churn =
   check "regions-bounded"
     ((not !region_unbounded) && !max_zones <= 4)
     (Printf.sprintf "every consecutive-generation region bounded, max %d zones" !max_zones);
+  (* -- purge cost: one consecutive-generation purge of a warm L1 ------- *)
+  let purge_entries = 4096 in
+  let purged, purge_words =
+    with_scheme Decision_cache.Packed (fun () ->
+        let warm = Decision_cache.create ~max_entries:purge_entries ~ttl:3600.0 () in
+        let roles = [| "doctor"; "nurse"; "admin" |] in
+        for i = 0 to purge_entries - 1 do
+          let ctx =
+            Context.make
+              ~subject:
+                [
+                  ("subject-id", Value.String (Printf.sprintf "purge-%d" i));
+                  ("role", Value.String roles.(i mod 3));
+                ]
+              ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" (i / 3 mod resources))) ]
+              ~action:[ ("action-id", Value.String (if i / 24 mod 2 = 0 then "read" else "write")) ]
+              ()
+          in
+          Decision_cache.put warm ~now:0.0 ~key:(Decision_cache.request_key ctx) Decision.permit
+        done;
+        let region = D.between (Some (root 1)) (Some (root 2)) in
+        let before = Gc.minor_words () in
+        let purged = Decision_cache.invalidate_region warm region in
+        (purged, Gc.minor_words () -. before))
+  in
+  Printf.printf
+    "purge cost: one publish's region over a warm %d-entry L1 dropped %d entries \
+     in %.0f minor words (%.3f per entry)\n"
+    purge_entries purged purge_words
+    (purge_words /. float_of_int purge_entries);
   (* -- part 2: workload ablation -------------------------------------- *)
   let scenario targeted =
     {
@@ -2121,7 +2153,9 @@ let e23_churn =
     (float_of_int targeted_run.W.cache_hits /. float_of_int (max 1 full_run.W.cache_hits));
   Experiment.metric x "churn_msgs_per_req" (mpr targeted_run);
   Experiment.metric x "full_msgs_per_req" (mpr full_run);
-  Experiment.count x "publishes" targeted_run.W.publishes
+  Experiment.count x "publishes" targeted_run.W.publishes;
+  Experiment.count x "purge_dropped" purged;
+  Experiment.metric x "purge_words_per_entry" (purge_words /. float_of_int purge_entries)
 
 (* ==================================================================== *)
 (* Micro-benchmarks (Bechamel)                                          *)

@@ -81,8 +81,10 @@ module Attr_cache = struct
      attribute data itself is still valid (policy churn does not change
      PIP facts), but dropping forces a refetch on the next decision
      inside the region, which keeps the attribute tier's behaviour
-     aligned with the decision caches it feeds.  Entries whose pair sym
-     cannot be decoded drop conservatively. *)
+     aligned with the decision caches it feeds.  The positions resolve
+     to pair syms once per call (find-only: a position never interned
+     keys no entry); entries whose pair sym is unknown drop
+     conservatively. *)
   let invalidate_region t region =
     match region with
     | Dacs_policy.Delta.Empty -> 0
@@ -91,14 +93,17 @@ module Attr_cache = struct
       clear t;
       n
     | Dacs_policy.Delta.Zones _ ->
-      let positions = Dacs_policy.Delta.attributes region in
+      let syms =
+        List.filter_map
+          (fun (category, id) -> Intern.find_pair Intern.global category id)
+          (Dacs_policy.Delta.attributes region)
+      in
+      let known = (Intern.stats Intern.global).Intern.pairs in
       let doomed =
         Hashtbl.fold
           (fun k _ acc ->
             let pair = k lsr 31 in
-            match Intern.pair_info Intern.global pair with
-            | info -> if List.mem info positions then k :: acc else acc
-            | exception Invalid_argument _ -> k :: acc)
+            if pair >= known || List.mem pair syms then k :: acc else acc)
           t.table []
       in
       List.iter

@@ -69,9 +69,10 @@ module Attr_cache : sig
 
   val invalidate_region : t -> Dacs_policy.Delta.t -> int
   (** Drop the bags at every attribute position the region's pins and
-      guards mention (undecodable pair syms drop conservatively);
-      returns the number dropped.  [Unbounded] clears the cache, [Empty]
-      drops nothing. *)
+      guards mention, resolved once to pair syms and tested against each
+      entry's packed key (pair syms the intern table never minted drop
+      conservatively); returns the number dropped.  [Unbounded] clears
+      the cache, [Empty] drops nothing. *)
 
   val clear : t -> unit
   val size : t -> int

@@ -148,17 +148,12 @@ let invalidate_all t =
   Queue.clear t.order;
   t.purges <- t.purges + 1
 
-(* A key is droppable for a region when the context it decodes to lies
-   inside it.  Undecodable keys (Sha_hex digests, vocabulary from
-   another process) drop too: the region test needs the key's atoms, and
-   a key we cannot read might belong to an affected request.  The
-   decoded context carries no Environment bags, so environment-guarded
-   pins can never exclude a key — also conservative. *)
-let key_in_region region key =
-  match Intern.decode_key key with
-  | None -> true
-  | Some ctx -> Dacs_policy.Delta.covers region ctx
-
+(* The region is compiled once per purge into an atom-level test
+   (Intern.compile_region) that reads each packed key in place — no
+   Context is built per key.  The doomed keys are collected first and
+   removed after the fold: a Hashtbl.filter_map_inplace would allocate a
+   [Some] for every retained entry, so the purge's allocation would grow
+   with the cache instead of with what it drops. *)
 let invalidate_region t region =
   match region with
   | Dacs_policy.Delta.Empty -> 0
@@ -168,8 +163,11 @@ let invalidate_region t region =
     n
   | Dacs_policy.Delta.Zones _ ->
     t.purges <- t.purges + 1;
+    let region = Intern.compile_region region in
     let doomed =
-      Hashtbl.fold (fun key _ acc -> if key_in_region region key then key :: acc else acc) t.table []
+      Hashtbl.fold
+        (fun key _ acc -> if Intern.key_in_region region key then key :: acc else acc)
+        t.table []
     in
     List.iter (fun key -> Hashtbl.remove t.table key) doomed;
     List.length doomed

@@ -62,11 +62,15 @@ val invalidate_all : t -> unit
     region is available (or the region is unbounded). *)
 
 val invalidate_region : t -> Dacs_policy.Delta.t -> int
-(** Targeted invalidation: drop only the entries whose keys decode (via
-    {!Intern} reverse lookup) to a context the region {!Delta.covers};
-    returns the number dropped.  Conservative on both unreadable keys
-    (Sha_hex digests drop — degrading to a per-entry full flush under
-    the legacy scheme) and environment-guarded pins (keys carry no
+(** Targeted invalidation: drop only the entries whose keys the region
+    covers; returns the number dropped.  The region is compiled once per
+    call ({!Intern.compile_region}) and each packed key is tested as
+    integer atoms ({!Intern.key_in_region}), exactly as [Delta.covers]
+    would judge the context the key decodes to, so the purge allocates
+    in proportion to what it drops, not to the cache size.  Conservative
+    on both unreadable keys (Sha_hex digests and ids the intern table
+    never minted drop — degrading to a per-entry full flush under the
+    legacy scheme) and environment-guarded pins (keys carry no
     Environment atoms, so such pins never exclude).  [Unbounded] falls
     back to {!invalidate_all}; [Empty] drops nothing. *)
 

@@ -18,10 +18,11 @@ type t = {
   (* (pair sym | value sym) -> dense atom sym *)
   atoms : (int, int) Hashtbl.t;
   mutable n_atoms : int;
-  (* Reverse tables, one slot per dense sym, so packed cache keys can be
-     decoded back into attribute bags for region-targeted invalidation:
-     pair sym -> (category code, attribute id); value sym -> the typed
-     value; atom sym -> the packed (pair | value) word. *)
+  (* Reverse tables, one slot per dense sym, so region invalidation can
+     read a packed cache key's atoms in place and a key can be decoded
+     back into attribute bags: pair sym -> (category code, attribute id);
+     value sym -> the typed value; atom sym -> the packed (pair | value)
+     word. *)
   mutable pair_infos : (int * string) array;
   mutable value_of : Value.t array;
   mutable atom_packs : int array;
@@ -113,6 +114,8 @@ let pair t category id =
       (category_code category, id);
     t.n_pairs <- sym + 1;
     sym
+
+let find_pair t category id = Hashtbl.find_opt t.pairs_by_category.(category_code category) id
 
 let pack2 a b = (a lsl 31) lor b
 
@@ -217,6 +220,122 @@ let decode_key ?(table = global) key =
       | _ -> None
   in
   if n = 0 then Some Context.empty else atom_at 0 0 0
+
+(* --- region tests -------------------------------------------------------- *)
+
+(* One Delta pin over syms: the guard pairs, the pinned pair and the value
+   syms of its allowed strings. *)
+type region_pin = { guards : int array; pinned : int; allowed : int array }
+
+type region = {
+  table : t;
+  (* A key is in the region when some zone has no excluding pin; an empty
+     zone covers every key. *)
+  zones : region_pin array array;
+  (* the packed (pair | value) words of the key under test's atoms *)
+  mutable key_packs : int array;
+}
+
+let compile_region ?(table = global) (region : Dacs_policy.Delta.t) =
+  let t = table in
+  (* A pin whose pinned or guard pair was never interned reads an empty
+     bag in every key, so it can never exclude: drop it.  A value that
+     was never interned is in no key: drop it from the allowed set. *)
+  let compile_pin (pin : Dacs_policy.Delta.pin) =
+    let guards = List.map (fun (c, a) -> find_pair t c a) pin.pin_guards in
+    match find_pair t pin.pin_category pin.pin_attribute with
+    | Some pinned when List.for_all Option.is_some guards ->
+      Some
+        {
+          guards = Array.of_list (List.filter_map Fun.id guards);
+          pinned;
+          allowed =
+            Array.of_list
+              (List.filter_map (fun v -> Hashtbl.find_opt t.values (Value.String v)) pin.pin_values);
+        }
+    | _ -> None
+  in
+  let zones =
+    match region with
+    | Dacs_policy.Delta.Empty -> [||]
+    | Dacs_policy.Delta.Unbounded -> [| [||] |]
+    | Dacs_policy.Delta.Zones zs ->
+      Array.of_list (List.map (fun z -> Array.of_list (List.filter_map compile_pin z)) zs)
+  in
+  { table = t; zones; key_packs = Array.make 16 0 }
+
+(* The per-key test allocates nothing: every loop below is a top-level
+   function over explicit arguments, so no closure is built per key. *)
+
+let push_pack r i pack =
+  if i >= Array.length r.key_packs then begin
+    let bigger = Array.make (2 * Array.length r.key_packs) 0 in
+    Array.blit r.key_packs 0 bigger 0 i;
+    r.key_packs <- bigger
+  end;
+  r.key_packs.(i) <- pack
+
+(* Parse [key] under exactly decode_key's grammar, storing each atom's
+   packed word in [r.key_packs]; the atom count, or -1 where decode_key
+   answers None. *)
+let rec parse_atoms r key n start i acc count =
+  if i = n || key.[i] = '.' then
+    if i = start || acc >= r.table.n_atoms then -1
+    else begin
+      push_pack r count r.table.atom_packs.(acc);
+      if i = n then count + 1 else parse_atoms r key n (i + 1) (i + 1) 0 (count + 1)
+    end
+  else
+    match key.[i] with
+    | '0' .. '9' when i - start < 10 ->
+      parse_atoms r key n start (i + 1) ((acc * 10) + (Char.code key.[i] - Char.code '0')) count
+    | _ -> -1
+
+let value_mask = (1 lsl 31) - 1
+
+let is_string t v = match t.value_of.(v) with Value.String _ -> true | _ -> false
+
+let rec mem_sym x a i = i < Array.length a && (a.(i) = x || mem_sym x a (i + 1))
+
+(* Compiled.guards_clean for one position: some atom sits at [pair] and
+   every atom there carries a string. *)
+let rec clean_at t packs n pair i seen =
+  if i = n then seen
+  else
+    let pack = packs.(i) in
+    if pack lsr 31 <> pair then clean_at t packs n pair (i + 1) seen
+    else is_string t (pack land value_mask) && clean_at t packs n pair (i + 1) true
+
+(* Compiled.clean_ids plus disjointness: the pinned bag is non-empty,
+   all-string, and holds none of the allowed values. *)
+let rec disjoint_at t packs n pin i seen =
+  if i = n then seen
+  else
+    let pack = packs.(i) in
+    if pack lsr 31 <> pin.pinned then disjoint_at t packs n pin (i + 1) seen
+    else
+      let v = pack land value_mask in
+      is_string t v && (not (mem_sym v pin.allowed 0)) && disjoint_at t packs n pin (i + 1) true
+
+let rec guards_clean t packs n guards g =
+  g = Array.length guards
+  || (clean_at t packs n guards.(g) 0 false && guards_clean t packs n guards (g + 1))
+
+let pin_excludes t packs n pin =
+  guards_clean t packs n pin.guards 0 && disjoint_at t packs n pin 0 false
+
+let rec zone_covers t packs n zone p =
+  p = Array.length zone
+  || ((not (pin_excludes t packs n zone.(p))) && zone_covers t packs n zone (p + 1))
+
+let rec zones_cover t packs n zones z =
+  z < Array.length zones
+  && (zone_covers t packs n zones.(z) 0 || zones_cover t packs n zones (z + 1))
+
+let key_in_region r key =
+  let n = String.length key in
+  let count = if n = 0 then 0 else parse_atoms r key n 0 0 0 0 in
+  count < 0 || zones_cover r.table r.key_packs count r.zones 0
 
 type stats = { strings : int; pairs : int; values : int; atoms : int }
 

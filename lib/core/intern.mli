@@ -54,6 +54,10 @@ val value : t -> Dacs_policy.Value.t -> sym
 val pair : t -> Dacs_policy.Context.category -> string -> sym
 (** Intern an attribute position [(category, id)]. *)
 
+val find_pair : t -> Dacs_policy.Context.category -> string -> sym option
+(** Find-only {!pair}: [None] when the position was never interned —
+    which means no key built so far carries it.  Never mints a sym. *)
+
 val atom : t -> pair:sym -> value:sym -> sym
 (** Intern one attribute binding.  Equal bindings get equal syms, so a
     sorted atom sequence is a canonical form of an attribute multiset. *)
@@ -70,12 +74,41 @@ val request_key : ?table:t -> Dacs_policy.Context.t -> string
     same key iff their (category, id, value) multisets over those three
     sections are equal; bag and insertion order never matter. *)
 
+(** {1 Region tests}
+
+    What region invalidation runs per cached key.  A change-impact
+    region is compiled once per purge into sym form — each pin's guard
+    pairs, pinned pair and allowed value syms, resolved with find-only
+    lookups that never mint a sym — and each packed key is then tested as integer
+    atoms, without building a context.  Compilation drops what cannot
+    matter: a pin whose pinned or guard pair was never interned reads an
+    empty bag in every key, so it can never exclude (a zone left with no
+    pins covers every key); an allowed value never interned is in no
+    key. *)
+
+type region
+(** A compiled {!Dacs_policy.Delta.t} over one table's syms.  Valid until
+    the table mints another pair or value sym: compile it per purge. *)
+
+val compile_region : ?table:t -> Dacs_policy.Delta.t -> region
+
+val key_in_region : region -> string -> bool
+(** Exactly [Delta.covers] on the context {!decode_key} would rebuild:
+    a pin excludes the key only when every guard pair carries a
+    non-empty, all-string bag, the pinned pair does too, and none of its
+    values is allowed ([Compiled.guards_clean]/[clean_ids] on atoms).  A
+    key {!decode_key} rejects — a SHA-256 hex digest, an empty segment,
+    an atom id the table never minted — answers [true], so it drops.
+    Allocates nothing per key (the region's scratch array grows only
+    for a key longer than any before it). *)
+
 (** {1 Reverse lookups}
 
-    Dense per-sym reverse tables, populated as syms are minted, so the
-    invalidation plane can decode a packed cache key back into the
-    attribute bags it was built from and test it against a {!Delta}
-    region. *)
+    Dense per-sym reverse tables, populated as syms are minted, so a
+    packed cache key can be decoded back into the attribute bags it was
+    built from.  The serving path no longer decodes ({!key_in_region}
+    reads atoms in place); {!decode_key} plus [Delta.covers] is the
+    reference the region test is checked against in the tests. *)
 
 val pair_info : t -> sym -> Dacs_policy.Context.category * string
 (** The attribute position a pair sym was minted for; raises

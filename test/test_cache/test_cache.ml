@@ -703,6 +703,262 @@ let test_vo_revocation_round () =
     (fun size -> check bool_ "member L2 emptied" true (size = 0))
     !l2_sizes_after_round
 
+(* --- the compiled region test against its reference --------------------- *)
+
+(* The per-key test region invalidation used before it was compiled to
+   atoms, kept as the reference: decode the packed key back into a
+   context and ask Delta.covers.  An undecodable key drops. *)
+let reference_key_in_region region key =
+  match Intern.decode_key key with None -> true | Some ctx -> Delta.covers region ctx
+
+(* The keys that purge dropped: none for Empty, all for Unbounded (the
+   full flush), the covered ones for Zones. *)
+let reference_doomed region keys =
+  match region with
+  | Delta.Empty -> []
+  | Delta.Unbounded -> keys
+  | Delta.Zones _ -> List.filter (reference_key_in_region region) keys
+
+(* Cached contexts draw their bags from [pool] at [positions]: strings,
+   plus an Integer and a Boolean so non-string bags occur at pinned and
+   guard positions.  Regions pin [pin_positions] to [pin_strings]; the
+   "ghost" names there are never put in any context, so they stay
+   un-interned and exercise the compiler's find-only drops, and an
+   Environment position is never in any key. *)
+let pool =
+  [| Value.String "doctor"; Value.String "lab"; Value.String "read"; Value.String "chart";
+     Value.Int 7; Value.Bool true |]
+
+let positions =
+  [| (Context.Subject, "subject-id"); (Context.Subject, "role"); (Context.Resource, "resource-id");
+     (Context.Action, "action-id") |]
+
+let pin_positions =
+  Array.append positions [| (Context.Environment, "time-of-day"); (Context.Subject, "ghost-attr") |]
+
+let pin_strings = [| "doctor"; "lab"; "read"; "chart"; "7"; "ghost-value" |]
+
+(* Each position gets a bag of 0–2 pool values, mostly one string:
+   absent attributes, multi-valued and non-string bags all occur, while
+   most keys stay clean enough for a pin to exclude them. *)
+let gen_pool_value =
+  QCheck.Gen.(frequency [ (8, int_bound 3); (1, return 4); (1, return 5) ])
+
+let gen_bag =
+  QCheck.Gen.(list_size (frequency [ (1, return 0); (6, return 1); (2, return 2) ]) gen_pool_value)
+
+let gen_ctx =
+  let open QCheck.Gen in
+  map
+    (fun bags ->
+      let section category =
+        List.concat
+          (List.mapi
+             (fun i vs ->
+               let c, attr = positions.(i) in
+               if c = category then List.map (fun v -> (attr, pool.(v))) vs else [])
+             bags)
+      in
+      Context.make ~subject:(section Context.Subject) ~resource:(section Context.Resource)
+        ~action:(section Context.Action) ())
+    (list_repeat (Array.length positions) gen_bag)
+
+(* Mostly positions keys carry, so pins often exclude; now and then the
+   Environment or the never-interned one. *)
+let gen_pin_position =
+  QCheck.Gen.(frequency [ (8, int_bound (Array.length positions - 1)); (1, return 4); (1, return 5) ])
+
+let gen_pin_string = QCheck.Gen.int_bound (Array.length pin_strings - 1)
+
+let gen_pin =
+  let open QCheck.Gen in
+  map3
+    (fun p vs gs ->
+      let category, attr = pin_positions.(p) in
+      {
+        Delta.pin_category = category;
+        pin_attribute = attr;
+        pin_values = List.sort_uniq compare (List.map (fun v -> pin_strings.(v)) vs);
+        pin_guards = List.map (fun g -> pin_positions.(g)) gs;
+      })
+    gen_pin_position
+    (list_size (int_range 1 3) gen_pin_string)
+    (list_size (frequency [ (3, return 0); (2, int_range 1 2) ]) gen_pin_position)
+
+(* Hand-built zones: any position may be pinned or guarded, Environment
+   and never-interned ones included. *)
+let gen_zones =
+  QCheck.Gen.(
+    map
+      (fun zs -> Delta.Zones zs)
+      (list_size (int_range 1 2) (list_size (frequency [ (1, return 0); (8, int_range 1 3) ]) gen_pin)))
+
+(* A random target section over the positions of one category: empty,
+   one match, two clauses, or one two-match clause. *)
+let gen_section category =
+  let open QCheck.Gen in
+  let at =
+    List.filter (fun i -> fst pin_positions.(i) = category) (List.init (Array.length pin_positions) Fun.id)
+  in
+  let gen_match =
+    map2
+      (fun p v ->
+        let c, attr = pin_positions.(p) in
+        Target.match_string c attr pin_strings.(v))
+      (oneofl at) gen_pin_string
+  in
+  oneof
+    [
+      return [];
+      map (fun m -> [ [ m ] ]) gen_match;
+      map2 (fun a b -> [ [ a ]; [ b ] ]) gen_match gen_match;
+      map2 (fun a b -> [ [ a; b ] ]) gen_match gen_match;
+    ]
+
+let gen_policy =
+  let open QCheck.Gen in
+  let gen_rule =
+    map2
+      (fun (subjects, resources, actions, environments) permit ->
+        ( Target.make ~subjects ~resources ~actions ~environments (),
+          if permit then Rule.Permit else Rule.Deny ))
+      (quad (gen_section Context.Subject) (gen_section Context.Resource)
+         (gen_section Context.Action) (gen_section Context.Environment))
+      bool
+  in
+  map
+    (fun rules ->
+      Policy.Inline_policy
+        (Policy.make ~id:"equivalence"
+           (List.mapi (fun i (target, effect) -> Rule.make ~target effect (Printf.sprintf "r%d" i)) rules)))
+    (list_size (int_bound 4) gen_rule)
+
+let gen_region =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map2 (fun a b -> Delta.between (Some a) (Some b)) gen_policy gen_policy);
+      (4, gen_zones);
+      (1, return Delta.empty);
+      (1, return Delta.unbounded);
+    ]
+
+(* A key longer than the test's scratch array. *)
+let long_key () =
+  Decision_cache.request_key
+    (Context.make
+       ~subject:(List.init 24 (fun i -> ("role", Value.String (Printf.sprintf "long-%d" i))))
+       ~resource:[ ("resource-id", Value.String "lab") ]
+       ())
+
+(* Keys decode_key rejects (or, for "", reads as the empty context).
+   Call it after every key of the case is built, so the first unminted
+   atom id stays unminted. *)
+let malformed_keys () =
+  let atoms = (Intern.stats Intern.global).Intern.atoms in
+  [
+    "";
+    "1..2";
+    ".1";
+    "1.";
+    "12x";
+    "12345678901";
+    string_of_int atoms;
+    "0." ^ string_of_int (atoms + 1000);
+    Dacs_crypto.Sha256.hex_digest "not a packed key";
+  ]
+
+let region_equivalence_prop =
+  QCheck.Test.make ~count:1000 ~name:"region purge = decode-and-covers reference"
+    (QCheck.make
+       ~print:(fun (ctxs, region) ->
+         Printf.sprintf "%d contexts, region %s" (List.length ctxs) (Delta.to_string region))
+       QCheck.Gen.(pair (list_size (int_range 1 40) gen_ctx) gen_region))
+    (fun (ctxs, region) ->
+      let packed = long_key () :: List.map Decision_cache.request_key ctxs in
+      let keys = List.sort_uniq compare (packed @ malformed_keys ()) in
+      let c = Decision_cache.create ~max_entries:4096 ~ttl:60.0 () in
+      List.iter (fun key -> Decision_cache.put c ~now:0.0 ~key Decision.permit) keys;
+      let compiled = Intern.compile_region region in
+      (match
+         List.find_opt
+           (fun key -> Intern.key_in_region compiled key <> reference_key_in_region region key)
+           keys
+       with
+      | Some key ->
+        QCheck.Test.fail_reportf "key %S: compiled %b, reference %b" key
+          (Intern.key_in_region compiled key) (reference_key_in_region region key)
+      | None -> ());
+      let doomed = reference_doomed region keys in
+      let expected = List.filter (fun key -> not (List.mem key doomed)) keys in
+      let dropped = Decision_cache.invalidate_region c region in
+      let survivors = List.filter (fun key -> Decision_cache.get c ~now:1.0 ~key <> None) keys in
+      if dropped <> List.length doomed || survivors <> expected then
+        QCheck.Test.fail_reportf "dropped %d (reference %d), %d survivors (reference %d)" dropped
+          (List.length doomed) (List.length survivors) (List.length expected);
+      true)
+
+(* The attribute cache's region purge works on pair syms: a bag at a
+   pinned or guard position drops, one elsewhere survives, and an entry
+   whose pair sym the intern table never minted drops conservatively. *)
+let test_attr_cache_region_syms () =
+  let m = Dacs_telemetry.Metrics.create () in
+  let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
+  let guarded =
+    Delta.Zones
+      [
+        [
+          {
+            Delta.pin_category = Context.Resource;
+            pin_attribute = "resource-id";
+            pin_values = [ "lab" ];
+            pin_guards = [ (Context.Subject, "clearance") ];
+          };
+        ];
+      ]
+  in
+  let store category id =
+    Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category ~id ~subject:"alice" [ Value.String "x" ]
+  in
+  store Context.Resource "resource-id";
+  store Context.Subject "clearance";
+  store Context.Subject "role";
+  Cache_hierarchy.Attr_cache.store_sym ac ~now:0.0 ~pair:1_000_000
+    ~subject_sym:(Cache_hierarchy.Attr_cache.subject_sym "alice")
+    [ Value.String "x" ];
+  check int_ "pinned, guard and unknown-sym bags dropped" 3
+    (Cache_hierarchy.Attr_cache.invalidate_region ac guarded);
+  check bool_ "the role bag survives" true
+    (Cache_hierarchy.Attr_cache.find ac ~now:1.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
+    <> None)
+
+(* A purge that drops nothing allocates the same at 1,024 and 4,096
+   entries: the per-key test allocates nothing, so the purge's
+   allocation is O(dropped), not O(size). *)
+let test_region_purge_allocation () =
+  let ctx i =
+    Context.make
+      ~subject:[ ("subject-id", Value.String (Printf.sprintf "alloc-%d" i)); ("role", Value.String "doctor") ]
+      ~resource:[ ("resource-id", Value.String "chart") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  let purge_words n =
+    let c = Decision_cache.create ~max_entries:n ~ttl:60.0 () in
+    for i = 0 to n - 1 do
+      Decision_cache.put c ~now:0.0 ~key:(Decision_cache.request_key (ctx i)) Decision.permit
+    done;
+    let before = Gc.minor_words () in
+    let dropped = Decision_cache.invalidate_region c lab_region in
+    let words = Gc.minor_words () -. before in
+    check int_ "the lab region covers no chart entry" 0 dropped;
+    check int_ "every entry retained" n (Decision_cache.size c);
+    words
+  in
+  let small = purge_words 1024 in
+  let large = purge_words 4096 in
+  check (Alcotest.float 0.0) "same minor words at 1,024 and 4,096 entries" small large
+
 let () =
   Alcotest.run "dacs_cache"
     [
@@ -764,6 +1020,11 @@ let () =
           Alcotest.test_case "a pull PEP's answer in flight across a purge stays out of L1"
             `Quick
             (test_l1_put_after_purge_race ~sharded:false);
+          QCheck_alcotest.to_alcotest region_equivalence_prop;
+          Alcotest.test_case "the attribute cache purges by pair sym" `Quick
+            test_attr_cache_region_syms;
+          Alcotest.test_case "a purge that drops nothing allocates independently of size" `Quick
+            test_region_purge_allocation;
         ] );
       ( "revocation",
         [
