@@ -1713,42 +1713,51 @@ let e21_offline =
   Experiment.count x "conflicts" conflicts
 
 (* ==================================================================== *)
-(* E22 — million-user scale: key scheme x cache tier                    *)
+(* E22 — million-user scale: packed keys x cache tier                   *)
 (* ==================================================================== *)
 
-(* The serving-path scale ablation behind the interned-identity rework:
-   packed integer request keys against the legacy sorted-string +
-   SHA-256 scheme, measured three ways —
+(* The baseline digest the packed keys replaced: every Subject, Resource
+   and Action attribute formatted, sorted, joined and SHA-256-hashed per
+   request.  E22 prices key construction against it and E23 runs its
+   churn corpus on it, as keys a region purge cannot read. *)
+let sha_request_key ctx =
+  let section category =
+    List.concat_map
+      (fun (id, bag) ->
+        List.map
+          (fun v ->
+            Printf.sprintf "%s/%s=%s" (Context.category_name category) id (Value.describe v))
+          bag)
+      (Context.attributes ctx category)
+  in
+  let parts = section Context.Subject @ section Context.Resource @ section Context.Action in
+  Dacs_crypto.Sha256.hex_digest (String.concat "|" (List.sort compare parts))
 
-   - key construction alone (the per-request cost the swap removes);
-   - warm-L1 decide throughput under a 1M-user Zipf draw (wall-clock,
-     so reported and gated only as a within-run ratio);
-   - a full engine run at 1M users under both schemes: decisions must
-     be identical, reports byte-identical per seed, and the lazy
-     workload state must stay O(active).
+(* The serving-path scale check behind the interned-identity rework,
+   measured three ways —
 
-   Resident key bytes come from {!Decision_cache.key_bytes}: the packed
-   scheme must at least halve what the cache pins per entry. *)
+   - key construction alone, packed keys against the sorted-string +
+     SHA-256 baseline digest (the per-request cost the swap removed);
+   - a warm L1 under a 1M-user Zipf draw: every warm decide must answer
+     synchronously, and the resident packed keys
+     ({!Decision_cache.key_bytes}) must take at most half the bytes the
+     baseline digests of the same working set would;
+   - a full engine run at 1M users: reports byte-identical per seed,
+     and the lazy workload state must stay O(active). *)
 
 let e22_scale =
   Experiment.v "e22"
     ~gates:Gate.[ ratio "key-build-speedup" ~at_least:2.0; exact "warm-decides-synchronous";
-                  ratio "warm-decide-speedup" ~at_least:2.0; exact "resident-key-bytes";
-                  exact "decisions-unchanged"; exact "msgs-per-req-unchanged";
-                  exact "o-active-state"; exact "determinism"; exact "conservation" ]
+                  exact "resident-key-bytes"; exact "o-active-state"; exact "determinism";
+                  exact "conservation" ]
   @@ fun x ->
-  header "E22  Million-user serving path (key scheme x cache tier)"
-    "interning identities and packing cache keys as integer tuples makes the \
-     warm decide path >= 2x faster than the sorted-string + SHA-256 scheme at \
-     a 1M-user Zipf working set, at least halves resident key bytes, and \
-     changes no decision; the workload engine completes 1M-user runs \
+  header "E22  Million-user serving path (packed keys x cache tier)"
+    "interning identities and packing cache keys as integer tuples builds \
+     keys >= 2x faster than the sorted-string + SHA-256 scheme and at least \
+     halves resident key bytes at a 1M-user Zipf working set, whose warm \
+     decides all answer from L1; the workload engine completes 1M-user runs \
      materialising state only for active users";
   let module W = Dacs_workload.Workload in
-  let with_scheme scheme f =
-    let saved = Decision_cache.key_scheme () in
-    Decision_cache.set_key_scheme scheme;
-    Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-  in
   let check = Experiment.check x in
   (* -- part 1: key construction ------------------------------------- *)
   (* The e17 attribute shape: identity plus the role/clearance/department
@@ -1776,13 +1785,13 @@ let e22_scale =
     f key_ctxs.(!spin land 255) |> ignore;
     incr spin
   in
-  let sha_us = time_us (cycle Decision_cache.sha_request_key) in
+  let sha_us = time_us (cycle sha_request_key) in
   let packed_us = time_us (cycle Intern.request_key) in
   let key_speedup = sha_us /. packed_us in
   Printf.printf "key construction (256-context cycle):\n";
   Printf.printf "  %-32s %10.3f us\n" "sha-hex (sort + format + SHA-256)" sha_us;
   Printf.printf "  %-32s %10.3f us\n" "packed (interned atom tuple)" packed_us;
-  (* -- part 2: warm-L1 decide throughput, 1M-user Zipf --------------- *)
+  (* -- part 2: a warm L1 under a 1M-user Zipf draw ------------------- *)
   let population = 1_000_000 and draws = 120_000 and skew = 1.1 in
   (* Walker alias sampler, same construction as the workload engine's:
      O(n) setup, one uniform draw per sample. *)
@@ -1820,8 +1829,11 @@ let e22_scale =
   let distinct = Hashtbl.create 65536 in
   Array.iter (fun u -> Hashtbl.replace distinct u ()) users;
   let working_set = Hashtbl.length distinct in
+  let sha_bytes =
+    Hashtbl.fold (fun u () acc -> acc + String.length (sha_request_key (ctx_for u))) distinct 0
+  in
   let ctxs = Array.map ctx_for users in
-  let warm_stack () =
+  let pep, cache =
     let net, services = fresh () in
     let add id = Net.add_node net id; id in
     ignore
@@ -1844,27 +1856,18 @@ let e22_scale =
     Net.run net;
     (pep, cache)
   in
-  let measure scheme =
-    with_scheme scheme (fun () ->
-        let pep, cache = warm_stack () in
-        let answered = ref 0 in
-        let t0 = Sys.time () in
-        Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> incr answered)) ctxs;
-        let dt = Sys.time () -. t0 in
-        (!answered, float_of_int draws /. dt, Decision_cache.key_bytes cache, Decision_cache.size cache))
-  in
-  let sha_sync, sha_thr, sha_bytes, sha_entries = measure Decision_cache.Sha_hex in
-  let packed_sync, packed_thr, packed_bytes, packed_entries = measure Decision_cache.Packed in
-  let decide_speedup = packed_thr /. sha_thr in
+  let answered = ref 0 in
+  Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> incr answered)) ctxs;
+  let packed_bytes = Decision_cache.key_bytes cache and entries = Decision_cache.size cache in
   let st = Intern.stats Intern.global in
-  Printf.printf "\nwarm-L1 decide, %d draws over %d-user Zipf(%.1f) (%d distinct):\n" draws
-    population skew working_set;
-  Printf.printf "  %-14s %14s %14s %12s\n" "scheme" "decides/s" "resident keys" "key bytes";
-  Printf.printf "  %-14s %14.0f %14d %12d\n" "sha-hex" sha_thr sha_entries sha_bytes;
-  Printf.printf "  %-14s %14.0f %14d %12d\n" "packed" packed_thr packed_entries packed_bytes;
+  Printf.printf "\nwarm L1, %d draws over %d-user Zipf(%.1f) (%d distinct):\n" draws population
+    skew working_set;
+  Printf.printf "  %-24s %14s %12s\n" "keys" "resident keys" "key bytes";
+  Printf.printf "  %-24s %14d %12d\n" "packed (resident)" entries packed_bytes;
+  Printf.printf "  %-24s %14d %12d\n" "sha-hex (baseline digest)" working_set sha_bytes;
   Printf.printf "  intern table: %d strings, %d pairs, %d values, %d atoms\n" st.Intern.strings
     st.Intern.pairs st.Intern.values st.Intern.atoms;
-  (* -- part 3: engine-level 1M-user runs, both schemes --------------- *)
+  (* -- part 3: engine-level 1M-user run ------------------------------ *)
   let scenario =
     {
       W.default with
@@ -1877,61 +1880,36 @@ let e22_scale =
       duration = 2.0;
     }
   in
-  let packed_run = with_scheme Decision_cache.Packed (fun () -> W.run scenario) in
-  let packed_rerun = with_scheme Decision_cache.Packed (fun () -> W.run scenario) in
-  let sha_run = with_scheme Decision_cache.Sha_hex (fun () -> W.run scenario) in
+  let run = W.run scenario in
+  let rerun = W.run scenario in
   let mpr (r : W.report) = float_of_int r.W.messages /. float_of_int r.W.offered in
   Printf.printf "\n1M-user engine run (seed 7, 400 req/s, 2 shards, cached):\n";
-  Printf.printf "  %-14s %8s %8s %8s %8s %9s %12s\n" "scheme" "offered" "granted" "denied"
-    "errors" "msgs/req" "active users";
-  List.iter
-    (fun (label, (r : W.report)) ->
-      Printf.printf "  %-14s %8d %8d %8d %8d %9.2f %12d\n" label r.W.offered r.W.granted
-        r.W.denied r.W.errors (mpr r) r.W.active_users)
-    [ ("sha-hex", sha_run); ("packed", packed_run) ];
+  Printf.printf "  %8s %8s %8s %8s %9s %12s\n" "offered" "granted" "denied" "errors" "msgs/req"
+    "active users";
+  Printf.printf "  %8d %8d %8d %8d %9.2f %12d\n" run.W.offered run.W.granted run.W.denied
+    run.W.errors (mpr run) run.W.active_users;
   print_newline ();
   Experiment.ratio x "key-build-speedup"
     ~detail:(Printf.sprintf "packed %.3f us vs sha %.3f us" packed_us sha_us)
     sha_us packed_us;
-  check "warm-decides-synchronous"
-    (sha_sync = draws && packed_sync = draws)
-    (Printf.sprintf "%d sha and %d packed of %d warm decides answered from L1" sha_sync packed_sync
-       draws);
-  Experiment.ratio x "warm-decide-speedup"
-    ~detail:(Printf.sprintf "%.0f vs %.0f decides/s" packed_thr sha_thr)
-    packed_thr sha_thr;
+  check "warm-decides-synchronous" (!answered = draws)
+    (Printf.sprintf "%d of %d warm decides answered from L1" !answered draws);
   check "resident-key-bytes"
-    (packed_entries = sha_entries && packed_bytes * 2 <= sha_bytes)
+    (entries = working_set && packed_bytes * 2 <= sha_bytes)
     (Printf.sprintf "%d bytes packed vs %d sha over %d entries (<= half)" packed_bytes sha_bytes
-       sha_entries);
-  check "decisions-unchanged"
-    (packed_run.W.granted = sha_run.W.granted
-    && packed_run.W.denied = sha_run.W.denied
-    && packed_run.W.errors = sha_run.W.errors
-    && packed_run.W.shed = sha_run.W.shed)
-    (Printf.sprintf "granted/denied/errors/shed %d/%d/%d/%d under both key schemes"
-       packed_run.W.granted packed_run.W.denied packed_run.W.errors packed_run.W.shed);
-  check "msgs-per-req-unchanged"
-    (packed_run.W.messages = sha_run.W.messages)
-    (Printf.sprintf "%.2f msgs/req packed vs %.2f sha" (mpr packed_run) (mpr sha_run));
+       entries);
   check "o-active-state"
-    (packed_run.W.active_users < 100_000 && packed_run.W.active_users <= packed_run.W.offered)
-    (Printf.sprintf "%d of %d users materialised" packed_run.W.active_users scenario.W.users);
-  check "determinism"
-    (W.render packed_run = W.render packed_rerun)
+    (run.W.active_users < 100_000 && run.W.active_users <= run.W.offered)
+    (Printf.sprintf "%d of %d users materialised" run.W.active_users scenario.W.users);
+  check "determinism" (W.render run = W.render rerun)
     "same-seed 1M-user report renders byte-identical";
-  check "conservation"
-    (W.conservation_ok packed_run && W.conservation_ok sha_run)
-    "completed = offered and answers sum up under both schemes";
+  check "conservation" (W.conservation_ok run) "completed = offered and answers sum up";
   Experiment.metric x "key_build_speedup" key_speedup;
-  Experiment.metric x "warm_decide_speedup" decide_speedup;
-  Experiment.metric x "packed_decides_per_s" packed_thr;
-  Experiment.metric x "sha_decides_per_s" sha_thr;
   Experiment.count x "packed_key_bytes" packed_bytes;
   Experiment.count x "sha_key_bytes" sha_bytes;
   Experiment.count x "working_set" working_set;
-  Experiment.count x "active_users_1m" packed_run.W.active_users;
-  Experiment.metric x "msgs_per_req_1m" (mpr packed_run)
+  Experiment.count x "active_users_1m" run.W.active_users;
+  Experiment.metric x "msgs_per_req_1m" (mpr run)
 
 (* ==================================================================== *)
 (* E23 — policy churn: targeted region invalidation vs full flush       *)
@@ -1944,10 +1922,11 @@ let e22_scale =
      three arms — targeted region invalidation (Delta.between), full
      flush, and an uncached Policy.evaluate reference.  No request is
      ever in flight across a publish, so the three decision streams
-     must be byte-identical under both key schemes; under the packed
-     scheme the targeted arm must also retain strictly more warm
-     entries (Sha_hex keys are undecodable, so targeted degrades to
-     the flush there — soundness preserved, savings forfeited);
+     must be byte-identical, both on packed keys and on the baseline
+     digest; on packed keys the targeted arm must also retain strictly
+     more warm entries (digest keys are undecodable, so targeted
+     degrades to the flush there — soundness preserved, savings
+     forfeited);
    - the workload ablation: the same churn schedule through the engine
      with [churn_targeted] on and off — retained cache hits and
      messages per request, gated against the previous ledger entry
@@ -1975,11 +1954,6 @@ let e23_churn =
   let module W = Dacs_workload.Workload in
   let module D = Dacs_policy.Delta in
   let check = Experiment.check x in
-  let with_scheme scheme f =
-    let saved = Decision_cache.key_scheme () in
-    Decision_cache.set_key_scheme scheme;
-    Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-  in
   (* -- part 1: sequential churn corpus ------------------------------- *)
   let resources = 8 and generations = 12 in
   let root gen = Policy.Inline_policy (W.churned_policy ~resources ~gen) in
@@ -2000,8 +1974,8 @@ let e23_churn =
           (List.init resources Fun.id))
       [ "doctor"; "nurse"; "admin" ]
   in
-  let decide_cached cache child ctx =
-    let key = Decision_cache.request_key ctx in
+  let decide_cached key_of cache child ctx =
+    let key = key_of ctx in
     match Decision_cache.get cache ~now:0.0 ~key with
     | Some r -> r
     | None ->
@@ -2010,9 +1984,9 @@ let e23_churn =
       r
   in
   let max_zones = ref 0 and region_unbounded = ref false in
-  (* Runs the whole corpus under the current key scheme; returns the
+  (* Runs the whole corpus with [key_of] as the cache key; returns the
      three decision streams plus cache stats. *)
-  let corpus () =
+  let corpus key_of =
     let targeted = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
     let full = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
     let bufs = (Buffer.create 1024, Buffer.create 1024, Buffer.create 1024) in
@@ -2033,8 +2007,8 @@ let e23_churn =
             Buffer.add_string buf (Decision.decision_to_string r.Decision.decision);
             Buffer.add_char buf ';'
           in
-          record bt (decide_cached targeted (root gen) ctx);
-          record bf (decide_cached full (root gen) ctx);
+          record bt (decide_cached key_of targeted (root gen) ctx);
+          record bf (decide_cached key_of full (root gen) ctx);
           record br (Policy.evaluate_child ctx (root gen)))
         ctxs
     done;
@@ -2047,13 +2021,11 @@ let e23_churn =
       !t_dropped,
       !f_dropped )
   in
-  let p_t, p_f, p_r, p_thits, p_fhits, p_tdrop, p_fdrop =
-    with_scheme Decision_cache.Packed corpus
-  in
-  let s_t, s_f, s_r, s_thits, s_fhits, _, _ = with_scheme Decision_cache.Sha_hex corpus in
+  let p_t, p_f, p_r, p_thits, p_fhits, p_tdrop, p_fdrop = corpus Decision_cache.request_key in
+  let s_t, s_f, s_r, s_thits, s_fhits, _, _ = corpus sha_request_key in
   Printf.printf "sequential corpus (%d resources, %d publishes, %d requests/generation):\n"
     resources generations (List.length ctxs);
-  Printf.printf "  %-10s %14s %14s %14s %14s\n" "scheme" "targeted hits" "flush hits"
+  Printf.printf "  %-10s %14s %14s %14s %14s\n" "keys" "targeted hits" "flush hits"
     "targeted drops" "flush drops";
   Printf.printf "  %-10s %14d %14d %14d %14d\n" "packed" p_thits p_fhits p_tdrop p_fdrop;
   Printf.printf "  %-10s %14d %14d %14s %14s\n" "sha-hex" s_thits s_fhits "(degrades)" "";
@@ -2063,7 +2035,7 @@ let e23_churn =
     "targeted = full-flush = uncached reference, byte-identical streams (packed)";
   check "corpus-decisions-identical-sha"
     (s_t = s_f && s_f = s_r)
-    "the same three streams under the legacy Sha_hex key scheme";
+    "the same three streams keyed by the bench-local digest";
   check "corpus-hit-retention" (p_thits > p_fhits)
     (Printf.sprintf "%d targeted hits > %d flush hits (packed)" p_thits p_fhits);
   check "corpus-targeted-drops-fewer" (p_tdrop < p_fdrop)
@@ -2076,27 +2048,26 @@ let e23_churn =
   (* -- purge cost: one consecutive-generation purge of a warm L1 ------- *)
   let purge_entries = 4096 in
   let purged, purge_words =
-    with_scheme Decision_cache.Packed (fun () ->
-        let warm = Decision_cache.create ~max_entries:purge_entries ~ttl:3600.0 () in
-        let roles = [| "doctor"; "nurse"; "admin" |] in
-        for i = 0 to purge_entries - 1 do
-          let ctx =
-            Context.make
-              ~subject:
-                [
-                  ("subject-id", Value.String (Printf.sprintf "purge-%d" i));
-                  ("role", Value.String roles.(i mod 3));
-                ]
-              ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" (i / 3 mod resources))) ]
-              ~action:[ ("action-id", Value.String (if i / 24 mod 2 = 0 then "read" else "write")) ]
-              ()
-          in
-          Decision_cache.put warm ~now:0.0 ~key:(Decision_cache.request_key ctx) Decision.permit
-        done;
-        let region = D.between (Some (root 1)) (Some (root 2)) in
-        let before = Gc.minor_words () in
-        let purged = Decision_cache.invalidate_region warm region in
-        (purged, Gc.minor_words () -. before))
+    let warm = Decision_cache.create ~max_entries:purge_entries ~ttl:3600.0 () in
+    let roles = [| "doctor"; "nurse"; "admin" |] in
+    for i = 0 to purge_entries - 1 do
+      let ctx =
+        Context.make
+          ~subject:
+            [
+              ("subject-id", Value.String (Printf.sprintf "purge-%d" i));
+              ("role", Value.String roles.(i mod 3));
+            ]
+          ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" (i / 3 mod resources))) ]
+          ~action:[ ("action-id", Value.String (if i / 24 mod 2 = 0 then "read" else "write")) ]
+          ()
+      in
+      Decision_cache.put warm ~now:0.0 ~key:(Decision_cache.request_key ctx) Decision.permit
+    done;
+    let region = D.between (Some (root 1)) (Some (root 2)) in
+    let before = Gc.minor_words () in
+    let purged = Decision_cache.invalidate_region warm region in
+    (purged, Gc.minor_words () -. before)
   in
   Printf.printf
     "purge cost: one publish's region over a warm %d-entry L1 dropped %d entries \

@@ -178,34 +178,9 @@ let key_bytes t = Hashtbl.fold (fun key _ acc -> acc + String.length key) t.tabl
 
 let stats t = t.stats
 
-let sha_request_key ctx =
-  (* The original scheme: every attribute formatted, sorted, joined and
-     SHA-256-hashed per request.  Kept as the baseline arm of the E22
-     key-scheme ablation. *)
-  let module Context = Dacs_policy.Context in
-  let module Value = Dacs_policy.Value in
-  let section category =
-    List.concat_map
-      (fun (id, bag) ->
-        List.map (fun v -> Printf.sprintf "%s/%s=%s" (Context.category_name category) id (Value.describe v)) bag)
-      (Context.attributes ctx category)
-  in
-  let parts = section Context.Subject @ section Context.Resource @ section Context.Action in
-  Dacs_crypto.Sha256.hex_digest (String.concat "|" (List.sort compare parts))
-
-type key_scheme = Packed | Sha_hex
-
-let scheme = ref Packed
-
-let key_scheme () = !scheme
-let set_key_scheme s = scheme := s
-
 let request_key ctx =
-  (* Environment attributes (notably the current time) are excluded under
-     both schemes: a key that changes every request would never hit.  The
-     price is that a cached decision ignores environment-sensitive
-     conditions for one TTL — part of the staleness trade the experiments
-     measure. *)
-  match !scheme with
-  | Packed -> Intern.request_key ctx
-  | Sha_hex -> sha_request_key ctx
+  (* Environment attributes (notably the current time) are excluded: a
+     key that changes every request would never hit.  The price is that a
+     cached decision ignores environment-sensitive conditions for one
+     TTL — part of the staleness trade the experiments measure. *)
+  Intern.request_key ctx

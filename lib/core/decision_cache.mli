@@ -68,18 +68,19 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
     integer atoms ({!Intern.key_in_region}), exactly as [Delta.covers]
     would judge the context the key decodes to, so the purge allocates
     in proportion to what it drops, not to the cache size.  Conservative
-    on both unreadable keys (Sha_hex digests and ids the intern table
-    never minted drop — degrading to a per-entry full flush under the
-    legacy scheme) and environment-guarded pins (keys carry no
-    Environment atoms, so such pins never exclude).  [Unbounded] falls
-    back to {!invalidate_all}; [Empty] drops nothing. *)
+    on both unreadable keys (a shared L2 stores keys its peers put over
+    the wire, and a digest, a corrupted key or an atom id the intern
+    table never minted drops) and environment-guarded pins (keys carry
+    no Environment atoms, so such pins never exclude).  [Unbounded]
+    falls back to {!invalidate_all}; [Empty] drops nothing. *)
 
 val size : t -> int
 
 val key_bytes : t -> int
-(** Total bytes of resident keys (live entries only) — the footprint the
-    E22 scale ablation gates: packed integer-tuple keys must stay well
-    under the 64-byte-per-entry hex digests they replaced. *)
+(** Total bytes of resident keys, counting expired entries not yet
+    dropped — the footprint the E22 scale ablation gates: packed
+    integer-tuple keys must stay well under the 64-byte-per-entry hex
+    digests they replaced. *)
 
 type stats = {
   hits : int;
@@ -91,26 +92,11 @@ type stats = {
 
 val stats : t -> stats
 
-(** {1 Request keys}
-
-    Two interchangeable key schemes over the same canonical content (the
-    subject, resource and action attribute multisets).  Environment
-    attributes (e.g. the request time) are deliberately excluded under
-    both — they change on every request, and a cached decision is
-    precisely one that skips re-evaluating them until the TTL lapses. *)
-
-type key_scheme =
-  | Packed  (** sorted interned atom ids, dot-separated (see {!Intern}) *)
-  | Sha_hex  (** legacy sorted-string SHA-256 hex digest *)
-
-val key_scheme : unit -> key_scheme
-val set_key_scheme : key_scheme -> unit
-(** Process-wide toggle, [Packed] by default.  Flipping it mid-run only
-    costs cache misses (old-scheme entries stop being found); the E22
-    ablation and the oracle equivalence suite switch it per arm. *)
+(** {1 Request keys} *)
 
 val request_key : Dacs_policy.Context.t -> string
-(** Canonical cache key under the current {!key_scheme}. *)
-
-val sha_request_key : Dacs_policy.Context.t -> string
-(** The legacy scheme, directly — the baseline arm of the E22 bench. *)
+(** Canonical cache key: the packed interned atom tuple of the subject,
+    resource and action attribute multisets ({!Intern.request_key}).
+    Environment attributes (e.g. the request time) are deliberately
+    excluded — they change on every request, and a cached decision is
+    precisely one that skips re-evaluating them until the TTL lapses. *)

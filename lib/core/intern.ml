@@ -197,9 +197,9 @@ let atom_info t sym =
     let key = t.atom_packs.(sym) in
     (key lsr 31, key land ((1 lsl 31) - 1))
 
-(* Parse one dot-separated decimal segment; None on anything that is not
-   a short plain decimal (so 64-hex digests and corrupted keys are
-   rejected rather than misread). *)
+(* Parse dot-separated decimal segments; None on any segment that is not
+   a short plain decimal naming a minted atom, so a digest or a corrupted
+   key a peer put into a shared L2 is rejected rather than misread. *)
 let decode_key ?(table = global) key =
   let t = table in
   let n = String.length key in

@@ -2,8 +2,8 @@
 
     At millions of users the per-request cost of building cache keys —
     formatting every attribute into a sorted string and hashing it with
-    SHA-256 (the original {!Decision_cache.sha_request_key}) — dominates
-    the warm path.  Crampton & Morisset's formal framing (PAPERS.md)
+    SHA-256, as the original key scheme did — dominates the warm path.
+    Crampton & Morisset's formal framing (PAPERS.md)
     licenses the fix: policy evaluation is independent of identifier
     representation, so subjects, resources, actions, attribute
     (category, id) pairs and attribute values can all be interned to
@@ -46,10 +46,10 @@ val name : t -> sym -> string
 
 val value : t -> Dacs_policy.Value.t -> sym
 (** Intern a typed attribute value.  Distinct types never share a sym
-    (structural interning), mirroring the type-annotated
-    [Value.describe] used by the legacy string keys.  Caveat: a NaN
-    [Double] never equals itself and so never re-interns to the same
-    sym — callers must not feed NaN attribute values. *)
+    (structural interning): [String "1"] and [Int 1] are different
+    values.  Caveat: a NaN [Double] never equals itself and so never
+    re-interns to the same sym — callers must not feed NaN attribute
+    values. *)
 
 val pair : t -> Dacs_policy.Context.category -> string -> sym
 (** Intern an attribute position [(category, id)]. *)
@@ -69,10 +69,10 @@ val pack2 : int -> int -> int
 
 val request_key : ?table:t -> Dacs_policy.Context.t -> string
 (** Packed request key over the Subject, Resource and Action sections —
-    Environment is excluded exactly as in the legacy scheme (a key that
-    changes every request would never hit).  Two contexts produce the
-    same key iff their (category, id, value) multisets over those three
-    sections are equal; bag and insertion order never matter. *)
+    Environment is excluded (a key that changes every request would
+    never hit).  Two contexts produce the same key iff their (category,
+    id, value) multisets over those three sections are equal; bag and
+    insertion order never matter. *)
 
 (** {1 Region tests}
 
@@ -97,10 +97,12 @@ val key_in_region : region -> string -> bool
     a pin excludes the key only when every guard pair carries a
     non-empty, all-string bag, the pinned pair does too, and none of its
     values is allowed ([Compiled.guards_clean]/[clean_ids] on atoms).  A
-    key {!decode_key} rejects — a SHA-256 hex digest, an empty segment,
-    an atom id the table never minted — answers [true], so it drops.
-    Allocates nothing per key (the region's scratch array grows only
-    for a key longer than any before it). *)
+    key {!decode_key} rejects — a hex digest, an empty segment, an atom
+    id the table never minted — answers [true], so it drops: a shared
+    L2 stores keys its peers put over the wire, and a key nobody can
+    read cannot be proven outside the region.  Allocates nothing per key
+    (the region's scratch array grows only for a key longer than any
+    before it). *)
 
 (** {1 Reverse lookups}
 
@@ -126,8 +128,8 @@ val decode_key : ?table:t -> string -> Dacs_policy.Context.t option
 (** Decode a {!request_key} back into a context carrying the Subject,
     Resource and Action bags the key canonicalised (Environment is
     never in a key, so the result carries none).  [None] on anything
-    that is not a dot-separated sequence of known atom syms — notably
-    SHA-256 hex digests from the legacy scheme, which region
+    that is not a dot-separated sequence of known atom syms — such as a
+    malformed key a peer put into a shared L2 — which region
     invalidation must treat as matching (drop) to stay conservative. *)
 
 type stats = { strings : int; pairs : int; values : int; atoms : int }

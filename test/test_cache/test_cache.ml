@@ -898,6 +898,44 @@ let region_equivalence_prop =
           (List.length doomed) (List.length survivors) (List.length expected);
       true)
 
+(* The shared L2 stores whatever keys its peers put over the wire, so a
+   resident key need not be one this process packed.  A region purge must
+   drop every key it cannot read — it cannot prove such a key is outside
+   the region — while packed keys the region excludes survive. *)
+let test_l2_region_drops_peer_malformed_keys () =
+  let net = Net.create ~seed:31L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  let peer = add "peer" in
+  let packed = List.map rkey [ "chart"; "note"; "ward" ] in
+  let malformed = malformed_keys () in
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
+      List.iter
+        (fun key -> Cache_hierarchy.L2.remote_put services ~src:peer ~l2:"l2" ~key Decision.permit)
+        (packed @ malformed));
+  Engine.run (Net.engine net) ~until:1.0;
+  check int_ "every peer put stored" (List.length packed + List.length malformed)
+    (Cache_hierarchy.L2.size l2);
+  Cache_hierarchy.L2.invalidate_region l2 lab_region;
+  check int_ "only the packed keys survive" (List.length packed) (Cache_hierarchy.L2.size l2);
+  let answers = Hashtbl.create 16 in
+  Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
+      List.iter
+        (fun key ->
+          Cache_hierarchy.L2.remote_lookup services ~src:peer ~l2:"l2" ~key (fun r ->
+              Hashtbl.replace answers key (r <> None)))
+        (packed @ malformed));
+  Engine.run (Net.engine net) ~until:5.0;
+  let hit key = Hashtbl.find_opt answers key in
+  List.iter (fun key -> check bool_ ("packed key survives: " ^ key) true (hit key = Some true)) packed;
+  List.iter
+    (fun key -> check bool_ ("malformed key misses: " ^ key) true (hit key = Some false))
+    malformed
+
 (* The attribute cache's region purge works on pair syms: a bag at a
    pinned or guard position drops, one elsewhere survives, and an entry
    whose pair sym the intern table never minted drops conservatively. *)
@@ -1025,6 +1063,8 @@ let () =
             test_attr_cache_region_syms;
           Alcotest.test_case "a purge that drops nothing allocates independently of size" `Quick
             test_region_purge_allocation;
+          Alcotest.test_case "an L2 region purge drops malformed peer keys" `Quick
+            test_l2_region_drops_peer_malformed_keys;
         ] );
       ( "revocation",
         [

@@ -1,9 +1,8 @@
-(* The interned serving path: symbol tables, packed request keys and the
-   key-scheme toggle.  The load-bearing claims are the QCheck properties —
-   interning is injective (equal syms iff equal inputs) and packed request
-   keys collide exactly when the legacy canonical attribute multisets are
-   equal — plus unit pins for order-insensitivity, Environment exclusion
-   and the Decision_cache scheme dispatch. *)
+(* The interned serving path: symbol tables and packed request keys.  The
+   load-bearing claims are the QCheck properties — interning is injective
+   (equal syms iff equal inputs) and packed request keys collide exactly
+   when the canonical attribute multisets are equal — plus unit pins for
+   order-insensitivity, Environment exclusion and key byte accounting. *)
 
 module Value = Dacs_policy.Value
 module Context = Dacs_policy.Context
@@ -46,8 +45,7 @@ let arb_context = QCheck.make ~print:print_context gen_context
 let arb_context_pair = QCheck.(pair arb_context arb_context)
 
 (* Ground truth for key equality: the sorted (category, id, value) multiset
-   over the Subject/Resource/Action sections — the same canonical form the
-   legacy sha scheme serialises before hashing. *)
+   over the Subject/Resource/Action sections. *)
 let canonical ctx =
   let parts = ref [] in
   Context.iter ctx (fun cat id bag ->
@@ -104,15 +102,19 @@ let prop_key_collision_iff_equal =
       let k1 = Intern.request_key ~table:t c1 and k2 = Intern.request_key ~table:t c2 in
       String.equal k1 k2 = (canonical c1 = canonical c2))
 
-(* The two schemes agree on the equivalence relation they induce: packed
-   keys collide exactly when the sha keys do (on NaN-free contexts). *)
-let prop_key_schemes_agree =
-  QCheck.Test.make ~name:"intern: packed and sha keys induce the same partition" ~count:500
-    arb_context_pair
+(* Syms are assigned in first-encounter order, so two tables that meet
+   the same contexts in opposite orders mint different ids — and must
+   still induce the same key partition. *)
+let prop_key_partition_order_free =
+  QCheck.Test.make ~name:"intern: the key partition is independent of interning order"
+    ~count:500 arb_context_pair
     (fun (c1, c2) ->
-      let t = Intern.create ~expected:64 () in
-      String.equal (Intern.request_key ~table:t c1) (Intern.request_key ~table:t c2)
-      = String.equal (Decision_cache.sha_request_key c1) (Decision_cache.sha_request_key c2))
+      let forward = Intern.create ~expected:64 () and backward = Intern.create ~expected:64 () in
+      let f1 = Intern.request_key ~table:forward c1 in
+      let f2 = Intern.request_key ~table:forward c2 in
+      let b2 = Intern.request_key ~table:backward c2 in
+      let b1 = Intern.request_key ~table:backward c1 in
+      String.equal f1 f2 = String.equal b1 b2)
 
 (* --- unit pins ----------------------------------------------------------- *)
 
@@ -246,26 +248,23 @@ let test_decode_garbage () =
   ignore (Intern.request_key ~table:t ctx_alice);
   (* Anything that is not a dot-separated sequence of known atom syms must
      decode to None — the conservative "drop it" signal for region
-     invalidation, notably legacy sha digests. *)
+     invalidation, notably 64-hex digests a peer may put into the L2. *)
   List.iter
     (fun s -> check bool_ ("undecodable: " ^ s) true (Intern.decode_key ~table:t s = None))
-    [ "not-a-key"; "1.2.99999"; Decision_cache.sha_request_key ctx_alice; ".."; "1..2" ]
+    [ "not-a-key"; "1.2.99999"; Dacs_crypto.Sha256.hex_digest "alice"; ".."; "1..2" ]
 
-let with_scheme scheme f =
-  let saved = Decision_cache.key_scheme () in
-  Decision_cache.set_key_scheme scheme;
-  Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-
-let test_scheme_toggle () =
-  check bool_ "packed is the default scheme" true (Decision_cache.key_scheme () = Packed);
-  with_scheme Decision_cache.Sha_hex (fun () ->
-      check string_ "Sha_hex dispatches to the legacy digest"
-        (Decision_cache.sha_request_key ctx_alice)
-        (Decision_cache.request_key ctx_alice));
-  check string_ "Packed dispatches to the interned key"
-    (Intern.request_key ctx_alice)
-    (Decision_cache.request_key ctx_alice);
-  check bool_ "toggle restored" true (Decision_cache.key_scheme () = Packed)
+(* The serving path's one key function is the packed key over the
+   process-wide table: what a PEP caches under is what region purges
+   decode. *)
+let test_cache_key_is_global_packed_key () =
+  let key = Decision_cache.request_key ctx_alice in
+  check string_ "Decision_cache keys with Intern.global" (Intern.request_key ctx_alice) key;
+  check string_ "environment excluded on the serving path" key
+    (Decision_cache.request_key
+       (Context.add ctx_alice Context.Environment "current-time" (Value.Time 3.0)));
+  match Intern.decode_key key with
+  | None -> Alcotest.fail "a serving-path key must decode against the global table"
+  | Some ctx -> check bool_ "decodes to the keyed multisets" true (canonical ctx = canonical ctx_alice)
 
 let test_key_bytes_accounting () =
   let cache = Decision_cache.create ~max_entries:16 ~ttl:60.0 () in
@@ -279,12 +278,11 @@ let test_key_bytes_accounting () =
     (Decision_cache.key_bytes cache)
 
 let test_packed_keys_are_short () =
-  (* The point of the scheme: a packed key is far below the 64-hex digest
-     for realistic attribute counts, and stays XML-safe ASCII. *)
+  (* The point of packing: a key is far below a 64-hex SHA-256 digest for
+     realistic attribute counts, and stays XML-safe ASCII. *)
   let t = Intern.create () in
   let key = Intern.request_key ~table:t ctx_alice in
-  check bool_ "shorter than the sha digest" true
-    (String.length key < String.length (Decision_cache.sha_request_key ctx_alice));
+  check bool_ "shorter than a sha digest" true (String.length key < 64);
   String.iter
     (fun ch ->
       check bool_ "digits and dots only" true (ch = '.' || (ch >= '0' && ch <= '9')))
@@ -300,7 +298,7 @@ let () =
             prop_value_injective;
             prop_pair_injective;
             prop_key_collision_iff_equal;
-            prop_key_schemes_agree;
+            prop_key_partition_order_free;
             prop_decode_roundtrip;
           ] );
       ( "reverse lookups",
@@ -327,7 +325,8 @@ let () =
         ] );
       ( "decision cache",
         [
-          Alcotest.test_case "key-scheme toggle dispatch" `Quick test_scheme_toggle;
+          Alcotest.test_case "request_key is the global packed key" `Quick
+            test_cache_key_is_global_packed_key;
           Alcotest.test_case "resident key byte accounting" `Quick test_key_bytes_accounting;
         ] );
     ]

@@ -88,14 +88,23 @@ let policy_of_spec alg (rule_specs, obligation_code) =
 
 type ctx_spec = { role_code : int; resource_code : int; action_code : int }
 
-let ctx_of_spec s =
+let ctx_of_spec ?(subject = "alice") s =
   let subject =
-    ("subject-id", Value.String "alice")
+    ("subject-id", Value.String subject)
     ::
     (* role_code 0 omits the attribute entirely (absence paths). *)
     (if s.role_code = 0 then [] else [ ("role", Value.String roles.((s.role_code - 1) mod Array.length roles)) ])
   in
   Context.make ~subject
+    ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
+    ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
+    ()
+
+(* What a PEP sends for the same spec: the role withheld, left for the
+   PDP to resolve at a PIP. *)
+let lean_ctx_of_spec ?(subject = "alice") s =
+  Context.make
+    ~subject:[ ("subject-id", Value.String subject) ]
     ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
     ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
     ()
@@ -234,15 +243,7 @@ let cached_ladder_evaluate ~sharded root cspec =
   in
   let pep = Pep.create services ~node:pep_node ~domain:"d" ~resource:"r" ~content:"c" mode in
   Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
-  (* Lean context: role withheld, resolved at the PIP on the cached path. *)
-  let ctx =
-    Context.make
-      ~subject:[ ("subject-id", Value.String "alice") ]
-      ~resource:
-        [ ("resource-id", Value.String resources.(cspec.resource_code mod Array.length resources)) ]
-      ~action:[ ("action-id", Value.String actions.(cspec.action_code mod Array.length actions)) ]
-      ()
-  in
+  let ctx = lean_ctx_of_spec cspec in
   Pep.set_stale_window pep 2000.0;
   let decide () =
     let answer = ref None in
@@ -596,83 +597,7 @@ let negotiation_oracle (name, alg) =
           if result_equal reference tiered then true
           else fail_diverged ~alg:name ~expected:reference ~got:tiered "reference" "compiled tier")
 
-(* --- oracle 6: key-scheme differential --------------------------------- *)
-
-(* The interned serving path (packed integer request keys) against the
-   legacy sorted-string + SHA-256 scheme it replaced: the whole cached
-   ladder replayed under both key schemes must serve every stage from
-   the same rung with the same decision and obligations, and the packed
-   run must still match the reference evaluation.  This is the proof
-   obligation of the key swap — a key scheme can only change *which*
-   entry a cache lookup finds, so any divergence here is a collision or
-   a canonicalisation bug, not a policy question. *)
-
-let with_scheme scheme f =
-  let saved = Decision_cache.key_scheme () in
-  Decision_cache.set_key_scheme scheme;
-  Fun.protect ~finally:(fun () -> Decision_cache.set_key_scheme saved) f
-
-let schemes_agree ~alg:name packed sha =
-  List.for_all2
-    (fun (stage, _, _, p_ans) (_, _, _, s_ans) ->
-      match (p_ans, s_ans) with
-      | None, None -> true
-      | Some (pr, (pp : Provenance.t)), Some (sr, (sp : Provenance.t)) ->
-        if pp.Provenance.stage <> sp.Provenance.stage then
-          QCheck.Test.fail_reportf "[%s] stage %s rung differs across key schemes: %s vs %s (%s)"
-            name stage
-            (Provenance.stage_name pp.Provenance.stage)
-            (Provenance.stage_name sp.Provenance.stage)
-            (seed_hint ())
-        else if not (result_equal pr sr) then
-          fail_diverged ~alg:name ~expected:sr ~got:pr
-            (Printf.sprintf "sha stage %s" stage)
-            (Printf.sprintf "packed stage %s" stage)
-        else true
-      | _ ->
-        QCheck.Test.fail_reportf "[%s] stage %s answered under one key scheme only (%s)" name
-          stage (seed_hint ()))
-    packed sha
-
-let scheme_oracle (name, alg) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: ladder == sha ladder == reference (%s)" name)
-    ~count:100 arb_case
-    (fun (pspec, cspec) ->
-      let policy = policy_of_spec alg pspec in
-      let reference = Policy.evaluate (ctx_of_spec cspec) policy in
-      let root = Policy.Inline_policy policy in
-      let packed =
-        with_scheme Decision_cache.Packed (fun () ->
-            cached_ladder_evaluate ~sharded:false root cspec)
-      in
-      let sha =
-        with_scheme Decision_cache.Sha_hex (fun () ->
-            cached_ladder_evaluate ~sharded:false root cspec)
-      in
-      List.for_all (check_ladder_stage ~alg:name ~reference) packed
-      && schemes_agree ~alg:name packed sha)
-
-let delegation_scheme_oracle (name, alg) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "packed keys: delegation ladder == sha ladder (%s)" name)
-    ~count:60 arb_delegation_case
-    (fun case ->
-      let _, _, cspec = case in
-      let root = delegation_filtered_root alg case in
-      let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
-      let packed =
-        with_scheme Decision_cache.Packed (fun () ->
-            cached_ladder_evaluate ~sharded:false root cspec)
-      in
-      let sha =
-        with_scheme Decision_cache.Sha_hex (fun () ->
-            cached_ladder_evaluate ~sharded:false root cspec)
-      in
-      List.for_all (check_ladder_stage ~alg:name ~reference) packed
-      && schemes_agree ~alg:name packed sha)
-
-(* --- oracle 7: churn corpus (targeted cache invalidation) ---------------- *)
+(* --- oracle 6: churn corpus (targeted cache invalidation) ---------------- *)
 
 (* Interleaved publish/decide: a random sequence of policy generations
    decided through an L1 decision cache under targeted region
@@ -680,10 +605,7 @@ let delegation_scheme_oracle (name, alg) =
    full-flush arm and the uncached reference evaluation.  No request is
    in flight across a publish, so all three must agree at every step —
    any divergence means the region under-approximated the publish's
-   impact and a stale entry survived.  The corpus runs under both key
-   schemes: Sha_hex keys are undecodable, so targeted invalidation
-   degrades to per-entry flushes there and soundness must survive the
-   degradation. *)
+   impact and a stale entry survived. *)
 
 module Delta = Dacs_policy.Delta
 
@@ -748,9 +670,90 @@ let churn_oracle (name, alg) =
   QCheck.Test.make
     ~name:(Printf.sprintf "churn corpus: targeted == full-flush == reference (%s)" name)
     ~count:150 arb_churn
-    (fun gens ->
-      with_scheme Decision_cache.Packed (fun () -> churn_corpus ~alg ~name gens)
-      && with_scheme Decision_cache.Sha_hex (fun () -> churn_corpus ~alg ~name gens))
+    (churn_corpus ~alg ~name)
+
+(* --- oracle 7: one shared cache, many requests --------------------------- *)
+
+(* The ladder oracles decide one request per network, so a packed key
+   that merged two distinct requests would pass them.  Here four subjects
+   (random PIP-held roles, possibly none) × every resource × every action
+   go through one PEP's L1 and one shared L2: cold, warm, and again after
+   an L1 purge, so every answer crosses the L2's wire frames.  Each answer
+   must equal its own request's reference and come from the rung its key
+   predicts — a collision shows as a cold hit or a wrong decision, a key
+   that fails to re-match or to survive the wire as a warm miss. *)
+
+let shared_cache_evaluate ~alg:name root role_codes =
+  let net = Net.create ~seed:29L () in
+  let services = Service.create (Dacs_net.Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let requests =
+    List.concat
+      (List.mapi
+         (fun i role_code ->
+           let subject = [| "alice"; "bob"; "carol"; "dave" |].(i) in
+           if role_code <> 0 then
+             Pip.add_subject_attribute pip ~subject ~id:"role"
+               (Value.String roles.((role_code - 1) mod Array.length roles));
+           List.init 6 (fun j ->
+               (subject, { role_code; resource_code = j / 2; action_code = j mod 2 })))
+         role_codes)
+  in
+  ignore
+    (Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root ~pips:[ "pip" ]
+       ~attr_cache_ttl:600.0 ());
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:600.0 () in
+  let cache = Decision_cache.create ~ttl:600.0 () in
+  let pep =
+    Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
+  in
+  Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
+  let pass stage cached_rung =
+    List.for_all
+      (fun (subject, cspec) ->
+        let reference = Policy.evaluate_child (ctx_of_spec ~subject cspec) root in
+        let answer = ref None in
+        Pep.decide_explained pep (lean_ctx_of_spec ~subject cspec) (fun r p ->
+            answer := Some (r, p));
+        Net.run net;
+        let rung =
+          match reference.Decision.decision with
+          | Decision.Indeterminate _ -> Provenance.Live
+          | _ -> cached_rung
+        in
+        check_ladder_stage
+          ~alg:(Printf.sprintf "%s/%s/r%d/a%d" name subject cspec.resource_code cspec.action_code)
+          ~reference (stage, rung, `Equal, !answer))
+      requests
+  in
+  pass "cold" Provenance.Live
+  && pass "warm" Provenance.L1
+  &&
+  (Pep.invalidate_cache pep;
+   pass "l2" Provenance.L2)
+
+let arb_role_codes = QCheck.(list_of_size (Gen.return 4) (int_bound (Array.length roles)))
+
+let shared_cache_oracle (name, alg) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "shared cache: every request == its reference (%s)" name)
+    ~count:40
+    QCheck.(pair arb_case arb_role_codes)
+    (fun ((pspec, _), role_codes) ->
+      shared_cache_evaluate ~alg:name (Policy.Inline_policy (policy_of_spec alg pspec)) role_codes)
+
+let delegation_shared_cache_oracle (name, alg) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "shared cache: delegation-filtered set == reference (%s)" name)
+    ~count:40
+    QCheck.(pair arb_delegation_case arb_role_codes)
+    (fun (case, role_codes) ->
+      shared_cache_evaluate ~alg:name (delegation_filtered_root alg case) role_codes)
 
 (* --- directed regressions: empty rule lists ----------------------------- *)
 
@@ -798,10 +801,10 @@ let () =
         @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_cached_oracle a)) algorithms );
       ( "negotiation-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (negotiation_oracle a)) algorithms );
-      ( "key-scheme-differential",
-        List.map (fun a -> QCheck_alcotest.to_alcotest (scheme_oracle a)) algorithms
-        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_scheme_oracle a)) algorithms
-      );
       ( "churn-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (churn_oracle a)) algorithms );
+      ( "shared-cache-differential",
+        List.map (fun a -> QCheck_alcotest.to_alcotest (shared_cache_oracle a)) algorithms
+        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_shared_cache_oracle a))
+            algorithms );
     ]
