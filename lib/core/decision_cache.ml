@@ -4,14 +4,15 @@ type entry = { result : Dacs_policy.Decision.result; expires : float; stamp : in
 
 type stats = { hits : int; misses : int; expiries : int; evictions : int; stale_hits : int }
 
-(* Optional mirror of the stats into a shared registry, one series set per
-   cache (labelled by owner). *)
-type mirror = {
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_expiries : Metrics.counter;
-  m_evictions : Metrics.counter;
-  m_stale_hits : Metrics.counter;
+(* Every event is counted once, in the registry's
+   [decision_cache_*_total{cache=owner}] series — the caller's registry,
+   or a private one when none is given; [stats] reads them back. *)
+type counters = {
+  c_hits : Metrics.counter;
+  c_misses : Metrics.counter;
+  c_expiries : Metrics.counter;
+  c_evictions : Metrics.counter;
+  c_stale_hits : Metrics.counter;
 }
 
 type t = {
@@ -21,27 +22,15 @@ type t = {
   (* Insertion order as (key, stamp) pairs; re-inserting a key leaves its
      older pairs behind as tombstones, skipped at eviction time. *)
   order : (string * int) Queue.t;
-  mirror : mirror option;
+  counters : counters;
   mutable next_stamp : int;
   mutable purges : int;  (* full and region purges applied so far *)
-  mutable stats : stats;
 }
 
 let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
   if ttl < 0.0 then invalid_arg "Decision_cache.create: negative ttl";
-  let mirror =
-    Option.map
-      (fun m ->
-        let c ?help n = Metrics.counter m ?help ~labels:[ ("cache", owner) ] n in
-        {
-          m_hits = c "decision_cache_hits_total" ~help:"Fresh cache hits";
-          m_misses = c "decision_cache_misses_total" ~help:"Cache misses";
-          m_expiries = c "decision_cache_expiries_total" ~help:"Entries dropped past staleness";
-          m_evictions = c "decision_cache_evictions_total" ~help:"Capacity evictions";
-          m_stale_hits = c "decision_cache_stale_hits_total" ~help:"Lookups answered stale";
-        })
-      metrics
-  in
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let c ?help n = Metrics.counter metrics ?help ~labels:[ ("cache", owner) ] n in
   {
     ttl;
     max_entries;
@@ -49,13 +38,17 @@ let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
        rehashes; capped so absurd limits don't allocate absurd tables. *)
     table = Hashtbl.create (max 64 (min max_entries (1 lsl 18)));
     order = Queue.create ();
-    mirror;
+    counters =
+      {
+        c_hits = c "decision_cache_hits_total" ~help:"Fresh cache hits";
+        c_misses = c "decision_cache_misses_total" ~help:"Cache misses";
+        c_expiries = c "decision_cache_expiries_total" ~help:"Entries dropped past staleness";
+        c_evictions = c "decision_cache_evictions_total" ~help:"Capacity evictions";
+        c_stale_hits = c "decision_cache_stale_hits_total" ~help:"Lookups answered stale";
+      };
     next_stamp = 0;
     purges = 0;
-    stats = { hits = 0; misses = 0; expiries = 0; evictions = 0; stale_hits = 0 };
   }
-
-let bump t sel = match t.mirror with None -> () | Some m -> Metrics.inc (sel m)
 
 let ttl t = t.ttl
 
@@ -65,15 +58,14 @@ type lookup =
   | Absent
 
 let lookup t ~now ~max_stale ~key =
+  let c = t.counters in
   match Hashtbl.find_opt t.table key with
   | None ->
-    t.stats <- { t.stats with misses = t.stats.misses + 1 };
-    bump t (fun m -> m.m_misses);
+    Metrics.inc c.c_misses;
     Absent
   | Some e ->
     if now < e.expires then begin
-      t.stats <- { t.stats with hits = t.stats.hits + 1 };
-      bump t (fun m -> m.m_hits);
+      Metrics.inc c.c_hits;
       Fresh e.result
     end
     else begin
@@ -81,16 +73,14 @@ let lookup t ~now ~max_stale ~key =
       if age <= max_stale then begin
         (* Kept for possible degraded serving; still a miss for the
            caller's fresh-path accounting. *)
-        t.stats <- { t.stats with misses = t.stats.misses + 1; stale_hits = t.stats.stale_hits + 1 };
-        bump t (fun m -> m.m_misses);
-        bump t (fun m -> m.m_stale_hits);
+        Metrics.inc c.c_misses;
+        Metrics.inc c.c_stale_hits;
         Stale { result = e.result; age }
       end
       else begin
         Hashtbl.remove t.table key;
-        t.stats <- { t.stats with expiries = t.stats.expiries + 1; misses = t.stats.misses + 1 };
-        bump t (fun m -> m.m_expiries);
-        bump t (fun m -> m.m_misses);
+        Metrics.inc c.c_expiries;
+        Metrics.inc c.c_misses;
         Absent
       end
     end
@@ -111,8 +101,7 @@ let evict_one t =
       match Hashtbl.find_opt t.table key with
       | Some e when e.stamp = stamp ->
         Hashtbl.remove t.table key;
-        t.stats <- { t.stats with evictions = t.stats.evictions + 1 };
-        bump t (fun m -> m.m_evictions)
+        Metrics.inc t.counters.c_evictions
       | Some _ | None -> go ())
   in
   go ()
@@ -176,7 +165,16 @@ let size t = Hashtbl.length t.table
 
 let key_bytes t = Hashtbl.fold (fun key _ acc -> acc + String.length key) t.table 0
 
-let stats t = t.stats
+let stats t =
+  let v = Metrics.counter_value in
+  let c = t.counters in
+  {
+    hits = v c.c_hits;
+    misses = v c.c_misses;
+    expiries = v c.c_expiries;
+    evictions = v c.c_evictions;
+    stale_hits = v c.c_stale_hits;
+  }
 
 let request_key ctx =
   (* Environment attributes (notably the current time) are excluded: a

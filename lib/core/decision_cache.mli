@@ -17,9 +17,11 @@ type t
 val create :
   ?metrics:Dacs_telemetry.Metrics.t -> ?owner:string -> ?max_entries:int -> ttl:float -> unit -> t
 (** [max_entries] defaults to 1024; insertion past the limit evicts the
-    entry whose latest insertion is oldest.  With [metrics], every stat
-    is mirrored into [decision_cache_*_total{cache=owner}] series
-    ([owner] defaults to ["default"]) in the given registry. *)
+    entry whose latest insertion is oldest.  Every stat is counted in
+    [decision_cache_*_total{cache=owner}] series ([owner] defaults to
+    ["default"]) of [metrics], or of a private registry when [metrics] is
+    absent.  Series are shared by name and labels, so caches counting
+    into one registry need distinct owners. *)
 
 val ttl : t -> float
 
@@ -91,6 +93,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A read over this cache's [decision_cache_*_total{cache=owner}]
+    counters. *)
 
 (** {1 Request keys} *)
 

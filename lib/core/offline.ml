@@ -72,13 +72,15 @@ type state = {
   s_conflicts : conflict list;
 }
 
+(* Every event is counted once, in the registry's
+   [offline_*_total{domain=author}] series — the caller's registry, or a
+   private one when none is given; [stats] reads them back. *)
 type counters = {
-  c_events : Metrics.counter option;
-  c_rejections : string -> unit;  (* by reason *)
-  c_replays : Metrics.counter option;
-  c_invalidations : Metrics.counter option;
-  c_conflicts : Metrics.counter option;
-  c_decides : Metrics.counter option;
+  c_events : Metrics.counter;
+  c_replays : Metrics.counter;
+  c_invalidations : Metrics.counter;
+  c_conflicts : Metrics.counter;
+  c_decides : Metrics.counter;
 }
 
 type t = {
@@ -86,6 +88,7 @@ type t = {
   t_author : string;
   now : unit -> float;
   audit : Audit.t option;
+  metrics : Metrics.t;
   counters : counters;
   logs : (string, event list ref) Hashtbl.t;  (* per author, newest first *)
   heads : (string, string) Hashtbl.t;  (* per author chain head *)
@@ -95,53 +98,28 @@ type t = {
   mutable hooks : (string -> unit) list;
   mutable fired : (string * int) list;  (* Decide events already invalidated *)
   mutable known_conflicts : (string * int * string * int) list;
-  mutable n_logged : int;
-  mutable n_replays : int;
-  mutable n_replayed : int;
-  mutable n_invalidations : int;
-  mutable n_conflicts : int;
-  mutable n_rejections : int;
-  mutable n_decides : int;
+  mutable n_replayed : int;  (* no registry twin *)
 }
 
 let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
-  let counters =
-    match metrics with
-    | None ->
-      {
-        c_events = None;
-        c_rejections = (fun _ -> ());
-        c_replays = None;
-        c_invalidations = None;
-        c_conflicts = None;
-        c_decides = None;
-      }
-    | Some m ->
-      let own ?(labels = []) name help =
-        Some (Metrics.counter m ~help ~labels:(("domain", author) :: labels) name)
-      in
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let own name help = Metrics.counter metrics ~help ~labels:[ ("domain", author) ] name in
+  {
+    key;
+    t_author = author;
+    now;
+    audit;
+    metrics;
+    counters =
       {
         c_events = own "offline_events_total" "events appended to the local offline log";
-        c_rejections =
-          (fun reason ->
-            Metrics.inc
-              (Metrics.counter m ~help:"log-sync segments refused at verification"
-                 ~labels:[ ("domain", author); ("reason", reason) ]
-                 "offline_sync_rejections_total"));
         c_replays = own "offline_replays_total" "full deterministic replays of the merged log";
         c_invalidations =
           own "offline_retroactive_invalidations_total"
             "offline decisions contradicted by post-heal replay";
         c_conflicts = own "offline_conflicts_total" "concurrent grant/revoke races (deny won)";
         c_decides = own "offline_decides_total" "decisions served from the local log";
-      }
-  in
-  {
-    key;
-    t_author = author;
-    now;
-    audit;
-    counters;
+      };
     logs = Hashtbl.create 7;
     heads = Hashtbl.create 7;
     offline = false;
@@ -150,14 +128,17 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     hooks = [];
     fired = [];
     known_conflicts = [];
-    n_logged = 0;
-    n_replays = 0;
     n_replayed = 0;
-    n_invalidations = 0;
-    n_conflicts = 0;
-    n_rejections = 0;
-    n_decides = 0;
   }
+
+let rejections_metric = "offline_sync_rejections_total"
+
+(* One series per refusal reason, registered on first use. *)
+let count_rejection t reason =
+  Metrics.inc
+    (Metrics.counter t.metrics ~help:"log-sync segments refused at verification"
+       ~labels:[ ("domain", t.t_author); ("reason", reason) ]
+       rejections_metric)
 
 let author t = t.t_author
 let epoch t = t.t_epoch
@@ -292,8 +273,7 @@ let append_own t kind =
   let l = log_of t t.t_author in
   l := ev :: !l;
   Hashtbl.replace t.heads t.t_author digest;
-  t.n_logged <- t.n_logged + 1;
-  Option.iter Metrics.inc t.counters.c_events;
+  Metrics.inc t.counters.c_events;
   t.state <- None;
   ev
 
@@ -335,9 +315,8 @@ let evaluate_logged state ctx_str =
 
 let replay t =
   let all = events t in
-  t.n_replays <- t.n_replays + 1;
   t.n_replayed <- t.n_replayed + List.length all;
-  Option.iter Metrics.inc t.counters.c_replays;
+  Metrics.inc t.counters.c_replays;
   let revokes =
     List.filter_map
       (fun ev -> match ev.kind with Revoke _ -> Some ev | _ -> None)
@@ -410,8 +389,7 @@ let replay t =
     (fun (id, c) ->
       if not (List.mem id t.known_conflicts) then begin
         t.known_conflicts <- id :: t.known_conflicts;
-        t.n_conflicts <- t.n_conflicts + 1;
-        Option.iter Metrics.inc t.counters.c_conflicts;
+        Metrics.inc t.counters.c_conflicts;
         Option.iter
           (fun audit ->
             Audit.record audit
@@ -445,8 +423,7 @@ let replay t =
           in
           if contradicted then begin
             t.fired <- (ev.author, ev.seq) :: t.fired;
-            t.n_invalidations <- t.n_invalidations + 1;
-            Option.iter Metrics.inc t.counters.c_invalidations;
+            Metrics.inc t.counters.c_invalidations;
             List.iter (fun hook -> hook key) t.hooks;
             Option.iter
               (fun audit ->
@@ -501,8 +478,7 @@ let decide t ctx =
         (append_own t (Decide { key; ctx = ctx_str; decision = decision_name result }));
       (* The Decide append itself never changes the derived state. *)
       t.state <- Some state;
-      t.n_decides <- t.n_decides + 1;
-      Option.iter Metrics.inc t.counters.c_decides;
+      Metrics.inc t.counters.c_decides;
       Some (result, head_short t))
 
 (* --- derived views ------------------------------------------------------ *)
@@ -534,15 +510,19 @@ let state_digest t =
 
 let stats t =
   let events_known = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.logs 0 in
+  let v = Metrics.counter_value in
+  let c = t.counters in
   {
-    events_logged = t.n_logged;
+    events_logged = v c.c_events;
     events_known;
-    replays = t.n_replays;
+    replays = v c.c_replays;
     replayed_events = t.n_replayed;
-    invalidations = t.n_invalidations;
-    conflicts = t.n_conflicts;
-    sync_rejections = t.n_rejections;
-    offline_decides = t.n_decides;
+    invalidations = v c.c_invalidations;
+    conflicts = v c.c_conflicts;
+    sync_rejections =
+      Metrics.sum_counter_by t.metrics rejections_metric ~label:"domain"
+      |> List.assoc_opt t.t_author |> Option.value ~default:0;
+    offline_decides = v c.c_decides;
   }
 
 (* --- sync --------------------------------------------------------------- *)
@@ -595,8 +575,7 @@ let verify_segment t incoming =
 let admit t incoming =
   match verify_segment t incoming with
   | Error e ->
-    t.n_rejections <- t.n_rejections + 1;
-    t.counters.c_rejections (sync_error_reason e);
+    count_rejection t (sync_error_reason e);
     Error e
   | Ok verified ->
     let admitted =

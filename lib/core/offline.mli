@@ -98,7 +98,11 @@ val create :
 (** [key] is the mesh-wide HMAC key (shared by every replica that may
     sync); [author] names this replica's chain — use the domain name.
     [audit], when given, receives conflict and retroactive-invalidation
-    records. *)
+    records.  Every {!stats} field but [events_known] and
+    [replayed_events] is counted in [offline_*_total{domain=author}]
+    series of [metrics], or of a private registry when [metrics] is
+    absent.  Series are shared by name and labels, so replicas counting
+    into one registry need distinct authors. *)
 
 val author : t -> string
 
@@ -124,6 +128,8 @@ val events : t -> event list
 (** Every known event in the deterministic total order [(at, author, seq)]. *)
 
 val stats : t -> stats
+(** A read over this replica's registry series; [sync_rejections] sums
+    [offline_sync_rejections_total] over its reasons. *)
 
 (** {1 Writing the log} *)
 

@@ -60,8 +60,7 @@ type t = {
   rule_cost : float;
   max_inflight : int option;
   attr_cache : Cache_hierarchy.Attr_cache.t option;
-  attr_batch : bool;
-  h_attr_batch : Metrics.histogram;
+  h_batch_size : Metrics.histogram;
   h_eval : Metrics.histogram;
   h_pip_fetch : Metrics.histogram;
   mutable busy_until : float;
@@ -206,39 +205,11 @@ let evaluate_pass t ~subject_sym ctx attempted =
   in
   (result, List.sort_uniq compare !misses)
 
-(* Legacy sequential fetch: one RPC per (attribute, PIP) attempt, first
-   non-empty answer wins.  Kept behind [attr_batch = false] so the e17
-   ablation can price the batching alone. *)
-let rec fetch_attribute t ~subject (category, id) pips k =
-  match pips with
-  | [] -> k []
-  | pip :: rest ->
-    Metrics.inc t.counters.c_pip_fetches;
-    Service.call_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry ~service:"attribute-query"
-      (Wire.attribute_query ~category ~attribute_id:id ~subject)
-      (fun result ->
-        match result with
-        | Ok body -> (
-          match Wire.parse_attribute_result body with
-          | Ok [] | Error _ -> fetch_attribute t ~subject (category, id) rest k
-          | Ok bag -> k bag)
-        | Error _ -> fetch_attribute t ~subject (category, id) rest k)
-
-let rec fetch_sequential t ~subject misses ctx k =
-  match misses with
-  | [] -> k ctx
-  | ((category, id) as miss) :: rest ->
-    fetch_attribute t ~subject miss t.pips (fun bag ->
-        store_attr t ~subject miss bag;
-        let ctx = if bag = [] then ctx else Context.add_bag ctx category id bag in
-        fetch_sequential t ~subject rest ctx k)
-
-(* Batched fetch: every outstanding miss rides one multi-part frame to
-   the PIP — one correlation id, one timeout, one retry/breaker envelope
-   for the whole attribute round (the B/BT envelope of the tier).  Only
-   attributes the first PIP answered empty (or a failed frame) move on
-   to the next PIP, preserving the first-non-empty-wins semantics of the
-   sequential path. *)
+(* Every outstanding miss rides one multi-part frame to the PIP — one
+   correlation id, one timeout, one retry/breaker envelope for the whole
+   attribute round (the B/BT envelope of the tier).  PIPs are tried in
+   order and the first non-empty answer wins: only attributes a PIP
+   answered empty (or a failed frame) move on to the next PIP. *)
 let fetch_batched t ~subject misses ctx k =
   let rec go misses ctx pips =
     match (misses, pips) with
@@ -266,7 +237,7 @@ let fetch_batched t ~subject misses ctx k =
         go (List.rev unresolved) ctx rest
       in
       Metrics.inc t.counters.c_pip_fetches;
-      Metrics.observe t.h_attr_batch (float_of_int (List.length misses));
+      Metrics.observe t.h_batch_size (float_of_int (List.length misses));
       let bodies =
         List.map
           (fun (category, id) -> Wire.attribute_query ~category ~attribute_id:id ~subject)
@@ -301,8 +272,7 @@ let fetch_all t ~subject misses attempted ctx k =
     Metrics.observe_exemplar t.h_pip_fetch (now t -. started) ~trace:tag ~at:(now t);
     k ctx
   in
-  if t.attr_batch then fetch_batched t ~subject misses ctx k
-  else fetch_sequential t ~subject misses ctx k
+  fetch_batched t ~subject misses ctx k
 
 let evaluate_local t ctx k =
   (* One span per evaluation, covering the PAP refresh and every PIP
@@ -384,7 +354,7 @@ let overloaded t =
 let overload_reason = "pdp overloaded"
 
 let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retry
-    ?(service_time = 0.0) ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl ?(attr_batch = true) () =
+    ?(service_time = 0.0) ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl () =
   let refresh =
     match refresh with
     | Some r -> r
@@ -408,8 +378,7 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
       rule_cost;
       max_inflight;
       attr_cache;
-      attr_batch;
-      h_attr_batch =
+      h_batch_size =
         Metrics.histogram metrics ~help:"Missing attributes fetched per PIP round trip"
           ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0 ]
           ~labels:[ ("node", node) ] "pdp_attr_batch_size";

@@ -26,7 +26,6 @@ val create :
   ?rule_cost:float ->
   ?max_inflight:int ->
   ?attr_cache_ttl:float ->
-  ?attr_batch:bool ->
   unit ->
   t
 (** [refresh] defaults to [Every_query] when a PAP is given, else
@@ -53,11 +52,15 @@ val create :
     reused across decisions for that long, the PDP subscribes to its
     PIPs for explicit invalidation pushes ([remove_subject_attribute]
     purges subscribed caches immediately), and serves
-    ["attribute-invalidate"].  [attr_batch] (default true) resolves all
-    attributes missing from a context-handler round in one multi-part
-    frame per PIP — the B/BT batch envelope — instead of one RPC per
-    attribute; [false] restores the sequential shape (the e17 ablation
-    baseline).
+    ["attribute-invalidate"].
+
+    Attributes missing from a context-handler round are fetched together:
+    one multi-part frame per PIP (the B/BT batch envelope), or a plain
+    call when only one is missing.  PIPs are tried in [pips] order and
+    the first non-empty bag wins; only the attributes a PIP answered
+    empty, or all of them when its frame failed, move on to the next
+    PIP.  Attributes no PIP holds are cached as empty bags when the
+    attribute cache is on.
 
     [rule_cost] (seconds of virtual time per rule scanned, default 0)
     extends the capacity model: each query additionally occupies the PDP

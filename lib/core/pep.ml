@@ -151,7 +151,6 @@ type t = {
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
-  mutable coalesce : bool;
   mutable admission : admission option;
   mutable inflight : int;
   waiting : (unit -> unit) Queue.t;
@@ -231,9 +230,6 @@ let invalidate_region t region =
 
 let set_l2 t l2 = t.l2 <- l2
 let l2 t = t.l2
-
-let set_coalescing t on = t.coalesce <- on
-let coalescing t = t.coalesce
 
 let set_admission t a =
   (match a with
@@ -429,19 +425,16 @@ let consult_l2 t cache ~key k =
    mid-flight), never the rung the ladder would have chosen at join
    time; only [at] is re-stamped to the waiter's own delivery instant. *)
 let join_flight t ~key k =
-  if not t.coalesce then Cache_hierarchy.Single_flight.Leader k
-  else begin
-    let is_leader = ref false in
-    let deliver ((result, prov) : Decision.result * Provenance.t) =
-      if !is_leader then k (result, prov)
-      else k (result, { prov with Provenance.coalesced = true; at = now t })
-    in
-    match Cache_hierarchy.Single_flight.join t.sf ~key deliver with
-    | Cache_hierarchy.Single_flight.Leader d ->
-      is_leader := true;
-      Cache_hierarchy.Single_flight.Leader d
-    | Cache_hierarchy.Single_flight.Coalesced -> Cache_hierarchy.Single_flight.Coalesced
-  end
+  let is_leader = ref false in
+  let deliver ((result, prov) : Decision.result * Provenance.t) =
+    if !is_leader then k (result, prov)
+    else k (result, { prov with Provenance.coalesced = true; at = now t })
+  in
+  let role = Cache_hierarchy.Single_flight.join t.sf ~key deliver in
+  (match role with
+  | Cache_hierarchy.Single_flight.Leader _ -> is_leader := true
+  | Cache_hierarchy.Single_flight.Coalesced -> ());
+  role
 
 (* A provenance minter for one descent: resilience flags are read as
    deltas of this PEP's own rpc series between the descent's start and
@@ -728,7 +721,6 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       stale_window = 0.0;
       offline = None;
       l2 = None;
-      coalesce = true;
       admission = None;
       inflight = 0;
       waiting = Queue.create ();

@@ -74,8 +74,8 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
 val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit
 (** The decision ladder for a context without the inbound access RPC or
     enforcement: L1 fresh -> L2 fresh -> live -> bounded-stale L1 ->
-    offline log -> fail closed, with identical concurrent queries
-    coalesced.  Pull and sharded modes share this one ladder; the live
+    offline log -> fail closed.  Identical concurrent queries (same
+    {!Decision_cache.request_key}) always share one descent.  Pull and sharded modes share this one ladder; the live
     step is ordered failover over the PDPs (pull) or one tier call
     (sharded).  A live answer in flight across an L1 purge is served
     but not stored, and an Indeterminate live answer is never published
@@ -111,14 +111,6 @@ val set_l2 : t -> Dacs_net.Net.node_id option -> unit
     An unreachable L2 degrades to a miss, never a failure. *)
 
 val l2 : t -> Dacs_net.Net.node_id option
-
-val set_coalescing : t -> bool -> unit
-(** Single-flight coalescing (default on): concurrent identical queries —
-    same {!Decision_cache.request_key} — share one descent of the ladder
-    instead of stampeding the decision tier.  [false] restores the
-    one-descent-per-request shape (the e17 ablation baseline). *)
-
-val coalescing : t -> bool
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** Pull and sharded modes: from now on, accept only decision responses

@@ -36,16 +36,18 @@ let error_to_string = function
   | Fault f -> Printf.sprintf "fault %s: %s" f.Soap.code f.Soap.reason
   | Malformed m -> Printf.sprintf "malformed response: %s" m
 
+let decode_one response =
+  match Soap.parse response with
+  | Error e -> Error (Malformed e)
+  | Ok envelope -> (
+    match Soap.fault_of_body envelope.Soap.body with
+    | Some f -> Error (Fault f)
+    | None -> Ok envelope.Soap.body)
+
 let decode_response k result =
   match result with
   | Error e -> k (Error (Transport e))
-  | Ok response -> (
-    match Soap.parse response with
-    | Error e -> k (Error (Malformed e))
-    | Ok envelope -> (
-      match Soap.fault_of_body envelope.Soap.body with
-      | Some f -> k (Error (Fault f))
-      | None -> k (Ok envelope.Soap.body)))
+  | Ok response -> k (decode_one response)
 
 let call t ~src ~dst ~service ?timeout ?headers body k =
   let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
@@ -54,14 +56,6 @@ let call t ~src ~dst ~service ?timeout ?headers body k =
 let call_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers body k =
   let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
   Rpc.call_resilient t.rpc ~src ~dst ~service ?timeout ?retry ?notify payload (decode_response k)
-
-let decode_one response =
-  match Soap.parse response with
-  | Error e -> Error (Malformed e)
-  | Ok envelope -> (
-    match Soap.fault_of_body envelope.Soap.body with
-    | Some f -> Error (Fault f)
-    | None -> Ok envelope.Soap.body)
 
 let call_batch_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers bodies k =
   let headers = Option.value headers ~default:[] in

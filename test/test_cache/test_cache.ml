@@ -70,7 +70,7 @@ type fx = {
   alice : Client.t;
 }
 
-let setup ?(attr_batch = true) ?(attr_cache = true) ?cache () =
+let setup ?(attr_cache = true) ?cache () =
   let net = Net.create ~seed:3L () in
   let services = Service.create (Rpc.create net) in
   let add id =
@@ -88,7 +88,7 @@ let setup ?(attr_batch = true) ?(attr_cache = true) ?cache () =
   let pdp =
     Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:attr_policy ~pips:[ "pip" ]
       ?attr_cache_ttl:(if attr_cache then Some 60.0 else None)
-      ~attr_batch ()
+      ()
   in
   let pep =
     Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
@@ -130,14 +130,106 @@ let test_batched_single_round_trip () =
     check int_ "three bags cached" 3 (Cache_hierarchy.Attr_cache.size c);
     check bool_ "cache hits recorded" true (Cache_hierarchy.Attr_cache.hits c >= 3)
 
-let test_sequential_ablation () =
-  let fx = setup ~attr_batch:false () in
+let batched_attr_frames fx =
+  Metrics.counter_value
+    (Metrics.counter (Service.metrics fx.services) ~labels:[ ("service", "attribute-query") ]
+       "rpc_batches_total")
+
+let test_single_miss_plain_call () =
+  let fx = setup () in
+  (* A second client of alice's carries role and department inline: only
+     clearance is missing. *)
+  Net.add_node fx.net "alice-inline";
+  let alice_inline =
+    Client.create fx.services ~node:"alice-inline"
+      ~subject:
+        [
+          ("subject-id", Value.String "alice");
+          ("role", Value.String "doctor");
+          ("department", Value.String "cardio");
+        ]
+  in
   let o1 = ref None in
-  request fx ~at:1.0 o1;
+  request fx ~client:alice_inline ~at:1.0 o1;
   Net.run fx.net;
   check bool_ "granted" true (granted o1);
-  check int_ "one RPC per missing attribute" 3 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
-  check int_ "the PIP served the same three" 3 (Pip.lookups_served fx.pip)
+  check int_ "one frame" 1 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
+  check int_ "one lookup served" 1 (Pip.lookups_served fx.pip);
+  check int_ "a batch of one is a plain call" 0 (batched_attr_frames fx);
+  (* Bob has nothing cached: his three misses do ride one batch. *)
+  Net.add_node fx.net "bob";
+  let bob = Client.create fx.services ~node:"bob" ~subject:[ ("subject-id", Value.String "bob") ] in
+  let o2 = ref None in
+  request fx ~client:bob ~at:10.0 o2;
+  Net.run fx.net;
+  check int_ "three misses ride one batch" 1 (batched_attr_frames fx)
+
+(* Two PIPs tried in order: the first lacks [clearance] (or is down), so
+   only what it could not answer moves on to the second. *)
+let two_pip_setup ~crash_first =
+  let net = Net.create ~seed:3L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let pip1 = Pip.create services ~node:(add "pip1") ~name:"pip1" in
+  let pip2 = Pip.create services ~node:(add "pip2") ~name:"pip2" in
+  let attrs =
+    [
+      ("role", Value.String "doctor");
+      ("clearance", Value.String "secret");
+      ("department", Value.String "cardio");
+    ]
+  in
+  List.iter
+    (fun (id, v) -> if id <> "clearance" then Pip.add_subject_attribute pip1 ~subject:"alice" ~id v)
+    attrs;
+  List.iter (fun (id, v) -> Pip.add_subject_attribute pip2 ~subject:"alice" ~id v) attrs;
+  if crash_first then Net.crash net "pip1";
+  let pdp =
+    Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:attr_policy
+      ~pips:[ "pip1"; "pip2" ] ~attr_cache_ttl:60.0 ()
+  in
+  let pep =
+    Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 5.0 })
+  in
+  let alice =
+    Client.create services ~node:(add "alice") ~subject:[ ("subject-id", Value.String "alice") ]
+  in
+  ({ net; services; pip = pip1; pdp; pep; alice }, pip2)
+
+let frame_sizes fx =
+  Metrics.bucket_counts
+    (Metrics.histogram (Service.metrics fx.services) ~labels:[ ("node", "pdp") ]
+       ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0 ] "pdp_attr_batch_size")
+  |> List.concat_map (fun (bound, n) -> List.init n (fun _ -> bound))
+
+let test_unresolved_misses_move_on () =
+  let fx, pip2 = two_pip_setup ~crash_first:false in
+  let o = ref None in
+  request fx ~at:1.0 o;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o);
+  check int_ "a frame per PIP" 2 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
+  check (Alcotest.list (Alcotest.float 0.0)) "3 parts, then 1 (bucket bounds)" [ 1.0; 4.0 ]
+    (frame_sizes fx);
+  check int_ "the first PIP served all three" 3 (Pip.lookups_served fx.pip);
+  check int_ "the second only the clearance it lacked" 1 (Pip.lookups_served pip2);
+  check int_ "the single leftover went as a plain call" 1 (batched_attr_frames fx)
+
+let test_failed_frame_moves_every_miss () =
+  let fx, pip2 = two_pip_setup ~crash_first:true in
+  let o = ref None in
+  request fx ~at:1.0 o;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o);
+  check int_ "a frame per PIP" 2 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
+  check (Alcotest.list (Alcotest.float 0.0)) "3 parts twice (bucket bounds)" [ 4.0; 4.0 ]
+    (frame_sizes fx);
+  check int_ "the crashed PIP served nothing" 0 (Pip.lookups_served fx.pip);
+  check int_ "every miss moved to the second" 3 (Pip.lookups_served pip2)
 
 let test_legacy_no_attr_cache () =
   let fx = setup ~attr_cache:false () in
@@ -216,18 +308,6 @@ let test_coalescing_distinct_keys () =
   Net.run fx.net;
   let s = Pep.stats fx.pep in
   check int_ "different requests never coalesce" 0 s.Pep.coalesced;
-  check int_ "two PDP calls" 2 s.Pep.pdp_calls
-
-let test_coalescing_off () =
-  let fx = setup () in
-  Pep.set_coalescing fx.pep false;
-  let o1 = ref None and o2 = ref None in
-  request fx ~at:1.0 o1;
-  request fx ~at:1.0 o2;
-  Net.run fx.net;
-  check bool_ "both granted" true (granted o1 && granted o2);
-  let s = Pep.stats fx.pep in
-  check int_ "no coalescing" 0 s.Pep.coalesced;
   check int_ "two PDP calls" 2 s.Pep.pdp_calls
 
 (* --- decision-cache negative caching ----------------------------------- *)
@@ -1004,8 +1084,12 @@ let () =
         [
           Alcotest.test_case "all misses resolved in one PIP round trip" `Quick
             test_batched_single_round_trip;
-          Alcotest.test_case "sequential ablation costs one RPC per attribute" `Quick
-            test_sequential_ablation;
+          Alcotest.test_case "a single miss goes as a plain call" `Quick
+            test_single_miss_plain_call;
+          Alcotest.test_case "only unresolved misses move to the next PIP" `Quick
+            test_unresolved_misses_move_on;
+          Alcotest.test_case "a failed frame moves every miss to the next PIP" `Quick
+            test_failed_frame_moves_every_miss;
           Alcotest.test_case "without the cache every decision refetches" `Quick
             test_legacy_no_attr_cache;
           Alcotest.test_case "PIP pushes purge exactly the dropped attribute" `Quick
@@ -1018,8 +1102,6 @@ let () =
             test_coalescing;
           Alcotest.test_case "distinct queries never coalesce" `Quick
             test_coalescing_distinct_keys;
-          Alcotest.test_case "ablation switch restores per-request descents" `Quick
-            test_coalescing_off;
         ] );
       ( "negative-caching",
         [

@@ -225,6 +225,58 @@ let test_cache_key_stability () =
   let ctx3 = Context.make ~subject:(doctor_subject "bob") () in
   check bool_ "different key" true (Decision_cache.request_key ctx1 <> Decision_cache.request_key ctx3)
 
+(* One of each counted event: a miss, a hit, a stale serve, an expiry
+   (itself a miss) and a capacity eviction. *)
+let drive_cache_events c =
+  ignore (Decision_cache.get c ~now:0.0 ~key:"k");
+  Decision_cache.put c ~now:0.0 ~key:"k" Decision.permit;
+  ignore (Decision_cache.get c ~now:5.0 ~key:"k");
+  ignore (Decision_cache.lookup c ~now:12.0 ~max_stale:5.0 ~key:"k");
+  ignore (Decision_cache.lookup c ~now:20.0 ~max_stale:1.0 ~key:"k");
+  Decision_cache.put c ~now:20.0 ~key:"a" Decision.permit;
+  Decision_cache.put c ~now:21.0 ~key:"b" Decision.permit
+
+let expected_cache_stats =
+  { Decision_cache.hits = 1; misses = 3; expiries = 1; evictions = 1; stale_hits = 1 }
+
+let cache_stats =
+  Alcotest.testable
+    (fun ppf (s : Decision_cache.stats) ->
+      Format.fprintf ppf "{hits=%d; misses=%d; expiries=%d; evictions=%d; stale_hits=%d}" s.hits
+        s.misses s.expiries s.evictions s.stale_hits)
+    ( = )
+
+let test_cache_stats_are_registry_series () =
+  let m = Dacs_telemetry.Metrics.create () in
+  let c = Decision_cache.create ~metrics:m ~owner:"pep-a" ~max_entries:1 ~ttl:10.0 () in
+  let idle = Decision_cache.create ~metrics:m ~owner:"pep-b" ~ttl:10.0 () in
+  drive_cache_events c;
+  let series owner name =
+    Dacs_telemetry.Metrics.counter_value
+      (Dacs_telemetry.Metrics.counter m ~labels:[ ("cache", owner) ]
+         ("decision_cache_" ^ name ^ "_total"))
+  in
+  let from_registry owner =
+    {
+      Decision_cache.hits = series owner "hits";
+      misses = series owner "misses";
+      expiries = series owner "expiries";
+      evictions = series owner "evictions";
+      stale_hits = series owner "stale_hits";
+    }
+  in
+  check cache_stats "counts" expected_cache_stats (Decision_cache.stats c);
+  check cache_stats "stats = registry series" (from_registry "pep-a") (Decision_cache.stats c);
+  check cache_stats "another owner's series untouched" (from_registry "pep-b")
+    (Decision_cache.stats idle);
+  check int_ "idle cache counts nothing" 0 (Decision_cache.stats idle).Decision_cache.misses
+
+let test_cache_stats_without_registry () =
+  let c = Decision_cache.create ~max_entries:1 ~ttl:10.0 () in
+  drive_cache_events c;
+  check cache_stats "same counts in a private registry" expected_cache_stats
+    (Decision_cache.stats c)
+
 (* --- pap ------------------------------------------------------------------- *)
 
 let test_pap_query_versions () =
@@ -399,7 +451,7 @@ let test_pdp_service_basic () =
   let net, services = fresh () in
   let pdp_node = add_node net "pdp" in
   let pep = add_node net "pep" in
-  let _pdp =
+  let pdp =
     Pdp_service.create services ~node:pdp_node ~name:"pdp" ~root:(doctor_policy "r") ()
   in
   let ctx =
@@ -408,12 +460,31 @@ let test_pdp_service_basic () =
       ~action:[ ("action-id", Value.String "read") ]
       ()
   in
-  let got = ref None in
-  authz_call services ~src:pep ~dst:pdp_node ctx (fun r -> got := Some r);
-  Net.run net;
-  match !got with
-  | Some (Ok r) -> check bool_ "permit" true (Decision.is_permit r)
-  | _ -> Alcotest.fail "no decision"
+  let decide what ctx expect =
+    let got = ref None in
+    authz_call services ~src:pep ~dst:pdp_node ctx (fun r -> got := Some r);
+    Net.run net;
+    match !got with
+    | Some (Ok r) -> check bool_ what true (expect r)
+    | _ -> Alcotest.fail "no decision"
+  in
+  decide "permit" ctx Decision.is_permit;
+  decide "nurse denied"
+    (Context.make
+       ~subject:[ ("subject-id", Value.String "bob"); ("role", Value.String "nurse") ]
+       ~resource:[ ("resource-id", Value.String "r") ]
+       ~action:[ ("action-id", Value.String "read") ]
+       ())
+    Decision.is_deny;
+  let s = Pdp_service.stats pdp in
+  check int_ "queries" 2 s.Pdp_service.queries;
+  check int_ "permits" 1 s.Pdp_service.permits;
+  check int_ "denies" 1 s.Pdp_service.denies;
+  Pdp_service.reset_stats pdp;
+  check int_ "reset" 0 (Pdp_service.stats pdp).Pdp_service.queries;
+  (* A local install swaps the tree the next query is decided by. *)
+  Pdp_service.install_policy pdp (Policy.Inline_policy (Policy.make ~id:"deny" [ Rule.deny "d" ]));
+  decide "denied after the swap" ctx Decision.is_deny
 
 let test_pdp_service_pip_fetch () =
   let net, services = fresh () in
@@ -1220,6 +1291,9 @@ let () =
           Alcotest.test_case "stale lookup window" `Quick test_cache_stale_lookup;
           Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
           Alcotest.test_case "key stability" `Quick test_cache_key_stability;
+          Alcotest.test_case "stats are the registry's series" `Quick
+            test_cache_stats_are_registry_series;
+          Alcotest.test_case "stats without a registry" `Quick test_cache_stats_without_registry;
         ] );
       ( "pap",
         [

@@ -237,6 +237,71 @@ let test_sync_rpc_partition_heal () =
   | None -> Alcotest.fail "no sync outcome");
   check string_ "digests converge over RPC" (O.state_digest b) (O.state_digest a)
 
+(* --- stats are registry series ------------------------------------------- *)
+
+(* Two replicas race: alpha grants carol and serves an offline Permit on
+   it while beta revokes her; one tampered segment is refused before the
+   honest sync, whose replay surfaces the conflict and invalidates the
+   Permit. *)
+let race ?metrics () =
+  let now = ref 0.0 in
+  let mk author =
+    O.create ?metrics
+      ~now:(fun () ->
+        now := !now +. 1.0;
+        !now)
+      ~key:mesh_key ~author ()
+  in
+  let a = mk "alpha" and b = mk "beta" in
+  O.publish a (Policy.Inline_policy pol);
+  ignore (O.sync_pair a b);
+  O.grant a ~subject:"carol" ~attr:"role" ~value:"doctor";
+  ignore (O.decide a (ctx ~subject:"carol" ()));
+  O.revoke b ~subject:"carol" ~attr:"role";
+  let tampered =
+    List.map (fun ev -> { ev with O.at = ev.O.at +. 0.5 }) (segment_for a b)
+  in
+  (match O.admit a tampered with
+  | Error _ -> ()
+  | Ok n -> Alcotest.failf "tampered segment admitted (%d events)" n);
+  ignore (O.sync_pair a b);
+  ignore (O.state_digest a);
+  ignore (O.state_digest b);
+  (a, b)
+
+let stats_of_series metrics author =
+  let series name =
+    Metrics.counter_value (Metrics.counter metrics ~labels:[ ("domain", author) ] name)
+  in
+  fun (o : O.t) ->
+    {
+      (O.stats o) with
+      O.events_logged = series "offline_events_total";
+      replays = series "offline_replays_total";
+      invalidations = series "offline_retroactive_invalidations_total";
+      conflicts = series "offline_conflicts_total";
+      sync_rejections =
+        Option.value ~default:0
+          (List.assoc_opt author
+             (Metrics.sum_counter_by metrics "offline_sync_rejections_total" ~label:"domain"));
+      offline_decides = series "offline_decides_total";
+    }
+
+let test_stats_are_registry_series () =
+  let metrics = Metrics.create () in
+  let a, b = race ~metrics () in
+  let sa = O.stats a in
+  check int_ "events logged" 3 sa.O.events_logged;
+  check int_ "one offline decide" 1 sa.O.offline_decides;
+  check int_ "one tampered segment refused" 1 sa.O.sync_rejections;
+  check int_ "the race surfaced" 1 sa.O.conflicts;
+  check int_ "the offline Permit invalidated" 1 sa.O.invalidations;
+  check bool_ "alpha: stats = its series" true (stats_of_series metrics "alpha" a = sa);
+  check bool_ "beta: stats = its series" true (stats_of_series metrics "beta" b = O.stats b);
+  check int_ "beta refused nothing" 0 (O.stats b).O.sync_rejections;
+  let a', _ = race () in
+  check bool_ "a private registry counts the same" true (O.stats a' = sa)
+
 (* --- the PEP's offline rung ------------------------------------------------ *)
 
 type stack = { net : Net.t; pep : Pep.t; offline : O.t }
@@ -375,6 +440,8 @@ let () =
         ] );
       ( "rpc",
         [ Alcotest.test_case "partition blocks, heal syncs" `Quick test_sync_rpc_partition_heal ] );
+      ( "stats",
+        [ Alcotest.test_case "stats are the registry's series" `Quick test_stats_are_registry_series ] );
       ( "pep",
         [
           Alcotest.test_case "offline rung serves with provenance" `Quick test_pep_offline_rung;

@@ -750,50 +750,6 @@ let test_shadowed_rules () =
   let deny_overrides = { p with Policy.rule_combining = Combine.Deny_overrides } in
   check int_ "only first-applicable" 0 (List.length (Validate.shadowed_rules deny_overrides))
 
-(* --- pdp ------------------------------------------------------------------------------------ *)
-
-let test_pdp_stats () =
-  let pdp = Pdp.create (Policy.Inline_policy doctor_read_policy) in
-  ignore (Pdp.evaluate pdp ctx);
-  let nurse_ctx =
-    Context.make
-      ~subject:[ ("role", Value.String "nurse") ]
-      ~action:[ ("action-id", Value.String "read") ]
-      ()
-  in
-  ignore (Pdp.evaluate pdp nurse_ctx);
-  let s = Pdp.stats pdp in
-  check int_ "evaluations" 2 s.Pdp.evaluations;
-  check int_ "permits" 1 s.Pdp.permits;
-  check int_ "denies" 1 s.Pdp.denies;
-  Pdp.reset_stats pdp;
-  check int_ "reset" 0 (Pdp.stats pdp).Pdp.evaluations
-
-let test_pdp_pip_counted () =
-  let policy =
-    Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
-      [
-        Rule.permit
-          ~condition:(Expr.Apply ("string-is-in", [ Expr.str "gold"; Expr.subject_attr "tier" ]))
-          "r";
-        Rule.deny "d";
-      ]
-  in
-  let pip category id =
-    if category = Context.Subject && id = "tier" then Some [ Value.String "gold" ] else None
-  in
-  let pdp = Pdp.create ~pip (Policy.Inline_policy policy) in
-  let r = Pdp.evaluate pdp (Context.make ~subject:[ ("subject-id", Value.String "u") ] ()) in
-  check_decision "pip supplied permit" Decision.Permit r;
-  check bool_ "pip lookups counted" true ((Pdp.stats pdp).Pdp.pip_lookups > 0)
-
-let test_pdp_set_root () =
-  let pdp = Pdp.create (Policy.Inline_policy doctor_read_policy) in
-  check_decision "initial" Decision.Permit (Pdp.evaluate pdp ctx);
-  Pdp.set_root pdp (Policy.Inline_policy (Policy.make ~id:"deny" [ Rule.deny "d" ]));
-  check_decision "after swap" Decision.Deny (Pdp.evaluate pdp ctx)
-
-
 module Astring_find = struct
   let find needle haystack =
     let nh = String.length haystack and nn = String.length needle in
@@ -1222,11 +1178,5 @@ let () =
           Alcotest.test_case "catches problems" `Quick test_validate_catches;
           Alcotest.test_case "shadowed rules" `Quick test_shadowed_rules;
         ] );
-      ( "pdp",
-        [
-          Alcotest.test_case "stats" `Quick test_pdp_stats;
-          Alcotest.test_case "PIP lookups" `Quick test_pdp_pip_counted;
-          Alcotest.test_case "root swap" `Quick test_pdp_set_root;
-        ]
-        @ props );
+      ("pdp", props);
     ]
