@@ -324,28 +324,31 @@ module L2 = struct
       }
     in
     let fault reason = Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason } in
-    Service.serve services ~node ~service:"cache-lookup" (fun ~caller:_ ~headers:_ body reply ->
+    Service.serve_frame services ~node ~service:"cache-lookup" ~read:Wire.read_cache_lookup
+      (fun ~caller:_ ~headers:_ body reply ->
         Metrics.inc t.c_lookups;
-        match Wire.parse_cache_lookup body with
-        | Error e -> reply (fault e)
+        match body with
+        | Error e -> reply (Service.sender_fault e)
         | Ok key ->
           let answer = Decision_cache.get t.cache ~now:(now t) ~key in
           if answer <> None then Metrics.inc t.c_hits;
-          reply (Wire.cache_answer answer));
-    Service.serve services ~node ~service:"cache-put" (fun ~caller:_ ~headers:_ body reply ->
-        match Wire.parse_cache_put body with
-        | Error e -> reply (fault e)
+          reply (fun buf -> Wire.write_cache_answer buf answer));
+    Service.serve_frame services ~node ~service:"cache-put" ~read:Wire.read_cache_put
+      (fun ~caller:_ ~headers:_ body reply ->
+        let ack buf = Buffer.add_string buf "<CachePutAck/>" in
+        match body with
+        | Error e -> reply (Service.sender_fault e)
         | Ok (key, result, sent_at) -> (
           (* The put/invalidate race: a fire-and-forget put composed
              before a purge must not land after it and resurrect the
              entry it carried.  Unstamped puts are accepted (legacy
              frames cannot be ordered against purges). *)
           match sent_at with
-          | Some s when s < t.purged_at -> Metrics.inc t.c_rejected_puts; reply (Dacs_xml.Xml.element "CachePutAck")
+          | Some s when s < t.purged_at -> Metrics.inc t.c_rejected_puts; reply ack
           | Some _ | None ->
             Metrics.inc t.c_puts;
             Decision_cache.put t.cache ~now:(now t) ~key result;
-            reply (Dacs_xml.Xml.element "CachePutAck")));
+            reply ack));
     Service.serve services ~node ~service:"cache-invalidate" (fun ~caller:_ ~headers:_ body reply ->
         match Wire.parse_cache_invalidate body with
         | Error e -> reply (fault e)
@@ -372,13 +375,12 @@ module L2 = struct
   (* --- client side (what a PEP calls) ---------------------------------- *)
 
   let remote_lookup services ~src ~l2 ?(timeout = 1.0) ~key k =
-    Service.call services ~src ~dst:l2 ~service:"cache-lookup" ~timeout (Wire.cache_lookup ~key)
+    Service.call_frame services ~src ~dst:l2 ~service:"cache-lookup" ~timeout ~read:Wire.read_cache_answer
+      (fun buf -> Wire.write_cache_lookup buf ~key)
       (fun reply ->
         match reply with
-        | Ok body -> (
-          match Wire.parse_cache_answer body with
-          | Ok answer -> k answer
-          | Error _ -> k None)
+        | Ok (Ok answer) -> k answer
+        | Ok (Error _) -> k None
         | Error _ ->
           (* An unreachable shared cache is a miss, never a failure: the
              caller continues down the ladder to the live tier. *)
@@ -386,8 +388,9 @@ module L2 = struct
 
   let remote_put services ~src ~l2 ~key result =
     let sent_at = Dacs_net.Net.now (Service.net services) in
-    Service.call services ~src ~dst:l2 ~service:"cache-put"
-      (Wire.cache_put ~sent_at ~key result)
+    Service.call_frame services ~src ~dst:l2 ~service:"cache-put"
+      ~read:(fun c -> Dacs_xml.Xml.Cursor.read c (fun c -> ignore (Dacs_xml.Xml.Cursor.subtree c)))
+      (fun buf -> Wire.write_cache_put ~sent_at buf ~key result)
       (fun _ -> ())
 
   let remote_invalidate services ~src ~l2 ?key ?(k = fun () -> ()) () =

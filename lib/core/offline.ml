@@ -302,16 +302,12 @@ let enrich_ctx grants ctx =
 let decision_name (result : Decision.result) = Decision.decision_to_string result.decision
 
 let evaluate_logged state ctx_str =
-  match Xml.of_string_opt ctx_str with
-  | None -> None
-  | Some node -> (
-    match Context.of_xml node with
-    | Error _ -> None
-    | Ok ctx -> (
-      match state.s_policy with
-      | None -> None
-      | Some child ->
-        Some (Policy.evaluate_child (enrich_ctx state.s_grants ctx) child)))
+  match Context.of_string ctx_str with
+  | Error _ -> None
+  | Ok ctx -> (
+    match state.s_policy with
+    | None -> None
+    | Some child -> Some (Policy.evaluate_child (enrich_ctx state.s_grants ctx) child))
 
 let replay t =
   let all = events t in
@@ -473,7 +469,7 @@ let decide t ctx =
       None
     | _ ->
       let key = Decision_cache.request_key ctx in
-      let ctx_str = Xml.to_string (Context.to_xml ctx) in
+      let ctx_str = Context.to_string ctx in
       ignore
         (append_own t (Decide { key; ctx = ctx_str; decision = decision_name result }));
       (* The Decide append itself never changes the derived state. *)

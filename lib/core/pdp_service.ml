@@ -225,13 +225,10 @@ let fetch_batched t ~subject misses ctx k =
           List.fold_left2
             (fun (ctx, unresolved) ((category, id) as miss) part ->
               match part with
-              | Ok body -> (
-                match Wire.parse_attribute_result body with
-                | Ok [] | Error _ -> (ctx, miss :: unresolved)
-                | Ok bag ->
-                  store_attr t ~subject miss bag;
-                  (Context.add_bag ctx category id bag, unresolved))
-              | Error _ -> (ctx, miss :: unresolved))
+              | Ok (Ok (_ :: _ as bag)) ->
+                store_attr t ~subject miss bag;
+                (Context.add_bag ctx category id bag, unresolved)
+              | Ok (Ok [] | Error _) | Error _ -> (ctx, miss :: unresolved))
             (ctx, []) misses parts
         in
         go (List.rev unresolved) ctx rest
@@ -240,17 +237,19 @@ let fetch_batched t ~subject misses ctx k =
       Metrics.observe t.h_batch_size (float_of_int (List.length misses));
       let bodies =
         List.map
-          (fun (category, id) -> Wire.attribute_query ~category ~attribute_id:id ~subject)
+          (fun (category, id) buf -> Wire.write_attribute_query buf ~category ~attribute_id:id ~subject)
           misses
       in
+      let resilient = Dacs_net.Rpc.resilient ?retry:t.retry () in
+      let read = Wire.read_attribute_result in
       (match bodies with
       | [ single ] ->
         (* A batch of one needs no envelope. *)
-        Service.call_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry
-          ~service:"attribute-query" single (fun result -> handle [ result ])
+        Service.call_frame t.services ~src:t.node ~dst:pip ~resilient ~service:"attribute-query" ~read single
+          (fun result -> handle [ result ])
       | _ ->
-        Service.call_batch_resilient t.services ~src:t.node ~dst:pip ?retry:t.retry
-          ~service:"attribute-query" bodies (fun result ->
+        Service.call_batch_frame t.services ~src:t.node ~dst:pip ~resilient ~service:"attribute-query" ~read
+          bodies (fun result ->
             match result with
             | Ok parts -> handle parts
             | Error e -> handle (List.map (fun _ -> Error e) misses)))
@@ -414,13 +413,14 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
           (Wire.attribute_subscribe ())
           (fun _ -> ()))
       pips);
-  Service.serve services ~node ~service:"authz-query" (fun ~caller:_ ~headers:_ body reply ->
-      match Wire.parse_authz_query body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+  Service.serve_frame services ~node ~service:"authz-query" ~read:Wire.read_authz_query
+    (fun ~caller:_ ~headers:_ body reply ->
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok ctx ->
         if overloaded t then begin
           Metrics.inc t.counters.c_overloads;
-          reply (Wire.authz_response (Decision.indeterminate overload_reason))
+          reply (fun buf -> Wire.write_authz_response buf (Decision.indeterminate overload_reason))
         end
         else begin
           t.inflight <- t.inflight + 1;
@@ -429,8 +429,8 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
                   t.inflight <- t.inflight - 1;
                   let epoch = compilation_epoch t in
                   match t.signer with
-                  | None -> reply (Wire.authz_response ~epoch result)
+                  | None -> reply (fun buf -> Wire.write_authz_response ~epoch buf result)
                   | Some (key, cert) ->
-                    reply (Wire.signed_authz_response ~epoch ~key ~cert result)))
+                    reply (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result)))
         end);
   t

@@ -31,7 +31,7 @@ type meta = {
    remap never bounces back to a dead replica. *)
 type item = {
   key : string;
-  body : Xml.t;
+  ctx : Context.t;
   deliver : (Decision.result, string) result -> meta -> unit;
   excluded : Dacs_net.Net.node_id list;
 }
@@ -174,9 +174,11 @@ and flush t shard =
     let n = List.length items in
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
-    Service.call_batch_resilient t.services ~src:t.node ~dst:shard ~service:"authz-query"
-      ~timeout:t.call_timeout ?retry:t.retry
-      (List.map (fun i -> i.body) items)
+    Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
+      ~timeout:t.call_timeout ~resilient:(Dacs_net.Rpc.resilient ?retry:t.retry ())
+      ~read:(fun c ->
+        Wire.read_authz_answer ?trust:t.trust ~now:(Dacs_net.Net.now (Service.net t.services)) c)
+      (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
       (fun result ->
         match result with
         | Ok parts ->
@@ -186,18 +188,9 @@ and flush t shard =
                 { shard = Some shard; batch = n; failovers = List.length item.excluded; epoch }
               in
               match part with
-              | Ok body -> (
-                match
-                  Wire.decode_authz_response ?trust:t.trust
-                    ~now:(Dacs_net.Net.now (Service.net t.services))
-                    body
-                with
-                | Ok decision ->
-                  item.deliver (Ok decision) (meta ~epoch:(Wire.authz_response_epoch body))
-                | Error e ->
-                  item.deliver
-                    (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e)))
-                    (meta ~epoch:0))
+              | Ok (Ok (decision, epoch)) -> item.deliver (Ok decision) (meta ~epoch)
+              | Ok (Error e) ->
+                item.deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) (meta ~epoch:0)
               | Error e ->
                 (* The shard answered: an application-level fault, not a
                    health failure — no remap. *)
@@ -229,7 +222,7 @@ let decide_meta ?key t ctx deliver =
   | None ->
     Metrics.inc t.c_exhausted;
     deliver (Error "pdp tier is empty") { shard = None; batch = 0; failovers = 0; epoch = 0 }
-  | Some shard -> enqueue t shard { key; body = Wire.authz_query ctx; deliver; excluded = [] }
+  | Some shard -> enqueue t shard { key; ctx; deliver; excluded = [] }
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 

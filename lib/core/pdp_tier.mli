@@ -43,7 +43,7 @@ val create :
     batch waits before flushing; [vnodes] (default 16) ring points per
     shard; [call_timeout] (default 1 s) and [retry] are handed to the
     underlying batched call.  Each per-query response body is decoded
-    by {!Wire.decode_authz_response}; see {!require_signed_decisions}. *)
+    by {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose

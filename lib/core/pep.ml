@@ -490,12 +490,15 @@ let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
         { Pdp_tier.shard = None; batch = 0; failovers; epoch = 0 }
     | pdp :: rest ->
       Metrics.inc t.counters.c_pdp_calls;
-      Service.call_resilient t.services ~src:t.node ~dst:pdp ~service:"authz-query"
-        ~timeout:call_timeout ?retry:t.retry (Wire.authz_query ctx) (function
-        | Ok body -> (
+      Service.call_frame t.services ~src:t.node ~dst:pdp ~service:"authz-query" ~timeout:call_timeout
+        ~resilient:(Dacs_net.Rpc.resilient ?retry:t.retry ())
+        ~read:(fun c -> Wire.read_authz_answer ?trust:t.decision_trust ~now:(now t) c)
+        (fun buf -> Wire.write_authz_query buf ctx)
+        (function
+        | Ok answer -> (
           let meta epoch = { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch } in
-          match Wire.decode_authz_response ?trust:t.decision_trust ~now:(now t) body with
-          | Ok result -> deliver (Ok result) (meta (Wire.authz_response_epoch body))
+          match answer with
+          | Ok (result, epoch) -> deliver (Ok result) (meta epoch)
           | Error e ->
             deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) (meta 0))
         | Error _ ->

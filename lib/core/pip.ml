@@ -65,11 +65,14 @@ let create services ~node ~name:_ =
   (* Batched attribute queries arrive as multi-part B/BT frames whose
      parts are ordinary AttributeQuery bodies: the RPC layer dispatches
      each part here, so one handler serves both shapes. *)
-  Service.serve services ~node ~service:"attribute-query" (fun ~caller:_ ~headers:_ body reply ->
+  Service.serve_frame services ~node ~service:"attribute-query" ~read:Wire.read_attribute_query
+    (fun ~caller:_ ~headers:_ body reply ->
       Metrics.inc t.c_lookups;
-      match Wire.parse_attribute_query body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
-      | Ok (category, id, subject) -> reply (Wire.attribute_result (lookup t ~category ~id ~subject)));
+      match body with
+      | Error e -> reply (Service.sender_fault e)
+      | Ok (category, id, subject) ->
+        let bag = lookup t ~category ~id ~subject in
+        reply (fun buf -> Wire.write_attribute_result buf bag));
   Service.serve services ~node ~service:"attribute-subscribe"
     (fun ~caller ~headers:_ body reply ->
       match Wire.parse_attribute_subscribe body with

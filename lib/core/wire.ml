@@ -47,53 +47,107 @@ let parse_access_request node =
   let* subject = parse_attr_elements (Xml.find_children node "Attribute") in
   Ok (subject, action)
 
-(* --- authz query/response ------------------------------------------------ *)
+(* --- hot frames: one writer and one cursor reader each ------------------- *)
 
-let authz_query ctx = Xml.element "AuthzQuery" ~children:[ Context.to_xml ctx ]
+(* The per-decision frames are written straight into the outgoing frame
+   and read in place from the one that arrived; their tree forms below
+   are adapters over the same writer and reader. *)
 
-let parse_authz_query node =
-  let* () = expect_tag node "AuthzQuery" in
-  match Xml.find_child node "Request" with
-  | None -> Error "AuthzQuery has no Request"
-  | Some r -> Context.of_xml r
+module Cursor = Xml.Cursor
 
-let authz_response ?(epoch = 0) result =
+let skip_attrs c tag =
+  while Cursor.next_attr c tag do
+    ()
+  done
+
+let enter_named c name =
+  let tag = Cursor.enter c in
+  if not (Cursor.has_local_name c tag name) then
+    Cursor.fail c (Printf.sprintf "expected <%s>, got <%s>" name (Cursor.tag_name c tag));
+  tag
+
+(* The element's single child, read by [read]. *)
+let only_child c tag ~missing read =
+  if not (Cursor.next_child c tag) then Cursor.fail c missing;
+  let v = read c in
+  if Cursor.next_child c tag then
+    Cursor.fail c (Printf.sprintf "<%s> must hold a single element" (Cursor.tag_name c tag));
+  Cursor.close c tag;
+  v
+
+let required c tag name = function
+  | Some v -> v
+  | None -> Cursor.fail c (Printf.sprintf "<%s> is missing attribute %s" (Cursor.tag_name c tag) name)
+
+let add_attr buf name value =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  Xml.add_escaped buf value;
+  Buffer.add_char buf '"'
+
+let total read c = Cursor.read c read
+
+(* The tree forms: a tree is printed back to bytes and read by the one
+   reader; a frame is written by the one writer and parsed. *)
+let of_tree read node = Cursor.parse (Xml.to_string node) read
+
+let to_tree write =
+  let buf = Buffer.create 256 in
+  write buf;
+  Xml.of_string (Buffer.contents buf)
+
+let write_authz_query buf ctx =
+  Buffer.add_string buf "<AuthzQuery>";
+  Context.write buf ctx;
+  Buffer.add_string buf "</AuthzQuery>"
+
+let authz_query_in c =
+  let tag = enter_named c "AuthzQuery" in
+  skip_attrs c tag;
+  only_child c tag ~missing:"AuthzQuery has no Request" Context.read
+
+let read_authz_query = total authz_query_in
+let authz_query ctx = to_tree (fun buf -> write_authz_query buf ctx)
+let parse_authz_query = of_tree authz_query_in
+
+let write_authz_response ?(epoch = 0) buf result =
   (* The deciding PDP's compilation epoch rides the response as an
      attribute (provenance); 0 — unknown — is the default and is
      omitted. *)
-  let attrs = if epoch > 0 then [ ("Epoch", string_of_int epoch) ] else [] in
-  Xml.element "AuthzResponse" ~attrs ~children:[ Dacs_policy.Xacml_xml.result_to_xml result ]
+  Buffer.add_string buf "<AuthzResponse";
+  if epoch > 0 then add_attr buf "Epoch" (string_of_int epoch);
+  Buffer.add_char buf '>';
+  Dacs_policy.Xacml_xml.write_result buf result;
+  Buffer.add_string buf "</AuthzResponse>"
 
-let authz_response_epoch node =
-  let node =
-    (* Accept the signed envelope too: the epoch lives on the inner
-       response, covered by the signature. *)
-    if Xml.has_local_name (Xml.tag node) "SignedAuthzResponse" then
-      Option.value (Xml.find_child node "AuthzResponse") ~default:node
-    else node
-  in
-  match Option.bind (Xml.attr node "Epoch") int_of_string_opt with
-  | Some e when e > 0 -> e
-  | Some _ | None -> 0
+(* The decision and the epoch it carries; an absent or malformed epoch
+   reads as 0 (unknown), so a pre-epoch peer is still understood. *)
+let authz_response_in c =
+  let tag = enter_named c "AuthzResponse" in
+  let epoch = ref 0 in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "Epoch" then
+      epoch := match int_of_string_opt (Cursor.value c) with Some e when e > 0 -> e | Some _ | None -> 0
+  done;
+  let result = only_child c tag ~missing:"AuthzResponse has no Response" Dacs_policy.Xacml_xml.read_result in
+  (result, !epoch)
 
-let parse_authz_response node =
-  let* () = expect_tag node "AuthzResponse" in
-  match Xml.find_child node "Response" with
-  | None -> Error "AuthzResponse has no Response"
-  | Some r -> Dacs_policy.Xacml_xml.result_of_xml r
+let read_authz_response = total authz_response_in
+let authz_response ?epoch result = to_tree (fun buf -> write_authz_response ?epoch buf result)
+let parse_authz_response node = Result.map fst (of_tree authz_response_in node)
+
+let write_signed_authz_response ?epoch ~key ~cert buf result =
+  let signature = Dacs_crypto.Rsa.sign key (Xml.canonical_string (authz_response ?epoch result)) in
+  Buffer.add_string buf "<SignedAuthzResponse>";
+  write_authz_response ?epoch buf result;
+  Xml.print buf (Dacs_crypto.Cert.to_xml cert);
+  Buffer.add_string buf "<SignatureValue>";
+  Xml.add_escaped buf (Dacs_crypto.Encoding.base64_encode signature);
+  Buffer.add_string buf "</SignatureValue></SignedAuthzResponse>"
 
 let signed_authz_response ?epoch ~key ~cert result =
-  let module Cert = Dacs_crypto.Cert in
-  let response = authz_response ?epoch result in
-  let signature = Dacs_crypto.Rsa.sign key (Xml.canonical_string response) in
-  Xml.element "SignedAuthzResponse"
-    ~children:
-      [
-        response;
-        Cert.to_xml cert;
-        Xml.element "SignatureValue"
-          ~children:[ Xml.text (Dacs_crypto.Encoding.base64_encode signature) ];
-      ]
+  to_tree (fun buf -> write_signed_authz_response ?epoch ~key ~cert buf result)
 
 let trusted_cert ~trust ~now cert =
   let module Cert = Dacs_crypto.Cert in
@@ -108,7 +162,8 @@ let trusted_cert ~trust ~now cert =
     | Some root -> Cert.Trust_store.verify_chain trust ~now [ cert; root ] = Ok ()
   end
 
-let verify_signed_authz_response ~trust ~now node =
+(* The decision, its epoch and the signer of a signed response. *)
+let verify_signed ~trust ~now node =
   let module Cert = Dacs_crypto.Cert in
   let* () = expect_tag node "SignedAuthzResponse" in
   match
@@ -131,42 +186,95 @@ let verify_signed_authz_response ~trust ~now node =
           (Dacs_crypto.Rsa.verify cert.Cert.public_key (Xml.canonical_string response) ~signature)
       then Error "decision signature does not verify"
       else
-        let* result = parse_authz_response response in
-        Ok (result, cert))
+        let* result, epoch = of_tree authz_response_in response in
+        Ok (result, epoch, cert))
   | _ -> Error "SignedAuthzResponse lacks response, certificate or signature"
 
-let decode_authz_response ?trust ~now node =
+let verify_signed_authz_response ~trust ~now node =
+  Result.map (fun (result, _, cert) -> (result, cert)) (verify_signed ~trust ~now node)
+
+let read_authz_answer ?trust ~now c =
   match trust with
-  | None -> parse_authz_response node
-  | Some trust -> Result.map fst (verify_signed_authz_response ~trust ~now node)
+  | None -> read_authz_response c
+  | Some trust ->
+    let* node = total Cursor.subtree c in
+    Result.map (fun (result, epoch, _) -> (result, epoch)) (verify_signed ~trust ~now node)
 
 (* --- attribute query ------------------------------------------------------- *)
 
-let attribute_query ~category ~attribute_id ~subject =
-  Xml.element "AttributeQuery"
-    ~attrs:
-      [
-        ("Category", Context.category_name category);
-        ("AttributeId", attribute_id);
-        ("Subject", subject);
-      ]
+let write_attribute_query buf ~category ~attribute_id ~subject =
+  Buffer.add_string buf "<AttributeQuery";
+  add_attr buf "Category" (Context.category_name category);
+  add_attr buf "AttributeId" attribute_id;
+  add_attr buf "Subject" subject;
+  Buffer.add_string buf "/>"
 
-let parse_attribute_query node =
-  let* () = expect_tag node "AttributeQuery" in
-  let* category_s = attr_or_error node "Category" in
-  let* attribute_id = attr_or_error node "AttributeId" in
-  let* subject = attr_or_error node "Subject" in
+let attribute_query_in c =
+  let tag = enter_named c "AttributeQuery" in
+  let category = ref None and attribute_id = ref None and subject = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "Category" then category := Some (Cursor.value c)
+    else if Cursor.attr_is c "AttributeId" then attribute_id := Some (Cursor.value c)
+    else if Cursor.attr_is c "Subject" then subject := Some (Cursor.value c)
+  done;
+  Cursor.close c tag;
+  let category_s = required c tag "Category" !category in
+  let attribute_id = required c tag "AttributeId" !attribute_id in
+  let subject = required c tag "Subject" !subject in
   match Context.category_of_name category_s with
-  | None -> Error (Printf.sprintf "unknown category %s" category_s)
-  | Some category -> Ok (category, attribute_id, subject)
+  | None -> Cursor.fail c (Printf.sprintf "unknown category %s" category_s)
+  | Some category -> (category, attribute_id, subject)
 
-let attribute_result bag =
-  Xml.element "AttributeResult" ~children:(attr_elements (List.map (fun v -> ("value", v)) bag))
+let read_attribute_query = total attribute_query_in
 
-let parse_attribute_result node =
-  let* () = expect_tag node "AttributeResult" in
-  let* pairs = parse_attr_elements (Xml.find_children node "Attribute") in
-  Ok (List.map snd pairs)
+let attribute_query ~category ~attribute_id ~subject =
+  to_tree (fun buf -> write_attribute_query buf ~category ~attribute_id ~subject)
+
+let parse_attribute_query = of_tree attribute_query_in
+
+let write_attribute_result buf bag =
+  match bag with
+  | [] -> Buffer.add_string buf "<AttributeResult/>"
+  | bag ->
+    Buffer.add_string buf "<AttributeResult>";
+    List.iter
+      (fun v ->
+        Buffer.add_string buf "<Attribute Name=\"value\" DataType=\"";
+        Buffer.add_string buf (Value.type_name (Value.type_of v));
+        Buffer.add_string buf "\">";
+        Xml.add_escaped buf (Value.to_string v);
+        Buffer.add_string buf "</Attribute>")
+      bag;
+    Buffer.add_string buf "</AttributeResult>"
+
+let bag_value_in c =
+  let tag = enter_named c "Attribute" in
+  let name = ref false and data_type = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "Name" then name := true
+    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
+  done;
+  let text = Cursor.text c tag in
+  Cursor.close c tag;
+  if not !name then Cursor.fail c "<Attribute> is missing attribute Name";
+  let dt_name = required c tag "DataType" !data_type in
+  match Value.data_type_of_name dt_name with
+  | None -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
+  | Some dt -> ( match Value.of_string dt text with Ok v -> v | Error e -> Cursor.fail c e)
+
+let attribute_result_in c =
+  let tag = enter_named c "AttributeResult" in
+  skip_attrs c tag;
+  let bag = ref [] in
+  while Cursor.next_child c tag do
+    bag := bag_value_in c :: !bag
+  done;
+  Cursor.close c tag;
+  List.rev !bag
+
+let read_attribute_result = total attribute_result_in
+let attribute_result bag = to_tree (fun buf -> write_attribute_result buf bag)
+let parse_attribute_result = of_tree attribute_result_in
 
 let attribute_subscribe () = Xml.element "AttributeSubscribe"
 
@@ -183,44 +291,68 @@ let parse_attribute_invalidate node =
 
 (* --- shared decision cache (PEP <-> L2, L2 <-> L2) ------------------------- *)
 
-let cache_lookup ~key = Xml.element "CacheLookup" ~attrs:[ ("Key", key) ]
+let write_cache_lookup buf ~key =
+  Buffer.add_string buf "<CacheLookup";
+  add_attr buf "Key" key;
+  Buffer.add_string buf "/>"
 
-let parse_cache_lookup node =
-  let* () = expect_tag node "CacheLookup" in
-  attr_or_error node "Key"
+let cache_lookup_in c =
+  let tag = enter_named c "CacheLookup" in
+  let key = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "Key" then key := Some (Cursor.value c)
+  done;
+  Cursor.close c tag;
+  required c tag "Key" !key
 
-let cache_answer result =
-  match result with
-  | None -> Xml.element "CacheMiss"
-  | Some r -> Xml.element "CacheHit" ~children:[ Dacs_policy.Xacml_xml.result_to_xml r ]
+let read_cache_lookup = total cache_lookup_in
+let cache_lookup ~key = to_tree (fun buf -> write_cache_lookup buf ~key)
+let parse_cache_lookup = of_tree cache_lookup_in
 
-let parse_cache_answer node =
-  match Xml.local_name (Xml.tag node) with
-  | "CacheMiss" -> Ok None
-  | "CacheHit" -> (
-    match Xml.find_child node "Response" with
-    | None -> Error "CacheHit has no Response"
-    | Some r ->
-      let* result = Dacs_policy.Xacml_xml.result_of_xml r in
-      Ok (Some result))
-  | other -> Error (Printf.sprintf "unexpected cache answer <%s>" other)
-
-let cache_put ?sent_at ~key result =
-  Xml.element "CachePut"
-    ~attrs:
-      (("Key", key)
-      :: (match sent_at with None -> [] | Some t -> [ ("SentAt", Printf.sprintf "%.6f" t) ]))
-    ~children:[ Dacs_policy.Xacml_xml.result_to_xml result ]
-
-let parse_cache_put node =
-  let* () = expect_tag node "CachePut" in
-  let* key = attr_or_error node "Key" in
-  let sent_at = Option.bind (Xml.attr node "SentAt") float_of_string_opt in
-  match Xml.find_child node "Response" with
-  | None -> Error "CachePut has no Response"
+let write_cache_answer buf = function
+  | None -> Buffer.add_string buf "<CacheMiss/>"
   | Some r ->
-    let* result = Dacs_policy.Xacml_xml.result_of_xml r in
-    Ok (key, result, sent_at)
+    Buffer.add_string buf "<CacheHit>";
+    Dacs_policy.Xacml_xml.write_result buf r;
+    Buffer.add_string buf "</CacheHit>"
+
+let cache_answer_in c =
+  let tag = Cursor.enter c in
+  skip_attrs c tag;
+  if Cursor.has_local_name c tag "CacheMiss" then begin
+    Cursor.close c tag;
+    None
+  end
+  else if Cursor.has_local_name c tag "CacheHit" then
+    Some (only_child c tag ~missing:"CacheHit has no Response" Dacs_policy.Xacml_xml.read_result)
+  else Cursor.fail c (Printf.sprintf "unexpected cache answer <%s>" (Cursor.tag_name c tag))
+
+let read_cache_answer = total cache_answer_in
+let cache_answer result = to_tree (fun buf -> write_cache_answer buf result)
+let parse_cache_answer = of_tree cache_answer_in
+
+let write_cache_put ?sent_at buf ~key result =
+  Buffer.add_string buf "<CachePut";
+  add_attr buf "Key" key;
+  (match sent_at with None -> () | Some t -> add_attr buf "SentAt" (Printf.sprintf "%.6f" t));
+  Buffer.add_char buf '>';
+  Dacs_policy.Xacml_xml.write_result buf result;
+  Buffer.add_string buf "</CachePut>"
+
+let cache_put_in c =
+  let tag = enter_named c "CachePut" in
+  let key = ref None and sent_at = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "Key" then key := Some (Cursor.value c)
+    else if Cursor.attr_is c "SentAt" then sent_at := float_of_string_opt (Cursor.value c)
+  done;
+  let key = required c tag "Key" !key in
+  let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
+  (key, result, !sent_at)
+
+let read_cache_put = total cache_put_in
+let cache_put ?sent_at ~key result = to_tree (fun buf -> write_cache_put ?sent_at buf ~key result)
+let parse_cache_put = of_tree cache_put_in
 
 let cache_invalidate ~epoch key =
   Xml.element "CacheInvalidate"

@@ -16,21 +16,54 @@ val access_request : subject:(string * Dacs_policy.Value.t) list -> action:strin
 
 val parse_access_request : Xml.t -> ((string * Dacs_policy.Value.t) list * string, string) result
 
-(** {1 Authorisation decision queries (PEP → PDP)} *)
+(** {1 Per-decision frames}
 
+    The frames on every decision's path — authorisation query and
+    (unsigned) response, shared-cache lookup, answer and put, attribute
+    query and result — each have one direct writer ([write_*], appending
+    the body element to the frame being sent with {!Xml.add_escaped}) and
+    one pull-cursor reader ([read_*], reading the body element in place
+    from its ['<']).  Readers are total: a malformed or misshapen element
+    is an [Error], never an exception, and a reader only ever accepts
+    what a tree reading would, with the same result (it may reject
+    more).  The tree forms ([authz_query], [parse_authz_query], …) are
+    adapters over the same writer and reader: a tree is printed and read,
+    a frame written and parsed.
+
+    Every other frame (policy, log sync, capability, revocation, signed
+    responses, SOAP headers) keeps its tree codec — they need canonical
+    XML or are not per-decision — and rides the same buffer-and-cursor
+    transport through {!Dacs_ws.Service}'s tree adapter. *)
+
+(** {2 Authorisation decision queries (PEP → PDP)} *)
+
+val write_authz_query : Buffer.t -> Dacs_policy.Context.t -> unit
+val read_authz_query : Xml.Cursor.t -> (Dacs_policy.Context.t, string) result
 val authz_query : Dacs_policy.Context.t -> Xml.t
 val parse_authz_query : Xml.t -> (Dacs_policy.Context.t, string) result
 
-val authz_response : ?epoch:int -> Dacs_policy.Decision.result -> Xml.t
+val write_authz_response : ?epoch:int -> Buffer.t -> Dacs_policy.Decision.result -> unit
 (** [epoch] (default 0) is the deciding PDP's compilation epoch; positive
     epochs ride the response as provenance, 0 (unknown) is omitted. *)
 
-val authz_response_epoch : Xml.t -> int
-(** The compilation epoch carried by a (possibly signed) authorisation
-    response — 0 when absent or malformed.  Tolerant by design: a
-    pre-epoch peer simply reports 0. *)
+val read_authz_response : Xml.Cursor.t -> (Dacs_policy.Decision.result * int, string) result
+(** The decision and the epoch it carries — 0 when absent or malformed:
+    tolerant by design, so a pre-epoch peer simply reports 0. *)
 
+val authz_response : ?epoch:int -> Dacs_policy.Decision.result -> Xml.t
 val parse_authz_response : Xml.t -> (Dacs_policy.Decision.result, string) result
+
+val write_signed_authz_response :
+  ?epoch:int ->
+  key:Dacs_crypto.Rsa.private_key ->
+  cert:Dacs_crypto.Cert.t ->
+  Buffer.t ->
+  Dacs_policy.Decision.result ->
+  unit
+(** Decision response carrying the PDP's certificate and a signature over
+    the canonical response — §3.2: "enforcement points need to be sure
+    that the authorisation decision response comes from their trusted
+    decision point". *)
 
 val signed_authz_response :
   ?epoch:int ->
@@ -38,10 +71,6 @@ val signed_authz_response :
   cert:Dacs_crypto.Cert.t ->
   Dacs_policy.Decision.result ->
   Xml.t
-(** Decision response carrying the PDP's certificate and a signature over
-    the canonical response — §3.2: "enforcement points need to be sure
-    that the authorisation decision response comes from their trusted
-    decision point". *)
 
 val verify_signed_authz_response :
   trust:Dacs_crypto.Cert.Trust_store.t ->
@@ -52,18 +81,24 @@ val verify_signed_authz_response :
     (directly or via a one-level chain to a stored root) and valid at
     [now]; returns the decision and the signer. *)
 
-val decode_authz_response :
+val read_authz_answer :
   ?trust:Dacs_crypto.Cert.Trust_store.t ->
   now:float ->
-  Xml.t ->
-  (Dacs_policy.Decision.result, string) result
+  Xml.Cursor.t ->
+  (Dacs_policy.Decision.result * int, string) result
 (** The one decoder for a live decision answer, used by pull PEPs and the
-    sharded tier alike: without [trust] a plain {!parse_authz_response};
-    with it only a signed response accepted by
+    sharded tier alike: the decision and its epoch.  Without [trust] it
+    is {!read_authz_response}; with it only a signed response accepted by
     {!verify_signed_authz_response} decodes — "only authenticated
     decisions are enforceable" (§3.2). *)
 
-(** {1 Attribute queries (PDP → PIP)} *)
+(** {2 Attribute queries (PDP → PIP)} *)
+
+val write_attribute_query :
+  Buffer.t -> category:Dacs_policy.Context.category -> attribute_id:string -> subject:string -> unit
+
+val read_attribute_query :
+  Xml.Cursor.t -> (Dacs_policy.Context.category * string * string, string) result
 
 val attribute_query :
   category:Dacs_policy.Context.category -> attribute_id:string -> subject:string -> Xml.t
@@ -71,6 +106,8 @@ val attribute_query :
 val parse_attribute_query :
   Xml.t -> (Dacs_policy.Context.category * string * string, string) result
 
+val write_attribute_result : Buffer.t -> Dacs_policy.Value.bag -> unit
+val read_attribute_result : Xml.Cursor.t -> (Dacs_policy.Value.bag, string) result
 val attribute_result : Dacs_policy.Value.bag -> Xml.t
 val parse_attribute_result : Xml.t -> (Dacs_policy.Value.bag, string) result
 
@@ -90,19 +127,27 @@ val parse_attribute_invalidate : Xml.t -> (string * string, string) result
 
 (** {1 Shared decision cache (PEP <-> L2, L2 <-> L2 syndication)} *)
 
+val write_cache_lookup : Buffer.t -> key:string -> unit
+val read_cache_lookup : Xml.Cursor.t -> (string, string) result
 val cache_lookup : key:string -> Xml.t
 val parse_cache_lookup : Xml.t -> (string, string) result
 
-val cache_answer : Dacs_policy.Decision.result option -> Xml.t
+val write_cache_answer : Buffer.t -> Dacs_policy.Decision.result option -> unit
 (** [None] encodes a miss, [Some r] a fresh hit carrying the decision. *)
 
+val read_cache_answer : Xml.Cursor.t -> (Dacs_policy.Decision.result option, string) result
+val cache_answer : Dacs_policy.Decision.result option -> Xml.t
 val parse_cache_answer : Xml.t -> (Dacs_policy.Decision.result option, string) result
 
-val cache_put : ?sent_at:float -> key:string -> Dacs_policy.Decision.result -> Xml.t
+val write_cache_put : ?sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Decision.result -> unit
 (** [sent_at] stamps the frame with the sender's clock so a receiver
     that purged after this put left the sender can reject it instead of
     resurrecting a stale entry (the put/invalidate race). *)
 
+val read_cache_put :
+  Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float option, string) result
+
+val cache_put : ?sent_at:float -> key:string -> Dacs_policy.Decision.result -> Xml.t
 val parse_cache_put : Xml.t -> (string * Dacs_policy.Decision.result * float option, string) result
 
 val cache_invalidate : epoch:int -> string option -> Xml.t

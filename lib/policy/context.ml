@@ -65,53 +65,117 @@ let subject_id t = first_string t Subject "subject-id"
 let resource_id t = first_string t Resource "resource-id"
 let action_id t = first_string t Action "action-id"
 
-let to_xml t =
-  let section category =
-    let attrs = attributes t category in
-    Xml.element (category_name category)
-      ~children:
-        (List.concat_map
-           (fun (id, values) ->
-             List.map
-               (fun v ->
-                 Xml.element "Attribute"
-                   ~attrs:
-                     [
-                       ("AttributeId", id);
-                       ("DataType", Value.type_name (Value.type_of v));
-                     ]
-                   ~children:[ Xml.text (Value.to_string v) ])
-               values)
-           attrs)
-  in
-  Xml.element "Request" ~children:(List.map section all_categories)
+(* The Request element: one section per category in [all_categories]
+   order — the order of the map's keys — each holding one Attribute per
+   value, ids ascending; a section without values is written empty. *)
 
-let of_xml node =
-  if Xml.tag node <> "Request" then Error "expected a Request element"
-  else begin
-    let result = ref empty in
-    let error = ref None in
-    List.iter
-      (fun section ->
-        match category_of_name (Xml.local_name section.Xml.tag) with
-        | None -> error := Some (Printf.sprintf "unknown category element %s" section.Xml.tag)
-        | Some category ->
-          List.iter
-            (fun attr_node ->
-              let attr_node = Xml.Element attr_node in
-              match (Xml.attr attr_node "AttributeId", Xml.attr attr_node "DataType") with
-              | Some id, Some dt_name -> (
-                match Value.data_type_of_name dt_name with
-                | None -> error := Some (Printf.sprintf "unknown data type %s" dt_name)
-                | Some dt -> (
-                  match Value.of_string dt (Xml.text_content attr_node) with
-                  | Ok v -> result := add !result category id v
-                  | Error e -> error := Some e))
-              | _ -> error := Some "Attribute needs AttributeId and DataType")
-            (List.filter (fun e -> Xml.local_name e.Xml.tag = "Attribute") (Xml.child_elements (Xml.Element section))))
-      (Xml.child_elements node);
-    match !error with Some e -> Error e | None -> Ok !result
-  end
+let section_names = [| "Subject"; "Resource"; "Action"; "Environment" |]
+let section_index = function Subject -> 0 | Resource -> 1 | Action -> 2 | Environment -> 3
+
+let write buf t =
+  Buffer.add_string buf "<Request>";
+  let empty_sections buf from upto =
+    for i = from to upto - 1 do
+      Buffer.add_char buf '<';
+      Buffer.add_string buf section_names.(i);
+      Buffer.add_string buf "/>"
+    done
+  in
+  let close buf i =
+    Buffer.add_string buf "</";
+    Buffer.add_string buf section_names.(i);
+    Buffer.add_char buf '>'
+  in
+  let current = ref (-1) in
+  Attr_map.iter
+    (fun (category, id) values ->
+      if not (List.is_empty values) then begin
+        let i = section_index category in
+        if i <> !current then begin
+          if !current >= 0 then close buf !current;
+          empty_sections buf (!current + 1) i;
+          Buffer.add_char buf '<';
+          Buffer.add_string buf section_names.(i);
+          Buffer.add_char buf '>';
+          current := i
+        end;
+        List.iter
+          (fun v ->
+            Buffer.add_string buf "<Attribute AttributeId=\"";
+            Xml.add_escaped buf id;
+            Buffer.add_string buf "\" DataType=\"";
+            Buffer.add_string buf (Value.type_name (Value.type_of v));
+            Buffer.add_string buf "\">";
+            Xml.add_escaped buf (Value.to_string v);
+            Buffer.add_string buf "</Attribute>")
+          values
+      end)
+    t;
+  if !current >= 0 then close buf !current;
+  empty_sections buf (!current + 1) (Array.length section_names);
+  Buffer.add_string buf "</Request>"
+
+let to_string t =
+  let buf = Buffer.create 256 in
+  write buf t;
+  Buffer.contents buf
+
+module Cursor = Xml.Cursor
+
+let section_at c tag =
+  let rec find i =
+    if i = Array.length section_names then
+      Cursor.fail c (Printf.sprintf "unknown category element %s" (Cursor.tag_name c tag))
+    else if Cursor.has_local_name c tag section_names.(i) then List.nth all_categories i
+    else find (i + 1)
+  in
+  find 0
+
+let skip_attrs c tag =
+  while Cursor.next_attr c tag do
+    ()
+  done
+
+let read_attribute c category t =
+  let tag = Cursor.enter c in
+  if not (Cursor.has_local_name c tag "Attribute") then
+    Cursor.fail c (Printf.sprintf "unexpected <%s> in a category" (Cursor.tag_name c tag));
+  let id = ref None and data_type = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "AttributeId" then id := Some (Cursor.value c)
+    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
+  done;
+  let text = Cursor.text c tag in
+  Cursor.close c tag;
+  match (!id, !data_type) with
+  | Some id, Some dt_name -> (
+    match Value.data_type_of_name dt_name with
+    | None -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
+    | Some dt -> (
+      match Value.of_string dt text with Ok v -> add t category id v | Error e -> Cursor.fail c e))
+  | _ -> Cursor.fail c "Attribute needs AttributeId and DataType"
+
+let read c =
+  let tag = Cursor.enter c in
+  if not (Cursor.is c tag "Request") then Cursor.fail c "expected a Request element";
+  skip_attrs c tag;
+  let t = ref empty in
+  while Cursor.next_child c tag do
+    let section = Cursor.enter c in
+    let category = section_at c section in
+    skip_attrs c section;
+    while Cursor.next_child c section do
+      t := read_attribute c category !t
+    done;
+    Cursor.close c section
+  done;
+  Cursor.close c tag;
+  !t
+
+let of_string s = Cursor.parse s read
+
+let to_xml t = Xml.of_string (to_string t)
+let of_xml node = of_string (Xml.to_string node)
 
 let equal a b = Attr_map.equal Value.bag_equal a b
 

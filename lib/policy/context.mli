@@ -51,6 +51,25 @@ val action_id : t -> string option
 
 (** {1 XML encoding} *)
 
+(** {1 The [Request] element}
+
+    One encoder and one decoder; the string and tree forms are adapters
+    over them. *)
+
+val write : Buffer.t -> t -> unit
+(** [write buf t] appends [<Request>] with one section per category (in
+    {!all_categories} order, empty ones as [<Action/>]) holding one
+    [<Attribute AttributeId=… DataType=…>value</Attribute>] per value,
+    ids ascending. *)
+
+val read : Dacs_xml.Xml.Cursor.t -> t
+(** Reads a [Request] element from its ['<'], adding the attributes in
+    document order.  Stricter than a tree walk: a category holds only
+    [Attribute] elements, and an [Attribute] only text.
+    @raise Dacs_xml.Xml.Parse_error on malformed or misshapen input. *)
+
+val to_string : t -> string
+val of_string : string -> (t, string) result
 val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (t, string) result
 

@@ -153,6 +153,74 @@ let effect_of_string = function
   | "Deny" -> Ok Obligation.Deny
   | other -> Error (Printf.sprintf "unknown effect %s" other)
 
+module Cursor = Xml.Cursor
+
+let write_obligation buf o =
+  Buffer.add_string buf "<Obligation ObligationId=\"";
+  Xml.add_escaped buf o.Obligation.id;
+  Buffer.add_string buf "\" FulfillOn=\"";
+  Buffer.add_string buf (effect_to_string o.Obligation.fulfill_on);
+  match o.Obligation.parameters with
+  | [] -> Buffer.add_string buf "\"/>"
+  | parameters ->
+    Buffer.add_string buf "\">";
+    List.iter
+      (fun (k, v) ->
+        Buffer.add_string buf "<AttributeAssignment AttributeId=\"";
+        Xml.add_escaped buf k;
+        Buffer.add_string buf "\" DataType=\"";
+        Buffer.add_string buf (Value.type_name (Value.type_of v));
+        Buffer.add_string buf "\">";
+        Xml.add_escaped buf (Value.to_string v);
+        Buffer.add_string buf "</AttributeAssignment>")
+      parameters;
+    Buffer.add_string buf "</Obligation>"
+
+let expect_local c tag name =
+  if not (Cursor.has_local_name c tag name) then
+    Cursor.fail c (Printf.sprintf "expected <%s>, got <%s>" name (Cursor.tag_name c tag))
+
+let or_fail c = function Ok v -> v | Error e -> Cursor.fail c e
+
+let read_assignment c =
+  let tag = Cursor.enter c in
+  expect_local c tag "AttributeAssignment";
+  let k = ref None and data_type = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "AttributeId" then k := Some (Cursor.value c)
+    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
+  done;
+  let text = Cursor.text c tag in
+  Cursor.close c tag;
+  match (!k, !data_type) with
+  | Some k, Some data_type -> (k, or_fail c (value_of ~data_type ~text))
+  | None, _ -> Cursor.fail c "<AttributeAssignment> is missing attribute AttributeId"
+  | _, None -> Cursor.fail c "<AttributeAssignment> is missing attribute DataType"
+
+let read_obligation c =
+  let tag = Cursor.enter c in
+  expect_local c tag "Obligation";
+  let id = ref None and fulfill_on = ref None in
+  while Cursor.next_attr c tag do
+    if Cursor.attr_is c "ObligationId" then id := Some (Cursor.value c)
+    else if Cursor.attr_is c "FulfillOn" then fulfill_on := Some (Cursor.value c)
+  done;
+  let parameters = ref [] in
+  while Cursor.next_child c tag do
+    parameters := read_assignment c :: !parameters
+  done;
+  Cursor.close c tag;
+  match (!id, !fulfill_on) with
+  | Some id, Some f ->
+    { Obligation.id; fulfill_on = or_fail c (effect_of_string f); parameters = List.rev !parameters }
+  | None, _ -> Cursor.fail c "<Obligation> is missing attribute ObligationId"
+  | _, None -> Cursor.fail c "<Obligation> is missing attribute FulfillOn"
+
+let written write v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  Buffer.contents buf
+
 let obligation_to_xml o =
   Xml.element "Obligation"
     ~attrs:[ ("ObligationId", o.Obligation.id); ("FulfillOn", effect_to_string o.Obligation.fulfill_on) ]
@@ -352,39 +420,78 @@ and child_of_xml node =
 
 (* --- decisions ------------------------------------------------------------------ *)
 
-let result_to_xml (r : Decision.result) =
-  let status =
-    match r.Decision.decision with
-    | Decision.Indeterminate m ->
-      [ Xml.element "Status" ~children:[ Xml.text m ] ]
-    | Decision.Permit | Decision.Deny | Decision.Not_applicable -> []
-  in
-  Xml.element "Response"
-    ~children:
-      [
-        Xml.element "Result"
-          ~children:
-            ([ Xml.element "Decision" ~children:[ Xml.text (Decision.decision_to_string r.Decision.decision) ] ]
-            @ status
-            @ Option.to_list (obligations_to_xml r.Decision.obligations));
-      ]
+let write_result buf (r : Decision.result) =
+  Buffer.add_string buf "<Response><Result><Decision>";
+  Buffer.add_string buf (Decision.decision_to_string r.Decision.decision);
+  Buffer.add_string buf "</Decision>";
+  (match r.Decision.decision with
+  | Decision.Indeterminate m ->
+    Buffer.add_string buf "<Status>";
+    Xml.add_escaped buf m;
+    Buffer.add_string buf "</Status>"
+  | Decision.Permit | Decision.Deny | Decision.Not_applicable -> ());
+  (match r.Decision.obligations with
+  | [] -> ()
+  | obligations ->
+    Buffer.add_string buf "<Obligations>";
+    List.iter (write_obligation buf) obligations;
+    Buffer.add_string buf "</Obligations>");
+  Buffer.add_string buf "</Result></Response>"
 
-let result_of_xml node =
-  match Xml.find_child node "Result" with
-  | None -> Error "Response has no Result"
-  | Some result_node -> (
-    match Xml.find_child result_node "Decision" with
-    | None -> Error "Result has no Decision"
-    | Some d -> (
-      let* obligations = obligations_child result_node in
-      match Decision.decision_of_string (Xml.text_content d) with
-      | Some (Decision.Indeterminate _) ->
-        let message =
-          Option.value (Option.map Xml.text_content (Xml.find_child result_node "Status")) ~default:""
-        in
-        Ok { Decision.decision = Decision.Indeterminate message; obligations }
-      | Some decision -> Ok { Decision.decision; obligations }
-      | None -> Error (Printf.sprintf "unknown decision %s" (Xml.text_content d))))
+let read_result c =
+  let response = Cursor.enter c in
+  expect_local c response "Response";
+  while Cursor.next_attr c response do
+    ()
+  done;
+  if not (Cursor.next_child c response) then Cursor.fail c "Response has no Result";
+  let result = Cursor.enter c in
+  expect_local c result "Result";
+  while Cursor.next_attr c result do
+    ()
+  done;
+  if not (Cursor.next_child c result) then Cursor.fail c "Result has no Decision";
+  let d = Cursor.enter c in
+  expect_local c d "Decision";
+  while Cursor.next_attr c d do
+    ()
+  done;
+  let name = Cursor.text c d in
+  Cursor.close c d;
+  let status = ref None and obligations = ref None in
+  while Cursor.next_child c result do
+    let tag = Cursor.enter c in
+    if Option.is_none !status && Cursor.has_local_name c tag "Status" then begin
+      while Cursor.next_attr c tag do
+        ()
+      done;
+      status := Some (Cursor.text c tag)
+    end
+    else if Option.is_none !obligations && Cursor.has_local_name c tag "Obligations" then begin
+      while Cursor.next_attr c tag do
+        ()
+      done;
+      let acc = ref [] in
+      while Cursor.next_child c tag do
+        acc := read_obligation c :: !acc
+      done;
+      obligations := Some (List.rev !acc)
+    end
+    else Cursor.fail c (Printf.sprintf "unexpected <%s> in a Result" (Cursor.tag_name c tag));
+    Cursor.close c tag
+  done;
+  Cursor.close c result;
+  if Cursor.next_child c response then Cursor.fail c "Response must hold a single Result";
+  Cursor.close c response;
+  let obligations = Option.value !obligations ~default:[] in
+  match Decision.decision_of_string name with
+  | Some (Decision.Indeterminate _) ->
+    { Decision.decision = Decision.Indeterminate (Option.value !status ~default:""); obligations }
+  | Some decision -> { Decision.decision; obligations }
+  | None -> Cursor.fail c (Printf.sprintf "unknown decision %s" name)
+
+let result_to_xml r = Xml.of_string (written write_result r)
+let result_of_xml node = Cursor.parse (Xml.to_string node) read_result
 
 (* --- string round-trips ------------------------------------------------------------ *)
 
@@ -395,7 +502,9 @@ let parse_then f s =
 
 let child_to_string c = Xml.to_string (child_to_xml c)
 let child_of_string = parse_then child_of_xml
-let result_to_string r = Xml.to_string (result_to_xml r)
-let result_of_string = parse_then result_of_xml
-let request_to_string ctx = Xml.to_string (Context.to_xml ctx)
-let request_of_string = parse_then Context.of_xml
+let result_to_string r = written write_result r
+
+let result_of_string s = Cursor.parse s read_result
+
+let request_to_string = Context.to_string
+let request_of_string = Context.of_string

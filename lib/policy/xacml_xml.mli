@@ -34,11 +34,29 @@ val child_of_xml : Dacs_xml.Xml.t -> (Policy.child, string) result
 
 val obligation_to_xml : Obligation.t -> Dacs_xml.Xml.t
 val obligation_of_xml : Dacs_xml.Xml.t -> (Obligation.t, string) result
+(** The tree codec of obligations in policy documents; a decision's
+    obligations are written and read by {!write_result} and
+    {!read_result}. *)
 
 (** {1 Decisions} *)
 
+val write_result : Buffer.t -> Decision.result -> unit
+(** The one decision encoder: [<Response><Result><Decision>…</Decision>]
+    then a [Status] carrying an Indeterminate's message and the
+    [Obligations], if any. *)
+
+val read_result : Dacs_xml.Xml.Cursor.t -> Decision.result
+(** The one decision decoder, from the [Response] element's ['<'].
+    Stricter than a tree walk: the Response holds one Result, whose
+    first child is the Decision, followed only by at most one Status and
+    one Obligations.
+    @raise Dacs_xml.Xml.Parse_error on malformed or misshapen input. *)
+
 val result_to_xml : Decision.result -> Dacs_xml.Xml.t
 val result_of_xml : Dacs_xml.Xml.t -> (Decision.result, string) result
+(** Tree adapters over {!write_result} and {!read_result}: the tree is the
+    parse of the written bytes (so an empty message comes back as an
+    element without children), and a tree is read by printing it. *)
 
 (** {1 Convenience round-trips through strings} *)
 

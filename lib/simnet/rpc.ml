@@ -54,17 +54,41 @@ type resilience_event =
 
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }
 
-type pending = { k : (string, error) result -> unit }
+type slice = { src : string; off : int; len : int }
+type writer = Buffer.t -> unit
+
+let slice_to_string s = String.sub s.src s.off s.len
+
+type pending = { k : (slice, error) result -> unit }
+
+(* The per-service series of the RPC layer, each resolved in the registry
+   the first time it is used — the same moment the series came into
+   existence when every call looked it up — and held from then on. *)
+type series = {
+  calls : Metrics.counter Lazy.t;
+  errors : Metrics.counter Lazy.t;
+  served : Metrics.counter Lazy.t;
+  latency : Metrics.histogram Lazy.t;
+  batches : Metrics.counter Lazy.t;
+  batch_parts : Metrics.counter Lazy.t;
+  batch_size : Metrics.histogram Lazy.t;
+}
+
+type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
 
 type t = {
   net : Net.t;
-  services : (Net.node_id * string, caller:Net.node_id -> string -> (string -> unit) -> unit) Hashtbl.t;
+  services : (Net.node_id * string, handler) Hashtbl.t;
   pending : (int, pending) Hashtbl.t;
   mutable next_id : int;
   mutable breaker_config : breaker_config option;
   breakers : (Net.node_id, breaker) Hashtbl.t;
   metrics : Metrics.t;
   tracer : Trace.t;
+  series : (string, series) Hashtbl.t;
+  inflight : Metrics.gauge Lazy.t;
+  frame : Buffer.t;  (* scratch: the frame being written *)
+  part : Buffer.t;  (* scratch: the batch part being written *)
 }
 
 (* Resilience counters are labelled by the calling node, so a component
@@ -85,133 +109,222 @@ let rejections_counter t src =
     ~labels:[ ("src", src) ]
     "rpc_breaker_rejections_total"
 
-let calls_counter t service =
-  Metrics.counter t.metrics ~help:"RPC calls issued."
-    ~labels:[ ("service", service) ]
-    "rpc_calls_total"
-
-let errors_counter t service =
-  Metrics.counter t.metrics ~help:"RPC calls that failed (timeout, missing service, shed)."
-    ~labels:[ ("service", service) ]
-    "rpc_errors_total"
-
-let served_counter t service =
-  Metrics.counter t.metrics ~help:"RPC requests dispatched to a handler."
-    ~labels:[ ("service", service) ]
-    "rpc_requests_served_total"
-
-let latency_histogram t service =
-  Metrics.histogram t.metrics ~help:"Round-trip latency of RPC calls (virtual seconds)."
-    ~labels:[ ("service", service) ]
-    "rpc_call_latency_seconds"
-
-let inflight_gauge t =
-  Metrics.gauge t.metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight"
-
-let batches_counter t service =
-  Metrics.counter t.metrics ~help:"Batched RPC round-trips issued."
-    ~labels:[ ("service", service) ]
-    "rpc_batches_total"
-
-let batch_parts_counter t service =
-  Metrics.counter t.metrics ~help:"Individual queries carried inside batched round-trips."
-    ~labels:[ ("service", service) ]
-    "rpc_batch_parts_total"
-
 let batch_size_buckets = [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
 
-let batch_size_histogram t service =
-  Metrics.histogram t.metrics ~help:"Queries coalesced per batched round-trip."
-    ~labels:[ ("service", service) ]
-    ~buckets:batch_size_buckets "rpc_batch_size"
+let series_for t service =
+  match Hashtbl.find t.series service with
+  | s -> s
+  | exception Not_found ->
+    let labels = [ ("service", service) ] in
+    let counter help name = lazy (Metrics.counter t.metrics ~help ~labels name) in
+    let s =
+      {
+        calls = counter "RPC calls issued." "rpc_calls_total";
+        errors = counter "RPC calls that failed (timeout, missing service, shed)." "rpc_errors_total";
+        served = counter "RPC requests dispatched to a handler." "rpc_requests_served_total";
+        latency =
+          lazy
+            (Metrics.histogram t.metrics ~help:"Round-trip latency of RPC calls (virtual seconds)." ~labels
+               "rpc_call_latency_seconds");
+        batches = counter "Batched RPC round-trips issued." "rpc_batches_total";
+        batch_parts = counter "Individual queries carried inside batched round-trips." "rpc_batch_parts_total";
+        batch_size =
+          lazy
+            (Metrics.histogram t.metrics ~help:"Queries coalesced per batched round-trip." ~labels
+               ~buckets:batch_size_buckets "rpc_batch_size");
+      }
+    in
+    Hashtbl.add t.series service s;
+    s
 
 (* Wire format: kind '|' id '|' service '|' body.  The few header bytes
    model transport framing; the body carries the real (XML) payload whose
    size dominates.  The body is the unframed remainder and may contain
    anything; the service name is percent-escaped so that '|' (and '%')
-   in a service name cannot break the framing. *)
+   in a service name cannot break the framing.  Headers are canonical:
+   ids and part lengths are plain decimal digits without leading zeros,
+   and a '%' in a header field starts one of the two escapes — so a frame
+   that decodes re-encodes to the same bytes. *)
 
-let escape_service s =
-  if String.contains s '|' || String.contains s '%' then begin
-    let buf = Buffer.create (String.length s + 8) in
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n = if n < 0 then Buffer.add_string buf (string_of_int n) else add_digits buf n
+
+let add_escaped_service buf s =
+  if String.contains s '|' || String.contains s '%' then
     String.iter
       (function
         | '|' -> Buffer.add_string buf "%7C"
         | '%' -> Buffer.add_string buf "%25"
         | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
-  else s
+      s
+  else Buffer.add_string buf s
 
-let unescape_service s =
-  if not (String.contains s '%') then s
-  else begin
-    let n = String.length s in
-    let buf = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
-      if s.[!i] = '%' && !i + 2 < n && s.[!i + 1] = '7' && s.[!i + 2] = 'C' then begin
-        Buffer.add_char buf '|';
-        i := !i + 3
-      end
-      else if s.[!i] = '%' && !i + 2 < n && s.[!i + 1] = '2' && s.[!i + 2] = '5' then begin
-        Buffer.add_char buf '%';
-        i := !i + 3
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  end
+(* Whether every '%' in [s.[j..stop)] starts one of the two escapes. *)
+let rec canonically_escaped s j stop =
+  j >= stop
+  ||
+  if String.unsafe_get s j <> '%' then canonically_escaped s (j + 1) stop
+  else
+    j + 2 < stop
+    && ((s.[j + 1] = '7' && s.[j + 2] = 'C') || (s.[j + 1] = '2' && s.[j + 2] = '5'))
+    && canonically_escaped s (j + 3) stop
+
+let rec unescape_into buf s j stop =
+  if j < stop then
+    if String.unsafe_get s j = '%' then begin
+      Buffer.add_char buf (if s.[j + 1] = '7' then '|' else '%');
+      unescape_into buf s (j + 3) stop
+    end
+    else begin
+      Buffer.add_char buf (String.unsafe_get s j);
+      unescape_into buf s (j + 1) stop
+    end
+
+(* The unescaped header field [s.[i..stop)], or [None] when a '%' in it
+   starts neither escape. *)
+let header_field s i stop =
+  if not (canonically_escaped s i stop) then None
+  else if i = stop then Some ""
+  else
+    match String.index_from_opt s i '%' with
+    | Some j when j < stop ->
+      let buf = Buffer.create (stop - i) in
+      unescape_into buf s i stop;
+      Some (Buffer.contents buf)
+    | Some _ | None -> Some (String.sub s i (stop - i))
+
+let rec digits s j stop acc =
+  if j = stop then acc
+  else
+    let c = String.unsafe_get s j in
+    if c < '0' || c > '9' then -1 else digits s (j + 1) stop ((acc * 10) + (Char.code c - 48))
+
+(* A canonical decimal in [s.[i..stop)]: non-empty, digits only, no
+   leading zero, short enough not to overflow; -1 otherwise. *)
+let decimal s i stop =
+  let n = stop - i in
+  if n < 1 || n > 18 || (n > 1 && s.[i] = '0') then -1 else digits s i stop 0
 
 (* Batch bodies: length-prefixed parts ("<len>:<bytes>..."), so parts may
    contain anything — including '|' and further frames. *)
+
+let add_part_length buf len =
+  add_int buf len;
+  Buffer.add_char buf ':'
+
+let rec parts_from src stop acc i =
+  if i = stop then Some (List.rev acc)
+  else
+    match String.index_from_opt src i ':' with
+    | Some colon when colon < stop ->
+      let len = decimal src i colon in
+      if len < 0 || colon + 1 + len > stop then None
+      else parts_from src stop ({ src; off = colon + 1; len } :: acc) (colon + 1 + len)
+    | Some _ | None -> None
+
+let parts_of { src; off; len } = parts_from src (off + len) [] off
 
 let encode_parts parts =
   let buf = Buffer.create 256 in
   List.iter
     (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
-      Buffer.add_char buf ':';
+      add_part_length buf (String.length p);
       Buffer.add_string buf p)
     parts;
   Buffer.contents buf
 
-let decode_parts s =
-  let n = String.length s in
-  let rec go acc i =
-    if i = n then Some (List.rev acc)
-    else
-      match String.index_from_opt s i ':' with
-      | None -> None
-      | Some colon -> (
-        match int_of_string_opt (String.sub s i (colon - i)) with
-        | None -> None
-        | Some len ->
-          if len < 0 || colon + 1 + len > n then None
-          else go (String.sub s (colon + 1) len :: acc) (colon + 1 + len))
-  in
-  go [] 0
+let decode_parts s = Option.map (List.map slice_to_string) (parts_of { src = s; off = 0; len = String.length s })
 
-let encode_request id service body = Printf.sprintf "Q|%d|%s|%s" id (escape_service service) body
+type kind = K_request | K_traced | K_batch | K_traced_batch | K_reply | K_error
+
+let kind_tag = function
+  | K_request -> "Q"
+  | K_traced -> "T"
+  | K_batch -> "B"
+  | K_traced_batch -> "BT"
+  | K_reply -> "A"
+  | K_error -> "E"
+
+(* The header of every frame; [trace] is only written for traced kinds
+   and replies leave the service empty. *)
+let add_header buf kind id ~service ~trace =
+  Buffer.add_string buf (kind_tag kind);
+  Buffer.add_char buf '|';
+  add_int buf id;
+  Buffer.add_char buf '|';
+  add_escaped_service buf service;
+  Buffer.add_char buf '|';
+  match kind with
+  | K_traced | K_traced_batch ->
+    add_escaped_service buf trace;
+    Buffer.add_char buf '|'
+  | K_request | K_batch | K_reply | K_error -> ()
+
+type header = { kind : kind; id : int; service : string; trace : string; body : int }
+
+(* The next '|' from [i] on, or the end of [s]. *)
+let rec bar s i = if i >= String.length s || String.unsafe_get s i = '|' then i else bar s (i + 1)
+
+let header payload =
+  let n = String.length payload in
+  let first = bar payload 0 in
+  let kind =
+    match (first, if first > 0 then payload.[0] else ' ') with
+    | 1, 'Q' -> Some K_request
+    | 1, 'T' -> Some K_traced
+    | 1, 'B' -> Some K_batch
+    | 2, 'B' when payload.[1] = 'T' -> Some K_traced_batch
+    | 1, 'A' -> Some K_reply
+    | 1, 'E' -> Some K_error
+    | _ -> None
+  in
+  match kind with
+  | None -> None
+  | Some _ when first >= n -> None
+  | Some kind -> (
+    let second = bar payload (first + 1) in
+    let id = decimal payload (first + 1) second in
+    let third = if second < n then bar payload (second + 1) else n in
+    if id < 0 || third >= n then None
+    else
+      match header_field payload (second + 1) third with
+      | None -> None
+      | Some service -> (
+        match kind with
+        | K_reply | K_error ->
+          if service = "" then Some { kind; id; service; trace = ""; body = third + 1 } else None
+        | K_request | K_batch -> Some { kind; id; service; trace = ""; body = third + 1 }
+        | K_traced | K_traced_batch -> (
+          let fourth = bar payload (third + 1) in
+          if fourth >= n then None
+          else
+            match header_field payload (third + 1) fourth with
+            | None -> None
+            | Some trace -> Some { kind; id; service; trace; body = fourth + 1 })))
+
+let body_slice payload h = { src = payload; off = h.body; len = String.length payload - h.body }
+
+let frame kind id ?(service = "") ?(trace = "") body =
+  let buf = Buffer.create (String.length body + 32) in
+  add_header buf kind id ~service ~trace;
+  Buffer.add_string buf body;
+  Buffer.contents buf
+
+let encode_request id service body = frame K_request id ~service body
 
 (* The trace context travels as one extra escaped header segment; replies
    need none (the pending table already knows which span awaits them). *)
-let encode_traced_request id service ~trace body =
-  Printf.sprintf "T|%d|%s|%s|%s" id (escape_service service) (escape_service trace) body
+let encode_traced_request id service ~trace body = frame K_traced id ~service ~trace body
 
-let encode_reply id body = Printf.sprintf "A|%d||%s" id body
-let encode_error id msg = Printf.sprintf "E|%d||%s" id msg
-
-let encode_batch_request id service parts =
-  Printf.sprintf "B|%d|%s|%s" id (escape_service service) (encode_parts parts)
+let encode_reply id body = frame K_reply id body
+let encode_error id msg = frame K_error id msg
+let encode_batch_request id service parts = frame K_batch id ~service (encode_parts parts)
 
 let encode_traced_batch_request id service ~trace parts =
-  Printf.sprintf "BT|%d|%s|%s|%s" id (escape_service service) (escape_service trace)
-    (encode_parts parts)
+  frame K_traced_batch id ~service ~trace (encode_parts parts)
 
 type frame =
   | Request of int * string * string
@@ -222,49 +335,51 @@ type frame =
   | Error_frame of int * string
 
 let decode payload =
-  match String.index_opt payload '|' with
+  match header payload with
   | None -> None
-  | Some first -> (
-    let kind = String.sub payload 0 first in
-    match String.index_from_opt payload (first + 1) '|' with
-    | None -> None
-    | Some second -> (
-      let id = int_of_string_opt (String.sub payload (first + 1) (second - first - 1)) in
-      match (id, String.index_from_opt payload (second + 1) '|') with
-      | Some id, Some third ->
-        let service = unescape_service (String.sub payload (second + 1) (third - second - 1)) in
-        let body = String.sub payload (third + 1) (String.length payload - third - 1) in
-        let traced k =
-          match String.index_from_opt payload (third + 1) '|' with
-          | None -> None
-          | Some fourth ->
-            let trace = unescape_service (String.sub payload (third + 1) (fourth - third - 1)) in
-            let body = String.sub payload (fourth + 1) (String.length payload - fourth - 1) in
-            k trace body
-        in
-        (match kind with
-        | "Q" -> Some (Request (id, service, body))
-        | "T" -> traced (fun trace body -> Some (Traced_request { id; service; trace; body }))
-        | "B" ->
-          Option.map (fun parts -> Batch_request (id, service, parts)) (decode_parts body)
-        | "BT" ->
-          traced (fun trace body ->
-              Option.map
-                (fun parts -> Traced_batch_request { id; service; trace; parts })
-                (decode_parts body))
-        | "A" -> Some (Reply (id, body))
-        | "E" -> Some (Error_frame (id, body))
-        | _ -> None)
-      | _ -> None))
-  [@@warning "-4"]
+  | Some h -> (
+    let body () = slice_to_string (body_slice payload h) in
+    let parts () = Option.map (List.map slice_to_string) (parts_of (body_slice payload h)) in
+    match h.kind with
+    | K_request -> Some (Request (h.id, h.service, body ()))
+    | K_traced -> Some (Traced_request { id = h.id; service = h.service; trace = h.trace; body = body () })
+    | K_batch -> Option.map (fun parts -> Batch_request (h.id, h.service, parts)) (parts ())
+    | K_traced_batch ->
+      Option.map
+        (fun parts -> Traced_batch_request { id = h.id; service = h.service; trace = h.trace; parts })
+        (parts ())
+    | K_reply -> Some (Reply (h.id, body ()))
+    | K_error -> Some (Error_frame (h.id, body ())))
+
+(* Writes one frame into the bus's scratch buffer and sends it. *)
+let send_frame t ~src ~dst ~category kind id ~service ~trace write =
+  let buf = t.frame in
+  Buffer.clear buf;
+  add_header buf kind id ~service ~trace;
+  write buf;
+  Net.send t.net ~src ~dst ~category (Buffer.contents buf)
+
+(* The bytes [write] produces, as one batch part ("<len>:<bytes>"). *)
+let add_written_part t buf write =
+  Buffer.clear t.part;
+  write t.part;
+  add_part_length buf (Buffer.length t.part);
+  Buffer.add_buffer buf t.part
+
+let written t write =
+  Buffer.clear t.part;
+  write t.part;
+  Buffer.contents t.part
+
+let send_error t (msg : Net.message) id text =
+  send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error" K_error id ~service:"" ~trace:""
+    (fun buf -> Buffer.add_string buf text)
 
 let dispatch_request t (msg : Net.message) id service trace body =
   match Hashtbl.find_opt t.services (msg.Net.dst, service) with
-  | None ->
-    Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error"
-      (encode_error id ("no-such-service:" ^ service))
+  | None -> send_error t msg id ("no-such-service:" ^ service)
   | Some handler ->
-    Metrics.inc (served_counter t service);
+    Metrics.inc (Lazy.force (series_for t service).served);
     let span =
       if Trace.enabled t.tracer then begin
         let s =
@@ -278,12 +393,12 @@ let dispatch_request t (msg : Net.message) id service trace body =
       end
       else None
     in
-    let reply body =
+    let reply write =
       (* The server span closes when the handler replies — possibly much
          later than the handler returned, after its own nested calls. *)
       Option.iter (fun s -> Trace.finish t.tracer s) span;
-      Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply")
-        (encode_reply id body)
+      send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply") K_reply id
+        ~service:"" ~trace:"" write
     in
     let saved = Trace.current t.tracer in
     Option.iter (fun s -> Trace.set_current t.tracer (Some (Trace.context s))) span;
@@ -295,12 +410,10 @@ let dispatch_request t (msg : Net.message) id service trace body =
    arrived — one round-trip, one fault envelope for the whole batch. *)
 let dispatch_batch t (msg : Net.message) id service trace parts =
   match Hashtbl.find_opt t.services (msg.Net.dst, service) with
-  | None ->
-    Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error"
-      (encode_error id ("no-such-service:" ^ service))
+  | None -> send_error t msg id ("no-such-service:" ^ service)
   | Some handler ->
     let n = List.length parts in
-    Metrics.inc ~by:n (served_counter t service);
+    Metrics.inc ~by:n (Lazy.force (series_for t service).served);
     let span =
       if Trace.enabled t.tracer then begin
         let s =
@@ -317,13 +430,18 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
     in
     let replies = Array.make n "" in
     let outstanding = ref n in
-    let reply_part i body =
-      replies.(i) <- body;
+    let reply_part i write =
+      replies.(i) <- written t write;
       decr outstanding;
       if !outstanding = 0 then begin
         Option.iter (fun s -> Trace.finish t.tracer s) span;
-        Net.send t.net ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply")
-          (encode_reply id (encode_parts (Array.to_list replies)))
+        send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply") K_reply id
+          ~service:"" ~trace:"" (fun buf ->
+            Array.iter
+              (fun r ->
+                add_part_length buf (String.length r);
+                Buffer.add_string buf r)
+              replies)
       end
     in
     let saved = Trace.current t.tracer in
@@ -331,37 +449,41 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
     List.iteri (fun i part -> handler ~caller:msg.Net.src part (reply_part i)) parts;
     Trace.set_current t.tracer saved
 
+let complete t id result =
+  match Hashtbl.find_opt t.pending id with
+  | None -> () (* reply after timeout: drop *)
+  | Some p ->
+    Hashtbl.remove t.pending id;
+    p.k result
+
 let handle_message t (msg : Net.message) =
-  match decode msg.Net.payload with
+  let payload = msg.Net.payload in
+  match header payload with
   | None -> ()
-  | Some (Request (id, service, body)) -> dispatch_request t msg id service None body
-  | Some (Traced_request { id; service; trace; body }) ->
-    dispatch_request t msg id service (Trace.context_of_string trace) body
-  | Some (Batch_request (id, service, parts)) -> dispatch_batch t msg id service None parts
-  | Some (Traced_batch_request { id; service; trace; parts }) ->
-    dispatch_batch t msg id service (Trace.context_of_string trace) parts
-  | Some (Reply (id, body)) -> (
-    match Hashtbl.find_opt t.pending id with
-    | None -> () (* reply after timeout: drop *)
-    | Some p ->
-      Hashtbl.remove t.pending id;
-      p.k (Ok body))
-  | Some (Error_frame (id, msg_body)) -> (
-    match Hashtbl.find_opt t.pending id with
-    | None -> ()
-    | Some p ->
-      Hashtbl.remove t.pending id;
+  | Some h -> (
+    let trace () = if h.kind = K_traced || h.kind = K_traced_batch then Trace.context_of_string h.trace else None in
+    match h.kind with
+    | K_request | K_traced -> dispatch_request t msg h.id h.service (trace ()) (body_slice payload h)
+    | K_batch | K_traced_batch -> (
+      match parts_of (body_slice payload h) with
+      | None -> ()
+      | Some parts -> dispatch_batch t msg h.id h.service (trace ()) parts)
+    | K_reply -> complete t h.id (Ok (body_slice payload h))
+    | K_error ->
       let err =
-        match String.index_opt msg_body ':' with
-        | Some i when String.sub msg_body 0 i = "no-such-service" ->
-          No_such_service (String.sub msg_body (i + 1) (String.length msg_body - i - 1))
-        | _ -> Timeout
+        let prefix = "no-such-service:" in
+        let np = String.length prefix in
+        let n = String.length payload - h.body in
+        if n >= np && String.sub payload h.body np = prefix then
+          No_such_service (String.sub payload (h.body + np) (n - np))
+        else Timeout
       in
-      p.k (Error err))
+      complete t h.id (Error err))
 
 let create net =
   let now () = Net.now net in
   let next_id () = Dacs_crypto.Rng.next_int64 (Engine.rng (Net.engine net)) in
+  let metrics = Metrics.create ~now () in
   {
     net;
     services = Hashtbl.create 64;
@@ -369,8 +491,12 @@ let create net =
     next_id = 0;
     breaker_config = None;
     breakers = Hashtbl.create 16;
-    metrics = Metrics.create ~now ();
+    metrics;
     tracer = Trace.create ~now ~next_id ();
+    series = Hashtbl.create 16;
+    inflight = lazy (Metrics.gauge metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight");
+    frame = Buffer.create 1024;
+    part = Buffer.create 1024;
   }
 
 let net t = t.net
@@ -382,15 +508,19 @@ let ensure_dispatch t node =
   Net.add_node t.net node;
   Net.set_handler t.net node (handle_message t)
 
-let serve t ~node ~service handler =
+let serve_frame t ~node ~service handler =
   ensure_dispatch t node;
   Hashtbl.replace t.services (node, service) handler
 
+let serve t ~node ~service handler =
+  serve_frame t ~node ~service (fun ~caller body reply ->
+      handler ~caller (slice_to_string body) (fun r -> reply (fun buf -> Buffer.add_string buf r)))
+
 (* Shared correlation machinery of single and batched calls: id
    allocation, one client span per attempt, the pending-table entry and
-   its timeout timer.  [payload] builds the request frame, given the id
-   and the optional trace context to carry. *)
-let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_span ~payload k =
+   its timeout timer.  The request frame is [kind] (or [traced] when a
+   trace context rides along) with [write] producing its body. *)
+let issue t series ~src ~dst ~service ~timeout ?category ~span_label ~annotate_span ~kind ~traced ~write k =
   ensure_dispatch t src;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -412,24 +542,28 @@ let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_
     else None
   in
   let finish result =
-    Metrics.observe (latency_histogram t service) (Net.now t.net -. started);
+    Metrics.observe (Lazy.force series.latency) (Net.now t.net -. started);
     (match result with
     | Ok _ -> ()
     | Error e ->
-      Metrics.inc (errors_counter t service);
+      Metrics.inc (Lazy.force series.errors);
       Option.iter (fun s -> Trace.set_status s (Trace.Span_error (error_to_string e))) span);
     Option.iter (fun s -> Trace.finish t.tracer s) span;
-    Metrics.set_gauge (inflight_gauge t) (float_of_int (Hashtbl.length t.pending));
+    Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
     let saved = Trace.current t.tracer in
     Trace.set_current t.tracer initiating;
     k result;
     Trace.set_current t.tracer saved
   in
   Hashtbl.replace t.pending id { k = finish };
-  Metrics.set_gauge (inflight_gauge t) (float_of_int (Hashtbl.length t.pending));
-  let category = Option.value category ~default:service in
-  let trace = Option.map (fun s -> Trace.context_to_string (Trace.context s)) span in
-  Net.send t.net ~src ~dst ~category (payload id trace);
+  Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
+  let category = match category with Some c -> c | None -> service in
+  (match span with
+  | Some s ->
+    send_frame t ~src ~dst ~category traced id ~service
+      ~trace:(Trace.context_to_string (Trace.context s))
+      write
+  | None -> send_frame t ~src ~dst ~category kind id ~service ~trace:"" write);
   Engine.schedule (Net.engine t.net) ~delay:timeout (fun () ->
       match Hashtbl.find_opt t.pending id with
       | None -> ()
@@ -437,33 +571,29 @@ let issue t ~src ~dst ~service ?(timeout = 1.0) ?category ~span_label ~annotate_
         Hashtbl.remove t.pending id;
         p.k (Error Timeout))
 
-let call t ~src ~dst ~service ?timeout ?category body k =
-  Metrics.inc (calls_counter t service);
-  issue t ~src ~dst ~service ?timeout ?category ~span_label:"rpc:" ~annotate_span:ignore
-    ~payload:(fun id trace ->
-      match trace with
-      | Some trace -> encode_traced_request id service ~trace body
-      | None -> encode_request id service body)
-    k
+let call_once t ~src ~dst ~service ?(timeout = 1.0) ?category write k =
+  let series = series_for t service in
+  Metrics.inc (Lazy.force series.calls);
+  issue t series ~src ~dst ~service ~timeout ?category ~span_label:"rpc:" ~annotate_span:ignore
+    ~kind:K_request ~traced:K_traced ~write k
 
-let call_batch t ~src ~dst ~service ?timeout ?category bodies k =
-  let n = List.length bodies in
+let call_batch_once t ~src ~dst ~service ?(timeout = 1.0) ?category writes k =
+  let n = List.length writes in
   if n = 0 then invalid_arg "Rpc.call_batch: empty batch";
-  Metrics.inc (calls_counter t service);
-  Metrics.inc (batches_counter t service);
-  Metrics.inc ~by:n (batch_parts_counter t service);
-  Metrics.observe (batch_size_histogram t service) (float_of_int n);
-  issue t ~src ~dst ~service ?timeout ?category ~span_label:"rpc-batch:"
+  let series = series_for t service in
+  Metrics.inc (Lazy.force series.calls);
+  Metrics.inc (Lazy.force series.batches);
+  Metrics.inc ~by:n (Lazy.force series.batch_parts);
+  Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
+  issue t series ~src ~dst ~service ~timeout ?category ~span_label:"rpc-batch:"
     ~annotate_span:(fun s -> Trace.annotate s "batch" (string_of_int n))
-    ~payload:(fun id trace ->
-      match trace with
-      | Some trace -> encode_traced_batch_request id service ~trace bodies
-      | None -> encode_batch_request id service bodies)
+    ~kind:K_batch ~traced:K_traced_batch
+    ~write:(fun buf -> List.iter (add_written_part t buf) writes)
     (fun result ->
       match result with
       | Error e -> k (Error e)
       | Ok reply -> (
-        match decode_parts reply with
+        match parts_of reply with
         | Some parts when List.length parts = n -> k (Ok parts)
         | Some _ | None ->
           (* A peer that answers with the wrong arity is indistinguishable
@@ -629,14 +759,36 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
   in
   attempt 1
 
-let call_resilient t ~src ~dst ~service ?timeout ?category ?(retry = no_retry) ?(notify = ignore)
-    body k =
-  resilient_loop t ~src ~dst ~retry ~notify
-    ~issue:(fun k -> call t ~src ~dst ~service ?timeout ?category body k)
-    k
+type resilience = { retry : retry_policy; notify : resilience_event -> unit }
 
-let call_batch_resilient t ~src ~dst ~service ?timeout ?category ?(retry = no_retry)
-    ?(notify = ignore) bodies k =
-  resilient_loop t ~src ~dst ~retry ~notify
-    ~issue:(fun k -> call_batch t ~src ~dst ~service ?timeout ?category bodies k)
-    k
+let call_frame t ~src ~dst ~service ?timeout ?category ?resilient write k =
+  match resilient with
+  | None -> call_once t ~src ~dst ~service ?timeout ?category write k
+  | Some { retry; notify } ->
+    resilient_loop t ~src ~dst ~retry ~notify
+      ~issue:(fun k -> call_once t ~src ~dst ~service ?timeout ?category write k)
+      k
+
+let call_batch_frame t ~src ~dst ~service ?timeout ?category ?resilient writes k =
+  match resilient with
+  | None -> call_batch_once t ~src ~dst ~service ?timeout ?category writes k
+  | Some { retry; notify } ->
+    resilient_loop t ~src ~dst ~retry ~notify
+      ~issue:(fun k -> call_batch_once t ~src ~dst ~service ?timeout ?category writes k)
+      k
+
+let resilient ?(retry = no_retry) ?(notify = ignore) () = { retry; notify }
+
+(* The string API: each body is written as is, each reply copied out. *)
+let add body buf = Buffer.add_string buf body
+
+let call t ~src ~dst ~service ?timeout ?category body k =
+  call_frame t ~src ~dst ~service ?timeout ?category (add body) (fun r -> k (Result.map slice_to_string r))
+
+let call_resilient t ~src ~dst ~service ?timeout ?category ?retry ?notify body k =
+  call_frame t ~src ~dst ~service ?timeout ?category ~resilient:(resilient ?retry ?notify ()) (add body) (fun r ->
+      k (Result.map slice_to_string r))
+
+let call_batch_resilient t ~src ~dst ~service ?timeout ?category ?retry ?notify bodies k =
+  call_batch_frame t ~src ~dst ~service ?timeout ?category ~resilient:(resilient ?retry ?notify ())
+    (List.map add bodies) (fun r -> k (Result.map (List.map slice_to_string) r))

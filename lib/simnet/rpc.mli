@@ -43,50 +43,6 @@ val set_tracing : t -> bool -> unit
 (** Enable/disable span recording.  While disabled no RNG draws are made
     for ids, so an untraced run's random sequence is unperturbed. *)
 
-val serve :
-  t ->
-  node:Net.node_id ->
-  service:string ->
-  (caller:Net.node_id -> string -> (string -> unit) -> unit) ->
-  unit
-(** [serve t ~node ~service handler] registers a service.  The handler
-    receives the request payload and a [reply] continuation it must call
-    exactly once (possibly later, after its own nested calls complete). *)
-
-val call :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  string ->
-  ((string, error) result -> unit) ->
-  unit
-(** Asynchronous call.  The continuation fires with [Ok reply], or with
-    [Error Timeout] after [timeout] seconds (default 1.0) if no reply
-    arrived — whether because of loss, crash, partition or a missing
-    service.  [category] labels traffic for accounting (defaults to
-    [service]). *)
-
-val call_batch :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  string list ->
-  ((string list, error) result -> unit) ->
-  unit
-(** Coalesce several queries to the same service into one round-trip.
-    The server dispatches each part to the registered handler and gathers
-    the replies into a single frame, preserving order; the continuation
-    receives exactly one reply per query.  The whole batch shares one
-    correlation id, one timeout and (under {!call_batch_resilient}) one
-    retry/breaker envelope — partial results are never delivered.
-    Raises [Invalid_argument] on an empty batch. *)
-
 val calls_in_flight : t -> int
 
 (** {1 Retry with backoff}
@@ -157,6 +113,96 @@ val resilience_stats : t -> resilience_stats
     [rpc_breaker_rejections_total{src}] series in {!metrics}, so a
     component resetting its own series is immediately reflected here. *)
 
+(** {1 Frames}
+
+    A request or reply body travels as a {!slice} of the frame that
+    arrived — no copy — and is produced by a {!writer} appending straight
+    into the frame being sent, after the header.  The string API below is
+    a thin adapter over these for callers that hold bodies as strings. *)
+
+type slice = { src : string; off : int; len : int }
+(** The body: [len] bytes of [src] from [off]. *)
+
+val slice_to_string : slice -> string
+
+type writer = Buffer.t -> unit
+(** Appends one body to the frame being written. *)
+
+val serve_frame :
+  t ->
+  node:Net.node_id ->
+  service:string ->
+  (caller:Net.node_id -> slice -> (writer -> unit) -> unit) ->
+  unit
+(** [serve_frame t ~node ~service handler] registers a service.  The
+    handler receives the request body and a [reply] continuation it must
+    call exactly once (possibly later, after its own nested calls
+    complete) with the writer of its answer. *)
+
+type resilience = { retry : retry_policy; notify : resilience_event -> unit }
+(** The retry/breaker envelope of a resilient call (see {!call_resilient}). *)
+
+val resilient : ?retry:retry_policy -> ?notify:(resilience_event -> unit) -> unit -> resilience
+(** [retry] defaults to {!no_retry}, [notify] to ignoring every event. *)
+
+val call_frame :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  service:string ->
+  ?timeout:float ->
+  ?category:string ->
+  ?resilient:resilience ->
+  writer ->
+  ((slice, error) result -> unit) ->
+  unit
+(** Asynchronous call.  The continuation fires with [Ok reply], or with
+    [Error Timeout] after [timeout] seconds (default 1.0) if no reply
+    arrived — whether because of loss, crash, partition or a missing
+    service.  [category] labels traffic for accounting (defaults to
+    [service]).  With [resilient] the call goes through the per-target
+    circuit breaker and is retried per its policy, re-running the
+    writer for each attempt. *)
+
+val call_batch_frame :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  service:string ->
+  ?timeout:float ->
+  ?category:string ->
+  ?resilient:resilience ->
+  writer list ->
+  ((slice list, error) result -> unit) ->
+  unit
+(** Coalesce several queries to the same service into one round-trip.
+    The server dispatches each part to the registered handler and gathers
+    the replies into a single frame, preserving order; the continuation
+    receives exactly one reply per query.  The whole batch shares one
+    correlation id, one timeout and (with [resilient]) one retry/breaker
+    envelope — partial results are never delivered.
+    Raises [Invalid_argument] on an empty batch. *)
+
+val serve :
+  t ->
+  node:Net.node_id ->
+  service:string ->
+  (caller:Net.node_id -> string -> (string -> unit) -> unit) ->
+  unit
+(** {!serve_frame} over string bodies. *)
+
+val call :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  service:string ->
+  ?timeout:float ->
+  ?category:string ->
+  string ->
+  ((string, error) result -> unit) ->
+  unit
+(** {!call_frame} over string bodies. *)
+
 val call_resilient :
   t ->
   src:Net.node_id ->
@@ -169,7 +215,7 @@ val call_resilient :
   string ->
   ((string, error) result -> unit) ->
   unit
-(** Like {!call} but routed through the per-target circuit breaker (when
+(** {!call_frame} with [resilient] over string bodies: like {!call} but routed through the per-target circuit breaker (when
     enabled) and retried per [retry] (default {!no_retry}).  Timeouts and
     breaker rejections are retried with backoff; [No_such_service] is
     returned immediately (the target is alive, retrying cannot help).
@@ -188,15 +234,20 @@ val call_batch_resilient :
   string list ->
   ((string list, error) result -> unit) ->
   unit
-(** {!call_batch} wrapped in the same retry/breaker envelope as
-    {!call_resilient}: the batch is one fault unit — a timeout retries
-    the whole frame, and results are all-or-nothing. *)
+(** {!call_batch_frame} with [resilient] over string bodies: the batch is
+    one fault unit — a timeout retries the whole frame, and results are
+    all-or-nothing. *)
 
 (** {1 Wire format}
 
     Exposed for property testing: [decode] must invert every [encode_*]
-    for arbitrary ids, service names (including ['|'] and ['%']) and
-    bodies. *)
+    for non-negative ids and arbitrary service names (including ['|'] and
+    ['%']) and bodies.  Headers are canonical: ids and part lengths are
+    plain decimal digits without a sign or leading zeros, a ['%'] in a
+    header field must start ["%7C"] or ["%25"], and a reply or error
+    frame has an empty service field — so whenever [decode s = Some f],
+    encoding [f] gives back [s].  The live path parses the same header
+    in place and hands the body on as a {!slice}. *)
 
 type frame =
   | Request of int * string * string  (** id, service, body *)

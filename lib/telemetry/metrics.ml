@@ -24,9 +24,13 @@ type t = {
   now : unit -> float;
   series : (string * (string * string) list, instrument) Hashtbl.t;
   meta : (string, kind * string) Hashtbl.t;  (* name -> kind, help *)
+  mutable lookups : int;
 }
 
-let create ?(now = fun () -> 0.0) () = { now; series = Hashtbl.create 64; meta = Hashtbl.create 32 }
+let create ?(now = fun () -> 0.0) () =
+  { now; series = Hashtbl.create 64; meta = Hashtbl.create 32; lookups = 0 }
+
+let lookups t = t.lookups
 
 let now t = t.now ()
 
@@ -49,6 +53,7 @@ let canonical_labels name labels =
   sorted
 
 let register t ~name ~labels ~kind ~help ~make ~cast =
+  t.lookups <- t.lookups + 1;
   if not (valid_name name) then invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
   let labels = canonical_labels name labels in
   (match Hashtbl.find_opt t.meta name with

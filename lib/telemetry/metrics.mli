@@ -117,6 +117,12 @@ val sum_counter_by : t -> string -> label:string -> (string * int) list
 
 val series_count : t -> int
 
+val lookups : t -> int
+(** How many times {!counter}, {!gauge} or {!histogram} has resolved a
+    series in this registry, new or existing.  Each resolution sorts the
+    labels and hashes the key, so code on a request path holds its
+    handles instead; this count is how a test proves it does. *)
+
 val render : t -> string
 (** Prometheus text exposition: [# HELP]/[# TYPE] per name, histogram
     series with cumulative [le] buckets, [_sum] and [_count], and a

@@ -1,4 +1,5 @@
 module Xml = Dacs_xml.Xml
+module Cursor = Xml.Cursor
 module Rpc = Dacs_net.Rpc
 
 type t = { rpc : Rpc.t }
@@ -10,22 +11,6 @@ let net t = Rpc.net t.rpc
 let metrics t = Rpc.metrics t.rpc
 let tracer t = Rpc.tracer t.rpc
 
-type handler =
-  caller:Dacs_net.Net.node_id ->
-  headers:Xml.t list ->
-  Xml.t ->
-  (Xml.t -> unit) ->
-  unit
-
-let serve t ~node ~service (handler : handler) =
-  Rpc.serve t.rpc ~node ~service (fun ~caller payload reply ->
-      let reply_body ?headers body = reply (Soap.to_string { Soap.headers = Option.value headers ~default:[]; body }) in
-      match Soap.parse payload with
-      | Error e -> reply_body (Soap.fault_body { Soap.code = "soap:Sender"; reason = e })
-      | Ok envelope ->
-        handler ~caller ~headers:envelope.Soap.headers envelope.Soap.body (fun body ->
-            reply_body body))
-
 type error =
   | Transport of Rpc.error
   | Fault of Soap.fault
@@ -36,32 +21,78 @@ let error_to_string = function
   | Fault f -> Printf.sprintf "fault %s: %s" f.Soap.code f.Soap.reason
   | Malformed m -> Printf.sprintf "malformed response: %s" m
 
-let decode_one response =
-  match Soap.parse response with
-  | Error e -> Error (Malformed e)
-  | Ok envelope -> (
-    match Soap.fault_of_body envelope.Soap.body with
-    | Some f -> Error (Fault f)
-    | None -> Ok envelope.Soap.body)
+type 'a reader = Cursor.t -> ('a, string) result
 
-let decode_response k result =
-  match result with
-  | Error e -> k (Error (Transport e))
-  | Ok response -> k (decode_one response)
+let raising read c = match read c with Ok v -> v | Error e -> Cursor.fail c e
+
+let read_slice (s : Rpc.slice) body = Soap.read s.Rpc.src s.Rpc.off s.Rpc.len body
+
+(* A message the body's reader rejected is read again as a tree: that
+   tells a broken envelope (or a fault) from a well-formed body of the
+   wrong shape.  Only failures pay for it. *)
+let reread s = read_slice s Cursor.subtree
+
+let sender_fault reason buf = Xml.print buf (Soap.fault_body { Soap.code = "soap:Sender"; reason })
+
+let serve_frame t ~node ~service ~read handler =
+  Rpc.serve_frame t.rpc ~node ~service (fun ~caller body reply ->
+      let reply write = reply (fun buf -> Soap.write buf write) in
+      match read_slice body (raising read) with
+      | Ok (headers, v) -> handler ~caller ~headers (Ok v) reply
+      | Error e -> (
+        match reread body with
+        | Error envelope_error -> reply (sender_fault envelope_error)
+        | Ok (headers, _) -> handler ~caller ~headers (Error e) reply))
+
+let decode_reply read s =
+  let body c = if Cursor.at_local_name c "Fault" then Cursor.fail c "SOAP fault" else raising read c in
+  match read_slice s body with
+  | Ok (_, v) -> Ok (Ok v)
+  | Error e -> (
+    match reread s with
+    | Error envelope_error -> Error (Malformed envelope_error)
+    | Ok (_, tree) -> (
+      match Soap.fault_of_body tree with Some f -> Error (Fault f) | None -> Ok (Error e)))
+
+let call_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read write k =
+  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?resilient
+    (fun buf -> Soap.write ~headers buf write)
+    (function Error e -> k (Error (Transport e)) | Ok reply -> k (decode_reply read reply))
+
+let call_batch_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read writes k =
+  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?timeout ?resilient
+    (List.map (fun write buf -> Soap.write ~headers buf write) writes)
+    (function
+      | Error e -> k (Error (Transport e))
+      | Ok replies -> k (Ok (List.map (decode_reply read) replies)))
+
+(* --- the tree API: bodies as [Xml.t], over the frame API --------------- *)
+
+type handler =
+  caller:Dacs_net.Net.node_id ->
+  headers:Xml.t list ->
+  Xml.t ->
+  (Xml.t -> unit) ->
+  unit
+
+let tree c = Ok (Cursor.subtree c)
+let print body buf = Xml.print buf body
+
+let serve t ~node ~service (handler : handler) =
+  serve_frame t ~node ~service ~read:tree (fun ~caller ~headers body reply ->
+      match body with
+      | Ok body -> handler ~caller ~headers body (fun answer -> reply (print answer))
+      | Error e -> reply (sender_fault e))
+
+let untree = function Ok (Ok body) -> Ok body | Ok (Error e) -> Error (Malformed e) | Error e -> Error e
 
 let call t ~src ~dst ~service ?timeout ?headers body k =
-  let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
-  Rpc.call t.rpc ~src ~dst ~service ?timeout payload (decode_response k)
+  call_frame t ~src ~dst ~service ?timeout ?headers ~read:tree (print body) (fun r -> k (untree r))
 
 let call_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers body k =
-  let payload = Soap.to_string { Soap.headers = Option.value headers ~default:[]; body } in
-  Rpc.call_resilient t.rpc ~src ~dst ~service ?timeout ?retry ?notify payload (decode_response k)
+  call_frame t ~src ~dst ~service ?timeout ~resilient:(Rpc.resilient ?retry ?notify ()) ?headers ~read:tree (print body)
+    (fun r -> k (untree r))
 
 let call_batch_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers bodies k =
-  let headers = Option.value headers ~default:[] in
-  let payloads = List.map (fun body -> Soap.to_string { Soap.headers = headers; body }) bodies in
-  Rpc.call_batch_resilient t.rpc ~src ~dst ~service ?timeout ?retry ?notify payloads
-    (fun result ->
-      match result with
-      | Error e -> k (Error (Transport e))
-      | Ok replies -> k (Ok (List.map decode_one replies)))
+  call_batch_frame t ~src ~dst ~service ?timeout ~resilient:(Rpc.resilient ?retry ?notify ()) ?headers ~read:tree
+    (List.map print bodies) (fun r -> k (Result.map (List.map untree) r))

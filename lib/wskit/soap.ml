@@ -1,40 +1,77 @@
 module Xml = Dacs_xml.Xml
+module Cursor = Xml.Cursor
 
 type envelope = {
   headers : Xml.t list;
   body : Xml.t;
 }
 
-let envelope ?(headers = []) body =
-  Xml.element "soap:Envelope"
-    ~attrs:[ ("xmlns:soap", "http://www.w3.org/2003/05/soap-envelope") ]
-    ~children:
-      ((if headers = [] then [] else [ Xml.element "soap:Header" ~children:headers ])
-      @ [ Xml.element "soap:Body" ~children:[ body ] ])
+let write ?(headers = []) buf body =
+  Buffer.add_string buf "<soap:Envelope xmlns:soap=\"http://www.w3.org/2003/05/soap-envelope\">";
+  if headers <> [] then begin
+    Buffer.add_string buf "<soap:Header>";
+    List.iter (Xml.print buf) headers;
+    Buffer.add_string buf "</soap:Header>"
+  end;
+  Buffer.add_string buf "<soap:Body>";
+  body buf;
+  Buffer.add_string buf "</soap:Body></soap:Envelope>"
 
-let of_xml node =
-  if not (Xml.has_local_name (Xml.tag node) "Envelope") then Error "expected a SOAP Envelope"
-  else begin
-    let headers =
-      match Xml.find_child node "Header" with
-      | None -> []
-      | Some h -> List.filter Xml.is_element (Xml.children h)
-    in
-    match Xml.find_child node "Body" with
-    | None -> Error "SOAP Envelope has no Body"
-    | Some b -> (
-      match List.filter Xml.is_element (Xml.children b) with
-      | [ body ] -> Ok { headers; body }
-      | [] -> Error "SOAP Body is empty"
-      | _ -> Error "SOAP Body must contain a single element")
-  end
+let to_string e =
+  let buf = Buffer.create 512 in
+  write ~headers:e.headers buf (fun buf -> Xml.print buf e.body);
+  Buffer.contents buf
+
+let envelope ?(headers = []) body = Xml.of_string (to_string { headers; body })
+
+(* The envelope's shape as a tree reading sees it: the first Header and
+   the first Body child count, wherever they sit; text and any other
+   element around them are ignored. *)
+let read_envelope c body =
+  let env = Cursor.enter c in
+  if not (Cursor.has_local_name c env "Envelope") then Cursor.fail c "expected a SOAP Envelope";
+  while Cursor.next_attr c env do
+    ()
+  done;
+  let headers = ref None and result = ref None in
+  while Cursor.next_child c env do
+    if Option.is_none !headers && Cursor.at_local_name c "Header" then begin
+      let h = Cursor.enter c in
+      while Cursor.next_attr c h do
+        ()
+      done;
+      let acc = ref [] in
+      while Cursor.next_child c h do
+        acc := Cursor.subtree c :: !acc
+      done;
+      Cursor.close c h;
+      headers := Some (List.rev !acc)
+    end
+    else if Option.is_none !result && Cursor.at_local_name c "Body" then begin
+      let b = Cursor.enter c in
+      while Cursor.next_attr c b do
+        ()
+      done;
+      if not (Cursor.next_child c b) then Cursor.fail c "SOAP Body is empty";
+      result := Some (body c);
+      if Cursor.next_child c b then Cursor.fail c "SOAP Body must contain a single element";
+      Cursor.close c b
+    end
+    else ignore (Cursor.subtree c)
+  done;
+  Cursor.close c env;
+  Cursor.finish c;
+  match !result with
+  | None -> Cursor.fail c "SOAP Envelope has no Body"
+  | Some v -> (Option.value !headers ~default:[], v)
+
+let read src off len body =
+  match Cursor.of_slice src off len with
+  | c -> Cursor.read c (fun c -> read_envelope c body)
+  | exception Xml.Parse_error { message; _ } -> Error message
 
 let parse s =
-  match Xml.of_string_opt s with
-  | None -> Error "malformed XML"
-  | Some node -> of_xml node
-
-let to_string e = Xml.to_string (envelope ~headers:e.headers e.body)
+  Result.map (fun (headers, body) -> { headers; body }) (read s 0 (String.length s) Cursor.subtree)
 
 type fault = { code : string; reason : string }
 

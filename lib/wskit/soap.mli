@@ -9,15 +9,31 @@ type envelope = {
   body : Dacs_xml.Xml.t;  (** the single body element *)
 }
 
-val envelope : ?headers:Dacs_xml.Xml.t list -> Dacs_xml.Xml.t -> Dacs_xml.Xml.t
-(** Wrap a body element into [<Envelope><Header>…</Header><Body>…</Body>]. *)
+val write : ?headers:Dacs_xml.Xml.t list -> Buffer.t -> (Buffer.t -> unit) -> unit
+(** [write ?headers buf body] appends
+    [<soap:Envelope …>[<soap:Header>…</soap:Header>]<soap:Body>…</soap:Body></soap:Envelope>]
+    with [body] writing the single body element in place — the one
+    envelope encoder.  The Header element appears only when [headers] is
+    non-empty. *)
+
+val read :
+  string -> int -> int -> (Dacs_xml.Xml.Cursor.t -> 'a) -> (Dacs_xml.Xml.t list * 'a, string) result
+(** [read src off len body] reads the envelope in that slice of [src]
+    with a pull cursor — the one envelope decoder.  The first [Header]
+    child gives the headers (as trees) and the first [Body] child must
+    hold exactly one element, which [body] reads from its ['<'];
+    anything else in the envelope is ignored, as a tree reading would.
+    Total: malformed XML, a wrong shape or a {!Dacs_xml.Xml.Parse_error}
+    raised by [body] come back as [Error]. *)
 
 val to_string : envelope -> string
+(** {!write} of a tree body. *)
+
+val envelope : ?headers:Dacs_xml.Xml.t list -> Dacs_xml.Xml.t -> Dacs_xml.Xml.t
+(** The envelope {!write} produces, as a tree. *)
 
 val parse : string -> (envelope, string) result
-(** Parse and shape-check an envelope. *)
-
-val of_xml : Dacs_xml.Xml.t -> (envelope, string) result
+(** {!read} with the body taken as a tree. *)
 
 (** {1 Faults} *)
 

@@ -133,6 +133,8 @@ and print_all buf = function
     print_compact buf node;
     print_all buf rest
 
+let print = print_compact
+
 let to_string node =
   let buf = Buffer.create 256 in
   print_compact buf node;
@@ -218,16 +220,33 @@ let rec depth = function
 exception Parse_error of { line : int; column : int; message : string }
 
 let max_depth = 256
+let max_attributes = 64
+let max_input_bytes = 16 * 1024 * 1024
 
-(* The parser scans [src] by index and tracks nothing but the offset; text
-   and attribute runs without markup become one [String.sub] each, and [buf]
-   (empty between runs) assembles only the runs that entities, CDATA,
-   comments or PIs interrupt. *)
-type parser = { src : string; mutable pos : int; buf : Buffer.t }
+(* The parser scans [src] by index between [origin] and [stop] and tracks
+   nothing but the offset; text and attribute runs without markup become
+   one [String.sub] each, and [buf] (empty between runs) assembles only the
+   runs that entities, CDATA, comments or PIs interrupt.  The same state
+   is the pull {!Cursor}: [depth] counts the open elements it has entered
+   and [empty] says the start tag just read was self-closing; [attrs]
+   counts the attributes read from the current start tag, and [attr] (the
+   name's offset) and [value] hold the last one. *)
+type parser = {
+  src : string;
+  origin : int;
+  stop : int;
+  mutable pos : int;
+  buf : Buffer.t;
+  mutable depth : int;
+  mutable empty : bool;
+  mutable attrs : int;
+  mutable attr : int;
+  mutable value : string;
+}
 
 let fail p message =
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to p.pos - 1 do
+  let line = ref 1 and bol = ref p.origin in
+  for i = p.origin to p.pos - 1 do
     if String.unsafe_get p.src i = '\n' then begin
       incr line;
       bol := i + 1
@@ -235,8 +254,32 @@ let fail p message =
   done;
   raise (Parse_error { line = !line; column = p.pos - !bol + 1; message })
 
-let at_end p = p.pos >= String.length p.src
-let looking_at p s = p.pos + String.length s <= String.length p.src && same_from p.src p.pos s 0
+(* Runs only when no other parser is mid-run: a run never calls out, so
+   one scratch buffer serves every parser in turn. *)
+let scratch = Buffer.create 64
+
+let make_parser src off len =
+  if off < 0 || len < 0 || off + len > String.length src then invalid_arg "Xml: slice out of bounds";
+  Buffer.clear scratch;
+  let p =
+    {
+      src;
+      origin = off;
+      stop = off + len;
+      pos = off;
+      buf = scratch;
+      depth = 0;
+      empty = false;
+      attrs = 0;
+      attr = 0;
+      value = "";
+    }
+  in
+  if len > max_input_bytes then fail p (Printf.sprintf "input larger than %d bytes" max_input_bytes);
+  p
+
+let at_end p = p.pos >= p.stop
+let looking_at p s = p.pos + String.length s <= p.stop && same_from p.src p.pos s 0
 
 let expect p s =
   if looking_at p s then p.pos <- p.pos + String.length s else fail p (Printf.sprintf "expected %S" s)
@@ -249,40 +292,49 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.' || c = ':'
 
-let rec ws_end s i = if i < String.length s && is_ws (String.unsafe_get s i) then ws_end s (i + 1) else i
-let rec name_end s i = if i < String.length s && is_name_char (String.unsafe_get s i) then name_end s (i + 1) else i
+(* Offset just past the first ':' in [s.[i..stop)], or -1. *)
+let rec colon_end s i stop = if i >= stop then -1 else if String.unsafe_get s i = ':' then i + 1 else colon_end s (i + 1) stop
 
-(* First index from [i] on holding [a] or [b], or the length of [s]. *)
-let rec index_either s i a b =
-  if i >= String.length s then i
+let rec ws_end s i stop = if i < stop && is_ws (String.unsafe_get s i) then ws_end s (i + 1) stop else i
+let rec name_end s i stop = if i < stop && is_name_char (String.unsafe_get s i) then name_end s (i + 1) stop else i
+
+(* First index from [i] on holding [a] or [b], or [stop]. *)
+let rec index_either s i stop a b =
+  if i >= stop then stop
   else
     let c = String.unsafe_get s i in
-    if c = a || c = b then i else index_either s (i + 1) a b
+    if c = a || c = b then i else index_either s (i + 1) stop a b
 
-(* First index from [i] on where [t] occurs in [s], or -1. *)
-let rec find_from s i t =
-  if i + String.length t > String.length s then -1
+(* First index from [i] on where [t] occurs in [s] before [stop], or -1. *)
+let rec find_from s i stop t =
+  if i + String.length t > stop then -1
   else if same_from s i t 0 then i
-  else find_from s (i + 1) t
+  else find_from s (i + 1) stop t
 
-let skip_ws p = p.pos <- ws_end p.src p.pos
+let skip_ws p = p.pos <- ws_end p.src p.pos p.stop
 
 (* Leaves the cursor after a non-empty name and returns where it began. *)
 let name_span p =
   let start = p.pos in
-  p.pos <- name_end p.src start;
+  p.pos <- name_end p.src start p.stop;
   if p.pos = start then fail p "expected a name";
   start
 
-let parse_name p =
-  let start = name_span p in
-  String.sub p.src start (p.pos - start)
+let name_at p start = String.sub p.src start (name_end p.src start p.stop - start)
+
+let rec same_bytes s a b i n =
+  i >= n || (String.unsafe_get s (a + i) = String.unsafe_get s (b + i) && same_bytes s a b (i + 1) n)
+
+(* The names starting at [a] and [b] are the same bytes. *)
+let same_name p a b =
+  let la = name_end p.src a p.stop - a in
+  la = name_end p.src b p.stop - b && same_bytes p.src a b 0 la
 
 (* Moves the cursor past the first [closing] at or after it. *)
 let skip_until p closing =
-  let i = find_from p.src p.pos closing in
+  let i = find_from p.src p.pos p.stop closing in
   if i < 0 then begin
-    p.pos <- String.length p.src;
+    p.pos <- p.stop;
     fail p (Printf.sprintf "unterminated construct, expected %S" closing)
   end;
   p.pos <- i + String.length closing
@@ -320,13 +372,11 @@ let predefined_entity src start len =
 let parse_entity p =
   let src = p.src in
   let start = p.pos + 1 in
-  let semi =
-    match String.index_from src start ';' with
-    | semi -> semi
-    | exception Not_found ->
-      p.pos <- String.length src;
-      fail p "unterminated entity reference"
-  in
+  let semi = index_either src start p.stop ';' ';' in
+  if semi >= p.stop then begin
+    p.pos <- p.stop;
+    fail p "unterminated entity reference"
+  end;
   p.pos <- semi + 1;
   match predefined_entity src start (semi - start) with
   | Some c -> Buffer.add_char p.buf c
@@ -366,7 +416,7 @@ let rec attr_value_rest p quote =
       parse_entity p;
       attr_value_rest p quote
     | _ ->
-      let stop = index_either src p.pos quote '&' in
+      let stop = index_either src p.pos p.stop quote '&' in
       Buffer.add_substring p.buf src p.pos (stop - p.pos);
       p.pos <- stop;
       attr_value_rest p quote
@@ -376,8 +426,8 @@ let parse_attr_value p =
   let quote = if at_end p then ' ' else src.[p.pos] in
   if quote <> '"' && quote <> '\'' then fail p "expected a quoted attribute value";
   let start = p.pos + 1 in
-  let stop = index_either src start quote '&' in
-  if stop < String.length src && String.unsafe_get src stop = quote then begin
+  let stop = index_either src start p.stop quote '&' in
+  if stop < p.stop && String.unsafe_get src stop = quote then begin
     p.pos <- stop + 1;
     String.sub src start (stop - start)
   end
@@ -385,6 +435,18 @@ let parse_attr_value p =
     p.pos <- start;
     attr_value_rest p quote
   end
+
+(* One attribute at the cursor, which is on its name: leaves the cursor
+   after the value and returns where the name began.  [count] attributes
+   of this start tag came before it. *)
+let attribute p count =
+  if count >= max_attributes then fail p (Printf.sprintf "more than %d attributes on one element" max_attributes);
+  let name = name_span p in
+  skip_ws p;
+  expect p "=";
+  skip_ws p;
+  p.value <- parse_attr_value p;
+  name
 
 let rec skip_misc p =
   skip_ws p;
@@ -410,9 +472,9 @@ let at_interruption p = looking_at p "<!--" || looking_at p "<![CDATA[" || looki
 let skip_interruption p =
   if looking_at p "<![CDATA[" then begin
     let start = p.pos + 9 in
-    let stop = find_from p.src start "]]>" in
+    let stop = find_from p.src start p.stop "]]>" in
     if stop < 0 then begin
-      p.pos <- String.length p.src;
+      p.pos <- p.stop;
       fail p "unterminated CDATA section"
     end;
     Buffer.add_substring p.buf p.src start (stop - start);
@@ -420,10 +482,11 @@ let skip_interruption p =
   end
   else skip_until p (if looking_at p "<?" then "?>" else "-->")
 
-(* Character data in [p.buf] up to the next child element or closing tag. *)
+(* Character data in [p.buf] up to the next child element or closing tag
+   of the element whose name starts at [tag]. *)
 let rec buffered_text p tag =
   let src = p.src in
-  if at_end p then fail p (Printf.sprintf "unterminated element <%s>" tag)
+  if at_end p then fail p (Printf.sprintf "unterminated element <%s>" (name_at p tag))
   else
     match String.unsafe_get src p.pos with
     | '&' ->
@@ -434,7 +497,7 @@ let rec buffered_text p tag =
       buffered_text p tag
     | '<' -> take_buffer p
     | _ ->
-      let stop = index_either src p.pos '<' '&' in
+      let stop = index_either src p.pos p.stop '<' '&' in
       Buffer.add_substring p.buf src p.pos (stop - p.pos);
       p.pos <- stop;
       buffered_text p tag
@@ -444,7 +507,7 @@ let rec buffered_text p tag =
 let text_run p tag =
   let src = p.src in
   let start = p.pos in
-  p.pos <- index_either src start '<' '&';
+  p.pos <- index_either src start p.stop '<' '&';
   if (not (at_end p)) && String.unsafe_get src p.pos = '<' && not (at_interruption p) then
     if p.pos = start then "" else String.sub src start (p.pos - start)
   else begin
@@ -452,14 +515,25 @@ let text_run p tag =
     buffered_text p tag
   end
 
+(* The cursor is on "</": consumes the closing tag of the element whose
+   name starts at [tag]. *)
+let closing_tag p tag =
+  p.pos <- p.pos + 2;
+  let start = name_span p in
+  if not (same_name p start tag) then
+    fail p
+      (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" (name_at p start) (name_at p tag));
+  skip_ws p;
+  expect p ">"
+
 (* The cursor is on '<'; [depth] counts the element about to be read. *)
 let rec parse_element p depth =
   if depth > max_depth then fail p (Printf.sprintf "elements nested deeper than %d" max_depth);
   p.pos <- p.pos + 1;
-  let tag = parse_name p in
-  parse_attrs p tag depth []
+  let start = name_span p in
+  parse_attrs p (String.sub p.src start (p.pos - start)) start depth 0 []
 
-and parse_attrs p tag depth acc =
+and parse_attrs p tag start depth count acc =
   skip_ws p;
   (* The end of input reads as a blank, which no branch accepts. *)
   let c = if at_end p then ' ' else String.unsafe_get p.src p.pos in
@@ -470,44 +544,41 @@ and parse_attrs p tag depth acc =
   end
   else if c = '>' then begin
     p.pos <- p.pos + 1;
-    let children = parse_content p tag depth [] in
+    let children = parse_content p start depth [] in
     Element { tag; attrs = List.rev acc; children }
   end
   else if is_name_char c then begin
-    let name = parse_name p in
-    skip_ws p;
-    expect p "=";
-    skip_ws p;
-    let value = parse_attr_value p in
+    let at = attribute p count in
+    let name = String.sub p.src at (name_end p.src at p.stop - at) in
     if List.mem_assoc name acc then fail p (Printf.sprintf "duplicate attribute %s" name);
-    parse_attrs p tag depth ((name, value) :: acc)
+    parse_attrs p tag start depth (count + 1) ((name, p.value) :: acc)
   end
   else fail p "malformed start tag"
 
-and parse_content p tag depth acc =
-  let text = text_run p tag in
+and parse_content p start depth acc =
+  let text = text_run p start in
   let acc = if String.length text = 0 then acc else Text text :: acc in
   if looking_at p "</" then begin
-    p.pos <- p.pos + 2;
-    let start = name_span p in
-    let len = p.pos - start in
-    if not (span_is p.src start len tag) then
-      fail p
-        (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" (String.sub p.src start len) tag);
-    skip_ws p;
-    expect p ">";
+    closing_tag p start;
     List.rev acc
   end
-  else parse_content p tag depth (parse_element p (depth + 1) :: acc)
+  else parse_content p start depth (parse_element p (depth + 1) :: acc)
 
-let of_string src =
-  let p = { src; pos = 0; buf = Buffer.create 64 } in
+let root p =
   skip_misc p;
-  if at_end p || src.[p.pos] <> '<' then fail p "expected a root element";
-  let root = parse_element p 1 in
+  if at_end p || String.unsafe_get p.src p.pos <> '<' then fail p "expected a root element"
+
+let finish p =
   skip_misc p;
-  if not (at_end p) then fail p "trailing content after the root element";
-  root
+  if not (at_end p) then fail p "trailing content after the root element"
+
+let document p =
+  root p;
+  let node = parse_element p 1 in
+  finish p;
+  node
+
+let of_string src = document (make_parser src 0 (String.length src))
 
 let of_string_opt src = try Some (of_string src) with Parse_error _ -> None
 
@@ -515,3 +586,118 @@ let parse_error_to_string = function
   | Parse_error { line; column; message } ->
     Some (Printf.sprintf "XML parse error at line %d, column %d: %s" line column message)
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Pull cursor                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Cursor = struct
+  type t = parser
+
+  let of_slice src off len =
+    let p = make_parser src off len in
+    root p;
+    p
+
+  let of_string src = of_slice src 0 (String.length src)
+
+  let fail = fail
+  let finish = finish
+
+  let enter p =
+    if not (looking_at p "<") || looking_at p "</" then fail p "expected a start tag";
+    if p.depth >= max_depth then fail p (Printf.sprintf "elements nested deeper than %d" max_depth);
+    p.pos <- p.pos + 1;
+    let tag = name_span p in
+    p.depth <- p.depth + 1;
+    p.attrs <- 0;
+    p.empty <- false;
+    tag
+
+  let is p tag name = span_is p.src tag (name_end p.src tag p.stop - tag) name
+
+  let has_local_name p tag name =
+    let stop = name_end p.src tag p.stop in
+    let start = match colon_end p.src tag stop with -1 -> tag | i -> i in
+    span_is p.src start (stop - start) name
+
+  let tag_name p tag = name_at p tag
+
+  let at_local_name p name = looking_at p "<" && (not (looking_at p "</")) && has_local_name p (p.pos + 1) name
+
+  (* Whether the attribute named at [at] repeats one before it in the
+     start tag whose name starts at [tag]: a rescan of the tag's earlier,
+     already validated attributes, so the check allocates nothing. *)
+  let rec repeats_from p at i =
+    let src = p.src in
+    let i = ws_end src i p.stop in
+    if i >= at then false
+    else if same_name p i at then true
+    else
+      let i = ws_end src (name_end src i p.stop) p.stop in
+      let i = ws_end src (i + 1) p.stop in
+      let quote = String.unsafe_get src i in
+      repeats_from p at (index_either src (i + 1) p.stop quote quote + 1)
+
+  let repeats p tag at = repeats_from p at (name_end p.src tag p.stop)
+
+  let next_attr p tag =
+    skip_ws p;
+    let c = if at_end p then ' ' else String.unsafe_get p.src p.pos in
+    if c = '/' then begin
+      p.pos <- p.pos + 1;
+      expect p ">";
+      p.empty <- true;
+      false
+    end
+    else if c = '>' then begin
+      p.pos <- p.pos + 1;
+      false
+    end
+    else if is_name_char c then begin
+      let at = attribute p p.attrs in
+      if repeats p tag at then fail p (Printf.sprintf "duplicate attribute %s" (name_at p at));
+      p.attrs <- p.attrs + 1;
+      p.attr <- at;
+      true
+    end
+    else fail p "malformed start tag"
+
+  let attr_is p name = is p p.attr name
+  let value p = p.value
+
+  let next_child p tag =
+    (not p.empty)
+    &&
+    (ignore (text_run p tag);
+     not (looking_at p "</"))
+
+  let text p tag =
+    if p.empty then ""
+    else begin
+      let s = text_run p tag in
+      if not (looking_at p "</") then fail p (Printf.sprintf "unexpected element inside <%s>" (name_at p tag));
+      s
+    end
+
+  let close p tag =
+    if p.empty then p.empty <- false
+    else begin
+      ignore (text_run p tag);
+      if not (looking_at p "</") then fail p (Printf.sprintf "unexpected element inside <%s>" (name_at p tag));
+      closing_tag p tag
+    end;
+    p.depth <- p.depth - 1
+
+  let subtree p = parse_element p (p.depth + 1)
+
+  let read p f =
+    match f p with
+    | v -> Ok v
+    | exception Parse_error { message; _ } -> Error message
+
+  let parse src f =
+    match of_string src with
+    | p -> read p (fun p -> let v = f p in finish p; v)
+    | exception Parse_error { message; _ } -> Error message
+end

@@ -71,6 +71,14 @@ val is_element : t -> bool
 val to_string : t -> string
 (** Compact single-line serialisation. *)
 
+val print : Buffer.t -> t -> unit
+(** [print buf node] appends [to_string node] to [buf] — how a tree rides
+    inside a larger message without a string of its own. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends [escape s]: the one escaping rule that
+    {!print} and every direct message writer share. *)
+
 val to_pretty_string : ?indent:int -> t -> string
 (** Indented serialisation for human consumption. *)
 
@@ -101,16 +109,120 @@ val max_depth : int
     the deepest document the DACS encoders produce nests about ten
     levels. *)
 
+val max_attributes : int
+(** The most attributes one start tag may carry: 64.  The largest count
+    any test, CLI run or [dacsbench] workload produces is 7 (an offline
+    [LogEvent]). *)
+
+val max_input_bytes : int
+(** The largest input {!of_string} and {!Cursor.of_slice} accept:
+    16 MiB, reported at the first byte.  The largest document any CLI run
+    or [dacsbench] workload parses is 53,281 bytes ([cold-wide]; 13,393
+    on [partition-offline], log-sync responses included), and the largest
+    any test feeds is the 700,054-byte hostile nesting case. *)
+
 val of_string : string -> t
 (** Parse a complete document (prolog and doctype are skipped) in one
     pass over the bytes.
     @raise Parse_error on malformed input, including an element nested
-    deeper than {!max_depth} (reported at its ['<']). *)
+    deeper than {!max_depth} (reported at its ['<']), a start tag with
+    more than {!max_attributes} attributes and an input longer than
+    {!max_input_bytes}. *)
 
 val of_string_opt : string -> t option
 
 val parse_error_to_string : exn -> string option
 (** Human-readable rendering of {!Parse_error}; [None] on other exceptions. *)
+
+(** {1 Pull cursor}
+
+    The parser's own state, exposed so a decoder can read a message in
+    place: one pass over the bytes that arrived, building no tree and
+    copying out only the attribute values and text it keeps.  It checks
+    exactly what {!of_string} checks (well-formedness, {!max_depth},
+    {!max_attributes}, {!max_input_bytes}) with the same code, and every
+    failure raises {!Parse_error}.
+
+    A reader walks one element at a time: {!Cursor.enter} a start tag,
+    read its attributes with {!Cursor.next_attr}, then either its
+    {!Cursor.text} or its children ({!Cursor.next_child} before each),
+    and {!Cursor.close} it with the tag {!Cursor.enter} returned.  Any
+    element it does not read field by field can be taken whole with
+    {!Cursor.subtree}. *)
+
+module Cursor : sig
+  type tree := t
+  type t
+
+  val of_slice : string -> int -> int -> t
+  (** [of_slice src off len] reads the document in [src] from [off] for
+      [len] bytes, positioned on the root element's ['<'] (the prolog is
+      skipped).
+      @raise Parse_error when no root element follows the prolog.
+      @raise Invalid_argument when the slice is out of bounds. *)
+
+  val of_string : string -> t
+
+  val read : t -> (t -> 'a) -> ('a, string) result
+  (** [read c f] runs [f c], turning {!Parse_error} into [Error message]. *)
+
+  val parse : string -> (t -> 'a) -> ('a, string) result
+  (** [parse src f] reads the whole document [src] with [f] at its root
+      element, then checks that only trailing misc follows; total like
+      {!read}. *)
+
+  val fail : t -> string -> 'a
+  (** Raise {!Parse_error} at the cursor — how a reader rejects a
+      well-formed document of the wrong shape. *)
+
+  val enter : t -> int
+  (** Consume ['<'] and the tag name of the start tag at the cursor and
+      return the tag's handle (its name's offset), which names the
+      element to {!is}, {!next_child}, {!text} and {!close}. *)
+
+  val is : t -> int -> string -> bool
+  (** [is c tag name]: the tag's full name (prefix included) is [name]. *)
+
+  val has_local_name : t -> int -> string -> bool
+  (** Like {!Xml.has_local_name} on the tag's name. *)
+
+  val tag_name : t -> int -> string
+  (** The tag's name, copied out (for error messages). *)
+
+  val at_local_name : t -> string -> bool
+  (** The cursor is on a start tag whose local name is the given one;
+      consumes nothing. *)
+
+  val next_attr : t -> int -> bool
+  (** Read the next attribute of the start tag being read, or finish the
+      tag and return [false].  Duplicates fail, as in {!of_string}. *)
+
+  val attr_is : t -> string -> bool
+  (** The attribute just read is named exactly this. *)
+
+  val value : t -> string
+  (** The attribute value just read, entities decoded. *)
+
+  val next_child : t -> int -> bool
+  (** Skip character data inside the tag's element and report whether a
+      child element starts at the cursor ([false] at the closing tag). *)
+
+  val text : t -> int -> string
+  (** The character data of a text-only element, as [text_content] of
+      the tree would give it; a child element fails. *)
+
+  val close : t -> int -> unit
+  (** Consume the rest of the tag's element: character data and its
+      closing tag (nothing for a self-closing tag).  A child element
+      still unread fails. *)
+
+  val subtree : t -> tree
+  (** The element at the cursor, parsed whole (the escape to the tree
+      for content a reader does not walk field by field). *)
+
+  val finish : t -> unit
+  (** After the root element: only trailing misc may follow. *)
+end
 
 (** {1 Comparison} *)
 

@@ -403,9 +403,25 @@ let frame_roundtrip_tests =
         Rpc.decode_parts (Rpc.encode_parts parts) = Some parts);
   ]
 
+(* Headers are canonical: whatever [decode] accepts re-encodes to the
+   very bytes it read, so no two byte strings name the same frame. *)
+let encode_frame = function
+  | Rpc.Request (id, service, body) -> Rpc.encode_request id service body
+  | Rpc.Traced_request { id; service; trace; body } -> Rpc.encode_traced_request id service ~trace body
+  | Rpc.Batch_request (id, service, parts) -> Rpc.encode_batch_request id service parts
+  | Rpc.Traced_batch_request { id; service; trace; parts } ->
+    Rpc.encode_traced_batch_request id service ~trace parts
+  | Rpc.Reply (id, body) -> Rpc.encode_reply id body
+  | Rpc.Error_frame (id, body) -> Rpc.encode_error id body
+
+let canonical_decode s =
+  match Rpc.decode s with
+  | None -> true
+  | Some f -> encode_frame f = s || QCheck.Test.fail_reportf "%S decodes but re-encodes as %S" s (encode_frame f)
+
 (* Negative-path fuzz: random byte mutations of valid frames must come
-   back as decode errors (None) or as some other well-formed frame —
-   never as an exception.  The mutations are drawn from the generated
+   back as decode errors (None) or as some other well-formed, canonical
+   frame — never as an exception.  The mutations are drawn from the generated
    ints, so a crashing mutation shrinks to a minimal one. *)
 let frame_fuzz_tests =
   let open QCheck in
@@ -434,9 +450,9 @@ let frame_fuzz_tests =
   in
   let arb_mutations = list_of_size Gen.(int_range 1 6) (triple small_nat small_nat small_nat) in
   let total_decode s =
-    match Rpc.decode s with
-    | Some _ | None -> (
-      match Rpc.decode_parts s with Some _ | None -> true)
+    match canonical_decode s with
+    | canonical -> (
+      canonical && match Rpc.decode_parts s with Some _ | None -> true)
     | exception e -> Test.fail_reportf "decode raised %s on %S" (Printexc.to_string e) s
   in
   [
@@ -456,6 +472,27 @@ let frame_fuzz_tests =
     Test.make ~name:"rpc fuzz: arbitrary bytes never raise" ~count:1000
       (string_gen Gen.char) total_decode;
   ]
+
+let frame_canonical_tests =
+  let open QCheck in
+  let header_bytes = Gen.(map (String.concat "") (list_size (int_bound 12) (oneofl [ "|"; "%"; "7C"; "25"; "0"; "1"; "x"; "+"; "_"; "-"; "B"; "T"; "A"; "Q"; "E"; ":" ]))) in
+  [
+    Test.make ~name:"rpc frame: a decoded frame re-encodes to its bytes (header-ish bytes)" ~count:2000
+      (make ~print:Print.string header_bytes) canonical_decode;
+    Test.make ~name:"rpc frame: a decoded frame re-encodes to its bytes (arbitrary bytes)" ~count:1000
+      (string_gen Gen.char) canonical_decode;
+  ]
+
+let test_non_canonical_headers () =
+  List.iter
+    (fun s -> check bool_ (Printf.sprintf "%S rejected" s) true (Rpc.decode s = None))
+    [
+      "A|0x10||b"; "A|1_0||b"; "A|+3||b"; "A|0b11||b"; "A|010||b"; "A|-1||b"; "A|||b"; "A|1|svc|b";
+      "E|1|x|no"; "Q|1|a%b|x"; "Q|1|a%7c|x"; "T|1|s|t%|x"; "B|1|s|01:a"; "B|1|s|+1:a"; "B|1|s|0x1:a";
+      "BT|1|s|t|1_0:aaaaaaaaaa"; "X|1|s|b"; "QQ|1|s|b";
+    ];
+  check bool_ "plain decimal accepted" true (Rpc.decode "A|16||b" = Some (Rpc.Reply (16, "b")));
+  check bool_ "zero id accepted" true (Rpc.decode "A|0||b" = Some (Rpc.Reply (0, "b")))
 
 (* Hand-picked malformed part encodings: every way a length prefix can
    lie about the bytes that follow. *)
@@ -671,8 +708,11 @@ let () =
             test_rpc_service_name_with_separator;
         ] );
       ( "rpc-frames",
-        List.map QCheck_alcotest.to_alcotest (frame_roundtrip_tests @ frame_fuzz_tests)
-        @ [ Alcotest.test_case "malformed part encodings rejected" `Quick test_decode_parts_negative ]
+        List.map QCheck_alcotest.to_alcotest (frame_roundtrip_tests @ frame_fuzz_tests @ frame_canonical_tests)
+        @ [
+            Alcotest.test_case "malformed part encodings rejected" `Quick test_decode_parts_negative;
+            Alcotest.test_case "non-canonical headers rejected" `Quick test_non_canonical_headers;
+          ]
       );
       ( "rpc-resilience",
         [

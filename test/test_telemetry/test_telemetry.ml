@@ -222,6 +222,38 @@ let test_reset_consistency () =
      kept its own mutable total that Pep.reset_stats never touched. *)
   check int_ "bus reset too" 0 (Rpc.resilience_stats rpc).Rpc.retries
 
+(* --- registry lookups stay off the request path ----------------------------- *)
+
+let test_steady_state_decision_no_lookups () =
+  (* After warm-up every series a tier decision touches is resolved, so
+     the next decision — PEP ladder, tier batch, RPC both ways, PDP —
+     increments held handles and resolves nothing in the registry. *)
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pep"; "pdp.0"; "pdp.1" ];
+  List.iter
+    (fun node -> ignore (Pdp_service.create services ~node ~name:node ~root:deny_all_policy ()))
+    [ "pdp.0"; "pdp.1" ];
+  let tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp.0"; "pdp.1" ] () in
+  let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }) in
+  let decide user =
+    let answered = ref false in
+    Pep.decide pep
+      (Dacs_policy.Context.make
+         ~subject:[ ("subject-id", Value.String user) ]
+         ~resource:[ ("resource-id", Value.String "r") ]
+         ~action:[ ("action-id", Value.String "read") ]
+         ())
+      (fun _ -> answered := true);
+    Net.run net;
+    check bool_ ("answered " ^ user) true !answered
+  in
+  List.iter decide [ "a"; "b"; "c"; "d"; "e"; "f" ];
+  let registry = Service.metrics services in
+  let before = Metrics.lookups registry in
+  decide "g";
+  check int_ "registry lookups in a steady-state decision" 0 (Metrics.lookups registry - before)
+
 (* --- trace context through an RPC frame (QCheck) ----------------------------- *)
 
 let context_roundtrip =
@@ -429,6 +461,8 @@ let () =
           Alcotest.test_case "exposition has no duplicate headers" `Quick
             test_render_no_duplicate_names;
           Alcotest.test_case "reset is consistent across the bus" `Quick test_reset_consistency;
+          Alcotest.test_case "a steady-state tier decision makes no registry lookups" `Quick
+            test_steady_state_decision_no_lookups;
         ] );
       ( "loghist",
         [

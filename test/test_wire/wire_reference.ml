@@ -1,0 +1,350 @@
+(* The tree codecs of the per-decision frames as they stood before the
+   frames were written and read in place: every body below is the former
+   library code, moved here verbatim as the oracle that [test_wire]
+   compares the direct writers and cursor readers against.  Module
+   prefixes were adjusted to the test's scope; nothing else changed. *)
+
+module Xml = Dacs_xml.Xml
+module Value = Dacs_policy.Value
+module Decision = Dacs_policy.Decision
+module Obligation = Dacs_policy.Obligation
+
+let ( let* ) = Result.bind
+
+(* --- Context: the Request element ---------------------------------------- *)
+
+open struct
+  let category_name = Dacs_policy.Context.category_name
+  let category_of_name = Dacs_policy.Context.category_of_name
+  let all_categories = Dacs_policy.Context.all_categories
+  let attributes = Dacs_policy.Context.attributes
+  let empty = Dacs_policy.Context.empty
+  let add = Dacs_policy.Context.add
+end
+
+let to_xml t =
+  let section category =
+    let attrs = attributes t category in
+    Xml.element (category_name category)
+      ~children:
+        (List.concat_map
+           (fun (id, values) ->
+             List.map
+               (fun v ->
+                 Xml.element "Attribute"
+                   ~attrs:
+                     [
+                       ("AttributeId", id);
+                       ("DataType", Value.type_name (Value.type_of v));
+                     ]
+                   ~children:[ Xml.text (Value.to_string v) ])
+               values)
+           attrs)
+  in
+  Xml.element "Request" ~children:(List.map section all_categories)
+
+let of_xml node =
+  if Xml.tag node <> "Request" then Error "expected a Request element"
+  else begin
+    let result = ref empty in
+    let error = ref None in
+    List.iter
+      (fun section ->
+        match category_of_name (Xml.local_name section.Xml.tag) with
+        | None -> error := Some (Printf.sprintf "unknown category element %s" section.Xml.tag)
+        | Some category ->
+          List.iter
+            (fun attr_node ->
+              let attr_node = Xml.Element attr_node in
+              match (Xml.attr attr_node "AttributeId", Xml.attr attr_node "DataType") with
+              | Some id, Some dt_name -> (
+                match Value.data_type_of_name dt_name with
+                | None -> error := Some (Printf.sprintf "unknown data type %s" dt_name)
+                | Some dt -> (
+                  match Value.of_string dt (Xml.text_content attr_node) with
+                  | Ok v -> result := add !result category id v
+                  | Error e -> error := Some e))
+              | _ -> error := Some "Attribute needs AttributeId and DataType")
+            (List.filter (fun e -> Xml.local_name e.Xml.tag = "Attribute") (Xml.child_elements (Xml.Element section))))
+      (Xml.child_elements node);
+    match !error with Some e -> Error e | None -> Ok !result
+  end
+
+(* --- Xacml_xml: the Response element ------------------------------------- *)
+
+let rec collect_results f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = collect_results f rest in
+    Ok (y :: ys)
+
+let attr_or_error node name =
+  match Xml.attr node name with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "<%s> is missing attribute %s" (Xml.tag node) name)
+
+let value_of ~data_type ~text =
+  match Value.data_type_of_name data_type with
+  | None -> Error (Printf.sprintf "unknown data type %s" data_type)
+  | Some dt -> Value.of_string dt text
+
+let effect_to_string = function Obligation.Permit -> "Permit" | Obligation.Deny -> "Deny"
+
+let effect_of_string = function
+  | "Permit" -> Ok Obligation.Permit
+  | "Deny" -> Ok Obligation.Deny
+  | other -> Error (Printf.sprintf "unknown effect %s" other)
+
+let obligation_to_xml o =
+  Xml.element "Obligation"
+    ~attrs:[ ("ObligationId", o.Obligation.id); ("FulfillOn", effect_to_string o.Obligation.fulfill_on) ]
+    ~children:
+      (List.map
+         (fun (k, v) ->
+           Xml.element "AttributeAssignment"
+             ~attrs:[ ("AttributeId", k); ("DataType", Value.type_name (Value.type_of v)) ]
+             ~children:[ Xml.text (Value.to_string v) ])
+         o.Obligation.parameters)
+
+let obligation_of_xml node =
+  let* id = attr_or_error node "ObligationId" in
+  let* fulfill_on_s = attr_or_error node "FulfillOn" in
+  let* fulfill_on = effect_of_string fulfill_on_s in
+  let* parameters =
+    collect_results
+      (fun a ->
+        let* k = attr_or_error a "AttributeId" in
+        let* data_type = attr_or_error a "DataType" in
+        let* v = value_of ~data_type ~text:(Xml.text_content a) in
+        Ok (k, v))
+      (Xml.find_children node "AttributeAssignment")
+  in
+  Ok { Obligation.id; fulfill_on; parameters }
+
+let obligations_to_xml = function
+  | [] -> None
+  | obligations -> Some (Xml.element "Obligations" ~children:(List.map obligation_to_xml obligations))
+
+let obligations_child node =
+  match Xml.find_child node "Obligations" with
+  | None -> Ok []
+  | Some obs -> collect_results obligation_of_xml (Xml.find_children obs "Obligation")
+
+let result_to_xml (r : Decision.result) =
+  let status =
+    match r.Decision.decision with
+    | Decision.Indeterminate m ->
+      [ Xml.element "Status" ~children:[ Xml.text m ] ]
+    | Decision.Permit | Decision.Deny | Decision.Not_applicable -> []
+  in
+  Xml.element "Response"
+    ~children:
+      [
+        Xml.element "Result"
+          ~children:
+            ([ Xml.element "Decision" ~children:[ Xml.text (Decision.decision_to_string r.Decision.decision) ] ]
+            @ status
+            @ Option.to_list (obligations_to_xml r.Decision.obligations));
+      ]
+
+let result_of_xml node =
+  match Xml.find_child node "Result" with
+  | None -> Error "Response has no Result"
+  | Some result_node -> (
+    match Xml.find_child result_node "Decision" with
+    | None -> Error "Result has no Decision"
+    | Some d -> (
+      let* obligations = obligations_child result_node in
+      match Decision.decision_of_string (Xml.text_content d) with
+      | Some (Decision.Indeterminate _) ->
+        let message =
+          Option.value (Option.map Xml.text_content (Xml.find_child result_node "Status")) ~default:""
+        in
+        Ok { Decision.decision = Decision.Indeterminate message; obligations }
+      | Some decision -> Ok { Decision.decision; obligations }
+      | None -> Error (Printf.sprintf "unknown decision %s" (Xml.text_content d))))
+
+(* --- Wire: the per-decision frames ---------------------------------------- *)
+
+let context_to_xml = to_xml
+let context_of_xml = of_xml
+
+module Context = struct
+  include Dacs_policy.Context
+
+  let to_xml = context_to_xml
+  let of_xml = context_of_xml
+end
+
+module Xacml_xml = struct
+  let result_to_xml = result_to_xml
+  let result_of_xml = result_of_xml
+end
+
+module Dacs_policy = struct
+  module Xacml_xml = Xacml_xml
+end
+
+let attr_or_error node name =
+  match Xml.attr node name with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "<%s> is missing attribute %s" (Xml.tag node) name)
+
+let expect_tag node name =
+  if Xml.has_local_name (Xml.tag node) name then Ok ()
+  else Error (Printf.sprintf "expected <%s>, got <%s>" name (Xml.tag node))
+
+(* Shared encoding of attribute (name, value) lists. *)
+let attr_elements attrs =
+  List.map
+    (fun (name, v) ->
+      Xml.element "Attribute"
+        ~attrs:[ ("Name", name); ("DataType", Value.type_name (Value.type_of v)) ]
+        ~children:[ Xml.text (Value.to_string v) ])
+    attrs
+
+let parse_attr_elements nodes =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | node :: rest ->
+      let* name = attr_or_error node "Name" in
+      let* dt_name = attr_or_error node "DataType" in
+      (match Value.data_type_of_name dt_name with
+      | None -> Error (Printf.sprintf "unknown data type %s" dt_name)
+      | Some dt ->
+        let* v = Value.of_string dt (Xml.text_content node) in
+        go ((name, v) :: acc) rest)
+  in
+  go [] nodes
+
+let authz_query ctx = Xml.element "AuthzQuery" ~children:[ Context.to_xml ctx ]
+
+let parse_authz_query node =
+  let* () = expect_tag node "AuthzQuery" in
+  match Xml.find_child node "Request" with
+  | None -> Error "AuthzQuery has no Request"
+  | Some r -> Context.of_xml r
+
+let authz_response ?(epoch = 0) result =
+  (* The deciding PDP's compilation epoch rides the response as an
+     attribute (provenance); 0 — unknown — is the default and is
+     omitted. *)
+  let attrs = if epoch > 0 then [ ("Epoch", string_of_int epoch) ] else [] in
+  Xml.element "AuthzResponse" ~attrs ~children:[ Dacs_policy.Xacml_xml.result_to_xml result ]
+
+let authz_response_epoch node =
+  let node =
+    (* Accept the signed envelope too: the epoch lives on the inner
+       response, covered by the signature. *)
+    if Xml.has_local_name (Xml.tag node) "SignedAuthzResponse" then
+      Option.value (Xml.find_child node "AuthzResponse") ~default:node
+    else node
+  in
+  match Option.bind (Xml.attr node "Epoch") int_of_string_opt with
+  | Some e when e > 0 -> e
+  | Some _ | None -> 0
+
+let parse_authz_response node =
+  let* () = expect_tag node "AuthzResponse" in
+  match Xml.find_child node "Response" with
+  | None -> Error "AuthzResponse has no Response"
+  | Some r -> Dacs_policy.Xacml_xml.result_of_xml r
+
+let attribute_query ~category ~attribute_id ~subject =
+  Xml.element "AttributeQuery"
+    ~attrs:
+      [
+        ("Category", Context.category_name category);
+        ("AttributeId", attribute_id);
+        ("Subject", subject);
+      ]
+
+let parse_attribute_query node =
+  let* () = expect_tag node "AttributeQuery" in
+  let* category_s = attr_or_error node "Category" in
+  let* attribute_id = attr_or_error node "AttributeId" in
+  let* subject = attr_or_error node "Subject" in
+  match Context.category_of_name category_s with
+  | None -> Error (Printf.sprintf "unknown category %s" category_s)
+  | Some category -> Ok (category, attribute_id, subject)
+
+let attribute_result bag =
+  Xml.element "AttributeResult" ~children:(attr_elements (List.map (fun v -> ("value", v)) bag))
+
+let parse_attribute_result node =
+  let* () = expect_tag node "AttributeResult" in
+  let* pairs = parse_attr_elements (Xml.find_children node "Attribute") in
+  Ok (List.map snd pairs)
+
+let cache_lookup ~key = Xml.element "CacheLookup" ~attrs:[ ("Key", key) ]
+
+let parse_cache_lookup node =
+  let* () = expect_tag node "CacheLookup" in
+  attr_or_error node "Key"
+
+let cache_answer result =
+  match result with
+  | None -> Xml.element "CacheMiss"
+  | Some r -> Xml.element "CacheHit" ~children:[ Dacs_policy.Xacml_xml.result_to_xml r ]
+
+let parse_cache_answer node =
+  match Xml.local_name (Xml.tag node) with
+  | "CacheMiss" -> Ok None
+  | "CacheHit" -> (
+    match Xml.find_child node "Response" with
+    | None -> Error "CacheHit has no Response"
+    | Some r ->
+      let* result = Dacs_policy.Xacml_xml.result_of_xml r in
+      Ok (Some result))
+  | other -> Error (Printf.sprintf "unexpected cache answer <%s>" other)
+
+let cache_put ?sent_at ~key result =
+  Xml.element "CachePut"
+    ~attrs:
+      (("Key", key)
+      :: (match sent_at with None -> [] | Some t -> [ ("SentAt", Printf.sprintf "%.6f" t) ]))
+    ~children:[ Dacs_policy.Xacml_xml.result_to_xml result ]
+
+let parse_cache_put node =
+  let* () = expect_tag node "CachePut" in
+  let* key = attr_or_error node "Key" in
+  let sent_at = Option.bind (Xml.attr node "SentAt") float_of_string_opt in
+  match Xml.find_child node "Response" with
+  | None -> Error "CachePut has no Response"
+  | Some r ->
+    let* result = Dacs_policy.Xacml_xml.result_of_xml r in
+    Ok (key, result, sent_at)
+
+(* --- Soap: the envelope ---------------------------------------------------- *)
+
+module Soap = struct
+type envelope = {
+  headers : Xml.t list;
+  body : Xml.t;
+}
+
+let envelope ?(headers = []) body =
+  Xml.element "soap:Envelope"
+    ~attrs:[ ("xmlns:soap", "http://www.w3.org/2003/05/soap-envelope") ]
+    ~children:
+      ((if headers = [] then [] else [ Xml.element "soap:Header" ~children:headers ])
+      @ [ Xml.element "soap:Body" ~children:[ body ] ])
+
+let of_xml node =
+  if not (Xml.has_local_name (Xml.tag node) "Envelope") then Error "expected a SOAP Envelope"
+  else begin
+    let headers =
+      match Xml.find_child node "Header" with
+      | None -> []
+      | Some h -> List.filter Xml.is_element (Xml.children h)
+    in
+    match Xml.find_child node "Body" with
+    | None -> Error "SOAP Envelope has no Body"
+    | Some b -> (
+      match List.filter Xml.is_element (Xml.children b) with
+      | [ body ] -> Ok { headers; body }
+      | [] -> Error "SOAP Body is empty"
+      | _ -> Error "SOAP Body must contain a single element")
+  end
+end

@@ -502,6 +502,37 @@ let test_depth_limit () =
   let hostile = "<soap:Envelope><soap:Body>" ^ nested 100_000 ^ "</soap:Body></soap:Envelope>" in
   check bool_ "100,000 nested elements are a SOAP error" true (Result.is_error (Soap.parse hostile))
 
+(* --- attribute-count and input-size limits ----------------------------------- *)
+
+let with_attrs n = "<e" ^ String.concat "" (List.init n (fun i -> Printf.sprintf " a%d=\"%d\"" i i)) ^ "/>"
+
+let message_of f s =
+  match f s with
+  | _ -> None
+  | exception Xml.Parse_error { message; _ } -> Some message
+
+(* The cursor reads a start tag's attributes through the same code. *)
+let cursor_attrs s =
+  let c = Xml.Cursor.of_string s in
+  let tag = Xml.Cursor.enter c in
+  while Xml.Cursor.next_attr c tag do
+    ()
+  done
+
+let test_input_limits () =
+  let option = Alcotest.option in
+  let too_many = Printf.sprintf "more than %d attributes on one element" Xml.max_attributes in
+  check int_ "limit itself accepted" Xml.max_attributes
+    (List.length (match Xml.of_string (with_attrs Xml.max_attributes) with Xml.Element e -> e.Xml.attrs | Xml.Text _ -> []));
+  check (option string_) "one more attribute rejected" (Some too_many) (message_of Xml.of_string (with_attrs (Xml.max_attributes + 1)));
+  check (option string_) "the cursor rejects it too" (Some too_many) (message_of cursor_attrs (with_attrs (Xml.max_attributes + 1)));
+  let too_large = Printf.sprintf "input larger than %d bytes" Xml.max_input_bytes in
+  let document len = "<e>" ^ String.make (len - 7) 'x' ^ "</e>" in
+  check (option string_) "the size limit itself accepted" None (message_of Xml.of_string (document Xml.max_input_bytes));
+  let huge = document (Xml.max_input_bytes + 1) in
+  check (option string_) "one byte over the size limit rejected" (Some too_large) (message_of Xml.of_string huge);
+  check (option string_) "the cursor rejects it too" (Some too_large) (message_of Xml.Cursor.of_string huge)
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_print_parse_roundtrip; prop_canonical_idempotent; prop_canonical_stable_string;
     prop_parser_total; prop_parser_total_xmlish; prop_has_local_name; prop_reference_documents;
@@ -539,6 +570,7 @@ let suite =
     Alcotest.test_case "path errors" `Quick test_path_errors;
     Alcotest.test_case "wire frames reprint byte for byte" `Quick test_wire_frames_reprint;
     Alcotest.test_case "nesting depth limit" `Quick test_depth_limit;
+    Alcotest.test_case "attribute-count and input-size limits" `Quick test_input_limits;
   ]
   @ props
 
