@@ -1586,7 +1586,10 @@ let e21_offline =
                     ~better:`Lower;
                   no_worse "replayed-events-regression" ~key:"replayed_events" ~better:`Lower;
                   no_worse "invalidations-regression" ~key:"retroactive_invalidations"
-                    ~better:`Lower ]
+                    ~better:`Lower;
+                  no_worse "offline-decide-words-regression" ~key:"words_per_offline_decide"
+                    ~better:`Lower;
+                  no_worse "heal-words-regression" ~key:"words_per_heal_event" ~better:`Lower ]
   @@ fun x ->
   header "E21  Partition -> heal ablation (offline authorization)"
     "a partitioned domain serves from its signed event log instead of failing \
@@ -1663,9 +1666,13 @@ let e21_offline =
     O.grant reps.(0) ~subject:(user u) ~attr:"role" ~value:"doctor"
   done;
   let offline_decides = ref 0 in
+  let decide_words = ref 0.0 in
   for u = 0 to 4 do
     tick ();
-    (match O.decide reps.(0) (ctx_for u) with Some _ -> incr offline_decides | None -> ());
+    let w0 = Gc.minor_words () in
+    let served = O.decide reps.(0) (ctx_for u) in
+    decide_words := !decide_words +. (Gc.minor_words () -. w0);
+    (match served with Some _ -> incr offline_decides | None -> ());
     tick ();
     O.revoke reps.(2) ~subject:(user u) ~attr:"role"
   done;
@@ -1679,11 +1686,15 @@ let e21_offline =
     let d0 = O.state_digest reps.(0) in
     Array.for_all (fun o -> O.state_digest o = d0) reps
   in
-  let rounds = ref 0 in
+  let rounds = ref 0 and heal_moved = ref 0 in
+  let w0 = Gc.minor_words () in
   while (not (converged ())) && !rounds < 16 do
     incr rounds;
-    ignore (sync_round ring)
+    heal_moved := !heal_moved + sync_round ring
   done;
+  let heal_words = Gc.minor_words () -. w0 in
+  let words_per_decide = !decide_words /. float_of_int (max 1 !offline_decides) in
+  let words_per_heal_event = heal_words /. float_of_int (max 1 !heal_moved) in
   let total f = Array.fold_left (fun acc o -> acc + f (O.stats o)) 0 reps in
   let replayed = total (fun s -> s.O.replayed_events) in
   let invalidations = total (fun s -> s.O.invalidations) in
@@ -1694,6 +1705,8 @@ let e21_offline =
   Printf.printf "  %-32s %8d\n" "events replayed (all replicas)" replayed;
   Printf.printf "  %-32s %8d\n" "retroactive invalidations" invalidations;
   Printf.printf "  %-32s %8d\n" "deny-wins conflicts" conflicts;
+  Printf.printf "  %-32s %8.1f\n" "minor words per offline decide" words_per_decide;
+  Printf.printf "  %-32s %8.1f\n" "minor words per heal-moved event" words_per_heal_event;
   print_newline ();
   let check = Experiment.check x in
   check "offline-serves-partition"
@@ -1716,7 +1729,9 @@ let e21_offline =
   Experiment.count x "convergence_rounds" !rounds;
   Experiment.count x "replayed_events" replayed;
   Experiment.count x "retroactive_invalidations" invalidations;
-  Experiment.count x "conflicts" conflicts
+  Experiment.count x "conflicts" conflicts;
+  Experiment.metric x ~digits:1 "words_per_offline_decide" words_per_decide;
+  Experiment.metric x ~digits:1 "words_per_heal_event" words_per_heal_event
 
 (* ==================================================================== *)
 (* E22 — million-user scale: packed keys x cache tier                   *)

@@ -1,7 +1,7 @@
 module Service = Dacs_ws.Service
 module Context = Dacs_policy.Context
 module Value = Dacs_policy.Value
-module Policy = Dacs_policy.Policy
+module Compiled = Dacs_policy.Compiled
 module Decision = Dacs_policy.Decision
 module Assertion = Dacs_saml.Assertion
 module Metrics = Dacs_telemetry.Metrics
@@ -16,7 +16,7 @@ type t = {
   node : Dacs_net.Net.node_id;
   issuer : string;
   keypair : Dacs_crypto.Rsa.keypair;
-  mutable root : Policy.child option;
+  mutable policy : Compiled.t option;
   validity : float;
   revoked : (string, unit) Hashtbl.t;
   (* Stats live in the bus-wide registry like every other component's;
@@ -30,14 +30,19 @@ let format t = t.format
 let issuer t = t.issuer
 let public_key t = t.keypair.Dacs_crypto.Rsa.public
 
-let set_policy t root = t.root <- Some root
+let set_policy t root =
+  t.policy <-
+    Some
+      (match t.policy with
+      | Some previous -> Compiled.recompile previous root
+      | None -> Compiled.compile root)
 
 let now t = Dacs_net.Net.now (Service.net t.services)
 
 let decide t ~subject ~resource ~action =
-  match t.root with
+  match t.policy with
   | None -> Decision.Indeterminate "capability service has no policy"
-  | Some root ->
+  | Some policy ->
     let ctx =
       Context.make ~subject
         ~resource:[ ("resource-id", Value.String resource) ]
@@ -45,7 +50,7 @@ let decide t ~subject ~resource ~action =
         ~environment:[ ("time", Value.Time (now t)) ]
         ()
     in
-    (Policy.evaluate_child ctx root).Decision.decision
+    (Compiled.evaluate ctx policy).Decision.decision
 
 let issue t ~subject ~pairs =
   Metrics.inc t.c_issued;
@@ -84,7 +89,7 @@ let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) ?(format = 
       node;
       issuer;
       keypair;
-      root;
+      policy = Option.map Compiled.compile root;
       validity;
       revoked = Hashtbl.create 16;
       c_issued =

@@ -34,6 +34,9 @@ val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key
 
 val set_policy : t -> Dacs_policy.Policy.child -> unit
+(** Adopt a policy: it is compiled ({!Dacs_policy.Compiled.recompile}
+    against the previous one, reusing unchanged leaves), and every
+    issued decision statement is evaluated by the compiled form. *)
 
 val issue :
   t ->

@@ -1,7 +1,7 @@
 module Xml = Dacs_xml.Xml
 module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
-module Policy = Dacs_policy.Policy
+module Compiled = Dacs_policy.Compiled
 module Value = Dacs_policy.Value
 module Chain = Dacs_crypto.Chain
 module Hmac = Dacs_crypto.Hmac
@@ -68,7 +68,7 @@ type stats = {
 (* Derived (replayed) view of the merged log. *)
 type state = {
   s_grants : (string * string * string) list;  (* surviving, sorted *)
-  s_policy : Policy.child option;
+  s_policy : (string * Compiled.t) option;  (* the adopted Publish's bytes, compiled *)
   s_conflicts : conflict list;
 }
 
@@ -92,12 +92,15 @@ type t = {
   counters : counters;
   logs : (string, event list ref) Hashtbl.t;  (* per author, newest first *)
   heads : (string, string) Hashtbl.t;  (* per author chain head *)
+  mutable t_frontier : (string * int) list;  (* highest seq per author, sorted *)
+  scratch : Buffer.t;  (* canonical bytes of the event being chained *)
   mutable offline : bool;
   mutable t_epoch : int;
-  mutable state : state option;  (* None = dirty, recompute on demand *)
+  mutable state : state;  (* derived by the last replay *)
+  mutable dirty : bool;  (* the log grew since: replay on demand *)
   mutable hooks : (string -> unit) list;
-  mutable fired : (string * int) list;  (* Decide events already invalidated *)
-  mutable known_conflicts : (string * int * string * int) list;
+  fired : (string * int, unit) Hashtbl.t;  (* Decide events already invalidated *)
+  known_conflicts : (string * int * string * int, unit) Hashtbl.t;
   mutable n_replayed : int;  (* no registry twin *)
 }
 
@@ -122,12 +125,15 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
       };
     logs = Hashtbl.create 7;
     heads = Hashtbl.create 7;
+    t_frontier = [];
+    scratch = Buffer.create 1024;
     offline = false;
     t_epoch = 0;
-    state = None;
+    state = { s_grants = []; s_policy = None; s_conflicts = [] };
+    dirty = true;
     hooks = [];
-    fired = [];
-    known_conflicts = [];
+    fired = Hashtbl.create 64;
+    known_conflicts = Hashtbl.create 16;
     n_replayed = 0;
   }
 
@@ -164,10 +170,16 @@ let log_of t author =
 
 let max_seq t author = match !(log_of t author) with [] -> 0 | ev :: _ -> ev.seq
 
-let frontier t =
-  Hashtbl.fold (fun author l acc -> match !l with [] -> acc | ev :: _ -> (author, ev.seq) :: acc)
-    t.logs []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let frontier t = t.t_frontier
+
+(* The sorted frontier with [author]'s entry set to [seq]. *)
+let rec advance author seq = function
+  | [] -> [ (author, seq) ]
+  | ((a, _) as entry) :: rest ->
+    let c = String.compare a author in
+    if c = 0 then (author, seq) :: rest
+    else if c > 0 then (author, seq) :: entry :: rest
+    else entry :: advance author seq rest
 
 let total_order a b =
   match compare a.at b.at with
@@ -246,15 +258,16 @@ let of_wire (le : Wire.log_event) =
         tag = le.le_tag;
       }
 
-let canonical_bytes ev = Xml.to_string (Wire.log_event_unsigned (to_wire ev))
+(* [Wire.write_log_event]'s unsigned bytes, written into the replica's
+   scratch buffer. *)
+let canonical_bytes t ev =
+  Buffer.clear t.scratch;
+  Wire.write_log_event t.scratch ~signed:false (to_wire ev);
+  Buffer.contents t.scratch
 
 let append_own t kind =
   let seq = max_seq t t.t_author + 1 in
-  let frontier =
-    (t.t_author, seq)
-    :: List.filter (fun (a, _) -> a <> t.t_author) (frontier t)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let frontier = advance t.t_author seq t.t_frontier in
   let unsigned =
     {
       author = t.t_author;
@@ -267,14 +280,15 @@ let append_own t kind =
       tag = "";
     }
   in
-  let digest = Chain.extend ~prev:(head t) (canonical_bytes unsigned) in
+  let digest = Chain.extend ~prev:(head t) (canonical_bytes t unsigned) in
   let tag = Hmac.sha256 ~key:t.key digest in
   let ev = { unsigned with digest; tag } in
   let l = log_of t t.t_author in
   l := ev :: !l;
   Hashtbl.replace t.heads t.t_author digest;
+  t.t_frontier <- frontier;
   Metrics.inc t.counters.c_events;
-  t.state <- None;
+  t.dirty <- true;
   ev
 
 (* --- deny-wins replay --------------------------------------------------- *)
@@ -301,13 +315,39 @@ let enrich_ctx grants ctx =
 
 let decision_name (result : Decision.result) = Decision.decision_to_string result.decision
 
+(* The request as logged, not as it was served: [ctx] holds the
+   rendered context, so replay judges exactly those bytes. *)
 let evaluate_logged state ctx_str =
   match Context.of_string ctx_str with
   | Error _ -> None
   | Ok ctx -> (
     match state.s_policy with
     | None -> None
-    | Some child -> Some (Policy.evaluate_child (enrich_ctx state.s_grants ctx) child))
+    | Some (_, compiled) -> Some (Compiled.evaluate (enrich_ctx state.s_grants ctx) compiled))
+
+(* The latest publication in total order that parses, compiled against
+   the previous replay's policy; bytes already adopted are reused as they
+   are. *)
+let adopt t all =
+  let rec latest = function
+    | [] -> None
+    | policy :: earlier -> (
+      match t.state.s_policy with
+      | Some (bytes, _) as same when String.equal bytes policy -> same
+      | previous -> (
+        match Dacs_policy.Xacml_xml.child_of_string policy with
+        | Error _ -> latest earlier
+        | Ok child ->
+          Some
+            ( policy,
+              match previous with
+              | Some (_, compiled) -> Compiled.recompile compiled child
+              | None -> Compiled.compile child )))
+  in
+  latest
+    (List.fold_left
+       (fun acc ev -> match ev.kind with Publish { policy } -> policy :: acc | _ -> acc)
+       [] all)
 
 let replay t =
   let all = events t in
@@ -341,17 +381,7 @@ let replay t =
   let s_grants =
     Hashtbl.fold (fun (s, a) v acc -> (s, a, v) :: acc) values [] |> List.sort compare
   in
-  let s_policy =
-    List.fold_left
-      (fun acc ev ->
-        match ev.kind with
-        | Publish { policy } -> (
-          match Dacs_policy.Xacml_xml.child_of_string policy with
-          | Ok child -> Some child
-          | Error _ -> acc)
-        | _ -> acc)
-      None all
-  in
+  let s_policy = adopt t all in
   (* A defeated grant is a conflict only when the race was concurrent:
      neither side causally knew the other.  A revoke that already saw the
      grant is a plain revocation. *)
@@ -383,8 +413,8 @@ let replay t =
   in
   List.iter
     (fun (id, c) ->
-      if not (List.mem id t.known_conflicts) then begin
-        t.known_conflicts <- id :: t.known_conflicts;
+      if not (Hashtbl.mem t.known_conflicts id) then begin
+        Hashtbl.replace t.known_conflicts id ();
         Metrics.inc t.counters.c_conflicts;
         Option.iter
           (fun audit ->
@@ -410,7 +440,7 @@ let replay t =
     (fun ev ->
       match ev.kind with
       | Decide { key; ctx; decision } ->
-        if not (List.mem (ev.author, ev.seq) t.fired) then begin
+        if not (Hashtbl.mem t.fired (ev.author, ev.seq)) then begin
           let converged = evaluate_logged state ctx in
           let contradicted =
             match converged with
@@ -418,7 +448,7 @@ let replay t =
             | Some result -> decision_name result <> decision
           in
           if contradicted then begin
-            t.fired <- (ev.author, ev.seq) :: t.fired;
+            Hashtbl.replace t.fired (ev.author, ev.seq) ();
             Metrics.inc t.counters.c_invalidations;
             List.iter (fun hook -> hook key) t.hooks;
             Option.iter
@@ -441,10 +471,11 @@ let replay t =
         end
       | _ -> ())
     all;
-  t.state <- Some state;
+  t.state <- state;
+  t.dirty <- false;
   state
 
-let force t = match t.state with Some s -> s | None -> replay t
+let force t = if t.dirty then replay t else t.state
 
 (* --- log writers -------------------------------------------------------- *)
 
@@ -460,8 +491,8 @@ let decide t ctx =
   let state = force t in
   match state.s_policy with
   | None -> None
-  | Some child -> (
-    let result = Policy.evaluate_child (enrich_ctx state.s_grants ctx) child in
+  | Some (_, compiled) -> (
+    let result = Compiled.evaluate (enrich_ctx state.s_grants ctx) compiled in
     match result.Decision.decision with
     | Decision.Indeterminate _ ->
       (* No local basis: never logged, so an Indeterminate can never be
@@ -469,18 +500,20 @@ let decide t ctx =
       None
     | _ ->
       let key = Decision_cache.request_key ctx in
-      let ctx_str = Context.to_string ctx in
+      Buffer.clear t.scratch;
+      Context.write t.scratch ctx;
+      let ctx_str = Buffer.contents t.scratch in
       ignore
         (append_own t (Decide { key; ctx = ctx_str; decision = decision_name result }));
       (* The Decide append itself never changes the derived state. *)
-      t.state <- Some state;
+      t.dirty <- false;
       Metrics.inc t.counters.c_decides;
       Some (result, head_short t))
 
 (* --- derived views ------------------------------------------------------ *)
 
 let surviving_grants t = (force t).s_grants
-let policy t = (force t).s_policy
+let policy t = Option.map (fun (_, compiled) -> Compiled.source compiled) (force t).s_policy
 let conflicts t = (force t).s_conflicts
 
 let state_digest t =
@@ -493,7 +526,7 @@ let state_digest t =
   Buffer.add_string b "policy\n";
   Buffer.add_string b
     (match state.s_policy with
-    | Some child -> Dacs_policy.Xacml_xml.child_to_string child
+    | Some (_, compiled) -> Dacs_policy.Xacml_xml.child_to_string (Compiled.source compiled)
     | None -> "-");
   Buffer.add_string b "\nconflicts\n";
   List.iter
@@ -553,7 +586,7 @@ let verify_segment t incoming =
               (fun (expected, prev) ev ->
                 if ev.seq <> expected then
                   raise (Reject (Gap { author; expected; got = ev.seq }));
-                let digest = Chain.extend ~prev (canonical_bytes { ev with digest = ""; tag = "" }) in
+                let digest = Chain.extend ~prev (canonical_bytes t ev) in
                 if not (String.equal digest ev.digest) then
                   raise (Reject (Chain_mismatch { author; seq = ev.seq }));
                 if not (Hmac.verify ~key:t.key digest ~tag:ev.tag) then
@@ -582,7 +615,9 @@ let admit t incoming =
           | _ ->
             let l = log_of t author in
             List.iter (fun ev -> l := ev :: !l) fresh;
-            Hashtbl.replace t.heads author (List.nth fresh (List.length fresh - 1)).digest;
+            let last = List.hd !l in
+            Hashtbl.replace t.heads author last.digest;
+            t.t_frontier <- advance author last.seq t.t_frontier;
             n + List.length fresh)
         0 verified
     in
@@ -602,12 +637,14 @@ let sync_pair a b =
 let service_name = "log-sync"
 
 let serve t services ~node =
-  Service.serve services ~node ~service:service_name (fun ~caller:_ ~headers:_ body reply ->
-      match Wire.parse_log_sync_request body with
-      | Error reason -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason })
+  Service.serve_frame services ~node ~service:service_name
+    ~read:(fun c -> Wire.parse_log_sync_request (Xml.Cursor.subtree c))
+    (fun ~caller:_ ~headers:_ body reply ->
+      match body with
+      | Error reason -> reply (Service.sender_fault reason)
       | Ok peer_frontier ->
         let suffix = missing_for t ~frontier:peer_frontier in
-        reply (Wire.log_sync_response ~head:(head t) (List.map to_wire suffix)))
+        reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) (List.map to_wire suffix)))
 
 let sync_rpc t services ~src ~dst k =
   Service.call services ~src ~dst ~service:service_name

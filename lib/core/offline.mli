@@ -13,10 +13,12 @@
     Events are per-author chains: author [d]'s event [seq = n] carries
     [digest_n = SHA-256(digest_{n-1} || canonical_bytes_n)] (from
     {!Dacs_crypto.Chain}) and an HMAC-SHA256 tag over the digest under
-    the mesh key.  Canonical bytes are the {!Wire.log_event_unsigned}
-    rendering, so every replica recomputes identical digests.  Each
-    event also carries the author's vector-clock frontier (highest seq
-    seen per author, self included) — the causality needed by deny-wins.
+    the mesh key.  Canonical bytes are what {!Wire.write_log_event}
+    writes with [~signed:false] — the one definition of the event
+    element, written into a buffer the replica reuses — so every
+    replica recomputes identical digests.  Each event also carries the
+    author's vector-clock frontier (highest seq seen per author, self
+    included) — the causality needed by deny-wins.
 
     {2 Replay order and deny-wins}
 
@@ -31,7 +33,18 @@
     grants of one key, the latest in total order supplies the value; the
     latest publication in total order supplies the policy.  Offline
     [Decide] events contradicted by the converged state trigger the
-    {!on_invalidate} hook (cache purge) and an audit record. *)
+    {!on_invalidate} hook (cache purge) and an audit record.
+
+    {2 Evaluation}
+
+    The adopted policy is held as a {!Dacs_policy.Compiled.t} — the live
+    PDP's evaluator — compiled on adoption, or recompiled against the
+    previous replay's value so unchanged leaves are reused; bytes equal
+    to the adopted ones reuse it as is.  {!decide} and replay's
+    re-check of each [Decide] both run {!Dacs_policy.Compiled.evaluate}.
+    Replay re-checks the request {e as logged}: the [ctx] field renders
+    Double and Time values with [%g], so a re-check judges those bytes,
+    which can differ from the request that was served. *)
 
 type kind =
   | Grant of { subject : string; attr : string; value : string }
@@ -143,7 +156,7 @@ val publish : t -> Dacs_policy.Policy.child -> unit
 
 val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result * string) option
 (** Decide from local knowledge: evaluate the latest locally known
-    policy against the context, with surviving offline grants merged in
+    policy (compiled) against the context, with surviving offline grants merged in
     for attribute bags the request left empty.  [None] when there is no
     local basis to answer — no policy published, or the evaluation is
     Indeterminate (an Indeterminate is {e never} logged, so it can never

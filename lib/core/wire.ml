@@ -556,8 +556,12 @@ type log_event = {
 
 (* Timestamps must round-trip exactly: replicas sort the merged log on
    the [at] each one holds, so a lossy rendering would let two replicas
-   disagree on the total order.  %.17g is lossless for doubles. *)
-let float_attr f = Printf.sprintf "%.17g" f
+   disagree on the total order.  %.17g is lossless for doubles.  The C
+   formatter behind [Printf]'s %g, called without the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_attr f = format_float "%.17g" f
 
 let parse_float_attr node name =
   let* s = attr_or_error node name in
@@ -571,13 +575,20 @@ let parse_int_attr node name =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "<%s> %s is not an integer: %s" (Xml.tag node) name s)
 
-let frontier_element frontier =
-  Xml.element "Frontier"
-    ~children:
-      (List.map
-         (fun (author, seq) ->
-           Xml.element "Entry" ~attrs:[ ("Author", author); ("Seq", string_of_int seq) ])
-         (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier))
+(* Entries sorted by author, whatever order the frontier came in. *)
+let write_frontier buf frontier =
+  match List.sort (fun (a, _) (b, _) -> String.compare a b) frontier with
+  | [] -> Buffer.add_string buf "<Frontier/>"
+  | entries ->
+    Buffer.add_string buf "<Frontier>";
+    List.iter
+      (fun (author, seq) ->
+        Buffer.add_string buf "<Entry";
+        add_attr buf "Author" author;
+        add_attr buf "Seq" (string_of_int seq);
+        Buffer.add_string buf "/>")
+      entries;
+    Buffer.add_string buf "</Frontier>"
 
 let parse_frontier_element node =
   let rec go acc = function
@@ -589,35 +600,31 @@ let parse_frontier_element node =
   in
   go [] (Xml.find_children node "Entry")
 
-let log_event_unsigned ev =
-  Xml.element "LogEvent"
-    ~attrs:
-      [
-        ("Author", ev.le_author);
-        ("Seq", string_of_int ev.le_seq);
-        ("At", float_attr ev.le_at);
-        ("Epoch", string_of_int ev.le_epoch);
-        ("Kind", ev.le_kind);
-      ]
-    ~children:
-      (frontier_element ev.le_frontier
-      :: List.map
-           (fun (name, value) ->
-             Xml.element "Field" ~attrs:[ ("Name", name) ] ~children:[ Xml.text value ])
-           ev.le_fields)
+let write_log_event buf ~signed ev =
+  Buffer.add_string buf "<LogEvent";
+  add_attr buf "Author" ev.le_author;
+  add_attr buf "Seq" (string_of_int ev.le_seq);
+  add_attr buf "At" (float_attr ev.le_at);
+  add_attr buf "Epoch" (string_of_int ev.le_epoch);
+  add_attr buf "Kind" ev.le_kind;
+  if signed then begin
+    add_attr buf "Digest" (Dacs_crypto.Encoding.hex_encode ev.le_digest);
+    add_attr buf "Tag" (Dacs_crypto.Encoding.hex_encode ev.le_tag)
+  end;
+  Buffer.add_char buf '>';
+  write_frontier buf ev.le_frontier;
+  List.iter
+    (fun (name, value) ->
+      Buffer.add_string buf "<Field";
+      add_attr buf "Name" name;
+      Buffer.add_char buf '>';
+      Xml.add_escaped buf value;
+      Buffer.add_string buf "</Field>")
+    ev.le_fields;
+  Buffer.add_string buf "</LogEvent>"
 
-let log_event ev =
-  match log_event_unsigned ev with
-  | Xml.Text _ -> assert false
-  | Xml.Element e ->
-    Xml.element e.tag
-      ~attrs:
-        (e.attrs
-        @ [
-            ("Digest", Dacs_crypto.Encoding.hex_encode ev.le_digest);
-            ("Tag", Dacs_crypto.Encoding.hex_encode ev.le_tag);
-          ])
-      ~children:e.children
+let log_event_unsigned ev = to_tree (fun buf -> write_log_event buf ~signed:false ev)
+let log_event ev = to_tree (fun buf -> write_log_event buf ~signed:true ev)
 
 let parse_log_event node =
   let* () = expect_tag node "LogEvent" in
@@ -650,7 +657,10 @@ let parse_log_event node =
   Ok { le_author; le_seq; le_at; le_epoch; le_frontier; le_kind; le_fields; le_digest; le_tag }
 
 let log_sync_request ~frontier =
-  Xml.element "LogSyncRequest" ~children:[ frontier_element frontier ]
+  to_tree (fun buf ->
+      Buffer.add_string buf "<LogSyncRequest>";
+      write_frontier buf frontier;
+      Buffer.add_string buf "</LogSyncRequest>")
 
 let parse_log_sync_request node =
   let* () = expect_tag node "LogSyncRequest" in
@@ -658,10 +668,17 @@ let parse_log_sync_request node =
   | None -> Error "LogSyncRequest has no Frontier"
   | Some f -> parse_frontier_element f
 
-let log_sync_response ~head events =
-  Xml.element "LogSyncResponse"
-    ~attrs:[ ("Head", Dacs_crypto.Encoding.hex_encode head) ]
-    ~children:(List.map log_event events)
+let write_log_sync_response buf ~head events =
+  Buffer.add_string buf "<LogSyncResponse";
+  add_attr buf "Head" (Dacs_crypto.Encoding.hex_encode head);
+  match events with
+  | [] -> Buffer.add_string buf "/>"
+  | events ->
+    Buffer.add_char buf '>';
+    List.iter (write_log_event buf ~signed:true) events;
+    Buffer.add_string buf "</LogSyncResponse>"
+
+let log_sync_response ~head events = to_tree (fun buf -> write_log_sync_response buf ~head events)
 
 let parse_log_sync_response node =
   let* () = expect_tag node "LogSyncResponse" in

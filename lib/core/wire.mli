@@ -209,23 +209,33 @@ type log_event = {
   le_tag : string;  (** HMAC-SHA256 over the digest, raw bytes *)
 }
 
+val write_log_event : Buffer.t -> signed:bool -> log_event -> unit
+(** The one definition of the event element.  With [~signed:false] it
+    leaves out the digest and tag and writes the canonical bytes that
+    the hash chain links and the HMAC authenticates; both sides must
+    derive them the same way, which is why they live here next to the
+    encoding.  Frontier entries are written sorted by author. *)
+
 val log_event : log_event -> Xml.t
+(** The signed element as a tree: {!write_log_event}'s bytes, parsed. *)
+
 val parse_log_event : Xml.t -> (log_event, string) result
 
 val log_event_unsigned : log_event -> Xml.t
-(** The event element {e without} its digest and tag — the canonical
-    byte string ([Xml.to_string] of this element) that the hash chain
-    links and the HMAC authenticates.  Both sides must derive it the
-    same way, which is why it lives here next to the encoding. *)
+(** The canonical element as a tree: {!write_log_event}'s unsigned
+    bytes, parsed. *)
 
 val log_sync_request : frontier:(string * int) list -> Xml.t
 (** Anti-entropy poll: "this is my frontier — send what I lack." *)
 
 val parse_log_sync_request : Xml.t -> ((string * int) list, string) result
 
-val log_sync_response : head:string -> log_event list -> Xml.t
+val write_log_sync_response : Buffer.t -> head:string -> log_event list -> unit
 (** [head] is the responder's own chain head (raw bytes), an integrity
-    cross-check for the requester. *)
+    cross-check for the requester; each event is written signed. *)
+
+val log_sync_response : head:string -> log_event list -> Xml.t
+(** {!write_log_sync_response}'s bytes, parsed. *)
 
 val parse_log_sync_response : Xml.t -> (string * log_event list, string) result
 

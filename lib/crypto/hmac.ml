@@ -1,14 +1,14 @@
 let block_size = 64
 
+(* The block-sized key XOR-ed with [c]: the inner or outer pad. *)
+let pad key c =
+  let b = Bytes.make block_size (Char.chr c) in
+  String.iteri (fun i k -> Bytes.set b i (Char.chr (Char.code k lxor c))) key;
+  Bytes.unsafe_to_string b
+
 let sha256 ~key msg =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let pad c =
-    String.init block_size (fun i ->
-        let k = if i < String.length key then Char.code key.[i] else 0 in
-        Char.chr (k lxor c))
-  in
-  let ipad = pad 0x36 and opad = pad 0x5C in
-  Sha256.digest (opad ^ Sha256.digest (ipad ^ msg))
+  Sha256.digest2 (pad key 0x5C) (Sha256.digest2 (pad key 0x36) msg)
 
 let sha256_hex ~key msg = Encoding.hex_encode (sha256 ~key msg)
 

@@ -146,4 +146,10 @@ let digest s =
   update ctx s;
   finalize ctx
 
+let digest2 a b =
+  let ctx = init () in
+  update ctx a;
+  update ctx b;
+  finalize ctx
+
 let hex_digest s = Encoding.hex_encode (digest s)

@@ -18,5 +18,9 @@ val finalize : ctx -> string
 val digest : string -> string
 (** One-shot digest of a full message (32 raw bytes). *)
 
+val digest2 : string -> string -> string
+(** [digest2 a b] is [digest (a ^ b)], streamed without building the
+    concatenation. *)
+
 val hex_digest : string -> string
 (** [Encoding.hex_encode (digest s)]. *)

@@ -150,6 +150,19 @@ let test_sha256_block_boundaries () =
         (Encoding.hex_encode (Sha256.finalize ctx)))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
+let test_sha256_digest2 () =
+  (* Every split of messages around one and two blocks. *)
+  List.iter
+    (fun n ->
+      let msg = String.init n (fun i -> Char.chr (i land 0xff)) in
+      for k = 0 to n do
+        check string_
+          (Printf.sprintf "length %d split at %d" n k)
+          (Sha256.digest msg)
+          (Sha256.digest2 (String.sub msg 0 k) (String.sub msg k (n - k)))
+      done)
+    [ 0; 1; 63; 64; 65; 96; 130 ]
+
 (* --- hmac ----------------------------------------------------------------- *)
 
 let test_hmac_rfc4231 () =
@@ -638,6 +651,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental_matches_oneshot;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "digest2 = digest of the concatenation" `Quick test_sha256_digest2;
         ] );
       ( "hmac",
         [

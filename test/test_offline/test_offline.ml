@@ -16,7 +16,10 @@
      through to fail-closed without ever being logged;
    - a coalesced waiter parked across the partition transition observes
      the rung that actually answered (offline), not the leader's
-     pre-partition rung. *)
+     pre-partition rung;
+   - on random scripts over 2-3 replicas, replay agrees with a reference
+     deny-wins replay on the interpreter: state digest, purged keys,
+     conflicts and stats, with replay judging the request as logged. *)
 
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
@@ -419,6 +422,367 @@ let test_coalesced_waiter_across_partition () =
     check int_ "waiter counted as coalesced" 1 (Pep.stats s.pep).Pep.coalesced
   | _ -> Alcotest.fail "both callbacks must fire"
 
+(* --- oracle: the replay against a reference deny-wins replay ------------- *)
+
+(* Replay judges the request as logged: [ctx] holds the rendered context,
+   whose Double and Time values print with %g.  Under [late_pol], a
+   non-doctor asking at time 1000000.4 is permitted live, but the log
+   says "1e+06" — not later than 1e6 — so replay denies and purges the
+   key even though nothing else changed. *)
+let late_pol =
+  Policy.make ~id:"offline-late" ~rule_combining:Combine.First_applicable
+    [
+      Rule.permit ~condition:(Expr.one_of (Expr.subject_attr "role") [ "doctor" ]) "doctors";
+      Rule.permit
+        ~condition:
+          (Expr.Apply
+             ( "time-greater-than",
+               [ Expr.Apply ("time-one-and-only", [ Expr.environment_attr "time" ]); Expr.time 1e6 ] ))
+        "late";
+      Rule.deny "default-deny";
+    ]
+
+let nurse_pol =
+  Policy.make ~id:"offline-nurse" ~rule_combining:Combine.First_applicable
+    [
+      Rule.permit ~condition:(Expr.one_of (Expr.subject_attr "role") [ "nurse" ]) "nurses";
+      Rule.deny "default-deny";
+    ]
+
+let oracle_policies = [| late_pol; nurse_pol |]
+
+let timed_ctx subject time =
+  Context.make
+    ~subject:[ ("subject-id", Value.String subject) ]
+    ~resource:[ ("resource-id", Value.String "chart") ]
+    ~action:[ ("action-id", Value.String "read") ]
+    ~environment:[ ("time", Value.Time time) ]
+    ()
+
+let test_replay_judges_logged_bytes () =
+  let o = replica "alpha" in
+  let fired = ref [] in
+  O.on_invalidate o (fun key -> fired := key :: !fired);
+  O.publish o (Policy.Inline_policy late_pol);
+  let c = timed_ctx "bob" 1000000.4 in
+  (match O.decide o c with
+  | Some (r, _) -> check bool_ "permitted live" true (r.Decision.decision = Decision.Permit)
+  | None -> Alcotest.fail "no offline decision");
+  check bool_ "the log renders the time lossily" true
+    (List.exists
+       (fun ev -> match ev.O.kind with O.Decide { ctx; _ } -> Context.of_string ctx <> Ok c | _ -> false)
+       (O.events o));
+  (* an unrelated grant dirties the state; the replay re-judges the log *)
+  O.grant o ~subject:"carol" ~attr:"role" ~value:"nurse";
+  ignore (O.state_digest o);
+  check (Alcotest.list string_) "the Decide's key is purged" [ Decision_cache.request_key c ] !fired;
+  check int_ "one invalidation" 1 (O.stats o).O.invalidations
+
+type op =
+  | Grant of int * string * string
+  | Revoke of int * string
+  | Publish of int * int
+  | Decide of int * string * float
+  | Sync of int * int
+  | Tick
+  | Digest of int
+
+let show_op = function
+  | Grant (i, s, v) -> Printf.sprintf "grant %d %s=%s" i s v
+  | Revoke (i, s) -> Printf.sprintf "revoke %d %s" i s
+  | Publish (i, p) -> Printf.sprintf "publish %d #%d" i p
+  | Decide (i, s, t) -> Printf.sprintf "decide %d %s @%.1f" i s t
+  | Sync (i, j) -> Printf.sprintf "sync %d %d" i j
+  | Tick -> "tick"
+  | Digest i -> Printf.sprintf "digest %d" i
+
+let script_gen =
+  let open QCheck.Gen in
+  int_range 2 3 >>= fun n ->
+  let replica = int_bound (n - 1) in
+  let subject = oneofl [ "alice"; "bob"; "carol" ] in
+  let op =
+    frequency
+      [
+        (3, map3 (fun i s v -> Grant (i, s, v)) replica subject (oneofl [ "doctor"; "nurse" ]));
+        (2, map2 (fun i s -> Revoke (i, s)) replica subject);
+        (1, map2 (fun i p -> Publish (i, p)) replica (int_bound (Array.length oracle_policies - 1)));
+        (4, map3 (fun i s t -> Decide (i, s, t)) replica subject (oneofl [ 0.0; 1000000.4; 2e6 ]));
+        (2, map2 (fun i d -> Sync (i, (i + 1 + d) mod n)) replica (int_bound (n - 2)));
+        (2, return Tick);
+        (1, map (fun i -> Digest i) replica);
+      ]
+  in
+  map (fun ops -> (n, ops)) (list_size (int_range 1 40) op)
+
+(* The reference replay: deny-wins over the replica's merged log with
+   the interpreter, lists for every set, and its own counts of replays,
+   conflicts, invalidations and purged keys. *)
+type ref_state = {
+  r_grants : (string * string * string) list;
+  r_policy : Policy.child option;
+  r_conflicts : O.conflict list;
+}
+
+type model = {
+  o : O.t;
+  mutable dirty : bool;
+  mutable state : ref_state;
+  mutable fired : (string * int) list;
+  mutable known : (string * int * string * int) list;
+  mutable expected_keys : string list;  (* newest first *)
+  mutable hooked_keys : string list;  (* newest first *)
+  mutable logged : int;
+  mutable replays : int;
+  mutable replayed : int;
+  mutable invalidations : int;
+  mutable conflicts : int;
+  mutable decides : int;
+}
+
+let covers frontier author seq =
+  match List.assoc_opt author frontier with Some n -> n >= seq | None -> false
+
+let key_of = function
+  | O.Grant { subject; attr; _ } | O.Revoke { subject; attr } -> Some (subject, attr)
+  | _ -> None
+
+let enrich grants ctx =
+  match Context.subject_id ctx with
+  | None -> ctx
+  | Some subject ->
+    List.fold_left
+      (fun ctx (s, a, v) ->
+        if s = subject && Context.bag ctx Context.Subject a = [] then
+          Context.add ctx Context.Subject a (Value.String v)
+        else ctx)
+      ctx grants
+
+let ref_evaluate state ctx =
+  Option.map (fun child -> Policy.evaluate_child (enrich state.r_grants ctx) child) state.r_policy
+
+let ref_replay m =
+  let all = O.events m.o in
+  m.replays <- m.replays + 1;
+  m.replayed <- m.replayed + List.length all;
+  let is_grant e = match e.O.kind with O.Grant _ -> true | _ -> false in
+  let is_revoke e = match e.O.kind with O.Revoke _ -> true | _ -> false in
+  let revokes = List.filter is_revoke all in
+  let defeaters g =
+    List.filter
+      (fun r -> key_of r.O.kind = key_of g.O.kind && not (covers g.O.frontier r.O.author r.O.seq))
+      revokes
+  in
+  let grants = List.filter is_grant all in
+  let values =
+    List.fold_left
+      (fun acc g ->
+        match g.O.kind with
+        | O.Grant { subject; attr; value } when defeaters g = [] ->
+          ((subject, attr), value) :: List.remove_assoc (subject, attr) acc
+        | _ -> acc)
+      [] grants
+  in
+  let races =
+    List.concat_map
+      (fun g ->
+        List.filter_map
+          (fun r -> if covers r.O.frontier g.O.author g.O.seq then None else Some (g, r))
+          (defeaters g))
+      grants
+  in
+  List.iter
+    (fun (g, r) ->
+      let id = (g.O.author, g.O.seq, r.O.author, r.O.seq) in
+      if not (List.mem id m.known) then begin
+        m.known <- id :: m.known;
+        m.conflicts <- m.conflicts + 1
+      end)
+    races;
+  let conflict (g, r) =
+    match g.O.kind with
+    | O.Grant { subject; attr; _ } ->
+      {
+        O.c_subject = subject;
+        c_attr = attr;
+        c_grant_author = g.O.author;
+        c_revoke_author = r.O.author;
+        c_at = g.O.at;
+      }
+    | _ -> assert false
+  in
+  let policy =
+    List.fold_left
+      (fun acc e ->
+        match e.O.kind with
+        | O.Publish { policy } -> (
+          match Dacs_policy.Xacml_xml.child_of_string policy with Ok c -> Some c | Error _ -> acc)
+        | _ -> acc)
+      None all
+  in
+  m.state <-
+    {
+      r_grants = List.sort compare (List.map (fun ((s, a), v) -> (s, a, v)) values);
+      r_policy = policy;
+      r_conflicts = List.sort_uniq compare (List.map conflict races);
+    };
+  List.iter
+    (fun e ->
+      match e.O.kind with
+      | O.Decide { key; ctx; decision } when not (List.mem (e.O.author, e.O.seq) m.fired) -> (
+        match Result.to_option (Context.of_string ctx) |> Option.map (ref_evaluate m.state) with
+        | Some (Some r) when Decision.decision_to_string r.Decision.decision <> decision ->
+          m.fired <- (e.O.author, e.O.seq) :: m.fired;
+          m.invalidations <- m.invalidations + 1;
+          m.expected_keys <- key :: m.expected_keys
+        | _ -> ())
+      | _ -> ())
+    all;
+  m.dirty <- false
+
+let ref_force m = if m.dirty then ref_replay m
+
+let ref_digest m =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "grants\n";
+  List.iter (fun (s, a, v) -> Buffer.add_string b (Printf.sprintf "%s|%s|%s\n" s a v)) m.state.r_grants;
+  Buffer.add_string b "policy\n";
+  Buffer.add_string b
+    (match m.state.r_policy with Some c -> Dacs_policy.Xacml_xml.child_to_string c | None -> "-");
+  Buffer.add_string b "\nconflicts\n";
+  List.iter
+    (fun c ->
+      Buffer.add_string b
+        (Printf.sprintf "%s|%s|%s|%s|%.17g\n" c.O.c_subject c.O.c_attr c.O.c_grant_author c.O.c_revoke_author
+           c.O.c_at))
+    m.state.r_conflicts;
+  Dacs_crypto.Sha256.hex_digest (Buffer.contents b)
+
+let missing ~from ~into =
+  let known = List.map (fun e -> (e.O.author, e.O.seq)) (O.events into.o) in
+  List.length (List.filter (fun e -> not (List.mem (e.O.author, e.O.seq) known)) (O.events from.o))
+
+let run_script (n, ops) =
+  let clock = ref 0.0 in
+  let ms =
+    Array.init n (fun i ->
+        let o = O.create ~now:(fun () -> !clock) ~key:mesh_key ~author:(Printf.sprintf "dom%d" i) () in
+        let m =
+          {
+            o;
+            dirty = true;
+            state = { r_grants = []; r_policy = None; r_conflicts = [] };
+            fired = [];
+            known = [];
+            expected_keys = [];
+            hooked_keys = [];
+            logged = 0;
+            replays = 0;
+            replayed = 0;
+            invalidations = 0;
+            conflicts = 0;
+            decides = 0;
+          }
+        in
+        O.on_invalidate o (fun key -> m.hooked_keys <- key :: m.hooked_keys);
+        m)
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let appended m =
+    m.logged <- m.logged + 1;
+    m.dirty <- true
+  in
+  let digest_agrees i =
+    let m = ms.(i) in
+    let ours = O.state_digest m.o in
+    ref_force m;
+    ours = ref_digest m || fail "replica %d: state digest differs from the reference" i
+  in
+  let step = function
+    | Grant (i, subject, value) ->
+      O.grant ms.(i).o ~subject ~attr:"role" ~value;
+      appended ms.(i);
+      true
+    | Revoke (i, subject) ->
+      O.revoke ms.(i).o ~subject ~attr:"role";
+      appended ms.(i);
+      true
+    | Publish (i, p) ->
+      O.publish ms.(i).o (Policy.Inline_policy oracle_policies.(p));
+      appended ms.(i);
+      true
+    | Decide (i, subject, time) -> (
+      let m = ms.(i) in
+      let c = timed_ctx subject time in
+      (* the replica replays before it appends the Decide *)
+      ref_force m;
+      let got = O.decide m.o c in
+      let expected =
+        match ref_evaluate m.state c with
+        | Some { Decision.decision = Decision.Indeterminate _; _ } | None -> None
+        | Some r -> Some r
+      in
+      match (got, expected) with
+      | None, None -> true
+      | Some (r, _), Some e when r = e ->
+        m.logged <- m.logged + 1;
+        m.decides <- m.decides + 1;
+        true
+      | _ -> fail "replica %d: offline decision differs from the reference" i)
+    | Sync (i, j) -> (
+      let a = ms.(i) and b = ms.(j) in
+      let to_b = missing ~from:a ~into:b and to_a = missing ~from:b ~into:a in
+      match O.sync_pair a.o b.o with
+      | Ok moved ->
+        if to_b > 0 then ref_replay b;
+        if to_a > 0 then ref_replay a;
+        moved = to_b + to_a || fail "sync %d %d moved %d, expected %d" i j moved (to_b + to_a)
+      | Error e -> fail "honest sync rejected: %s" (O.sync_error_to_string e))
+    | Tick ->
+      clock := !clock +. 1.0;
+      true
+    | Digest i -> digest_agrees i
+  in
+  List.for_all step ops
+  && List.for_all
+       (fun i ->
+         let m = ms.(i) in
+         digest_agrees i
+         && (O.conflicts m.o = m.state.r_conflicts || fail "replica %d: conflicts differ" i)
+         && (O.surviving_grants m.o = m.state.r_grants || fail "replica %d: grants differ" i)
+         && (List.rev m.hooked_keys = List.rev m.expected_keys
+            || fail "replica %d: hooks got [%s], expected [%s]" i
+                 (String.concat "; " (List.rev m.hooked_keys))
+                 (String.concat "; " (List.rev m.expected_keys)))
+         &&
+         let expected =
+           {
+             O.events_logged = m.logged;
+             events_known = List.length (O.events m.o);
+             replays = m.replays;
+             replayed_events = m.replayed;
+             invalidations = m.invalidations;
+             conflicts = m.conflicts;
+             sync_rejections = 0;
+             offline_decides = m.decides;
+           }
+         in
+         let show (s : O.stats) =
+           Printf.sprintf "logged %d known %d replays %d replayed %d invalidations %d conflicts %d decides %d"
+             s.O.events_logged s.events_known s.replays s.replayed_events s.invalidations s.conflicts
+             s.offline_decides
+         in
+         O.stats m.o = expected
+         || fail "replica %d: stats {%s}, reference {%s}" i (show (O.stats m.o)) (show expected))
+       (List.init n Fun.id)
+
+let oracle_test =
+  QCheck.Test.make ~name:"replay = reference deny-wins replay (digest, hooks, conflicts, stats)" ~count:300
+    (QCheck.make
+       ~print:(fun (n, ops) -> Printf.sprintf "%d replicas: %s" n (String.concat ", " (List.map show_op ops)))
+       script_gen)
+    run_script
+
 let () =
   Alcotest.run "dacs_offline"
     [
@@ -442,6 +806,11 @@ let () =
         [ Alcotest.test_case "partition blocks, heal syncs" `Quick test_sync_rpc_partition_heal ] );
       ( "stats",
         [ Alcotest.test_case "stats are the registry's series" `Quick test_stats_are_registry_series ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "replay judges the logged bytes" `Quick test_replay_judges_logged_bytes;
+          QCheck_alcotest.to_alcotest oracle_test;
+        ] );
       ( "pep",
         [
           Alcotest.test_case "offline rung serves with provenance" `Quick test_pep_offline_rung;

@@ -201,6 +201,75 @@ let bytes_tests =
           ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs))
     frames
 
+(* The offline log-event frames: the writer's canonical (unsigned) and
+   signed bytes are the former tree printers' to the byte, on names and
+   values full of XML specials, a [ctx] field holding a rendered request
+   (escaped once more), frontiers in any order, duplicates included, and
+   timestamps at the edges of what %.17g prints. *)
+
+let odd_float_gen =
+  Gen.oneof
+    [
+      Gen.oneofl
+        [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; Float.min_float;
+          Float.epsilon; 4.9e-324; 0.1; 1.0 /. 3.0; 1e21; 1e-7; 123456789.123456789; -2.5 ];
+      Gen.map Int64.float_of_bits Gen.int64;
+      Gen.float;
+    ]
+
+let raw_bytes_gen = Gen.string_size ~gen:Gen.char (Gen.oneofl [ 0; 32 ])
+
+let log_event_gen =
+  let open Gen in
+  let field =
+    oneof
+      [
+        pair text_gen text_gen;
+        map (fun ctx -> ("ctx", Context.to_string ctx)) context_gen;
+      ]
+  in
+  map3
+    (fun (le_author, le_seq, le_at) (le_epoch, le_frontier, le_kind) (le_fields, le_digest, le_tag) ->
+      { Wire.le_author; le_seq; le_at; le_epoch; le_frontier; le_kind; le_fields; le_digest; le_tag })
+    (triple text_gen (int_range (-5) 100000) odd_float_gen)
+    (triple (int_bound 50)
+       (list_size (int_bound 5) (pair (oneof [ oneofl [ "dom0"; "dom1"; "dom2" ]; text_gen ]) nat))
+       text_gen)
+    (triple (list_size (int_bound 4) field) raw_bytes_gen raw_bytes_gen)
+
+let show_log_event (ev : Wire.log_event) = Xml.to_string (Ref.log_event ev)
+
+let log_event_bytes_tests =
+  List.map
+    (fun signed ->
+      let name = if signed then "log_event (signed)" else "log_event (canonical)" in
+      let reference = if signed then Ref.log_event else Ref.log_event_unsigned in
+      Test.make ~name:(name ^ ": writer bytes = reference tree printed") ~count:500
+        (make ~print:show_log_event log_event_gen) (fun ev ->
+          let ours = written (fun buf ev -> Wire.write_log_event buf ~signed ev) ev
+          and theirs = Xml.to_string (reference ev) in
+          ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs))
+    [ false; true ]
+  @ [
+      Test.make ~name:"log_sync_response: writer bytes = reference tree printed" ~count:200
+        (make Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen))) (fun (head, events) ->
+          written (fun buf events -> Wire.write_log_sync_response buf ~head events) events
+          = Xml.to_string (Ref.log_sync_response ~head events));
+      Test.make ~name:"log_sync_request: tree printed = reference tree printed" ~count:200
+        (make Gen.(list_size (int_bound 5) (pair text_gen nat))) (fun frontier ->
+          Xml.to_string (Wire.log_sync_request ~frontier) = Xml.to_string (Ref.log_sync_request ~frontier));
+      (* The tree views read back as the event written, its frontier sorted. *)
+      Test.make ~name:"log_event: parse (tree view) = event" ~count:300
+        (make ~print:show_log_event log_event_gen) (fun ev ->
+          let by_author (a, _) (b, _) = String.compare a b in
+          let sorted = { ev with Wire.le_frontier = List.stable_sort by_author ev.Wire.le_frontier } in
+          match Wire.parse_log_event (Wire.log_event ev) with
+          | Ok got ->
+            Xml.to_string (Ref.log_event got) = Xml.to_string (Ref.log_event sorted)
+            || Test.fail_reportf "read back as %s" (show_log_event got)
+          | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
+    ]
+
 (* The frame a request leaves the sender as: captured at a raw RPC
    handler, whose body slice lies inside the whole frame. *)
 let captured_frame send =
@@ -406,7 +475,7 @@ let () =
   let props name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "dacs_wire"
     [
-      props "bytes" (bytes_tests @ whole_frame_tests);
+      props "bytes" (bytes_tests @ whole_frame_tests @ log_event_bytes_tests);
       props "roundtrip" roundtrip_tests;
       props "mutations" (mutation_tests @ [ signed_mutation_test ]);
       ( "signed",

@@ -1,7 +1,8 @@
-(* The tree codecs of the per-decision frames as they stood before the
-   frames were written and read in place: every body below is the former
-   library code, moved here verbatim as the oracle that [test_wire]
-   compares the direct writers and cursor readers against.  Module
+(* The tree codecs of the per-decision frames, and the tree printers of
+   the offline log-event frames, as they stood before those frames were
+   written and read in place: every body below is the former library
+   code, moved here verbatim as the oracle that [test_wire] compares the
+   direct writers and cursor readers against.  Module
    prefixes were adjusted to the test's scope; nothing else changed. *)
 
 module Xml = Dacs_xml.Xml
@@ -315,6 +316,71 @@ let parse_cache_put node =
   | Some r ->
     let* result = Dacs_policy.Xacml_xml.result_of_xml r in
     Ok (key, result, sent_at)
+
+(* --- Wire: the offline log-event frames ------------------------------------- *)
+
+(* The tree printers the log-event frames had before they were written
+   in place; [to_string] of these is what the chain hashed. *)
+
+type log_event = Dacs_core.Wire.log_event = {
+  le_author : string;
+  le_seq : int;
+  le_at : float;
+  le_epoch : int;
+  le_frontier : (string * int) list;
+  le_kind : string;
+  le_fields : (string * string) list;
+  le_digest : string;
+  le_tag : string;
+}
+
+let float_attr f = Printf.sprintf "%.17g" f
+
+let frontier_element frontier =
+  Xml.element "Frontier"
+    ~children:
+      (List.map
+         (fun (author, seq) ->
+           Xml.element "Entry" ~attrs:[ ("Author", author); ("Seq", string_of_int seq) ])
+         (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier))
+
+let log_event_unsigned ev =
+  Xml.element "LogEvent"
+    ~attrs:
+      [
+        ("Author", ev.le_author);
+        ("Seq", string_of_int ev.le_seq);
+        ("At", float_attr ev.le_at);
+        ("Epoch", string_of_int ev.le_epoch);
+        ("Kind", ev.le_kind);
+      ]
+    ~children:
+      (frontier_element ev.le_frontier
+      :: List.map
+           (fun (name, value) ->
+             Xml.element "Field" ~attrs:[ ("Name", name) ] ~children:[ Xml.text value ])
+           ev.le_fields)
+
+let log_event ev =
+  match log_event_unsigned ev with
+  | Xml.Text _ -> assert false
+  | Xml.Element e ->
+    Xml.element e.tag
+      ~attrs:
+        (e.attrs
+        @ [
+            ("Digest", Dacs_crypto.Encoding.hex_encode ev.le_digest);
+            ("Tag", Dacs_crypto.Encoding.hex_encode ev.le_tag);
+          ])
+      ~children:e.children
+
+let log_sync_request ~frontier =
+  Xml.element "LogSyncRequest" ~children:[ frontier_element frontier ]
+
+let log_sync_response ~head events =
+  Xml.element "LogSyncResponse"
+    ~attrs:[ ("Head", Dacs_crypto.Encoding.hex_encode head) ]
+    ~children:(List.map log_event events)
 
 (* --- Soap: the envelope ---------------------------------------------------- *)
 
