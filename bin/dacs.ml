@@ -287,7 +287,6 @@ let chaos_cmd seed json =
   in
   Pep.set_retry_policy pep (Some Rpc.default_retry);
   Pep.set_stale_window pep 10.0;
-  Rpc.set_breaker rpc (Some Rpc.default_breaker);
   let rng = Dacs_crypto.Rng.create (Int64.of_int (seed + 1)) in
   let horizon = 8.0 in
   let schedule = Faults.random_schedule ~rng ~nodes:[ "pep"; "pdp0"; "pdp1" ] ~horizon in

@@ -26,11 +26,12 @@ type meta = {
   epoch : int;
 }
 
-(* One queued authorisation query: its routing key survives re-routing,
-   and [excluded] accumulates the shards that already failed it so a
-   remap never bounces back to a dead replica. *)
+(* One queued authorisation query: its ring point (the hash of its
+   routing key, computed once) survives re-routing, and [excluded]
+   accumulates the shards that already failed it so a remap never
+   bounces back to a dead replica. *)
 type item = {
-  key : string;
+  point : string;
   ctx : Context.t;
   deliver : (Decision.result, string) result -> meta -> unit;
   excluded : Dacs_net.Net.node_id list;
@@ -115,6 +116,17 @@ let successor t ~excluded point =
 
 let shard_for t key = successor t ~excluded:[] (Sha256.hex_digest key)
 
+(* The ring successor of [point] outside [excluded] whose breaker would
+   admit a call now.  A shard passed over for its breaker counts once as
+   a call shed by it, under the tier's node — what the PEP's provenance
+   reads as "breaker tripped" — and costs no frame. *)
+let rec route t ~excluded point =
+  match successor t ~excluded point with
+  | Some shard when Dacs_net.Rpc.breaker_sheds (Service.rpc t.services) shard ->
+    Dacs_net.Rpc.record_shed (Service.rpc t.services) ~src:t.node shard;
+    route t ~excluded:(shard :: excluded) point
+  | found -> found
+
 let set_shards t shards =
   if shards <> t.shards then begin
     t.shards <- shards;
@@ -142,9 +154,9 @@ let state_of t shard =
     Hashtbl.replace t.states shard s;
     s
 
-let fail_closed t item reason =
+let fail_closed t item =
   Metrics.inc t.c_exhausted;
-  item.deliver (Error reason)
+  item.deliver (Error "pdp tier exhausted: no shard reachable")
     { shard = None; batch = 0; failovers = List.length item.excluded; epoch = 0 }
 
 let rec enqueue t shard item =
@@ -202,15 +214,15 @@ and flush t shard =
           (* The whole frame failed: the shard is unreachable (or its
              breaker is open).  Re-route every query to the ring successor
              of its own key — replica loss only remaps its own keys. *)
-          Trace.record (tracer t) ("tier:failover from " ^ shard);
+          if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
           List.iter
             (fun item ->
               let excluded = shard :: item.excluded in
-              match successor t ~excluded (Sha256.hex_digest item.key) with
+              match route t ~excluded item.point with
               | Some next ->
                 Metrics.inc t.c_failovers;
                 enqueue t next { item with excluded }
-              | None -> fail_closed t item "pdp tier exhausted: no shard reachable")
+              | None -> fail_closed t item)
             items)
   end
 
@@ -218,11 +230,18 @@ let decide_meta ?key t ctx deliver =
   (* A PEP that already built the request key for its own caches passes
      it down; only key-less callers pay the build here. *)
   let key = match key with Some k -> k | None -> Decision_cache.request_key ctx in
-  match shard_for t key with
-  | None ->
+  if Array.length t.ring = 0 then begin
     Metrics.inc t.c_exhausted;
     deliver (Error "pdp tier is empty") { shard = None; batch = 0; failovers = 0; epoch = 0 }
-  | Some shard -> enqueue t shard { key; ctx; deliver; excluded = [] }
+  end
+  else
+    let item = { point = Sha256.hex_digest key; ctx; deliver; excluded = [] } in
+    match route t ~excluded:[] item.point with
+    | Some shard -> enqueue t shard item
+    | None ->
+      (* Every shard's breaker is open: fail closed now, so the caller
+         degrades at once instead of waiting out a timeout. *)
+      fail_closed t item
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 

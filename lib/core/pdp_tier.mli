@@ -18,6 +18,15 @@
     shard remains the query fails closed with an [Indeterminate]
     decision.
 
+    Routing — first and on every re-route — skips each shard whose
+    circuit breaker would shed a call now ({!Dacs_net.Rpc.breaker_sheds}).
+    A skipped shard is sent no frame and is not a failover; it counts
+    once in [rpc_breaker_rejections_total{src}] under the tier's node,
+    as a shed call would, so the caller's provenance still records the
+    breaker.  When every shard is skipped, the query fails closed before
+    {!decide_meta} returns: no frame, no linger timer, no failover.
+    Each query hashes its key to a ring point once.
+
     The tier registers its telemetry in the bus-wide registry:
     [pdp_tier_dispatch_total{node,shard}] and
     [pdp_tier_batches_total{node,shard}] per shard, the
@@ -65,7 +74,7 @@ val set_shards : t -> Dacs_net.Net.node_id list -> unit
 
 val shard_for : t -> string -> Dacs_net.Net.node_id option
 (** Ring lookup for a raw key (exposed for tests); [None] iff the tier
-    has no shards. *)
+    has no shards.  The pure ring owner: breakers play no part. *)
 
 val decide :
   t ->
@@ -76,7 +85,8 @@ val decide :
     fires exactly once: [Ok] with the shard's answer (which may itself be
     an [Indeterminate] decision — e.g. a malformed response or a SOAP
     fault), or [Error reason] when the tier could not obtain a decision
-    at all (no shard reachable, or the tier is empty).  Callers decide
+    at all (no shard reachable, every shard's breaker open, or the tier
+    is empty).  Callers decide
     how to degrade — a PEP falls back to bounded-stale cache, then fails
     closed. *)
 

@@ -22,9 +22,13 @@ type ctx = {
   h : int array; (* 8 chaining words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total bytes absorbed *)
-  w : int array; (* message schedule scratch *)
+  mutable total : int; (* total bytes absorbed *)
 }
+
+(* The 64-word message schedule is working space for one block, not
+   context state: [process_block] fills and consumes it without
+   yielding, so one array per domain serves every context. *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
 let init () =
   {
@@ -35,14 +39,12 @@ let init () =
       |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0;
+    total = 0;
   }
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let process_block ctx block off =
-  let w = ctx.w in
+let process_block ctx w block off =
   for t = 0 to 15 do
     let i = off + (4 * t) in
     w.(t) <-
@@ -92,7 +94,8 @@ let process_block ctx block off =
 
 let update ctx s =
   let n = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int n);
+  ctx.total <- ctx.total + n;
+  let w = Domain.DLS.get schedule in
   let pos = ref 0 in
   (* Fill a partially full buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -101,13 +104,13 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
+      process_block ctx w ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while n - !pos >= 64 do
     Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx ctx.buf 0;
+    process_block ctx w ctx.buf 0;
     pos := !pos + 64
   done;
   if !pos < n then begin
@@ -116,21 +119,21 @@ let update ctx s =
   end
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
+  let w = Domain.DLS.get schedule in
+  let bit_len = ctx.total * 8 in
   (* Padding: 0x80, zeros, 64-bit big-endian length. *)
   Bytes.set ctx.buf ctx.buf_len '\x80';
   ctx.buf_len <- ctx.buf_len + 1;
   if ctx.buf_len > 56 then begin
     Bytes.fill ctx.buf ctx.buf_len (64 - ctx.buf_len) '\x00';
-    process_block ctx ctx.buf 0;
+    process_block ctx w ctx.buf 0;
     ctx.buf_len <- 0
   end;
   Bytes.fill ctx.buf ctx.buf_len (56 - ctx.buf_len) '\x00';
   for i = 0 to 7 do
-    Bytes.set ctx.buf (56 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * (7 - i))) 0xFFL)))
+    Bytes.set ctx.buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
-  process_block ctx ctx.buf 0;
+  process_block ctx w ctx.buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
@@ -139,7 +142,7 @@ let finalize ctx =
     Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
     Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -5,7 +5,10 @@
     digests so that message sizes and verification costs are realistic. *)
 
 type ctx
-(** Incremental hashing context. *)
+(** Incremental hashing context: the chaining words, one block buffer
+    and the byte count.  The 64-word message schedule is one working
+    array shared by every context of a domain, so contexts may be
+    updated in any interleaving. *)
 
 val init : unit -> ctx
 

@@ -76,6 +76,16 @@ type series = {
 
 type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
 
+(* The resilience series of one calling node, resolved the same way.
+   They are labelled by the caller, so a component resetting "its"
+   series (e.g. Pep.reset_stats) and the bus-wide resilience_stats sum
+   stay consistent: there is only one cell. *)
+type caller_series = {
+  retries : Metrics.counter Lazy.t;
+  trips : Metrics.counter Lazy.t;
+  rejections : Metrics.counter Lazy.t;
+}
+
 type t = {
   net : Net.t;
   services : (Net.node_id * string, handler) Hashtbl.t;
@@ -86,28 +96,27 @@ type t = {
   metrics : Metrics.t;
   tracer : Trace.t;
   series : (string, series) Hashtbl.t;
+  callers : (Net.node_id, caller_series) Hashtbl.t;
   inflight : Metrics.gauge Lazy.t;
   frame : Buffer.t;  (* scratch: the frame being written *)
   part : Buffer.t;  (* scratch: the batch part being written *)
 }
 
-(* Resilience counters are labelled by the calling node, so a component
-   resetting "its" series (e.g. Pep.reset_stats) and the bus-wide
-   resilience_stats sum stay consistent: there is only one cell. *)
-let retries_counter t src =
-  Metrics.counter t.metrics ~help:"Resilient-call retry attempts issued."
-    ~labels:[ ("src", src) ]
-    "rpc_retries_total"
-
-let trips_counter t src =
-  Metrics.counter t.metrics ~help:"Circuit-breaker opens observed."
-    ~labels:[ ("src", src) ]
-    "rpc_breaker_trips_total"
-
-let rejections_counter t src =
-  Metrics.counter t.metrics ~help:"Calls shed by an open breaker."
-    ~labels:[ ("src", src) ]
-    "rpc_breaker_rejections_total"
+let caller_series t src =
+  match Hashtbl.find t.callers src with
+  | s -> s
+  | exception Not_found ->
+    let labels = [ ("src", src) ] in
+    let counter help name = lazy (Metrics.counter t.metrics ~help ~labels name) in
+    let s =
+      {
+        retries = counter "Resilient-call retry attempts issued." "rpc_retries_total";
+        trips = counter "Circuit-breaker opens observed." "rpc_breaker_trips_total";
+        rejections = counter "Calls shed by an open breaker." "rpc_breaker_rejections_total";
+      }
+    in
+    Hashtbl.add t.callers src s;
+    s
 
 let batch_size_buckets = [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
 
@@ -489,11 +498,12 @@ let create net =
     services = Hashtbl.create 64;
     pending = Hashtbl.create 64;
     next_id = 0;
-    breaker_config = None;
+    breaker_config = Some default_breaker;
     breakers = Hashtbl.create 16;
     metrics;
     tracer = Trace.create ~now ~next_id ();
     series = Hashtbl.create 16;
+    callers = Hashtbl.create 16;
     inflight = lazy (Metrics.gauge metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight");
     frame = Buffer.create 1024;
     part = Buffer.create 1024;
@@ -626,6 +636,22 @@ let breaker_state t dst =
     | Open when Net.now t.net >= b.opened_at +. cfg.cooldown -> Half_open
     | s -> s)
 
+let breaker_sheds t dst =
+  match (t.breaker_config, Hashtbl.find_opt t.breakers dst) with
+  | None, _ | _, None -> false
+  | Some cfg, Some b -> (
+    match b.b_state with
+    | Closed -> false
+    | Open -> Net.now t.net < b.opened_at +. cfg.cooldown
+    | Half_open -> b.probe_in_flight)
+
+(* A trace event naming [dst], built only when tracing is on. *)
+let record_towards t what dst = if Trace.enabled t.tracer then Trace.record t.tracer (what ^ dst)
+
+let record_shed t ~src dst =
+  Metrics.inc (Lazy.force (caller_series t src).rejections);
+  record_towards t "breaker-rejected " dst
+
 (* [true] when the attempt may be sent. *)
 let breaker_admit t ~src ~notify dst =
   match t.breaker_config with
@@ -633,8 +659,7 @@ let breaker_admit t ~src ~notify dst =
   | Some cfg -> (
     let b = breaker_for t dst in
     let reject () =
-      Metrics.inc (rejections_counter t src);
-      Trace.record t.tracer ("breaker-rejected " ^ dst);
+      record_shed t ~src dst;
       notify (Breaker_rejected dst);
       false
     in
@@ -644,7 +669,7 @@ let breaker_admit t ~src ~notify dst =
       if Net.now t.net >= b.opened_at +. cfg.cooldown then begin
         b.b_state <- Half_open;
         b.probe_in_flight <- true;
-        Trace.record t.tracer ("breaker-half-open " ^ dst);
+        record_towards t "breaker-half-open " dst;
         notify (Breaker_half_opened dst);
         true
       end
@@ -666,7 +691,7 @@ let breaker_success t ~notify dst =
       b.b_state <- Closed;
       b.probe_in_flight <- false;
       b.consecutive_failures <- 0;
-      Trace.record t.tracer ("breaker-closed " ^ dst);
+      record_towards t "breaker-closed " dst;
       notify (Breaker_closed dst)
     | Closed -> b.consecutive_failures <- 0
     | Open -> () (* a straggler reply from before the trip; stay open until probed *))
@@ -680,8 +705,8 @@ let breaker_failure t ~src ~notify dst =
       b.b_state <- Open;
       b.probe_in_flight <- false;
       b.opened_at <- Net.now t.net;
-      Metrics.inc (trips_counter t src);
-      Trace.record t.tracer ("breaker-opened " ^ dst);
+      Metrics.inc (Lazy.force (caller_series t src).trips);
+      record_towards t "breaker-opened " dst;
       notify (Breaker_opened dst)
     in
     match b.b_state with
@@ -750,9 +775,10 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
     if n >= retry.attempts then k (Error err)
     else begin
       let delay = backoff_delay t retry n in
-      Metrics.inc (retries_counter t src);
-      Trace.record t.tracer
-        (Printf.sprintf "retry %d -> %s after %s" (n + 1) dst (error_to_string err));
+      Metrics.inc (Lazy.force (caller_series t src).retries);
+      if Trace.enabled t.tracer then
+        Trace.record t.tracer
+          (Printf.sprintf "retry %d -> %s after %s" (n + 1) dst (error_to_string err));
       notify (Retrying { target = dst; attempt = n + 1; delay });
       Engine.schedule engine ~delay (fun () -> attempt (n + 1))
     end

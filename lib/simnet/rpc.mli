@@ -69,12 +69,14 @@ val default_retry : retry_policy
 
 (** {1 Circuit breaker}
 
-    One breaker per target node, shared by all callers on this RPC bus.
+    One breaker per target node, shared by all callers on this RPC bus,
+    and on from {!create} with {!default_breaker}.
     [failure_threshold] consecutive timeouts trip it open; while open,
     resilient calls to that target fail immediately with {!Circuit_open}
     (shedding load from a struggling replica).  After [cooldown] seconds
     the next call is admitted as a half-open probe: success closes the
-    breaker, failure re-opens it for another cooldown. *)
+    breaker, failure re-opens it for another cooldown.  Plain calls
+    ({!call}, {!call_frame} without [resilient]) bypass the breaker. *)
 
 type breaker_config = { failure_threshold : int; cooldown : float }
 
@@ -86,13 +88,29 @@ type breaker_state = Closed | Open | Half_open
 val breaker_state_to_string : breaker_state -> string
 
 val set_breaker : t -> breaker_config option -> unit
-(** Enable ([Some cfg]) or disable ([None], the default) circuit breaking
-    for resilient calls on this bus. *)
+(** Reconfigure ([Some cfg]) or disable ([None]) circuit breaking for
+    resilient calls on this bus; a bus starts with
+    [Some default_breaker]. *)
 
 val breaker_state : t -> Net.node_id -> breaker_state
 (** Current state towards a target ([Closed] when breaking is disabled or
     the target has never failed).  An open breaker whose cooldown has
     lapsed reports [Half_open]. *)
+
+val breaker_sheds : t -> Net.node_id -> bool
+(** Whether a resilient call to the target issued now would be shed
+    without touching the network: its breaker is [Open] within its
+    cooldown, or [Half_open] with its probe in flight.  A read: it makes
+    no state transition and counts nothing, so a caller can route
+    around the target instead of calling it.  [false] when breaking is
+    disabled. *)
+
+val record_shed : t -> src:Net.node_id -> Net.node_id -> unit
+(** Count one call from [src] shed by the target's breaker, exactly as a
+    rejected resilient call is counted: one
+    [rpc_breaker_rejections_total{src}] increment and, when tracing, a
+    ["breaker-rejected"] event.  For callers that route around a
+    target on {!breaker_sheds} rather than call it. *)
 
 (** {1 Resilient calls} *)
 

@@ -99,6 +99,10 @@ let steady_retry = { Rpc.attempts = 4; base_delay = 0.2; multiplier = 2.0; max_d
 let test_latency_spike () =
   let fx = setup () in
   Pep.set_retry_policy fx.pep (Some steady_retry);
+  (* Retries alone.  Both requests' timed-out attempts count against
+     pdp0's one shared breaker, which would trip and shed alice's last
+     attempt; the breaker has its own scenario (7). *)
+  Rpc.set_breaker fx.rpc None;
   (* The pep<->pdp link runs at 2 s one-way while every call times out at
      0.5 s; only retries that land after the spike clears can succeed. *)
   Faults.apply fx.net
@@ -159,6 +163,8 @@ let test_crash_restart () =
 let test_flapping_partition () =
   let fx = setup () in
   Pep.set_retry_policy fx.pep (Some steady_retry);
+  (* Retries alone, as in the latency spike. *)
+  Rpc.set_breaker fx.rpc None;
   Faults.apply fx.net
     [
       Faults.Flapping_partition

@@ -622,6 +622,37 @@ let test_rpc_breaker_lifecycle () =
   check bool_ "trips counted" true (s.Rpc.breaker_trips >= 2);
   check int_ "rejections counted" 1 s.Rpc.breaker_rejections
 
+(* A bus breaks circuits from the start: five consecutive timeouts open
+   the target's breaker without any [set_breaker] call, and the sixth
+   call is shed.  [set_breaker None] turns that off. *)
+let test_rpc_breaker_default () =
+  let sixth_after_five_timeouts ~disable =
+    let net, rpc = make_rpc () in
+    if disable then Rpc.set_breaker rpc None;
+    Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+    Net.crash net "server";
+    let results = ref [] in
+    for i = 0 to 5 do
+      Engine.schedule_at (Net.engine net) ~at:(2.0 *. float_of_int i) (fun () ->
+          Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 "x"
+            (fun r -> results := r :: !results))
+    done;
+    Net.run net;
+    (rpc, List.hd !results)
+  in
+  let rpc, sixth = sixth_after_five_timeouts ~disable:false in
+  check bool_ "default breaker sheds the sixth call" true
+    (sixth = Error (Rpc.Circuit_open "server"));
+  check bool_ "open after five timeouts" true (Rpc.breaker_state rpc "server" = Rpc.Open);
+  check int_ "one trip" 1 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
+  check bool_ "sheds within the cooldown" true (Rpc.breaker_sheds rpc "server");
+  check bool_ "the query made no transition" true (Rpc.breaker_state rpc "server" = Rpc.Open);
+  let rpc, sixth = sixth_after_five_timeouts ~disable:true in
+  check bool_ "disabled: the sixth call times out" true (sixth = Error Rpc.Timeout);
+  check bool_ "disabled: reported closed" true (Rpc.breaker_state rpc "server" = Rpc.Closed);
+  check int_ "disabled: no trip" 0 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
+  check bool_ "disabled: sheds nothing" false (Rpc.breaker_sheds rpc "server")
+
 (* --- sequence rendering ---------------------------------------------------- *)
 
 let test_sequence_render () =
@@ -723,5 +754,7 @@ let () =
           Alcotest.test_case "deterministic jittered backoff" `Quick
             test_rpc_backoff_is_deterministic;
           Alcotest.test_case "breaker open/half-open/close" `Quick test_rpc_breaker_lifecycle;
+          Alcotest.test_case "breaker on by default, set_breaker None disables" `Quick
+            test_rpc_breaker_default;
         ] );
     ]

@@ -227,9 +227,12 @@ let test_reset_consistency () =
 let test_steady_state_decision_no_lookups () =
   (* After warm-up every series a tier decision touches is resolved, so
      the next decision — PEP ladder, tier batch, RPC both ways, PDP —
-     increments held handles and resolves nothing in the registry. *)
+     increments held handles and resolves nothing in the registry.  The
+     same holds for a decision the tier sheds because every shard's
+     breaker is open. *)
   let net = Net.create ~seed:5L () in
-  let services = Service.create (Rpc.create net) in
+  let rpc = Rpc.create net in
+  let services = Service.create rpc in
   List.iter (Net.add_node net) [ "pep"; "pdp.0"; "pdp.1" ];
   List.iter
     (fun node -> ignore (Pdp_service.create services ~node ~name:node ~root:deny_all_policy ()))
@@ -252,7 +255,18 @@ let test_steady_state_decision_no_lookups () =
   let registry = Service.metrics services in
   let before = Metrics.lookups registry in
   decide "g";
-  check int_ "registry lookups in a steady-state decision" 0 (Metrics.lookups registry - before)
+  check int_ "registry lookups in a steady-state decision" 0 (Metrics.lookups registry - before);
+  (* Both shards go down; the first decision's timeouts open both
+     breakers, the next warms the shed path. *)
+  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 1; cooldown = 100.0 });
+  List.iter (Net.crash net) [ "pdp.0"; "pdp.1" ];
+  List.iter decide [ "h"; "i" ];
+  let shed = (Rpc.resilience_stats rpc).Rpc.breaker_rejections in
+  let before = Metrics.lookups registry in
+  decide "j";
+  check int_ "registry lookups in a breaker-shed decision" 0 (Metrics.lookups registry - before);
+  check int_ "the decision was shed at both shards" (shed + 2)
+    (Rpc.resilience_stats rpc).Rpc.breaker_rejections
 
 (* --- trace context through an RPC frame (QCheck) ----------------------------- *)
 

@@ -221,6 +221,142 @@ let test_empty_tier_fails_closed () =
   | Some (Ok _) -> Alcotest.fail "empty tier produced a decision"
   | None -> Alcotest.fail "empty tier never answered"
 
+(* --- routing around open breakers ---------------------------------------------- *)
+
+(* Breakers that trip on the first timeout and stay open [cooldown]
+   seconds, so a test opens one with a single lost frame. *)
+let trip_on_first_timeout fx ~cooldown =
+  Rpc.set_breaker (Service.rpc fx.services) (Some { Rpc.failure_threshold = 1; cooldown })
+
+let rejections fx =
+  Metrics.counter_value
+    (Metrics.counter (Service.metrics fx.services) ~labels:[ ("src", "pep") ]
+       "rpc_breaker_rejections_total")
+
+(* [decide_meta] for [key] issued at [at]; the answer lands in the ref. *)
+let decide_at fx ~at ?key ctx answer =
+  Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
+      Pdp_tier.decide_meta ?key fx.tier ctx (fun outcome meta ->
+          answer := Some (Net.now fx.net, outcome, meta)))
+
+let answered_by what answer =
+  match !answer with
+  | Some (_, Ok _, { Pdp_tier.shard = Some s; _ }) -> s
+  | Some (_, Error e, _) -> Alcotest.failf "%s: tier failed: %s" what e
+  | Some (_, Ok _, { Pdp_tier.shard = None; _ }) | None ->
+    Alcotest.failf "%s: no shard answered" what
+
+let test_all_breakers_open () =
+  let fx = setup () in
+  trip_on_first_timeout fx ~cooldown:30.0;
+  let ctx = ctx_for "alice" "read" in
+  (* With every shard down, one query's failover chain times out once on
+     each shard, opening all four breakers, and then fails closed. *)
+  List.iter (Net.crash fx.net) fx.shard_nodes;
+  let first = ref None in
+  decide_at fx ~at:0.5 ctx first;
+  Net.run fx.net;
+  List.iter
+    (fun s ->
+      check bool_ ("breaker open on " ^ s) true
+        (Rpc.breaker_state (Service.rpc fx.services) s = Rpc.Open))
+    fx.shard_nodes;
+  (* Now the tier knows better than to send: the next query fails closed
+     in the instant it is issued, with no frame and no timeout. *)
+  let exhausted = (Pdp_tier.stats fx.tier).Pdp_tier.exhausted in
+  let sent = (Net.total_sent fx.net).Net.count in
+  let answer = ref None and fired_inline = ref false in
+  Engine.schedule_at (Net.engine fx.net) ~at:10.0 (fun () ->
+      Pdp_tier.decide_meta fx.tier ctx (fun outcome meta ->
+          answer := Some (Net.now fx.net, outcome, meta));
+      fired_inline := !answer <> None);
+  Net.run fx.net;
+  check bool_ "deliver fired before decide_meta returned" true !fired_inline;
+  (match !answer with
+  | Some (at, Error _, { Pdp_tier.shard = None; batch = 0; failovers = 0; _ }) ->
+    check (Alcotest.float 0.0) "at the instant it was issued" 10.0 at
+  | _ -> Alcotest.fail "expected a synchronous fail-closed answer with no shard");
+  check int_ "no message sent" sent (Net.total_sent fx.net).Net.count;
+  check int_ "exhausted rises by one" (exhausted + 1) (Pdp_tier.stats fx.tier).Pdp_tier.exhausted;
+  (* A PEP holding an offline replica degrades to it at once, and its
+     provenance says the breakers are why. *)
+  let offline =
+    Offline.create ~now:(fun () -> Net.now fx.net) ~key:"tier-mesh-key" ~author:"a" ()
+  in
+  Offline.publish offline (doctor_policy "r");
+  Pep.set_offline_replica fx.pep (Some offline);
+  let explained = ref None in
+  Engine.schedule_at (Net.engine fx.net) ~at:11.0 (fun () ->
+      Pep.decide_explained fx.pep ctx (fun result prov ->
+          explained := Some (Net.now fx.net, result, prov)));
+  Net.run fx.net;
+  match !explained with
+  | Some (at, result, prov) ->
+    check (Alcotest.float 0.0) "served in the instant it was asked" 11.0 at;
+    check bool_ "offline permits the doctor" true (result.Decision.decision = Decision.Permit);
+    check string_ "served by the offline rung" "offline"
+      (Provenance.stage_name prov.Provenance.stage);
+    check bool_ "provenance records the breakers" true prov.Provenance.breaker_tripped
+  | None -> Alcotest.fail "the PEP never answered"
+
+(* Opens the breaker of the shard owning alice's key: it is down when the
+   first query reaches it, and back up (breaker still open) at 2.0.
+   Returns the shard and the keys it owns. *)
+let open_one_breaker fx ~cooldown =
+  trip_on_first_timeout fx ~cooldown;
+  let ctx = ctx_for "alice" "read" in
+  let owner key = Option.get (Pdp_tier.shard_for fx.tier key) in
+  let victim = owner (Decision_cache.request_key ctx) in
+  let keys = List.filter (fun k -> owner k = victim) (List.init 100 (Printf.sprintf "key%d")) in
+  Net.crash fx.net victim;
+  let first = ref None in
+  decide_at fx ~at:0.5 ctx first;
+  Engine.schedule_at (Net.engine fx.net) ~at:2.0 (fun () -> Net.recover fx.net victim);
+  Net.run fx.net;
+  check bool_ "the first query failed over" true (answered_by "first query" first <> victim);
+  check bool_ "the owner's breaker is open" true
+    (Rpc.breaker_state (Service.rpc fx.services) victim = Rpc.Open);
+  (victim, keys)
+
+let test_one_breaker_open () =
+  let fx = setup () in
+  let victim, keys = open_one_breaker fx ~cooldown:30.0 in
+  check bool_ "the open shard owns some keys" true (keys <> []);
+  (* The ring without the open shard: where its keys must go. *)
+  let survivors = List.filter (fun s -> s <> victim) fx.shard_nodes in
+  let successor_tier = Pdp_tier.create fx.services ~node:"probe" ~shards:survivors () in
+  let rejected = rejections fx in
+  Net.set_tracing fx.net true;
+  List.iteri
+    (fun i key ->
+      let answer = ref None in
+      decide_at fx ~at:(3.0 +. float_of_int i) ~key (ctx_for "alice" "read") answer;
+      Net.run fx.net;
+      check string_ ("ring successor answers " ^ key)
+        (Option.get (Pdp_tier.shard_for successor_tier key))
+        (answered_by key answer);
+      match !answer with
+      | Some (_, _, meta) -> check int_ "skipping is not a failover" 0 meta.Pdp_tier.failovers
+      | None -> ())
+    keys;
+  check bool_ "no frame reached the open shard" false
+    (List.exists (fun e -> e.Net.t_dst = victim) (Net.trace fx.net));
+  check int_ "each skip counted once as a shed call" (rejected + List.length keys) (rejections fx)
+
+let test_breaker_recloses () =
+  let fx = setup () in
+  let victim, keys = open_one_breaker fx ~cooldown:5.0 in
+  let key = List.hd keys in
+  (* Tripped at 1.5; from 6.5 the next query is the half-open probe. *)
+  let probe = ref None and after = ref None in
+  decide_at fx ~at:7.0 ~key (ctx_for "alice" "read") probe;
+  decide_at fx ~at:8.0 ~key (ctx_for "alice" "read") after;
+  Net.run fx.net;
+  check string_ "the probe goes to the owner" victim (answered_by "probe" probe);
+  check bool_ "its success closed the breaker" true
+    (Rpc.breaker_state (Service.rpc fx.services) victim = Rpc.Closed);
+  check string_ "routing is back on the owner" victim (answered_by "after" after)
+
 (* --- same-seed determinism ----------------------------------------------------- *)
 
 (* One Fig. 3 pull-flow run through the sharded tier under a chaos
@@ -278,6 +414,12 @@ let () =
           Alcotest.test_case "total outage without cache fails closed" `Quick
             test_fail_closed_without_cache;
           Alcotest.test_case "empty tier fails closed" `Quick test_empty_tier_fails_closed;
+          Alcotest.test_case "every breaker open: fail closed at once, offline answers" `Quick
+            test_all_breakers_open;
+          Alcotest.test_case "one breaker open: its keys go to the ring successor" `Quick
+            test_one_breaker_open;
+          Alcotest.test_case "after the cooldown a success re-closes and routes back" `Quick
+            test_breaker_recloses;
         ] );
       ( "determinism",
         [
