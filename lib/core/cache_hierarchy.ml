@@ -24,12 +24,12 @@ module Attr_cache = struct
     c_invalidations : Metrics.counter;
   }
 
-  let create metrics ~node ?(expected = 1024) ~ttl () =
+  let create metrics ~node ~ttl () =
     if ttl <= 0.0 then invalid_arg "Attr_cache.create: ttl must be positive";
     let own ?help name = Metrics.counter metrics ?help ~labels:[ ("node", node) ] name in
     {
       ttl;
-      table = Hashtbl.create (max 64 (min expected (1 lsl 18)));
+      table = Hashtbl.create 1024;
       c_hits = own "pdp_attr_cache_hits_total" ~help:"Attribute bags served from the PDP cache";
       c_misses = own "pdp_attr_cache_misses_total" ~help:"Attribute-cache lookups that missed";
       c_invalidations =
@@ -374,8 +374,8 @@ module L2 = struct
 
   (* --- client side (what a PEP calls) ---------------------------------- *)
 
-  let remote_lookup services ~src ~l2 ?(timeout = 1.0) ~key k =
-    Service.call_frame services ~src ~dst:l2 ~service:"cache-lookup" ~timeout ~read:Wire.read_cache_answer
+  let remote_lookup services ~src ~l2 ~key k =
+    Service.call_frame services ~src ~dst:l2 ~service:"cache-lookup" ~read:Wire.read_cache_answer
       (fun buf -> Wire.write_cache_lookup buf ~key)
       (fun reply ->
         match reply with
@@ -392,9 +392,4 @@ module L2 = struct
       ~read:(fun c -> Dacs_xml.Xml.Cursor.read c (fun c -> ignore (Dacs_xml.Xml.Cursor.subtree c)))
       (fun buf -> Wire.write_cache_put ~sent_at buf ~key result)
       (fun _ -> ())
-
-  let remote_invalidate services ~src ~l2 ?key ?(k = fun () -> ()) () =
-    Service.call services ~src ~dst:l2 ~service:"cache-invalidate"
-      (Wire.cache_invalidate ~epoch:0 key)
-      (fun _ -> k ())
 end

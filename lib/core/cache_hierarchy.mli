@@ -24,12 +24,10 @@
 module Attr_cache : sig
   type t
 
-  val create :
-    Dacs_telemetry.Metrics.t -> node:string -> ?expected:int -> ttl:float -> unit -> t
+  val create : Dacs_telemetry.Metrics.t -> node:string -> ttl:float -> unit -> t
   (** Mirrors hits/misses/invalidations into
-      [pdp_attr_cache_*_total{node}].  The table is pre-sized for
-      [expected] entries (default 1024).  Raises [Invalid_argument] on a
-      non-positive TTL. *)
+      [pdp_attr_cache_*_total{node}].  The table is pre-sized for 1024
+      entries.  Raises [Invalid_argument] on a non-positive TTL. *)
 
   val pair_sym : Dacs_policy.Context.category -> string -> int
   (** Intern an attribute position once (e.g. at resolver setup) and use
@@ -119,7 +117,7 @@ module L2 : sig
     unit ->
     t
   (** Registers [cache-lookup], [cache-put], [cache-invalidate] and
-      [cache-sync] on [node].  Storage is a {!Decision_cache} (owner =
+      [cache-sync] on [node]; [max_entries] defaults to 4096.  Storage is a {!Decision_cache} (owner =
       node), so the usual [decision_cache_*{cache}] series apply on top
       of the [l2_*_total{node}] counters and the
       [l2_invalidation_latency_seconds{node}] histogram. *)
@@ -176,12 +174,12 @@ module L2 : sig
     Dacs_ws.Service.t ->
     src:Dacs_net.Net.node_id ->
     l2:Dacs_net.Net.node_id ->
-    ?timeout:float ->
     key:string ->
     (Dacs_policy.Decision.result option -> unit) ->
     unit
-  (** Transport failures and malformed answers are reported as misses:
-      the shared cache can never make a decision path fail. *)
+  (** One plain call with a 1 s timeout.  Transport failures and
+      malformed answers are reported as misses: the shared cache can
+      never make a decision path fail. *)
 
   val remote_put :
     Dacs_ws.Service.t ->
@@ -191,15 +189,4 @@ module L2 : sig
     Dacs_policy.Decision.result ->
     unit
   (** Fire-and-forget. *)
-
-  val remote_invalidate :
-    Dacs_ws.Service.t ->
-    src:Dacs_net.Net.node_id ->
-    l2:Dacs_net.Net.node_id ->
-    ?key:string ->
-    ?k:(unit -> unit) ->
-    unit ->
-    unit
-  (** Trigger an invalidation round from outside the hierarchy (e.g. a
-      capability authority on revocation); [k] fires on the ack. *)
 end

@@ -29,8 +29,8 @@ let parse_outcome body =
   | Ok outcome -> Ok outcome
   | Error e -> Error (Service.Malformed e)
 
-let request t ~pep ~action ?timeout ?retry ?notify k =
-  Service.call_resilient t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ?retry ?notify
+let request t ~pep ~action ?timeout ?(retry = Dacs_net.Rpc.no_retry) k =
+  Service.call t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ~resilient:retry
     (Wire.access_request ~subject:t.subject ~action)
     (fun response ->
       match response with
@@ -49,8 +49,8 @@ let drop_capabilities t = Hashtbl.reset t.capabilities
 
 let capability_requests_made t = t.capability_requests
 
-let call_with_capability t ~pep ~action ?timeout ?retry ?notify wire k =
-  Service.call_resilient t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ?retry ?notify
+let call_with_capability t ~pep ~action wire k =
+  Service.call t.services ~src:t.node ~dst:pep ~service:"access" ~resilient:Dacs_net.Rpc.no_retry
     ~headers:[ wire ]
     (Wire.access_request ~subject:t.subject ~action)
     (fun response ->
@@ -63,13 +63,13 @@ let parse_capability body =
     Dacs_saml.Attribute_cert.of_xml body
   else Assertion.of_xml body
 
-let request_with_capability t ~capability_service ~pep ~resource ~action ?timeout ?retry ?notify k =
+let request_with_capability t ~capability_service ~pep ~resource ~action k =
   match valid_capability t ~resource ~action with
-  | Some wire -> call_with_capability t ~pep ~action ?timeout ?retry ?notify wire k
+  | Some wire -> call_with_capability t ~pep ~action wire k
   | None ->
     t.capability_requests <- t.capability_requests + 1;
-    Service.call_resilient t.services ~src:t.node ~dst:capability_service
-      ~service:"capability-request" ?timeout ?retry ?notify
+    Service.call t.services ~src:t.node ~dst:capability_service ~service:"capability-request"
+      ~resilient:Dacs_net.Rpc.no_retry
       (Wire.capability_request ~subject:t.subject ~pairs:[ (resource, action) ])
       (fun response ->
         match response with
@@ -79,4 +79,4 @@ let request_with_capability t ~capability_service ~pep ~resource ~action ?timeou
           | Error e -> k (Error (Service.Malformed e))
           | Ok assertion ->
             Hashtbl.replace t.capabilities (resource, action) (assertion, body);
-            call_with_capability t ~pep ~action ?timeout ?retry ?notify body k))
+            call_with_capability t ~pep ~action body k))

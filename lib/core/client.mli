@@ -23,12 +23,12 @@ val request :
   action:string ->
   ?timeout:float ->
   ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
   (( Wire.access_outcome, Dacs_ws.Service.error) result -> unit) ->
   unit
-(** Pull-model access: one call to the PEP.  [retry] (default: single
-    attempt) re-sends through the RPC resilience layer when the link to
-    the PEP itself is lossy or partitioned. *)
+(** Pull-model access: one call to the PEP through the bus's circuit
+    breaker.  [retry] (default {!Dacs_net.Rpc.no_retry}) re-sends
+    through the RPC resilience layer when the link to the PEP itself is
+    lossy or partitioned. *)
 
 val request_with_capability :
   t ->
@@ -36,14 +36,12 @@ val request_with_capability :
   pep:Dacs_net.Net.node_id ->
   resource:string ->
   action:string ->
-  ?timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
   ((Wire.access_outcome, Dacs_ws.Service.error) result -> unit) ->
   unit
 (** Push-model access: obtain (or reuse a cached, still-valid) capability
     for (resource, action), then call the PEP with the assertion attached.
-    [retry] applies to both the capability fetch and the PEP call. *)
+    Both calls take one attempt with the default 1 s timeout, through
+    the bus's circuit breaker. *)
 
 val drop_capabilities : t -> unit
 (** Forget cached capabilities (forces re-issuance). *)

@@ -99,26 +99,27 @@ let create services ~node ?(lease = 10.0) () =
              { Dacs_ws.Soap.code = "soap:Sender"; reason = "Discover needs Kind" }));
   t
 
-let advertise t ~services ~node ~kind ?retry () =
+let advertise t ~services ~node ~kind () =
   let engine = Net.engine (Service.net services) in
   let period = t.lease /. 2.0 in
   let rec renew () =
     (* A crashed node's sends are dropped by the network, so the
        advertisement naturally lapses; the loop keeps ticking and renews
        again after recovery. *)
-    Service.call_resilient services ~src:node ~dst:t.node ~service:"register" ?retry
+    Service.call services ~src:node ~dst:t.node ~service:"register" ~resilient:Dacs_net.Rpc.no_retry
       (register_body ~kind ~node)
       (fun _ -> ());
     Engine.schedule engine ~delay:period renew
   in
   renew ()
 
-let auto_rebind t ~pep ~kind ?period ?retry () =
+let auto_rebind t ~pep ~kind ?period () =
   let period = Option.value period ~default:t.lease in
   let engine = Net.engine (Service.net t.services) in
   let pep_node = Pep.node pep in
   let rec refresh () =
-    Service.call_resilient t.services ~src:pep_node ~dst:t.node ~service:"discover" ?retry
+    Service.call t.services ~src:pep_node ~dst:t.node ~service:"discover"
+      ~resilient:Dacs_net.Rpc.no_retry
       (discover_body ~kind)
       (fun response ->
         (match response with

@@ -41,28 +41,24 @@ val advertise :
   services:Dacs_ws.Service.t ->
   node:Dacs_net.Net.node_id ->
   kind:string ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
   unit ->
   unit
 (** Register [node] under [kind] and keep renewing at half the lease
-    period.  Renewals stop automatically while the node is crashed (a
-    crashed node cannot send), so its advertisement lapses — and resume
-    if it recovers.  [retry] (default: single attempt) re-sends lost
-    renewals within a period, keeping leases alive over lossy links. *)
+    period, one attempt per renewal.  Renewals stop automatically while
+    the node is crashed (a crashed node cannot send), so its
+    advertisement lapses — and resume if it recovers. *)
 
 val auto_rebind :
   t ->
   pep:Pep.t ->
   kind:string ->
   ?period:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
   unit ->
   unit
-(** Poll the registry every [period] seconds (default: the lease) and
-    install the discovered endpoints as the PEP's pull-mode failover
-    list.  While the registry is unreachable the PEP keeps its last
-    known list.  [retry] (default: single attempt) hardens the discover
-    call itself. *)
+(** Poll the registry every [period] seconds (default: the lease), one
+    attempt per poll, and install the discovered endpoints as the PEP's
+    pull-mode failover list.  While the registry is unreachable the PEP
+    keeps its last known list. *)
 
 (** {1 Wire helpers (exposed for tests)} *)
 

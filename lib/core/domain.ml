@@ -21,7 +21,6 @@ type t = {
   mutable vo_policy : Policy.child option;
   mutable peps : Pep.t list;
   mutable l2 : Cache_hierarchy.L2.t option;
-  mutable offline : Offline.t option;
 }
 
 let name t = t.name
@@ -64,12 +63,9 @@ let republish t =
        purge fans out to any subscribed child caches and — via the
        region hook below — to the PEPs' L1s in the same round. *)
     let region = Pap.last_region t.pap in
-    (match t.l2 with
+    match t.l2 with
     | Some l2 -> Cache_hierarchy.L2.invalidate_region l2 region
-    | None -> List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps);
-    (* The offline replica mirrors the served root, so a partitioned PEP
-       decides under the same policy the live tier would have used. *)
-    Option.iter (fun o -> Offline.publish o root) t.offline
+    | None -> List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps
 
 let set_local_policy t child =
   t.local <- Some child;
@@ -120,14 +116,14 @@ let seed_of_name name =
 
 let l2 t = t.l2
 
-let attach_l2 t ?max_entries ~ttl () =
+let attach_l2 t ~ttl () =
   match t.l2 with
   | Some l2 -> l2
   | None ->
     let net = Service.net t.services in
     let node = t.name ^ ".l2" in
     Dacs_net.Net.add_node net node;
-    let l2 = Cache_hierarchy.L2.create t.services ~node ?max_entries ~ttl () in
+    let l2 = Cache_hierarchy.L2.create t.services ~node ~ttl () in
     (* Every invalidation round that reaches the domain cache also purges
        the PEPs' private L1s, so no cache level outlives a revocation. *)
     Cache_hierarchy.L2.set_on_invalidate l2 (fun key ->
@@ -140,37 +136,8 @@ let attach_l2 t ?max_entries ~ttl () =
     t.l2 <- Some l2;
     l2
 
-let offline t = t.offline
-let offline_node t = Option.map (fun _ -> t.name ^ ".offline") t.offline
-
-let attach_offline t ~key () =
-  match t.offline with
-  | Some o -> o
-  | None ->
-    let net = Service.net t.services in
-    let node = t.name ^ ".offline" in
-    Dacs_net.Net.add_node net node;
-    let o =
-      Offline.create
-        ~metrics:(Service.metrics t.services)
-        ~audit:t.audit
-        ~now:(fun () -> Dacs_net.Net.now net)
-        ~key ~author:t.name ()
-    in
-    Offline.serve o t.services ~node;
-    (* A replayed contradiction purges every cache level by request key,
-       exactly like a keyed invalidation round. *)
-    Offline.on_invalidate o (fun key ->
-        Option.iter (fun l2 -> Cache_hierarchy.L2.invalidate l2 ~key) t.l2;
-        List.iter (fun pep -> Pep.invalidate_key pep ~key) t.peps);
-    (match combined t with Some root -> Offline.publish o root | None -> ());
-    List.iter (fun pep -> Pep.set_offline_replica pep (Some o)) t.peps;
-    t.offline <- Some o;
-    o
-
-let create services ~name ?seed ?attr_cache_ttl () =
-  let seed = Option.value seed ~default:(seed_of_name name) in
-  let rng = Dacs_crypto.Rng.create seed in
+let create services ~name ?attr_cache_ttl () =
+  let rng = Dacs_crypto.Rng.create (seed_of_name name) in
   let ca = Rsa.generate rng ~bits:512 in
   let ca_cert =
     Cert.self_signed ca ~subject:("cn=ca," ^ name) ~serial:1 ~not_before:0.0 ~not_after:1e12
@@ -204,7 +171,6 @@ let create services ~name ?seed ?attr_cache_ttl () =
       vo_policy = None;
       peps = [];
       l2 = None;
-      offline = None;
     }
   in
   (* Syndicated updates land as the VO component of the combined root. *)
@@ -224,7 +190,6 @@ let expose_resource t ~resource ?content ?cache ?pdps ?(call_timeout = 1.0) () =
       (Pep.Pull { pdps; cache; call_timeout })
   in
   Option.iter (fun l2 -> Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2))) t.l2;
-  Option.iter (fun o -> Pep.set_offline_replica pep (Some o)) t.offline;
   t.peps <- pep :: t.peps;
   pep
 

@@ -7,9 +7,9 @@
 
 type t
 
-val create : Dacs_ws.Service.t -> name:string -> ?seed:int64 -> ?attr_cache_ttl:float -> unit -> t
+val create : Dacs_ws.Service.t -> name:string -> ?attr_cache_ttl:float -> unit -> t
 (** Creates the component nodes and services.  Keys are generated
-    deterministically from [seed] (default: derived from the name).
+    deterministically from a seed derived from the name.
     [attr_cache_ttl] enables the domain PDP's attribute cache with
     batched PIP resolution (see {!Pdp_service.create}). *)
 
@@ -53,8 +53,9 @@ val allow_policy_updates_from : t -> Dacs_net.Net.node_id list -> unit
 
 (** {1 Hierarchical caching} *)
 
-val attach_l2 : t -> ?max_entries:int -> ttl:float -> unit -> Cache_hierarchy.L2.t
-(** Stand up the domain's shared decision cache on node [<domain>.l2]:
+val attach_l2 : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
+(** Stand up the domain's shared decision cache on node [<domain>.l2]
+    (at most 4096 entries, {!Cache_hierarchy.L2.create}'s default):
     every PEP of the domain (current and future) consults it between its
     private L1 and the decision tier, and every invalidation round that
     reaches it also purges the PEPs' L1s (full or by key), so no cache
@@ -62,23 +63,6 @@ val attach_l2 : t -> ?max_entries:int -> ttl:float -> unit -> Cache_hierarchy.L2
     existing cache. *)
 
 val l2 : t -> Cache_hierarchy.L2.t option
-
-(** {1 Offline mode} *)
-
-val attach_offline : t -> key:string -> unit -> Offline.t
-(** Stand up the domain's offline replica on node [<domain>.offline]:
-    every PEP of the domain (current and future) gains the [offline]
-    rung of the decision ladder, the replica serves {!Offline.service_name}
-    for log anti-entropy, the current combined policy (and every later
-    republish) is mirrored into the log, and retroactive invalidations
-    from deny-wins replay purge the domain L2 and all PEP L1s by request
-    key.  [key] is the mesh-wide HMAC key shared by replicas that sync.
-    Idempotent: a second call returns the existing replica. *)
-
-val offline : t -> Offline.t option
-
-val offline_node : t -> Dacs_net.Net.node_id option
-(** The replica's node, once {!attach_offline} has run. *)
 
 (** {1 Users and resources} *)
 

@@ -54,7 +54,6 @@ type t = {
   refresh : policy_refresh;
   pips : Dacs_net.Net.node_id list;
   signer : (Dacs_crypto.Rsa.private_key * Dacs_crypto.Cert.t) option;
-  retry : Dacs_net.Rpc.retry_policy option;
   counters : counters;
   service_time : float;
   rule_cost : float;
@@ -145,7 +144,8 @@ let ensure_policy t k =
     | None -> k ()
     | Some pap ->
       Metrics.inc t.counters.c_pap_fetches;
-      Service.call_resilient t.services ~src:t.node ~dst:pap ?retry:t.retry ~service:"policy-query"
+      Service.call t.services ~src:t.node ~dst:pap ~resilient:Dacs_net.Rpc.no_retry
+        ~service:"policy-query"
         (Wire.policy_query ~scope:"" ~known_version:t.version)
         (fun result ->
           (match result with
@@ -240,7 +240,7 @@ let fetch_batched t ~subject misses ctx k =
           (fun (category, id) buf -> Wire.write_attribute_query buf ~category ~attribute_id:id ~subject)
           misses
       in
-      let resilient = Dacs_net.Rpc.resilient ?retry:t.retry () in
+      let resilient = Dacs_net.Rpc.no_retry in
       let read = Wire.read_attribute_result in
       (match bodies with
       | [ single ] ->
@@ -352,8 +352,8 @@ let overloaded t =
 
 let overload_reason = "pdp overloaded"
 
-let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retry
-    ?(service_time = 0.0) ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl () =
+let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(service_time = 0.0)
+    ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl () =
   let refresh =
     match refresh with
     | Some r -> r
@@ -371,7 +371,6 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?retr
       refresh;
       pips;
       signer;
-      retry;
       counters = make_counters metrics ~node;
       service_time;
       rule_cost;

@@ -21,7 +21,6 @@ val create :
   ?refresh:policy_refresh ->
   ?pips:Dacs_net.Net.node_id list ->
   ?signer:Dacs_crypto.Rsa.private_key * Dacs_crypto.Cert.t ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
   ?service_time:float ->
   ?rule_cost:float ->
   ?max_inflight:int ->
@@ -31,10 +30,9 @@ val create :
 (** [refresh] defaults to [Every_query] when a PAP is given, else
     [Never].  With [signer], every decision response is signed and carries
     the PDP's certificate (see {!Wire.signed_authz_response}) so PEPs can
-    authenticate their decision point (§3.2).  [retry] (default: single
-    attempt) hardens the PDP's own upstream calls — PAP policy fetches
-    and PIP attribute queries — with backoff through the RPC resilience
-    layer.  [service_time] (seconds of virtual time, default 0) models
+    authenticate their decision point (§3.2).  The PDP's own upstream
+    calls — PAP policy fetches and PIP attribute queries — take one
+    attempt each through the bus's circuit breaker.  [service_time] (seconds of virtual time, default 0) models
     evaluation capacity: each query occupies the PDP for that long and
     queues FIFO behind in-progress work, which is what makes single-PDP
     saturation — and the sharded tier's speedup — measurable (E16).  0

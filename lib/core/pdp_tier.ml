@@ -51,10 +51,7 @@ type t = {
   services : Service.t;
   node : Dacs_net.Net.node_id;
   batch : int;
-  linger : float;
   vnodes : int;
-  call_timeout : float;
-  retry : Dacs_net.Rpc.retry_policy option;
   mutable trust : Dacs_crypto.Cert.Trust_store.t option;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
@@ -69,7 +66,6 @@ type t = {
 
 let node t = t.node
 let shards t = t.shards
-let batch_limit t = t.batch
 let tracer t = Service.tracer t.services
 
 (* --- consistent hashing ------------------------------------------------- *)
@@ -166,14 +162,11 @@ let rec enqueue t shard item =
   Metrics.inc s.sc_dispatch;
   if s.queued >= t.batch then flush t shard
   else if not s.flush_pending then begin
-    (* Even a 0-second linger coalesces: the flush runs after the current
-       event cascade, so every query issued at this virtual instant rides
-       the same frame. *)
+    (* A partial batch flushes at the end of the current instant: the
+       flush runs after the current event cascade, so every query issued
+       at this virtual instant rides the same frame. *)
     s.flush_pending <- true;
-    Engine.schedule
-      (Dacs_net.Net.engine (Service.net t.services))
-      ~delay:t.linger
-      (fun () -> flush t shard)
+    Engine.schedule (Dacs_net.Net.engine (Service.net t.services)) ~delay:0.0 (fun () -> flush t shard)
   end
 
 and flush t shard =
@@ -187,7 +180,7 @@ and flush t shard =
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
     Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-      ~timeout:t.call_timeout ~resilient:(Dacs_net.Rpc.resilient ?retry:t.retry ())
+      ~resilient:Dacs_net.Rpc.no_retry
       ~read:(fun c ->
         Wire.read_authz_answer ?trust:t.trust ~now:(Dacs_net.Net.now (Service.net t.services)) c)
       (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
@@ -249,11 +242,9 @@ let require_signed_decisions t trust = t.trust <- Some trust
 
 (* --- construction ------------------------------------------------------- *)
 
-let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes = 16)
-    ?(call_timeout = 1.0) ?retry () =
+let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
   if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
   if vnodes < 1 then invalid_arg "Pdp_tier.create: vnodes must be >= 1";
-  if linger < 0.0 then invalid_arg "Pdp_tier.create: negative linger";
   let metrics = Service.metrics services in
   let own ?help name = Metrics.counter metrics ?help ~labels:[ ("node", node) ] name in
   let per_shard ?help name shard =
@@ -263,10 +254,7 @@ let create services ~node ~shards:initial ?(batch = 8) ?(linger = 0.0) ?(vnodes 
     services;
     node;
     batch;
-    linger;
     vnodes;
-    call_timeout;
-    retry;
     trust = None;
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";

@@ -9,10 +9,11 @@
     and losing a replica only remaps the keys that replica owned.
 
     Queries headed for the same shard are coalesced into a single batched
-    RPC frame (up to [batch] queries per round-trip, flushed after
-    [linger] seconds of virtual time; even a 0-second linger merges all
-    queries issued at the same virtual instant).  A batch is one
-    fault/retry unit: a transport failure fails the whole frame, after
+    RPC frame: up to [batch] queries per round-trip, and a partial batch
+    flushes at the end of the current virtual instant, so it merges
+    every query issued at that instant.  Each frame is one attempt with
+    a 1 s timeout, through the bus's circuit breaker.  A batch is one
+    fault unit: a transport failure fails the whole frame, after
     which each query is individually re-routed to the ring successor of
     its own key, excluding every shard that already failed it.  When no
     shard remains the query fails closed with an [Indeterminate]
@@ -24,7 +25,7 @@
     once in [rpc_breaker_rejections_total{src}] under the tier's node,
     as a shed call would, so the caller's provenance still records the
     breaker.  When every shard is skipped, the query fails closed before
-    {!decide_meta} returns: no frame, no linger timer, no failover.
+    {!decide_meta} returns: no frame, no flush event, no failover.
     Each query hashes its key to a ring point once.
 
     The tier registers its telemetry in the bus-wide registry:
@@ -41,18 +42,13 @@ val create :
   node:Dacs_net.Net.node_id ->
   shards:Dacs_net.Net.node_id list ->
   ?batch:int ->
-  ?linger:float ->
   ?vnodes:int ->
-  ?call_timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
   unit ->
   t
 (** Dispatcher issuing calls from [node].  [batch] (default 8) is the
-    maximum queries per frame; [linger] (default 0) how long a partial
-    batch waits before flushing; [vnodes] (default 16) ring points per
-    shard; [call_timeout] (default 1 s) and [retry] are handed to the
-    underlying batched call.  Each per-query response body is decoded
-    by {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
+    maximum queries per frame; [vnodes] (default 16) ring points per
+    shard.  Each per-query response body is decoded by
+    {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose
@@ -63,7 +59,6 @@ val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 
 val node : t -> Dacs_net.Net.node_id
 val shards : t -> Dacs_net.Net.node_id list
-val batch_limit : t -> int
 
 val set_shards : t -> Dacs_net.Net.node_id list -> unit
 (** Replace the shard set, rebuilding the ring (a no-op when unchanged;

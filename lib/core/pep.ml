@@ -147,7 +147,7 @@ type t = {
   sf : (Decision.result * Provenance.t) Cache_hierarchy.Single_flight.t;
   mutable mode : mode;
   mutable decision_trust : Dacs_crypto.Cert.Trust_store.t option;
-  mutable retry : Dacs_net.Rpc.retry_policy option;
+  mutable retry : Dacs_net.Rpc.retry_policy;
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
@@ -258,14 +258,17 @@ let require_signed_decisions t trust =
   | Sharded { tier; _ } -> Pdp_tier.require_signed_decisions tier trust
   | Pull _ | Push _ | Agent _ -> t.decision_trust <- Some trust
 
-let set_retry_policy t retry = t.retry <- retry
-let retry_policy t = t.retry
+let set_retry_policy t retry =
+  (match retry with
+  | Some { Dacs_net.Rpc.attempts; jitter; _ }
+    when attempts < 1 || not (jitter >= 0.0 && jitter <= 1.0) ->
+    invalid_arg "Pep.set_retry_policy: attempts must be >= 1 and jitter in [0, 1]"
+  | _ -> ());
+  t.retry <- Option.value retry ~default:Dacs_net.Rpc.no_retry
 
 let set_stale_window t window =
   if window < 0.0 then invalid_arg "Pep.set_stale_window: negative window";
   t.stale_window <- window
-
-let stale_window t = t.stale_window
 
 let set_offline_replica t o = t.offline <- o
 let offline_replica t = t.offline
@@ -491,7 +494,7 @@ let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
     | pdp :: rest ->
       Metrics.inc t.counters.c_pdp_calls;
       Service.call_frame t.services ~src:t.node ~dst:pdp ~service:"authz-query" ~timeout:call_timeout
-        ~resilient:(Dacs_net.Rpc.resilient ?retry:t.retry ())
+        ~resilient:t.retry
         ~read:(fun c -> Wire.read_authz_answer ?trust:t.decision_trust ~now:(now t) c)
         (fun buf -> Wire.write_authz_query buf ctx)
         (function
@@ -613,8 +616,8 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
         | None -> continue_after_revocation ()
         | Some authority ->
           Metrics.inc t.counters.c_revocation_checks;
-          Service.call_resilient t.services ~src:t.node ~dst:authority ~service:"revocation-check"
-            ?retry:t.retry (Wire.revocation_check ~assertion_id:assertion.Assertion.id)
+          Service.call t.services ~src:t.node ~dst:authority ~service:"revocation-check"
+            ~resilient:t.retry (Wire.revocation_check ~assertion_id:assertion.Assertion.id)
             (fun response ->
               match response with
               | Ok body -> (
@@ -720,7 +723,7 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       sf = Cache_hierarchy.Single_flight.create (Service.metrics services) ~node;
       mode;
       decision_trust = None;
-      retry = None;
+      retry = Dacs_net.Rpc.no_retry;
       stale_window = 0.0;
       offline = None;
       l2 = None;

@@ -157,15 +157,17 @@ val shed_reason : string
 
     Orthogonal to the mode: how hard this PEP fights to reach its
     decision (and revocation) authorities, and how far it degrades when
-    it cannot.  Both default off, preserving one-shot ordered failover. *)
+    it cannot.  Every such call goes through the bus's circuit breaker,
+    which is on by default ({!Dacs_net.Rpc.create}); retries and
+    bounded-stale serving default off. *)
 
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
 (** Retry each PDP (pull) / revocation authority (push) call with
     backoff before giving up on that replica.  [None] (the default)
-    restores single-attempt calls.  Sharded PEPs ignore this: their
-    tier takes its retry policy from [Pdp_tier.create ?retry]. *)
-
-val retry_policy : t -> Dacs_net.Rpc.retry_policy option
+    restores single-attempt calls.  Raises [Invalid_argument] unless
+    [attempts >= 1] and [jitter] lies in [[0, 1]].  Sharded PEPs ignore
+    this: their tier makes one attempt per frame and fails over to the
+    next shard instead. *)
 
 val set_stale_window : t -> float -> unit
 (** Pull or sharded mode with a cache only: when the live step reaches no
@@ -175,8 +177,6 @@ val set_stale_window : t -> float -> unit
     decision is never older than [cache ttl + window], and it is always
     a decision the policy really issued.  [0.0] (the default) disables
     degraded serving; negative windows raise [Invalid_argument]. *)
-
-val stale_window : t -> float
 
 val set_offline_replica : t -> Offline.t option -> unit
 (** Attach the domain's offline replica: a new rung of the decision

@@ -1,7 +1,6 @@
 module Service = Dacs_ws.Service
 module Rsa = Dacs_crypto.Rsa
 module Value = Dacs_policy.Value
-module Engine = Dacs_net.Engine
 
 type t = {
   name : string;
@@ -10,7 +9,6 @@ type t = {
   vo_pap : Pap.t;
   cas : Capability_service.t;
   mutable l2_root : Cache_hierarchy.L2.t option;
-  mutable offline : Offline.t list;
 }
 
 let name t = t.name
@@ -38,7 +36,7 @@ let form services ~name domains =
       Pap.subscribe_local vo_pap ~child:(Domain.pap_node domain);
       Domain.allow_policy_updates_from domain [ Pap.node vo_pap ])
     domains;
-  { name; services; domains; vo_pap; cas; l2_root = None; offline = [] }
+  { name; services; domains; vo_pap; cas; l2_root = None }
 
 let publish_policy t child =
   Capability_service.set_policy t.cas child;
@@ -64,8 +62,7 @@ let issuer_key t issuer =
 
 let merged_audit t = Audit.merge (List.map Domain.audit t.domains)
 
-let pdp_tier t ~node ~shards ?batch ?linger ?vnodes ?service_time ?rule_cost ?max_inflight
-    ?refresh ?root () =
+let pdp_tier t ~node ~shards ?batch ?vnodes ?service_time ?refresh ?root () =
   if shards < 1 then invalid_arg "Vo.pdp_tier: shards must be >= 1";
   let net = Service.net t.services in
   let replicas =
@@ -74,11 +71,10 @@ let pdp_tier t ~node ~shards ?batch ?linger ?vnodes ?service_time ?rule_cost ?ma
         Dacs_net.Net.add_node net id;
         Pdp_service.create t.services ~node:id
           ~name:(Printf.sprintf "%s-pdp-%d" t.name i)
-          ?root ~pap:(Pap.node t.vo_pap) ?refresh ?service_time ?rule_cost ?max_inflight ())
+          ?root ~pap:(Pap.node t.vo_pap) ?refresh ?service_time ())
   in
   let tier =
-    Pdp_tier.create t.services ~node ~shards:(List.map Pdp_service.node replicas) ?batch ?linger
-      ?vnodes ()
+    Pdp_tier.create t.services ~node ~shards:(List.map Pdp_service.node replicas) ?batch ?vnodes ()
   in
   (tier, replicas)
 
@@ -88,68 +84,22 @@ let pdp_tier t ~node ~shards ?batch ?linger ?vnodes ?service_time ?rule_cost ?ma
    flow, and each domain polls the root's epoch as the anti-entropy
    backstop, so a revocation purges every member within one round even if
    a push was lost. *)
-let cache_hierarchy t ?max_entries ~ttl ?(anti_entropy_period = 5.0) () =
+let cache_hierarchy t ~ttl () =
   match t.l2_root with
   | Some root -> root
   | None ->
     let net = Service.net t.services in
     let node = t.name ^ ".l2" in
     Dacs_net.Net.add_node net node;
-    let root = Cache_hierarchy.L2.create t.services ~node ?max_entries ~ttl () in
+    let root = Cache_hierarchy.L2.create t.services ~node ~ttl () in
     List.iter
       (fun domain ->
-        let l2 = Domain.attach_l2 domain ?max_entries ~ttl () in
+        let l2 = Domain.attach_l2 domain ~ttl () in
         Cache_hierarchy.L2.subscribe root ~child:(Cache_hierarchy.L2.node l2);
-        Cache_hierarchy.L2.enable_anti_entropy l2 ~parent:node ~period:anti_entropy_period)
+        Cache_hierarchy.L2.enable_anti_entropy l2 ~parent:node ~period:5.0)
       t.domains;
     t.l2_root <- Some root;
     root
-
-let l2_root t = t.l2_root
-
-(* The offline mirror of the cache hierarchy: one signed-log replica per
-   member domain, kept convergent by the same schedule-driven anti-
-   entropy pattern the L2 hierarchy uses — each replica periodically
-   pulls every peer's suffix over the log-sync service.  Rounds that hit
-   a partition simply fail and reschedule; the first round after heal
-   exchanges the diverged suffixes and deny-wins replay reconverges. *)
-let offline_mesh t ?key ?(anti_entropy_period = 5.0) () =
-  match t.offline with
-  | _ :: _ -> t.offline
-  | [] ->
-    if anti_entropy_period <= 0.0 then
-      invalid_arg "Vo.offline_mesh: anti_entropy_period must be positive";
-    let key =
-      match key with
-      | Some k -> k
-      | None -> Dacs_crypto.Sha256.digest (t.name ^ ":offline-mesh-key")
-    in
-    let replicas = List.map (fun d -> Domain.attach_offline d ~key ()) t.domains in
-    let engine = Dacs_net.Net.engine (Service.net t.services) in
-    List.iter
-      (fun d ->
-        let o =
-          match Domain.offline d with Some o -> o | None -> assert false
-        in
-        let src =
-          match Domain.offline_node d with Some n -> n | None -> assert false
-        in
-        List.iter
-          (fun peer ->
-            match Domain.offline_node peer with
-            | Some dst when dst <> src ->
-              let rec round () =
-                Offline.sync_rpc o t.services ~src ~dst (fun _ ->
-                    Engine.schedule engine ~delay:anti_entropy_period round)
-              in
-              round ()
-            | Some _ | None -> ())
-          t.domains)
-      t.domains;
-    t.offline <- replicas;
-    replicas
-
-let offline_replicas t = t.offline
 
 let revoke_capability t ~assertion_id =
   Capability_service.revoke t.cas ~assertion_id;

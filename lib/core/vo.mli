@@ -43,53 +43,31 @@ val pdp_tier :
   node:Dacs_net.Net.node_id ->
   shards:int ->
   ?batch:int ->
-  ?linger:float ->
   ?vnodes:int ->
   ?service_time:float ->
-  ?rule_cost:float ->
-  ?max_inflight:int ->
   ?refresh:Pdp_service.policy_refresh ->
   ?root:Dacs_policy.Policy.child ->
   unit ->
   Pdp_tier.t * Pdp_service.t list
 (** Stand up [shards] PDP replicas ([<name>.pdp.0] …) bound to the VO
     PAP and a {!Pdp_tier} dispatching to them from [node] (typically the
-    enforcement point's node).  [batch]/[linger]/[vnodes] configure the
-    tier, [service_time]/[rule_cost]/[max_inflight]/[refresh]/[root]
-    each replica (see {!Pdp_service.create}).  Returns the tier and the replicas so callers
+    enforcement point's node).  [batch]/[vnodes] configure the tier,
+    [service_time]/[refresh]/[root] each replica (see
+    {!Pdp_service.create}).  Returns the tier and the replicas so callers
     can install policies or crash individual shards. *)
 
 (** {1 Hierarchical caching} *)
 
-val cache_hierarchy :
-  t -> ?max_entries:int -> ttl:float -> ?anti_entropy_period:float -> unit -> Cache_hierarchy.L2.t
+val cache_hierarchy : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
 (** The caching mirror of policy syndication (Fig. 5): stands up a
     VO-root cache node [<name>.l2], attaches every member domain's
     shared L2 (creating them as needed, see {!Domain.attach_l2}) as its
     children, and enables each domain's anti-entropy poll against the
-    root every [anti_entropy_period] (default 5) virtual seconds.
+    root every 5 virtual seconds.  Every level holds at most 4096
+    entries, {!Cache_hierarchy.L2.create}'s default.
     Invalidations push root → domain → PEP L1 along the same edges
     policy updates flow; the poll bounds a lost push's staleness by one
     period.  Idempotent. *)
-
-val l2_root : t -> Cache_hierarchy.L2.t option
-
-(** {1 Offline mode} *)
-
-val offline_mesh : t -> ?key:string -> ?anti_entropy_period:float -> unit -> Offline.t list
-(** The offline mirror of {!cache_hierarchy}: attaches an offline replica
-    to every member domain (see {!Domain.attach_offline}) under one
-    mesh-wide HMAC key (default: derived from the VO name) and schedules
-    a full-mesh log anti-entropy — each replica pulls every peer's
-    suffix over the {!Offline.service_name} service every
-    [anti_entropy_period] (default 5) virtual seconds.  Rounds blocked
-    by a partition fail harmlessly and reschedule; the first round after
-    heal exchanges the diverged logs and deny-wins replay reconverges
-    every replica (byte-identical {!Offline.state_digest}).  Idempotent;
-    returns the replicas in member order. *)
-
-val offline_replicas : t -> Offline.t list
-(** Empty until {!offline_mesh} has run. *)
 
 val revoke_capability : t -> assertion_id:string -> unit
 (** Revoke at the capability service {e and} run one invalidation round

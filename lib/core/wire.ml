@@ -227,11 +227,6 @@ let attribute_query_in c =
 
 let read_attribute_query = total attribute_query_in
 
-let attribute_query ~category ~attribute_id ~subject =
-  to_tree (fun buf -> write_attribute_query buf ~category ~attribute_id ~subject)
-
-let parse_attribute_query = of_tree attribute_query_in
-
 let write_attribute_result buf bag =
   match bag with
   | [] -> Buffer.add_string buf "<AttributeResult/>"
@@ -273,8 +268,6 @@ let attribute_result_in c =
   List.rev !bag
 
 let read_attribute_result = total attribute_result_in
-let attribute_result bag = to_tree (fun buf -> write_attribute_result buf bag)
-let parse_attribute_result = of_tree attribute_result_in
 
 let attribute_subscribe () = Xml.element "AttributeSubscribe"
 
@@ -306,8 +299,6 @@ let cache_lookup_in c =
   required c tag "Key" !key
 
 let read_cache_lookup = total cache_lookup_in
-let cache_lookup ~key = to_tree (fun buf -> write_cache_lookup buf ~key)
-let parse_cache_lookup = of_tree cache_lookup_in
 
 let write_cache_answer buf = function
   | None -> Buffer.add_string buf "<CacheMiss/>"
@@ -328,8 +319,6 @@ let cache_answer_in c =
   else Cursor.fail c (Printf.sprintf "unexpected cache answer <%s>" (Cursor.tag_name c tag))
 
 let read_cache_answer = total cache_answer_in
-let cache_answer result = to_tree (fun buf -> write_cache_answer buf result)
-let parse_cache_answer = of_tree cache_answer_in
 
 let write_cache_put ?sent_at buf ~key result =
   Buffer.add_string buf "<CachePut";
@@ -351,8 +340,6 @@ let cache_put_in c =
   (key, result, !sent_at)
 
 let read_cache_put = total cache_put_in
-let cache_put ?sent_at ~key result = to_tree (fun buf -> write_cache_put ?sent_at buf ~key result)
-let parse_cache_put = of_tree cache_put_in
 
 let cache_invalidate ~epoch key =
   Xml.element "CacheInvalidate"

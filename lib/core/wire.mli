@@ -26,9 +26,10 @@ val parse_access_request : Xml.t -> ((string * Dacs_policy.Value.t) list * strin
     from its ['<']).  Readers are total: a malformed or misshapen element
     is an [Error], never an exception, and a reader only ever accepts
     what a tree reading would, with the same result (it may reject
-    more).  The tree forms ([authz_query], [parse_authz_query], …) are
-    adapters over the same writer and reader: a tree is printed and read,
-    a frame written and parsed.
+    more).  The authorisation query and response also keep a tree form
+    ([authz_query], [parse_authz_query], [authz_response],
+    [parse_authz_response]): adapters over the same writer and reader,
+    where a tree is printed and read, a frame written and parsed.
 
     Every other frame (policy, log sync, capability, revocation, signed
     responses, SOAP headers) keeps its tree codec — they need canonical
@@ -100,22 +101,14 @@ val write_attribute_query :
 val read_attribute_query :
   Xml.Cursor.t -> (Dacs_policy.Context.category * string * string, string) result
 
-val attribute_query :
-  category:Dacs_policy.Context.category -> attribute_id:string -> subject:string -> Xml.t
-
-val parse_attribute_query :
-  Xml.t -> (Dacs_policy.Context.category * string * string, string) result
-
 val write_attribute_result : Buffer.t -> Dacs_policy.Value.bag -> unit
 val read_attribute_result : Xml.Cursor.t -> (Dacs_policy.Value.bag, string) result
-val attribute_result : Dacs_policy.Value.bag -> Xml.t
-val parse_attribute_result : Xml.t -> (Dacs_policy.Value.bag, string) result
 
 val attribute_subscribe : unit -> Xml.t
 (** PDP -> PIP: register the caller for attribute-invalidation pushes.
     Batched attribute queries need no frame of their own: a multi-part
-    B/BT envelope whose parts are ordinary {!attribute_query} bodies is
-    one attribute-resolution round trip. *)
+    B/BT envelope whose parts are ordinary {!write_attribute_query}
+    bodies is one attribute-resolution round trip. *)
 
 val parse_attribute_subscribe : Xml.t -> (unit, string) result
 
@@ -129,15 +122,11 @@ val parse_attribute_invalidate : Xml.t -> (string * string, string) result
 
 val write_cache_lookup : Buffer.t -> key:string -> unit
 val read_cache_lookup : Xml.Cursor.t -> (string, string) result
-val cache_lookup : key:string -> Xml.t
-val parse_cache_lookup : Xml.t -> (string, string) result
 
 val write_cache_answer : Buffer.t -> Dacs_policy.Decision.result option -> unit
 (** [None] encodes a miss, [Some r] a fresh hit carrying the decision. *)
 
 val read_cache_answer : Xml.Cursor.t -> (Dacs_policy.Decision.result option, string) result
-val cache_answer : Dacs_policy.Decision.result option -> Xml.t
-val parse_cache_answer : Xml.t -> (Dacs_policy.Decision.result option, string) result
 
 val write_cache_put : ?sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Decision.result -> unit
 (** [sent_at] stamps the frame with the sender's clock so a receiver
@@ -146,9 +135,6 @@ val write_cache_put : ?sent_at:float -> Buffer.t -> key:string -> Dacs_policy.De
 
 val read_cache_put :
   Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float option, string) result
-
-val cache_put : ?sent_at:float -> key:string -> Dacs_policy.Decision.result -> Xml.t
-val parse_cache_put : Xml.t -> (string * Dacs_policy.Decision.result * float option, string) result
 
 val cache_invalidate : epoch:int -> string option -> Xml.t
 (** Full purge when the key is [None], single-entry drop otherwise.

@@ -44,14 +44,6 @@ type breaker = {
   mutable probe_in_flight : bool;
 }
 
-type resilience_event =
-  | Attempt_failed of { target : Net.node_id; attempt : int; error : error }
-  | Retrying of { target : Net.node_id; attempt : int; delay : float }
-  | Breaker_opened of Net.node_id
-  | Breaker_half_opened of Net.node_id
-  | Breaker_closed of Net.node_id
-  | Breaker_rejected of Net.node_id
-
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }
 
 type slice = { src : string; off : int; len : int }
@@ -522,15 +514,11 @@ let serve_frame t ~node ~service handler =
   ensure_dispatch t node;
   Hashtbl.replace t.services (node, service) handler
 
-let serve t ~node ~service handler =
-  serve_frame t ~node ~service (fun ~caller body reply ->
-      handler ~caller (slice_to_string body) (fun r -> reply (fun buf -> Buffer.add_string buf r)))
-
 (* Shared correlation machinery of single and batched calls: id
    allocation, one client span per attempt, the pending-table entry and
    its timeout timer.  The request frame is [kind] (or [traced] when a
    trace context rides along) with [write] producing its body. *)
-let issue t series ~src ~dst ~service ~timeout ?category ~span_label ~annotate_span ~kind ~traced ~write k =
+let issue t series ~src ~dst ~service ~timeout ~span_label ~annotate_span ~kind ~traced ~write k =
   ensure_dispatch t src;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -567,13 +555,12 @@ let issue t series ~src ~dst ~service ~timeout ?category ~span_label ~annotate_s
   in
   Hashtbl.replace t.pending id { k = finish };
   Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
-  let category = match category with Some c -> c | None -> service in
   (match span with
   | Some s ->
-    send_frame t ~src ~dst ~category traced id ~service
+    send_frame t ~src ~dst ~category:service traced id ~service
       ~trace:(Trace.context_to_string (Trace.context s))
       write
-  | None -> send_frame t ~src ~dst ~category kind id ~service ~trace:"" write);
+  | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" write);
   Engine.schedule (Net.engine t.net) ~delay:timeout (fun () ->
       match Hashtbl.find_opt t.pending id with
       | None -> ()
@@ -581,21 +568,21 @@ let issue t series ~src ~dst ~service ~timeout ?category ~span_label ~annotate_s
         Hashtbl.remove t.pending id;
         p.k (Error Timeout))
 
-let call_once t ~src ~dst ~service ?(timeout = 1.0) ?category write k =
+let call_once t ~src ~dst ~service ~timeout write k =
   let series = series_for t service in
   Metrics.inc (Lazy.force series.calls);
-  issue t series ~src ~dst ~service ~timeout ?category ~span_label:"rpc:" ~annotate_span:ignore
+  issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~annotate_span:ignore
     ~kind:K_request ~traced:K_traced ~write k
 
-let call_batch_once t ~src ~dst ~service ?(timeout = 1.0) ?category writes k =
+let call_batch_once t ~src ~dst ~service writes k =
   let n = List.length writes in
-  if n = 0 then invalid_arg "Rpc.call_batch: empty batch";
+  if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
   let series = series_for t service in
   Metrics.inc (Lazy.force series.calls);
   Metrics.inc (Lazy.force series.batches);
   Metrics.inc ~by:n (Lazy.force series.batch_parts);
   Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
-  issue t series ~src ~dst ~service ~timeout ?category ~span_label:"rpc-batch:"
+  issue t series ~src ~dst ~service ~timeout:1.0 ~span_label:"rpc-batch:"
     ~annotate_span:(fun s -> Trace.annotate s "batch" (string_of_int n))
     ~kind:K_batch ~traced:K_traced_batch
     ~write:(fun buf -> List.iter (add_written_part t buf) writes)
@@ -653,14 +640,13 @@ let record_shed t ~src dst =
   record_towards t "breaker-rejected " dst
 
 (* [true] when the attempt may be sent. *)
-let breaker_admit t ~src ~notify dst =
+let breaker_admit t ~src dst =
   match t.breaker_config with
   | None -> true
   | Some cfg -> (
     let b = breaker_for t dst in
     let reject () =
       record_shed t ~src dst;
-      notify (Breaker_rejected dst);
       false
     in
     match b.b_state with
@@ -670,7 +656,6 @@ let breaker_admit t ~src ~notify dst =
         b.b_state <- Half_open;
         b.probe_in_flight <- true;
         record_towards t "breaker-half-open " dst;
-        notify (Breaker_half_opened dst);
         true
       end
       else reject ()
@@ -681,7 +666,7 @@ let breaker_admit t ~src ~notify dst =
         true
       end)
 
-let breaker_success t ~notify dst =
+let breaker_success t dst =
   match t.breaker_config with
   | None -> ()
   | Some _ -> (
@@ -691,12 +676,11 @@ let breaker_success t ~notify dst =
       b.b_state <- Closed;
       b.probe_in_flight <- false;
       b.consecutive_failures <- 0;
-      record_towards t "breaker-closed " dst;
-      notify (Breaker_closed dst)
+      record_towards t "breaker-closed " dst
     | Closed -> b.consecutive_failures <- 0
     | Open -> () (* a straggler reply from before the trip; stay open until probed *))
 
-let breaker_failure t ~src ~notify dst =
+let breaker_failure t ~src dst =
   match t.breaker_config with
   | None -> ()
   | Some cfg -> (
@@ -706,8 +690,7 @@ let breaker_failure t ~src ~notify dst =
       b.probe_in_flight <- false;
       b.opened_at <- Net.now t.net;
       Metrics.inc (Lazy.force (caller_series t src).trips);
-      record_towards t "breaker-opened " dst;
-      notify (Breaker_opened dst)
+      record_towards t "breaker-opened " dst
     in
     match b.b_state with
     | Half_open -> trip ()
@@ -743,9 +726,9 @@ let backoff_delay t retry failures =
    hands its result to the continuation it is given.  Batched calls reuse
    the exact same envelope, which is what makes a batch "one fault/retry
    unit" — the whole frame succeeds or the whole frame backs off. *)
-let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) result -> unit) -> unit)
+let resilient_loop (type a) t ~src ~dst ~retry ~(issue : ((a, error) result -> unit) -> unit)
     (k : (a, error) result -> unit) =
-  if retry.attempts < 1 then invalid_arg "Rpc.call_resilient: attempts must be >= 1";
+  if retry.attempts < 1 then invalid_arg "Rpc.call_frame: attempts must be >= 1";
   let engine = Net.engine t.net in
   (* Backoff waits run as fresh engine callbacks with no ambient trace
      context; re-instate the initiator's so every attempt's span lands
@@ -754,15 +737,15 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
   let rec attempt n =
     let saved = Trace.current t.tracer in
     Trace.set_current t.tracer initiating;
-    (if not (breaker_admit t ~src ~notify dst) then after_failure n (Circuit_open dst)
+    (if not (breaker_admit t ~src dst) then after_failure n (Circuit_open dst)
      else
        issue (fun result ->
            match result with
            | Ok reply ->
-             breaker_success t ~notify dst;
+             breaker_success t dst;
              k (Ok reply)
            | Error Timeout ->
-             breaker_failure t ~src ~notify dst;
+             breaker_failure t ~src dst;
              after_failure n Timeout
            | Error (No_such_service _ as e) ->
              (* The target answered: not a health failure, and retrying the
@@ -771,7 +754,6 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
            | Error (Circuit_open _ as e) -> after_failure n e));
     Trace.set_current t.tracer saved
   and after_failure n err =
-    notify (Attempt_failed { target = dst; attempt = n; error = err });
     if n >= retry.attempts then k (Error err)
     else begin
       let delay = backoff_delay t retry n in
@@ -779,42 +761,18 @@ let resilient_loop (type a) t ~src ~dst ~retry ~notify ~(issue : ((a, error) res
       if Trace.enabled t.tracer then
         Trace.record t.tracer
           (Printf.sprintf "retry %d -> %s after %s" (n + 1) dst (error_to_string err));
-      notify (Retrying { target = dst; attempt = n + 1; delay });
       Engine.schedule engine ~delay (fun () -> attempt (n + 1))
     end
   in
   attempt 1
 
-type resilience = { retry : retry_policy; notify : resilience_event -> unit }
-
-let call_frame t ~src ~dst ~service ?timeout ?category ?resilient write k =
+let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?resilient write k =
   match resilient with
-  | None -> call_once t ~src ~dst ~service ?timeout ?category write k
-  | Some { retry; notify } ->
-    resilient_loop t ~src ~dst ~retry ~notify
-      ~issue:(fun k -> call_once t ~src ~dst ~service ?timeout ?category write k)
-      k
+  | None -> call_once t ~src ~dst ~service ~timeout write k
+  | Some retry ->
+    resilient_loop t ~src ~dst ~retry ~issue:(fun k -> call_once t ~src ~dst ~service ~timeout write k) k
 
-let call_batch_frame t ~src ~dst ~service ?timeout ?category ?resilient writes k =
+let call_batch_frame t ~src ~dst ~service ?resilient writes k =
   match resilient with
-  | None -> call_batch_once t ~src ~dst ~service ?timeout ?category writes k
-  | Some { retry; notify } ->
-    resilient_loop t ~src ~dst ~retry ~notify
-      ~issue:(fun k -> call_batch_once t ~src ~dst ~service ?timeout ?category writes k)
-      k
-
-let resilient ?(retry = no_retry) ?(notify = ignore) () = { retry; notify }
-
-(* The string API: each body is written as is, each reply copied out. *)
-let add body buf = Buffer.add_string buf body
-
-let call t ~src ~dst ~service ?timeout ?category body k =
-  call_frame t ~src ~dst ~service ?timeout ?category (add body) (fun r -> k (Result.map slice_to_string r))
-
-let call_resilient t ~src ~dst ~service ?timeout ?category ?retry ?notify body k =
-  call_frame t ~src ~dst ~service ?timeout ?category ~resilient:(resilient ?retry ?notify ()) (add body) (fun r ->
-      k (Result.map slice_to_string r))
-
-let call_batch_resilient t ~src ~dst ~service ?timeout ?category ?retry ?notify bodies k =
-  call_batch_frame t ~src ~dst ~service ?timeout ?category ~resilient:(resilient ?retry ?notify ())
-    (List.map add bodies) (fun r -> k (Result.map (List.map slice_to_string) r))
+  | None -> call_batch_once t ~src ~dst ~service writes k
+  | Some retry -> resilient_loop t ~src ~dst ~retry ~issue:(fun k -> call_batch_once t ~src ~dst ~service writes k) k

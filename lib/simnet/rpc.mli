@@ -62,7 +62,8 @@ type retry_policy = {
 }
 
 val no_retry : retry_policy
-(** Exactly one attempt — [call_resilient] then behaves like {!call}. *)
+(** Exactly one attempt: the call still goes through the breaker, but a
+    failure is final. *)
 
 val default_retry : retry_policy
 (** 3 attempts, 50 ms base, doubling, 2 s cap, 20% jitter. *)
@@ -75,8 +76,10 @@ val default_retry : retry_policy
     resilient calls to that target fail immediately with {!Circuit_open}
     (shedding load from a struggling replica).  After [cooldown] seconds
     the next call is admitted as a half-open probe: success closes the
-    breaker, failure re-opens it for another cooldown.  Plain calls
-    ({!call}, {!call_frame} without [resilient]) bypass the breaker. *)
+    breaker, failure re-opens it for another cooldown.  Calls without
+    [resilient] bypass the breaker.  Every transition is counted in
+    [rpc_breaker_trips_total{src}] / [rpc_breaker_rejections_total{src}]
+    and, when tracing, recorded as a ["breaker-…"] trace event. *)
 
 type breaker_config = { failure_threshold : int; cooldown : float }
 
@@ -112,16 +115,7 @@ val record_shed : t -> src:Net.node_id -> Net.node_id -> unit
     ["breaker-rejected"] event.  For callers that route around a
     target on {!breaker_sheds} rather than call it. *)
 
-(** {1 Resilient calls} *)
-
-type resilience_event =
-  | Attempt_failed of { target : Net.node_id; attempt : int; error : error }
-  | Retrying of { target : Net.node_id; attempt : int; delay : float }
-      (** [attempt] is the upcoming attempt number; [delay] the backoff. *)
-  | Breaker_opened of Net.node_id
-  | Breaker_half_opened of Net.node_id
-  | Breaker_closed of Net.node_id
-  | Breaker_rejected of Net.node_id
+(** {1 Resilience counters} *)
 
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }
 
@@ -135,8 +129,7 @@ val resilience_stats : t -> resilience_stats
 
     A request or reply body travels as a {!slice} of the frame that
     arrived — no copy — and is produced by a {!writer} appending straight
-    into the frame being sent, after the header.  The string API below is
-    a thin adapter over these for callers that hold bodies as strings. *)
+    into the frame being sent, after the header. *)
 
 type slice = { src : string; off : int; len : int }
 (** The body: [len] bytes of [src] from [off]. *)
@@ -157,39 +150,36 @@ val serve_frame :
     call exactly once (possibly later, after its own nested calls
     complete) with the writer of its answer. *)
 
-type resilience = { retry : retry_policy; notify : resilience_event -> unit }
-(** The retry/breaker envelope of a resilient call (see {!call_resilient}). *)
-
-val resilient : ?retry:retry_policy -> ?notify:(resilience_event -> unit) -> unit -> resilience
-(** [retry] defaults to {!no_retry}, [notify] to ignoring every event. *)
-
 val call_frame :
   t ->
   src:Net.node_id ->
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?category:string ->
-  ?resilient:resilience ->
+  ?resilient:retry_policy ->
   writer ->
   ((slice, error) result -> unit) ->
   unit
 (** Asynchronous call.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
-    service.  [category] labels traffic for accounting (defaults to
-    [service]).  With [resilient] the call goes through the per-target
-    circuit breaker and is retried per its policy, re-running the
-    writer for each attempt. *)
+    service.  Traffic is accounted under the service name.
+
+    With [resilient] the call goes through the per-target circuit
+    breaker and is retried per that policy ({!no_retry}: one attempt),
+    re-running the writer for each attempt.  Timeouts and breaker
+    rejections are retried with backoff; [No_such_service] is returned
+    at once (the target is alive, retrying cannot help).  Each retry
+    counts in [rpc_retries_total{src}] and, when tracing, is recorded as
+    a ["retry …"] trace event.  Raises [Invalid_argument] when the
+    policy allows fewer than one attempt. *)
 
 val call_batch_frame :
   t ->
   src:Net.node_id ->
   dst:Net.node_id ->
   service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  ?resilient:resilience ->
+  ?resilient:retry_policy ->
   writer list ->
   ((slice list, error) result -> unit) ->
   unit
@@ -197,64 +187,10 @@ val call_batch_frame :
     The server dispatches each part to the registered handler and gathers
     the replies into a single frame, preserving order; the continuation
     receives exactly one reply per query.  The whole batch shares one
-    correlation id, one timeout and (with [resilient]) one retry/breaker
-    envelope — partial results are never delivered.
+    correlation id, one 1 s timeout and (with [resilient]) one
+    retry/breaker envelope — a timeout retries the whole frame, and
+    partial results are never delivered.
     Raises [Invalid_argument] on an empty batch. *)
-
-val serve :
-  t ->
-  node:Net.node_id ->
-  service:string ->
-  (caller:Net.node_id -> string -> (string -> unit) -> unit) ->
-  unit
-(** {!serve_frame} over string bodies. *)
-
-val call :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  string ->
-  ((string, error) result -> unit) ->
-  unit
-(** {!call_frame} over string bodies. *)
-
-val call_resilient :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  ?retry:retry_policy ->
-  ?notify:(resilience_event -> unit) ->
-  string ->
-  ((string, error) result -> unit) ->
-  unit
-(** {!call_frame} with [resilient] over string bodies: like {!call} but routed through the per-target circuit breaker (when
-    enabled) and retried per [retry] (default {!no_retry}).  Timeouts and
-    breaker rejections are retried with backoff; [No_such_service] is
-    returned immediately (the target is alive, retrying cannot help).
-    [notify] observes every retry and breaker transition — callers use it
-    to keep their own counters (e.g. {!section-stats} on a PEP). *)
-
-val call_batch_resilient :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?category:string ->
-  ?retry:retry_policy ->
-  ?notify:(resilience_event -> unit) ->
-  string list ->
-  ((string list, error) result -> unit) ->
-  unit
-(** {!call_batch_frame} with [resilient] over string bodies: the batch is
-    one fault unit — a timeout retries the whole frame, and results are
-    all-or-nothing. *)
 
 (** {1 Wire format}
 

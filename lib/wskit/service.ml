@@ -59,9 +59,9 @@ let call_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read wr
     (fun buf -> Soap.write ~headers buf write)
     (function Error e -> k (Error (Transport e)) | Ok reply -> k (decode_reply read reply))
 
-let call_batch_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read writes k =
-  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?timeout ?resilient
-    (List.map (fun write buf -> Soap.write ~headers buf write) writes)
+let call_batch_frame t ~src ~dst ~service ?resilient ~read writes k =
+  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?resilient
+    (List.map (fun write buf -> Soap.write buf write) writes)
     (function
       | Error e -> k (Error (Transport e))
       | Ok replies -> k (Ok (List.map (decode_reply read) replies)))
@@ -86,13 +86,5 @@ let serve t ~node ~service (handler : handler) =
 
 let untree = function Ok (Ok body) -> Ok body | Ok (Error e) -> Error (Malformed e) | Error e -> Error e
 
-let call t ~src ~dst ~service ?timeout ?headers body k =
-  call_frame t ~src ~dst ~service ?timeout ?headers ~read:tree (print body) (fun r -> k (untree r))
-
-let call_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers body k =
-  call_frame t ~src ~dst ~service ?timeout ~resilient:(Rpc.resilient ?retry ?notify ()) ?headers ~read:tree (print body)
-    (fun r -> k (untree r))
-
-let call_batch_resilient t ~src ~dst ~service ?timeout ?retry ?notify ?headers bodies k =
-  call_batch_frame t ~src ~dst ~service ?timeout ~resilient:(Rpc.resilient ?retry ?notify ()) ?headers ~read:tree
-    (List.map print bodies) (fun r -> k (Result.map (List.map untree) r))
+let call t ~src ~dst ~service ?timeout ?resilient ?headers body k =
+  call_frame t ~src ~dst ~service ?timeout ?resilient ?headers ~read:tree (print body) (fun r -> k (untree r))

@@ -64,7 +64,7 @@ val call_frame :
   dst:Dacs_net.Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?resilient:Dacs_net.Rpc.resilience ->
+  ?resilient:Dacs_net.Rpc.retry_policy ->
   ?headers:Dacs_xml.Xml.t list ->
   read:'a reader ->
   (Buffer.t -> unit) ->
@@ -74,16 +74,15 @@ val call_frame :
     [read]: [Ok (Ok v)] on success, [Ok (Error e)] when [read] rejected
     the response body, [Error] on a transport failure, a SOAP fault or a
     malformed envelope.  With [resilient] the call goes through the RPC
-    retry/breaker envelope ({!Dacs_net.Rpc.call_frame}). *)
+    breaker and is retried per that policy ({!Dacs_net.Rpc.call_frame});
+    SOAP faults are application answers, never retried. *)
 
 val call_batch_frame :
   t ->
   src:Dacs_net.Net.node_id ->
   dst:Dacs_net.Net.node_id ->
   service:string ->
-  ?timeout:float ->
-  ?resilient:Dacs_net.Rpc.resilience ->
-  ?headers:Dacs_xml.Xml.t list ->
+  ?resilient:Dacs_net.Rpc.retry_policy ->
   read:'a reader ->
   (Buffer.t -> unit) list ->
   (((('a, string) result, error) result list, error) result -> unit) ->
@@ -93,7 +92,8 @@ val call_batch_frame :
     retry/breaker envelope.  On transport success the continuation
     receives one result per request, each as from {!call_frame}; on
     transport failure the whole batch fails with [Error (Transport _)] —
-    there are no partial deliveries.  [headers] apply to every part. *)
+    there are no partial deliveries.  The frame carries no SOAP headers
+    and waits 1 s for its reply. *)
 
 (** {1 Tree bodies} *)
 
@@ -116,40 +116,11 @@ val call :
   dst:Dacs_net.Net.node_id ->
   service:string ->
   ?timeout:float ->
+  ?resilient:Dacs_net.Rpc.retry_policy ->
   ?headers:Dacs_xml.Xml.t list ->
   Dacs_xml.Xml.t ->
   ((Dacs_xml.Xml.t, error) result -> unit) ->
   unit
-(** Send a body element, receive the response body element.  Faults and
-    transport failures surface as [Error]. *)
-
-val call_resilient :
-  t ->
-  src:Dacs_net.Net.node_id ->
-  dst:Dacs_net.Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
-  ?headers:Dacs_xml.Xml.t list ->
-  Dacs_xml.Xml.t ->
-  ((Dacs_xml.Xml.t, error) result -> unit) ->
-  unit
-(** Like {!call}, but transport failures go through the RPC resilience
-    layer: retried per [retry] (default single attempt) and subject to
-    the bus's circuit breaker when one is enabled.  SOAP faults are
-    application answers, never retried. *)
-
-val call_batch_resilient :
-  t ->
-  src:Dacs_net.Net.node_id ->
-  dst:Dacs_net.Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?retry:Dacs_net.Rpc.retry_policy ->
-  ?notify:(Dacs_net.Rpc.resilience_event -> unit) ->
-  ?headers:Dacs_xml.Xml.t list ->
-  Dacs_xml.Xml.t list ->
-  (((Dacs_xml.Xml.t, error) result list, error) result -> unit) ->
-  unit
-(** {!call_batch_frame} with tree bodies. *)
+(** {!call_frame} with tree bodies: send a body element, receive the
+    response body element.  Faults and transport failures surface as
+    [Error]. *)

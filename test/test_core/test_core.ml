@@ -13,6 +13,7 @@ module Target = Dacs_policy.Target
 module Combine = Dacs_policy.Combine
 module Obligation = Dacs_policy.Obligation
 module Net = Dacs_net.Net
+module Rpc = Dacs_net.Rpc
 module Service = Dacs_ws.Service
 open Dacs_core
 
@@ -69,15 +70,22 @@ let test_wire_authz_roundtrip () =
     check int_ "obligations" 1 (List.length r.Decision.obligations)
   | Error e -> Alcotest.fail e
 
+(* Reads back, with [read], the bytes [write] appends. *)
+let read_written write read =
+  let buf = Buffer.create 64 in
+  write buf;
+  Result.join (Xml.Cursor.parse (Buffer.contents buf) read)
+
 let test_wire_attribute_roundtrip () =
-  let q = Wire.attribute_query ~category:Context.Subject ~attribute_id:"role" ~subject:"alice" in
-  (match Wire.parse_attribute_query q with
+  let q buf = Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice" in
+  (match read_written q Wire.read_attribute_query with
   | Ok (c, id, s) ->
     check bool_ "category" true (c = Context.Subject);
     check string_ "id" "role" id;
     check string_ "subject" "alice" s
   | Error e -> Alcotest.fail e);
-  match Wire.parse_attribute_result (Wire.attribute_result [ Value.String "doctor"; Value.Int 3 ]) with
+  let r buf = Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3 ] in
+  match read_written r Wire.read_attribute_result with
   | Ok bag -> check int_ "bag" 2 (List.length bag)
   | Error e -> Alcotest.fail e
 
@@ -408,15 +416,14 @@ let test_pip_lookup_service () =
   Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
   Pip.set_environment pip ~id:"load" (fun () -> [ Value.Int 42 ]);
   let got = ref None in
-  Service.call services ~src:caller ~dst:pip_node ~service:"attribute-query"
-    (Wire.attribute_query ~category:Context.Subject ~attribute_id:"role" ~subject:"alice")
+  Service.call_frame services ~src:caller ~dst:pip_node ~service:"attribute-query"
+    ~read:Wire.read_attribute_result
+    (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice")
     (fun r -> got := Some r);
   Net.run net;
   (match !got with
-  | Some (Ok body) -> (
-    match Wire.parse_attribute_result body with
-    | Ok [ Value.String "doctor" ] -> ()
-    | _ -> Alcotest.fail "wrong attribute value")
+  | Some (Ok (Ok [ Value.String "doctor" ])) -> ()
+  | Some (Ok _) -> Alcotest.fail "wrong attribute value"
   | _ -> Alcotest.fail "no reply");
   check int_ "served" 1 (Pip.lookups_served pip);
   (* Environment + unknown lookups. *)
@@ -715,6 +722,28 @@ let test_pep_pull_all_pdps_down () =
       (String.length reason > 0)
   | _ -> Alcotest.fail "expected deny (fail closed)");
   check int_ "denied" 1 (Pep.stats pep).Pep.denied
+
+(* A retry policy outside the ranges [Rpc] documents is refused when it
+   is set, so it can never abort the run from inside the first pull
+   decision; the PEP keeps deciding under the policy it had. *)
+let test_pep_rejects_bad_retry_policy () =
+  let net, _services, pep, client, _ = pull_setup () in
+  let bad =
+    [ { Rpc.no_retry with attempts = 0 }; { Rpc.default_retry with jitter = 1.5 }; { Rpc.default_retry with jitter = -0.1 } ]
+  in
+  List.iter
+    (fun retry ->
+      match Pep.set_retry_policy pep (Some retry) with
+      | () -> Alcotest.failf "accepted attempts=%d jitter=%g" retry.Rpc.attempts retry.Rpc.jitter
+      | exception Invalid_argument _ -> ())
+    bad;
+  Pep.set_retry_policy pep (Some Rpc.default_retry);
+  let got = ref None in
+  Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
+  Net.run net;
+  match !got with
+  | Some (Ok (Wire.Granted _)) -> ()
+  | _ -> Alcotest.fail "expected grant"
 
 let test_pep_obligations_encrypt () =
   (* A policy that obliges the PEP to encrypt the response. *)
@@ -1323,6 +1352,7 @@ let () =
           Alcotest.test_case "decision cache" `Quick test_pep_pull_cache;
           Alcotest.test_case "failover" `Quick test_pep_pull_failover;
           Alcotest.test_case "all PDPs down fails closed" `Quick test_pep_pull_all_pdps_down;
+          Alcotest.test_case "bad retry policy rejected when set" `Quick test_pep_rejects_bad_retry_policy;
           Alcotest.test_case "encrypt obligation" `Quick test_pep_obligations_encrypt;
           Alcotest.test_case "unknown obligation fails closed" `Quick test_pep_unknown_obligation_fails_closed;
         ] );

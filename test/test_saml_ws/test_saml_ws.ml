@@ -302,13 +302,14 @@ let test_service_malformed_request_faults () =
       invoked := true;
       reply (Xml.element "R"));
   let result = ref None in
-  Dacs_net.Rpc.call (Service.rpc svc) ~src:"client" ~dst:"server" ~service:"s" "not soap" (fun r ->
-      result := Some r);
+  Dacs_net.Rpc.call_frame (Service.rpc svc) ~src:"client" ~dst:"server" ~service:"s"
+    (fun buf -> Buffer.add_string buf "not soap")
+    (fun r -> result := Some r);
   Dacs_net.Net.run net;
   check bool_ "handler skipped" false !invoked;
   match !result with
   | Some (Ok reply) -> (
-    match Soap.parse reply with
+    match Soap.parse (Dacs_net.Rpc.slice_to_string reply) with
     | Ok env -> check bool_ "fault body" true (Soap.fault_of_body env.Soap.body <> None)
     | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "expected a reply"

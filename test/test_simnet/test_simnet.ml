@@ -265,32 +265,43 @@ let make_rpc () =
   Net.add_node net "server";
   (net, Rpc.create net)
 
+(* String bodies over the frame API: each body written as is, each
+   reply copied out. *)
+let serve_string rpc ~node ~service handler =
+  Rpc.serve_frame rpc ~node ~service (fun ~caller body reply ->
+      handler ~caller (Rpc.slice_to_string body) (fun r -> reply (fun buf -> Buffer.add_string buf r)))
+
+let call_string rpc ~src ~dst ~service ?timeout ?resilient body k =
+  Rpc.call_frame rpc ~src ~dst ~service ?timeout ?resilient
+    (fun buf -> Buffer.add_string buf body)
+    (fun r -> k (Result.map Rpc.slice_to_string r))
+
 let test_rpc_roundtrip () =
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller body reply ->
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller body reply ->
       check string_ "caller" "client" caller;
       reply ("echo:" ^ body));
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"echo" "hi" (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" "hi" (fun r -> result := Some r);
   Net.run net;
   check bool_ "ok reply" true (!result = Some (Ok "echo:hi"))
 
 let test_rpc_payload_with_separators () =
   (* Bodies containing the frame separator must survive. *)
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   let result = ref None in
   let nasty = "a|b||c|<xml attr=\"1|2\"/>" in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"echo" nasty (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" nasty (fun r -> result := Some r);
   Net.run net;
   check bool_ "separator-safe" true (!result = Some (Ok nasty))
 
 let test_rpc_timeout_on_crash () =
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   Net.crash net "server";
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:2.0 "hi" (fun r ->
+  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:2.0 "hi" (fun r ->
       result := Some r);
   Net.run net;
   check bool_ "timeout" true (!result = Some (Error Rpc.Timeout));
@@ -300,9 +311,9 @@ let test_rpc_no_such_service () =
   let net, rpc = make_rpc () in
   (* The server node must dispatch rpc frames even with no services: a
      service registration for another name sets up dispatch. *)
-  Rpc.serve rpc ~node:"server" ~service:"other" (fun ~caller:_ _ reply -> reply "x");
+  serve_string rpc ~node:"server" ~service:"other" (fun ~caller:_ _ reply -> reply "x");
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"missing" "hi" (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"missing" "hi" (fun r -> result := Some r);
   Net.run net;
   check bool_ "no such service" true (!result = Some (Error (Rpc.No_such_service "missing")))
 
@@ -310,11 +321,11 @@ let test_rpc_late_reply_ignored () =
   let net, rpc = make_rpc () in
   (* Reply deferred beyond the timeout: the caller sees Timeout, the late
      reply is dropped, and the continuation fires exactly once. *)
-  Rpc.serve rpc ~node:"server" ~service:"slow" (fun ~caller:_ body reply ->
+  serve_string rpc ~node:"server" ~service:"slow" (fun ~caller:_ body reply ->
       Engine.schedule (Net.engine net) ~delay:5.0 (fun () -> reply body));
   let fires = ref 0 in
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"slow" ~timeout:1.0 "hi" (fun r ->
+  call_string rpc ~src:"client" ~dst:"server" ~service:"slow" ~timeout:1.0 "hi" (fun r ->
       incr fires;
       result := Some r);
   Net.run net;
@@ -326,22 +337,22 @@ let test_rpc_nested_call () =
      the shape of a PDP consulting a PIP. *)
   let net, rpc = make_rpc () in
   Net.add_node net "pip";
-  Rpc.serve rpc ~node:"pip" ~service:"attributes" (fun ~caller:_ _ reply -> reply "role=doctor");
-  Rpc.serve rpc ~node:"server" ~service:"decide" (fun ~caller:_ body reply ->
-      Rpc.call rpc ~src:"server" ~dst:"pip" ~service:"attributes" "alice" (function
+  serve_string rpc ~node:"pip" ~service:"attributes" (fun ~caller:_ _ reply -> reply "role=doctor");
+  serve_string rpc ~node:"server" ~service:"decide" (fun ~caller:_ body reply ->
+      call_string rpc ~src:"server" ~dst:"pip" ~service:"attributes" "alice" (function
         | Ok attrs -> reply (body ^ "+" ^ attrs)
         | Error _ -> reply "error"));
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"decide" "req" (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"decide" "req" (fun r -> result := Some r);
   Net.run net;
   check bool_ "nested" true (!result = Some (Ok "req+role=doctor"))
 
 let test_rpc_concurrent_calls () =
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   let replies = ref [] in
   for i = 1 to 10 do
-    Rpc.call rpc ~src:"client" ~dst:"server" ~service:"echo" (string_of_int i) (function
+    call_string rpc ~src:"client" ~dst:"server" ~service:"echo" (string_of_int i) (function
       | Ok r -> replies := r :: !replies
       | Error _ -> ())
   done;
@@ -357,10 +368,10 @@ let test_rpc_service_name_with_separator () =
      historically "a|b" mis-framed and the call never matched the
      registration. *)
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"weird|name" (fun ~caller:_ body reply ->
+  serve_string rpc ~node:"server" ~service:"weird|name" (fun ~caller:_ body reply ->
       reply ("got:" ^ body));
   let result = ref None in
-  Rpc.call rpc ~src:"client" ~dst:"server" ~service:"weird|name" "x|y" (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"weird|name" "x|y" (fun r -> result := Some r);
   Net.run net;
   check bool_ "pipe-named service answers" true (!result = Some (Ok "got:x|y"))
 
@@ -524,29 +535,28 @@ let test_decode_parts_negative () =
 let test_rpc_retry_recovers () =
   (* Server down for the first attempts, back before they run out. *)
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   Net.crash net "server";
   Engine.schedule (Net.engine net) ~delay:1.5 (fun () -> Net.recover net "server");
   let retry = { Rpc.attempts = 5; base_delay = 0.5; multiplier = 2.0; max_delay = 4.0; jitter = 0.0 } in
-  let events = ref [] in
   let result = ref None in
-  Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.4 ~retry
-    ~notify:(fun e -> events := e :: !events)
-    "hi"
-    (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.4 ~resilient:retry "hi" (fun r ->
+      result := Some r);
   Net.run net;
   check bool_ "eventually ok" true (!result = Some (Ok "hi"));
-  let retries = List.length (List.filter (function Rpc.Retrying _ -> true | _ -> false) !events) in
+  let retries = (Rpc.resilience_stats rpc).Rpc.retries in
   check bool_ "took at least one retry" true (retries >= 1);
-  check int_ "bus counted the retries" retries (Rpc.resilience_stats rpc).Rpc.retries
+  (* Every attempt sends one request frame, lost or not. *)
+  let attempts = (List.assoc "echo" (Net.stats_by_category net)).Net.count in
+  check int_ "bus counted the retries" (attempts - 1) retries
 
 let test_rpc_retry_exhausted () =
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   Net.crash net "server";
   let retry = { Rpc.no_retry with attempts = 3; base_delay = 0.1 } in
   let result = ref None in
-  Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.2 ~retry "hi"
+  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.2 ~resilient:retry "hi"
     (fun r -> result := Some r);
   Net.run net;
   check bool_ "all attempts failed" true (!result = Some (Error Rpc.Timeout));
@@ -554,10 +564,10 @@ let test_rpc_retry_exhausted () =
 
 let test_rpc_no_such_service_not_retried () =
   let net, rpc = make_rpc () in
-  Rpc.serve rpc ~node:"server" ~service:"other" (fun ~caller:_ _ reply -> reply "x");
+  serve_string rpc ~node:"server" ~service:"other" (fun ~caller:_ _ reply -> reply "x");
   let result = ref None in
-  Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"missing"
-    ~retry:{ Rpc.no_retry with attempts = 4 } "hi" (fun r -> result := Some r);
+  call_string rpc ~src:"client" ~dst:"server" ~service:"missing"
+    ~resilient:{ Rpc.no_retry with attempts = 4 } "hi" (fun r -> result := Some r);
   Net.run net;
   check bool_ "fails fast" true (!result = Some (Error (Rpc.No_such_service "missing")));
   check int_ "no retries burned" 0 (Rpc.resilience_stats rpc).Rpc.retries
@@ -569,17 +579,23 @@ let test_rpc_backoff_is_deterministic () =
     Net.add_node net "client";
     Net.add_node net "server";
     let rpc = Rpc.create net in
-    Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
-    Net.crash net "server";
+    (* The server swallows every request, so each attempt is delivered
+       (and traced) but times out. *)
+    serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ _ _ -> ());
+    Net.set_tracing net true;
+    let timeout = 0.1 in
     let retry =
       { Rpc.attempts = 4; base_delay = 0.2; multiplier = 2.0; max_delay = 10.0; jitter = 0.5 }
     in
-    let delays = ref [] in
-    Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.1 ~retry
-      ~notify:(function Rpc.Retrying { delay; _ } -> delays := delay :: !delays | _ -> ())
-      "hi" ignore;
+    call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout ~resilient:retry "hi" ignore;
     Net.run net;
-    List.rev !delays
+    (* Attempts travel over the same link, so the gap between two
+       consecutive deliveries is the timeout plus the backoff. *)
+    let rec backoffs = function
+      | a :: (b :: _ as rest) -> (b -. a -. timeout) :: backoffs rest
+      | [ _ ] | [] -> []
+    in
+    backoffs (List.map (fun e -> e.Net.t_time) (Net.trace net))
   in
   let a = delays_for 42L and b = delays_for 42L and c = delays_for 43L in
   check int_ "three backoffs" 3 (List.length a);
@@ -589,12 +605,12 @@ let test_rpc_backoff_is_deterministic () =
 let test_rpc_breaker_lifecycle () =
   let net, rpc = make_rpc () in
   Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
-  Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   Net.crash net "server";
   let results = ref [] in
   let call_at at =
     Engine.schedule_at (Net.engine net) ~at (fun () ->
-        Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 "x"
+        call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~resilient:Rpc.no_retry "x"
           (fun r -> results := (Net.now net, r) :: !results))
   in
   call_at 0.1;
@@ -629,12 +645,12 @@ let test_rpc_breaker_default () =
   let sixth_after_five_timeouts ~disable =
     let net, rpc = make_rpc () in
     if disable then Rpc.set_breaker rpc None;
-    Rpc.serve rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+    serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
     Net.crash net "server";
     let results = ref [] in
     for i = 0 to 5 do
       Engine.schedule_at (Net.engine net) ~at:(2.0 *. float_of_int i) (fun () ->
-          Rpc.call_resilient rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 "x"
+          call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~resilient:Rpc.no_retry "x"
             (fun r -> results := r :: !results))
     done;
     Net.run net;

@@ -400,6 +400,12 @@ module Rule = Dacs_policy.Rule
 module Target = Dacs_policy.Target
 module Expr = Dacs_policy.Expr
 
+(* The tree of the body element a [Wire.write_*] writer appends. *)
+let written write =
+  let buf = Buffer.create 256 in
+  write buf;
+  Xml.of_string (Buffer.contents buf)
+
 let wire_envelopes () =
   let subject = [ ("subject-id", Value.String "alice & <bob>"); ("role", Value.String "doctor"); ("q", Value.String "\"'") ] in
   let ctx =
@@ -442,14 +448,14 @@ let wire_envelopes () =
       ("authz_query", Wire.authz_query ctx);
       ("authz_response", Wire.authz_response ~epoch:3 result);
       ("signed_authz_response", Wire.signed_authz_response ~epoch:3 ~key:keys.Dacs_crypto.Rsa.private_ ~cert result);
-      ("attribute_query", Wire.attribute_query ~category:Context.Subject ~attribute_id:"role" ~subject:"alice");
-      ("attribute_result", Wire.attribute_result [ Value.String "doctor"; Value.Int 3; Value.Bool true ]);
+      ("attribute_query", written (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice"));
+      ("attribute_result", written (fun buf -> Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3; Value.Bool true ]));
       ("attribute_subscribe", Wire.attribute_subscribe ());
       ("attribute_invalidate", Wire.attribute_invalidate ~subject:"alice" ~attribute_id:"role");
-      ("cache_lookup", Wire.cache_lookup ~key:"alice|read|r1");
-      ("cache_answer", Wire.cache_answer (Some result));
-      ("cache_answer (miss)", Wire.cache_answer None);
-      ("cache_put", Wire.cache_put ~sent_at:1.25 ~key:"alice|read|r1" result);
+      ("cache_lookup", written (fun buf -> Wire.write_cache_lookup buf ~key:"alice|read|r1"));
+      ("cache_answer", written (fun buf -> Wire.write_cache_answer buf (Some result)));
+      ("cache_answer (miss)", written (fun buf -> Wire.write_cache_answer buf None));
+      ("cache_put", written (fun buf -> Wire.write_cache_put ~sent_at:1.25 buf ~key:"alice|read|r1" result));
       ("cache_invalidate", Wire.cache_invalidate ~epoch:2 (Some "p-r1"));
       ("cache_region", Wire.cache_region ~epoch:2 (Dacs_policy.Delta.between (Some (policy "r1")) (Some (policy "r2"))));
       ("cache_sync", Wire.cache_sync ~known_epoch:1);
