@@ -1594,13 +1594,15 @@ let e21_offline =
                     ~better:`Lower;
                   no_worse "offline-decide-words-regression" ~key:"words_per_offline_decide"
                     ~better:`Lower;
-                  no_worse "heal-words-regression" ~key:"words_per_heal_event" ~better:`Lower ]
+                  no_worse "heal-words-regression" ~key:"words_per_heal_event" ~better:`Lower;
+                  no_worse "offline-p99-regression" ~key:"offline_p99_s" ~better:`Lower ]
   @@ fun x ->
   header "E21  Partition -> heal ablation (offline authorization)"
     "a partitioned domain serves from its signed event log instead of failing \
      closed, and heal reconverges every replica by deny-wins replay in a \
      bounded number of anti-entropy rounds — convergence rounds, replayed \
-     events and retroactive invalidations are deterministic and must not \
+     events, retroactive invalidations and the offline arm's p99 latency \
+     (how fast a silent shard is detected) are deterministic and must not \
      worsen against the previous ledger entry";
   let module W = Dacs_workload.Workload in
   let partition = Some { W.from = 1.0; until = 3.0 } in
@@ -1613,6 +1615,7 @@ let e21_offline =
     closed.W.offline_serves closed.W.granted;
   Printf.printf "  %-28s %8d %8d %8d\n" "offline replicas" served.W.errors
     served.W.offline_serves served.W.granted;
+  Printf.printf "  %-28s %8.3f s\n" "offline replicas p99" served.W.latency.W.p99;
   (* --- reconciliation: 4 domains, 2-2 partition, ring heal ------------- *)
   let module O = Offline in
   let n = 4 in
@@ -1736,7 +1739,8 @@ let e21_offline =
   Experiment.count x "retroactive_invalidations" invalidations;
   Experiment.count x "conflicts" conflicts;
   Experiment.metric x ~digits:1 "words_per_offline_decide" words_per_decide;
-  Experiment.metric x ~digits:1 "words_per_heal_event" words_per_heal_event
+  Experiment.metric x ~digits:1 "words_per_heal_event" words_per_heal_event;
+  Experiment.metric x "offline_p99_s" served.W.latency.W.p99
 
 (* ==================================================================== *)
 (* E22 — million-user scale: packed keys x cache tier                   *)

@@ -13,6 +13,7 @@ type stats = {
   failovers : int;
   rebalances : int;
   exhausted : int;
+  expiries : int;
 }
 
 (* Serving metadata delivered with each answer: which shard decided,
@@ -37,10 +38,32 @@ type item = {
   excluded : Dacs_net.Net.node_id list;
 }
 
+(* Slots of a shard's [timing] array: the Jacobson/Karels smoothed
+   round trip and its mean deviation over the shard's answered frames,
+   and the instant the shard last went from idle to busy. *)
+let srtt = 0
+let rttvar = 1
+let busy_since = 2
+
+(* RTO bounds, deliberately not settable.  200 ms is Linux's
+   TCP_RTO_MIN; 1 s is the call timeout of every tier frame, which stays
+   the hard cap and is the RTO before the first answer (RFC 6298 §2). *)
+let rto_min = 0.2
+let rto_max = 1.0
+
 type shard_state = {
   mutable queue : item list;  (** newest first *)
   mutable queued : int;
   mutable flush_pending : bool;
+  (* The failure detector's state: frames in flight, whether an RTT
+     sample exists, whether a silence check is scheduled, the check
+     itself (built once), and [timing] — floats kept unboxed so a frame
+     allocates none. *)
+  mutable outstanding : int;
+  mutable sampled : bool;
+  mutable armed : bool;
+  mutable check : unit -> unit;
+  timing : float array;
   (* Per-shard counter handles, resolved once per shard instead of
      re-registering (label sort + table lookup) on every dispatch. *)
   sc_batches : Metrics.counter;
@@ -58,6 +81,7 @@ type t = {
   c_failovers : Metrics.counter;
   c_rebalances : Metrics.counter;
   c_exhausted : Metrics.counter;
+  c_expiries : Metrics.counter Lazy.t;
   h_batch_size : Metrics.histogram;
   mutable shards : Dacs_net.Net.node_id list;
   mutable ring : (string * Dacs_net.Net.node_id) array;  (** sorted by point *)
@@ -132,6 +156,61 @@ let set_shards t shards =
       (Printf.sprintf "tier:rebalance to %d shards" (List.length shards))
   end
 
+(* --- failure detection --------------------------------------------------- *)
+
+(* A shard with frames outstanding that has answered nobody for one
+   retransmission timeout is suspected, and every frame waiting on it
+   fails over then rather than at the 1 s call timeout.  Silence — not a
+   per-frame deadline — is the evidence: a saturated shard keeps
+   answering someone every service time, so its slow round trips never
+   look like death.  The breaker still trips only on its own rule, via
+   the timeouts the expiry delivers. *)
+
+let current_rto s =
+  if not s.sampled then rto_max
+  else Float.min rto_max (Float.max rto_min (s.timing.(srtt) +. (4.0 *. s.timing.(rttvar))))
+[@@inline]
+
+(* RFC 6298 §2: the first sample R sets SRTT = R and RTTVAR = R/2; later
+   ones move RTTVAR by 1/4 of |SRTT - R| and SRTT by 1/8 of R. *)
+let sample_rtt s ~sent ~now =
+  let r = now -. sent in
+  let tm = s.timing in
+  if s.sampled then begin
+    tm.(rttvar) <- (0.75 *. tm.(rttvar)) +. (0.25 *. Float.abs (tm.(srtt) -. r));
+    tm.(srtt) <- (0.875 *. tm.(srtt)) +. (0.125 *. r)
+  end
+  else begin
+    s.sampled <- true;
+    tm.(srtt) <- r;
+    tm.(rttvar) <- r /. 2.0
+  end
+
+let engine t = Dacs_net.Net.engine (Service.net t.services)
+
+(* The instant the shard's silence began: its last answer to anyone, or
+   the start of the current busy period if that is later. *)
+let silent_since t shard s =
+  Float.max (Dacs_net.Rpc.heard_from (Service.rpc t.services) shard) s.timing.(busy_since)
+
+let arm t s ~at =
+  s.armed <- true;
+  Engine.schedule_at (engine t) ~at s.check
+
+let check t shard s =
+  s.armed <- false;
+  if s.outstanding > 0 then begin
+    let deadline = silent_since t shard s +. current_rto s in
+    if Engine.now (engine t) >= deadline then begin
+      Metrics.inc (Lazy.force t.c_expiries);
+      Dacs_net.Rpc.expire (Service.rpc t.services) shard
+    end
+    else
+      (* An absolute deadline strictly in the future: rounding cannot
+         re-arm at the same instant. *)
+      arm t s ~at:deadline
+  end
+
 (* --- batching and dispatch ---------------------------------------------- *)
 
 let state_of t shard =
@@ -143,10 +222,16 @@ let state_of t shard =
         queue = [];
         queued = 0;
         flush_pending = false;
+        outstanding = 0;
+        sampled = false;
+        armed = false;
+        check = ignore;
+        timing = [| 0.0; 0.0; 0.0 |];
         sc_batches = t.c_batches shard;
         sc_dispatch = t.c_dispatch shard;
       }
     in
+    s.check <- (fun () -> check t shard s);
     Hashtbl.replace t.states shard s;
     s
 
@@ -179,14 +264,19 @@ and flush t shard =
     let n = List.length items in
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
+    let sent = Engine.now (engine t) in
+    if s.outstanding = 0 then s.timing.(busy_since) <- sent;
+    s.outstanding <- s.outstanding + 1;
     Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
       ~resilient:Dacs_net.Rpc.no_retry
       ~read:(fun c ->
         Wire.read_authz_answer ?trust:t.trust ~now:(Dacs_net.Net.now (Service.net t.services)) c)
       (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
       (fun result ->
+        s.outstanding <- s.outstanding - 1;
         match result with
         | Ok parts ->
+          sample_rtt s ~sent ~now:(Engine.now (engine t));
           List.iter2
             (fun item part ->
               let meta ~epoch =
@@ -216,7 +306,10 @@ and flush t shard =
                 Metrics.inc t.c_failovers;
                 enqueue t next { item with excluded }
               | None -> fail_closed t item)
-            items)
+            items);
+    (* A frame shed by the breaker has already failed over by now. *)
+    if s.outstanding > 0 && not s.armed then
+      arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto s))
   end
 
 let decide_meta ?key t ctx deliver =
@@ -235,6 +328,9 @@ let decide_meta ?key t ctx deliver =
       (* Every shard's breaker is open: fail closed now, so the caller
          degrades at once instead of waiting out a timeout. *)
       fail_closed t item
+
+let rto t shard =
+  match Hashtbl.find_opt t.states shard with Some s -> current_rto s | None -> rto_max
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 
@@ -264,6 +360,11 @@ let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
     c_rebalances = own "pdp_tier_rebalance_total" ~help:"Ring rebuilds from membership changes";
     c_exhausted =
       own "pdp_tier_exhausted_total" ~help:"Queries failed closed with every shard excluded";
+    (* Registered at the first expiry, so a run that never suspects a
+       shard exports the same series as before detection existed. *)
+    c_expiries =
+      lazy
+        (own "pdp_tier_expiries_total" ~help:"Silent-shard suspicions that expired waiting frames");
     h_batch_size =
       Metrics.histogram metrics ~help:"Queries per flushed tier batch"
         ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
@@ -290,4 +391,6 @@ let stats t =
     failovers = Metrics.counter_value t.c_failovers;
     rebalances = Metrics.counter_value t.c_rebalances;
     exhausted = Metrics.counter_value t.c_exhausted;
+    expiries =
+      (if Lazy.is_val t.c_expiries then Metrics.counter_value (Lazy.force t.c_expiries) else 0);
   }

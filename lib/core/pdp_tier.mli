@@ -28,12 +28,28 @@
     {!decide_meta} returns: no frame, no flush event, no failover.
     Each query hashes its key to a ring point once.
 
+    Each shard has a failure detector.  The tier keeps a Jacobson/Karels
+    estimate of the shard's round trip over its answered frames, and
+    [RTO = clamp (srtt + 4·rttvar) 0.2 1.0] seconds — 1 s until the first
+    answer (RFC 6298).  A shard with frames outstanding that has answered
+    nobody on the bus ({!Dacs_net.Rpc.heard_from}) since the later of
+    its last answer and the start of its current busy period, for one
+    RTO, is suspected: {!Dacs_net.Rpc.expire} fails its waiting frames
+    with a timeout at that instant, and they fail over as above.  Each
+    expired frame counts as one breaker failure, so the breaker still
+    trips on its own rule.  Silence, not a shorter deadline, is the
+    evidence: a saturated shard that keeps answering is never suspected,
+    however slow its round trips.  A shard that has never answered gets
+    the full 1 s.
+
     The tier registers its telemetry in the bus-wide registry:
     [pdp_tier_dispatch_total{node,shard}] and
     [pdp_tier_batches_total{node,shard}] per shard, the
     [pdp_tier_batch_size{node}] histogram, and tier-level
     [pdp_tier_failovers_total], [pdp_tier_rebalance_total] and
-    [pdp_tier_exhausted_total{node}] counters. *)
+    [pdp_tier_exhausted_total{node}] counters, and
+    [pdp_tier_expiries_total{node}], registered at the first
+    suspicion. *)
 
 type t
 
@@ -70,6 +86,11 @@ val set_shards : t -> Dacs_net.Net.node_id list -> unit
 val shard_for : t -> string -> Dacs_net.Net.node_id option
 (** Ring lookup for a raw key (exposed for tests); [None] iff the tier
     has no shards.  The pure ring owner: breakers play no part. *)
+
+val rto : t -> Dacs_net.Net.node_id -> float
+(** The shard's current retransmission timeout in seconds (exposed for
+    tests): 1.0 before its first answered frame, then
+    [srtt + 4·rttvar] clamped to \[0.2, 1.0\]. *)
 
 val decide :
   t ->
@@ -112,6 +133,7 @@ type stats = {
   failovers : int;  (** queries re-routed after a shard failure *)
   rebalances : int;  (** ring rebuilds *)
   exhausted : int;  (** queries failed closed *)
+  expiries : int;  (** silent-shard suspicions that expired waiting frames *)
 }
 
 val stats : t -> stats

@@ -37,11 +37,17 @@ let breaker_state_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
+(* Everything the bus keeps per target node: its breaker and the
+   liveness evidence a failure detector reads.  [heard] holds one float
+   — the instant the last reply or error frame arrived from the target,
+   whoever it answered — in an unboxed array, so recording it allocates
+   nothing. *)
 type breaker = {
   mutable b_state : breaker_state;
   mutable consecutive_failures : int;
   mutable opened_at : float;
   mutable probe_in_flight : bool;
+  heard : float array;
 }
 
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }
@@ -51,7 +57,7 @@ type writer = Buffer.t -> unit
 
 let slice_to_string s = String.sub s.src s.off s.len
 
-type pending = { k : (slice, error) result -> unit }
+type pending = { dst : Net.node_id; k : (slice, error) result -> unit }
 
 (* The per-service series of the RPC layer, each resolved in the registry
    the first time it is used — the same moment the series came into
@@ -450,6 +456,25 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
     List.iteri (fun i part -> handler ~caller:msg.Net.src part (reply_part i)) parts;
     Trace.set_current t.tracer saved
 
+let breaker_for t dst =
+  match Hashtbl.find t.breakers dst with
+  | b -> b
+  | exception Not_found ->
+    let b =
+      {
+        b_state = Closed;
+        consecutive_failures = 0;
+        opened_at = neg_infinity;
+        probe_in_flight = false;
+        heard = [| neg_infinity |];
+      }
+    in
+    Hashtbl.add t.breakers dst b;
+    b
+
+let heard_from t dst =
+  match Hashtbl.find t.breakers dst with b -> b.heard.(0) | exception Not_found -> neg_infinity
+
 let complete t id result =
   match Hashtbl.find_opt t.pending id with
   | None -> () (* reply after timeout: drop *)
@@ -469,8 +494,11 @@ let handle_message t (msg : Net.message) =
       match parts_of (body_slice payload h) with
       | None -> ()
       | Some parts -> dispatch_batch t msg h.id h.service (trace ()) parts)
-    | K_reply -> complete t h.id (Ok (body_slice payload h))
+    | K_reply ->
+      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
+      complete t h.id (Ok (body_slice payload h))
     | K_error ->
+      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
       let err =
         let prefix = "no-such-service:" in
         let np = String.length prefix in
@@ -553,7 +581,7 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~annotate_span ~kind 
     k result;
     Trace.set_current t.tracer saved
   in
-  Hashtbl.replace t.pending id { k = finish };
+  Hashtbl.replace t.pending id { dst; k = finish };
   Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
   (match span with
   | Some s ->
@@ -599,19 +627,18 @@ let call_batch_once t ~src ~dst ~service writes k =
 
 let calls_in_flight t = Hashtbl.length t.pending
 
+(* Ids are collected first and failed in ascending order: [Hashtbl]
+   iteration order is not a contract, and a continuation may issue new
+   calls — those are not this expiry's to fail. *)
+let expire t dst =
+  let ids =
+    Hashtbl.fold (fun id p acc -> if String.equal p.dst dst then id :: acc else acc) t.pending []
+  in
+  List.iter (fun id -> complete t id (Error Timeout)) (List.sort Int.compare ids)
+
 (* --- circuit breaker ------------------------------------------------------ *)
 
 let set_breaker t config = t.breaker_config <- config
-
-let breaker_for t dst =
-  match Hashtbl.find_opt t.breakers dst with
-  | Some b -> b
-  | None ->
-    let b =
-      { b_state = Closed; consecutive_failures = 0; opened_at = neg_infinity; probe_in_flight = false }
-    in
-    Hashtbl.add t.breakers dst b;
-    b
 
 let breaker_state t dst =
   match (t.breaker_config, Hashtbl.find_opt t.breakers dst) with

@@ -115,6 +115,27 @@ val record_shed : t -> src:Net.node_id -> Net.node_id -> unit
     ["breaker-rejected"] event.  For callers that route around a
     target on {!breaker_sheds} rather than call it. *)
 
+(** {1 Failure detection}
+
+    The bus gives a caller-side failure detector two primitives: the
+    evidence that a target is alive, and a way to give up on it before
+    the call timeout.  Neither touches the breaker's rule. *)
+
+val heard_from : t -> Net.node_id -> float
+(** The virtual instant the last reply or error frame arrived from the
+    target, whichever caller it answered; [neg_infinity] before the
+    first.  Requests the target sends do not count.  The evidence is
+    bus-wide, like the breaker: a saturated node keeps answering
+    {e someone}, so it is never silent. *)
+
+val expire : t -> Net.node_id -> unit
+(** Fail every call pending towards the target with [Timeout], exactly
+    as its timer would, in ascending correlation-id order.  Resilient
+    calls count each failure through the breaker as usual (so five
+    expired calls trip it) and retry per their policy; a reply that
+    arrives afterwards is dropped.  Calls issued by the continuations
+    are not expired. *)
+
 (** {1 Resilience counters} *)
 
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }

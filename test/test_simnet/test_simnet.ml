@@ -669,6 +669,98 @@ let test_rpc_breaker_default () =
   check int_ "disabled: no trip" 0 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
   check bool_ "disabled: sheds nothing" false (Rpc.breaker_sheds rpc "server")
 
+(* --- failure-detection primitives ------------------------------------------- *)
+
+(* Twenty calls alternating between a crashed server and a live but slow
+   peer; expiring the server fails exactly its ten, in issue (= id)
+   order, with [Timeout], and leaves the peer's calls to be answered. *)
+let test_rpc_expire_one_target () =
+  let net, rpc = make_rpc () in
+  Net.add_node net "peer";
+  List.iter
+    (fun node ->
+      serve_string rpc ~node ~service:"echo" (fun ~caller:_ body reply ->
+          Engine.schedule (Net.engine net) ~delay:2.0 (fun () -> reply body)))
+    [ "server"; "peer" ];
+  Net.crash net "server";
+  let results = ref [] in
+  for i = 0 to 19 do
+    let dst = if i mod 2 = 0 then "server" else "peer" in
+    call_string rpc ~src:"client" ~dst ~service:"echo" ~timeout:10.0 (string_of_int i) (fun r ->
+        results := (i, Net.now net, r) :: !results)
+  done;
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () -> Rpc.expire rpc "server");
+  Net.run net;
+  let results = List.rev !results in
+  let expired, answered = List.partition (fun (i, _, _) -> i mod 2 = 0) results in
+  check (Alcotest.list int_) "the server's calls fail in id order"
+    (List.init 10 (fun i -> 2 * i))
+    (List.map (fun (i, _, _) -> i) expired);
+  List.iter
+    (fun (i, at, r) ->
+      check bool_ (Printf.sprintf "call %d timed out" i) true (r = Error Rpc.Timeout);
+      check float_ (Printf.sprintf "call %d failed at the expiry" i) 0.5 at)
+    expired;
+  check int_ "every peer call answered" 10
+    (List.length (List.filter (fun (i, _, r) -> r = Ok (string_of_int i)) answered));
+  check int_ "no pending calls leak" 0 (Rpc.calls_in_flight rpc)
+
+let test_rpc_reply_after_expire_dropped () =
+  let net, rpc = make_rpc () in
+  serve_string rpc ~node:"server" ~service:"slow" (fun ~caller:_ body reply ->
+      Engine.schedule (Net.engine net) ~delay:1.0 (fun () -> reply body));
+  let fires = ref [] in
+  call_string rpc ~src:"client" ~dst:"server" ~service:"slow" ~timeout:5.0 "hi" (fun r ->
+      fires := r :: !fires);
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () -> Rpc.expire rpc "server");
+  Net.run net;
+  check bool_ "one continuation, with Timeout" true (!fires = [ Error Rpc.Timeout ]);
+  check bool_ "the late reply still counts as hearing from the server" true
+    (Rpc.heard_from rpc "server" > 1.0)
+
+(* The expiry of [n] resilient calls at once: each is one breaker
+   failure, so the default rule (five in a row) decides the trip. *)
+let breaker_after_expiring n =
+  let net, rpc = make_rpc () in
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  Net.crash net "server";
+  for _ = 1 to n do
+    call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:10.0
+      ~resilient:Rpc.no_retry "x" ignore
+  done;
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () -> Rpc.expire rpc "server");
+  Net.run ~until:1.0 net;
+  Rpc.breaker_state rpc "server"
+
+let test_rpc_expire_trips_by_rule () =
+  check bool_ "five expired calls trip the breaker" true (breaker_after_expiring 5 = Rpc.Open);
+  check bool_ "four do not" true (breaker_after_expiring 4 = Rpc.Closed)
+
+let test_rpc_heard_from () =
+  let net, rpc = make_rpc () in
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  serve_string rpc ~node:"client" ~service:"ping" (fun ~caller:_ _ reply -> reply "pong");
+  check bool_ "nothing heard yet" true (Rpc.heard_from rpc "server" = neg_infinity);
+  let replied = ref [] in
+  let call_at at ~src ~dst ~service =
+    Engine.schedule_at (Net.engine net) ~at (fun () ->
+        call_string rpc ~src ~dst ~service "x" (fun _ -> replied := Net.now net :: !replied))
+  in
+  (* The server's request reaches the client: evidence about the client
+     (its reply), none about the server. *)
+  call_at 1.0 ~src:"server" ~dst:"client" ~service:"ping";
+  Net.run net;
+  check bool_ "a request from the server is not evidence" true
+    (Rpc.heard_from rpc "server" = neg_infinity);
+  check float_ "the client's reply is" (List.hd !replied) (Rpc.heard_from rpc "client");
+  call_at 3.0 ~src:"client" ~dst:"server" ~service:"echo";
+  Net.run net;
+  check float_ "a reply frame advances it" (List.hd !replied) (Rpc.heard_from rpc "server");
+  call_at 5.0 ~src:"client" ~dst:"server" ~service:"missing";
+  Net.run net;
+  check float_ "so does an error frame" (List.hd !replied) (Rpc.heard_from rpc "server");
+  check bool_ "at the error's arrival" true (Rpc.heard_from rpc "server" > 5.0)
+
 (* --- sequence rendering ---------------------------------------------------- *)
 
 let test_sequence_render () =
@@ -772,5 +864,16 @@ let () =
           Alcotest.test_case "breaker open/half-open/close" `Quick test_rpc_breaker_lifecycle;
           Alcotest.test_case "breaker on by default, set_breaker None disables" `Quick
             test_rpc_breaker_default;
+        ] );
+      ( "rpc-detection",
+        [
+          Alcotest.test_case "expire fails one target's calls in id order" `Quick
+            test_rpc_expire_one_target;
+          Alcotest.test_case "a reply after expire is dropped" `Quick
+            test_rpc_reply_after_expire_dropped;
+          Alcotest.test_case "five expired calls trip the breaker, four do not" `Quick
+            test_rpc_expire_trips_by_rule;
+          Alcotest.test_case "heard_from advances on replies and errors only" `Quick
+            test_rpc_heard_from;
         ] );
     ]

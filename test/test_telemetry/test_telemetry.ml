@@ -228,8 +228,9 @@ let test_steady_state_decision_no_lookups () =
   (* After warm-up every series a tier decision touches is resolved, so
      the next decision — PEP ladder, tier batch, RPC both ways, PDP —
      increments held handles and resolves nothing in the registry.  The
-     same holds for a decision the tier sheds because every shard's
-     breaker is open. *)
+     same holds for a decision that fails over because its shard went
+     silent, and for one the tier sheds because every shard's breaker
+     is open. *)
   let net = Net.create ~seed:5L () in
   let rpc = Rpc.create net in
   let services = Service.create rpc in
@@ -239,15 +240,19 @@ let test_steady_state_decision_no_lookups () =
     [ "pdp.0"; "pdp.1" ];
   let tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp.0"; "pdp.1" ] () in
   let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }) in
+  let ctx user =
+    Dacs_policy.Context.make
+      ~subject:[ ("subject-id", Value.String user) ]
+      ~resource:[ ("resource-id", Value.String "r") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  let answered_at = ref 0.0 in
   let decide user =
     let answered = ref false in
-    Pep.decide pep
-      (Dacs_policy.Context.make
-         ~subject:[ ("subject-id", Value.String user) ]
-         ~resource:[ ("resource-id", Value.String "r") ]
-         ~action:[ ("action-id", Value.String "read") ]
-         ())
-      (fun _ -> answered := true);
+    Pep.decide pep (ctx user) (fun _ ->
+        answered := true;
+        answered_at := Net.now net);
     Net.run net;
     check bool_ ("answered " ^ user) true !answered
   in
@@ -256,6 +261,25 @@ let test_steady_state_decision_no_lookups () =
   let before = Metrics.lookups registry in
   decide "g";
   check int_ "registry lookups in a steady-state decision" 0 (Metrics.lookups registry - before);
+  (* pdp.0 goes silent: a decision for a key it owns fails over to pdp.1
+     when the tier suspects pdp.0, one RTO after the frame left.  The
+     first such decision registers the expiry counter; the next resolves
+     nothing. *)
+  Net.crash net "pdp.0";
+  let owned =
+    List.filter
+      (fun u -> Pdp_tier.shard_for tier (Decision_cache.request_key (ctx u)) = Some "pdp.0")
+      (List.init 20 (Printf.sprintf "u%d"))
+  in
+  decide (List.nth owned 0);
+  let expiries = (Pdp_tier.stats tier).Pdp_tier.expiries in
+  let before = Metrics.lookups registry and asked_at = Net.now net in
+  decide (List.nth owned 1);
+  check int_ "registry lookups in a decision failed over by expiry" 0
+    (Metrics.lookups registry - before);
+  check int_ "it failed over by expiry" (expiries + 1) (Pdp_tier.stats tier).Pdp_tier.expiries;
+  check bool_ "before the call timeout" true (!answered_at -. asked_at < 1.0);
+  Net.recover net "pdp.0";
   (* Both shards go down; the first decision's timeouts open both
      breakers, the next warms the shed path. *)
   Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 1; cooldown = 100.0 });

@@ -55,7 +55,7 @@ type fixture = {
   shard_nodes : Net.node_id list;
 }
 
-let setup ?(seed = 7L) ?(shards = 4) ?batch ?cache () =
+let setup ?(seed = 7L) ?(shards = 4) ?batch ?cache ?service_time () =
   let net = Net.create ~seed () in
   let services = Service.create (Rpc.create net) in
   let add id =
@@ -65,7 +65,8 @@ let setup ?(seed = 7L) ?(shards = 4) ?batch ?cache () =
   let shard_nodes =
     List.init shards (fun i ->
         let node = add (Printf.sprintf "shard%d" i) in
-        ignore (Pdp_service.create services ~node ~name:node ~root:(doctor_policy "r") ());
+        ignore
+          (Pdp_service.create services ~node ~name:node ~root:(doctor_policy "r") ?service_time ());
         node)
   in
   let pep_node = add "pep" in
@@ -357,6 +358,102 @@ let test_breaker_recloses () =
     (Rpc.breaker_state (Service.rpc fx.services) victim = Rpc.Closed);
   check string_ "routing is back on the owner" victim (answered_by "after" after)
 
+(* --- failure detection -------------------------------------------------------- *)
+
+let owner_of_alice fx =
+  Option.get (Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for "alice" "read")))
+
+(* Five answered queries to alice's shard, one every 100 ms from 0.1. *)
+let warm_up fx =
+  let answers = List.init 5 (fun _ -> ref None) in
+  List.iteri
+    (fun i a -> decide_at fx ~at:(0.1 *. float_of_int (i + 1)) (ctx_for "alice" "read") a)
+    answers;
+  Net.run fx.net;
+  List.iter (fun a -> ignore (answered_by "warm-up" a)) answers
+
+let expiries fx = (Pdp_tier.stats fx.tier).Pdp_tier.expiries
+
+(* A shard cut off after warm-up is suspected one RTO after its frame
+   went out — not at the 1 s call timeout — and the frame's query is
+   answered by the ring successor. *)
+let test_silent_shard_detected () =
+  let fx = setup () in
+  warm_up fx;
+  let victim = owner_of_alice fx in
+  let rto = Pdp_tier.rto fx.tier victim in
+  check bool_ "a measured RTO below the call timeout" true (rto < 1.0);
+  Engine.schedule_at (Net.engine fx.net) ~at:2.0 (fun () -> Net.crash fx.net victim);
+  let answer = ref None in
+  decide_at fx ~at:3.0 (ctx_for "alice" "read") answer;
+  Net.run fx.net;
+  let successor = answered_by "after the cut" answer in
+  check bool_ "answered by another shard" true (successor <> victim);
+  (match !answer with
+  | Some (at, _, meta) ->
+    check int_ "one failover" 1 meta.Pdp_tier.failovers;
+    (* Failed over at 3.0 + RTO, then one round trip to the successor. *)
+    check bool_ "not before one RTO" true (at >= 3.0 +. rto);
+    check bool_ "well before the call timeout" true (at < 3.0 +. rto +. 0.05)
+  | None -> ());
+  check int_ "one expiry" 1 (expiries fx);
+  check int_ "one failover counted" 1 (Pdp_tier.stats fx.tier).Pdp_tier.failovers
+
+(* 15 ms per query and 48 queries at once: six 8-query frames queue on
+   one shard, so round trips grow to ~0.7 s, far above the warm RTO —
+   but the shard answers someone every 120 ms, so it is never silent. *)
+let saturate fx ~at =
+  let answers = List.init 48 (fun _ -> ref None) in
+  List.iter (fun a -> decide_at fx ~at (ctx_for "alice" "read") a) answers;
+  Net.run fx.net;
+  answers
+
+let test_saturated_shard_not_suspected () =
+  let fx = setup ~service_time:0.015 () in
+  warm_up fx;
+  check bool_ "warm RTO at its floor" true (Pdp_tier.rto fx.tier (owner_of_alice fx) < 0.25);
+  let answers = saturate fx ~at:2.0 in
+  let last = ref 0.0 in
+  List.iter
+    (fun a ->
+      ignore (answered_by "saturated" a);
+      match !a with Some (at, _, _) -> last := Float.max !last at | None -> ())
+    answers;
+  check bool_ "queued round trips exceeded 200 ms" true (!last -. 2.0 > 0.2);
+  check int_ "no expiry" 0 (expiries fx);
+  check int_ "no failover" 0 (Pdp_tier.stats fx.tier).Pdp_tier.failovers;
+  check int_ "nothing failed closed" 0 (Pdp_tier.stats fx.tier).Pdp_tier.exhausted
+
+(* Before any answer there is no round trip to estimate from: the RTO
+   is the call timeout, and a frame to a dead shard waits all of it. *)
+let test_cold_tier_waits_full_timeout () =
+  let fx = setup () in
+  let victim = owner_of_alice fx in
+  check (Alcotest.float 0.0) "cold RTO" 1.0 (Pdp_tier.rto fx.tier victim);
+  Net.crash fx.net victim;
+  let answer = ref None in
+  decide_at fx ~at:0.5 (ctx_for "alice" "read") answer;
+  Net.run fx.net;
+  check bool_ "answered by another shard" true (answered_by "cold" answer <> victim);
+  match !answer with
+  | Some (at, _, _) -> check bool_ "after the full 1 s" true (at >= 1.5)
+  | None -> ()
+
+let test_rto_clamps () =
+  let fx = setup ~service_time:0.015 () in
+  let victim = owner_of_alice fx in
+  let in_bounds what =
+    let rto = Pdp_tier.rto fx.tier victim in
+    if rto < 0.2 || rto > 1.0 then Alcotest.failf "%s: RTO %g outside [0.2, 1]" what rto;
+    rto
+  in
+  warm_up fx;
+  (* Round trips of ~25 ms: srtt + 4·rttvar is far below the floor. *)
+  check (Alcotest.float 0.0) "clamped to 200 ms" 0.2 (in_bounds "warm");
+  ignore (saturate fx ~at:2.0);
+  (* Round trips of up to ~0.7 s: the estimate overshoots the cap. *)
+  check (Alcotest.float 0.0) "clamped to the call timeout" 1.0 (in_bounds "saturated")
+
 (* --- same-seed determinism ----------------------------------------------------- *)
 
 (* One Fig. 3 pull-flow run through the sharded tier under a chaos
@@ -420,6 +517,16 @@ let () =
             test_one_breaker_open;
           Alcotest.test_case "after the cooldown a success re-closes and routes back" `Quick
             test_breaker_recloses;
+        ] );
+      ( "detection",
+        [
+          Alcotest.test_case "a shard cut after warm-up fails over after one RTO" `Quick
+            test_silent_shard_detected;
+          Alcotest.test_case "a saturated shard that keeps answering is never suspected" `Quick
+            test_saturated_shard_not_suspected;
+          Alcotest.test_case "a cold tier waits the full call timeout" `Quick
+            test_cold_tier_waits_full_timeout;
+          Alcotest.test_case "the RTO stays within [0.2 s, 1 s]" `Quick test_rto_clamps;
         ] );
       ( "determinism",
         [
