@@ -1590,6 +1590,7 @@ let e21_offline =
                   no_worse "convergence-rounds-regression" ~key:"convergence_rounds"
                     ~better:`Lower;
                   no_worse "replayed-events-regression" ~key:"replayed_events" ~better:`Lower;
+                  no_worse "rechecked-regression" ~key:"rechecked" ~better:`Lower;
                   no_worse "invalidations-regression" ~key:"retroactive_invalidations"
                     ~better:`Lower;
                   no_worse "offline-decide-words-regression" ~key:"words_per_offline_decide"
@@ -1705,12 +1706,14 @@ let e21_offline =
   let words_per_heal_event = heal_words /. float_of_int (max 1 !heal_moved) in
   let total f = Array.fold_left (fun acc o -> acc + f (O.stats o)) 0 reps in
   let replayed = total (fun s -> s.O.replayed_events) in
+  let rechecked = total (fun s -> s.O.rechecked) in
   let invalidations = total (fun s -> s.O.invalidations) in
   let conflicts = List.length (O.conflicts reps.(0)) in
   Printf.printf "\nreconciliation (4 domains, 2-2 partition, ring anti-entropy):\n";
   Printf.printf "  %-32s %8d\n" "offline decisions under partition" !offline_decides;
   Printf.printf "  %-32s %8d\n" "convergence rounds (ring)" !rounds;
   Printf.printf "  %-32s %8d\n" "events replayed (all replicas)" replayed;
+  Printf.printf "  %-32s %8d\n" "Decides re-checked (all replicas)" rechecked;
   Printf.printf "  %-32s %8d\n" "retroactive invalidations" invalidations;
   Printf.printf "  %-32s %8d\n" "deny-wins conflicts" conflicts;
   Printf.printf "  %-32s %8.1f\n" "minor words per offline decide" words_per_decide;
@@ -1736,6 +1739,7 @@ let e21_offline =
   Experiment.count x "offline_decides_partition" !offline_decides;
   Experiment.count x "convergence_rounds" !rounds;
   Experiment.count x "replayed_events" replayed;
+  Experiment.count x "rechecked" rechecked;
   Experiment.count x "retroactive_invalidations" invalidations;
   Experiment.count x "conflicts" conflicts;
   Experiment.metric x ~digits:1 "words_per_offline_decide" words_per_decide;

@@ -59,6 +59,7 @@ type stats = {
   events_known : int;
   replays : int;
   replayed_events : int;
+  rechecked : int;
   invalidations : int;
   conflicts : int;
   sync_rejections : int;
@@ -102,6 +103,7 @@ type t = {
   fired : (string * int, unit) Hashtbl.t;  (* Decide events already invalidated *)
   known_conflicts : (string * int * string * int, unit) Hashtbl.t;
   mutable n_replayed : int;  (* no registry twin *)
+  mutable n_rechecked : int;  (* nor this one *)
 }
 
 let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
@@ -135,6 +137,7 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     fired = Hashtbl.create 64;
     known_conflicts = Hashtbl.create 16;
     n_replayed = 0;
+    n_rechecked = 0;
   }
 
 let rejections_metric = "offline_sync_rejections_total"
@@ -293,12 +296,38 @@ let append_own t kind =
 
 (* --- deny-wins replay --------------------------------------------------- *)
 
-let covers frontier author seq =
-  match List.assoc_opt author frontier with Some n -> n >= seq | None -> false
+(* [List.assoc_opt] without the option. *)
+let rec covers frontier author seq =
+  match frontier with
+  | [] -> false
+  | (a, n) :: rest -> if String.equal a author then n >= seq else covers rest author seq
 
-let grant_key = function
-  | Grant { subject; attr; _ } | Revoke { subject; attr } -> Some (subject, attr)
-  | _ -> None
+(* Whether two Grant/Revoke events name the same (subject, attr). *)
+let same_key a b =
+  match (a, b) with
+  | ( (Grant { subject; attr; _ } | Revoke { subject; attr }),
+      (Grant { subject = s; attr = a; _ } | Revoke { subject = s; attr = a }) ) ->
+    String.equal subject s && String.equal attr a
+  | _ -> false
+
+(* Deny-wins over one event set's grants and revocations, both in total
+   order: a grant survives iff it causally follows every revocation of
+   its key — deny wins over anything concurrent or earlier — and among
+   the survivors of one key the latest supplies the value.  Returns the
+   surviving [(subject, attr, value)], sorted, and the defeated grants. *)
+let deny_wins grants revokes =
+  let survives g =
+    List.for_all (fun r -> (not (same_key g.kind r.kind)) || covers g.frontier r.author r.seq) revokes
+  in
+  let surviving, defeated = List.partition survives grants in
+  let values = Hashtbl.create 16 in
+  List.iter
+    (fun g ->
+      match g.kind with
+      | Grant { subject; attr; value } -> Hashtbl.replace values (subject, attr) value
+      | _ -> ())
+    surviving;
+  (Hashtbl.fold (fun (s, a) v acc -> (s, a, v) :: acc) values [] |> List.sort compare, defeated)
 
 (* Fill only the empty subject bags: local grants are fallback knowledge,
    never an override of attributes the request already carried. *)
@@ -328,7 +357,7 @@ let evaluate_logged state ctx_str =
 (* The latest publication in total order that parses, compiled against
    the previous replay's policy; bytes already adopted are reused as they
    are. *)
-let adopt t all =
+let adopt t publishes =
   let rec latest = function
     | [] -> None
     | policy :: earlier -> (
@@ -347,41 +376,103 @@ let adopt t all =
   latest
     (List.fold_left
        (fun acc ev -> match ev.kind with Publish { policy } -> policy :: acc | _ -> acc)
-       [] all)
+       [] publishes)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec matches i j = j = m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  let rec from i = i + m <= n && (matches i 0 || from (i + 1)) in
+  from 0
+
+(* [Value.to_string] renders Double and Time values with [%g], so a
+   logged context carrying one may not be the context that was served.
+   Judged from the bytes alone, conservatively: every such value is
+   written with a quoted "double" or "time" type name. *)
+let may_be_lossy ctx = contains ctx "\"double\"" || contains ctx "\"time\""
+
+(* How many of the ascending [seqs] are at most [n]. *)
+let count_le seqs n =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if seqs.(mid) <= n then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length seqs)
+
+(* Whether a Decide's answer still stands without re-evaluating it.  Its
+   author evaluated the served context against the state derived from
+   the Grant/Revoke/Publish events its frontier covers.  When we know all
+   of those events and they derive the converged grants and adopted
+   policy bytes, re-evaluating the logged context under the converged
+   state is that same evaluation, so it returns the logged answer.  The
+   verdict depends only on which state-changing events the frontier
+   covers — per author, a prefix of its changes — so it is memoised per
+   such cut, and the cut covering every change is the converged state
+   itself. *)
+let unchanged_since t state ~grants ~revokes ~publishes =
+  let changes =
+    lazy
+      (let by_author = Hashtbl.create 7 in
+       let add ev =
+         let seqs = Option.value (Hashtbl.find_opt by_author ev.author) ~default:[] in
+         Hashtbl.replace by_author ev.author (ev.seq :: seqs)
+       in
+       List.iter add grants;
+       List.iter add revokes;
+       List.iter add publishes;
+       let changes = Hashtbl.create 7 and full = ref [] in
+       Hashtbl.iter
+         (fun author seqs ->
+           let seqs = Array.of_list seqs in
+           Array.sort compare seqs;
+           Hashtbl.replace changes author seqs;
+           full := (author, Array.length seqs) :: !full)
+         by_author;
+       let memo = Hashtbl.create 8 in
+       Hashtbl.replace memo (List.sort compare !full) true;
+       (changes, memo))
+  in
+  let agrees frontier =
+    let covered ev = covers frontier ev.author ev.seq in
+    let grants, _ = deny_wins (List.filter covered grants) (List.filter covered revokes) in
+    let policy =
+      List.fold_left
+        (fun acc ev -> match ev.kind with Publish { policy } when covered ev -> Some policy | _ -> acc)
+        None publishes
+    in
+    grants = state.s_grants && Option.equal String.equal policy (Option.map fst state.s_policy)
+  in
+  fun ev ->
+    List.for_all (fun (author, seq) -> covers t.t_frontier author seq) ev.frontier
+    &&
+    let changes, memo = Lazy.force changes in
+    let cut =
+      List.filter_map
+        (fun (author, seq) ->
+          match Hashtbl.find_opt changes author with
+          | Some seqs -> (
+            match count_le seqs seq with 0 -> None | n -> Some (author, n))
+          | None -> None)
+        ev.frontier
+    in
+    match Hashtbl.find_opt memo cut with
+    | Some verdict -> verdict
+    | None ->
+      let verdict = agrees ev.frontier in
+      Hashtbl.replace memo cut verdict;
+      verdict
 
 let replay t =
   let all = events t in
   t.n_replayed <- t.n_replayed + List.length all;
   Metrics.inc t.counters.c_replays;
-  let revokes =
-    List.filter_map
-      (fun ev -> match ev.kind with Revoke _ -> Some ev | _ -> None)
-      all
-  in
-  let revokes_of key = List.filter (fun r -> grant_key r.kind = Some key) revokes in
-  (* A grant survives iff it causally follows every revocation of its key
-     — deny wins over anything concurrent or earlier. *)
-  let survives g rs = List.for_all (fun r -> covers g.frontier r.author r.seq) rs in
-  let surviving, defeated =
-    List.partition
-      (fun g ->
-        match grant_key g.kind with
-        | Some key -> survives g (revokes_of key)
-        | None -> false)
-      (List.filter (fun ev -> match ev.kind with Grant _ -> true | _ -> false) all)
-  in
-  (* Later in total order wins the value for one key; [all] is sorted. *)
-  let values = Hashtbl.create 16 in
-  List.iter
-    (fun g ->
-      match g.kind with
-      | Grant { subject; attr; value } -> Hashtbl.replace values (subject, attr) value
-      | _ -> ())
-    surviving;
-  let s_grants =
-    Hashtbl.fold (fun (s, a) v acc -> (s, a, v) :: acc) values [] |> List.sort compare
-  in
-  let s_policy = adopt t all in
+  let of_kind p = List.filter (fun ev -> p ev.kind) all in
+  let grants = of_kind (function Grant _ -> true | _ -> false)
+  and revokes = of_kind (function Revoke _ -> true | _ -> false)
+  and publishes = of_kind (function Publish _ -> true | _ -> false) in
+  let s_grants, defeated = deny_wins grants revokes in
+  let s_policy = adopt t publishes in
   (* A defeated grant is a conflict only when the race was concurrent:
      neither side causally knew the other.  A revoke that already saw the
      grant is a plain revocation. *)
@@ -393,7 +484,7 @@ let replay t =
           List.filter_map
             (fun r ->
               if
-                grant_key r.kind = Some (subject, attr)
+                same_key g.kind r.kind
                 && (not (covers g.frontier r.author r.seq))
                 && not (covers r.frontier g.author g.seq)
               then
@@ -435,12 +526,17 @@ let replay t =
     { s_grants; s_policy; s_conflicts = List.map snd s_conflicts |> List.sort_uniq compare }
   in
   (* Retroactive invalidation: any logged offline decision the converged
-     state now contradicts gets its cache key purged, once. *)
+     state now contradicts gets its cache key purged, once.  Only a
+     Decide a merge could flip is re-evaluated. *)
+  let unchanged = unchanged_since t state ~grants ~revokes ~publishes in
   List.iter
     (fun ev ->
       match ev.kind with
       | Decide { key; ctx; decision } ->
-        if not (Hashtbl.mem t.fired (ev.author, ev.seq)) then begin
+        if
+          (not (Hashtbl.mem t.fired (ev.author, ev.seq))) && (may_be_lossy ctx || not (unchanged ev))
+        then begin
+          t.n_rechecked <- t.n_rechecked + 1;
           let converged = evaluate_logged state ctx in
           let contradicted =
             match converged with
@@ -546,6 +642,7 @@ let stats t =
     events_known;
     replays = v c.c_replays;
     replayed_events = t.n_replayed;
+    rechecked = t.n_rechecked;
     invalidations = v c.c_invalidations;
     conflicts = v c.c_conflicts;
     sync_rejections =

@@ -41,10 +41,19 @@
     PDP's evaluator — compiled on adoption, or recompiled against the
     previous replay's value so unchanged leaves are reused; bytes equal
     to the adopted ones reuse it as is.  {!decide} and replay's
-    re-check of each [Decide] both run {!Dacs_policy.Compiled.evaluate}.
+    re-check of a [Decide] both run {!Dacs_policy.Compiled.evaluate}.
     Replay re-checks the request {e as logged}: the [ctx] field renders
     Double and Time values with [%g], so a re-check judges those bytes,
-    which can differ from the request that was served. *)
+    which can differ from the request that was served.
+
+    {2 Incremental re-checks}
+
+    Replay re-evaluates a not-yet-fired [Decide] only when a merge could
+    flip it: its bytes may carry a Double or Time value, its frontier
+    names an event this replica lacks, or the Grant/Revoke/Publish
+    events its frontier covers derive other grants or other adopted
+    policy bytes than the converged state.  Otherwise the re-check would
+    repeat the author's own evaluation and return the logged answer. *)
 
 type kind =
   | Grant of { subject : string; attr : string; value : string }
@@ -92,6 +101,7 @@ type stats = {
   events_known : int;  (** across all authors, after merges *)
   replays : int;  (** full deterministic replays performed *)
   replayed_events : int;  (** cumulative events folded by those replays *)
+  rechecked : int;  (** cumulative Decide events those replays re-evaluated *)
   invalidations : int;  (** Decide events contradicted by replay *)
   conflicts : int;  (** concurrent grant/revoke races, deny won *)
   sync_rejections : int;  (** segments refused (gap/chain/signature) *)
@@ -111,11 +121,12 @@ val create :
 (** [key] is the mesh-wide HMAC key (shared by every replica that may
     sync); [author] names this replica's chain — use the domain name.
     [audit], when given, receives conflict and retroactive-invalidation
-    records.  Every {!stats} field but [events_known] and
-    [replayed_events] is counted in [offline_*_total{domain=author}]
-    series of [metrics], or of a private registry when [metrics] is
-    absent.  Series are shared by name and labels, so replicas counting
-    into one registry need distinct authors. *)
+    records.  Every {!stats} field but [events_known],
+    [replayed_events] and [rechecked] is counted in
+    [offline_*_total{domain=author}] series of [metrics], or of a
+    private registry when [metrics] is absent.  Series are shared by
+    name and labels, so replicas counting into one registry need
+    distinct authors. *)
 
 val author : t -> string
 

@@ -143,6 +143,7 @@ type t = {
   content : string;
   audit : Audit.t;
   encryption_key : string option;
+  nonces : Dacs_crypto.Rng.t;  (* draws the nonce of every encrypted response *)
   counters : counters;
   sf : (Decision.result * Provenance.t) Cache_hierarchy.Single_flight.t;
   mutable mode : mode;
@@ -319,8 +320,7 @@ let fulfil_obligations t (result : Decision.result) =
         match t.encryption_key with
         | None -> Error "obligation to encrypt, but the PEP has no key"
         | Some key ->
-          let rng = Dacs_crypto.Rng.create 7L in
-          let cipher = Dacs_crypto.Stream_cipher.encrypt rng ~key content in
+          let cipher = Dacs_crypto.Stream_cipher.encrypt t.nonces ~key content in
           go (Dacs_crypto.Encoding.base64_encode cipher) true (fulfilled + 1) rest)
       | _ -> Error (Printf.sprintf "unknown obligation %s" o.Obligation.id))
   in
@@ -719,6 +719,9 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       content;
       audit = (match audit with Some a -> a | None -> Audit.create ());
       encryption_key;
+      (* One stream per PEP, seeded from its node id rather than drawn
+         from the engine's RNG, so no other stream moves. *)
+      nonces = Dacs_crypto.Rng.create (String.get_int64_be (Dacs_crypto.Sha256.digest node) 0);
       counters = make_counters (Service.metrics services) ~node;
       sf = Cache_hierarchy.Single_flight.create (Service.metrics services) ~node;
       mode;

@@ -54,7 +54,8 @@ val create :
   t
 (** Registers the ["access"] service on [node].  [content] is what a
     permitted requester receives; [encryption_key] (required for the
-    encrypt-response obligation) protects it when obliged to. *)
+    encrypt-response obligation) protects it when obliged to, each
+    response under a fresh nonce from a stream seeded by [node]. *)
 
 val node : t -> Dacs_net.Net.node_id
 val resource : t -> string

@@ -776,6 +776,40 @@ let test_pep_obligations_encrypt () =
       = Some "secret")
   | _ -> Alcotest.fail "expected encrypted grant"
 
+(* Each encrypted grant draws its own nonce: two Permits from one PEP
+   must not share a keystream, and both must still decrypt. *)
+let test_pep_encrypt_fresh_nonces () =
+  let net, services = fresh () in
+  let pdp_node = add_node net "pdp" in
+  let policy =
+    Policy.Inline_policy
+      (Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
+         ~obligations:[ Obligation.encrypt_response ~strength:128 ]
+         [ Rule.permit "allow" ])
+  in
+  ignore (Pdp_service.create services ~node:pdp_node ~name:"pdp" ~root:policy ());
+  let pep_node = add_node net "pep" in
+  let key = Dacs_crypto.Stream_cipher.derive_key "k" in
+  ignore
+    (Pep.create services ~node:pep_node ~domain:"a" ~resource:"r" ~content:"secret" ~encryption_key:key
+       (Pep.Pull { pdps = [ pdp_node ]; cache = None; call_timeout = 0.5 }));
+  let client = Client.create services ~node:(add_node net "client") ~subject:(doctor_subject "alice") in
+  let grants = ref [] in
+  for _ = 1 to 2 do
+    Client.request client ~pep:pep_node ~action:"read" (fun r -> grants := r :: !grants);
+    Net.run net
+  done;
+  match !grants with
+  | [
+   Ok (Wire.Granted { content = c1; encrypted = true }); Ok (Wire.Granted { content = c2; encrypted = true });
+  ] ->
+    let c1 = Dacs_crypto.Encoding.base64_decode c1 and c2 = Dacs_crypto.Encoding.base64_decode c2 in
+    let nonce c = String.sub c 0 Dacs_crypto.Stream_cipher.nonce_bytes in
+    check bool_ "distinct nonces" true (nonce c1 <> nonce c2);
+    check bool_ "first decrypts" true (Dacs_crypto.Stream_cipher.decrypt ~key c1 = Some "secret");
+    check bool_ "second decrypts" true (Dacs_crypto.Stream_cipher.decrypt ~key c2 = Some "secret")
+  | _ -> Alcotest.fail "expected two encrypted grants"
+
 let test_pep_unknown_obligation_fails_closed () =
   let net, services = fresh () in
   let pdp_node = add_node net "pdp" in
@@ -1354,6 +1388,7 @@ let () =
           Alcotest.test_case "all PDPs down fails closed" `Quick test_pep_pull_all_pdps_down;
           Alcotest.test_case "bad retry policy rejected when set" `Quick test_pep_rejects_bad_retry_policy;
           Alcotest.test_case "encrypt obligation" `Quick test_pep_obligations_encrypt;
+          Alcotest.test_case "encrypted grants use fresh nonces" `Quick test_pep_encrypt_fresh_nonces;
           Alcotest.test_case "unknown obligation fails closed" `Quick test_pep_unknown_obligation_fails_closed;
         ] );
       ( "pep-push",

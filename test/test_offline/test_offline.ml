@@ -19,7 +19,9 @@
      pre-partition rung;
    - on random scripts over 2-3 replicas, replay agrees with a reference
      deny-wins replay on the interpreter: state digest, purged keys,
-     conflicts and stats, with replay judging the request as logged. *)
+     conflicts and stats, with replay judging the request as logged and
+     re-checking no more Decides than the reference, which re-checks
+     every one. *)
 
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
@@ -451,12 +453,13 @@ let nurse_pol =
 
 let oracle_policies = [| late_pol; nurse_pol |]
 
-let timed_ctx subject time =
+(* A chart read by [subject], at [time] when one is given. *)
+let ctx_at subject time =
   Context.make
     ~subject:[ ("subject-id", Value.String subject) ]
     ~resource:[ ("resource-id", Value.String "chart") ]
     ~action:[ ("action-id", Value.String "read") ]
-    ~environment:[ ("time", Value.Time time) ]
+    ~environment:(match time with Some t -> [ ("time", Value.Time t) ] | None -> [])
     ()
 
 let test_replay_judges_logged_bytes () =
@@ -464,7 +467,7 @@ let test_replay_judges_logged_bytes () =
   let fired = ref [] in
   O.on_invalidate o (fun key -> fired := key :: !fired);
   O.publish o (Policy.Inline_policy late_pol);
-  let c = timed_ctx "bob" 1000000.4 in
+  let c = ctx_at "bob" (Some 1000000.4) in
   (match O.decide o c with
   | Some (r, _) -> check bool_ "permitted live" true (r.Decision.decision = Decision.Permit)
   | None -> Alcotest.fail "no offline decision");
@@ -478,11 +481,80 @@ let test_replay_judges_logged_bytes () =
   check (Alcotest.list string_) "the Decide's key is purged" [ Decision_cache.request_key c ] !fired;
   check int_ "one invalidation" 1 (O.stats o).O.invalidations
 
+(* Replay re-evaluates only the Decides a merge could flip.  Two
+   replicas publish the same policy and share alice's and bob's grants,
+   then decide while apart: the merge changes neither the grants nor the
+   adopted policy bytes, so nothing is re-checked.  A revoke of alice's
+   role, concurrent with one more of her Decides, then fires exactly her
+   Decides at both replicas. *)
+let test_replay_rechecks_what_changed () =
+  let a = replica "alpha" and b = replica "beta" in
+  let hooked o =
+    let fired = ref [] in
+    O.on_invalidate o (fun key -> fired := key :: !fired);
+    (o, fired)
+  in
+  let replicas = [ hooked a; hooked b ] in
+  O.publish a (Policy.Inline_policy nurse_pol);
+  O.publish b (Policy.Inline_policy nurse_pol);
+  O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
+  O.grant a ~subject:"bob" ~attr:"role" ~value:"nurse";
+  ignore (O.sync_pair a b);
+  let decide o subject expected =
+    match O.decide o (ctx_at subject None) with
+    | Some (r, _) -> check bool_ (subject ^ " decided") true (r.Decision.decision = expected)
+    | None -> Alcotest.fail "no offline decision"
+  in
+  decide a "alice" Decision.Permit;
+  decide a "bob" Decision.Permit;
+  decide b "alice" Decision.Permit;
+  decide b "carol" Decision.Deny;
+  (match O.sync_pair a b with Ok n -> check int_ "decides exchanged" 4 n | Error _ -> Alcotest.fail "sync");
+  List.iter
+    (fun (o, _) ->
+      check int_ (O.author o ^ ": nothing re-checked") 0 (O.stats o).O.rechecked;
+      check int_ (O.author o ^ ": nothing invalidated") 0 (O.stats o).O.invalidations)
+    replicas;
+  O.revoke b ~subject:"alice" ~attr:"role";
+  decide a "alice" Decision.Permit;
+  ignore (O.sync_pair a b);
+  let alice = Decision_cache.request_key (ctx_at "alice" None) in
+  List.iter
+    (fun (o, fired) ->
+      check (Alcotest.list string_) (O.author o ^ ": alice's Decides fire") [ alice; alice; alice ] !fired;
+      check int_ (O.author o ^ ": three invalidations") 3 (O.stats o).O.invalidations)
+    replicas
+
+(* The shortcut derives a Decide's state from the events its frontier
+   covers, so it must know all of them.  Here alpha admits gamma's Deny
+   of alice without beta's revoke that caused it: under alpha's state
+   alice is a nurse, so the full replay's re-check contradicts the Deny
+   and purges its key, and so must ours. *)
+let test_replay_rechecks_without_causal_past () =
+  let a = replica "alpha" and b = replica "beta" and c = replica "gamma" in
+  let fired = ref [] in
+  O.on_invalidate a (fun key -> fired := key :: !fired);
+  O.publish a (Policy.Inline_policy nurse_pol);
+  O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
+  ignore (O.sync_pair a b);
+  ignore (O.sync_pair a c);
+  O.revoke b ~subject:"alice" ~attr:"role";
+  ignore (O.sync_pair b c);
+  (match O.decide c (ctx_at "alice" None) with
+  | Some (r, _) -> check bool_ "gamma denies" true (r.Decision.decision = Decision.Deny)
+  | None -> Alcotest.fail "no offline decision");
+  let gammas = List.filter (fun ev -> ev.O.author = "gamma") (O.missing_for c ~frontier:(O.frontier a)) in
+  check bool_ "gamma's segment admitted" true (O.admit a gammas = Ok 1);
+  check (Alcotest.list string_) "the Deny's key is purged"
+    [ Decision_cache.request_key (ctx_at "alice" None) ]
+    !fired;
+  check int_ "re-checked" 1 (O.stats a).O.rechecked
+
 type op =
   | Grant of int * string * string
   | Revoke of int * string
   | Publish of int * int
-  | Decide of int * string * float
+  | Decide of int * string * float option
   | Sync of int * int
   | Tick
   | Digest of int
@@ -491,7 +563,8 @@ let show_op = function
   | Grant (i, s, v) -> Printf.sprintf "grant %d %s=%s" i s v
   | Revoke (i, s) -> Printf.sprintf "revoke %d %s" i s
   | Publish (i, p) -> Printf.sprintf "publish %d #%d" i p
-  | Decide (i, s, t) -> Printf.sprintf "decide %d %s @%.1f" i s t
+  | Decide (i, s, Some t) -> Printf.sprintf "decide %d %s @%.1f" i s t
+  | Decide (i, s, None) -> Printf.sprintf "decide %d %s" i s
   | Sync (i, j) -> Printf.sprintf "sync %d %d" i j
   | Tick -> "tick"
   | Digest i -> Printf.sprintf "digest %d" i
@@ -507,7 +580,11 @@ let script_gen =
         (3, map3 (fun i s v -> Grant (i, s, v)) replica subject (oneofl [ "doctor"; "nurse" ]));
         (2, map2 (fun i s -> Revoke (i, s)) replica subject);
         (1, map2 (fun i p -> Publish (i, p)) replica (int_bound (Array.length oracle_policies - 1)));
-        (4, map3 (fun i s t -> Decide (i, s, t)) replica subject (oneofl [ 0.0; 1000000.4; 2e6 ]));
+        ( 4,
+          map3
+            (fun i s t -> Decide (i, s, t))
+            replica subject
+            (oneofl [ Some 0.0; Some 1000000.4; Some 2e6; None; None ]) );
         (2, map2 (fun i d -> Sync (i, (i + 1 + d) mod n)) replica (int_bound (n - 2)));
         (2, return Tick);
         (1, map (fun i -> Digest i) replica);
@@ -535,6 +612,7 @@ type model = {
   mutable logged : int;
   mutable replays : int;
   mutable replayed : int;
+  mutable rechecks : int;
   mutable invalidations : int;
   mutable conflicts : int;
   mutable decides : int;
@@ -630,6 +708,7 @@ let ref_replay m =
     (fun e ->
       match e.O.kind with
       | O.Decide { key; ctx; decision } when not (List.mem (e.O.author, e.O.seq) m.fired) -> (
+        m.rechecks <- m.rechecks + 1;
         match Result.to_option (Context.of_string ctx) |> Option.map (ref_evaluate m.state) with
         | Some (Some r) when Decision.decision_to_string r.Decision.decision <> decision ->
           m.fired <- (e.O.author, e.O.seq) :: m.fired;
@@ -679,6 +758,7 @@ let run_script (n, ops) =
             logged = 0;
             replays = 0;
             replayed = 0;
+            rechecks = 0;
             invalidations = 0;
             conflicts = 0;
             decides = 0;
@@ -713,7 +793,7 @@ let run_script (n, ops) =
       true
     | Decide (i, subject, time) -> (
       let m = ms.(i) in
-      let c = timed_ctx subject time in
+      let c = ctx_at subject time in
       (* the replica replays before it appends the Decide *)
       ref_force m;
       let got = O.decide m.o c in
@@ -761,6 +841,7 @@ let run_script (n, ops) =
              events_known = List.length (O.events m.o);
              replays = m.replays;
              replayed_events = m.replayed;
+             rechecked = (O.stats m.o).O.rechecked;
              invalidations = m.invalidations;
              conflicts = m.conflicts;
              sync_rejections = 0;
@@ -772,8 +853,11 @@ let run_script (n, ops) =
              s.O.events_logged s.events_known s.replays s.replayed_events s.invalidations s.conflicts
              s.offline_decides
          in
-         O.stats m.o = expected
+         (O.stats m.o = expected
          || fail "replica %d: stats {%s}, reference {%s}" i (show (O.stats m.o)) (show expected))
+         && ((O.stats m.o).O.rechecked <= m.rechecks
+            || fail "replica %d: %d re-checks, the reference needed %d" i (O.stats m.o).O.rechecked
+                 m.rechecks))
        (List.init n Fun.id)
 
 let oracle_test =
@@ -809,6 +893,10 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "replay judges the logged bytes" `Quick test_replay_judges_logged_bytes;
+          Alcotest.test_case "replay re-checks only what a merge changed" `Quick
+            test_replay_rechecks_what_changed;
+          Alcotest.test_case "a Decide without its causal past is re-checked" `Quick
+            test_replay_rechecks_without_causal_past;
           QCheck_alcotest.to_alcotest oracle_test;
         ] );
       ( "pep",
