@@ -44,7 +44,3 @@ let merge logs =
   let t = create () in
   List.iter (record t) sorted;
   t
-
-let clear t =
-  t.entries_rev <- [];
-  t.count <- 0

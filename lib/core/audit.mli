@@ -36,5 +36,3 @@ val find : t -> ?subject:string -> ?resource:string -> ?decision:Dacs_policy.Dec
 
 val merge : t list -> t
 (** Consolidated, time-ordered view across domains (§3.2 management). *)
-
-val clear : t -> unit

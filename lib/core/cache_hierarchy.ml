@@ -75,7 +75,6 @@ module Attr_cache = struct
   let clear t = Hashtbl.reset t.table
   let size t = Hashtbl.length t.table
   let hits t = Metrics.counter_value t.c_hits
-  let misses t = Metrics.counter_value t.c_misses
 
   (* Drop the bags a change-impact region's pins and guards read: the
      attribute data itself is still valid (policy churn does not change
@@ -153,7 +152,6 @@ module Single_flight = struct
           k result;
           List.iter (fun w -> w result) (List.rev !waiters))
 
-  let inflight t = Hashtbl.length t.inflight
   let coalesced t = Metrics.counter_value t.c_coalesced
   let counter t = t.c_coalesced
 end

@@ -75,7 +75,6 @@ module Attr_cache : sig
   val clear : t -> unit
   val size : t -> int
   val hits : t -> int
-  val misses : t -> int
 end
 
 (** {1 Single-flight coalescing} *)
@@ -95,7 +94,6 @@ module Single_flight : sig
 
   val join : 'a t -> key:string -> ('a -> unit) -> 'a join
 
-  val inflight : 'a t -> int
   val coalesced : 'a t -> int
 
   val counter : 'a t -> Dacs_telemetry.Metrics.counter

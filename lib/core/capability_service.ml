@@ -26,7 +26,6 @@ type t = {
 }
 
 let node t = t.node
-let format t = t.format
 let issuer t = t.issuer
 let public_key t = t.keypair.Dacs_crypto.Rsa.public
 

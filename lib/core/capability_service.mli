@@ -27,8 +27,6 @@ val create :
     (default {!Saml}) selects the wire encoding — the CAS-vs-VOMS
     distinction of §2.2. *)
 
-val format : t -> format
-
 val node : t -> Dacs_net.Net.node_id
 val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key

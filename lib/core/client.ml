@@ -15,13 +15,6 @@ type t = {
 let create services ~node ~subject =
   { services; node; subject; capabilities = Hashtbl.create 8; capability_requests = 0 }
 
-let node t = t.node
-
-let subject_id t =
-  match List.assoc_opt "subject-id" t.subject with
-  | Some v -> Value.to_string v
-  | None -> "anonymous"
-
 let now t = Dacs_net.Net.now (Service.net t.services)
 
 let parse_outcome body =

@@ -14,9 +14,6 @@ val create :
   t
 (** [subject] must include a ["subject-id"] attribute. *)
 
-val node : t -> Dacs_net.Net.node_id
-val subject_id : t -> string
-
 val request :
   t ->
   pep:Dacs_net.Net.node_id ->

@@ -41,11 +41,6 @@ val resolution : Dacs_policy.Combine.algorithm -> conflict -> Dacs_policy.Decisi
     one and the same request lie in both regions' pinned cores?  Used to
     reason about publishes whose purges are provably independent. *)
 
-val zones_overlap : Dacs_policy.Delta.zone -> Dacs_policy.Delta.zone -> bool
-(** Conservative: [false] only when the two zones pin the same
-    (category, attribute) position to disjoint value sets, under the
-    single-valued-attribute assumption above. *)
-
 val regions_overlap : Dacs_policy.Delta.t -> Dacs_policy.Delta.t -> bool
 (** {!Delta.Empty} overlaps nothing; {!Delta.Unbounded} overlaps every
     non-empty region; zone unions overlap when any zone pair does. *)

@@ -50,8 +50,6 @@ let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
     purges = 0;
   }
 
-let ttl t = t.ttl
-
 type lookup =
   | Fresh of Dacs_policy.Decision.result
   | Stale of { result : Dacs_policy.Decision.result; age : float }

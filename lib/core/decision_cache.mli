@@ -23,8 +23,6 @@ val create :
     absent.  Series are shared by name and labels, so caches counting
     into one registry need distinct owners. *)
 
-val ttl : t -> float
-
 val get : t -> now:float -> key:string -> Dacs_policy.Decision.result option
 (** [None] on miss or expiry (expired entries are dropped). *)
 

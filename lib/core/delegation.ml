@@ -19,10 +19,6 @@ type t = {
 
 let create ~roots = { root_authorities = roots; grant_list = []; next_id = 0 }
 
-let roots t = t.root_authorities
-
-let grants t = List.rev t.grant_list
-
 let scope_covers scope resource =
   let n = String.length scope in
   n = 0 || (String.length resource >= n && String.sub resource 0 n = scope)

@@ -22,8 +22,6 @@ val create : roots:string list -> t
 (** [roots] are the authorities trusted unconditionally (e.g. each
     domain's own administrator for its own resources). *)
 
-val roots : t -> string list
-
 val grant :
   t ->
   ?can_redelegate:bool ->
@@ -41,8 +39,6 @@ val grant :
 val revoke : t -> grant_id:string -> bool
 (** [true] when the grant existed. Chains through it are immediately
     invalid. *)
-
-val grants : t -> grant list
 
 val authority_for : t -> issuer:string -> resource:string -> now:float -> bool
 (** Root, or reachable from a root by a chain of unexpired, unrevoked

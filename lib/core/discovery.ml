@@ -15,9 +15,6 @@ type t = {
   mutable next_order : int;
 }
 
-let node t = t.node
-let lease t = t.lease
-
 let now t = Net.now (Service.net t.services)
 
 let lookup t ~kind =
@@ -30,7 +27,6 @@ let lookup t ~kind =
   List.map snd (List.sort compare live)
 
 let registrations t = Metrics.counter_value t.c_registrations
-let lookups_served t = Metrics.counter_value t.c_lookups
 
 let register_body ~kind ~node =
   Xml.element "Register" ~attrs:[ ("Kind", kind); ("Node", node) ]

@@ -20,9 +20,6 @@ val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> ?lease:float -> u
     [lease] (default 10 s) is how long an advertisement lives without
     renewal. *)
 
-val node : t -> Dacs_net.Net.node_id
-val lease : t -> float
-
 val lookup : t -> kind:string -> Dacs_net.Net.node_id list
 (** Live advertisements of a kind, oldest registration first (local
     read; remote parties use the ["discover"] service). *)
@@ -30,9 +27,6 @@ val lookup : t -> kind:string -> Dacs_net.Net.node_id list
 val registrations : t -> int
 (** Total register calls served (a read of
     [discovery_registrations_total{node}] in the bus registry). *)
-
-val lookups_served : t -> int
-(** Total discover calls served ([discovery_lookups_total{node}]). *)
 
 (** {1 Client-side helpers} *)
 

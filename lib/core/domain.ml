@@ -1,6 +1,5 @@
 module Service = Dacs_ws.Service
 module Rsa = Dacs_crypto.Rsa
-module Cert = Dacs_crypto.Cert
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
 module Expr = Dacs_policy.Expr
@@ -10,8 +9,6 @@ module Value = Dacs_policy.Value
 type t = {
   name : string;
   services : Service.t;
-  ca : Rsa.keypair;
-  ca_cert : Cert.t;
   audit : Audit.t;
   pap : Pap.t;
   pip : Pip.t;
@@ -24,9 +21,6 @@ type t = {
 }
 
 let name t = t.name
-let services t = t.services
-let ca_cert t = t.ca_cert
-let ca_key t = t.ca.Rsa.private_
 let audit t = t.audit
 let pap t = t.pap
 let pip t = t.pip
@@ -70,8 +64,6 @@ let republish t =
 let set_local_policy t child =
   t.local <- Some child;
   republish t
-
-let local_policy t = t.local
 
 let allow_policy_updates_from t nodes =
   let admin =
@@ -138,10 +130,9 @@ let attach_l2 t ~ttl () =
 
 let create services ~name ?attr_cache_ttl () =
   let rng = Dacs_crypto.Rng.create (seed_of_name name) in
-  let ca = Rsa.generate rng ~bits:512 in
-  let ca_cert =
-    Cert.self_signed ca ~subject:("cn=ca," ^ name) ~serial:1 ~not_before:0.0 ~not_after:1e12
-  in
+  (* The first key of the domain's stream is reserved for a domain CA,
+     which nothing issues from yet; the IdP key is the second draw. *)
+  ignore (Rsa.generate rng ~bits:512 : Rsa.keypair);
   let idp_keys = Rsa.generate rng ~bits:512 in
   let net = Service.net services in
   let node suffix =
@@ -160,8 +151,6 @@ let create services ~name ?attr_cache_ttl () =
     {
       name;
       services;
-      ca;
-      ca_cert;
       audit = Audit.create ();
       pap;
       pip;

@@ -14,10 +14,7 @@ val create : Dacs_ws.Service.t -> name:string -> ?attr_cache_ttl:float -> unit -
     batched PIP resolution (see {!Pdp_service.create}). *)
 
 val name : t -> string
-val services : t -> Dacs_ws.Service.t
 
-val ca_cert : t -> Dacs_crypto.Cert.t
-val ca_key : t -> Dacs_crypto.Rsa.private_key
 val audit : t -> Audit.t
 
 val pap : t -> Pap.t
@@ -37,8 +34,6 @@ val set_local_policy : t -> Dacs_policy.Policy.child -> unit
     received by syndication, the stored root combines both
     (deny-overrides), so local restrictions always apply — the domain
     autonomy requirement of §3.2. *)
-
-val local_policy : t -> Dacs_policy.Policy.child option
 
 val set_rbac : t -> Dacs_rbac.Rbac.t -> unit
 (** Install an RBAC model as the domain's local policy: compiles it to a

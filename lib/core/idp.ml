@@ -16,8 +16,6 @@ let issuer t = t.issuer
 let public_key t = t.keypair.Dacs_crypto.Rsa.public
 
 let register_user t ~user attrs = Hashtbl.replace t.users user attrs
-let remove_user t ~user = Hashtbl.remove t.users user
-let knows t ~user = Hashtbl.mem t.users user
 
 let issue t ~user =
   match Hashtbl.find_opt t.users user with

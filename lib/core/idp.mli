@@ -21,8 +21,6 @@ val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key
 
 val register_user : t -> user:string -> (string * Dacs_policy.Value.t) list -> unit
-val remove_user : t -> user:string -> unit
-val knows : t -> user:string -> bool
 
 val issue : t -> user:string -> Dacs_saml.Assertion.t option
 (** Local issuing path; [None] for unknown users. *)

@@ -24,9 +24,6 @@ val check :
 (** [Error reason] when the requested access would violate the
     meta-policy given the subject's permitted-access history. *)
 
-val check_all :
-  t list -> history:Audit.t -> subject:string -> resource:string -> (unit, string) result
-
 val guard :
   t list ->
   history:Audit.t ->

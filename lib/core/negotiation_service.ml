@@ -18,8 +18,6 @@ type t = {
   mutable issued : int;
 }
 
-let node t = t.node
-let issuer t = t.issuer
 let public_key t = t.keypair.Dacs_crypto.Rsa.public
 let sessions t = Hashtbl.length t.sessions
 

@@ -24,8 +24,6 @@ val create :
     [requirement_for] gives each (resource, action)'s access requirement
     over client credential names. *)
 
-val node : t -> Dacs_net.Net.node_id
-val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key
 val sessions : t -> int
 (** Active (not yet granted/failed) negotiations. *)

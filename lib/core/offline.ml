@@ -609,7 +609,6 @@ let decide t ctx =
 (* --- derived views ------------------------------------------------------ *)
 
 let surviving_grants t = (force t).s_grants
-let policy t = Option.map (fun (_, compiled) -> Compiled.source compiled) (force t).s_policy
 let conflicts t = (force t).s_conflicts
 
 let state_digest t =

@@ -203,9 +203,6 @@ val state_digest : t -> string
 val surviving_grants : t -> (string * string * string) list
 (** [(subject, attr, value)] after deny-wins replay, sorted. *)
 
-val policy : t -> Dacs_policy.Policy.child option
-(** The adopted (latest in total order) published policy. *)
-
 val conflicts : t -> conflict list
 
 val on_invalidate : t -> (string -> unit) -> unit
@@ -214,8 +211,6 @@ val on_invalidate : t -> (string -> unit) -> unit
     purges.  Hooks accumulate; each fires at most once per (author, seq). *)
 
 (** {1 RPC sync (Wire log-sync frames)} *)
-
-val service_name : string
 
 val serve : t -> Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> unit
 (** Answer {!Wire.log_sync_request} frames on [node] with the suffix the

@@ -23,14 +23,11 @@ type t = {
   mutable update_filter : Policy.child -> bool;
   mutable update_transform : Policy.child -> Policy.child;
   mutable last_region : Dacs_policy.Delta.t;
-  mutable on_region : Dacs_policy.Delta.t -> unit;
 }
 
 let node t = t.node
-let name t = t.name
 let version t = t.version
 let current t = t.root
-let compiled t = t.compiled
 let compilation_epoch t = match t.compiled with None -> 0 | Some c -> Compiled.epoch c
 let subscribers t = t.subscribers
 
@@ -38,7 +35,6 @@ let set_admin_policy t p = t.admin_policy <- Some p
 let set_update_filter t f = t.update_filter <- f
 let set_update_transform t f = t.update_transform <- f
 let last_region t = t.last_region
-let on_publish_region t f = t.on_region <- f
 
 let queries_served t = Metrics.counter_value t.c_queries
 let updates_accepted t = Metrics.counter_value t.c_accepted
@@ -86,7 +82,6 @@ let accept_update t child =
      compilation epoch), a bounded edit yields the zones the
      invalidation plane purges instead of flushing VO-wide. *)
   t.last_region <- Dacs_policy.Delta.between before (Some child);
-  t.on_region t.last_region;
   push_to_subscribers t
 
 let publish t child = accept_update t child
@@ -122,7 +117,6 @@ let create services ~node ~name ?admin_policy ?root () =
       update_filter = (fun _ -> true);
       update_transform = (fun c -> c);
       last_region = Dacs_policy.Delta.empty;
-      on_region = (fun _ -> ());
     }
   in
   Service.serve services ~node ~service:"policy-query" (fun ~caller:_ ~headers:_ body reply ->

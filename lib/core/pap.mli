@@ -27,36 +27,24 @@ val create :
     only). *)
 
 val node : t -> Dacs_net.Net.node_id
-val name : t -> string
 val version : t -> int
 val current : t -> Dacs_policy.Policy.child option
 
-val compiled : t -> Dacs_policy.Compiled.t option
-(** The compiled form of {!current}, maintained incrementally across
-    publishes: an accepted update recompiles only the leaf policies that
-    actually changed (see {!Dacs_policy.Compiled.recompile}). *)
-
 val compilation_epoch : t -> int
-(** Epoch of {!compiled}; 0 when no policy is stored.  Bumped by every
+(** Epoch of the compiled policy; 0 when no policy is stored.  Bumped by every
     accepted update that changed the tree, preserved by no-op
     publishes. *)
 
 val publish : t -> Dacs_policy.Policy.child -> unit
 (** Local administrative action: replace the policy, bump the version,
     push to subscribers.  Also computes the change-impact region of the
-    publish (see {!Delta.between}) — available as {!last_region} and
-    delivered to the {!on_publish_region} hook — so the invalidation
-    plane can purge only affected cache entries. *)
+    publish (see {!Delta.between}) — available as {!last_region}, which
+    the invalidation plane reads to purge only affected cache entries. *)
 
 val last_region : t -> Dacs_policy.Delta.t
 (** The change-impact region of the most recent accepted update
     (local {!publish}, remote [policy-update], or anti-entropy pull);
     {!Delta.empty} before the first one. *)
-
-val on_publish_region : t -> (Dacs_policy.Delta.t -> unit) -> unit
-(** Hook run after every accepted update with its change-impact region —
-    where a VO or domain wires region syndication into its cache
-    hierarchy. *)
 
 val lookup : t -> string -> Dacs_policy.Policy.child option
 (** Resolve a policy id inside the stored tree (for policy references):

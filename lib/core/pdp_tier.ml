@@ -88,7 +88,6 @@ type t = {
   states : (Dacs_net.Net.node_id, shard_state) Hashtbl.t;
 }
 
-let node t = t.node
 let shards t = t.shards
 let tracer t = Service.tracer t.services
 

@@ -73,7 +73,6 @@ val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
     PDP response: ...") from the shard that sent it — the PEP denies
     it, and the shard is not failed over. *)
 
-val node : t -> Dacs_net.Net.node_id
 val shards : t -> Dacs_net.Net.node_id list
 
 val set_shards : t -> Dacs_net.Net.node_id list -> unit

@@ -230,7 +230,6 @@ let invalidate_region t region =
   | Pull _ | Sharded _ | Push _ | Agent _ -> 0
 
 let set_l2 t l2 = t.l2 <- l2
-let l2 t = t.l2
 
 let set_admission t a =
   (match a with
@@ -272,7 +271,6 @@ let set_stale_window t window =
   t.stale_window <- window
 
 let set_offline_replica t o = t.offline <- o
-let offline_replica t = t.offline
 
 let set_pull_pdps t pdps =
   match t.mode with

@@ -111,8 +111,6 @@ val set_l2 : t -> Dacs_net.Net.node_id option -> unit
     tier, warm L1 from its hits, and publish live decisions back to it.
     An unreachable L2 degrades to a miss, never a failure. *)
 
-val l2 : t -> Dacs_net.Net.node_id option
-
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** Pull and sharded modes: from now on, accept only decision responses
     signed by a PDP whose certificate chains to the given trust store
@@ -190,8 +188,6 @@ val set_offline_replica : t -> Offline.t option -> unit
     on heal retroactively invalidates any the converged state
     contradicts.  An offline Indeterminate falls through to fail-closed
     and is never logged.  [None] (the default) removes the rung. *)
-
-val offline_replica : t -> Offline.t option
 
 (** {1 Statistics} *)
 

@@ -9,7 +9,6 @@
     versions, PDP statistics, per-PEP enforcement counters, audit volumes
     — into one human-readable report for a domain or a whole VO. *)
 
-val domain : Domain.t -> string
 val vo : Vo.t -> string
 (** The VO report includes every member domain, the consolidated audit
     summary (grants/denies per domain) and the telemetry section. *)

@@ -610,7 +610,6 @@ let write_log_event buf ~signed ev =
     ev.le_fields;
   Buffer.add_string buf "</LogEvent>"
 
-let log_event_unsigned ev = to_tree (fun buf -> write_log_event buf ~signed:false ev)
 let log_event ev = to_tree (fun buf -> write_log_event buf ~signed:true ev)
 
 let parse_log_event node =
@@ -664,8 +663,6 @@ let write_log_sync_response buf ~head events =
     Buffer.add_char buf '>';
     List.iter (write_log_event buf ~signed:true) events;
     Buffer.add_string buf "</LogSyncResponse>"
-
-let log_sync_response ~head events = to_tree (fun buf -> write_log_sync_response buf ~head events)
 
 let parse_log_sync_response node =
   let* () = expect_tag node "LogSyncResponse" in

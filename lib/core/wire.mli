@@ -207,10 +207,6 @@ val log_event : log_event -> Xml.t
 
 val parse_log_event : Xml.t -> (log_event, string) result
 
-val log_event_unsigned : log_event -> Xml.t
-(** The canonical element as a tree: {!write_log_event}'s unsigned
-    bytes, parsed. *)
-
 val log_sync_request : frontier:(string * int) list -> Xml.t
 (** Anti-entropy poll: "this is my frontier — send what I lack." *)
 
@@ -219,9 +215,6 @@ val parse_log_sync_request : Xml.t -> ((string * int) list, string) result
 val write_log_sync_response : Buffer.t -> head:string -> log_event list -> unit
 (** [head] is the responder's own chain head (raw bytes), an integrity
     cross-check for the requester; each event is written signed. *)
-
-val log_sync_response : head:string -> log_event list -> Xml.t
-(** {!write_log_sync_response}'s bytes, parsed. *)
 
 val parse_log_sync_response : Xml.t -> (string * log_event list, string) result
 

@@ -254,7 +254,6 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let modpow b e m =
@@ -362,8 +361,6 @@ let to_decimal a =
     in
     String.concat "" (go a [])
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)
 
 let random_bits rng n =
   if n < 0 then invalid_arg "Bignum.random_bits";

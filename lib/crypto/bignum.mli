@@ -25,8 +25,6 @@ val is_even : t -> bool
 val num_bits : t -> int
 (** Position of the highest set bit plus one; [num_bits zero = 0]. *)
 
-val testbit : t -> int -> bool
-
 (** {1 Arithmetic} *)
 
 val add : t -> t -> t
@@ -40,7 +38,6 @@ val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [r < b].
     @raise Division_by_zero when [b] is zero. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val shift_left : t -> int -> t
@@ -80,9 +77,6 @@ val of_decimal : string -> t
 (** @raise Invalid_argument on non-digit characters or empty input. *)
 
 val to_decimal : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** Decimal rendering. *)
 
 (** {1 Random values} *)
 

@@ -129,14 +129,6 @@ module Trust_store = struct
     | Untrusted_root of string
     | Broken_chain of string * string
 
-  let failure_to_string = function
-    | Empty_chain -> "empty certificate chain"
-    | Expired s -> Printf.sprintf "certificate for %s is outside its validity window" s
-    | Bad_signature s -> Printf.sprintf "signature on certificate for %s does not verify" s
-    | Untrusted_root s -> Printf.sprintf "chain root %s is not in the trust store" s
-    | Broken_chain (issuer, subject) ->
-      Printf.sprintf "certificate issued by %s does not chain to %s" issuer subject
-
   let verify_chain store ~now chain =
     match chain with
     | [] -> Error Empty_chain

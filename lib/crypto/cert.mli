@@ -18,9 +18,6 @@ type t = {
 val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> t option
 
-val tbs_string : t -> string
-(** Canonical "to-be-signed" serialisation (everything but the signature). *)
-
 val fingerprint : t -> string
 (** Hex SHA-256 over the full canonical certificate. *)
 
@@ -63,8 +60,6 @@ module Trust_store : sig
     | Bad_signature of string
     | Untrusted_root of string
     | Broken_chain of string * string  (** issuer/subject mismatch *)
-
-  val failure_to_string : failure -> string
 
   val verify_chain : t -> now:float -> cert list -> (unit, failure) result
   (** [verify_chain store ~now chain] checks a leaf-to-root chain: each

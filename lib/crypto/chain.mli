@@ -16,18 +16,6 @@ val extend : prev:string -> string -> string
 (** [extend ~prev payload] is the 32-byte digest of the chain ending in
     [payload], given the previous link's digest. *)
 
-val chain : prev:string -> string list -> string list
-(** Digest of every prefix: [chain ~prev [p1; p2; ...]] is
-    [[d1; d2; ...]] with [d1 = extend ~prev p1],
-    [d2 = extend ~prev:d1 p2], ... *)
-
-val verify : prev:string -> (string * string) list -> (string, int) result
-(** [verify ~prev segment] checks a [(payload, claimed_digest)] segment
-    link by link.  [Ok head] is the digest of the last link; [Error i] is
-    the 0-based index of the first link whose claimed digest does not
-    equal the recomputation — which is where a mutation, reordering or
-    splice becomes visible.  The empty segment verifies to [Ok prev]. *)
-
 val short : string -> string
 (** First 6 bytes of a digest, hex-encoded — the human-readable "log
     head" rendering carried in provenance records. *)

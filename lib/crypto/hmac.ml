@@ -10,8 +10,6 @@ let sha256 ~key msg =
   let key = if String.length key > block_size then Sha256.digest key else key in
   Sha256.digest2 (pad key 0x5C) (Sha256.digest2 (pad key 0x36) msg)
 
-let sha256_hex ~key msg = Encoding.hex_encode (sha256 ~key msg)
-
 let verify ~key msg ~tag =
   let expected = sha256 ~key msg in
   if String.length expected <> String.length tag then false

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step: solid statistical quality, trivially seedable, and the
    whole library stays deterministic under a single integer seed. *)
 let next_int64 t =
@@ -43,15 +41,3 @@ let bytes t n =
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
-
-let shuffle t xs =
-  let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a
-
-let split t = create (next_int64 t)

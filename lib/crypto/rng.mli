@@ -9,9 +9,6 @@ type t
 val create : int64 -> t
 (** Generator seeded with the given value. *)
 
-val copy : t -> t
-(** Independent clone with the same current state. *)
-
 val next_int64 : t -> int64
 (** Uniform over all 2{^64} values. *)
 
@@ -23,17 +20,8 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val bits : t -> int -> int
-(** [bits t n] is an [n]-bit non-negative integer, [1 <= n <= 62]. *)
-
 val bytes : t -> int -> string
 (** [bytes t n] is an [n]-byte random string. *)
 
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. @raise Invalid_argument on []. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** Derive an independent generator (for isolating subsystems). *)

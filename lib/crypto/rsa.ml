@@ -67,44 +67,6 @@ let verify pub msg ~signature =
     Bignum.equal m expected
   end
 
-(* --- encryption ------------------------------------------------------ *)
-
-let max_plaintext pub = key_bytes pub - 11
-
-let encrypt rng pub msg =
-  let k = key_bytes pub in
-  let ml = String.length msg in
-  if ml > k - 11 then invalid_arg "Rsa.encrypt: message too long";
-  let pad_len = k - ml - 3 in
-  let padding =
-    String.init pad_len (fun _ ->
-        (* Non-zero random padding bytes. *)
-        Char.chr (1 + Rng.int rng 255))
-  in
-  let block = "\x00\x02" ^ padding ^ "\x00" ^ msg in
-  let m = Bignum.of_bytes_be block in
-  let c = Bignum.modpow m pub.e pub.n in
-  Bignum.to_bytes_be_padded c k
-
-let decrypt key cipher =
-  let k = key_bytes key.pub in
-  if String.length cipher <> k then None
-  else begin
-    let c = Bignum.of_bytes_be cipher in
-    if Bignum.compare c key.pub.n >= 0 then None
-    else begin
-      let m = Bignum.modpow c key.d key.pub.n in
-      let block = Bignum.to_bytes_be_padded m k in
-      if String.length block < 11 || block.[0] <> '\x00' || block.[1] <> '\x02' then None
-      else begin
-        match String.index_from_opt block 2 '\x00' with
-        | None -> None
-        | Some sep when sep < 10 -> None (* at least 8 padding bytes *)
-        | Some sep -> Some (String.sub block (sep + 1) (String.length block - sep - 1))
-      end
-    end
-  end
-
 (* --- serialisation ---------------------------------------------------- *)
 
 module Xml = Dacs_xml.Xml
@@ -123,5 +85,3 @@ let public_of_xml node =
     try Some { n = Bignum.of_hex (Xml.text_content m); e = Bignum.of_hex (Xml.text_content e) }
     with Invalid_argument _ -> None)
   | _ -> None
-
-let fingerprint pub = Sha256.hex_digest (Xml.canonical_string (public_to_xml pub))

@@ -1,4 +1,4 @@
-(** RSA signatures and encryption over {!Bignum}.
+(** RSA signatures over {!Bignum}.
 
     Real textbook-RSA with PKCS#1-style padding, at simulator-scale key
     sizes (256–1024 bits).  DESIGN.md records the substitution: the paper's
@@ -32,19 +32,7 @@ val sign : private_key -> string -> string
 
 val verify : public_key -> string -> signature:string -> bool
 
-(** {1 Block encryption (PKCS#1 v1.5-style random padding)} *)
-
-val encrypt : Rng.t -> public_key -> string -> string
-(** @raise Invalid_argument when the plaintext exceeds [key_bytes - 11]. *)
-
-val decrypt : private_key -> string -> string option
-(** [None] on padding failure. *)
-
-val max_plaintext : public_key -> int
-
 (** {1 Key serialisation} *)
 
 val public_to_xml : public_key -> Dacs_xml.Xml.t
 val public_of_xml : Dacs_xml.Xml.t -> public_key option
-val fingerprint : public_key -> string
-(** Hex SHA-256 of the canonical public key encoding. *)

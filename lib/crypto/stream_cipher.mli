@@ -5,9 +5,6 @@
     encrypt/decrypt symmetry.  [encrypt] and [decrypt] are the same XOR
     operation once the nonce is fixed. *)
 
-val key_bytes : int
-(** Required key length (32). *)
-
 val nonce_bytes : int
 (** Nonce length prepended to ciphertexts (16). *)
 

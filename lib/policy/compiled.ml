@@ -367,7 +367,6 @@ let fold_leaves f acc t =
   go acc t.node
 
 let rule_count t = fold_leaves (fun acc leaf -> acc + Array.length leaf.prules) 0 t
-let leaf_count t = fold_leaves (fun acc _ -> acc + 1) 0 t
 
 let bucket_count t =
   fold_leaves

@@ -57,9 +57,6 @@ val rule_count : t -> int
 (** Total rules across all compiled leaves ([Policy_ref] children count
     0 — they are resolved dynamically at evaluation time). *)
 
-val leaf_count : t -> int
-(** Inline leaf policies compiled. *)
-
 val bucket_count : t -> int
 (** Indexed buckets across all leaves (pair, resource-only and
     action-only buckets). *)
@@ -85,11 +82,6 @@ val pruned_rules : t -> Context.t -> Rule.t list
     for {!Delta}'s change-impact analysis, which must exclude requests
     from an affected region under exactly the same conditions dispatch
     prunes rules. *)
-
-val section_axis_values : string -> Target.section -> string list option
-(** The values a target section accepts for an attribute, when every
-    clause pins it with [string-equal] on a string literal; [None] when
-    some clause leaves it free (or the section is empty). *)
 
 val section_guards : Target.section -> (Context.category * string) list option
 (** The (category, attribute) positions a section reads, when every

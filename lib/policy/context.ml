@@ -45,8 +45,6 @@ let attributes t category =
 
 let iter t f = Attr_map.iter (fun (cat, id) values -> f cat id values) t
 
-let merge a b = Attr_map.fold (fun (cat, id) values acc -> add_bag acc cat id values) b a
-
 let make ?(subject = []) ?(resource = []) ?(action = []) ?(environment = []) () =
   let add_all cat t pairs = List.fold_left (fun t (id, v) -> add t cat id v) t pairs in
   empty
@@ -62,8 +60,6 @@ let first_string t category id =
   | _ -> None
 
 let subject_id t = first_string t Subject "subject-id"
-let resource_id t = first_string t Resource "resource-id"
-let action_id t = first_string t Action "action-id"
 
 (* The Request element: one section per category in [all_categories]
    order — the order of the map's keys — each holding one Attribute per

@@ -30,9 +30,6 @@ val iter : t -> (category -> string -> Value.bag -> unit) -> unit
     building the intermediate lists of {!attributes} — the traversal the
     hot request-key builder uses. *)
 
-val merge : t -> t -> t
-(** Union of attribute bags (right side appended). *)
-
 (** {1 Convenience constructors} *)
 
 val make :
@@ -45,9 +42,6 @@ val make :
 
 val subject_id : t -> string option
 (** The conventional ["subject-id"] attribute, when present. *)
-
-val resource_id : t -> string option
-val action_id : t -> string option
 
 (** {1 XML encoding} *)
 

@@ -27,12 +27,6 @@ let normalize = function
     if List.length zs > max_zones then Unbounded else Zones zs
   | t -> t
 
-let union a b =
-  match (a, b) with
-  | Unbounded, _ | _, Unbounded -> Unbounded
-  | Empty, t | t, Empty -> t
-  | Zones xs, Zones ys -> normalize (Zones (xs @ ys))
-
 (* --- pin harvesting ------------------------------------------------------ *)
 
 (* The values a clause pins for (category, attr) via string-equal on a

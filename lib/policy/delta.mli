@@ -20,9 +20,10 @@
     publish, and every combining algorithm sees identical inputs.
 
     The analysis never errs toward exclusion: structure it cannot bound
-    (changed [Policy_ref] wiring, free-form targets, more than
-    {!max_zones} zones) widens to {!Unbounded}, which callers treat as
-    the existing full flush. *)
+    (changed [Policy_ref] wiring, free-form targets, more than 64 zones)
+    widens to {!Unbounded}, which callers treat as the existing full
+    flush; past 64 zones a flush is cheaper than testing every key
+    against each zone. *)
 
 type pin = {
   pin_category : Context.category;
@@ -52,21 +53,11 @@ type t =
 val empty : t
 val unbounded : t
 
-val max_zones : int
-(** Zone-count cap: a region wider than this collapses to {!Unbounded}
-    (a full flush is cheaper than testing every key against dozens of
-    zones). *)
-
 val is_empty : t -> bool
 val is_unbounded : t -> bool
 
 val zone_count : t -> int
 (** 0 for {!Empty}; number of zones; [max_int] for {!Unbounded}. *)
-
-val union : t -> t -> t
-(** Region union; {!Empty} is the identity, {!Unbounded} absorbs, and
-    the result is renormalised (zones deduplicated, {!max_zones}
-    enforced). *)
 
 val between : Policy.child option -> Policy.child option -> t
 (** [between before after]: the affected region of a publish replacing
@@ -90,5 +81,4 @@ val attributes : t -> (Context.category * string) list
     an {!Unbounded}-averse attribute cache drops.  Empty for {!Empty}
     and for {!Unbounded} (callers must special-case the latter). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -353,9 +353,6 @@ let higher_order = [ "any-of"; "all-of"; "any-of-any"; "all-of-any"; "any-of-all
 
 let known_function name = Hashtbl.mem registry name || List.mem name higher_order
 
-let function_names () =
-  Hashtbl.fold (fun name _ acc -> name :: acc) registry higher_order |> List.sort compare
-
 let function_arity name =
   match Hashtbl.find_opt registry name with
   | Some impl -> Some impl.arity
@@ -651,14 +648,11 @@ let str s = Const (Value.String s)
 let int i = Const (Value.Int i)
 let bool b = Const (Value.Bool b)
 let time t = Const (Value.Time t)
-let uri u = Const (Value.Uri u)
 
 let attr category ?(must_be_present = false) attribute_id =
   Designator { category; attribute_id; must_be_present }
 
 let subject_attr ?must_be_present id = attr Context.Subject ?must_be_present id
-let resource_attr ?must_be_present id = attr Context.Resource ?must_be_present id
-let action_attr ?must_be_present id = attr Context.Action ?must_be_present id
 let environment_attr ?must_be_present id = attr Context.Environment ?must_be_present id
 
 let one_of designator values =
@@ -667,17 +661,3 @@ let one_of designator values =
       List.map
         (fun v -> Apply ("any-of", [ Function_ref "string-equal"; str v; designator ]))
         values )
-
-let rec pp fmt = function
-  | Const v -> Value.pp fmt v
-  | Designator d ->
-    Format.fprintf fmt "%s/%s%s"
-      (Context.category_name d.category)
-      d.attribute_id
-      (if d.must_be_present then "!" else "")
-  | Function_ref f -> Format.fprintf fmt "&%s" f
-  | Variable_ref v -> Format.fprintf fmt "$%s" v
-  | Apply (name, args) ->
-    Format.fprintf fmt "%s(%a)" name
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp)
-      args

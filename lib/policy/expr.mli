@@ -48,7 +48,6 @@ val eval_condition : ?resolve:resolver -> Context.t -> t -> (bool, error) result
 (** {1 The function registry} *)
 
 val known_function : string -> bool
-val function_names : unit -> string list
 val function_arity : string -> int option option
 (** [None] if unknown; [Some None] if variadic; [Some (Some n)] fixed. *)
 
@@ -78,14 +77,9 @@ val str : string -> t
 val int : int -> t
 val bool : bool -> t
 val time : float -> t
-val uri : string -> t
 val subject_attr : ?must_be_present:bool -> string -> t
-val resource_attr : ?must_be_present:bool -> string -> t
-val action_attr : ?must_be_present:bool -> string -> t
 val environment_attr : ?must_be_present:bool -> string -> t
 
 val one_of : t -> string list -> t
 (** [one_of designator values]: true when some attribute value equals one
     of the given strings ([any-of] over [string-equal]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -132,7 +132,3 @@ and applicability ?resolve ?resolve_ref ctx child =
       | Some resolved -> applicability ?resolve ?resolve_ref ctx resolved))
 
 let rule_count p = List.length p.rules
-
-let pp fmt p =
-  Format.fprintf fmt "policy %s v%d (%s, %d rules)" p.id p.version
-    (Combine.name p.rule_combining) (List.length p.rules)

@@ -79,4 +79,3 @@ val applicability : ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Conte
 (** {1 Inspection} *)
 
 val rule_count : t -> int
-val pp : Format.formatter -> t -> unit

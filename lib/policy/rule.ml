@@ -33,7 +33,3 @@ let evaluate ?resolve ctx rule =
       | Error e ->
         Decision.indeterminate
           (Printf.sprintf "rule %s condition: %s" rule.id (Expr.error_to_string e))))
-
-let pp fmt rule =
-  Format.fprintf fmt "rule %s -> %s" rule.id
-    (match rule.effect with Permit -> "Permit" | Deny -> "Deny")

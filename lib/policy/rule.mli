@@ -22,4 +22,3 @@ val evaluate : ?resolve:Expr.resolver -> Context.t -> t -> Decision.result
     errors → Indeterminate; otherwise the rule's effect. *)
 
 val effect_decision : effect -> Decision.t
-val pp : Format.formatter -> t -> unit

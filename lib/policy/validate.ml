@@ -123,8 +123,6 @@ and check_child = function
   | Policy.Inline_set s -> check_set s
   | Policy.Policy_ref _ -> []
 
-let is_valid child = check_child child = []
-
 let shadowed_rules (p : Policy.t) =
   if p.Policy.rule_combining <> Combine.First_applicable then []
   else begin

@@ -17,8 +17,6 @@ val check_set : Policy.set -> problem list
 
 val check_child : Policy.child -> problem list
 
-val is_valid : Policy.child -> bool
-
 val shadowed_rules : Policy.t -> (string * string) list
 (** Unreachable-rule lint for [first-applicable] policies: pairs
     [(shadowing rule id, shadowed rule id)] where an earlier,

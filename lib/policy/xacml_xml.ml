@@ -506,5 +506,4 @@ let result_to_string r = written write_result r
 
 let result_of_string s = Cursor.parse s read_result
 
-let request_to_string = Context.to_string
 let request_of_string = Context.of_string

@@ -11,19 +11,10 @@ val expr_of_xml : Dacs_xml.Xml.t -> (Expr.t, string) result
 
 (** {1 Targets} *)
 
-val target_to_xml : Target.t -> Dacs_xml.Xml.t
-val target_of_xml : Dacs_xml.Xml.t -> (Target.t, string) result
-
 (** {1 Rules, policies, policy sets} *)
-
-val rule_to_xml : Rule.t -> Dacs_xml.Xml.t
-val rule_of_xml : Dacs_xml.Xml.t -> (Rule.t, string) result
 
 val policy_to_xml : Policy.t -> Dacs_xml.Xml.t
 val policy_of_xml : Dacs_xml.Xml.t -> (Policy.t, string) result
-
-val set_to_xml : Policy.set -> Dacs_xml.Xml.t
-val set_of_xml : Dacs_xml.Xml.t -> (Policy.set, string) result
 
 val child_to_xml : Policy.child -> Dacs_xml.Xml.t
 val child_of_xml : Dacs_xml.Xml.t -> (Policy.child, string) result
@@ -31,12 +22,6 @@ val child_of_xml : Dacs_xml.Xml.t -> (Policy.child, string) result
     [PolicyIdReference]. *)
 
 (** {1 Obligations} *)
-
-val obligation_to_xml : Obligation.t -> Dacs_xml.Xml.t
-val obligation_of_xml : Dacs_xml.Xml.t -> (Obligation.t, string) result
-(** The tree codec of obligations in policy documents; a decision's
-    obligations are written and read by {!write_result} and
-    {!read_result}. *)
 
 (** {1 Decisions} *)
 
@@ -64,5 +49,4 @@ val child_to_string : Policy.child -> string
 val child_of_string : string -> (Policy.child, string) result
 val result_to_string : Decision.result -> string
 val result_of_string : string -> (Decision.result, string) result
-val request_to_string : Context.t -> string
 val request_of_string : string -> (Context.t, string) result

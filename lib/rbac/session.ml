@@ -4,8 +4,6 @@ type t = { user : Rbac.user; active : String_set.t }
 
 let create _model user = { user; active = String_set.empty }
 
-let user t = t.user
-
 let active_roles t = String_set.elements t.active
 
 (* Active roles plus everything they inherit: DSD must consider the

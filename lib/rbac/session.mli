@@ -10,7 +10,6 @@ type t
 val create : Rbac.t -> Rbac.user -> t
 (** A session with no active roles. *)
 
-val user : t -> Rbac.user
 val active_roles : t -> Rbac.role list
 
 val activate : Rbac.t -> t -> Rbac.role -> (t, string) result
@@ -18,8 +17,5 @@ val activate : Rbac.t -> t -> Rbac.role -> (t, string) result
     would violate a DSD constraint (inherited roles count as active). *)
 
 val deactivate : t -> Rbac.role -> t
-
-val permissions : Rbac.t -> t -> Rbac.permission list
-(** Permissions of the active roles only. *)
 
 val check_access : Rbac.t -> t -> action:string -> resource:string -> bool

@@ -168,6 +168,16 @@ let statement_of_xml node =
   | "SignatureValue" -> Ok None
   | other -> Error (Printf.sprintf "unexpected assertion child <%s>" other)
 
+(* Peer bytes: a SignatureValue that is not base64 rejects the whole
+   assertion instead of raising out of the decoder. *)
+let signature_of_xml node =
+  match Xml.find_child node "SignatureValue" with
+  | None -> Ok None
+  | Some n -> (
+    match Dacs_crypto.Encoding.base64_decode (Xml.text_content n) with
+    | signature -> Ok (Some signature)
+    | exception Invalid_argument _ -> Error "malformed SignatureValue")
+
 let of_xml node =
   if Xml.local_name (Xml.tag node) <> "Assertion" then Error "expected an Assertion element"
   else begin
@@ -194,11 +204,7 @@ let of_xml node =
       in
       let children = List.filter Xml.is_element (Xml.children node) in
       let* statements = statements_of [] children in
-      let signature =
-        Option.map
-          (fun n -> Dacs_crypto.Encoding.base64_decode (Xml.text_content n))
-          (Xml.find_child node "SignatureValue")
-      in
+      let* signature = signature_of_xml node in
       Ok { id; issuer; subject; issued_at; not_before; not_on_or_after; statements; signature }
     | _ -> Error "Assertion has malformed timestamps"
   end

@@ -76,3 +76,8 @@ val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
+
+val signature_of_xml : Dacs_xml.Xml.t -> (string option, string) result
+(** The decoded [SignatureValue] child of a capability element, which
+    {!Attribute_cert} reads too; [Error] when it is not base64, so a
+    hostile header is rejected rather than raised. *)

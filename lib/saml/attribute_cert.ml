@@ -120,11 +120,7 @@ let of_xml node =
           in
           go [] (Xml.find_children ext "AuthorizationDecision")
       in
-      let signature =
-        Option.map
-          (fun n -> Dacs_crypto.Encoding.base64_decode (Xml.text_content n))
-          (Xml.find_child node "SignatureValue")
-      in
+      let* signature = Assertion.signature_of_xml node in
       let statements =
         (match attrs with [] -> [] | attrs -> [ Assertion.Attribute_statement attrs ]) @ decisions
       in

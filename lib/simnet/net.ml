@@ -147,7 +147,6 @@ let sorted_stats table =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
 
 let stats_by_category t = sorted_stats t.sent
-let delivered_by_category t = sorted_stats t.delivered
 
 let total table =
   Hashtbl.fold (fun _ s acc -> { count = acc.count + s.count; bytes = acc.bytes + s.bytes })

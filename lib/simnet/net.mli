@@ -95,7 +95,6 @@ type stat = { count : int; bytes : int }
 val stats_by_category : t -> (string * stat) list
 (** Messages {e sent} per category (sorted by category). *)
 
-val delivered_by_category : t -> (string * stat) list
 val total_sent : t -> stat
 val total_delivered : t -> stat
 val dropped_count : t -> int

@@ -32,11 +32,6 @@ let default_breaker = { failure_threshold = 5; cooldown = 2.0 }
 
 type breaker_state = Closed | Open | Half_open
 
-let breaker_state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 (* Everything the bus keeps per target node: its breaker and the
    liveness evidence a failure detector reads.  [heard] holds one float
    — the instant the last reply or error frame arrived from the target,

@@ -88,8 +88,6 @@ val default_breaker : breaker_config
 
 type breaker_state = Closed | Open | Half_open
 
-val breaker_state_to_string : breaker_state -> string
-
 val set_breaker : t -> breaker_config option -> unit
 (** Reconfigure ([Some cfg]) or disable ([None]) circuit breaking for
     resilient calls on this bus; a bus starts with

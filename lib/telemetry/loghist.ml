@@ -25,7 +25,8 @@ let index t v =
   end
 
 let observe t v =
-  t.counts.(index t v) <- t.counts.(index t v) + 1;
+  let i = index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum +. v;
   if v > t.max_seen then t.max_seen <- v

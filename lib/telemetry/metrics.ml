@@ -32,8 +32,6 @@ let create ?(now = fun () -> 0.0) () =
 
 let lookups t = t.lookups
 
-let now t = t.now ()
-
 let valid_name name =
   name <> ""
   && (match name.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
@@ -87,8 +85,6 @@ let gauge t ?(help = "") ?(labels = []) name =
     ~cast:(function I_gauge g -> g | I_counter _ | I_histogram _ -> assert false)
 
 let set_gauge gauge v = gauge.g <- v
-let add_gauge gauge v = gauge.g <- gauge.g +. v
-let gauge_value gauge = gauge.g
 
 let default_latency_buckets =
   [ 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0 ]
@@ -118,18 +114,14 @@ let bucket_slot h v =
   let rec slot i = if i >= n then n else if v <= h.bounds.(i) then i else slot (i + 1) in
   slot 0
 
-let observe h v =
-  let i = bucket_slot h v in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.sum <- h.sum +. v;
-  h.count <- h.count + 1
-
 let observe_exemplar h v ~trace ~at =
   let i = bucket_slot h v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.sum <- h.sum +. v;
   h.count <- h.count + 1;
   if trace <> "" then h.exemplars.(i) <- Some { e_value = v; e_trace = trace; e_at = at }
+
+let observe h v = observe_exemplar h v ~trace:"" ~at:0.0
 
 let histogram_count h = h.count
 let histogram_sum h = h.sum

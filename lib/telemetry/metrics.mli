@@ -17,8 +17,6 @@ val create : ?now:(unit -> float) -> unit -> t
 (** [now] (default: a constant 0) timestamps exposition samples.  Wire it
     to the simulation clock. *)
 
-val now : t -> float
-
 (** {1 Instruments}
 
     Metric names must match [[a-zA-Z_:][a-zA-Z0-9_:]*].  Label lists are
@@ -39,18 +37,14 @@ val counter_value : counter -> int
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val add_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val default_latency_buckets : float list
-(** 1 ms … 10 s, roughly exponential — sized for simulated network hops. *)
 
 val histogram :
   t -> ?help:string -> ?labels:(string * string) list -> ?buckets:float list -> string -> histogram
-(** [buckets] (default {!default_latency_buckets}) are the upper bounds
-    of the fixed buckets and must be strictly increasing; an implicit
-    [+Inf] bucket always exists.  For an already-registered series the
-    existing buckets win. *)
+(** [buckets] (default 1 ms … 10 s, roughly exponential — sized for
+    simulated network hops) are the upper bounds of the fixed buckets
+    and must be strictly increasing; an implicit [+Inf] bucket always
+    exists.  For an already-registered series the existing buckets
+    win. *)
 
 val observe : histogram -> float -> unit
 (** A value lands in the first bucket whose upper bound is [>= v]
@@ -90,7 +84,6 @@ val quantile : histogram -> float -> float
 
 val reset : t -> unit
 val reset_counter : counter -> unit
-val reset_gauge : gauge -> unit
 val reset_histogram : histogram -> unit
 
 (** {1 Snapshot and exposition} *)

@@ -38,8 +38,6 @@ let create ?(objective = default_objective) ~now () =
     ring = Array.init slices (fun _ -> { id = -1; total = 0; ok = 0; fast = 0 });
   }
 
-let objective t = t.objective
-
 let slice_id t at = int_of_float (Float.floor (at /. t.width))
 
 let slice_at t at =
@@ -109,23 +107,3 @@ let status t =
     availability_met = availability >= t.objective.availability_target;
     latency_met = latency_compliance >= t.objective.latency_target;
   }
-
-let pct v = Printf.sprintf "%.3f%%" (v *. 100.0)
-
-let burn_str v = if v = infinity then "inf" else Printf.sprintf "%.2fx" v
-
-let render t =
-  let s = status t in
-  let o = t.objective in
-  let buf = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (str ^ "\n")) fmt in
-  line "slo (window %.0fs, %d decisions):" o.window s.total;
-  line "  availability: %s served (target %s)  burn %s  %s" (pct s.availability)
-    (pct o.availability_target)
-    (burn_str s.availability_burn)
-    (if s.availability_met then "OK" else "VIOLATED");
-  line "  latency <= %gs: %s (target %s)  burn %s  %s" o.latency_threshold
-    (pct s.latency_compliance) (pct o.latency_target)
-    (burn_str s.latency_burn)
-    (if s.latency_met then "OK" else "VIOLATED");
-  Buffer.contents buf

@@ -32,8 +32,6 @@ val create : ?objective:objective -> now:(unit -> float) -> unit -> t
     [Invalid_argument] on a non-positive window, targets outside [0, 1]
     or a negative threshold. *)
 
-val objective : t -> objective
-
 val record : t -> ok:bool -> latency:float -> unit
 (** Account one decision at the current virtual time.  [ok] means the
     decision was served (not failed closed); [latency] is its end-to-end
@@ -56,7 +54,3 @@ type status = {
 
 val status : t -> status
 (** The window ending now. *)
-
-val render : t -> string
-(** Three-line human summary of {!status} — deterministic for a given
-    seed. *)

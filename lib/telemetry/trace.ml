@@ -142,8 +142,6 @@ let view s =
     v_events = List.rev s.s_events;
   }
 
-let spans t = List.map view (in_order t)
-
 let span_count t = List.length t.recorded
 
 let trace_ids t =
@@ -188,13 +186,6 @@ let critical_path ?trace_id t =
         walk (s :: acc) last
     in
     (match root with None -> [] | Some r -> List.map view (walk [] r))
-
-let clear t =
-  t.recorded <- [];
-  t.globals <- [];
-  t.cur <- None;
-  t.seq <- 0;
-  Hashtbl.reset t.by_id
 
 (* --- propagation -------------------------------------------------------- *)
 

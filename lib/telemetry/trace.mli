@@ -50,9 +50,6 @@ val annotate : span -> string -> string -> unit
 val set_status : span -> status -> unit
 (** Default status is [Span_ok]. *)
 
-val add_event : t -> span -> string -> unit
-(** Timestamped point event inside the span (e.g. ["cache-hit"]). *)
-
 val finish : t -> span -> unit
 (** Stamp the end time.  Idempotent; the first finish wins. *)
 
@@ -75,24 +72,15 @@ type span_view = {
   v_events : (float * string) list;
 }
 
-val spans : t -> span_view list
-(** All recorded spans in start order. *)
-
 val span_count : t -> int
 val trace_ids : t -> int64 list
 (** Distinct trace ids in order of first appearance. *)
-
-val global_events : t -> (float * string) list
 
 val critical_path : ?trace_id:int64 -> t -> span_view list
 (** The chain of spans that bounded a trace's end-to-end latency: from
     the root span, repeatedly descend into the child that finished last.
     [trace_id] defaults to the first recorded trace; [[]] when the trace
     has no spans.  Unfinished spans count as ending at their start. *)
-
-val clear : t -> unit
-(** Drop recorded spans and events (registration state and the enabled
-    flag survive). *)
 
 (** {1 Context propagation} *)
 

@@ -65,7 +65,6 @@ let default =
 
 (* Powers of two from 0.5 ms to ~4 min: wide enough that a saturated
    FIFO's queueing delay still lands in a finite bucket. *)
-let latency_buckets = List.init 20 (fun i -> 0.0005 *. (2.0 ** float_of_int i))
 
 type percentiles = { p50 : float; p95 : float; p99 : float; max : float }
 

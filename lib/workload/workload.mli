@@ -76,11 +76,6 @@ val default : scenario
     resource's pair — with a positive [rule_cost], that is what each
     query occupies a shard for. *)
 
-val latency_buckets : float list
-(** Log-spaced (powers of two from 0.5 ms) upper bounds of the latency
-    accounting — the shape of the per-PEP streaming
-    {!Dacs_telemetry.Loghist} histograms the report merges. *)
-
 type percentiles = { p50 : float; p95 : float; p99 : float; max : float }
 (** p50/p95/p99 are bucket upper bounds (Prometheus-style estimates from
     the log-bucketed histogram); [max] is exact. *)

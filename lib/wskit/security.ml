@@ -10,14 +10,6 @@ type error =
   | Decrypt_failed
   | Malformed of string
 
-let error_to_string = function
-  | Not_signed -> "envelope is not signed"
-  | Invalid_signature -> "envelope signature does not verify"
-  | Untrusted_signer s -> Printf.sprintf "signer %s is not trusted" s
-  | Not_encrypted -> "envelope body is not encrypted"
-  | Decrypt_failed -> "body decryption failed"
-  | Malformed m -> Printf.sprintf "malformed security header: %s" m
-
 let security_header = "wsse:Security"
 
 let body_payload (e : Soap.envelope) = Xml.canonical_string e.Soap.body
@@ -41,11 +33,6 @@ let sign ~key ~cert (e : Soap.envelope) =
 
 let find_security (e : Soap.envelope) =
   List.find_opt (fun h -> Xml.local_name (Xml.tag h) = "Security") e.Soap.headers
-
-let is_signed e =
-  match find_security e with
-  | None -> false
-  | Some h -> Xml.find_child h "SignatureValue" <> None
 
 let trusted_signer ~trust ~now cert =
   if Cert.Trust_store.mem trust cert then Cert.valid_at cert now

@@ -15,8 +15,6 @@ type error =
   | Decrypt_failed
   | Malformed of string
 
-val error_to_string : error -> string
-
 (** {1 Signatures} *)
 
 val sign :
@@ -34,8 +32,6 @@ val verify :
   (Dacs_crypto.Cert.t, error) result
 (** Check the signature and that the embedded certificate chains to the
     trust store (direct trust or one-level issuer). Returns the signer. *)
-
-val is_signed : Soap.envelope -> bool
 
 (** {1 Body encryption} *)
 

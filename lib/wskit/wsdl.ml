@@ -12,12 +12,6 @@ type assertion =
   | Requires_signed_messages
   | Responses_encrypted
 
-let assertion_to_string = function
-  | Requires_subject_attribute a -> Printf.sprintf "requires subject attribute %s" a
-  | Requires_capability_from i -> Printf.sprintf "requires a capability issued by %s" i
-  | Requires_signed_messages -> "requires signed messages"
-  | Responses_encrypted -> "responses are encrypted"
-
 type t = {
   service : string;
   endpoint : Dacs_net.Net.node_id;
@@ -109,19 +103,14 @@ let unmet t ~subject_attributes ~capabilities_from ~will_sign =
 
 (* --- registry ----------------------------------------------------------- *)
 
-type registry = {
-  node : Dacs_net.Net.node_id;
-  descriptions : (string, t) Hashtbl.t;
-}
-
-let registry_node r = r.node
+type registry = { descriptions : (string, t) Hashtbl.t }
 
 let lookup r ~service = Hashtbl.find_opt r.descriptions service
 
 let publish_local r d = Hashtbl.replace r.descriptions d.service d
 
 let create_registry services ~node =
-  let r = { node; descriptions = Hashtbl.create 16 } in
+  let r = { descriptions = Hashtbl.create 16 } in
   Service.serve services ~node ~service:"wsdl-publish" (fun ~caller ~headers:_ body reply ->
       match of_xml body with
       | Error e -> reply (Soap.fault_body { Soap.code = "soap:Sender"; reason = e })

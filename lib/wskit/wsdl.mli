@@ -21,8 +21,6 @@ type assertion =
   | Requires_signed_messages
   | Responses_encrypted
 
-val assertion_to_string : assertion -> string
-
 type t = {
   service : string;
   endpoint : Dacs_net.Net.node_id;
@@ -50,9 +48,7 @@ val create_registry : Service.t -> node:Dacs_net.Net.node_id -> registry
 (** Serves ["wsdl-publish"] (self-descriptions only, like discovery) and
     ["wsdl-query"] ([<DescriptionQuery Service="..."/>]). *)
 
-val registry_node : registry -> Dacs_net.Net.node_id
 val lookup : registry -> service:string -> t option
-val publish_local : registry -> t -> unit
 
 val fetch :
   Service.t ->

@@ -10,7 +10,6 @@ and element = {
 
 let element ?(attrs = []) ?(children = []) tag = Element { tag; attrs; children }
 let text s = Text s
-let cdata_text s = Text s
 
 let tag = function Element e -> e.tag | Text _ -> ""
 
@@ -19,30 +18,12 @@ let local_name name =
   | None -> name
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
 
-let prefix name =
-  match String.index_opt name ':' with
-  | None -> None
-  | Some i -> Some (String.sub name 0 i)
-
 let attr node name =
   match node with
   | Text _ -> None
   | Element e -> List.assoc_opt name e.attrs
 
-let attr_exn node name =
-  match attr node name with Some v -> v | None -> raise Not_found
-
-let set_attr node name value =
-  match node with
-  | Text _ -> node
-  | Element e ->
-    let attrs = List.remove_assoc name e.attrs @ [ (name, value) ] in
-    Element { e with attrs }
-
 let children = function Element e -> e.children | Text _ -> []
-
-let child_elements node =
-  List.filter_map (function Element e -> Some e | Text _ -> None) (children node)
 
 (* Offset of the local part of [name]: just past its first ':', else 0. *)
 let rec local_start name i =
@@ -95,11 +76,6 @@ let add_escaped buf s =
     end
   done;
   Buffer.add_substring buf s !run (n - !run)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped buf s;
-  Buffer.contents buf
 
 let rec print_attrs buf = function
   | [] -> ()
@@ -368,6 +344,29 @@ let predefined_entity src start len =
   else if span_is src start len "apos" then Some '\''
   else None
 
+(* The code point of a character reference's [name] (the text between
+   ['&'] and [';']), by XML's grammar: ['#'] then [[0-9]+], or ['#x'] or
+   ['#X'] then [[0-9a-fA-F]+].  [-1] when [name] does not match; values
+   past U+10FFFF saturate at 0x110000, so a long run of digits cannot
+   overflow. *)
+let char_ref_code name =
+  let n = String.length name in
+  let hex = n > 1 && (name.[1] = 'x' || name.[1] = 'X') in
+  let first = if hex then 2 else 1 in
+  let rec go i acc =
+    if i = n then acc
+    else
+      let d =
+        match name.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c when hex -> Char.code c - 87
+        | 'A' .. 'F' as c when hex -> Char.code c - 55
+        | _ -> -1
+      in
+      if d < 0 then -1 else go (i + 1) (min 0x110000 ((acc * if hex then 16 else 10) + d))
+  in
+  if first >= n then -1 else go first 0
+
 (* Decodes the reference at the cursor (on '&') into [p.buf]. *)
 let parse_entity p =
   let src = p.src in
@@ -383,14 +382,9 @@ let parse_entity p =
   | None ->
     let name = String.sub src start (semi - start) in
     if String.length name > 1 && name.[0] = '#' then begin
-      let code =
-        try
-          if name.[1] = 'x' || name.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-          else int_of_string (String.sub name 1 (String.length name - 1))
-        with _ -> fail p (Printf.sprintf "bad character reference &%s;" name)
-      in
-      if code < 0 || code > 0x10FFFF then fail p "character reference out of range";
+      let code = char_ref_code name in
+      if code < 0 then fail p (Printf.sprintf "bad character reference &%s;" name);
+      if code > 0x10FFFF then fail p "character reference out of range";
       utf8_of_code p.buf code
     end
     else fail p (Printf.sprintf "unknown entity &%s;" name)
@@ -581,11 +575,6 @@ let document p =
 let of_string src = document (make_parser src 0 (String.length src))
 
 let of_string_opt src = try Some (of_string src) with Parse_error _ -> None
-
-let parse_error_to_string = function
-  | Parse_error { line; column; message } ->
-    Some (Printf.sprintf "XML parse error at line %d, column %d: %s" line column message)
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Pull cursor                                                         *)

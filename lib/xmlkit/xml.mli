@@ -23,9 +23,6 @@ val element : ?attrs:(string * string) list -> ?children:t list -> string -> t
 
 val text : string -> t
 
-val cdata_text : string -> t
-(** Same as {!text}; CDATA sections are represented as plain text. *)
-
 (** {1 Accessors} *)
 
 val tag : t -> string
@@ -34,9 +31,6 @@ val tag : t -> string
 val local_name : string -> string
 (** [local_name "saml:Assertion"] is ["Assertion"]. *)
 
-val prefix : string -> string option
-(** [prefix "saml:Assertion"] is [Some "saml"]. *)
-
 val has_local_name : string -> string -> bool
 (** [has_local_name tag name] is [local_name tag = name], compared in
     place without copying the local part out of [tag]. *)
@@ -44,15 +38,7 @@ val has_local_name : string -> string -> bool
 val attr : t -> string -> string option
 (** [attr node name] is the value of attribute [name], if present. *)
 
-val attr_exn : t -> string -> string
-(** @raise Not_found when the attribute is missing or [node] is text. *)
-
-val set_attr : t -> string -> string -> t
-(** Functional attribute update (replaces an existing binding). *)
-
 val children : t -> t list
-
-val child_elements : t -> element list
 
 val find_child : t -> string -> t option
 (** First child element whose local name matches. *)
@@ -91,10 +77,6 @@ val canonical : t -> t
 val canonical_string : t -> string
 (** [to_string (canonical t)]. *)
 
-val escape : string -> string
-(** Escape the five XML-special characters for use in attribute values
-    and character data. *)
-
 (** {1 Parsing} *)
 
 exception Parse_error of { line : int; column : int; message : string }
@@ -130,9 +112,6 @@ val of_string : string -> t
     {!max_input_bytes}. *)
 
 val of_string_opt : string -> t option
-
-val parse_error_to_string : exn -> string option
-(** Human-readable rendering of {!Parse_error}; [None] on other exceptions. *)
 
 (** {1 Pull cursor}
 

@@ -19,9 +19,6 @@ val select : Xml.t -> string -> Xml.t list
 (** All nodes reached by the path, in document order.
     @raise Bad_path when the path does not parse. *)
 
-val select_one : Xml.t -> string -> Xml.t option
-(** First match, if any. *)
-
 val select_text : Xml.t -> string -> string option
 (** Text content of the first match. *)
 

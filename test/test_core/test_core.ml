@@ -138,9 +138,7 @@ let test_audit_basics () =
   check (Alcotest.list string_) "permitted" [ "r1" ] (Audit.permitted_resources log ~subject:"alice");
   check int_ "by subject" 2 (List.length (Audit.by_subject log "alice"));
   check int_ "find denies" 1 (List.length (Audit.find log ~decision:Decision.Deny ()));
-  check int_ "find resource" 2 (List.length (Audit.find log ~resource:"r1" ()));
-  Audit.clear log;
-  check int_ "cleared" 0 (Audit.size log)
+  check int_ "find resource" 2 (List.length (Audit.find log ~resource:"r1" ()))
 
 let test_audit_merge_ordering () =
   let a = Audit.create () and b = Audit.create () in
@@ -373,6 +371,33 @@ let test_pap_syndication_cascade () =
   check bool_ "region a updated" true (Pap.current region_a <> None);
   check bool_ "region b updated" true (Pap.current region_b <> None);
   check bool_ "leaf updated through the hierarchy" true (Pap.current leaf <> None)
+
+let test_pap_last_region_every_update () =
+  (* Consumers (Vo, Domain) read the change-impact region of the latest
+     accepted update from [Pap.last_region]; a syndicated update computes
+     the same region at the PAP it is pushed to. *)
+  let net, services = fresh () in
+  let global = Pap.create services ~node:(add_node net "g") ~name:"g" () in
+  let child =
+    Pap.create services ~node:(add_node net "c") ~name:"c" ~admin_policy:(admin_policy_for [ "g" ]) ()
+  in
+  Pap.subscribe_local global ~child:"c";
+  let region pap = Dacs_policy.Delta.to_string (Pap.last_region pap) in
+  check bool_ "empty before any update" true (Dacs_policy.Delta.is_empty (Pap.last_region child));
+  Pap.publish global (doctor_policy "r");
+  Net.run net;
+  check bool_ "a first publish is unbounded" true (Dacs_policy.Delta.is_unbounded (Pap.last_region global));
+  check string_ "the pushed update carries the same region" (region global) (region child);
+  Pap.publish global (doctor_policy "r2");
+  Net.run net;
+  check bool_ "an edit yields zones" true
+    (Dacs_policy.Delta.zone_count (Pap.last_region global) > 0
+    && not (Dacs_policy.Delta.is_unbounded (Pap.last_region global)));
+  check string_ "same zones below" (region global) (region child);
+  Pap.publish global (doctor_policy "r2");
+  Net.run net;
+  check bool_ "a no-op republish is empty" true (Dacs_policy.Delta.is_empty (Pap.last_region global));
+  check bool_ "below too" true (Dacs_policy.Delta.is_empty (Pap.last_region child))
 
 let test_pap_update_filter_blocks () =
   let net, services = fresh () in
@@ -614,7 +639,6 @@ let test_idp () =
   let keys = Dacs_crypto.Rsa.generate (Dacs_crypto.Rng.create 9L) ~bits:512 in
   let idp = Idp.create services ~node:(add_node net "idp") ~issuer:"idp.a" ~keypair:keys () in
   Idp.register_user idp ~user:"alice" (doctor_subject "alice");
-  check bool_ "knows" true (Idp.knows idp ~user:"alice");
   (match Idp.issue idp ~user:"alice" with
   | Some a ->
     check bool_ "verifies" true (Dacs_saml.Assertion.verify (Idp.public_key idp) a);
@@ -882,6 +906,70 @@ let test_pep_push_without_assertion () =
   | Some (Ok (Wire.Denied _)) -> ()
   | _ -> Alcotest.fail "expected deny");
   check int_ "rejection counted" 1 (Pep.stats pep).Pep.assertion_rejections
+
+(* A capability whose SignatureValue is not base64: what a hostile or
+   corrupting peer can put in a header or a capability response.  The
+   rest of the capability is intact, so only the signature's decoding
+   stands between it and the PEP. *)
+let corrupt_signature_value node =
+  let s = Xml.to_string node in
+  let tag = "SignatureValue>" in
+  let rec find i =
+    if String.sub s i (String.length tag) = tag then i + String.length tag else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from s start '<' in
+  Xml.of_string (String.sub s 0 start ^ "!!!!" ^ String.sub s stop (String.length s - stop))
+
+let pep_denies_undecodable_capability wire_of () =
+  let net, services, cas, pep, client = push_setup () in
+  let capability =
+    Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ]
+  in
+  let got = ref None in
+  Service.call services ~src:"client" ~dst:"pep" ~service:"access"
+    ~headers:[ corrupt_signature_value (wire_of capability) ]
+    (Wire.access_request ~subject:(doctor_subject "alice") ~action:"read")
+    (fun r -> got := Some r);
+  Net.run net;
+  (match !got with
+  | Some (Ok body) -> (
+    match Wire.parse_access_outcome body with
+    | Ok (Wire.Denied _) -> ()
+    | _ -> Alcotest.fail "an undecodable capability must be denied")
+  | _ -> Alcotest.fail "expected an answer from the PEP");
+  check int_ "rejection counted" 1 (Pep.stats pep).Pep.assertion_rejections;
+  (* The simulation goes on: an intact capability is still honoured. *)
+  Client.request_with_capability client ~capability_service:"cas" ~pep:"pep" ~resource:"r"
+    ~action:"read" ignore;
+  Net.run net;
+  check int_ "next request granted" 1 (Pep.stats pep).Pep.granted
+
+let client_rejects_undecodable_capability wire_of () =
+  let net, services, cas, pep, client = push_setup () in
+  (* A capability service that answers with a corrupted capability. *)
+  let rogue = add_node net "rogue-cas" in
+  Service.serve services ~node:rogue ~service:"capability-request"
+    (fun ~caller:_ ~headers:_ _ reply ->
+      reply
+        (corrupt_signature_value
+           (wire_of
+              (Capability_service.issue cas ~subject:(doctor_subject "alice")
+                 ~pairs:[ ("r", "read") ]))));
+  let got = ref None in
+  Client.request_with_capability client ~capability_service:rogue ~pep:"pep" ~resource:"r"
+    ~action:"read" (fun r -> got := Some r);
+  Net.run net;
+  (match !got with
+  | Some (Error (Service.Malformed _)) -> ()
+  | _ -> Alcotest.fail "an undecodable capability response must be a Malformed error");
+  check int_ "nothing cached, nothing presented" 0 (Pep.stats pep).Pep.assertion_rejections;
+  Client.request_with_capability client ~capability_service:"cas" ~pep:"pep" ~resource:"r"
+    ~action:"read" (fun r -> got := Some r);
+  Net.run net;
+  match !got with
+  | Some (Ok (Wire.Granted _)) -> ()
+  | _ -> Alcotest.fail "the honest capability service must still be honoured"
 
 let test_pep_push_capability_scope () =
   let net, _services, _cas, _pep, client = push_setup () in
@@ -1363,6 +1451,7 @@ let () =
           Alcotest.test_case "query versions" `Quick test_pap_query_versions;
           Alcotest.test_case "remote update access control" `Quick test_pap_remote_update_access_control;
           Alcotest.test_case "syndication cascade" `Quick test_pap_syndication_cascade;
+          Alcotest.test_case "last region follows every update" `Quick test_pap_last_region_every_update;
           Alcotest.test_case "update filter" `Quick test_pap_update_filter_blocks;
           Alcotest.test_case "lookup" `Quick test_pap_lookup;
         ] );
@@ -1395,6 +1484,14 @@ let () =
         [
           Alcotest.test_case "happy path with reuse" `Quick test_pep_push_happy_path;
           Alcotest.test_case "no assertion denied" `Quick test_pep_push_without_assertion;
+          Alcotest.test_case "undecodable SAML capability denied" `Quick
+            (pep_denies_undecodable_capability Dacs_saml.Assertion.to_xml);
+          Alcotest.test_case "undecodable attribute certificate denied" `Quick
+            (pep_denies_undecodable_capability Dacs_saml.Attribute_cert.to_xml);
+          Alcotest.test_case "client rejects an undecodable SAML capability" `Quick
+            (client_rejects_undecodable_capability Dacs_saml.Assertion.to_xml);
+          Alcotest.test_case "client rejects an undecodable attribute certificate" `Quick
+            (client_rejects_undecodable_capability Dacs_saml.Attribute_cert.to_xml);
           Alcotest.test_case "capability scope" `Quick test_pep_push_capability_scope;
           Alcotest.test_case "revocation" `Quick test_pep_push_revocation;
           Alcotest.test_case "local PDP final say" `Quick test_pep_push_local_final_say;

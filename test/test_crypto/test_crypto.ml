@@ -42,20 +42,6 @@ let test_rng_bytes_length () =
   let rng = Rng.create 1L in
   check int_ "length" 17 (String.length (Rng.bytes rng 17))
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 5L in
-  let xs = List.init 20 Fun.id in
-  let ys = Rng.shuffle rng xs in
-  check (Alcotest.list int_) "same multiset" xs (List.sort compare ys)
-
-let test_rng_split_independent () =
-  let rng = Rng.create 11L in
-  let child = Rng.split rng in
-  (* The child must not simply mirror the parent. *)
-  let a = List.init 10 (fun _ -> Rng.next_int64 rng) in
-  let b = List.init 10 (fun _ -> Rng.next_int64 child) in
-  check bool_ "different streams" true (a <> b)
-
 (* --- encodings --------------------------------------------------------- *)
 
 let test_hex_roundtrip () =
@@ -185,17 +171,19 @@ let prop_sha256_interleaved_contexts =
 
 (* --- hmac ----------------------------------------------------------------- *)
 
+let hmac_hex ~key msg = Encoding.hex_encode (Hmac.sha256 ~key msg)
+
 let test_hmac_rfc4231 () =
   (* RFC 4231 test cases 1, 2 and the long-key case 6. *)
   check string_ "case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.sha256_hex ~key:(String.make 20 '\x0b') "Hi There");
+    (hmac_hex ~key:(String.make 20 '\x0b') "Hi There");
   check string_ "case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.sha256_hex ~key:"Jefe" "what do ya want for nothing?");
+    (hmac_hex ~key:"Jefe" "what do ya want for nothing?");
   check string_ "case 6 (long key)"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.sha256_hex ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First")
+    (hmac_hex ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First")
 
 let test_hmac_verify () =
   let key = "secret" and msg = "payload" in
@@ -235,7 +223,7 @@ let test_hmac_allocation () =
 
 (* --- bignum ------------------------------------------------------------------ *)
 
-let bn = Alcotest.testable Bignum.pp Bignum.equal
+let bn = Alcotest.testable (fun fmt a -> Format.pp_print_string fmt (Bignum.to_decimal a)) Bignum.equal
 
 let test_bignum_of_to_int () =
   List.iter
@@ -436,39 +424,12 @@ let test_rsa_sign_wrong_key () =
   let signature = Rsa.sign kp.Rsa.private_ "msg" in
   check bool_ "other key rejects" false (Rsa.verify other.Rsa.public "msg" ~signature)
 
-let test_rsa_encrypt_decrypt () =
-  let kp = Lazy.force test_keypair in
-  let rng = Rng.create 5L in
-  let msg = "short secret" in
-  let cipher = Rsa.encrypt rng kp.Rsa.public msg in
-  check int_ "cipher width" 64 (String.length cipher);
-  check (Alcotest.option string_) "roundtrip" (Some msg) (Rsa.decrypt kp.Rsa.private_ cipher);
-  check bool_ "ciphertext differs from plaintext" true (cipher <> msg);
-  (* Same message encrypts differently thanks to random padding. *)
-  let cipher2 = Rsa.encrypt rng kp.Rsa.public msg in
-  check bool_ "probabilistic" true (cipher <> cipher2)
-
-let test_rsa_encrypt_too_long () =
-  let kp = Lazy.force test_keypair in
-  let rng = Rng.create 6L in
-  let too_long = String.make (Rsa.max_plaintext kp.Rsa.public + 1) 'x' in
-  try
-    ignore (Rsa.encrypt rng kp.Rsa.public too_long);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_rsa_decrypt_garbage () =
-  let kp = Lazy.force test_keypair in
-  check bool_ "wrong length" true (Rsa.decrypt kp.Rsa.private_ "garbage" = None);
-  check bool_ "random block" true (Rsa.decrypt kp.Rsa.private_ (String.make 64 '\x7f') = None)
-
 let test_rsa_public_xml_roundtrip () =
   let kp = Lazy.force test_keypair in
   match Rsa.public_of_xml (Rsa.public_to_xml kp.Rsa.public) with
   | Some pub ->
     check bool_ "n" true (Bignum.equal pub.Rsa.n kp.Rsa.public.n);
-    check bool_ "e" true (Bignum.equal pub.Rsa.e kp.Rsa.public.e);
-    check string_ "fingerprint stable" (Rsa.fingerprint kp.Rsa.public) (Rsa.fingerprint pub)
+    check bool_ "e" true (Bignum.equal pub.Rsa.e kp.Rsa.public.e)
   | None -> Alcotest.fail "expected key to parse back"
 
 (* --- stream cipher -------------------------------------------------------------- *)
@@ -584,35 +545,50 @@ let test_trust_store_dedup () =
 
 (* --- hash chain ----------------------------------------------------------- *)
 
+(* Reference folds over [Chain.extend]: the digest of every prefix, and a
+   link-by-link check of a (payload, claimed digest) segment that returns
+   the index of the first link whose digest does not recompute.  The
+   offline log verifies its chain with this fold inline. *)
+module Chain_ref = struct
+  let chain ~prev payloads =
+    List.rev
+      (fst
+         (List.fold_left
+            (fun (acc, prev) payload ->
+              let d = Chain.extend ~prev payload in
+              (d :: acc, d))
+            ([], prev) payloads))
+
+  let verify ~prev segment =
+    let rec go i prev = function
+      | [] -> Ok prev
+      | (payload, claimed) :: rest ->
+        let d = Chain.extend ~prev payload in
+        if String.equal d claimed then go (i + 1) d rest else Error i
+    in
+    go 0 prev segment
+end
+
 let payloads = [ "grant:alice:doctor"; "revoke:bob"; "publish:p2"; "decide:chart" ]
 
 let test_hashchain_deterministic () =
-  let a = Chain.chain ~prev:Chain.genesis payloads in
-  let b = Chain.chain ~prev:Chain.genesis payloads in
+  let a = Chain_ref.chain ~prev:Chain.genesis payloads in
+  let b = Chain_ref.chain ~prev:Chain.genesis payloads in
   check bool_ "same digests" true (a = b);
   check int_ "one digest per payload" (List.length payloads) (List.length a);
-  (* chain = repeated extend *)
-  let folded =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (prev, acc) p ->
-              let d = Chain.extend ~prev p in
-              (d, d :: acc))
-            (Chain.genesis, []) payloads))
-  in
-  check bool_ "chain == iterated extend" true (a = folded)
+  check bool_ "digests differ per prefix" true
+    (List.length (List.sort_uniq compare a) = List.length a)
 
-let segment () = List.combine payloads (Chain.chain ~prev:Chain.genesis payloads)
+let segment () = List.combine payloads (Chain_ref.chain ~prev:Chain.genesis payloads)
 
 let test_hashchain_verify_honest () =
-  match Chain.verify ~prev:Chain.genesis (segment ()) with
+  match Chain_ref.verify ~prev:Chain.genesis (segment ()) with
   | Ok head ->
-    check string_ "head is last digest" (List.nth (Chain.chain ~prev:Chain.genesis payloads) 3) head
+    check string_ "head is last digest" (List.nth (Chain_ref.chain ~prev:Chain.genesis payloads) 3) head
   | Error i -> Alcotest.failf "honest segment rejected at %d" i
 
 let test_hashchain_verify_empty () =
-  match Chain.verify ~prev:Chain.genesis [] with
+  match Chain_ref.verify ~prev:Chain.genesis [] with
   | Ok head -> check string_ "empty verifies to prev" Chain.genesis head
   | Error i -> Alcotest.failf "empty segment rejected at %d" i
 
@@ -624,7 +600,7 @@ let test_hashchain_mutation_detected () =
       let tampered =
         List.mapi (fun i (p, d) -> if i = k then (p ^ "!", d) else (p, d)) (segment ())
       in
-      match Chain.verify ~prev:Chain.genesis tampered with
+      match Chain_ref.verify ~prev:Chain.genesis tampered with
       | Error i -> check int_ "first bad link" k i
       | Ok _ -> Alcotest.failf "mutation at %d not detected" k)
     payloads
@@ -632,7 +608,7 @@ let test_hashchain_mutation_detected () =
 let test_hashchain_reorder_detected () =
   let seg = segment () in
   let swapped = [ List.nth seg 1; List.nth seg 0; List.nth seg 2; List.nth seg 3 ] in
-  match Chain.verify ~prev:Chain.genesis swapped with
+  match Chain_ref.verify ~prev:Chain.genesis swapped with
   | Error 0 -> ()
   | Error i -> Alcotest.failf "reorder detected at %d, expected 0" i
   | Ok _ -> Alcotest.fail "reordered segment verified"
@@ -642,12 +618,12 @@ let test_hashchain_splice_detected () =
      retained link no longer verifies. *)
   let seg = segment () in
   let tail = [ List.nth seg 2; List.nth seg 3 ] in
-  (match Chain.verify ~prev:Chain.genesis tail with
+  (match Chain_ref.verify ~prev:Chain.genesis tail with
   | Error 0 -> ()
   | Error i -> Alcotest.failf "splice detected at %d, expected 0" i
   | Ok _ -> Alcotest.fail "spliced tail verified");
   (* ... but verifies from its true predecessor. *)
-  match Chain.verify ~prev:(snd (List.nth seg 1)) tail with
+  match Chain_ref.verify ~prev:(snd (List.nth seg 1)) tail with
   | Ok _ -> ()
   | Error i -> Alcotest.failf "honest tail rejected at %d" i
 
@@ -682,8 +658,6 @@ let () =
           Alcotest.test_case "int covers range" `Quick test_rng_int_covers_range;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes_length;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         ] );
       ( "encoding",
         [
@@ -736,9 +710,6 @@ let () =
           Alcotest.test_case "keygen shape" `Quick test_rsa_keygen_shape;
           Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "wrong key rejects" `Quick test_rsa_sign_wrong_key;
-          Alcotest.test_case "encrypt/decrypt" `Quick test_rsa_encrypt_decrypt;
-          Alcotest.test_case "encrypt too long" `Quick test_rsa_encrypt_too_long;
-          Alcotest.test_case "decrypt garbage" `Quick test_rsa_decrypt_garbage;
           Alcotest.test_case "public key XML roundtrip" `Quick test_rsa_public_xml_roundtrip;
         ] );
       ( "stream_cipher",

@@ -487,13 +487,10 @@ let directed_mutation_check () =
   check "under-approximated Empty region is caught" false
     (List.for_all (fun c -> region_sound Delta.empty before after c) all_ctxs)
 
-let directed_union_and_overlap () =
+let directed_overlap () =
   let before = pol [ deny_all ] in
   let after = pol [ permit_rule (); deny_all ] in
   let region = Delta.between (Some before) (Some after) in
-  check "union with empty is identity" true (Delta.union region Delta.empty = region);
-  check "union with unbounded absorbs" true
-    (Delta.is_unbounded (Delta.union region Delta.unbounded));
   check "region overlaps itself" true (Conflict.regions_overlap region region);
   check "empty overlaps nothing" false (Conflict.regions_overlap region Delta.empty);
   check "unbounded overlaps everything nonempty" true
@@ -527,7 +524,7 @@ let directed =
     Alcotest.test_case "appearance and retirement" `Quick directed_appearance;
     Alcotest.test_case "environment pins stay conservative" `Quick directed_env_guard_conservative;
     Alcotest.test_case "mutation check: Empty region is caught" `Quick directed_mutation_check;
-    Alcotest.test_case "union and overlap algebra" `Quick directed_union_and_overlap;
+    Alcotest.test_case "overlap algebra" `Quick directed_overlap;
     Alcotest.test_case "pinned attribute positions" `Quick directed_attributes;
   ]
 

@@ -365,6 +365,38 @@ let test_negotiation_service_failure () =
     check bool_ "terminates fast" true (rounds <= 2)
   | _ -> Alcotest.fail "expected failure"
 
+let test_negotiation_undecodable_grant () =
+  (* A server that says "granted" but hands back a capability whose
+     SignatureValue is not base64: the client gets no capability, and the
+     simulation carries on to the next negotiation. *)
+  let net, services, server =
+    negotiation_setup ~server_credentials:[] ~requirement:[ [ "member-card" ] ]
+  in
+  let negotiate () =
+    let got = ref None in
+    Negotiation_service.negotiate server ~services ~client_node:"stranger"
+      ~credentials:[ Negotiation.unprotected "member-card" ]
+      ~subject:[ ("subject-id", Value.String "zoe") ]
+      ~resource:"r" ~action:"read" (fun o -> got := Some o);
+    Net.run net;
+    !got
+  in
+  Service.serve services ~node:"traust" ~service:"negotiate" (fun ~caller:_ ~headers:_ _ reply ->
+      reply
+        (Xml.element "NegotiateResponse" ~attrs:[ ("Status", "granted") ]
+           ~children:
+             [
+               Xml.of_string
+                 "<Assertion ID=\"a\" Issuer=\"traust\" Subject=\"zoe\" IssueInstant=\"0\" \
+                  NotBefore=\"0\" NotOnOrAfter=\"100\"><SignatureValue>!!!!</SignatureValue></Assertion>";
+             ]));
+  (match negotiate () with
+  | Some { Negotiation_service.granted = None; rounds = 1; _ } -> ()
+  | _ -> Alcotest.fail "an undecodable capability is no grant");
+  match negotiate () with
+  | Some { Negotiation_service.granted = None; _ } -> ()
+  | _ -> Alcotest.fail "the second negotiation must run to an answer too"
+
 let test_negotiation_capability_works_at_pep () =
   (* The negotiated capability is honoured by a push-mode PEP that trusts
      the negotiation server as an issuer — trust established from zero. *)
@@ -672,6 +704,8 @@ let test_pap_anti_entropy_heals_lost_push () =
   (* Within one anti-entropy period the child converges. *)
   Net.run ~until:12.0 net;
   check bool_ "healed by anti-entropy" true (Pap.current child <> None);
+  check bool_ "the pull records its region" true
+    (Dacs_policy.Delta.is_unbounded (Pap.last_region child));
   (* And later updates still flow normally (by push). *)
   Pap.publish parent
     (Policy.Inline_policy (Policy.make ~id:"p2" [ Rule.deny "d" ]));
@@ -723,6 +757,8 @@ let () =
           Alcotest.test_case "immediate grant" `Quick test_negotiation_service_immediate_grant;
           Alcotest.test_case "iterative" `Quick test_negotiation_service_iterative;
           Alcotest.test_case "failure terminates" `Quick test_negotiation_service_failure;
+          Alcotest.test_case "undecodable capability is no grant" `Quick
+            test_negotiation_undecodable_grant;
           Alcotest.test_case "capability honoured at PEP" `Quick test_negotiation_capability_works_at_pep;
         ] );
       ( "capability-formats",

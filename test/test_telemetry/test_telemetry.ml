@@ -107,6 +107,23 @@ let test_exemplar_retention () =
   check int_ "reset clears counts" 0 (Metrics.histogram_count h);
   check int_ "reset clears exemplars" 0 (List.length (Metrics.histogram_exemplars h))
 
+let test_observe_is_exemplar_free () =
+  (* [observe] is [observe_exemplar] with no trace: same buckets, same
+     count and sum, and nothing retained. *)
+  let m = Metrics.create () in
+  let a = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "plain_seconds" in
+  let b = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "traced_seconds" in
+  List.iteri
+    (fun i v ->
+      Metrics.observe a v;
+      Metrics.observe_exemplar b v ~trace:(Printf.sprintf "t%d" i) ~at:(float_of_int i))
+    [ 0.05; 0.1; 0.100001; 0.5; 1.0; 7.0 ];
+  check bool_ "same buckets" true (Metrics.bucket_counts a = Metrics.bucket_counts b);
+  check int_ "same count" (Metrics.histogram_count b) (Metrics.histogram_count a);
+  check (Alcotest.float 1e-12) "same sum" (Metrics.histogram_sum b) (Metrics.histogram_sum a);
+  check int_ "observe keeps no exemplar" 0 (List.length (Metrics.histogram_exemplars a));
+  check int_ "one exemplar per bucket otherwise" 3 (List.length (Metrics.histogram_exemplars b))
+
 (* --- label-set identity across reset --------------------------------------- *)
 
 let test_label_identity_after_reset () =
@@ -492,6 +509,8 @@ let () =
           Alcotest.test_case "quantile on a single-bucket histogram" `Quick
             test_quantile_single_bucket;
           Alcotest.test_case "exemplar retention bounds" `Quick test_exemplar_retention;
+          Alcotest.test_case "observe is observe_exemplar without a trace" `Quick
+            test_observe_is_exemplar_free;
           Alcotest.test_case "label-set identity after reset" `Quick
             test_label_identity_after_reset;
           Alcotest.test_case "per-label counter breakdown" `Quick test_sum_counter_by;

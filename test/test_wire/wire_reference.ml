@@ -44,6 +44,9 @@ let to_xml t =
   in
   Xml.element "Request" ~children:(List.map section all_categories)
 
+let child_elements node =
+  List.filter_map (function Xml.Element e -> Some e | Xml.Text _ -> None) (Xml.children node)
+
 let of_xml node =
   if Xml.tag node <> "Request" then Error "expected a Request element"
   else begin
@@ -66,8 +69,8 @@ let of_xml node =
                   | Ok v -> result := add !result category id v
                   | Error e -> error := Some e))
               | _ -> error := Some "Attribute needs AttributeId and DataType")
-            (List.filter (fun e -> Xml.local_name e.Xml.tag = "Attribute") (Xml.child_elements (Xml.Element section))))
-      (Xml.child_elements node);
+            (List.filter (fun e -> Xml.local_name e.Xml.tag = "Attribute") (child_elements (Xml.Element section))))
+      (child_elements node);
     match !error with Some e -> Error e | None -> Ok !result
   end
 

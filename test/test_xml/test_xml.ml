@@ -26,17 +26,7 @@ let test_element_basics () =
 
 let test_local_name_prefix () =
   check string_ "local" "Assertion" (Xml.local_name "saml:Assertion");
-  check string_ "no prefix" "Policy" (Xml.local_name "Policy");
-  check (Alcotest.option string_) "prefix" (Some "saml") (Xml.prefix "saml:Assertion");
-  check (Alcotest.option string_) "no prefix" None (Xml.prefix "Policy")
-
-let test_set_attr () =
-  let e = Xml.element "A" ~attrs:[ ("x", "1") ] in
-  let e' = Xml.set_attr e "x" "2" in
-  check (Alcotest.option string_) "updated" (Some "2") (Xml.attr e' "x");
-  let e'' = Xml.set_attr e "y" "3" in
-  check (Alcotest.option string_) "added" (Some "3") (Xml.attr e'' "y");
-  check (Alcotest.option string_) "original untouched" (Some "1") (Xml.attr e "x")
+  check string_ "no prefix" "Policy" (Xml.local_name "Policy")
 
 let test_find_children () =
   let doc =
@@ -57,8 +47,9 @@ let test_find_children () =
 (* --- escaping -------------------------------------------------------- *)
 
 let test_escape () =
-  check string_ "all specials" "&amp;&lt;&gt;&quot;&apos;" (Xml.escape "&<>\"'");
-  check string_ "plain" "hello" (Xml.escape "hello")
+  let serialise s = Xml.to_string (Xml.element "T" ~children:[ Xml.text s ]) in
+  check string_ "all specials" "<T>&amp;&lt;&gt;&quot;&apos;</T>" (serialise "&<>\"'");
+  check string_ "plain" "<T>hello</T>" (serialise "hello")
 
 let test_escape_roundtrip_via_parse () =
   let nasty = "a & b < c > d \"quoted\" 'single'" in
@@ -93,15 +84,37 @@ let test_parse_entities () =
   check string_ "entities" "<>&\"'AB" (Xml.text_content doc)
 
 let test_parse_numeric_utf8 () =
-  (* U+00E9 (é) is two UTF-8 bytes; U+4E2D is three. *)
-  let doc = Xml.of_string "<d>&#233;&#x4E2D;</d>" in
-  check string_ "utf8" "\xC3\xA9\xE4\xB8\xAD" (Xml.text_content doc)
+  (* U+00E9 (é) is two UTF-8 bytes; U+4E2D is three.  The cursor decodes
+     character references with the same code as the tree. *)
+  let text src =
+    let tree = Xml.text_content (Xml.of_string src) in
+    let cursor =
+      Xml.Cursor.parse src (fun c ->
+          let tag = Xml.Cursor.enter c in
+          while Xml.Cursor.next_attr c tag do () done;
+          let s = Xml.Cursor.text c tag in
+          Xml.Cursor.close c tag;
+          s)
+    in
+    check (Alcotest.result string_ string_) ("cursor agrees on " ^ src) (Ok tree) cursor;
+    tree
+  in
+  check string_ "utf8" "\xC3\xA9\xE4\xB8\xAD" (text "<d>&#233;&#x4E2D;</d>");
+  check string_ "upper-case X" "B" (text "<d>&#X42;</d>");
+  check string_ "NUL" "\x00" (text "<d>&#0;</d>");
+  check string_ "leading zeros" "A" (text "<d>&#00065;</d>");
+  check string_ "last code point" "\xF4\x8F\xBF\xBF" (text "<d>&#x10FFFF;</d>");
+  check bool_ "past U+10FFFF" true (Xml.of_string_opt "<d>&#x110000;</d>" = None);
+  check bool_ "long digit run" true (Xml.of_string_opt "<d>&#99999999999999999999999;</d>" = None)
 
 let test_parse_errors () =
   let bad src =
-    match Xml.of_string_opt src with
+    (match Xml.of_string_opt src with
     | None -> ()
-    | Some _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" src)
+    | Some _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" src));
+    match Xml.Cursor.parse src Xml.Cursor.subtree with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (Printf.sprintf "expected the cursor to reject %S" src)
   in
   bad "";
   bad "<a>";
@@ -110,7 +123,14 @@ let test_parse_errors () =
   bad "<a x=\"1\" x=\"2\"></a>";
   bad "<a>&bogus;</a>";
   bad "<a></a><b></b>";
-  bad "text only"
+  bad "text only";
+  (* Character references follow XML's CharRef production, not OCaml's
+     integer literal syntax: no base prefixes, signs or underscores. *)
+  List.iter
+    (fun r ->
+      bad ("<a>" ^ r ^ "</a>");
+      bad ("<a v=\"" ^ r ^ "\"/>"))
+    [ "&#0b1000001;"; "&#0o101;"; "&#0u65;"; "&#6_5;"; "&#+65;"; "&#x4_1;" ]
 
 let test_parse_error_position () =
   match Xml.of_string_opt "<a>\n<b></c>\n</a>" with
@@ -124,10 +144,7 @@ let test_mismatched_tag_message () =
   try
     ignore (Xml.of_string "<a></b>");
     Alcotest.fail "expected failure"
-  with e -> (
-    match Xml.parse_error_to_string e with
-    | Some msg -> check bool_ "mentions tags" true (contains msg "</b>")
-    | None -> Alcotest.fail "expected a Parse_error")
+  with Xml.Parse_error { message; _ } -> check bool_ "mentions tags" true (contains message "</b>")
 
 (* --- canonical form --------------------------------------------------- *)
 
@@ -465,7 +482,7 @@ let wire_envelopes () =
       ("policy_update", Wire.policy_update ~version:2 set);
       ("log_event", Wire.log_event event);
       ("log_sync_request", Wire.log_sync_request ~frontier:[ ("domain-a", 3); ("domain-b", 1) ]);
-      ("log_sync_response", Wire.log_sync_response ~head:"\x02head" [ event; event ]);
+      ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf ~head:"\x02head" [ event; event ]));
       ("capability_request", Wire.capability_request ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]);
       ("revocation_check", Wire.revocation_check ~assertion_id:"a-1");
       ("revocation_status", Wire.revocation_status ~revoked:true);
@@ -548,7 +565,6 @@ let suite =
   [
     Alcotest.test_case "element basics" `Quick test_element_basics;
     Alcotest.test_case "local name / prefix" `Quick test_local_name_prefix;
-    Alcotest.test_case "set_attr" `Quick test_set_attr;
     Alcotest.test_case "find_children" `Quick test_find_children;
     Alcotest.test_case "escape" `Quick test_escape;
     Alcotest.test_case "escape roundtrip" `Quick test_escape_roundtrip_via_parse;

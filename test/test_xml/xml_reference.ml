@@ -117,14 +117,25 @@ let parse_entity st buf =
   | "apos" -> Buffer.add_char buf '\''
   | _ ->
     if String.length name > 1 && name.[0] = '#' then begin
-      let code =
-        try
-          if name.[1] = 'x' || name.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-          else int_of_string (String.sub name 1 (String.length name - 1))
-        with _ -> fail st (Printf.sprintf "bad character reference &%s;" name)
+      (* CharRef ::= '&#' [0-9]+ ';' | '&#x' [0-9a-fA-F]+ ';' (XML 1.0
+         production 66, with 'X' accepted too). *)
+      let hex = name.[1] = 'x' || name.[1] = 'X' in
+      let digits = String.sub name (if hex then 2 else 1) (String.length name - if hex then 2 else 1) in
+      let is_digit = function
+        | '0' .. '9' -> true
+        | 'a' .. 'f' | 'A' .. 'F' -> hex
+        | _ -> false
       in
-      if code < 0 || code > 0x10FFFF then fail st "character reference out of range";
+      if digits = "" || not (String.for_all is_digit digits) then
+        fail st (Printf.sprintf "bad character reference &%s;" name);
+      let code =
+        String.fold_left
+          (fun acc c ->
+            let d = int_of_string ((if hex then "0x" else "") ^ String.make 1 c) in
+            if acc > 0x10FFFF then acc else (acc * if hex then 16 else 10) + d)
+          0 digits
+      in
+      if code > 0x10FFFF then fail st "character reference out of range";
       utf8_of_code buf code
     end
     else fail st (Printf.sprintf "unknown entity &%s;" name)
