@@ -14,6 +14,7 @@ module Combine = Dacs_policy.Combine
 module Xacml = Dacs_policy.Xacml_xml
 module Validate = Dacs_policy.Validate
 module Experiment = Dacs_experiment.Experiment
+module Metrics = Dacs_telemetry.Metrics
 open Dacs_core
 
 let read_file path =
@@ -29,19 +30,6 @@ let load_policy path =
   match read_file path with
   | Error e -> Error e
   | Ok content -> Xacml.child_of_string content
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* --- validate ---------------------------------------------------------- *)
 
@@ -248,7 +236,6 @@ let trace_cmd seed =
 
 let metrics_cmd seed json =
   let module Rpc = Dacs_net.Rpc in
-  let module Metrics = Dacs_telemetry.Metrics in
   let rpc, outcome = observability_scenario ~seed ~tracing:false in
   let m = Rpc.metrics rpc in
   if json then print_endline (Metrics.render_json m) else print_string (Metrics.render m);
@@ -323,14 +310,14 @@ let chaos_cmd seed json =
   if json then begin
     let schedule_json =
       String.concat ","
-        (List.map (fun sp -> Printf.sprintf "%S" (json_escape (Faults.describe sp))) schedule)
+        (List.map (fun sp -> Printf.sprintf "%S" (Metrics.json_escape (Faults.describe sp))) schedule)
     in
     let requests_json =
       String.concat ","
         (List.map
            (fun (at, finished, r) ->
              Printf.sprintf "{\"at\":%g,\"answered_at\":%g,\"outcome\":%S}" at finished
-               (json_escape (describe_outcome r)))
+               (Metrics.json_escape (describe_outcome r)))
            sorted)
     in
     Printf.printf
@@ -363,7 +350,6 @@ let tier_cmd shards batch seed requests json =
   let module Net = Dacs_net.Net in
   let module Engine = Dacs_net.Engine in
   let module Rpc = Dacs_net.Rpc in
-  let module Metrics = Dacs_telemetry.Metrics in
   let module Value = Dacs_policy.Value in
   if shards < 1 then begin
     prerr_endline "tier: --shards must be >= 1";
@@ -713,8 +699,8 @@ let explain_cmd seed json =
         (List.map
            (fun e ->
              Printf.sprintf "{\"at\":%.6f,\"subject\":%S,\"action\":%S,\"decision\":%S,\"provenance\":%s}"
-               e.Audit.at (json_escape e.Audit.subject) (json_escape e.Audit.action)
-               (json_escape (Decision.decision_to_string e.Audit.decision))
+               e.Audit.at (Metrics.json_escape e.Audit.subject) (Metrics.json_escape e.Audit.action)
+               (Metrics.json_escape (Decision.decision_to_string e.Audit.decision))
                (match e.Audit.provenance with
                | Some p -> Provenance.to_json p
                | None -> "null"))
@@ -1042,12 +1028,12 @@ let delta_cmd json =
   in
   if json then begin
     let fields =
-      List.map (fun (name, ok, _) -> Printf.sprintf "\"%s\":%b" (json_escape name) ok) checks
+      List.map (fun (name, ok, _) -> Printf.sprintf "\"%s\":%b" (Metrics.json_escape name) ok) checks
     in
     Printf.printf
       "{\"region_0_1\":\"%s\",\"region_1_2\":\"%s\",\"zones_1_2\":%d,\"warm\":%d,\"dropped\":%d,%s}\n"
-      (json_escape (Delta.to_string region01))
-      (json_escape (Delta.to_string region12))
+      (Metrics.json_escape (Delta.to_string region01))
+      (Metrics.json_escape (Delta.to_string region12))
       (Delta.zone_count region12) warm dropped (String.concat "," fields)
   end
   else begin

@@ -336,17 +336,16 @@ module L2 = struct
         let ack buf = Buffer.add_string buf "<CachePutAck/>" in
         match body with
         | Error e -> reply (Service.sender_fault e)
-        | Ok (key, result, sent_at) -> (
+        | Ok (key, result, sent_at) ->
           (* The put/invalidate race: a fire-and-forget put composed
              before a purge must not land after it and resurrect the
-             entry it carried.  Unstamped puts are accepted (legacy
-             frames cannot be ordered against purges). *)
-          match sent_at with
-          | Some s when s < t.purged_at -> Metrics.inc t.c_rejected_puts; reply ack
-          | Some _ | None ->
+             entry it carried.  The reader refuses unstamped puts. *)
+          if sent_at < t.purged_at then Metrics.inc t.c_rejected_puts
+          else begin
             Metrics.inc t.c_puts;
-            Decision_cache.put t.cache ~now:(now t) ~key result;
-            reply ack));
+            Decision_cache.put t.cache ~now:(now t) ~key result
+          end;
+          reply ack);
     Service.serve services ~node ~service:"cache-invalidate" (fun ~caller:_ ~headers:_ body reply ->
         match Wire.parse_cache_invalidate body with
         | Error e -> reply (fault e)

@@ -1,4 +1,3 @@
-module Xml = Dacs_xml.Xml
 module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Compiled = Dacs_policy.Compiled
@@ -10,13 +9,13 @@ module Metrics = Dacs_telemetry.Metrics
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
 
-type kind =
+type kind = Wire.log_kind =
   | Grant of { subject : string; attr : string; value : string }
   | Revoke of { subject : string; attr : string }
   | Publish of { policy : string }
   | Decide of { key : string; ctx : string; decision : string }
 
-type event = {
+type event = Wire.log_event = {
   author : string;
   seq : int;
   at : float;
@@ -194,78 +193,13 @@ let events t =
 
 let on_invalidate t hook = t.hooks <- hook :: t.hooks
 
-(* --- wire conversion and signing --------------------------------------- *)
-
-let kind_to_wire = function
-  | Grant { subject; attr; value } ->
-    ("grant", [ ("subject", subject); ("attr", attr); ("value", value) ])
-  | Revoke { subject; attr } -> ("revoke", [ ("subject", subject); ("attr", attr) ])
-  | Publish { policy } -> ("publish", [ ("policy", policy) ])
-  | Decide { key; ctx; decision } ->
-    ("decide", [ ("key", key); ("ctx", ctx); ("decision", decision) ])
-
-let kind_of_wire kind fields =
-  let field name =
-    match List.assoc_opt name fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s event is missing field %s" kind name)
-  in
-  let ( let* ) = Result.bind in
-  match kind with
-  | "grant" ->
-    let* subject = field "subject" in
-    let* attr = field "attr" in
-    let* value = field "value" in
-    Ok (Grant { subject; attr; value })
-  | "revoke" ->
-    let* subject = field "subject" in
-    let* attr = field "attr" in
-    Ok (Revoke { subject; attr })
-  | "publish" ->
-    let* policy = field "policy" in
-    Ok (Publish { policy })
-  | "decide" ->
-    let* key = field "key" in
-    let* ctx = field "ctx" in
-    let* decision = field "decision" in
-    Ok (Decide { key; ctx; decision })
-  | other -> Error (Printf.sprintf "unknown log event kind %s" other)
-
-let to_wire ev =
-  let kind, fields = kind_to_wire ev.kind in
-  {
-    Wire.le_author = ev.author;
-    le_seq = ev.seq;
-    le_at = ev.at;
-    le_epoch = ev.epoch;
-    le_frontier = ev.frontier;
-    le_kind = kind;
-    le_fields = fields;
-    le_digest = ev.digest;
-    le_tag = ev.tag;
-  }
-
-let of_wire (le : Wire.log_event) =
-  match kind_of_wire le.le_kind le.le_fields with
-  | Error _ as e -> e
-  | Ok kind ->
-    Ok
-      {
-        author = le.le_author;
-        seq = le.le_seq;
-        at = le.le_at;
-        epoch = le.le_epoch;
-        frontier = le.le_frontier;
-        kind;
-        digest = le.le_digest;
-        tag = le.le_tag;
-      }
+(* --- signing ------------------------------------------------------------- *)
 
 (* [Wire.write_log_event]'s unsigned bytes, written into the replica's
    scratch buffer. *)
 let canonical_bytes t ev =
   Buffer.clear t.scratch;
-  Wire.write_log_event t.scratch ~signed:false (to_wire ev);
+  Wire.write_log_event t.scratch ~signed:false ev;
   Buffer.contents t.scratch
 
 let append_own t kind =
@@ -733,33 +667,21 @@ let sync_pair a b =
 let service_name = "log-sync"
 
 let serve t services ~node =
-  Service.serve_frame services ~node ~service:service_name
-    ~read:(fun c -> Wire.parse_log_sync_request (Xml.Cursor.subtree c))
+  Service.serve_frame services ~node ~service:service_name ~read:Wire.read_log_sync_request
     (fun ~caller:_ ~headers:_ body reply ->
       match body with
       | Error reason -> reply (Service.sender_fault reason)
       | Ok peer_frontier ->
         let suffix = missing_for t ~frontier:peer_frontier in
-        reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) (List.map to_wire suffix)))
+        reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) suffix))
 
 let sync_rpc t services ~src ~dst k =
-  Service.call services ~src ~dst ~service:service_name
-    (Wire.log_sync_request ~frontier:(frontier t))
-    (fun response ->
-      match response with
+  Service.call_frame services ~src ~dst ~service:service_name ~read:Wire.read_log_sync_response
+    (fun buf -> Wire.write_log_sync_request buf ~frontier:(frontier t))
+    (function
       | Error e -> k (Error (Service.error_to_string e))
-      | Ok body -> (
-        match Wire.parse_log_sync_response body with
-        | Error reason -> k (Error reason)
-        | Ok (_head, wire_events) -> (
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | le :: rest -> (
-              match of_wire le with Ok ev -> decode (ev :: acc) rest | Error _ as e -> e)
-          in
-          match decode [] wire_events with
-          | Error reason -> k (Error reason)
-          | Ok evs -> (
-            match admit t evs with
-            | Ok n -> k (Ok n)
-            | Error e -> k (Error (sync_error_to_string e))))))
+      | Ok (Error reason) -> k (Error reason)
+      | Ok (Ok (_head, events)) -> (
+        match admit t events with
+        | Ok n -> k (Ok n)
+        | Error e -> k (Error (sync_error_to_string e))))

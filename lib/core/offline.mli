@@ -13,12 +13,13 @@
     Events are per-author chains: author [d]'s event [seq = n] carries
     [digest_n = SHA-256(digest_{n-1} || canonical_bytes_n)] (from
     {!Dacs_crypto.Chain}) and an HMAC-SHA256 tag over the digest under
-    the mesh key.  Canonical bytes are what {!Wire.write_log_event}
-    writes with [~signed:false] — the one definition of the event
-    element, written into a buffer the replica reuses — so every
-    replica recomputes identical digests.  Each event also carries the
-    author's vector-clock frontier (highest seq seen per author, self
-    included) — the causality needed by deny-wins.
+    the mesh key.  The event is {!Wire.log_event}, re-exported here: one
+    typed value from append to wire.  Canonical bytes are what
+    {!Wire.write_log_event} writes from it with [~signed:false] — the one
+    definition of the event element, written into a buffer the replica
+    reuses — so every replica recomputes identical digests.  Each event
+    also carries the author's vector-clock frontier (highest seq seen
+    per author, self included) — the causality needed by deny-wins.
 
     {2 Replay order and deny-wins}
 
@@ -55,7 +56,7 @@
     policy bytes than the converged state.  Otherwise the re-check would
     repeat the author's own evaluation and return the logged answer. *)
 
-type kind =
+type kind = Wire.log_kind =
   | Grant of { subject : string; attr : string; value : string }
   | Revoke of { subject : string; attr : string }
   | Publish of { policy : string }
@@ -65,7 +66,7 @@ type kind =
           request context, kept so replay can re-evaluate the exact
           request under the converged state *)
 
-type event = {
+type event = Wire.log_event = {
   author : string;
   seq : int;  (** 1-based position in the author's chain *)
   at : float;
@@ -210,11 +211,17 @@ val on_invalidate : t -> (string -> unit) -> unit
     logged decision the post-heal replay contradicts — wire it to L2/L1
     purges.  Hooks accumulate; each fires at most once per (author, seq). *)
 
-(** {1 RPC sync (Wire log-sync frames)} *)
+(** {1 RPC sync (Wire log-sync frames)}
+
+    The same exchange as {!sync_pair}, over the simulated network.  Both
+    frames are written straight into the RPC frame and read in place
+    with {!Wire.read_log_sync_request} and {!Wire.read_log_sync_response}.
+    [dacs offline], E21 and the end-to-end benchmark sync in process
+    instead. *)
 
 val serve : t -> Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> unit
-(** Answer {!Wire.log_sync_request} frames on [node] with the suffix the
-    caller lacks.  Inbound frames never mutate this replica. *)
+(** Answer log-sync requests on [node] with the suffix the caller lacks.
+    Inbound frames never mutate this replica. *)
 
 val sync_rpc :
   t ->
@@ -224,5 +231,6 @@ val sync_rpc :
   ((int, string) result -> unit) ->
   unit
 (** One anti-entropy round against a peer's {!serve} endpoint: send our
-    frontier, admit the returned suffix.  Transport failures and
-    rejected segments surface as [Error]. *)
+    frontier, admit the returned suffix.  Transport failures, unreadable
+    responses and rejected segments surface as [Error].  The response's
+    head is read but not yet checked against the admitted chain. *)

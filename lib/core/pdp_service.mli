@@ -29,7 +29,7 @@ val create :
   t
 (** [refresh] defaults to [Every_query] when a PAP is given, else
     [Never].  With [signer], every decision response is signed and carries
-    the PDP's certificate (see {!Wire.signed_authz_response}) so PEPs can
+    the PDP's certificate (see {!Wire.write_signed_authz_response}) so PEPs can
     authenticate their decision point (§3.2).  The PDP's own upstream
     calls — PAP policy fetches and PIP attribute queries — take one
     attempt each through the bus's circuit breaker.  [service_time] (seconds of virtual time, default 0) models

@@ -75,9 +75,21 @@ let only_child c tag ~missing read =
   Cursor.close c tag;
   v
 
+(* Every remaining child of the element, each read by [read], then its
+   end. *)
+let children c tag read =
+  let items = ref [] in
+  while Cursor.next_child c tag do
+    items := read c :: !items
+  done;
+  Cursor.close c tag;
+  List.rev !items
+
 let required c tag name = function
   | Some v -> v
   | None -> Cursor.fail c (Printf.sprintf "<%s> is missing attribute %s" (Cursor.tag_name c tag) name)
+
+let parsed c what parse s = match parse s with Some v -> v | None -> Cursor.fail c (what ^ ": " ^ s)
 
 let add_attr buf name value =
   Buffer.add_char buf ' ';
@@ -260,12 +272,7 @@ let bag_value_in c =
 let attribute_result_in c =
   let tag = enter_named c "AttributeResult" in
   skip_attrs c tag;
-  let bag = ref [] in
-  while Cursor.next_child c tag do
-    bag := bag_value_in c :: !bag
-  done;
-  Cursor.close c tag;
-  List.rev !bag
+  children c tag bag_value_in
 
 let read_attribute_result = total attribute_result_in
 
@@ -320,10 +327,10 @@ let cache_answer_in c =
 
 let read_cache_answer = total cache_answer_in
 
-let write_cache_put ?sent_at buf ~key result =
+let write_cache_put ~sent_at buf ~key result =
   Buffer.add_string buf "<CachePut";
   add_attr buf "Key" key;
-  (match sent_at with None -> () | Some t -> add_attr buf "SentAt" (Printf.sprintf "%.6f" t));
+  add_attr buf "SentAt" (Printf.sprintf "%.6f" sent_at);
   Buffer.add_char buf '>';
   Dacs_policy.Xacml_xml.write_result buf result;
   Buffer.add_string buf "</CachePut>"
@@ -333,11 +340,13 @@ let cache_put_in c =
   let key = ref None and sent_at = ref None in
   while Cursor.next_attr c tag do
     if Cursor.attr_is c "Key" then key := Some (Cursor.value c)
-    else if Cursor.attr_is c "SentAt" then sent_at := float_of_string_opt (Cursor.value c)
+    else if Cursor.attr_is c "SentAt" then
+      sent_at := Some (parsed c "SentAt" float_of_string_opt (Cursor.value c))
   done;
   let key = required c tag "Key" !key in
+  let sent_at = required c tag "SentAt" !sent_at in
   let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
-  (key, result, !sent_at)
+  (key, result, sent_at)
 
 let read_cache_put = total cache_put_in
 
@@ -525,20 +534,23 @@ let parse_policy_update node =
       Ok (version, child)
     | _ -> Error "PolicyUpdate must carry exactly one policy")
 
-(* --- capabilities ----------------------------------------------------------------- *)
-
 (* --- offline event logs ------------------------------------------------ *)
 
+type log_kind =
+  | Grant of { subject : string; attr : string; value : string }
+  | Revoke of { subject : string; attr : string }
+  | Publish of { policy : string }
+  | Decide of { key : string; ctx : string; decision : string }
+
 type log_event = {
-  le_author : string;
-  le_seq : int;
-  le_at : float;
-  le_epoch : int;
-  le_frontier : (string * int) list;
-  le_kind : string;
-  le_fields : (string * string) list;
-  le_digest : string;
-  le_tag : string;
+  author : string;
+  seq : int;
+  at : float;
+  epoch : int;
+  frontier : (string * int) list;
+  kind : log_kind;
+  digest : string;
+  tag : string;
 }
 
 (* Timestamps must round-trip exactly: replicas sort the merged log on
@@ -549,18 +561,6 @@ type log_event = {
 external format_float : string -> float -> string = "caml_format_float"
 
 let float_attr f = format_float "%.17g" f
-
-let parse_float_attr node name =
-  let* s = attr_or_error node name in
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "<%s> %s is not a float: %s" (Xml.tag node) name s)
-
-let parse_int_attr node name =
-  let* s = attr_or_error node name in
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "<%s> %s is not an integer: %s" (Xml.tag node) name s)
 
 (* Entries sorted by author, whatever order the frontier came in. *)
 let write_frontier buf frontier =
@@ -577,82 +577,129 @@ let write_frontier buf frontier =
       entries;
     Buffer.add_string buf "</Frontier>"
 
-let parse_frontier_element node =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | e :: rest ->
-      let* author = attr_or_error e "Author" in
-      let* seq = parse_int_attr e "Seq" in
-      go ((author, seq) :: acc) rest
-  in
-  go [] (Xml.find_children node "Entry")
+let write_field buf name value =
+  Buffer.add_string buf "<Field";
+  add_attr buf "Name" name;
+  Buffer.add_char buf '>';
+  Xml.add_escaped buf value;
+  Buffer.add_string buf "</Field>"
 
 let write_log_event buf ~signed ev =
   Buffer.add_string buf "<LogEvent";
-  add_attr buf "Author" ev.le_author;
-  add_attr buf "Seq" (string_of_int ev.le_seq);
-  add_attr buf "At" (float_attr ev.le_at);
-  add_attr buf "Epoch" (string_of_int ev.le_epoch);
-  add_attr buf "Kind" ev.le_kind;
+  add_attr buf "Author" ev.author;
+  add_attr buf "Seq" (string_of_int ev.seq);
+  add_attr buf "At" (float_attr ev.at);
+  add_attr buf "Epoch" (string_of_int ev.epoch);
+  add_attr buf "Kind"
+    (match ev.kind with
+    | Grant _ -> "grant"
+    | Revoke _ -> "revoke"
+    | Publish _ -> "publish"
+    | Decide _ -> "decide");
   if signed then begin
-    add_attr buf "Digest" (Dacs_crypto.Encoding.hex_encode ev.le_digest);
-    add_attr buf "Tag" (Dacs_crypto.Encoding.hex_encode ev.le_tag)
+    add_attr buf "Digest" (Dacs_crypto.Encoding.hex_encode ev.digest);
+    add_attr buf "Tag" (Dacs_crypto.Encoding.hex_encode ev.tag)
   end;
   Buffer.add_char buf '>';
-  write_frontier buf ev.le_frontier;
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buf "<Field";
-      add_attr buf "Name" name;
-      Buffer.add_char buf '>';
-      Xml.add_escaped buf value;
-      Buffer.add_string buf "</Field>")
-    ev.le_fields;
+  write_frontier buf ev.frontier;
+  (match ev.kind with
+  | Grant { subject; attr; value } ->
+    write_field buf "subject" subject;
+    write_field buf "attr" attr;
+    write_field buf "value" value
+  | Revoke { subject; attr } ->
+    write_field buf "subject" subject;
+    write_field buf "attr" attr
+  | Publish { policy } -> write_field buf "policy" policy
+  | Decide { key; ctx; decision } ->
+    write_field buf "key" key;
+    write_field buf "ctx" ctx;
+    write_field buf "decision" decision);
   Buffer.add_string buf "</LogEvent>"
 
-let log_event ev = to_tree (fun buf -> write_log_event buf ~signed:true ev)
+(* The log frames are read exactly as they are written: each attribute
+   in the writer's order, and none after. *)
+let attr_named c tag name =
+  if not (Cursor.next_attr c tag && Cursor.attr_is c name) then
+    Cursor.fail c (Printf.sprintf "<%s> expects attribute %s next" (Cursor.tag_name c tag) name);
+  Cursor.value c
 
-let parse_log_event node =
-  let* () = expect_tag node "LogEvent" in
-  let* le_author = attr_or_error node "Author" in
-  let* le_seq = parse_int_attr node "Seq" in
-  let* le_at = parse_float_attr node "At" in
-  let* le_epoch = parse_int_attr node "Epoch" in
-  let* le_kind = attr_or_error node "Kind" in
-  let* digest_hex = attr_or_error node "Digest" in
-  let* tag_hex = attr_or_error node "Tag" in
-  let* le_frontier =
-    match Xml.find_child node "Frontier" with
-    | None -> Error "LogEvent has no Frontier"
-    | Some f -> parse_frontier_element f
-  in
-  let rec fields acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest ->
-      let* name = attr_or_error f "Name" in
-      fields ((name, Xml.text_content f) :: acc) rest
-  in
-  let* le_fields = fields [] (Xml.find_children node "Field") in
-  let hex what s =
-    match Dacs_crypto.Encoding.hex_decode s with
-    | bytes -> Ok bytes
-    | exception Invalid_argument _ -> Error (Printf.sprintf "LogEvent %s is not hex" what)
-  in
-  let* le_digest = hex "Digest" digest_hex in
-  let* le_tag = hex "Tag" tag_hex in
-  Ok { le_author; le_seq; le_at; le_epoch; le_frontier; le_kind; le_fields; le_digest; le_tag }
+let end_attrs c tag =
+  if Cursor.next_attr c tag then
+    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag))
 
-let log_sync_request ~frontier =
-  to_tree (fun buf ->
-      Buffer.add_string buf "<LogSyncRequest>";
-      write_frontier buf frontier;
-      Buffer.add_string buf "</LogSyncRequest>")
+let int_attr c tag name = parsed c name int_of_string_opt (attr_named c tag name)
 
-let parse_log_sync_request node =
-  let* () = expect_tag node "LogSyncRequest" in
-  match Xml.find_child node "Frontier" with
-  | None -> Error "LogSyncRequest has no Frontier"
-  | Some f -> parse_frontier_element f
+let hex_attr c tag name =
+  parsed c name
+    (fun s -> try Some (Dacs_crypto.Encoding.hex_decode s) with Invalid_argument _ -> None)
+    (attr_named c tag name)
+
+let entry_in c =
+  let tag = enter_named c "Entry" in
+  let author = attr_named c tag "Author" in
+  let seq = int_attr c tag "Seq" in
+  end_attrs c tag;
+  Cursor.close c tag;
+  (author, seq)
+
+let frontier_in c =
+  let tag = enter_named c "Frontier" in
+  end_attrs c tag;
+  children c tag entry_in
+
+let field_in c event name =
+  if not (Cursor.next_child c event) then Cursor.fail c ("LogEvent is missing field " ^ name);
+  let tag = enter_named c "Field" in
+  if not (String.equal (attr_named c tag "Name") name) then Cursor.fail c ("expected LogEvent field " ^ name);
+  end_attrs c tag;
+  let value = Cursor.text c tag in
+  Cursor.close c tag;
+  value
+
+let log_event_in c =
+  let tag = enter_named c "LogEvent" in
+  let author = attr_named c tag "Author" in
+  let seq = int_attr c tag "Seq" in
+  let at = parsed c "At" float_of_string_opt (attr_named c tag "At") in
+  let epoch = int_attr c tag "Epoch" in
+  let kind = attr_named c tag "Kind" in
+  let digest = hex_attr c tag "Digest" in
+  let mac = hex_attr c tag "Tag" in
+  end_attrs c tag;
+  if not (Cursor.next_child c tag) then Cursor.fail c "LogEvent has no Frontier";
+  let frontier = frontier_in c in
+  let field = field_in c tag in
+  let kind =
+    match kind with
+    | "grant" ->
+      let subject = field "subject" in
+      let attr = field "attr" in
+      Grant { subject; attr; value = field "value" }
+    | "revoke" ->
+      let subject = field "subject" in
+      Revoke { subject; attr = field "attr" }
+    | "publish" -> Publish { policy = field "policy" }
+    | "decide" ->
+      let key = field "key" in
+      let ctx = field "ctx" in
+      Decide { key; ctx; decision = field "decision" }
+    | other -> Cursor.fail c ("unknown log event kind " ^ other)
+  in
+  if Cursor.next_child c tag then Cursor.fail c "LogEvent has an unexpected child";
+  Cursor.close c tag;
+  { author; seq; at; epoch; frontier; kind; digest; tag = mac }
+
+let write_log_sync_request buf ~frontier =
+  Buffer.add_string buf "<LogSyncRequest>";
+  write_frontier buf frontier;
+  Buffer.add_string buf "</LogSyncRequest>"
+
+let read_log_sync_request =
+  total (fun c ->
+      let tag = enter_named c "LogSyncRequest" in
+      end_attrs c tag;
+      only_child c tag ~missing:"LogSyncRequest has no Frontier" frontier_in)
 
 let write_log_sync_response buf ~head events =
   Buffer.add_string buf "<LogSyncResponse";
@@ -664,19 +711,14 @@ let write_log_sync_response buf ~head events =
     List.iter (write_log_event buf ~signed:true) events;
     Buffer.add_string buf "</LogSyncResponse>"
 
-let parse_log_sync_response node =
-  let* () = expect_tag node "LogSyncResponse" in
-  let* head_hex = attr_or_error node "Head" in
-  match Dacs_crypto.Encoding.hex_decode head_hex with
-  | exception Invalid_argument _ -> Error "LogSyncResponse Head is not hex"
-  | head ->
-    let rec go acc = function
-      | [] -> Ok (head, List.rev acc)
-      | e :: rest ->
-        let* ev = parse_log_event e in
-        go (ev :: acc) rest
-    in
-    go [] (Xml.find_children node "LogEvent")
+let read_log_sync_response =
+  total (fun c ->
+      let tag = enter_named c "LogSyncResponse" in
+      let head = hex_attr c tag "Head" in
+      end_attrs c tag;
+      (head, children c tag log_event_in))
+
+(* --- capabilities ----------------------------------------------------------------- *)
 
 let capability_request ~subject ~pairs =
   Xml.element "CapabilityRequest"

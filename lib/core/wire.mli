@@ -31,7 +31,8 @@ val parse_access_request : Xml.t -> ((string * Dacs_policy.Value.t) list * strin
     [parse_authz_response]): adapters over the same writer and reader,
     where a tree is printed and read, a frame written and parsed.
 
-    Every other frame (policy, log sync, capability, revocation, signed
+    The offline log-sync request and response are read and written the
+    same way.  Every other frame (policy, capability, revocation, signed
     responses, SOAP headers) keeps its tree codec — they need canonical
     XML or are not per-decision — and rides the same buffer-and-cursor
     transport through {!Dacs_ws.Service}'s tree adapter. *)
@@ -128,13 +129,15 @@ val write_cache_answer : Buffer.t -> Dacs_policy.Decision.result option -> unit
 
 val read_cache_answer : Xml.Cursor.t -> (Dacs_policy.Decision.result option, string) result
 
-val write_cache_put : ?sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Decision.result -> unit
+val write_cache_put : sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Decision.result -> unit
 (** [sent_at] stamps the frame with the sender's clock so a receiver
     that purged after this put left the sender can reject it instead of
     resurrecting a stale entry (the put/invalidate race). *)
 
 val read_cache_put :
-  Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float option, string) result
+  Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float, string) result
+(** The key, the decision and the sender's stamp.  A put without a
+    numeric [SentAt] is rejected: it cannot be ordered against a purge. *)
 
 val cache_invalidate : epoch:int -> string option -> Xml.t
 (** Full purge when the key is [None], single-entry drop otherwise.
@@ -177,46 +180,50 @@ val parse_policy_update : Xml.t -> (int * Dacs_policy.Policy.child, string) resu
 
     Frames for the eventually consistent offline mode: each domain keeps
     a hash-linked, HMAC-signed event log, and on heal exchanges log
-    suffixes keyed by vector-clock frontiers.  The wire layer is
-    deliberately agnostic about event semantics — the kind is a string
-    and the payload a (name, value) field list — so the vocabulary does
-    not depend on the offline engine (which owns the typed view and the
-    chain/signature checks). *)
+    suffixes keyed by vector-clock frontiers.  The event is defined here,
+    next to its one writer and reader, and {!Offline} re-exports it; the
+    chain and signature checks stay with the offline engine. *)
+
+type log_kind =
+  | Grant of { subject : string; attr : string; value : string }
+  | Revoke of { subject : string; attr : string }
+  | Publish of { policy : string }
+  | Decide of { key : string; ctx : string; decision : string }
 
 type log_event = {
-  le_author : string;  (** originating domain *)
-  le_seq : int;  (** 1-based position in the author's chain *)
-  le_at : float;  (** author's virtual-clock timestamp *)
-  le_epoch : int;  (** author's offline epoch when appended *)
-  le_frontier : (string * int) list;  (** author's vector clock, self included *)
-  le_kind : string;
-  le_fields : (string * string) list;
-  le_digest : string;  (** chain digest, raw bytes *)
-  le_tag : string;  (** HMAC-SHA256 over the digest, raw bytes *)
+  author : string;  (** originating domain *)
+  seq : int;  (** 1-based position in the author's chain *)
+  at : float;  (** author's virtual-clock timestamp *)
+  epoch : int;  (** author's offline epoch when appended *)
+  frontier : (string * int) list;  (** author's vector clock, self included *)
+  kind : log_kind;
+  digest : string;  (** chain digest, raw bytes *)
+  tag : string;  (** HMAC-SHA256 over the digest, raw bytes *)
 }
 
 val write_log_event : Buffer.t -> signed:bool -> log_event -> unit
-(** The one definition of the event element.  With [~signed:false] it
-    leaves out the digest and tag and writes the canonical bytes that
-    the hash chain links and the HMAC authenticates; both sides must
-    derive them the same way, which is why they live here next to the
-    encoding.  Frontier entries are written sorted by author. *)
+(** The one definition of the event element: the kind's fields are
+    written as [Field] children in a fixed order per kind.  With
+    [~signed:false] it leaves out the digest and tag and writes the
+    canonical bytes that the hash chain links and the HMAC
+    authenticates; both sides must derive them the same way, which is
+    why they live here next to the encoding.  Frontier entries are
+    written sorted by author. *)
 
-val log_event : log_event -> Xml.t
-(** The signed element as a tree: {!write_log_event}'s bytes, parsed. *)
-
-val parse_log_event : Xml.t -> (log_event, string) result
-
-val log_sync_request : frontier:(string * int) list -> Xml.t
+val write_log_sync_request : Buffer.t -> frontier:(string * int) list -> unit
 (** Anti-entropy poll: "this is my frontier — send what I lack." *)
 
-val parse_log_sync_request : Xml.t -> ((string * int) list, string) result
+val read_log_sync_request : Xml.Cursor.t -> ((string * int) list, string) result
 
 val write_log_sync_response : Buffer.t -> head:string -> log_event list -> unit
-(** [head] is the responder's own chain head (raw bytes), an integrity
-    cross-check for the requester; each event is written signed. *)
+(** [head] is the responder's own chain head (raw bytes).  It is carried
+    but not yet checked by the requester.  Each event is written
+    signed. *)
 
-val parse_log_sync_response : Xml.t -> (string * log_event list, string) result
+val read_log_sync_response : Xml.Cursor.t -> (string * log_event list, string) result
+(** The head and the events, each read as {!write_log_event} wrote it:
+    attributes and the kind's fields in the writer's order, nothing
+    else.  Frontiers come back in the order they were written. *)
 
 (** {1 Capabilities (client → capability service, push model)} *)
 

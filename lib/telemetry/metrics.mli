@@ -123,3 +123,7 @@ val render : t -> string
 
 val render_json : t -> string
 (** The same snapshot as a single-line JSON object, for bench scrapers. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quote, backslash, [\n] and [\t]
+    escaped, other control bytes as [\u00XX]. *)

@@ -508,22 +508,10 @@ let render r =
    quoting that case. *)
 let json_burn v = if v = infinity then "\"inf\"" else Printf.sprintf "%.4f" v
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json r =
   let shed_reasons =
     String.concat ","
-      (List.map (fun (why, n) -> Printf.sprintf "\"%s\":%d" (json_escape why) n) r.shed_reasons)
+      (List.map (fun (why, n) -> Printf.sprintf "\"%s\":%d" (Metrics.json_escape why) n) r.shed_reasons)
   in
   let slo =
     Printf.sprintf

@@ -636,6 +636,45 @@ let test_region_put_race () =
   check int_ "no further rejections" 1 (Cache_hierarchy.L2.rejected_puts l2);
   check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.size l2)
 
+(* Only a stamped put can be ordered against a purge.  Raw cache-put
+   frames sent after one, without a SentAt or with one that is not a
+   number, are refused with a fault and store nothing. *)
+let test_unstamped_puts_refused () =
+  let net = Net.create ~seed:27L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  let sender = add "sender" in
+  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
+      Cache_hierarchy.L2.invalidate_region l2 lab_region);
+  let replies = ref [] in
+  List.iter
+    (fun stamp ->
+      Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
+          Service.call_frame services ~src:sender ~dst:"l2" ~service:"cache-put"
+            ~read:(fun c -> Dacs_xml.Xml.Cursor.read c (fun c -> ignore (Dacs_xml.Xml.Cursor.subtree c)))
+            (fun buf ->
+              Buffer.add_string buf "<CachePut Key=\"";
+              Dacs_xml.Xml.add_escaped buf (rkey "lab");
+              Buffer.add_string buf ("\"" ^ stamp ^ ">");
+              Dacs_policy.Xacml_xml.write_result buf Decision.permit;
+              Buffer.add_string buf "</CachePut>")
+            (fun reply -> replies := reply :: !replies)))
+    [ ""; " SentAt=\"x\"" ];
+  Engine.run (Net.engine net) ~until:5.0;
+  check int_ "both frames answered" 2 (List.length !replies);
+  List.iter
+    (function
+      | Error (Service.Fault _) -> ()
+      | Error e -> Alcotest.failf "expected a fault, got %s" (Service.error_to_string e)
+      | Ok _ -> Alcotest.fail "an unstamped put was acknowledged")
+    !replies;
+  check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
+  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2)
+
 (* A PEP on node "pep" whose live rung reaches the single PDP "pdp",
    either as a pull PEP's failover list or through a one-shard tier — the
    two live steps of the one decision ladder. *)
@@ -1147,6 +1186,8 @@ let () =
             test_region_purge_allocation;
           Alcotest.test_case "an L2 region purge drops malformed peer keys" `Quick
             test_l2_region_drops_peer_malformed_keys;
+          Alcotest.test_case "an unstamped put is refused after a purge" `Quick
+            test_unstamped_puts_refused;
         ] );
       ( "revocation",
         [

@@ -71,7 +71,7 @@ let result_gen =
       (list_size (int_bound 3) obligation_gen))
 
 let epoch_gen = Gen.oneof [ Gen.return 0; Gen.int_range 1 1000 ]
-let sent_at_gen = Gen.opt (Gen.map (fun k -> float_of_int k /. 1000.0) (Gen.int_bound 10_000_000))
+let sent_at_gen = Gen.map (fun k -> float_of_int k /. 1000.0) (Gen.int_bound 10_000_000)
 
 (* One value per hot frame, with its writer, reader, reference tree
    encoder and reference decoder.  Each reader's result is compared with
@@ -149,11 +149,17 @@ let frames =
         name = "cache_put";
         gen = Gen.triple sent_at_gen text_gen result_gen;
         print = (fun (_, key, r) -> key ^ " " ^ show_result r);
-        write = (fun buf (sent_at, key, r) -> Wire.write_cache_put ?sent_at buf ~key r);
+        write = (fun buf (sent_at, key, r) -> Wire.write_cache_put ~sent_at buf ~key r);
         read = Wire.read_cache_put;
         of_value = (fun (sent_at, key, r) -> (key, r, sent_at));
-        ref_tree = (fun (sent_at, key, r) -> Ref.cache_put ?sent_at ~key r);
-        ref_read = Ref.parse_cache_put;
+        ref_tree = (fun (sent_at, key, r) -> Ref.cache_put ~sent_at ~key r);
+        (* The reference read an unstamped put as [None]; the reader
+           refuses it. *)
+        ref_read =
+          (fun node ->
+            Result.bind (Ref.parse_cache_put node) (function
+              | key, r, Some sent_at -> Ok (key, r, sent_at)
+              | _, _, None -> Error "CachePut has no numeric SentAt"));
         equal = ( = );
       };
     Frame
@@ -219,25 +225,34 @@ let odd_float_gen =
 
 let raw_bytes_gen = Gen.string_size ~gen:Gen.char (Gen.oneofl [ 0; 32 ])
 
-let log_event_gen =
-  let open Gen in
-  let field =
+let frontier_gen = Gen.(list_size (int_bound 5) (pair (oneof [ oneofl [ "dom0"; "dom1"; "dom2" ]; text_gen ]) nat))
+
+(* Every kind, its fields full of XML specials; a Decide's [ctx] holds a
+   rendered request, escaped once more. *)
+let log_kind_gen =
+  Gen.(
     oneof
       [
-        pair text_gen text_gen;
-        map (fun ctx -> ("ctx", Context.to_string ctx)) context_gen;
-      ]
-  in
-  map3
-    (fun (le_author, le_seq, le_at) (le_epoch, le_frontier, le_kind) (le_fields, le_digest, le_tag) ->
-      { Wire.le_author; le_seq; le_at; le_epoch; le_frontier; le_kind; le_fields; le_digest; le_tag })
-    (triple text_gen (int_range (-5) 100000) odd_float_gen)
-    (triple (int_bound 50)
-       (list_size (int_bound 5) (pair (oneof [ oneofl [ "dom0"; "dom1"; "dom2" ]; text_gen ]) nat))
-       text_gen)
-    (triple (list_size (int_bound 4) field) raw_bytes_gen raw_bytes_gen)
+        map3 (fun subject attr value -> Wire.Grant { subject; attr; value }) text_gen text_gen text_gen;
+        map2 (fun subject attr -> Wire.Revoke { subject; attr }) text_gen text_gen;
+        map (fun policy -> Wire.Publish { policy }) text_gen;
+        map3
+          (fun key ctx decision -> Wire.Decide { key; ctx = Context.to_string ctx; decision })
+          text_gen context_gen text_gen;
+      ])
+
+let log_event_gen =
+  Gen.(
+    map3
+      (fun (author, seq, at) (epoch, frontier, kind) (digest, tag) ->
+        { Wire.author; seq; at; epoch; frontier; kind; digest; tag })
+      (triple text_gen (int_range (-5) 100000) odd_float_gen)
+      (triple (int_bound 50) frontier_gen log_kind_gen)
+      (pair raw_bytes_gen raw_bytes_gen))
 
 let show_log_event (ev : Wire.log_event) = Xml.to_string (Ref.log_event ev)
+
+let by_author (a, _) (b, _) = String.compare a b
 
 let log_event_bytes_tests =
   List.map
@@ -255,19 +270,10 @@ let log_event_bytes_tests =
         (make Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen))) (fun (head, events) ->
           written (fun buf events -> Wire.write_log_sync_response buf ~head events) events
           = Xml.to_string (Ref.log_sync_response ~head events));
-      Test.make ~name:"log_sync_request: tree printed = reference tree printed" ~count:200
+      Test.make ~name:"log_sync_request: writer bytes = reference tree printed" ~count:200
         (make Gen.(list_size (int_bound 5) (pair text_gen nat))) (fun frontier ->
-          Xml.to_string (Wire.log_sync_request ~frontier) = Xml.to_string (Ref.log_sync_request ~frontier));
-      (* The tree views read back as the event written, its frontier sorted. *)
-      Test.make ~name:"log_event: parse (tree view) = event" ~count:300
-        (make ~print:show_log_event log_event_gen) (fun ev ->
-          let by_author (a, _) (b, _) = String.compare a b in
-          let sorted = { ev with Wire.le_frontier = List.stable_sort by_author ev.Wire.le_frontier } in
-          match Wire.parse_log_event (Wire.log_event ev) with
-          | Ok got ->
-            Xml.to_string (Ref.log_event got) = Xml.to_string (Ref.log_event sorted)
-            || Test.fail_reportf "read back as %s" (show_log_event got)
-          | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
+          written (fun buf frontier -> Wire.write_log_sync_request buf ~frontier) frontier
+          = Xml.to_string (Ref.log_sync_request ~frontier));
     ]
 
 (* The frame a request leaves the sender as: captured at a raw RPC
@@ -328,6 +334,26 @@ let roundtrip_tests =
           | Error e -> Test.fail_reportf "rejected its own frame: %s" e))
     frames
 
+(* The log-sync frames read back what was written, each frontier sorted
+   by author as the writer put it.  [compare], not [=]: a NaN timestamp
+   must equal itself. *)
+let log_roundtrip_tests =
+  [
+    Test.make ~name:"log_sync_response: read (write v) = v, frontiers sorted" ~count:300
+      (make
+         ~print:(fun (_, events) -> String.concat "\n" (List.map show_log_event events))
+         Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen)))
+      (fun (head, events) ->
+        let sorted = List.map (fun ev -> { ev with Wire.frontier = List.stable_sort by_author ev.Wire.frontier }) events in
+        match read_document Wire.read_log_sync_response (written (fun buf -> Wire.write_log_sync_response buf ~head) events) with
+        | Ok got -> compare got (head, sorted) = 0 || Test.fail_reportf "read back differently"
+        | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
+    Test.make ~name:"log_sync_request: read (write v) = v sorted" ~count:300 (make frontier_gen) (fun frontier ->
+        match read_document Wire.read_log_sync_request (written (fun buf frontier -> Wire.write_log_sync_request buf ~frontier) frontier) with
+        | Ok got -> got = List.stable_sort by_author frontier
+        | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
+  ]
+
 (* --- 3. mutations: never raise, never accept differently ------------------------- *)
 
 (* Byte mutations biased towards markup: flips to XML-significant bytes,
@@ -375,6 +401,108 @@ let mutation_tests =
             | Ok want -> f.equal got want || Test.fail_reportf "reads differently from the reference: %S" s
             | Error e -> Test.fail_reportf "accepted what the reference rejects (%s): %S" e s)))
     frames
+
+(* The log-sync frames are the ones a domain reads from another domain's
+   replica: no mutation of either makes its reader raise. *)
+
+let enveloped write v =
+  let buf = Buffer.create 512 in
+  Soap.write buf (fun buf -> write buf v);
+  Buffer.contents buf
+
+let never_raises name gen print write read =
+  Test.make ~name:(name ^ ": mutated frames never raise") ~count:500
+    (make ~print:(fun (v, ops) -> print v ^ " / " ^ Print.(list (triple int int int)) ops) (Gen.pair gen mutations_gen))
+    (fun (v, ops) ->
+      let s = mutate ops (enveloped write v) in
+      match live_read read s with
+      | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
+      | Ok _ | Error _ -> true)
+
+let log_mutation_tests =
+  [
+    never_raises "log_sync_request" frontier_gen Print.(list (pair string int))
+      (fun buf frontier -> Wire.write_log_sync_request buf ~frontier)
+      Wire.read_log_sync_request;
+    never_raises "log_sync_response"
+      Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen))
+      (fun (_, events) -> String.concat "\n" (List.map show_log_event events))
+      (fun buf (head, events) -> Wire.write_log_sync_response buf ~head events)
+      Wire.read_log_sync_response;
+  ]
+
+(* A real segment: two authors, every kind, alpha's events known to beta
+   before beta appends its own. *)
+let segment =
+  lazy
+    (let clock = ref 0.0 in
+     let now () =
+       clock := !clock +. 0.25;
+       !clock
+     in
+     let key = Dacs_crypto.Sha256.digest "test-wire-mesh" in
+     let alpha = Offline.create ~now ~key ~author:"alpha" () in
+     let beta = Offline.create ~now ~key ~author:"beta" () in
+     let policy =
+       Dacs_policy.Policy.make ~id:"p"
+         [
+           Dacs_policy.Rule.permit ~condition:(Dacs_policy.Expr.one_of (Dacs_policy.Expr.subject_attr "role") [ "doctor" ]) "doctors";
+           Dacs_policy.Rule.deny "default-deny";
+         ]
+     in
+     Offline.publish alpha (Dacs_policy.Policy.Inline_policy policy);
+     Offline.grant alpha ~subject:"alice" ~attr:"role" ~value:"doctor";
+     Offline.revoke alpha ~subject:"bob" ~attr:"role";
+     ignore (Offline.sync_pair alpha beta);
+     Offline.grant beta ~subject:"carol" ~attr:"role" ~value:"doctor <&>";
+     let ctx =
+       Context.make
+         ~subject:[ ("subject-id", Value.String "alice") ]
+         ~resource:[ ("resource-id", Value.String "chart") ]
+         ~action:[ ("action-id", Value.String "read") ]
+         ()
+     in
+     ignore (Offline.decide beta ctx);
+     (key, Offline.head beta, Offline.missing_for beta ~frontier:[]))
+
+let signed_bytes ev = written (fun buf ev -> Wire.write_log_event buf ~signed:true ev) ev
+
+(* A mutated response may still decode, but admission must then hold
+   only events whose bytes are the originals': the chain and tag catch
+   every other change. *)
+let log_admit_mutation_test =
+  Test.make ~name:"log_sync_response: a mutation is admitted only with its events intact" ~count:500
+    (make ~print:Print.(list (triple int int int)) mutations_gen)
+    (fun ops ->
+      let key, head, events = Lazy.force segment in
+      let original = Hashtbl.create 8 in
+      List.iter (fun ev -> Hashtbl.replace original (ev.Offline.author, ev.Offline.seq) (signed_bytes ev)) events;
+      let s = mutate ops (enveloped (fun buf events -> Wire.write_log_sync_response buf ~head events) events) in
+      match live_read Wire.read_log_sync_response s with
+      | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
+      | Error _ -> true
+      | Ok (_, (_, decoded)) -> (
+        let replica = Offline.create ~key ~author:"gamma" () in
+        match Offline.admit replica decoded with
+        | Error _ -> true
+        | Ok _ ->
+          List.for_all
+            (fun ev ->
+              Hashtbl.find_opt original (ev.Offline.author, ev.Offline.seq) = Some (signed_bytes ev))
+            (Offline.events replica)
+          || Test.fail_reportf "admitted an altered event from %S" s))
+
+let log_intact () =
+  let key, head, events = Lazy.force segment in
+  let s = enveloped (fun buf events -> Wire.write_log_sync_response buf ~head events) events in
+  match live_read Wire.read_log_sync_response s with
+  | Ok (_, (got_head, decoded)) ->
+    Alcotest.(check bool) "the head reads back" true (String.equal got_head head);
+    Alcotest.(check (list string)) "every event reads back" (List.map signed_bytes events) (List.map signed_bytes decoded);
+    Alcotest.(check bool) "and is admitted whole" true
+      (Offline.admit (Offline.create ~key ~author:"gamma" ()) decoded = Ok (List.length events));
+    Alcotest.(check int) "two authors, five events" 5 (List.length events)
+  | Error e -> Alcotest.failf "the unmutated response was rejected: %s" e
 
 (* --- 4. signed responses: a mutation never forges a decision ---------------------- *)
 
@@ -476,10 +604,13 @@ let () =
   Alcotest.run "dacs_wire"
     [
       props "bytes" (bytes_tests @ whole_frame_tests @ log_event_bytes_tests);
-      props "roundtrip" roundtrip_tests;
-      props "mutations" (mutation_tests @ [ signed_mutation_test ]);
+      props "roundtrip" (roundtrip_tests @ log_roundtrip_tests);
+      props "mutations" (mutation_tests @ [ signed_mutation_test ] @ log_mutation_tests @ [ log_admit_mutation_test ]);
       ( "signed",
-        [ Alcotest.test_case "an intact signed response decodes" `Quick signed_intact ] );
+        [
+          Alcotest.test_case "an intact signed response decodes" `Quick signed_intact;
+          Alcotest.test_case "an intact log-sync response is admitted whole" `Quick log_intact;
+        ] );
       ( "allocation",
         [ Alcotest.test_case "one authz round trip stays under its word bound" `Quick test_round_trip_allocation ] );
     ]

@@ -3,7 +3,10 @@
    written and read in place: every body below is the former library
    code, moved here verbatim as the oracle that [test_wire] compares the
    direct writers and cursor readers against.  Module
-   prefixes were adjusted to the test's scope; nothing else changed. *)
+   prefixes were adjusted to the test's scope, and the log-event
+   printers take the typed event, mapping each kind to the kind name and
+   field list the former record carried ([kind_fields]); nothing else
+   changed. *)
 
 module Xml = Dacs_xml.Xml
 module Value = Dacs_policy.Value
@@ -325,17 +328,15 @@ let parse_cache_put node =
 (* The tree printers the log-event frames had before they were written
    in place; [to_string] of these is what the chain hashed. *)
 
-type log_event = Dacs_core.Wire.log_event = {
-  le_author : string;
-  le_seq : int;
-  le_at : float;
-  le_epoch : int;
-  le_frontier : (string * int) list;
-  le_kind : string;
-  le_fields : (string * string) list;
-  le_digest : string;
-  le_tag : string;
-}
+module Wire = Dacs_core.Wire
+
+(* Each kind's name and (name, value) fields, in the order the chain
+   hashed them. *)
+let kind_fields = function
+  | Wire.Grant { subject; attr; value } -> ("grant", [ ("subject", subject); ("attr", attr); ("value", value) ])
+  | Wire.Revoke { subject; attr } -> ("revoke", [ ("subject", subject); ("attr", attr) ])
+  | Wire.Publish { policy } -> ("publish", [ ("policy", policy) ])
+  | Wire.Decide { key; ctx; decision } -> ("decide", [ ("key", key); ("ctx", ctx); ("decision", decision) ])
 
 let float_attr f = Printf.sprintf "%.17g" f
 
@@ -347,24 +348,25 @@ let frontier_element frontier =
            Xml.element "Entry" ~attrs:[ ("Author", author); ("Seq", string_of_int seq) ])
          (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier))
 
-let log_event_unsigned ev =
+let log_event_unsigned (ev : Wire.log_event) =
+  let kind, fields = kind_fields ev.kind in
   Xml.element "LogEvent"
     ~attrs:
       [
-        ("Author", ev.le_author);
-        ("Seq", string_of_int ev.le_seq);
-        ("At", float_attr ev.le_at);
-        ("Epoch", string_of_int ev.le_epoch);
-        ("Kind", ev.le_kind);
+        ("Author", ev.author);
+        ("Seq", string_of_int ev.seq);
+        ("At", float_attr ev.at);
+        ("Epoch", string_of_int ev.epoch);
+        ("Kind", kind);
       ]
     ~children:
-      (frontier_element ev.le_frontier
+      (frontier_element ev.frontier
       :: List.map
            (fun (name, value) ->
              Xml.element "Field" ~attrs:[ ("Name", name) ] ~children:[ Xml.text value ])
-           ev.le_fields)
+           fields)
 
-let log_event ev =
+let log_event (ev : Wire.log_event) =
   match log_event_unsigned ev with
   | Xml.Text _ -> assert false
   | Xml.Element e ->
@@ -372,8 +374,8 @@ let log_event ev =
       ~attrs:
         (e.attrs
         @ [
-            ("Digest", Dacs_crypto.Encoding.hex_encode ev.le_digest);
-            ("Tag", Dacs_crypto.Encoding.hex_encode ev.le_tag);
+            ("Digest", Dacs_crypto.Encoding.hex_encode ev.digest);
+            ("Tag", Dacs_crypto.Encoding.hex_encode ev.tag);
           ])
       ~children:e.children
 

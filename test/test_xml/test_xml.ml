@@ -451,9 +451,9 @@ let wire_envelopes () =
          [ policy "r1"; Policy.Inline_set (Policy.make_set ~id:"inner" [ policy "r2" ]); Policy.Policy_ref "p-ext" ])
   in
   let event =
-    { Wire.le_author = "domain-a"; le_seq = 3; le_at = 1.5; le_epoch = 1; le_frontier = [ ("domain-a", 3); ("domain-b", 1) ];
-      le_kind = "decide"; le_fields = [ ("key", "k<&>"); ("decision", "Permit") ]; le_digest = "\x00\xffdigest";
-      le_tag = "\x01tag" }
+    { Wire.author = "domain-a"; seq = 3; at = 1.5; epoch = 1; frontier = [ ("domain-a", 3); ("domain-b", 1) ];
+      kind = Wire.Decide { key = "k<&>"; ctx = Context.to_string ctx; decision = "Permit" };
+      digest = "\x00\xffdigest"; tag = "\x01tag" }
   in
   let keys = Dacs_crypto.Rsa.generate (Dacs_crypto.Rng.create 7L) ~bits:512 in
   let cert =
@@ -462,9 +462,10 @@ let wire_envelopes () =
   let bodies =
     [
       ("access_request", Wire.access_request ~subject ~action:"read");
-      ("authz_query", Wire.authz_query ctx);
-      ("authz_response", Wire.authz_response ~epoch:3 result);
-      ("signed_authz_response", Wire.signed_authz_response ~epoch:3 ~key:keys.Dacs_crypto.Rsa.private_ ~cert result);
+      ("authz_query", written (fun buf -> Wire.write_authz_query buf ctx));
+      ("authz_response", written (fun buf -> Wire.write_authz_response ~epoch:3 buf result));
+      ("signed_authz_response",
+        written (fun buf -> Wire.write_signed_authz_response ~epoch:3 ~key:keys.Dacs_crypto.Rsa.private_ ~cert buf result));
       ("attribute_query", written (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice"));
       ("attribute_result", written (fun buf -> Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3; Value.Bool true ]));
       ("attribute_subscribe", Wire.attribute_subscribe ());
@@ -480,8 +481,8 @@ let wire_envelopes () =
       ("policy_query", Wire.policy_query ~scope:"domain-a" ~known_version:1);
       ("policy_response", Wire.policy_response ~version:2 (Some set));
       ("policy_update", Wire.policy_update ~version:2 set);
-      ("log_event", Wire.log_event event);
-      ("log_sync_request", Wire.log_sync_request ~frontier:[ ("domain-a", 3); ("domain-b", 1) ]);
+      ("log_event", written (fun buf -> Wire.write_log_event buf ~signed:true event));
+      ("log_sync_request", written (fun buf -> Wire.write_log_sync_request buf ~frontier:[ ("domain-b", 1); ("domain-a", 3) ]));
       ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf ~head:"\x02head" [ event; event ]));
       ("capability_request", Wire.capability_request ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]);
       ("revocation_check", Wire.revocation_check ~assertion_id:"a-1");
@@ -493,7 +494,8 @@ let wire_envelopes () =
   in
   let plain = List.map (fun (name, body) -> (name, { Soap.headers = []; body })) bodies in
   let signed =
-    Dacs_ws.Security.sign ~key:keys.Dacs_crypto.Rsa.private_ ~cert { Soap.headers = []; body = Wire.authz_query ctx }
+    Dacs_ws.Security.sign ~key:keys.Dacs_crypto.Rsa.private_ ~cert
+      { Soap.headers = []; body = written (fun buf -> Wire.write_authz_query buf ctx) }
   in
   ("authz_query (WS-Security header)", signed) :: plain
 
