@@ -61,16 +61,15 @@ let () =
       | None -> ()
       | Some capability ->
         (* Present the negotiated capability at the archive's PEP. *)
-        Service.call services ~src:"stranger" ~dst:"archive.example.org" ~service:"access"
+        Service.call_frame services ~src:"stranger" ~dst:"archive.example.org" ~service:"access"
           ~headers:[ Dacs_saml.Assertion.to_xml capability ]
-          (Wire.access_request
-             ~subject:[ ("subject-id", Value.String "dr-visitor") ]
-             ~action:"read")
-          (fun r ->
-            match Option.bind (Result.to_option r) (fun b -> Result.to_option (Wire.parse_access_outcome b)) with
-            | Some (Wire.Granted { content; _ }) -> Printf.printf "archive access: GRANTED (%s)\n" content
-            | Some (Wire.Denied reason) -> Printf.printf "archive access: DENIED (%s)\n" reason
-            | None -> print_endline "archive access: error"));
+          ~read:Wire.read_access_outcome
+          (fun buf ->
+            Wire.write_access_request buf ~subject:[ ("subject-id", Value.String "dr-visitor") ] ~action:"read")
+          (function
+            | Ok (Ok (Wire.Granted { content; _ })) -> Printf.printf "archive access: GRANTED (%s)\n" content
+            | Ok (Ok (Wire.Denied reason)) -> Printf.printf "archive access: DENIED (%s)\n" reason
+            | Ok (Error _) | Error _ -> print_endline "archive access: error"));
   Net.run net;
 
   print_newline ();

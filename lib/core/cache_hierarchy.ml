@@ -213,8 +213,9 @@ module L2 = struct
     let started = now t in
     List.iter
       (fun child ->
-        Service.call t.services ~src:t.node ~dst:child ~service:"cache-invalidate"
-          (Wire.cache_invalidate ~epoch:t.epoch key)
+        Service.call_frame t.services ~src:t.node ~dst:child ~service:"cache-invalidate"
+          ~read:Wire.read_cache_epoch
+          (fun buf -> Wire.write_cache_invalidate buf ~epoch:t.epoch key)
           (fun reply ->
             match reply with
             | Ok _ -> Metrics.observe t.h_latency (now t -. started)
@@ -229,8 +230,9 @@ module L2 = struct
     let started = now t in
     List.iter
       (fun child ->
-        Service.call t.services ~src:t.node ~dst:child ~service:"cache-region"
-          (Wire.cache_region ~epoch:t.epoch region)
+        Service.call_frame t.services ~src:t.node ~dst:child ~service:"cache-region"
+          ~read:Wire.read_cache_epoch
+          (fun buf -> Wire.write_cache_region buf ~epoch:t.epoch region)
           (fun reply ->
             match reply with
             | Ok _ -> Metrics.observe t.h_latency (now t -. started)
@@ -278,17 +280,14 @@ module L2 = struct
     if period <= 0.0 then invalid_arg "L2.enable_anti_entropy: period must be positive";
     let engine = Dacs_net.Net.engine (Service.net t.services) in
     let rec poll () =
-      Service.call t.services ~src:t.node ~dst:parent ~service:"cache-sync"
-        (Wire.cache_sync ~known_epoch:t.parent_epoch)
+      Service.call_frame t.services ~src:t.node ~dst:parent ~service:"cache-sync" ~read:Wire.read_cache_epoch
+        (fun buf -> Wire.write_cache_sync buf ~known_epoch:t.parent_epoch)
         (fun reply ->
           (match reply with
-          | Ok body -> (
-            match Wire.parse_cache_epoch body with
-            | Ok epoch when epoch > t.parent_epoch ->
-              t.parent_epoch <- epoch;
-              apply_invalidation t None
-            | Ok _ | Error _ -> ())
-          | Error _ -> ());
+          | Ok (Ok epoch) when epoch > t.parent_epoch ->
+            t.parent_epoch <- epoch;
+            apply_invalidation t None
+          | Ok _ | Error _ -> ());
           Engine.schedule engine ~delay:period poll)
     in
     poll ()
@@ -321,7 +320,6 @@ module L2 = struct
             ~labels:[ ("node", node) ] "l2_invalidation_latency_seconds";
       }
     in
-    let fault reason = Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason } in
     Service.serve_frame services ~node ~service:"cache-lookup" ~read:Wire.read_cache_lookup
       (fun ~caller:_ ~headers:_ body reply ->
         Metrics.inc t.c_lookups;
@@ -333,7 +331,6 @@ module L2 = struct
           reply (fun buf -> Wire.write_cache_answer buf answer));
     Service.serve_frame services ~node ~service:"cache-put" ~read:Wire.read_cache_put
       (fun ~caller:_ ~headers:_ body reply ->
-        let ack buf = Buffer.add_string buf "<CachePutAck/>" in
         match body with
         | Error e -> reply (Service.sender_fault e)
         | Ok (key, result, sent_at) ->
@@ -345,28 +342,33 @@ module L2 = struct
             Metrics.inc t.c_puts;
             Decision_cache.put t.cache ~now:(now t) ~key result
           end;
-          reply ack);
-    Service.serve services ~node ~service:"cache-invalidate" (fun ~caller:_ ~headers:_ body reply ->
-        match Wire.parse_cache_invalidate body with
-        | Error e -> reply (fault e)
+          reply Wire.write_cache_put_ack);
+    (* Purges and polls are all answered with this cache's epoch. *)
+    let answer_epoch reply = reply (fun buf -> Wire.write_cache_epoch buf ~epoch:t.epoch) in
+    Service.serve_frame services ~node ~service:"cache-invalidate" ~read:Wire.read_cache_invalidate
+      (fun ~caller:_ ~headers:_ body reply ->
+        match body with
+        | Error e -> reply (Service.sender_fault e)
         | Ok (sender_epoch, key) ->
           if key = None then t.parent_epoch <- max t.parent_epoch sender_epoch;
           apply_invalidation t key;
-          reply (Wire.cache_epoch ~epoch:t.epoch));
-    Service.serve services ~node ~service:"cache-region" (fun ~caller:_ ~headers:_ body reply ->
-        match Wire.parse_cache_region body with
-        | Error e -> reply (fault e)
+          answer_epoch reply);
+    Service.serve_frame services ~node ~service:"cache-region" ~read:Wire.read_cache_region
+      (fun ~caller:_ ~headers:_ body reply ->
+        match body with
+        | Error e -> reply (Service.sender_fault e)
         | Ok (sender_epoch, region) ->
           t.parent_epoch <- max t.parent_epoch sender_epoch;
           (match region with
           | Dacs_policy.Delta.Empty -> ()
           | Dacs_policy.Delta.Unbounded -> apply_invalidation t None
           | Dacs_policy.Delta.Zones _ -> apply_region t region);
-          reply (Wire.cache_epoch ~epoch:t.epoch));
-    Service.serve services ~node ~service:"cache-sync" (fun ~caller:_ ~headers:_ body reply ->
-        match Wire.parse_cache_sync body with
-        | Error e -> reply (fault e)
-        | Ok _known -> reply (Wire.cache_epoch ~epoch:t.epoch));
+          answer_epoch reply);
+    Service.serve_frame services ~node ~service:"cache-sync" ~read:Wire.read_cache_sync
+      (fun ~caller:_ ~headers:_ body reply ->
+        match body with
+        | Error e -> reply (Service.sender_fault e)
+        | Ok _known -> answer_epoch reply);
     t
 
   (* --- client side (what a PEP calls) ---------------------------------- *)
@@ -386,7 +388,7 @@ module L2 = struct
   let remote_put services ~src ~l2 ~key result =
     let sent_at = Dacs_net.Net.now (Service.net services) in
     Service.call_frame services ~src ~dst:l2 ~service:"cache-put"
-      ~read:(fun c -> Dacs_xml.Xml.Cursor.read c (fun c -> ignore (Dacs_xml.Xml.Cursor.subtree c)))
+      ~read:Wire.read_cache_put_ack
       (fun buf -> Wire.write_cache_put ~sent_at buf ~key result)
       (fun _ -> ())
 end

@@ -99,19 +99,18 @@ let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) ?(format = 
           ~help:"Revocation-status queries served" "cas_revocation_checks_total";
     }
   in
-  Service.serve services ~node ~service:"capability-request"
+  Service.serve_frame services ~node ~service:"capability-request" ~read:Wire.read_capability_request
     (fun ~caller:_ ~headers:_ body reply ->
-      match Wire.parse_capability_request body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok (subject, pairs) ->
         let assertion = issue t ~subject ~pairs in
-        reply
-          (match t.format with
-          | Saml -> Assertion.to_xml assertion
-          | X509_attribute_cert -> Dacs_saml.Attribute_cert.to_xml assertion));
-  Service.serve services ~node ~service:"revocation-check" (fun ~caller:_ ~headers:_ body reply ->
+        let to_xml = match t.format with Saml -> Assertion.to_xml | X509_attribute_cert -> Dacs_saml.Attribute_cert.to_xml in
+        reply (fun buf -> Dacs_xml.Xml.print buf (to_xml assertion)));
+  Service.serve_frame services ~node ~service:"revocation-check" ~read:Wire.read_revocation_check
+    (fun ~caller:_ ~headers:_ body reply ->
       Metrics.inc t.c_revocation_checks;
-      match Wire.parse_revocation_check body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
-      | Ok assertion_id -> reply (Wire.revocation_status ~revoked:(is_revoked t ~assertion_id)));
+      match body with
+      | Error e -> reply (Service.sender_fault e)
+      | Ok assertion_id -> reply (fun buf -> Wire.write_revocation_status buf ~revoked:(is_revoked t ~assertion_id)));
   t

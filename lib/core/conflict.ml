@@ -166,28 +166,6 @@ let find_between a b =
   let from_b = rules_of_policy pos b in
   conflicts_among (from_a @ from_b)
 
-(* --- change-impact region overlap ---------------------------------------- *)
-
-module Delta = Dacs_policy.Delta
-
-(* Two pins can constrain one and the same request only when they bind
-   different positions, or the same position to intersecting value sets
-   — the same single-valued-attribute reading as clause_constraint. *)
-let pins_compatible (a : Delta.pin) (b : Delta.pin) =
-  a.Delta.pin_category <> b.Delta.pin_category
-  || a.Delta.pin_attribute <> b.Delta.pin_attribute
-  || List.exists (fun v -> List.mem v b.Delta.pin_values) a.Delta.pin_values
-
-let zones_overlap (za : Delta.zone) (zb : Delta.zone) =
-  List.for_all (fun pa -> List.for_all (fun pb -> pins_compatible pa pb) zb) za
-
-let regions_overlap (a : Delta.t) (b : Delta.t) =
-  match (a, b) with
-  | Delta.Empty, _ | _, Delta.Empty -> false
-  | Delta.Unbounded, _ | _, Delta.Unbounded -> true
-  | Delta.Zones za, Delta.Zones zb ->
-    List.exists (fun x -> List.exists (fun y -> zones_overlap x y) zb) za
-
 let resolution algorithm c =
   match algorithm with
   | Combine.Deny_overrides | Combine.Ordered_deny_overrides -> Decision.Deny

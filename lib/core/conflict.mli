@@ -34,13 +34,3 @@ val resolution : Dacs_policy.Combine.algorithm -> conflict -> Dacs_policy.Decisi
 (** Which way the combining algorithm settles this conflict: deny- and
     permit-overrides pick their namesake, first-applicable follows document
     order, only-one-applicable reports the conflict as Indeterminate. *)
-
-(** {1 Change-impact region overlap}
-
-    The same satisfiability machinery applied to {!Delta} regions: can
-    one and the same request lie in both regions' pinned cores?  Used to
-    reason about publishes whose purges are provably independent. *)
-
-val regions_overlap : Dacs_policy.Delta.t -> Dacs_policy.Delta.t -> bool
-(** {!Delta.Empty} overlaps nothing; {!Delta.Unbounded} overlaps every
-    non-empty region; zone unions overlap when any zone pair does. *)

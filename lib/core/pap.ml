@@ -58,10 +58,12 @@ let push_to_subscribers t =
   match t.root with
   | None -> ()
   | Some root ->
-    let body = Wire.policy_update ~version:t.version root in
     List.iter
       (fun child ->
-        Service.call t.services ~src:t.node ~dst:child ~service:"policy-update" body (fun _ -> ()))
+        Service.call_frame t.services ~src:t.node ~dst:child ~service:"policy-update"
+          ~read:Wire.read_policy_update_ack
+          (fun buf -> Wire.write_policy_update buf ~version:t.version root)
+          ignore)
       t.subscribers
 
 let accept_update t child =
@@ -119,40 +121,39 @@ let create services ~node ~name ?admin_policy ?root () =
       last_region = Dacs_policy.Delta.empty;
     }
   in
-  Service.serve services ~node ~service:"policy-query" (fun ~caller:_ ~headers:_ body reply ->
+  Service.serve_frame services ~node ~service:"policy-query" ~read:Wire.read_policy_query
+    (fun ~caller:_ ~headers:_ body reply ->
       Metrics.inc t.c_queries;
-      match Wire.parse_policy_query body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok (_scope, known_version) ->
-        if known_version >= t.version then reply (Wire.policy_response ~version:t.version None)
-        else reply (Wire.policy_response ~version:t.version t.root));
-  Service.serve services ~node ~service:"policy-update" (fun ~caller ~headers:_ body reply ->
-      match Wire.parse_policy_update body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+        let policy = if known_version >= t.version then None else t.root in
+        reply (fun buf -> Wire.write_policy_response buf ~version:t.version policy));
+  Service.serve_frame services ~node ~service:"policy-update" ~read:Wire.read_policy_update
+    (fun ~caller ~headers:_ body reply ->
+      let refuse reason =
+        Metrics.inc t.c_rejected;
+        reply (fun buf -> Xml.print buf (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Receiver"; reason }))
+      in
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok (_remote_version, child) ->
-        (* A push from a syndicating parent we subscribed to is accepted
-           subject to the local filter; any other caller needs the admin
-           policy's blessing. *)
-        let allowed = admin_permits t ~caller in
-        if not allowed then begin
-          Metrics.inc t.c_rejected;
-          reply
-            (Dacs_ws.Soap.fault_body
-               { Dacs_ws.Soap.code = "soap:Receiver"; reason = "policy update not authorised" })
-        end
-        else if not (t.update_filter child) then begin
-          Metrics.inc t.c_rejected;
-          reply
-            (Dacs_ws.Soap.fault_body
-               { Dacs_ws.Soap.code = "soap:Receiver"; reason = "update rejected by local constraints" })
-        end
+        (* Every caller, a syndicating parent we subscribed to included,
+           needs the admin policy's blessing; an authorised update must
+           then pass the local filter. *)
+        if not (admin_permits t ~caller) then refuse "policy update not authorised"
+        else if not (t.update_filter child) then refuse "update rejected by local constraints"
         else begin
           accept_update t (t.update_transform child);
-          reply (Xml.element "PolicyUpdateAck" ~attrs:[ ("Version", string_of_int t.version) ])
+          reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
         end);
-  Service.serve services ~node ~service:"subscribe" (fun ~caller ~headers:_ _body reply ->
+  (* The subscription request is any body element: only the caller
+     counts. *)
+  Service.serve_frame services ~node ~service:"subscribe"
+    ~read:(fun c -> Ok (ignore (Xml.Cursor.subtree c)))
+    (fun ~caller ~headers:_ _body reply ->
       if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
-      reply (Xml.element "SubscribeAck"));
+      reply Wire.write_subscribe_ack);
   t
 
 let subscribe_local t ~child =
@@ -164,18 +165,15 @@ let enable_anti_entropy t ~parent ~period =
      version counter, so comparing against [t.version] would loop. *)
   let parent_version = ref 0 in
   let rec poll () =
-    Service.call t.services ~src:t.node ~dst:parent ~service:"policy-query"
-      (Wire.policy_query ~scope:"" ~known_version:!parent_version)
+    Service.call_frame t.services ~src:t.node ~dst:parent ~service:"policy-query" ~read:Wire.read_policy_response
+      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:!parent_version)
       (fun result ->
         (match result with
-        | Ok body -> (
-          match Wire.parse_policy_response body with
-          | Ok (version, Some child) when version > !parent_version ->
-            parent_version := version;
-            if t.update_filter child then accept_update t (t.update_transform child)
-          | Ok (version, None) -> parent_version := max !parent_version version
-          | Ok _ | Error _ -> ())
-        | Error _ -> ());
+        | Ok (Ok (version, Some child)) when version > !parent_version ->
+          parent_version := version;
+          if t.update_filter child then accept_update t (t.update_transform child)
+        | Ok (Ok (version, None)) -> parent_version := max !parent_version version
+        | Ok (Ok (_, Some _)) | Ok (Error _) | Error _ -> ());
         Engine.schedule engine ~delay:period poll)
   in
   poll ()

@@ -144,22 +144,19 @@ let ensure_policy t k =
     | None -> k ()
     | Some pap ->
       Metrics.inc t.counters.c_pap_fetches;
-      Service.call t.services ~src:t.node ~dst:pap ~resilient:Dacs_net.Rpc.no_retry
-        ~service:"policy-query"
-        (Wire.policy_query ~scope:"" ~known_version:t.version)
+      Service.call_frame t.services ~src:t.node ~dst:pap ~resilient:Dacs_net.Rpc.no_retry
+        ~service:"policy-query" ~read:Wire.read_policy_response
+        (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:t.version)
         (fun result ->
           (match result with
-          | Ok body -> (
-            match Wire.parse_policy_response body with
-            | Ok (version, Some child) ->
-              sync_compiled t child;
-              t.version <- version;
-              t.fetched_at <- now t
-            | Ok (_, None) ->
-              Metrics.inc t.counters.c_pap_refresh_hits;
-              t.fetched_at <- now t
-            | Error _ -> ())
-          | Error _ -> () (* keep whatever we have; staleness over unavailability *));
+          | Ok (Ok (version, Some child)) ->
+            sync_compiled t child;
+            t.version <- version;
+            t.fetched_at <- now t
+          | Ok (Ok (_, None)) ->
+            Metrics.inc t.counters.c_pap_refresh_hits;
+            t.fetched_at <- now t
+          | Ok (Error _) | Error _ -> () (* keep whatever we have; staleness over unavailability *));
           k ())
   end
 
@@ -398,19 +395,17 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
   | Some ac ->
     (* Explicit invalidation path: the PIP pushes when an attribute is
        removed, so revocation never waits out the cache TTL. *)
-    Service.serve services ~node ~service:"attribute-invalidate"
+    Service.serve_frame services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
       (fun ~caller:_ ~headers:_ body reply ->
-        match Wire.parse_attribute_invalidate body with
-        | Error e ->
-          reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+        match body with
+        | Error e -> reply (Service.sender_fault e)
         | Ok (subject, id) ->
           Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
-          reply (Dacs_xml.Xml.element "InvalidateAck"));
+          reply Wire.write_invalidate_ack);
     List.iter
       (fun pip ->
-        Service.call services ~src:node ~dst:pip ~service:"attribute-subscribe"
-          (Wire.attribute_subscribe ())
-          (fun _ -> ()))
+        Service.call_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"
+          ~read:Wire.read_subscribe_ack Wire.write_attribute_subscribe ignore)
       pips);
   Service.serve_frame services ~node ~service:"authz-query" ~read:Wire.read_authz_query
     (fun ~caller:_ ~headers:_ body reply ->

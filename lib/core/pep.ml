@@ -337,32 +337,30 @@ let enforce t ~subject ~action ?provenance (result : Decision.result) reply =
         provenance;
       }
   in
-  match result.Decision.decision with
-  | Decision.Permit -> (
-    match fulfil_obligations t result with
-    | Ok (content, encrypted, fulfilled) ->
-      record Decision.Permit;
-      Metrics.inc t.counters.c_granted;
-      Metrics.inc ~by:fulfilled t.counters.c_obligations_fulfilled;
-      reply (Wire.access_granted ~content ~encrypted ())
-    | Error reason ->
-      (* An unfulfillable obligation forbids granting access. *)
-      record Decision.Deny;
-      Metrics.inc t.counters.c_denied;
-      reply (Wire.access_denied ~reason))
-  | Decision.Deny ->
-    record Decision.Deny;
+  let deny decision reason =
+    record decision;
     Metrics.inc t.counters.c_denied;
-    reply (Wire.access_denied ~reason:"denied by policy")
-  | Decision.Not_applicable ->
-    (* Deny-biased PEP: no applicable policy means no access. *)
-    record Decision.Deny;
-    Metrics.inc t.counters.c_denied;
-    reply (Wire.access_denied ~reason:"no applicable policy")
-  | Decision.Indeterminate m ->
-    record (Decision.Indeterminate m);
-    Metrics.inc t.counters.c_denied;
-    reply (Wire.access_denied ~reason:(Printf.sprintf "authorisation error: %s" m))
+    Wire.Denied reason
+  in
+  let outcome =
+    match result.Decision.decision with
+    | Decision.Permit -> (
+      match fulfil_obligations t result with
+      | Ok (content, encrypted, fulfilled) ->
+        record Decision.Permit;
+        Metrics.inc t.counters.c_granted;
+        Metrics.inc ~by:fulfilled t.counters.c_obligations_fulfilled;
+        Wire.Granted { content; encrypted }
+      | Error reason ->
+        (* An unfulfillable obligation forbids granting access. *)
+        deny Decision.Deny reason)
+    | Decision.Deny -> deny Decision.Deny "denied by policy"
+    | Decision.Not_applicable ->
+      (* Deny-biased PEP: no applicable policy means no access. *)
+      deny Decision.Deny "no applicable policy"
+    | Decision.Indeterminate m -> deny (Decision.Indeterminate m) (Printf.sprintf "authorisation error: %s" m)
+  in
+  reply (fun buf -> Wire.write_access_outcome buf outcome)
 
 (* --- the decision ladder ---------------------------------------------------- *)
 
@@ -614,15 +612,15 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
         | None -> continue_after_revocation ()
         | Some authority ->
           Metrics.inc t.counters.c_revocation_checks;
-          Service.call t.services ~src:t.node ~dst:authority ~service:"revocation-check"
-            ~resilient:t.retry (Wire.revocation_check ~assertion_id:assertion.Assertion.id)
+          let assertion_id = assertion.Assertion.id in
+          Service.call_frame t.services ~src:t.node ~dst:authority ~service:"revocation-check"
+            ~resilient:t.retry ~read:Wire.read_revocation_status
+            (fun buf -> Wire.write_revocation_check buf ~assertion_id)
             (fun response ->
               match response with
-              | Ok body -> (
-                match Wire.parse_revocation_status body with
-                | Ok true -> deny_with "capability has been revoked"
-                | Ok false -> continue_after_revocation ()
-                | Error e -> deny_with ("malformed revocation status: " ^ e))
+              | Ok (Ok true) -> deny_with "capability has been revoked"
+              | Ok (Ok false) -> continue_after_revocation ()
+              | Ok (Error e) -> deny_with ("malformed revocation status: " ^ e)
               | Error _ ->
                 (* Fail closed: cannot check revocation, do not honour. *)
                 deny_with "revocation authority unreachable")
@@ -733,10 +731,11 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       waiting = Queue.create ();
     }
   in
-  Service.serve services ~node ~service:"access" (fun ~caller:_ ~headers body reply ->
+  Service.serve_frame services ~node ~service:"access" ~read:Wire.read_access_request
+    (fun ~caller:_ ~headers body reply ->
       Metrics.inc t.counters.c_requests;
-      match Wire.parse_access_request body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok (subject_attrs, action) ->
         let subject =
           match List.assoc_opt "subject-id" subject_attrs with

@@ -30,9 +30,10 @@ let remove_subject_attribute t ~subject ~id =
   List.iter
     (fun dst ->
       Metrics.inc t.c_invalidations;
-      Service.call t.services ~src:t.node ~dst ~service:"attribute-invalidate"
-        (Wire.attribute_invalidate ~subject ~attribute_id:id)
-        (fun _ -> ()))
+      Service.call_frame t.services ~src:t.node ~dst ~service:"attribute-invalidate"
+        ~read:Wire.read_invalidate_ack
+        (fun buf -> Wire.write_attribute_invalidate buf ~subject ~attribute_id:id)
+        ignore)
     t.subscribers
 
 let set_environment t ~id f = Hashtbl.replace t.environment id f
@@ -73,13 +74,13 @@ let create services ~node ~name:_ =
       | Ok (category, id, subject) ->
         let bag = lookup t ~category ~id ~subject in
         reply (fun buf -> Wire.write_attribute_result buf bag));
-  Service.serve services ~node ~service:"attribute-subscribe"
+  Service.serve_frame services ~node ~service:"attribute-subscribe" ~read:Wire.read_attribute_subscribe
     (fun ~caller ~headers:_ body reply ->
-      match Wire.parse_attribute_subscribe body with
-      | Error e -> reply (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Sender"; reason = e })
+      match body with
+      | Error e -> reply (Service.sender_fault e)
       | Ok () ->
         if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
-        reply (Dacs_xml.Xml.element "SubscribeAck"));
+        reply Wire.write_subscribe_ack);
   t
 
 let lookups_served t = Metrics.counter_value t.c_lookups

@@ -1,64 +1,16 @@
 module Xml = Dacs_xml.Xml
 module Value = Dacs_policy.Value
 module Context = Dacs_policy.Context
+module Delta = Dacs_policy.Delta
+module Cursor = Xml.Cursor
 
 let ( let* ) = Result.bind
 
-let attr_or_error node name =
-  match Xml.attr node name with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "<%s> is missing attribute %s" (Xml.tag node) name)
+(* --- one writer and one cursor reader per frame ---------------------------- *)
 
-let expect_tag node name =
-  if Xml.has_local_name (Xml.tag node) name then Ok ()
-  else Error (Printf.sprintf "expected <%s>, got <%s>" name (Xml.tag node))
-
-(* Shared encoding of attribute (name, value) lists. *)
-let attr_elements attrs =
-  List.map
-    (fun (name, v) ->
-      Xml.element "Attribute"
-        ~attrs:[ ("Name", name); ("DataType", Value.type_name (Value.type_of v)) ]
-        ~children:[ Xml.text (Value.to_string v) ])
-    attrs
-
-let parse_attr_elements nodes =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | node :: rest ->
-      let* name = attr_or_error node "Name" in
-      let* dt_name = attr_or_error node "DataType" in
-      (match Value.data_type_of_name dt_name with
-      | None -> Error (Printf.sprintf "unknown data type %s" dt_name)
-      | Some dt ->
-        let* v = Value.of_string dt (Xml.text_content node) in
-        go ((name, v) :: acc) rest)
-  in
-  go [] nodes
-
-(* --- access requests --------------------------------------------------- *)
-
-let access_request ~subject ~action =
-  Xml.element "AccessRequest" ~attrs:[ ("Action", action) ] ~children:(attr_elements subject)
-
-let parse_access_request node =
-  let* () = expect_tag node "AccessRequest" in
-  let* action = attr_or_error node "Action" in
-  let* subject = parse_attr_elements (Xml.find_children node "Attribute") in
-  Ok (subject, action)
-
-(* --- hot frames: one writer and one cursor reader each ------------------- *)
-
-(* The per-decision frames are written straight into the outgoing frame
-   and read in place from the one that arrived; their tree forms below
-   are adapters over the same writer and reader. *)
-
-module Cursor = Xml.Cursor
-
-let skip_attrs c tag =
-  while Cursor.next_attr c tag do
-    ()
-  done
+(* Every frame is written straight into the outgoing frame and read in
+   place from the one that arrived.  The authorisation query and response
+   also keep tree forms, adapters over the same writer and reader. *)
 
 let enter_named c name =
   let tag = Cursor.enter c in
@@ -85,11 +37,37 @@ let children c tag read =
   Cursor.close c tag;
   List.rev !items
 
-let required c tag name = function
-  | Some v -> v
-  | None -> Cursor.fail c (Printf.sprintf "<%s> is missing attribute %s" (Cursor.tag_name c tag) name)
+(* Frames are read exactly as they are written: each attribute in the
+   writer's order, and none after. *)
+let attr_named c tag name =
+  if not (Cursor.next_attr c tag && Cursor.attr_is c name) then
+    Cursor.fail c (Printf.sprintf "<%s> expects attribute %s next" (Cursor.tag_name c tag) name);
+  Cursor.value c
 
-let parsed c what parse s = match parse s with Some v -> v | None -> Cursor.fail c (what ^ ": " ^ s)
+let end_attrs c tag =
+  if Cursor.next_attr c tag then
+    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag))
+
+(* A childless element whose attributes have been read. *)
+let end_leaf c tag =
+  end_attrs c tag;
+  Cursor.close c tag
+
+(* Childless elements with none, one or two attributes. *)
+let leaf0 name c = end_leaf c (enter_named c name)
+
+let leaf1 c name a =
+  let tag = enter_named c name in
+  let va = attr_named c tag a in
+  end_leaf c tag;
+  va
+
+let leaf2 c name a b =
+  let tag = enter_named c name in
+  let va = attr_named c tag a in
+  let vb = attr_named c tag b in
+  end_leaf c tag;
+  (va, vb)
 
 let add_attr buf name value =
   Buffer.add_char buf ' ';
@@ -97,6 +75,26 @@ let add_attr buf name value =
   Buffer.add_string buf "=\"";
   Xml.add_escaped buf value;
   Buffer.add_char buf '"'
+
+let add_attrs buf attrs = List.iter (fun (name, value) -> add_attr buf name value) attrs
+
+let write_leaf buf name attrs =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf name;
+  add_attrs buf attrs;
+  Buffer.add_string buf "/>"
+
+(* The rest of a start tag whose attributes are written: the children,
+   each written by [write], and the end tag — or, with none, the
+   self-closing end the tree printer gave an empty element. *)
+let end_with buf name write = function
+  | [] -> Buffer.add_string buf "/>"
+  | items ->
+    Buffer.add_char buf '>';
+    List.iter (write buf) items;
+    Buffer.add_string buf "</";
+    Buffer.add_string buf name;
+    Buffer.add_char buf '>'
 
 let total read c = Cursor.read c read
 
@@ -109,6 +107,137 @@ let to_tree write =
   write buf;
   Xml.of_string (Buffer.contents buf)
 
+(* --- numbers ------------------------------------------------------------------ *)
+
+(* Numbers are read as the writers print them, not in OCaml's literal
+   syntax: a count is a non-negative decimal ([%d]), never "0x10", "1_0"
+   or "-1"; a timestamp is a finite decimal float ([%.6f], [%.17g] with
+   its exponent), never "nan" or "inf".  Neither allocates beyond the
+   float it returns. *)
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* The value of the decimal digits of [s], or -1 when [s] is empty,
+   holds anything else or does not fit an int. *)
+let rec decimal_from s i acc =
+  if i = String.length s then acc
+  else if not (is_digit s.[i]) then -1
+  else
+    let d = Char.code s.[i] - Char.code '0' in
+    if acc > (max_int - d) / 10 then -1 else decimal_from s (i + 1) ((acc * 10) + d)
+
+let decimal s = if String.length s = 0 then -1 else decimal_from s 0 0
+
+let count c what s =
+  let n = decimal s in
+  if n < 0 then Cursor.fail c (Printf.sprintf "%s is not a decimal count: %s" what s);
+  n
+
+let count_attr c tag name = count c name (attr_named c tag name)
+
+let rec skip_digits s i = if i < String.length s && is_digit s.[i] then skip_digits s (i + 1) else i
+
+(* At least one digit from [i]: the index past them, or -1. *)
+let digits s i =
+  let j = skip_digits s i in
+  if j > i then j else -1
+
+(* [-]digits[.digits][(e|E)[+|-]digits], to the end of [s]. *)
+let float_syntax s =
+  let n = String.length s in
+  let i = digits s (if n > 0 && s.[0] = '-' then 1 else 0) in
+  let i = if i >= 0 && i < n && s.[i] = '.' then digits s (i + 1) else i in
+  let i =
+    if i >= 0 && i < n && (s.[i] = 'e' || s.[i] = 'E') then
+      digits s (if i + 1 < n && (s.[i + 1] = '+' || s.[i + 1] = '-') then i + 2 else i + 1)
+    else i
+  in
+  i = n
+
+let timestamp c what s =
+  let f = if float_syntax s then float_of_string s else Float.nan in
+  if not (Float.is_finite f) then Cursor.fail c (Printf.sprintf "%s is not a finite decimal: %s" what s);
+  f
+
+let write_count buf name n = add_attr buf name (string_of_int n)
+
+(* --- named values: <Attribute Name DataType>value</Attribute> -------------------- *)
+
+(* The one encoding of a named, typed value: the subject of access and
+   capability requests and the values of an attribute result. *)
+let write_attribute buf name v =
+  Buffer.add_string buf "<Attribute";
+  add_attr buf "Name" name;
+  add_attr buf "DataType" (Value.type_name (Value.type_of v));
+  Buffer.add_char buf '>';
+  Xml.add_escaped buf (Value.to_string v);
+  Buffer.add_string buf "</Attribute>"
+
+let write_named buf (name, v) = write_attribute buf name v
+
+let attribute_in c =
+  let tag = enter_named c "Attribute" in
+  let name = attr_named c tag "Name" in
+  let dt_name = attr_named c tag "DataType" in
+  end_attrs c tag;
+  let text = Cursor.text c tag in
+  Cursor.close c tag;
+  match Value.data_type_of_name dt_name with
+  | None -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
+  | Some dt -> ( match Value.of_string dt text with Ok v -> (name, v) | Error e -> Cursor.fail c e)
+
+(* --- access requests and outcomes (client <-> PEP) ------------------------------ *)
+
+let write_access_request buf ~subject ~action =
+  Buffer.add_string buf "<AccessRequest";
+  add_attr buf "Action" action;
+  end_with buf "AccessRequest" write_named subject
+
+let read_access_request =
+  total (fun c ->
+      let tag = enter_named c "AccessRequest" in
+      let action = attr_named c tag "Action" in
+      end_attrs c tag;
+      (children c tag attribute_in, action))
+
+type access_outcome =
+  | Granted of { content : string; encrypted : bool }
+  | Denied of string
+
+let write_access_outcome buf = function
+  | Granted { content; encrypted } ->
+    Buffer.add_string buf "<AccessGranted";
+    add_attr buf "Encrypted" (string_of_bool encrypted);
+    if content = "" then Buffer.add_string buf "/>"
+    else begin
+      Buffer.add_char buf '>';
+      Xml.add_escaped buf content;
+      Buffer.add_string buf "</AccessGranted>"
+    end
+  | Denied reason -> write_leaf buf "AccessDenied" [ ("Reason", reason) ]
+
+let boolean c what s =
+  match bool_of_string_opt s with Some b -> b | None -> Cursor.fail c (what ^ " is not a boolean: " ^ s)
+
+let read_access_outcome =
+  total (fun c ->
+      let tag = Cursor.enter c in
+      if Cursor.has_local_name c tag "AccessGranted" then begin
+        let encrypted = boolean c "Encrypted" (attr_named c tag "Encrypted") in
+        end_attrs c tag;
+        let content = Cursor.text c tag in
+        Cursor.close c tag;
+        Granted { content; encrypted }
+      end
+      else if Cursor.has_local_name c tag "AccessDenied" then begin
+        let reason = attr_named c tag "Reason" in
+        end_leaf c tag;
+        Denied reason
+      end
+      else Cursor.fail c (Printf.sprintf "unexpected access outcome <%s>" (Cursor.tag_name c tag)))
+
+(* --- authorisation queries and responses (PEP <-> PDP) --------------------------- *)
+
 let write_authz_query buf ctx =
   Buffer.add_string buf "<AuthzQuery>";
   Context.write buf ctx;
@@ -116,7 +245,7 @@ let write_authz_query buf ctx =
 
 let authz_query_in c =
   let tag = enter_named c "AuthzQuery" in
-  skip_attrs c tag;
+  end_attrs c tag;
   only_child c tag ~missing:"AuthzQuery has no Request" Context.read
 
 let read_authz_query = total authz_query_in
@@ -128,7 +257,7 @@ let write_authz_response ?(epoch = 0) buf result =
      attribute (provenance); 0 — unknown — is the default and is
      omitted. *)
   Buffer.add_string buf "<AuthzResponse";
-  if epoch > 0 then add_attr buf "Epoch" (string_of_int epoch);
+  if epoch > 0 then write_count buf "Epoch" epoch;
   Buffer.add_char buf '>';
   Dacs_policy.Xacml_xml.write_result buf result;
   Buffer.add_string buf "</AuthzResponse>"
@@ -139,8 +268,7 @@ let authz_response_in c =
   let tag = enter_named c "AuthzResponse" in
   let epoch = ref 0 in
   while Cursor.next_attr c tag do
-    if Cursor.attr_is c "Epoch" then
-      epoch := match int_of_string_opt (Cursor.value c) with Some e when e > 0 -> e | Some _ | None -> 0
+    if Cursor.attr_is c "Epoch" then epoch := max 0 (decimal (Cursor.value c))
   done;
   let result = only_child c tag ~missing:"AuthzResponse has no Response" Dacs_policy.Xacml_xml.read_result in
   (result, !epoch)
@@ -174,7 +302,12 @@ let trusted_cert ~trust ~now cert =
     | Some root -> Cert.Trust_store.verify_chain trust ~now [ cert; root ] = Ok ()
   end
 
-(* The decision, its epoch and the signer of a signed response. *)
+let expect_tag node name =
+  if Xml.has_local_name (Xml.tag node) name then Ok ()
+  else Error (Printf.sprintf "expected <%s>, got <%s>" name (Xml.tag node))
+
+(* The decision, its epoch and the signer of a signed response.  The
+   signature covers the canonical response, so this one reads a tree. *)
 let verify_signed ~trust ~now node =
   let module Cert = Dacs_crypto.Cert in
   let* () = expect_tag node "SignedAuthzResponse" in
@@ -212,82 +345,49 @@ let read_authz_answer ?trust ~now c =
     let* node = total Cursor.subtree c in
     Result.map (fun (result, epoch, _) -> (result, epoch)) (verify_signed ~trust ~now node)
 
-(* --- attribute query ------------------------------------------------------- *)
+(* --- attributes (PDP <-> PIP) ------------------------------------------------------ *)
 
 let write_attribute_query buf ~category ~attribute_id ~subject =
-  Buffer.add_string buf "<AttributeQuery";
-  add_attr buf "Category" (Context.category_name category);
-  add_attr buf "AttributeId" attribute_id;
-  add_attr buf "Subject" subject;
-  Buffer.add_string buf "/>"
+  write_leaf buf "AttributeQuery"
+    [ ("Category", Context.category_name category); ("AttributeId", attribute_id); ("Subject", subject) ]
 
-let attribute_query_in c =
-  let tag = enter_named c "AttributeQuery" in
-  let category = ref None and attribute_id = ref None and subject = ref None in
-  while Cursor.next_attr c tag do
-    if Cursor.attr_is c "Category" then category := Some (Cursor.value c)
-    else if Cursor.attr_is c "AttributeId" then attribute_id := Some (Cursor.value c)
-    else if Cursor.attr_is c "Subject" then subject := Some (Cursor.value c)
-  done;
-  Cursor.close c tag;
-  let category_s = required c tag "Category" !category in
-  let attribute_id = required c tag "AttributeId" !attribute_id in
-  let subject = required c tag "Subject" !subject in
-  match Context.category_of_name category_s with
-  | None -> Cursor.fail c (Printf.sprintf "unknown category %s" category_s)
-  | Some category -> (category, attribute_id, subject)
+let category c s =
+  match Context.category_of_name s with
+  | Some category -> category
+  | None -> Cursor.fail c (Printf.sprintf "unknown category %s" s)
 
-let read_attribute_query = total attribute_query_in
+let read_attribute_query =
+  total (fun c ->
+      let tag = enter_named c "AttributeQuery" in
+      let category = category c (attr_named c tag "Category") in
+      let attribute_id = attr_named c tag "AttributeId" in
+      let subject = attr_named c tag "Subject" in
+      end_leaf c tag;
+      (category, attribute_id, subject))
 
 let write_attribute_result buf bag =
-  match bag with
-  | [] -> Buffer.add_string buf "<AttributeResult/>"
-  | bag ->
-    Buffer.add_string buf "<AttributeResult>";
-    List.iter
-      (fun v ->
-        Buffer.add_string buf "<Attribute Name=\"value\" DataType=\"";
-        Buffer.add_string buf (Value.type_name (Value.type_of v));
-        Buffer.add_string buf "\">";
-        Xml.add_escaped buf (Value.to_string v);
-        Buffer.add_string buf "</Attribute>")
-      bag;
-    Buffer.add_string buf "</AttributeResult>"
+  Buffer.add_string buf "<AttributeResult";
+  end_with buf "AttributeResult" (fun buf v -> write_attribute buf "value" v) bag
 
-let bag_value_in c =
-  let tag = enter_named c "Attribute" in
-  let name = ref false and data_type = ref None in
-  while Cursor.next_attr c tag do
-    if Cursor.attr_is c "Name" then name := true
-    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
-  done;
-  let text = Cursor.text c tag in
-  Cursor.close c tag;
-  if not !name then Cursor.fail c "<Attribute> is missing attribute Name";
-  let dt_name = required c tag "DataType" !data_type in
-  match Value.data_type_of_name dt_name with
-  | None -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
-  | Some dt -> ( match Value.of_string dt text with Ok v -> v | Error e -> Cursor.fail c e)
+let attribute_value_in c = snd (attribute_in c)
 
-let attribute_result_in c =
-  let tag = enter_named c "AttributeResult" in
-  skip_attrs c tag;
-  children c tag bag_value_in
+let read_attribute_result =
+  total (fun c ->
+      let tag = enter_named c "AttributeResult" in
+      end_attrs c tag;
+      children c tag attribute_value_in)
 
-let read_attribute_result = total attribute_result_in
+let write_attribute_subscribe buf = write_leaf buf "AttributeSubscribe" []
+let read_attribute_subscribe = total (leaf0 "AttributeSubscribe")
+let write_subscribe_ack buf = write_leaf buf "SubscribeAck" []
+let read_subscribe_ack = total (leaf0 "SubscribeAck")
 
-let attribute_subscribe () = Xml.element "AttributeSubscribe"
+let write_attribute_invalidate buf ~subject ~attribute_id =
+  write_leaf buf "AttributeInvalidate" [ ("Subject", subject); ("AttributeId", attribute_id) ]
 
-let parse_attribute_subscribe node = expect_tag node "AttributeSubscribe"
-
-let attribute_invalidate ~subject ~attribute_id =
-  Xml.element "AttributeInvalidate" ~attrs:[ ("Subject", subject); ("AttributeId", attribute_id) ]
-
-let parse_attribute_invalidate node =
-  let* () = expect_tag node "AttributeInvalidate" in
-  let* subject = attr_or_error node "Subject" in
-  let* attribute_id = attr_or_error node "AttributeId" in
-  Ok (subject, attribute_id)
+let read_attribute_invalidate = total (fun c -> leaf2 c "AttributeInvalidate" "Subject" "AttributeId")
+let write_invalidate_ack buf = write_leaf buf "InvalidateAck" []
+let read_invalidate_ack = total (leaf0 "InvalidateAck")
 
 (* --- shared decision cache (PEP <-> L2, L2 <-> L2) ------------------------- *)
 
@@ -296,16 +396,7 @@ let write_cache_lookup buf ~key =
   add_attr buf "Key" key;
   Buffer.add_string buf "/>"
 
-let cache_lookup_in c =
-  let tag = enter_named c "CacheLookup" in
-  let key = ref None in
-  while Cursor.next_attr c tag do
-    if Cursor.attr_is c "Key" then key := Some (Cursor.value c)
-  done;
-  Cursor.close c tag;
-  required c tag "Key" !key
-
-let read_cache_lookup = total cache_lookup_in
+let read_cache_lookup = total (fun c -> leaf1 c "CacheLookup" "Key")
 
 let write_cache_answer buf = function
   | None -> Buffer.add_string buf "<CacheMiss/>"
@@ -316,7 +407,7 @@ let write_cache_answer buf = function
 
 let cache_answer_in c =
   let tag = Cursor.enter c in
-  skip_attrs c tag;
+  end_attrs c tag;
   if Cursor.has_local_name c tag "CacheMiss" then begin
     Cursor.close c tag;
     None
@@ -335,204 +426,164 @@ let write_cache_put ~sent_at buf ~key result =
   Dacs_policy.Xacml_xml.write_result buf result;
   Buffer.add_string buf "</CachePut>"
 
-let cache_put_in c =
-  let tag = enter_named c "CachePut" in
-  let key = ref None and sent_at = ref None in
-  while Cursor.next_attr c tag do
-    if Cursor.attr_is c "Key" then key := Some (Cursor.value c)
-    else if Cursor.attr_is c "SentAt" then
-      sent_at := Some (parsed c "SentAt" float_of_string_opt (Cursor.value c))
-  done;
-  let key = required c tag "Key" !key in
-  let sent_at = required c tag "SentAt" !sent_at in
-  let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
-  (key, result, sent_at)
+let read_cache_put =
+  total (fun c ->
+      let tag = enter_named c "CachePut" in
+      let key = attr_named c tag "Key" in
+      let sent_at = timestamp c "SentAt" (attr_named c tag "SentAt") in
+      end_attrs c tag;
+      let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
+      (key, result, sent_at))
 
-let read_cache_put = total cache_put_in
+let write_cache_put_ack buf = write_leaf buf "CachePutAck" []
+let read_cache_put_ack = total (leaf0 "CachePutAck")
 
-let cache_invalidate ~epoch key =
-  Xml.element "CacheInvalidate"
-    ~attrs:
-      (("Epoch", string_of_int epoch)
-      :: (match key with None -> [] | Some k -> [ ("Key", k) ]))
+let write_cache_invalidate buf ~epoch key =
+  let key = match key with None -> [] | Some k -> [ ("Key", k) ] in
+  write_leaf buf "CacheInvalidate" (("Epoch", string_of_int epoch) :: key)
 
-let parse_cache_invalidate node =
-  let* () = expect_tag node "CacheInvalidate" in
-  let* epoch_s = attr_or_error node "Epoch" in
-  match int_of_string_opt epoch_s with
-  | None -> Error "Epoch is not an integer"
-  | Some epoch -> Ok (epoch, Xml.attr node "Key")
+let read_cache_invalidate =
+  total (fun c ->
+      let tag = enter_named c "CacheInvalidate" in
+      let epoch = count_attr c tag "Epoch" in
+      let key =
+        if not (Cursor.next_attr c tag) then None
+        else begin
+          if not (Cursor.attr_is c "Key") then Cursor.fail c "<CacheInvalidate> has an unexpected attribute";
+          let key = Cursor.value c in
+          end_attrs c tag;
+          Some key
+        end
+      in
+      Cursor.close c tag;
+      (epoch, key))
 
-let cache_sync ~known_epoch =
-  Xml.element "CacheSync" ~attrs:[ ("KnownEpoch", string_of_int known_epoch) ]
-
-let parse_cache_sync node =
-  let* () = expect_tag node "CacheSync" in
-  let* s = attr_or_error node "KnownEpoch" in
-  match int_of_string_opt s with
-  | Some e -> Ok e
-  | None -> Error "KnownEpoch is not an integer"
+(* A childless element carrying one count: the anti-entropy poll, the
+   answer to every purge and a policy update's acknowledgement. *)
+let write_count_leaf name attr buf n = write_leaf buf name [ (attr, string_of_int n) ]
+let count_leaf name attr c = count c attr (leaf1 c name attr)
+let write_cache_sync buf ~known_epoch = write_count_leaf "CacheSync" "KnownEpoch" buf known_epoch
+let read_cache_sync = total (count_leaf "CacheSync" "KnownEpoch")
+let write_cache_epoch buf ~epoch = write_count_leaf "CacheEpoch" "Epoch" buf epoch
+let read_cache_epoch = total (count_leaf "CacheEpoch" "Epoch")
 
 (* Change-impact regions travel as structured frames so an L2 can apply
    a targeted purge pushed by its parent without seeing the policies the
    delta came from. *)
 
-let pin_to_xml (p : Dacs_policy.Delta.pin) =
-  Xml.element "Pin"
-    ~attrs:
-      [
-        ("Category", Context.category_name p.Dacs_policy.Delta.pin_category);
-        ("Attribute", p.Dacs_policy.Delta.pin_attribute);
-      ]
-    ~children:
-      (List.map
-         (fun v -> Xml.element "V" ~attrs:[ ("Value", v) ])
-         p.Dacs_policy.Delta.pin_values
-      @ List.map
-          (fun (c, a) ->
-            Xml.element "Guard"
-              ~attrs:[ ("Category", Context.category_name c); ("Attribute", a) ])
-          p.Dacs_policy.Delta.pin_guards)
+let category_attrs (category, attribute) = [ ("Category", Context.category_name category); ("Attribute", attribute) ]
 
-let cache_region ~epoch region =
-  let kind, children =
-    match region with
-    | Dacs_policy.Delta.Empty -> ("empty", [])
-    | Dacs_policy.Delta.Unbounded -> ("unbounded", [])
-    | Dacs_policy.Delta.Zones zs ->
-      ( "zones",
-        List.map (fun z -> Xml.element "Zone" ~children:(List.map pin_to_xml z)) zs )
-  in
-  Xml.element "CacheRegion"
-    ~attrs:[ ("Epoch", string_of_int epoch); ("Kind", kind) ]
-    ~children
+let write_pin buf (p : Delta.pin) =
+  Buffer.add_string buf "<Pin";
+  add_attrs buf (category_attrs (p.pin_category, p.pin_attribute));
+  if p.pin_values = [] && p.pin_guards = [] then Buffer.add_string buf "/>"
+  else begin
+    Buffer.add_char buf '>';
+    List.iter (fun v -> write_leaf buf "V" [ ("Value", v) ]) p.pin_values;
+    List.iter (fun guard -> write_leaf buf "Guard" (category_attrs guard)) p.pin_guards;
+    Buffer.add_string buf "</Pin>"
+  end
 
-let parse_category node name =
-  let* s = attr_or_error node name in
-  match Context.category_of_name s with
-  | None -> Error (Printf.sprintf "unknown category %s" s)
-  | Some c -> Ok c
+let write_zone buf zone =
+  Buffer.add_string buf "<Zone";
+  end_with buf "Zone" write_pin zone
 
-let parse_pin node =
-  let* () = expect_tag node "Pin" in
-  let* category = parse_category node "Category" in
-  let* attribute = attr_or_error node "Attribute" in
-  let* values =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        let* value = attr_or_error v "Value" in
-        Ok (value :: acc))
-      (Ok [])
-      (Xml.find_children node "V")
-  in
-  let* guards =
-    List.fold_left
-      (fun acc g ->
-        let* acc = acc in
-        let* c = parse_category g "Category" in
-        let* a = attr_or_error g "Attribute" in
-        Ok ((c, a) :: acc))
-      (Ok [])
-      (Xml.find_children node "Guard")
-  in
-  Ok
-    {
-      Dacs_policy.Delta.pin_category = category;
-      pin_attribute = attribute;
-      pin_values = List.rev values;
-      pin_guards = List.rev guards;
-    }
+let write_cache_region buf ~epoch region =
+  Buffer.add_string buf "<CacheRegion";
+  write_count buf "Epoch" epoch;
+  match region with
+  | Delta.Empty | Delta.Unbounded ->
+    add_attr buf "Kind" (if region = Delta.Empty then "empty" else "unbounded");
+    Buffer.add_string buf "/>"
+  | Delta.Zones zones ->
+    add_attr buf "Kind" "zones";
+    end_with buf "CacheRegion" write_zone zones
 
-let parse_cache_region node =
-  let* () = expect_tag node "CacheRegion" in
-  let* epoch_s = attr_or_error node "Epoch" in
-  let* epoch =
-    match int_of_string_opt epoch_s with
-    | None -> Error "Epoch is not an integer"
-    | Some e -> Ok e
-  in
-  let* kind = attr_or_error node "Kind" in
-  match kind with
-  | "empty" -> Ok (epoch, Dacs_policy.Delta.Empty)
-  | "unbounded" -> Ok (epoch, Dacs_policy.Delta.Unbounded)
-  | "zones" ->
-    let* zones =
-      List.fold_left
-        (fun acc z ->
-          let* acc = acc in
-          let* pins =
-            List.fold_left
-              (fun acc p ->
-                let* acc = acc in
-                let* pin = parse_pin p in
-                Ok (pin :: acc))
-              (Ok [])
-              (Xml.find_children z "Pin")
-          in
-          Ok (List.rev pins :: acc))
-        (Ok [])
-        (Xml.find_children node "Zone")
-    in
-    Ok (epoch, Dacs_policy.Delta.Zones (List.rev zones))
-  | other -> Error (Printf.sprintf "unknown region kind %s" other)
+let pin_in c =
+  let tag = enter_named c "Pin" in
+  let pin_category = category c (attr_named c tag "Category") in
+  let pin_attribute = attr_named c tag "Attribute" in
+  end_attrs c tag;
+  let values = ref [] and guards = ref [] in
+  while Cursor.next_child c tag do
+    if Cursor.at_local_name c "V" then values := leaf1 c "V" "Value" :: !values
+    else begin
+      let g, attribute = leaf2 c "Guard" "Category" "Attribute" in
+      guards := (category c g, attribute) :: !guards
+    end
+  done;
+  Cursor.close c tag;
+  { Delta.pin_category; pin_attribute; pin_values = List.rev !values; pin_guards = List.rev !guards }
 
-let cache_epoch ~epoch = Xml.element "CacheEpoch" ~attrs:[ ("Epoch", string_of_int epoch) ]
+let zone_in c =
+  let tag = enter_named c "Zone" in
+  end_attrs c tag;
+  children c tag pin_in
 
-let parse_cache_epoch node =
-  let* () = expect_tag node "CacheEpoch" in
-  let* s = attr_or_error node "Epoch" in
-  match int_of_string_opt s with
-  | Some e -> Ok e
-  | None -> Error "Epoch is not an integer"
+let read_cache_region =
+  total (fun c ->
+      let tag = enter_named c "CacheRegion" in
+      let epoch = count_attr c tag "Epoch" in
+      let kind = attr_named c tag "Kind" in
+      end_attrs c tag;
+      match (kind, children c tag zone_in) with
+      | "empty", [] -> (epoch, Delta.Empty)
+      | "unbounded", [] -> (epoch, Delta.Unbounded)
+      | "zones", zones -> (epoch, Delta.Zones zones)
+      | ("empty" | "unbounded"), _ -> Cursor.fail c "only a zones region holds zones"
+      | other, _ -> Cursor.fail c (Printf.sprintf "unknown region kind %s" other))
 
 (* --- policy distribution ------------------------------------------------------ *)
 
-let policy_query ~scope ~known_version =
-  Xml.element "PolicyQuery" ~attrs:[ ("Scope", scope); ("KnownVersion", string_of_int known_version) ]
+let write_policy_query buf ~scope ~known_version =
+  write_leaf buf "PolicyQuery" [ ("Scope", scope); ("KnownVersion", string_of_int known_version) ]
 
-let parse_policy_query node =
-  let* () = expect_tag node "PolicyQuery" in
-  let* scope = attr_or_error node "Scope" in
-  let* version_s = attr_or_error node "KnownVersion" in
-  match int_of_string_opt version_s with
-  | Some v -> Ok (scope, v)
-  | None -> Error "KnownVersion is not an integer"
+let read_policy_query =
+  total (fun c ->
+      let scope, known_version = leaf2 c "PolicyQuery" "Scope" "KnownVersion" in
+      (scope, count c "KnownVersion" known_version))
 
-let policy_response ~version child =
-  Xml.element "PolicyResponse"
-    ~attrs:[ ("Version", string_of_int version) ]
-    ~children:(match child with None -> [] | Some c -> [ Dacs_policy.Xacml_xml.child_to_xml c ])
+(* Policies keep their tree codec inside the frame: they are printed and
+   read whole. *)
+let write_policy buf child = Xml.print buf (Dacs_policy.Xacml_xml.child_to_xml child)
 
-let parse_policy_response node =
-  let* () = expect_tag node "PolicyResponse" in
-  let* version_s = attr_or_error node "Version" in
-  match int_of_string_opt version_s with
-  | None -> Error "Version is not an integer"
-  | Some version -> (
-    match List.filter Xml.is_element (Xml.children node) with
-    | [] -> Ok (version, None)
-    | [ c ] ->
-      let* child = Dacs_policy.Xacml_xml.child_of_xml c in
-      Ok (version, Some child)
-    | _ -> Error "PolicyResponse must carry at most one policy")
+let policy_in c =
+  match Dacs_policy.Xacml_xml.child_of_xml (Cursor.subtree c) with Ok child -> child | Error e -> Cursor.fail c e
 
-let policy_update ~version child =
-  Xml.element "PolicyUpdate"
-    ~attrs:[ ("Version", string_of_int version) ]
-    ~children:[ Dacs_policy.Xacml_xml.child_to_xml child ]
+let policy_frame name buf ~version =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf name;
+  write_count buf "Version" version;
+  end_with buf name write_policy
 
-let parse_policy_update node =
-  let* () = expect_tag node "PolicyUpdate" in
-  let* version_s = attr_or_error node "Version" in
-  match int_of_string_opt version_s with
-  | None -> Error "Version is not an integer"
-  | Some version -> (
-    match List.filter Xml.is_element (Xml.children node) with
-    | [ c ] ->
-      let* child = Dacs_policy.Xacml_xml.child_of_xml c in
-      Ok (version, child)
-    | _ -> Error "PolicyUpdate must carry exactly one policy")
+(* The element [name] and its Version, with its attributes read. *)
+let version_in c name =
+  let tag = enter_named c name in
+  let version = count_attr c tag "Version" in
+  end_attrs c tag;
+  (tag, version)
+
+let write_policy_response buf ~version child = policy_frame "PolicyResponse" buf ~version (Option.to_list child)
+
+let read_policy_response =
+  total (fun c ->
+      let tag, version = version_in c "PolicyResponse" in
+      match children c tag policy_in with
+      | [] -> (version, None)
+      | [ child ] -> (version, Some child)
+      | _ -> Cursor.fail c "PolicyResponse must carry at most one policy")
+
+let write_policy_update buf ~version child = policy_frame "PolicyUpdate" buf ~version [ child ]
+
+let read_policy_update =
+  total (fun c ->
+      let tag, version = version_in c "PolicyUpdate" in
+      match children c tag policy_in with
+      | [ child ] -> (version, child)
+      | _ -> Cursor.fail c "PolicyUpdate must carry exactly one policy")
+
+let write_policy_update_ack buf ~version = write_count_leaf "PolicyUpdateAck" "Version" buf version
+let read_policy_update_ack = total (count_leaf "PolicyUpdateAck" "Version")
 
 (* --- offline event logs ------------------------------------------------ *)
 
@@ -562,20 +613,16 @@ external format_float : string -> float -> string = "caml_format_float"
 
 let float_attr f = format_float "%.17g" f
 
+let write_entry buf (author, seq) =
+  Buffer.add_string buf "<Entry";
+  add_attr buf "Author" author;
+  write_count buf "Seq" seq;
+  Buffer.add_string buf "/>"
+
 (* Entries sorted by author, whatever order the frontier came in. *)
 let write_frontier buf frontier =
-  match List.sort (fun (a, _) (b, _) -> String.compare a b) frontier with
-  | [] -> Buffer.add_string buf "<Frontier/>"
-  | entries ->
-    Buffer.add_string buf "<Frontier>";
-    List.iter
-      (fun (author, seq) ->
-        Buffer.add_string buf "<Entry";
-        add_attr buf "Author" author;
-        add_attr buf "Seq" (string_of_int seq);
-        Buffer.add_string buf "/>")
-      entries;
-    Buffer.add_string buf "</Frontier>"
+  Buffer.add_string buf "<Frontier";
+  end_with buf "Frontier" write_entry (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier)
 
 let write_field buf name value =
   Buffer.add_string buf "<Field";
@@ -587,9 +634,9 @@ let write_field buf name value =
 let write_log_event buf ~signed ev =
   Buffer.add_string buf "<LogEvent";
   add_attr buf "Author" ev.author;
-  add_attr buf "Seq" (string_of_int ev.seq);
+  write_count buf "Seq" ev.seq;
   add_attr buf "At" (float_attr ev.at);
-  add_attr buf "Epoch" (string_of_int ev.epoch);
+  write_count buf "Epoch" ev.epoch;
   add_attr buf "Kind"
     (match ev.kind with
     | Grant _ -> "grant"
@@ -617,31 +664,13 @@ let write_log_event buf ~signed ev =
     write_field buf "decision" decision);
   Buffer.add_string buf "</LogEvent>"
 
-(* The log frames are read exactly as they are written: each attribute
-   in the writer's order, and none after. *)
-let attr_named c tag name =
-  if not (Cursor.next_attr c tag && Cursor.attr_is c name) then
-    Cursor.fail c (Printf.sprintf "<%s> expects attribute %s next" (Cursor.tag_name c tag) name);
-  Cursor.value c
-
-let end_attrs c tag =
-  if Cursor.next_attr c tag then
-    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag))
-
-let int_attr c tag name = parsed c name int_of_string_opt (attr_named c tag name)
-
 let hex_attr c tag name =
-  parsed c name
-    (fun s -> try Some (Dacs_crypto.Encoding.hex_decode s) with Invalid_argument _ -> None)
-    (attr_named c tag name)
+  let s = attr_named c tag name in
+  try Dacs_crypto.Encoding.hex_decode s with Invalid_argument _ -> Cursor.fail c (name ^ ": " ^ s)
 
 let entry_in c =
-  let tag = enter_named c "Entry" in
-  let author = attr_named c tag "Author" in
-  let seq = int_attr c tag "Seq" in
-  end_attrs c tag;
-  Cursor.close c tag;
-  (author, seq)
+  let author, seq = leaf2 c "Entry" "Author" "Seq" in
+  (author, count c "Seq" seq)
 
 let frontier_in c =
   let tag = enter_named c "Frontier" in
@@ -660,9 +689,9 @@ let field_in c event name =
 let log_event_in c =
   let tag = enter_named c "LogEvent" in
   let author = attr_named c tag "Author" in
-  let seq = int_attr c tag "Seq" in
-  let at = parsed c "At" float_of_string_opt (attr_named c tag "At") in
-  let epoch = int_attr c tag "Epoch" in
+  let seq = count_attr c tag "Seq" in
+  let at = timestamp c "At" (attr_named c tag "At") in
+  let epoch = count_attr c tag "Epoch" in
   let kind = attr_named c tag "Kind" in
   let digest = hex_attr c tag "Digest" in
   let mac = hex_attr c tag "Tag" in
@@ -701,15 +730,12 @@ let read_log_sync_request =
       end_attrs c tag;
       only_child c tag ~missing:"LogSyncRequest has no Frontier" frontier_in)
 
+let write_signed_event buf ev = write_log_event buf ~signed:true ev
+
 let write_log_sync_response buf ~head events =
   Buffer.add_string buf "<LogSyncResponse";
   add_attr buf "Head" (Dacs_crypto.Encoding.hex_encode head);
-  match events with
-  | [] -> Buffer.add_string buf "/>"
-  | events ->
-    Buffer.add_char buf '>';
-    List.iter (write_log_event buf ~signed:true) events;
-    Buffer.add_string buf "</LogSyncResponse>"
+  end_with buf "LogSyncResponse" write_signed_event events
 
 let read_log_sync_response =
   total (fun c ->
@@ -718,69 +744,32 @@ let read_log_sync_response =
       end_attrs c tag;
       (head, children c tag log_event_in))
 
-(* --- capabilities ----------------------------------------------------------------- *)
+(* --- capabilities and revocation ----------------------------------------------- *)
 
-let capability_request ~subject ~pairs =
-  Xml.element "CapabilityRequest"
-    ~children:
-      (attr_elements subject
-      @ List.map
-          (fun (resource, action) ->
-            Xml.element "Want" ~attrs:[ ("Resource", resource); ("Action", action) ])
-          pairs)
+let write_want buf (resource, action) = write_leaf buf "Want" [ ("Resource", resource); ("Action", action) ]
 
-let parse_capability_request node =
-  let* () = expect_tag node "CapabilityRequest" in
-  let* subject = parse_attr_elements (Xml.find_children node "Attribute") in
-  let rec wants acc = function
-    | [] -> Ok (List.rev acc)
-    | w :: rest ->
-      let* resource = attr_or_error w "Resource" in
-      let* action = attr_or_error w "Action" in
-      wants ((resource, action) :: acc) rest
-  in
-  let* pairs = wants [] (Xml.find_children node "Want") in
-  Ok (subject, pairs)
+let write_capability_request buf ~subject ~pairs =
+  if subject = [] && pairs = [] then Buffer.add_string buf "<CapabilityRequest/>"
+  else begin
+    Buffer.add_string buf "<CapabilityRequest>";
+    List.iter (write_named buf) subject;
+    List.iter (write_want buf) pairs;
+    Buffer.add_string buf "</CapabilityRequest>"
+  end
 
-let revocation_check ~assertion_id =
-  Xml.element "RevocationCheck" ~attrs:[ ("AssertionId", assertion_id) ]
+let read_capability_request =
+  total (fun c ->
+      let tag = enter_named c "CapabilityRequest" in
+      end_attrs c tag;
+      let subject = ref [] and pairs = ref [] in
+      while Cursor.next_child c tag do
+        if Cursor.at_local_name c "Attribute" then subject := attribute_in c :: !subject
+        else pairs := leaf2 c "Want" "Resource" "Action" :: !pairs
+      done;
+      Cursor.close c tag;
+      (List.rev !subject, List.rev !pairs))
 
-let parse_revocation_check node =
-  let* () = expect_tag node "RevocationCheck" in
-  attr_or_error node "AssertionId"
-
-let revocation_status ~revoked =
-  Xml.element "RevocationStatus" ~attrs:[ ("Revoked", string_of_bool revoked) ]
-
-let parse_revocation_status node =
-  let* () = expect_tag node "RevocationStatus" in
-  let* s = attr_or_error node "Revoked" in
-  match bool_of_string_opt s with
-  | Some b -> Ok b
-  | None -> Error "Revoked is not a boolean"
-
-(* --- access outcomes ------------------------------------------------------------------ *)
-
-let access_granted ?(content = "") ?(encrypted = false) () =
-  Xml.element "AccessGranted"
-    ~attrs:[ ("Encrypted", string_of_bool encrypted) ]
-    ~children:(if content = "" then [] else [ Xml.text content ])
-
-let access_denied ~reason = Xml.element "AccessDenied" ~attrs:[ ("Reason", reason) ]
-
-type access_outcome =
-  | Granted of { content : string; encrypted : bool }
-  | Denied of string
-
-let parse_access_outcome node =
-  match Xml.local_name (Xml.tag node) with
-  | "AccessGranted" ->
-    Ok
-      (Granted
-         {
-           content = Xml.text_content node;
-           encrypted = Xml.attr node "Encrypted" = Some "true";
-         })
-  | "AccessDenied" ->
-    Ok (Denied (Option.value (Xml.attr node "Reason") ~default:""))
-  | other -> Error (Printf.sprintf "unexpected access outcome <%s>" other)
+let write_revocation_check buf ~assertion_id = write_leaf buf "RevocationCheck" [ ("AssertionId", assertion_id) ]
+let read_revocation_check = total (fun c -> leaf1 c "RevocationCheck" "AssertionId")
+let write_revocation_status buf ~revoked = write_leaf buf "RevocationStatus" [ ("Revoked", string_of_bool revoked) ]
+let read_revocation_status = total (fun c -> boolean c "Revoked" (leaf1 c "RevocationStatus" "Revoked"))

@@ -4,40 +4,42 @@
     authorisation decision queries/responses, attribute queries, policy
     fetches/updates, capability requests and revocation checks.  One
     module so every component agrees on syntax — the interoperability
-    requirement of §3.2. *)
+    requirement of §3.2.
+
+    Every frame has one direct writer ([write_*], appending the body
+    element to the frame being sent) and one pull-cursor reader
+    ([read_*], reading the body element in place from its ['<']).
+    Readers are total: a malformed or misshapen element is an [Error],
+    never an exception.  They take attributes in the writer's order and
+    nothing else, counts as non-negative decimals and timestamps as
+    finite decimals, and only ever accept what a tree reading would,
+    with the same result.
+
+    Content that needs canonical XML keeps its tree codec inside a
+    frame: the policy of a policy response or update, and the signed
+    authorisation response.  The authorisation query and response also
+    keep a tree form: adapters over the same writer and reader. *)
 
 module Xml = Dacs_xml.Xml
 
-(** {1 Access requests (client → PEP)} *)
+(** {1 Access requests and outcomes (client ↔ PEP)} *)
 
-val access_request : subject:(string * Dacs_policy.Value.t) list -> action:string -> Xml.t
+val write_access_request :
+  Buffer.t -> subject:(string * Dacs_policy.Value.t) list -> action:string -> unit
 (** The client names itself and the action; the PEP fills in the resource
     it guards and the environment. *)
 
-val parse_access_request : Xml.t -> ((string * Dacs_policy.Value.t) list * string, string) result
+val read_access_request :
+  Xml.Cursor.t -> ((string * Dacs_policy.Value.t) list * string, string) result
 
-(** {1 Per-decision frames}
+type access_outcome =
+  | Granted of { content : string; encrypted : bool }
+  | Denied of string
 
-    The frames on every decision's path — authorisation query and
-    (unsigned) response, shared-cache lookup, answer and put, attribute
-    query and result — each have one direct writer ([write_*], appending
-    the body element to the frame being sent with {!Xml.add_escaped}) and
-    one pull-cursor reader ([read_*], reading the body element in place
-    from its ['<']).  Readers are total: a malformed or misshapen element
-    is an [Error], never an exception, and a reader only ever accepts
-    what a tree reading would, with the same result (it may reject
-    more).  The authorisation query and response also keep a tree form
-    ([authz_query], [parse_authz_query], [authz_response],
-    [parse_authz_response]): adapters over the same writer and reader,
-    where a tree is printed and read, a frame written and parsed.
+val write_access_outcome : Buffer.t -> access_outcome -> unit
+val read_access_outcome : Xml.Cursor.t -> (access_outcome, string) result
 
-    The offline log-sync request and response are read and written the
-    same way.  Every other frame (policy, capability, revocation, signed
-    responses, SOAP headers) keeps its tree codec — they need canonical
-    XML or are not per-decision — and rides the same buffer-and-cursor
-    transport through {!Dacs_ws.Service}'s tree adapter. *)
-
-(** {2 Authorisation decision queries (PEP → PDP)} *)
+(** {1 Authorisation decision queries (PEP → PDP)} *)
 
 val write_authz_query : Buffer.t -> Dacs_policy.Context.t -> unit
 val read_authz_query : Xml.Cursor.t -> (Dacs_policy.Context.t, string) result
@@ -49,8 +51,9 @@ val write_authz_response : ?epoch:int -> Buffer.t -> Dacs_policy.Decision.result
     epochs ride the response as provenance, 0 (unknown) is omitted. *)
 
 val read_authz_response : Xml.Cursor.t -> (Dacs_policy.Decision.result * int, string) result
-(** The decision and the epoch it carries — 0 when absent or malformed:
-    tolerant by design, so a pre-epoch peer simply reports 0. *)
+(** The decision and the epoch it carries — 0 when absent or not a
+    decimal count: tolerant by design, so a pre-epoch peer simply
+    reports 0.  Its attributes may come in any order. *)
 
 val authz_response : ?epoch:int -> Dacs_policy.Decision.result -> Xml.t
 val parse_authz_response : Xml.t -> (Dacs_policy.Decision.result, string) result
@@ -94,7 +97,7 @@ val read_authz_answer :
     {!verify_signed_authz_response} decodes — "only authenticated
     decisions are enforceable" (§3.2). *)
 
-(** {2 Attribute queries (PDP → PIP)} *)
+(** {1 Attributes (PDP ↔ PIP)} *)
 
 val write_attribute_query :
   Buffer.t -> category:Dacs_policy.Context.category -> attribute_id:string -> subject:string -> unit
@@ -105,19 +108,24 @@ val read_attribute_query :
 val write_attribute_result : Buffer.t -> Dacs_policy.Value.bag -> unit
 val read_attribute_result : Xml.Cursor.t -> (Dacs_policy.Value.bag, string) result
 
-val attribute_subscribe : unit -> Xml.t
+val write_attribute_subscribe : Buffer.t -> unit
 (** PDP -> PIP: register the caller for attribute-invalidation pushes.
     Batched attribute queries need no frame of their own: a multi-part
     B/BT envelope whose parts are ordinary {!write_attribute_query}
     bodies is one attribute-resolution round trip. *)
 
-val parse_attribute_subscribe : Xml.t -> (unit, string) result
+val read_attribute_subscribe : Xml.Cursor.t -> (unit, string) result
 
-val attribute_invalidate : subject:string -> attribute_id:string -> Xml.t
+val write_subscribe_ack : Buffer.t -> unit
+val read_subscribe_ack : Xml.Cursor.t -> (unit, string) result
+
+val write_attribute_invalidate : Buffer.t -> subject:string -> attribute_id:string -> unit
 (** PIP -> subscribed PDPs: [remove_subject_attribute] happened — drop
     any cached bag for this (subject, attribute). *)
 
-val parse_attribute_invalidate : Xml.t -> (string * string, string) result
+val read_attribute_invalidate : Xml.Cursor.t -> (string * string, string) result
+val write_invalidate_ack : Buffer.t -> unit
+val read_invalidate_ack : Xml.Cursor.t -> (unit, string) result
 
 (** {1 Shared decision cache (PEP <-> L2, L2 <-> L2 syndication)} *)
 
@@ -136,45 +144,51 @@ val write_cache_put : sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Dec
 
 val read_cache_put :
   Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float, string) result
-(** The key, the decision and the sender's stamp.  A put without a
-    numeric [SentAt] is rejected: it cannot be ordered against a purge. *)
+(** The key, the decision and the sender's stamp.  A put whose [SentAt]
+    is absent or not a finite decimal is rejected: it cannot be ordered
+    against a purge. *)
 
-val cache_invalidate : epoch:int -> string option -> Xml.t
+val write_cache_put_ack : Buffer.t -> unit
+val read_cache_put_ack : Xml.Cursor.t -> (unit, string) result
+
+val write_cache_invalidate : Buffer.t -> epoch:int -> string option -> unit
 (** Full purge when the key is [None], single-entry drop otherwise.
     [epoch] is the sender's invalidation-round counter after applying the
     purge, letting receivers deduplicate against anti-entropy polls. *)
 
-val parse_cache_invalidate : Xml.t -> (int * string option, string) result
+val read_cache_invalidate : Xml.Cursor.t -> (int * string option, string) result
 
-val cache_region : epoch:int -> Dacs_policy.Delta.t -> Xml.t
+val write_cache_region : Buffer.t -> epoch:int -> Dacs_policy.Delta.t -> unit
 (** Targeted purge: the change-impact region of a policy publish, pushed
     down the syndication tree.  [epoch] is the sender's invalidation
     epoch after applying the purge locally, so receivers that get the
     push do not re-purge on their next anti-entropy poll — and receivers
     that miss it do. *)
 
-val parse_cache_region : Xml.t -> (int * Dacs_policy.Delta.t, string) result
+val read_cache_region : Xml.Cursor.t -> (int * Dacs_policy.Delta.t, string) result
 
-val cache_sync : known_epoch:int -> Xml.t
+val write_cache_sync : Buffer.t -> known_epoch:int -> unit
 (** Anti-entropy poll: "my view of your invalidation epoch is N". *)
 
-val parse_cache_sync : Xml.t -> (int, string) result
+val read_cache_sync : Xml.Cursor.t -> (int, string) result
 
-val cache_epoch : epoch:int -> Xml.t
-val parse_cache_epoch : Xml.t -> (int, string) result
+val write_cache_epoch : Buffer.t -> epoch:int -> unit
+val read_cache_epoch : Xml.Cursor.t -> (int, string) result
 
 (** {1 Policy distribution (PDP/PAP, PAP/PAP syndication)} *)
 
-val policy_query : scope:string -> known_version:int -> Xml.t
-val parse_policy_query : Xml.t -> (string * int, string) result
+val write_policy_query : Buffer.t -> scope:string -> known_version:int -> unit
+val read_policy_query : Xml.Cursor.t -> (string * int, string) result
 
-val policy_response : version:int -> Dacs_policy.Policy.child option -> Xml.t
+val write_policy_response : Buffer.t -> version:int -> Dacs_policy.Policy.child option -> unit
 (** [None] means "your version is current". *)
 
-val parse_policy_response : Xml.t -> (int * Dacs_policy.Policy.child option, string) result
+val read_policy_response : Xml.Cursor.t -> (int * Dacs_policy.Policy.child option, string) result
+val write_policy_update : Buffer.t -> version:int -> Dacs_policy.Policy.child -> unit
+val read_policy_update : Xml.Cursor.t -> (int * Dacs_policy.Policy.child, string) result
 
-val policy_update : version:int -> Dacs_policy.Policy.child -> Xml.t
-val parse_policy_update : Xml.t -> (int * Dacs_policy.Policy.child, string) result
+val write_policy_update_ack : Buffer.t -> version:int -> unit
+val read_policy_update_ack : Xml.Cursor.t -> (int, string) result
 
 (** {1 Offline event logs (domain ↔ domain log anti-entropy)}
 
@@ -225,27 +239,17 @@ val read_log_sync_response : Xml.Cursor.t -> (string * log_event list, string) r
     attributes and the kind's fields in the writer's order, nothing
     else.  Frontiers come back in the order they were written. *)
 
-(** {1 Capabilities (client → capability service, push model)} *)
+(** {1 Capabilities and revocation (push model)} *)
 
-val capability_request :
-  subject:(string * Dacs_policy.Value.t) list -> pairs:(string * string) list -> Xml.t
-(** [pairs] are (resource, action) the client wants capabilities for. *)
+val write_capability_request :
+  Buffer.t -> subject:(string * Dacs_policy.Value.t) list -> pairs:(string * string) list -> unit
+(** [pairs] are (resource, action) the client wants capabilities for;
+    the answer is the capability document itself. *)
 
-val parse_capability_request :
-  Xml.t -> ((string * Dacs_policy.Value.t) list * (string * string) list, string) result
+val read_capability_request :
+  Xml.Cursor.t -> ((string * Dacs_policy.Value.t) list * (string * string) list, string) result
 
-val revocation_check : assertion_id:string -> Xml.t
-val parse_revocation_check : Xml.t -> (string, string) result
-val revocation_status : revoked:bool -> Xml.t
-val parse_revocation_status : Xml.t -> (bool, string) result
-
-(** {1 Access responses (PEP → client)} *)
-
-val access_granted : ?content:string -> ?encrypted:bool -> unit -> Xml.t
-val access_denied : reason:string -> Xml.t
-
-type access_outcome =
-  | Granted of { content : string; encrypted : bool }
-  | Denied of string
-
-val parse_access_outcome : Xml.t -> (access_outcome, string) result
+val write_revocation_check : Buffer.t -> assertion_id:string -> unit
+val read_revocation_check : Xml.Cursor.t -> (string, string) result
+val write_revocation_status : Buffer.t -> revoked:bool -> unit
+val read_revocation_status : Xml.Cursor.t -> (bool, string) result

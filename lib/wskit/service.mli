@@ -29,9 +29,9 @@ val error_to_string : error -> string
     The one transport path.  A request body is written straight into the
     RPC frame inside its SOAP envelope, and a received body is read by a
     pull cursor over the bytes that arrived ({!Soap.read}) — no tree, no
-    intermediate string.  The per-decision [Wire] frames use this API
-    with their own writers and readers; the tree API below is a thin
-    adapter over it for everything else. *)
+    intermediate string.  Every [Wire] frame uses this API with its own
+    writer and reader; the tree API below is a thin adapter over it for
+    services whose bodies are whole documents (SAML, WSDL). *)
 
 type 'a reader = Dacs_xml.Xml.Cursor.t -> ('a, string) result
 (** Reads one body element from its ['<'].  [Error] rejects the body. *)

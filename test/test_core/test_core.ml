@@ -49,9 +49,15 @@ let doctor_subject user = [ ("subject-id", Value.String user); ("role", Value.St
 
 (* --- wire ------------------------------------------------------------- *)
 
+(* Reads back, with [read], the bytes [write] appends. *)
+let read_written write read =
+  let buf = Buffer.create 64 in
+  write buf;
+  Result.join (Xml.Cursor.parse (Buffer.contents buf) read)
+
 let test_wire_access_request () =
-  let body = Wire.access_request ~subject:(doctor_subject "alice") ~action:"read" in
-  match Wire.parse_access_request body with
+  let request buf = Wire.write_access_request buf ~subject:(doctor_subject "alice") ~action:"read" in
+  match read_written request Wire.read_access_request with
   | Ok (subject, action) ->
     check string_ "action" "read" action;
     check int_ "attrs" 2 (List.length subject);
@@ -70,12 +76,6 @@ let test_wire_authz_roundtrip () =
     check int_ "obligations" 1 (List.length r.Decision.obligations)
   | Error e -> Alcotest.fail e
 
-(* Reads back, with [read], the bytes [write] appends. *)
-let read_written write read =
-  let buf = Buffer.create 64 in
-  write buf;
-  Result.join (Xml.Cursor.parse (Buffer.contents buf) read)
-
 let test_wire_attribute_roundtrip () =
   let q buf = Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice" in
   (match read_written q Wire.read_attribute_query with
@@ -91,23 +91,24 @@ let test_wire_attribute_roundtrip () =
 
 let test_wire_policy_roundtrip () =
   let child = doctor_policy "r1" in
-  (match Wire.parse_policy_response (Wire.policy_response ~version:7 (Some child)) with
+  let response policy buf = Wire.write_policy_response buf ~version:7 policy in
+  (match read_written (response (Some child)) Wire.read_policy_response with
   | Ok (7, Some c) -> check string_ "id" "p" (Policy.child_id c)
   | Ok _ -> Alcotest.fail "wrong shape"
   | Error e -> Alcotest.fail e);
-  (match Wire.parse_policy_response (Wire.policy_response ~version:7 None) with
+  (match read_written (response None) Wire.read_policy_response with
   | Ok (7, None) -> ()
   | _ -> Alcotest.fail "expected current marker");
-  match Wire.parse_policy_update (Wire.policy_update ~version:3 child) with
+  match read_written (fun buf -> Wire.write_policy_update buf ~version:3 child) Wire.read_policy_update with
   | Ok (3, c) -> check string_ "id" "p" (Policy.child_id c)
   | _ -> Alcotest.fail "update roundtrip failed"
 
 let test_wire_capability_roundtrip () =
-  let body =
-    Wire.capability_request ~subject:(doctor_subject "alice")
+  let request buf =
+    Wire.write_capability_request buf ~subject:(doctor_subject "alice")
       ~pairs:[ ("r1", "read"); ("r2", "write") ]
   in
-  match Wire.parse_capability_request body with
+  match read_written request Wire.read_capability_request with
   | Ok (subject, pairs) ->
     check int_ "subject" 2 (List.length subject);
     check int_ "pairs" 2 (List.length pairs);
@@ -115,12 +116,13 @@ let test_wire_capability_roundtrip () =
   | Error e -> Alcotest.fail e
 
 let test_wire_outcomes () =
-  (match Wire.parse_access_outcome (Wire.access_granted ~content:"data" ()) with
+  let outcome o buf = Wire.write_access_outcome buf o in
+  (match read_written (outcome (Wire.Granted { content = "data"; encrypted = false })) Wire.read_access_outcome with
   | Ok (Wire.Granted { content; encrypted }) ->
     check string_ "content" "data" content;
     check bool_ "plain" false encrypted
   | _ -> Alcotest.fail "expected granted");
-  match Wire.parse_access_outcome (Wire.access_denied ~reason:"nope") with
+  match read_written (outcome (Wire.Denied "nope")) Wire.read_access_outcome with
   | Ok (Wire.Denied reason) -> check string_ "reason" "nope" reason
   | _ -> Alcotest.fail "expected denied"
 
@@ -292,26 +294,22 @@ let test_pap_query_versions () =
   let pap = Pap.create services ~node:pap_node ~name:"pap" ~root:(doctor_policy "r") () in
   check int_ "initial version" 1 (Pap.version pap);
   let got = ref None in
-  Service.call services ~src:client ~dst:pap_node ~service:"policy-query"
-    (Wire.policy_query ~scope:"" ~known_version:0)
-    (fun r -> got := Some r);
-  Net.run net;
+  let query known_version =
+    Service.call_frame services ~src:client ~dst:pap_node ~service:"policy-query" ~read:Wire.read_policy_response
+      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version)
+      (fun r -> got := Some r);
+    Net.run net
+  in
+  query 0;
   (match !got with
-  | Some (Ok body) -> (
-    match Wire.parse_policy_response body with
-    | Ok (1, Some _) -> ()
-    | _ -> Alcotest.fail "expected full policy")
+  | Some (Ok (Ok (1, Some _))) -> ()
+  | Some (Ok _) -> Alcotest.fail "expected full policy"
   | _ -> Alcotest.fail "no reply");
   (* Known version up to date: small None reply. *)
-  Service.call services ~src:client ~dst:pap_node ~service:"policy-query"
-    (Wire.policy_query ~scope:"" ~known_version:1)
-    (fun r -> got := Some r);
-  Net.run net;
+  query 1;
   match !got with
-  | Some (Ok body) -> (
-    match Wire.parse_policy_response body with
-    | Ok (1, None) -> check int_ "queries served" 2 (Pap.queries_served pap)
-    | _ -> Alcotest.fail "expected current marker")
+  | Some (Ok (Ok (1, None))) -> check int_ "queries served" 2 (Pap.queries_served pap)
+  | Some (Ok _) -> Alcotest.fail "expected current marker"
   | _ -> Alcotest.fail "no reply"
 
 let admin_policy_for nodes =
@@ -332,14 +330,15 @@ let test_pap_remote_update_access_control () =
       ~root:(doctor_policy "r") ()
   in
   let send_update src k =
-    Service.call services ~src ~dst:pap_node ~service:"policy-update"
-      (Wire.policy_update ~version:9 (doctor_policy ~id:"p2" "r2"))
+    Service.call_frame services ~src ~dst:pap_node ~service:"policy-update" ~read:Wire.read_policy_update_ack
+      (fun buf -> Wire.write_policy_update buf ~version:9 (doctor_policy ~id:"p2" "r2"))
       k
   in
   let outcome = ref None in
   send_update admin (fun r -> outcome := Some r);
   Net.run net;
-  check bool_ "admin accepted" true (match !outcome with Some (Ok _) -> true | _ -> false);
+  check bool_ "admin accepted, acknowledged with the new version" true
+    (match !outcome with Some (Ok (Ok 2)) -> true | _ -> false);
   check int_ "version bumped" 2 (Pap.version pap);
   check int_ "accepted count" 1 (Pap.updates_accepted pap);
   send_update rogue (fun r -> outcome := Some r);
@@ -927,16 +926,15 @@ let pep_denies_undecodable_capability wire_of () =
     Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ]
   in
   let got = ref None in
-  Service.call services ~src:"client" ~dst:"pep" ~service:"access"
+  Service.call_frame services ~src:"client" ~dst:"pep" ~service:"access"
     ~headers:[ corrupt_signature_value (wire_of capability) ]
-    (Wire.access_request ~subject:(doctor_subject "alice") ~action:"read")
+    ~read:Wire.read_access_outcome
+    (fun buf -> Wire.write_access_request buf ~subject:(doctor_subject "alice") ~action:"read")
     (fun r -> got := Some r);
   Net.run net;
   (match !got with
-  | Some (Ok body) -> (
-    match Wire.parse_access_outcome body with
-    | Ok (Wire.Denied _) -> ()
-    | _ -> Alcotest.fail "an undecodable capability must be denied")
+  | Some (Ok (Ok (Wire.Denied _))) -> ()
+  | Some (Ok _) -> Alcotest.fail "an undecodable capability must be denied"
   | _ -> Alcotest.fail "expected an answer from the PEP");
   check int_ "rejection counted" 1 (Pep.stats pep).Pep.assertion_rejections;
   (* The simulation goes on: an intact capability is still honoured. *)

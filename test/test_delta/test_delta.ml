@@ -100,7 +100,7 @@ let ctx_of_spec s =
     ()
 
 (* Every context the vocabulary can express, including the role-absent
-   ones — the enumerated population the overlap and mutation checks
+   ones — the enumerated population the soundness and mutation checks
    sweep. *)
 let all_ctx_specs =
   List.concat_map
@@ -114,17 +114,6 @@ let all_ctx_specs =
     [ 0; 1; 2; 3 ]
 
 let all_ctxs = List.map ctx_of_spec all_ctx_specs
-
-(* Does the spec's context bind this pinned position with a single clean
-   string?  The overlap contract (Conflict.zones_overlap) only speaks
-   about such requests — an absent attribute is covered by every pin. *)
-let spec_binds s (cat, attr) =
-  match (cat, attr) with
-  | Context.Subject, "subject-id" -> true
-  | Context.Subject, "role" -> s.role_code > 0
-  | Context.Resource, "resource-id" -> true
-  | Context.Action, "action-id" -> true
-  | _ -> false
 
 (* --- structural edits --------------------------------------------------- *)
 
@@ -312,41 +301,6 @@ let set_soundness_prop (name, alg) =
           "[%s] set-edit request outside region %s changed decision across the publish" name
           (Delta.to_string region))
 
-(* --- property 3: region overlap is conservative ------------------------- *)
-
-(* Conflict.regions_overlap is a pinned-core check: [false] promises
-   that no request binding every pinned position with a single clean
-   string lies in both regions (conflict.mli).  The conservative fringe
-   of [Delta.covers] — attribute-absent or guard-unclean requests are
-   covered by every pin — is deliberately outside that promise: two
-   regions pinning [role] to disjoint values both cover a role-absent
-   request, yet their pinned cores are disjoint.  So the sweep below
-   restricts the enumerated population to contexts that bind every
-   attribute either region pins. *)
-let overlap_prop (name, alg) =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "non-overlapping regions share no covered request (%s)" name)
-    ~count:300
-    QCheck.(quad arb_pspec arb_edit arb_pspec arb_edit)
-    (fun (pa, ea, pb, eb) ->
-      let region_of p e =
-        Delta.between
-          (Some (Policy.Inline_policy (policy_of_spec alg p)))
-          (Some (Policy.Inline_policy (policy_of_spec alg (apply_edit p e))))
-      in
-      let ra = region_of pa ea and rb = region_of pb eb in
-      Conflict.regions_overlap ra rb
-      ||
-      let pinned = Delta.attributes ra @ Delta.attributes rb in
-      not
-        (List.exists
-           (fun s ->
-             List.for_all (spec_binds s) pinned
-             &&
-             let ctx = ctx_of_spec s in
-             Delta.covers ra ctx && Delta.covers rb ctx)
-           all_ctx_specs))
-
 (* --- directed pins ------------------------------------------------------ *)
 
 let check = Alcotest.(check bool)
@@ -487,23 +441,6 @@ let directed_mutation_check () =
   check "under-approximated Empty region is caught" false
     (List.for_all (fun c -> region_sound Delta.empty before after c) all_ctxs)
 
-let directed_overlap () =
-  let before = pol [ deny_all ] in
-  let after = pol [ permit_rule (); deny_all ] in
-  let region = Delta.between (Some before) (Some after) in
-  check "region overlaps itself" true (Conflict.regions_overlap region region);
-  check "empty overlaps nothing" false (Conflict.regions_overlap region Delta.empty);
-  check "unbounded overlaps everything nonempty" true
-    (Conflict.regions_overlap region Delta.unbounded);
-  (* Two publishes pinning disjoint resources are provably independent. *)
-  let lab_rule =
-    Rule.permit
-      ~target:Target.(any |> subject_is "role" "doctor" |> resource_is "resource-id" "lab")
-      "permit-doctor-lab"
-  in
-  let other = Delta.between (Some (pol [ deny_all ])) (Some (pol [ lab_rule; deny_all ])) in
-  check "disjoint-resource regions do not overlap" false (Conflict.regions_overlap region other)
-
 let directed_attributes () =
   let before = pol [ deny_all ] in
   let after = pol [ permit_rule (); deny_all ] in
@@ -524,7 +461,6 @@ let directed =
     Alcotest.test_case "appearance and retirement" `Quick directed_appearance;
     Alcotest.test_case "environment pins stay conservative" `Quick directed_env_guard_conservative;
     Alcotest.test_case "mutation check: Empty region is caught" `Quick directed_mutation_check;
-    Alcotest.test_case "overlap algebra" `Quick directed_overlap;
     Alcotest.test_case "pinned attribute positions" `Quick directed_attributes;
   ]
 
@@ -536,5 +472,4 @@ let () =
       ("no-op", List.map (fun a -> QCheck_alcotest.to_alcotest (noop_prop a)) algorithms);
       ( "set-soundness",
         List.map (fun a -> QCheck_alcotest.to_alcotest (set_soundness_prop a)) algorithms );
-      ("overlap", List.map (fun a -> QCheck_alcotest.to_alcotest (overlap_prop a)) algorithms);
     ]

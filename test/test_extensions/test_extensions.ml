@@ -422,18 +422,15 @@ let test_negotiation_capability_works_at_pep () =
       | None -> Alcotest.fail "negotiation should grant"
       | Some assertion ->
         (* Present the assertion at the PEP exactly as a capability. *)
-        Service.call services ~src:"stranger" ~dst:"pep" ~service:"access"
+        Service.call_frame services ~src:"stranger" ~dst:"pep" ~service:"access"
           ~headers:[ Dacs_saml.Assertion.to_xml assertion ]
-          (Wire.access_request
-             ~subject:[ ("subject-id", Value.String "zoe") ]
-             ~action:"read")
+          ~read:Wire.read_access_outcome
+          (fun buf -> Wire.write_access_request buf ~subject:[ ("subject-id", Value.String "zoe") ] ~action:"read")
           (fun r -> outcome := Some r));
   Net.run net;
   match !outcome with
-  | Some (Ok body) -> (
-    match Wire.parse_access_outcome body with
-    | Ok (Wire.Granted { content; _ }) -> check string_ "content" "payload" content
-    | _ -> Alcotest.fail "expected grant at the PEP")
+  | Some (Ok (Ok (Wire.Granted { content; _ }))) -> check string_ "content" "payload" content
+  | Some (Ok _) -> Alcotest.fail "expected grant at the PEP"
   | _ -> Alcotest.fail "no PEP reply"
 
 

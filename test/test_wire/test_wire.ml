@@ -1,8 +1,9 @@
-(* The safety net for the per-decision frames: each direct writer must
-   produce the bytes the former tree encoder printed, each cursor reader
-   must invert its writer, and on mutated frames a reader must never
-   raise nor accept anything the former tree decoder would have read
-   differently.  [Wire_reference] holds those former codecs. *)
+(* The safety net for every Wire frame: each direct writer must produce
+   the bytes the former tree encoder printed, each cursor reader must
+   invert its writer, and on mutated frames a reader must never raise
+   nor accept anything the former tree decoder would have read
+   differently.  [Wire_reference] holds those former codecs; one
+   harness ([properties]) checks all three for every frame. *)
 
 module Xml = Dacs_xml.Xml
 module Cursor = Xml.Cursor
@@ -73,145 +74,62 @@ let result_gen =
 let epoch_gen = Gen.oneof [ Gen.return 0; Gen.int_range 1 1000 ]
 let sent_at_gen = Gen.map (fun k -> float_of_int k /. 1000.0) (Gen.int_bound 10_000_000)
 
-(* One value per hot frame, with its writer, reader, reference tree
-   encoder and reference decoder.  Each reader's result is compared with
-   the reference's whole answer, so [authz_response] pairs the decision
-   with the epoch the reference reads separately. *)
-type frame =
-  | Frame : {
-      name : string;
-      gen : 'a Gen.t;
-      print : 'a -> string;
-      write : Buffer.t -> 'a -> unit;
-      read : Cursor.t -> ('b, string) result;
-      of_value : 'a -> 'b;
-      ref_tree : 'a -> Xml.t;
-      ref_read : Xml.t -> ('b, string) result;
-      equal : 'b -> 'b -> bool;
-    }
-      -> frame
+(* Counts as the writers print them: small, and up to [max_int]. *)
+let count_gen = Gen.oneof [ Gen.nat; Gen.int_range 0 max_int ]
 
-let show_ctx ctx = Format.asprintf "%a" Context.pp ctx
-let show_result r = Format.asprintf "%a" Decision.pp r
+let subject_gen = Gen.(list_size (int_bound 4) (pair text_gen value_gen))
 
-let frames =
-  [
-    Frame
-      {
-        name = "authz_query";
-        gen = context_gen;
-        print = show_ctx;
-        write = Wire.write_authz_query;
-        read = Wire.read_authz_query;
-        of_value = Fun.id;
-        ref_tree = Ref.authz_query;
-        ref_read = Ref.parse_authz_query;
-        equal = Context.equal;
-      };
-    Frame
-      {
-        name = "authz_response";
-        gen = Gen.pair epoch_gen result_gen;
-        print = (fun (e, r) -> Printf.sprintf "epoch %d: %s" e (show_result r));
-        write = (fun buf (epoch, r) -> Wire.write_authz_response ~epoch buf r);
-        read = Wire.read_authz_response;
-        of_value = (fun (epoch, r) -> (r, epoch));
-        ref_tree = (fun (epoch, r) -> Ref.authz_response ~epoch r);
-        ref_read = (fun node -> Result.map (fun r -> (r, Ref.authz_response_epoch node)) (Ref.parse_authz_response node));
-        equal = ( = );
-      };
-    Frame
-      {
-        name = "cache_lookup";
-        gen = text_gen;
-        print = Fun.id;
-        write = (fun buf key -> Wire.write_cache_lookup buf ~key);
-        read = Wire.read_cache_lookup;
-        of_value = Fun.id;
-        ref_tree = (fun key -> Ref.cache_lookup ~key);
-        ref_read = Ref.parse_cache_lookup;
-        equal = String.equal;
-      };
-    Frame
-      {
-        name = "cache_answer";
-        gen = Gen.opt result_gen;
-        print = (function None -> "miss" | Some r -> show_result r);
-        write = Wire.write_cache_answer;
-        read = Wire.read_cache_answer;
-        of_value = Fun.id;
-        ref_tree = Ref.cache_answer;
-        ref_read = Ref.parse_cache_answer;
-        equal = ( = );
-      };
-    Frame
-      {
-        name = "cache_put";
-        gen = Gen.triple sent_at_gen text_gen result_gen;
-        print = (fun (_, key, r) -> key ^ " " ^ show_result r);
-        write = (fun buf (sent_at, key, r) -> Wire.write_cache_put ~sent_at buf ~key r);
-        read = Wire.read_cache_put;
-        of_value = (fun (sent_at, key, r) -> (key, r, sent_at));
-        ref_tree = (fun (sent_at, key, r) -> Ref.cache_put ~sent_at ~key r);
-        (* The reference read an unstamped put as [None]; the reader
-           refuses it. *)
-        ref_read =
-          (fun node ->
-            Result.bind (Ref.parse_cache_put node) (function
-              | key, r, Some sent_at -> Ok (key, r, sent_at)
-              | _, _, None -> Error "CachePut has no numeric SentAt"));
-        equal = ( = );
-      };
-    Frame
-      {
-        name = "attribute_query";
-        gen = Gen.triple category_gen text_gen text_gen;
-        print = (fun (c, id, s) -> Printf.sprintf "%s/%s/%s" (Context.category_name c) id s);
-        write = (fun buf (category, attribute_id, subject) -> Wire.write_attribute_query buf ~category ~attribute_id ~subject);
-        read = Wire.read_attribute_query;
-        of_value = Fun.id;
-        ref_tree = (fun (category, attribute_id, subject) -> Ref.attribute_query ~category ~attribute_id ~subject);
-        ref_read = Ref.parse_attribute_query;
-        equal = ( = );
-      };
-    Frame
-      {
-        name = "attribute_result";
-        gen = Gen.list_size (Gen.int_bound 4) value_gen;
-        print = (fun bag -> Format.asprintf "%a" Value.pp_bag bag);
-        write = Wire.write_attribute_result;
-        read = Wire.read_attribute_result;
-        of_value = Fun.id;
-        ref_tree = Ref.attribute_result;
-        ref_read = Ref.parse_attribute_result;
-        equal = ( = );
-      };
-  ]
+let policy_gen =
+  let reference = Gen.map (fun id -> Dacs_policy.Policy.Policy_ref id) text_gen in
+  let rule = Gen.map2 (fun id permit -> if permit then Dacs_policy.Rule.permit id else Dacs_policy.Rule.deny id) text_gen Gen.bool in
+  let policy =
+    Gen.map2
+      (fun id rules -> Dacs_policy.Policy.Inline_policy (Dacs_policy.Policy.make ~id rules))
+      text_gen
+      (Gen.list_size (Gen.int_range 1 3) rule)
+  in
+  Gen.oneof
+    [
+      reference;
+      policy;
+      Gen.map2
+        (fun id children -> Dacs_policy.Policy.Inline_set (Dacs_policy.Policy.make_set ~id children))
+        text_gen
+        (Gen.list_size (Gen.int_bound 3) (Gen.oneof [ reference; policy ]));
+    ]
 
-let written write v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
+let same_policy a b = Dacs_policy.Xacml_xml.(child_to_string a = child_to_string b)
 
-(* A whole document holding one body element, read by [read]. *)
-let read_document read s = Cursor.parse s (fun c -> match read c with Ok v -> v | Error e -> Cursor.fail c e)
+let region_gen =
+  let pin =
+    Gen.(
+      map
+        (fun ((pin_category, pin_attribute), (pin_values, pin_guards)) ->
+          { Dacs_policy.Delta.pin_category; pin_attribute; pin_values; pin_guards })
+        (pair (pair category_gen text_gen)
+           (pair (list_size (int_bound 3) text_gen) (list_size (int_bound 2) (pair category_gen text_gen)))))
+  in
+  Gen.(
+    oneof
+      [
+        return Dacs_policy.Delta.Empty;
+        return Dacs_policy.Delta.Unbounded;
+        map (fun zones -> Dacs_policy.Delta.Zones zones) (list_size (int_bound 3) (list_size (int_bound 3) pin));
+      ])
 
-(* --- 1. bytes: the writer prints what the reference tree printed -------------- *)
+let outcome_gen =
+  Gen.oneof
+    [
+      Gen.map2 (fun content encrypted -> Wire.Granted { content; encrypted }) text_gen Gen.bool;
+      Gen.map (fun reason -> Wire.Denied reason) text_gen;
+    ]
 
-let bytes_tests =
-  List.map
-    (fun (Frame f) ->
-      Test.make ~name:(f.name ^ ": writer bytes = reference tree printed") ~count:300
-        (make ~print:f.print f.gen) (fun v ->
-          let ours = written f.write v and theirs = Xml.to_string (f.ref_tree v) in
-          ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs))
-    frames
-
-(* The offline log-event frames: the writer's canonical (unsigned) and
-   signed bytes are the former tree printers' to the byte, on names and
-   values full of XML specials, a [ctx] field holding a rendered request
-   (escaped once more), frontiers in any order, duplicates included, and
-   timestamps at the edges of what %.17g prints. *)
+(* The offline log-event frames: names and values full of XML specials,
+   a [ctx] field holding a rendered request (escaped once more),
+   frontiers in any order, duplicates included.  The bytes tests also
+   take timestamps at the edges of what %.17g prints and negative
+   sequence numbers; a reader takes only the finite timestamps and the
+   counts a replica writes. *)
 
 let odd_float_gen =
   Gen.oneof
@@ -223,12 +141,12 @@ let odd_float_gen =
       Gen.float;
     ]
 
+let finite_float_gen = Gen.map (fun f -> if Float.is_finite f then f else 0.0) odd_float_gen
+
 let raw_bytes_gen = Gen.string_size ~gen:Gen.char (Gen.oneofl [ 0; 32 ])
 
 let frontier_gen = Gen.(list_size (int_bound 5) (pair (oneof [ oneofl [ "dom0"; "dom1"; "dom2" ]; text_gen ]) nat))
 
-(* Every kind, its fields full of XML specials; a Decide's [ctx] holds a
-   rendered request, escaped once more. *)
 let log_kind_gen =
   Gen.(
     oneof
@@ -241,40 +159,263 @@ let log_kind_gen =
           text_gen context_gen text_gen;
       ])
 
-let log_event_gen =
+let log_event_gen ~seq ~at =
   Gen.(
     map3
       (fun (author, seq, at) (epoch, frontier, kind) (digest, tag) ->
         { Wire.author; seq; at; epoch; frontier; kind; digest; tag })
-      (triple text_gen (int_range (-5) 100000) odd_float_gen)
+      (triple text_gen seq at)
       (triple (int_bound 50) frontier_gen log_kind_gen)
       (pair raw_bytes_gen raw_bytes_gen))
 
-let show_log_event (ev : Wire.log_event) = Xml.to_string (Ref.log_event ev)
-
+let any_log_event_gen = log_event_gen ~seq:(Gen.int_range (-5) 100000) ~at:odd_float_gen
+let valid_log_event_gen = log_event_gen ~seq:Gen.nat ~at:finite_float_gen
 let by_author (a, _) (b, _) = String.compare a b
+let sorted_frontier (ev : Wire.log_event) = { ev with frontier = List.stable_sort by_author ev.frontier }
 
+(* --- the frames ------------------------------------------------------------------ *)
+
+(* Every frame: a generator of the values its writer takes, the writer
+   and reader, what the reader returns for a value ([of_value]) and how
+   to compare it, the former tree printer the writer must match byte
+   for byte, and the former tree reader, where there was one, that a
+   reader must never out-accept. *)
+type frame =
+  | Frame : {
+      name : string;
+      gen : 'a Gen.t;
+      write : Buffer.t -> 'a -> unit;
+      read : Cursor.t -> ('b, string) result;
+      of_value : 'a -> 'b;
+      equal : 'b -> 'b -> bool;
+      tree : 'a -> Xml.t;
+      parse : (Xml.t -> ('b, string) result) option;
+    }
+      -> frame
+
+let frame ?parse ~name ~gen ~write ~read ~of_value ~equal tree =
+  Frame { name; gen; write; read; of_value; equal; tree; parse }
+
+(* A frame whose reader returns the value it was written from. *)
+let plain ?parse ?(equal = ( = )) ~name ~gen ~write ~read tree =
+  frame ?parse ~name ~gen ~write ~read ~of_value:Fun.id ~equal tree
+
+(* A childless acknowledgement: no value, no former reader. *)
+let ack name write read tree = plain ~name ~gen:Gen.unit ~write:(fun buf () -> write buf) ~read (fun () -> tree)
+
+let frames =
+  [
+    (* the per-decision frames *)
+    plain ~name:"authz_query" ~gen:context_gen ~write:Wire.write_authz_query ~read:Wire.read_authz_query
+      ~equal:Context.equal ~parse:Ref.parse_authz_query Ref.authz_query;
+    frame ~name:"authz_response" ~gen:(Gen.pair epoch_gen result_gen)
+      ~write:(fun buf (epoch, r) -> Wire.write_authz_response ~epoch buf r)
+      ~read:Wire.read_authz_response
+      ~of_value:(fun (epoch, r) -> (r, epoch))
+      ~equal:( = )
+      ~parse:(fun node -> Result.map (fun r -> (r, Ref.authz_response_epoch node)) (Ref.parse_authz_response node))
+      (fun (epoch, r) -> Ref.authz_response ~epoch r);
+    plain ~name:"cache_lookup" ~gen:text_gen
+      ~write:(fun buf key -> Wire.write_cache_lookup buf ~key)
+      ~read:Wire.read_cache_lookup ~parse:Ref.parse_cache_lookup
+      (fun key -> Ref.cache_lookup ~key);
+    plain ~name:"cache_answer" ~gen:(Gen.opt result_gen) ~write:Wire.write_cache_answer ~read:Wire.read_cache_answer
+      ~parse:Ref.parse_cache_answer Ref.cache_answer;
+    frame ~name:"cache_put" ~gen:(Gen.triple sent_at_gen text_gen result_gen)
+      ~write:(fun buf (sent_at, key, r) -> Wire.write_cache_put ~sent_at buf ~key r)
+      ~read:Wire.read_cache_put
+      ~of_value:(fun (sent_at, key, r) -> (key, r, sent_at))
+      ~equal:( = )
+      (* The reference read an unstamped put as [None]; the reader
+         refuses it. *)
+      ~parse:(fun node ->
+        Result.bind (Ref.parse_cache_put node) (function
+          | key, r, Some sent_at -> Ok (key, r, sent_at)
+          | _, _, None -> Error "CachePut has no numeric SentAt"))
+      (fun (sent_at, key, r) -> Ref.cache_put ~sent_at ~key r);
+    plain ~name:"attribute_query" ~gen:(Gen.triple category_gen text_gen text_gen)
+      ~write:(fun buf (category, attribute_id, subject) -> Wire.write_attribute_query buf ~category ~attribute_id ~subject)
+      ~read:Wire.read_attribute_query ~parse:Ref.parse_attribute_query
+      (fun (category, attribute_id, subject) -> Ref.attribute_query ~category ~attribute_id ~subject);
+    plain ~name:"attribute_result"
+      ~gen:(Gen.list_size (Gen.int_bound 4) value_gen)
+      ~write:Wire.write_attribute_result ~read:Wire.read_attribute_result ~parse:Ref.parse_attribute_result
+      Ref.attribute_result;
+    (* the offline log frames *)
+    frame ~name:"log_sync_request" ~gen:frontier_gen
+      ~write:(fun buf frontier -> Wire.write_log_sync_request buf ~frontier)
+      ~read:Wire.read_log_sync_request
+      ~of_value:(List.stable_sort by_author)
+      ~equal:( = )
+      (fun frontier -> Ref.log_sync_request ~frontier);
+    frame ~name:"log_sync_response"
+      ~gen:Gen.(pair raw_bytes_gen (list_size (int_bound 3) valid_log_event_gen))
+      ~write:(fun buf (head, events) -> Wire.write_log_sync_response buf ~head events)
+      ~read:Wire.read_log_sync_response
+      ~of_value:(fun (head, events) -> (head, List.map sorted_frontier events))
+      ~equal:( = )
+      (fun (head, events) -> Ref.log_sync_response ~head events);
+    (* every other frame *)
+    plain ~name:"access_request" ~gen:(Gen.pair subject_gen text_gen)
+      ~write:(fun buf (subject, action) -> Wire.write_access_request buf ~subject ~action)
+      ~read:Wire.read_access_request ~parse:Ref.parse_access_request
+      (fun (subject, action) -> Ref.access_request ~subject ~action);
+    plain ~name:"access_outcome" ~gen:outcome_gen ~write:Wire.write_access_outcome ~read:Wire.read_access_outcome
+      ~parse:Ref.parse_access_outcome (function
+      | Wire.Granted { content; encrypted } -> Ref.access_granted ~content ~encrypted ()
+      | Wire.Denied reason -> Ref.access_denied ~reason);
+    plain ~name:"capability_request"
+      ~gen:Gen.(pair subject_gen (list_size (int_bound 3) (pair text_gen text_gen)))
+      ~write:(fun buf (subject, pairs) -> Wire.write_capability_request buf ~subject ~pairs)
+      ~read:Wire.read_capability_request ~parse:Ref.parse_capability_request
+      (fun (subject, pairs) -> Ref.capability_request ~subject ~pairs);
+    plain ~name:"revocation_check" ~gen:text_gen
+      ~write:(fun buf assertion_id -> Wire.write_revocation_check buf ~assertion_id)
+      ~read:Wire.read_revocation_check ~parse:Ref.parse_revocation_check
+      (fun assertion_id -> Ref.revocation_check ~assertion_id);
+    plain ~name:"revocation_status" ~gen:Gen.bool
+      ~write:(fun buf revoked -> Wire.write_revocation_status buf ~revoked)
+      ~read:Wire.read_revocation_status ~parse:Ref.parse_revocation_status
+      (fun revoked -> Ref.revocation_status ~revoked);
+    plain ~name:"policy_query" ~gen:(Gen.pair text_gen count_gen)
+      ~write:(fun buf (scope, known_version) -> Wire.write_policy_query buf ~scope ~known_version)
+      ~read:Wire.read_policy_query ~parse:Ref.parse_policy_query
+      (fun (scope, known_version) -> Ref.policy_query ~scope ~known_version);
+    plain ~name:"policy_response" ~gen:(Gen.pair count_gen (Gen.opt policy_gen))
+      ~write:(fun buf (version, child) -> Wire.write_policy_response buf ~version child)
+      ~read:Wire.read_policy_response
+      ~equal:(fun (v, a) (w, b) -> v = w && Option.equal same_policy a b)
+      ~parse:Ref.parse_policy_response
+      (fun (version, child) -> Ref.policy_response ~version child);
+    plain ~name:"policy_update" ~gen:(Gen.pair count_gen policy_gen)
+      ~write:(fun buf (version, child) -> Wire.write_policy_update buf ~version child)
+      ~read:Wire.read_policy_update
+      ~equal:(fun (v, a) (w, b) -> v = w && same_policy a b)
+      ~parse:Ref.parse_policy_update
+      (fun (version, child) -> Ref.policy_update ~version child);
+    plain ~name:"policy_update_ack" ~gen:count_gen
+      ~write:(fun buf version -> Wire.write_policy_update_ack buf ~version)
+      ~read:Wire.read_policy_update_ack
+      (fun version -> Ref.policy_update_ack ~version);
+    plain ~name:"attribute_subscribe" ~gen:Gen.unit
+      ~write:(fun buf () -> Wire.write_attribute_subscribe buf)
+      ~read:Wire.read_attribute_subscribe ~parse:Ref.parse_attribute_subscribe Ref.attribute_subscribe;
+    plain ~name:"attribute_invalidate" ~gen:(Gen.pair text_gen text_gen)
+      ~write:(fun buf (subject, attribute_id) -> Wire.write_attribute_invalidate buf ~subject ~attribute_id)
+      ~read:Wire.read_attribute_invalidate ~parse:Ref.parse_attribute_invalidate
+      (fun (subject, attribute_id) -> Ref.attribute_invalidate ~subject ~attribute_id);
+    ack "subscribe_ack" Wire.write_subscribe_ack Wire.read_subscribe_ack Ref.subscribe_ack;
+    ack "invalidate_ack" Wire.write_invalidate_ack Wire.read_invalidate_ack Ref.invalidate_ack;
+    ack "cache_put_ack" Wire.write_cache_put_ack Wire.read_cache_put_ack Ref.cache_put_ack;
+    plain ~name:"cache_invalidate" ~gen:(Gen.pair count_gen (Gen.opt text_gen))
+      ~write:(fun buf (epoch, key) -> Wire.write_cache_invalidate buf ~epoch key)
+      ~read:Wire.read_cache_invalidate ~parse:Ref.parse_cache_invalidate
+      (fun (epoch, key) -> Ref.cache_invalidate ~epoch key);
+    plain ~name:"cache_region" ~gen:(Gen.pair count_gen region_gen)
+      ~write:(fun buf (epoch, region) -> Wire.write_cache_region buf ~epoch region)
+      ~read:Wire.read_cache_region ~parse:Ref.parse_cache_region
+      (fun (epoch, region) -> Ref.cache_region ~epoch region);
+    plain ~name:"cache_sync" ~gen:count_gen
+      ~write:(fun buf known_epoch -> Wire.write_cache_sync buf ~known_epoch)
+      ~read:Wire.read_cache_sync ~parse:Ref.parse_cache_sync
+      (fun known_epoch -> Ref.cache_sync ~known_epoch);
+    plain ~name:"cache_epoch" ~gen:count_gen
+      ~write:(fun buf epoch -> Wire.write_cache_epoch buf ~epoch)
+      ~read:Wire.read_cache_epoch ~parse:Ref.parse_cache_epoch
+      (fun epoch -> Ref.cache_epoch ~epoch);
+  ]
+
+let written write v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  Buffer.contents buf
+
+let enveloped write v =
+  let buf = Buffer.create 512 in
+  Soap.write buf (fun buf -> write buf v);
+  Buffer.contents buf
+
+(* A whole document holding one body element, read by [read]. *)
+let read_document read s = Cursor.parse s (fun c -> match read c with Ok v -> v | Error e -> Cursor.fail c e)
+
+(* The envelope exactly as the live path reads it: {!Soap.read} with the
+   frame's reader at the body, as {!Service} does. *)
+let live_read read s =
+  Soap.read s 0 (String.length s) (fun c -> match read c with Ok v -> v | Error e -> Cursor.fail c e)
+
+let reference_read parse s =
+  match Xml.of_string_opt s with
+  | None -> Error "malformed XML"
+  | Some node -> Result.bind (Ref.Soap.of_xml node) (fun env -> parse env.Ref.Soap.body)
+
+(* Byte mutations biased towards markup: flips to XML-significant bytes,
+   insertions and deletions, at positions drawn from the generated ints so
+   a failing case shrinks. *)
+let mutate ops s =
+  let markup = "<>/=\"'& :aZ!?[]-;#x0" in
+  List.fold_left
+    (fun s (kind, pos, byte) ->
+      let n = String.length s in
+      let c = if byte land 1 = 0 then markup.[byte / 2 mod String.length markup] else Char.chr (byte land 0xff) in
+      if n = 0 then String.make 1 c
+      else
+        let pos = pos mod n in
+        match kind mod 3 with
+        | 0 -> String.mapi (fun i b -> if i = pos then c else b) s
+        | 1 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+        | _ -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1))
+    s ops
+
+let mutations_gen = Gen.(list_size (int_range 1 4) (triple nat nat (int_bound 511)))
+let show_mutations = Print.(list (triple int int int))
+
+(* --- the reader-property harness ---------------------------------------------------- *)
+
+(* The three properties every frame must keep: its writer prints the
+   former tree printer's bytes; its reader inverts its writer; and on a
+   mutated frame the reader never raises, and never accepts what the
+   former tree reader rejected or read differently. *)
+let properties (Frame f) =
+  let print v = Xml.to_string (f.tree v) in
+  [
+    Test.make ~name:(f.name ^ ": writer bytes = reference tree printed") ~count:300 (make ~print f.gen) (fun v ->
+        let ours = written f.write v and theirs = print v in
+        ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs);
+    Test.make ~name:(f.name ^ ": read (write v) = v") ~count:300 (make ~print f.gen) (fun v ->
+        match read_document f.read (written f.write v) with
+        | Ok got -> f.equal got (f.of_value v) || Test.fail_reportf "read back differently"
+        | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
+    Test.make
+      ~name:(f.name ^ if Option.is_none f.parse then ": mutated frames never raise" else ": mutated frames never raise nor differ from the reference")
+      ~count:500
+      (make ~print:(fun (v, ops) -> print v ^ " / " ^ show_mutations ops) (Gen.pair f.gen mutations_gen))
+      (fun (v, ops) ->
+        let s = mutate ops (enveloped f.write v) in
+        match (live_read f.read s, f.parse) with
+        | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
+        | Error _, _ | Ok _, None -> true
+        | Ok (_, got), Some parse -> (
+          match reference_read parse s with
+          | Ok want -> f.equal got want || Test.fail_reportf "reads differently from the reference: %S" s
+          | Error e -> Test.fail_reportf "accepted what the reference rejects (%s): %S" e s));
+  ]
+
+(* The offline log event itself: the writer's canonical (unsigned) and
+   signed bytes are the former tree printers' to the byte, whatever the
+   timestamp or sequence number. *)
 let log_event_bytes_tests =
   List.map
     (fun signed ->
       let name = if signed then "log_event (signed)" else "log_event (canonical)" in
       let reference = if signed then Ref.log_event else Ref.log_event_unsigned in
       Test.make ~name:(name ^ ": writer bytes = reference tree printed") ~count:500
-        (make ~print:show_log_event log_event_gen) (fun ev ->
+        (make ~print:(fun ev -> Xml.to_string (Ref.log_event ev)) any_log_event_gen) (fun ev ->
           let ours = written (fun buf ev -> Wire.write_log_event buf ~signed ev) ev
           and theirs = Xml.to_string (reference ev) in
           ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs))
     [ false; true ]
-  @ [
-      Test.make ~name:"log_sync_response: writer bytes = reference tree printed" ~count:200
-        (make Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen))) (fun (head, events) ->
-          written (fun buf events -> Wire.write_log_sync_response buf ~head events) events
-          = Xml.to_string (Ref.log_sync_response ~head events));
-      Test.make ~name:"log_sync_request: writer bytes = reference tree printed" ~count:200
-        (make Gen.(list_size (int_bound 5) (pair text_gen nat))) (fun frontier ->
-          written (fun buf frontier -> Wire.write_log_sync_request buf ~frontier) frontier
-          = Xml.to_string (Ref.log_sync_request ~frontier));
-    ]
+
+(* --- whole frames: the bytes that leave the sender ---------------------------------- *)
 
 (* The frame a request leaves the sender as: captured at a raw RPC
    handler, whose body slice lies inside the whole frame. *)
@@ -297,7 +438,7 @@ let captured_frame send =
 let whole_frame_tests =
   [
     Test.make ~name:"authz_query: the batch frame sent = the reference frame" ~count:100
-      (make ~print:show_ctx context_gen) (fun ctx ->
+      (make ~print:(Format.asprintf "%a" Context.pp) context_gen) (fun ctx ->
         let sent =
           captured_frame (fun services ->
               Service.call_batch_frame services ~src:"client" ~dst:"server" ~service:"authz-query"
@@ -323,113 +464,7 @@ let whole_frame_tests =
         sent = Rpc.encode_request 0 "cache-lookup" (Xml.to_string (Ref.Soap.envelope (Ref.cache_lookup ~key))));
   ]
 
-(* --- 2. round trip: read (write v) = v ------------------------------------------- *)
-
-let roundtrip_tests =
-  List.map
-    (fun (Frame f) ->
-      Test.make ~name:(f.name ^ ": read (write v) = v") ~count:300 (make ~print:f.print f.gen) (fun v ->
-          match read_document f.read (written f.write v) with
-          | Ok got -> f.equal got (f.of_value v)
-          | Error e -> Test.fail_reportf "rejected its own frame: %s" e))
-    frames
-
-(* The log-sync frames read back what was written, each frontier sorted
-   by author as the writer put it.  [compare], not [=]: a NaN timestamp
-   must equal itself. *)
-let log_roundtrip_tests =
-  [
-    Test.make ~name:"log_sync_response: read (write v) = v, frontiers sorted" ~count:300
-      (make
-         ~print:(fun (_, events) -> String.concat "\n" (List.map show_log_event events))
-         Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen)))
-      (fun (head, events) ->
-        let sorted = List.map (fun ev -> { ev with Wire.frontier = List.stable_sort by_author ev.Wire.frontier }) events in
-        match read_document Wire.read_log_sync_response (written (fun buf -> Wire.write_log_sync_response buf ~head) events) with
-        | Ok got -> compare got (head, sorted) = 0 || Test.fail_reportf "read back differently"
-        | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
-    Test.make ~name:"log_sync_request: read (write v) = v sorted" ~count:300 (make frontier_gen) (fun frontier ->
-        match read_document Wire.read_log_sync_request (written (fun buf frontier -> Wire.write_log_sync_request buf ~frontier) frontier) with
-        | Ok got -> got = List.stable_sort by_author frontier
-        | Error e -> Test.fail_reportf "rejected its own frame: %s" e);
-  ]
-
-(* --- 3. mutations: never raise, never accept differently ------------------------- *)
-
-(* Byte mutations biased towards markup: flips to XML-significant bytes,
-   insertions and deletions, at positions drawn from the generated ints so
-   a failing case shrinks. *)
-let mutate ops s =
-  let markup = "<>/=\"'& :aZ!?[]-;#x0" in
-  List.fold_left
-    (fun s (kind, pos, byte) ->
-      let n = String.length s in
-      let c = if byte land 1 = 0 then markup.[byte / 2 mod String.length markup] else Char.chr (byte land 0xff) in
-      if n = 0 then String.make 1 c
-      else
-        let pos = pos mod n in
-        match kind mod 3 with
-        | 0 -> String.mapi (fun i b -> if i = pos then c else b) s
-        | 1 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
-        | _ -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1))
-    s ops
-
-let mutations_gen = Gen.(list_size (int_range 1 4) (triple nat nat (int_bound 511)))
-
-(* The envelope exactly as the live path reads it: {!Soap.read} with the
-   frame's reader at the body, as {!Service} does. *)
-let live_read read s =
-  Soap.read s 0 (String.length s) (fun c -> match read c with Ok v -> v | Error e -> Cursor.fail c e)
-
-let reference_read ref_read s =
-  match Xml.of_string_opt s with
-  | None -> Error "malformed XML"
-  | Some node -> Result.bind (Ref.Soap.of_xml node) (fun env -> ref_read env.Ref.Soap.body)
-
-let mutation_tests =
-  List.map
-    (fun (Frame f) ->
-      Test.make ~name:(f.name ^ ": mutated frames never raise nor differ from the reference") ~count:500
-        (make ~print:(fun (v, ops) -> f.print v ^ " / " ^ Print.(list (triple int int int)) ops) (Gen.pair f.gen mutations_gen))
-        (fun (v, ops) ->
-          let s = mutate ops (Xml.to_string (Ref.Soap.envelope (f.ref_tree v))) in
-          match live_read f.read s with
-          | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
-          | Error _ -> true
-          | Ok (_, got) -> (
-            match reference_read f.ref_read s with
-            | Ok want -> f.equal got want || Test.fail_reportf "reads differently from the reference: %S" s
-            | Error e -> Test.fail_reportf "accepted what the reference rejects (%s): %S" e s)))
-    frames
-
-(* The log-sync frames are the ones a domain reads from another domain's
-   replica: no mutation of either makes its reader raise. *)
-
-let enveloped write v =
-  let buf = Buffer.create 512 in
-  Soap.write buf (fun buf -> write buf v);
-  Buffer.contents buf
-
-let never_raises name gen print write read =
-  Test.make ~name:(name ^ ": mutated frames never raise") ~count:500
-    (make ~print:(fun (v, ops) -> print v ^ " / " ^ Print.(list (triple int int int)) ops) (Gen.pair gen mutations_gen))
-    (fun (v, ops) ->
-      let s = mutate ops (enveloped write v) in
-      match live_read read s with
-      | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
-      | Ok _ | Error _ -> true)
-
-let log_mutation_tests =
-  [
-    never_raises "log_sync_request" frontier_gen Print.(list (pair string int))
-      (fun buf frontier -> Wire.write_log_sync_request buf ~frontier)
-      Wire.read_log_sync_request;
-    never_raises "log_sync_response"
-      Gen.(pair raw_bytes_gen (list_size (int_bound 3) log_event_gen))
-      (fun (_, events) -> String.concat "\n" (List.map show_log_event events))
-      (fun buf (head, events) -> Wire.write_log_sync_response buf ~head events)
-      Wire.read_log_sync_response;
-  ]
+(* --- log-sync admission: a mutation never smuggles in an event ------------------- *)
 
 (* A real segment: two authors, every kind, alpha's events known to beta
    before beta appends its own. *)
@@ -504,7 +539,7 @@ let log_intact () =
     Alcotest.(check int) "two authors, five events" 5 (List.length events)
   | Error e -> Alcotest.failf "the unmutated response was rejected: %s" e
 
-(* --- 4. signed responses: a mutation never forges a decision ---------------------- *)
+(* --- signed responses: a mutation never forges a decision ---------------------- *)
 
 let signer =
   lazy
@@ -527,7 +562,7 @@ let signed_content s =
 let signed_mutation_test =
   Test.make ~name:"signed authz_response: a mutation decodes only with the signed content intact" ~count:300
     (make
-       ~print:(fun ((e, r), ops) -> Printf.sprintf "epoch %d: %s / %s" e (show_result r) (Print.(list (triple int int int)) ops))
+       ~print:(fun ((e, r), ops) -> Printf.sprintf "%s / %s" (Xml.to_string (Ref.authz_response ~epoch:e r)) (show_mutations ops))
        (Gen.pair (Gen.pair epoch_gen result_gen) mutations_gen))
     (fun ((epoch, result), ops) ->
       let key, cert, trust = Lazy.force signer in
@@ -547,7 +582,7 @@ let signed_intact () =
   Alcotest.(check bool) "the unmutated frame decodes" true
     (live_read (Wire.read_authz_answer ~trust ~now:1.0) frame = Ok ([], (result, 4)))
 
-(* --- 5. allocation: one authz round trip over Service ---------------------------- *)
+(* --- allocation: one authz round trip over Service ---------------------------- *)
 
 (* Minor words of one query out and response back between a client and a
    PDP-shaped handler, 3-attribute context, after warm-up (OCaml 5.1,
@@ -602,10 +637,10 @@ let test_round_trip_allocation () =
 let () =
   let props name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "dacs_wire"
-    [
-      props "bytes" (bytes_tests @ whole_frame_tests @ log_event_bytes_tests);
-      props "roundtrip" (roundtrip_tests @ log_roundtrip_tests);
-      props "mutations" (mutation_tests @ [ signed_mutation_test ] @ log_mutation_tests @ [ log_admit_mutation_test ]);
+    (List.map (fun (Frame f as frame) -> props f.name (properties frame)) frames
+    @ [
+      props "bytes" (whole_frame_tests @ log_event_bytes_tests);
+      props "mutations" [ signed_mutation_test; log_admit_mutation_test ];
       ( "signed",
         [
           Alcotest.test_case "an intact signed response decodes" `Quick signed_intact;
@@ -613,4 +648,4 @@ let () =
         ] );
       ( "allocation",
         [ Alcotest.test_case "one authz round trip stays under its word bound" `Quick test_round_trip_allocation ] );
-    ]
+    ])

@@ -1,12 +1,12 @@
-(* The tree codecs of the per-decision frames, and the tree printers of
-   the offline log-event frames, as they stood before those frames were
-   written and read in place: every body below is the former library
+(* The tree codecs of every Wire frame, as they stood before the frame
+   was written and read in place: the per-decision frames, the tree
+   printers of the offline log-event frames, and the tree builders and
+   readers of every other frame.  Every body below is the former library
    code, moved here verbatim as the oracle that [test_wire] compares the
-   direct writers and cursor readers against.  Module
-   prefixes were adjusted to the test's scope, and the log-event
-   printers take the typed event, mapping each kind to the kind name and
-   field list the former record carried ([kind_fields]); nothing else
-   changed. *)
+   direct writers and cursor readers against.  Module prefixes were
+   adjusted to the test's scope, and the log-event printers take the
+   typed event, mapping each kind to the kind name and field list the
+   former record carried ([kind_fields]); nothing else changed. *)
 
 module Xml = Dacs_xml.Xml
 module Value = Dacs_policy.Value
@@ -184,9 +184,16 @@ module Context = struct
   let of_xml = context_of_xml
 end
 
+module Delta = Dacs_policy.Delta
+
+let reference_result_to_xml = result_to_xml
+let reference_result_of_xml = result_of_xml
+
 module Xacml_xml = struct
-  let result_to_xml = result_to_xml
-  let result_of_xml = result_of_xml
+  include Dacs_policy.Xacml_xml
+
+  let result_to_xml = reference_result_to_xml
+  let result_of_xml = reference_result_of_xml
 end
 
 module Dacs_policy = struct
@@ -386,6 +393,276 @@ let log_sync_response ~head events =
   Xml.element "LogSyncResponse"
     ~attrs:[ ("Head", Dacs_crypto.Encoding.hex_encode head) ]
     ~children:(List.map log_event events)
+
+(* --- Wire: the frames that left their tree codecs ------------------------------ *)
+
+(* Every other frame's former tree builder and reader.  The
+   acknowledgements were built as trees by the services that answered
+   with them and had no reader: their callers ignored the body. *)
+
+let access_request ~subject ~action =
+  Xml.element "AccessRequest" ~attrs:[ ("Action", action) ] ~children:(attr_elements subject)
+
+let parse_access_request node =
+  let* () = expect_tag node "AccessRequest" in
+  let* action = attr_or_error node "Action" in
+  let* subject = parse_attr_elements (Xml.find_children node "Attribute") in
+  Ok (subject, action)
+
+let attribute_subscribe () = Xml.element "AttributeSubscribe"
+
+let parse_attribute_subscribe node = expect_tag node "AttributeSubscribe"
+
+let attribute_invalidate ~subject ~attribute_id =
+  Xml.element "AttributeInvalidate" ~attrs:[ ("Subject", subject); ("AttributeId", attribute_id) ]
+
+let parse_attribute_invalidate node =
+  let* () = expect_tag node "AttributeInvalidate" in
+  let* subject = attr_or_error node "Subject" in
+  let* attribute_id = attr_or_error node "AttributeId" in
+  Ok (subject, attribute_id)
+
+let cache_invalidate ~epoch key =
+  Xml.element "CacheInvalidate"
+    ~attrs:
+      (("Epoch", string_of_int epoch)
+      :: (match key with None -> [] | Some k -> [ ("Key", k) ]))
+
+let parse_cache_invalidate node =
+  let* () = expect_tag node "CacheInvalidate" in
+  let* epoch_s = attr_or_error node "Epoch" in
+  match int_of_string_opt epoch_s with
+  | None -> Error "Epoch is not an integer"
+  | Some epoch -> Ok (epoch, Xml.attr node "Key")
+
+let cache_sync ~known_epoch =
+  Xml.element "CacheSync" ~attrs:[ ("KnownEpoch", string_of_int known_epoch) ]
+
+let parse_cache_sync node =
+  let* () = expect_tag node "CacheSync" in
+  let* s = attr_or_error node "KnownEpoch" in
+  match int_of_string_opt s with
+  | Some e -> Ok e
+  | None -> Error "KnownEpoch is not an integer"
+
+let pin_to_xml (p : Delta.pin) =
+  Xml.element "Pin"
+    ~attrs:
+      [
+        ("Category", Context.category_name p.Delta.pin_category);
+        ("Attribute", p.Delta.pin_attribute);
+      ]
+    ~children:
+      (List.map
+         (fun v -> Xml.element "V" ~attrs:[ ("Value", v) ])
+         p.Delta.pin_values
+      @ List.map
+          (fun (c, a) ->
+            Xml.element "Guard"
+              ~attrs:[ ("Category", Context.category_name c); ("Attribute", a) ])
+          p.Delta.pin_guards)
+
+let cache_region ~epoch region =
+  let kind, children =
+    match region with
+    | Delta.Empty -> ("empty", [])
+    | Delta.Unbounded -> ("unbounded", [])
+    | Delta.Zones zs ->
+      ( "zones",
+        List.map (fun z -> Xml.element "Zone" ~children:(List.map pin_to_xml z)) zs )
+  in
+  Xml.element "CacheRegion"
+    ~attrs:[ ("Epoch", string_of_int epoch); ("Kind", kind) ]
+    ~children
+
+let parse_category node name =
+  let* s = attr_or_error node name in
+  match Context.category_of_name s with
+  | None -> Error (Printf.sprintf "unknown category %s" s)
+  | Some c -> Ok c
+
+let parse_pin node =
+  let* () = expect_tag node "Pin" in
+  let* category = parse_category node "Category" in
+  let* attribute = attr_or_error node "Attribute" in
+  let* values =
+    List.fold_left
+      (fun acc v ->
+        let* acc = acc in
+        let* value = attr_or_error v "Value" in
+        Ok (value :: acc))
+      (Ok [])
+      (Xml.find_children node "V")
+  in
+  let* guards =
+    List.fold_left
+      (fun acc g ->
+        let* acc = acc in
+        let* c = parse_category g "Category" in
+        let* a = attr_or_error g "Attribute" in
+        Ok ((c, a) :: acc))
+      (Ok [])
+      (Xml.find_children node "Guard")
+  in
+  Ok
+    {
+      Delta.pin_category = category;
+      pin_attribute = attribute;
+      pin_values = List.rev values;
+      pin_guards = List.rev guards;
+    }
+
+let parse_cache_region node =
+  let* () = expect_tag node "CacheRegion" in
+  let* epoch_s = attr_or_error node "Epoch" in
+  let* epoch =
+    match int_of_string_opt epoch_s with
+    | None -> Error "Epoch is not an integer"
+    | Some e -> Ok e
+  in
+  let* kind = attr_or_error node "Kind" in
+  match kind with
+  | "empty" -> Ok (epoch, Delta.Empty)
+  | "unbounded" -> Ok (epoch, Delta.Unbounded)
+  | "zones" ->
+    let* zones =
+      List.fold_left
+        (fun acc z ->
+          let* acc = acc in
+          let* pins =
+            List.fold_left
+              (fun acc p ->
+                let* acc = acc in
+                let* pin = parse_pin p in
+                Ok (pin :: acc))
+              (Ok [])
+              (Xml.find_children z "Pin")
+          in
+          Ok (List.rev pins :: acc))
+        (Ok [])
+        (Xml.find_children node "Zone")
+    in
+    Ok (epoch, Delta.Zones (List.rev zones))
+  | other -> Error (Printf.sprintf "unknown region kind %s" other)
+
+let cache_epoch ~epoch = Xml.element "CacheEpoch" ~attrs:[ ("Epoch", string_of_int epoch) ]
+
+let parse_cache_epoch node =
+  let* () = expect_tag node "CacheEpoch" in
+  let* s = attr_or_error node "Epoch" in
+  match int_of_string_opt s with
+  | Some e -> Ok e
+  | None -> Error "Epoch is not an integer"
+
+let policy_query ~scope ~known_version =
+  Xml.element "PolicyQuery" ~attrs:[ ("Scope", scope); ("KnownVersion", string_of_int known_version) ]
+
+let parse_policy_query node =
+  let* () = expect_tag node "PolicyQuery" in
+  let* scope = attr_or_error node "Scope" in
+  let* version_s = attr_or_error node "KnownVersion" in
+  match int_of_string_opt version_s with
+  | Some v -> Ok (scope, v)
+  | None -> Error "KnownVersion is not an integer"
+
+let policy_response ~version child =
+  Xml.element "PolicyResponse"
+    ~attrs:[ ("Version", string_of_int version) ]
+    ~children:(match child with None -> [] | Some c -> [ Dacs_policy.Xacml_xml.child_to_xml c ])
+
+let parse_policy_response node =
+  let* () = expect_tag node "PolicyResponse" in
+  let* version_s = attr_or_error node "Version" in
+  match int_of_string_opt version_s with
+  | None -> Error "Version is not an integer"
+  | Some version -> (
+    match List.filter Xml.is_element (Xml.children node) with
+    | [] -> Ok (version, None)
+    | [ c ] ->
+      let* child = Dacs_policy.Xacml_xml.child_of_xml c in
+      Ok (version, Some child)
+    | _ -> Error "PolicyResponse must carry at most one policy")
+
+let policy_update ~version child =
+  Xml.element "PolicyUpdate"
+    ~attrs:[ ("Version", string_of_int version) ]
+    ~children:[ Dacs_policy.Xacml_xml.child_to_xml child ]
+
+let parse_policy_update node =
+  let* () = expect_tag node "PolicyUpdate" in
+  let* version_s = attr_or_error node "Version" in
+  match int_of_string_opt version_s with
+  | None -> Error "Version is not an integer"
+  | Some version -> (
+    match List.filter Xml.is_element (Xml.children node) with
+    | [ c ] ->
+      let* child = Dacs_policy.Xacml_xml.child_of_xml c in
+      Ok (version, child)
+    | _ -> Error "PolicyUpdate must carry exactly one policy")
+
+let capability_request ~subject ~pairs =
+  Xml.element "CapabilityRequest"
+    ~children:
+      (attr_elements subject
+      @ List.map
+          (fun (resource, action) ->
+            Xml.element "Want" ~attrs:[ ("Resource", resource); ("Action", action) ])
+          pairs)
+
+let parse_capability_request node =
+  let* () = expect_tag node "CapabilityRequest" in
+  let* subject = parse_attr_elements (Xml.find_children node "Attribute") in
+  let rec wants acc = function
+    | [] -> Ok (List.rev acc)
+    | w :: rest ->
+      let* resource = attr_or_error w "Resource" in
+      let* action = attr_or_error w "Action" in
+      wants ((resource, action) :: acc) rest
+  in
+  let* pairs = wants [] (Xml.find_children node "Want") in
+  Ok (subject, pairs)
+
+let revocation_check ~assertion_id =
+  Xml.element "RevocationCheck" ~attrs:[ ("AssertionId", assertion_id) ]
+
+let parse_revocation_check node =
+  let* () = expect_tag node "RevocationCheck" in
+  attr_or_error node "AssertionId"
+
+let revocation_status ~revoked =
+  Xml.element "RevocationStatus" ~attrs:[ ("Revoked", string_of_bool revoked) ]
+
+let parse_revocation_status node =
+  let* () = expect_tag node "RevocationStatus" in
+  let* s = attr_or_error node "Revoked" in
+  match bool_of_string_opt s with
+  | Some b -> Ok b
+  | None -> Error "Revoked is not a boolean"
+
+let access_granted ?(content = "") ?(encrypted = false) () =
+  Xml.element "AccessGranted"
+    ~attrs:[ ("Encrypted", string_of_bool encrypted) ]
+    ~children:(if content = "" then [] else [ Xml.text content ])
+
+let access_denied ~reason = Xml.element "AccessDenied" ~attrs:[ ("Reason", reason) ]
+
+let parse_access_outcome node =
+  match Xml.local_name (Xml.tag node) with
+  | "AccessGranted" ->
+    Ok
+      (Wire.Granted
+         {
+           content = Xml.text_content node;
+           encrypted = Xml.attr node "Encrypted" = Some "true";
+         })
+  | "AccessDenied" ->
+    Ok (Wire.Denied (Option.value (Xml.attr node "Reason") ~default:""))
+  | other -> Error (Printf.sprintf "unexpected access outcome <%s>" other)
+
+let policy_update_ack ~version = Xml.element "PolicyUpdateAck" ~attrs:[ ("Version", string_of_int version) ]
+let subscribe_ack = Xml.element "SubscribeAck"
+let invalidate_ack = Xml.element "InvalidateAck"
+let cache_put_ack = Xml.element "CachePutAck"
 
 (* --- Soap: the envelope ---------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
 (* Tests for dacs_xml: parser, printer, canonical form, path queries. *)
 
 module Xml = Dacs_xml.Xml
-module Xml_path = Dacs_xml.Xml_path
 
 let check = Alcotest.check
 let string_ = Alcotest.string
@@ -183,53 +182,6 @@ let test_pretty_parses_back () =
   let a = Xml.of_string "<a x=\"1\"><b>text</b><c><d/></c></a>" in
   let pretty = Xml.to_pretty_string a in
   check bool_ "pretty equal" true (Xml.equal a (Xml.of_string pretty))
-
-(* --- paths -------------------------------------------------------------- *)
-
-let sample =
-  Xml.of_string
-    "<PolicySet><Policy PolicyId=\"p1\"><Rule RuleId=\"r1\" Effect=\"Permit\"/><Rule RuleId=\"r2\" Effect=\"Deny\"/></Policy><Policy PolicyId=\"p2\"><Rule RuleId=\"r3\" Effect=\"Permit\"/></Policy></PolicySet>"
-
-let test_path_select () =
-  check int_ "all rules" 3 (List.length (Xml_path.select sample "Policy/Rule"));
-  check int_ "wildcard" 3 (List.length (Xml_path.select sample "*/Rule"));
-  check int_ "policies" 2 (List.length (Xml_path.select sample "Policy"))
-
-let test_path_attr_pred () =
-  let permits = Xml_path.select sample "Policy/Rule[@Effect=Permit]" in
-  check int_ "permit rules" 2 (List.length permits);
-  check (Alcotest.option string_) "by id" (Some "r2")
-    (Xml_path.select_attr sample "Policy/Rule[@Effect=Deny]" "RuleId")
-
-let test_path_quoted_pred () =
-  check (Alcotest.option string_) "quoted value" (Some "r2")
-    (Xml_path.select_attr sample "Policy/Rule[@Effect='Deny']" "RuleId")
-
-let test_path_index () =
-  check (Alcotest.option string_) "second policy" (Some "p2")
-    (Xml_path.select_attr sample "Policy[2]" "PolicyId");
-  check int_ "out of range" 0 (List.length (Xml_path.select sample "Policy[9]"))
-
-let test_path_text () =
-  let doc = Xml.of_string "<a><b>hello</b></a>" in
-  check (Alcotest.option string_) "text" (Some "hello") (Xml_path.select_text doc "b")
-
-let test_path_exists () =
-  check bool_ "exists" true (Xml_path.exists sample "Policy/Rule");
-  check bool_ "not exists" false (Xml_path.exists sample "Policy/Nope")
-
-let test_path_errors () =
-  let bad p =
-    try
-      ignore (Xml_path.select sample p);
-      Alcotest.fail (Printf.sprintf "expected Bad_path for %S" p)
-    with Xml_path.Bad_path _ -> ()
-  in
-  bad "";
-  bad "a//b";
-  bad "a[b]";
-  bad "a[@x]";
-  bad "a[0]"
 
 (* --- property tests -------------------------------------------------------- *)
 
@@ -461,34 +413,38 @@ let wire_envelopes () =
   in
   let bodies =
     [
-      ("access_request", Wire.access_request ~subject ~action:"read");
+      ("access_request", written (fun buf -> Wire.write_access_request buf ~subject ~action:"read"));
       ("authz_query", written (fun buf -> Wire.write_authz_query buf ctx));
       ("authz_response", written (fun buf -> Wire.write_authz_response ~epoch:3 buf result));
       ("signed_authz_response",
         written (fun buf -> Wire.write_signed_authz_response ~epoch:3 ~key:keys.Dacs_crypto.Rsa.private_ ~cert buf result));
       ("attribute_query", written (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice"));
       ("attribute_result", written (fun buf -> Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3; Value.Bool true ]));
-      ("attribute_subscribe", Wire.attribute_subscribe ());
-      ("attribute_invalidate", Wire.attribute_invalidate ~subject:"alice" ~attribute_id:"role");
+      ("attribute_subscribe", written Wire.write_attribute_subscribe);
+      ("attribute_invalidate", written (fun buf -> Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role"));
+      ("invalidate_ack", written Wire.write_invalidate_ack);
+      ("subscribe_ack", written Wire.write_subscribe_ack);
       ("cache_lookup", written (fun buf -> Wire.write_cache_lookup buf ~key:"alice|read|r1"));
       ("cache_answer", written (fun buf -> Wire.write_cache_answer buf (Some result)));
       ("cache_answer (miss)", written (fun buf -> Wire.write_cache_answer buf None));
       ("cache_put", written (fun buf -> Wire.write_cache_put ~sent_at:1.25 buf ~key:"alice|read|r1" result));
-      ("cache_invalidate", Wire.cache_invalidate ~epoch:2 (Some "p-r1"));
-      ("cache_region", Wire.cache_region ~epoch:2 (Dacs_policy.Delta.between (Some (policy "r1")) (Some (policy "r2"))));
-      ("cache_sync", Wire.cache_sync ~known_epoch:1);
-      ("cache_epoch", Wire.cache_epoch ~epoch:4);
-      ("policy_query", Wire.policy_query ~scope:"domain-a" ~known_version:1);
-      ("policy_response", Wire.policy_response ~version:2 (Some set));
-      ("policy_update", Wire.policy_update ~version:2 set);
+      ("cache_put_ack", written Wire.write_cache_put_ack);
+      ("cache_invalidate", written (fun buf -> Wire.write_cache_invalidate buf ~epoch:2 (Some "p-r1")));
+      ("cache_region", written (fun buf -> Wire.write_cache_region buf ~epoch:2 (Dacs_policy.Delta.between (Some (policy "r1")) (Some (policy "r2")))));
+      ("cache_sync", written (fun buf -> Wire.write_cache_sync buf ~known_epoch:1));
+      ("cache_epoch", written (fun buf -> Wire.write_cache_epoch buf ~epoch:4));
+      ("policy_query", written (fun buf -> Wire.write_policy_query buf ~scope:"domain-a" ~known_version:1));
+      ("policy_response", written (fun buf -> Wire.write_policy_response buf ~version:2 (Some set)));
+      ("policy_update", written (fun buf -> Wire.write_policy_update buf ~version:2 set));
+      ("policy_update_ack", written (fun buf -> Wire.write_policy_update_ack buf ~version:3));
       ("log_event", written (fun buf -> Wire.write_log_event buf ~signed:true event));
       ("log_sync_request", written (fun buf -> Wire.write_log_sync_request buf ~frontier:[ ("domain-b", 1); ("domain-a", 3) ]));
       ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf ~head:"\x02head" [ event; event ]));
-      ("capability_request", Wire.capability_request ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]);
-      ("revocation_check", Wire.revocation_check ~assertion_id:"a-1");
-      ("revocation_status", Wire.revocation_status ~revoked:true);
-      ("access_granted", Wire.access_granted ~content:"data <x> & 'y'" ~encrypted:false ());
-      ("access_denied", Wire.access_denied ~reason:"no & never");
+      ("capability_request", written (fun buf -> Wire.write_capability_request buf ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]));
+      ("revocation_check", written (fun buf -> Wire.write_revocation_check buf ~assertion_id:"a-1"));
+      ("revocation_status", written (fun buf -> Wire.write_revocation_status buf ~revoked:true));
+      ("access_granted", written (fun buf -> Wire.write_access_outcome buf (Wire.Granted { content = "data <x> & 'y'"; encrypted = false })));
+      ("access_denied", written (fun buf -> Wire.write_access_outcome buf (Wire.Denied "no & never")));
       ("fault", Soap.fault_body { Soap.code = "Receiver"; reason = "PDP <overloaded>" });
     ]
   in
@@ -585,13 +541,6 @@ let suite =
     Alcotest.test_case "equality modulo whitespace" `Quick test_equal_modulo_whitespace;
     Alcotest.test_case "size and depth" `Quick test_size_depth;
     Alcotest.test_case "pretty print parses back" `Quick test_pretty_parses_back;
-    Alcotest.test_case "path select" `Quick test_path_select;
-    Alcotest.test_case "path attribute predicate" `Quick test_path_attr_pred;
-    Alcotest.test_case "path quoted predicate" `Quick test_path_quoted_pred;
-    Alcotest.test_case "path index" `Quick test_path_index;
-    Alcotest.test_case "path text" `Quick test_path_text;
-    Alcotest.test_case "path exists" `Quick test_path_exists;
-    Alcotest.test_case "path errors" `Quick test_path_errors;
     Alcotest.test_case "wire frames reprint byte for byte" `Quick test_wire_frames_reprint;
     Alcotest.test_case "nesting depth limit" `Quick test_depth_limit;
     Alcotest.test_case "attribute-count and input-size limits" `Quick test_input_limits;
