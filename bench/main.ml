@@ -34,6 +34,7 @@ module Rng = Dacs_crypto.Rng
 module Rsa = Dacs_crypto.Rsa
 module Experiment = Dacs_experiment.Experiment
 module Gate = Experiment.Gate
+module Loghist = Dacs_telemetry.Loghist
 open Dacs_core
 
 let header title claim =
@@ -1226,13 +1227,13 @@ let e17_cache_hierarchy =
             ~node:(add ("cli." ^ user))
             ~subject:[ ("subject-id", Value.String user) ])
     in
-    let granted = ref 0 and total = ref 0 and lats = ref [] in
+    let granted = ref 0 and total = ref 0 and lats = Loghist.create () in
     let issue client pep action ~at =
       incr total;
       Engine.schedule_at (Net.engine net) ~at (fun () ->
           let t0 = Net.now net in
           Client.request client ~pep:(Pep.node pep) ~action ~timeout:5.0 (fun r ->
-              lats := (Net.now net -. t0) :: !lats;
+              Loghist.observe lats (Net.now net -. t0);
               match r with Ok (Wire.Granted _) -> incr granted | _ -> ()))
     in
     (* Cold phase: spread (user, action) slots one virtual second apart
@@ -1278,14 +1279,7 @@ let e17_cache_hierarchy =
     let warm_sent = (Net.total_sent net).Net.count in
     let stats = List.map Pep.stats peps in
     let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-    let sorted = List.sort compare !lats in
-    let pct p =
-      match sorted with
-      | [] -> 0.0
-      | _ ->
-        let n = List.length sorted in
-        List.nth sorted (min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
-    in
+    let pct = Loghist.quantile lats in
     {
       granted = !granted;
       total = !total;

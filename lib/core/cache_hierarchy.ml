@@ -316,7 +316,6 @@ module L2 = struct
         h_latency =
           Metrics.histogram registry
             ~help:"Virtual seconds from an invalidation to each child's ack"
-            ~buckets:[ 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0 ]
             ~labels:[ ("node", node) ] "l2_invalidation_latency_seconds";
       }
     in

@@ -23,6 +23,10 @@ type t = {
   mutable update_filter : Policy.child -> bool;
   mutable update_transform : Policy.child -> Policy.child;
   mutable last_region : Dacs_policy.Delta.t;
+  mutable parent : Dacs_net.Net.node_id option;  (* the anti-entropy parent *)
+  mutable parent_version : int;
+      (* parent's version as last pushed/polled; kept apart from [version],
+         which local accepts bump, so comparing against that would loop *)
 }
 
 let node t = t.node
@@ -119,6 +123,8 @@ let create services ~node ~name ?admin_policy ?root () =
       update_filter = (fun _ -> true);
       update_transform = (fun c -> c);
       last_region = Dacs_policy.Delta.empty;
+      parent = None;
+      parent_version = 0;
     }
   in
   Service.serve_frame services ~node ~service:"policy-query" ~read:Wire.read_policy_query
@@ -137,23 +143,24 @@ let create services ~node ~name ?admin_policy ?root () =
       in
       match body with
       | Error e -> reply (Service.sender_fault e)
-      | Ok (_remote_version, child) ->
+      | Ok (remote_version, child) ->
         (* Every caller, a syndicating parent we subscribed to included,
            needs the admin policy's blessing; an authorised update must
-           then pass the local filter. *)
+           then pass the local filter.  A push from the anti-entropy
+           parent moves the version its polls report as known, and one
+           whose version is already known was adopted before. *)
+        let from_parent = t.parent = Some caller in
         if not (admin_permits t ~caller) then refuse "policy update not authorised"
-        else if not (t.update_filter child) then refuse "update rejected by local constraints"
-        else begin
-          accept_update t (t.update_transform child);
+        else if from_parent && remote_version <= t.parent_version then
           reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+        else begin
+          if from_parent then t.parent_version <- remote_version;
+          if not (t.update_filter child) then refuse "update rejected by local constraints"
+          else begin
+            accept_update t (t.update_transform child);
+            reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+          end
         end);
-  (* The subscription request is any body element: only the caller
-     counts. *)
-  Service.serve_frame services ~node ~service:"subscribe"
-    ~read:(fun c -> Ok (ignore (Xml.Cursor.subtree c)))
-    (fun ~caller ~headers:_ _body reply ->
-      if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
-      reply Wire.write_subscribe_ack);
   t
 
 let subscribe_local t ~child =
@@ -161,18 +168,16 @@ let subscribe_local t ~child =
 
 let enable_anti_entropy t ~parent ~period =
   let engine = Dacs_net.Net.engine (Service.net t.services) in
-  (* Track the parent's version separately: local accepts bump our own
-     version counter, so comparing against [t.version] would loop. *)
-  let parent_version = ref 0 in
+  t.parent <- Some parent;
   let rec poll () =
     Service.call_frame t.services ~src:t.node ~dst:parent ~service:"policy-query" ~read:Wire.read_policy_response
-      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:!parent_version)
+      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:t.parent_version)
       (fun result ->
         (match result with
-        | Ok (Ok (version, Some child)) when version > !parent_version ->
-          parent_version := version;
+        | Ok (Ok (version, Some child)) when version > t.parent_version ->
+          t.parent_version <- version;
           if t.update_filter child then accept_update t (t.update_transform child)
-        | Ok (Ok (version, None)) -> parent_version := max !parent_version version
+        | Ok (Ok (version, None)) -> t.parent_version <- max t.parent_version version
         | Ok (Ok (_, Some _)) | Ok (Error _) | Error _ -> ());
         Engine.schedule engine ~delay:period poll)
   in

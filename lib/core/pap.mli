@@ -1,17 +1,19 @@
 (** Policy Administration Point: versioned policy store, administrative
     access control, and syndication to subordinate PAPs (Fig. 5).
 
-    Exposes three services on its node:
+    Exposes two services on its node:
     - ["policy-query"]: PDPs (and child PAPs) fetch the current policy,
       version-gated so an up-to-date caller gets a small "current" reply;
-    - ["policy-update"]: remote administration, allowed only when the
-      PAP's own admin policy permits the caller — the paper's "protect the
-      authorisation system with its own mechanisms" (§3.2);
-    - ["subscribe"]: a child PAP registers for syndication pushes.
+    - ["policy-update"]: remote administration and syndication pushes,
+      allowed only when the PAP's own admin policy permits the caller —
+      the paper's "protect the authorisation system with its own
+      mechanisms" (§3.2).
 
     On every accepted change the PAP bumps its version and pushes the new
     policy to subscribers, which accept it subject to their local filter
-    (domain autonomy) and cascade to their own subscribers. *)
+    (domain autonomy) and cascade to their own subscribers.  Subscribers
+    are wired by the PAP's owner ({!subscribe_local}); no node can add
+    itself over the network. *)
 
 type t
 
@@ -65,14 +67,17 @@ val set_update_transform : t -> (Dacs_policy.Policy.child -> Dacs_policy.Policy.
     default is identity. *)
 
 val subscribe_local : t -> child:Dacs_net.Net.node_id -> unit
-(** Wire a child PAP for pushes without the network subscribe call. *)
+(** Wire a child PAP for pushes. *)
 
 val enable_anti_entropy : t -> parent:Dacs_net.Net.node_id -> period:float -> unit
 (** Dependability for syndication: a push lost to the network would
     otherwise leave this PAP stale forever.  Enabling anti-entropy makes
     it poll the parent's ["policy-query"] every [period] seconds and adopt
     any newer version (through the local filter and transform, as a push
-    would).  Schedules itself forever — drive such simulations with
+    would).  A push from [parent] moves the version the polls report as
+    known, so a pushed policy is not fetched and accepted again, and a
+    push whose version is already known is acknowledged without being
+    accepted.  Schedules itself forever — drive such simulations with
     [Net.run ~until:…]. *)
 
 val subscribers : t -> Dacs_net.Net.node_id list

@@ -375,7 +375,6 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
       attr_cache;
       h_batch_size =
         Metrics.histogram metrics ~help:"Missing attributes fetched per PIP round trip"
-          ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0 ]
           ~labels:[ ("node", node) ] "pdp_attr_batch_size";
       h_eval =
         Metrics.histogram metrics ~help:"Policy evaluation latency (PAP/PIP rounds included)"

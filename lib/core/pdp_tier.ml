@@ -366,7 +366,6 @@ let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
         (own "pdp_tier_expiries_total" ~help:"Silent-shard suspicions that expired waiting frames");
     h_batch_size =
       Metrics.histogram metrics ~help:"Queries per flushed tier batch"
-        ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
         ~labels:[ ("node", node) ] "pdp_tier_batch_size";
     shards = initial;
     ring = build_ring ~vnodes initial;

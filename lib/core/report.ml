@@ -1,5 +1,6 @@
 module Decision = Dacs_policy.Decision
 module Metrics = Dacs_telemetry.Metrics
+module Loghist = Dacs_telemetry.Loghist
 module Trace = Dacs_telemetry.Trace
 
 let telemetry services =
@@ -57,11 +58,9 @@ let attribution services =
             String.concat ","
               (List.map (fun (k, v) -> k ^ "=" ^ v) sample.Metrics.labels)
           in
+          let quantile q = Loghist.quantile (Metrics.loghist h) q *. 1000.0 in
           line "  %-24s {%s} %d obs, p50 %.1fms, p99 %.1fms  (%s)" sample.Metrics.name
-            labels count
-            (Metrics.quantile h 0.5 *. 1000.0)
-            (Metrics.quantile h 0.99 *. 1000.0)
-            what;
+            labels count (quantile 0.5) (quantile 0.99) what;
           List.iter
             (fun (le, e) ->
               line "    le=%s exemplar trace=%s value=%.1fms @%.3fs"

@@ -111,8 +111,6 @@ let caller_series t src =
     Hashtbl.add t.callers src s;
     s
 
-let batch_size_buckets = [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ]
-
 let series_for t service =
   match Hashtbl.find t.series service with
   | s -> s
@@ -133,7 +131,7 @@ let series_for t service =
         batch_size =
           lazy
             (Metrics.histogram t.metrics ~help:"Queries coalesced per batched round-trip." ~labels
-               ~buckets:batch_size_buckets "rpc_batch_size");
+               "rpc_batch_size");
       }
     in
     Hashtbl.add t.series service s;

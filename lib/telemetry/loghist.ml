@@ -1,66 +1,67 @@
+let lo = 0.0005
+let buckets = 20
+let bounds = Array.init buckets (fun i -> Float.ldexp lo i)
+
 type t = {
-  lo : float;
-  counts : int array;  (* finite buckets 0..n-1, overflow at index n *)
+  counts : int array;  (* finite buckets 0..buckets-1, overflow at index buckets *)
   mutable count : int;
-  mutable sum : float;
-  mutable max_seen : float;
+  stats : float array;  (* [| sum; max_seen |], unboxed *)
 }
 
-let create ?(lo = 0.0005) ?(buckets = 20) () =
-  if lo <= 0.0 then invalid_arg "Loghist.create: lo must be positive";
-  if buckets < 1 then invalid_arg "Loghist.create: need at least one bucket";
-  { lo; counts = Array.make (buckets + 1) 0; count = 0; sum = 0.0; max_seen = 0.0 }
+let create () = { counts = Array.make (buckets + 1) 0; count = 0; stats = [| 0.0; 0.0 |] }
 
-let buckets t = Array.length t.counts - 1
+(* floor (log2 v) of a positive float, from its biased exponent bits. *)
+let exponent v = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1023
+let lo_exponent = exponent lo
 
-(* Index of the first bucket whose bound [lo *. 2^i] is >= v, by exponent
-   extraction: with v/lo = m * 2^e (m in [0.5, 1)), that index is e — or
-   e-1 when v/lo is exactly a power of two. *)
-let index t v =
-  if v <= t.lo then 0
-  else begin
-    let m, e = Float.frexp (v /. t.lo) in
-    let i = if m = 0.5 then e - 1 else e in
-    if i < 0 then 0 else min i (buckets t)
-  end
+(* Index of the first bucket whose bound [lo *. 2^i] is >= v.  Bound i is
+   the only bound in the binade [2^(lo_exponent+i), 2^(lo_exponent+i+1)),
+   so for v in that binade every lower bound is < v and bound i+1 is > v:
+   v sits in bucket i when v <= bound i, in bucket i+1 otherwise. *)
+let index v =
+  if v <= lo then 0
+  else
+    let i = exponent v - lo_exponent in
+    if i >= buckets then buckets else if v <= bounds.(i) then i else i + 1
+
+let bound i = if i >= buckets then infinity else bounds.(i)
 
 let observe t v =
-  let i = index t v in
+  let i = index v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v > t.max_seen then t.max_seen <- v
+  t.stats.(0) <- t.stats.(0) +. v;
+  if v > t.stats.(1) then t.stats.(1) <- v
 
 let count t = t.count
-let sum t = t.sum
-let max_seen t = t.max_seen
+let sum t = t.stats.(0)
+let max_seen t = t.stats.(1)
+
+let clear t =
+  Array.fill t.counts 0 (buckets + 1) 0;
+  t.count <- 0;
+  t.stats.(0) <- 0.0;
+  t.stats.(1) <- 0.0
 
 let merge a b =
-  if a.lo <> b.lo || Array.length a.counts <> Array.length b.counts then
-    invalid_arg "Loghist.merge: shape mismatch";
-  let m = create ~lo:a.lo ~buckets:(buckets a) () in
+  let m = create () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.count <- a.count + b.count;
-  m.sum <- a.sum +. b.sum;
-  m.max_seen <- Float.max a.max_seen b.max_seen;
+  m.stats.(0) <- sum a +. sum b;
+  m.stats.(1) <- Float.max (max_seen a) (max_seen b);
   m
 
 let quantile t q =
   if t.count = 0 then 0.0
   else begin
     let target = max 1 (int_of_float (Float.ceil (q *. float_of_int t.count))) in
-    let n = buckets t in
     let rec walk i cum =
-      if i >= n then t.max_seen
+      if i >= buckets then max_seen t
       else
         let cum = cum + t.counts.(i) in
-        if cum >= target then Float.min (t.lo *. (2.0 ** float_of_int i)) t.max_seen
-        else walk (i + 1) cum
+        if cum >= target then Float.min bounds.(i) (max_seen t) else walk (i + 1) cum
     in
     walk 0 0
   end
 
-let bucket_counts t =
-  let n = buckets t in
-  Array.init (n + 1) (fun i ->
-      if i = n then (infinity, t.counts.(n)) else (t.lo *. (2.0 ** float_of_int i), t.counts.(i)))
+let bucket_counts t = Array.mapi (fun i c -> (bound i, c)) t.counts

@@ -1,37 +1,47 @@
-(** Streaming, mergeable log-bucket latency histograms.
+(** Streaming, mergeable log-bucket latency histograms: the one histogram
+    of DACS.
 
-    The workload engine's per-PEP latency accounting at millions of
-    requests: O(1) per observation (a [frexp], no allocation), constant
-    memory (one int array of log2 buckets), and mergeable — per-PEP
-    instances combine into one population histogram at report time, so
-    recording never contends on a shared structure and scenario memory
-    stays O(PEPs), not O(observations).
+    Every histogram has the same shape: bucket [i] counts observations
+    [v <= 0.5 ms *. 2^i] for [i = 0 … 19] (top bound 262.144 s), and one
+    overflow bucket ([+Inf]) holds the rest.  The workload engine's
+    per-PEP latency accounting and every {!Metrics} histogram series sit
+    on it, so every quantile in the repo comes from {!quantile}.
 
-    Buckets are powers of two over a base width: bucket [i] counts
-    observations [v <= lo *. 2^i], with one overflow bucket past the
-    last bound — the same upper-bound convention as the Prometheus-style
-    {!Metrics} histograms, so quantile estimates agree with the
-    [workload_latency_seconds] series they replaced. *)
+    O(1) per observation (the bucket index is read from the float's
+    exponent bits, no search, no allocation), constant memory, and
+    mergeable — per-PEP instances combine into one population histogram
+    at report time, so recording never contends on a shared structure
+    and scenario memory stays O(PEPs), not O(observations). *)
 
 type t
 
-val create : ?lo:float -> ?buckets:int -> unit -> t
-(** [lo] (default 0.0005, i.e. 0.5 ms) is the first bucket's upper
-    bound; [buckets] (default 20) the number of finite buckets, giving a
-    top bound of [lo *. 2^(buckets-1)]. *)
+val buckets : int
+(** Number of finite buckets (20); the overflow bucket has index
+    [buckets]. *)
+
+val create : unit -> t
+
+val index : float -> int
+(** The bucket an observation lands in: the first [i] with
+    [v <= bound i].  Non-positive values land in bucket 0. *)
+
+val bound : int -> float
+(** Upper bound of bucket [i]: [0.0005 *. 2^i], [infinity] for the
+    overflow bucket. *)
 
 val observe : t -> float -> unit
-(** O(1): exponent extraction, no search, no allocation.  Non-positive
-    values land in the first bucket. *)
+(** O(1), allocates nothing. *)
 
 val count : t -> int
 val sum : t -> float
 val max_seen : t -> float
 (** 0 when empty. *)
 
+val clear : t -> unit
+(** Back to empty. *)
+
 val merge : t -> t -> t
-(** Fresh histogram holding both populations.  Raises [Invalid_argument]
-    if the shapes (lo, buckets) differ. *)
+(** Fresh histogram holding both populations. *)
 
 val quantile : t -> float -> float
 (** Upper-bound estimate of the [q]-quantile (0 on an empty histogram):
@@ -40,5 +50,4 @@ val quantile : t -> float -> float
     the exact maximum, and estimates never exceed the observed range. *)
 
 val bucket_counts : t -> (float * int) array
-(** (upper bound, count) per finite bucket plus [(infinity, overflow)] —
-    for tests and renderers. *)
+(** (upper bound, count) per finite bucket plus [(infinity, overflow)]. *)

@@ -4,11 +4,8 @@ type gauge = { mutable g : float }
 type exemplar = { e_value : float; e_trace : string; e_at : float }
 
 type histogram = {
-  bounds : float array;  (* strictly increasing upper bounds, no +Inf *)
-  counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
+  hist : Loghist.t;
   exemplars : exemplar option array;  (* one per bucket: latest observation *)
-  mutable sum : float;
-  mutable count : int;
 }
 
 type instrument = I_counter of counter | I_gauge of gauge | I_histogram of histogram
@@ -86,96 +83,33 @@ let gauge t ?(help = "") ?(labels = []) name =
 
 let set_gauge gauge v = gauge.g <- v
 
-let default_latency_buckets =
-  [ 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0 ]
-
-let histogram t ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets) name =
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | [ _ ] | [] -> true
-  in
-  if buckets = [] || not (increasing buckets) then
-    invalid_arg (Printf.sprintf "Metrics: buckets of %s must be strictly increasing" name);
+let histogram t ?(help = "") ?(labels = []) name =
   register t ~name ~labels ~kind:K_histogram ~help
     ~make:(fun () ->
-      let bounds = Array.of_list buckets in
       I_histogram
-        {
-          bounds;
-          counts = Array.make (Array.length bounds + 1) 0;
-          exemplars = Array.make (Array.length bounds + 1) None;
-          sum = 0.0;
-          count = 0;
-        })
+        { hist = Loghist.create (); exemplars = Array.make (Loghist.buckets + 1) None })
     ~cast:(function I_histogram h -> h | I_counter _ | I_gauge _ -> assert false)
 
-let bucket_slot h v =
-  let n = Array.length h.bounds in
-  let rec slot i = if i >= n then n else if v <= h.bounds.(i) then i else slot (i + 1) in
-  slot 0
+let observe h v = Loghist.observe h.hist v
 
 let observe_exemplar h v ~trace ~at =
-  let i = bucket_slot h v in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.sum <- h.sum +. v;
-  h.count <- h.count + 1;
-  if trace <> "" then h.exemplars.(i) <- Some { e_value = v; e_trace = trace; e_at = at }
+  Loghist.observe h.hist v;
+  if trace <> "" then
+    h.exemplars.(Loghist.index v) <- Some { e_value = v; e_trace = trace; e_at = at }
 
-let observe h v = observe_exemplar h v ~trace:"" ~at:0.0
-
-let histogram_count h = h.count
-let histogram_sum h = h.sum
-
-let bucket_counts h =
-  List.init
-    (Array.length h.counts)
-    (fun i ->
-      ((if i < Array.length h.bounds then h.bounds.(i) else infinity), h.counts.(i)))
+let loghist h = h.hist
 
 let histogram_exemplars h =
   List.concat
-    (List.init (Array.length h.counts) (fun i ->
-         match h.exemplars.(i) with
-         | None -> []
-         | Some e ->
-           let le = if i < Array.length h.bounds then h.bounds.(i) else infinity in
-           [ (le, e) ]))
-
-(* Prometheus histogram_quantile over the fixed buckets: find the bucket
-   holding rank [q * count], interpolate linearly inside it.  An empty
-   histogram has no quantiles (nan); a rank landing in the overflow bucket
-   clamps to the highest finite bound — the estimate cannot exceed what
-   the buckets can resolve. *)
-let quantile h q =
-  if q < 0.0 || q > 1.0 then invalid_arg "Metrics.quantile: q must be in [0, 1]";
-  if h.count = 0 then Float.nan
-  else begin
-    let rank = q *. float_of_int h.count in
-    let n = Array.length h.bounds in
-    let rec go i cumulative =
-      if i >= n then h.bounds.(n - 1)
-      else
-        let cumulative' = cumulative + h.counts.(i) in
-        if float_of_int cumulative' >= rank then begin
-          let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
-          let hi = h.bounds.(i) in
-          let in_bucket = h.counts.(i) in
-          if in_bucket = 0 then hi
-          else lo +. ((hi -. lo) *. (rank -. float_of_int cumulative) /. float_of_int in_bucket)
-        end
-        else go (i + 1) cumulative'
-    in
-    if n = 0 then Float.nan else go 0 0
-  end
+    (List.init (Array.length h.exemplars) (fun i ->
+         match h.exemplars.(i) with None -> [] | Some e -> [ (Loghist.bound i, e) ]))
 
 let reset_counter counter = counter.c <- 0
 let reset_gauge gauge = gauge.g <- 0.0
 
 let reset_histogram h =
-  Array.fill h.counts 0 (Array.length h.counts) 0;
-  Array.fill h.exemplars 0 (Array.length h.exemplars) None;
-  h.sum <- 0.0;
-  h.count <- 0
+  Loghist.clear h.hist;
+  Array.fill h.exemplars 0 (Array.length h.exemplars) None
 
 let reset t =
   Hashtbl.iter
@@ -203,7 +137,13 @@ let snapshot t =
           match i with
           | I_counter c -> Counter c.c
           | I_gauge g -> Gauge g.g
-          | I_histogram h -> Histogram { buckets = bucket_counts h; sum = h.sum; count = h.count }
+          | I_histogram { hist; _ } ->
+            Histogram
+              {
+                buckets = Array.to_list (Loghist.bucket_counts hist);
+                sum = Loghist.sum hist;
+                count = Loghist.count hist;
+              }
         in
         { name; labels; value } :: acc)
       t.series []

@@ -1,7 +1,7 @@
 (** Metrics registry: the shared numeric substrate of the observability
     layer (§3 management challenge).
 
-    Named counters, gauges and fixed-bucket histograms, each identified by
+    Named counters, gauges and histograms, each identified by
     a metric name plus a label set; requesting the same (name, labels)
     pair again returns the {e same} instance, so independent components
     incrementing "their" counter actually share one cell — that identity
@@ -38,17 +38,13 @@ val counter_value : counter -> int
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
 
-val histogram :
-  t -> ?help:string -> ?labels:(string * string) list -> ?buckets:float list -> string -> histogram
-(** [buckets] (default 1 ms … 10 s, roughly exponential — sized for
-    simulated network hops) are the upper bounds of the fixed buckets
-    and must be strictly increasing; an implicit [+Inf] bucket always
-    exists.  For an already-registered series the existing buckets
-    win. *)
+val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
+(** A {!Loghist} series: every histogram has Loghist's one shape,
+    upper bounds 0.5 ms·2^i for i = 0…19 and then [+Inf]. *)
 
 val observe : histogram -> float -> unit
 (** A value lands in the first bucket whose upper bound is [>= v]
-    (Prometheus [le] semantics). *)
+    (Prometheus [le] semantics).  Allocates nothing. *)
 
 type exemplar = { e_value : float; e_trace : string; e_at : float }
 (** One concrete observation kept as the face of a bucket: the value, the
@@ -57,30 +53,20 @@ type exemplar = { e_value : float; e_trace : string; e_at : float }
 val observe_exemplar : histogram -> float -> trace:string -> at:float -> unit
 (** Like {!observe}, but additionally remembers this observation as the
     bucket's exemplar (latest observation wins — retention is bounded at
-    one exemplar per bucket).  An empty [trace] records no exemplar. *)
+    one exemplar per bucket).  An empty [trace] records no exemplar and
+    allocates nothing. *)
 
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val bucket_counts : histogram -> (float * int) list
-(** Per-bucket (non-cumulative) counts, paired with each upper bound;
-    the final pair is [(infinity, overflow-count)]. *)
+val loghist : histogram -> Loghist.t
+(** The series' counts, sum, maximum and quantiles. *)
 
 val histogram_exemplars : histogram -> (float * exemplar) list
 (** The buckets currently holding an exemplar, as (upper bound, exemplar)
     pairs in bucket order — the links from latency buckets back to the
     traces that landed in them. *)
 
-val quantile : histogram -> float -> float
-(** Prometheus-style [histogram_quantile]: locate the bucket holding rank
-    [q * count] in the cumulative distribution and interpolate linearly
-    inside it.  [nan] on an empty histogram; a rank falling in the
-    overflow bucket clamps to the highest finite bound.  [q] outside
-    [0, 1] raises [Invalid_argument]. *)
-
 (** {1 Reset}
 
-    Resets zero values but keep registrations (and bucket layouts). *)
+    Resets zero values but keep registrations. *)
 
 val reset : t -> unit
 val reset_counter : counter -> unit

@@ -333,9 +333,9 @@ let run s =
             tick (at +. churn_period))
     in
     tick churn_period);
-  (* Latency accounting: one streaming log-bucket histogram per PEP
-     (same bounds as [latency_buckets]), merged at report time — O(1)
-     per observation and O(PEPs) memory however many requests run. *)
+  (* Latency accounting: one streaming log-bucket histogram per PEP,
+     merged at report time — O(1) per observation and O(PEPs) memory
+     however many requests run. *)
   let lhists = Array.init s.peps (fun _ -> Dacs_telemetry.Loghist.create ()) in
   let c_offered = Metrics.counter metrics ~help:"Requests issued by the generator" "workload_offered_total" in
   let c_completed = Metrics.counter metrics ~help:"Continuations fired" "workload_completed_total" in

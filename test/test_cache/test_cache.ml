@@ -19,12 +19,14 @@ module Engine = Dacs_net.Engine
 module Net = Dacs_net.Net
 module Rpc = Dacs_net.Rpc
 module Metrics = Dacs_telemetry.Metrics
+module Loghist = Dacs_telemetry.Loghist
 module Service = Dacs_ws.Service
 open Dacs_core
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
+let sizes_ = Alcotest.(triple int (float 0.0) (float 0.0))
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -200,11 +202,15 @@ let two_pip_setup ~crash_first =
   in
   ({ net; services; pip = pip1; pdp; pep; alice }, pip2)
 
+(* Frames, parts and the largest frame: for two frames of whole parts
+   these pin both sizes exactly. *)
 let frame_sizes fx =
-  Metrics.bucket_counts
-    (Metrics.histogram (Service.metrics fx.services) ~labels:[ ("node", "pdp") ]
-       ~buckets:[ 1.0; 2.0; 4.0; 8.0; 16.0 ] "pdp_attr_batch_size")
-  |> List.concat_map (fun (bound, n) -> List.init n (fun _ -> bound))
+  let h =
+    Metrics.loghist
+      (Metrics.histogram (Service.metrics fx.services) ~labels:[ ("node", "pdp") ]
+         "pdp_attr_batch_size")
+  in
+  (Loghist.count h, Loghist.sum h, Loghist.max_seen h)
 
 let test_unresolved_misses_move_on () =
   let fx, pip2 = two_pip_setup ~crash_first:false in
@@ -213,8 +219,7 @@ let test_unresolved_misses_move_on () =
   Net.run fx.net;
   check bool_ "granted" true (granted o);
   check int_ "a frame per PIP" 2 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
-  check (Alcotest.list (Alcotest.float 0.0)) "3 parts, then 1 (bucket bounds)" [ 1.0; 4.0 ]
-    (frame_sizes fx);
+  check sizes_ "3 parts, then 1" (2, 4.0, 3.0) (frame_sizes fx);
   check int_ "the first PIP served all three" 3 (Pip.lookups_served fx.pip);
   check int_ "the second only the clearance it lacked" 1 (Pip.lookups_served pip2);
   check int_ "the single leftover went as a plain call" 1 (batched_attr_frames fx)
@@ -226,8 +231,7 @@ let test_failed_frame_moves_every_miss () =
   Net.run fx.net;
   check bool_ "granted" true (granted o);
   check int_ "a frame per PIP" 2 (Pdp_service.stats fx.pdp).Pdp_service.pip_fetches;
-  check (Alcotest.list (Alcotest.float 0.0)) "3 parts twice (bucket bounds)" [ 4.0; 4.0 ]
-    (frame_sizes fx);
+  check sizes_ "3 parts twice" (2, 6.0, 3.0) (frame_sizes fx);
   check int_ "the crashed PIP served nothing" 0 (Pip.lookups_served fx.pip);
   check int_ "every miss moved to the second" 3 (Pip.lookups_served pip2)
 

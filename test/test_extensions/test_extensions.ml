@@ -671,7 +671,8 @@ let test_lifecycle_conflict_reporting () =
 
 (* --- anti-entropy for syndication --------------------------------------------- *)
 
-let test_pap_anti_entropy_heals_lost_push () =
+(* A parent PAP and a child that admits updates from it alone. *)
+let pap_pair () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "parent"; "child" ];
   let parent = Pap.create services ~node:"parent" ~name:"parent" () in
@@ -691,6 +692,10 @@ let test_pap_anti_entropy_heals_lost_push () =
       ()
   in
   Pap.subscribe_local parent ~child:"child";
+  (net, services, parent, child)
+
+let test_pap_anti_entropy_heals_lost_push () =
+  let net, _, parent, child = pap_pair () in
   Pap.enable_anti_entropy child ~parent:"parent" ~period:5.0;
   (* Partition so the push is lost, publish, then heal. *)
   Net.partition net [ "parent" ] [ "child" ];
@@ -711,6 +716,43 @@ let test_pap_anti_entropy_heals_lost_push () =
     (match Pap.current child with
     | Some c -> Policy.child_id c = "p2"
     | None -> false)
+
+let test_pap_push_is_not_polled_again () =
+  (* The push delivers version 1 at t = 1 s; the polls at 5 s and 10 s
+     must report it as known instead of fetching and accepting it again
+     (a second accept would recompile, record a region and push the same
+     policy on to the child's own subscribers). *)
+  let net, _, parent, child = pap_pair () in
+  Pap.enable_anti_entropy child ~parent:"parent" ~period:5.0;
+  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
+      Pap.publish parent (doctor_read_policy "r"));
+  Net.run ~until:12.0 net;
+  check bool_ "the push arrived" true (Pap.current child <> None);
+  check int_ "accepted once" 1 (Pap.updates_accepted child);
+  check int_ "child version" 1 (Pap.version child)
+
+let test_pap_has_no_subscribe_service () =
+  (* Syndication is wired by the PAP's owner ([subscribe_local]); no node
+     can add itself to the push list over the network. *)
+  let net, services, parent, _ = pap_pair () in
+  Net.add_node net "mallory";
+  let pushes = ref 0 in
+  Service.serve_frame services ~node:"mallory" ~service:"policy-update"
+    ~read:Wire.read_policy_update (fun ~caller:_ ~headers:_ _ reply ->
+      incr pushes;
+      reply (fun buf -> Wire.write_policy_update_ack buf ~version:0));
+  let answer = ref None in
+  Service.call_frame services ~src:"mallory" ~dst:"parent" ~service:"subscribe"
+    ~read:Wire.read_subscribe_ack
+    (fun buf -> Xml.print buf (Xml.element "Subscribe"))
+    (fun r -> answer := Some r);
+  Net.run net;
+  check bool_ "no subscribe service" true
+    (!answer = Some (Error (Service.Transport (Dacs_net.Rpc.No_such_service "subscribe"))));
+  Pap.publish parent (doctor_read_policy "r");
+  Net.run net;
+  check int_ "mallory receives no push" 0 !pushes;
+  check bool_ "only the wired child is subscribed" true (Pap.subscribers parent = [ "child" ])
 
 (* --- consolidated report --------------------------------------------------------- *)
 
@@ -775,7 +817,12 @@ let () =
           Alcotest.test_case "conflicts reported" `Quick test_lifecycle_conflict_reporting;
         ] );
       ( "anti-entropy",
-        [ Alcotest.test_case "heals a lost push" `Quick test_pap_anti_entropy_heals_lost_push ] );
+        [
+          Alcotest.test_case "heals a lost push" `Quick test_pap_anti_entropy_heals_lost_push;
+          Alcotest.test_case "a pushed policy is not polled and accepted again" `Quick
+            test_pap_push_is_not_polled_again;
+          Alcotest.test_case "no subscribe service" `Quick test_pap_has_no_subscribe_service;
+        ] );
       ( "report",
         [ Alcotest.test_case "consolidated view" `Quick test_report ] );
       ( "signed-decisions",

@@ -25,104 +25,134 @@ let string_ = Alcotest.string
 
 (* --- histogram bucket boundaries -------------------------------------------- *)
 
+module Loghist = Dacs_telemetry.Loghist
+
+let counts h = Loghist.bucket_counts (Metrics.loghist h)
+
 let test_histogram_buckets () =
   let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[ 0.1; 0.5; 1.0 ] "lat_seconds" in
-  (* Prometheus [le] semantics: a value lands in the first bucket whose
-     upper bound is >= v, so an exact boundary stays in its own bucket. *)
-  List.iter (Metrics.observe h) [ 0.05; 0.1; 0.100001; 0.5; 1.0; 2.5 ];
-  (match Metrics.bucket_counts h with
-  | [ (b1, c1); (b2, c2); (b3, c3); (binf, cinf) ] ->
-    check (Alcotest.float 1e-9) "bound 1" 0.1 b1;
-    check int_ "le 0.1 (0.05 and the exact boundary)" 2 c1;
-    check (Alcotest.float 1e-9) "bound 2" 0.5 b2;
-    check int_ "0.1 < v <= 0.5" 2 c2;
-    check (Alcotest.float 1e-9) "bound 3" 1.0 b3;
-    check int_ "0.5 < v <= 1.0" 1 c3;
-    check bool_ "last bound is +Inf" true (binf = infinity);
-    check int_ "overflow" 1 cinf
-  | l -> Alcotest.failf "expected 4 buckets, got %d" (List.length l));
-  check int_ "count" 6 (Metrics.histogram_count h);
-  check bool_ "sum" true (abs_float (Metrics.histogram_sum h -. 4.250001) < 1e-9);
+  let h = Metrics.histogram m "lat_seconds" in
+  (* Prometheus [le] semantics over Loghist's shape: a value lands in the
+     first bucket whose upper bound is >= v, so an exact boundary stays
+     in its own bucket. *)
+  List.iter (Metrics.observe h) [ 0.0004; 0.0005; 0.00050001; 0.001; 0.0015; 300.0 ];
+  let c = counts h in
+  check int_ "le 0.0005 (0.0004 and the exact boundary)" 2 (snd c.(0));
+  check (Alcotest.float 0.0) "bound 1" 0.001 (fst c.(1));
+  check int_ "0.0005 < v <= 0.001" 2 (snd c.(1));
+  check int_ "0.001 < v <= 0.002" 1 (snd c.(2));
+  check bool_ "last bound is +Inf" true (fst c.(Loghist.buckets) = infinity);
+  check int_ "overflow" 1 (snd c.(Loghist.buckets));
+  check int_ "count" 6 (Loghist.count (Metrics.loghist h));
+  check (Alcotest.float 1e-9) "sum" 300.00390001 (Loghist.sum (Metrics.loghist h));
   Metrics.reset_histogram h;
-  check int_ "count after reset" 0 (Metrics.histogram_count h);
-  check bool_ "buckets survive reset" true
-    (List.map fst (Metrics.bucket_counts h) = [ 0.1; 0.5; 1.0; infinity ])
+  check int_ "count after reset" 0 (Loghist.count (Metrics.loghist h));
+  check (Alcotest.float 0.0) "max after reset" 0.0 (Loghist.max_seen (Metrics.loghist h));
+  check bool_ "every bucket empty after reset" true
+    (Array.for_all (fun (_, n) -> n = 0) (counts h))
+
+let test_histogram_one_shape () =
+  (* Every series has the same buckets: 0.5 ms * 2^i for i = 0..19, then
+     +Inf — whatever it measures and however it is labelled. *)
+  let m = Metrics.create () in
+  let a = Metrics.histogram m "a_seconds" and b = Metrics.histogram m ~labels:[ ("k", "v") ] "b_size" in
+  let expected = List.init 20 (fun i -> 0.0005 *. (2.0 ** float_of_int i)) @ [ infinity ] in
+  check bool_ "a: the one shape" true (Array.to_list (Array.map fst (counts a)) = expected);
+  check bool_ "b: the one shape" true (Array.to_list (Array.map fst (counts b)) = expected);
+  check (Alcotest.float 0.0) "top finite bound" 262.144 (Loghist.bound (Loghist.buckets - 1))
 
 (* --- quantile edge cases ------------------------------------------------- *)
 
 let test_quantile_empty_histogram () =
   let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "empty_seconds" in
-  check bool_ "empty histogram quantile is nan" true (Float.is_nan (Metrics.quantile h 0.5));
-  Alcotest.check_raises "q > 1 rejected"
-    (Invalid_argument "Metrics.quantile: q must be in [0, 1]") (fun () ->
-      ignore (Metrics.quantile h 1.5));
-  Alcotest.check_raises "q < 0 rejected"
-    (Invalid_argument "Metrics.quantile: q must be in [0, 1]") (fun () ->
-      ignore (Metrics.quantile h (-0.1)))
+  let h = Metrics.histogram m "empty_seconds" in
+  check (Alcotest.float 0.0) "empty histogram quantile is 0" 0.0
+    (Loghist.quantile (Metrics.loghist h) 0.5);
+  check (Alcotest.float 0.0) "empty histogram max is 0" 0.0
+    (Loghist.max_seen (Metrics.loghist h))
 
-let test_quantile_single_bucket () =
+let test_quantile_bucket_bound () =
   let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[ 1.0 ] "single_seconds" in
-  (* Everything lands in the one finite bucket: interpolation runs from
-     0 to its bound. *)
+  let h = Metrics.histogram m "q_seconds" in
+  let q = Loghist.quantile (Metrics.loghist h) in
+  (* The estimate is the bound of the bucket holding the ceil(q * n)-th
+     observation, clamped to the largest value seen. *)
   List.iter (Metrics.observe h) [ 0.2; 0.4; 0.6; 0.8 ];
-  check (Alcotest.float 1e-9) "p50 interpolates inside [0, 1]" 0.5 (Metrics.quantile h 0.5);
-  check (Alcotest.float 1e-9) "p100 is the bound" 1.0 (Metrics.quantile h 1.0);
-  (* An observation past every finite bound clamps the affected quantile
-     to the highest finite bound rather than inventing a value. *)
-  Metrics.observe h 5.0;
-  check (Alcotest.float 1e-9) "overflow rank clamps to the finite bound" 1.0
-    (Metrics.quantile h 0.99)
+  check (Alcotest.float 0.0) "p50 is the second value's bucket bound" 0.512 (q 0.5);
+  check (Alcotest.float 0.0) "p100 clamps to the maximum" 0.8 (q 1.0);
+  (* An observation past every finite bound reports the exact maximum
+     rather than inventing a value. *)
+  Metrics.observe h 500.0;
+  check (Alcotest.float 0.0) "overflow rank is the exact maximum" 500.0 (q 0.99)
+
+(* --- observing allocates nothing --------------------------------------------- *)
+
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  int_of_float ((Gc.minor_words () -. before) /. float_of_int n)
+
+let test_observe_allocates_nothing () =
+  let n = 10_000 in
+  let v = Sys.opaque_identity 0.0123 in
+  let lh = Loghist.create () in
+  let h = Metrics.histogram (Metrics.create ()) "alloc_seconds" in
+  check int_ "Loghist.observe" 0 (words_per_call n (fun () -> Loghist.observe lh v));
+  check int_ "Metrics.observe" 0 (words_per_call n (fun () -> Metrics.observe h v));
+  check int_ "Metrics.observe_exemplar ~trace:\"\"" 0
+    (words_per_call n (fun () -> Metrics.observe_exemplar h v ~trace:"" ~at:1.0));
+  check int_ "every observation counted" (2 * n) (Loghist.count (Metrics.loghist h))
 
 (* --- exemplar retention --------------------------------------------------- *)
 
 let test_exemplar_retention () =
   let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "ex_seconds" in
+  let h = Metrics.histogram m "ex_seconds" in
   (* Retention is bounded at one exemplar per bucket; the latest wins. *)
   Metrics.observe_exemplar h 0.05 ~trace:"aaaa" ~at:1.0;
-  Metrics.observe_exemplar h 0.07 ~trace:"bbbb" ~at:2.0;
+  Metrics.observe_exemplar h 0.06 ~trace:"bbbb" ~at:2.0;
   Metrics.observe_exemplar h 0.5 ~trace:"cccc" ~at:3.0;
-  Metrics.observe_exemplar h 7.0 ~trace:"dddd" ~at:4.0;
+  Metrics.observe_exemplar h 700.0 ~trace:"dddd" ~at:4.0;
   (match Metrics.histogram_exemplars h with
   | [ (b1, e1); (b2, e2); (binf, einf) ] ->
-    check (Alcotest.float 1e-9) "first bucket bound" 0.1 b1;
+    check (Alcotest.float 1e-9) "first bucket bound" 0.064 b1;
     check string_ "latest observation wins" "bbbb" e1.Metrics.e_trace;
-    check (Alcotest.float 1e-9) "latest value kept" 0.07 e1.Metrics.e_value;
-    check (Alcotest.float 1e-9) "second bucket bound" 1.0 b2;
+    check (Alcotest.float 1e-9) "latest value kept" 0.06 e1.Metrics.e_value;
+    check (Alcotest.float 1e-9) "second bucket bound" 0.512 b2;
     check string_ "second bucket exemplar" "cccc" e2.Metrics.e_trace;
     check bool_ "overflow bucket keeps one too" true (binf = infinity);
     check string_ "overflow exemplar" "dddd" einf.Metrics.e_trace;
     check (Alcotest.float 1e-9) "timestamp kept" 4.0 einf.Metrics.e_at
   | l -> Alcotest.failf "expected 3 exemplars, got %d" (List.length l));
   (* An empty trace tag (tracing off) still observes but retains nothing. *)
-  let h2 = Metrics.histogram m ~buckets:[ 0.1 ] "ex2_seconds" in
+  let h2 = Metrics.histogram m "ex2_seconds" in
   Metrics.observe_exemplar h2 0.05 ~trace:"" ~at:1.0;
-  check int_ "observation counted" 1 (Metrics.histogram_count h2);
+  check int_ "observation counted" 1 (Loghist.count (Metrics.loghist h2));
   check int_ "no exemplar without a trace" 0 (List.length (Metrics.histogram_exemplars h2));
   (* Reset clears exemplars along with the counts. *)
   Metrics.reset_histogram h;
-  check int_ "reset clears counts" 0 (Metrics.histogram_count h);
+  check int_ "reset clears counts" 0 (Loghist.count (Metrics.loghist h));
   check int_ "reset clears exemplars" 0 (List.length (Metrics.histogram_exemplars h))
 
 let test_observe_is_exemplar_free () =
   (* [observe] is [observe_exemplar] with no trace: same buckets, same
      count and sum, and nothing retained. *)
   let m = Metrics.create () in
-  let a = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "plain_seconds" in
-  let b = Metrics.histogram m ~buckets:[ 0.1; 1.0 ] "traced_seconds" in
+  let a = Metrics.histogram m "plain_seconds" in
+  let b = Metrics.histogram m "traced_seconds" in
   List.iteri
     (fun i v ->
       Metrics.observe a v;
       Metrics.observe_exemplar b v ~trace:(Printf.sprintf "t%d" i) ~at:(float_of_int i))
     [ 0.05; 0.1; 0.100001; 0.5; 1.0; 7.0 ];
-  check bool_ "same buckets" true (Metrics.bucket_counts a = Metrics.bucket_counts b);
-  check int_ "same count" (Metrics.histogram_count b) (Metrics.histogram_count a);
-  check (Alcotest.float 1e-12) "same sum" (Metrics.histogram_sum b) (Metrics.histogram_sum a);
+  let a' = Metrics.loghist a and b' = Metrics.loghist b in
+  check bool_ "same buckets" true (counts a = counts b);
+  check int_ "same count" (Loghist.count b') (Loghist.count a');
+  check (Alcotest.float 1e-12) "same sum" (Loghist.sum b') (Loghist.sum a');
   check int_ "observe keeps no exemplar" 0 (List.length (Metrics.histogram_exemplars a));
-  check int_ "one exemplar per bucket otherwise" 3 (List.length (Metrics.histogram_exemplars b))
+  check int_ "one exemplar per bucket otherwise" 5 (List.length (Metrics.histogram_exemplars b))
 
 (* --- label-set identity across reset --------------------------------------- *)
 
@@ -130,7 +160,7 @@ let test_label_identity_after_reset () =
   let m = Metrics.create () in
   let a = Metrics.counter m ~labels:[ ("node", "pep"); ("reason", "overload") ] "shed_total" in
   Metrics.inc a;
-  let h = Metrics.histogram m ~labels:[ ("node", "pep") ] ~buckets:[ 1.0 ] "lat_seconds" in
+  let h = Metrics.histogram m ~labels:[ ("node", "pep") ] "lat_seconds" in
   Metrics.observe h 0.5;
   let series_before = Metrics.series_count m in
   Metrics.reset m;
@@ -142,9 +172,9 @@ let test_label_identity_after_reset () =
   Metrics.inc a';
   check int_ "original handle sees the increment" 1 (Metrics.counter_value a);
   check int_ "no duplicate series minted" series_before (Metrics.series_count m);
-  let h' = Metrics.histogram m ~labels:[ ("node", "pep") ] ~buckets:[ 1.0 ] "lat_seconds" in
+  let h' = Metrics.histogram m ~labels:[ ("node", "pep") ] "lat_seconds" in
   Metrics.observe h' 0.25;
-  check int_ "histogram cell identity survives too" 1 (Metrics.histogram_count h)
+  check int_ "histogram cell identity survives too" 1 (Loghist.count (Metrics.loghist h))
 
 (* --- per-label counter breakdown ------------------------------------------- *)
 
@@ -160,12 +190,6 @@ let test_sum_counter_by () =
     "summed by reason, sorted, unlabelled series omitted"
     [ ("breaker", 1); ("overload", 5) ]
     (Metrics.sum_counter_by m "shed_total" ~label:"reason")
-
-let test_histogram_validation () =
-  let m = Metrics.create () in
-  Alcotest.check_raises "non-increasing buckets"
-    (Invalid_argument "Metrics: buckets of bad_hist must be strictly increasing")
-    (fun () -> ignore (Metrics.histogram m ~buckets:[ 0.5; 0.5 ] "bad_hist"))
 
 (* --- label-set identity -------------------------------------------------- *)
 
@@ -418,25 +442,27 @@ let test_tracing_off_is_free () =
 
 (* --- streaming log-bucket histograms ----------------------------------------- *)
 
-module Loghist = Dacs_telemetry.Loghist
+(* The exponent-bit bucket index against the definitionally-correct
+   linear scan: the first bucket whose upper bound [0.0005 * 2^i] is >= the
+   observation, or the overflow bucket past the last one. *)
+let linear_scan v =
+  let rec scan i =
+    if i >= Loghist.buckets || v <= 0.0005 *. (2.0 ** float_of_int i) then i else scan (i + 1)
+  in
+  scan 0
 
-(* The frexp bucket index against the definitionally-correct linear scan:
-   the first bucket whose upper bound [lo * 2^i] is >= the observation. *)
+let placed v =
+  let h = Loghist.create () in
+  Loghist.observe h v;
+  let at = ref (-1) in
+  Array.iteri (fun i (_, c) -> if c = 1 then at := i) (Loghist.bucket_counts h);
+  !at
+
 let prop_loghist_index_matches_linear_scan =
   let open QCheck in
-  Test.make ~name:"loghist: frexp index == linear-scan index" ~count:1000
-    (pair (float_range 0.000001 50.0) (int_range 1 24))
-    (fun (v, buckets) ->
-      let lo = 0.0005 in
-      let h = Loghist.create ~lo ~buckets () in
-      Loghist.observe h v;
-      let expected =
-        let rec scan i = if i >= buckets || v <= lo *. (2.0 ** float_of_int i) then i else scan (i + 1) in
-        scan 0
-      in
-      let placed = ref (-1) in
-      Array.iteri (fun i (_, c) -> if c = 1 then placed := i) (Loghist.bucket_counts h);
-      !placed = expected)
+  Test.make ~name:"loghist: exponent-bit index == linear-scan index" ~count:1000
+    (float_range 0.000001 600.0)
+    (fun v -> placed v = linear_scan v && Loghist.index v = linear_scan v)
 
 (* Merging two histograms is indistinguishable from one histogram that
    saw both streams: same buckets, count, sum, max and quantiles. *)
@@ -471,7 +497,7 @@ let prop_loghist_quantile_monotone =
       q50 <= q95 && q95 <= q99 && q99 <= Loghist.max_seen h)
 
 let test_loghist_edges () =
-  let h = Loghist.create ~lo:0.001 ~buckets:4 () in
+  let h = Loghist.create () in
   check (Alcotest.float 0.0) "empty quantile" 0.0 (Loghist.quantile h 0.99);
   check (Alcotest.float 0.0) "empty max" 0.0 (Loghist.max_seen h);
   (* Non-positive and tiny values land in the first bucket. *)
@@ -479,22 +505,26 @@ let test_loghist_edges () =
   Loghist.observe h (-1.0);
   Loghist.observe h 0.0005;
   check int_ "first bucket holds them" 3 (snd (Loghist.bucket_counts h).(0));
-  (* Exact power-of-two bounds are inclusive upper bounds. *)
-  let g = Loghist.create ~lo:0.001 ~buckets:4 () in
-  Loghist.observe g 0.002;
-  check int_ "2*lo sits in bucket 1" 1 (snd (Loghist.bucket_counts g).(1));
+  (* Each bound is an inclusive upper bound, and the floats either side
+     of it fall where the linear scan puts them. *)
+  for i = 0 to Loghist.buckets - 1 do
+    let b = Loghist.bound i in
+    List.iter
+      (fun v ->
+        check int_ (Printf.sprintf "%h against bound %d" v i) (linear_scan v) (placed v))
+      [ Float.pred b; b; Float.succ b ]
+  done;
+  check int_ "2 * 0.5 ms sits in bucket 1" 1 (placed 0.001);
   (* Past the top bound: overflow bucket, quantile reports exact max. *)
-  let o = Loghist.create ~lo:0.001 ~buckets:4 () in
-  Loghist.observe o 1.0;
-  check int_ "overflow bucket" 1 (snd (Loghist.bucket_counts o).(4));
-  check (Alcotest.float 0.0) "overflow quantile is exact max" 1.0 (Loghist.quantile o 0.99);
-  (* Shape mismatches refuse to merge. *)
-  let mismatch () = ignore (Loghist.merge h (Loghist.create ~lo:0.001 ~buckets:5 ())) in
-  Alcotest.check_raises "bucket-count mismatch"
-    (Invalid_argument "Loghist.merge: shape mismatch") mismatch;
-  let mismatch_lo () = ignore (Loghist.merge h (Loghist.create ~lo:0.002 ~buckets:4 ())) in
-  Alcotest.check_raises "lo mismatch" (Invalid_argument "Loghist.merge: shape mismatch")
-    mismatch_lo
+  let o = Loghist.create () in
+  Loghist.observe o 1000.0;
+  Loghist.observe o infinity;
+  check int_ "overflow bucket" 2 (snd (Loghist.bucket_counts o).(Loghist.buckets));
+  check (Alcotest.float 0.0) "overflow quantile is exact max" infinity (Loghist.quantile o 0.99);
+  Loghist.clear o;
+  check int_ "clear empties it" 0 (Loghist.count o);
+  check bool_ "clear empties every bucket" true
+    (Array.for_all (fun (_, n) -> n = 0) (Loghist.bucket_counts o))
 
 (* --- suite ------------------------------------------------------------------- *)
 
@@ -504,10 +534,11 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_buckets;
-          Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
+          Alcotest.test_case "every series has the one shape" `Quick test_histogram_one_shape;
           Alcotest.test_case "quantile on an empty histogram" `Quick test_quantile_empty_histogram;
-          Alcotest.test_case "quantile on a single-bucket histogram" `Quick
-            test_quantile_single_bucket;
+          Alcotest.test_case "quantile is the bucket bound, clamped to the maximum" `Quick
+            test_quantile_bucket_bound;
+          Alcotest.test_case "observing allocates nothing" `Quick test_observe_allocates_nothing;
           Alcotest.test_case "exemplar retention bounds" `Quick test_exemplar_retention;
           Alcotest.test_case "observe is observe_exemplar without a trace" `Quick
             test_observe_is_exemplar_free;
@@ -526,7 +557,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_loghist_index_matches_linear_scan;
           QCheck_alcotest.to_alcotest prop_loghist_merge_is_union;
           QCheck_alcotest.to_alcotest prop_loghist_quantile_monotone;
-          Alcotest.test_case "edge cases and shape guards" `Quick test_loghist_edges;
+          Alcotest.test_case "edge cases and both sides of every bound" `Quick test_loghist_edges;
         ] );
       ( "tracing",
         [
