@@ -37,12 +37,22 @@ let parse_json s =
     match peek () with
     | '{' -> incr pos; skip (); if peek () = '}' then (incr pos; Obj []) else members []
     | '"' -> Str (str ())
-    | _ -> (
+    | _ ->
+      (* A strict JSON number: an optional minus, 0 or digits without a
+         leading 0, an optional fraction and an optional exponent; inf,
+         nan, hex and underscores are refused. *)
       let start = !pos in
-      while !pos < n && not (String.contains ",} \t\r\n" s.[!pos]) do incr pos done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> raise Malformed)
+      let accept chars = if !pos < n && String.contains chars s.[!pos] then (incr pos; true) else false in
+      let digits () =
+        let from = !pos in
+        while accept "0123456789" do () done;
+        if !pos = from then raise Malformed
+      in
+      ignore (accept "-");
+      if not (accept "0") then digits ();
+      if accept "." then digits ();
+      if accept "eE" then (ignore (accept "+-"); digits ());
+      Num (float_of_string (String.sub s start (!pos - start)))
   and members acc =
     let k = str () in
     eat ':';
@@ -101,21 +111,16 @@ type history = { dir : string; pr : string; baseline : baseline; gated : string 
 
 type t = {
   name : string;
-  quiet : bool;
+  log : out_channel;
   gates : gate list;
   history : history option;
-  mutable verdicts : (string * bool) list;  (** newest first *)
+  mutable verdicts : (string * (string * bool * string)) list;  (** gate, (label, ok, detail) *)
   mutable metrics : (string * float * string) list;  (** key, value, JSON literal; newest first *)
 }
 
-let collector ?(quiet = false) ?history name gates =
-  { name; quiet; gates; history; verdicts = []; metrics = [] }
-
 let record t name label ok detail =
   if List.mem_assoc name t.verdicts then invalid_arg ("Experiment: gate evaluated twice: " ^ name);
-  t.verdicts <- (name, ok) :: t.verdicts;
-  if not t.quiet then
-    Printf.printf "%s CHECK %s: %s (%s)\n" (String.uppercase_ascii t.name) name label detail
+  t.verdicts <- (name, (label, ok, detail)) :: t.verdicts
 
 let verdict t name ok detail = record t name (if ok then "PASS" else "FAIL") ok detail
 
@@ -138,7 +143,9 @@ let ratio t name ?detail num den =
          (match detail with Some d -> ", " ^ d | None -> ""))
   | _ -> invalid_arg ("Experiment: not a ratio gate: " ^ name)
 
-let metric t ?(digits = 4) key v = t.metrics <- (key, v, Printf.sprintf "%.*f" digits v) :: t.metrics
+let metric t ?(digits = 4) key v =
+  if not (Float.is_finite v) then invalid_arg (Printf.sprintf "Experiment.metric: %s is %g" key v);
+  t.metrics <- (key, v, Printf.sprintf "%.*f" digits v) :: t.metrics
 let count t key n = t.metrics <- (key, float_of_int n, string_of_int n) :: t.metrics
 
 let judge_ledger t name key better =
@@ -171,8 +178,9 @@ let judge_ledger t name key better =
             (Printf.sprintf "%s %g vs %g in entry %S, tolerance %.0f%%" key v prev pr
                ((tolerance -. 1.0) *. 100.0)))))
 
-(* Closes the run: ledger gates are judged, open gates fail.  Returns the
-   number of failed gates. *)
+(* Closes the run: ledger gates are judged, open gates fail, and one line
+   per gate is printed in declaration order.  Returns the number of
+   failed gates. *)
 let close t =
   List.iter
     (fun (g : gate) ->
@@ -182,12 +190,13 @@ let close t =
         if not (List.mem_assoc g.name t.verdicts) then
           verdict t g.name false "declared but never evaluated")
     t.gates;
-  List.length (List.filter (fun (_, ok) -> not ok) t.verdicts)
-
-let checks ?quiet name results =
-  let t = collector ?quiet name (List.map (fun (g, _, _) -> Gate.exact g) results) in
-  List.iter (fun (g, ok, detail) -> check t g ok detail) results;
-  if close t = 0 then 0 else 1
+  List.iter
+    (fun (g : gate) ->
+      let label, _, detail = List.assoc g.name t.verdicts in
+      Printf.fprintf t.log "%s CHECK %s: %s (%s)\n" (String.uppercase_ascii t.name) g.name label
+        detail)
+    t.gates;
+  List.length (List.filter (fun (_, (_, ok, _)) -> not ok) t.verdicts)
 
 (* --- snapshots and the ledger ------------------------------------------- *)
 
@@ -233,13 +242,23 @@ let append_ledger t =
 
 (* --- registry and isolated runs ----------------------------------------- *)
 
-type experiment = { e_name : string; e_gates : gate list; body : t -> unit }
+type experiment = { e_name : string; e_gates : gate list; e_log : out_channel; body : t -> unit }
 
-let v ?(gates = []) name body = { e_name = name; e_gates = gates; body }
+let v ?(gates = []) ?(log = stdout) name body = { e_name = name; e_gates = gates; e_log = log; body }
+let name e = e.e_name
+let gate_names e = List.map (fun (g : gate) -> g.name) e.e_gates
+
+let collector ?history e =
+  { name = e.e_name; log = e.e_log; gates = e.e_gates; history; verdicts = []; metrics = [] }
+
+let run_one e =
+  let t = collector e in
+  e.body t;
+  if close t = 0 then 0 else 1
 
 (* The child never returns: [_exit] skips the parent's at_exit handlers. *)
 let in_child h e =
-  let t = collector ~history:h e.e_name e.e_gates in
+  let t = collector ~history:h e in
   let status =
     match e.body t with
     | () ->

@@ -1,9 +1,10 @@
 (** Gated experiments: each reproduction claim is declared once, as a
     gate, and judged into one exit status.
 
-    A collector prints one [<TAG> CHECK <name>: PASS|FAIL|SKIP (detail)]
-    line per gate.  A declared gate that never produces a verdict fails,
-    so deleting a check from a body cannot read as success.  Gate kinds:
+    When the body returns, the collector prints one
+    [<TAG> CHECK <name>: PASS|FAIL|SKIP (detail)] line per declared gate,
+    in declaration order.  A declared gate that never produces a verdict
+    fails, so deleting a check from a body cannot read as success.  Gate kinds:
     {e exact} (a pass/fail property, {!check}), {e within-run ratio} (two
     measurements of the same run against a declared floor, {!ratio}; the
     only way wall-clock numbers gate) and {e ledger tolerance} (a
@@ -20,7 +21,9 @@ module Gate : sig
   (** Compares the metric [key] this run records against the baseline
       entry's value for (this experiment, [key]): at most 10 % worse
       passes, [SKIP] when the entry has no such value, [FAIL] when the
-      ledger's last entry cannot be parsed. *)
+      ledger's last entry cannot be parsed.  Ledger numbers are read as
+      strict JSON decimals: an [inf], [nan], hex or [1_0] makes the entry
+      unparseable. *)
 end
 
 type t
@@ -35,7 +38,9 @@ val ratio : t -> string -> ?detail:string -> float -> float -> unit
 (** [ratio t name num den]: [num /. den] must reach [name]'s floor. *)
 
 val metric : t -> ?digits:int -> string -> float -> unit
-(** Records a snapshot metric with [digits] decimals (default 4). *)
+(** Records a snapshot metric with [digits] decimals (default 4).
+    Raises [Invalid_argument] on a non-finite value, which no ledger
+    entry can hold. *)
 
 val count : t -> string -> int -> unit
 
@@ -46,9 +51,19 @@ val append_ledger : t -> unit
 
 type experiment
 
-val v : ?gates:gate list -> string -> (t -> unit) -> experiment
-(** [v ~gates name body].  A gated experiment writes
-    [BENCH_<name>.json]: its metrics plus [gate_failures]. *)
+val v : ?gates:gate list -> ?log:out_channel -> string -> (t -> unit) -> experiment
+(** [v ~gates name body].  Within {!run} a gated experiment writes
+    [BENCH_<name>.json]: its metrics plus [gate_failures].  The CHECK
+    lines go to [log] (default [stdout]). *)
+
+val name : experiment -> string
+val gate_names : experiment -> string list
+(** The declared gates, in declaration order. *)
+
+val run_one : experiment -> int
+(** Runs the body in this process and judges its gates: 0 iff every
+    declared gate passed.  Writes no snapshot and no ledger entry; a
+    ledger gate is [SKIP]. *)
 
 val run : history:string -> pr:string -> experiment list -> string list -> int
 (** [run ~history ~pr registry names] runs the named experiments in the
@@ -58,11 +73,6 @@ val run : history:string -> pr:string -> experiment list -> string list -> int
     of [history/ledger.jsonl], is read once before any experiment runs.
     [pr] keys appended entries.  Returns 0 iff every experiment exited 0
     and every name was known. *)
-
-val checks : ?quiet:bool -> string -> (string * bool * string) list -> int
-(** [checks name results] judges one exact gate per [(gate, ok, detail)]
-    outside {!run} and returns the exit status (0 iff all passed);
-    [quiet] suppresses the lines, not the status. *)
 
 val main : experiment list -> unit
 (** {!run} over the command line, with [history] from [$DACS_HISTORY]

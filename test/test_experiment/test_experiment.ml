@@ -2,7 +2,9 @@
    status non-zero, ledger gates read (experiment, key) from the right
    place in the baseline entry, a perturbed or unparseable baseline
    fails, the baseline is read before any experiment appends to the
-   ledger, and experiments do not share process state. *)
+   ledger, experiments do not share process state, and every gated dacs
+   subcommand's golden prints exactly the gates its registry entry
+   declares. *)
 
 module E = Dacs_experiment.Experiment
 module Gate = E.Gate
@@ -35,8 +37,15 @@ let gated_on ?(key = "k") name value =
     (fun x -> E.metric x key value)
 
 let test_failing_gate () =
-  status "one of two checks failed" 1 (E.checks ~quiet:true "t" [ ("a", true, ""); ("b", false, "") ]);
-  status "every check passed" 0 (E.checks ~quiet:true "t" [ ("a", true, ""); ("b", true, "") ]);
+  let two b =
+    E.v "t" ~gates:[ Gate.exact "a"; Gate.exact "b" ] (fun x ->
+        E.check x "a" true "";
+        E.check x "b" b "")
+  in
+  status "one of two checks failed" 1 (E.run_one (two false));
+  status "every check passed" 0 (E.run_one (two true));
+  status "in process, a declared gate without a verdict fails" 1
+    (E.run_one (E.v "t" ~gates:[ Gate.exact "a"; Gate.exact "b" ] (fun x -> E.check x "a" true "")));
   let ratio_of num =
     E.v "r" ~gates:[ Gate.ratio "r" ~at_least:2.0 ] (fun x -> E.ratio x "r" num 2.0)
   in
@@ -85,6 +94,28 @@ let test_perturbed_baseline () =
   let dir = history [ {|{"pr":"odd","snapshots":{"e":{"k":"fast"}}}|} ] in
   status "non-numeric baseline value" 1 (run dir [ gated_on "e" 1.0 ] [])
 
+(* A baseline number that is not a JSON decimal makes the entry
+   unparseable, so its ledger gates FAIL instead of comparing against an
+   [inf] that every value passes. *)
+let test_non_json_numbers () =
+  List.iter
+    (fun lit ->
+      let dir = history [ Printf.sprintf {|{"pr":"x","e99":{"p99_s":%s}}|} lit ] in
+      status (lit ^ " in the baseline") 1 (run dir [ gated_on ~key:"p99_s" "e99" 1e9 ] []))
+    [ "inf"; "nan"; "-infinity"; "0x10"; "1_0"; "01"; "1."; ".5"; "+1"; "1e" ];
+  List.iter
+    (fun lit ->
+      let dir = history [ Printf.sprintf {|{"pr":"x","e99":{"p99_s":%s}}|} lit ] in
+      status (lit ^ " is a JSON number") 0 (run dir [ gated_on ~key:"p99_s" "e99" 0.0 ] []))
+    [ "1"; "0.5e1"; "2.50"; "1E+2"; "0"; "-0" ]
+
+let test_metric_refuses_non_finite () =
+  List.iter
+    (fun v ->
+      status (Printf.sprintf "metric %g" v) 1
+        (run (history []) [ E.v "e" (fun x -> E.metric x "k" v) ] []))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 let test_baseline_read_before_append () =
   let dir = history [ {|{"pr":"base","snapshots":{"b":{"k":1.0}}}|} ] in
   let appender =
@@ -110,6 +141,28 @@ let test_isolation () =
     (run (history []) [ counting ] [ "p"; "p"; "p" ]);
   Alcotest.(check int) "the parent never ran a body" 0 !runs
 
+(* Every gated dacs subcommand's text golden carries exactly one CHECK
+   line per gate its registry entry declares, in declaration order, so a
+   gate cannot leave a scenario through a promoted golden. *)
+let test_registry_goldens () =
+  let module Registry = Dacs_registry.Registry in
+  List.iter
+    (fun cmd ->
+      let name = Cmdliner.Cmd.name cmd in
+      let e = List.find (fun e -> E.name e = name) Registry.all in
+      let prefix = String.uppercase_ascii name ^ " CHECK " in
+      let checked =
+        In_channel.with_open_bin (Printf.sprintf "../test_cli/%s.expected" name) In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter_map (fun line ->
+               if String.starts_with ~prefix line then
+                 let rest = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+                 Some (String.sub rest 0 (String.index rest ':'))
+               else None)
+      in
+      Alcotest.(check (list string)) (name ^ " golden vs declared gates") (E.gate_names e) checked)
+    Registry.commands
+
 let () =
   Alcotest.run "experiment"
     [
@@ -122,7 +175,11 @@ let () =
         [
           Alcotest.test_case "reads (experiment, key)" `Quick test_ledger_reads_experiment_key;
           Alcotest.test_case "perturbed baseline fails" `Quick test_perturbed_baseline;
+          Alcotest.test_case "numbers must be JSON decimals" `Quick test_non_json_numbers;
+          Alcotest.test_case "metric refuses non-finite values" `Quick test_metric_refuses_non_finite;
           Alcotest.test_case "baseline read before any append" `Quick test_baseline_read_before_append;
         ] );
       ("isolation", [ Alcotest.test_case "forked experiments" `Quick test_isolation ]);
+      ( "registry",
+        [ Alcotest.test_case "gated subcommand goldens print their gates" `Quick test_registry_goldens ] );
     ]
