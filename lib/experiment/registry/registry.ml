@@ -1,8 +1,9 @@
-(* The one experiment registry.  Every gated scenario is declared here
-   once: E1-E23 and the seven gated dacs subcommands, each built from its
-   flags with their defaults.  bench/main.exe selects entries by name and
-   runs them at their defaults; dacs <name> [flags] runs a subcommand
-   entry with the flags given. *)
+(* The one experiment registry.  Every experiment and every gated
+   scenario is declared here once: E1-E23 and the seven gated dacs
+   subcommands, each built from its flags with their defaults.
+   bench/main.exe selects entries by name and runs them at their
+   defaults; dacs <name> [flags] runs a subcommand entry with the flags
+   given. *)
 
 open Cmdliner
 module Experiment = Dacs_experiment.Experiment
