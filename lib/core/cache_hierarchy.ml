@@ -320,54 +320,39 @@ module L2 = struct
       }
     in
     Service.serve_frame services ~node ~service:"cache-lookup" ~read:Wire.read_cache_lookup
-      (fun ~caller:_ ~headers:_ body reply ->
+      (fun ~caller:_ ~headers:_ key reply ->
         Metrics.inc t.c_lookups;
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok key ->
-          let answer = Decision_cache.get t.cache ~now:(now t) ~key in
-          if answer <> None then Metrics.inc t.c_hits;
-          reply (fun buf -> Wire.write_cache_answer buf answer));
+        let answer = Decision_cache.get t.cache ~now:(now t) ~key in
+        if answer <> None then Metrics.inc t.c_hits;
+        reply (fun buf -> Wire.write_cache_answer buf answer));
     Service.serve_frame services ~node ~service:"cache-put" ~read:Wire.read_cache_put
-      (fun ~caller:_ ~headers:_ body reply ->
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok (key, result, sent_at) ->
-          (* The put/invalidate race: a fire-and-forget put composed
-             before a purge must not land after it and resurrect the
-             entry it carried.  The reader refuses unstamped puts. *)
-          if sent_at < t.purged_at then Metrics.inc t.c_rejected_puts
-          else begin
-            Metrics.inc t.c_puts;
-            Decision_cache.put t.cache ~now:(now t) ~key result
-          end;
-          reply Wire.write_cache_put_ack);
+      (fun ~caller:_ ~headers:_ (key, result, sent_at) reply ->
+        (* The put/invalidate race: a fire-and-forget put composed
+           before a purge must not land after it and resurrect the
+           entry it carried.  The reader refuses unstamped puts. *)
+        if sent_at < t.purged_at then Metrics.inc t.c_rejected_puts
+        else begin
+          Metrics.inc t.c_puts;
+          Decision_cache.put t.cache ~now:(now t) ~key result
+        end;
+        reply Wire.write_cache_put_ack);
     (* Purges and polls are all answered with this cache's epoch. *)
     let answer_epoch reply = reply (fun buf -> Wire.write_cache_epoch buf ~epoch:t.epoch) in
     Service.serve_frame services ~node ~service:"cache-invalidate" ~read:Wire.read_cache_invalidate
-      (fun ~caller:_ ~headers:_ body reply ->
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok (sender_epoch, key) ->
-          if key = None then t.parent_epoch <- max t.parent_epoch sender_epoch;
-          apply_invalidation t key;
-          answer_epoch reply);
+      (fun ~caller:_ ~headers:_ (sender_epoch, key) reply ->
+        if key = None then t.parent_epoch <- max t.parent_epoch sender_epoch;
+        apply_invalidation t key;
+        answer_epoch reply);
     Service.serve_frame services ~node ~service:"cache-region" ~read:Wire.read_cache_region
-      (fun ~caller:_ ~headers:_ body reply ->
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok (sender_epoch, region) ->
-          t.parent_epoch <- max t.parent_epoch sender_epoch;
-          (match region with
-          | Dacs_policy.Delta.Empty -> ()
-          | Dacs_policy.Delta.Unbounded -> apply_invalidation t None
-          | Dacs_policy.Delta.Zones _ -> apply_region t region);
-          answer_epoch reply);
+      (fun ~caller:_ ~headers:_ (sender_epoch, region) reply ->
+        t.parent_epoch <- max t.parent_epoch sender_epoch;
+        (match region with
+        | Dacs_policy.Delta.Empty -> ()
+        | Dacs_policy.Delta.Unbounded -> apply_invalidation t None
+        | Dacs_policy.Delta.Zones _ -> apply_region t region);
+        answer_epoch reply);
     Service.serve_frame services ~node ~service:"cache-sync" ~read:Wire.read_cache_sync
-      (fun ~caller:_ ~headers:_ body reply ->
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok _known -> answer_epoch reply);
+      (fun ~caller:_ ~headers:_ _ reply -> answer_epoch reply);
     t
 
   (* --- client side (what a PEP calls) ---------------------------------- *)

@@ -1,4 +1,3 @@
-module Xml = Dacs_xml.Xml
 module Service = Dacs_ws.Service
 module Engine = Dacs_net.Engine
 module Net = Dacs_net.Net
@@ -28,23 +27,6 @@ let lookup t ~kind =
 
 let registrations t = Metrics.counter_value t.c_registrations
 
-let register_body ~kind ~node =
-  Xml.element "Register" ~attrs:[ ("Kind", kind); ("Node", node) ]
-
-let discover_body ~kind = Xml.element "Discover" ~attrs:[ ("Kind", kind) ]
-
-let endpoints_body nodes =
-  Xml.element "Endpoints"
-    ~children:(List.map (fun n -> Xml.element "Endpoint" ~attrs:[ ("Node", n) ]) nodes)
-
-let parse_endpoints body =
-  if Xml.local_name (Xml.tag body) <> "Endpoints" then Error "expected Endpoints"
-  else
-    Ok
-      (List.filter_map
-         (fun e -> Xml.attr e "Node")
-         (Xml.find_children body "Endpoint"))
-
 let create services ~node ?(lease = 10.0) () =
   let metrics = Service.metrics services in
   let own ?help n = Metrics.counter metrics ?help ~labels:[ ("node", node) ] n in
@@ -59,40 +41,29 @@ let create services ~node ?(lease = 10.0) () =
       next_order = 0;
     }
   in
-  Service.serve services ~node ~service:"register" (fun ~caller ~headers:_ body reply ->
-      match (Xml.attr body "Kind", Xml.attr body "Node") with
-      | Some kind, Some advertised ->
-        (* Only accept self-advertisements: the caller vouches for itself.
-           A node advertising someone else could keep a dead replica
-           alive in the registry. *)
-        if advertised <> caller then
-          reply
-            (Dacs_ws.Soap.fault_body
-               { Dacs_ws.Soap.code = "soap:Sender"; reason = "nodes may only advertise themselves" })
-        else begin
-          Metrics.inc t.c_registrations;
-          let order =
-            match Hashtbl.find_opt t.entries (kind, advertised) with
-            | Some (_, order) -> order
-            | None ->
-              t.next_order <- t.next_order + 1;
-              t.next_order
-          in
-          Hashtbl.replace t.entries (kind, advertised) (now t +. t.lease, order);
-          reply (Xml.element "RegisterAck")
-        end
-      | _ ->
-        reply
-          (Dacs_ws.Soap.fault_body
-             { Dacs_ws.Soap.code = "soap:Sender"; reason = "Register needs Kind and Node" }));
-  Service.serve services ~node ~service:"discover" (fun ~caller:_ ~headers:_ body reply ->
+  Service.serve_frame services ~node ~service:"register" ~read:Wire.read_register
+    (fun ~caller ~headers:_ (kind, advertised) reply ->
+      (* Only accept self-advertisements: the caller vouches for itself.
+         A node advertising someone else could keep a dead replica
+         alive in the registry. *)
+      if advertised <> caller then reply (Service.sender_fault "nodes may only advertise themselves")
+      else begin
+        Metrics.inc t.c_registrations;
+        let order =
+          match Hashtbl.find_opt t.entries (kind, advertised) with
+          | Some (_, order) -> order
+          | None ->
+            t.next_order <- t.next_order + 1;
+            t.next_order
+        in
+        Hashtbl.replace t.entries (kind, advertised) (now t +. t.lease, order);
+        reply Wire.write_register_ack
+      end);
+  Service.serve_frame services ~node ~service:"discover" ~read:Wire.read_discover
+    (fun ~caller:_ ~headers:_ kind reply ->
       Metrics.inc t.c_lookups;
-      match Xml.attr body "Kind" with
-      | Some kind -> reply (endpoints_body (lookup t ~kind))
-      | None ->
-        reply
-          (Dacs_ws.Soap.fault_body
-             { Dacs_ws.Soap.code = "soap:Sender"; reason = "Discover needs Kind" }));
+      let endpoints = lookup t ~kind in
+      reply (fun buf -> Wire.write_endpoints buf endpoints));
   t
 
 let advertise t ~services ~node ~kind () =
@@ -102,9 +73,10 @@ let advertise t ~services ~node ~kind () =
     (* A crashed node's sends are dropped by the network, so the
        advertisement naturally lapses; the loop keeps ticking and renews
        again after recovery. *)
-    Service.call services ~src:node ~dst:t.node ~service:"register" ~resilient:Dacs_net.Rpc.no_retry
-      (register_body ~kind ~node)
-      (fun _ -> ());
+    Service.call_frame services ~src:node ~dst:t.node ~service:"register" ~resilient:Dacs_net.Rpc.no_retry
+      ~read:Wire.read_register_ack
+      (fun buf -> Wire.write_register buf ~kind ~node)
+      ignore;
     Engine.schedule engine ~delay:period renew
   in
   renew ()
@@ -114,16 +86,13 @@ let auto_rebind t ~pep ~kind ?period () =
   let engine = Net.engine (Service.net t.services) in
   let pep_node = Pep.node pep in
   let rec refresh () =
-    Service.call t.services ~src:pep_node ~dst:t.node ~service:"discover"
-      ~resilient:Dacs_net.Rpc.no_retry
-      (discover_body ~kind)
+    Service.call_frame t.services ~src:pep_node ~dst:t.node ~service:"discover"
+      ~resilient:Dacs_net.Rpc.no_retry ~read:Wire.read_endpoints
+      (fun buf -> Wire.write_discover buf ~kind)
       (fun response ->
         (match response with
-        | Ok body -> (
-          match parse_endpoints body with
-          | Ok (_ :: _ as endpoints) -> Pep.set_pull_pdps pep endpoints
-          | Ok [] | Error _ -> () (* keep the last known list *))
-        | Error _ -> ());
+        | Ok (Ok (_ :: _ as endpoints)) -> Pep.set_pull_pdps pep endpoints
+        | Ok (Ok []) | Ok (Error _) | Error _ -> () (* keep the last known list *));
         Engine.schedule engine ~delay:period refresh)
   in
   refresh ()

@@ -53,9 +53,3 @@ val auto_rebind :
     attempt per poll, and install the discovered endpoints as the PEP's
     pull-mode failover list.  While the registry is unreachable the PEP
     keeps its last known list. *)
-
-(** {1 Wire helpers (exposed for tests)} *)
-
-val register_body : kind:string -> node:Dacs_net.Net.node_id -> Dacs_xml.Xml.t
-val discover_body : kind:string -> Dacs_xml.Xml.t
-val parse_endpoints : Dacs_xml.Xml.t -> (Dacs_net.Net.node_id list, string) result

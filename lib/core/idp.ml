@@ -36,18 +36,9 @@ let issued_count t = t.issued
 
 let create services ~node ~issuer ~keypair ?(validity = 300.0) () =
   let t = { services; node; issuer; keypair; validity; users = Hashtbl.create 64; issued = 0 } in
-  Service.serve services ~node ~service:"attribute-assertion"
-    (fun ~caller:_ ~headers:_ body reply ->
-      match Dacs_xml.Xml.attr body "Subject" with
-      | None ->
-        reply
-          (Dacs_ws.Soap.fault_body
-             { Dacs_ws.Soap.code = "soap:Sender"; reason = "request names no subject" })
-      | Some user -> (
-        match issue t ~user with
-        | Some assertion -> reply (Assertion.to_xml assertion)
-        | None ->
-          reply
-            (Dacs_ws.Soap.fault_body
-               { Dacs_ws.Soap.code = "soap:Receiver"; reason = "unknown subject" })));
+  Service.serve_frame services ~node ~service:"attribute-assertion" ~read:Wire.read_attribute_assertion_request
+    (fun ~caller:_ ~headers:_ user reply ->
+      match issue t ~user with
+      | Some assertion -> reply (fun buf -> Dacs_xml.Xml.print buf (Assertion.to_xml assertion))
+      | None -> reply (Service.receiver_fault "unknown subject"));
   t

@@ -12,9 +12,10 @@ val create :
   ?validity:float ->
   unit ->
   t
-(** Registers ["attribute-assertion"]: body
-    [<AttributeAssertionRequest Subject="u"/>] → signed assertion with the
-    registered attributes. Unknown subjects earn a fault. *)
+(** Registers ["attribute-assertion"]: a
+    {!Wire.write_attribute_assertion_request} body → signed assertion
+    with the registered attributes.  Unknown subjects earn a
+    [soap:Receiver] fault. *)
 
 val node : t -> Dacs_net.Net.node_id
 val issuer : t -> string

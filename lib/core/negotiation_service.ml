@@ -1,4 +1,3 @@
-module Xml = Dacs_xml.Xml
 module Service = Dacs_ws.Service
 module Assertion = Dacs_saml.Assertion
 module Value = Dacs_policy.Value
@@ -22,12 +21,6 @@ let public_key t = t.keypair.Dacs_crypto.Rsa.public
 let sessions t = Hashtbl.length t.sessions
 
 let now t = Dacs_net.Net.now (Service.net t.services)
-
-let credential_elements names =
-  List.map (fun n -> Xml.element "Credential" ~attrs:[ ("Name", n) ]) names
-
-let credential_names body =
-  List.filter_map (fun c -> Xml.attr c "Name") (Xml.find_children body "Credential")
 
 let issue_capability t ~subject ~subject_name ~resource ~action =
   t.issued <- t.issued + 1;
@@ -56,60 +49,44 @@ let create services ~node ~issuer ~keypair ~credentials ~requirement_for ?(valid
       issued = 0;
     }
   in
-  Service.serve services ~node ~service:"negotiate" (fun ~caller ~headers:_ body reply ->
-      match (Xml.attr body "Resource", Xml.attr body "Action") with
-      | Some resource, Some action ->
-        let key = (caller, resource, action) in
-        let session =
-          match Hashtbl.find_opt t.sessions key with
-          | Some s -> s
-          | None ->
-            let s = { from_client = []; from_server = [] } in
-            Hashtbl.add t.sessions key s;
-            s
+  Service.serve_frame services ~node ~service:"negotiate" ~read:Wire.read_negotiate
+    (fun ~caller ~headers:_ (resource, action, subject_name, disclosed) reply ->
+      let key = (caller, resource, action) in
+      let session =
+        match Hashtbl.find_opt t.sessions key with
+        | Some s -> s
+        | None ->
+          let s = { from_client = []; from_server = [] } in
+          Hashtbl.add t.sessions key s;
+          s
+      in
+      (* Absorb the client's newly disclosed credentials. *)
+      List.iter
+        (fun name ->
+          if not (List.mem name session.from_client) then session.from_client <- name :: session.from_client)
+        disclosed;
+      let requirement = t.requirement_for ~resource ~action in
+      if Negotiation.satisfied requirement session.from_client then begin
+        Hashtbl.remove t.sessions key;
+        let subject = [ ("subject-id", Value.String subject_name) ] in
+        let assertion = issue_capability t ~subject ~subject_name ~resource ~action in
+        reply (fun buf -> Wire.write_negotiate_response buf (Wire.Issued assertion))
+      end
+      else begin
+        (* Disclose whatever the client's credentials now unlock. *)
+        let party = { Negotiation.party_name = t.issuer; credentials = t.credentials } in
+        let unlocked =
+          List.filter_map
+            (fun (c : Negotiation.credential) ->
+              if List.mem c.Negotiation.name session.from_server then None
+              else if Negotiation.satisfied c.Negotiation.release session.from_client then
+                Some c.Negotiation.name
+              else None)
+            party.Negotiation.credentials
         in
-        (* Absorb the client's newly disclosed credentials. *)
-        List.iter
-          (fun name ->
-            if not (List.mem name session.from_client) then
-              session.from_client <- name :: session.from_client)
-          (credential_names body);
-        let requirement = t.requirement_for ~resource ~action in
-        if Negotiation.satisfied requirement session.from_client then begin
-          Hashtbl.remove t.sessions key;
-          let subject_name =
-            Option.value (Xml.attr body "Subject") ~default:caller
-          in
-          let subject = [ ("subject-id", Value.String subject_name) ] in
-          let assertion = issue_capability t ~subject ~subject_name ~resource ~action in
-          reply
-            (Xml.element "NegotiateResponse"
-               ~attrs:[ ("Status", "granted") ]
-               ~children:[ Assertion.to_xml assertion ])
-        end
-        else begin
-          (* Disclose whatever the client's credentials now unlock. *)
-          let party = { Negotiation.party_name = t.issuer; credentials = t.credentials } in
-          let unlocked =
-            List.filter_map
-              (fun (c : Negotiation.credential) ->
-                if List.mem c.Negotiation.name session.from_server then None
-                else if Negotiation.satisfied c.Negotiation.release session.from_client then
-                  Some c.Negotiation.name
-                else None)
-              party.Negotiation.credentials
-          in
-          session.from_server <- unlocked @ session.from_server;
-          reply
-            (Xml.element "NegotiateResponse"
-               ~attrs:[ ("Status", "continue") ]
-               ~children:(credential_elements unlocked))
-        end
-      | _ ->
-        reply
-          (Dacs_ws.Soap.fault_body
-             { Dacs_ws.Soap.code = "soap:Sender"; reason = "Negotiate needs Resource and Action" }))
-  ;
+        session.from_server <- unlocked @ session.from_server;
+        reply (fun buf -> Wire.write_negotiate_response buf (Wire.Continue unlocked))
+      end);
   t
 
 type outcome = {
@@ -138,28 +115,17 @@ let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action
         credentials
     in
     disclosed := unlocked @ !disclosed;
-    let body =
-      Xml.element "Negotiate"
-        ~attrs:[ ("Resource", resource); ("Action", action); ("Subject", subject_name) ]
-        ~children:(credential_elements unlocked)
-    in
-    Service.call services ~src:client_node ~dst:t.node ~service:"negotiate" body (fun response ->
+    Service.call_frame services ~src:client_node ~dst:t.node ~service:"negotiate" ~read:Wire.read_negotiate_response
+      (fun buf -> Wire.write_negotiate buf ~resource ~action ~subject:subject_name unlocked)
+      (fun response ->
         let messages = messages + 2 in
         match response with
-        | Error _ -> k { granted = None; rounds = n; messages }
-        | Ok reply_body -> (
-          match Xml.attr reply_body "Status" with
-          | Some "granted" -> (
-            match Option.map Assertion.of_xml (Xml.find_child reply_body "Assertion") with
-            | Some (Ok assertion) -> k { granted = Some assertion; rounds = n; messages }
-            | _ -> k { granted = None; rounds = n; messages })
-          | Some "continue" ->
-            let fresh = credential_names reply_body in
-            let progressed = unlocked <> [] || fresh <> [] in
-            seen_from_server := fresh @ !seen_from_server;
-            if (not progressed) || n >= max_rounds then
-              k { granted = None; rounds = n; messages }
-            else round (n + 1) messages
-          | _ -> k { granted = None; rounds = n; messages }))
+        | Ok (Ok (Wire.Issued assertion)) -> k { granted = Some assertion; rounds = n; messages }
+        | Ok (Ok (Wire.Continue fresh)) ->
+          let progressed = unlocked <> [] || fresh <> [] in
+          seen_from_server := fresh @ !seen_from_server;
+          if (not progressed) || n >= max_rounds then k { granted = None; rounds = n; messages }
+          else round (n + 1) messages
+        | Ok (Error _) | Error _ -> k { granted = None; rounds = n; messages })
   in
   round 1 0

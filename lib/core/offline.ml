@@ -668,12 +668,9 @@ let service_name = "log-sync"
 
 let serve t services ~node =
   Service.serve_frame services ~node ~service:service_name ~read:Wire.read_log_sync_request
-    (fun ~caller:_ ~headers:_ body reply ->
-      match body with
-      | Error reason -> reply (Service.sender_fault reason)
-      | Ok peer_frontier ->
-        let suffix = missing_for t ~frontier:peer_frontier in
-        reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) suffix))
+    (fun ~caller:_ ~headers:_ peer_frontier reply ->
+      let suffix = missing_for t ~frontier:peer_frontier in
+      reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) suffix))
 
 let sync_rpc t services ~src ~dst k =
   Service.call_frame services ~src ~dst ~service:service_name ~read:Wire.read_log_sync_response

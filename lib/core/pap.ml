@@ -1,4 +1,3 @@
-module Xml = Dacs_xml.Xml
 module Engine = Dacs_net.Engine
 module Service = Dacs_ws.Service
 module Policy = Dacs_policy.Policy
@@ -128,39 +127,33 @@ let create services ~node ~name ?admin_policy ?root () =
     }
   in
   Service.serve_frame services ~node ~service:"policy-query" ~read:Wire.read_policy_query
-    (fun ~caller:_ ~headers:_ body reply ->
+    (fun ~caller:_ ~headers:_ (_scope, known_version) reply ->
       Metrics.inc t.c_queries;
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok (_scope, known_version) ->
-        let policy = if known_version >= t.version then None else t.root in
-        reply (fun buf -> Wire.write_policy_response buf ~version:t.version policy));
+      let policy = if known_version >= t.version then None else t.root in
+      reply (fun buf -> Wire.write_policy_response buf ~version:t.version policy));
   Service.serve_frame services ~node ~service:"policy-update" ~read:Wire.read_policy_update
-    (fun ~caller ~headers:_ body reply ->
+    (fun ~caller ~headers:_ (remote_version, child) reply ->
       let refuse reason =
         Metrics.inc t.c_rejected;
-        reply (fun buf -> Xml.print buf (Dacs_ws.Soap.fault_body { Dacs_ws.Soap.code = "soap:Receiver"; reason }))
+        reply (Service.receiver_fault reason)
       in
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok (remote_version, child) ->
-        (* Every caller, a syndicating parent we subscribed to included,
-           needs the admin policy's blessing; an authorised update must
-           then pass the local filter.  A push from the anti-entropy
-           parent moves the version its polls report as known, and one
-           whose version is already known was adopted before. *)
-        let from_parent = t.parent = Some caller in
-        if not (admin_permits t ~caller) then refuse "policy update not authorised"
-        else if from_parent && remote_version <= t.parent_version then
-          reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+      (* Every caller, a syndicating parent we subscribed to included,
+         needs the admin policy's blessing; an authorised update must
+         then pass the local filter.  A push from the anti-entropy
+         parent moves the version its polls report as known, and one
+         whose version is already known was adopted before. *)
+      let from_parent = t.parent = Some caller in
+      if not (admin_permits t ~caller) then refuse "policy update not authorised"
+      else if from_parent && remote_version <= t.parent_version then
+        reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+      else begin
+        if from_parent then t.parent_version <- remote_version;
+        if not (t.update_filter child) then refuse "update rejected by local constraints"
         else begin
-          if from_parent then t.parent_version <- remote_version;
-          if not (t.update_filter child) then refuse "update rejected by local constraints"
-          else begin
-            accept_update t (t.update_transform child);
-            reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
-          end
-        end);
+          accept_update t (t.update_transform child);
+          reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+        end
+      end);
   t
 
 let subscribe_local t ~child =

@@ -395,35 +395,29 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
     (* Explicit invalidation path: the PIP pushes when an attribute is
        removed, so revocation never waits out the cache TTL. *)
     Service.serve_frame services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
-      (fun ~caller:_ ~headers:_ body reply ->
-        match body with
-        | Error e -> reply (Service.sender_fault e)
-        | Ok (subject, id) ->
-          Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
-          reply Wire.write_invalidate_ack);
+      (fun ~caller:_ ~headers:_ (subject, id) reply ->
+        Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
+        reply Wire.write_invalidate_ack);
     List.iter
       (fun pip ->
         Service.call_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"
           ~read:Wire.read_subscribe_ack Wire.write_attribute_subscribe ignore)
       pips);
   Service.serve_frame services ~node ~service:"authz-query" ~read:Wire.read_authz_query
-    (fun ~caller:_ ~headers:_ body reply ->
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok ctx ->
-        if overloaded t then begin
-          Metrics.inc t.counters.c_overloads;
-          reply (fun buf -> Wire.write_authz_response buf (Decision.indeterminate overload_reason))
-        end
-        else begin
-          t.inflight <- t.inflight + 1;
-          when_capacity_free t ~occupancy:(t.service_time +. scan_occupancy t ctx) (fun () ->
-              evaluate_local t ctx (fun result ->
-                  t.inflight <- t.inflight - 1;
-                  let epoch = compilation_epoch t in
-                  match t.signer with
-                  | None -> reply (fun buf -> Wire.write_authz_response ~epoch buf result)
-                  | Some (key, cert) ->
-                    reply (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result)))
-        end);
+    (fun ~caller:_ ~headers:_ ctx reply ->
+      if overloaded t then begin
+        Metrics.inc t.counters.c_overloads;
+        reply (fun buf -> Wire.write_authz_response buf (Decision.indeterminate overload_reason))
+      end
+      else begin
+        t.inflight <- t.inflight + 1;
+        when_capacity_free t ~occupancy:(t.service_time +. scan_occupancy t ctx) (fun () ->
+            evaluate_local t ctx (fun result ->
+                t.inflight <- t.inflight - 1;
+                let epoch = compilation_epoch t in
+                match t.signer with
+                | None -> reply (fun buf -> Wire.write_authz_response ~epoch buf result)
+                | Some (key, cert) ->
+                  reply (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result)))
+      end);
   t

@@ -732,38 +732,35 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
     }
   in
   Service.serve_frame services ~node ~service:"access" ~read:Wire.read_access_request
-    (fun ~caller:_ ~headers body reply ->
+    (fun ~caller:_ ~headers (subject_attrs, action) reply ->
       Metrics.inc t.counters.c_requests;
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok (subject_attrs, action) ->
-        let subject =
-          match List.assoc_opt "subject-id" subject_attrs with
-          | Some v -> Value.to_string v
-          | None -> "anonymous"
-        in
-        let ctx = build_context t ~subject_attrs ~action in
-        (* One span per enforcement, a child of the RPC server span; the
-           decision machinery below it (PDP calls, cache events) hangs off
-           this span via the ambient context. *)
-        let tr = tracer t in
-        let span = Trace.start_span tr "pep:enforce" in
-        Trace.annotate span "node" t.node;
-        Trace.annotate span "subject" subject;
-        Trace.annotate span "action" action;
-        let finish result (p : Provenance.t) =
-          Trace.annotate span "decision" (Decision.decision_to_string result.Decision.decision);
-          Trace.annotate span "stage" (Provenance.stage_name p.Provenance.stage);
-          enforce t ~subject ~action ~provenance:p result (fun response ->
-              Trace.finish tr span;
-              reply response)
-        in
-        let saved = Trace.current tr in
-        if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
-        (match t.mode with
-        | Push { trusted_issuer; check_revocation; local_pdp } ->
-          push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action ctx
-            (fun result -> finish result (Provenance.make ~at:(now t) Provenance.Capability))
-        | Pull _ | Sharded _ | Agent _ -> decide_explained t ctx finish);
-        Trace.set_current tr saved);
+      let subject =
+        match List.assoc_opt "subject-id" subject_attrs with
+        | Some v -> Value.to_string v
+        | None -> "anonymous"
+      in
+      let ctx = build_context t ~subject_attrs ~action in
+      (* One span per enforcement, a child of the RPC server span; the
+         decision machinery below it (PDP calls, cache events) hangs off
+         this span via the ambient context. *)
+      let tr = tracer t in
+      let span = Trace.start_span tr "pep:enforce" in
+      Trace.annotate span "node" t.node;
+      Trace.annotate span "subject" subject;
+      Trace.annotate span "action" action;
+      let finish result (p : Provenance.t) =
+        Trace.annotate span "decision" (Decision.decision_to_string result.Decision.decision);
+        Trace.annotate span "stage" (Provenance.stage_name p.Provenance.stage);
+        enforce t ~subject ~action ~provenance:p result (fun response ->
+            Trace.finish tr span;
+            reply response)
+      in
+      let saved = Trace.current tr in
+      if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
+      (match t.mode with
+      | Push { trusted_issuer; check_revocation; local_pdp } ->
+        push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action ctx
+          (fun result -> finish result (Provenance.make ~at:(now t) Provenance.Capability))
+      | Pull _ | Sharded _ | Agent _ -> decide_explained t ctx finish);
+      Trace.set_current tr saved);
   t

@@ -67,20 +67,14 @@ let create services ~node ~name:_ =
      parts are ordinary AttributeQuery bodies: the RPC layer dispatches
      each part here, so one handler serves both shapes. *)
   Service.serve_frame services ~node ~service:"attribute-query" ~read:Wire.read_attribute_query
-    (fun ~caller:_ ~headers:_ body reply ->
+    (fun ~caller:_ ~headers:_ (category, id, subject) reply ->
       Metrics.inc t.c_lookups;
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok (category, id, subject) ->
-        let bag = lookup t ~category ~id ~subject in
-        reply (fun buf -> Wire.write_attribute_result buf bag));
+      let bag = lookup t ~category ~id ~subject in
+      reply (fun buf -> Wire.write_attribute_result buf bag));
   Service.serve_frame services ~node ~service:"attribute-subscribe" ~read:Wire.read_attribute_subscribe
-    (fun ~caller ~headers:_ body reply ->
-      match body with
-      | Error e -> reply (Service.sender_fault e)
-      | Ok () ->
-        if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
-        reply Wire.write_subscribe_ack);
+    (fun ~caller ~headers:_ () reply ->
+      if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
+      reply Wire.write_subscribe_ack);
   t
 
 let lookups_served t = Metrics.counter_value t.c_lookups

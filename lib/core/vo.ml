@@ -62,22 +62,6 @@ let issuer_key t issuer =
 
 let merged_audit t = Audit.merge (List.map Domain.audit t.domains)
 
-let pdp_tier t ~node ~shards ?batch ?vnodes ?service_time ?refresh ?root () =
-  if shards < 1 then invalid_arg "Vo.pdp_tier: shards must be >= 1";
-  let net = Service.net t.services in
-  let replicas =
-    List.init shards (fun i ->
-        let id = Printf.sprintf "%s.pdp.%d" t.name i in
-        Dacs_net.Net.add_node net id;
-        Pdp_service.create t.services ~node:id
-          ~name:(Printf.sprintf "%s-pdp-%d" t.name i)
-          ?root ~pap:(Pap.node t.vo_pap) ?refresh ?service_time ())
-  in
-  let tier =
-    Pdp_tier.create t.services ~node ~shards:(List.map Pdp_service.node replicas) ?batch ?vnodes ()
-  in
-  (tier, replicas)
-
 (* The caching mirror of policy syndication (Fig. 5): a VO-root cache
    node with every domain's shared L2 subscribed under it.  Invalidations
    push root -> domain -> PEP L1 along the same edges policy updates

@@ -38,24 +38,6 @@ val merged_audit : t -> Audit.t
 (** Consolidated, time-ordered audit view across all member domains
     (§3.2 management). *)
 
-val pdp_tier :
-  t ->
-  node:Dacs_net.Net.node_id ->
-  shards:int ->
-  ?batch:int ->
-  ?vnodes:int ->
-  ?service_time:float ->
-  ?refresh:Pdp_service.policy_refresh ->
-  ?root:Dacs_policy.Policy.child ->
-  unit ->
-  Pdp_tier.t * Pdp_service.t list
-(** Stand up [shards] PDP replicas ([<name>.pdp.0] …) bound to the VO
-    PAP and a {!Pdp_tier} dispatching to them from [node] (typically the
-    enforcement point's node).  [batch]/[vnodes] configure the tier,
-    [service_time]/[refresh]/[root] each replica (see
-    {!Pdp_service.create}).  Returns the tier and the replicas so callers
-    can install policies or crash individual shards. *)
-
 (** {1 Hierarchical caching} *)
 
 val cache_hierarchy : t -> ttl:float -> unit -> Cache_hierarchy.L2.t

@@ -773,3 +773,74 @@ let write_revocation_check buf ~assertion_id = write_leaf buf "RevocationCheck" 
 let read_revocation_check = total (fun c -> leaf1 c "RevocationCheck" "AssertionId")
 let write_revocation_status buf ~revoked = write_leaf buf "RevocationStatus" [ ("Revoked", string_of_bool revoked) ]
 let read_revocation_status = total (fun c -> boolean c "Revoked" (leaf1 c "RevocationStatus" "Revoked"))
+
+(* --- discovery (component <-> registry) ------------------------------------ *)
+
+let write_register buf ~kind ~node = write_leaf buf "Register" [ ("Kind", kind); ("Node", node) ]
+let read_register = total (fun c -> leaf2 c "Register" "Kind" "Node")
+let write_register_ack buf = write_leaf buf "RegisterAck" []
+let read_register_ack = total (leaf0 "RegisterAck")
+let write_discover buf ~kind = write_leaf buf "Discover" [ ("Kind", kind) ]
+let read_discover = total (fun c -> leaf1 c "Discover" "Kind")
+let write_endpoint buf node = write_leaf buf "Endpoint" [ ("Node", node) ]
+
+let write_endpoints buf nodes =
+  Buffer.add_string buf "<Endpoints";
+  end_with buf "Endpoints" write_endpoint nodes
+
+let read_endpoints =
+  total (fun c ->
+      let tag = enter_named c "Endpoints" in
+      end_attrs c tag;
+      children c tag (fun c -> leaf1 c "Endpoint" "Node"))
+
+(* --- identity assertions and trust negotiation -------------------------------- *)
+
+let write_attribute_assertion_request buf ~subject =
+  write_leaf buf "AttributeAssertionRequest" [ ("Subject", subject) ]
+
+let read_attribute_assertion_request = total (fun c -> leaf1 c "AttributeAssertionRequest" "Subject")
+let write_credential buf name = write_leaf buf "Credential" [ ("Name", name) ]
+let credential_in c = leaf1 c "Credential" "Name"
+
+let write_negotiate buf ~resource ~action ~subject credentials =
+  Buffer.add_string buf "<Negotiate";
+  add_attrs buf [ ("Resource", resource); ("Action", action); ("Subject", subject) ];
+  end_with buf "Negotiate" write_credential credentials
+
+let read_negotiate =
+  total (fun c ->
+      let tag = enter_named c "Negotiate" in
+      let resource = attr_named c tag "Resource" in
+      let action = attr_named c tag "Action" in
+      let subject = attr_named c tag "Subject" in
+      end_attrs c tag;
+      (resource, action, subject, children c tag credential_in))
+
+type negotiation_step =
+  | Issued of Dacs_saml.Assertion.t
+  | Continue of string list
+
+(* The granted capability keeps its tree codec inside the frame: its
+   signature covers the canonical assertion. *)
+let write_negotiate_response buf = function
+  | Issued assertion ->
+    Buffer.add_string buf "<NegotiateResponse Status=\"granted\">";
+    Xml.print buf (Dacs_saml.Assertion.to_xml assertion);
+    Buffer.add_string buf "</NegotiateResponse>"
+  | Continue credentials ->
+    Buffer.add_string buf "<NegotiateResponse Status=\"continue\"";
+    end_with buf "NegotiateResponse" write_credential credentials
+
+let assertion_in c =
+  match Dacs_saml.Assertion.of_xml (Cursor.subtree c) with Ok a -> a | Error e -> Cursor.fail c e
+
+let read_negotiate_response =
+  total (fun c ->
+      let tag = enter_named c "NegotiateResponse" in
+      let status = attr_named c tag "Status" in
+      end_attrs c tag;
+      match status with
+      | "granted" -> Issued (only_child c tag ~missing:"NegotiateResponse grants no Assertion" assertion_in)
+      | "continue" -> Continue (children c tag credential_in)
+      | other -> Cursor.fail c ("unknown negotiation status " ^ other))

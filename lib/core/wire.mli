@@ -1,10 +1,13 @@
 (** Wire vocabulary of the authorisation protocol.
 
     The XML bodies exchanged between components: access requests,
-    authorisation decision queries/responses, attribute queries, policy
-    fetches/updates, capability requests and revocation checks.  One
-    module so every component agrees on syntax — the interoperability
-    requirement of §3.2.
+    authorisation decision queries/responses, attribute queries, shared
+    cache traffic, policy fetches/updates, offline log sync, capability
+    requests and revocation checks, discovery, identity-assertion
+    requests and trust-negotiation rounds.  One module so every
+    component agrees on syntax — the interoperability requirement of
+    §3.2.  (Service descriptions sit below this library, so their frames
+    live in {!Dacs_ws.Wsdl}.)
 
     Every frame has one direct writer ([write_*], appending the body
     element to the frame being sent) and one pull-cursor reader
@@ -13,12 +16,15 @@
     never an exception.  They take attributes in the writer's order and
     nothing else, counts as non-negative decimals and timestamps as
     finite decimals, and only ever accept what a tree reading would,
-    with the same result.
+    with the same result.  A service hands its reader to
+    {!Dacs_ws.Service.serve_frame}, which answers a rejected body with a
+    Sender fault itself.
 
     Content that needs canonical XML keeps its tree codec inside a
-    frame: the policy of a policy response or update, and the signed
-    authorisation response.  The authorisation query and response also
-    keep a tree form: adapters over the same writer and reader. *)
+    frame: the policy of a policy response or update, the signed
+    authorisation response and the signed capability a negotiation
+    grants.  The authorisation query and response also keep a tree
+    form: adapters over the same writer and reader. *)
 
 module Xml = Dacs_xml.Xml
 
@@ -253,3 +259,43 @@ val write_revocation_check : Buffer.t -> assertion_id:string -> unit
 val read_revocation_check : Xml.Cursor.t -> (string, string) result
 val write_revocation_status : Buffer.t -> revoked:bool -> unit
 val read_revocation_status : Xml.Cursor.t -> (bool, string) result
+
+(** {1 Discovery (component ↔ registry)} *)
+
+val write_register : Buffer.t -> kind:string -> node:Dacs_net.Net.node_id -> unit
+(** A component advertises itself under [kind]; the registry accepts
+    only self-advertisements. *)
+
+val read_register : Xml.Cursor.t -> (string * Dacs_net.Net.node_id, string) result
+val write_register_ack : Buffer.t -> unit
+val read_register_ack : Xml.Cursor.t -> (unit, string) result
+val write_discover : Buffer.t -> kind:string -> unit
+val read_discover : Xml.Cursor.t -> (string, string) result
+
+val write_endpoints : Buffer.t -> Dacs_net.Net.node_id list -> unit
+(** The live advertisements of a kind, oldest registration first. *)
+
+val read_endpoints : Xml.Cursor.t -> (Dacs_net.Net.node_id list, string) result
+
+(** {1 Identity assertions and trust negotiation} *)
+
+val write_attribute_assertion_request : Buffer.t -> subject:string -> unit
+(** Asks an IdP for a signed attribute assertion about [subject]; the
+    answer is the assertion document itself. *)
+
+val read_attribute_assertion_request : Xml.Cursor.t -> (string, string) result
+
+val write_negotiate :
+  Buffer.t -> resource:string -> action:string -> subject:string -> string list -> unit
+(** One negotiation round: the client names the pair it wants and
+    itself, and discloses these credentials (by name). *)
+
+val read_negotiate : Xml.Cursor.t -> (string * string * string * string list, string) result
+(** The resource, action, subject and disclosed credentials. *)
+
+type negotiation_step =
+  | Issued of Dacs_saml.Assertion.t  (** the requirement is met: a signed capability *)
+  | Continue of string list  (** the credentials the server now discloses *)
+
+val write_negotiate_response : Buffer.t -> negotiation_step -> unit
+val read_negotiate_response : Xml.Cursor.t -> (negotiation_step, string) result

@@ -27,22 +27,21 @@ let raising read c = match read c with Ok v -> v | Error e -> Cursor.fail c e
 
 let read_slice (s : Rpc.slice) body = Soap.read s.Rpc.src s.Rpc.off s.Rpc.len body
 
-(* A message the body's reader rejected is read again as a tree: that
+(* A reply the body's reader rejected is read again as a tree: that
    tells a broken envelope (or a fault) from a well-formed body of the
    wrong shape.  Only failures pay for it. *)
 let reread s = read_slice s Cursor.subtree
 
-let sender_fault reason buf = Xml.print buf (Soap.fault_body { Soap.code = "soap:Sender"; reason })
+let fault code reason buf = Xml.print buf (Soap.fault_body { Soap.code; reason })
+let sender_fault = fault "soap:Sender"
+let receiver_fault = fault "soap:Receiver"
 
 let serve_frame t ~node ~service ~read handler =
   Rpc.serve_frame t.rpc ~node ~service (fun ~caller body reply ->
       let reply write = reply (fun buf -> Soap.write buf write) in
       match read_slice body (raising read) with
-      | Ok (headers, v) -> handler ~caller ~headers (Ok v) reply
-      | Error e -> (
-        match reread body with
-        | Error envelope_error -> reply (sender_fault envelope_error)
-        | Ok (headers, _) -> handler ~caller ~headers (Error e) reply))
+      | Ok (headers, v) -> handler ~caller ~headers v reply
+      | Error e -> reply (sender_fault e))
 
 let decode_reply read s =
   let body c = if Cursor.at_local_name c "Fault" then Cursor.fail c "SOAP fault" else raising read c in
@@ -65,26 +64,3 @@ let call_batch_frame t ~src ~dst ~service ?resilient ~read writes k =
     (function
       | Error e -> k (Error (Transport e))
       | Ok replies -> k (Ok (List.map (decode_reply read) replies)))
-
-(* --- the tree API: bodies as [Xml.t], over the frame API --------------- *)
-
-type handler =
-  caller:Dacs_net.Net.node_id ->
-  headers:Xml.t list ->
-  Xml.t ->
-  (Xml.t -> unit) ->
-  unit
-
-let tree c = Ok (Cursor.subtree c)
-let print body buf = Xml.print buf body
-
-let serve t ~node ~service (handler : handler) =
-  serve_frame t ~node ~service ~read:tree (fun ~caller ~headers body reply ->
-      match body with
-      | Ok body -> handler ~caller ~headers body (fun answer -> reply (print answer))
-      | Error e -> reply (sender_fault e))
-
-let untree = function Ok (Ok body) -> Ok body | Ok (Error e) -> Error (Malformed e) | Error e -> Error e
-
-let call t ~src ~dst ~service ?timeout ?resilient ?headers body k =
-  call_frame t ~src ~dst ~service ?timeout ?resilient ?headers ~read:tree (print body) (fun r -> k (untree r))

@@ -1,9 +1,12 @@
 (** SOAP services over the simulated network.
 
-    Registers named endpoints on nodes; handlers receive the request body
-    element and reply with a body element (or a fault).  All access-control
-    components — PEP, PDP, PAP, PIP, capability service — are exposed this
-    way, matching the paper's SOA deployment model. *)
+    Registers named endpoints on nodes.  Every service a node offers —
+    PEP, PDP, PAP, PIP, capability service, discovery, IdP, trust
+    negotiation, description registry — declares one total reader for
+    its request body; the handler gets the value that reader read and
+    answers with the writer of its response body (or of a fault).  This
+    matches the paper's SOA deployment model, with every inbound byte
+    behind one reader. *)
 
 type t
 
@@ -29,16 +32,20 @@ val error_to_string : error -> string
     The one transport path.  A request body is written straight into the
     RPC frame inside its SOAP envelope, and a received body is read by a
     pull cursor over the bytes that arrived ({!Soap.read}) — no tree, no
-    intermediate string.  Every [Wire] frame uses this API with its own
-    writer and reader; the tree API below is a thin adapter over it for
-    services whose bodies are whole documents (SAML, WSDL). *)
+    intermediate string.  Bodies whose content is a whole document (a
+    signed assertion, a policy, a service description) print and read
+    that document as a tree inside their frame. *)
 
 type 'a reader = Dacs_xml.Xml.Cursor.t -> ('a, string) result
 (** Reads one body element from its ['<'].  [Error] rejects the body. *)
 
 val sender_fault : string -> Buffer.t -> unit
-(** The writer of a [soap:Sender] fault body with this reason — how a
-    frame handler rejects a request it could not read. *)
+(** The writer of a [soap:Sender] fault body with this reason: the
+    request was at fault. *)
+
+val receiver_fault : string -> Buffer.t -> unit
+(** The writer of a [soap:Receiver] fault body with this reason: the
+    request was understood but the service cannot answer it. *)
 
 val serve_frame :
   t ->
@@ -47,16 +54,16 @@ val serve_frame :
   read:'a reader ->
   (caller:Dacs_net.Net.node_id ->
   headers:Dacs_xml.Xml.t list ->
-  ('a, string) result ->
+  'a ->
   ((Buffer.t -> unit) -> unit) ->
   unit) ->
   unit
 (** [serve_frame t ~node ~service ~read handler]: [handler ~caller
-    ~headers body reply] gets the request read by [read] ([Error] when
-    [read] rejected a body in a well-formed envelope) and must call
+    ~headers body reply] gets the request [read] read and must call
     [reply] exactly once with the writer of its response body element.
-    A malformed request envelope is answered with a [soap:Sender] fault
-    without invoking the handler. *)
+    A request [read] rejects, or whose envelope is malformed, never
+    reaches the handler: it is answered with a {!sender_fault} carrying
+    the reader's error. *)
 
 val call_frame :
   t ->
@@ -94,33 +101,3 @@ val call_batch_frame :
     transport failure the whole batch fails with [Error (Transport _)] —
     there are no partial deliveries.  The frame carries no SOAP headers
     and waits 1 s for its reply. *)
-
-(** {1 Tree bodies} *)
-
-type handler =
-  caller:Dacs_net.Net.node_id ->
-  headers:Dacs_xml.Xml.t list ->
-  Dacs_xml.Xml.t ->
-  (Dacs_xml.Xml.t -> unit) ->
-  unit
-(** [handler ~caller ~headers body reply]: call [reply] exactly once with
-    the response body element. *)
-
-val serve : t -> node:Dacs_net.Net.node_id -> service:string -> handler -> unit
-(** {!serve_frame} with tree bodies.  Malformed request envelopes are
-    answered with a SOAP fault without invoking the handler. *)
-
-val call :
-  t ->
-  src:Dacs_net.Net.node_id ->
-  dst:Dacs_net.Net.node_id ->
-  service:string ->
-  ?timeout:float ->
-  ?resilient:Dacs_net.Rpc.retry_policy ->
-  ?headers:Dacs_xml.Xml.t list ->
-  Dacs_xml.Xml.t ->
-  ((Dacs_xml.Xml.t, error) result -> unit) ->
-  unit
-(** {!call_frame} with tree bodies: send a body element, receive the
-    response body element.  Faults and transport failures surface as
-    [Error]. *)

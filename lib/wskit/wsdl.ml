@@ -101,47 +101,67 @@ let unmet t ~subject_attributes ~capabilities_from ~will_sign =
       | Responses_encrypted -> false)
     t.assertions
 
+(* --- frames ---------------------------------------------------------------- *)
+
+module Cursor = Xml.Cursor
+
+(* The description keeps its tree codec inside the frame. *)
+let write_service_description buf d = Xml.print buf (to_xml d)
+
+let read_service_description c =
+  Cursor.read c (fun c -> match of_xml (Cursor.subtree c) with Ok d -> d | Error e -> Cursor.fail c e)
+
+(* The childless request and acknowledgement, read as they are written:
+   the one attribute, if any, and nothing else. *)
+let enter_leaf c name =
+  let tag = Cursor.enter c in
+  if not (Cursor.has_local_name c tag name) then
+    Cursor.fail c (Printf.sprintf "expected <%s>, got <%s>" name (Cursor.tag_name c tag));
+  tag
+
+let end_leaf c tag =
+  if Cursor.next_attr c tag then
+    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag));
+  Cursor.close c tag
+
+let write_description_query buf ~service =
+  Xml.print buf (Xml.element "DescriptionQuery" ~attrs:[ ("Service", service) ])
+
+let read_description_query c =
+  Cursor.read c (fun c ->
+      let tag = enter_leaf c "DescriptionQuery" in
+      if not (Cursor.next_attr c tag && Cursor.attr_is c "Service") then
+        Cursor.fail c "<DescriptionQuery> expects attribute Service";
+      let service = Cursor.value c in
+      end_leaf c tag;
+      service)
+
+let write_publish_ack buf = Xml.print buf (Xml.element "PublishAck")
+let read_publish_ack c = Cursor.read c (fun c -> end_leaf c (enter_leaf c "PublishAck"))
+
 (* --- registry ----------------------------------------------------------- *)
 
 type registry = { descriptions : (string, t) Hashtbl.t }
 
 let lookup r ~service = Hashtbl.find_opt r.descriptions service
 
-let publish_local r d = Hashtbl.replace r.descriptions d.service d
-
 let create_registry services ~node =
   let r = { descriptions = Hashtbl.create 16 } in
-  Service.serve services ~node ~service:"wsdl-publish" (fun ~caller ~headers:_ body reply ->
-      match of_xml body with
-      | Error e -> reply (Soap.fault_body { Soap.code = "soap:Sender"; reason = e })
-      | Ok d ->
-        if d.endpoint <> caller then
-          reply
-            (Soap.fault_body
-               {
-                 Soap.code = "soap:Sender";
-                 reason = "services may only publish their own descriptions";
-               })
-        else begin
-          publish_local r d;
-          reply (Dacs_xml.Xml.element "PublishAck")
-        end);
-  Service.serve services ~node ~service:"wsdl-query" (fun ~caller:_ ~headers:_ body reply ->
-      match Xml.attr body "Service" with
-      | None ->
-        reply (Soap.fault_body { Soap.code = "soap:Sender"; reason = "query names no service" })
-      | Some service -> (
-        match lookup r ~service with
-        | Some d -> reply (to_xml d)
-        | None ->
-          reply
-            (Soap.fault_body { Soap.code = "soap:Receiver"; reason = "unknown service" })));
+  Service.serve_frame services ~node ~service:"wsdl-publish" ~read:read_service_description
+    (fun ~caller ~headers:_ d reply ->
+      if d.endpoint <> caller then reply (Service.sender_fault "services may only publish their own descriptions")
+      else begin
+        Hashtbl.replace r.descriptions d.service d;
+        reply write_publish_ack
+      end);
+  Service.serve_frame services ~node ~service:"wsdl-query" ~read:read_description_query
+    (fun ~caller:_ ~headers:_ service reply ->
+      match lookup r ~service with
+      | Some d -> reply (fun buf -> write_service_description buf d)
+      | None -> reply (Service.receiver_fault "unknown service"));
   r
 
 let fetch services ~registry ~caller ~service k =
-  Service.call services ~src:caller ~dst:registry ~service:"wsdl-query"
-    (Xml.element "DescriptionQuery" ~attrs:[ ("Service", service) ])
-    (fun response ->
-      match response with
-      | Error e -> k (Error (Service.error_to_string e))
-      | Ok body -> k (of_xml body))
+  Service.call_frame services ~src:caller ~dst:registry ~service:"wsdl-query" ~read:read_service_description
+    (fun buf -> write_description_query buf ~service)
+    (function Ok read -> k read | Error e -> k (Error (Service.error_to_string e)))

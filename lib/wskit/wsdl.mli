@@ -40,13 +40,28 @@ val unmet :
 (** Which of the description's requirements the caller cannot satisfy
     ([Responses_encrypted] is informational and never unmet). *)
 
+(** {1 Frames}
+
+    The bodies of the registry's two services, each with one writer and
+    one total reader (see {!Service.reader}).  A description keeps its
+    tree codec ({!to_xml}, {!of_xml}) inside its frame. *)
+
+val write_service_description : Buffer.t -> t -> unit
+val read_service_description : t Service.reader
+val write_description_query : Buffer.t -> service:string -> unit
+val read_description_query : string Service.reader
+val write_publish_ack : Buffer.t -> unit
+val read_publish_ack : unit Service.reader
+
 (** {1 Description registry} *)
 
 type registry
 
 val create_registry : Service.t -> node:Dacs_net.Net.node_id -> registry
-(** Serves ["wsdl-publish"] (self-descriptions only, like discovery) and
-    ["wsdl-query"] ([<DescriptionQuery Service="..."/>]). *)
+(** Serves ["wsdl-publish"] (a {!write_service_description} body,
+    self-descriptions only, like discovery) and ["wsdl-query"] (a
+    {!write_description_query} body; an unknown service earns a
+    [soap:Receiver] fault). *)
 
 val lookup : registry -> service:string -> t option
 

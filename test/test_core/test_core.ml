@@ -473,9 +473,11 @@ let role_condition_policy resource =
        ])
 
 let authz_call services ~src ~dst ctx k =
-  Service.call services ~src ~dst ~service:"authz-query" (Wire.authz_query ctx) (fun r ->
+  Service.call_frame services ~src ~dst ~service:"authz-query" ~read:Wire.read_authz_response
+    (fun buf -> Wire.write_authz_query buf ctx)
+    (fun r ->
       match r with
-      | Ok body -> k (Wire.parse_authz_response body)
+      | Ok body -> k (Result.map fst body)
       | Error e -> k (Error (Service.error_to_string e)))
 
 let test_pdp_service_basic () =
@@ -646,14 +648,21 @@ let test_idp () =
   check bool_ "unknown" true (Idp.issue idp ~user:"bob" = None);
   (* Network path. *)
   let caller = add_node net "c" in
-  let got = ref None in
-  Service.call services ~src:caller ~dst:"idp" ~service:"attribute-assertion"
-    (Xml.element "AttributeAssertionRequest" ~attrs:[ ("Subject", "alice") ])
-    (fun r -> got := Some r);
-  Net.run net;
-  match !got with
-  | Some (Ok body) -> check bool_ "assertion over wire" true (Result.is_ok (Dacs_saml.Assertion.of_xml body))
-  | _ -> Alcotest.fail "no reply"
+  let ask subject =
+    let got = ref None in
+    Service.call_frame services ~src:caller ~dst:"idp" ~service:"attribute-assertion"
+      ~read:(fun c -> Dacs_saml.Assertion.of_xml (Xml.Cursor.subtree c))
+      (fun buf -> Wire.write_attribute_assertion_request buf ~subject)
+      (fun r -> got := Some r);
+    Net.run net;
+    !got
+  in
+  (match ask "alice" with
+  | Some (Ok body) -> check bool_ "assertion over wire" true (Result.is_ok body)
+  | _ -> Alcotest.fail "no reply");
+  match ask "bob" with
+  | Some (Error (Service.Fault f)) -> check string_ "unknown subject over wire" "soap:Receiver" f.Dacs_ws.Soap.code
+  | _ -> Alcotest.fail "expected a fault for an unknown subject"
 
 (* --- pep: pull mode ---------------------------------------------------------------------- *)
 
@@ -947,13 +956,13 @@ let client_rejects_undecodable_capability wire_of () =
   let net, services, cas, pep, client = push_setup () in
   (* A capability service that answers with a corrupted capability. *)
   let rogue = add_node net "rogue-cas" in
-  Service.serve services ~node:rogue ~service:"capability-request"
+  Service.serve_frame services ~node:rogue ~service:"capability-request" ~read:Wire.read_capability_request
     (fun ~caller:_ ~headers:_ _ reply ->
-      reply
-        (corrupt_signature_value
-           (wire_of
-              (Capability_service.issue cas ~subject:(doctor_subject "alice")
-                 ~pairs:[ ("r", "read") ]))));
+      let corrupted =
+        corrupt_signature_value
+          (wire_of (Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ]))
+      in
+      reply (fun buf -> Xml.print buf corrupted));
   let got = ref None in
   Client.request_with_capability client ~capability_service:rogue ~pep:"pep" ~resource:"r"
     ~action:"read" (fun r -> got := Some r);

@@ -44,19 +44,20 @@ let doctor_read_policy resource =
 
 (* --- discovery registry ------------------------------------------------ *)
 
+(* [src] asks the registry to list [node] under "pdp". *)
+let register services ~src ~node k =
+  Service.call_frame services ~src ~dst:"registry" ~service:"register" ~read:Wire.read_register_ack
+    (fun buf -> Wire.write_register buf ~kind:"pdp" ~node)
+    k
+
 let test_registry_register_and_lookup () =
   let net, services = fresh () in
   Net.add_node net "registry";
   Net.add_node net "pdp1";
   Net.add_node net "pdp2";
   let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
-  let register src =
-    Service.call services ~src ~dst:"registry" ~service:"register"
-      (Discovery.register_body ~kind:"pdp" ~node:src)
-      (fun _ -> ())
-  in
-  register "pdp1";
-  register "pdp2";
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
+  register services ~src:"pdp2" ~node:"pdp2" ignore;
   Net.run net;
   check (Alcotest.list string_) "both listed, registration order" [ "pdp1"; "pdp2" ]
     (Discovery.lookup reg ~kind:"pdp");
@@ -68,9 +69,7 @@ let test_registry_lease_expiry () =
   Net.add_node net "registry";
   Net.add_node net "pdp1";
   let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
-  Service.call services ~src:"pdp1" ~dst:"registry" ~service:"register"
-    (Discovery.register_body ~kind:"pdp" ~node:"pdp1")
-    (fun _ -> ());
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
   Net.run net;
   check int_ "listed" 1 (List.length (Discovery.lookup reg ~kind:"pdp"));
   (* Jump past the lease without renewal: gone. *)
@@ -84,9 +83,7 @@ let test_registry_rejects_proxy_advertisement () =
   Net.add_node net "mallory";
   let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
   let got = ref None in
-  Service.call services ~src:"mallory" ~dst:"registry" ~service:"register"
-    (Discovery.register_body ~kind:"pdp" ~node:"somebody-else")
-    (fun r -> got := Some r);
+  register services ~src:"mallory" ~node:"somebody-else" (fun r -> got := Some r);
   Net.run net;
   (match !got with
   | Some (Error (Service.Fault _)) -> ()
@@ -99,20 +96,16 @@ let test_discover_service () =
   Net.add_node net "pdp1";
   Net.add_node net "pep";
   ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
-  Service.call services ~src:"pdp1" ~dst:"registry" ~service:"register"
-    (Discovery.register_body ~kind:"pdp" ~node:"pdp1")
-    (fun _ -> ());
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
   Net.run net;
   let got = ref None in
-  Service.call services ~src:"pep" ~dst:"registry" ~service:"discover"
-    (Discovery.discover_body ~kind:"pdp")
+  Service.call_frame services ~src:"pep" ~dst:"registry" ~service:"discover" ~read:Wire.read_endpoints
+    (fun buf -> Wire.write_discover buf ~kind:"pdp")
     (fun r -> got := Some r);
   Net.run net;
   match !got with
-  | Some (Ok body) -> (
-    match Discovery.parse_endpoints body with
-    | Ok eps -> check (Alcotest.list string_) "endpoints" [ "pdp1" ] eps
-    | Error e -> Alcotest.fail e)
+  | Some (Ok (Ok eps)) -> check (Alcotest.list string_) "endpoints" [ "pdp1" ] eps
+  | Some (Ok (Error e)) -> Alcotest.fail e
   | _ -> Alcotest.fail "no reply"
 
 let test_advertise_keeps_entry_alive () =
@@ -381,15 +374,13 @@ let test_negotiation_undecodable_grant () =
     Net.run net;
     !got
   in
-  Service.serve services ~node:"traust" ~service:"negotiate" (fun ~caller:_ ~headers:_ _ reply ->
-      reply
-        (Xml.element "NegotiateResponse" ~attrs:[ ("Status", "granted") ]
-           ~children:
-             [
-               Xml.of_string
-                 "<Assertion ID=\"a\" Issuer=\"traust\" Subject=\"zoe\" IssueInstant=\"0\" \
-                  NotBefore=\"0\" NotOnOrAfter=\"100\"><SignatureValue>!!!!</SignatureValue></Assertion>";
-             ]));
+  Service.serve_frame services ~node:"traust" ~service:"negotiate" ~read:Wire.read_negotiate
+    (fun ~caller:_ ~headers:_ _ reply ->
+      reply (fun buf ->
+          Buffer.add_string buf
+            "<NegotiateResponse Status=\"granted\"><Assertion ID=\"a\" Issuer=\"traust\" Subject=\"zoe\" \
+             IssueInstant=\"0\" NotBefore=\"0\" NotOnOrAfter=\"100\"><SignatureValue>!!!!</SignatureValue>\
+             </Assertion></NegotiateResponse>"));
   (match negotiate () with
   | Some { Negotiation_service.granted = None; rounds = 1; _ } -> ()
   | _ -> Alcotest.fail "an undecodable capability is no grant");

@@ -245,35 +245,40 @@ let make_services () =
   let svc = Service.create (Dacs_net.Rpc.create net) in
   (net, svc)
 
+(* Test bodies as whole trees: read by [tree], written by [print]. *)
+let tree c = Xml.Cursor.read c Xml.Cursor.subtree
+let print node buf = Xml.print buf node
+
 let test_service_roundtrip () =
   let net, svc = make_services () in
-  Service.serve svc ~node:"server" ~service:"echo" (fun ~caller:_ ~headers:_ body reply ->
-      reply (Xml.element "EchoResponse" ~children:[ Xml.text (Xml.text_content body) ]));
+  Service.serve_frame svc ~node:"server" ~service:"echo" ~read:tree (fun ~caller:_ ~headers:_ body reply ->
+      reply (print (Xml.element "EchoResponse" ~children:[ Xml.text (Xml.text_content body) ])));
   let result = ref None in
-  Service.call svc ~src:"client" ~dst:"server" ~service:"echo"
-    (Xml.element "Echo" ~children:[ Xml.text "hello" ])
+  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"echo" ~read:tree
+    (print (Xml.element "Echo" ~children:[ Xml.text "hello" ]))
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
   match !result with
-  | Some (Ok body) ->
+  | Some (Ok (Ok body)) ->
     check string_ "tag" "EchoResponse" (Xml.tag body);
     check string_ "content" "hello" (Xml.text_content body)
+  | Some (Ok (Error e)) -> Alcotest.fail e
   | Some (Error e) -> Alcotest.fail (Service.error_to_string e)
   | None -> Alcotest.fail "no reply"
 
 let test_service_headers_delivered () =
   let net, svc = make_services () in
   let seen = ref [] in
-  Service.serve svc ~node:"server" ~service:"s" (fun ~caller ~headers body reply ->
+  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller ~headers body reply ->
       seen := (caller, List.map Xml.tag headers) :: !seen;
-      reply body);
+      reply (print body));
   let result = ref None in
-  Service.call svc ~src:"client" ~dst:"server" ~service:"s"
+  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree
     ~headers:[ Xml.element "Security"; Xml.element "Routing" ]
-    (Xml.element "Q")
+    (print (Xml.element "Q"))
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
-  check bool_ "replied" true (match !result with Some (Ok _) -> true | _ -> false);
+  check bool_ "replied" true (match !result with Some (Ok (Ok _)) -> true | _ -> false);
   match !seen with
   | [ (caller, tags) ] ->
     check string_ "caller" "client" caller;
@@ -282,48 +287,67 @@ let test_service_headers_delivered () =
 
 let test_service_fault_propagation () =
   let net, svc = make_services () in
-  Service.serve svc ~node:"server" ~service:"s" (fun ~caller:_ ~headers:_ _ reply ->
-      reply (Soap.fault_body { Soap.code = "soap:Receiver"; reason = "not authorised" }));
+  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller:_ ~headers:_ _ reply ->
+      reply (Service.receiver_fault "not authorised"));
   let result = ref None in
-  Service.call svc ~src:"client" ~dst:"server" ~service:"s" (Xml.element "Q") (fun r -> result := Some r);
+  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree (print (Xml.element "Q")) (fun r ->
+      result := Some r);
   Dacs_net.Net.run net;
   match !result with
-  | Some (Error (Service.Fault f)) -> check string_ "reason" "not authorised" f.Soap.reason
+  | Some (Error (Service.Fault f)) ->
+    check string_ "code" "soap:Receiver" f.Soap.code;
+    check string_ "reason" "not authorised" f.Soap.reason
   | _ -> Alcotest.fail "expected a fault"
 
 let test_service_transport_error () =
   let net, svc = make_services () in
-  Service.serve svc ~node:"server" ~service:"s" (fun ~caller:_ ~headers:_ body reply -> reply body);
+  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller:_ ~headers:_ body reply ->
+      reply (print body));
   Dacs_net.Net.crash net "server";
   let result = ref None in
-  Service.call svc ~src:"client" ~dst:"server" ~service:"s" ~timeout:0.5 (Xml.element "Q") (fun r ->
-      result := Some r);
+  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~timeout:0.5 ~read:tree (print (Xml.element "Q"))
+    (fun r -> result := Some r);
   Dacs_net.Net.run net;
   match !result with
   | Some (Error (Service.Transport Dacs_net.Rpc.Timeout)) -> ()
   | _ -> Alcotest.fail "expected a transport timeout"
 
 let test_service_malformed_request_faults () =
-  (* A raw RPC payload that is not a SOAP envelope earns a fault, not a
-     handler invocation. *)
+  (* Neither a raw RPC payload that is not a SOAP envelope nor a
+     well-formed envelope whose body the service's reader rejects
+     reaches the handler: both earn a soap:Sender fault, the second
+     carrying the reader's error. *)
   let net, svc = make_services () in
   let invoked = ref false in
-  Service.serve svc ~node:"server" ~service:"s" (fun ~caller:_ ~headers:_ _ reply ->
+  let read_q c =
+    Result.bind (tree c) (fun body ->
+        if Xml.tag body = "Q" then Ok body else Error (Printf.sprintf "expected <Q>, got <%s>" (Xml.tag body)))
+  in
+  Service.serve_frame svc ~node:"server" ~service:"s" ~read:read_q (fun ~caller:_ ~headers:_ _ reply ->
       invoked := true;
-      reply (Xml.element "R"));
+      reply (print (Xml.element "R")));
   let result = ref None in
   Dacs_net.Rpc.call_frame (Service.rpc svc) ~src:"client" ~dst:"server" ~service:"s"
     (fun buf -> Buffer.add_string buf "not soap")
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
   check bool_ "handler skipped" false !invoked;
-  match !result with
+  (match !result with
   | Some (Ok reply) -> (
     match Soap.parse (Dacs_net.Rpc.slice_to_string reply) with
     | Ok env -> check bool_ "fault body" true (Soap.fault_of_body env.Soap.body <> None)
     | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "expected a reply"
-
+  | _ -> Alcotest.fail "expected a reply");
+  let rejected = ref None in
+  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree (print (Xml.element "P")) (fun r ->
+      rejected := Some r);
+  Dacs_net.Net.run net;
+  check bool_ "handler skipped for a rejected body" false !invoked;
+  match !rejected with
+  | Some (Error (Service.Fault f)) ->
+    check string_ "sender fault" "soap:Sender" f.Soap.code;
+    check string_ "the reader's error" "expected <Q>, got <P>" f.Soap.reason
+  | _ -> Alcotest.fail "expected a sender fault"
 
 (* --- wsdl / ws-policy ------------------------------------------------------------ *)
 
@@ -372,17 +396,18 @@ let test_wsdl_registry () =
   let reg = Wsdl.create_registry svc ~node:"registry" in
   (* Publishing someone else's endpoint is refused. *)
   let refused = ref None in
-  Service.call svc ~src:"client" ~dst:"registry" ~service:"wsdl-publish"
-    (Wsdl.to_xml sample_description)
-    (fun r -> refused := Some r);
+  let publish src k =
+    Service.call_frame svc ~src ~dst:"registry" ~service:"wsdl-publish" ~read:Wsdl.read_publish_ack
+      (fun buf -> Wsdl.write_service_description buf sample_description)
+      k
+  in
+  publish "client" (fun r -> refused := Some r);
   Dacs_net.Net.run net;
   (match !refused with
   | Some (Error (Service.Fault _)) -> ()
   | _ -> Alcotest.fail "expected third-party publish to be refused");
   (* The owner publishes successfully. *)
-  Service.call svc ~src:"hospital.pep.records" ~dst:"registry" ~service:"wsdl-publish"
-    (Wsdl.to_xml sample_description)
-    (fun _ -> ());
+  publish "hospital.pep.records" ignore;
   Dacs_net.Net.run net;
   check bool_ "stored" true (Wsdl.lookup reg ~service:"patient-records" <> None);
   (* A client fetches and pre-checks its own readiness. *)

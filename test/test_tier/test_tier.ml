@@ -159,33 +159,6 @@ let test_batching () =
   check bool_ "batched frames on the wire" true
     (Metrics.sum_counter (Service.metrics fx.services) "rpc_batches_total" >= 3)
 
-(* A VO stands up a tier whose replicas take their policy from the VO
-   PAP: every shard is named after the VO, and the tier decides what the
-   VO published. *)
-let test_vo_tier () =
-  let net = Net.create ~seed:7L () in
-  let services = Service.create (Rpc.create net) in
-  let vo = Vo.form services ~name:"vo" [ Domain.create services ~name:"org" () ] in
-  Vo.publish_policy vo (doctor_policy "r");
-  Net.run net;
-  Net.add_node net "pep";
-  let tier, replicas = Vo.pdp_tier vo ~node:"pep" ~shards:3 ~batch:4 () in
-  check (Alcotest.list string_) "replica nodes" [ "vo.pdp.0"; "vo.pdp.1"; "vo.pdp.2" ]
-    (List.map Pdp_service.node replicas);
-  let answers = ref [] in
-  List.iter
-    (fun user -> Pdp_tier.decide tier (ctx_for user "read") (fun r -> answers := r :: !answers))
-    [ "alice"; "bob"; "carol"; "dave" ];
-  Net.run net;
-  check int_ "every query answered" 4 (List.length !answers);
-  List.iter
-    (function
-      | Ok r ->
-        check bool_ "the VO policy permits doctors" true
-          (Decision.equal_decision r.Decision.decision Decision.Permit)
-      | Error e -> Alcotest.failf "tier failed: %s" e)
-    !answers
-
 (* --- failover ----------------------------------------------------------------- *)
 
 let test_failover () =
@@ -529,7 +502,6 @@ let () =
         [
           Alcotest.test_case "shard loss only remaps its own keys" `Quick test_ring_remap;
           Alcotest.test_case "same-instant queries coalesce into frames" `Quick test_batching;
-          Alcotest.test_case "a VO tier decides the VO's published policy" `Quick test_vo_tier;
         ] );
       ( "resilience",
         [

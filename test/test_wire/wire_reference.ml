@@ -1,12 +1,15 @@
-(* The tree codecs of every Wire frame, as they stood before the frame
-   was written and read in place: the per-decision frames, the tree
-   printers of the offline log-event frames, and the tree builders and
-   readers of every other frame.  Every body below is the former library
+(* The tree codecs of every Wire frame, and of the description
+   registry's frames in Wsdl, as they stood before the frame was written
+   and read in place: the per-decision frames, the tree printers of the
+   offline log-event frames, and the tree builders and readers of every
+   other frame.  Every body below is the former library
    code, moved here verbatim as the oracle that [test_wire] compares the
    direct writers and cursor readers against.  Module prefixes were
    adjusted to the test's scope, and the log-event printers take the
    typed event, mapping each kind to the kind name and field list the
-   former record carried ([kind_fields]); nothing else changed. *)
+   former record carried ([kind_fields]), and the readings the tree
+   services made inside their handlers are lifted out as functions
+   returning a [result]; nothing else changed. *)
 
 module Xml = Dacs_xml.Xml
 module Value = Dacs_policy.Value
@@ -663,6 +666,98 @@ let policy_update_ack ~version = Xml.element "PolicyUpdateAck" ~attrs:[ ("Versio
 let subscribe_ack = Xml.element "SubscribeAck"
 let invalidate_ack = Xml.element "InvalidateAck"
 let cache_put_ack = Xml.element "CachePutAck"
+
+(* --- the services that spoke trees: Discovery, Idp, Negotiation_service, Wsdl --- *)
+
+(* Their bodies' former tree builders, and the readings their handlers
+   and clients made of a body, lifted out of the handler as a function
+   that returns what the handler went on with.  The negotiation
+   handler's reading took the caller as the default subject, so its
+   oracle takes one too. *)
+
+let register_body ~kind ~node =
+  Xml.element "Register" ~attrs:[ ("Kind", kind); ("Node", node) ]
+
+let parse_register body =
+  match (Xml.attr body "Kind", Xml.attr body "Node") with
+  | Some kind, Some advertised -> Ok (kind, advertised)
+  | _ -> Error "Register needs Kind and Node"
+
+let register_ack = Xml.element "RegisterAck"
+
+let discover_body ~kind = Xml.element "Discover" ~attrs:[ ("Kind", kind) ]
+
+let parse_discover body =
+  match Xml.attr body "Kind" with
+  | Some kind -> Ok kind
+  | None -> Error "Discover needs Kind"
+
+let endpoints_body nodes =
+  Xml.element "Endpoints"
+    ~children:(List.map (fun n -> Xml.element "Endpoint" ~attrs:[ ("Node", n) ]) nodes)
+
+let parse_endpoints body =
+  if Xml.local_name (Xml.tag body) <> "Endpoints" then Error "expected Endpoints"
+  else
+    Ok
+      (List.filter_map
+         (fun e -> Xml.attr e "Node")
+         (Xml.find_children body "Endpoint"))
+
+let attribute_assertion_request ~subject = Xml.element "AttributeAssertionRequest" ~attrs:[ ("Subject", subject) ]
+
+let parse_attribute_assertion_request body =
+  match Dacs_xml.Xml.attr body "Subject" with
+  | None -> Error "request names no subject"
+  | Some user -> Ok user
+
+let credential_elements names =
+  List.map (fun n -> Xml.element "Credential" ~attrs:[ ("Name", n) ]) names
+
+let credential_names body =
+  List.filter_map (fun c -> Xml.attr c "Name") (Xml.find_children body "Credential")
+
+let negotiate ~resource ~action ~subject_name unlocked =
+  Xml.element "Negotiate"
+    ~attrs:[ ("Resource", resource); ("Action", action); ("Subject", subject_name) ]
+    ~children:(credential_elements unlocked)
+
+let parse_negotiate ~caller body =
+  match (Xml.attr body "Resource", Xml.attr body "Action") with
+  | Some resource, Some action ->
+    let subject_name =
+      Option.value (Xml.attr body "Subject") ~default:caller
+    in
+    Ok (resource, action, subject_name, credential_names body)
+  | _ -> Error "Negotiate needs Resource and Action"
+
+let negotiate_granted assertion =
+  Xml.element "NegotiateResponse"
+    ~attrs:[ ("Status", "granted") ]
+    ~children:[ Dacs_saml.Assertion.to_xml assertion ]
+
+let negotiate_continue unlocked =
+  Xml.element "NegotiateResponse"
+    ~attrs:[ ("Status", "continue") ]
+    ~children:(credential_elements unlocked)
+
+let parse_negotiate_response reply_body =
+  match Xml.attr reply_body "Status" with
+  | Some "granted" -> (
+    match Option.map Dacs_saml.Assertion.of_xml (Xml.find_child reply_body "Assertion") with
+    | Some (Ok assertion) -> Ok (Wire.Issued assertion)
+    | _ -> Error "granted without a readable Assertion")
+  | Some "continue" -> Ok (Wire.Continue (credential_names reply_body))
+  | _ -> Error "unknown Status"
+
+let description_query ~service = Xml.element "DescriptionQuery" ~attrs:[ ("Service", service) ]
+
+let parse_description_query body =
+  match Xml.attr body "Service" with
+  | None -> Error "query names no service"
+  | Some service -> Ok service
+
+let publish_ack = Dacs_xml.Xml.element "PublishAck"
 
 (* --- Soap: the envelope ---------------------------------------------------- *)
 

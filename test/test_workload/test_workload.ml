@@ -269,13 +269,12 @@ let test_pdp_max_inflight () =
   in
   let answers = ref [] in
   let ask tag =
-    Service.call services ~src:"client" ~dst:"pdp.0" ~service:"authz-query"
-      (Wire.authz_query (ctx_for tag)) (fun reply ->
+    Service.call_frame services ~src:"client" ~dst:"pdp.0" ~service:"authz-query" ~read:Wire.read_authz_response
+      (fun buf -> Wire.write_authz_query buf (ctx_for tag))
+      (fun reply ->
         match reply with
-        | Ok body -> (
-          match Wire.parse_authz_response body with
-          | Ok r -> answers := (tag, r) :: !answers
-          | Error e -> Alcotest.fail e)
+        | Ok (Ok (r, _)) -> answers := (tag, r) :: !answers
+        | Ok (Error e) -> Alcotest.fail e
         | Error _ -> Alcotest.fail "transport error")
   in
   ask "a";
