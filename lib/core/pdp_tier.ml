@@ -5,7 +5,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Metrics = Dacs_telemetry.Metrics
 module Trace = Dacs_telemetry.Trace
-module Sha256 = Dacs_crypto.Sha256
 
 type stats = {
   dispatched : int;
@@ -27,12 +26,12 @@ type meta = {
   epoch : int;
 }
 
-(* One queued authorisation query: its ring point (the hash of its
-   routing key, computed once) survives re-routing, and [excluded]
-   accumulates the shards that already failed it so a remap never
-   bounces back to a dead replica. *)
+(* One queued authorisation query: its point (the hash of its routing
+   key, computed once) survives re-routing, and [excluded] accumulates
+   the shards that already failed it so a remap never bounces back to a
+   dead replica. *)
 type item = {
-  point : string;
+  point : int;
   ctx : Context.t;
   deliver : (Decision.result, string) result -> meta -> unit;
   excluded : Dacs_net.Net.node_id list;
@@ -74,8 +73,9 @@ type t = {
   services : Service.t;
   node : Dacs_net.Net.node_id;
   batch : int;
-  vnodes : int;
-  mutable trust : Dacs_crypto.Cert.Trust_store.t option;
+  (* The per-query answer decoder: [Wire.read_authz_answer], given the
+     trust store once [require_signed_decisions] is called. *)
+  mutable read_answer : now:float -> Xml.Cursor.t -> (Decision.result * int, string) result;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
   c_failovers : Metrics.counter;
@@ -84,63 +84,64 @@ type t = {
   c_expiries : Metrics.counter Lazy.t;
   h_batch_size : Metrics.histogram;
   mutable shards : Dacs_net.Net.node_id list;
-  mutable ring : (string * Dacs_net.Net.node_id) array;  (** sorted by point *)
+  mutable seeded : (Dacs_net.Net.node_id * int) array;  (** each shard with its seed *)
   states : (Dacs_net.Net.node_id, shard_state) Hashtbl.t;
 }
 
 let shards t = t.shards
 let tracer t = Service.tracer t.services
 
-(* --- consistent hashing ------------------------------------------------- *)
+(* --- rendezvous placement ------------------------------------------------ *)
 
-(* Each shard owns [vnodes] points on a hash ring; a key routes to the
-   shard owning the first point at or after the key's own hash.  Removing
-   a shard only remaps keys that hashed to its points — every other
-   key keeps its shard, which is what keeps decision caches and policy
-   working sets warm across membership changes (§3.1 scale). *)
-let build_ring ~vnodes shards =
-  let points =
-    List.concat_map
-      (fun shard ->
-        List.init vnodes (fun v ->
-            (Sha256.hex_digest (Printf.sprintf "%s#%d" shard v), shard)))
-      shards
-  in
-  let arr = Array.of_list points in
-  Array.sort compare arr;
-  arr
+(* A 64-bit finaliser (MurmurHash3's fmix64, constants cut to OCaml's
+   63-bit ints): every input bit reaches every output bit. *)
+let mix h =
+  let h = h lxor (h lsr 32) in
+  let h = h * 0x7f51afd7ed558ccd in
+  let h = h lxor (h lsr 29) in
+  let h = h * 0x44ceb9fe1a85ec53 in
+  h lxor (h lsr 32)
+[@@inline]
 
-(* First ring point at or after [point], wrapping; skip shards in
-   [excluded].  [None] when every live shard is excluded. *)
-let successor t ~excluded point =
-  let n = Array.length t.ring in
-  if n = 0 then None
-  else begin
-    (* Binary search for the first index with point >= key hash. *)
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fst t.ring.(mid) < point then lo := mid + 1 else hi := mid
-    done;
-    let start = if !lo = n then 0 else !lo in
-    let rec probe step =
-      if step >= n then None
-      else
-        let _, shard = t.ring.((start + step) mod n) in
-        if List.mem shard excluded then probe (step + 1) else Some shard
-    in
-    (* Probing every point visits every shard (each owns >= 1 point). *)
-    probe 0
-  end
+let point_of key = mix (Hashtbl.hash key)
 
-let shard_for t key = successor t ~excluded:[] (Sha256.hex_digest key)
+(* Each shard paired with its seed, fixed by its name. *)
+let seeded_of shards = Array.of_list (List.map (fun shard -> (shard, point_of shard)) shards)
 
-(* The ring successor of [point] outside [excluded] whose breaker would
-   admit a call now.  A shard passed over for its breaker counts once as
-   a call shed by it, under the tier's node — what the PEP's provenance
-   reads as "breaker tripped" — and costs no frame. *)
+(* Rendezvous (highest-random-weight) hashing: a key belongs to the shard
+   whose [mix (point lxor seed)] is highest, ties to the lesser name, so
+   the answer does not depend on the order of the shard list.  Removing a
+   shard only remaps the keys it owned — each of them to its next-highest
+   shard — and adding one only takes keys onto the new shard: what keeps
+   decision caches and policy working sets warm across membership
+   changes (§3.1 scale).  Shards in [excluded] are passed over; [None]
+   when every shard is. *)
+let owner t ~excluded point =
+  let seeded = t.seeded in
+  let best = ref (-1) and best_score = ref 0 in
+  for i = 0 to Array.length seeded - 1 do
+    let shard, seed = seeded.(i) in
+    if not (List.mem shard excluded) then begin
+      let score = mix (point lxor seed) in
+      if
+        !best < 0 || score > !best_score
+        || (score = !best_score && String.compare shard (fst seeded.(!best)) < 0)
+      then begin
+        best := i;
+        best_score := score
+      end
+    end
+  done;
+  if !best < 0 then None else Some (fst seeded.(!best))
+
+let shard_for t key = owner t ~excluded:[] (point_of key)
+
+(* The highest-ranked shard for [point] outside [excluded] whose breaker
+   would admit a call now.  A shard passed over for its breaker counts
+   once as a call shed by it, under the tier's node — what the PEP's
+   provenance reads as "breaker tripped" — and costs no frame. *)
 let rec route t ~excluded point =
-  match successor t ~excluded point with
+  match owner t ~excluded point with
   | Some shard when Dacs_net.Rpc.breaker_sheds (Service.rpc t.services) shard ->
     Dacs_net.Rpc.record_shed (Service.rpc t.services) ~src:t.node shard;
     route t ~excluded:(shard :: excluded) point
@@ -149,7 +150,7 @@ let rec route t ~excluded point =
 let set_shards t shards =
   if shards <> t.shards then begin
     t.shards <- shards;
-    t.ring <- build_ring ~vnodes:t.vnodes shards;
+    t.seeded <- seeded_of shards;
     Metrics.inc t.c_rebalances;
     Trace.record (tracer t)
       (Printf.sprintf "tier:rebalance to %d shards" (List.length shards))
@@ -269,7 +270,7 @@ and flush t shard =
     Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
       ~resilient:Dacs_net.Rpc.no_retry
       ~read:(fun c ->
-        Wire.read_authz_answer ?trust:t.trust ~now:(Dacs_net.Net.now (Service.net t.services)) c)
+        t.read_answer ~now:(Dacs_net.Net.now (Service.net t.services)) c)
       (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
       (fun result ->
         s.outstanding <- s.outstanding - 1;
@@ -294,8 +295,8 @@ and flush t shard =
             items parts
         | Error _ ->
           (* The whole frame failed: the shard is unreachable (or its
-             breaker is open).  Re-route every query to the ring successor
-             of its own key — replica loss only remaps its own keys. *)
+             breaker is open).  Re-route every query to the next shard in
+             its own key's ranking — replica loss only remaps its own keys. *)
           if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
           List.iter
             (fun item ->
@@ -315,12 +316,12 @@ let decide_meta ?key t ctx deliver =
   (* A PEP that already built the request key for its own caches passes
      it down; only key-less callers pay the build here. *)
   let key = match key with Some k -> k | None -> Decision_cache.request_key ctx in
-  if Array.length t.ring = 0 then begin
+  if Array.length t.seeded = 0 then begin
     Metrics.inc t.c_exhausted;
     deliver (Error "pdp tier is empty") { shard = None; batch = 0; failovers = 0; epoch = 0 }
   end
   else
-    let item = { point = Sha256.hex_digest key; ctx; deliver; excluded = [] } in
+    let item = { point = point_of key; ctx; deliver; excluded = [] } in
     match route t ~excluded:[] item.point with
     | Some shard -> enqueue t shard item
     | None ->
@@ -333,13 +334,12 @@ let rto t shard =
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 
-let require_signed_decisions t trust = t.trust <- Some trust
+let require_signed_decisions t trust = t.read_answer <- Wire.read_authz_answer ~trust
 
 (* --- construction ------------------------------------------------------- *)
 
-let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
+let create services ~node ~shards:initial ?(batch = 8) () =
   if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
-  if vnodes < 1 then invalid_arg "Pdp_tier.create: vnodes must be >= 1";
   let metrics = Service.metrics services in
   let own ?help name = Metrics.counter metrics ?help ~labels:[ ("node", node) ] name in
   let per_shard ?help name shard =
@@ -349,14 +349,13 @@ let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
     services;
     node;
     batch;
-    vnodes;
-    trust = None;
+    read_answer = Wire.read_authz_answer ?trust:None;
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
     c_dispatch =
       per_shard "pdp_tier_dispatch_total" ~help:"Authorisation queries routed to this shard";
     c_failovers = own "pdp_tier_failovers_total" ~help:"Queries re-routed after a shard failure";
-    c_rebalances = own "pdp_tier_rebalance_total" ~help:"Ring rebuilds from membership changes";
+    c_rebalances = own "pdp_tier_rebalance_total" ~help:"Shard-set changes";
     c_exhausted =
       own "pdp_tier_exhausted_total" ~help:"Queries failed closed with every shard excluded";
     (* Registered at the first expiry, so a run that never suspects a
@@ -368,7 +367,7 @@ let create services ~node ~shards:initial ?(batch = 8) ?(vnodes = 16) () =
       Metrics.histogram metrics ~help:"Queries per flushed tier batch"
         ~labels:[ ("node", node) ] "pdp_tier_batch_size";
     shards = initial;
-    ring = build_ring ~vnodes initial;
+    seeded = seeded_of initial;
     states = Hashtbl.create 8;
   }
 

@@ -3,20 +3,23 @@
     communication performance).
 
     Requests are hash-partitioned by their decision-cache key
-    ({!Decision_cache.request_key}) on a consistent-hash ring with
-    virtual nodes, so each replica sees a stable slice of the request
-    space — its policy working set and any downstream caches stay warm —
-    and losing a replica only remaps the keys that replica owned.
+    ({!Decision_cache.request_key}) with rendezvous (highest-random-weight)
+    hashing: a key goes to the shard that ranks it highest, each shard
+    ranking by a mix of the key's hash and the shard's own seed.  Each
+    replica sees a stable, even slice of the request space — its policy
+    working set and any downstream caches stay warm — losing a replica
+    only remaps the keys that replica owned, and adding one only moves
+    keys onto it.
 
     Queries headed for the same shard are coalesced into a single batched
     RPC frame: up to [batch] queries per round-trip, and a partial batch
     flushes at the end of the current virtual instant, so it merges
     every query issued at that instant.  Each frame is one attempt with
     a 1 s timeout, through the bus's circuit breaker.  A batch is one
-    fault unit: a transport failure fails the whole frame, after
-    which each query is individually re-routed to the ring successor of
-    its own key, excluding every shard that already failed it.  When no
-    shard remains the query fails closed with an [Indeterminate]
+    fault unit: a transport failure fails the whole frame, after which
+    each query is individually re-routed to the next shard in its own
+    key's ranking, excluding every shard that already failed it.  When
+    no shard remains the query fails closed with an [Indeterminate]
     decision.
 
     Routing — first and on every re-route — skips each shard whose
@@ -26,7 +29,8 @@
     as a shed call would, so the caller's provenance still records the
     breaker.  When every shard is skipped, the query fails closed before
     {!decide_meta} returns: no frame, no flush event, no failover.
-    Each query hashes its key to a ring point once.
+    Each query hashes its key once, and every re-route ranks the same
+    hash.
 
     Each shard has a failure detector.  The tier keeps a Jacobson/Karels
     estimate of the shard's round trip over its answered frames, and
@@ -58,13 +62,11 @@ val create :
   node:Dacs_net.Net.node_id ->
   shards:Dacs_net.Net.node_id list ->
   ?batch:int ->
-  ?vnodes:int ->
   unit ->
   t
 (** Dispatcher issuing calls from [node].  [batch] (default 8) is the
-    maximum queries per frame; [vnodes] (default 16) ring points per
-    shard.  Each per-query response body is decoded by
-    {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
+    maximum queries per frame.  Each per-query response body is decoded
+    by {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose
@@ -76,15 +78,16 @@ val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 val shards : t -> Dacs_net.Net.node_id list
 
 val set_shards : t -> Dacs_net.Net.node_id list -> unit
-(** Replace the shard set, rebuilding the ring (a no-op when unchanged;
-    otherwise counted in [pdp_tier_rebalance_total]).  Only future
+(** Replace the shard set (a no-op when unchanged; otherwise counted in
+    [pdp_tier_rebalance_total]).  Only future
     routing is affected: already-queued batches still go to their shard
     and fail over normally if it is gone.  This is what discovery-driven
     rebinding calls. *)
 
 val shard_for : t -> string -> Dacs_net.Net.node_id option
-(** Ring lookup for a raw key (exposed for tests); [None] iff the tier
-    has no shards.  The pure ring owner: breakers play no part. *)
+(** The shard that ranks a raw key highest (exposed for tests); [None]
+    iff the tier has no shards.  The pure owner: breakers play no part,
+    and the order of the shard list does not matter. *)
 
 val rto : t -> Dacs_net.Net.node_id -> float
 (** The shard's current retransmission timeout in seconds (exposed for
@@ -130,7 +133,7 @@ type stats = {
   dispatched : int;  (** queries routed (including re-routes) *)
   batches : int;  (** frames flushed *)
   failovers : int;  (** queries re-routed after a shard failure *)
-  rebalances : int;  (** ring rebuilds *)
+  rebalances : int;  (** shard-set changes *)
   exhausted : int;  (** queries failed closed *)
   expiries : int;  (** silent-shard suspicions that expired waiting frames *)
 }

@@ -276,7 +276,7 @@ let set_pull_pdps t pdps =
   match t.mode with
   | Pull p -> t.mode <- Pull { p with pdps }
   | Sharded { tier; _ } ->
-    (* Discovery-driven rebinding reshapes the ring: lapsed shards drop
+    (* Discovery-driven rebinding reshapes the shard set: lapsed shards drop
        out, new replicas join, and only their keys remap. *)
     Pdp_tier.set_shards tier pdps
   | Push _ | Agent _ -> ()

@@ -122,7 +122,7 @@ val set_pull_pdps : t -> Dacs_net.Net.node_id list -> unit
 (** Replace the failover list of a pull-mode PEP — how a discovery
     service rebinds enforcement points to live decision points (§3.2
     "Location of Policy Decision Points").  In sharded mode this replaces
-    the tier's shard set (rebuilding the ring), so discovery-driven
+    the tier's shard set ({!Pdp_tier.set_shards}), so discovery-driven
     rebinding works unchanged.  Ignored in push/agent modes. *)
 
 val pull_pdps : t -> Dacs_net.Net.node_id list

@@ -12,12 +12,6 @@ let ( let* ) = Result.bind
    place from the one that arrived.  The authorisation query and response
    also keep tree forms, adapters over the same writer and reader. *)
 
-let enter_named c name =
-  let tag = Cursor.enter c in
-  if not (Cursor.has_local_name c tag name) then
-    Cursor.fail c (Printf.sprintf "expected <%s>, got <%s>" name (Cursor.tag_name c tag));
-  tag
-
 (* The element's single child, read by [read]. *)
 let only_child c tag ~missing read =
   if not (Cursor.next_child c tag) then Cursor.fail c missing;
@@ -36,38 +30,6 @@ let children c tag read =
   done;
   Cursor.close c tag;
   List.rev !items
-
-(* Frames are read exactly as they are written: each attribute in the
-   writer's order, and none after. *)
-let attr_named c tag name =
-  if not (Cursor.next_attr c tag && Cursor.attr_is c name) then
-    Cursor.fail c (Printf.sprintf "<%s> expects attribute %s next" (Cursor.tag_name c tag) name);
-  Cursor.value c
-
-let end_attrs c tag =
-  if Cursor.next_attr c tag then
-    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag))
-
-(* A childless element whose attributes have been read. *)
-let end_leaf c tag =
-  end_attrs c tag;
-  Cursor.close c tag
-
-(* Childless elements with none, one or two attributes. *)
-let leaf0 name c = end_leaf c (enter_named c name)
-
-let leaf1 c name a =
-  let tag = enter_named c name in
-  let va = attr_named c tag a in
-  end_leaf c tag;
-  va
-
-let leaf2 c name a b =
-  let tag = enter_named c name in
-  let va = attr_named c tag a in
-  let vb = attr_named c tag b in
-  end_leaf c tag;
-  (va, vb)
 
 let add_attr buf name value =
   Buffer.add_char buf ' ';
@@ -133,7 +95,7 @@ let count c what s =
   if n < 0 then Cursor.fail c (Printf.sprintf "%s is not a decimal count: %s" what s);
   n
 
-let count_attr c tag name = count c name (attr_named c tag name)
+let count_attr c tag name = count c name (Cursor.attr_named c tag name)
 
 let rec skip_digits s i = if i < String.length s && is_digit s.[i] then skip_digits s (i + 1) else i
 
@@ -176,10 +138,10 @@ let write_attribute buf name v =
 let write_named buf (name, v) = write_attribute buf name v
 
 let attribute_in c =
-  let tag = enter_named c "Attribute" in
-  let name = attr_named c tag "Name" in
-  let dt_name = attr_named c tag "DataType" in
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "Attribute" in
+  let name = Cursor.attr_named c tag "Name" in
+  let dt_name = Cursor.attr_named c tag "DataType" in
+  Cursor.end_attrs c tag;
   let text = Cursor.text c tag in
   Cursor.close c tag;
   match Value.data_type_of_name dt_name with
@@ -195,9 +157,9 @@ let write_access_request buf ~subject ~action =
 
 let read_access_request =
   total (fun c ->
-      let tag = enter_named c "AccessRequest" in
-      let action = attr_named c tag "Action" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "AccessRequest" in
+      let action = Cursor.attr_named c tag "Action" in
+      Cursor.end_attrs c tag;
       (children c tag attribute_in, action))
 
 type access_outcome =
@@ -223,15 +185,15 @@ let read_access_outcome =
   total (fun c ->
       let tag = Cursor.enter c in
       if Cursor.has_local_name c tag "AccessGranted" then begin
-        let encrypted = boolean c "Encrypted" (attr_named c tag "Encrypted") in
-        end_attrs c tag;
+        let encrypted = boolean c "Encrypted" (Cursor.attr_named c tag "Encrypted") in
+        Cursor.end_attrs c tag;
         let content = Cursor.text c tag in
         Cursor.close c tag;
         Granted { content; encrypted }
       end
       else if Cursor.has_local_name c tag "AccessDenied" then begin
-        let reason = attr_named c tag "Reason" in
-        end_leaf c tag;
+        let reason = Cursor.attr_named c tag "Reason" in
+        Cursor.end_leaf c tag;
         Denied reason
       end
       else Cursor.fail c (Printf.sprintf "unexpected access outcome <%s>" (Cursor.tag_name c tag)))
@@ -244,8 +206,8 @@ let write_authz_query buf ctx =
   Buffer.add_string buf "</AuthzQuery>"
 
 let authz_query_in c =
-  let tag = enter_named c "AuthzQuery" in
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "AuthzQuery" in
+  Cursor.end_attrs c tag;
   only_child c tag ~missing:"AuthzQuery has no Request" Context.read
 
 let read_authz_query = total authz_query_in
@@ -265,7 +227,7 @@ let write_authz_response ?(epoch = 0) buf result =
 (* The decision and the epoch it carries; an absent or malformed epoch
    reads as 0 (unknown), so a pre-epoch peer is still understood. *)
 let authz_response_in c =
-  let tag = enter_named c "AuthzResponse" in
+  let tag = Cursor.enter_named c "AuthzResponse" in
   let epoch = ref 0 in
   while Cursor.next_attr c tag do
     if Cursor.attr_is c "Epoch" then epoch := max 0 (decimal (Cursor.value c))
@@ -358,11 +320,11 @@ let category c s =
 
 let read_attribute_query =
   total (fun c ->
-      let tag = enter_named c "AttributeQuery" in
-      let category = category c (attr_named c tag "Category") in
-      let attribute_id = attr_named c tag "AttributeId" in
-      let subject = attr_named c tag "Subject" in
-      end_leaf c tag;
+      let tag = Cursor.enter_named c "AttributeQuery" in
+      let category = category c (Cursor.attr_named c tag "Category") in
+      let attribute_id = Cursor.attr_named c tag "AttributeId" in
+      let subject = Cursor.attr_named c tag "Subject" in
+      Cursor.end_leaf c tag;
       (category, attribute_id, subject))
 
 let write_attribute_result buf bag =
@@ -373,21 +335,22 @@ let attribute_value_in c = snd (attribute_in c)
 
 let read_attribute_result =
   total (fun c ->
-      let tag = enter_named c "AttributeResult" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "AttributeResult" in
+      Cursor.end_attrs c tag;
       children c tag attribute_value_in)
 
 let write_attribute_subscribe buf = write_leaf buf "AttributeSubscribe" []
-let read_attribute_subscribe = total (leaf0 "AttributeSubscribe")
+let read_attribute_subscribe = total (Cursor.leaf0 "AttributeSubscribe")
 let write_subscribe_ack buf = write_leaf buf "SubscribeAck" []
-let read_subscribe_ack = total (leaf0 "SubscribeAck")
+let read_subscribe_ack = total (Cursor.leaf0 "SubscribeAck")
 
 let write_attribute_invalidate buf ~subject ~attribute_id =
   write_leaf buf "AttributeInvalidate" [ ("Subject", subject); ("AttributeId", attribute_id) ]
 
-let read_attribute_invalidate = total (fun c -> leaf2 c "AttributeInvalidate" "Subject" "AttributeId")
+let read_attribute_invalidate =
+  total (fun c -> Cursor.leaf2 c "AttributeInvalidate" "Subject" "AttributeId")
 let write_invalidate_ack buf = write_leaf buf "InvalidateAck" []
-let read_invalidate_ack = total (leaf0 "InvalidateAck")
+let read_invalidate_ack = total (Cursor.leaf0 "InvalidateAck")
 
 (* --- shared decision cache (PEP <-> L2, L2 <-> L2) ------------------------- *)
 
@@ -396,7 +359,7 @@ let write_cache_lookup buf ~key =
   add_attr buf "Key" key;
   Buffer.add_string buf "/>"
 
-let read_cache_lookup = total (fun c -> leaf1 c "CacheLookup" "Key")
+let read_cache_lookup = total (fun c -> Cursor.leaf1 c "CacheLookup" "Key")
 
 let write_cache_answer buf = function
   | None -> Buffer.add_string buf "<CacheMiss/>"
@@ -407,7 +370,7 @@ let write_cache_answer buf = function
 
 let cache_answer_in c =
   let tag = Cursor.enter c in
-  end_attrs c tag;
+  Cursor.end_attrs c tag;
   if Cursor.has_local_name c tag "CacheMiss" then begin
     Cursor.close c tag;
     None
@@ -428,15 +391,15 @@ let write_cache_put ~sent_at buf ~key result =
 
 let read_cache_put =
   total (fun c ->
-      let tag = enter_named c "CachePut" in
-      let key = attr_named c tag "Key" in
-      let sent_at = timestamp c "SentAt" (attr_named c tag "SentAt") in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "CachePut" in
+      let key = Cursor.attr_named c tag "Key" in
+      let sent_at = timestamp c "SentAt" (Cursor.attr_named c tag "SentAt") in
+      Cursor.end_attrs c tag;
       let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
       (key, result, sent_at))
 
 let write_cache_put_ack buf = write_leaf buf "CachePutAck" []
-let read_cache_put_ack = total (leaf0 "CachePutAck")
+let read_cache_put_ack = total (Cursor.leaf0 "CachePutAck")
 
 let write_cache_invalidate buf ~epoch key =
   let key = match key with None -> [] | Some k -> [ ("Key", k) ] in
@@ -444,14 +407,14 @@ let write_cache_invalidate buf ~epoch key =
 
 let read_cache_invalidate =
   total (fun c ->
-      let tag = enter_named c "CacheInvalidate" in
+      let tag = Cursor.enter_named c "CacheInvalidate" in
       let epoch = count_attr c tag "Epoch" in
       let key =
         if not (Cursor.next_attr c tag) then None
         else begin
           if not (Cursor.attr_is c "Key") then Cursor.fail c "<CacheInvalidate> has an unexpected attribute";
           let key = Cursor.value c in
-          end_attrs c tag;
+          Cursor.end_attrs c tag;
           Some key
         end
       in
@@ -461,7 +424,7 @@ let read_cache_invalidate =
 (* A childless element carrying one count: the anti-entropy poll, the
    answer to every purge and a policy update's acknowledgement. *)
 let write_count_leaf name attr buf n = write_leaf buf name [ (attr, string_of_int n) ]
-let count_leaf name attr c = count c attr (leaf1 c name attr)
+let count_leaf name attr c = count c attr (Cursor.leaf1 c name attr)
 let write_cache_sync buf ~known_epoch = write_count_leaf "CacheSync" "KnownEpoch" buf known_epoch
 let read_cache_sync = total (count_leaf "CacheSync" "KnownEpoch")
 let write_cache_epoch buf ~epoch = write_count_leaf "CacheEpoch" "Epoch" buf epoch
@@ -500,15 +463,15 @@ let write_cache_region buf ~epoch region =
     end_with buf "CacheRegion" write_zone zones
 
 let pin_in c =
-  let tag = enter_named c "Pin" in
-  let pin_category = category c (attr_named c tag "Category") in
-  let pin_attribute = attr_named c tag "Attribute" in
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "Pin" in
+  let pin_category = category c (Cursor.attr_named c tag "Category") in
+  let pin_attribute = Cursor.attr_named c tag "Attribute" in
+  Cursor.end_attrs c tag;
   let values = ref [] and guards = ref [] in
   while Cursor.next_child c tag do
-    if Cursor.at_local_name c "V" then values := leaf1 c "V" "Value" :: !values
+    if Cursor.at_local_name c "V" then values := Cursor.leaf1 c "V" "Value" :: !values
     else begin
-      let g, attribute = leaf2 c "Guard" "Category" "Attribute" in
+      let g, attribute = Cursor.leaf2 c "Guard" "Category" "Attribute" in
       guards := (category c g, attribute) :: !guards
     end
   done;
@@ -516,16 +479,16 @@ let pin_in c =
   { Delta.pin_category; pin_attribute; pin_values = List.rev !values; pin_guards = List.rev !guards }
 
 let zone_in c =
-  let tag = enter_named c "Zone" in
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "Zone" in
+  Cursor.end_attrs c tag;
   children c tag pin_in
 
 let read_cache_region =
   total (fun c ->
-      let tag = enter_named c "CacheRegion" in
+      let tag = Cursor.enter_named c "CacheRegion" in
       let epoch = count_attr c tag "Epoch" in
-      let kind = attr_named c tag "Kind" in
-      end_attrs c tag;
+      let kind = Cursor.attr_named c tag "Kind" in
+      Cursor.end_attrs c tag;
       match (kind, children c tag zone_in) with
       | "empty", [] -> (epoch, Delta.Empty)
       | "unbounded", [] -> (epoch, Delta.Unbounded)
@@ -540,7 +503,7 @@ let write_policy_query buf ~scope ~known_version =
 
 let read_policy_query =
   total (fun c ->
-      let scope, known_version = leaf2 c "PolicyQuery" "Scope" "KnownVersion" in
+      let scope, known_version = Cursor.leaf2 c "PolicyQuery" "Scope" "KnownVersion" in
       (scope, count c "KnownVersion" known_version))
 
 (* Policies keep their tree codec inside the frame: they are printed and
@@ -558,9 +521,9 @@ let policy_frame name buf ~version =
 
 (* The element [name] and its Version, with its attributes read. *)
 let version_in c name =
-  let tag = enter_named c name in
+  let tag = Cursor.enter_named c name in
   let version = count_attr c tag "Version" in
-  end_attrs c tag;
+  Cursor.end_attrs c tag;
   (tag, version)
 
 let write_policy_response buf ~version child = policy_frame "PolicyResponse" buf ~version (Option.to_list child)
@@ -665,37 +628,38 @@ let write_log_event buf ~signed ev =
   Buffer.add_string buf "</LogEvent>"
 
 let hex_attr c tag name =
-  let s = attr_named c tag name in
+  let s = Cursor.attr_named c tag name in
   try Dacs_crypto.Encoding.hex_decode s with Invalid_argument _ -> Cursor.fail c (name ^ ": " ^ s)
 
 let entry_in c =
-  let author, seq = leaf2 c "Entry" "Author" "Seq" in
+  let author, seq = Cursor.leaf2 c "Entry" "Author" "Seq" in
   (author, count c "Seq" seq)
 
 let frontier_in c =
-  let tag = enter_named c "Frontier" in
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "Frontier" in
+  Cursor.end_attrs c tag;
   children c tag entry_in
 
 let field_in c event name =
   if not (Cursor.next_child c event) then Cursor.fail c ("LogEvent is missing field " ^ name);
-  let tag = enter_named c "Field" in
-  if not (String.equal (attr_named c tag "Name") name) then Cursor.fail c ("expected LogEvent field " ^ name);
-  end_attrs c tag;
+  let tag = Cursor.enter_named c "Field" in
+  if not (String.equal (Cursor.attr_named c tag "Name") name) then
+    Cursor.fail c ("expected LogEvent field " ^ name);
+  Cursor.end_attrs c tag;
   let value = Cursor.text c tag in
   Cursor.close c tag;
   value
 
 let log_event_in c =
-  let tag = enter_named c "LogEvent" in
-  let author = attr_named c tag "Author" in
+  let tag = Cursor.enter_named c "LogEvent" in
+  let author = Cursor.attr_named c tag "Author" in
   let seq = count_attr c tag "Seq" in
-  let at = timestamp c "At" (attr_named c tag "At") in
+  let at = timestamp c "At" (Cursor.attr_named c tag "At") in
   let epoch = count_attr c tag "Epoch" in
-  let kind = attr_named c tag "Kind" in
+  let kind = Cursor.attr_named c tag "Kind" in
   let digest = hex_attr c tag "Digest" in
   let mac = hex_attr c tag "Tag" in
-  end_attrs c tag;
+  Cursor.end_attrs c tag;
   if not (Cursor.next_child c tag) then Cursor.fail c "LogEvent has no Frontier";
   let frontier = frontier_in c in
   let field = field_in c tag in
@@ -726,8 +690,8 @@ let write_log_sync_request buf ~frontier =
 
 let read_log_sync_request =
   total (fun c ->
-      let tag = enter_named c "LogSyncRequest" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "LogSyncRequest" in
+      Cursor.end_attrs c tag;
       only_child c tag ~missing:"LogSyncRequest has no Frontier" frontier_in)
 
 let write_signed_event buf ev = write_log_event buf ~signed:true ev
@@ -739,9 +703,9 @@ let write_log_sync_response buf ~head events =
 
 let read_log_sync_response =
   total (fun c ->
-      let tag = enter_named c "LogSyncResponse" in
+      let tag = Cursor.enter_named c "LogSyncResponse" in
       let head = hex_attr c tag "Head" in
-      end_attrs c tag;
+      Cursor.end_attrs c tag;
       (head, children c tag log_event_in))
 
 (* --- capabilities and revocation ----------------------------------------------- *)
@@ -759,29 +723,30 @@ let write_capability_request buf ~subject ~pairs =
 
 let read_capability_request =
   total (fun c ->
-      let tag = enter_named c "CapabilityRequest" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "CapabilityRequest" in
+      Cursor.end_attrs c tag;
       let subject = ref [] and pairs = ref [] in
       while Cursor.next_child c tag do
         if Cursor.at_local_name c "Attribute" then subject := attribute_in c :: !subject
-        else pairs := leaf2 c "Want" "Resource" "Action" :: !pairs
+        else pairs := Cursor.leaf2 c "Want" "Resource" "Action" :: !pairs
       done;
       Cursor.close c tag;
       (List.rev !subject, List.rev !pairs))
 
 let write_revocation_check buf ~assertion_id = write_leaf buf "RevocationCheck" [ ("AssertionId", assertion_id) ]
-let read_revocation_check = total (fun c -> leaf1 c "RevocationCheck" "AssertionId")
+let read_revocation_check = total (fun c -> Cursor.leaf1 c "RevocationCheck" "AssertionId")
 let write_revocation_status buf ~revoked = write_leaf buf "RevocationStatus" [ ("Revoked", string_of_bool revoked) ]
-let read_revocation_status = total (fun c -> boolean c "Revoked" (leaf1 c "RevocationStatus" "Revoked"))
+let read_revocation_status =
+  total (fun c -> boolean c "Revoked" (Cursor.leaf1 c "RevocationStatus" "Revoked"))
 
 (* --- discovery (component <-> registry) ------------------------------------ *)
 
 let write_register buf ~kind ~node = write_leaf buf "Register" [ ("Kind", kind); ("Node", node) ]
-let read_register = total (fun c -> leaf2 c "Register" "Kind" "Node")
+let read_register = total (fun c -> Cursor.leaf2 c "Register" "Kind" "Node")
 let write_register_ack buf = write_leaf buf "RegisterAck" []
-let read_register_ack = total (leaf0 "RegisterAck")
+let read_register_ack = total (Cursor.leaf0 "RegisterAck")
 let write_discover buf ~kind = write_leaf buf "Discover" [ ("Kind", kind) ]
-let read_discover = total (fun c -> leaf1 c "Discover" "Kind")
+let read_discover = total (fun c -> Cursor.leaf1 c "Discover" "Kind")
 let write_endpoint buf node = write_leaf buf "Endpoint" [ ("Node", node) ]
 
 let write_endpoints buf nodes =
@@ -790,18 +755,19 @@ let write_endpoints buf nodes =
 
 let read_endpoints =
   total (fun c ->
-      let tag = enter_named c "Endpoints" in
-      end_attrs c tag;
-      children c tag (fun c -> leaf1 c "Endpoint" "Node"))
+      let tag = Cursor.enter_named c "Endpoints" in
+      Cursor.end_attrs c tag;
+      children c tag (fun c -> Cursor.leaf1 c "Endpoint" "Node"))
 
 (* --- identity assertions and trust negotiation -------------------------------- *)
 
 let write_attribute_assertion_request buf ~subject =
   write_leaf buf "AttributeAssertionRequest" [ ("Subject", subject) ]
 
-let read_attribute_assertion_request = total (fun c -> leaf1 c "AttributeAssertionRequest" "Subject")
+let read_attribute_assertion_request =
+  total (fun c -> Cursor.leaf1 c "AttributeAssertionRequest" "Subject")
 let write_credential buf name = write_leaf buf "Credential" [ ("Name", name) ]
-let credential_in c = leaf1 c "Credential" "Name"
+let credential_in c = Cursor.leaf1 c "Credential" "Name"
 
 let write_negotiate buf ~resource ~action ~subject credentials =
   Buffer.add_string buf "<Negotiate";
@@ -810,11 +776,11 @@ let write_negotiate buf ~resource ~action ~subject credentials =
 
 let read_negotiate =
   total (fun c ->
-      let tag = enter_named c "Negotiate" in
-      let resource = attr_named c tag "Resource" in
-      let action = attr_named c tag "Action" in
-      let subject = attr_named c tag "Subject" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "Negotiate" in
+      let resource = Cursor.attr_named c tag "Resource" in
+      let action = Cursor.attr_named c tag "Action" in
+      let subject = Cursor.attr_named c tag "Subject" in
+      Cursor.end_attrs c tag;
       (resource, action, subject, children c tag credential_in))
 
 type negotiation_step =
@@ -837,9 +803,9 @@ let assertion_in c =
 
 let read_negotiate_response =
   total (fun c ->
-      let tag = enter_named c "NegotiateResponse" in
-      let status = attr_named c tag "Status" in
-      end_attrs c tag;
+      let tag = Cursor.enter_named c "NegotiateResponse" in
+      let status = Cursor.attr_named c tag "Status" in
+      Cursor.end_attrs c tag;
       match status with
       | "granted" -> Issued (only_child c tag ~missing:"NegotiateResponse grants no Assertion" assertion_in)
       | "continue" -> Continue (children c tag credential_in)

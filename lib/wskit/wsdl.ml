@@ -111,33 +111,22 @@ let write_service_description buf d = Xml.print buf (to_xml d)
 let read_service_description c =
   Cursor.read c (fun c -> match of_xml (Cursor.subtree c) with Ok d -> d | Error e -> Cursor.fail c e)
 
-(* The childless request and acknowledgement, read as they are written:
-   the one attribute, if any, and nothing else. *)
-let enter_leaf c name =
-  let tag = Cursor.enter c in
-  if not (Cursor.has_local_name c tag name) then
-    Cursor.fail c (Printf.sprintf "expected <%s>, got <%s>" name (Cursor.tag_name c tag));
-  tag
-
-let end_leaf c tag =
-  if Cursor.next_attr c tag then
-    Cursor.fail c (Printf.sprintf "<%s> has an unexpected attribute" (Cursor.tag_name c tag));
-  Cursor.close c tag
-
 let write_description_query buf ~service =
   Xml.print buf (Xml.element "DescriptionQuery" ~attrs:[ ("Service", service) ])
 
+(* The childless request and acknowledgement, read as they are written:
+   the one attribute, if any, and nothing else. *)
 let read_description_query c =
   Cursor.read c (fun c ->
-      let tag = enter_leaf c "DescriptionQuery" in
+      let tag = Cursor.enter_named c "DescriptionQuery" in
       if not (Cursor.next_attr c tag && Cursor.attr_is c "Service") then
         Cursor.fail c "<DescriptionQuery> expects attribute Service";
       let service = Cursor.value c in
-      end_leaf c tag;
+      Cursor.end_leaf c tag;
       service)
 
 let write_publish_ack buf = Xml.print buf (Xml.element "PublishAck")
-let read_publish_ack c = Cursor.read c (fun c -> end_leaf c (enter_leaf c "PublishAck"))
+let read_publish_ack c = Cursor.read c (Cursor.leaf0 "PublishAck")
 
 (* --- registry ----------------------------------------------------------- *)
 

@@ -678,6 +678,42 @@ module Cursor = struct
     end;
     p.depth <- p.depth - 1
 
+  (* Frame readers read each element exactly as it was written: the
+     expected tag, each attribute in the writer's order, and none after. *)
+  let enter_named p name =
+    let tag = enter p in
+    if not (has_local_name p tag name) then
+      fail p (Printf.sprintf "expected <%s>, got <%s>" name (tag_name p tag));
+    tag
+
+  let attr_named p tag name =
+    if not (next_attr p tag && attr_is p name) then
+      fail p (Printf.sprintf "<%s> expects attribute %s next" (tag_name p tag) name);
+    value p
+
+  let end_attrs p tag =
+    if next_attr p tag then
+      fail p (Printf.sprintf "<%s> has an unexpected attribute" (tag_name p tag))
+
+  let end_leaf p tag =
+    end_attrs p tag;
+    close p tag
+
+  let leaf0 name p = end_leaf p (enter_named p name)
+
+  let leaf1 p name a =
+    let tag = enter_named p name in
+    let va = attr_named p tag a in
+    end_leaf p tag;
+    va
+
+  let leaf2 p name a b =
+    let tag = enter_named p name in
+    let va = attr_named p tag a in
+    let vb = attr_named p tag b in
+    end_leaf p tag;
+    (va, vb)
+
   let subtree p = parse_element p (p.depth + 1)
 
   let read p f =

@@ -195,6 +195,39 @@ module Cursor : sig
       closing tag (nothing for a self-closing tag).  A child element
       still unread fails. *)
 
+  (** {2 Frames read as written}
+
+      A frame reader expects each element exactly as its writer emits
+      it: the named tag, each attribute in the writer's order, and none
+      after.  Every mismatch fails at the cursor. *)
+
+  val enter_named : t -> string -> int
+  (** {!enter} a start tag whose local name is the given one; fails with
+      ["expected <name>, got <other>"]. *)
+
+  val attr_named : t -> int -> string -> string
+  (** [attr_named c tag name]: the tag's next attribute must be [name];
+      returns its value.  Fails with ["<tag> expects attribute name next"]. *)
+
+  val end_attrs : t -> int -> unit
+  (** The tag has no attribute left; fails with
+      ["<tag> has an unexpected attribute"]. *)
+
+  val end_leaf : t -> int -> unit
+  (** {!end_attrs}, then {!close}: a childless element whose attributes
+      have been read. *)
+
+  val leaf0 : string -> t -> unit
+  (** [leaf0 name c] reads a childless element with no attribute. *)
+
+  val leaf1 : t -> string -> string -> string
+  (** [leaf1 c name a] reads a childless element with exactly the
+      attribute [a], returning its value. *)
+
+  val leaf2 : t -> string -> string -> string -> string * string
+  (** [leaf2 c name a b] reads a childless element with exactly the
+      attributes [a] then [b]. *)
+
   val subtree : t -> tree
   (** The element at the cursor, parsed whole (the escape to the tree
       for content a reader does not walk field by field). *)

@@ -165,7 +165,7 @@ let compiled_oracle (name, alg) =
 (* --- oracle 2: reference vs sharded tier ------------------------------- *)
 
 (* One tier evaluation on a fresh simulated network: three replicas
-   serving the generated policy, one batched query routed by the ring.
+   serving the generated policy, one batched query routed by placement.
    The tier must agree with the in-process reference evaluation — wire
    encoding, batching and shard routing may not change any decision. *)
 let tier_evaluate root ctx =

@@ -1,8 +1,8 @@
 (* Sharded PDP tier: routing, batching, failover and degradation.
 
-   Covers the dispatcher itself (consistent-hash remapping, batch
-   coalescing, shard-loss re-routing, fail-closed exhaustion), the PEP's
-   Sharded mode (bounded-stale degradation per shard outage), and the
+   Covers the dispatcher itself (rendezvous placement and remapping,
+   batch coalescing, shard-loss re-routing, fail-closed exhaustion), the
+   PEP's Sharded mode (bounded-stale degradation per shard outage), and the
    determinism satellite: two Fig. 3 pull-flow runs under the same chaos
    schedule with the same seed must produce byte-identical management
    reports and metric dumps. *)
@@ -98,7 +98,7 @@ let ctx_for user action =
     ~action:[ ("action-id", Value.String action) ]
     ()
 
-(* --- consistent-hash remapping ---------------------------------------------- *)
+(* --- placement and remapping ------------------------------------------------ *)
 
 (* Removing one shard may only remap the keys that shard owned; every
    other key keeps its assignment.  This is the property that makes
@@ -132,6 +132,64 @@ let test_ring_remap () =
   Pdp_tier.set_shards fx.tier fx.shard_nodes;
   check int_ "no-op set_shards not counted" 2 (Pdp_tier.stats fx.tier).Pdp_tier.rebalances
 
+(* A tier that is only asked where keys go: [shard_for] needs no live
+   shard behind the names. *)
+let placement_tier shards =
+  let services = Service.create (Rpc.create (Net.create ~seed:7L ())) in
+  Pdp_tier.create services ~node:"pep" ~shards ()
+
+let eight_shards = List.init 8 (Printf.sprintf "pdp.%d")
+let many_keys = List.init 10_000 (Printf.sprintf "key%d")
+
+let owner_in tier key =
+  match Pdp_tier.shard_for tier key with
+  | Some s -> s
+  | None -> Alcotest.fail "tier unexpectedly empty"
+
+(* Each of eight shards gets about an eighth of the keys: the busiest
+   holds at most 1.10x the mean, since its queue sets the tier's tail. *)
+let test_balance () =
+  let tier = placement_tier eight_shards in
+  let load = Hashtbl.create 8 in
+  List.iter
+    (fun k ->
+      let s = owner_in tier k in
+      Hashtbl.replace load s (1 + Option.value ~default:0 (Hashtbl.find_opt load s)))
+    many_keys;
+  let busiest = Hashtbl.fold (fun _ n acc -> max n acc) load 0 in
+  let mean = float_of_int (List.length many_keys) /. 8.0 in
+  if float_of_int busiest > 1.10 *. mean then
+    Alcotest.failf "busiest shard holds %d keys, %.2fx the mean %.0f" busiest
+      (float_of_int busiest /. mean) mean
+
+(* Placement depends on the shard set, not on the order it is listed in. *)
+let test_order_independent () =
+  let reference = placement_tier eight_shards in
+  let split keep = List.filteri (fun i _ -> keep i) eight_shards in
+  let rotated = split (fun i -> i >= 3) @ split (fun i -> i < 3) in
+  let evens_first = split (fun i -> i mod 2 = 0) @ split (fun i -> i mod 2 = 1) in
+  List.iter
+    (fun order ->
+      let tier = placement_tier order in
+      List.iter
+        (fun k -> check string_ ("owner of " ^ k) (owner_in reference k) (owner_in tier k))
+        (List.filteri (fun i _ -> i < 2_000) many_keys))
+    [ List.rev eight_shards; rotated; evens_first ]
+
+(* Adding a ninth shard only moves keys onto it; every other key stays
+   where it was. *)
+let test_monotone_growth () =
+  let tier = placement_tier eight_shards in
+  let before = List.map (fun k -> (k, owner_in tier k)) many_keys in
+  Pdp_tier.set_shards tier (eight_shards @ [ "pdp.8" ]);
+  let moved = ref 0 in
+  List.iter
+    (fun (k, was) ->
+      let is = owner_in tier k in
+      if is = "pdp.8" then incr moved else check string_ ("stable key " ^ k) was is)
+    before;
+  check bool_ "the new shard took some keys" true (!moved > 0)
+
 (* --- batch coalescing -------------------------------------------------------- *)
 
 let test_batching () =
@@ -139,7 +197,7 @@ let test_batching () =
   let ctx = ctx_for "alice" "read" in
   let expected = Policy.evaluate_child ctx (doctor_policy "r") in
   let answers = ref [] in
-  (* Ten same-key queries issued in one instant: same ring point, so one
+  (* Ten same-key queries issued in one instant: same point, so one
      shard sees all ten as 4 + 4 + 2 frames. *)
   for _ = 1 to 10 do
     Pdp_tier.decide fx.tier ctx (fun r -> answers := r :: !answers)
@@ -321,9 +379,9 @@ let open_one_breaker fx ~cooldown =
 
 let test_one_breaker_open () =
   let fx = setup () in
-  let victim, keys = open_one_breaker fx ~cooldown:30.0 in
+  let victim, keys = open_one_breaker fx ~cooldown:300.0 in
   check bool_ "the open shard owns some keys" true (keys <> []);
-  (* The ring without the open shard: where its keys must go. *)
+  (* The tier without the open shard: where its keys must go. *)
   let survivors = List.filter (fun s -> s <> victim) fx.shard_nodes in
   let successor_tier = Pdp_tier.create fx.services ~node:"probe" ~shards:survivors () in
   let rejected = rejections fx in
@@ -376,7 +434,7 @@ let expiries fx = (Pdp_tier.stats fx.tier).Pdp_tier.expiries
 
 (* A shard cut off after warm-up is suspected one RTO after its frame
    went out — not at the 1 s call timeout — and the frame's query is
-   answered by the ring successor. *)
+   answered by the next shard in its key's ranking. *)
 let test_silent_shard_detected () =
   let fx = setup () in
   warm_up fx;
@@ -502,6 +560,12 @@ let () =
         [
           Alcotest.test_case "shard loss only remaps its own keys" `Quick test_ring_remap;
           Alcotest.test_case "same-instant queries coalesce into frames" `Quick test_batching;
+          Alcotest.test_case "eight shards: the busiest holds <= 1.10x the mean" `Quick
+            test_balance;
+          Alcotest.test_case "placement ignores the order of the shard list" `Quick
+            test_order_independent;
+          Alcotest.test_case "a ninth shard only takes keys onto itself" `Quick
+            test_monotone_growth;
         ] );
       ( "resilience",
         [
