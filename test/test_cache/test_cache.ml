@@ -766,6 +766,20 @@ let test_no_l2_put_for_indeterminate ~sharded () =
 
 (* --- the whole hierarchy under revocation ------------------------------- *)
 
+(* [doctor_policy] plus a rule confined to resource "lab": the publish
+   between the two has a region pinned to resource-id {lab}. *)
+let doctor_lab_policy =
+  Policy.Inline_policy
+    (Policy.make ~id:"doctor" ~issuer:"d" ~rule_combining:Combine.First_applicable
+       [
+         Rule.permit
+           ~target:Target.(any |> subject_is "role" "doctor" |> action_is "action-id" "read")
+           "permit-doctor-read";
+         Rule.permit ~target:Target.(any |> resource_is "resource-id" "lab") "lab-bonus";
+         Rule.deny "default-deny";
+       ])
+
+
 let test_vo_revocation_round () =
   let net = Net.create ~seed:21L () in
   let services = Service.create (Rpc.create net) in
@@ -776,10 +790,9 @@ let test_vo_revocation_round () =
   Net.run net;
   Domain.register_user da ~user:"alice"
     [ ("subject-id", Value.String "alice"); ("role", Value.String "doctor") ];
-  let pep =
-    Domain.expose_resource da ~resource:"chart" ~cache:(Decision_cache.create ~ttl:60.0 ()) ()
-  in
-  ignore (Vo.cache_hierarchy vo ~ttl:60.0 ());
+  let l1 = Decision_cache.create ~ttl:60.0 () in
+  let pep = Domain.expose_resource da ~resource:"chart" ~cache:l1 () in
+  let root = Vo.cache_hierarchy vo ~ttl:60.0 () in
   Net.add_node net "alice.pc";
   (* The client presents only its identity; the role lives at the PIP. *)
   let alice =
@@ -795,11 +808,39 @@ let test_vo_revocation_round () =
   let o1 = ref None and o2 = ref None and o3 = ref None in
   ask 1.0 o1;
   ask 10.0 o2;
+  (* A bounded publish first: a rule confined to resource "lab" joins
+     the VO policy.  Every level holds one seeded "lab" entry beside
+     entries for "chart"; the region must drop exactly the "lab" one at
+     the VO root, at both domain L2s and in the PEP's L1. *)
+  let l2s = root :: List.filter_map Domain.l2 (Vo.domains vo) in
+  let sizes () = Decision_cache.size l1 :: List.map Cache_hierarchy.L2.size l2s in
+  Net.add_node net "seeder";
+  Engine.schedule_at (Net.engine net) ~at:(t0 +. 12.0) (fun () ->
+      List.iter
+        (fun r ->
+          Decision_cache.put l1 ~now:(Net.now net) ~key:(rkey r) Decision.permit;
+          List.iter
+            (fun l2 ->
+              Cache_hierarchy.L2.remote_put services ~src:"seeder" ~l2:(Cache_hierarchy.L2.node l2)
+                ~key:(rkey r) Decision.permit)
+            l2s)
+        [ "chart"; "lab" ]);
+  let before = ref [] and after = ref [] in
+  Engine.schedule_at (Net.engine net) ~at:(t0 +. 13.0) (fun () ->
+      before := sizes ();
+      Vo.publish_policy vo doctor_lab_policy);
+  Engine.schedule_at (Net.engine net) ~at:(t0 +. 17.0) (fun () -> after := sizes ());
   Engine.run (Net.engine net) ~until:(t0 +. 19.0);
   check bool_ "granted live, then from cache" true (granted o1 && granted o2);
   check bool_ "second answer came from a cache level" true
     (let s = Pep.stats pep in
      s.Pep.cache_hits + s.Pep.l2_hits >= 1);
+  check bool_ "every level held its seeded entries" true (List.for_all (fun n -> n >= 2) !before);
+  check (Alcotest.list int_) "the bounded publish dropped one entry per level"
+    (List.map pred !before) !after;
+  check bool_ "the lab entry left L1" true (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "lab") = None);
+  check bool_ "the chart entry stayed in L1" true
+    (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "chart") <> None);
   (* Revoke at t=10: the PIP drops the role (pushing an attribute
      invalidation to the PDP cache) and the capability revocation runs
      one decision-cache invalidation round from the VO root. *)
