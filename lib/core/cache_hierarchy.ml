@@ -75,42 +75,6 @@ module Attr_cache = struct
   let clear t = Hashtbl.reset t.table
   let size t = Hashtbl.length t.table
   let hits t = Metrics.counter_value t.c_hits
-
-  (* Drop the bags a change-impact region's pins and guards read: the
-     attribute data itself is still valid (policy churn does not change
-     PIP facts), but dropping forces a refetch on the next decision
-     inside the region, which keeps the attribute tier's behaviour
-     aligned with the decision caches it feeds.  The positions resolve
-     to pair syms once per call (find-only: a position never interned
-     keys no entry); entries whose pair sym is unknown drop
-     conservatively. *)
-  let invalidate_region t region =
-    match region with
-    | Dacs_policy.Delta.Empty -> 0
-    | Dacs_policy.Delta.Unbounded ->
-      let n = size t in
-      clear t;
-      n
-    | Dacs_policy.Delta.Zones _ ->
-      let syms =
-        List.filter_map
-          (fun (category, id) -> Intern.find_pair Intern.global category id)
-          (Dacs_policy.Delta.attributes region)
-      in
-      let known = (Intern.stats Intern.global).Intern.pairs in
-      let doomed =
-        Hashtbl.fold
-          (fun k _ acc ->
-            let pair = k lsr 31 in
-            if pair >= known || List.mem pair syms then k :: acc else acc)
-          t.table []
-      in
-      List.iter
-        (fun k ->
-          Hashtbl.remove t.table k;
-          Metrics.inc t.c_invalidations)
-        doomed;
-      List.length doomed
 end
 
 (* ===================================================================== *)
@@ -165,13 +129,14 @@ module L2 = struct
     services : Service.t;
     node : Dacs_net.Net.node_id;
     cache : Decision_cache.t;
+    mutable parent : Dacs_net.Net.node_id option;
+        (** the one node whose purges this cache applies *)
     mutable children : Dacs_net.Net.node_id list;
-    mutable epoch : int;  (** full and region purges applied here *)
+    mutable epoch : int;  (** purges applied here *)
     mutable parent_epoch : int;  (** parent's epoch as last pushed/polled *)
     mutable purged_at : float;
-        (** when the last full/region purge was applied — puts sent
-            before it are rejected rather than resurrected *)
-    mutable on_invalidate : string option -> unit;
+        (** when the last purge was applied — puts sent before it are
+            rejected rather than resurrected *)
     mutable on_region : Dacs_policy.Delta.t -> unit;
     c_lookups : Metrics.counter;
     c_hits : Metrics.counter;
@@ -186,7 +151,6 @@ module L2 = struct
   let node t = t.node
   let epoch (t : t) = t.epoch
   let size t = Decision_cache.size t.cache
-  let set_on_invalidate t f = t.on_invalidate <- f
   let set_on_region t f = t.on_region <- f
   let rejected_puts t = Metrics.counter_value t.c_rejected_puts
   let now t = Dacs_net.Net.now (Service.net t.services)
@@ -203,30 +167,17 @@ module L2 = struct
     }
 
   let subscribe t ~child =
-    if not (List.mem child t.children) then t.children <- child :: t.children
+    child.parent <- Some t.node;
+    if not (List.mem child.node t.children) then t.children <- child.node :: t.children
 
-  (* Fan an invalidation down the syndication hierarchy (Fig. 5 in
-     reverse: purges flow parent -> child, the same edges policy updates
-     flow).  Each child ack is a sample of the invalidation latency —
-     how long a revoked grant can still be served from that child. *)
-  let fan_out t key =
-    let started = now t in
-    List.iter
-      (fun child ->
-        Service.call_frame t.services ~src:t.node ~dst:child ~service:"cache-invalidate"
-          ~read:Wire.read_cache_epoch
-          (fun buf -> Wire.write_cache_invalidate buf ~epoch:t.epoch key)
-          (fun reply ->
-            match reply with
-            | Ok _ -> Metrics.observe t.h_latency (now t -. started)
-            | Error _ -> ()))
-      t.children
-
-  (* Region purges fan down their own service so a receiver can apply
-     the same targeted drop; the frame carries the sender's post-purge
-     epoch, so a delivered push satisfies the next anti-entropy poll and
-     a lost one is repaired by it (as a conservative full purge). *)
-  let fan_out_region t region =
+  (* Fan a purge down the syndication hierarchy (Fig. 5 in reverse:
+     purges flow parent -> child, the same edges policy updates flow).
+     The frame carries the sender's post-purge epoch, so a delivered push
+     satisfies the next anti-entropy poll and a lost one is repaired by
+     it (as a full purge).  Each child ack is a sample of the
+     invalidation latency — how long a revoked grant can still be served
+     from that child. *)
+  let fan_out t region =
     let started = now t in
     List.iter
       (fun child ->
@@ -239,45 +190,34 @@ module L2 = struct
             | Error _ -> ()))
       t.children
 
-  let apply_invalidation t key =
-    (match key with
-    | None ->
-      Decision_cache.invalidate_all t.cache;
+  (* The one purge every path runs: drop what the region covers, bump
+     the epoch, run the hook (a domain purges its PEPs' L1s there), fan
+     out.  [Empty] is no purge at all — no epoch bump, so no poll-driven
+     flush follows it. *)
+  let apply t region =
+    if not (Dacs_policy.Delta.is_empty region) then begin
+      ignore (Decision_cache.invalidate_region t.cache region);
       t.purged_at <- now t;
-      t.epoch <- t.epoch + 1
-    | Some k -> Decision_cache.invalidate t.cache ~key:k);
-    Metrics.inc t.c_invalidations;
-    t.on_invalidate key;
-    fan_out t key
-
-  let apply_region t region =
-    ignore (Decision_cache.invalidate_region t.cache region);
-    t.purged_at <- now t;
-    t.epoch <- t.epoch + 1;
-    Metrics.inc t.c_invalidations;
-    t.on_region region;
-    fan_out_region t region
-
-  let invalidate_all t =
-    Trace.record (tracer t) ("l2:invalidate-all " ^ t.node);
-    apply_invalidation t None
-
-  let invalidate t ~key = apply_invalidation t (Some key)
+      t.epoch <- t.epoch + 1;
+      Metrics.inc t.c_invalidations;
+      t.on_region region;
+      fan_out t region
+    end
 
   let invalidate_region t region =
-    match region with
+    (match region with
     | Dacs_policy.Delta.Empty -> ()
-    | Dacs_policy.Delta.Unbounded -> invalidate_all t
-    | Dacs_policy.Delta.Zones _ ->
-      Trace.record (tracer t) ("l2:invalidate-region " ^ t.node);
-      apply_region t region
+    | Dacs_policy.Delta.Unbounded -> Trace.record (tracer t) ("l2:invalidate-all " ^ t.node)
+    | Dacs_policy.Delta.Zones _ -> Trace.record (tracer t) ("l2:invalidate-region " ^ t.node));
+    apply t region
 
-  (* Anti-entropy backstop: poll the parent's epoch; any full purge we
-     missed (down at push time, partitioned, ...) is applied within one
-     round, so a revocation bounds every descendant's staleness by the
-     polling period. *)
+  (* Anti-entropy backstop: poll the parent's epoch; any purge we missed
+     (down at push time, partitioned, ...) is applied within one round as
+     a full purge, so a revocation bounds every descendant's staleness by
+     the polling period. *)
   let enable_anti_entropy t ~parent ~period =
     if period <= 0.0 then invalid_arg "L2.enable_anti_entropy: period must be positive";
+    t.parent <- Some parent;
     let engine = Dacs_net.Net.engine (Service.net t.services) in
     let rec poll () =
       Service.call_frame t.services ~src:t.node ~dst:parent ~service:"cache-sync" ~read:Wire.read_cache_epoch
@@ -286,7 +226,7 @@ module L2 = struct
           (match reply with
           | Ok (Ok epoch) when epoch > t.parent_epoch ->
             t.parent_epoch <- epoch;
-            apply_invalidation t None
+            apply t Dacs_policy.Delta.unbounded
           | Ok _ | Error _ -> ());
           Engine.schedule engine ~delay:period poll)
     in
@@ -300,11 +240,11 @@ module L2 = struct
         services;
         node;
         cache = Decision_cache.create ~metrics:registry ~owner:node ~max_entries ~ttl ();
+        parent = None;
         children = [];
         epoch = 0;
         parent_epoch = 0;
         purged_at = neg_infinity;
-        on_invalidate = (fun _ -> ());
         on_region = (fun _ -> ());
         c_lookups = own "l2_lookups_total" ~help:"Shared-cache lookups served";
         c_hits = own "l2_hits_total" ~help:"Shared-cache lookups answered with a fresh decision";
@@ -338,19 +278,18 @@ module L2 = struct
         reply Wire.write_cache_put_ack);
     (* Purges and polls are all answered with this cache's epoch. *)
     let answer_epoch reply = reply (fun buf -> Wire.write_cache_epoch buf ~epoch:t.epoch) in
-    Service.serve_frame services ~node ~service:"cache-invalidate" ~read:Wire.read_cache_invalidate
-      (fun ~caller:_ ~headers:_ (sender_epoch, key) reply ->
-        if key = None then t.parent_epoch <- max t.parent_epoch sender_epoch;
-        apply_invalidation t key;
-        answer_epoch reply);
+    (* A purge is accepted only from this cache's parent: any other node
+       could otherwise flush a domain's caches at will, or poison the
+       parent epoch the anti-entropy poll compares against. *)
     Service.serve_frame services ~node ~service:"cache-region" ~read:Wire.read_cache_region
-      (fun ~caller:_ ~headers:_ (sender_epoch, region) reply ->
-        t.parent_epoch <- max t.parent_epoch sender_epoch;
-        (match region with
-        | Dacs_policy.Delta.Empty -> ()
-        | Dacs_policy.Delta.Unbounded -> apply_invalidation t None
-        | Dacs_policy.Delta.Zones _ -> apply_region t region);
-        answer_epoch reply);
+      (fun ~caller ~headers:_ (sender_epoch, region) reply ->
+        if t.parent <> Some caller then
+          reply (Service.sender_fault "cache purges are accepted only from the parent cache")
+        else begin
+          t.parent_epoch <- max t.parent_epoch sender_epoch;
+          apply t region;
+          answer_epoch reply
+        end);
     Service.serve_frame services ~node ~service:"cache-sync" ~read:Wire.read_cache_sync
       (fun ~caller:_ ~headers:_ _ reply -> answer_epoch reply);
     t

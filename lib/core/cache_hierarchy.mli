@@ -11,10 +11,11 @@
       {!Decision_cache.request_key}) share one upstream call instead of
       stampeding the decision tier.
     - {!L2}: a domain-level shared decision cache service, consulted by
-      PEPs between their private L1 and the PDP tier; revocation-driven
-      invalidations fan out along the syndication hierarchy (push) with
-      an anti-entropy poll as the backstop, so a revoked grant is purged
-      from every member within one round.
+      PEPs between their private L1 and the PDP tier; purges — each a
+      change-impact region, [Unbounded] for a revocation — fan out along
+      the syndication hierarchy (push) with an anti-entropy poll as the
+      backstop, so a revoked grant is purged from every member within
+      one round.
 
     The stale-degradation ladder composes unchanged:
     L1 fresh -> L2 fresh -> live tier -> bounded-stale L1 -> fail closed. *)
@@ -65,13 +66,6 @@ module Attr_cache : sig
   (** What a PIP's [attribute-invalidate] push triggers: drop the cached
       subject-category bag for (subject, id). *)
 
-  val invalidate_region : t -> Dacs_policy.Delta.t -> int
-  (** Drop the bags at every attribute position the region's pins and
-      guards mention, resolved once to pair syms and tested against each
-      entry's packed key (pair syms the intern table never minted drop
-      conservatively); returns the number dropped.  [Unbounded] clears
-      the cache, [Empty] drops nothing. *)
-
   val clear : t -> unit
   val size : t -> int
   val hits : t -> int
@@ -114,44 +108,41 @@ module L2 : sig
     ttl:float ->
     unit ->
     t
-  (** Registers [cache-lookup], [cache-put], [cache-invalidate] and
-      [cache-sync] on [node]; [max_entries] defaults to 4096.  Storage is a {!Decision_cache} (owner =
-      node), so the usual [decision_cache_*{cache}] series apply on top
-      of the [l2_*_total{node}] counters and the
-      [l2_invalidation_latency_seconds{node}] histogram. *)
+  (** Registers [cache-lookup], [cache-put], [cache-region] and
+      [cache-sync] on [node]; [max_entries] defaults to 4096.  Storage is
+      a {!Decision_cache} (owner = node), so the usual
+      [decision_cache_*{cache}] series apply on top of the
+      [l2_*_total{node}] counters and the
+      [l2_invalidation_latency_seconds{node}] histogram.  A
+      [cache-region] frame is applied only when its caller is this
+      cache's parent (set by {!subscribe} or {!enable_anti_entropy});
+      any other caller gets a [soap:Sender] fault and purges nothing. *)
 
   val node : t -> Dacs_net.Net.node_id
 
-  val subscribe : t -> child:Dacs_net.Net.node_id -> unit
-  (** Wire a child L2 under this one: full purges and keyed drops fan
-      out to every subscribed child (and recursively to theirs). *)
+  val subscribe : t -> child:t -> unit
+  (** Wire [child] under this cache: every purge fans out to each
+      subscribed child (and recursively to theirs), and the child
+      records this cache's node as its parent, the one node whose
+      purges it accepts. *)
 
   val enable_anti_entropy : t -> parent:Dacs_net.Net.node_id -> period:float -> unit
-  (** Poll the parent's invalidation epoch every [period] seconds and
-      apply any full purge the push missed — the one-round staleness
-      bound for revocations. *)
-
-  val set_on_invalidate : t -> (string option -> unit) -> unit
-  (** Local hook run on every applied invalidation ([None] = full
-      purge); domains use it to purge their PEPs' L1 caches in the same
-      round. *)
+  (** Record [parent] as this cache's parent and poll its purge epoch
+      every [period] seconds, applying any purge the push missed as a
+      full purge — the one-round staleness bound for revocations. *)
 
   val set_on_region : t -> (Dacs_policy.Delta.t -> unit) -> unit
-  (** Like {!set_on_invalidate} for targeted purges: domains use it to
-      region-invalidate their PEPs' L1 caches in the same round. *)
-
-  val invalidate_all : t -> unit
-  (** Revocation entry point: purge here, bump the epoch, fan out. *)
-
-  val invalidate : t -> key:string -> unit
+  (** Local hook run with the region of every purge applied here
+      ([Unbounded] for a full purge or an anti-entropy repair); domains
+      use it to purge their PEPs' L1 caches in the same round. *)
 
   val invalidate_region : t -> Dacs_policy.Delta.t -> unit
-  (** Targeted purge from a policy publish: drop only matching entries
-      (see {!Decision_cache.invalidate_region}), bump the epoch, fan a
-      [cache-region] frame to subscribed children.  [Unbounded] falls
-      back to {!invalidate_all}; [Empty] is a no-op (no epoch bump, no
-      fan-out).  The epoch bump means a child that misses the push
-      repairs itself at its next anti-entropy poll (as a conservative
+  (** The one purge entry point.  Drop the entries the region covers
+      (see {!Decision_cache.invalidate_region}; [Unbounded] is the full
+      flush a revocation sends), bump the epoch, run the hook and fan a
+      [cache-region] frame to subscribed children.  [Empty] is a no-op
+      (no epoch bump, no fan-out).  The epoch bump means a child that
+      misses the push repairs itself at its next anti-entropy poll (as a
       full purge); a child that receives it advances its parent-epoch
       view and does not re-purge. *)
 
@@ -159,7 +150,7 @@ module L2 : sig
   val size : t -> int
 
   val rejected_puts : t -> int
-  (** Puts stamped before the last full/region purge, dropped instead of
+  (** Puts stamped before the last purge, dropped instead of
       resurrecting the entry they carried. *)
 
   type stats = { lookups : int; hits : int; puts : int; invalidations : int; size : int; epoch : int }

@@ -128,13 +128,6 @@ let put ?since t ~now ~key result =
     Hashtbl.replace t.table key { result; expires = now +. t.ttl; stamp };
     Queue.add (key, stamp) t.order
 
-let invalidate t ~key = Hashtbl.remove t.table key
-
-let invalidate_all t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.purges <- t.purges + 1
-
 (* The region is compiled once per purge into an atom-level test
    (Intern.compile_region) that reads each packed key in place — no
    Context is built per key.  The doomed keys are collected first and
@@ -146,7 +139,9 @@ let invalidate_region t region =
   | Dacs_policy.Delta.Empty -> 0
   | Dacs_policy.Delta.Unbounded ->
     let n = Hashtbl.length t.table in
-    invalidate_all t;
+    Hashtbl.reset t.table;
+    Queue.clear t.order;
+    t.purges <- t.purges + 1;
     n
   | Dacs_policy.Delta.Zones _ ->
     t.purges <- t.purges + 1;

@@ -53,17 +53,12 @@ val put : ?since:int -> t -> now:float -> key:string -> Dacs_policy.Decision.res
     it (the L1 twin of the shared L2's sent-before-purge rejection). *)
 
 val purges : t -> int
-(** Purges applied so far: each {!invalidate_all} and each
-    {!invalidate_region} with a non-[Empty] region counts one. *)
-
-val invalidate : t -> key:string -> unit
-val invalidate_all : t -> unit
-(** What a PEP does when told the policy changed and no change-impact
-    region is available (or the region is unbounded). *)
+(** Purges applied so far: each {!invalidate_region} with a
+    non-[Empty] region counts one. *)
 
 val invalidate_region : t -> Dacs_policy.Delta.t -> int
-(** Targeted invalidation: drop only the entries whose keys the region
-    covers; returns the number dropped.  The region is compiled once per
+(** The one way entries leave other than expiry and eviction: drop the
+    entries whose keys the region covers; returns the number dropped.  The region is compiled once per
     call ({!Intern.compile_region}) and each packed key is tested as
     integer atoms ({!Intern.key_in_region}), exactly as [Delta.covers]
     would judge the context the key decodes to, so the purge allocates
@@ -72,7 +67,8 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
     the wire, and a digest, a corrupted key or an atom id the intern
     table never minted drops) and environment-guarded pins (keys carry
     no Environment atoms, so such pins never exclude).  [Unbounded]
-    falls back to {!invalidate_all}; [Empty] drops nothing. *)
+    empties the cache (what a PEP applies when a policy change has no
+    bounded region, or a right is revoked); [Empty] drops nothing. *)
 
 val size : t -> int
 

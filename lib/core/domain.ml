@@ -116,12 +116,9 @@ let attach_l2 t ~ttl () =
     let node = t.name ^ ".l2" in
     Dacs_net.Net.add_node net node;
     let l2 = Cache_hierarchy.L2.create t.services ~node ~ttl () in
-    (* Every invalidation round that reaches the domain cache also purges
-       the PEPs' private L1s, so no cache level outlives a revocation. *)
-    Cache_hierarchy.L2.set_on_invalidate l2 (fun key ->
-        match key with
-        | None -> List.iter Pep.invalidate_cache t.peps
-        | Some key -> List.iter (fun pep -> Pep.invalidate_key pep ~key) t.peps);
+    (* Every purge that reaches the domain cache also purges the PEPs'
+       private L1s with the same region, so no cache level outlives a
+       revocation or a publish. *)
     Cache_hierarchy.L2.set_on_region l2 (fun region ->
         List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps);
     List.iter (fun pep -> Pep.set_l2 pep (Some node)) t.peps;

@@ -52,9 +52,9 @@ val attach_l2 : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
 (** Stand up the domain's shared decision cache on node [<domain>.l2]
     (at most 4096 entries, {!Cache_hierarchy.L2.create}'s default):
     every PEP of the domain (current and future) consults it between its
-    private L1 and the decision tier, and every invalidation round that
-    reaches it also purges the PEPs' L1s (full or by key), so no cache
-    level outlives a revocation.  Idempotent: a second call returns the
+    private L1 and the decision tier, and every purge that reaches it
+    also purges the PEPs' L1s with the same region, so no cache level
+    outlives a revocation or a publish.  Idempotent: a second call returns the
     existing cache. *)
 
 val l2 : t -> Cache_hierarchy.L2.t option

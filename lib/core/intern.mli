@@ -54,10 +54,6 @@ val value : t -> Dacs_policy.Value.t -> sym
 val pair : t -> Dacs_policy.Context.category -> string -> sym
 (** Intern an attribute position [(category, id)]. *)
 
-val find_pair : t -> Dacs_policy.Context.category -> string -> sym option
-(** Find-only {!pair}: [None] when the position was never interned —
-    which means no key built so far carries it.  Never mints a sym. *)
-
 val atom : t -> pair:sym -> value:sym -> sym
 (** Intern one attribute binding.  Equal bindings get equal syms, so a
     sorted atom sequence is a canonical form of an attribute multiset. *)

@@ -393,11 +393,16 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
   | None -> ()
   | Some ac ->
     (* Explicit invalidation path: the PIP pushes when an attribute is
-       removed, so revocation never waits out the cache TTL. *)
+       removed, so revocation never waits out the cache TTL.  Only this
+       PDP's own PIPs may push: a drop from anyone else is refused. *)
     Service.serve_frame services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
-      (fun ~caller:_ ~headers:_ (subject, id) reply ->
-        Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
-        reply Wire.write_invalidate_ack);
+      (fun ~caller ~headers:_ (subject, id) reply ->
+        if not (List.mem caller pips) then
+          reply (Service.sender_fault "attribute invalidations are accepted only from this PDP's PIPs")
+        else begin
+          Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
+          reply Wire.write_invalidate_ack
+        end);
     List.iter
       (fun pip ->
         Service.call_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"

@@ -50,7 +50,8 @@ val create :
     reused across decisions for that long, the PDP subscribes to its
     PIPs for explicit invalidation pushes ([remove_subject_attribute]
     purges subscribed caches immediately), and serves
-    ["attribute-invalidate"].
+    ["attribute-invalidate"] to those PIPs only: a push from any other
+    node gets a [soap:Sender] fault and drops nothing.
 
     Attributes missing from a context-handler round are fetched together:
     one multi-part frame per PIP (the B/BT batch envelope), or a plain

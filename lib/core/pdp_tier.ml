@@ -148,7 +148,9 @@ let rec route t ~excluded point =
   | found -> found
 
 let set_shards t shards =
-  if shards <> t.shards then begin
+  (* Placement ignores the list's order, so only a different set is a
+     rebalance. *)
+  if List.sort String.compare shards <> List.sort String.compare t.shards then begin
     t.shards <- shards;
     t.seeded <- seeded_of shards;
     Metrics.inc t.c_rebalances;

@@ -78,8 +78,8 @@ val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 val shards : t -> Dacs_net.Net.node_id list
 
 val set_shards : t -> Dacs_net.Net.node_id list -> unit
-(** Replace the shard set (a no-op when unchanged; otherwise counted in
-    [pdp_tier_rebalance_total]).  Only future
+(** Replace the shard set (a no-op when the set is unchanged, in any
+    order; otherwise counted in [pdp_tier_rebalance_total]).  Only future
     routing is affected: already-queued batches still go to their shard
     and fail over normally if it is gone.  This is what discovery-driven
     rebinding calls. *)

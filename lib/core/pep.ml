@@ -211,18 +211,6 @@ let reset_stats t =
 
 let now t = Dacs_net.Net.now (Service.net t.services)
 
-let invalidate_cache t =
-  match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate_all cache
-  | Pull _ | Sharded _ | Push _ | Agent _ -> ()
-
-let invalidate_key t ~key =
-  match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate cache ~key
-  | Pull _ | Sharded _ | Push _ | Agent _ -> ()
-
 let invalidate_region t region =
   match t.mode with
   | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->

@@ -61,16 +61,11 @@ val node : t -> Dacs_net.Net.node_id
 val resource : t -> string
 val audit : t -> Audit.t
 
-val invalidate_cache : t -> unit
-(** Called when the PEP learns its policy changed. *)
-
-val invalidate_key : t -> key:string -> unit
-(** Drop one L1 entry by request key — what a keyed L2 invalidation round
-    applies at the leaves of the hierarchy. *)
-
 val invalidate_region : t -> Dacs_policy.Delta.t -> int
-(** Targeted L1 purge from a policy publish's change-impact region (see
-    {!Decision_cache.invalidate_region}); returns the entries dropped. *)
+(** The PEP's one L1 purge, called when it learns its policy changed or
+    a right was revoked: drop the entries a change-impact region covers
+    ([Unbounded] empties L1; see {!Decision_cache.invalidate_region});
+    returns the entries dropped, 0 for a PEP without an L1. *)
 
 val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit
 (** The decision ladder for a context without the inbound access RPC or

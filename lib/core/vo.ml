@@ -63,11 +63,11 @@ let issuer_key t issuer =
 let merged_audit t = Audit.merge (List.map Domain.audit t.domains)
 
 (* The caching mirror of policy syndication (Fig. 5): a VO-root cache
-   node with every domain's shared L2 subscribed under it.  Invalidations
-   push root -> domain -> PEP L1 along the same edges policy updates
-   flow, and each domain polls the root's epoch as the anti-entropy
-   backstop, so a revocation purges every member within one round even if
-   a push was lost. *)
+   node with every domain's shared L2 subscribed under it.  Purges push
+   root -> domain -> PEP L1 along the same edges policy updates flow, and
+   each domain polls the root's epoch as the anti-entropy backstop, so a
+   revocation purges every member within one round even if a push was
+   lost. *)
 let cache_hierarchy t ~ttl () =
   match t.l2_root with
   | Some root -> root
@@ -79,7 +79,7 @@ let cache_hierarchy t ~ttl () =
     List.iter
       (fun domain ->
         let l2 = Domain.attach_l2 domain ~ttl () in
-        Cache_hierarchy.L2.subscribe root ~child:(Cache_hierarchy.L2.node l2);
+        Cache_hierarchy.L2.subscribe root ~child:l2;
         Cache_hierarchy.L2.enable_anti_entropy l2 ~parent:node ~period:5.0)
       t.domains;
     t.l2_root <- Some root;
@@ -88,8 +88,9 @@ let cache_hierarchy t ~ttl () =
 let revoke_capability t ~assertion_id =
   Capability_service.revoke t.cas ~assertion_id;
   (* Decisions influenced by the revoked grant may sit in any cache
-     level; one invalidation round from the root purges them all. *)
-  Option.iter Cache_hierarchy.L2.invalidate_all t.l2_root
+     level, and no region bounds them: one unbounded purge from the root
+     empties them all. *)
+  Option.iter (fun root -> Cache_hierarchy.L2.invalidate_region root Dacs_policy.Delta.unbounded) t.l2_root
 
 let client_for t ~domain ~user subject =
   let net = Service.net t.services in

@@ -47,12 +47,13 @@ val cache_hierarchy : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
     children, and enables each domain's anti-entropy poll against the
     root every 5 virtual seconds.  Every level holds at most 4096
     entries, {!Cache_hierarchy.L2.create}'s default.
-    Invalidations push root → domain → PEP L1 along the same edges
-    policy updates flow; the poll bounds a lost push's staleness by one
-    period.  Idempotent. *)
+    Purges push root → domain → PEP L1 along the same edges policy
+    updates flow, and each domain L2 accepts them only from the root;
+    the poll bounds a lost push's staleness by one period.
+    Idempotent. *)
 
 val revoke_capability : t -> assertion_id:string -> unit
-(** Revoke at the capability service {e and} run one invalidation round
+(** Revoke at the capability service {e and} purge the unbounded region
     from the cache-hierarchy root (when one exists), so no cache level in
     any member domain keeps serving decisions influenced by the revoked
     grant. *)

@@ -401,26 +401,6 @@ let read_cache_put =
 let write_cache_put_ack buf = write_leaf buf "CachePutAck" []
 let read_cache_put_ack = total (Cursor.leaf0 "CachePutAck")
 
-let write_cache_invalidate buf ~epoch key =
-  let key = match key with None -> [] | Some k -> [ ("Key", k) ] in
-  write_leaf buf "CacheInvalidate" (("Epoch", string_of_int epoch) :: key)
-
-let read_cache_invalidate =
-  total (fun c ->
-      let tag = Cursor.enter_named c "CacheInvalidate" in
-      let epoch = count_attr c tag "Epoch" in
-      let key =
-        if not (Cursor.next_attr c tag) then None
-        else begin
-          if not (Cursor.attr_is c "Key") then Cursor.fail c "<CacheInvalidate> has an unexpected attribute";
-          let key = Cursor.value c in
-          Cursor.end_attrs c tag;
-          Some key
-        end
-      in
-      Cursor.close c tag;
-      (epoch, key))
-
 (* A childless element carrying one count: the anti-entropy poll, the
    answer to every purge and a policy update's acknowledgement. *)
 let write_count_leaf name attr buf n = write_leaf buf name [ (attr, string_of_int n) ]

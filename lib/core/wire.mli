@@ -157,16 +157,10 @@ val read_cache_put :
 val write_cache_put_ack : Buffer.t -> unit
 val read_cache_put_ack : Xml.Cursor.t -> (unit, string) result
 
-val write_cache_invalidate : Buffer.t -> epoch:int -> string option -> unit
-(** Full purge when the key is [None], single-entry drop otherwise.
-    [epoch] is the sender's invalidation-round counter after applying the
-    purge, letting receivers deduplicate against anti-entropy polls. *)
-
-val read_cache_invalidate : Xml.Cursor.t -> (int * string option, string) result
-
 val write_cache_region : Buffer.t -> epoch:int -> Dacs_policy.Delta.t -> unit
-(** Targeted purge: the change-impact region of a policy publish, pushed
-    down the syndication tree.  [epoch] is the sender's invalidation
+(** The one purge frame, pushed down the syndication tree: the
+    change-impact region of a policy publish, or [Unbounded] for a full
+    purge (a revocation).  [epoch] is the sender's invalidation
     epoch after applying the purge locally, so receivers that get the
     push do not re-purge on their next anti-entropy poll — and receivers
     that miss it do. *)

@@ -260,13 +260,8 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
   in
   Option.iter
     (fun l2 ->
-      Cache_hierarchy.L2.set_on_invalidate l2 (fun key ->
-          List.iter
-            (fun pep ->
-              match key with
-              | None -> Pep.invalidate_cache pep
-              | Some key -> Pep.invalidate_key pep ~key)
-            peps))
+      Cache_hierarchy.L2.set_on_region l2 (fun region ->
+          List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) peps))
     l2;
   let pep0 = List.nth peps 0 and pep1 = List.nth peps 1 in
   let pairs =
@@ -315,7 +310,7 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
     match l2 with
     | None -> 0
     | Some l2 ->
-      Cache_hierarchy.L2.invalidate_all l2;
+      Cache_hierarchy.L2.invalidate_region l2 Dacs_policy.Delta.unbounded;
       Net.run net;
       Cache_hierarchy.L2.size l2
   in
@@ -1288,8 +1283,7 @@ let e23 =
         max_zones := max !max_zones (D.zone_count region);
         if D.is_unbounded region then region_unbounded := true;
         t_dropped := !t_dropped + Decision_cache.invalidate_region targeted region;
-        f_dropped := !f_dropped + Decision_cache.size full;
-        Decision_cache.invalidate_all full
+        f_dropped := !f_dropped + Decision_cache.invalidate_region full D.unbounded
       end;
       List.iter
         (fun ctx ->

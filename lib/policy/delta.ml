@@ -221,18 +221,6 @@ let covers t ctx =
   | Unbounded -> true
   | Zones zs -> List.exists (zone_covers ctx) zs
 
-let attributes t =
-  match t with
-  | Empty | Unbounded -> []
-  | Zones zs ->
-    List.sort_uniq compare
-      (List.concat_map
-         (fun zone ->
-           List.concat_map
-             (fun pin -> ((pin.pin_category, pin.pin_attribute) :: pin.pin_guards))
-             zone)
-         zs)
-
 (* --- printing ------------------------------------------------------------ *)
 
 let category_name = function

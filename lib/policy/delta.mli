@@ -75,10 +75,4 @@ val covers : t -> Context.t -> bool
     empty or non-string bags at every pinned position are always
     covered. *)
 
-val attributes : t -> (Context.category * string) list
-(** Every (category, attribute) position the region's pins and guards
-    mention, deduplicated — the positions whose cached attribute bags
-    an {!Unbounded}-averse attribute cache drops.  Empty for {!Empty}
-    and for {!Unbounded} (callers must special-case the latter). *)
-
 val to_string : t -> string

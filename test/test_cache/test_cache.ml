@@ -21,6 +21,7 @@ module Rpc = Dacs_net.Rpc
 module Metrics = Dacs_telemetry.Metrics
 module Loghist = Dacs_telemetry.Loghist
 module Service = Dacs_ws.Service
+module Delta = Dacs_policy.Delta
 open Dacs_core
 
 let check = Alcotest.check
@@ -274,6 +275,36 @@ let test_attribute_invalidation_push () =
   Net.run fx.net;
   check bool_ "denied once every grant-carrying attribute is revoked" true (denied o3)
 
+(* Only the PDP's own PIPs may drop its cached bags: an invalidation
+   from any other node is refused and leaves the bag in place, and the
+   PIP's own push still drops it. *)
+let test_attribute_invalidation_only_from_pips () =
+  let fx = setup () in
+  let o1 = ref None in
+  request fx ~at:1.0 o1;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o1);
+  Net.add_node fx.net "mallory";
+  let answer = ref None in
+  Service.call_frame fx.services ~src:"mallory" ~dst:"pdp" ~service:"attribute-invalidate"
+    ~read:Wire.read_invalidate_ack
+    (fun buf -> Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role")
+    (fun r -> answer := Some r);
+  Net.run fx.net;
+  check bool_ "a non-PIP invalidation is refused" true
+    (match !answer with Some (Error _) -> true | _ -> false);
+  let o2 = ref None in
+  request fx ~at:10.0 o2;
+  Net.run fx.net;
+  check bool_ "granted from the cached bags" true (granted o2);
+  check int_ "no attribute refetched" 3 (Pip.lookups_served fx.pip);
+  Pip.remove_subject_attribute fx.pip ~subject:"alice" ~id:"role";
+  Net.run fx.net;
+  let o3 = ref None in
+  request fx ~at:20.0 o3;
+  Net.run fx.net;
+  check int_ "the PIP's own push dropped the bag" 4 (Pip.lookups_served fx.pip)
+
 let test_negative_attribute_cache () =
   let fx = setup () in
   let bob =
@@ -407,11 +438,9 @@ let test_l2_unreachable_degrades_to_miss () =
 
 let test_deny_never_outlives_invalidation () =
   let fx = setup_l2 () in
-  (* The revocation hook a domain installs: L2 rounds purge PEP L1s. *)
-  Cache_hierarchy.L2.set_on_invalidate fx.l2 (fun key ->
-      match key with
-      | None -> List.iter Pep.invalidate_cache [ fx.pep1; fx.pep2 ]
-      | Some key -> List.iter (fun p -> Pep.invalidate_key p ~key) [ fx.pep1; fx.pep2 ]);
+  (* The hook a domain installs: every L2 purge purges the PEP L1s. *)
+  Cache_hierarchy.L2.set_on_region fx.l2 (fun region ->
+      List.iter (fun p -> ignore (Pep.invalidate_region p region)) [ fx.pep1; fx.pep2 ]);
   let mallory =
     Client.create fx.services ~node:"mallory"
       ~subject:[ ("subject-id", Value.String "mallory"); ("role", Value.String "intern") ]
@@ -431,9 +460,9 @@ let test_deny_never_outlives_invalidation () =
   let s = Pep.stats fx.pep1 in
   check int_ "the deny was served from L1" 1 s.Pep.cache_hits;
   check int_ "one live call so far" 1 s.Pep.pdp_calls;
-  (* One invalidation round: the cached deny is gone from every level —
+  (* One unbounded purge: the cached deny is gone from every level —
      negative entries obey revocation exactly like grants. *)
-  Cache_hierarchy.L2.invalidate_all fx.l2;
+  Cache_hierarchy.L2.invalidate_region fx.l2 Delta.unbounded;
   Net.run fx.net;
   check int_ "L2 purged" 0 (Cache_hierarchy.L2.size fx.l2);
   ask 20.0 o3;
@@ -455,8 +484,8 @@ let test_invalidation_fanout () =
   let root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
   let l2a = Cache_hierarchy.L2.create services ~node:(add "l2a") ~ttl:60.0 () in
   let l2b = Cache_hierarchy.L2.create services ~node:(add "l2b") ~ttl:60.0 () in
-  Cache_hierarchy.L2.subscribe root ~child:"l2a";
-  Cache_hierarchy.L2.subscribe root ~child:"l2b";
+  Cache_hierarchy.L2.subscribe root ~child:l2a;
+  Cache_hierarchy.L2.subscribe root ~child:l2b;
   let seeder = add "seeder" in
   Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
       List.iter
@@ -467,14 +496,14 @@ let test_invalidation_fanout () =
   Net.run net;
   check int_ "children seeded" 4
     (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
-  (* Keyed drop: only k1 disappears, epochs untouched. *)
-  Cache_hierarchy.L2.invalidate root ~key:"k1";
+  (* An empty region: nothing dropped, no epoch moves. *)
+  Cache_hierarchy.L2.invalidate_region root Delta.empty;
   Net.run net;
-  check int_ "keyed drop reached both children" 2
+  check int_ "an empty region drops nothing" 4
     (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
-  check int_ "keyed drops do not bump epochs" 0 (Cache_hierarchy.L2.epoch l2a);
+  check int_ "nor bumps an epoch" 0 (Cache_hierarchy.L2.epoch l2a);
   (* Full purge: everything gone, epochs advance, latency observed. *)
-  Cache_hierarchy.L2.invalidate_all root;
+  Cache_hierarchy.L2.invalidate_region root Delta.unbounded;
   Net.run net;
   check int_ "full purge reached both children" 0
     (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
@@ -483,6 +512,37 @@ let test_invalidation_fanout () =
   let dump = Metrics.render (Service.metrics services) in
   check bool_ "invalidation latency histogram populated" true
     (contains dump "l2_invalidation_latency_seconds")
+
+(* A domain L2 applies purges only from its parent in the hierarchy: an
+   unbounded region from any other node gets a fault and purges
+   nothing, while the parent's own purge still lands. *)
+let test_purge_only_from_parent () =
+  let net = Net.create ~seed:29L () in
+  let services = Service.create (Rpc.create net) in
+  let da = Domain.create services ~name:"hospital" () in
+  let vo = Vo.form services ~name:"vo" [ da ] in
+  let root = Vo.cache_hierarchy vo ~ttl:60.0 () in
+  let l2 = match Domain.l2 da with Some l2 -> l2 | None -> Alcotest.fail "domain should have an L2" in
+  Net.add_node net "mallory";
+  let t0 = Net.now net in
+  Engine.schedule_at (Net.engine net) ~at:(t0 +. 0.5) (fun () ->
+      Cache_hierarchy.L2.remote_put services ~src:"mallory" ~l2:(Cache_hierarchy.L2.node l2) ~key:"k"
+        Decision.permit);
+  let answer = ref None in
+  Engine.schedule_at (Net.engine net) ~at:(t0 +. 1.0) (fun () ->
+      Service.call_frame services ~src:"mallory" ~dst:(Cache_hierarchy.L2.node l2)
+        ~service:"cache-region" ~read:Wire.read_cache_epoch
+        (fun buf -> Wire.write_cache_region buf ~epoch:99 Delta.unbounded)
+        (fun r -> answer := Some r));
+  Engine.run (Net.engine net) ~until:(t0 +. 3.0);
+  check bool_ "the stranger's purge is refused" true
+    (match !answer with Some (Error _) -> true | _ -> false);
+  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size l2);
+  check int_ "epoch untouched" 0 (Cache_hierarchy.L2.epoch l2);
+  Cache_hierarchy.L2.invalidate_region root Delta.unbounded;
+  Engine.run (Net.engine net) ~until:(t0 +. 5.0);
+  check int_ "the parent's purge lands" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "and advances the epoch" 1 (Cache_hierarchy.L2.epoch l2)
 
 let test_anti_entropy_backstop () =
   let net = Net.create ~seed:17L () in
@@ -500,14 +560,13 @@ let test_anti_entropy_backstop () =
   Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
       Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"child" ~key:"k" Decision.permit);
   Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
-      Cache_hierarchy.L2.invalidate_all root);
+      Cache_hierarchy.L2.invalidate_region root Delta.unbounded);
   Engine.run (Net.engine net) ~until:10.0;
   check int_ "the poll applied the missed purge" 0 (Cache_hierarchy.L2.size child);
   check bool_ "child epoch caught up" true (Cache_hierarchy.L2.epoch child >= 1)
 
 (* --- targeted invalidation from change-impact regions ------------------- *)
 
-module Delta = Dacs_policy.Delta
 module Context = Dacs_policy.Context
 
 (* A publish appending one rule confined to resource "lab": its
@@ -550,17 +609,7 @@ let test_region_targeted_drops () =
   check int_ "two entries retained" 2 (Decision_cache.size c);
   check bool_ "chart decision survives" true (Decision_cache.get c ~now:1.0 ~key:(rkey "chart") <> None);
   check bool_ "lab decision gone" true (Decision_cache.get c ~now:1.0 ~key:(rkey "lab") = None);
-  check int_ "an empty region drops nothing" 0 (Decision_cache.invalidate_region c Delta.empty);
-  (* Attribute cache: only the pinned position's bags drop. *)
-  let m = Dacs_telemetry.Metrics.create () in
-  let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Resource ~id:"resource-id"
-    ~subject:"alice" [ Value.String "lab" ];
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
-    [ Value.String "doctor" ];
-  check int_ "the pinned position's bag dropped" 1
-    (Cache_hierarchy.Attr_cache.invalidate_region ac lab_region);
-  check int_ "the role bag survives" 1 (Cache_hierarchy.Attr_cache.size ac)
+  check int_ "an empty region drops nothing" 0 (Decision_cache.invalidate_region c Delta.empty)
 
 let test_region_unbounded_flush () =
   (* A first publish (no previous tree) has no bound at all. *)
@@ -571,14 +620,7 @@ let test_region_unbounded_flush () =
     (fun r -> Decision_cache.put c ~now:0.0 ~key:(rkey r) Decision.permit)
     [ "chart"; "lab" ];
   check int_ "unbounded drops everything" 2 (Decision_cache.invalidate_region c Delta.unbounded);
-  check int_ "L1 emptied" 0 (Decision_cache.size c);
-  let m = Dacs_telemetry.Metrics.create () in
-  let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
-  Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
-    [ Value.String "doctor" ];
-  check int_ "attribute cache flushed too" 1
-    (Cache_hierarchy.Attr_cache.invalidate_region ac Delta.unbounded);
-  check int_ "no bags left" 0 (Cache_hierarchy.Attr_cache.size ac)
+  check int_ "L1 emptied" 0 (Decision_cache.size c)
 
 (* A region push the child never hears (not subscribed) still bumps the
    root epoch, so the child's next anti-entropy poll repairs the loss —
@@ -778,7 +820,6 @@ let doctor_lab_policy =
          Rule.permit ~target:Target.(any |> resource_is "resource-id" "lab") "lab-bonus";
          Rule.deny "default-deny";
        ])
-
 
 let test_vo_revocation_round () =
   let net = Net.create ~seed:21L () in
@@ -1101,40 +1142,6 @@ let test_l2_region_drops_peer_malformed_keys () =
     (fun key -> check bool_ ("malformed key misses: " ^ key) true (hit key = Some false))
     malformed
 
-(* The attribute cache's region purge works on pair syms: a bag at a
-   pinned or guard position drops, one elsewhere survives, and an entry
-   whose pair sym the intern table never minted drops conservatively. *)
-let test_attr_cache_region_syms () =
-  let m = Dacs_telemetry.Metrics.create () in
-  let ac = Cache_hierarchy.Attr_cache.create m ~node:"pdp" ~ttl:60.0 () in
-  let guarded =
-    Delta.Zones
-      [
-        [
-          {
-            Delta.pin_category = Context.Resource;
-            pin_attribute = "resource-id";
-            pin_values = [ "lab" ];
-            pin_guards = [ (Context.Subject, "clearance") ];
-          };
-        ];
-      ]
-  in
-  let store category id =
-    Cache_hierarchy.Attr_cache.store ac ~now:0.0 ~category ~id ~subject:"alice" [ Value.String "x" ]
-  in
-  store Context.Resource "resource-id";
-  store Context.Subject "clearance";
-  store Context.Subject "role";
-  Cache_hierarchy.Attr_cache.store_sym ac ~now:0.0 ~pair:1_000_000
-    ~subject_sym:(Cache_hierarchy.Attr_cache.subject_sym "alice")
-    [ Value.String "x" ];
-  check int_ "pinned, guard and unknown-sym bags dropped" 3
-    (Cache_hierarchy.Attr_cache.invalidate_region ac guarded);
-  check bool_ "the role bag survives" true
-    (Cache_hierarchy.Attr_cache.find ac ~now:1.0 ~category:Context.Subject ~id:"role" ~subject:"alice"
-    <> None)
-
 (* A purge that drops nothing allocates the same at 1,024 and 4,096
    entries: the per-key test allocates nothing, so the purge's
    allocation is O(dropped), not O(size). *)
@@ -1179,6 +1186,8 @@ let () =
             test_legacy_no_attr_cache;
           Alcotest.test_case "PIP pushes purge exactly the dropped attribute" `Quick
             test_attribute_invalidation_push;
+          Alcotest.test_case "only the PDP's PIPs may drop a cached bag" `Quick
+            test_attribute_invalidation_only_from_pips;
           Alcotest.test_case "empty bags are negative-cached" `Quick test_negative_attribute_cache;
         ] );
       ( "single-flight",
@@ -1203,6 +1212,8 @@ let () =
             test_l2_unreachable_degrades_to_miss;
           Alcotest.test_case "invalidations fan out along the hierarchy" `Quick
             test_invalidation_fanout;
+          Alcotest.test_case "a purge from a node other than the parent is refused" `Quick
+            test_purge_only_from_parent;
           Alcotest.test_case "anti-entropy applies a lost purge within one round" `Quick
             test_anti_entropy_backstop;
           Alcotest.test_case "a pull PEP sends no L2 put for an Indeterminate" `Quick
@@ -1226,8 +1237,6 @@ let () =
             `Quick
             (test_l1_put_after_purge_race ~sharded:false);
           QCheck_alcotest.to_alcotest region_equivalence_prop;
-          Alcotest.test_case "the attribute cache purges by pair sym" `Quick
-            test_attr_cache_region_syms;
           Alcotest.test_case "a purge that drops nothing allocates independently of size" `Quick
             test_region_purge_allocation;
           Alcotest.test_case "an L2 region purge drops malformed peer keys" `Quick

@@ -220,11 +220,13 @@ let test_cache_invalidation () =
   let c = Decision_cache.create ~ttl:100.0 () in
   Decision_cache.put c ~now:0.0 ~key:"a" Decision.permit;
   Decision_cache.put c ~now:0.0 ~key:"b" Decision.deny;
-  Decision_cache.invalidate c ~key:"a";
-  check bool_ "a gone" true (Decision_cache.get c ~now:1.0 ~key:"a" = None);
-  check bool_ "b stays" true (Decision_cache.get c ~now:1.0 ~key:"b" <> None);
-  Decision_cache.invalidate_all c;
-  check int_ "flushed" 0 (Decision_cache.size c)
+  check int_ "an empty region drops nothing" 0 (Decision_cache.invalidate_region c Dacs_policy.Delta.empty);
+  check bool_ "a stays" true (Decision_cache.get c ~now:1.0 ~key:"a" <> None);
+  check int_ "no purge counted" 0 (Decision_cache.purges c);
+  check int_ "an unbounded region drops both" 2
+    (Decision_cache.invalidate_region c Dacs_policy.Delta.unbounded);
+  check int_ "flushed" 0 (Decision_cache.size c);
+  check int_ "one purge counted" 1 (Decision_cache.purges c)
 
 let test_cache_key_stability () =
   let ctx1 = Context.make ~subject:(doctor_subject "alice") ~action:[ ("action-id", Value.String "read") ] () in

@@ -444,12 +444,18 @@ let directed_mutation_check () =
 let directed_attributes () =
   let before = pol [ deny_all ] in
   let after = pol [ permit_rule (); deny_all ] in
-  let attrs = Delta.attributes (Delta.between (Some before) (Some after)) in
+  let attrs =
+    match Delta.between (Some before) (Some after) with
+    | Delta.Zones zones ->
+      List.concat_map
+        (List.concat_map (fun (pin : Delta.pin) -> (pin.pin_category, pin.pin_attribute) :: pin.pin_guards))
+        zones
+    | Delta.Empty | Delta.Unbounded -> []
+  in
   check "pinned positions reported" true
     (List.mem (Context.Subject, "role") attrs
     && List.mem (Context.Resource, "resource-id") attrs
-    && List.mem (Context.Action, "action-id") attrs);
-  check "empty region reports nothing" true (Delta.attributes Delta.empty = [])
+    && List.mem (Context.Action, "action-id") attrs)
 
 let directed =
   [

@@ -144,8 +144,8 @@ let make_sut () =
 (* The invalidation round a publish or attribute change triggers: purge
    the shared L2 and every PEP L1, then let the pushes propagate. *)
 let invalidation_round sut =
-  Cache_hierarchy.L2.invalidate_all sut.l2;
-  Pep.invalidate_cache sut.pep;
+  Cache_hierarchy.L2.invalidate_region sut.l2 Delta.unbounded;
+  ignore (Pep.invalidate_region sut.pep Delta.unbounded);
   Net.run sut.net
 
 (* The request the PEP actually sees withholds the role — the shard must

@@ -252,13 +252,13 @@ let cached_ladder_evaluate ~sharded root cspec =
     !answer
   in
   let purge_decision_caches () =
-    Cache_hierarchy.L2.invalidate_all l2;
-    Pep.invalidate_cache pep;
+    Cache_hierarchy.L2.invalidate_region l2 Dacs_policy.Delta.unbounded;
+    ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded);
     Net.run net
   in
   let cold = decide () in
   let warm_l1 = decide () in
-  Pep.invalidate_cache pep;
+  ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded);
   let l2_only = decide () in
   purge_decision_caches ();
   let attr_cached = decide () in
@@ -284,7 +284,7 @@ let cached_ladder_evaluate ~sharded root cspec =
      reference's attributes, so the decision must still match; an
      Indeterminate has no offline basis and falls through to the
      fail-closed floor without ever being logged. *)
-  Pep.invalidate_cache pep;
+  ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded);
   let offline_replica =
     Offline.create ~now:(fun () -> Dacs_net.Engine.now (Net.engine net))
       ~key:(Dacs_crypto.Sha256.digest "oracle-mesh") ~author:"d" ()
@@ -634,7 +634,7 @@ let churn_corpus ~alg ~name gens =
     (fun gen root ->
       let region = Delta.between !prev (Some root) in
       ignore (Decision_cache.invalidate_region targeted region);
-      Decision_cache.invalidate_all full;
+      ignore (Decision_cache.invalidate_region full Delta.unbounded);
       prev := Some root;
       List.iter
         (fun ctx ->
@@ -734,7 +734,7 @@ let shared_cache_evaluate ~alg:name root role_codes =
   pass "cold" Provenance.Live
   && pass "warm" Provenance.L1
   &&
-  (Pep.invalidate_cache pep;
+  (ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded);
    pass "l2" Provenance.L2)
 
 let arb_role_codes = QCheck.(list_of_size (Gen.return 4) (int_bound (Array.length roles)))

@@ -27,6 +27,11 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let string_ = Alcotest.string
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m > 0 && go 0
+
 (* --- fixture ---------------------------------------------------------------- *)
 
 let doctor_policy resource =
@@ -131,6 +136,22 @@ let test_ring_remap () =
   Pdp_tier.set_shards fx.tier fx.shard_nodes;
   Pdp_tier.set_shards fx.tier fx.shard_nodes;
   check int_ "no-op set_shards not counted" 2 (Pdp_tier.stats fx.tier).Pdp_tier.rebalances
+
+(* Placement does not depend on the order of the shard list, so the
+   same set in another order is no rebalance: no count, no trace event.
+   A real change still is both. *)
+let test_reordered_set_no_rebalance () =
+  let fx = setup () in
+  let tracer = Service.tracer fx.services in
+  Dacs_telemetry.Trace.set_enabled tracer true;
+  let rebalances () = (Pdp_tier.stats fx.tier).Pdp_tier.rebalances in
+  let traced () = contains (Dacs_telemetry.Trace.render_tree tracer) "tier:rebalance" in
+  Pdp_tier.set_shards fx.tier (List.rev fx.shard_nodes);
+  check int_ "a reordered set is not counted" 0 (rebalances ());
+  check bool_ "nor traced" false (traced ());
+  Pdp_tier.set_shards fx.tier (List.tl fx.shard_nodes);
+  check int_ "a smaller set is counted" 1 (rebalances ());
+  check bool_ "and traced" true (traced ())
 
 (* A tier that is only asked where keys go: [shard_for] needs no live
    shard behind the names. *)
@@ -543,11 +564,6 @@ let test_same_seed_identical_runs () =
   let report1, dump1 = chaos_run 1234L in
   let report2, dump2 = chaos_run 1234L in
   (* The runs must be non-trivial: the tier actually routed queries. *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    m > 0 && go 0
-  in
   check bool_ "tier series present in the dump" true (contains dump1 "pdp_tier_dispatch_total");
   check bool_ "batch series present in the dump" true (contains dump1 "rpc_batches_total");
   check string_ "byte-identical reports" report1 report2;
@@ -559,6 +575,8 @@ let () =
       ( "routing",
         [
           Alcotest.test_case "shard loss only remaps its own keys" `Quick test_ring_remap;
+          Alcotest.test_case "a reordered shard set is no rebalance" `Quick
+            test_reordered_set_no_rebalance;
           Alcotest.test_case "same-instant queries coalesce into frames" `Quick test_batching;
           Alcotest.test_case "eight shards: the busiest holds <= 1.10x the mean" `Quick
             test_balance;

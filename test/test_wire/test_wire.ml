@@ -357,10 +357,6 @@ let frames =
     ack "subscribe_ack" Wire.write_subscribe_ack Wire.read_subscribe_ack Ref.subscribe_ack;
     ack "invalidate_ack" Wire.write_invalidate_ack Wire.read_invalidate_ack Ref.invalidate_ack;
     ack "cache_put_ack" Wire.write_cache_put_ack Wire.read_cache_put_ack Ref.cache_put_ack;
-    plain ~name:"cache_invalidate" ~gen:(Gen.pair count_gen (Gen.opt text_gen))
-      ~write:(fun buf (epoch, key) -> Wire.write_cache_invalidate buf ~epoch key)
-      ~read:Wire.read_cache_invalidate ~parse:Ref.parse_cache_invalidate
-      (fun (epoch, key) -> Ref.cache_invalidate ~epoch key);
     plain ~name:"cache_region" ~gen:(Gen.pair count_gen region_gen)
       ~write:(fun buf (epoch, region) -> Wire.write_cache_region buf ~epoch region)
       ~read:Wire.read_cache_region ~parse:Ref.parse_cache_region

@@ -425,19 +425,6 @@ let parse_attribute_invalidate node =
   let* attribute_id = attr_or_error node "AttributeId" in
   Ok (subject, attribute_id)
 
-let cache_invalidate ~epoch key =
-  Xml.element "CacheInvalidate"
-    ~attrs:
-      (("Epoch", string_of_int epoch)
-      :: (match key with None -> [] | Some k -> [ ("Key", k) ]))
-
-let parse_cache_invalidate node =
-  let* () = expect_tag node "CacheInvalidate" in
-  let* epoch_s = attr_or_error node "Epoch" in
-  match int_of_string_opt epoch_s with
-  | None -> Error "Epoch is not an integer"
-  | Some epoch -> Ok (epoch, Xml.attr node "Key")
-
 let cache_sync ~known_epoch =
   Xml.element "CacheSync" ~attrs:[ ("KnownEpoch", string_of_int known_epoch) ]
 

@@ -429,7 +429,6 @@ let wire_envelopes () =
       ("cache_answer (miss)", written (fun buf -> Wire.write_cache_answer buf None));
       ("cache_put", written (fun buf -> Wire.write_cache_put ~sent_at:1.25 buf ~key:"alice|read|r1" result));
       ("cache_put_ack", written Wire.write_cache_put_ack);
-      ("cache_invalidate", written (fun buf -> Wire.write_cache_invalidate buf ~epoch:2 (Some "p-r1")));
       ("cache_region", written (fun buf -> Wire.write_cache_region buf ~epoch:2 (Dacs_policy.Delta.between (Some (policy "r1")) (Some (policy "r2")))));
       ("cache_sync", written (fun buf -> Wire.write_cache_sync buf ~known_epoch:1));
       ("cache_epoch", written (fun buf -> Wire.write_cache_epoch buf ~epoch:4));
