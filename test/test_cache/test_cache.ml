@@ -20,6 +20,7 @@ module Net = Dacs_net.Net
 module Rpc = Dacs_net.Rpc
 module Metrics = Dacs_telemetry.Metrics
 module Loghist = Dacs_telemetry.Loghist
+module Trace = Dacs_telemetry.Trace
 module Service = Dacs_ws.Service
 module Delta = Dacs_policy.Delta
 open Dacs_core
@@ -544,6 +545,43 @@ let test_purge_only_from_parent () =
   check int_ "the parent's purge lands" 0 (Cache_hierarchy.L2.size l2);
   check int_ "and advances the epoch" 1 (Cache_hierarchy.L2.epoch l2)
 
+(* [enable_anti_entropy ~parent] records the parent as well: a child
+   that is only polled, never subscribed, accepts a purge frame from
+   that node and refuses the same frame from any other. *)
+let test_purge_from_anti_entropy_parent () =
+  let net = Net.create ~seed:31L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let _root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
+  let child = Cache_hierarchy.L2.create services ~node:(add "child") ~ttl:60.0 () in
+  Cache_hierarchy.L2.enable_anti_entropy child ~parent:"root" ~period:2.0;
+  let seeder = add "seeder" in
+  let purge ~src ~at answer =
+    Engine.schedule_at (Net.engine net) ~at (fun () ->
+        Service.call_frame services ~src ~dst:"child" ~service:"cache-region" ~read:Wire.read_cache_epoch
+          (fun buf -> Wire.write_cache_region buf ~epoch:1 Delta.unbounded)
+          (fun r -> answer := Some r))
+  in
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
+      Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"child" ~key:"k" Decision.permit);
+  let from_seeder = ref None in
+  purge ~src:seeder ~at:1.0 from_seeder;
+  Engine.run (Net.engine net) ~until:1.5;
+  check bool_ "a non-parent's purge is refused" true
+    (match !from_seeder with Some (Error _) -> true | _ -> false);
+  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size child);
+  check int_ "epoch untouched" 0 (Cache_hierarchy.L2.epoch child);
+  let from_root = ref None in
+  purge ~src:"root" ~at:1.6 from_root;
+  Engine.run (Net.engine net) ~until:1.9;
+  check bool_ "the polled parent's purge is accepted" true
+    (match !from_root with Some (Ok _) -> true | _ -> false);
+  check int_ "the purge landed" 0 (Cache_hierarchy.L2.size child);
+  check int_ "and advanced the epoch" 1 (Cache_hierarchy.L2.epoch child)
+
 let test_anti_entropy_backstop () =
   let net = Net.create ~seed:17L () in
   let services = Service.create (Rpc.create net) in
@@ -621,6 +659,27 @@ let test_region_unbounded_flush () =
     [ "chart"; "lab" ];
   check int_ "unbounded drops everything" 2 (Decision_cache.invalidate_region c Delta.unbounded);
   check int_ "L1 emptied" 0 (Decision_cache.size c)
+
+(* Traces name the purge kind: an unbounded region records
+   [l2:invalidate-all], as the full flush did before it was a region,
+   and a bounded one records [l2:invalidate-region]. *)
+let test_region_trace_events () =
+  let net = Net.create ~seed:37L () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "root";
+  let root = Cache_hierarchy.L2.create services ~node:"root" ~ttl:60.0 () in
+  let tracer = Service.tracer services in
+  Trace.set_enabled tracer true;
+  Cache_hierarchy.L2.invalidate_region root Delta.empty;
+  check bool_ "an empty region records nothing" false
+    (contains (Trace.render_tree tracer) "l2:invalidate");
+  Cache_hierarchy.L2.invalidate_region root Delta.unbounded;
+  let tree = Trace.render_tree tracer in
+  check bool_ "unbounded records invalidate-all" true (contains tree "l2:invalidate-all root");
+  check bool_ "and no region event" false (contains tree "l2:invalidate-region");
+  Cache_hierarchy.L2.invalidate_region root lab_region;
+  check bool_ "a bounded region records invalidate-region" true
+    (contains (Trace.render_tree tracer) "l2:invalidate-region root")
 
 (* A region push the child never hears (not subscribed) still bumps the
    root epoch, so the child's next anti-entropy poll repairs the loss —
@@ -1214,6 +1273,8 @@ let () =
             test_invalidation_fanout;
           Alcotest.test_case "a purge from a node other than the parent is refused" `Quick
             test_purge_only_from_parent;
+          Alcotest.test_case "an anti-entropy parent's purge is accepted" `Quick
+            test_purge_from_anti_entropy_parent;
           Alcotest.test_case "anti-entropy applies a lost purge within one round" `Quick
             test_anti_entropy_backstop;
           Alcotest.test_case "a pull PEP sends no L2 put for an Indeterminate" `Quick
@@ -1227,6 +1288,7 @@ let () =
             test_region_targeted_drops;
           Alcotest.test_case "an unbounded region degrades to the full flush" `Quick
             test_region_unbounded_flush;
+          Alcotest.test_case "traces name the purge kind" `Quick test_region_trace_events;
           Alcotest.test_case "anti-entropy repairs a lost region push" `Quick
             test_region_anti_entropy_repair;
           Alcotest.test_case "an in-flight put cannot outlive a region purge" `Quick
