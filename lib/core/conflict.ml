@@ -1,7 +1,6 @@
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
 module Target = Dacs_policy.Target
-module Value = Dacs_policy.Value
 module Combine = Dacs_policy.Combine
 module Decision = Dacs_policy.Decision
 
@@ -21,34 +20,23 @@ type conflict = {
   witness : string;
 }
 
-(* A clause's constraint on one section: attribute -> required value.
+(* A clause's bindings: the value each position it pins
+   (Target.clause_pins, keyed by (category, attribute)) must hold.
    Under the single-valued-attribute assumption a clause demanding two
-   values for one attribute is unsatisfiable. *)
-type clause_constraint = (string * string) list option
-(* None = unsatisfiable clause; Some bindings otherwise *)
-
-let clause_constraint clause : clause_constraint =
-  let rec go acc = function
-    | [] -> Some acc
-    | m :: rest -> (
-      match m.Target.value with
-      | Value.String v | Value.Uri v -> (
-        match List.assoc_opt m.Target.attribute_id acc with
-        | Some v' when v' <> v -> None
-        | Some _ -> go acc rest
-        | None -> go ((m.Target.attribute_id, v) :: acc) rest)
-      (* Non-string matches (ranges etc.) are conservatively treated as
-         always satisfiable alongside anything. *)
-      | Value.Int _ | Value.Bool _ | Value.Double _ | Value.Time _ -> go acc rest)
-  in
-  go [] clause
+   values at one position is unsatisfiable (None).  Every other match
+   is treated as satisfiable alongside anything. *)
+let clause_constraint clause =
+  List.fold_right
+    (fun (pos, values) acc ->
+      match (values, acc) with [ v ], Some bindings -> Some ((pos, v) :: bindings) | _ -> None)
+    (Target.clause_pins clause) (Some [])
 
 (* Two clause constraints are compatible when they do not demand
-   different values for the same attribute. *)
-let compatible (a : (string * string) list) (b : (string * string) list) =
+   different values at the same position. *)
+let compatible a b =
   List.for_all
-    (fun (attr, v) ->
-      match List.assoc_opt attr b with
+    (fun (pos, v) ->
+      match List.assoc_opt pos b with
       | Some v' -> v = v'
       | None -> true)
     a
@@ -95,7 +83,7 @@ let witness_for (p, r) =
         List.filter_map
           (fun m ->
             match clause_constraint [ m ] with
-            | Some [ (attr, v) ] -> Some (Printf.sprintf "%s %s=%s" name attr v)
+            | Some [ ((_, attr), v) ] -> Some (Printf.sprintf "%s %s=%s" name attr v)
             | _ -> None)
           clause
     in

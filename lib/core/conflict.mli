@@ -3,9 +3,15 @@
     Enumerates modality conflicts: pairs of rules with opposite effects
     whose applicability constraints can be satisfied by one and the same
     access request.  The analysis is the pre-deployment check the paper
-    describes — it assumes single-valued subject attributes (a clause
-    requiring two different values for one attribute is treated as
-    unsatisfiable), which matches identity/role-style targets. *)
+    describes.  Targets are read through {!Dacs_policy.Target.clause_pins}:
+    only a [string-equal] match on a string literal binds, and it binds
+    the (category, attribute) position it reads.  Every other match
+    counts as satisfiable alongside anything, so the analysis may report
+    a pair no request reaches but never misses one that a
+    single-valued request reaches.
+    It assumes single-valued attributes (a clause binding two different
+    values at one position is unsatisfiable), which matches
+    identity/role-style targets. *)
 
 type rule_ref = {
   policy_id : string;

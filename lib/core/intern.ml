@@ -297,7 +297,7 @@ let is_string t v = match t.value_of.(v) with Value.String _ -> true | _ -> fals
 
 let rec mem_sym x a i = i < Array.length a && (a.(i) = x || mem_sym x a (i + 1))
 
-(* Compiled.guards_clean for one position: some atom sits at [pair] and
+(* Target.guards_clean for one position: some atom sits at [pair] and
    every atom there carries a string. *)
 let rec clean_at t packs n pair i seen =
   if i = n then seen
@@ -306,7 +306,7 @@ let rec clean_at t packs n pair i seen =
     if pack lsr 31 <> pair then clean_at t packs n pair (i + 1) seen
     else is_string t (pack land value_mask) && clean_at t packs n pair (i + 1) true
 
-(* Compiled.clean_ids plus disjointness: the pinned bag is non-empty,
+(* Target.clean_ids plus disjointness: the pinned bag is non-empty,
    all-string, and holds none of the allowed values. *)
 let rec disjoint_at t packs n pin i seen =
   if i = n then seen

@@ -1,27 +1,17 @@
 (* Compilation partitions each leaf policy's rules into four classes by
-   the string-equality pins of their targets: pinned on resource-id and
-   action-id, pinned on one axis, or pinned on neither (fallback).
-   Dispatch unions the buckets selected by the request's resource-id /
-   action-id values with the fallback bucket and restores document
-   order, so the combining algorithm sees exactly the interpreter's rule
-   sequence minus rules whose targets provably cannot match.
+   their targets' pins (Target.pins): pinned on Resource resource-id and
+   Action action-id, pinned on one axis, or pinned on neither
+   (fallback).  Dispatch unions the buckets selected by the request's
+   resource-id / action-id values with the fallback bucket and restores
+   document order, so the combining algorithm sees exactly the
+   interpreter's rule sequence minus rules whose targets provably cannot
+   match.
 
-   Pruning is attempted on an axis only when the request's bag for that
-   attribute is non-empty and all-string: [string-equal] errors on any
-   other value type, so a pinned rule could then be Indeterminate rather
-   than NotApplicable and must not be skipped.
-
-   Target sections evaluate in order (subjects, resources, actions,
-   environments) and an error in an earlier section short-circuits the
-   whole target to Indeterminate — before the pinned section's mismatch
-   is ever seen.  A rule is therefore indexable on an axis only when
-   every match in the sections evaluated before that axis is a
-   [string-equal] on a string literal (the only shape that cannot error
-   against an all-string bag), and those matches' attributes are
-   recorded as the leaf's guard set for the axis: dispatch prunes only
-   when every guard attribute's request bag is also non-empty and
-   all-string (emptiness would hand the match to the resolver, whose
-   answer we cannot see here).
+   Target owns the soundness argument: a pin excludes a request only
+   when the pinned bag is clean and so are the guards (the positions the
+   sections evaluated before the pinned one read).  Each leaf unions the
+   guards of its indexed rules per axis, and dispatch prunes on an axis
+   only when all of them are clean.
 
    Rule conditions have policy variables substituted at compile time;
    an unresolvable variable is remembered as a per-rule error that
@@ -45,8 +35,7 @@ type leaf = {
   wild : int list;  (* fallback: pinned on neither axis *)
   all_pos : int list;  (* 0..n-1 *)
   res_guards : (Context.category * string) list;
-      (* attributes read by sections evaluated before the resource
-         section of any resource-indexed rule *)
+      (* the pin guards of every resource-indexed rule *)
   act_guards : (Context.category * string) list;  (* likewise for action *)
 }
 
@@ -58,76 +47,13 @@ type t = { root : Policy.child; node : node; epoch : int; reused : int }
 
 (* --- leaf compilation --------------------------------------------------- *)
 
-(* The axis values a clause accepts when it pins [attr] by string
-   equality; None when the clause leaves the attribute free. *)
-let clause_axis_values attr clause =
-  let values =
-    List.filter_map
-      (fun m ->
-        if m.Target.attribute_id = attr && m.Target.fn = "string-equal" then
-          match m.Target.value with
-          | Value.String s -> Some s
-          | _ -> None
-        else None)
-      clause
-  in
-  match values with [] -> None | vs -> Some vs
-
-(* All values of [attr] a rule's [section] can apply to, or None when
-   unconstrained (some clause leaves the attribute free, or the section
-   is empty and so matches everything). *)
-let section_axis_values attr section =
-  match section with
-  | [] -> None
-  | clauses ->
-    let per_clause = List.map (clause_axis_values attr) clauses in
-    if List.exists (fun v -> v = None) per_clause then None
-    else
-      Some
-        (List.sort_uniq compare
-           (List.concat_map (fun v -> Option.value v ~default:[]) per_clause))
-
-(* A match that cannot evaluate to an error against a non-empty
-   all-string bag: string equality between string operands always
-   answers true or false. *)
-let guardable_match m =
-  m.Target.fn = "string-equal"
-  && (match m.Target.value with Value.String _ -> true | _ -> false)
-
-(* The (category, attribute) pairs a section's matches read, or None
-   when some match could error in a way a bag-shape check at dispatch
-   time cannot rule out. *)
-let section_guards section =
-  if List.for_all (List.for_all guardable_match) section then
-    Some
-      (List.concat_map
-         (List.map (fun m -> (m.Target.category, m.Target.attribute_id)))
-         section)
-  else None
-
-(* Axis pins are usable only when the sections the interpreter evaluates
-   *before* the pinned one provably cannot short-circuit to
-   Indeterminate: subjects come before resources, and subjects and
-   resources both come before actions.  Eligible rules contribute their
-   earlier sections' attributes to the leaf's guard set. *)
-let rule_resource_values (rule : Rule.t) =
-  match section_axis_values "resource-id" rule.Rule.target.Target.resources with
-  | None -> None
-  | Some rs -> (
-    match section_guards rule.Rule.target.Target.subjects with
-    | None -> None
-    | Some guards -> Some (rs, guards))
-
-let rule_action_values (rule : Rule.t) =
-  match section_axis_values "action-id" rule.Rule.target.Target.actions with
-  | None -> None
-  | Some as_ -> (
-    match
-      ( section_guards rule.Rule.target.Target.subjects,
-        section_guards rule.Rule.target.Target.resources )
-    with
-    | Some g1, Some g2 -> Some (as_, g1 @ g2)
-    | _ -> None)
+(* A rule's pin on one axis position, as (values, guards). *)
+let axis_pin pins category attr =
+  List.find_map
+    (fun (p : Target.pin) ->
+      if p.pin_category = category && p.pin_attribute = attr then Some (p.pin_values, p.pin_guards)
+      else None)
+    pins
 
 let tbl_add tbl key pos =
   let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
@@ -157,8 +83,9 @@ let compile_leaf policy =
   let act_guards = ref [] in
   List.iteri
     (fun pos rule ->
-      let rvals = rule_resource_values rule in
-      let avals = rule_action_values rule in
+      let pins = Target.pins rule.Rule.target in
+      let rvals = axis_pin pins Context.Resource "resource-id" in
+      let avals = axis_pin pins Context.Action "action-id" in
       (match rvals with
       | None -> res_free := pos :: !res_free
       | Some (rs, guards) ->
@@ -199,42 +126,17 @@ let compile_leaf policy =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
-(* The request's values for one axis attribute, but only when pruning on
-   it is sound: a non-empty bag of strings and nothing else.  An empty
-   bag may be filled by a resolver later; a non-string value makes
-   [string-equal] error instead of mismatch. *)
-let clean_ids ctx category attr =
-  match Context.bag ctx category attr with
-  | [] -> None
-  | bag ->
-    let rec strings acc = function
-      | [] -> Some (List.rev acc)
-      | Value.String s :: rest -> strings (s :: acc) rest
-      | _ -> None
-    in
-    strings [] bag
-
 let find_list tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:[]
-
-(* Every guard attribute must carry a non-empty all-string bag, so the
-   sections evaluated before a pinned one resolve to Match or No_match —
-   never Indeterminate — and the pin's mismatch decides the target. *)
-let guards_clean ctx guards =
-  List.for_all
-    (fun (category, attr) ->
-      match Context.bag ctx category attr with
-      | [] -> false
-      | bag -> List.for_all (function Value.String _ -> true | _ -> false) bag)
-    guards
 
 (* Candidate positions in document order. *)
 let dispatch leaf ctx =
   let rids =
-    if guards_clean ctx leaf.res_guards then clean_ids ctx Context.Resource "resource-id"
+    if Target.guards_clean ctx leaf.res_guards then
+      Target.clean_ids ctx Context.Resource "resource-id"
     else None
   in
   let aids =
-    if guards_clean ctx leaf.act_guards then clean_ids ctx Context.Action "action-id"
+    if Target.guards_clean ctx leaf.act_guards then Target.clean_ids ctx Context.Action "action-id"
     else None
   in
   match (rids, aids) with

@@ -10,14 +10,16 @@
     invalidation plane then drops only cached decisions inside the
     region instead of flushing VO-wide.
 
-    Soundness rests on {!Compiled}'s guard discipline: a pin excludes a
-    request only when the pinned bag is non-empty and all-string (so a
-    resolver cannot refill it and [string-equal] cannot error) and every
-    target section evaluated before the pinned one is guard-clean (so it
-    resolves to Match or No_match, never Indeterminate).  Under those
-    conditions the changed construct's target is provably [No_match] for
-    the request, the construct is NotApplicable on both sides of the
-    publish, and every combining algorithm sees identical inputs.
+    Zones are built from {!Target.pins}, the one pin reading the
+    compiled evaluator's index shares: a pin excludes a request only
+    when the pinned bag is clean (non-empty and all-string, so a
+    resolver cannot refill it and [string-equal] cannot error) and
+    every target section evaluated before the pinned one is guard-clean
+    (so it resolves to Match or No_match, never Indeterminate).  Under
+    those conditions the changed construct's target is provably
+    [No_match] for the request, the construct is NotApplicable on both
+    sides of the publish, and every combining algorithm sees identical
+    inputs.
 
     The analysis never errs toward exclusion: structure it cannot bound
     (changed [Policy_ref] wiring, free-form targets, more than 64 zones)
@@ -25,19 +27,16 @@
     flush; past 64 zones a flush is cheaper than testing every key
     against each zone. *)
 
-type pin = {
+type pin = Target.pin = {
   pin_category : Context.category;
   pin_attribute : string;
   pin_values : string list;  (** sorted, deduplicated *)
   pin_guards : (Context.category * string) list;
-      (** positions that must carry clean bags before this pin may
-          exclude (the attributes of the target sections evaluated
-          before the pinned one) *)
 }
-(** One exclusion opportunity: a request whose bag at
-    [(pin_category, pin_attribute)] is non-empty, all-string and
-    disjoint from [pin_values] — with all [pin_guards] clean — provably
-    fails the originating target. *)
+(** A target pin ({!Target.pin}): a request whose bag at
+    [(pin_category, pin_attribute)] is clean and disjoint from
+    [pin_values] — with all [pin_guards] clean — provably fails the
+    originating target. *)
 
 type zone = pin list
 (** Conjunction of pins from one changed construct's effective target
@@ -71,7 +70,7 @@ val between : Policy.child option -> Policy.child option -> t
 
 val covers : t -> Context.t -> bool
 (** Conservative membership: [false] only when some zone's pin provably
-    excludes the request under the guard discipline.  Requests with
+    excludes the request ({!Target.pin}).  Requests with
     empty or non-string bags at every pinned position are always
     covered. *)
 

@@ -106,6 +106,101 @@ let evaluate ?resolve ctx t =
   in
   go sections
 
+(* --- pins ----------------------------------------------------------------- *)
+
+type pin = {
+  pin_category : Context.category;
+  pin_attribute : string;
+  pin_values : string list;
+  pin_guards : (Context.category * string) list;
+}
+
+(* The literal a match pins its position to: string equality between
+   string operands answers true or false and never errors, so against a
+   non-empty all-string bag the match cannot be Indeterminate. *)
+let pinned_literal m =
+  if m.fn = "string-equal" then match m.value with Value.String s -> Some s | _ -> None
+  else None
+
+let clause_pins = function
+  | [ m ] -> (
+    (* the common one-match clause, without the sorts' allocation *)
+    match pinned_literal m with
+    | Some s -> [ ((m.category, m.attribute_id), [ s ]) ]
+    | None -> [])
+  | clause ->
+    let add acc m =
+      match pinned_literal m with
+      | None -> acc
+      | Some s ->
+        let pos = (m.category, m.attribute_id) in
+        let values = Option.value (List.assoc_opt pos acc) ~default:[] in
+        (pos, List.sort_uniq compare (s :: values)) :: List.remove_assoc pos acc
+    in
+    List.sort compare (List.fold_left add [] clause)
+
+(* A section pins a position when every clause does: a clean bag
+   disjoint from the union of the clauses' literals makes each clause —
+   hence the section — No_match.  An empty section pins nothing. *)
+let section_pins guards = function
+  | [] -> []
+  | first :: rest ->
+    let meet acc clause =
+      let here = clause_pins clause in
+      List.filter_map
+        (fun (pos, values) ->
+          Option.map (fun more -> (pos, List.sort_uniq compare (values @ more))) (List.assoc_opt pos here))
+        acc
+    in
+    List.map
+      (fun ((pin_category, pin_attribute), pin_values) ->
+        { pin_category; pin_attribute; pin_values; pin_guards = guards })
+      (List.fold_left meet (clause_pins first) rest)
+
+(* The positions a section reads, in match order, when every match pins
+   (and so none can error on clean bags); None otherwise. *)
+let rec section_guards = function
+  | [] -> Some []
+  | [] :: clauses -> section_guards clauses
+  | (m :: ms) :: clauses -> (
+    match (pinned_literal m, section_guards (ms :: clauses)) with
+    | Some _, Some guards -> Some ((m.category, m.attribute_id) :: guards)
+    | _ -> None)
+
+(* Sections evaluate in order and an Indeterminate one short-circuits
+   the target before a later pin's mismatch is seen, so a section's
+   pins are usable only while every earlier section is guardable; the
+   positions those sections read become the pins' guards. *)
+let pins t =
+  let rec go guards = function
+    | [] -> []
+    | section :: rest -> (
+      let here = section_pins guards section in
+      match section_guards section with
+      | None -> here
+      | Some g -> here @ go (guards @ g) rest)
+  in
+  go [] [ t.subjects; t.resources; t.actions; t.environments ]
+
+let clean_ids ctx category attr =
+  match Context.bag ctx category attr with
+  | [] -> None
+  | bag ->
+    let rec strings acc = function
+      | [] -> Some (List.rev acc)
+      | Value.String s :: rest -> strings (s :: acc) rest
+      | _ -> None
+    in
+    strings [] bag
+
+let guards_clean ctx guards =
+  List.for_all
+    (fun (category, attr) ->
+      match Context.bag ctx category attr with
+      | [] -> false
+      | bag -> List.for_all (function Value.String _ -> true | _ -> false) bag)
+    guards
+
 let pp_match fmt m =
   Format.fprintf fmt "%s(%a, %s/%s)" m.fn Value.pp m.value
     (Context.category_name m.category)

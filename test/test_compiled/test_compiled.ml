@@ -257,22 +257,51 @@ let test_unguardable_rule_never_indexed () =
   Alcotest.(check int) "always scanned" (Compiled.rule_count c) (Compiled.candidate_count c ctx);
   check_result "compiled == reference" (Policy.evaluate_child ctx p) (Compiled.evaluate ctx c)
 
+(* A match reads its own category's bag, whatever section it sits in: a
+   resources-section match on the subject's resource-id pins nothing on
+   the resource axis.  Indexing it there would prune the deny rule for a
+   request whose resource is "chart" although the rule matches, and the
+   permit-all rule behind it would answer Permit where the reference
+   says Deny. *)
+let test_category_mismatch_never_indexed () =
+  let p =
+    inline_policy "p"
+      [
+        Rule.deny
+          ~target:(Target.make ~resources:[ [ Target.match_string Context.Subject "resource-id" "lab" ] ] ())
+          "deny-lab";
+        Rule.permit "permit-all";
+      ]
+  in
+  let probe =
+    Context.make
+      ~subject:[ ("resource-id", Value.String "lab") ]
+      ~resource:[ ("resource-id", Value.String "chart") ]
+      ()
+  in
+  let reference = Policy.evaluate_child probe p in
+  check_result "reference denies" Decision.deny reference;
+  check_result "compiled == reference" reference (Compiled.evaluate probe (Compiled.compile p))
+
 (* --- QCheck: the compiler as an operation ------------------------------- *)
 
 (* Spec vocabulary mirrors test_oracle's, extended with combined
-   subject+resource targets so the guard machinery is exercised. *)
+   subject+resource targets so the guard machinery is exercised, and
+   with Pin_shapes' targets and cross-category context attributes. *)
 let roles = [| "doctor"; "nurse"; "admin" |]
 let resources = [| "chart"; "lab"; "note" |]
 let actions = [| "read"; "write" |]
 
 type rule_spec = {
   effect_code : int;
-  target_code : int;  (* 0 any; then resource_is; action_is; subject_is; then combined *)
+  target_code : int;
+      (* 0 any; then resource_is; action_is; subject_is; then combined; then Pin_shapes *)
   condition_code : int;
   obligation_code : int;
 }
 
 let combined_base = 1 + Array.length resources + Array.length actions + Array.length roles
+let pin_shapes_base = combined_base + (Array.length roles * Array.length resources)
 
 let rule_of_spec i s =
   let effect = if s.effect_code = 0 then Rule.Permit else Rule.Deny in
@@ -285,6 +314,7 @@ let rule_of_spec i s =
       Target.(any |> action_is "action-id" actions.(c - 1 - Array.length resources))
     | c when c < combined_base ->
       Target.(any |> subject_is "role" roles.(c - 1 - Array.length resources - Array.length actions))
+    | c when c >= pin_shapes_base -> Pin_shapes.target (c - pin_shapes_base)
     | c ->
       (* Combined role + resource pins: the resource pin only prunes
          when the role guard bag is clean. *)
@@ -302,7 +332,7 @@ let rule_of_spec i s =
   in
   Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
 
-let target_code_max = combined_base + (Array.length roles * Array.length resources) - 1
+let target_code_max = pin_shapes_base + Pin_shapes.kinds - 1
 let condition_code_max = Array.length roles + 1
 
 let policy_of_spec id (rule_specs, obligation_code) =
@@ -313,7 +343,7 @@ let policy_of_spec id (rule_specs, obligation_code) =
   in
   Policy.make ~id ~rule_combining:Combine.Deny_overrides ~obligations rules
 
-type ctx_spec = { role_code : int; resource_code : int; action_code : int }
+type ctx_spec = { role_code : int; resource_code : int; action_code : int; cross_code : int }
 
 let ctx_of_spec s =
   let subject =
@@ -321,10 +351,11 @@ let ctx_of_spec s =
     :: (if s.role_code = 0 then []
         else [ ("role", Value.String roles.((s.role_code - 1) mod Array.length roles)) ])
   in
-  Context.make ~subject
-    ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
-    ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
-    ()
+  Pin_shapes.with_cross s.cross_code
+    (Context.make ~subject
+       ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
+       ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
+       ())
 
 let arb_rule =
   let open QCheck in
@@ -339,9 +370,9 @@ let arb_pspec =
 let arb_ctx =
   let open QCheck in
   map
-    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code))
-    (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a })
-    (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
+    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code, s.cross_code))
+    (fun (r, rs, a, x) -> { role_code = r; resource_code = rs; action_code = a; cross_code = x })
+    (quad (int_bound (Array.length roles)) (int_bound 2) (int_bound 1) (int_bound Pin_shapes.cross_codes))
 
 let arb_case = QCheck.pair arb_pspec arb_ctx
 
@@ -441,6 +472,8 @@ let () =
             test_guard_attribute_disables_pruning;
           Alcotest.test_case "unguardable rule is never indexed" `Quick
             test_unguardable_rule_never_indexed;
+          Alcotest.test_case "category-mismatched match is never indexed" `Quick
+            test_category_mismatch_never_indexed;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ compile_idempotent; recompile_epochs; pruning_sound ]

@@ -1250,6 +1250,49 @@ let test_conflict_in_set () =
   in
   check int_ "found through nesting" 1 (List.length (Conflict.find_in_set set))
 
+(* Only string-equal on a string literal binds a position: a prefix
+   match leaves resource-id free, so the permit overlaps the deny on
+   doc-1 (both apply to a request for doc-1). *)
+let test_conflict_prefix_binds_nothing () =
+  let prefix =
+    { Target.fn = "string-starts-with"; value = Value.String "doc"; category = Context.Resource;
+      attribute_id = "resource-id" }
+  in
+  let pa =
+    Policy.make ~id:"pa" [ Rule.permit ~target:(Target.make ~resources:[ [ prefix ] ] ()) "permit-doc-prefix" ]
+  in
+  let pb = Policy.make ~id:"pb" [ Rule.deny ~target:(Target.for_resource "doc-1") "deny-doc-1" ] in
+  let request = Context.make ~resource:[ ("resource-id", Value.String "doc-1") ] () in
+  check bool_ "one request reaches both rules" true
+    ((Policy.evaluate request pa).Decision.decision = Decision.Permit
+    && (Policy.evaluate request pb).Decision.decision = Decision.Deny);
+  check int_ "prefix overlaps equality" 1 (List.length (Conflict.find_between pa pb))
+
+(* Bindings are keyed by (category, attribute): one clause pinning
+   Subject id=alice and Resource id=doc is satisfiable, and overlaps a
+   deny on Subject id=alice. *)
+let test_conflict_binding_keyed_by_category () =
+  let pa =
+    Policy.make ~id:"pa"
+      [
+        Rule.permit
+          ~target:
+            (Target.make
+               ~subjects:
+                 [ [ Target.match_string Context.Subject "id" "alice"; Target.match_string Context.Resource "id" "doc" ] ]
+               ())
+          "permit-alice-doc";
+      ]
+  in
+  let pb = Policy.make ~id:"pb" [ Rule.deny ~target:Target.(any |> subject_is "id" "alice") "deny-alice" ] in
+  let request =
+    Context.make ~subject:[ ("id", Value.String "alice") ] ~resource:[ ("id", Value.String "doc") ] ()
+  in
+  check bool_ "one request reaches both rules" true
+    ((Policy.evaluate request pa).Decision.decision = Decision.Permit
+    && (Policy.evaluate request pb).Decision.decision = Decision.Deny);
+  check int_ "subject id and resource id bind apart" 1 (List.length (Conflict.find_between pa pb))
+
 let test_conflict_resolutions () =
   let pa = Policy.make ~id:"pa" [ permit_rule "doctor" "charts" ] in
   let pb = Policy.make ~id:"pb" [ deny_rule "doctor" "charts" ] in
@@ -1533,6 +1576,9 @@ let () =
           Alcotest.test_case "wildcard overlap" `Quick test_conflict_wildcard_overlaps;
           Alcotest.test_case "nested sets" `Quick test_conflict_in_set;
           Alcotest.test_case "resolutions" `Quick test_conflict_resolutions;
+          Alcotest.test_case "a prefix match binds nothing" `Quick test_conflict_prefix_binds_nothing;
+          Alcotest.test_case "bindings keyed by category" `Quick
+            test_conflict_binding_keyed_by_category;
         ] );
       ( "meta-policy",
         [

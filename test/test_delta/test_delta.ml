@@ -47,6 +47,8 @@ type rule_spec = {
   condition_code : int;
 }
 
+let pin_shapes_base = 1 + Array.length resources + Array.length actions + Array.length roles
+
 let rule_of_spec i s =
   let effect = if s.effect_code = 0 then Rule.Permit else Rule.Deny in
   let target =
@@ -56,12 +58,10 @@ let rule_of_spec i s =
       Target.(any |> resource_is "resource-id" resources.(c - 1))
     | c when c <= Array.length resources + Array.length actions ->
       Target.(any |> action_is "action-id" actions.(c - 1 - Array.length resources))
-    | c ->
+    | c when c < pin_shapes_base ->
       Target.(
-        any
-        |> subject_is "role"
-             roles.((c - 1 - Array.length resources - Array.length actions)
-                    mod Array.length roles))
+        any |> subject_is "role" roles.(c - 1 - Array.length resources - Array.length actions))
+    | c -> Pin_shapes.target (c - pin_shapes_base)
   in
   let condition =
     match s.condition_code with
@@ -72,7 +72,7 @@ let rule_of_spec i s =
   in
   Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
 
-let target_code_max = Array.length resources + Array.length actions + Array.length roles
+let target_code_max = pin_shapes_base + Pin_shapes.kinds - 1
 let condition_code_max = Array.length roles + 1
 
 type pspec = { rule_specs : rule_spec list; obligation_code : int }
@@ -84,7 +84,7 @@ let policy_of_spec ?(id = "delta-policy") alg p =
   in
   Policy.make ~id ~rule_combining:alg ~obligations (List.mapi rule_of_spec p.rule_specs)
 
-type ctx_spec = { role_code : int; resource_code : int; action_code : int }
+type ctx_spec = { role_code : int; resource_code : int; action_code : int; cross_code : int }
 
 let ctx_of_spec s =
   let subject =
@@ -93,11 +93,12 @@ let ctx_of_spec s =
     (if s.role_code = 0 then []
      else [ ("role", Value.String roles.((s.role_code - 1) mod Array.length roles)) ])
   in
-  Context.make ~subject
-    ~resource:
-      [ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
-    ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
-    ()
+  Pin_shapes.with_cross s.cross_code
+    (Context.make ~subject
+       ~resource:
+         [ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
+       ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
+       ())
 
 (* Every context the vocabulary can express, including the role-absent
    ones — the enumerated population the soundness and mutation checks
@@ -108,7 +109,7 @@ let all_ctx_specs =
       List.concat_map
         (fun resource_code ->
           List.map
-            (fun action_code -> { role_code; resource_code; action_code })
+            (fun action_code -> { role_code; resource_code; action_code; cross_code = 0 })
             [ 0; 1 ])
         [ 0; 1; 2 ])
     [ 0; 1; 2; 3 ]
@@ -179,9 +180,10 @@ let arb_edit =
 let arb_ctx =
   let open QCheck in
   map
-    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code))
-    (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a })
-    (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
+    ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code, s.cross_code))
+    (fun (r, rs, a, x) -> { role_code = r; resource_code = rs; action_code = a; cross_code = x })
+    (quad (int_bound (Array.length roles)) (int_bound 2) (int_bound 1)
+       (int_bound Pin_shapes.cross_codes))
 
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision

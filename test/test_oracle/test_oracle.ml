@@ -39,10 +39,12 @@ let actions = [| "read"; "write" |]
 
 type rule_spec = {
   effect_code : int;  (* 0 permit, 1 deny *)
-  target_code : int;  (* 0 any; 1.. resource_is; then action_is; then subject_is *)
+  target_code : int;  (* 0 any; 1.. resource_is; then action_is; then subject_is; then Pin_shapes *)
   condition_code : int;  (* 0 none; 1.. one_of role; last: missing-attr error *)
   obligation_code : int;  (* 0 none; 1 permit obligation; 2 deny obligation *)
 }
+
+let pin_shapes_base = 1 + Array.length resources + Array.length actions + Array.length roles
 
 let rule_of_spec i s =
   let effect = if s.effect_code = 0 then Rule.Permit else Rule.Deny in
@@ -53,7 +55,9 @@ let rule_of_spec i s =
       Target.(any |> resource_is "resource-id" resources.(c - 1))
     | c when c <= Array.length resources + Array.length actions ->
       Target.(any |> action_is "action-id" actions.(c - 1 - Array.length resources))
-    | c -> Target.(any |> subject_is "role" roles.((c - 1 - Array.length resources - Array.length actions) mod Array.length roles))
+    | c when c < pin_shapes_base ->
+      Target.(any |> subject_is "role" roles.(c - 1 - Array.length resources - Array.length actions))
+    | c -> Pin_shapes.target (c - pin_shapes_base)
   in
   let condition =
     match s.condition_code with
@@ -66,7 +70,7 @@ let rule_of_spec i s =
   in
   Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
 
-let target_code_max = Array.length resources + Array.length actions + Array.length roles
+let target_code_max = pin_shapes_base - 1
 let condition_code_max = Array.length roles + 1
 
 let obligations_of_spec i code =
@@ -86,7 +90,7 @@ let policy_of_spec alg (rule_specs, obligation_code) =
   in
   Policy.make ~id:"oracle-policy" ~rule_combining:alg ~obligations rules
 
-type ctx_spec = { role_code : int; resource_code : int; action_code : int }
+type ctx_spec = { role_code : int; resource_code : int; action_code : int; cross_code : int }
 
 let ctx_of_spec ?(subject = "alice") s =
   let subject =
@@ -95,10 +99,11 @@ let ctx_of_spec ?(subject = "alice") s =
     (* role_code 0 omits the attribute entirely (absence paths). *)
     (if s.role_code = 0 then [] else [ ("role", Value.String roles.((s.role_code - 1) mod Array.length roles)) ])
   in
-  Context.make ~subject
-    ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
-    ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
-    ()
+  Pin_shapes.with_cross s.cross_code
+    (Context.make ~subject
+       ~resource:[ ("resource-id", Value.String resources.(s.resource_code mod Array.length resources)) ]
+       ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
+       ())
 
 (* What a PEP sends for the same spec: the role withheld, left for the
    PDP to resolve at a PIP. *)
@@ -109,21 +114,31 @@ let lean_ctx_of_spec ?(subject = "alice") s =
     ~action:[ ("action-id", Value.String actions.(s.action_code mod Array.length actions)) ]
     ()
 
-let arb_case =
+(* [targets] bounds the target codes and [crosses] the cross-category
+   context codes: the compiled and tier oracles draw Pin_shapes' targets
+   and contexts too.  The others keep to the XACML-representable shapes,
+   since the ladder's offline rung republishes the policy as XML, where a
+   match's category is its section's. *)
+let arb_case_upto ~targets ~crosses =
   let open QCheck in
   let arb_rule =
     map
       ~rev:(fun s -> (s.effect_code, s.target_code, s.condition_code, s.obligation_code))
       (fun (e, t, c, o) -> { effect_code = e; target_code = t; condition_code = c; obligation_code = o })
-      (quad (int_bound 1) (int_bound target_code_max) (int_bound condition_code_max) (int_bound 2))
+      (quad (int_bound 1) (int_bound targets) (int_bound condition_code_max) (int_bound 2))
   in
   let arb_ctx =
     map
-      ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code))
-      (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a })
-      (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
+      ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code, s.cross_code))
+      (fun (r, rs, a, x) -> { role_code = r; resource_code = rs; action_code = a; cross_code = x })
+      (quad (int_bound (Array.length roles)) (int_bound 2) (int_bound 1) (int_bound crosses))
   in
   pair (pair (list_of_size (Gen.int_bound 6) arb_rule) (int_bound 1)) arb_ctx
+
+let arb_case = arb_case_upto ~targets:target_code_max ~crosses:0
+
+let arb_wide_case =
+  arb_case_upto ~targets:(pin_shapes_base + Pin_shapes.kinds - 1) ~crosses:Pin_shapes.cross_codes
 
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision
@@ -152,7 +167,7 @@ let fail_diverged ~alg ~expected ~got expected_label got_label =
 let compiled_oracle (name, alg) =
   QCheck.Test.make
     ~name:(Printf.sprintf "compiled == reference (%s)" name)
-    ~count:1000 arb_case
+    ~count:1000 arb_wide_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
@@ -188,7 +203,7 @@ let tier_evaluate root ctx =
 let tier_oracle (name, alg) =
   QCheck.Test.make
     ~name:(Printf.sprintf "sharded tier (compiled) == reference (%s)" name)
-    ~count:1000 arb_case
+    ~count:1000 arb_wide_case
     (fun (pspec, cspec) ->
       let policy = policy_of_spec alg pspec in
       let ctx = ctx_of_spec cspec in
@@ -462,7 +477,7 @@ let arb_delegation_case =
   let arb_ctx =
     map
       ~rev:(fun s -> (s.role_code, s.resource_code, s.action_code))
-      (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a })
+      (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a; cross_code = 0 })
       (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
   in
   triple (list_of_size (Gen.int_bound 4) arb_grant) (list_of_size (Gen.int_bound 4) arb_child) arb_ctx
@@ -580,6 +595,7 @@ let negotiation_oracle (name, alg) =
           role_code = (if outcome.Negotiation.success then 1 + (role_code mod Array.length roles) else 0);
           resource_code;
           action_code;
+          cross_code = 0;
         }
       in
       let policy = policy_of_spec alg pspec in
@@ -614,7 +630,8 @@ module Delta = Dacs_policy.Delta
    so every cached entry is re-audited against the new policy. *)
 let churn_ctxs =
   List.init 24 (fun i ->
-      ctx_of_spec { role_code = i / 6; resource_code = i / 2 mod 3; action_code = i mod 2 })
+      ctx_of_spec
+        { role_code = i / 6; resource_code = i / 2 mod 3; action_code = i mod 2; cross_code = 0 })
 
 let churn_corpus ~alg ~name gens =
   let roots = List.map (fun pspec -> Policy.Inline_policy (policy_of_spec alg pspec)) gens in
@@ -700,7 +717,7 @@ let shared_cache_evaluate ~alg:name root role_codes =
              Pip.add_subject_attribute pip ~subject ~id:"role"
                (Value.String roles.((role_code - 1) mod Array.length roles));
            List.init 6 (fun j ->
-               (subject, { role_code; resource_code = j / 2; action_code = j mod 2 })))
+               (subject, { role_code; resource_code = j / 2; action_code = j mod 2; cross_code = 0 })))
          role_codes)
   in
   ignore
@@ -767,7 +784,7 @@ let empty_rules_cases =
     (fun (name, alg) ->
       Alcotest.test_case (Printf.sprintf "empty rule list (%s)" name) `Quick (fun () ->
           let policy = policy_of_spec alg ([], 1) in
-          let ctx = ctx_of_spec { role_code = 1; resource_code = 0; action_code = 0 } in
+          let ctx = ctx_of_spec { role_code = 1; resource_code = 0; action_code = 0; cross_code = 0 } in
           let reference = Policy.evaluate ctx policy in
           Alcotest.(check bool)
             "reference is NotApplicable"

@@ -251,6 +251,69 @@ let prop_conflict_detector_complete =
          converse is not required.) *)
       (not observable_overlap) || detected)
 
+(* Random rule pairs whose targets (rule and policy) mix string-equal
+   and string-starts-with matches, reuse attribute names across
+   categories and put matches outside their section's category, against
+   random single-valued requests: whenever one request makes all four
+   targets Match, the analysis must report the pair. *)
+let prop_conflict_reports_reachable_pairs =
+  let open QCheck in
+  let categories = [| Context.Subject; Context.Resource; Context.Action |] in
+  let attrs = [| "id"; "role" |] in
+  let values = [| "a"; "ab"; "b" |] in
+  let gen_match =
+    Gen.(
+      map
+        (fun (c, a, v, equal) ->
+          {
+            Target.fn = (if equal then "string-equal" else "string-starts-with");
+            value = Value.String values.(v);
+            category = categories.(c);
+            attribute_id = attrs.(a);
+          })
+        (quad (int_bound 2) (int_bound 1) (int_bound 2) bool))
+  in
+  let gen_section =
+    Gen.(frequency [ (3, return []); (1, list_size (1 -- 2) (list_size (1 -- 2) gen_match)) ])
+  in
+  let gen_target =
+    Gen.(
+      map
+        (fun (subjects, resources, actions) -> Target.make ~subjects ~resources ~actions ())
+        (triple gen_section gen_section gen_section))
+  in
+  (* One optional value per (category, attribute) position. *)
+  let gen_ctx =
+    Gen.(
+      map
+        (fun picks ->
+          List.fold_left
+            (fun (ctx, i) pick ->
+              let ctx =
+                match pick with
+                | None -> ctx
+                | Some v ->
+                  Context.add ctx categories.(i / 2) attrs.(i mod 2) (Value.String values.(v))
+              in
+              (ctx, i + 1))
+            (Context.empty, 0) picks
+          |> fst)
+        (list_repeat 6 (opt (int_bound 2))))
+  in
+  let print ((ppa, ra, ppb, rb), ctx) =
+    Format.asprintf "permit %a / %a; deny %a / %a; request %s" Target.pp ppa Target.pp ra
+      Target.pp ppb Target.pp rb (Context.to_string ctx)
+  in
+  Test.make ~name:"conflict analysis reports every pair one request reaches" ~count:1000
+    (make ~print Gen.(pair (quad gen_target gen_target gen_target gen_target) gen_ctx))
+    (fun ((ppa, ra, ppb, rb), ctx) ->
+      let pa = Policy.make ~id:"pa" ~target:ppa [ Rule.permit ~target:ra "permit" ] in
+      let pb = Policy.make ~id:"pb" ~target:ppb [ Rule.deny ~target:rb "deny" ] in
+      let reached =
+        List.for_all (fun t -> Target.evaluate ctx t = Target.Match) [ ppa; ra; ppb; rb ]
+      in
+      (not reached) || List.length (Conflict.find_between pa pb) = 1)
+
 (* --- crypto round-trips on random data -------------------------------------------- *)
 
 let shared_keypair = lazy (Dacs_crypto.Rsa.generate (Dacs_crypto.Rng.create 2025L) ~bits:512)
@@ -298,6 +361,7 @@ let () =
             prop_delegation_revocation_monotone;
             prop_negotiation_invariants;
             prop_conflict_detector_complete;
+            prop_conflict_reports_reachable_pairs;
             prop_rsa_sign_verify_random;
             prop_stream_cipher_roundtrip_random;
             prop_assertion_roundtrip_random;
