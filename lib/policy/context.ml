@@ -17,10 +17,17 @@ let category_of_name = function
 
 let all_categories = [ Subject; Resource; Action; Environment ]
 
+(* A category's place in [all_categories], the order of its constructors. *)
+let section_index = function Subject -> 0 | Resource -> 1 | Action -> 2 | Environment -> 3
+
+(* The order [Stdlib.compare] gives (category first, in declaration
+   order, then id), without its generic traversal. *)
 module Key = struct
   type t = category * string
 
-  let compare = compare
+  let compare (c1, id1) (c2, id2) =
+    let c = Int.compare (section_index c1) (section_index c2) in
+    if c <> 0 then c else String.compare id1 id2
 end
 
 module Attr_map = Map.Make (Key)
@@ -66,7 +73,7 @@ let subject_id t = first_string t Subject "subject-id"
    value, ids ascending; a section without values is written empty. *)
 
 let section_names = [| "Subject"; "Resource"; "Action"; "Environment" |]
-let section_index = function Subject -> 0 | Resource -> 1 | Action -> 2 | Environment -> 3
+let sections = Array.of_list all_categories
 
 let write buf t =
   Buffer.add_string buf "<Request>";
@@ -118,37 +125,50 @@ let to_string t =
 
 module Cursor = Xml.Cursor
 
-let section_at c tag =
-  let rec find i =
-    if i = Array.length section_names then
-      Cursor.fail c (Printf.sprintf "unknown category element %s" (Cursor.tag_name c tag))
-    else if Cursor.has_local_name c tag section_names.(i) then List.nth all_categories i
-    else find (i + 1)
-  in
-  find 0
+let rec section_from c tag i =
+  if i = Array.length section_names then
+    Cursor.fail c (Printf.sprintf "unknown category element %s" (Cursor.tag_name c tag))
+  else if Cursor.has_local_name c tag section_names.(i) then sections.(i)
+  else section_from c tag (i + 1)
 
 let skip_attrs c tag =
   while Cursor.next_attr c tag do
     ()
   done
 
+(* Each data type's name, with the option a match returns (built once, so
+   a match allocates nothing). *)
+let data_types =
+  List.map
+    (fun dt -> (Value.type_name dt, Some dt))
+    Value.[ String_t; Int_t; Bool_t; Double_t; Time_t; Uri_t ]
+
+(* The data type the attribute value just read names, compared in place. *)
+let rec data_type_in c = function
+  | [] -> None
+  | (name, dt) :: rest -> if Cursor.value_is c name then dt else data_type_in c rest
+
+let read_data_type c = data_type_in c data_types
+
 let read_attribute c category t =
   let tag = Cursor.enter c in
   if not (Cursor.has_local_name c tag "Attribute") then
     Cursor.fail c (Printf.sprintf "unexpected <%s> in a category" (Cursor.tag_name c tag));
-  let id = ref None and data_type = ref None in
+  (* An unknown DataType is copied, for the message, only when seen. *)
+  let id = ref None and data_type = ref None and unknown = ref None in
   while Cursor.next_attr c tag do
     if Cursor.attr_is c "AttributeId" then id := Some (Cursor.value c)
-    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
+    else if Cursor.attr_is c "DataType" then begin
+      data_type := read_data_type c;
+      if Option.is_none !data_type then unknown := Some (Cursor.value c)
+    end
   done;
   let text = Cursor.text c tag in
   Cursor.close c tag;
-  match (!id, !data_type) with
-  | Some id, Some dt_name -> (
-    match Value.data_type_of_name dt_name with
-    | None -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
-    | Some dt -> (
-      match Value.of_string dt text with Ok v -> add t category id v | Error e -> Cursor.fail c e))
+  match (!id, !data_type, !unknown) with
+  | Some id, Some dt, _ -> (
+    match Value.of_string dt text with Ok v -> add t category id v | Error e -> Cursor.fail c e)
+  | Some _, None, Some dt_name -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
   | _ -> Cursor.fail c "Attribute needs AttributeId and DataType"
 
 let read c =
@@ -158,7 +178,7 @@ let read c =
   let t = ref empty in
   while Cursor.next_child c tag do
     let section = Cursor.enter c in
-    let category = section_at c section in
+    let category = section_from c section 0 in
     skip_attrs c section;
     while Cursor.next_child c section do
       t := read_attribute c category !t

@@ -62,6 +62,10 @@ val read : Dacs_xml.Xml.Cursor.t -> t
     [Attribute] elements, and an [Attribute] only text.
     @raise Dacs_xml.Xml.Parse_error on malformed or misshapen input. *)
 
+val read_data_type : Dacs_xml.Xml.Cursor.t -> Value.data_type option
+(** The data type the attribute value just read names (a
+    {!Value.type_name}), compared in place; [None] for any other name. *)
+
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val to_xml : t -> Dacs_xml.Xml.t

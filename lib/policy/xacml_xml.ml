@@ -111,7 +111,16 @@ let target_to_xml t =
   in
   Xml.element "Target" ~children:sections
 
-let match_of_xml category node =
+(* A match's category is the one its element names (as [match_to_xml]
+   writes it), whichever section holds it. *)
+let match_of_xml node =
+  let* category =
+    match
+      List.find_opt (fun (_, (_, _, name)) -> Xml.has_local_name (Xml.tag node) name) section_names
+    with
+    | Some (category, _) -> Ok category
+    | None -> Error (Printf.sprintf "unknown match element <%s>" (Xml.tag node))
+  in
   let* fn = attr_or_error node "MatchId" in
   let* attribute_id = attr_or_error node "AttributeId" in
   let* data_type = attr_or_error node "DataType" in
@@ -124,8 +133,7 @@ let section_of_xml category target_node =
   | None -> Ok []
   | Some section_node ->
     collect_results
-      (fun clause_node ->
-        collect_results (match_of_xml category) (List.filter Xml.is_element (Xml.children clause_node)))
+      (fun clause_node -> collect_results match_of_xml (List.filter Xml.is_element (Xml.children clause_node)))
       (Xml.find_children section_node singular)
 
 let target_of_xml node =
@@ -182,39 +190,61 @@ let expect_local c tag name =
 
 let or_fail c = function Ok v -> v | Error e -> Cursor.fail c e
 
+(* The value of [table] named by the attribute value or text just read,
+   compared in place; the table holds each option ready, so a match
+   allocates nothing. *)
+let rec keyword c = function
+  | [] -> None
+  | (name, v) :: rest -> if Cursor.value_is c name then v else keyword c rest
+
+let keywords to_string values = List.map (fun v -> (to_string v, Some v)) values
+let effects = keywords effect_to_string [ Obligation.Permit; Obligation.Deny ]
+
+let decisions =
+  keywords Decision.decision_to_string
+    [ Decision.Permit; Decision.Deny; Decision.Not_applicable; Decision.Indeterminate "" ]
+
 let read_assignment c =
   let tag = Cursor.enter c in
   expect_local c tag "AttributeAssignment";
-  let k = ref None and data_type = ref None in
+  (* An unknown keyword is copied, for the message, only when seen. *)
+  let k = ref None and data_type = ref None and unknown = ref None in
   while Cursor.next_attr c tag do
     if Cursor.attr_is c "AttributeId" then k := Some (Cursor.value c)
-    else if Cursor.attr_is c "DataType" then data_type := Some (Cursor.value c)
+    else if Cursor.attr_is c "DataType" then begin
+      data_type := Context.read_data_type c;
+      if Option.is_none !data_type then unknown := Some (Cursor.value c)
+    end
   done;
   let text = Cursor.text c tag in
   Cursor.close c tag;
-  match (!k, !data_type) with
-  | Some k, Some data_type -> (k, or_fail c (value_of ~data_type ~text))
-  | None, _ -> Cursor.fail c "<AttributeAssignment> is missing attribute AttributeId"
-  | _, None -> Cursor.fail c "<AttributeAssignment> is missing attribute DataType"
+  match (!k, !data_type, !unknown) with
+  | Some k, Some dt, _ -> (k, or_fail c (Value.of_string dt text))
+  | Some _, None, Some name -> Cursor.fail c (Printf.sprintf "unknown data type %s" name)
+  | None, _, _ -> Cursor.fail c "<AttributeAssignment> is missing attribute AttributeId"
+  | _, None, _ -> Cursor.fail c "<AttributeAssignment> is missing attribute DataType"
 
 let read_obligation c =
   let tag = Cursor.enter c in
   expect_local c tag "Obligation";
-  let id = ref None and fulfill_on = ref None in
+  let id = ref None and fulfill_on = ref None and unknown = ref None in
   while Cursor.next_attr c tag do
     if Cursor.attr_is c "ObligationId" then id := Some (Cursor.value c)
-    else if Cursor.attr_is c "FulfillOn" then fulfill_on := Some (Cursor.value c)
+    else if Cursor.attr_is c "FulfillOn" then begin
+      fulfill_on := keyword c effects;
+      if Option.is_none !fulfill_on then unknown := Some (Cursor.value c)
+    end
   done;
   let parameters = ref [] in
   while Cursor.next_child c tag do
     parameters := read_assignment c :: !parameters
   done;
   Cursor.close c tag;
-  match (!id, !fulfill_on) with
-  | Some id, Some f ->
-    { Obligation.id; fulfill_on = or_fail c (effect_of_string f); parameters = List.rev !parameters }
-  | None, _ -> Cursor.fail c "<Obligation> is missing attribute ObligationId"
-  | _, None -> Cursor.fail c "<Obligation> is missing attribute FulfillOn"
+  match (!id, !fulfill_on, !unknown) with
+  | Some id, Some fulfill_on, _ -> { Obligation.id; fulfill_on; parameters = List.rev !parameters }
+  | Some _, None, Some name -> Cursor.fail c (Printf.sprintf "unknown effect %s" name)
+  | None, _, _ -> Cursor.fail c "<Obligation> is missing attribute ObligationId"
+  | _, None, _ -> Cursor.fail c "<Obligation> is missing attribute FulfillOn"
 
 let written write v =
   let buf = Buffer.create 256 in
@@ -456,7 +486,9 @@ let read_result c =
   while Cursor.next_attr c d do
     ()
   done;
-  let name = Cursor.text c d in
+  Cursor.read_text c d;
+  let decision = keyword c decisions in
+  let unknown = if Option.is_none decision then Cursor.value c else "" in
   Cursor.close c d;
   let status = ref None and obligations = ref None in
   while Cursor.next_child c result do
@@ -484,11 +516,11 @@ let read_result c =
   if Cursor.next_child c response then Cursor.fail c "Response must hold a single Result";
   Cursor.close c response;
   let obligations = Option.value !obligations ~default:[] in
-  match Decision.decision_of_string name with
+  match decision with
   | Some (Decision.Indeterminate _) ->
     { Decision.decision = Decision.Indeterminate (Option.value !status ~default:""); obligations }
   | Some decision -> { Decision.decision; obligations }
-  | None -> Cursor.fail c (Printf.sprintf "unknown decision %s" name)
+  | None -> Cursor.fail c (Printf.sprintf "unknown decision %s" unknown)
 
 let result_to_xml r = Xml.of_string (written write_result r)
 let result_of_xml node = Cursor.parse (Xml.to_string node) read_result

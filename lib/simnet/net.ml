@@ -15,6 +15,10 @@ type node_state = {
 
 type stat = { count : int; bytes : int }
 
+(* A category's running tally, bumped in place on every message; [stat]
+   copies are made only when the statistics are read. *)
+type tally = { mutable messages : int; mutable total_bytes : int }
+
 type trace_entry = { t_src : node_id; t_dst : node_id; t_category : string; t_time : float }
 
 type t = {
@@ -25,8 +29,8 @@ type t = {
   mutable bytes_per_second : float option;
   mutable drop_rate : float;
   mutable partitions : (node_id list * node_id list) list;
-  sent : (string, stat) Hashtbl.t;
-  delivered : (string, stat) Hashtbl.t;
+  sent : (string, tally) Hashtbl.t;
+  delivered : (string, tally) Hashtbl.t;
   mutable dropped : int;
   mutable tracing : bool;
   mutable trace_rev : trace_entry list;
@@ -109,8 +113,11 @@ let partitioned t a b =
     t.partitions
 
 let bump table category size =
-  let prev = Option.value (Hashtbl.find_opt table category) ~default:{ count = 0; bytes = 0 } in
-  Hashtbl.replace table category { count = prev.count + 1; bytes = prev.bytes + size }
+  match Hashtbl.find table category with
+  | tally ->
+    tally.messages <- tally.messages + 1;
+    tally.total_bytes <- tally.total_bytes + size
+  | exception Not_found -> Hashtbl.add table category { messages = 1; total_bytes = size }
 
 let send t ~src ~dst ~category payload =
   let src_node = node_exn t src in
@@ -144,12 +151,13 @@ let send t ~src ~dst ~category payload =
   end
 
 let sorted_stats table =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
+  Hashtbl.fold (fun k v acc -> (k, { count = v.messages; bytes = v.total_bytes }) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let stats_by_category t = sorted_stats t.sent
 
 let total table =
-  Hashtbl.fold (fun _ s acc -> { count = acc.count + s.count; bytes = acc.bytes + s.bytes })
+  Hashtbl.fold (fun _ v acc -> { count = acc.count + v.messages; bytes = acc.bytes + v.total_bytes })
     table { count = 0; bytes = 0 }
 
 let total_sent t = total t.sent

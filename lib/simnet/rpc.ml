@@ -65,6 +65,7 @@ type series = {
   batches : Metrics.counter Lazy.t;
   batch_parts : Metrics.counter Lazy.t;
   batch_size : Metrics.histogram Lazy.t;
+  reply : string;  (* the category of a reply to a request sent as this service *)
 }
 
 type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
@@ -132,6 +133,7 @@ let series_for t service =
           lazy
             (Metrics.histogram t.metrics ~help:"Queries coalesced per batched round-trip." ~labels
                "rpc_batch_size");
+        reply = service ^ "-reply";
       }
     in
     Hashtbl.add t.series service s;
@@ -183,10 +185,21 @@ let rec unescape_into buf s j stop =
       unescape_into buf s (j + 1) stop
     end
 
+(* [s.[i..stop)] spells [known] from its byte [j] on, and holds no '%'. *)
+let rec spells s i stop known j =
+  if i + j = stop then j = String.length known
+  else
+    j < String.length known
+    &&
+    let c = String.unsafe_get known j in
+    c <> '%' && String.unsafe_get s (i + j) = c && spells s i stop known (j + 1)
+
 (* The unescaped header field [s.[i..stop)], or [None] when a '%' in it
-   starts neither escape. *)
-let header_field s i stop =
-  if not (canonically_escaped s i stop) then None
+   starts neither escape.  A field without escapes that spells [known] is
+   [known] itself, compared in place rather than copied. *)
+let header_field ?(known = "") s i stop =
+  if spells s i stop known 0 then Some known
+  else if not (canonically_escaped s i stop) then None
   else if i = stop then Some ""
   else
     match String.index_from_opt s i '%' with
@@ -268,7 +281,7 @@ type header = { kind : kind; id : int; service : string; trace : string; body : 
 (* The next '|' from [i] on, or the end of [s]. *)
 let rec bar s i = if i >= String.length s || String.unsafe_get s i = '|' then i else bar s (i + 1)
 
-let header payload =
+let header ?known payload =
   let n = String.length payload in
   let first = bar payload 0 in
   let kind =
@@ -290,7 +303,7 @@ let header payload =
     let third = if second < n then bar payload (second + 1) else n in
     if id < 0 || third >= n then None
     else
-      match header_field payload (second + 1) third with
+      match header_field ?known payload (second + 1) third with
       | None -> None
       | Some service -> (
         match kind with
@@ -375,11 +388,17 @@ let send_error t (msg : Net.message) id text =
   send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error" K_error id ~service:"" ~trace:""
     (fun buf -> Buffer.add_string buf text)
 
+(* A reply's category is its request's with "-reply"; a request sent as
+   its service (as [issue] sends them) finds it resolved in the series. *)
+let reply_category (msg : Net.message) service series =
+  if String.equal msg.Net.category service then series.reply else msg.Net.category ^ "-reply"
+
 let dispatch_request t (msg : Net.message) id service trace body =
   match Hashtbl.find_opt t.services (msg.Net.dst, service) with
   | None -> send_error t msg id ("no-such-service:" ^ service)
   | Some handler ->
-    Metrics.inc (Lazy.force (series_for t service).served);
+    let series = series_for t service in
+    Metrics.inc (Lazy.force series.served);
     let span =
       if Trace.enabled t.tracer then begin
         let s =
@@ -397,7 +416,7 @@ let dispatch_request t (msg : Net.message) id service trace body =
       (* The server span closes when the handler replies — possibly much
          later than the handler returned, after its own nested calls. *)
       Option.iter (fun s -> Trace.finish t.tracer s) span;
-      send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply") K_reply id
+      send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(reply_category msg service series) K_reply id
         ~service:"" ~trace:"" write
     in
     let saved = Trace.current t.tracer in
@@ -413,7 +432,8 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
   | None -> send_error t msg id ("no-such-service:" ^ service)
   | Some handler ->
     let n = List.length parts in
-    Metrics.inc ~by:n (Lazy.force (series_for t service).served);
+    let series = series_for t service in
+    Metrics.inc ~by:n (Lazy.force series.served);
     let span =
       if Trace.enabled t.tracer then begin
         let s =
@@ -435,7 +455,7 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
       decr outstanding;
       if !outstanding = 0 then begin
         Option.iter (fun s -> Trace.finish t.tracer s) span;
-        send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(msg.Net.category ^ "-reply") K_reply id
+        send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(reply_category msg service series) K_reply id
           ~service:"" ~trace:"" (fun buf ->
             Array.iter
               (fun r ->
@@ -477,7 +497,9 @@ let complete t id result =
 
 let handle_message t (msg : Net.message) =
   let payload = msg.Net.payload in
-  match header payload with
+  (* A request's category is its service, so the service field is
+     matched against it in place. *)
+  match header ~known:msg.Net.category payload with
   | None -> ()
   | Some h -> (
     let trace () = if h.kind = K_traced || h.kind = K_traced_batch then Trace.context_of_string h.trace else None in

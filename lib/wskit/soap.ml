@@ -24,40 +24,41 @@ let to_string e =
 
 let envelope ?(headers = []) body = Xml.of_string (to_string { headers; body })
 
+let skip_attrs c tag =
+  while Cursor.next_attr c tag do
+    ()
+  done
+
 (* The envelope's shape as a tree reading sees it: the first Header and
    the first Body child count, wherever they sit; text and any other
-   element around them are ignored. *)
+   element around them are ignored.  Each child is entered once and told
+   apart by its name in place; an ignored one is read through to its end
+   (its children whole), which checks what {!Cursor.subtree} would. *)
 let read_envelope c body =
   let env = Cursor.enter c in
   if not (Cursor.has_local_name c env "Envelope") then Cursor.fail c "expected a SOAP Envelope";
-  while Cursor.next_attr c env do
-    ()
-  done;
+  skip_attrs c env;
   let headers = ref None and result = ref None in
   while Cursor.next_child c env do
-    if Option.is_none !headers && Cursor.at_local_name c "Header" then begin
-      let h = Cursor.enter c in
-      while Cursor.next_attr c h do
-        ()
-      done;
+    let child = Cursor.enter c in
+    skip_attrs c child;
+    if Option.is_none !headers && Cursor.has_local_name c child "Header" then begin
       let acc = ref [] in
-      while Cursor.next_child c h do
+      while Cursor.next_child c child do
         acc := Cursor.subtree c :: !acc
       done;
-      Cursor.close c h;
       headers := Some (List.rev !acc)
     end
-    else if Option.is_none !result && Cursor.at_local_name c "Body" then begin
-      let b = Cursor.enter c in
-      while Cursor.next_attr c b do
-        ()
-      done;
-      if not (Cursor.next_child c b) then Cursor.fail c "SOAP Body is empty";
+    else if Option.is_none !result && Cursor.has_local_name c child "Body" then begin
+      if not (Cursor.next_child c child) then Cursor.fail c "SOAP Body is empty";
       result := Some (body c);
-      if Cursor.next_child c b then Cursor.fail c "SOAP Body must contain a single element";
-      Cursor.close c b
+      if Cursor.next_child c child then Cursor.fail c "SOAP Body must contain a single element"
     end
-    else ignore (Cursor.subtree c)
+    else
+      while Cursor.next_child c child do
+        ignore (Cursor.subtree c)
+      done;
+    Cursor.close c child
   done;
   Cursor.close c env;
   Cursor.finish c;

@@ -199,14 +199,27 @@ let max_depth = 256
 let max_attributes = 64
 let max_input_bytes = 16 * 1024 * 1024
 
-(* The parser scans [src] by index between [origin] and [stop] and tracks
-   nothing but the offset; text and attribute runs without markup become
-   one [String.sub] each, and [buf] (empty between runs) assembles only the
-   runs that entities, CDATA, comments or PIs interrupt.  The same state
-   is the pull {!Cursor}: [depth] counts the open elements it has entered
-   and [empty] says the start tag just read was self-closing; [attrs]
-   counts the attributes read from the current start tag, and [attr] (the
-   name's offset) and [value] hold the last one. *)
+(* A span of the input (a name or a run of character data) packed in one
+   int: its offset above [len_bits], its length below.  No span is longer
+   than [max_input_bytes] = 2^24, so 25 bits hold any length, and a
+   63-bit int leaves 38 bits for the offset. *)
+let len_bits = 25
+let span off len = (off lsl len_bits) lor len
+let span_off s = s lsr len_bits
+let span_len s = s land ((1 lsl len_bits) - 1)
+
+(* The parser scans [src] by index between [origin] and [stop], tracks
+   nothing but the offset and examines each byte once: markup is tested
+   a byte at a time, a name is classified by [name_chars] and from then on
+   known by its span, and a run of character data stays a span of [src]
+   until a reader asks for a copy.  [buf] (empty between runs) assembles
+   only the runs that entities, CDATA, comments or PIs interrupt.  The
+   same state is the pull {!Cursor}: [depth] counts the open elements it
+   has entered and [empty] says the start tag just read was self-closing;
+   [attrs] counts the attributes read from the current start tag and
+   [attr] spans the last one's name.  [run] spans the last attribute
+   value or text run read, or is -1 when that run was assembled in [buf]
+   and kept, decoded, in [decoded]. *)
 type parser = {
   src : string;
   origin : int;
@@ -217,7 +230,8 @@ type parser = {
   mutable empty : bool;
   mutable attrs : int;
   mutable attr : int;
-  mutable value : string;
+  mutable run : int;
+  mutable decoded : string;
 }
 
 let fail p message =
@@ -248,7 +262,8 @@ let make_parser src off len =
       empty = false;
       attrs = 0;
       attr = 0;
-      value = "";
+      run = 0;
+      decoded = "";
     }
   in
   if len > max_input_bytes then fail p (Printf.sprintf "input larger than %d bytes" max_input_bytes);
@@ -256,17 +271,26 @@ let make_parser src off len =
 
 let at_end p = p.pos >= p.stop
 let looking_at p s = p.pos + String.length s <= p.stop && same_from p.src p.pos s 0
+let at_byte p c = p.pos < p.stop && String.unsafe_get p.src p.pos = c
 
-let expect p s =
-  if looking_at p s then p.pos <- p.pos + String.length s else fail p (Printf.sprintf "expected %S" s)
+(* The cursor is on "</". *)
+let at_close p =
+  p.pos + 1 < p.stop && String.unsafe_get p.src p.pos = '<' && String.unsafe_get p.src (p.pos + 1) = '/'
+
+let expected_eq = {|expected "="|}
+let expected_gt = {|expected ">"|}
+let expect_byte p c message = if at_byte p c then p.pos <- p.pos + 1 else fail p message
 
 let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let is_name_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '-' || c = '.' || c = ':'
+(* '\001' at the code of each byte a name may hold. *)
+let name_chars =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> '\001'
+      | _ -> '\000')
+
+let is_name_char c = String.unsafe_get name_chars (Char.code c) <> '\000'
 
 (* Offset just past the first ':' in [s.[i..stop)], or -1. *)
 let rec colon_end s i stop = if i >= stop then -1 else if String.unsafe_get s i = ':' then i + 1 else colon_end s (i + 1) stop
@@ -289,22 +313,19 @@ let rec find_from s i stop t =
 
 let skip_ws p = p.pos <- ws_end p.src p.pos p.stop
 
-(* Leaves the cursor after a non-empty name and returns where it began. *)
+(* Leaves the cursor after a non-empty name and returns the name's span. *)
 let name_span p =
   let start = p.pos in
   p.pos <- name_end p.src start p.stop;
   if p.pos = start then fail p "expected a name";
-  start
+  span start (p.pos - start)
 
-let name_at p start = String.sub p.src start (name_end p.src start p.stop - start)
+let span_string p s = String.sub p.src (span_off s) (span_len s)
 
 let rec same_bytes s a b i n =
   i >= n || (String.unsafe_get s (a + i) = String.unsafe_get s (b + i) && same_bytes s a b (i + 1) n)
 
-(* The names starting at [a] and [b] are the same bytes. *)
-let same_name p a b =
-  let la = name_end p.src a p.stop - a in
-  la = name_end p.src b p.stop - b && same_bytes p.src a b 0 la
+let same_span p a b = span_len a = span_len b && same_bytes p.src (span_off a) (span_off b) 0 (span_len a)
 
 (* Moves the cursor past the first [closing] at or after it. *)
 let skip_until p closing =
@@ -335,6 +356,7 @@ let utf8_of_code buf code =
   end
 
 let span_is s start len t = len = String.length t && same_from s start t 0
+let span_equals p s t = span_is p.src (span_off s) (span_len s) t
 
 let predefined_entity src start len =
   if span_is src start len "lt" then Some '<'
@@ -389,14 +411,17 @@ let parse_entity p =
     end
     else fail p (Printf.sprintf "unknown entity &%s;" name)
 
-(* The buffered run so far, leaving [p.buf] empty; [""] when there is none. *)
+(* Keeps the buffered run as the current one, leaving [p.buf] empty. *)
 let take_buffer p =
-  if Buffer.length p.buf = 0 then ""
-  else begin
-    let s = Buffer.contents p.buf in
-    Buffer.clear p.buf;
-    s
-  end
+  p.decoded <- (if Buffer.length p.buf = 0 then "" else Buffer.contents p.buf);
+  Buffer.clear p.buf;
+  p.run <- -1
+
+(* The current run, copied out; [""] copies nothing. *)
+let run_value p =
+  if p.run < 0 then p.decoded else if span_len p.run = 0 then "" else span_string p p.run
+
+let run_is p t = if p.run < 0 then String.equal p.decoded t else span_equals p p.run t
 
 let rec attr_value_rest p quote =
   let src = p.src in
@@ -415,15 +440,16 @@ let rec attr_value_rest p quote =
       p.pos <- stop;
       attr_value_rest p quote
 
-let parse_attr_value p =
+(* The quoted value at the cursor becomes the current run. *)
+let attr_value p =
   let src = p.src in
-  let quote = if at_end p then ' ' else src.[p.pos] in
+  let quote = if at_end p then ' ' else String.unsafe_get src p.pos in
   if quote <> '"' && quote <> '\'' then fail p "expected a quoted attribute value";
   let start = p.pos + 1 in
   let stop = index_either src start p.stop quote '&' in
   if stop < p.stop && String.unsafe_get src stop = quote then begin
     p.pos <- stop + 1;
-    String.sub src start (stop - start)
+    p.run <- span start (stop - start)
   end
   else begin
     p.pos <- start;
@@ -431,15 +457,15 @@ let parse_attr_value p =
   end
 
 (* One attribute at the cursor, which is on its name: leaves the cursor
-   after the value and returns where the name began.  [count] attributes
-   of this start tag came before it. *)
+   after the value (the current run) and returns the name's span.
+   [count] attributes of this start tag came before it. *)
 let attribute p count =
   if count >= max_attributes then fail p (Printf.sprintf "more than %d attributes on one element" max_attributes);
   let name = name_span p in
   skip_ws p;
-  expect p "=";
+  expect_byte p '=' expected_eq;
   skip_ws p;
-  p.value <- parse_attr_value p;
+  attr_value p;
   name
 
 let rec skip_misc p =
@@ -459,12 +485,21 @@ let rec skip_misc p =
     skip_misc p
   end
 
-(* A comment, CDATA section or PI at the cursor, which character data
-   continues across; any other '<' starts a child element or closing tag. *)
-let at_interruption p = looking_at p "<!--" || looking_at p "<![CDATA[" || looking_at p "<?"
+(* The cursor is on '<': a comment, CDATA section or PI, which character
+   data continues across, starts there; any other '<' starts a child
+   element or closing tag.  Only a '!' or '?' after the '<' is probed. *)
+let at_interruption p =
+  let i = p.pos + 1 in
+  i < p.stop
+  &&
+  match String.unsafe_get p.src i with
+  | '?' -> true
+  | '!' -> looking_at p "<!--" || looking_at p "<![CDATA["
+  | _ -> false
 
 let skip_interruption p =
-  if looking_at p "<![CDATA[" then begin
+  if String.unsafe_get p.src (p.pos + 1) = '?' then skip_until p "?>"
+  else if String.unsafe_get p.src (p.pos + 2) = '[' then begin
     let start = p.pos + 9 in
     let stop = find_from p.src start p.stop "]]>" in
     if stop < 0 then begin
@@ -474,13 +509,13 @@ let skip_interruption p =
     Buffer.add_substring p.buf p.src start (stop - start);
     p.pos <- stop + 3
   end
-  else skip_until p (if looking_at p "<?" then "?>" else "-->")
+  else skip_until p "-->"
 
 (* Character data in [p.buf] up to the next child element or closing tag
-   of the element whose name starts at [tag]. *)
+   of the element [tag], then kept as the current run. *)
 let rec buffered_text p tag =
   let src = p.src in
-  if at_end p then fail p (Printf.sprintf "unterminated element <%s>" (name_at p tag))
+  if at_end p then fail p (Printf.sprintf "unterminated element <%s>" (span_string p tag))
   else
     match String.unsafe_get src p.pos with
     | '&' ->
@@ -497,66 +532,77 @@ let rec buffered_text p tag =
       buffered_text p tag
 
 (* Character data from the cursor up to the next child element or closing
-   tag, where it leaves the cursor; [""] when there is none. *)
+   tag of the element [tag], where it leaves the cursor; the data becomes
+   the current run. *)
 let text_run p tag =
   let src = p.src in
   let start = p.pos in
   p.pos <- index_either src start p.stop '<' '&';
   if (not (at_end p)) && String.unsafe_get src p.pos = '<' && not (at_interruption p) then
-    if p.pos = start then "" else String.sub src start (p.pos - start)
+    p.run <- span start (p.pos - start)
   else begin
     Buffer.add_substring p.buf src start (p.pos - start);
     buffered_text p tag
   end
 
-(* The cursor is on "</": consumes the closing tag of the element whose
-   name starts at [tag]. *)
+(* The cursor is on "</": consumes the closing tag of the element [tag],
+   whose name it compares in place. *)
 let closing_tag p tag =
   p.pos <- p.pos + 2;
-  let start = name_span p in
-  if not (same_name p start tag) then
+  let src = p.src and len = span_len tag in
+  let e = p.pos + len in
+  let same =
+    e <= p.stop
+    && same_bytes src (span_off tag) p.pos 0 len
+    && not (e < p.stop && is_name_char (String.unsafe_get src e))
+  in
+  if same then p.pos <- e
+  else begin
+    let name = name_span p in
     fail p
-      (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" (name_at p start) (name_at p tag));
+      (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)" (span_string p name) (span_string p tag))
+  end;
   skip_ws p;
-  expect p ">"
+  expect_byte p '>' expected_gt
 
 (* The cursor is on '<'; [depth] counts the element about to be read. *)
 let rec parse_element p depth =
   if depth > max_depth then fail p (Printf.sprintf "elements nested deeper than %d" max_depth);
   p.pos <- p.pos + 1;
-  let start = name_span p in
-  parse_attrs p (String.sub p.src start (p.pos - start)) start depth 0 []
+  let name = name_span p in
+  parse_attrs p (span_string p name) name depth 0 []
 
-and parse_attrs p tag start depth count acc =
+and parse_attrs p tag name depth count acc =
   skip_ws p;
   (* The end of input reads as a blank, which no branch accepts. *)
   let c = if at_end p then ' ' else String.unsafe_get p.src p.pos in
   if c = '/' then begin
     p.pos <- p.pos + 1;
-    expect p ">";
+    expect_byte p '>' expected_gt;
     Element { tag; attrs = List.rev acc; children = [] }
   end
   else if c = '>' then begin
     p.pos <- p.pos + 1;
-    let children = parse_content p start depth [] in
+    let children = parse_content p name depth [] in
     Element { tag; attrs = List.rev acc; children }
   end
   else if is_name_char c then begin
-    let at = attribute p count in
-    let name = String.sub p.src at (name_end p.src at p.stop - at) in
-    if List.mem_assoc name acc then fail p (Printf.sprintf "duplicate attribute %s" name);
-    parse_attrs p tag start depth (count + 1) ((name, p.value) :: acc)
+    let key = span_string p (attribute p count) in
+    if List.mem_assoc key acc then fail p (Printf.sprintf "duplicate attribute %s" key);
+    let value = run_value p in
+    parse_attrs p tag name depth (count + 1) ((key, value) :: acc)
   end
   else fail p "malformed start tag"
 
-and parse_content p start depth acc =
-  let text = text_run p start in
+and parse_content p name depth acc =
+  text_run p name;
+  let text = run_value p in
   let acc = if String.length text = 0 then acc else Text text :: acc in
-  if looking_at p "</" then begin
-    closing_tag p start;
+  if at_close p then begin
+    closing_tag p name;
     List.rev acc
   end
-  else parse_content p start depth (parse_element p (depth + 1) :: acc)
+  else parse_content p name depth (parse_element p (depth + 1) :: acc)
 
 let root p =
   skip_misc p;
@@ -593,8 +639,11 @@ module Cursor = struct
   let fail = fail
   let finish = finish
 
+  let at_start_tag p = at_byte p '<' && not (at_close p)
+
+  (* A tag's handle is its name's span. *)
   let enter p =
-    if not (looking_at p "<") || looking_at p "</" then fail p "expected a start tag";
+    if not (at_start_tag p) then fail p "expected a start tag";
     if p.depth >= max_depth then fail p (Printf.sprintf "elements nested deeper than %d" max_depth);
     p.pos <- p.pos + 1;
     let tag = name_span p in
@@ -603,39 +652,61 @@ module Cursor = struct
     p.empty <- false;
     tag
 
-  let is p tag name = span_is p.src tag (name_end p.src tag p.stop - tag) name
+  let is = span_equals
 
+  (* [s] from [i] on holds [t], which has no ':'. *)
+  let rec same_unprefixed s i t j =
+    j >= String.length t
+    ||
+    let c = String.unsafe_get t j in
+    c <> ':' && String.unsafe_get s (i + j) = c && same_unprefixed s i t (j + 1)
+
+  (* In place: the name's last [String.length name] bytes are [name], and
+     its first ':', if it has one, is the byte just before them. *)
   let has_local_name p tag name =
-    let stop = name_end p.src tag p.stop in
-    let start = match colon_end p.src tag stop with -1 -> tag | i -> i in
-    span_is p.src start (stop - start) name
+    let src = p.src and off = span_off tag in
+    let prefix = span_len tag - String.length name in
+    if prefix = 0 then same_unprefixed src off name 0
+    else
+      prefix > 0
+      && String.unsafe_get src (off + prefix - 1) = ':'
+      && colon_end src off (off + prefix - 1) < 0
+      && same_from src (off + prefix) name 0
 
-  let tag_name p tag = name_at p tag
+  let tag_name = span_string
 
-  let at_local_name p name = looking_at p "<" && (not (looking_at p "</")) && has_local_name p (p.pos + 1) name
+  let at_local_name p name =
+    at_start_tag p
+    &&
+    let start = p.pos + 1 in
+    has_local_name p (span start (name_end p.src start p.stop - start)) name
 
-  (* Whether the attribute named at [at] repeats one before it in the
-     start tag whose name starts at [tag]: a rescan of the tag's earlier,
-     already validated attributes, so the check allocates nothing. *)
-  let rec repeats_from p at i =
+  (* Whether the attribute named [at] repeats an earlier one of the start
+     tag: the last one's name is at hand, and the ones before it (read and
+     validated already, from [i] on up to [limit]) are rescanned. *)
+  let rec repeats_before p at i limit =
     let src = p.src in
     let i = ws_end src i p.stop in
-    if i >= at then false
-    else if same_name p i at then true
-    else
-      let i = ws_end src (name_end src i p.stop) p.stop in
-      let i = ws_end src (i + 1) p.stop in
-      let quote = String.unsafe_get src i in
-      repeats_from p at (index_either src (i + 1) p.stop quote quote + 1)
+    i < limit
+    &&
+    let e = name_end src i p.stop in
+    same_span p (span i (e - i)) at
+    ||
+    let quote_at = ws_end src (ws_end src e p.stop + 1) p.stop in
+    let quote = String.unsafe_get src quote_at in
+    repeats_before p at (index_either src (quote_at + 1) p.stop quote quote + 1) limit
 
-  let repeats p tag at = repeats_from p at (name_end p.src tag p.stop)
+  let repeats p tag at =
+    p.attrs > 0
+    && (same_span p p.attr at
+       || (p.attrs > 1 && repeats_before p at (span_off tag + span_len tag) (span_off p.attr)))
 
   let next_attr p tag =
     skip_ws p;
     let c = if at_end p then ' ' else String.unsafe_get p.src p.pos in
     if c = '/' then begin
       p.pos <- p.pos + 1;
-      expect p ">";
+      expect_byte p '>' expected_gt;
       p.empty <- true;
       false
     end
@@ -645,35 +716,48 @@ module Cursor = struct
     end
     else if is_name_char c then begin
       let at = attribute p p.attrs in
-      if repeats p tag at then fail p (Printf.sprintf "duplicate attribute %s" (name_at p at));
+      if repeats p tag at then fail p (Printf.sprintf "duplicate attribute %s" (span_string p at));
       p.attrs <- p.attrs + 1;
       p.attr <- at;
       true
     end
     else fail p "malformed start tag"
 
-  let attr_is p name = is p p.attr name
-  let value p = p.value
+  let attr_is p name = span_equals p p.attr name
+  let attr_name p = span_string p p.attr
+  let value = run_value
+  let value_is = run_is
 
   let next_child p tag =
-    (not p.empty)
-    &&
-    (ignore (text_run p tag);
-     not (looking_at p "</"))
+    if p.empty then begin
+      p.run <- span 0 0;
+      false
+    end
+    else begin
+      text_run p tag;
+      not (at_close p)
+    end
+
+  let unexpected_child p tag = fail p (Printf.sprintf "unexpected element inside <%s>" (span_string p tag))
+
+  let read_text p tag =
+    if p.empty then p.run <- span 0 0
+    else begin
+      text_run p tag;
+      if not (at_close p) then unexpected_child p tag
+    end
 
   let text p tag =
-    if p.empty then ""
-    else begin
-      let s = text_run p tag in
-      if not (looking_at p "</") then fail p (Printf.sprintf "unexpected element inside <%s>" (name_at p tag));
-      s
-    end
+    read_text p tag;
+    run_value p
 
   let close p tag =
     if p.empty then p.empty <- false
     else begin
-      ignore (text_run p tag);
-      if not (looking_at p "</") then fail p (Printf.sprintf "unexpected element inside <%s>" (name_at p tag));
+      if not (at_close p) then begin
+        text_run p tag;
+        if not (at_close p) then unexpected_child p tag
+      end;
       closing_tag p tag
     end;
     p.depth <- p.depth - 1

@@ -117,7 +117,14 @@ val of_string_opt : string -> t option
 
     The parser's own state, exposed so a decoder can read a message in
     place: one pass over the bytes that arrived, building no tree and
-    copying out only the attribute values and text it keeps.  It checks
+    copying out only the attribute values and text it keeps.  Its cost
+    model: each byte is examined once (markup is tested a byte at a time,
+    and a comment, CDATA or PI probe runs only after ["<!"] or ["<?"]); a
+    tag or attribute name, once scanned, is known by its offset and length,
+    so {!Cursor.is}, {!Cursor.has_local_name}, {!Cursor.attr_is} and the
+    closing tag compare it in place; and an attribute value or text run is
+    copied only when {!Cursor.value} or {!Cursor.text} asks for it
+    ({!Cursor.value_is} compares it in place).  It checks
     exactly what {!of_string} checks (well-formedness, {!max_depth},
     {!max_attributes}, {!max_input_bytes}) with the same code, and every
     failure raises {!Parse_error}.
@@ -156,8 +163,9 @@ module Cursor : sig
 
   val enter : t -> int
   (** Consume ['<'] and the tag name of the start tag at the cursor and
-      return the tag's handle (its name's offset), which names the
-      element to {!is}, {!next_child}, {!text} and {!close}. *)
+      return the tag's handle (its name's offset and length, packed in
+      one int), which names the element to {!is}, {!next_child}, {!text}
+      and {!close}. *)
 
   val is : t -> int -> string -> bool
   (** [is c tag name]: the tag's full name (prefix included) is [name]. *)
@@ -179,16 +187,29 @@ module Cursor : sig
   val attr_is : t -> string -> bool
   (** The attribute just read is named exactly this. *)
 
+  val attr_name : t -> string
+  (** The name of the attribute just read, copied out. *)
+
   val value : t -> string
-  (** The attribute value just read, entities decoded. *)
+  (** The attribute value just read, or the character data {!read_text}
+      or {!next_child} just read, entities decoded and copied out.  The
+      next move of the cursor replaces it. *)
+
+  val value_is : t -> string -> bool
+  (** [value_is c s] is [value c = s], compared in place. *)
 
   val next_child : t -> int -> bool
   (** Skip character data inside the tag's element and report whether a
-      child element starts at the cursor ([false] at the closing tag). *)
+      child element starts at the cursor ([false] at the closing tag).
+      The data skipped (possibly none) is left for {!value}. *)
 
   val text : t -> int -> string
   (** The character data of a text-only element, as [text_content] of
       the tree would give it; a child element fails. *)
+
+  val read_text : t -> int -> unit
+  (** {!text} without the copy: the character data is left for {!value}
+      and {!value_is}, until the cursor moves on. *)
 
   val close : t -> int -> unit
   (** Consume the rest of the tag's element: character data and its

@@ -115,10 +115,10 @@ let lean_ctx_of_spec ?(subject = "alice") s =
     ()
 
 (* [targets] bounds the target codes and [crosses] the cross-category
-   context codes: the compiled and tier oracles draw Pin_shapes' targets
-   and contexts too.  The others keep to the XACML-representable shapes,
-   since the ladder's offline rung republishes the policy as XML, where a
-   match's category is its section's. *)
+   context codes.  Every oracle draws Pin_shapes' targets (the ladder's
+   offline rung republishes them as XML, where a match keeps its own
+   category); only the compiled and tier oracles draw its contexts, since
+   the ladder's PEP sends the lean context. *)
 let arb_case_upto ~targets ~crosses =
   let open QCheck in
   let arb_rule =
@@ -135,10 +135,9 @@ let arb_case_upto ~targets ~crosses =
   in
   pair (pair (list_of_size (Gen.int_bound 6) arb_rule) (int_bound 1)) arb_ctx
 
-let arb_case = arb_case_upto ~targets:target_code_max ~crosses:0
-
-let arb_wide_case =
-  arb_case_upto ~targets:(pin_shapes_base + Pin_shapes.kinds - 1) ~crosses:Pin_shapes.cross_codes
+let target_codes = pin_shapes_base + Pin_shapes.kinds - 1
+let arb_case = arb_case_upto ~targets:target_codes ~crosses:0
+let arb_wide_case = arb_case_upto ~targets:target_codes ~crosses:Pin_shapes.cross_codes
 
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision
@@ -804,10 +803,48 @@ let empty_rules_cases =
           | None -> Alcotest.failf "[%s] tier never answered" name))
     algorithms
 
+(* Every Pin_shapes target survives the policy XML unchanged: a match
+   keeps its own category whichever section holds it.  The offline rung,
+   which republishes the policy as XML, then decides the category-mismatched
+   case as the in-process reference does: a resources-section match on
+   Action's resource-id = lab Permits a request whose Action carries it. *)
+let test_pin_shapes_xml () =
+  let policy k = Policy.Inline_policy (Policy.make ~id:"pins" [ Rule.permit ~target:(Pin_shapes.target k) "r" ]) in
+  for k = 0 to Pin_shapes.kinds - 1 do
+    match Dacs_policy.Xacml_xml.(child_of_string (child_to_string (policy k))) with
+    | Ok back -> Alcotest.(check bool) (Printf.sprintf "shape %d round-trips" k) true (back = policy k)
+    | Error e -> Alcotest.failf "shape %d does not parse back: %s" k e
+  done;
+  let mismatched = policy 1 in
+  (match mismatched with
+  | Policy.Inline_policy { Policy.rules = [ { Rule.target; _ } ]; _ } ->
+    Alcotest.(check bool) "the quoted case: an Action match in the resources section" true
+      (target.Target.resources = [ [ Target.match_string Context.Action "resource-id" "lab" ] ])
+  | _ -> Alcotest.fail "unexpected policy shape");
+  let ctx =
+    Context.add
+      (Context.make
+         ~subject:[ ("subject-id", Value.String "alice") ]
+         ~resource:[ ("resource-id", Value.String "chart") ]
+         ~action:[ ("action-id", Value.String "read") ]
+         ())
+      Context.Action "resource-id" (Value.String "lab")
+  in
+  let reference = Policy.evaluate_child ctx mismatched in
+  Alcotest.(check string) "reference" "Permit" (Decision.decision_to_string reference.Decision.decision);
+  let replica =
+    Offline.create ~now:(fun () -> 0.0) ~key:(Dacs_crypto.Sha256.digest "oracle-mesh") ~author:"d" ()
+  in
+  Offline.publish replica mismatched;
+  match Offline.decide replica ctx with
+  | Some (offline, _) -> Alcotest.(check bool) "offline rung == reference" true (result_equal reference offline)
+  | None -> Alcotest.fail "the offline rung had no basis to decide"
+
 let () =
   Alcotest.run "dacs_oracle"
     [
       ("empty-rules-directed", empty_rules_cases);
+      ("pin-shapes-xml", [ Alcotest.test_case "pin shapes survive the policy XML" `Quick test_pin_shapes_xml ]);
       ( "compiled-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (compiled_oracle a)) algorithms );
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);

@@ -357,6 +357,137 @@ let prop_reference_fragments =
   QCheck.Test.make ~name:"parser = reference on XML-ish fragments" ~count:1000 xmlish_fragments (fun frags ->
       agrees_with_reference (String.concat "" frags))
 
+(* --- the pull cursor against the reference ------------------------------------ *)
+
+module Cursor = Xml.Cursor
+
+let rec elements = function Xml.Text _ -> 0 | Xml.Element e -> List.fold_left (fun n k -> n + elements k) 1 e.Xml.children
+
+(* Whether each element, in document order, holds no child element. *)
+let leaves tree =
+  let rec go acc = function
+    | Xml.Text _ -> acc
+    | Xml.Element e as node ->
+      List.fold_left go ((elements node = 1) :: acc) e.Xml.children
+  in
+  Array.of_list (List.rev (go [] tree))
+
+(* The generic cursor walk, rebuilding the tree: every element entered,
+   its attributes read one by one with their names and values, and its
+   character data taken as the run each [next_child] skips — or with
+   [text] where [leaf] says the element holds text only; every third
+   element is taken whole with [subtree]. *)
+let cursor_tree ~leaf src =
+  let c = Cursor.of_string src in
+  let count = ref 0 in
+  let rec element () =
+    let i = !count in
+    incr count;
+    if i mod 3 = 2 then begin
+      let t = Cursor.subtree c in
+      count := !count + elements t - 1;
+      t
+    end
+    else begin
+      let tag = Cursor.enter c in
+      let attrs = ref [] in
+      while Cursor.next_attr c tag do
+        attrs := (Cursor.attr_name c, Cursor.value c) :: !attrs
+      done;
+      let kids = ref [] in
+      let add_text s = if s <> "" then kids := Xml.Text s :: !kids in
+      if leaf i then add_text (Cursor.text c tag)
+      else begin
+        while Cursor.next_child c tag do
+          add_text (Cursor.value c);
+          kids := element () :: !kids
+        done;
+        add_text (Cursor.value c)
+      end;
+      Cursor.close c tag;
+      Xml.Element { Xml.tag = Cursor.tag_name c tag; attrs = List.rev !attrs; children = List.rev !kids }
+    end
+  in
+  let tree = element () in
+  Cursor.finish c;
+  tree
+
+(* The walk accepts exactly what the reference accepts, rebuilds its tree
+   and raises nothing but Parse_error.  Where the reference accepts, its
+   tree says which elements hold text only; the walk reads every other
+   one of those with [text], the rest with [next_child]. *)
+let cursor_agrees src =
+  let want = outcome Xml_reference.of_string src in
+  let leaf =
+    match want with
+    | Tree t ->
+      let l = leaves t in
+      fun i -> i mod 2 = 1 && i < Array.length l && l.(i)
+    | Error_at _ | Raised _ -> fun _ -> false
+  in
+  let got = outcome (cursor_tree ~leaf) src in
+  (match (got, want) with
+  | Tree a, Tree b -> a = b
+  | Error_at _, Error_at _ -> true
+  | _ -> false)
+  || QCheck.Test.fail_reportf "input %S@.cursor:    %s@.reference: %s" src (show_outcome got) (show_outcome want)
+
+let prop_cursor_documents =
+  QCheck.Test.make ~name:"cursor = reference on generated documents" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_document) cursor_agrees
+
+let prop_cursor_mutations =
+  QCheck.Test.make ~name:"cursor = reference on one-byte mutations" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutation) cursor_agrees
+
+let prop_cursor_bytes =
+  QCheck.Test.make ~name:"cursor = reference on random bytes" ~count:1000 QCheck.string cursor_agrees
+
+let prop_cursor_fragments =
+  QCheck.Test.make ~name:"cursor = reference on XML-ish fragments" ~count:1000 xmlish_fragments (fun frags ->
+      cursor_agrees (String.concat "" frags))
+
+(* The frame-reader primitives on one document: names and values are
+   compared in place, read as written, and each mismatch fails. *)
+let test_cursor_primitives () =
+  let doc = "<!-- x --><ns:Frame a=\"1\" b='t&amp;u'><Leaf/><Pair x=\"p\" y=\"q\"/><One v=\"w\"/><T>Permit</T></ns:Frame>" in
+  let framed = "[[" ^ doc ^ "]]" in
+  let c = Cursor.of_slice framed 2 (String.length doc) in
+  check bool_ "at_local_name" true (Cursor.at_local_name c "Frame");
+  let tag = Cursor.enter_named c "Frame" in
+  check bool_ "is: the full name" true (Cursor.is c tag "ns:Frame" && not (Cursor.is c tag "Frame"));
+  check bool_ "has_local_name" true (Cursor.has_local_name c tag "Frame" && not (Cursor.has_local_name c tag "ns:Frame"));
+  check string_ "attr_named" "1" (Cursor.attr_named c tag "a");
+  check bool_ "next_attr" true (Cursor.next_attr c tag);
+  check bool_ "attr_is" true (Cursor.attr_is c "b");
+  check bool_ "value_is, entities decoded" true (Cursor.value_is c "t&u" && not (Cursor.value_is c "t&amp;u"));
+  Cursor.end_attrs c tag;
+  check bool_ "next_child" true (Cursor.next_child c tag);
+  Cursor.leaf0 "Leaf" c;
+  check (Alcotest.pair string_ string_) "leaf2" ("p", "q") (Cursor.leaf2 c "Pair" "x" "y");
+  check string_ "leaf1" "w" (Cursor.leaf1 c "One" "v");
+  let t = Cursor.enter_named c "T" in
+  Cursor.end_attrs c t;
+  Cursor.read_text c t;
+  check bool_ "read_text leaves the text in place" true (Cursor.value_is c "Permit" && Cursor.value c = "Permit");
+  Cursor.close c t;
+  check bool_ "no child left" false (Cursor.next_child c tag);
+  Cursor.close c tag;
+  Cursor.finish c;
+  let fails reader src = Result.is_error (Cursor.parse src reader) in
+  check bool_ "enter_named: wrong tag" true (fails (fun c -> Cursor.leaf0 "A" c) "<B/>");
+  check bool_ "attr_named: wrong attribute" true (fails (fun c -> Cursor.leaf1 c "A" "x") "<A y=\"1\"/>");
+  let first_attr c =
+    let t = Cursor.enter_named c "A" in
+    ignore (Cursor.attr_named c t "x");
+    Cursor.end_leaf c t
+  in
+  check bool_ "end_leaf: a leaf read as written" false (fails first_attr "<A x=\"1\"/>");
+  check bool_ "end_leaf: an attribute left" true (fails first_attr "<A x=\"1\" y=\"2\"/>");
+  check bool_ "trailing content" true (fails (fun c -> Cursor.leaf0 "A" c) "<A/>x");
+  check bool_ "fail is a Parse_error" true
+    (Cursor.read (Cursor.of_string "<A/>") (fun c -> Cursor.fail c "no") = Error "no")
+
 (* --- SOAP frames of every wire encoder ---------------------------------------- *)
 
 module Soap = Dacs_ws.Soap
@@ -513,10 +644,33 @@ let test_input_limits () =
   check (option string_) "one byte over the size limit rejected" (Some too_large) (message_of Xml.of_string huge);
   check (option string_) "the cursor rejects it too" (Some too_large) (message_of Xml.Cursor.of_string huge)
 
+(* Repeated attributes at every distance, where the cursor's duplicate
+   check compares the last name read and rescans the ones before it. *)
+let test_duplicate_attributes () =
+  let error_of f src =
+    match f src with
+    | _ -> None
+    | exception Xml.Parse_error { line; column; message } -> Some (line, column, message)
+    | exception Xml_reference.Parse_error { line; column; message } -> Some (line, column, message)
+  in
+  let located = Alcotest.(option (triple int int string)) in
+  List.iter
+    (fun src ->
+      let want = error_of Xml_reference.of_string src in
+      check bool_ (src ^ ": rejected") true (Option.is_some want);
+      check located (src ^ ": parser") want (error_of Xml.of_string src);
+      check located (src ^ ": cursor") want (error_of cursor_attrs src);
+      ignore (cursor_agrees src))
+    [ "<e a=\"1\" a=\"2\"/>"; "<e a=\"1\" b='2' a=\"3\"/>"; "<e a=\"1\" b=\"2\" c=\"&amp;\" b=\"4\">x</e>";
+      "<ns:e  x:a = \"1\"\n y='&lt;'\tz=\"\" x:a=\"\"/>" ];
+  check bool_ "distinct names sharing a prefix are no duplicate" true
+    (Option.is_none (message_of cursor_attrs "<e ab=\"1\" a=\"2\" abc=\"3\" b=\"4\"/>"))
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_print_parse_roundtrip; prop_canonical_idempotent; prop_canonical_stable_string;
     prop_parser_total; prop_parser_total_xmlish; prop_has_local_name; prop_reference_documents;
-    prop_reference_mutations; prop_reference_bytes; prop_reference_fragments ]
+    prop_reference_mutations; prop_reference_bytes; prop_reference_fragments;
+    prop_cursor_documents; prop_cursor_mutations; prop_cursor_bytes; prop_cursor_fragments ]
 
 let suite =
   [
@@ -543,6 +697,8 @@ let suite =
     Alcotest.test_case "wire frames reprint byte for byte" `Quick test_wire_frames_reprint;
     Alcotest.test_case "nesting depth limit" `Quick test_depth_limit;
     Alcotest.test_case "attribute-count and input-size limits" `Quick test_input_limits;
+    Alcotest.test_case "cursor frame-reader primitives" `Quick test_cursor_primitives;
+    Alcotest.test_case "duplicate attributes at any distance" `Quick test_duplicate_attributes;
   ]
   @ props
 
