@@ -253,17 +253,10 @@ let fetch_batched t ~subject misses ctx k =
   in
   go misses ctx t.pips
 
-(* The trace id the ambient context belongs to, as the exemplar tag for
-   latency histograms — "" (no exemplar) when tracing is off. *)
-let trace_tag tr =
-  match Trace.current tr with
-  | Some ctx -> Printf.sprintf "%Lx" ctx.Trace.trace_id
-  | None -> ""
-
 let fetch_all t ~subject misses attempted ctx k =
   List.iter (fun miss -> Hashtbl.replace attempted miss ()) misses;
   let started = now t in
-  let tag = trace_tag (tracer t) in
+  let tag = Trace.exemplar_tag (tracer t) in
   let k ctx =
     Metrics.observe_exemplar t.h_pip_fetch (now t -. started) ~trace:tag ~at:(now t);
     k ctx
@@ -278,11 +271,9 @@ let evaluate_local t ctx k =
   let span = Trace.start_span tr "pdp:evaluate" in
   Trace.annotate span "node" t.node;
   let started = now t in
-  let tag =
-    if Trace.enabled tr then Printf.sprintf "%Lx" (Trace.context span).Trace.trace_id else ""
-  in
   let saved = Trace.current tr in
   if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
+  let tag = Trace.exemplar_tag tr in
   ensure_policy t (fun () ->
       let subject = Option.value (Context.subject_id ctx) ~default:"" in
       let subject_sym = Cache_hierarchy.Attr_cache.subject_sym subject in

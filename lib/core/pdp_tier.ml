@@ -242,6 +242,12 @@ let fail_closed t item =
   item.deliver (Error "pdp tier exhausted: no shard reachable")
     { shard = None; batch = 0; failovers = List.length item.excluded; epoch = 0 }
 
+(* One mapping for pull mode and the tier: an unacceptable answer is
+   that PDP's Indeterminate, at the unknown epoch. *)
+let accept_answer = function
+  | Ok answer -> answer
+  | Error e -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
+
 let rec enqueue t shard item =
   let s = state_of t shard in
   s.queue <- item :: s.queue;
@@ -285,9 +291,9 @@ and flush t shard =
                 { shard = Some shard; batch = n; failovers = List.length item.excluded; epoch }
               in
               match part with
-              | Ok (Ok (decision, epoch)) -> item.deliver (Ok decision) (meta ~epoch)
-              | Ok (Error e) ->
-                item.deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) (meta ~epoch:0)
+              | Ok answer ->
+                let decision, epoch = accept_answer answer in
+                item.deliver (Ok decision) (meta ~epoch)
               | Error e ->
                 (* The shard answered: an application-level fault, not a
                    health failure — no remap. *)

@@ -70,10 +70,17 @@ val create :
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose
-    certificate chains to the given trust store.  A forged or unsigned
-    answer is delivered as an [Indeterminate] decision ("unacceptable
-    PDP response: ...") from the shard that sent it — the PEP denies
-    it, and the shard is not failed over. *)
+    certificate the given trust store trusts
+    ({!Dacs_crypto.Cert.Trust_store.trusts}), over the bytes the PDP
+    wrote.  A forged or unsigned answer is delivered by
+    {!accept_answer}, as an [Indeterminate] decision from the shard that
+    sent it — the PEP denies it, and the shard is not failed over. *)
+
+val accept_answer :
+  (Dacs_policy.Decision.result * int, string) result -> Dacs_policy.Decision.result * int
+(** The answer the tier and a pull PEP enforce: a {!Wire.read_authz_answer}
+    answer as decoded, and a rejected one as that PDP's [Indeterminate]
+    ("unacceptable PDP response: ...") at epoch 0. *)
 
 val shards : t -> Dacs_net.Net.node_id list
 

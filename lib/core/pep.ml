@@ -366,13 +366,6 @@ let build_context t ~subject_attrs ~action =
    Only the live rung differs by mode; both deliver the same
    (outcome, serving metadata) pair. *)
 
-(* The ambient trace id as the exemplar tag for latency histograms — ""
-   (no exemplar) when tracing is off. *)
-let trace_tag tr =
-  match Trace.current tr with
-  | Some ctx -> Printf.sprintf "%Lx" ctx.Trace.trace_id
-  | None -> ""
-
 let l1_put ?since t cache ~key result =
   match cache with
   | Some cache -> Decision_cache.put ?since cache ~now:(now t) ~key result
@@ -392,7 +385,7 @@ let consult_l2 t cache ~key k =
   | None -> k None
   | Some l2 ->
     let started = now t in
-    let tag = trace_tag (tracer t) in
+    let tag = Trace.exemplar_tag (tracer t) in
     Cache_hierarchy.L2.remote_lookup t.services ~src:t.node ~l2 ~key (fun answer ->
         Metrics.observe_exemplar t.counters.h_l2_lookup (now t -. started) ~trace:tag
           ~at:(now t);
@@ -482,12 +475,9 @@ let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
         ~read:(fun c -> Wire.read_authz_answer ?trust:t.decision_trust ~now:(now t) c)
         (fun buf -> Wire.write_authz_query buf ctx)
         (function
-        | Ok answer -> (
-          let meta epoch = { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch } in
-          match answer with
-          | Ok (result, epoch) -> deliver (Ok result) (meta epoch)
-          | Error e ->
-            deliver (Ok (Decision.indeterminate ("unacceptable PDP response: " ^ e))) (meta 0))
+        | Ok answer ->
+          let result, epoch = Pdp_tier.accept_answer answer in
+          deliver (Ok result) { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch }
         | Error _ ->
           if rest <> [] then begin
             Metrics.inc t.counters.c_failovers;
@@ -523,7 +513,7 @@ let ladder t ~cache ~live source ctx k =
         | Some result -> k (result, prov Provenance.L2)
         | None ->
           let started = now t in
-          let tag = trace_tag (tracer t) in
+          let tag = Trace.exemplar_tag (tracer t) in
           live t source ~key ctx (fun outcome meta ->
               Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
                 ~at:(now t);
@@ -657,7 +647,7 @@ let release_slot t =
    bounded by the queue it can actually wait in. *)
 let decide_explained t ctx k =
   let started = now t in
-  let tag = trace_tag (tracer t) in
+  let tag = Trace.exemplar_tag (tracer t) in
   let finish (result, (p : Provenance.t)) =
     Metrics.observe_exemplar
       (t.counters.h_decide p.Provenance.stage)

@@ -108,10 +108,12 @@ val set_l2 : t -> Dacs_net.Net.node_id option -> unit
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** Pull and sharded modes: from now on, accept only decision responses
-    signed by a PDP whose certificate chains to the given trust store
-    (mutual authentication of §3.2 — a forged or unsigned decision is
-    treated as Indeterminate and therefore denied).  A sharded PEP
-    delegates to {!Pdp_tier.require_signed_decisions} on its tier. *)
+    signed, over the bytes the PDP wrote, by a PDP whose certificate the
+    given trust store trusts ({!Dacs_crypto.Cert.Trust_store.trusts};
+    mutual authentication of §3.2).  A forged or unsigned decision is
+    delivered by {!Pdp_tier.accept_answer} as Indeterminate and
+    therefore denied.  A sharded PEP delegates to
+    {!Pdp_tier.require_signed_decisions} on its tier. *)
 
 val set_pull_pdps : t -> Dacs_net.Net.node_id list -> unit
 (** Replace the failover list of a pull-mode PEP — how a discovery

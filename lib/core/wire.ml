@@ -4,8 +4,6 @@ module Context = Dacs_policy.Context
 module Delta = Dacs_policy.Delta
 module Cursor = Xml.Cursor
 
-let ( let* ) = Result.bind
-
 (* --- one writer and one cursor reader per frame ---------------------------- *)
 
 (* Every frame is written straight into the outgoing frame and read in
@@ -239,73 +237,57 @@ let read_authz_response = total authz_response_in
 let authz_response ?epoch result = to_tree (fun buf -> write_authz_response ?epoch buf result)
 let parse_authz_response node = Result.map fst (of_tree authz_response_in node)
 
+(* The signature covers the response exactly as it is written into the
+   frame: the bytes are written once into a scratch buffer, signed, and
+   copied in. *)
 let write_signed_authz_response ?epoch ~key ~cert buf result =
-  let signature = Dacs_crypto.Rsa.sign key (Xml.canonical_string (authz_response ?epoch result)) in
+  let response = Buffer.create 256 in
+  write_authz_response ?epoch response result;
+  let signature = Dacs_crypto.Rsa.sign key (Buffer.contents response) in
   Buffer.add_string buf "<SignedAuthzResponse>";
-  write_authz_response ?epoch buf result;
+  Buffer.add_buffer buf response;
   Xml.print buf (Dacs_crypto.Cert.to_xml cert);
   Buffer.add_string buf "<SignatureValue>";
   Xml.add_escaped buf (Dacs_crypto.Encoding.base64_encode signature);
   Buffer.add_string buf "</SignatureValue></SignedAuthzResponse>"
 
-let signed_authz_response ?epoch ~key ~cert result =
-  to_tree (fun buf -> write_signed_authz_response ?epoch ~key ~cert buf result)
-
-let trusted_cert ~trust ~now cert =
+(* A signed response read in the writer's order — the response, keeping
+   its bytes, then the signer's certificate and the signature — and
+   accepted only when a trusted signer's signature verifies over those
+   bytes. *)
+let signed_answer_in ~trust ~now c =
   let module Cert = Dacs_crypto.Cert in
-  if Cert.Trust_store.mem trust cert then Cert.valid_at cert now
-  else begin
-    match
-      List.find_opt
-        (fun r -> r.Cert.subject = cert.Cert.issuer)
-        (Cert.Trust_store.roots trust)
-    with
-    | None -> false
-    | Some root -> Cert.Trust_store.verify_chain trust ~now [ cert; root ] = Ok ()
-  end
-
-let expect_tag node name =
-  if Xml.has_local_name (Xml.tag node) name then Ok ()
-  else Error (Printf.sprintf "expected <%s>, got <%s>" name (Xml.tag node))
-
-(* The decision, its epoch and the signer of a signed response.  The
-   signature covers the canonical response, so this one reads a tree. *)
-let verify_signed ~trust ~now node =
-  let module Cert = Dacs_crypto.Cert in
-  let* () = expect_tag node "SignedAuthzResponse" in
-  match
-    ( Xml.find_child node "AuthzResponse",
-      Option.bind (Xml.find_child node "Certificate") Cert.of_xml,
-      Xml.find_child node "SignatureValue" )
-  with
-  | Some response, Some cert, Some sig_node ->
-    let signature =
-      try Some (Dacs_crypto.Encoding.base64_decode (Xml.text_content sig_node))
-      with Invalid_argument _ -> None
-    in
-    (match signature with
-    | None -> Error "signature is not valid base64"
-    | Some signature ->
-      if not (trusted_cert ~trust ~now cert) then
-        Error (Printf.sprintf "decision signer %s is not trusted" cert.Cert.subject)
-      else if
-        not
-          (Dacs_crypto.Rsa.verify cert.Cert.public_key (Xml.canonical_string response) ~signature)
-      then Error "decision signature does not verify"
-      else
-        let* result, epoch = of_tree authz_response_in response in
-        Ok (result, epoch, cert))
-  | _ -> Error "SignedAuthzResponse lacks response, certificate or signature"
-
-let verify_signed_authz_response ~trust ~now node =
-  Result.map (fun (result, _, cert) -> (result, cert)) (verify_signed ~trust ~now node)
+  let tag = Cursor.enter_named c "SignedAuthzResponse" in
+  Cursor.end_attrs c tag;
+  let next what = if not (Cursor.next_child c tag) then Cursor.fail c ("SignedAuthzResponse lacks its " ^ what) in
+  next "response";
+  let answer, signed = Cursor.with_bytes c authz_response_in in
+  next "certificate";
+  if not (Cursor.at_local_name c "Certificate") then Cursor.fail c "SignedAuthzResponse lacks its certificate";
+  let cert =
+    match Cert.of_xml (Cursor.subtree c) with
+    | Some cert -> cert
+    | None -> Cursor.fail c "SignedAuthzResponse carries a malformed certificate"
+  in
+  next "signature";
+  let sig_tag = Cursor.enter_named c "SignatureValue" in
+  Cursor.end_attrs c sig_tag;
+  let encoded = Cursor.text c sig_tag in
+  Cursor.close c sig_tag;
+  Cursor.close c tag;
+  match Dacs_crypto.Encoding.base64_decode encoded with
+  | exception Invalid_argument _ -> Cursor.fail c "signature is not valid base64"
+  | signature ->
+    if not (Cert.Trust_store.trusts trust ~now cert) then
+      Cursor.fail c (Printf.sprintf "decision signer %s is not trusted" cert.Cert.subject)
+    else if not (Dacs_crypto.Rsa.verify cert.Cert.public_key signed ~signature) then
+      Cursor.fail c "decision signature does not verify"
+    else answer
 
 let read_authz_answer ?trust ~now c =
   match trust with
   | None -> read_authz_response c
-  | Some trust ->
-    let* node = total Cursor.subtree c in
-    Result.map (fun (result, epoch, _) -> (result, epoch)) (verify_signed ~trust ~now node)
+  | Some trust -> total (signed_answer_in ~trust ~now) c
 
 (* --- attributes (PDP <-> PIP) ------------------------------------------------------ *)
 

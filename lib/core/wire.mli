@@ -21,10 +21,11 @@
     Sender fault itself.
 
     Content that needs canonical XML keeps its tree codec inside a
-    frame: the policy of a policy response or update, the signed
-    authorisation response and the signed capability a negotiation
-    grants.  The authorisation query and response also keep a tree
-    form: adapters over the same writer and reader. *)
+    frame: the policy of a policy response or update and the signed
+    capability a negotiation grants.  A signed authorisation response
+    needs none: its signature covers the bytes written.  The
+    authorisation query and response also keep a tree form: adapters
+    over the same writer and reader. *)
 
 module Xml = Dacs_xml.Xml
 
@@ -72,25 +73,9 @@ val write_signed_authz_response :
   Dacs_policy.Decision.result ->
   unit
 (** Decision response carrying the PDP's certificate and a signature over
-    the canonical response — §3.2: "enforcement points need to be sure
-    that the authorisation decision response comes from their trusted
-    decision point". *)
-
-val signed_authz_response :
-  ?epoch:int ->
-  key:Dacs_crypto.Rsa.private_key ->
-  cert:Dacs_crypto.Cert.t ->
-  Dacs_policy.Decision.result ->
-  Xml.t
-
-val verify_signed_authz_response :
-  trust:Dacs_crypto.Cert.Trust_store.t ->
-  now:float ->
-  Xml.t ->
-  (Dacs_policy.Decision.result * Dacs_crypto.Cert.t, string) result
-(** Accepts only a well-signed response whose certificate is trusted
-    (directly or via a one-level chain to a stored root) and valid at
-    [now]; returns the decision and the signer. *)
+    the response's bytes exactly as this writer puts them in the frame —
+    §3.2: "enforcement points need to be sure that the authorisation
+    decision response comes from their trusted decision point". *)
 
 val read_authz_answer :
   ?trust:Dacs_crypto.Cert.Trust_store.t ->
@@ -99,9 +84,13 @@ val read_authz_answer :
   (Dacs_policy.Decision.result * int, string) result
 (** The one decoder for a live decision answer, used by pull PEPs and the
     sharded tier alike: the decision and its epoch.  Without [trust] it
-    is {!read_authz_response}; with it only a signed response accepted by
-    {!verify_signed_authz_response} decodes — "only authenticated
-    decisions are enforceable" (§3.2). *)
+    is {!read_authz_response}; with it only a
+    {!write_signed_authz_response} frame decodes, read in one pass in the
+    writer's order, whose certificate
+    {!Dacs_crypto.Cert.Trust_store.trusts} accepts at [now] and whose
+    signature verifies over the response's bytes as they arrived — "only
+    authenticated decisions are enforceable" (§3.2).  A re-serialised
+    response, even one with the same canonical form, does not verify. *)
 
 (** {1 Attributes (PDP ↔ PIP)} *)
 

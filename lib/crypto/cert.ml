@@ -150,4 +150,13 @@ module Trust_store = struct
           else walk rest
       in
       walk chain
+
+  (* One-level chain: a certificate not in the store itself must be
+     signed by a stored root of its issuer's name. *)
+  let trusts store ~now cert =
+    if mem store cert then valid_at cert now
+    else
+      match List.find_opt (fun root -> root.subject = cert.issuer) store.certs with
+      | None -> false
+      | Some root -> verify_chain store ~now [ cert; root ] = Ok ()
 end

@@ -65,4 +65,9 @@ module Trust_store : sig
   (** [verify_chain store ~now chain] checks a leaf-to-root chain: each
       certificate is within validity, signed by the next one's key, and the
       final certificate is a self-signed member of the store. *)
+
+  val trusts : t -> now:float -> cert -> bool
+  (** The one trust rule for a signer's certificate: it is in the store
+      and valid at [now], or it chains one level to a stored root
+      ({!verify_chain} of it and the root named as its issuer). *)
 end

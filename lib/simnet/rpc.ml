@@ -488,12 +488,22 @@ let breaker_for t dst =
 let heard_from t dst =
   match Hashtbl.find t.breakers dst with b -> b.heard.(0) | exception Not_found -> neg_infinity
 
-let complete t id result =
+(* A call completes only with an answer from the node it was sent to: a
+   reply after the timeout, or from any other node, is dropped. *)
+let complete t ~src id result =
   match Hashtbl.find_opt t.pending id with
-  | None -> () (* reply after timeout: drop *)
-  | Some p ->
+  | Some p when String.equal p.dst src ->
     Hashtbl.remove t.pending id;
     p.k result
+  | Some _ | None -> ()
+
+(* The bus's own verdict on a call still pending: a timeout. *)
+let time_out t id =
+  match Hashtbl.find_opt t.pending id with
+  | Some p ->
+    Hashtbl.remove t.pending id;
+    p.k (Error Timeout)
+  | None -> ()
 
 let handle_message t (msg : Net.message) =
   let payload = msg.Net.payload in
@@ -511,7 +521,7 @@ let handle_message t (msg : Net.message) =
       | Some parts -> dispatch_batch t msg h.id h.service (trace ()) parts)
     | K_reply ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
-      complete t h.id (Ok (body_slice payload h))
+      complete t ~src:msg.Net.src h.id (Ok (body_slice payload h))
     | K_error ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
       let err =
@@ -522,7 +532,7 @@ let handle_message t (msg : Net.message) =
           No_such_service (String.sub payload (h.body + np) (n - np))
         else Timeout
       in
-      complete t h.id (Error err))
+      complete t ~src:msg.Net.src h.id (Error err))
 
 let create net =
   let now () = Net.now net in
@@ -604,12 +614,7 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~annotate_span ~kind 
       ~trace:(Trace.context_to_string (Trace.context s))
       write
   | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" write);
-  Engine.schedule (Net.engine t.net) ~delay:timeout (fun () ->
-      match Hashtbl.find_opt t.pending id with
-      | None -> ()
-      | Some p ->
-        Hashtbl.remove t.pending id;
-        p.k (Error Timeout))
+  Engine.schedule (Net.engine t.net) ~delay:timeout (fun () -> time_out t id)
 
 let call_once t ~src ~dst ~service ~timeout write k =
   let series = series_for t service in
@@ -649,7 +654,7 @@ let expire t dst =
   let ids =
     Hashtbl.fold (fun id p acc -> if String.equal p.dst dst then id :: acc else acc) t.pending []
   in
-  List.iter (fun id -> complete t id (Error Timeout)) (List.sort Int.compare ids)
+  List.iter (fun id -> time_out t id) (List.sort Int.compare ids)
 
 (* --- circuit breaker ------------------------------------------------------ *)
 

@@ -182,7 +182,9 @@ val call_frame :
 (** Asynchronous call.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
-    service.  Traffic is accounted under the service name.
+    service.  Only a reply or error frame from [dst] completes the call:
+    one from any other node is dropped, as a reply after the timeout is.
+    Traffic is accounted under the service name.
 
     With [resilient] the call goes through the per-target circuit
     breaker and is retried per that policy ({!no_retry}: one attempt),

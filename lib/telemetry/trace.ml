@@ -45,6 +45,11 @@ let enabled t = t.enabled
 let current t = t.cur
 let set_current t ctx = t.cur <- ctx
 
+let exemplar_tag t =
+  match t.cur with
+  | Some ctx -> Printf.sprintf "%Lx" ctx.trace_id
+  | None -> ""
+
 let inert =
   {
     noop = true;

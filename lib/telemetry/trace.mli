@@ -35,6 +35,11 @@ val enabled : t -> bool
 val current : t -> context option
 val set_current : t -> context option -> unit
 
+val exemplar_tag : t -> string
+(** The ambient context's trace id in hex, the exemplar tag latency
+    histograms carry ({!Metrics.observe_exemplar}); [""] (no exemplar)
+    when there is no ambient context. *)
+
 (** {1 Span lifecycle} *)
 
 val start_span : t -> ?parent:context -> string -> span

@@ -34,18 +34,6 @@ let sign ~key ~cert (e : Soap.envelope) =
 let find_security (e : Soap.envelope) =
   List.find_opt (fun h -> Xml.local_name (Xml.tag h) = "Security") e.Soap.headers
 
-let trusted_signer ~trust ~now cert =
-  if Cert.Trust_store.mem trust cert then Cert.valid_at cert now
-  else begin
-    (* One-level chain: the certificate's issuer must be a trusted root. *)
-    let root =
-      List.find_opt (fun r -> r.Cert.subject = cert.Cert.issuer) (Cert.Trust_store.roots trust)
-    in
-    match root with
-    | None -> false
-    | Some root -> Cert.Trust_store.verify_chain trust ~now [ cert; root ] = Ok ()
-  end
-
 let verify ~trust ~now (e : Soap.envelope) =
   match find_security e with
   | None -> Error Not_signed
@@ -62,7 +50,7 @@ let verify ~trust ~now (e : Soap.envelope) =
         match signature with
         | None -> Error (Malformed "signature is not valid base64")
         | Some signature ->
-          if not (trusted_signer ~trust ~now cert) then Error (Untrusted_signer cert.Cert.subject)
+          if not (Cert.Trust_store.trusts trust ~now cert) then Error (Untrusted_signer cert.Cert.subject)
           else if Rsa.verify cert.Cert.public_key (body_payload e) ~signature then Ok cert
           else Error Invalid_signature))
     | _ -> Error (Malformed "security header lacks token or signature"))

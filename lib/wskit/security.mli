@@ -30,8 +30,9 @@ val verify :
   now:float ->
   Soap.envelope ->
   (Dacs_crypto.Cert.t, error) result
-(** Check the signature and that the embedded certificate chains to the
-    trust store (direct trust or one-level issuer). Returns the signer. *)
+(** Check the signature and that the embedded certificate is trusted by
+    {!Dacs_crypto.Cert.Trust_store.trusts} (the rule signed decision
+    answers are held to as well). Returns the signer. *)
 
 (** {1 Body encryption} *)
 

@@ -800,6 +800,11 @@ module Cursor = struct
 
   let subtree p = parse_element p (p.depth + 1)
 
+  let with_bytes p read =
+    let start = p.pos in
+    let v = read p in
+    (v, String.sub p.src start (p.pos - start))
+
   let read p f =
     match f p with
     | v -> Ok v

@@ -253,6 +253,12 @@ module Cursor : sig
   (** The element at the cursor, parsed whole (the escape to the tree
       for content a reader does not walk field by field). *)
 
+  val with_bytes : t -> (t -> 'a) -> 'a * string
+  (** [with_bytes c read], at an element's ['<'], is [read c] paired with
+      the bytes it consumed: the element it read, exactly as it was
+      written (what a signature over a writer's bytes is checked
+      against). *)
+
   val finish : t -> unit
   (** After the root element: only trailing misc may follow. *)
 end

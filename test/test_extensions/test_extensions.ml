@@ -182,38 +182,42 @@ let signed_setup () =
   let trust = Cert.Trust_store.add Cert.Trust_store.empty ca_cert in
   (net, services, trust, pdp_keys, pdp_cert, ca)
 
+(* A body as its writer appends it, and the signed-answer reader's
+   verdict on it. *)
+let written write =
+  let buf = Buffer.create 512 in
+  write buf;
+  Buffer.contents buf
+
+let read_answer ~trust body =
+  Xml.Cursor.parse body (fun c ->
+      match Wire.read_authz_answer ~trust ~now:1.0 c with Ok v -> v | Error e -> Xml.Cursor.fail c e)
+
 let test_wire_signed_response_roundtrip () =
   let _net, _services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
   let result = Decision.with_obligations Decision.permit [ Dacs_policy.Obligation.audit ] in
-  let body = Wire.signed_authz_response ~key:pdp_keys.Rsa.private_ ~cert:pdp_cert result in
-  (match Wire.verify_signed_authz_response ~trust ~now:1.0 body with
-  | Ok (r, signer) ->
+  let body = written (fun buf -> Wire.write_signed_authz_response ~key:pdp_keys.Rsa.private_ ~cert:pdp_cert buf result) in
+  (match read_answer ~trust body with
+  | Ok (r, _epoch) ->
     check bool_ "permit" true (Decision.is_permit r);
-    check int_ "obligations" 1 (List.length r.Decision.obligations);
-    check string_ "signer" "cn=pdp" signer.Cert.subject
+    check int_ "obligations" 1 (List.length r.Decision.obligations)
   | Error e -> Alcotest.fail e);
+  (* The signer is cn=pdp: a store trusting only its certificate accepts
+     the answer. *)
+  check bool_ "signer" true
+    (Result.is_ok (read_answer ~trust:(Cert.Trust_store.add Cert.Trust_store.empty pdp_cert) body));
   (* Tampering with the inner decision breaks the signature. *)
+  let response r = written (fun buf -> Wire.write_authz_response buf r) in
+  let signed = response result in
+  let at = String.length "<SignedAuthzResponse>" in
+  check string_ "the response is signed as written" signed (String.sub body at (String.length signed));
   let tampered =
-    match body with
-    | Xml.Element e ->
-      Xml.Element
-        {
-          e with
-          Xml.children =
-            List.map
-              (fun c ->
-                if Xml.local_name (Xml.tag c) = "AuthzResponse" then
-                  Wire.authz_response Decision.deny
-                else c)
-              e.Xml.children;
-        }
-    | n -> n
+    String.sub body 0 at ^ response Decision.deny
+    ^ String.sub body (at + String.length signed) (String.length body - at - String.length signed)
   in
-  check bool_ "tamper rejected" true
-    (Result.is_error (Wire.verify_signed_authz_response ~trust ~now:1.0 tampered));
+  check bool_ "tamper rejected" true (Result.is_error (read_answer ~trust tampered));
   (* Unsigned response rejected outright. *)
-  check bool_ "unsigned rejected" true
-    (Result.is_error (Wire.verify_signed_authz_response ~trust ~now:1.0 (Wire.authz_response result)))
+  check bool_ "unsigned rejected" true (Result.is_error (read_answer ~trust (response result)))
 
 let test_wire_signed_response_untrusted_signer () =
   let _net, _services, trust, _, _, _ = signed_setup () in
@@ -221,9 +225,11 @@ let test_wire_signed_response_untrusted_signer () =
   let rogue_cert =
     Cert.self_signed rogue ~subject:"cn=rogue-pdp" ~serial:9 ~not_before:0.0 ~not_after:1e9
   in
-  let body = Wire.signed_authz_response ~key:rogue.Rsa.private_ ~cert:rogue_cert Decision.permit in
-  match Wire.verify_signed_authz_response ~trust ~now:1.0 body with
-  | Error e -> check bool_ "names the signer" true (String.length e > 0)
+  let body =
+    written (fun buf -> Wire.write_signed_authz_response ~key:rogue.Rsa.private_ ~cert:rogue_cert buf Decision.permit)
+  in
+  match read_answer ~trust body with
+  | Error e -> check string_ "names the signer" "decision signer cn=rogue-pdp is not trusted" e
   | Ok _ -> Alcotest.fail "rogue signer must be rejected"
 
 (* Both live rungs decode through the same trust check: a pull PEP's
@@ -259,6 +265,56 @@ let test_pep_requires_signed_decisions ~sharded () =
   | Some (Ok (Wire.Denied reason)) ->
     check bool_ "explains" true (String.length reason > 0)
   | _ -> Alcotest.fail "unsigned decision must be rejected when signatures are required"
+
+(* A third node cannot answer a PEP's query for its PDP, not even with a
+   genuinely signed Permit.  [mallory] asks the PDP about a doctor and
+   keeps the signed answer, then sends it to the PEP as the reply to a
+   nurse's query while that query is in flight.  The bus numbers calls
+   from 0, so the PEP's query is the third call: mallory's own (0), the
+   nurse's access request (1), then the query (2). *)
+let test_replayed_permit_from_third_node () =
+  let net, services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
+  List.iter (Net.add_node net) [ "signing-pdp"; "pep"; "nurse"; "mallory" ];
+  ignore
+    (Pdp_service.create services ~node:"signing-pdp" ~name:"s" ~root:(doctor_read_policy "r")
+       ~signer:(pdp_keys.Rsa.private_, pdp_cert) ());
+  let pep =
+    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
+      (Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 })
+  in
+  Pep.require_signed_decisions pep trust;
+  let doctor =
+    Dacs_policy.Context.make ~subject:(doctor_subject "dan")
+      ~resource:[ ("resource-id", Value.String "r") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
+  let signed = ref "" in
+  Service.call_frame services ~src:"mallory" ~dst:"signing-pdp" ~service:"authz-query"
+    ~read:(fun c -> Ok (snd (Xml.Cursor.with_bytes c Xml.Cursor.subtree)))
+    (fun buf -> Wire.write_authz_query buf doctor)
+    (function Ok (Ok body) -> signed := body | _ -> ());
+  Net.run net;
+  (match read_answer ~trust !signed with
+  | Ok (r, _) -> check bool_ "mallory holds a genuinely signed Permit" true (Decision.is_permit r)
+  | Error e -> Alcotest.fail e);
+  Net.set_latency net "pep" "signing-pdp" 0.1;
+  let nurse =
+    Client.create services ~node:"nurse" ~subject:[ ("subject-id", Value.String "nina"); ("role", Value.String "nurse") ]
+  in
+  let got = ref None in
+  let start = Net.now net in
+  Client.request nurse ~pep:"pep" ~action:"read" (fun r -> got := Some r);
+  let replay = Buffer.create 512 in
+  Dacs_ws.Soap.write replay (fun buf -> Buffer.add_string buf !signed);
+  Engine.schedule_at (Net.engine net) ~at:(start +. 0.05) (fun () ->
+      Net.send net ~src:"mallory" ~dst:"pep" ~category:"authz-query"
+        (Dacs_net.Rpc.encode_reply 2 (Buffer.contents replay)));
+  Net.run net;
+  match !got with
+  | Some (Ok (Wire.Denied reason)) -> check string_ "the PDP's own answer" "denied by policy" reason
+  | Some (Ok (Wire.Granted _)) -> Alcotest.fail "a replayed Permit from a third node was enforced"
+  | _ -> Alcotest.fail "the nurse's request failed"
 
 let test_signed_decisions_without_requirement () =
   (* A PEP without the requirement still accepts plain responses —
@@ -826,5 +882,7 @@ let () =
             (test_pep_requires_signed_decisions ~sharded:true);
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
+          Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick
+            test_replayed_permit_from_third_node;
         ] );
     ]

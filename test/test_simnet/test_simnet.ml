@@ -332,6 +332,28 @@ let test_rpc_late_reply_ignored () =
   check int_ "exactly one continuation" 1 !fires;
   check bool_ "timeout" true (!result = Some (Error Rpc.Timeout))
 
+(* Only the node a call went to can answer it: a third node's reply or
+   error frame under the call's id is dropped, whatever id it guesses,
+   and the real reply still completes the call. *)
+let test_rpc_reply_only_from_callee () =
+  let net, rpc = make_rpc () in
+  Net.add_node net "mallory";
+  serve_string rpc ~node:"server" ~service:"slow" (fun ~caller:_ body reply ->
+      Engine.schedule (Net.engine net) ~delay:1.0 (fun () -> reply ("real:" ^ body)));
+  let fires = ref [] in
+  List.iter
+    (fun body -> call_string rpc ~src:"client" ~dst:"server" ~service:"slow" ~timeout:5.0 body (fun r -> fires := r :: !fires))
+    [ "a"; "b" ];
+  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
+      for id = 0 to 9 do
+        Net.send net ~src:"mallory" ~dst:"client" ~category:"slow" (Rpc.encode_reply id "forged");
+        Net.send net ~src:"mallory" ~dst:"client" ~category:"slow" (Rpc.encode_error id "forged")
+      done);
+  Net.run net;
+  check bool_ "each call completed once, by the server" true
+    (List.sort compare !fires = [ Ok "real:a"; Ok "real:b" ]);
+  check int_ "no pending calls leak" 0 (Rpc.calls_in_flight rpc)
+
 let test_rpc_nested_call () =
   (* A service that itself calls another service before replying —
      the shape of a PDP consulting a PIP. *)
@@ -840,6 +862,7 @@ let () =
           Alcotest.test_case "timeout on crash" `Quick test_rpc_timeout_on_crash;
           Alcotest.test_case "no such service" `Quick test_rpc_no_such_service;
           Alcotest.test_case "late reply ignored" `Quick test_rpc_late_reply_ignored;
+          Alcotest.test_case "a reply only from the node called" `Quick test_rpc_reply_only_from_callee;
           Alcotest.test_case "nested call" `Quick test_rpc_nested_call;
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "service name with separator" `Quick

@@ -634,34 +634,116 @@ let signer =
      in
      (pdp.Rsa.private_, cert, Cert.Trust_store.add Cert.Trust_store.empty ca_cert))
 
-let signed_content s =
-  Option.bind (Xml.of_string_opt s) (fun envelope ->
-      Option.bind (Xml.find_child envelope "Body") (fun body ->
-          Option.bind (Xml.find_child body "SignedAuthzResponse") (fun signed ->
-              Option.map Xml.canonical_string (Xml.find_child signed "AuthzResponse"))))
+let signed_frame ~key ~cert (epoch, result) =
+  enveloped (fun buf result -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result) result
 
+let signed_read ~trust = live_read (Wire.read_authz_answer ~trust ~now:1.0)
+
+(* The reference verifier's reading of a whole frame: the decision and
+   epoch of an accepted response. *)
+let reference_signed_read ~trust =
+  reference_read (fun body -> Result.map (fun (result, epoch, _) -> (result, epoch)) (Ref.verify_signed ~trust ~now:1.0 body))
+
+(* The first occurrence of [sub] in [s]: where it starts and ends. *)
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some (i, i + m) else go (i + 1) in
+  go 0
+
+(* The response's bytes as they sit in a frame, or [None]. *)
+let signed_content s =
+  let ( let* ) = Option.bind in
+  let* start = Option.map fst (find_sub s "<AuthzResponse") in
+  let* stop = Option.map snd (find_sub s "</AuthzResponse>") in
+  if stop < start then None else Some (String.sub s start (stop - start))
+
+let print_signed ((e, r), ops) = Printf.sprintf "%s / %s" (Xml.to_string (Ref.authz_response ~epoch:e r)) (show_mutations ops)
+
+(* Mutations anywhere in the frame, or (every other case) only inside the
+   signed response's bytes, where any change at all must be rejected. *)
 let signed_mutation_test =
-  Test.make ~name:"signed authz_response: a mutation decodes only with the signed content intact" ~count:300
+  Test.make ~name:"signed authz_response: a mutation decodes only with the signed content intact" ~count:600
     (make
-       ~print:(fun ((e, r), ops) -> Printf.sprintf "%s / %s" (Xml.to_string (Ref.authz_response ~epoch:e r)) (show_mutations ops))
-       (Gen.pair (Gen.pair epoch_gen result_gen) mutations_gen))
-    (fun ((epoch, result), ops) ->
+       ~print:(fun (answer, (inside, ops)) -> Printf.sprintf "%s%s" (if inside then "inside: " else "") (print_signed (answer, ops)))
+       (Gen.pair (Gen.pair epoch_gen result_gen) (Gen.pair Gen.bool mutations_gen)))
+    (fun ((epoch, result), (inside, ops)) ->
       let key, cert, trust = Lazy.force signer in
-      let frame = Soap.to_string { Soap.headers = []; body = Wire.signed_authz_response ~epoch ~key ~cert result } in
-      let s = mutate ops frame in
-      match live_read (Wire.read_authz_answer ~trust ~now:1.0) s with
+      let frame = signed_frame ~key ~cert (epoch, result) in
+      let s =
+        match (inside, find_sub frame "<AuthzResponse", find_sub frame "</AuthzResponse>") with
+        | true, Some (i, _), Some (_, j) ->
+          String.sub frame 0 i ^ mutate ops (String.sub frame i (j - i)) ^ String.sub frame j (String.length frame - j)
+        | _ -> mutate ops frame
+      in
+      match signed_read ~trust s with
       | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
       | Error _ -> true
       | Ok (_, answer) ->
         (answer = (result, epoch) && signed_content s = signed_content frame)
         || Test.fail_reportf "a mutated signed response decoded: %S" s)
 
+(* Results whose written response is its own canonical form, so the
+   reference signer, which signs the canonical form, signs the very bytes
+   the writer signs.  Canonicalisation re-orders an obligation's
+   attributes and empties an element holding only blanks, so a result
+   with obligations, or an Indeterminate whose message is blank, is
+   signed differently now. *)
+let canonical_signed_gen =
+  let blank m = String.trim m = "" in
+  Gen.(
+    map
+      (fun (epoch, (result : Decision.result)) ->
+        let decision =
+          match result.decision with Decision.Indeterminate m when blank m -> Decision.Indeterminate ("m" ^ m) | d -> d
+        in
+        (epoch, { Decision.decision; obligations = [] }))
+      (pair epoch_gen result_gen))
+
+let signed_bytes_test =
+  Test.make ~name:"signed authz_response: obligation-free frames are the reference signer's to the byte" ~count:200
+    (make ~print:(fun (e, r) -> Xml.to_string (Ref.authz_response ~epoch:e r)) canonical_signed_gen)
+    (fun (epoch, result) ->
+      let key, cert, _ = Lazy.force signer in
+      let ours = written (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf) result in
+      let theirs = Xml.to_string (Ref.signed_authz_response ~epoch ~key ~cert result) in
+      ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs)
+
+let signed_oracle_test =
+  Test.make ~name:"signed authz_response: mutated frames never accepted beyond the reference verifier" ~count:300
+    (make ~print:print_signed (Gen.pair canonical_signed_gen mutations_gen))
+    (fun (answer, ops) ->
+      let key, cert, trust = Lazy.force signer in
+      let s = mutate ops (signed_frame ~key ~cert answer) in
+      match signed_read ~trust s with
+      | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
+      | Error _ -> true
+      | Ok (_, got) -> (
+        match reference_signed_read ~trust s with
+        | Ok want -> got = want || Test.fail_reportf "reads differently from the reference: %S" s
+        | Error e -> Test.fail_reportf "accepted what the reference rejects (%s): %S" e s))
+
 let signed_intact () =
   let key, cert, trust = Lazy.force signer in
   let result = { Decision.permit with obligations = [ Obligation.audit ] } in
-  let frame = Soap.to_string { Soap.headers = []; body = Wire.signed_authz_response ~epoch:4 ~key ~cert result } in
-  Alcotest.(check bool) "the unmutated frame decodes" true
-    (live_read (Wire.read_authz_answer ~trust ~now:1.0) frame = Ok ([], (result, 4)))
+  let frame = signed_frame ~key ~cert (4, result) in
+  Alcotest.(check bool) "the unmutated frame decodes" true (signed_read ~trust frame = Ok ([], (result, 4)))
+
+(* The signature covers the bytes written, not their canonical form: the
+   same response with its attribute re-quoted is canonically equal, and
+   the former verifier accepted it, but it no longer verifies. *)
+let signed_reserialised () =
+  let key, cert, trust = Lazy.force signer in
+  let frame = signed_frame ~key ~cert (4, Decision.permit) in
+  let requoted =
+    match find_sub frame "Epoch=\"4\"" with
+    | Some (i, j) -> String.sub frame 0 i ^ "Epoch='4'" ^ String.sub frame j (String.length frame - j)
+    | None -> Alcotest.fail "the frame carries no epoch"
+  in
+  Alcotest.(check bool) "the former verifier accepted it" true
+    (reference_signed_read ~trust requoted = Ok (Decision.permit, 4));
+  match signed_read ~trust requoted with
+  | Error e -> Alcotest.(check string) "the written bytes are what is signed" "decision signature does not verify" e
+  | Ok _ -> Alcotest.fail "a re-serialised response decoded"
 
 (* --- allocation: one authz round trip over Service ---------------------------- *)
 
@@ -720,10 +802,12 @@ let () =
     (List.map (fun (Frame f as frame) -> props f.name (properties frame)) frames
     @ [
       props "bytes" (whole_frame_tests @ log_event_bytes_tests);
-      props "mutations" [ signed_mutation_test; log_admit_mutation_test ];
+      props "mutations" [ signed_mutation_test; signed_oracle_test; log_admit_mutation_test ];
+      props "signed bytes" [ signed_bytes_test ];
       ( "signed",
         [
           Alcotest.test_case "an intact signed response decodes" `Quick signed_intact;
+          Alcotest.test_case "a canonically equal re-serialisation does not verify" `Quick signed_reserialised;
           Alcotest.test_case "an intact log-sync response is admitted whole" `Quick log_intact;
         ] );
       ( "allocation",

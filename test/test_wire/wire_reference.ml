@@ -397,6 +397,70 @@ let log_sync_response ~head events =
     ~attrs:[ ("Head", Dacs_crypto.Encoding.hex_encode head) ]
     ~children:(List.map log_event events)
 
+(* --- Wire: the signed authorisation response over its canonical form -------- *)
+
+(* The signer and verifier the signed response had while its signature
+   covered the canonical response tree: the signer built the frame's tree
+   (the printed tree is the frame it wrote), and the verifier read the
+   whole frame as a tree, checked the signature over the response's
+   canonical form, then read the response by printing it and parsing it
+   with the cursor reader ([of_tree authz_response_in] in the library). *)
+
+module Cert = Dacs_crypto.Cert
+
+let signed_authz_response ?epoch ~key ~cert result =
+  let response = authz_response ?epoch result in
+  let signature = Dacs_crypto.Rsa.sign key (Xml.canonical_string response) in
+  Xml.element "SignedAuthzResponse"
+    ~children:
+      [
+        response;
+        Cert.to_xml cert;
+        Xml.element "SignatureValue" ~children:[ Xml.text (Dacs_crypto.Encoding.base64_encode signature) ];
+      ]
+
+let trusted_cert ~trust ~now cert =
+  if Cert.Trust_store.mem trust cert then Cert.valid_at cert now
+  else begin
+    match
+      List.find_opt
+        (fun r -> r.Cert.subject = cert.Cert.issuer)
+        (Cert.Trust_store.roots trust)
+    with
+    | None -> false
+    | Some root -> Cert.Trust_store.verify_chain trust ~now [ cert; root ] = Ok ()
+  end
+
+(* The decision, its epoch and the signer of a signed response. *)
+let verify_signed ~trust ~now node =
+  let* () = expect_tag node "SignedAuthzResponse" in
+  match
+    ( Xml.find_child node "AuthzResponse",
+      Option.bind (Xml.find_child node "Certificate") Cert.of_xml,
+      Xml.find_child node "SignatureValue" )
+  with
+  | Some response, Some cert, Some sig_node ->
+    let signature =
+      try Some (Dacs_crypto.Encoding.base64_decode (Xml.text_content sig_node))
+      with Invalid_argument _ -> None
+    in
+    (match signature with
+    | None -> Error "signature is not valid base64"
+    | Some signature ->
+      if not (trusted_cert ~trust ~now cert) then
+        Error (Printf.sprintf "decision signer %s is not trusted" cert.Cert.subject)
+      else if
+        not
+          (Dacs_crypto.Rsa.verify cert.Cert.public_key (Xml.canonical_string response) ~signature)
+      then Error "decision signature does not verify"
+      else
+        let* result, epoch =
+          Xml.Cursor.parse (Xml.to_string response) (fun c ->
+              match Wire.read_authz_response c with Ok v -> v | Error e -> Xml.Cursor.fail c e)
+        in
+        Ok (result, epoch, cert))
+  | _ -> Error "SignedAuthzResponse lacks response, certificate or signature"
+
 (* --- Wire: the frames that left their tree codecs ------------------------------ *)
 
 (* Every other frame's former tree builder and reader.  The

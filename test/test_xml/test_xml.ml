@@ -376,7 +376,8 @@ let leaves tree =
    its attributes read one by one with their names and values, and its
    character data taken as the run each [next_child] skips — or with
    [text] where [leaf] says the element holds text only; every third
-   element is taken whole with [subtree]. *)
+   element is taken whole with [subtree], under [with_bytes], whose bytes
+   must parse back to that element. *)
 let cursor_tree ~leaf src =
   let c = Cursor.of_string src in
   let count = ref 0 in
@@ -384,7 +385,8 @@ let cursor_tree ~leaf src =
     let i = !count in
     incr count;
     if i mod 3 = 2 then begin
-      let t = Cursor.subtree c in
+      let t, bytes = Cursor.with_bytes c Cursor.subtree in
+      if Xml.of_string bytes <> t then failwith ("with_bytes: the bytes read do not parse back: " ^ bytes);
       count := !count + elements t - 1;
       t
     end
@@ -464,7 +466,9 @@ let test_cursor_primitives () =
   Cursor.end_attrs c tag;
   check bool_ "next_child" true (Cursor.next_child c tag);
   Cursor.leaf0 "Leaf" c;
-  check (Alcotest.pair string_ string_) "leaf2" ("p", "q") (Cursor.leaf2 c "Pair" "x" "y");
+  check (Alcotest.pair (Alcotest.pair string_ string_) string_) "leaf2, with_bytes: the element as written"
+    (("p", "q"), "<Pair x=\"p\" y=\"q\"/>")
+    (Cursor.with_bytes c (fun c -> Cursor.leaf2 c "Pair" "x" "y"));
   check string_ "leaf1" "w" (Cursor.leaf1 c "One" "v");
   let t = Cursor.enter_named c "T" in
   Cursor.end_attrs c t;
