@@ -28,6 +28,12 @@ let micro () =
     "absolute costs of the primitives: hashing, signatures, XML, evaluation";
   let open Bechamel in
   let kilobyte = String.make 1024 'x' in
+  (* One block hashes to two compressions (the second is padding); a
+     chain digest tagged under a prepared mesh key is what [Offline]
+     pays per log event. *)
+  let block = String.make 64 'x' in
+  let mesh_key = Dacs_crypto.Hmac.key (String.make 32 'k') in
+  let chain_digest = Dacs_crypto.Sha256.digest "link" in
   let keys = Rsa.generate (Rng.create 5L) ~bits:512 in
   let signature = Rsa.sign keys.Rsa.private_ "msg" in
   let policy100 = sized_policy 100 in
@@ -47,7 +53,10 @@ let micro () =
   in
   let tests =
     [
+      Test.make ~name:"sha256 (64 B)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest block));
       Test.make ~name:"sha256 (1 KiB)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest kilobyte));
+      Test.make ~name:"hmac-sha256 prepared key (32 B)"
+        (Staged.stage (fun () -> Dacs_crypto.Hmac.tag mesh_key chain_digest));
       Test.make ~name:"hmac-sha256 (1 KiB)"
         (Staged.stage (fun () -> Dacs_crypto.Hmac.sha256 ~key:"k" kilobyte));
       Test.make ~name:"rsa-512 sign" (Staged.stage (fun () -> Rsa.sign keys.Rsa.private_ "msg"));

@@ -84,7 +84,7 @@ type counters = {
 }
 
 type t = {
-  key : string;
+  key : Hmac.key;  (* the mesh key, its pads absorbed once *)
   t_author : string;
   now : unit -> float;
   audit : Audit.t option;
@@ -109,7 +109,7 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let own name help = Metrics.counter metrics ~help ~labels:[ ("domain", author) ] name in
   {
-    key;
+    key = Hmac.key key;
     t_author = author;
     now;
     audit;
@@ -218,7 +218,7 @@ let append_own t kind =
     }
   in
   let digest = Chain.extend ~prev:(head t) (canonical_bytes t unsigned) in
-  let tag = Hmac.sha256 ~key:t.key digest in
+  let tag = Hmac.tag t.key digest in
   let ev = { unsigned with digest; tag } in
   let l = log_of t t.t_author in
   l := ev :: !l;
@@ -619,7 +619,7 @@ let verify_segment t incoming =
                 let digest = Chain.extend ~prev (canonical_bytes t ev) in
                 if not (String.equal digest ev.digest) then
                   raise (Reject (Chain_mismatch { author; seq = ev.seq }));
-                if not (Hmac.verify ~key:t.key digest ~tag:ev.tag) then
+                if not (Hmac.check t.key digest ~tag:ev.tag) then
                   raise (Reject (Bad_signature { author; seq = ev.seq }));
                 (expected + 1, digest))
               (known + 1, head_of t author)

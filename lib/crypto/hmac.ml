@@ -1,20 +1,32 @@
 let block_size = 64
 
-(* The block-sized key XOR-ed with [c]: the inner or outer pad. *)
-let pad key c =
+type key = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+(* A context that has absorbed the block-sized key XOR-ed with [c]: the
+   inner or outer pad. *)
+let absorb_pad key c =
   let b = Bytes.make block_size (Char.chr c) in
-  String.iteri (fun i k -> Bytes.set b i (Char.chr (Char.code k lxor c))) key;
-  Bytes.unsafe_to_string b
+  for i = 0 to String.length key - 1 do
+    Bytes.set b i (Char.chr (Char.code key.[i] lxor c))
+  done;
+  let ctx = Sha256.init () in
+  Sha256.update ctx (Bytes.unsafe_to_string b);
+  ctx
 
-let sha256 ~key msg =
-  let key = if String.length key > block_size then Sha256.digest key else key in
-  Sha256.digest2 (pad key 0x5C) (Sha256.digest2 (pad key 0x36) msg)
+let key secret =
+  let secret = if String.length secret > block_size then Sha256.digest secret else secret in
+  { inner = absorb_pad secret 0x36; outer = absorb_pad secret 0x5C }
 
-let verify ~key msg ~tag =
-  let expected = sha256 ~key msg in
-  if String.length expected <> String.length tag then false
+let tag key msg = Sha256.resume key.outer (Sha256.resume key.inner msg)
+
+let check key msg ~tag:received =
+  let expected = tag key msg in
+  if String.length expected <> String.length received then false
   else begin
     let diff = ref 0 in
-    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code tag.[i])) expected;
+    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code received.[i])) expected;
     !diff = 0
   end
+
+let sha256 ~key:secret msg = tag (key secret) msg
+let verify ~key:secret msg ~tag = check (key secret) msg ~tag

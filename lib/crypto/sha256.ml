@@ -1,5 +1,7 @@
 (* FIPS 180-4 SHA-256. 32-bit words are kept in native ints masked to 32
-   bits, which is safe on a 64-bit platform and faster than Int32 boxing. *)
+   bits, which is safe on a 64-bit platform and faster than Int32 boxing.
+   [test/test_crypto/sha256_reference.ml] keeps the straightforward
+   one-round-at-a-time version as the oracle for this one. *)
 
 let mask = 0xFFFFFFFF
 
@@ -26,8 +28,8 @@ type ctx = {
 }
 
 (* The 64-word message schedule is working space for one block, not
-   context state: [process_block] fills and consumes it without
-   yielding, so one array per domain serves every context. *)
+   context state: [compress] fills and consumes it without yielding, so
+   one array per domain serves every context. *)
 let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
 let init () =
@@ -42,23 +44,60 @@ let init () =
     total = 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Big-endian 32-bit words, read and written in place without bounds
+   checks: every caller stays inside its 64-byte block or 32-byte digest. *)
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let process_block ctx w block off =
+let[@inline] get_word s i =
+  (if Sys.big_endian then Int32.to_int (get32u s i) else Int32.to_int (bswap32 (get32u s i)))
+  land mask
+
+let[@inline] set_word b i v =
+  if Sys.big_endian then set32u b i (Int32.of_int v) else set32u b i (bswap32 (Int32.of_int v))
+
+(* Rotations on the doubled word [xx = x lor (x lsl 32)]: bits [n] to
+   [n + 31] of [xx] are [x] rotated right by [n], for any [n] up to 30 on
+   63-bit ints (SHA-256 rotates by at most 25).  Bits above 31 are left
+   set: every caller adds the result into a sum that is masked, and
+   carries only run upwards. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)
+
+(* One 64-byte block of [src] at [off] into the chaining words [h].  The
+   64 rounds run eight at a time: each round writes two of the eight
+   working variables, and the next round reads them under rotated names,
+   so no round shifts all eight along.  A round is
+     t1 = h + Σ1(e) + Ch(e, f, g) + k.(j) + w.(j);  d += t1;
+     h = t1 + Σ0(a) + Maj(a, b, c)
+   with [Ch] as [g lxor (e land (f lxor g))] and [Maj] as
+   [(a land b) lor (c land (a lor b))]. *)
+let compress h w src off =
   for t = 0 to 15 do
-    let i = off + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
+    Array.unsafe_set w t (get_word src (off + (4 * t)))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + small_sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + small_sigma1 (Array.unsafe_get w (t - 2)))
+      land mask)
   done;
-  let h = ctx.h in
   let a = ref h.(0)
   and b = ref h.(1)
   and c = ref h.(2)
@@ -67,21 +106,40 @@ let process_block ctx w block off =
   and f = ref h.(5)
   and g = ref h.(6)
   and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
+  for i = 0 to 7 do
+    let j = 8 * i in
+    let t1 = !hh + big_sigma1 !e + (!g lxor (!e land (!f lxor !g))) in
+    let t1 = t1 + Array.unsafe_get k j + Array.unsafe_get w j in
+    d := (!d + t1) land mask;
+    hh := (t1 + big_sigma0 !a + ((!a land !b) lor (!c land (!a lor !b)))) land mask;
+    let t1 = !g + big_sigma1 !d + (!f lxor (!d land (!e lxor !f))) in
+    let t1 = t1 + Array.unsafe_get k (j + 1) + Array.unsafe_get w (j + 1) in
+    c := (!c + t1) land mask;
+    g := (t1 + big_sigma0 !hh + ((!hh land !a) lor (!b land (!hh lor !a)))) land mask;
+    let t1 = !f + big_sigma1 !c + (!e lxor (!c land (!d lxor !e))) in
+    let t1 = t1 + Array.unsafe_get k (j + 2) + Array.unsafe_get w (j + 2) in
+    b := (!b + t1) land mask;
+    f := (t1 + big_sigma0 !g + ((!g land !hh) lor (!a land (!g lor !hh)))) land mask;
+    let t1 = !e + big_sigma1 !b + (!d lxor (!b land (!c lxor !d))) in
+    let t1 = t1 + Array.unsafe_get k (j + 3) + Array.unsafe_get w (j + 3) in
+    a := (!a + t1) land mask;
+    e := (t1 + big_sigma0 !f + ((!f land !g) lor (!hh land (!f lor !g)))) land mask;
+    let t1 = !d + big_sigma1 !a + (!c lxor (!a land (!b lxor !c))) in
+    let t1 = t1 + Array.unsafe_get k (j + 4) + Array.unsafe_get w (j + 4) in
+    hh := (!hh + t1) land mask;
+    d := (t1 + big_sigma0 !e + ((!e land !f) lor (!g land (!e lor !f)))) land mask;
+    let t1 = !c + big_sigma1 !hh + (!b lxor (!hh land (!a lxor !b))) in
+    let t1 = t1 + Array.unsafe_get k (j + 5) + Array.unsafe_get w (j + 5) in
+    g := (!g + t1) land mask;
+    c := (t1 + big_sigma0 !d + ((!d land !e) lor (!f land (!d lor !e)))) land mask;
+    let t1 = !b + big_sigma1 !g + (!a lxor (!g land (!hh lxor !a))) in
+    let t1 = t1 + Array.unsafe_get k (j + 6) + Array.unsafe_get w (j + 6) in
+    f := (!f + t1) land mask;
+    b := (t1 + big_sigma0 !c + ((!c land !d) lor (!e land (!c lor !d)))) land mask;
+    let t1 = !a + big_sigma1 !f + (!hh lxor (!f land (!g lxor !hh))) in
+    let t1 = t1 + Array.unsafe_get k (j + 7) + Array.unsafe_get w (j + 7) in
+    e := (!e + t1) land mask;
+    a := (t1 + big_sigma0 !b + ((!b land !c) lor (!d land (!b lor !c)))) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -104,13 +162,13 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx w ctx.buf 0;
+      compress ctx.h w (Bytes.unsafe_to_string ctx.buf) 0;
       ctx.buf_len <- 0
     end
   end;
+  (* Whole blocks are read where they lie. *)
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx w ctx.buf 0;
+    compress ctx.h w s !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin
@@ -118,30 +176,47 @@ let update ctx s =
     ctx.buf_len <- n - !pos
   end
 
-let finalize ctx =
+(* Pads [ctx]'s input and writes its digest into [out]. *)
+let finish ctx out =
   let w = Domain.DLS.get schedule in
-  let bit_len = ctx.total * 8 in
+  let buf = ctx.buf in
   (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  Bytes.set ctx.buf ctx.buf_len '\x80';
-  ctx.buf_len <- ctx.buf_len + 1;
-  if ctx.buf_len > 56 then begin
-    Bytes.fill ctx.buf ctx.buf_len (64 - ctx.buf_len) '\x00';
-    process_block ctx w ctx.buf 0;
-    ctx.buf_len <- 0
-  end;
-  Bytes.fill ctx.buf ctx.buf_len (56 - ctx.buf_len) '\x00';
+  Bytes.set buf ctx.buf_len '\x80';
+  let len = ctx.buf_len + 1 in
+  if len > 56 then begin
+    Bytes.fill buf len (64 - len) '\x00';
+    compress ctx.h w (Bytes.unsafe_to_string buf) 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf len (56 - len) '\x00';
+  let bit_len = ctx.total * 8 in
+  set_word buf 56 (bit_len lsr 32);
+  set_word buf 60 (bit_len land mask);
+  compress ctx.h w (Bytes.unsafe_to_string buf) 0;
   for i = 0 to 7 do
-    Bytes.set ctx.buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
-  done;
-  process_block ctx w ctx.buf 0;
+    set_word out (4 * i) ctx.h.(i)
+  done
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
-  done;
+  finish ctx out;
+  Bytes.unsafe_to_string out
+
+(* [resume]'s working context, like [schedule] one per domain: the state
+   is copied in, the input absorbed and the digest written out without
+   yielding.  The digest is allocated first, so nothing between the copy
+   and the read-out allocates. *)
+let scratch = Domain.DLS.new_key init
+
+let resume ctx s =
+  let out = Bytes.create 32 in
+  let c = Domain.DLS.get scratch in
+  Array.blit ctx.h 0 c.h 0 8;
+  Bytes.blit ctx.buf 0 c.buf 0 ctx.buf_len;
+  c.buf_len <- ctx.buf_len;
+  c.total <- ctx.total;
+  update c s;
+  finish c out;
   Bytes.unsafe_to_string out
 
 let digest s =

@@ -1,11 +1,14 @@
 let key_bytes = 32
 let nonce_bytes = 16
 
+(* One prepared key per message: its pad blocks are absorbed once, not
+   once per 32-byte keystream block. *)
 let keystream ~key ~nonce len =
+  let key = Hmac.key key in
   let buf = Buffer.create (len + 32) in
   let counter = ref 0 in
   while Buffer.length buf < len do
-    Buffer.add_string buf (Hmac.sha256 ~key (nonce ^ string_of_int !counter));
+    Buffer.add_string buf (Hmac.tag key (nonce ^ string_of_int !counter));
     incr counter
   done;
   Buffer.sub buf 0 len

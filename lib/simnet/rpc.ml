@@ -52,7 +52,7 @@ type writer = Buffer.t -> unit
 
 let slice_to_string s = String.sub s.src s.off s.len
 
-type pending = { dst : Net.node_id; k : (slice, error) result -> unit }
+type pending = { src : Net.node_id; dst : Net.node_id; k : (slice, error) result -> unit }
 
 (* The per-service series of the RPC layer, each resolved in the registry
    the first time it is used — the same moment the series came into
@@ -488,11 +488,15 @@ let breaker_for t dst =
 let heard_from t dst =
   match Hashtbl.find t.breakers dst with b -> b.heard.(0) | exception Not_found -> neg_infinity
 
-(* A call completes only with an answer from the node it was sent to: a
-   reply after the timeout, or from any other node, is dropped. *)
-let complete t ~src id result =
+(* A call completes only with an answer from the node it was sent to,
+   delivered to the node that made it: a reply after the timeout, from
+   any other node, or to any other node is dropped.  Ids are one
+   sequence for the whole bus, so without the second check a node could
+   relay — send the callee a request under another node's pending id —
+   and the callee's answer to it would complete that other call. *)
+let complete t (msg : Net.message) id result =
   match Hashtbl.find_opt t.pending id with
-  | Some p when String.equal p.dst src ->
+  | Some p when String.equal p.dst msg.Net.src && String.equal p.src msg.Net.dst ->
     Hashtbl.remove t.pending id;
     p.k result
   | Some _ | None -> ()
@@ -521,7 +525,7 @@ let handle_message t (msg : Net.message) =
       | Some parts -> dispatch_batch t msg h.id h.service (trace ()) parts)
     | K_reply ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
-      complete t ~src:msg.Net.src h.id (Ok (body_slice payload h))
+      complete t msg h.id (Ok (body_slice payload h))
     | K_error ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
       let err =
@@ -532,7 +536,7 @@ let handle_message t (msg : Net.message) =
           No_such_service (String.sub payload (h.body + np) (n - np))
         else Timeout
       in
-      complete t ~src:msg.Net.src h.id (Error err))
+      complete t msg h.id (Error err))
 
 let create net =
   let now () = Net.now net in
@@ -606,7 +610,7 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~annotate_span ~kind 
     k result;
     Trace.set_current t.tracer saved
   in
-  Hashtbl.replace t.pending id { dst; k = finish };
+  Hashtbl.replace t.pending id { src; dst; k = finish };
   Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
   (match span with
   | Some s ->

@@ -182,8 +182,10 @@ val call_frame :
 (** Asynchronous call.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
-    service.  Only a reply or error frame from [dst] completes the call:
-    one from any other node is dropped, as a reply after the timeout is.
+    service.  Only a reply or error frame from [dst], delivered to [src],
+    completes the call: one from any other node, or to any other node
+    (the callee's answer to a third node that sent it a request under
+    this call's id), is dropped, as a reply after the timeout is.
     Traffic is accounted under the service name.
 
     With [resilient] the call goes through the per-target circuit

@@ -169,21 +169,122 @@ let prop_sha256_interleaved_contexts =
       Sha256.finalize a = Sha256.digest (String.concat "" xs)
       && Sha256.finalize b = Sha256.digest (String.concat "" ys))
 
+(* --- the kernel against its reference ------------------------------------- *)
+
+(* [Sha256_reference] is the one-round-at-a-time kernel the library ran
+   before it was unrolled.  Every entry point must agree with it. *)
+
+(* A message of [n] bytes that is not periodic in the block size. *)
+let message n = String.init n (fun i -> Char.chr (((i * 167) + (i lsr 8)) land 0xff))
+
+(* Every length from 55 to 129 crosses a padding branch: the length no
+   longer fits the first block (56), one or two blocks exactly (64, 128).
+   Each is hashed whole, split in two at every point and fed one byte
+   at a time. *)
+let test_sha256_reference_lengths () =
+  for n = 55 to 129 do
+    let msg = message n in
+    let expected = Sha256_reference.digest msg in
+    let name what = Printf.sprintf "length %d: %s" n what in
+    check string_ (name "digest") expected (Sha256.digest msg);
+    for k = 0 to n do
+      if Sha256.digest2 (String.sub msg 0 k) (String.sub msg k (n - k)) <> expected then
+        Alcotest.failf "length %d: digest2 split at %d" n k
+    done;
+    let ctx = Sha256.init () in
+    String.iter (fun c -> Sha256.update ctx (String.make 1 c)) msg;
+    check string_ (name "bytewise update") expected (Sha256.finalize ctx)
+  done
+
+(* Messages of 0-2,000 bytes (one in three of 55-129) cut at random
+   points: [digest], [digest2] at the first cut, [update] over all the
+   pieces, and [resume] of a context that absorbed the first piece —
+   twice, since it must leave that context as it was. *)
+let prop_sha256_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = frequency [ (2, 0 -- 2000); (1, 55 -- 129) ] in
+      let* cuts = list_size (0 -- 5) (0 -- n) in
+      return (n, List.sort_uniq compare cuts))
+  in
+  let print (n, cuts) = Printf.sprintf "n=%d cuts=[%s]" n (String.concat ";" (List.map string_of_int cuts)) in
+  QCheck.Test.make ~name:"digest, digest2, update and resume agree with the reference" ~count:300
+    (QCheck.make ~print gen) (fun (n, cuts) ->
+      let msg = message n in
+      let expected = Sha256_reference.digest msg in
+      let rec between = function
+        | a :: (b :: _ as rest) -> String.sub msg a (b - a) :: between rest
+        | [] | [ _ ] -> []
+      in
+      let pieces = between ((0 :: cuts) @ [ n ]) in
+      let first = List.hd pieces in
+      let rest = String.sub msg (String.length first) (n - String.length first) in
+      let ctx = Sha256.init () in
+      List.iter (Sha256.update ctx) pieces;
+      let prefix = Sha256.init () in
+      Sha256.update prefix first;
+      Sha256.digest msg = expected
+      && Sha256.digest2 first rest = expected
+      && Sha256.finalize ctx = expected
+      && Sha256.resume prefix rest = expected
+      && Sha256.resume prefix rest = expected)
+
+(* Keys of 0-200 bytes, one in four at the 64-byte hash-the-key-first
+   edge (63, 64 or 65 bytes): a prepared key's tags, and the one-shot
+   ones, are the reference HMAC's. *)
+let prop_hmac_reference =
+  let gen =
+    QCheck.Gen.(
+      let key_size = frequency [ (3, 0 -- 200); (1, oneofl [ 63; 64; 65 ]) ] in
+      pair (string_size key_size) (string_size (0 -- 300)))
+  in
+  QCheck.Test.make ~name:"prepared-key tags agree with the reference HMAC" ~count:300
+    (QCheck.make
+       ~print:(fun (k, m) -> Printf.sprintf "key %d bytes, msg %d bytes" (String.length k) (String.length m))
+       gen)
+    (fun (key, msg) ->
+      let expected = Sha256_reference.hmac ~key msg in
+      let prepared = Hmac.key key in
+      Hmac.tag prepared msg = expected
+      && Hmac.tag prepared msg = expected
+      && Hmac.sha256 ~key msg = expected
+      && Hmac.check prepared msg ~tag:expected
+      && Hmac.verify ~key msg ~tag:expected)
+
 (* --- hmac ----------------------------------------------------------------- *)
 
-let hmac_hex ~key msg = Encoding.hex_encode (Hmac.sha256 ~key msg)
+(* RFC 4231 test cases 1-4, 6 and 7 (5 truncates its tag), each through
+   the one-shot [Hmac.sha256] and through a prepared key.  Cases 6 and 7
+   have a 131-byte key, which is hashed first. *)
+let rfc4231 =
+  [
+    ("case 1", String.make 20 '\x0b', "Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    ("case 2", "Jefe", "what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    ("case 3", String.make 20 '\xaa', String.make 50 '\xdd',
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+    ("case 4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+    ("case 6 (long key)", String.make 131 '\xaa', "Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+    ( "case 7 (long key, long data)",
+      String.make 131 '\xaa',
+      "This is a test using a larger than block-size key and a larger than block-size data. \
+       The key needs to be hashed before being used by the HMAC algorithm.",
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+  ]
 
 let test_hmac_rfc4231 () =
-  (* RFC 4231 test cases 1, 2 and the long-key case 6. *)
-  check string_ "case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (hmac_hex ~key:(String.make 20 '\x0b') "Hi There");
-  check string_ "case 2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (hmac_hex ~key:"Jefe" "what do ya want for nothing?");
-  check string_ "case 6 (long key)"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (hmac_hex ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First")
+  List.iter
+    (fun (name, key, msg, hex) ->
+      check string_ name hex (Encoding.hex_encode (Hmac.sha256 ~key msg));
+      let prepared = Hmac.key key in
+      check string_ (name ^ ", prepared key") hex (Encoding.hex_encode (Hmac.tag prepared msg));
+      (* A prepared key serves again, unchanged by its first tag. *)
+      check string_ (name ^ ", prepared key again") hex (Encoding.hex_encode (Hmac.tag prepared msg));
+      check bool_ (name ^ ", check") true (Hmac.check prepared msg ~tag:(Encoding.hex_decode hex)))
+    rfc4231
 
 let test_hmac_verify () =
   let key = "secret" and msg = "payload" in
@@ -193,33 +294,55 @@ let test_hmac_verify () =
   check bool_ "rejects short tag" false (Hmac.verify ~key msg ~tag:"short");
   check bool_ "rejects wrong msg" false (Hmac.verify ~key "other" ~tag)
 
+(* Minor words per call of [f], after warm-up. *)
+let words_per_call f =
+  for _ = 1 to 10 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int rounds
+
+let tag_key = String.make 32 'k'
+let tag_msg = String.make 32 'm'
+
 (* Minor words of one [Hmac.sha256] over a 32-byte message (a chain link
    or a digest being tagged), after warm-up, OCaml 5.1.  With a 64-word
    message schedule and a boxed [Int64] length in every context, the
    four contexts of one tag allocated 248 words; with one schedule per
    domain and an [int] length they allocate 92.  The bound,
    120, leaves 30 % headroom over the latter — too little for even one
-   context to carry its own schedule again. *)
-let hmac_words () =
-  let key = String.make 32 'k' and msg = String.make 32 'm' in
-  for _ = 1 to 10 do
-    ignore (Sys.opaque_identity (Hmac.sha256 ~key msg))
-  done;
-  let rounds = 1000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to rounds do
-    ignore (Sys.opaque_identity (Hmac.sha256 ~key msg))
-  done;
-  (Gc.minor_words () -. before) /. float_of_int rounds
-
+   context to carry its own schedule again.  Since the one-shot tag
+   prepares a key ({!Hmac.key}: two contexts with their pad blocks
+   absorbed) and resumes from it, it allocates 83. *)
 let hmac_words_bound = 120.0
 
 let test_hmac_allocation () =
-  let words = hmac_words () in
+  let words = words_per_call (fun () -> Hmac.sha256 ~key:tag_key tag_msg) in
   Printf.printf "hmac-sha256 of 32 bytes: %.1f minor words (bound %.1f)\n" words hmac_words_bound;
   check bool_
     (Printf.sprintf "%.1f words <= %.1f" words hmac_words_bound)
     true (words <= hmac_words_bound)
+
+(* Minor words of one [Hmac.tag] over a 32-byte message under a key
+   prepared beforehand, as [Offline] tags every chain link: the inner
+   digest and the tag (5 words each) and nothing else, since [resume]
+   hashes in a per-domain working context.  Measured: 12 words; the
+   bound, 16, leaves the same 30 % headroom, so one context allocated
+   per tag again (24 words) breaks it. *)
+let hmac_prepared_words_bound = 16.0
+
+let test_hmac_prepared_allocation () =
+  let key = Hmac.key tag_key in
+  let words = words_per_call (fun () -> Hmac.tag key tag_msg) in
+  Printf.printf "hmac-sha256 tag of 32 bytes, prepared key: %.1f minor words (bound %.1f)\n" words
+    hmac_prepared_words_bound;
+  check bool_
+    (Printf.sprintf "%.1f words <= %.1f" words hmac_prepared_words_bound)
+    true (words <= hmac_prepared_words_bound)
 
 (* --- bignum ------------------------------------------------------------------ *)
 
@@ -675,12 +798,17 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "digest2 = digest of the concatenation" `Quick test_sha256_digest2;
           QCheck_alcotest.to_alcotest prop_sha256_interleaved_contexts;
+          Alcotest.test_case "lengths 55-129 agree with the reference" `Quick test_sha256_reference_lengths;
+          QCheck_alcotest.to_alcotest prop_sha256_reference;
         ] );
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "allocation of a 32-byte tag" `Quick test_hmac_allocation;
+          Alcotest.test_case "allocation of a 32-byte tag under a prepared key" `Quick
+            test_hmac_prepared_allocation;
+          QCheck_alcotest.to_alcotest prop_hmac_reference;
         ] );
       ( "bignum",
         [

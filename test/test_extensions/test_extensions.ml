@@ -266,13 +266,14 @@ let test_pep_requires_signed_decisions ~sharded () =
     check bool_ "explains" true (String.length reason > 0)
   | _ -> Alcotest.fail "unsigned decision must be rejected when signatures are required"
 
-(* A third node cannot answer a PEP's query for its PDP, not even with a
-   genuinely signed Permit.  [mallory] asks the PDP about a doctor and
-   keeps the signed answer, then sends it to the PEP as the reply to a
-   nurse's query while that query is in flight.  The bus numbers calls
-   from 0, so the PEP's query is the third call: mallory's own (0), the
-   nurse's access request (1), then the query (2). *)
-let test_replayed_permit_from_third_node () =
+(* A third node cannot get a PEP to enforce a genuinely signed Permit
+   meant for someone else.  [mallory] asks the PDP about a doctor and
+   keeps the signed answer; then, while a nurse's query is in flight,
+   [attack] runs with that answer and the doctor's context.  The bus
+   numbers calls from 0, so the PEP's query is the third call:
+   mallory's own (0), the nurse's access request (1), then the query
+   (2).  The nurse must get the PDP's own answer. *)
+let nurse_denied_despite ~attack () =
   let net, services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
   List.iter (Net.add_node net) [ "signing-pdp"; "pep"; "nurse"; "mallory" ];
   ignore
@@ -305,16 +306,32 @@ let test_replayed_permit_from_third_node () =
   let got = ref None in
   let start = Net.now net in
   Client.request nurse ~pep:"pep" ~action:"read" (fun r -> got := Some r);
-  let replay = Buffer.create 512 in
-  Dacs_ws.Soap.write replay (fun buf -> Buffer.add_string buf !signed);
-  Engine.schedule_at (Net.engine net) ~at:(start +. 0.05) (fun () ->
-      Net.send net ~src:"mallory" ~dst:"pep" ~category:"authz-query"
-        (Dacs_net.Rpc.encode_reply 2 (Buffer.contents replay)));
+  Engine.schedule_at (Net.engine net) ~at:(start +. 0.05) (fun () -> attack net ~signed:!signed ~doctor);
   Net.run net;
   match !got with
   | Some (Ok (Wire.Denied reason)) -> check string_ "the PDP's own answer" "denied by policy" reason
-  | Some (Ok (Wire.Granted _)) -> Alcotest.fail "a replayed Permit from a third node was enforced"
+  | Some (Ok (Wire.Granted _)) -> Alcotest.fail "a Permit obtained by a third node was enforced"
   | _ -> Alcotest.fail "the nurse's request failed"
+
+(* The replay: mallory sends the signed Permit to the PEP as the reply
+   to the nurse's query. *)
+let test_replayed_permit_from_third_node =
+  nurse_denied_despite ~attack:(fun net ~signed ~doctor:_ ->
+      let replay = Buffer.create 512 in
+      Dacs_ws.Soap.write replay (fun buf -> Buffer.add_string buf signed);
+      Net.send net ~src:"mallory" ~dst:"pep" ~category:"authz-query"
+        (Dacs_net.Rpc.encode_reply 2 (Buffer.contents replay)))
+
+(* The relay: mallory sends the PDP the doctor's query under the id of
+   the nurse's query.  The PDP's reply, a genuine Permit from the node
+   the PEP called, goes to mallory, not to the PEP, so it completes
+   nothing there. *)
+let test_relayed_request_id =
+  nurse_denied_despite ~attack:(fun net ~signed:_ ~doctor ->
+      let query = Buffer.create 512 in
+      Dacs_ws.Soap.write query (fun buf -> Wire.write_authz_query buf doctor);
+      Net.send net ~src:"mallory" ~dst:"signing-pdp" ~category:"authz-query"
+        (Dacs_net.Rpc.encode_request 2 "authz-query" (Buffer.contents query)))
 
 let test_signed_decisions_without_requirement () =
   (* A PEP without the requirement still accepts plain responses —
@@ -884,5 +901,7 @@ let () =
             test_signed_decisions_without_requirement;
           Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick
             test_replayed_permit_from_third_node;
+          Alcotest.test_case "a Permit relayed under another node's call id is not enforced" `Quick
+            test_relayed_request_id;
         ] );
     ]

@@ -354,6 +354,29 @@ let test_rpc_reply_only_from_callee () =
     (List.sort compare !fires = [ Ok "real:a"; Ok "real:b" ]);
   check int_ "no pending calls leak" 0 (Rpc.calls_in_flight rpc)
 
+(* A node cannot relay: it sends the callee a request of its own under
+   the id of another node's pending call, and the callee's answer — from
+   the node called, under that id — is delivered to the relay, not to
+   the caller, so it completes nothing.  [mallory] serves a service, so
+   the bus dispatches what reaches it, as for any node that serves or
+   calls; the server answers it at once and the client only after 1 s. *)
+let test_rpc_relayed_id () =
+  let net, rpc = make_rpc () in
+  Net.add_node net "mallory";
+  serve_string rpc ~node:"mallory" ~service:"noop" (fun ~caller:_ _ reply -> reply "");
+  serve_string rpc ~node:"server" ~service:"slow" (fun ~caller body reply ->
+      let delay = if String.equal caller "mallory" then 0.0 else 1.0 in
+      Engine.schedule (Net.engine net) ~delay (fun () -> reply ("real:" ^ body)));
+  let fires = ref [] in
+  call_string rpc ~src:"client" ~dst:"server" ~service:"slow" ~timeout:5.0 "a" (fun r -> fires := r :: !fires);
+  Engine.schedule_at (Net.engine net) ~at:0.1 (fun () ->
+      for id = 0 to 9 do
+        Net.send net ~src:"mallory" ~dst:"server" ~category:"slow" (Rpc.encode_request id "slow" "evil")
+      done);
+  Net.run net;
+  check bool_ "the call completed once, with the answer to its own request" true (!fires = [ Ok "real:a" ]);
+  check int_ "no pending calls leak" 0 (Rpc.calls_in_flight rpc)
+
 let test_rpc_nested_call () =
   (* A service that itself calls another service before replying —
      the shape of a PDP consulting a PIP. *)
@@ -863,6 +886,7 @@ let () =
           Alcotest.test_case "no such service" `Quick test_rpc_no_such_service;
           Alcotest.test_case "late reply ignored" `Quick test_rpc_late_reply_ignored;
           Alcotest.test_case "a reply only from the node called" `Quick test_rpc_reply_only_from_callee;
+          Alcotest.test_case "a relayed request id completes no other node's call" `Quick test_rpc_relayed_id;
           Alcotest.test_case "nested call" `Quick test_rpc_nested_call;
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "service name with separator" `Quick
