@@ -39,6 +39,17 @@ let micro () =
   let policy100 = sized_policy 100 in
   let policy_xml = Dacs_policy.Xacml_xml.child_to_string (Policy.Inline_policy policy100) in
   let ctx = request_for 99 in
+  (* The serving policy of the workload engine (64 resources, 129 rules)
+     and a nurse's read: dispatch selects three candidates and the
+     second decides. *)
+  let serving = Dacs_policy.Compiled.compile (Policy.Inline_policy (W.churned_policy ~resources:64 ~gen:0)) in
+  let nurse_read =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "user7"); ("role", Value.String "nurse") ]
+      ~resource:[ ("resource-id", Value.String "res5") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ()
+  in
   let query_envelope = Soap.envelope (Wire.authz_query ctx) in
   let query_xml = Xml.to_string query_envelope in
   let pa =
@@ -66,6 +77,8 @@ let micro () =
       Test.make ~name:"xml parse (authz-query envelope)" (Staged.stage (fun () -> Xml.of_string query_xml));
       Test.make ~name:"xml print (authz-query envelope)" (Staged.stage (fun () -> Xml.to_string query_envelope));
       Test.make ~name:"policy eval (100 rules)" (Staged.stage (fun () -> Policy.evaluate ctx policy100));
+      Test.make ~name:"compiled evaluate (129 rules)"
+        (Staged.stage (fun () -> Dacs_policy.Compiled.evaluate nurse_read serving));
       Test.make ~name:"conflict scan (20x20 rules)" (Staged.stage (fun () -> Conflict.find_between pa pb));
     ]
   in

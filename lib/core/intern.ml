@@ -306,7 +306,7 @@ let rec clean_at t packs n pair i seen =
     if pack lsr 31 <> pair then clean_at t packs n pair (i + 1) seen
     else is_string t (pack land value_mask) && clean_at t packs n pair (i + 1) true
 
-(* Target.clean_ids plus disjointness: the pinned bag is non-empty,
+(* Target.clean plus disjointness: the pinned bag is non-empty,
    all-string, and holds none of the allowed values. *)
 let rec disjoint_at t packs n pin i seen =
   if i = n then seen

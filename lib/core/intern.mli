@@ -92,7 +92,7 @@ val key_in_region : region -> string -> bool
 (** Exactly [Delta.covers] on the context {!decode_key} would rebuild:
     a pin excludes the key only when every guard pair carries a
     non-empty, all-string bag, the pinned pair does too, and none of its
-    values is allowed ([Target.guards_clean]/[clean_ids] on atoms).  A
+    values is allowed ([Target.guards_clean]/[clean] on atoms).  A
     key {!decode_key} rejects — a hex digest, an empty segment, an atom
     id the table never minted — answers [true], so it drops: a shared
     L2 stores keys its peers put over the wire, and a key nobody can

@@ -170,9 +170,9 @@ let store_attr t ~subject (category, id) bag =
 (* One evaluation pass, recording the designator lookups that found
    nothing.  The attribute cache answers first — including negatively: a
    cached empty bag means no PIP had the attribute recently, so it is
-   neither resolved nor refetched.  [attempted] prevents refetching
-   attributes a PIP already said it does not have within this
-   evaluation. *)
+   neither resolved nor refetched.  [attempted] holds the positions a
+   PIP round already asked for within this evaluation, so they are not
+   refetched; it stays empty until the first miss. *)
 let evaluate_pass t ~subject_sym ctx attempted =
   let misses = ref [] in
   let resolve category id =
@@ -191,7 +191,7 @@ let evaluate_pass t ~subject_sym ctx attempted =
     | Some [] -> None
     | Some bag -> Some bag
     | None ->
-      if not (Hashtbl.mem attempted (category, id)) then misses := (category, id) :: !misses;
+      if not (List.mem (category, id) !attempted) then misses := (category, id) :: !misses;
       None
   in
   let resolve_ref = local_ref_resolver t in
@@ -200,7 +200,7 @@ let evaluate_pass t ~subject_sym ctx attempted =
     | None -> Decision.indeterminate "no policy installed"
     | Some c -> Compiled.evaluate ~resolve ~resolve_ref ctx c
   in
-  (result, List.sort_uniq compare !misses)
+  (result, match !misses with [] -> [] | misses -> List.sort_uniq compare misses)
 
 (* Every outstanding miss rides one multi-part frame to the PIP — one
    correlation id, one timeout, one retry/breaker envelope for the whole
@@ -254,7 +254,7 @@ let fetch_batched t ~subject misses ctx k =
   go misses ctx t.pips
 
 let fetch_all t ~subject misses attempted ctx k =
-  List.iter (fun miss -> Hashtbl.replace attempted miss ()) misses;
+  attempted := misses @ !attempted;
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
   let k ctx =
@@ -277,7 +277,7 @@ let evaluate_local t ctx k =
   ensure_policy t (fun () ->
       let subject = Option.value (Context.subject_id ctx) ~default:"" in
       let subject_sym = Cache_hierarchy.Attr_cache.subject_sym subject in
-      let attempted = Hashtbl.create 8 in
+      let attempted = ref [] in
       (* The context-handler loop: evaluate, fetch what was missing,
          re-evaluate; bounded to keep pathological policies finite. *)
       let rec loop ctx rounds =

@@ -500,22 +500,34 @@ let e18 =
 let e19 =
   Experiment.v "e19"
     ~gates:Gate.[ exact "decisions-identical";
-                  ratio "compiled-speedup>=5x on deep tree" ~at_least:5.0 ]
+                  ratio "compiled-speedup>=5x on deep tree" ~at_least:5.0;
+                  no_worse "flat-words-regression" ~key:"compiled_words_flat_1000" ~better:`Lower;
+                  no_worse "deep-words-regression" ~key:"compiled_words_deep_tree" ~better:`Lower ]
   @@ fun x ->
   header "E19  Compiled vs interpreted evaluation (target-indexed dispatch, §3.1 scalability)"
     "compiling the policy tree into per-(resource, action) buckets makes \
      per-decision cost depend on the matching rules, not the store size: \
      >= 5x cheaper than the interpreter reference on a deep tree, identical \
-     decisions everywhere";
+     decisions everywhere; the minor words one compiled evaluation allocates \
+     are deterministic and must not grow against the previous ledger entry";
   let diverged = ref [] and compared = ref 0 in
   let result_equal (a : Decision.result) (b : Decision.result) =
     Decision.equal_decision a.Decision.decision b.Decision.decision
     && a.Decision.obligations = b.Decision.obligations
   in
+  (* Minor words per call, a deterministic count. *)
+  let words f =
+    let rounds = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int rounds
+  in
   (* Flat policies: one leaf, n resource-pinned rules, worst-case request. *)
-  Printf.printf "%8s %16s %14s %10s %12s\n" "rules" "interpreted (us)" "compiled (us)" "speedup"
-    "candidates";
-  let flat_speedups =
+  Printf.printf "%8s %16s %14s %10s %12s %16s\n" "rules" "interpreted (us)" "compiled (us)" "speedup"
+    "candidates" "compiled words";
+  let flat =
     List.map
       (fun n ->
         let child = Policy.Inline_policy (sized_policy n) in
@@ -526,9 +538,11 @@ let e19 =
         then diverged := Printf.sprintf "flat %d rules" n :: !diverged;
         let interp = time_us (fun () -> ignore (Policy.evaluate_child ctx child)) in
         let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate ctx c)) in
-        Printf.printf "%8d %16.2f %14.2f %9.1fx %12d\n" n interp comp (interp /. comp)
-          (Dacs_policy.Compiled.candidate_count c ctx);
-        (n, interp /. comp))
+        let comp_words = words (fun () -> Dacs_policy.Compiled.evaluate ctx c) in
+        Printf.printf "%8d %16.2f %14.2f %9.1fx %12d %16.1f\n" n interp comp (interp /. comp)
+          (Dacs_policy.Compiled.candidate_count c ctx)
+          comp_words;
+        (n, interp /. comp, comp_words))
       [ 10; 100; 1000; 10000 ]
   in
   (* Deep tree: a policy set fanning out to many leaves, each with many
@@ -574,19 +588,25 @@ let e19 =
   let interp = time_us (fun () -> ignore (Policy.evaluate_child deep_ctx deep)) in
   let comp = time_us (fun () -> ignore (Dacs_policy.Compiled.evaluate deep_ctx c)) in
   let deep_speedup = interp /. comp in
+  let deep_words = words (fun () -> Dacs_policy.Compiled.evaluate deep_ctx c) in
   Printf.printf "\ndeep tree (%d policies x %d rules, worst-case request):\n" policies rules_per;
   Printf.printf "%-28s %14.2f us\n%-28s %14.2f us  (%.1fx, %d candidates of %d rules)\n"
     "interpreted" interp "compiled" comp deep_speedup
     (Dacs_policy.Compiled.candidate_count c deep_ctx)
     (Dacs_policy.Compiled.rule_count c);
+  Printf.printf "%-28s %14.1f\n" "compiled minor words" deep_words;
   print_newline ();
   Experiment.check x "decisions-identical" (!diverged = [])
     (if !diverged = [] then Printf.sprintf "%d requests, compiled = interpreter" !compared
      else "diverged: " ^ String.concat ", " (List.rev !diverged));
   Experiment.ratio x "compiled-speedup>=5x on deep tree" interp comp;
   List.iter
-    (fun (n, s) -> Experiment.metric x (Printf.sprintf "flat_speedup_%d_rules" n) s)
-    flat_speedups;
+    (fun (n, s, _) -> Experiment.metric x (Printf.sprintf "flat_speedup_%d_rules" n) s)
+    flat;
+  List.iter
+    (fun (n, _, w) -> if n = 1000 then Experiment.metric x ~digits:1 "compiled_words_flat_1000" w)
+    flat;
+  Experiment.metric x ~digits:1 "compiled_words_deep_tree" deep_words;
   Experiment.metric x "deep_tree_speedup" deep_speedup;
   Experiment.metric x "deep_tree_interpreted_us" interp;
   Experiment.metric x "deep_tree_compiled_us" comp

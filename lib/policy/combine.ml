@@ -33,103 +33,98 @@ let all =
     Ordered_permit_overrides;
   ]
 
-type child = {
-  label : string;
-  applicability : unit -> Target.outcome;
-  evaluate : unit -> Decision.result;
+type ('env, 'parent, 'cursor) children = {
+  first : Context.t -> 'parent -> 'cursor;
+  next : Context.t -> 'parent -> 'cursor -> 'cursor;
+  finished : 'cursor -> bool;
+  label : 'parent -> 'cursor -> string;
+  applicability : 'env -> Context.t -> 'parent -> 'cursor -> Target.outcome;
+  evaluate : 'env -> Context.t -> 'parent -> 'cursor -> Decision.result;
 }
 
-(* Obligations propagate from children whose decision equals the final
-   combined decision, in document order.  Every caller accumulates
-   [evaluated] newest-first, hence the reversal here. *)
-let collect decision results =
-  List.concat_map
-    (fun (r : Decision.result) ->
-      if Decision.equal_decision r.Decision.decision decision then r.Decision.obligations else [])
-    (List.rev results)
+(* Every algorithm is a top-level loop over explicit arguments, so
+   combining allocates no closure; a label is built only for an
+   Indeterminate message.  Obligations propagate from children whose
+   decision equals the combined one, in document order: [chunks] holds
+   the non-empty obligation lists of the children agreeing with the
+   pending decision, newest first.  A short-circuiting child is the
+   first of its decision, so its own obligations are the whole set. *)
 
-let deny_overrides children =
-  (* Short-circuit on the first Deny; an Indeterminate is a potential
-     Deny and therefore also decides immediately. *)
-  let rec go permits evaluated = function
-    | [] ->
-      if permits <> [] then
-        { Decision.decision = Decision.Permit; obligations = collect Decision.Permit evaluated }
-      else Decision.not_applicable
-    | c :: rest -> (
-      let r = c.evaluate () in
-      let evaluated = r :: evaluated in
-      match r.Decision.decision with
-      | Decision.Deny -> { r with Decision.obligations = collect Decision.Deny evaluated }
-      | Decision.Indeterminate e ->
-        Decision.indeterminate (Printf.sprintf "%s: %s (treated as potential deny)" c.label e)
-      | Decision.Permit -> go (r :: permits) evaluated rest
-      | Decision.Not_applicable -> go permits evaluated rest)
-  in
-  go [] [] children
+let with_chunks (base : Decision.result) = function
+  | [] -> base
+  | chunks -> { base with Decision.obligations = List.concat (List.rev chunks) }
 
-let permit_overrides children =
-  let rec go indeterminate denies evaluated = function
-    | [] -> (
-      match (indeterminate, denies) with
-      | Some e, _ -> Decision.indeterminate e
-      | None, _ :: _ ->
-        { Decision.decision = Decision.Deny; obligations = collect Decision.Deny evaluated }
-      | None, [] -> Decision.not_applicable)
-    | c :: rest -> (
-      let r = c.evaluate () in
-      let evaluated = r :: evaluated in
-      match r.Decision.decision with
-      | Decision.Permit -> { r with Decision.obligations = collect Decision.Permit evaluated }
-      | Decision.Indeterminate e ->
-        let e = Printf.sprintf "%s: %s" c.label e in
-        go (Some (Option.value indeterminate ~default:e)) denies evaluated rest
-      | Decision.Deny -> go indeterminate (r :: denies) evaluated rest
-      | Decision.Not_applicable -> go indeterminate denies evaluated rest)
-  in
-  go None [] [] children
+let add_chunk (r : Decision.result) chunks =
+  match r.Decision.obligations with [] -> chunks | obligations -> obligations :: chunks
 
-let first_applicable children =
-  let rec go = function
-    | [] -> Decision.not_applicable
-    | c :: rest -> (
-      let r = c.evaluate () in
-      match r.Decision.decision with
-      | Decision.Permit | Decision.Deny -> r
-      | Decision.Indeterminate e -> Decision.indeterminate (Printf.sprintf "%s: %s" c.label e)
-      | Decision.Not_applicable -> go rest)
-  in
-  go children
+(* Short-circuit on the first Deny; an Indeterminate is a potential Deny
+   and therefore also decides immediately. *)
+let rec deny_overrides ch env ctx parent c permitted chunks =
+  if ch.finished c then
+    if permitted then with_chunks Decision.permit chunks else Decision.not_applicable
+  else
+    let r = ch.evaluate env ctx parent c in
+    match r.Decision.decision with
+    | Decision.Deny -> r
+    | Decision.Indeterminate e ->
+      Decision.indeterminate
+        (Printf.sprintf "%s: %s (treated as potential deny)" (ch.label parent c) e)
+    | Decision.Permit -> deny_overrides ch env ctx parent (ch.next ctx parent c) true (add_chunk r chunks)
+    | Decision.Not_applicable -> deny_overrides ch env ctx parent (ch.next ctx parent c) permitted chunks
 
-let only_one_applicable children =
-  let rec scan applicable = function
-    | [] -> (
-      match applicable with
-      | [] -> Decision.not_applicable
-      | [ c ] -> c.evaluate ()
-      | cs ->
+(* [indeterminate] keeps the first Indeterminate message, labelled. *)
+let rec permit_overrides ch env ctx parent c indeterminate denied chunks =
+  if ch.finished c then
+    match indeterminate with
+    | Some e -> Decision.indeterminate e
+    | None -> if denied then with_chunks Decision.deny chunks else Decision.not_applicable
+  else
+    let r = ch.evaluate env ctx parent c in
+    match r.Decision.decision with
+    | Decision.Permit -> r
+    | Decision.Indeterminate e ->
+      let indeterminate =
+        match indeterminate with
+        | None -> Some (Printf.sprintf "%s: %s" (ch.label parent c) e)
+        | first -> first
+      in
+      permit_overrides ch env ctx parent (ch.next ctx parent c) indeterminate denied chunks
+    | Decision.Deny ->
+      permit_overrides ch env ctx parent (ch.next ctx parent c) indeterminate true (add_chunk r chunks)
+    | Decision.Not_applicable ->
+      permit_overrides ch env ctx parent (ch.next ctx parent c) indeterminate denied chunks
+
+let rec first_applicable ch env ctx parent c =
+  if ch.finished c then Decision.not_applicable
+  else
+    let r = ch.evaluate env ctx parent c in
+    match r.Decision.decision with
+    | Decision.Permit | Decision.Deny -> r
+    | Decision.Indeterminate e ->
+      Decision.indeterminate (Printf.sprintf "%s: %s" (ch.label parent c) e)
+    | Decision.Not_applicable -> first_applicable ch env ctx parent (ch.next ctx parent c)
+
+(* [only] is the applicable child seen so far, when [found]; a second
+   applicable child already decides the outcome. *)
+let rec only_one_applicable ch env ctx parent c found only =
+  if ch.finished c then
+    if found then ch.evaluate env ctx parent only else Decision.not_applicable
+  else
+    match ch.applicability env ctx parent c with
+    | Target.Match ->
+      if found then
         Decision.indeterminate
-          (Printf.sprintf "more than one applicable policy: %s"
-             (String.concat ", " (List.rev_map (fun c -> c.label) cs))))
-    | c :: rest -> (
-      match c.applicability () with
-      | Target.Match ->
-        (* Two applicable children already decide the outcome. *)
-        if applicable <> [] then
-          Decision.indeterminate
-            (Printf.sprintf "more than one applicable policy: %s, %s"
-               (String.concat ", " (List.rev_map (fun c -> c.label) applicable))
-               c.label)
-        else scan (c :: applicable) rest
-      | Target.No_match -> scan applicable rest
-      | Target.Indeterminate_match e ->
-        Decision.indeterminate (Printf.sprintf "%s target: %s" c.label e))
-  in
-  scan [] children
+          (Printf.sprintf "more than one applicable policy: %s, %s" (ch.label parent only)
+             (ch.label parent c))
+      else only_one_applicable ch env ctx parent (ch.next ctx parent c) true c
+    | Target.No_match -> only_one_applicable ch env ctx parent (ch.next ctx parent c) found only
+    | Target.Indeterminate_match e ->
+      Decision.indeterminate (Printf.sprintf "%s target: %s" (ch.label parent c) e)
 
-let combine algorithm children =
+let combine algorithm ch env ctx parent =
+  let c = ch.first ctx parent in
   match algorithm with
-  | Deny_overrides | Ordered_deny_overrides -> deny_overrides children
-  | Permit_overrides | Ordered_permit_overrides -> permit_overrides children
-  | First_applicable -> first_applicable children
-  | Only_one_applicable -> only_one_applicable children
+  | Deny_overrides | Ordered_deny_overrides -> deny_overrides ch env ctx parent c false []
+  | Permit_overrides | Ordered_permit_overrides -> permit_overrides ch env ctx parent c None false []
+  | First_applicable -> first_applicable ch env ctx parent c
+  | Only_one_applicable -> only_one_applicable ch env ctx parent c false c

@@ -5,19 +5,23 @@
     request.  Compilation partitions each leaf policy's rules by their
     targets' {!Target.pins} on [Resource]/[resource-id] and
     [Action]/[action-id] — rules pinned on both axes, on one, or on
-    neither (the fallback bucket) — and precomputes the
-    variable-substituted form of every rule condition.  Dispatch then
-    unions the buckets the request's resource-id/action-id select with
-    the fallback bucket and restores document order, so the combining
-    algorithm sees exactly the rule sequence the interpreter would,
-    minus rules that provably cannot match.
+    neither (the fallback bucket), each bucket a sorted array of rule
+    positions — and precomputes the variable-substituted form of every
+    rule condition.  Dispatch is a cursor over the buckets the request's
+    resource-id/action-id select together with the fallback bucket: each
+    step yields the least candidate position after the current one, so
+    the combining algorithm sees exactly the rule sequence the
+    interpreter would, in document order, minus rules that provably
+    cannot match, and no candidate list is built.
 
     Soundness of pruning is {!Target}'s: an axis is pruned on only when
-    the request's bag there is clean ({!Target.clean_ids}) and so is
-    every guard of the leaf's rules indexed on that axis
+    the request's bag there is clean ({!Target.clean}) and so is every
+    guard of the leaf's rules indexed on that axis
     ({!Target.guards_clean}).  Under those conditions a pruned rule's
     target is guaranteed [No_match], hence the rule is NotApplicable and
-    contributes nothing to any combining algorithm.
+    contributes nothing to any combining algorithm.  A rule whose
+    condition names an undefined variable is Indeterminate whatever its
+    target, so it is never indexed.
 
     The compiled form is a pure value: compiling never changes
     decisions, obligations (and their document order), or Indeterminate
@@ -46,7 +50,13 @@ val source : t -> Policy.child
 val evaluate :
   ?resolve:Expr.resolver -> ?resolve_ref:Policy.ref_resolver -> Context.t -> t -> Decision.result
 (** Same result as {!Policy.evaluate_child} on {!source}, for any
-    request, resolver and reference resolver. *)
+    request, resolver and reference resolver, Indeterminate reasons
+    included.  On a tree whose root is a policy, dispatch, target
+    matching and combining allocate nothing: a decided request returns
+    a shared {!Decision} constant unless obligations are attached, and
+    only an Indeterminate builds its message (and what the resolver
+    allocates).  A root set allocates one record of the two resolvers
+    per call. *)
 
 (** {1 Inspection} *)
 

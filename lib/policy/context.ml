@@ -20,45 +20,106 @@ let all_categories = [ Subject; Resource; Action; Environment ]
 (* A category's place in [all_categories], the order of its constructors. *)
 let section_index = function Subject -> 0 | Resource -> 1 | Action -> 2 | Environment -> 3
 
-(* The order [Stdlib.compare] gives (category first, in declaration
-   order, then id), without its generic traversal. *)
-module Key = struct
-  type t = category * string
+(* The order [Stdlib.compare] gives on (category, id): category first, in
+   declaration order, then id. *)
+let compare_key c1 id1 c2 id2 =
+  let c = Int.compare (section_index c1) (section_index c2) in
+  if c <> 0 then c else String.compare id1 id2
 
-  let compare (c1, id1) (c2, id2) =
-    let c = Int.compare (section_index c1) (section_index c2) in
-    if c <> 0 then c else String.compare id1 id2
-end
+type entry = { category : category; id : string; bag : Value.bag }
 
-module Attr_map = Map.Make (Key)
+let compare_entry x y = compare_key x.category x.id y.category y.id
 
-type t = Value.bag Attr_map.t
+(* One entry per (category, id), sorted by [compare_key]: a lookup is a
+   binary search that builds no key and no option. *)
+type t = entry array
 
-let empty = Attr_map.empty
+let empty = [||]
+
+(* The index of the entry at (category, id), or [-1 - i] when absent and
+   [i] is where it would go. *)
+let rec find t category id lo hi =
+  if lo >= hi then -1 - lo
+  else
+    let mid = (lo + hi) / 2 in
+    let e = t.(mid) in
+    let c = compare_key category id e.category e.id in
+    if c = 0 then mid else if c < 0 then find t category id lo mid else find t category id (mid + 1) hi
+
+let bag t category id =
+  let i = find t category id 0 (Array.length t) in
+  if i >= 0 then t.(i).bag else []
 
 let add_bag t category id values =
-  let prev = Option.value (Attr_map.find_opt (category, id) t) ~default:[] in
-  Attr_map.add (category, id) (prev @ values) t
+  let i = find t category id 0 (Array.length t) in
+  if i >= 0 then begin
+    let t = Array.copy t in
+    t.(i) <- { (t.(i)) with bag = t.(i).bag @ values };
+    t
+  end
+  else begin
+    let at = -1 - i in
+    let n = Array.length t in
+    Array.init (n + 1) (fun j ->
+        if j < at then t.(j) else if j = at then { category; id; bag = values } else t.(j - 1))
+  end
 
 let add t category id value = add_bag t category id [ value ]
 
-let bag t category id = Option.value (Attr_map.find_opt (category, id) t) ~default:[]
+(* Stable insertion sort of [a] from index [i] on, [a.(0 .. i-1)]
+   sorted: a request's few attributes sort in place, and sorted ones
+   cost one comparison each. *)
+let rec shift a e j =
+  if j > 0 && compare_entry a.(j - 1) e > 0 then begin
+    a.(j) <- a.(j - 1);
+    shift a e (j - 1)
+  end
+  else a.(j) <- e
+
+let rec insertion_sort a i =
+  if i < Array.length a then begin
+    shift a a.(i) i;
+    insertion_sort a (i + 1)
+  end
+
+let rec fill a i = function
+  | [] -> ()
+  | e :: rest ->
+    a.(i) <- e;
+    fill a (i - 1) rest
+
+(* The context holding [entries] (one value each, newest first), sorted
+   stably, so a repeated id keeps its values in document order.  A
+   context without repeated ids is the sorted array itself. *)
+let of_rev_entries = function
+  | [] -> empty
+  | first :: _ as entries ->
+    let n = List.length entries in
+    let a = Array.make n first in
+    fill a (n - 1) entries;
+    insertion_sort a 1;
+    let repeated = ref false in
+    for i = 1 to n - 1 do
+      if compare_entry a.(i - 1) a.(i) = 0 then repeated := true
+    done;
+    if !repeated then Array.fold_left (fun t e -> add_bag t e.category e.id e.bag) empty a else a
 
 let attributes t category =
-  Attr_map.fold
-    (fun (cat, id) values acc -> if cat = category then (id, values) :: acc else acc)
-    t []
-  |> List.sort compare
+  Array.fold_right (fun e acc -> if e.category = category then (e.id, e.bag) :: acc else acc) t []
 
-let iter t f = Attr_map.iter (fun (cat, id) values -> f cat id values) t
+let iter t f =
+  for i = 0 to Array.length t - 1 do
+    let e = t.(i) in
+    f e.category e.id e.bag
+  done
+
+let rec push category entries = function
+  | [] -> entries
+  | (id, v) :: rest -> push category ({ category; id; bag = [ v ] } :: entries) rest
 
 let make ?(subject = []) ?(resource = []) ?(action = []) ?(environment = []) () =
-  let add_all cat t pairs = List.fold_left (fun t (id, v) -> add t cat id v) t pairs in
-  empty
-  |> fun t -> add_all Subject t subject
-  |> fun t -> add_all Resource t resource
-  |> fun t -> add_all Action t action
-  |> fun t -> add_all Environment t environment
+  of_rev_entries
+    (push Environment (push Action (push Resource (push Subject [] subject) resource) action) environment)
 
 let first_string t category id =
   match bag t category id with
@@ -69,7 +130,7 @@ let first_string t category id =
 let subject_id t = first_string t Subject "subject-id"
 
 (* The Request element: one section per category in [all_categories]
-   order — the order of the map's keys — each holding one Attribute per
+   order — the order of the entries — each holding one Attribute per
    value, ids ascending; a section without values is written empty. *)
 
 let section_names = [| "Subject"; "Resource"; "Action"; "Environment" |]
@@ -90,8 +151,8 @@ let write buf t =
     Buffer.add_char buf '>'
   in
   let current = ref (-1) in
-  Attr_map.iter
-    (fun (category, id) values ->
+  Array.iter
+    (fun { category; id; bag = values } ->
       if not (List.is_empty values) then begin
         let i = section_index category in
         if i <> !current then begin
@@ -150,14 +211,17 @@ let rec data_type_in c = function
 
 let read_data_type c = data_type_in c data_types
 
-let read_attribute c category t =
+let read_attribute c category =
   let tag = Cursor.enter c in
   if not (Cursor.has_local_name c tag "Attribute") then
     Cursor.fail c (Printf.sprintf "unexpected <%s> in a category" (Cursor.tag_name c tag));
   (* An unknown DataType is copied, for the message, only when seen. *)
-  let id = ref None and data_type = ref None and unknown = ref None in
+  let has_id = ref false and id = ref "" and data_type = ref None and unknown = ref None in
   while Cursor.next_attr c tag do
-    if Cursor.attr_is c "AttributeId" then id := Some (Cursor.value c)
+    if Cursor.attr_is c "AttributeId" then begin
+      has_id := true;
+      id := Cursor.value c
+    end
     else if Cursor.attr_is c "DataType" then begin
       data_type := read_data_type c;
       if Option.is_none !data_type then unknown := Some (Cursor.value c)
@@ -165,35 +229,44 @@ let read_attribute c category t =
   done;
   let text = Cursor.text c tag in
   Cursor.close c tag;
-  match (!id, !data_type, !unknown) with
-  | Some id, Some dt, _ -> (
-    match Value.of_string dt text with Ok v -> add t category id v | Error e -> Cursor.fail c e)
-  | Some _, None, Some dt_name -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
+  match (!has_id, !data_type, !unknown) with
+  | true, Some Value.String_t, _ -> { category; id = !id; bag = [ Value.String text ] }
+  | true, Some dt, _ -> (
+    match Value.of_string dt text with
+    | Ok v -> { category; id = !id; bag = [ v ] }
+    | Error e -> Cursor.fail c e)
+  | true, None, Some dt_name -> Cursor.fail c (Printf.sprintf "unknown data type %s" dt_name)
   | _ -> Cursor.fail c "Attribute needs AttributeId and DataType"
 
+(* One pass: every attribute becomes an entry as it is read, and the
+   context is built once at the end. *)
 let read c =
   let tag = Cursor.enter c in
   if not (Cursor.is c tag "Request") then Cursor.fail c "expected a Request element";
   skip_attrs c tag;
-  let t = ref empty in
+  let entries = ref [] in
   while Cursor.next_child c tag do
     let section = Cursor.enter c in
     let category = section_from c section 0 in
     skip_attrs c section;
     while Cursor.next_child c section do
-      t := read_attribute c category !t
+      entries := read_attribute c category :: !entries
     done;
     Cursor.close c section
   done;
   Cursor.close c tag;
-  !t
+  of_rev_entries !entries
 
 let of_string s = Cursor.parse s read
 
 let to_xml t = Xml.of_string (to_string t)
 let of_xml node = of_string (Xml.to_string node)
 
-let equal a b = Attr_map.equal Value.bag_equal a b
+let equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> x.category = y.category && String.equal x.id y.id && Value.bag_equal x.bag y.bag)
+       a b
 
 let pp fmt t =
   List.iter

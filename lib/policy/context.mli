@@ -11,16 +11,21 @@ val category_of_name : string -> category option
 val all_categories : category list
 
 type t
+(** One bag per (category, id), held sorted in canonical order (category
+    as declared, then id). *)
 
 val empty : t
 
 val add : t -> category -> string -> Value.t -> t
-(** Append one value to the bag of attribute [id] in [category]. *)
+(** Append one value to the bag of attribute [id] in [category].  Copies
+    the context: building one of [n] attributes this way costs O(n²);
+    {!make} and {!read} build it once. *)
 
 val add_bag : t -> category -> string -> Value.bag -> t
 
 val bag : t -> category -> string -> Value.bag
-(** The (possibly empty) bag bound to the attribute. *)
+(** The (possibly empty) bag bound to the attribute: a binary search
+    that allocates nothing, the lookup every target match makes. *)
 
 val attributes : t -> category -> (string * Value.bag) list
 (** All attributes of a category, sorted by id. *)
@@ -39,6 +44,8 @@ val make :
   ?environment:(string * Value.t) list ->
   unit ->
   t
+(** Builds the context once, like {!read}: a repeated id keeps its
+    values in list order. *)
 
 val subject_id : t -> string option
 (** The conventional ["subject-id"] attribute, when present. *)
@@ -57,8 +64,11 @@ val write : Buffer.t -> t -> unit
     ids ascending. *)
 
 val read : Dacs_xml.Xml.Cursor.t -> t
-(** Reads a [Request] element from its ['<'], adding the attributes in
-    document order.  Stricter than a tree walk: a category holds only
+(** Reads a [Request] element from its ['<'] in one pass: each attribute
+    becomes one entry as it is read and the context is built once at
+    the end, values of a repeated id in document order.  A request
+    written by {!write} is already in canonical order and sorts in one
+    comparison per attribute.  Stricter than a tree walk: a category holds only
     [Attribute] elements, and an [Attribute] only text.
     @raise Dacs_xml.Xml.Parse_error on malformed or misshapen input. *)
 

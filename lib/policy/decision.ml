@@ -14,16 +14,18 @@ let deny = { decision = Deny; obligations = [] }
 let not_applicable = { decision = Not_applicable; obligations = [] }
 let indeterminate message = { decision = Indeterminate message; obligations = [] }
 
+let append r obligations effect =
+  match Obligation.applicable obligations effect with
+  | [] -> r
+  | applicable -> { r with obligations = r.obligations @ applicable }
+
+(* [r] itself when nothing applies, so a result without obligations is
+   not copied. *)
 let with_obligations r obligations =
-  let effect =
-    match r.decision with
-    | Permit -> Some Obligation.Permit
-    | Deny -> Some Obligation.Deny
-    | Not_applicable | Indeterminate _ -> None
-  in
-  match effect with
-  | None -> r
-  | Some effect -> { r with obligations = r.obligations @ Obligation.applicable obligations effect }
+  match (obligations, r.decision) with
+  | [], _ | _, (Not_applicable | Indeterminate _) -> r
+  | _, Permit -> append r obligations Obligation.Permit
+  | _, Deny -> append r obligations Obligation.Deny
 
 let is_permit r = r.decision = Permit
 let is_deny r = r.decision = Deny

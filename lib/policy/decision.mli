@@ -18,7 +18,8 @@ val not_applicable : result
 val indeterminate : string -> result
 
 val with_obligations : result -> Obligation.t list -> result
-(** Append obligations applicable to the result's decision. *)
+(** Append obligations applicable to the result's decision; the result
+    itself, uncopied, when none apply. *)
 
 val is_permit : result -> bool
 val is_deny : result -> bool

@@ -126,9 +126,11 @@ let between before after =
 let pin_excludes ctx pin =
   Target.guards_clean ctx pin.pin_guards
   &&
-  match Target.clean_ids ctx pin.pin_category pin.pin_attribute with
-  | None -> false
-  | Some ids -> List.for_all (fun v -> not (List.mem v pin.pin_values)) ids
+  let bag = Context.bag ctx pin.pin_category pin.pin_attribute in
+  Target.clean bag
+  && List.for_all
+       (function Value.String v -> not (List.mem v pin.pin_values) | _ -> false)
+       bag
 
 let zone_covers ctx zone = not (List.exists (pin_excludes ctx) zone)
 

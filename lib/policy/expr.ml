@@ -33,11 +33,18 @@ type resolver = Context.category -> string -> Value.bag option
 (* All implementations consume evaluated argument bags.  [arity None] is
    variadic.  Higher-order functions are dispatched in [eval] itself
    because they must apply a function reference over bag members. *)
-type impl = { arity : int option; run : Value.bag list -> (Value.bag, string) result }
+type impl = {
+  name : string;
+  slot : int;  (* its place in [by_slot], in registration order *)
+  arity : int option;
+  run : Value.bag list -> (Value.bag, string) result;
+}
 
 let registry : (string, impl) Hashtbl.t = Hashtbl.create 128
 
-let register name arity run = Hashtbl.replace registry name { arity; run }
+let register name arity run =
+  if Hashtbl.mem registry name then invalid_arg ("Expr.register: duplicate " ^ name);
+  Hashtbl.add registry name { name; slot = Hashtbl.length registry; arity; run }
 
 let singleton v = Ok [ v ]
 
@@ -364,31 +371,56 @@ let function_arity name =
 
 let processing message = Error { code = Processing; message }
 
-let apply_registered name (args : Value.bag list) =
+let apply_impl impl (args : Value.bag list) =
+  let name = impl.name in
+  (match impl.arity with
+  | Some n when n <> List.length args ->
+    processing (Printf.sprintf "%s expects %d arguments, got %d" name n (List.length args))
+  | _ -> Ok ())
+  |> function
+  | Error e -> Error e
+  | Ok () -> (
+    match impl.run args with
+    | Ok bag -> Ok bag
+    | Error message -> processing (Printf.sprintf "%s: %s" name message))
+
+let apply_registered name args =
   match Hashtbl.find_opt registry name with
   | None -> Error { code = Syntax; message = Printf.sprintf "unknown function %s" name }
-  | Some impl -> (
-    (match impl.arity with
-    | Some n when n <> List.length args ->
-      processing (Printf.sprintf "%s expects %d arguments, got %d" name n (List.length args))
-    | _ -> Ok ())
-    |> function
-    | Error e -> Error e
-    | Ok () -> (
-      match impl.run args with
-      | Ok bag -> Ok bag
-      | Error message -> processing (Printf.sprintf "%s: %s" name message)))
+  | Some impl -> apply_impl impl args
 
-(* Apply a named binary boolean function to two atomic values. *)
-let apply_bool2 name a b =
-  match apply_registered name [ [ a ]; [ b ] ] with
+(* Apply a binary boolean function to two atomic values. *)
+let apply_bool2 impl a b =
+  match apply_impl impl [ [ a ]; [ b ] ] with
   | Ok [ Value.Bool r ] -> Ok r
-  | Ok _ -> processing (Printf.sprintf "%s did not produce a single boolean" name)
+  | Ok _ -> processing (Printf.sprintf "%s did not produce a single boolean" impl.name)
   | Error e -> Error e
 
-let match_function name =
-  if Hashtbl.mem registry name then Some (fun value attr -> apply_bool2 name value attr)
-  else None
+(* --- match functions, resolved once ---------------------------------- *)
+
+(* A match function is its registry slot: a plain int, so a target
+   holding one still compares and hashes structurally, as a closure
+   would not.  The registry is complete once this module is
+   initialised. *)
+type matcher = int
+
+let by_slot =
+  let slots = Array.make (Hashtbl.length registry) None in
+  Hashtbl.iter (fun _ impl -> slots.(impl.slot) <- Some impl) registry;
+  Array.map Option.get slots
+
+let matcher name = Option.map (fun impl -> impl.slot) (Hashtbl.find_opt registry name)
+
+let string_equal = (Hashtbl.find registry "string-equal").slot
+
+(* string-equal on two strings, the match every pinned target makes,
+   answers without building argument bags; any other pair of values or
+   function goes through the registry implementation, errors included.
+   [Ok true]/[Ok false] are static constants. *)
+let apply_match m value attr =
+  match (value, attr) with
+  | Value.String a, Value.String b when m = string_equal -> if String.equal a b then Ok true else Ok false
+  | _ -> apply_bool2 by_slot.(m) value attr
 
 let rec eval ?resolve ctx expr =
   match expr with
@@ -461,9 +493,10 @@ let rec eval ?resolve ctx expr =
 and eval_higher_order ?resolve ctx name args =
   let func_and_rest () =
     match args with
-    | Function_ref f :: rest ->
-      if Hashtbl.mem registry f then Ok (f, rest)
-      else Error { code = Syntax; message = Printf.sprintf "unknown function %s" f }
+    | Function_ref f :: rest -> (
+      match Hashtbl.find_opt registry f with
+      | Some impl -> Ok (impl, rest)
+      | None -> Error { code = Syntax; message = Printf.sprintf "unknown function %s" f })
     | _ ->
       Error
         { code = Syntax; message = name ^ " requires a function reference as its first argument" }
@@ -555,7 +588,7 @@ and eval_higher_order ?resolve ctx name args =
         let rec go acc = function
           | [] -> Ok (List.rev acc)
           | v :: rest -> (
-            match apply_registered f [ [ v ] ] with
+            match apply_impl f [ [ v ] ] with
             | Ok [ r ] -> go (r :: acc) rest
             | Ok _ -> processing "map: function must return a single value"
             | Error e -> Error e)

@@ -51,8 +51,18 @@ val known_function : string -> bool
 val function_arity : string -> int option option
 (** [None] if unknown; [Some None] if variadic; [Some (Some n)] fixed. *)
 
-val match_function : string -> (Value.t -> Value.t -> (bool, error) result) option
-(** Binary boolean functions usable in target matches ([f value attr]). *)
+type matcher
+(** A binary boolean function usable in target matches, resolved once
+    from the registry.  A plain value: a target holding one still
+    compares and hashes structurally. *)
+
+val matcher : string -> matcher option
+(** [None] when no registered function has the name. *)
+
+val apply_match : matcher -> Value.t -> Value.t -> (bool, error) result
+(** [apply_match m value attr].  [string-equal] on two strings answers
+    without allocating; everything else runs the registry
+    implementation, with its error messages. *)
 
 (** {1 Variables} *)
 

@@ -48,87 +48,93 @@ let child_id = function
   | Inline_set s -> s.set_id
   | Policy_ref id -> id
 
-let rec evaluate ?resolve ?resolve_ref ctx policy =
-  ignore resolve_ref;
+(* A rule with the policy's variables inlined into its condition; a
+   broken reference surfaces as Indeterminate for that rule only. *)
+let evaluate_rule resolve ctx policy rule =
+  match rule.Rule.condition with
+  | None -> Rule.evaluate ?resolve ctx rule
+  | Some condition -> (
+    match Expr.substitute (fun name -> List.assoc_opt name policy.variables) condition with
+    | Ok condition -> Rule.evaluate ?resolve ctx { rule with Rule.condition = Some condition }
+    | Error e -> Decision.indeterminate (Printf.sprintf "rule %s: %s" rule.Rule.id e))
+
+(* A policy's rules, walked by their list tails. *)
+let rule_children =
+  {
+    Combine.first = (fun _ policy -> policy.rules);
+    next = (fun _ _ rules -> List.tl rules);
+    finished = List.is_empty;
+    label = (fun _ rules -> Rule.label (List.hd rules));
+    applicability =
+      (fun resolve ctx _ rules -> Target.evaluate ?resolve ctx (List.hd rules).Rule.target);
+    evaluate = (fun resolve ctx policy rules -> evaluate_rule resolve ctx policy (List.hd rules));
+  }
+
+let evaluate_policy resolve ctx policy =
   match Target.evaluate ?resolve ctx policy.target with
   | Target.No_match -> Decision.not_applicable
   | Target.Indeterminate_match e ->
     Decision.indeterminate (Printf.sprintf "policy %s target: %s" policy.id e)
   | Target.Match ->
-    let lookup name = List.assoc_opt name policy.variables in
-    let resolved_rule rule =
-      (* Inline variable definitions into the condition; a broken
-         reference surfaces as Indeterminate for that rule only. *)
-      match rule.Rule.condition with
-      | None -> Ok rule
-      | Some condition -> (
-        match Expr.substitute lookup condition with
-        | Ok condition -> Ok { rule with Rule.condition = Some condition }
-        | Error e -> Error e)
-    in
-    let children =
-      List.map
-        (fun rule ->
-          {
-            Combine.label = "rule " ^ rule.Rule.id;
-            applicability = (fun () -> Target.evaluate ?resolve ctx rule.Rule.target);
-            evaluate =
-              (fun () ->
-                match resolved_rule rule with
-                | Ok rule -> Rule.evaluate ?resolve ctx rule
-                | Error e ->
-                  Decision.indeterminate (Printf.sprintf "rule %s: %s" rule.Rule.id e));
-          })
-        policy.rules
-    in
-    let result = Combine.combine policy.rule_combining children in
+    let result = Combine.combine policy.rule_combining rule_children resolve ctx policy in
     Decision.with_obligations result policy.obligations
 
-and evaluate_set ?resolve ?resolve_ref ctx set =
-  match Target.evaluate ?resolve ctx set.set_target with
+let evaluate ?resolve ?resolve_ref ctx policy =
+  ignore resolve_ref;
+  evaluate_policy resolve ctx policy
+
+(* What evaluating a set's children reads besides the context. *)
+type resolvers = { resolve : Expr.resolver option; resolve_ref : ref_resolver option }
+
+(* Reference-to-reference chains are rejected to rule out resolver
+   cycles. *)
+let dereference env id =
+  match env.resolve_ref with
+  | None -> None
+  | Some r -> ( match r id with Some (Policy_ref _) | None -> None | resolved -> resolved)
+
+let unresolved id = Printf.sprintf "unresolved policy reference %s" id
+
+(* A set's children, walked by their list tails. *)
+let rec set_children =
+  {
+    Combine.first = (fun _ set -> set.children);
+    next = (fun _ _ children -> List.tl children);
+    finished = List.is_empty;
+    label = (fun _ children -> "policy " ^ child_id (List.hd children));
+    applicability = (fun env ctx _ children -> applicability_in env ctx (List.hd children));
+    evaluate = (fun env ctx _ children -> evaluate_in env ctx (List.hd children));
+  }
+
+and evaluate_set_in env ctx set =
+  match Target.evaluate ?resolve:env.resolve ctx set.set_target with
   | Target.No_match -> Decision.not_applicable
   | Target.Indeterminate_match e ->
     Decision.indeterminate (Printf.sprintf "policy set %s target: %s" set.set_id e)
   | Target.Match ->
-    let children =
-      List.map
-        (fun child ->
-          {
-            Combine.label = "policy " ^ child_id child;
-            applicability = (fun () -> applicability ?resolve ?resolve_ref ctx child);
-            evaluate = (fun () -> evaluate_child ?resolve ?resolve_ref ctx child);
-          })
-        set.children
-    in
-    let result = Combine.combine set.policy_combining children in
+    let result = Combine.combine set.policy_combining set_children env ctx set in
     Decision.with_obligations result set.set_obligations
 
-and evaluate_child ?resolve ?resolve_ref ctx child =
+and evaluate_in env ctx child =
   match child with
-  | Inline_policy p -> evaluate ?resolve ?resolve_ref ctx p
-  | Inline_set s -> evaluate_set ?resolve ?resolve_ref ctx s
+  | Inline_policy p -> evaluate_policy env.resolve ctx p
+  | Inline_set s -> evaluate_set_in env ctx s
   | Policy_ref id -> (
-    (* Reference-to-reference chains are rejected to rule out resolver
-       cycles. *)
-    match resolve_ref with
-    | None -> Decision.indeterminate (Printf.sprintf "unresolved policy reference %s" id)
-    | Some r -> (
-      match r id with
-      | Some (Policy_ref _) | None ->
-        Decision.indeterminate (Printf.sprintf "unresolved policy reference %s" id)
-      | Some resolved -> evaluate_child ?resolve ?resolve_ref ctx resolved))
+    match dereference env id with
+    | Some resolved -> evaluate_in env ctx resolved
+    | None -> Decision.indeterminate (unresolved id))
 
-and applicability ?resolve ?resolve_ref ctx child =
+and applicability_in env ctx child =
   match child with
-  | Inline_policy p -> Target.evaluate ?resolve ctx p.target
-  | Inline_set s -> Target.evaluate ?resolve ctx s.set_target
+  | Inline_policy p -> Target.evaluate ?resolve:env.resolve ctx p.target
+  | Inline_set s -> Target.evaluate ?resolve:env.resolve ctx s.set_target
   | Policy_ref id -> (
-    match resolve_ref with
-    | None -> Target.Indeterminate_match (Printf.sprintf "unresolved policy reference %s" id)
-    | Some r -> (
-      match r id with
-      | Some (Policy_ref _) | None ->
-        Target.Indeterminate_match (Printf.sprintf "unresolved policy reference %s" id)
-      | Some resolved -> applicability ?resolve ?resolve_ref ctx resolved))
+    match dereference env id with
+    | Some resolved -> applicability_in env ctx resolved
+    | None -> Target.Indeterminate_match (unresolved id))
+
+let evaluate_set ?resolve ?resolve_ref ctx set = evaluate_set_in { resolve; resolve_ref } ctx set
+let evaluate_child ?resolve ?resolve_ref ctx child = evaluate_in { resolve; resolve_ref } ctx child
+let applicability ?resolve ?resolve_ref ctx child = applicability_in { resolve; resolve_ref } ctx child
 
 let rule_count p = List.length p.rules

@@ -18,6 +18,13 @@ let effect_decision = function
   | Permit -> Decision.Permit
   | Deny -> Decision.Deny
 
+let label rule = "rule " ^ rule.id
+
+(* The shared constant results: a decided rule allocates nothing. *)
+let decided = function
+  | Permit -> Decision.permit
+  | Deny -> Decision.deny
+
 let evaluate ?resolve ctx rule =
   match Target.evaluate ?resolve ctx rule.target with
   | Target.No_match -> Decision.not_applicable
@@ -25,10 +32,10 @@ let evaluate ?resolve ctx rule =
     Decision.indeterminate (Printf.sprintf "rule %s target: %s" rule.id e)
   | Target.Match -> (
     match rule.condition with
-    | None -> { Decision.decision = effect_decision rule.effect; obligations = [] }
+    | None -> decided rule.effect
     | Some condition -> (
       match Expr.eval_condition ?resolve ctx condition with
-      | Ok true -> { Decision.decision = effect_decision rule.effect; obligations = [] }
+      | Ok true -> decided rule.effect
       | Ok false -> Decision.not_applicable
       | Error e ->
         Decision.indeterminate

@@ -19,6 +19,11 @@ val deny : ?description:string -> ?target:Target.t -> ?condition:Expr.t -> strin
 val evaluate : ?resolve:Expr.resolver -> Context.t -> t -> Decision.result
 (** Target then condition, per the XACML rule-evaluation table:
     no target match → NotApplicable; condition false → NotApplicable;
-    errors → Indeterminate; otherwise the rule's effect. *)
+    errors → Indeterminate; otherwise the rule's effect, as the shared
+    {!Decision.permit}/{!Decision.deny} value. *)
+
+val label : t -> string
+(** ["rule <id>"], the rule's name in a combining algorithm's
+    Indeterminate message. *)
 
 val effect_decision : effect -> Decision.t

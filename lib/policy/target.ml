@@ -3,6 +3,7 @@ type match_ = {
   value : Value.t;
   category : Context.category;
   attribute_id : string;
+  matcher : Expr.matcher option;
 }
 
 type clause = match_ list
@@ -21,8 +22,11 @@ let any = { subjects = []; resources = []; actions = []; environments = [] }
 let make ?(subjects = []) ?(resources = []) ?(actions = []) ?(environments = []) () =
   { subjects; resources; actions; environments }
 
+let make_match ~fn ~value ~category ~attribute_id =
+  { fn; value; category; attribute_id; matcher = Expr.matcher fn }
+
 let match_string category attribute_id s =
-  { fn = "string-equal"; value = Value.String s; category; attribute_id }
+  make_match ~fn:"string-equal" ~value:(Value.String s) ~category ~attribute_id
 
 let subject_is attr v t =
   { t with subjects = t.subjects @ [ [ match_string Context.Subject attr v ] ] }
@@ -39,72 +43,77 @@ let for_subject_role role = subject_is "role" role any
 
 type outcome = Match | No_match | Indeterminate_match of string
 
-(* One match element: true when the function accepts (literal, v) for at
-   least one v in the attribute's bag. *)
-let eval_match ?resolve ctx m =
-  match Expr.match_function m.fn with
+(* Evaluation walks sections, clauses and bags with top-level recursive
+   functions over explicit arguments: no local closure, list or option
+   is built unless a match errors. *)
+
+(* True when the function accepts (literal, v) for some v of the bag;
+   otherwise the last error seen, if any, makes the match
+   indeterminate. *)
+let rec match_bag m matcher bag last_error =
+  match bag with
+  | [] -> (
+    match last_error with
+    | None -> No_match
+    | Some e -> Indeterminate_match (Expr.error_to_string e))
+  | v :: rest -> (
+    match Expr.apply_match matcher m.value v with
+    | Ok true -> Match
+    | Ok false -> match_bag m matcher rest last_error
+    | Error e -> match_bag m matcher rest (Some e))
+
+let eval_match resolve ctx m =
+  match m.matcher with
   | None -> Indeterminate_match (Printf.sprintf "unknown match function %s" m.fn)
-  | Some f -> (
-    let bag = Context.bag ctx m.category m.attribute_id in
+  | Some matcher ->
     let bag =
-      if bag = [] then
-        match resolve with
-        | Some r -> Option.value (r m.category m.attribute_id) ~default:[]
-        | None -> []
-      else bag
-    in
-    let rec go errors = function
+      match Context.bag ctx m.category m.attribute_id with
       | [] -> (
-        match errors with
-        | [] -> No_match
-        | e :: _ -> Indeterminate_match e)
-      | v :: rest -> (
-        match f m.value v with
-        | Ok true -> Match
-        | Ok false -> go errors rest
-        | Error e -> go (Expr.error_to_string e :: errors) rest)
+        match resolve with
+        | Some r -> (match r m.category m.attribute_id with Some bag -> bag | None -> [])
+        | None -> [])
+      | bag -> bag
     in
-    go [] bag)
+    match_bag m matcher bag None
 
-let eval_clause ?resolve ctx clause =
-  (* XACML AllOf semantics: any No-match makes the clause No-match, even
-     when another member errors; only error-without-mismatch is
-     indeterminate. *)
-  let rec go saw_error = function
-    | [] -> (match saw_error with Some e -> Indeterminate_match e | None -> Match)
-    | m :: rest -> (
-      match eval_match ?resolve ctx m with
-      | Match -> go saw_error rest
-      | No_match -> No_match
-      | Indeterminate_match e -> go (Some (Option.value saw_error ~default:e)) rest)
-  in
-  go None clause
+(* XACML AllOf semantics: any No-match makes the clause No-match, even
+   when another member errors; only error-without-mismatch is
+   indeterminate, with the first error. *)
+let rec eval_clause resolve ctx clause first_error =
+  match clause with
+  | [] -> (match first_error with Some e -> Indeterminate_match e | None -> Match)
+  | m :: rest -> (
+    match eval_match resolve ctx m with
+    | Match -> eval_clause resolve ctx rest first_error
+    | No_match -> No_match
+    | Indeterminate_match e ->
+      eval_clause resolve ctx rest (match first_error with None -> Some e | some -> some))
 
-let eval_section ?resolve ctx section =
-  match section with
+(* AnyOf: the first matching clause decides; otherwise the last clause
+   error, if any. *)
+let rec eval_clauses resolve ctx clauses last_error =
+  match clauses with
+  | [] -> (match last_error with Some e -> Indeterminate_match e | None -> No_match)
+  | c :: rest -> (
+    match eval_clause resolve ctx c None with
+    | Match -> Match
+    | No_match -> eval_clauses resolve ctx rest last_error
+    | Indeterminate_match e -> eval_clauses resolve ctx rest (Some e))
+
+let eval_section resolve ctx = function
   | [] -> Match
-  | clauses ->
-    let rec go saw_error = function
-      | [] -> (match saw_error with Some e -> Indeterminate_match e | None -> No_match)
-      | c :: rest -> (
-        match eval_clause ?resolve ctx c with
-        | Match -> Match
-        | No_match -> go saw_error rest
-        | Indeterminate_match e -> go (Some e) rest)
-    in
-    go None clauses
+  | clauses -> eval_clauses resolve ctx clauses None
 
 let evaluate ?resolve ctx t =
-  let sections = [ t.subjects; t.resources; t.actions; t.environments ] in
-  let rec go = function
-    | [] -> Match
-    | s :: rest -> (
-      match eval_section ?resolve ctx s with
-      | Match -> go rest
-      | No_match -> No_match
-      | Indeterminate_match e -> Indeterminate_match e)
-  in
-  go sections
+  match eval_section resolve ctx t.subjects with
+  | Match -> (
+    match eval_section resolve ctx t.resources with
+    | Match -> (
+      match eval_section resolve ctx t.actions with
+      | Match -> eval_section resolve ctx t.environments
+      | outcome -> outcome)
+    | outcome -> outcome)
+  | outcome -> outcome
 
 (* --- pins ----------------------------------------------------------------- *)
 
@@ -182,24 +191,15 @@ let pins t =
   in
   go [] [ t.subjects; t.resources; t.actions; t.environments ]
 
-let clean_ids ctx category attr =
-  match Context.bag ctx category attr with
-  | [] -> None
-  | bag ->
-    let rec strings acc = function
-      | [] -> Some (List.rev acc)
-      | Value.String s :: rest -> strings (s :: acc) rest
-      | _ -> None
-    in
-    strings [] bag
+let rec clean = function
+  | [] -> false
+  | [ Value.String _ ] -> true
+  | Value.String _ :: rest -> clean rest
+  | _ -> false
 
-let guards_clean ctx guards =
-  List.for_all
-    (fun (category, attr) ->
-      match Context.bag ctx category attr with
-      | [] -> false
-      | bag -> List.for_all (function Value.String _ -> true | _ -> false) bag)
-    guards
+let rec guards_clean ctx = function
+  | [] -> true
+  | (category, attr) :: rest -> clean (Context.bag ctx category attr) && guards_clean ctx rest
 
 let pp_match fmt m =
   Format.fprintf fmt "%s(%a, %s/%s)" m.fn Value.pp m.value

@@ -6,14 +6,22 @@
     is a conjunction of matches; an empty section matches anything — the
     XACML 2.0 structure. *)
 
-type match_ = {
+type match_ = private {
   fn : string;  (** a binary boolean function from the expression registry *)
   value : Value.t;  (** the literal, passed as the function's first argument *)
   category : Context.category;
       (** the category whose bag the match reads, which need not be
           that of the section holding the match *)
   attribute_id : string;
+  matcher : Expr.matcher option;
+      (** [fn] resolved once, when the match is built; [None] when no
+          registered function has that name *)
 }
+(** Built only by {!make_match} (or {!match_string}), so [matcher]
+    always agrees with [fn]. *)
+
+val make_match :
+  fn:string -> value:Value.t -> category:Context.category -> attribute_id:string -> match_
 
 type clause = match_ list
 (** Conjunction. *)
@@ -55,7 +63,10 @@ type outcome = Match | No_match | Indeterminate_match of string
 
 val evaluate : ?resolve:Expr.resolver -> Context.t -> t -> outcome
 (** XACML semantics: a match function error makes the section
-    indeterminate rather than a mismatch. *)
+    indeterminate rather than a mismatch.  Sections, clauses and bags
+    are walked in place and each match runs its resolved function, so
+    evaluation allocates nothing unless a match errors or the resolver
+    does ([string-equal] on strings never errors). *)
 
 (** {1 Pins}
 
@@ -86,7 +97,7 @@ type pin = {
           exclude (those the earlier sections read) *)
 }
 (** One exclusion opportunity: a request whose bag at
-    [(pin_category, pin_attribute)] is clean ({!clean_ids}) and disjoint
+    [(pin_category, pin_attribute)] is clean ({!clean}) and disjoint
     from [pin_values], with all [pin_guards] clean ({!guards_clean}),
     makes the target [No_match]. *)
 
@@ -97,11 +108,10 @@ val clause_pins : clause -> ((Context.category * string) * string list) list
 val pins : t -> pin list
 (** Every usable pin of a target, in section order. *)
 
-val clean_ids : Context.t -> Context.category -> string -> string list option
-(** The request's bag at one position when a pin may read it: a
-    non-empty bag of strings and nothing else.  An empty bag may be
-    filled by a resolver later; a non-string value makes [string-equal]
-    error instead of mismatch. *)
+val clean : Value.bag -> bool
+(** A bag a pin may read: non-empty and strings only.  An empty bag may
+    be filled by a resolver later; a non-string value makes
+    [string-equal] error instead of mismatch. *)
 
 val guards_clean : Context.t -> (Context.category * string) list -> bool
 (** Every guard position carries a non-empty all-string bag, so the

@@ -22,7 +22,7 @@ let check_matches location target =
         (fun clause ->
           List.filter_map
             (fun m ->
-              if Expr.match_function m.Target.fn = None then
+              if Option.is_none m.Target.matcher then
                 Some (problem location (Printf.sprintf "unknown match function %s" m.Target.fn))
               else None)
             clause)

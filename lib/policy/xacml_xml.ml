@@ -125,7 +125,7 @@ let match_of_xml node =
   let* attribute_id = attr_or_error node "AttributeId" in
   let* data_type = attr_or_error node "DataType" in
   let* value = value_of ~data_type ~text:(Xml.text_content node) in
-  Ok { Target.fn; value; category; attribute_id }
+  Ok (Target.make_match ~fn ~value ~category ~attribute_id)
 
 let section_of_xml category target_node =
   let plural, singular, _ = List.assoc category section_names in

@@ -14,7 +14,7 @@ let resources = [| "chart"; "lab"; "note" |]
 let actions = [| "read"; "write" |]
 
 let starts_with category attribute_id prefix =
-  { Target.fn = "string-starts-with"; value = Value.String prefix; category; attribute_id }
+  Target.make_match ~fn:"string-starts-with" ~value:(Value.String prefix) ~category ~attribute_id
 
 let kinds = 9
 

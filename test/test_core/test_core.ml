@@ -1255,8 +1255,8 @@ let test_conflict_in_set () =
    doc-1 (both apply to a request for doc-1). *)
 let test_conflict_prefix_binds_nothing () =
   let prefix =
-    { Target.fn = "string-starts-with"; value = Value.String "doc"; category = Context.Resource;
-      attribute_id = "resource-id" }
+    Target.make_match ~fn:"string-starts-with" ~value:(Value.String "doc")
+      ~category:Context.Resource ~attribute_id:"resource-id"
   in
   let pa =
     Policy.make ~id:"pa" [ Rule.permit ~target:(Target.make ~resources:[ [ prefix ] ] ()) "permit-doc-prefix" ]

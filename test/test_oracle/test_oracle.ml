@@ -408,6 +408,189 @@ let algorithms =
     ("ordered-permit-overrides", Combine.Ordered_permit_overrides);
   ]
 
+(* --- oracle 1b: reference vs compiled, whole result ---------------------- *)
+
+(* [result_equal] compares the decision kind and the obligations; this
+   oracle compares the whole [Decision.result], Indeterminate reason
+   included, so a combining algorithm that names the wrong child (or
+   builds its message from the wrong error) is caught.  The vocabulary
+   reaches every error path: unknown match functions, non-string and
+   multi-valued resource-id/action-id bags, attributes absent from the
+   request that a resolver may supply, conditions that error, undefined
+   variables, and policy references. *)
+
+type full_rule = { fr_effect : int; fr_target : int; fr_condition : int }
+
+let full_targets = 13 + Pin_shapes.kinds
+
+let full_target code =
+  let r = resources.(code mod Array.length resources) in
+  let a = actions.(code mod Array.length actions) in
+  let role = roles.(code mod Array.length roles) in
+  match code with
+  | 0 -> Target.any
+  | 1 | 2 | 3 -> Target.(any |> resource_is "resource-id" r)
+  | 4 | 5 -> Target.(any |> action_is "action-id" a)
+  | 6 | 7 -> Target.(any |> subject_is "role" role |> resource_is "resource-id" r)
+  | 8 -> Target.(any |> subject_is "role" role |> resource_is "resource-id" r |> action_is "action-id" a)
+  | 9 ->
+    Target.make
+      ~resources:
+        [ [ Target.make_match ~fn:"no-such-function" ~value:(Value.String r) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
+      ()
+  | 10 ->
+    Target.make
+      ~resources:
+        [ [ Target.make_match ~fn:"string-starts-with" ~value:(Value.String (String.sub r 0 1)) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
+      ()
+  | 11 ->
+    (* integer-equal on a string role errors *)
+    Target.make
+      ~subjects:
+        [ [ Target.make_match ~fn:"integer-equal" ~value:(Value.Int 3) ~category:Context.Subject ~attribute_id:"role" ] ]
+      ~actions:[ [ Target.match_string Context.Action "action-id" a ] ]
+      ()
+  | 12 -> Target.(any |> subject_is "clearance" "secret")
+  | c -> Pin_shapes.target (c - 13)
+
+let full_conditions = 12
+
+let full_condition code =
+  match code with
+  | 0 -> None
+  | 1 | 2 | 3 -> Some (Expr.one_of (Expr.subject_attr "role") [ roles.(code - 1) ])
+  | 4 -> Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+  | 5 -> Some (Expr.Apply ("integer-equal", [ Expr.Apply ("integer-divide", [ Expr.int 1; Expr.int 0 ]); Expr.int 1 ]))
+  | 6 -> Some (Expr.Variable_ref "undefined")
+  | 7 -> Some (Expr.Variable_ref "is-doctor")
+  | _ -> None
+
+let full_policy alg p (rules, obligation_code, target_code) =
+  let id = Printf.sprintf "p%d" p in
+  Policy.make ~id ~rule_combining:alg
+    ~target:(if target_code < 8 then Target.any else full_target (target_code - 7))
+    ~variables:[ ("is-doctor", Expr.one_of (Expr.subject_attr "role") [ "doctor" ]) ]
+    ~obligations:(obligations_of_spec p obligation_code)
+    (List.mapi
+       (fun i r ->
+         Rule.make ~target:(full_target r.fr_target) ?condition:(full_condition r.fr_condition)
+           (if r.fr_effect = 0 then Rule.Permit else Rule.Deny)
+           (Printf.sprintf "r%d" i))
+       rules)
+
+(* Shape 0 is a lone policy (the serving shape); otherwise a set of the
+   policies under [set_alg], the last child a reference to the first
+   policy when [shape] is 2 (resolved) or 3 (dangling). *)
+let full_tree alg (shape, set_alg, policies) =
+  let leaves = List.mapi (fun p spec -> Policy.Inline_policy (full_policy alg p spec)) policies in
+  match (shape, leaves) with
+  | 0, leaf :: _ -> leaf
+  | _ ->
+    let refs = match shape with 2 -> [ Policy.Policy_ref "p0" ] | 3 -> [ Policy.Policy_ref "gone" ] | _ -> [] in
+    Policy.Inline_set
+      (Policy.make_set ~id:"s" ~policy_combining:(snd (List.nth algorithms set_alg))
+         ~obligations:(obligations_of_spec 9 (set_alg mod 3))
+         (leaves @ refs))
+
+let full_resolve_ref tree id =
+  match tree with
+  | Policy.Inline_set s ->
+    List.find_opt (fun c -> Policy.child_id c = id) s.Policy.children
+  | _ -> None
+
+type full_ctx = { fc_role : int; fc_resource : int; fc_action : int; fc_resolver : int; fc_cross : int }
+
+let full_context c =
+  let role =
+    match c.fc_role with
+    | 0 -> []
+    | 4 -> [ ("role", Value.Int 3) ]
+    | k -> [ ("role", Value.String roles.(k - 1)) ]
+  in
+  let resource =
+    match c.fc_resource with
+    | 0 -> []
+    | 4 -> [ ("resource-id", Value.String "chart"); ("resource-id", Value.String "lab") ]
+    | 5 -> [ ("resource-id", Value.Uri "urn:lab") ]
+    | 6 -> [ ("resource-id", Value.String "note"); ("resource-id", Value.Int 1) ]
+    | k -> [ ("resource-id", Value.String resources.(k - 1)) ]
+  in
+  let action =
+    match c.fc_action with
+    | 0 -> []
+    | 3 -> [ ("action-id", Value.String "read"); ("action-id", Value.String "write") ]
+    | 4 -> [ ("action-id", Value.Int 2) ]
+    | k -> [ ("action-id", Value.String actions.(k - 1)) ]
+  in
+  Pin_shapes.with_cross c.fc_cross
+    (Context.make ~subject:(("subject-id", Value.String "alice") :: role) ~resource ~action ())
+
+(* Resolver 1 supplies what the request may lack; 2 knows nothing; 3
+   supplies only the axes. *)
+let full_resolver code : Expr.resolver option =
+  match code with
+  | 0 -> None
+  | 1 ->
+    Some
+      (fun category id ->
+        match (category, id) with
+        | Context.Subject, "role" -> Some [ Value.String "nurse" ]
+        | Context.Subject, "clearance" -> Some [ Value.String "secret" ]
+        | Context.Resource, "resource-id" -> Some [ Value.String "lab" ]
+        | _ -> None)
+  | 2 -> Some (fun _ _ -> None)
+  | _ ->
+    Some
+      (fun category id ->
+        match (category, id) with
+        | Context.Resource, "resource-id" -> Some [ Value.String "chart"; Value.String "note" ]
+        | Context.Action, "action-id" -> Some [ Value.String "write" ]
+        | _ -> None)
+
+let arb_full_case =
+  let open QCheck in
+  let arb_rule =
+    map
+      ~rev:(fun r -> (r.fr_effect, r.fr_target, r.fr_condition))
+      (fun (e, t, c) -> { fr_effect = e; fr_target = t; fr_condition = c })
+      (triple (int_bound 1) (int_bound (full_targets - 1)) (int_bound (full_conditions - 1)))
+  in
+  let arb_policy =
+    triple (list_of_size (Gen.int_bound 5) arb_rule) (int_bound 2) (int_bound 19)
+  in
+  let arb_tree =
+    triple (int_bound 3) (int_bound (List.length algorithms - 1))
+      (list_of_size (Gen.int_range 1 3) arb_policy)
+  in
+  let arb_ctx =
+    map
+      ~rev:(fun c -> ((c.fc_role, c.fc_resource, c.fc_action), (c.fc_resolver, c.fc_cross)))
+      (fun ((r, rs, a), (v, x)) -> { fc_role = r; fc_resource = rs; fc_action = a; fc_resolver = v; fc_cross = x })
+      (pair (triple (int_bound 4) (int_bound 6) (int_bound 4)) (pair (int_bound 3) (int_bound Pin_shapes.cross_codes)))
+  in
+  pair arb_tree arb_ctx
+
+let show_full (r : Decision.result) =
+  match r.Decision.decision with
+  | Decision.Indeterminate e -> Printf.sprintf "%s (%s)" (show_result r) e
+  | _ -> show_result r
+
+let full_result_oracle (name, alg) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "compiled == reference, whole result (%s)" name)
+    ~count:500 arb_full_case
+    (fun (tspec, cspec) ->
+      let tree = full_tree alg tspec in
+      let ctx = full_context cspec in
+      let resolve = full_resolver cspec.fc_resolver in
+      let resolve_ref = full_resolve_ref tree in
+      let reference = Policy.evaluate_child ?resolve ~resolve_ref ctx tree in
+      let compiled = Compiled.evaluate ?resolve ~resolve_ref ctx (Compiled.compile tree) in
+      if reference = compiled then true
+      else
+        QCheck.Test.fail_reportf "[%s] reference %s <> compiled %s (%s)" name (show_full reference)
+          (show_full compiled) (seed_hint ()))
+
 (* --- oracle 4: delegation-augmented policy sets ------------------------- *)
 
 (* A random delegation registry (grants between three issuers, some
@@ -847,6 +1030,8 @@ let () =
       ("pin-shapes-xml", [ Alcotest.test_case "pin shapes survive the policy XML" `Quick test_pin_shapes_xml ]);
       ( "compiled-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (compiled_oracle a)) algorithms );
+      ( "compiled-whole-result",
+        List.map (fun a -> QCheck_alcotest.to_alcotest (full_result_oracle a)) algorithms );
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);
       ( "cached-ladder-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (cached_oracle a)) algorithms );

@@ -370,7 +370,7 @@ let test_target_multi_section () =
 let test_target_unknown_function () =
   let t =
     Target.make
-      ~subjects:[ [ { Target.fn = "bogus"; value = Value.String "x"; category = Context.Subject; attribute_id = "role" } ] ]
+      ~subjects:[ [ Target.make_match ~fn:"bogus" ~value:(Value.String "x") ~category:Context.Subject ~attribute_id:"role" ] ]
       ()
   in
   match Target.evaluate ctx t with
@@ -412,22 +412,33 @@ let test_rule_condition_error () =
 
 (* --- combining algorithms ----------------------------------------------------------- *)
 
-let const_child label result =
+(* A child of the combining tests: its name, target outcome and result.
+   The environment records the names of the children evaluated, newest
+   first. *)
+type test_child = { name : string; applies : Target.outcome; result : Decision.result }
+
+let test_children =
   {
-    Combine.label;
-    applicability = (fun () -> Target.Match);
-    evaluate = (fun () -> result);
+    Combine.first = (fun _ children -> children);
+    next = (fun _ _ children -> List.tl children);
+    finished = List.is_empty;
+    label = (fun _ children -> (List.hd children).name);
+    applicability = (fun _ _ _ children -> (List.hd children).applies);
+    evaluate =
+      (fun evaluated _ _ children ->
+        let c = List.hd children in
+        evaluated := c.name :: !evaluated;
+        c.result);
   }
 
-let na_child label =
-  {
-    Combine.label;
-    applicability = (fun () -> Target.No_match);
-    evaluate = (fun () -> Decision.not_applicable);
-  }
+let combine ?(evaluated = ref []) algorithm children =
+  Combine.combine algorithm test_children evaluated ctx children
+
+let const_child name result = { name; applies = Target.Match; result }
+let na_child name = { name; applies = Target.No_match; result = Decision.not_applicable }
 
 let test_deny_overrides () =
-  let c = Combine.combine Combine.Deny_overrides in
+  let c = combine Combine.Deny_overrides in
   check_decision "deny wins" Decision.Deny
     (c [ const_child "a" Decision.permit; const_child "b" Decision.deny ]);
   check_decision "permit when no deny" Decision.Permit
@@ -439,25 +450,15 @@ let test_deny_overrides () =
 
 let test_deny_overrides_short_circuit () =
   let evaluated = ref [] in
-  let child label result =
-    {
-      Combine.label;
-      applicability = (fun () -> Target.Match);
-      evaluate =
-        (fun () ->
-          evaluated := label :: !evaluated;
-          result);
-    }
-  in
   let r =
-    Combine.combine Combine.Deny_overrides
-      [ child "a" Decision.deny; child "b" Decision.permit ]
+    combine ~evaluated Combine.Deny_overrides
+      [ const_child "a" Decision.deny; const_child "b" Decision.permit ]
   in
   check_decision "deny" Decision.Deny r;
   check (Alcotest.list string_) "b never evaluated" [ "a" ] (List.rev !evaluated)
 
 let test_permit_overrides () =
-  let c = Combine.combine Combine.Permit_overrides in
+  let c = combine Combine.Permit_overrides in
   check_decision "permit wins" Decision.Permit
     (c [ const_child "a" Decision.deny; const_child "b" Decision.permit ]);
   check_decision "deny when no permit" Decision.Deny
@@ -468,7 +469,7 @@ let test_permit_overrides () =
     (c [ const_child "a" (Decision.indeterminate "x"); const_child "b" Decision.permit ])
 
 let test_first_applicable () =
-  let c = Combine.combine Combine.First_applicable in
+  let c = combine Combine.First_applicable in
   check_decision "first decides" Decision.Deny
     (c [ na_child "a"; const_child "b" Decision.deny; const_child "c" Decision.permit ]);
   check_decision "indeterminate stops" (Decision.Indeterminate "")
@@ -476,27 +477,21 @@ let test_first_applicable () =
   check_decision "all NA" Decision.Not_applicable (c [ na_child "a" ])
 
 let test_only_one_applicable () =
-  let c = Combine.combine Combine.Only_one_applicable in
+  let c = combine Combine.Only_one_applicable in
   check_decision "single applicable" Decision.Permit
     (c [ na_child "a"; const_child "b" Decision.permit ]);
   check_decision "two applicable is an error" (Decision.Indeterminate "")
     (c [ const_child "a" Decision.permit; const_child "b" Decision.permit ]);
   check_decision "none applicable" Decision.Not_applicable (c [ na_child "a"; na_child "b" ]);
-  let bad_target =
-    {
-      Combine.label = "x";
-      applicability = (fun () -> Target.Indeterminate_match "boom");
-      evaluate = (fun () -> Decision.permit);
-    }
-  in
+  let bad_target = { name = "x"; applies = Target.Indeterminate_match "boom"; result = Decision.permit } in
   check_decision "indeterminate applicability" (Decision.Indeterminate "") (c [ bad_target ])
 
 let test_ordered_variants_match () =
   let children = [ const_child "a" Decision.permit; const_child "b" Decision.deny ] in
   check bool_ "ordered deny = deny" true
     (Decision.equal_decision
-       (Combine.combine Combine.Ordered_deny_overrides children).Decision.decision
-       (Combine.combine Combine.Deny_overrides children).Decision.decision);
+       (combine Combine.Ordered_deny_overrides children).Decision.decision
+       (combine Combine.Deny_overrides children).Decision.decision);
   check bool_ "names roundtrip" true
     (List.for_all (fun a -> Combine.of_name (Combine.name a) = Some a) Combine.all)
 
@@ -693,7 +688,7 @@ let test_validate_catches () =
     Policy.make ~id:"p"
       ~target:
         (Target.make
-           ~subjects:[ [ { Target.fn = "nope"; value = Value.String "x"; category = Context.Subject; attribute_id = "a" } ] ]
+           ~subjects:[ [ Target.make_match ~fn:"nope" ~value:(Value.String "x") ~category:Context.Subject ~attribute_id:"a" ] ]
            ())
       [ Rule.permit "r" ]
   in

@@ -265,12 +265,9 @@ let prop_conflict_reports_reachable_pairs =
     Gen.(
       map
         (fun (c, a, v, equal) ->
-          {
-            Target.fn = (if equal then "string-equal" else "string-starts-with");
-            value = Value.String values.(v);
-            category = categories.(c);
-            attribute_id = attrs.(a);
-          })
+          Target.make_match
+            ~fn:(if equal then "string-equal" else "string-starts-with")
+            ~value:(Value.String values.(v)) ~category:categories.(c) ~attribute_id:attrs.(a))
         (quad (int_bound 2) (int_bound 1) (int_bound 2) bool))
   in
   let gen_section =
