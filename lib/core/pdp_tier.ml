@@ -44,11 +44,10 @@ let srtt = 0
 let rttvar = 1
 let busy_since = 2
 
-(* RTO bounds, deliberately not settable.  200 ms is Linux's
-   TCP_RTO_MIN; 1 s is the call timeout of every tier frame, which stays
-   the hard cap and is the RTO before the first answer (RFC 6298 §2). *)
+(* The RTO floor, deliberately not settable: Linux's TCP_RTO_MIN.  The
+   cap is the tier's frame timeout, which is also the RTO before the
+   first answer (RFC 6298 §2). *)
 let rto_min = 0.2
-let rto_max = 1.0
 
 type shard_state = {
   mutable queue : item list;  (** newest first *)
@@ -73,6 +72,9 @@ type t = {
   services : Service.t;
   node : Dacs_net.Net.node_id;
   batch : int;
+  ordered : bool;  (** placement is list order, not rendezvous *)
+  timeout : float;  (** every frame's timeout, and the RTO cap *)
+  mutable retry : Dacs_net.Rpc.retry_policy;
   (* The per-query answer decoder: [Wire.read_authz_answer], given the
      trust store once [require_signed_decisions] is called. *)
   mutable read_answer : now:float -> Xml.Cursor.t -> (Decision.result * int, string) result;
@@ -114,15 +116,17 @@ let seeded_of shards = Array.of_list (List.map (fun shard -> (shard, point_of sh
    shard only remaps the keys it owned — each of them to its next-highest
    shard — and adding one only takes keys onto the new shard: what keeps
    decision caches and policy working sets warm across membership
-   changes (§3.1 scale).  Shards in [excluded] are passed over; [None]
-   when every shard is. *)
+   changes (§3.1 scale).  An ordered tier ranks every key by list
+   position instead: the first shard is everyone's primary, the next its
+   successor (Fig. 3's failover list).  Shards in [excluded] are passed
+   over; [None] when every shard is. *)
 let owner t ~excluded point =
   let seeded = t.seeded in
   let best = ref (-1) and best_score = ref 0 in
   for i = 0 to Array.length seeded - 1 do
     let shard, seed = seeded.(i) in
     if not (List.mem shard excluded) then begin
-      let score = mix (point lxor seed) in
+      let score = if t.ordered then -i else mix (point lxor seed) in
       if
         !best < 0 || score > !best_score
         || (score = !best_score && String.compare shard (fst seeded.(!best)) < 0)
@@ -147,10 +151,12 @@ let rec route t ~excluded point =
     route t ~excluded:(shard :: excluded) point
   | found -> found
 
+(* Rendezvous placement ignores the list's order, so only a different
+   set is a rebalance; on an ordered tier the order is the placement. *)
+let placement t shards = if t.ordered then shards else List.sort String.compare shards
+
 let set_shards t shards =
-  (* Placement ignores the list's order, so only a different set is a
-     rebalance. *)
-  if List.sort String.compare shards <> List.sort String.compare t.shards then begin
+  if placement t shards <> placement t t.shards then begin
     t.shards <- shards;
     t.seeded <- seeded_of shards;
     Metrics.inc t.c_rebalances;
@@ -162,15 +168,15 @@ let set_shards t shards =
 
 (* A shard with frames outstanding that has answered nobody for one
    retransmission timeout is suspected, and every frame waiting on it
-   fails over then rather than at the 1 s call timeout.  Silence — not a
+   fails over then rather than at the frame timeout.  Silence — not a
    per-frame deadline — is the evidence: a saturated shard keeps
    answering someone every service time, so its slow round trips never
    look like death.  The breaker still trips only on its own rule, via
    the timeouts the expiry delivers. *)
 
-let current_rto s =
-  if not s.sampled then rto_max
-  else Float.min rto_max (Float.max rto_min (s.timing.(srtt) +. (4.0 *. s.timing.(rttvar))))
+let current_rto t s =
+  if not s.sampled then t.timeout
+  else Float.min t.timeout (Float.max rto_min (s.timing.(srtt) +. (4.0 *. s.timing.(rttvar))))
 [@@inline]
 
 (* RFC 6298 §2: the first sample R sets SRTT = R and RTTVAR = R/2; later
@@ -202,9 +208,11 @@ let arm t s ~at =
 let check t shard s =
   s.armed <- false;
   if s.outstanding > 0 then begin
-    let deadline = silent_since t shard s +. current_rto s in
+    let deadline = silent_since t shard s +. current_rto t s in
     if Engine.now (engine t) >= deadline then begin
       Metrics.inc (Lazy.force t.c_expiries);
+      (* Spend the silence that raised this suspicion: later frames get an RTO. *)
+      s.timing.(busy_since) <- Engine.now (engine t);
       Dacs_net.Rpc.expire (Service.rpc t.services) shard
     end
     else
@@ -242,11 +250,18 @@ let fail_closed t item =
   item.deliver (Error "pdp tier exhausted: no shard reachable")
     { shard = None; batch = 0; failovers = List.length item.excluded; epoch = 0 }
 
-(* One mapping for pull mode and the tier: an unacceptable answer is
-   that PDP's Indeterminate, at the unknown epoch. *)
-let accept_answer = function
-  | Ok answer -> answer
-  | Error e -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
+(* One query's answer from a shard that answered.  An undecodable or
+   untrusted answer, or a SOAP fault, is that PDP's Indeterminate at the
+   unknown epoch: an answer, not a health failure, so no remap. *)
+let answered shard ~batch item part =
+  let decision, epoch =
+    match part with
+    | Ok (Ok answer) -> answer
+    | Ok (Error e) -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
+    | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
+  in
+  item.deliver (Ok decision)
+    { shard = Some shard; batch; failovers = List.length item.excluded; epoch }
 
 let rec enqueue t shard item =
   let s = state_of t shard in
@@ -275,49 +290,45 @@ and flush t shard =
     let sent = Engine.now (engine t) in
     if s.outstanding = 0 then s.timing.(busy_since) <- sent;
     s.outstanding <- s.outstanding + 1;
-    Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-      ~resilient:Dacs_net.Rpc.no_retry
-      ~read:(fun c ->
-        t.read_answer ~now:(Dacs_net.Net.now (Service.net t.services)) c)
-      (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
-      (fun result ->
-        s.outstanding <- s.outstanding - 1;
-        match result with
-        | Ok parts ->
-          sample_rtt s ~sent ~now:(Engine.now (engine t));
-          List.iter2
-            (fun item part ->
-              let meta ~epoch =
-                { shard = Some shard; batch = n; failovers = List.length item.excluded; epoch }
-              in
-              match part with
-              | Ok answer ->
-                let decision, epoch = accept_answer answer in
-                item.deliver (Ok decision) (meta ~epoch)
-              | Error e ->
-                (* The shard answered: an application-level fault, not a
-                   health failure — no remap. *)
-                item.deliver
-                  (Ok (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e)))
-                  (meta ~epoch:0))
-            items parts
-        | Error _ ->
-          (* The whole frame failed: the shard is unreachable (or its
-             breaker is open).  Re-route every query to the next shard in
-             its own key's ranking — replica loss only remaps its own keys. *)
-          if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
-          List.iter
-            (fun item ->
-              let excluded = shard :: item.excluded in
-              match route t ~excluded item.point with
-              | Some next ->
-                Metrics.inc t.c_failovers;
-                enqueue t next { item with excluded }
-              | None -> fail_closed t item)
-            items);
+    let read c = t.read_answer ~now:(Dacs_net.Net.now (Service.net t.services)) c in
+    (* Never coalescing, send Fig. 3's plain query frame; no batch carries it. *)
+    let plain = t.batch = 1 in
+    let returned result =
+      s.outstanding <- s.outstanding - 1;
+      match result with
+      | Ok parts ->
+        sample_rtt s ~sent ~now:(Engine.now (engine t));
+        List.iter2 (answered shard ~batch:(if plain then 0 else n)) items parts
+      | Error _ ->
+        (* The whole frame failed: the shard is unreachable (or its
+           breaker is open).  Re-route every query to the next shard in
+           its own key's ranking — replica loss only remaps its own keys. *)
+        if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
+        List.iter
+          (fun item ->
+            let excluded = shard :: item.excluded in
+            match route t ~excluded item.point with
+            | Some next ->
+              Metrics.inc t.c_failovers;
+              enqueue t next { item with excluded }
+            | None -> fail_closed t item)
+          items
+    in
+    if plain then
+      Service.call_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
+        ~timeout:t.timeout ~resilient:t.retry ~read
+        (fun buf -> Wire.write_authz_query buf (List.hd items).ctx)
+        (function
+          | Error (Service.Transport _ as e) -> returned (Error e)
+          | part -> returned (Ok [ part ]))
+    else
+      Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
+        ~resilient:t.retry ~read
+        (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
+        returned;
     (* A frame shed by the breaker has already failed over by now. *)
     if s.outstanding > 0 && not s.armed then
-      arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto s))
+      arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto t s))
   end
 
 let decide_meta ?key t ctx deliver =
@@ -338,16 +349,16 @@ let decide_meta ?key t ctx deliver =
       fail_closed t item
 
 let rto t shard =
-  match Hashtbl.find_opt t.states shard with Some s -> current_rto s | None -> rto_max
+  match Hashtbl.find_opt t.states shard with Some s -> current_rto t s | None -> t.timeout
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 
 let require_signed_decisions t trust = t.read_answer <- Wire.read_authz_answer ~trust
+let set_retry_policy t retry = t.retry <- retry
 
 (* --- construction ------------------------------------------------------- *)
 
-let create services ~node ~shards:initial ?(batch = 8) () =
-  if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
+let make services ~node ~shards ~batch ~ordered ~timeout =
   let metrics = Service.metrics services in
   let own ?help name = Metrics.counter metrics ?help ~labels:[ ("node", node) ] name in
   let per_shard ?help name shard =
@@ -357,6 +368,9 @@ let create services ~node ~shards:initial ?(batch = 8) () =
     services;
     node;
     batch;
+    ordered;
+    timeout;
+    retry = Dacs_net.Rpc.no_retry;
     read_answer = Wire.read_authz_answer ?trust:None;
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
@@ -374,25 +388,31 @@ let create services ~node ~shards:initial ?(batch = 8) () =
     h_batch_size =
       Metrics.histogram metrics ~help:"Queries per flushed tier batch"
         ~labels:[ ("node", node) ] "pdp_tier_batch_size";
-    shards = initial;
-    seeded = seeded_of initial;
+    shards;
+    seeded = seeded_of shards;
     states = Hashtbl.create 8;
   }
 
+let create services ~node ~shards ?(batch = 8) () =
+  if batch < 1 then invalid_arg "Pdp_tier.create: batch must be >= 1";
+  make services ~node ~shards ~batch ~ordered:false ~timeout:1.0
+
+let ordered services ~node ~pdps ~call_timeout =
+  make services ~node ~shards:pdps ~batch:1 ~ordered:true ~timeout:call_timeout
+
 let stats t =
-  let metrics = Service.metrics t.services in
-  let sum name =
-    (* Sum over this tier's shard-labelled series only. *)
+  (* Over the current shard set; a shard never routed to counted nothing. *)
+  let sum counter =
     List.fold_left
       (fun acc shard ->
-        acc
-        + Metrics.counter_value
-            (Metrics.counter metrics ~labels:[ ("node", t.node); ("shard", shard) ] name))
+        match Hashtbl.find_opt t.states shard with
+        | Some s -> acc + Metrics.counter_value (counter s)
+        | None -> acc)
       0 t.shards
   in
   {
-    dispatched = sum "pdp_tier_dispatch_total";
-    batches = sum "pdp_tier_batches_total";
+    dispatched = sum (fun s -> s.sc_dispatch);
+    batches = sum (fun s -> s.sc_batches);
     failovers = Metrics.counter_value t.c_failovers;
     rebalances = Metrics.counter_value t.c_rebalances;
     exhausted = Metrics.counter_value t.c_exhausted;

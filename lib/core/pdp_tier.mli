@@ -2,25 +2,33 @@
     load across a set of {!Pdp_service} replicas (§3.1 scale, §3.2
     communication performance).
 
-    Requests are hash-partitioned by their decision-cache key
+    Placement ranks every shard for each request.  A tier from {!create}
+    hash-partitions requests by their decision-cache key
     ({!Decision_cache.request_key}) with rendezvous (highest-random-weight)
     hashing: a key goes to the shard that ranks it highest, each shard
     ranking by a mix of the key's hash and the shard's own seed.  Each
     replica sees a stable, even slice of the request space — its policy
     working set and any downstream caches stay warm — losing a replica
     only remaps the keys that replica owned, and adding one only moves
-    keys onto it.
+    keys onto it.  A tier from {!ordered} is a pull PEP's failover list
+    (Fig. 3): every key ranks the shards in list order, so the first
+    live shard answers everything.
 
     Queries headed for the same shard are coalesced into a single batched
     RPC frame: up to [batch] queries per round-trip, and a partial batch
     flushes at the end of the current virtual instant, so it merges
-    every query issued at that instant.  Each frame is one attempt with
-    a 1 s timeout, through the bus's circuit breaker.  A batch is one
-    fault unit: a transport failure fails the whole frame, after which
-    each query is individually re-routed to the next shard in its own
-    key's ranking, excluding every shard that already failed it.  When
-    no shard remains the query fails closed with an [Indeterminate]
-    decision.
+    every query issued at that instant.  A tier whose batch limit is 1
+    never coalesces: it sends each query as a plain [authz-query] frame,
+    Fig. 3's wire bytes, and maps its answer exactly as a one-part
+    batch's.  Each frame waits the tier's frame timeout (1 s, or an
+    ordered tier's [call_timeout]) and goes through the bus's circuit
+    breaker with the tier's retry policy ({!set_retry_policy}; one
+    attempt by default), so a retried frame is retried on the same
+    shard.  A frame is one fault unit: a transport failure fails the
+    whole frame, after which each query is individually re-routed to the
+    next shard in its own key's ranking, excluding every shard that
+    already failed it.  When no shard remains the query fails closed
+    with an [Indeterminate] decision.
 
     Routing — first and on every re-route — skips each shard whose
     circuit breaker would shed a call now ({!Dacs_net.Rpc.breaker_sheds}).
@@ -34,17 +42,19 @@
 
     Each shard has a failure detector.  The tier keeps a Jacobson/Karels
     estimate of the shard's round trip over its answered frames, and
-    [RTO = clamp (srtt + 4·rttvar) 0.2 1.0] seconds — 1 s until the first
-    answer (RFC 6298).  A shard with frames outstanding that has answered
-    nobody on the bus ({!Dacs_net.Rpc.heard_from}) since the later of
-    its last answer and the start of its current busy period, for one
+    [RTO = clamp (srtt + 4·rttvar) 0.2 timeout] seconds — the frame
+    timeout until the first answer (RFC 6298).  A shard with frames
+    outstanding that has answered nobody on the bus
+    ({!Dacs_net.Rpc.heard_from}) since the latest of its last answer,
+    the start of its current busy period and its last suspicion, for one
     RTO, is suspected: {!Dacs_net.Rpc.expire} fails its waiting frames
-    with a timeout at that instant, and they fail over as above.  Each
+    with a timeout at that instant, and they are retried or fail over as
+    above.  Each
     expired frame counts as one breaker failure, so the breaker still
     trips on its own rule.  Silence, not a shorter deadline, is the
     evidence: a saturated shard that keeps answering is never suspected,
     however slow its round trips.  A shard that has never answered gets
-    the full 1 s.
+    the full frame timeout.
 
     The tier registers its telemetry in the bus-wide registry:
     [pdp_tier_dispatch_total{node,shard}] and
@@ -64,29 +74,40 @@ val create :
   ?batch:int ->
   unit ->
   t
-(** Dispatcher issuing calls from [node].  [batch] (default 8) is the
-    maximum queries per frame.  Each per-query response body is decoded
-    by {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
+(** Rendezvous-placed dispatcher issuing calls from [node] with a 1 s
+    frame timeout.  [batch] (default 8) is the maximum queries per
+    frame.  Each per-query response body is decoded by
+    {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
+
+val ordered :
+  Dacs_ws.Service.t ->
+  node:Dacs_net.Net.node_id ->
+  pdps:Dacs_net.Net.node_id list ->
+  call_timeout:float ->
+  t
+(** A pull PEP's tier: placement in [pdps] order, batch limit 1 (plain
+    frames), and [call_timeout] as the frame timeout and RTO cap. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose
     certificate the given trust store trusts
     ({!Dacs_crypto.Cert.Trust_store.trusts}), over the bytes the PDP
-    wrote.  A forged or unsigned answer is delivered by
-    {!accept_answer}, as an [Indeterminate] decision from the shard that
-    sent it — the PEP denies it, and the shard is not failed over. *)
+    wrote.  A forged or unsigned answer is delivered as an
+    [Indeterminate] decision ("unacceptable PDP response: ...") from the
+    shard that sent it, at epoch 0 — the PEP denies it, and the shard
+    is not failed over. *)
 
-val accept_answer :
-  (Dacs_policy.Decision.result * int, string) result -> Dacs_policy.Decision.result * int
-(** The answer the tier and a pull PEP enforce: a {!Wire.read_authz_answer}
-    answer as decoded, and a rejected one as that PDP's [Indeterminate]
-    ("unacceptable PDP response: ...") at epoch 0. *)
+val set_retry_policy : t -> Dacs_net.Rpc.retry_policy -> unit
+(** The retry envelope of every frame from now on ({!Dacs_net.Rpc.no_retry}
+    by default): a frame that times out is retried on its shard with
+    backoff before its queries fail over. *)
 
 val shards : t -> Dacs_net.Net.node_id list
 
 val set_shards : t -> Dacs_net.Net.node_id list -> unit
 (** Replace the shard set (a no-op when the set is unchanged, in any
-    order; otherwise counted in [pdp_tier_rebalance_total]).  Only future
+    order — on an ordered tier, in the same order; otherwise counted in
+    [pdp_tier_rebalance_total]).  Only future
     routing is affected: already-queued batches still go to their shard
     and fail over normally if it is gone.  This is what discovery-driven
     rebinding calls. *)
@@ -94,12 +115,12 @@ val set_shards : t -> Dacs_net.Net.node_id list -> unit
 val shard_for : t -> string -> Dacs_net.Net.node_id option
 (** The shard that ranks a raw key highest (exposed for tests); [None]
     iff the tier has no shards.  The pure owner: breakers play no part,
-    and the order of the shard list does not matter. *)
+    and the order of the shard list matters only on an ordered tier. *)
 
 val rto : t -> Dacs_net.Net.node_id -> float
 (** The shard's current retransmission timeout in seconds (exposed for
-    tests): 1.0 before its first answered frame, then
-    [srtt + 4·rttvar] clamped to \[0.2, 1.0\]. *)
+    tests): the frame timeout before its first answered frame, then
+    [srtt + 4·rttvar] clamped to \[0.2, timeout\]. *)
 
 val decide :
   t ->
@@ -117,7 +138,9 @@ val decide :
 
 type meta = {
   shard : Dacs_net.Net.node_id option;  (** the shard that answered; [None] when none could *)
-  batch : int;  (** queries in the frame that carried this answer; 0 when no frame *)
+  batch : int;
+      (** queries in the batched frame that carried this answer; 0 for a
+          plain frame or none *)
   failovers : int;  (** shards excluded before this answer *)
   epoch : int;  (** deciding PDP's compilation epoch (0 = unknown) *)
 }

@@ -22,6 +22,18 @@ type mode =
     }
   | Agent of Pdp_service.t
 
+(* A mode as the PEP keeps it: a pull PEP's failover list becomes an
+   ordered tier at [create], so every decision that crosses the wire is
+   one [Pdp_tier] call, under one trust store and one retry policy. *)
+type serving =
+  | Tier of { tier : Pdp_tier.t; cache : Decision_cache.t option }
+  | Capability of {
+      trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
+      check_revocation : Dacs_net.Net.node_id option;
+      local_pdp : Pdp_service.t option;
+    }
+  | Local of Pdp_service.t
+
 type admission = { max_inflight : int; max_queue : int }
 
 type stats = {
@@ -54,7 +66,6 @@ type counters = {
   c_granted : Metrics.counter;
   c_denied : Metrics.counter;
   c_pdp_calls : Metrics.counter;
-  c_failovers : Metrics.counter;
   c_retries : Metrics.counter;
   c_breaker_trips : Metrics.counter;
   c_breaker_rejections : Metrics.counter;
@@ -108,7 +119,6 @@ let make_counters metrics ~node =
     c_granted = own "pep_granted_total" ~help:"Requests answered with access granted";
     c_denied = own "pep_denied_total" ~help:"Requests answered with access denied";
     c_pdp_calls = own "pep_pdp_calls_total" ~help:"Authorisation queries issued to PDP replicas";
-    c_failovers = own "pep_failovers_total" ~help:"PDP replicas skipped after a failure";
     c_retries = rpc "rpc_retries_total";
     c_breaker_trips = rpc "rpc_breaker_trips_total";
     c_breaker_rejections = rpc "rpc_breaker_rejections_total";
@@ -146,9 +156,8 @@ type t = {
   nonces : Dacs_crypto.Rng.t;  (* draws the nonce of every encrypted response *)
   counters : counters;
   sf : (Decision.result * Provenance.t) Cache_hierarchy.Single_flight.t;
-  mutable mode : mode;
-  mutable decision_trust : Dacs_crypto.Cert.Trust_store.t option;
-  mutable retry : Dacs_net.Rpc.retry_policy;
+  serving : serving;
+  mutable retry : Dacs_net.Rpc.retry_policy;  (* revocation checks; a tier keeps its own *)
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
@@ -170,7 +179,10 @@ let stats t =
     granted = v c.c_granted;
     denied = v c.c_denied;
     pdp_calls = v c.c_pdp_calls;
-    failovers = v c.c_failovers;
+    failovers =
+      (match t.serving with
+      | Tier { tier; _ } -> (Pdp_tier.stats tier).Pdp_tier.failovers
+      | Capability _ | Local _ -> 0);
     retries = v c.c_retries;
     breaker_trips = v c.c_breaker_trips;
     breaker_rejections = v c.c_breaker_rejections;
@@ -193,7 +205,6 @@ let reset_stats t =
       c.c_granted;
       c.c_denied;
       c.c_pdp_calls;
-      c.c_failovers;
       c.c_retries;
       c.c_breaker_trips;
       c.c_breaker_rejections;
@@ -212,10 +223,9 @@ let reset_stats t =
 let now t = Dacs_net.Net.now (Service.net t.services)
 
 let invalidate_region t region =
-  match t.mode with
-  | Pull { cache = Some cache; _ } | Sharded { cache = Some cache; _ } ->
-    Decision_cache.invalidate_region cache region
-  | Pull _ | Sharded _ | Push _ | Agent _ -> 0
+  match t.serving with
+  | Tier { cache = Some cache; _ } -> Decision_cache.invalidate_region cache region
+  | Tier _ | Capability _ | Local _ -> 0
 
 let set_l2 t l2 = t.l2 <- l2
 
@@ -242,9 +252,10 @@ let admission_inflight t = t.inflight
 let admission_queue_length t = Queue.length t.waiting
 
 let require_signed_decisions t trust =
-  match t.mode with
-  | Sharded { tier; _ } -> Pdp_tier.require_signed_decisions tier trust
-  | Pull _ | Push _ | Agent _ -> t.decision_trust <- Some trust
+  match t.serving with
+  | Tier { tier; _ } -> Pdp_tier.require_signed_decisions tier trust
+  | Capability _ | Local _ ->
+    invalid_arg "Pep.require_signed_decisions: no decision crosses the wire in push or agent mode"
 
 let set_retry_policy t retry =
   (match retry with
@@ -252,7 +263,10 @@ let set_retry_policy t retry =
     when attempts < 1 || not (jitter >= 0.0 && jitter <= 1.0) ->
     invalid_arg "Pep.set_retry_policy: attempts must be >= 1 and jitter in [0, 1]"
   | _ -> ());
-  t.retry <- Option.value retry ~default:Dacs_net.Rpc.no_retry
+  let retry = Option.value retry ~default:Dacs_net.Rpc.no_retry in
+  match t.serving with
+  | Tier { tier; _ } -> Pdp_tier.set_retry_policy tier retry
+  | Capability _ | Local _ -> t.retry <- retry
 
 let set_stale_window t window =
   if window < 0.0 then invalid_arg "Pep.set_stale_window: negative window";
@@ -260,20 +274,15 @@ let set_stale_window t window =
 
 let set_offline_replica t o = t.offline <- o
 
+(* Discovery-driven rebinding reshapes the tier: lapsed replicas drop
+   out, new ones join, and only their keys remap. *)
 let set_pull_pdps t pdps =
-  match t.mode with
-  | Pull p -> t.mode <- Pull { p with pdps }
-  | Sharded { tier; _ } ->
-    (* Discovery-driven rebinding reshapes the shard set: lapsed shards drop
-       out, new replicas join, and only their keys remap. *)
-    Pdp_tier.set_shards tier pdps
-  | Push _ | Agent _ -> ()
+  match t.serving with
+  | Tier { tier; _ } -> Pdp_tier.set_shards tier pdps
+  | Capability _ | Local _ -> ()
 
 let pull_pdps t =
-  match t.mode with
-  | Pull p -> p.pdps
-  | Sharded { tier; _ } -> Pdp_tier.shards tier
-  | Push _ | Agent _ -> []
+  match t.serving with Tier { tier; _ } -> Pdp_tier.shards tier | Capability _ | Local _ -> []
 
 (* --- enforcement -------------------------------------------------------- *)
 
@@ -359,12 +368,11 @@ let build_context t ~subject_attrs ~action =
     ~environment:[ ("time", Value.Time (now t)) ]
     ()
 
-(* One ladder serves pull and sharded modes: L1 fresh -> L2 fresh -> live
-   -> bounded-stale L1 -> offline log -> fail closed.  Identical
-   concurrent queries (same request key) are coalesced onto one descent.
-   Every exit mints a provenance record naming the rung that answered.
-   Only the live rung differs by mode; both deliver the same
-   (outcome, serving metadata) pair. *)
+(* One ladder serves every tier, ordered (pull) or sharded: L1 fresh ->
+   L2 fresh -> live -> bounded-stale L1 -> offline log -> fail closed.
+   Identical concurrent queries (same request key) are coalesced onto one
+   descent.  Every exit mints a provenance record naming the rung that
+   answered. *)
 
 let l1_put ?since t cache ~key result =
   match cache with
@@ -453,43 +461,9 @@ let offline_serve t ctx ~mk k =
       Trace.record (tracer t) "pep:offline-serve";
       Some (k (result, mk ~epoch:(Offline.epoch o) ~log_head:head)))
 
-(* The sharded live rung: the tier routes, batches and fails over across
-   shards itself — one PDP call per descent. *)
-let tier_live t tier ~key ctx deliver =
-  Metrics.inc t.counters.c_pdp_calls;
-  Pdp_tier.decide_meta ~key tier ctx deliver
-
-(* The pull live rung: ordered failover over the replicas (§ dependability),
-   one plain authz-query per attempt.  An answer that does not decode, or
-   is not signed by a trusted PDP when signatures are required, is that
-   replica's Indeterminate — not a reason to fail over. *)
-let pull_live t (pdps, call_timeout) ~key:_ ctx deliver =
-  let rec attempt ~failovers = function
-    | [] ->
-      deliver (Error "no decision point reachable")
-        { Pdp_tier.shard = None; batch = 0; failovers; epoch = 0 }
-    | pdp :: rest ->
-      Metrics.inc t.counters.c_pdp_calls;
-      Service.call_frame t.services ~src:t.node ~dst:pdp ~service:"authz-query" ~timeout:call_timeout
-        ~resilient:t.retry
-        ~read:(fun c -> Wire.read_authz_answer ?trust:t.decision_trust ~now:(now t) c)
-        (fun buf -> Wire.write_authz_query buf ctx)
-        (function
-        | Ok answer ->
-          let result, epoch = Pdp_tier.accept_answer answer in
-          deliver (Ok result) { Pdp_tier.shard = Some pdp; batch = 0; failovers; epoch }
-        | Error _ ->
-          if rest <> [] then begin
-            Metrics.inc t.counters.c_failovers;
-            Trace.record (tracer t) ("pep:failover from " ^ pdp)
-          end;
-          attempt ~failovers:(failovers + 1) rest)
-  in
-  attempt ~failovers:0 pdps
-
-(* [live] is a closed function of its [source] (the tier, or the pull
-   failover list) so that picking the rung allocates nothing per decision. *)
-let ladder t ~cache ~live source ctx k =
+(* The live rung is one tier call: the tier routes, fails over and
+   checks signatures itself. *)
+let ladder t ~cache tier ctx k =
   let key = Decision_cache.request_key ctx in
   match join_flight t ~key k with
   | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
@@ -514,7 +488,8 @@ let ladder t ~cache ~live source ctx k =
         | None ->
           let started = now t in
           let tag = Trace.exemplar_tag (tracer t) in
-          live t source ~key ctx (fun outcome meta ->
+          Metrics.inc t.counters.c_pdp_calls;
+          Pdp_tier.decide_meta ~key tier ctx (fun outcome meta ->
               Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
                 ~at:(now t);
               let { Pdp_tier.shard; batch; failovers; epoch } = meta in
@@ -612,16 +587,15 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
    decision.  Push mode decides from presented capabilities, which only
    exist on the wire, so it is out of scope here. *)
 let decide_admitted t ctx k =
-  match t.mode with
-  | Pull { pdps; cache; call_timeout } -> ladder t ~cache ~live:pull_live (pdps, call_timeout) ctx k
-  | Sharded { tier; cache } -> ladder t ~cache ~live:tier_live tier ctx k
-  | Agent pdp ->
+  match t.serving with
+  | Tier { tier; cache } -> ladder t ~cache tier ctx k
+  | Local pdp ->
     Pdp_service.evaluate_local pdp ctx (fun result ->
         k
           ( result,
             Provenance.make ~epoch:(Pdp_service.compilation_epoch pdp) ~at:(now t)
               Provenance.Local ))
-  | Push _ ->
+  | Capability _ ->
     k
       ( Decision.indeterminate "push-mode PEP decides from presented capabilities",
         Provenance.make ~at:(now t) Provenance.Capability )
@@ -684,6 +658,15 @@ let decide t ctx k = decide_explained t ctx (fun result _prov -> k result)
 
 let create services ~node ~domain ~resource ?(content = "resource-content") ?audit
     ?encryption_key mode =
+  let serving =
+    match mode with
+    | Pull { pdps; cache; call_timeout } ->
+      Tier { tier = Pdp_tier.ordered services ~node ~pdps ~call_timeout; cache }
+    | Sharded { tier; cache } -> Tier { tier; cache }
+    | Push { trusted_issuer; check_revocation; local_pdp } ->
+      Capability { trusted_issuer; check_revocation; local_pdp }
+    | Agent pdp -> Local pdp
+  in
   let t =
     {
       services;
@@ -698,8 +681,7 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       nonces = Dacs_crypto.Rng.create (String.get_int64_be (Dacs_crypto.Sha256.digest node) 0);
       counters = make_counters (Service.metrics services) ~node;
       sf = Cache_hierarchy.Single_flight.create (Service.metrics services) ~node;
-      mode;
-      decision_trust = None;
+      serving;
       retry = Dacs_net.Rpc.no_retry;
       stale_window = 0.0;
       offline = None;
@@ -735,10 +717,10 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       in
       let saved = Trace.current tr in
       if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
-      (match t.mode with
-      | Push { trusted_issuer; check_revocation; local_pdp } ->
+      (match t.serving with
+      | Capability { trusted_issuer; check_revocation; local_pdp } ->
         push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action ctx
           (fun result -> finish result (Provenance.make ~at:(now t) Provenance.Capability))
-      | Pull _ | Sharded _ | Agent _ -> decide_explained t ctx finish);
+      | Tier _ | Local _ -> decide_explained t ctx finish);
       Trace.set_current tr saved);
   t

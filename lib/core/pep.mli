@@ -6,10 +6,14 @@
     - {b Pull} (policy-issuing, Fig. 3): the PEP turns each access request
       into an authorisation query to its PDP (with decision caching and
       ordered failover across PDP replicas — the dependability machinery).
-    - {b Sharded}: pull semantics over a {!Pdp_tier} — queries are
-      hash-partitioned and batched across PDP replicas.  Pull and
-      sharded PEPs descend one decision ladder (see {!decide}); only its
-      live step differs.
+      {!create} makes the failover list an ordered {!Pdp_tier}
+      ({!Pdp_tier.ordered}): one plain query frame per attempt, replicas
+      tried in list order.
+    - {b Sharded}: pull semantics over a caller-built {!Pdp_tier} —
+      queries are hash-partitioned and batched across PDP replicas.
+      Once created, pull and sharded PEPs are the same PEP: one decision
+      ladder (see {!decide}) whose live step is one tier call, with one
+      trust store and one retry policy, both the tier's.
     - {b Push} (capability-issuing, Fig. 2): the request must carry a
       signed capability assertion; the PEP verifies it locally, optionally
       checks revocation with the issuer, and can still consult a local PDP
@@ -28,10 +32,9 @@ type mode =
       call_timeout : float;
     }
   | Sharded of { tier : Pdp_tier.t; cache : Decision_cache.t option }
-      (** Enforcement fans out through a sharded, batched PDP tier; the
-          tier is the live step of the same ladder pull mode descends,
-          so the cache, {!set_stale_window} and signed-decision rules
-          are identical. *)
+      (** Enforcement fans out through a sharded, batched PDP tier — the
+          same live step a pull PEP's ordered tier is, so the cache,
+          {!set_stale_window} and signed-decision rules are identical. *)
   | Push of {
       trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
       check_revocation : Dacs_net.Net.node_id option;
@@ -71,9 +74,9 @@ val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit)
 (** The decision ladder for a context without the inbound access RPC or
     enforcement: L1 fresh -> L2 fresh -> live -> bounded-stale L1 ->
     offline log -> fail closed.  Identical concurrent queries (same
-    {!Decision_cache.request_key}) always share one descent.  Pull and sharded modes share this one ladder; the live
-    step is ordered failover over the PDPs (pull) or one tier call
-    (sharded).  A live answer in flight across an L1 purge is served
+    {!Decision_cache.request_key}) always share one descent.  Pull and
+    sharded modes share this one ladder, and its live step is one call
+    to the PEP's tier.  A live answer in flight across an L1 purge is served
     but not stored, and an Indeterminate live answer is never published
     to the L2.  This is
     what the differential oracle drives to prove that no cache level can
@@ -107,23 +110,24 @@ val set_l2 : t -> Dacs_net.Net.node_id option -> unit
     An unreachable L2 degrades to a miss, never a failure. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
-(** Pull and sharded modes: from now on, accept only decision responses
-    signed, over the bytes the PDP wrote, by a PDP whose certificate the
-    given trust store trusts ({!Dacs_crypto.Cert.Trust_store.trusts};
-    mutual authentication of §3.2).  A forged or unsigned decision is
-    delivered by {!Pdp_tier.accept_answer} as Indeterminate and
-    therefore denied.  A sharded PEP delegates to
-    {!Pdp_tier.require_signed_decisions} on its tier. *)
+(** Pull and sharded modes: from now on, the PEP's tier accepts only
+    decision responses signed, over the bytes the PDP wrote, by a PDP
+    whose certificate the given trust store trusts
+    ({!Dacs_crypto.Cert.Trust_store.trusts}; mutual authentication of
+    §3.2) — {!Pdp_tier.require_signed_decisions}, the one gate every
+    wire decision passes.  A forged or unsigned decision is that PDP's
+    Indeterminate and therefore denied.  Push and agent PEPs receive no
+    decision over the wire: [Invalid_argument]. *)
 
 val set_pull_pdps : t -> Dacs_net.Net.node_id list -> unit
-(** Replace the failover list of a pull-mode PEP — how a discovery
-    service rebinds enforcement points to live decision points (§3.2
-    "Location of Policy Decision Points").  In sharded mode this replaces
-    the tier's shard set ({!Pdp_tier.set_shards}), so discovery-driven
-    rebinding works unchanged.  Ignored in push/agent modes. *)
+(** Replace the PEP's tier membership ({!Pdp_tier.set_shards}) — how a
+    discovery service rebinds enforcement points to live decision
+    points (§3.2 "Location of Policy Decision Points").  For a pull PEP
+    the list order is the failover order, so a reordered list is a
+    rebalance.  Ignored in push/agent modes. *)
 
 val pull_pdps : t -> Dacs_net.Net.node_id list
-(** Current failover list — the tier's shard set in sharded mode, [[]]
+(** The tier's current shard list (a pull PEP's failover order); [[]]
     in push/agent modes. *)
 
 (** {1 Overload protection} *)
@@ -158,12 +162,11 @@ val shed_reason : string
     bounded-stale serving default off. *)
 
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
-(** Retry each PDP (pull) / revocation authority (push) call with
-    backoff before giving up on that replica.  [None] (the default)
-    restores single-attempt calls.  Raises [Invalid_argument] unless
-    [attempts >= 1] and [jitter] lies in [[0, 1]].  Sharded PEPs ignore
-    this: their tier makes one attempt per frame and fails over to the
-    next shard instead. *)
+(** Retry each PDP frame (pull and sharded: the tier's
+    {!Pdp_tier.set_retry_policy}) / revocation authority call (push) with
+    backoff on the same target before giving up on it.  [None] (the
+    default) restores single-attempt calls.  Raises [Invalid_argument]
+    unless [attempts >= 1] and [jitter] lies in [[0, 1]]. *)
 
 val set_stale_window : t -> float -> unit
 (** Pull or sharded mode with a cache only: when the live step reaches no
@@ -192,8 +195,11 @@ type stats = {
   requests : int;
   granted : int;
   denied : int;
-  pdp_calls : int;
-  failovers : int;  (** times a PDP endpoint was skipped after a failure *)
+  pdp_calls : int;  (** live descents: queries put to the PEP's tier *)
+  failovers : int;
+      (** the tier's re-routes after a failed frame
+          ([pdp_tier_failovers_total]); a replica whose breaker sheds is
+          skipped without one *)
   retries : int;  (** resilient-call retry attempts issued *)
   breaker_trips : int;  (** circuit-breaker opens observed on our calls *)
   breaker_rejections : int;  (** calls shed without touching the network *)
@@ -211,9 +217,11 @@ type stats = {
 val stats : t -> stats
 (** A thin read over the bus-wide metrics registry: every field is a
     [pep_*_total{node}] counter, except the resilience trio which reads
-    the very [rpc_*_total{src=node}] series the RPC layer increments. *)
+    the very [rpc_*_total{src=node}] series the RPC layer increments,
+    and [failovers], the tier's own count. *)
 
 val reset_stats : t -> unit
 (** Zeros this PEP's series in the shared registry — including the
     resilience counters the RPC bus accumulates on this PEP's behalf, so
-    [stats] and {!Dacs_net.Rpc.resilience_stats} stay consistent. *)
+    [stats] and {!Dacs_net.Rpc.resilience_stats} stay consistent.  The
+    tier's series, [failovers] among them, are the tier's and stay. *)

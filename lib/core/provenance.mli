@@ -10,7 +10,7 @@
 type stage =
   | L1  (** fresh hit in the PEP's own decision cache *)
   | L2  (** fresh hit in the domain's shared cache *)
-  | Live  (** answered by a live PDP replica (pull failover or sharded tier) *)
+  | Live  (** answered by a live PDP replica through the PEP's tier *)
   | Stale  (** bounded-stale serve from an expired L1 entry *)
   | Offline
       (** partitioned: decided from the domain's signed offline event log

@@ -82,8 +82,8 @@ val read_authz_answer :
   now:float ->
   Xml.Cursor.t ->
   (Dacs_policy.Decision.result * int, string) result
-(** The one decoder for a live decision answer, used by pull PEPs and the
-    sharded tier alike: the decision and its epoch.  Without [trust] it
+(** The one decoder for a live decision answer: the decision and its
+    epoch.  Without [trust] it
     is {!read_authz_response}; with it only a
     {!write_signed_authz_response} frame decodes, read in one pass in the
     writer's order, whose certificate

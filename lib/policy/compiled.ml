@@ -90,11 +90,7 @@ let compile_leaf policy =
   let act_guards = ref [] in
   let prules = Array.of_list (List.map (prepare_rule policy) policy.Policy.rules) in
   for pos = Array.length prules - 1 downto 0 do
-    let pins =
-      match prules.(pos).prep_error with
-      | None -> Target.pins prules.(pos).prule.Rule.target
-      | Some _ -> [] (* Indeterminate whatever its target, as in the interpreter: never pruned *)
-    in
+    let pins = Policy.rule_pins policy prules.(pos).prule in
     let rvals = axis_pin pins Context.Resource "resource-id" in
     let avals = axis_pin pins Context.Action "action-id" in
     (match rvals with

@@ -71,25 +71,16 @@ and diff_policy outer po pn =
       || po.Policy.variables <> pn.Policy.variables
       || po.Policy.issuer <> pn.Policy.issuer
     then normalize (Zones [ zouter ])
-    else diff_rules zouter po.Policy.rules pn.Policy.rules
+    else diff_rules zouter po po.Policy.rules pn.Policy.rules
 
-and diff_rules zouter olds news =
+(* Each changed rule, old and new, zoned where it decides in its policy
+   (both sides share [policy]'s variables here): an in-place edit that
+   keeps the target yields one zone, a retarget the old and new
+   applicability. *)
+and diff_rules zouter policy olds news =
   match trim_common olds news with
   | [], [] -> Empty
-  | [ ro ], [ rn ] when ro.Rule.id = rn.Rule.id ->
-    (* in-place edit of one rule: condition/effect changes affect only
-       where the (unchanged) target applies; a retarget affects the old
-       and new applicability *)
-    if ro.Rule.target = rn.Rule.target then
-      normalize (Zones [ Target.pins ro.Rule.target @ zouter ])
-    else
-      normalize
-        (Zones
-           [
-             Target.pins ro.Rule.target @ zouter; Target.pins rn.Rule.target @ zouter;
-           ])
-  | a, b ->
-    normalize (Zones (List.map (fun r -> Target.pins r.Rule.target @ zouter) (a @ b)))
+  | a, b -> normalize (Zones (List.map (fun r -> Policy.rule_pins policy r @ zouter) (a @ b)))
 
 and diff_set outer so sn =
   if so.Policy.set_target <> sn.Policy.set_target then

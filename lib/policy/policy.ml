@@ -48,13 +48,16 @@ let child_id = function
   | Inline_set s -> s.set_id
   | Policy_ref id -> id
 
+let inline_variables policy condition =
+  Expr.substitute (fun name -> List.assoc_opt name policy.variables) condition
+
 (* A rule with the policy's variables inlined into its condition; a
    broken reference surfaces as Indeterminate for that rule only. *)
 let evaluate_rule resolve ctx policy rule =
   match rule.Rule.condition with
   | None -> Rule.evaluate ?resolve ctx rule
   | Some condition -> (
-    match Expr.substitute (fun name -> List.assoc_opt name policy.variables) condition with
+    match inline_variables policy condition with
     | Ok condition -> Rule.evaluate ?resolve ctx { rule with Rule.condition = Some condition }
     | Error e -> Decision.indeterminate (Printf.sprintf "rule %s: %s" rule.Rule.id e))
 
@@ -138,3 +141,11 @@ let evaluate_child ?resolve ?resolve_ref ctx child = evaluate_in { resolve; reso
 let applicability ?resolve ?resolve_ref ctx child = applicability_in { resolve; resolve_ref } ctx child
 
 let rule_count p = List.length p.rules
+
+(* Only a condition with variable references can fail to resolve. *)
+let rule_pins policy rule =
+  match rule.Rule.condition with
+  | Some condition
+    when Expr.variable_refs condition <> [] && Result.is_error (inline_variables policy condition) ->
+    []
+  | None | Some _ -> Target.pins rule.Rule.target

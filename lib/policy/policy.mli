@@ -79,3 +79,10 @@ val applicability : ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Conte
 (** {1 Inspection} *)
 
 val rule_count : t -> int
+
+val rule_pins : t -> Rule.t -> Target.pin list
+(** The request positions a rule pins in its policy: its target's
+    {!Target.pins}, or none when its condition names a variable the
+    policy does not define — such a rule is Indeterminate whatever its
+    target.  Every reader of a rule's reach (the compiled index, change
+    regions) reads it here. *)

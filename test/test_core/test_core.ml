@@ -741,8 +741,46 @@ let test_pep_pull_failover () =
       | Some (Ok (Wire.Granted _)) -> "granted"
       | Some (Error e) -> Service.error_to_string e
       | None -> "nothing"));
-  check int_ "two failovers" 2 (Pep.stats pep).Pep.failovers;
-  check int_ "three attempts" 3 (Pep.stats pep).Pep.pdp_calls
+  (* One query to the PEP's tier, re-routed twice. *)
+  let s = Pep.stats pep in
+  check int_ "two failovers" 2 s.Pep.failovers;
+  check int_ "three attempts" 3 (s.Pep.pdp_calls + s.Pep.failovers)
+
+(* A pull PEP's failover list is an ordered tier, so the tier's failure
+   detector guards it: once the primary has answered, one RTO of its
+   silence (0.2 s here) moves the query to the next replica, well before
+   the 0.5 s call timeout. *)
+let test_pep_pull_fails_over_at_rto () =
+  let net, _services, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
+  let decide_at at user answer =
+    Dacs_net.Engine.schedule_at (Net.engine net) ~at (fun () ->
+        let ctx =
+          Context.make ~subject:(doctor_subject user)
+            ~resource:[ ("resource-id", Value.String "r") ]
+            ~action:[ ("action-id", Value.String "read") ]
+            ()
+        in
+        Pep.decide_explained pep ctx (fun r p -> answer := Some (Net.now net, r, p)))
+  in
+  let first = ref None and second = ref None in
+  decide_at 0.1 "alice" first;
+  Dacs_net.Engine.schedule_at (Net.engine net) ~at:1.0 (fun () -> Net.crash net (List.hd pdp_nodes));
+  decide_at 2.0 "bob" second;
+  Net.run net;
+  (match !first with
+  | Some (_, r, p) ->
+    check bool_ "the primary answered" true (Decision.is_permit r);
+    check (Alcotest.option string_) "primary" (Some (List.nth pdp_nodes 0)) p.Provenance.shard
+  | None -> Alcotest.fail "no first decision");
+  match !second with
+  | Some (at, r, p) ->
+    check bool_ "granted by the secondary" true (Decision.is_permit r);
+    check (Alcotest.option string_) "secondary" (Some (List.nth pdp_nodes 1)) p.Provenance.shard;
+    check int_ "one failover" 1 p.Provenance.failovers;
+    check bool_ "not before the RTO" true (at >= 2.2);
+    check bool_ "before the call timeout" true (at < 2.5);
+    check int_ "failover counted" 1 (Pep.stats pep).Pep.failovers
+  | None -> Alcotest.fail "no second decision"
 
 let test_pep_pull_all_pdps_down () =
   let net, _services, pep, client, pdp_nodes = pull_setup ~pdps:2 () in
@@ -1526,6 +1564,8 @@ let () =
           Alcotest.test_case "grant and deny" `Quick test_pep_pull_grant_and_deny;
           Alcotest.test_case "decision cache" `Quick test_pep_pull_cache;
           Alcotest.test_case "failover" `Quick test_pep_pull_failover;
+          Alcotest.test_case "a silent primary fails over at its RTO" `Quick
+            test_pep_pull_fails_over_at_rto;
           Alcotest.test_case "all PDPs down fails closed" `Quick test_pep_pull_all_pdps_down;
           Alcotest.test_case "bad retry policy rejected when set" `Quick test_pep_rejects_bad_retry_policy;
           Alcotest.test_case "encrypt obligation" `Quick test_pep_obligations_encrypt;

@@ -68,12 +68,17 @@ let rule_of_spec i s =
     | 0 -> None
     | c when c <= Array.length roles ->
       Some (Expr.one_of (Expr.subject_attr "role") [ roles.(c - 1) ])
-    | _ -> Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+    | c when c = Array.length roles + 1 ->
+      Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+    | _ ->
+      (* Names no variable the policy defines: Indeterminate whatever
+         the rule's target. *)
+      Some (Expr.Variable_ref "undefined")
   in
   Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
 
 let target_code_max = pin_shapes_base + Pin_shapes.kinds - 1
-let condition_code_max = Array.length roles + 1
+let condition_code_max = Array.length roles + 2
 
 type pspec = { rule_specs : rule_spec list; obligation_code : int }
 
@@ -383,6 +388,23 @@ let directed_condition_only () =
     (Delta.covers region (ctx ~role:"doctor" ()));
   check "outside the target stays excluded" false (Delta.covers region (ctx ~role:"nurse" ()))
 
+(* A rule whose condition names an undefined variable decides
+   Indeterminate wherever its policy applies, not only where its target
+   does: adding one must cover requests its target never pins. *)
+let directed_undefined_variable () =
+  let lab_rule =
+    Rule.make
+      ~target:Target.(any |> resource_is "resource-id" "lab")
+      ~condition:(Expr.Variable_ref "undefined") Rule.Deny "x"
+  in
+  let mk rules = Policy.Inline_policy (Policy.make ~id:"undefined-var" rules) in
+  let before = mk [ Rule.permit "all" ] and after = mk [ Rule.permit "all"; lab_rule ] in
+  let chart = ctx ~role:"doctor" () in
+  check "the publish changes the chart request" false
+    (result_equal (Policy.evaluate_child chart before) (Policy.evaluate_child chart after));
+  check "the chart request is covered" true
+    (Delta.covers (Delta.between (Some before) (Some after)) chart)
+
 let directed_obligation_only () =
   let mk obligations =
     Policy.Inline_policy
@@ -465,6 +487,7 @@ let directed =
     Alcotest.test_case "rule removed" `Quick directed_rule_removed;
     Alcotest.test_case "rule retargeted" `Quick directed_rule_retargeted;
     Alcotest.test_case "condition-only change" `Quick directed_condition_only;
+    Alcotest.test_case "undefined-variable condition" `Quick directed_undefined_variable;
     Alcotest.test_case "obligation-only change" `Quick directed_obligation_only;
     Alcotest.test_case "appearance and retirement" `Quick directed_appearance;
     Alcotest.test_case "environment pins stay conservative" `Quick directed_env_guard_conservative;

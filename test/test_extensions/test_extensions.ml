@@ -333,6 +333,28 @@ let test_relayed_request_id =
       Net.send net ~src:"mallory" ~dst:"signing-pdp" ~category:"authz-query"
         (Dacs_net.Rpc.encode_request 2 "authz-query" (Buffer.contents query)))
 
+(* No decision crosses the wire in push or agent mode, so a decision
+   trust store would have nothing to check there: requiring one is an
+   error, not a silent no-op. *)
+let test_signed_decisions_need_a_wire () =
+  let net, services, trust, _, _, _ = signed_setup () in
+  List.iter (Net.add_node net) [ "push-pep"; "agent-pep"; "agent-pdp" ];
+  let agent_pdp =
+    Pdp_service.create services ~node:"agent-pdp" ~name:"a" ~root:(doctor_read_policy "r") ()
+  in
+  List.iter
+    (fun (name, node, mode) ->
+      let pep = Pep.create services ~node ~domain:"d" ~resource:"r" mode in
+      match Pep.require_signed_decisions pep trust with
+      | () -> Alcotest.failf "the %s PEP accepted a decision trust store" name
+      | exception Invalid_argument _ -> ())
+    [
+      ( "push",
+        "push-pep",
+        Pep.Push { trusted_issuer = (fun _ -> None); check_revocation = None; local_pdp = None } );
+      ("agent", "agent-pep", Pep.Agent agent_pdp);
+    ]
+
 let test_signed_decisions_without_requirement () =
   (* A PEP without the requirement still accepts plain responses —
      and also still accepts signed ones?  No: a signed response is a
@@ -897,6 +919,8 @@ let () =
             (test_pep_requires_signed_decisions ~sharded:false);
           Alcotest.test_case "sharded PEP requires signatures" `Quick
             (test_pep_requires_signed_decisions ~sharded:true);
+          Alcotest.test_case "push and agent PEPs refuse a decision trust store" `Quick
+            test_signed_decisions_need_a_wire;
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
           Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick

@@ -230,8 +230,9 @@ let tier_oracle (name, alg) =
    change the decision or the obligations (the fail-closed floor, which
    answers Indeterminate by design, asserts that shape instead), and
    every stage's provenance record must name the rung that was forced.
-   [sharded] picks the PEP's live rung: a pull PEP's failover list, or a
-   one-shard tier — the one ladder must hold through both. *)
+   [sharded] picks the PEP's tier: a pull PEP's ordered tier (plain
+   frames), or a one-shard rendezvous tier (batched frames) — the one
+   ladder must hold through both. *)
 let cached_ladder_evaluate ~sharded root cspec =
   let net = Net.create ~seed:23L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
@@ -375,8 +376,8 @@ let check_ladder_stage ~alg:name ~reference
           fail_diverged ~alg:name ~expected:reference ~got:cached "reference"
             (Printf.sprintf "cached stage %s" stage)
 
-(* The cached ladder checked against the reference through both live
-   rungs; a failure names the rung as [alg/pull] or [alg/sharded]. *)
+(* The cached ladder checked against the reference through both tiers;
+   a failure names the tier as [alg/pull] or [alg/sharded]. *)
 let check_both_live_rungs ~alg ~reference root cspec =
   List.for_all
     (fun (rung, sharded) ->

@@ -167,6 +167,31 @@ let owner_in tier key =
   | Some s -> s
   | None -> Alcotest.fail "tier unexpectedly empty"
 
+(* An ordered tier's list is its placement: every key goes to the
+   first shard, so reordering the list is a rebalance that moves every
+   key to the new first shard — while the same reorder of a rendezvous
+   set moves nothing and counts nothing. *)
+let test_ordered_reorder_moves_keys () =
+  let services = Service.create (Rpc.create (Net.create ~seed:7L ())) in
+  let ordered = Pdp_tier.ordered services ~node:"pep" ~pdps:eight_shards ~call_timeout:0.5 in
+  let rendezvous = placement_tier eight_shards in
+  let keys = List.init 100 (Printf.sprintf "key%d") in
+  let rendezvous_owners () = List.map (owner_in rendezvous) keys in
+  let placed = rendezvous_owners () in
+  check bool_ "every key on the first shard" true
+    (List.for_all (fun k -> owner_in ordered k = "pdp.0") keys);
+  let reordered = List.rev eight_shards in
+  Pdp_tier.set_shards ordered reordered;
+  Pdp_tier.set_shards rendezvous reordered;
+  check bool_ "every key on the new first shard" true
+    (List.for_all (fun k -> owner_in ordered k = "pdp.7") keys);
+  check int_ "the reorder is a rebalance" 1 (Pdp_tier.stats ordered).Pdp_tier.rebalances;
+  Pdp_tier.set_shards ordered reordered;
+  check int_ "the same order again is not" 1 (Pdp_tier.stats ordered).Pdp_tier.rebalances;
+  check (Alcotest.list string_) "rendezvous keys stay put" placed (rendezvous_owners ());
+  check int_ "a reordered rendezvous set is no rebalance" 0
+    (Pdp_tier.stats rendezvous).Pdp_tier.rebalances
+
 (* Each of eight shards gets about an eighth of the keys: the busiest
    holds at most 1.10x the mean, since its queue sets the tier's tail. *)
 let test_balance () =
@@ -257,6 +282,37 @@ let test_failover () =
   let s = Pdp_tier.stats fx.tier in
   check bool_ "query re-routed to a successor" true (s.Pdp_tier.failovers >= 1);
   check int_ "nothing failed closed" 0 s.Pdp_tier.exhausted
+
+(* A sharded PEP's retry policy is its tier's: a frame lost on the way
+   to the owning shard is sent to that shard again after the timeout
+   and a backoff, instead of failing over to another shard. *)
+let test_pep_retry_stays_on_shard () =
+  let fx = setup ~shards:2 () in
+  Pep.set_retry_policy fx.pep
+    (Some { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  let owner =
+    match Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for "alice" "read")) with
+    | Some s -> s
+    | None -> Alcotest.fail "tier unexpectedly empty"
+  in
+  (* Down when the frame arrives, back long before the retry. *)
+  let at t f = Engine.schedule_at (Net.engine fx.net) ~at:t f in
+  at 0.4 (fun () -> Net.crash fx.net owner);
+  at 0.6 (fun () -> Net.recover fx.net owner);
+  let answer = ref None in
+  at 0.5 (fun () ->
+      Pep.decide_explained fx.pep (ctx_for "alice" "read") (fun r p -> answer := Some (r, p)));
+  Net.run fx.net;
+  match !answer with
+  | Some (r, p) ->
+    check bool_ "granted" true (Decision.is_permit r);
+    check (Alcotest.option string_) "answered by the owning shard" (Some owner) p.Provenance.shard;
+    check int_ "no failover" 0 p.Provenance.failovers;
+    check bool_ "retried" true p.Provenance.retried;
+    let s = Pep.stats fx.pep in
+    check int_ "one retry" 1 s.Pep.retries;
+    check int_ "no failover counted" 0 s.Pep.failovers
+  | None -> Alcotest.fail "no decision"
 
 (* --- stale-cache degradation and fail-closed ---------------------------------- *)
 
@@ -478,6 +534,39 @@ let test_silent_shard_detected () =
   check int_ "one expiry" 1 (expiries fx);
   check int_ "one failover counted" 1 (Pdp_tier.stats fx.tier).Pdp_tier.failovers
 
+(* A suspicion spends the silence that raised it.  Alice's frame to her
+   shard is lost and expired after one RTO, then waits out a long
+   backoff before its retry; a frame sent to the shard meanwhile, once
+   it is back up, must get its own RTO to be answered, not be expired at
+   the instant it is sent.  (Alice's retry itself is invisible to the
+   tier, so only that it is answered at all is checked.) *)
+let test_frame_after_suspicion_gets_an_rto () =
+  let fx = setup () in
+  Pdp_tier.set_retry_policy fx.tier
+    { Rpc.attempts = 2; base_delay = 0.3; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
+  warm_up fx;
+  let victim = owner_of_alice fx in
+  let other =
+    List.find
+      (fun user ->
+        user <> "alice"
+        && Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for user "read"))
+           = Some victim)
+      (List.init 100 (Printf.sprintf "user%d"))
+  in
+  let at t f = Engine.schedule_at (Net.engine fx.net) ~at:t f in
+  at 2.9 (fun () -> Net.crash fx.net victim);
+  at 3.25 (fun () -> Net.recover fx.net victim);
+  let lost = ref None and later = ref None in
+  decide_at fx ~at:3.0 (ctx_for "alice" "read") lost;
+  decide_at fx ~at:3.3 (ctx_for other "read") later;
+  Net.run fx.net;
+  ignore (answered_by "lost" lost);
+  check string_ "the later frame is answered by the same shard" victim (answered_by "later" later);
+  match !later with
+  | Some (t, _, _) -> check bool_ "within one round trip" true (t < 3.35)
+  | None -> ()
+
 (* 15 ms per query and 48 queries at once: six 8-query frames queue on
    one shard, so round trips grow to ~0.7 s, far above the warm RTO —
    but the shard answers someone every 120 ms, so it is never silent. *)
@@ -577,6 +666,8 @@ let () =
           Alcotest.test_case "shard loss only remaps its own keys" `Quick test_ring_remap;
           Alcotest.test_case "a reordered shard set is no rebalance" `Quick
             test_reordered_set_no_rebalance;
+          Alcotest.test_case "reordering an ordered tier moves its keys" `Quick
+            test_ordered_reorder_moves_keys;
           Alcotest.test_case "same-instant queries coalesce into frames" `Quick test_batching;
           Alcotest.test_case "eight shards: the busiest holds <= 1.10x the mean" `Quick
             test_balance;
@@ -588,6 +679,8 @@ let () =
       ( "resilience",
         [
           Alcotest.test_case "crash of the owning shard fails over" `Quick test_failover;
+          Alcotest.test_case "a PEP's retry policy retries on the same shard" `Quick
+            test_pep_retry_stays_on_shard;
           Alcotest.test_case "total outage degrades to bounded-stale serving" `Quick
             test_stale_degradation;
           Alcotest.test_case "total outage without cache fails closed" `Quick
@@ -606,6 +699,8 @@ let () =
             test_silent_shard_detected;
           Alcotest.test_case "a saturated shard that keeps answering is never suspected" `Quick
             test_saturated_shard_not_suspected;
+          Alcotest.test_case "a frame sent after a suspicion gets its own RTO" `Quick
+            test_frame_after_suspicion_gets_an_rto;
           Alcotest.test_case "a cold tier waits the full call timeout" `Quick
             test_cold_tier_waits_full_timeout;
           Alcotest.test_case "the RTO stays within [0.2 s, 1 s]" `Quick test_rto_clamps;
