@@ -82,14 +82,12 @@ end
 (* ===================================================================== *)
 
 module Single_flight = struct
-  type 'a t = {
-    inflight : (string, ('a -> unit) list ref) Hashtbl.t;
+  type 'w flight = { key : string; mutable waiters : 'w list  (** newest first *) }
+
+  type 'w t = {
+    inflight : (string, 'w flight) Hashtbl.t;
     c_coalesced : Metrics.counter;
   }
-
-  type 'a join =
-    | Leader of ('a -> unit)
-    | Coalesced
 
   let create metrics ~node =
     {
@@ -99,22 +97,22 @@ module Single_flight = struct
           ~help:"Identical in-flight queries folded onto one upstream call" "coalesced_total";
     }
 
-  let join t ~key k =
-    match Hashtbl.find_opt t.inflight key with
-    | Some waiters ->
-      waiters := k :: !waiters;
-      Metrics.inc t.c_coalesced;
-      Coalesced
-    | None ->
-      let waiters = ref [] in
-      Hashtbl.replace t.inflight key waiters;
-      Leader
-        (fun result ->
-          (* Unregister before delivering: a continuation issuing the same
-             query again must start a new flight, not join a finished one. *)
-          Hashtbl.remove t.inflight key;
-          k result;
-          List.iter (fun w -> w result) (List.rev !waiters))
+  let find t ~key = Hashtbl.find_opt t.inflight key
+
+  let wait t flight w =
+    flight.waiters <- w :: flight.waiters;
+    Metrics.inc t.c_coalesced
+
+  let lead t ~key =
+    let flight = { key; waiters = [] } in
+    Hashtbl.replace t.inflight key flight;
+    flight
+
+  (* Unregister before anyone is answered: a continuation issuing the
+     same query again must start a new flight, not join a finished one. *)
+  let settle t flight =
+    Hashtbl.remove t.inflight flight.key;
+    match flight.waiters with [] -> [] | waiters -> List.rev waiters
 
   let coalesced t = Metrics.counter_value t.c_coalesced
   let counter t = t.c_coalesced

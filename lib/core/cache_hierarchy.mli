@@ -74,23 +74,35 @@ end
 (** {1 Single-flight coalescing} *)
 
 module Single_flight : sig
-  type 'a t
+  type 'w t
+  (** The descents in flight, one per request key; ['w] is what a
+      waiter parks to be answered. *)
 
-  type 'a join =
-    | Leader of ('a -> unit)
-        (** proceed upstream; call the returned continuation with the
-            result to deliver to yourself and every coalesced waiter *)
-    | Coalesced  (** an identical query is in flight; your continuation
-                     fires when the leader's result arrives *)
+  type 'w flight
+  (** One descent in flight and the waiters parked on it. *)
 
-  val create : Dacs_telemetry.Metrics.t -> node:string -> 'a t
+  val create : Dacs_telemetry.Metrics.t -> node:string -> 'w t
   (** Coalesced joins count into [coalesced_total{node}]. *)
 
-  val join : 'a t -> key:string -> ('a -> unit) -> 'a join
+  val find : 'w t -> key:string -> 'w flight option
+  (** The descent in flight for [key], if any; [None] allocates nothing. *)
 
-  val coalesced : 'a t -> int
+  val wait : 'w t -> 'w flight -> 'w -> unit
+  (** Park a waiter on a descent in flight, counted as one coalesced
+      query: it is answered when the leader settles. *)
 
-  val counter : 'a t -> Dacs_telemetry.Metrics.counter
+  val lead : 'w t -> key:string -> 'w flight
+  (** Start the descent for [key]: identical queries {!find} it until it
+      settles. *)
+
+  val settle : 'w t -> 'w flight -> 'w list
+  (** The descent is answered: unregister it — so a continuation issuing
+      the same query again starts a new flight — and return its waiters
+      in arrival order, for the leader to answer after itself. *)
+
+  val coalesced : 'w t -> int
+
+  val counter : 'w t -> Dacs_telemetry.Metrics.counter
   (** The [coalesced_total] cell, for owners folding it into their own
       stats/reset machinery. *)
 end

@@ -62,8 +62,9 @@ type t = {
   h_batch_size : Metrics.histogram;
   h_eval : Metrics.histogram;
   h_pip_fetch : Metrics.histogram;
-  mutable busy_until : float;
+  busy_until : float array;  (** one slot, unboxed: the FIFO's next free instant *)
   mutable inflight : int;
+  mutable resolve_ref : Policy.ref_resolver;  (** [local_ref_resolver t], built once *)
   mutable policy : Compiled.t option;  (* its [Compiled.source] is the installed tree *)
   mutable version : int;
   mutable fetched_at : float;
@@ -185,7 +186,7 @@ let evaluate_pass t ~subject_sym ctx attempted =
            so the probe hashes one packed word. *)
         Cache_hierarchy.Attr_cache.find_sym ac ~now:(now t)
           ~pair:(Cache_hierarchy.Attr_cache.pair_sym category id)
-          ~subject_sym
+          ~subject_sym:(Lazy.force subject_sym)
     in
     match cached with
     | Some [] -> None
@@ -194,11 +195,10 @@ let evaluate_pass t ~subject_sym ctx attempted =
       if not (List.mem (category, id) !attempted) then misses := (category, id) :: !misses;
       None
   in
-  let resolve_ref = local_ref_resolver t in
   let result =
     match t.policy with
     | None -> Decision.indeterminate "no policy installed"
-    | Some c -> Compiled.evaluate ~resolve ~resolve_ref ctx c
+    | Some c -> Compiled.evaluate ~resolve ~resolve_ref:t.resolve_ref ctx c
   in
   (result, match !misses with [] -> [] | misses -> List.sort_uniq compare misses)
 
@@ -263,10 +263,21 @@ let fetch_all t ~subject misses attempted ctx k =
   in
   fetch_batched t ~subject misses ctx k
 
-let evaluate_local t ctx k =
-  (* One span per evaluation, covering the PAP refresh and every PIP
-     round of the context-handler loop — all nested client spans parent
-     onto it through the ambient context. *)
+(* Every evaluation ends here: counted, observed and its span closed. *)
+let evaluated t ~span ~started ~tag result =
+  Metrics.inc t.counters.c_queries;
+  if Decision.is_permit result then Metrics.inc t.counters.c_permits;
+  if Decision.is_deny result then Metrics.inc t.counters.c_denies;
+  Metrics.observe_exemplar t.h_eval (now t -. started) ~trace:tag ~at:(now t);
+  let tr = tracer t in
+  if Trace.enabled tr then
+    Trace.annotate span "decision" (Decision.decision_to_string result.Decision.decision);
+  Trace.finish tr span
+
+(* The general evaluation: one span covering the PAP refresh and every
+   PIP round of the context-handler loop — all nested client spans
+   parent onto it through the ambient context. *)
+let evaluate_gathering t ctx k =
   let tr = tracer t in
   let span = Trace.start_span tr "pdp:evaluate" in
   Trace.annotate span "node" t.node;
@@ -276,19 +287,14 @@ let evaluate_local t ctx k =
   let tag = Trace.exemplar_tag tr in
   ensure_policy t (fun () ->
       let subject = Option.value (Context.subject_id ctx) ~default:"" in
-      let subject_sym = Cache_hierarchy.Attr_cache.subject_sym subject in
+      let subject_sym = lazy (Cache_hierarchy.Attr_cache.subject_sym subject) in
       let attempted = ref [] in
       (* The context-handler loop: evaluate, fetch what was missing,
          re-evaluate; bounded to keep pathological policies finite. *)
       let rec loop ctx rounds =
         let result, misses = evaluate_pass t ~subject_sym ctx attempted in
         if misses = [] || t.pips = [] || rounds >= 4 then begin
-          Metrics.inc t.counters.c_queries;
-          if Decision.is_permit result then Metrics.inc t.counters.c_permits;
-          if Decision.is_deny result then Metrics.inc t.counters.c_denies;
-          Metrics.observe_exemplar t.h_eval (now t -. started) ~trace:tag ~at:(now t);
-          Trace.annotate span "decision" (Decision.decision_to_string result.Decision.decision);
-          Trace.finish tr span;
+          evaluated t ~span ~started ~tag result;
           k result
         end
         else fetch_all t ~subject misses attempted ctx (fun ctx -> loop ctx (rounds + 1))
@@ -296,37 +302,64 @@ let evaluate_local t ctx k =
       loop ctx 0);
   Trace.set_current tr saved
 
-(* With a positive [rule_cost] the occupancy grows with the number of
-   rules evaluation actually scans: only the candidates target-indexed
-   dispatch selects for the request. *)
-let scan_occupancy t ctx =
-  match t.policy with
-  | Some c when t.rule_cost > 0.0 -> t.rule_cost *. float_of_int (Compiled.candidate_count c ctx)
-  | Some _ | None -> 0.0
+let unresolved _ _ = None
+
+(* Whether an evaluation can run synchronously: the policy is current,
+   no PIP could be asked and no attribute cache consulted — so one pass
+   decides — and no span is to be kept. *)
+let at_once t =
+  t.pips = [] && Option.is_none t.attr_cache && (not (needs_refresh t))
+  && not (Trace.enabled (tracer t))
+
+(* The at-once evaluation, which allocates only what evaluating the
+   policy does. *)
+let evaluate_now t ctx =
+  let started = now t in
+  let result =
+    match t.policy with
+    | None -> Decision.indeterminate "no policy installed"
+    | Some c -> Compiled.evaluate ~resolve:unresolved ~resolve_ref:t.resolve_ref ctx c
+  in
+  evaluated t ~span:(Trace.start_span (tracer t) "pdp:evaluate") ~started
+    ~tag:(Trace.exemplar_tag (tracer t)) result;
+  result
+
+let evaluate_local t ctx k =
+  if at_once t then k (evaluate_now t ctx) else evaluate_gathering t ctx k
 
 (* Capacity model: with a positive [service_time] each evaluation occupies
    the PDP for that long in virtual time, queueing FIFO behind whatever is
    already in progress — which is what makes a single decision point a
    measurable bottleneck and a sharded tier a measurable win (E16).  The
    default of 0 keeps the historical instantaneous-evaluation behaviour
-   with no extra engine events, so seeded runs stay byte-identical. *)
-let when_capacity_free t ~occupancy f =
+   with no extra engine events, so seeded runs stay byte-identical.
+   With a positive [rule_cost] the occupancy grows with the number of
+   rules evaluation actually scans: only the candidates target-indexed
+   dispatch selects for the request.  A query that found no ambient
+   trace context is scheduled as it is, with nothing built for tracing. *)
+let when_capacity_free t ctx f =
+  let occupancy =
+    match t.policy with
+    | Some c when t.rule_cost > 0.0 ->
+      t.service_time +. (t.rule_cost *. float_of_int (Compiled.candidate_count c ctx))
+    | Some _ | None -> t.service_time
+  in
   if occupancy <= 0.0 then f ()
   else begin
     let now = now t in
-    let start = Float.max now t.busy_until in
+    let start = Float.max now t.busy_until.(0) in
     let finish = start +. occupancy in
-    t.busy_until <- finish;
+    t.busy_until.(0) <- finish;
+    let engine = Dacs_net.Net.engine (Service.net t.services) in
     let tr = tracer t in
-    let ambient = Trace.current tr in
-    Engine.schedule
-      (Dacs_net.Net.engine (Service.net t.services))
-      ~delay:(finish -. now)
-      (fun () ->
-        let saved = Trace.current tr in
-        Trace.set_current tr ambient;
-        f ();
-        Trace.set_current tr saved)
+    match Trace.current tr with
+    | None -> Engine.schedule engine ~delay:(finish -. now) f
+    | ambient ->
+      Engine.schedule engine ~delay:(finish -. now) (fun () ->
+          let saved = Trace.current tr in
+          Trace.set_current tr ambient;
+          f ();
+          Trace.set_current tr saved)
   end
 
 (* The max-inflight bound on top of the FIFO capacity model: [inflight]
@@ -339,6 +372,19 @@ let overloaded t =
   match t.max_inflight with Some m -> t.inflight >= m | None -> false
 
 let overload_reason = "pdp overloaded"
+
+(* The answer to one authorisation query, off the FIFO. *)
+let reply_decision t reply result =
+  t.inflight <- t.inflight - 1;
+  let epoch = compilation_epoch t in
+  match t.signer with
+  | None -> reply (fun buf -> Wire.write_authz_response ~epoch buf result)
+  | Some (key, cert) ->
+    reply (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result)
+
+let serve_query t ctx reply =
+  if at_once t then reply_decision t reply (evaluate_now t ctx)
+  else evaluate_gathering t ctx (fun result -> reply_decision t reply result)
 
 let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(service_time = 0.0)
     ?(rule_cost = 0.0) ?max_inflight ?attr_cache_ttl () =
@@ -373,13 +419,15 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
       h_pip_fetch =
         Metrics.histogram metrics ~help:"PIP attribute fetch round latency"
           ~labels:[ ("node", node) ] "pdp_pip_fetch_seconds";
-      busy_until = 0.0;
+      busy_until = [| 0.0 |];
       inflight = 0;
+      resolve_ref = (fun _ -> None);
       policy = Option.map Compiled.compile root;
       version = 0;
       fetched_at = -.infinity;
     }
   in
+  t.resolve_ref <- local_ref_resolver t;
   (match attr_cache with
   | None -> ()
   | Some ac ->
@@ -407,13 +455,6 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
       end
       else begin
         t.inflight <- t.inflight + 1;
-        when_capacity_free t ~occupancy:(t.service_time +. scan_occupancy t ctx) (fun () ->
-            evaluate_local t ctx (fun result ->
-                t.inflight <- t.inflight - 1;
-                let epoch = compilation_epoch t in
-                match t.signer with
-                | None -> reply (fun buf -> Wire.write_authz_response ~epoch buf result)
-                | Some (key, cert) ->
-                  reply (fun buf -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result)))
+        when_capacity_free t ctx (fun () -> serve_query t ctx reply)
       end);
   t

@@ -61,6 +61,8 @@ type shard_state = {
   mutable sampled : bool;
   mutable armed : bool;
   mutable check : unit -> unit;
+  mutable flush : unit -> unit;  (** this shard's end-of-instant flush, built once *)
+  answered_by : Dacs_net.Net.node_id option;  (** [Some shard], built once for every answer *)
   timing : float array;
   (* Per-shard counter handles, resolved once per shard instead of
      re-registering (label sort + table lookup) on every dispatch. *)
@@ -75,9 +77,10 @@ type t = {
   ordered : bool;  (** placement is list order, not rendezvous *)
   timeout : float;  (** every frame's timeout, and the RTO cap *)
   mutable retry : Dacs_net.Rpc.retry_policy;
-  (* The per-query answer decoder: [Wire.read_authz_answer], given the
-     trust store once [require_signed_decisions] is called. *)
-  mutable read_answer : now:float -> Xml.Cursor.t -> (Decision.result * int, string) result;
+  (* The per-query answer decoder: [Wire.read_authz_answer] at the bus's
+     current instant, given the trust store once [require_signed_decisions]
+     is called.  Built then, not per frame. *)
+  mutable read_answer : Xml.Cursor.t -> (Decision.result * int, string) result;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
   c_failovers : Metrics.counter;
@@ -223,10 +226,11 @@ let check t shard s =
 
 (* --- batching and dispatch ---------------------------------------------- *)
 
-let state_of t shard =
-  match Hashtbl.find_opt t.states shard with
-  | Some s -> s
-  | None ->
+(* The shard's state, made at its first query. *)
+let rec state_of t shard =
+  match Hashtbl.find t.states shard with
+  | s -> s
+  | exception Not_found ->
     let s =
       {
         queue = [];
@@ -236,24 +240,29 @@ let state_of t shard =
         sampled = false;
         armed = false;
         check = ignore;
+        flush = ignore;
+        answered_by = Some shard;
         timing = [| 0.0; 0.0; 0.0 |];
         sc_batches = t.c_batches shard;
         sc_dispatch = t.c_dispatch shard;
       }
     in
     s.check <- (fun () -> check t shard s);
+    s.flush <- (fun () -> flush t shard s);
     Hashtbl.replace t.states shard s;
     s
 
-let fail_closed t item =
+and fail_closed t item =
   Metrics.inc t.c_exhausted;
   item.deliver (Error "pdp tier exhausted: no shard reachable")
     { shard = None; batch = 0; failovers = List.length item.excluded; epoch = 0 }
 
 (* One query's answer from a shard that answered.  An undecodable or
    untrusted answer, or a SOAP fault, is that PDP's Indeterminate at the
-   unknown epoch: an answer, not a health failure, so no remap. *)
-let answered shard ~batch item part =
+   unknown epoch: an answer, not a health failure, so no remap.  A
+   pull PEP's tier reports batch 0, a plain frame's; a sharded tier
+   reports the queries its flush carried, plain frame or not. *)
+and answered t s ~batch item part =
   let decision, epoch =
     match part with
     | Ok (Ok answer) -> answer
@@ -261,71 +270,90 @@ let answered shard ~batch item part =
     | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
   in
   item.deliver (Ok decision)
-    { shard = Some shard; batch; failovers = List.length item.excluded; epoch }
+    {
+      shard = s.answered_by;
+      batch = (if t.batch = 1 then 0 else batch);
+      failovers = List.length item.excluded;
+      epoch;
+    }
 
-let rec enqueue t shard item =
+(* The whole frame failed: the shard is unreachable (or its breaker is
+   open).  Re-route every query to the next shard in its own key's
+   ranking — replica loss only remaps its own keys. *)
+and fail_over t shard items =
+  if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
+  List.iter
+    (fun item ->
+      let excluded = shard :: item.excluded in
+      match route t ~excluded item.point with
+      | Some next ->
+        Metrics.inc t.c_failovers;
+        enqueue t next { item with excluded }
+      | None -> fail_closed t item)
+    items
+
+and enqueue t shard item =
   let s = state_of t shard in
   s.queue <- item :: s.queue;
   s.queued <- s.queued + 1;
   Metrics.inc s.sc_dispatch;
-  if s.queued >= t.batch then flush t shard
+  if s.queued >= t.batch then flush t shard s
   else if not s.flush_pending then begin
     (* A partial batch flushes at the end of the current instant: the
        flush runs after the current event cascade, so every query issued
        at this virtual instant rides the same frame. *)
     s.flush_pending <- true;
-    Engine.schedule (Dacs_net.Net.engine (Service.net t.services)) ~delay:0.0 (fun () -> flush t shard)
+    Engine.schedule (engine t) ~delay:0.0 s.flush
   end
 
-and flush t shard =
-  let s = state_of t shard in
+(* The frame's round trip is over; a reply is an RTT sample. *)
+and frame_over t s ~sent ~replied =
+  s.outstanding <- s.outstanding - 1;
+  if replied then sample_rtt s ~sent ~now:(Engine.now (engine t))
+
+(* One query in this flush rides Fig. 3's plain query frame, which waits
+   the tier's timeout; only a flush of several needs the batch envelope.
+   An ordered tier has batch limit 1 and never sends a batch, so a batch
+   frame's fixed 1 s timeout is always a sharded tier's own. *)
+and send_plain t shard s ~sent item =
+  Service.call_frame t.services ~src:t.node ~dst:shard ~service:"authz-query" ~timeout:t.timeout
+    ~resilient:t.retry ~read:t.read_answer
+    (fun buf -> Wire.write_authz_query buf item.ctx)
+    (function
+      | Error (Service.Transport _) ->
+        frame_over t s ~sent ~replied:false;
+        fail_over t shard [ item ]
+      | part ->
+        frame_over t s ~sent ~replied:true;
+        answered t s ~batch:1 item part)
+
+and send_batch t shard s ~sent ~n items =
+  Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
+    ~resilient:t.retry ~read:t.read_answer
+    (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
+    (function
+      | Ok parts ->
+        frame_over t s ~sent ~replied:true;
+        List.iter2 (answered t s ~batch:n) items parts
+      | Error _ ->
+        frame_over t s ~sent ~replied:false;
+        fail_over t shard items)
+
+and flush t shard s =
   s.flush_pending <- false;
   if s.queued > 0 then begin
-    let items = List.rev s.queue in
+    let n = s.queued in
+    let queue = s.queue in
     s.queue <- [];
     s.queued <- 0;
-    let n = List.length items in
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
     let sent = Engine.now (engine t) in
     if s.outstanding = 0 then s.timing.(busy_since) <- sent;
     s.outstanding <- s.outstanding + 1;
-    let read c = t.read_answer ~now:(Dacs_net.Net.now (Service.net t.services)) c in
-    (* Never coalescing, send Fig. 3's plain query frame; no batch carries it. *)
-    let plain = t.batch = 1 in
-    let returned result =
-      s.outstanding <- s.outstanding - 1;
-      match result with
-      | Ok parts ->
-        sample_rtt s ~sent ~now:(Engine.now (engine t));
-        List.iter2 (answered shard ~batch:(if plain then 0 else n)) items parts
-      | Error _ ->
-        (* The whole frame failed: the shard is unreachable (or its
-           breaker is open).  Re-route every query to the next shard in
-           its own key's ranking — replica loss only remaps its own keys. *)
-        if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
-        List.iter
-          (fun item ->
-            let excluded = shard :: item.excluded in
-            match route t ~excluded item.point with
-            | Some next ->
-              Metrics.inc t.c_failovers;
-              enqueue t next { item with excluded }
-            | None -> fail_closed t item)
-          items
-    in
-    if plain then
-      Service.call_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-        ~timeout:t.timeout ~resilient:t.retry ~read
-        (fun buf -> Wire.write_authz_query buf (List.hd items).ctx)
-        (function
-          | Error (Service.Transport _ as e) -> returned (Error e)
-          | part -> returned (Ok [ part ]))
-    else
-      Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-        ~resilient:t.retry ~read
-        (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
-        returned;
+    (match queue with
+    | [ item ] -> send_plain t shard s ~sent item
+    | _ -> send_batch t shard s ~sent ~n (List.rev queue));
     (* A frame shed by the breaker has already failed over by now. *)
     if s.outstanding > 0 && not s.armed then
       arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto t s))
@@ -353,7 +381,11 @@ let rto t shard =
 
 let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
 
-let require_signed_decisions t trust = t.read_answer <- Wire.read_authz_answer ~trust
+let answer_reader ?trust services =
+  let net = Service.net services in
+  fun c -> Wire.read_authz_answer ?trust ~now:(Dacs_net.Net.now net) c
+
+let require_signed_decisions t trust = t.read_answer <- answer_reader ~trust t.services
 let set_retry_policy t retry = t.retry <- retry
 
 (* --- construction ------------------------------------------------------- *)
@@ -371,7 +403,7 @@ let make services ~node ~shards ~batch ~ordered ~timeout =
     ordered;
     timeout;
     retry = Dacs_net.Rpc.no_retry;
-    read_answer = Wire.read_authz_answer ?trust:None;
+    read_answer = answer_reader services;
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
     c_dispatch =

@@ -17,11 +17,13 @@
     Queries headed for the same shard are coalesced into a single batched
     RPC frame: up to [batch] queries per round-trip, and a partial batch
     flushes at the end of the current virtual instant, so it merges
-    every query issued at that instant.  A tier whose batch limit is 1
-    never coalesces: it sends each query as a plain [authz-query] frame,
-    Fig. 3's wire bytes, and maps its answer exactly as a one-part
-    batch's.  Each frame waits the tier's frame timeout (1 s, or an
-    ordered tier's [call_timeout]) and goes through the bus's circuit
+    every query issued at that instant.  A flush that carries one query
+    sends it as a plain [authz-query] frame, Fig. 3's wire bytes, and
+    maps its answer exactly as a one-part batch's; only a flush of
+    several queries pays the batch envelope.  A tier whose batch limit
+    is 1 therefore never sends a batch.  Each frame, plain or batch,
+    waits the tier's frame timeout (1 s, or an ordered tier's
+    [call_timeout]) and goes through the bus's circuit
     breaker with the tier's retry policy ({!set_retry_policy}; one
     attempt by default), so a retried frame is retried on the same
     shard.  A frame is one fault unit: a transport failure fails the
@@ -85,8 +87,9 @@ val ordered :
   pdps:Dacs_net.Net.node_id list ->
   call_timeout:float ->
   t
-(** A pull PEP's tier: placement in [pdps] order, batch limit 1 (plain
-    frames), and [call_timeout] as the frame timeout and RTO cap. *)
+(** A pull PEP's tier: placement in [pdps] order, batch limit 1 (one
+    query per flush, so plain frames only), and [call_timeout] as the
+    timeout of every frame it sends and the RTO cap. *)
 
 val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
 (** From now on, accept only per-query answers signed by a PDP whose
@@ -139,8 +142,9 @@ val decide :
 type meta = {
   shard : Dacs_net.Net.node_id option;  (** the shard that answered; [None] when none could *)
   batch : int;
-      (** queries in the batched frame that carried this answer; 0 for a
-          plain frame or none *)
+      (** queries in the flush that carried this answer on a sharded
+          tier — 1 for a flush of one, though it rides a plain frame; 0
+          on an ordered tier, or when no shard answered *)
   failovers : int;  (** shards excluded before this answer *)
   epoch : int;  (** deciding PDP's compilation epoch (0 = unknown) *)
 }

@@ -155,7 +155,7 @@ type t = {
   encryption_key : string option;
   nonces : Dacs_crypto.Rng.t;  (* draws the nonce of every encrypted response *)
   counters : counters;
-  sf : (Decision.result * Provenance.t) Cache_hierarchy.Single_flight.t;
+  sf : (Decision.result -> Provenance.t -> unit) Cache_hierarchy.Single_flight.t;
   serving : serving;
   mutable retry : Dacs_net.Rpc.retry_policy;  (* revocation checks; a tier keeps its own *)
   mutable stale_window : float;
@@ -372,7 +372,9 @@ let build_context t ~subject_attrs ~action =
    L2 fresh -> live -> bounded-stale L1 -> offline log -> fail closed.
    Identical concurrent queries (same request key) are coalesced onto one
    descent.  Every exit mints a provenance record naming the rung that
-   answered. *)
+   answered.  The ladder is written as plain functions over one
+   [descent] record: a cold decision allocates that record, one closure
+   per rung that waits on the wire, and its answer. *)
 
 let l1_put ?since t cache ~key result =
   match cache with
@@ -384,60 +386,94 @@ let l2_put t ~key result =
   | Some l2 -> Cache_hierarchy.L2.remote_put t.services ~src:t.node ~l2 ~key result
   | None -> ()
 
-(* Consult the domain's shared cache between an L1 miss and the live
-   tier; [k] receives the hit, or [None] for a miss.  A hit also warms
-   L1, so the replica that asked converges to answering locally.  An
-   unreachable or malformed L2 is a miss. *)
-let consult_l2 t cache ~key k =
-  match t.l2 with
-  | None -> k None
-  | Some l2 ->
-    let started = now t in
-    let tag = Trace.exemplar_tag (tracer t) in
-    Cache_hierarchy.L2.remote_lookup t.services ~src:t.node ~l2 ~key (fun answer ->
-        Metrics.observe_exemplar t.counters.h_l2_lookup (now t -. started) ~trace:tag
-          ~at:(now t);
-        (match answer with
-        | Some result ->
-          Metrics.inc t.counters.c_l2_hits;
-          Trace.record (tracer t) "pep:l2-hit";
-          l1_put t cache ~key result
-        | None -> ());
-        k answer)
+(* A finished descent frees its slot; the oldest waiter (if any) takes it
+   immediately — the admission queue drains in arrival order. *)
+let release_slot t =
+  t.inflight <- t.inflight - 1;
+  match t.admission with
+  | Some a when t.inflight < a.max_inflight -> (
+    match Queue.take_opt t.waiting with
+    | Some job ->
+      t.inflight <- t.inflight + 1;
+      job ()
+    | None -> ())
+  | Some _ | None -> ()
 
-(* Waiters folded onto an identical in-flight descent are served by the
-   leader's provenance, re-flagged as coalesced — theirs was not a
-   descent of its own.  The leader mints its record at *completion*, so a
-   waiter that parked before a partition transition still observes the
-   rung that actually answered (e.g. [Offline] when the tier vanished
-   mid-flight), never the rung the ladder would have chosen at join
-   time; only [at] is re-stamped to the waiter's own delivery instant. *)
-let join_flight t ~key k =
-  let is_leader = ref false in
-  let deliver ((result, prov) : Decision.result * Provenance.t) =
-    if !is_leader then k (result, prov)
-    else k (result, { prov with Provenance.coalesced = true; at = now t })
-  in
-  let role = Cache_hierarchy.Single_flight.join t.sf ~key deliver in
-  (match role with
-  | Cache_hierarchy.Single_flight.Leader _ -> is_leader := true
-  | Cache_hierarchy.Single_flight.Coalesced -> ());
-  role
+(* Every answer a caller receives leaves through here: an admitted
+   request frees its admission slot first, then the ladder latency is
+   observed under the rung that answered. *)
+let answer t ~admitted ~started ~tag k result (p : Provenance.t) =
+  if admitted then release_slot t;
+  Metrics.observe_exemplar
+    (t.counters.h_decide p.Provenance.stage)
+    (now t -. started) ~trace:tag ~at:(now t);
+  k result p
 
-(* A provenance minter for one descent: resilience flags are read as
-   deltas of this PEP's own rpc series between the descent's start and
-   the answer. *)
-let provenance_minter t =
-  let resilience () =
-    ( Metrics.counter_value t.counters.c_retries,
-      Metrics.counter_value t.counters.c_breaker_trips
-      + Metrics.counter_value t.counters.c_breaker_rejections )
-  in
-  let retries0, breaker0 = resilience () in
-  fun ?shard ?batch ?failovers ?stale_age ?epoch ?log_head stage ->
-    let retries1, breaker1 = resilience () in
-    Provenance.make ?shard ?batch ?failovers ?stale_age ?epoch ?log_head
-      ~retried:(retries1 > retries0) ~breaker_tripped:(breaker1 > breaker0) ~at:(now t) stage
+(* Resilience flags are read as deltas of this PEP's own rpc series
+   between the descent's start and its answer. *)
+let retries_seen t = Metrics.counter_value t.counters.c_retries
+
+let breaker_seen t =
+  Metrics.counter_value t.counters.c_breaker_trips
+  + Metrics.counter_value t.counters.c_breaker_rejections
+
+(* A leader's provenance record, minted when it answers. *)
+let minted t ~retries0 ~breaker0 ?shard ~batch ~failovers ~stale_age ~epoch ?log_head stage =
+  {
+    Provenance.stage;
+    shard;
+    batch;
+    coalesced = false;
+    failovers;
+    retried = retries_seen t > retries0;
+    breaker_tripped = breaker_seen t > breaker0;
+    stale_age;
+    epoch;
+    at = now t;
+    log_head;
+  }
+
+(* The leader's flight settles: the leader is answered, then every waiter
+   folded onto it, with the leader's record re-flagged as coalesced —
+   theirs was not a descent of its own.  The leader mints at
+   {e completion}, so a waiter that parked before a partition transition
+   still observes the rung that actually answered (e.g. [Offline] when
+   the tier vanished mid-flight), never the rung the ladder would have
+   chosen at join time. *)
+let settle t flight ~admitted ~started ~tag k result prov =
+  let waiters = Cache_hierarchy.Single_flight.settle t.sf flight in
+  answer t ~admitted ~started ~tag k result prov;
+  match waiters with [] -> () | waiters -> List.iter (fun w -> w result prov) waiters
+
+(* A leader's descent past a fresh-L1 miss: everything its remaining
+   exits need, so each rung that waits on the wire closes over this
+   record alone. *)
+type descent = {
+  pep : t;
+  tier : Pdp_tier.t;
+  ctx : Context.t;
+  key : string;
+  cache : Decision_cache.t option;
+  found : Decision_cache.lookup;
+  since : int option;
+      (** L1 purges before the live query: a publish landing meanwhile keeps its answer out *)
+  flight : (Decision.result -> Provenance.t -> unit) Cache_hierarchy.Single_flight.flight;
+  admitted : bool;
+  started : float;
+  tag : string;
+  k : Decision.result -> Provenance.t -> unit;
+  retries0 : int;
+  breaker0 : int;
+}
+
+let settle_descent d result prov =
+  settle d.pep d.flight ~admitted:d.admitted ~started:d.started ~tag:d.tag d.k result prov
+
+(* A descent's exit below the live rung, or from the L2. *)
+let descent_answer d ~failovers ?(stale_age = 0.0) ?(epoch = 0) ?log_head stage result =
+  settle_descent d result
+    (minted d.pep ~retries0:d.retries0 ~breaker0:d.breaker0 ~batch:0 ~failovers ~stale_age ~epoch
+       ?log_head stage)
 
 (* The offline rung: below bounded-stale, above fail-closed.  With every
    live authority unreachable and no servable stale entry, a PEP holding
@@ -446,29 +482,94 @@ let provenance_minter t =
    local knowledge and must not outlive the partition in caches that
    reconciliation would then have to chase; contradicted decisions are
    instead invalidated by deny-wins replay on heal. *)
-let offline_serve t ctx ~mk k =
+let offline_serve d ~failovers =
+  let t = d.pep in
   match t.offline with
-  | None -> None
+  | None -> false
   | Some o -> (
     (* Reaching the degrade path means the live tier is unreachable: this
        starts (or continues) an offline episode, so the epoch stamped on
        events and provenance is consistent across the whole episode. *)
     Offline.set_offline o true;
-    match Offline.decide o ctx with
-    | None -> None
+    match Offline.decide o d.ctx with
+    | None -> false
     | Some (result, head) ->
       Metrics.inc t.counters.c_offline_serves;
       Trace.record (tracer t) "pep:offline-serve";
-      Some (k (result, mk ~epoch:(Offline.epoch o) ~log_head:head)))
+      descent_answer d ~failovers ~epoch:(Offline.epoch o) ~log_head:head Provenance.Offline result;
+      true)
+
+(* Degraded availability (§ dependability): with every replica down, a
+   decision expired by at most [stale_window] seconds is still served —
+   the last answer the policy actually gave — in preference to denying
+   all access.  Beyond the bound, and with no offline log to decide
+   from, we fail closed. *)
+let degrade d ~failovers reason =
+  let t = d.pep in
+  match d.found with
+  | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
+    Metrics.inc t.counters.c_stale_serves;
+    Trace.record (tracer t) "pep:stale-serve";
+    descent_answer d ~failovers ~stale_age:age Provenance.Stale result
+  | Decision_cache.Stale _ | Decision_cache.Fresh _ | Decision_cache.Absent ->
+    if not (offline_serve d ~failovers) then
+      descent_answer d ~failovers Provenance.Fail_closed (Decision.indeterminate reason)
 
 (* The live rung is one tier call: the tier routes, fails over and
    checks signatures itself. *)
-let ladder t ~cache tier ctx k =
+let live_answer d ~started ~tag outcome (meta : Pdp_tier.meta) =
+  let t = d.pep in
+  Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag ~at:(now t);
+  match outcome with
+  | Ok result ->
+    l1_put ?since:d.since t d.cache ~key:d.key result;
+    (* The L2 drops an Indeterminate anyway: do not send it. *)
+    (match result.Decision.decision with
+    | Decision.Indeterminate _ -> ()
+    | Decision.Permit | Decision.Deny | Decision.Not_applicable -> l2_put t ~key:d.key result);
+    settle_descent d result
+      (minted t ~retries0:d.retries0 ~breaker0:d.breaker0 ?shard:meta.Pdp_tier.shard
+         ~batch:meta.batch ~failovers:meta.failovers ~stale_age:0.0 ~epoch:meta.epoch
+         Provenance.Live)
+  | Error reason -> degrade d ~failovers:meta.failovers reason
+
+let live d =
+  let t = d.pep in
+  let started = now t in
+  let tag = Trace.exemplar_tag (tracer t) in
+  Metrics.inc t.counters.c_pdp_calls;
+  Pdp_tier.decide_meta ~key:d.key d.tier d.ctx (fun outcome meta ->
+      live_answer d ~started ~tag outcome meta)
+
+(* Consult the domain's shared cache between an L1 miss and the live
+   tier.  A hit also warms L1, so the replica that asked converges to
+   answering locally.  An unreachable or malformed L2 is a miss. *)
+let consult_l2 d l2 =
+  let t = d.pep in
+  let started = now t in
+  let tag = Trace.exemplar_tag (tracer t) in
+  Cache_hierarchy.L2.remote_lookup t.services ~src:t.node ~l2 ~key:d.key (fun found ->
+      Metrics.observe_exemplar t.counters.h_l2_lookup (now t -. started) ~trace:tag ~at:(now t);
+      match found with
+      | Some result ->
+        Metrics.inc t.counters.c_l2_hits;
+        Trace.record (tracer t) "pep:l2-hit";
+        l1_put t d.cache ~key:d.key result;
+        descent_answer d ~failovers:0 Provenance.L2 result
+      | None -> live d)
+
+let ladder t ~cache tier ctx ~admitted ~started ~tag k =
   let key = Decision_cache.request_key ctx in
-  match join_flight t ~key k with
-  | Cache_hierarchy.Single_flight.Coalesced -> Trace.record (tracer t) "pep:coalesced"
-  | Cache_hierarchy.Single_flight.Leader k -> (
-    let prov = provenance_minter t in
+  match Cache_hierarchy.Single_flight.find t.sf ~key with
+  | Some flight ->
+    (* Only [at] is re-stamped to the waiter's own delivery instant. *)
+    Cache_hierarchy.Single_flight.wait t.sf flight (fun result (p : Provenance.t) ->
+        answer t ~admitted ~started ~tag k result
+          { p with Provenance.coalesced = true; at = now t });
+    Trace.record (tracer t) "pep:coalesced"
+  | None -> (
+    let flight = Cache_hierarchy.Single_flight.lead t.sf ~key in
+    let retries0 = retries_seen t and breaker0 = breaker_seen t in
     let found =
       match cache with
       | None -> Decision_cache.Absent
@@ -478,50 +579,28 @@ let ladder t ~cache tier ctx k =
     | Decision_cache.Fresh result ->
       Metrics.inc t.counters.c_cache_hits;
       Trace.record (tracer t) "pep:cache-hit";
-      k (result, prov Provenance.L1)
-    | Decision_cache.Stale _ | Decision_cache.Absent ->
-      (* A publish landing while the live query is in flight must keep
-         its answer out of L1. *)
-      let since = Option.map Decision_cache.purges cache in
-      consult_l2 t cache ~key (function
-        | Some result -> k (result, prov Provenance.L2)
-        | None ->
-          let started = now t in
-          let tag = Trace.exemplar_tag (tracer t) in
-          Metrics.inc t.counters.c_pdp_calls;
-          Pdp_tier.decide_meta ~key tier ctx (fun outcome meta ->
-              Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag
-                ~at:(now t);
-              let { Pdp_tier.shard; batch; failovers; epoch } = meta in
-              match outcome with
-              | Ok result ->
-                l1_put ?since t cache ~key result;
-                (* The L2 drops an Indeterminate anyway: do not send it. *)
-                (match result.Decision.decision with
-                | Decision.Indeterminate _ -> ()
-                | Decision.Permit | Decision.Deny | Decision.Not_applicable ->
-                  l2_put t ~key result);
-                k (result, prov ?shard ~batch ~failovers ~epoch Provenance.Live)
-              | Error reason -> (
-                (* Degraded availability (§ dependability): with every
-                   replica down, a decision expired by at most
-                   [stale_window] seconds is still served — the last
-                   answer the policy actually gave — in preference to
-                   denying all access.  Beyond the bound, and with no
-                   offline log to decide from, we fail closed. *)
-                match found with
-                | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
-                  Metrics.inc t.counters.c_stale_serves;
-                  Trace.record (tracer t) "pep:stale-serve";
-                  k (result, prov ~failovers ~stale_age:age Provenance.Stale)
-                | _ -> (
-                  let mk ~epoch ~log_head =
-                    prov ~failovers ~epoch ~log_head Provenance.Offline
-                  in
-                  match offline_serve t ctx ~mk k with
-                  | Some () -> ()
-                  | None ->
-                    k (Decision.indeterminate reason, prov ~failovers Provenance.Fail_closed))))))
+      settle t flight ~admitted ~started ~tag k result
+        (minted t ~retries0 ~breaker0 ~batch:0 ~failovers:0 ~stale_age:0.0 ~epoch:0 Provenance.L1)
+    | Decision_cache.Stale _ | Decision_cache.Absent -> (
+      let d =
+        {
+          pep = t;
+          tier;
+          ctx;
+          key;
+          cache;
+          found;
+          since = Option.map Decision_cache.purges cache;
+          flight;
+          admitted;
+          started;
+          tag;
+          k;
+          retries0;
+          breaker0;
+        }
+      in
+      match t.l2 with None -> live d | Some l2 -> consult_l2 d l2))
 
 (* --- push mode --------------------------------------------------------------- *)
 
@@ -586,55 +665,34 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
    cache level (L1, L2, attribute cache, coalescing) can change a
    decision.  Push mode decides from presented capabilities, which only
    exist on the wire, so it is out of scope here. *)
-let decide_admitted t ctx k =
+let decide_admitted t ctx ~admitted ~started ~tag k =
   match t.serving with
-  | Tier { tier; cache } -> ladder t ~cache tier ctx k
+  | Tier { tier; cache } -> ladder t ~cache tier ctx ~admitted ~started ~tag k
   | Local pdp ->
     Pdp_service.evaluate_local pdp ctx (fun result ->
-        k
-          ( result,
-            Provenance.make ~epoch:(Pdp_service.compilation_epoch pdp) ~at:(now t)
-              Provenance.Local ))
+        answer t ~admitted ~started ~tag k result
+          (Provenance.make ~epoch:(Pdp_service.compilation_epoch pdp) ~at:(now t) Provenance.Local))
   | Capability _ ->
-    k
-      ( Decision.indeterminate "push-mode PEP decides from presented capabilities",
-        Provenance.make ~at:(now t) Provenance.Capability )
-
-(* A finished descent frees its slot; the oldest waiter (if any) takes it
-   immediately — the admission queue drains in arrival order. *)
-let release_slot t =
-  t.inflight <- t.inflight - 1;
-  match t.admission with
-  | Some a when t.inflight < a.max_inflight -> (
-    match Queue.take_opt t.waiting with
-    | Some job ->
-      t.inflight <- t.inflight + 1;
-      job ()
-    | None -> ())
-  | Some _ | None -> ()
+    answer t ~admitted ~started ~tag k
+      (Decision.indeterminate "push-mode PEP decides from presented capabilities")
+      (Provenance.make ~at:(now t) Provenance.Capability)
 
 (* Bounded admission (overload protection): at most [max_inflight]
    concurrent ladder descents, at most [max_queue] requests parked behind
    them.  Anything beyond that is shed immediately — it fails closed with
    an Indeterminate (the enforcement layer denies it) rather than growing
    an unbounded backlog, so the latency of *admitted* requests stays
-   bounded by the queue it can actually wait in. *)
+   bounded by the queue it can actually wait in.  An admitted request
+   frees its slot when it is answered. *)
 let decide_explained t ctx k =
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
-  let finish (result, (p : Provenance.t)) =
-    Metrics.observe_exemplar
-      (t.counters.h_decide p.Provenance.stage)
-      (now t -. started) ~trace:tag ~at:(now t);
-    k result p
-  in
   match t.admission with
-  | None -> decide_admitted t ctx finish
+  | None -> decide_admitted t ctx ~admitted:false ~started ~tag k
   | Some a ->
-    let run () = decide_admitted t ctx (fun rp -> release_slot t; finish rp) in
     if t.inflight < a.max_inflight then begin
       t.inflight <- t.inflight + 1;
-      run ()
+      decide_admitted t ctx ~admitted:true ~started ~tag k
     end
     else if Queue.length t.waiting < a.max_queue then begin
       let parked_at = now t in
@@ -642,14 +700,15 @@ let decide_explained t ctx k =
         (fun () ->
           Metrics.observe_exemplar t.counters.h_queue_wait (now t -. parked_at) ~trace:tag
             ~at:(now t);
-          run ())
+          decide_admitted t ctx ~admitted:true ~started ~tag k)
         t.waiting
     end
     else begin
       Metrics.inc t.counters.c_shed;
       Metrics.inc t.counters.c_shed_admission;
       Trace.record (tracer t) "pep:shed";
-      finish (Decision.indeterminate shed_reason, Provenance.make ~at:(now t) Provenance.Shed)
+      answer t ~admitted:false ~started ~tag k (Decision.indeterminate shed_reason)
+        (Provenance.make ~at:(now t) Provenance.Shed)
     end
 
 let decide t ctx k = decide_explained t ctx (fun result _prov -> k result)

@@ -134,7 +134,8 @@ let tier shards batch seed requests json =
 let e16 =
   Experiment.v "e16"
     ~gates:Gate.[ exact "all-requests-granted"; exact "balanced-shards";
-                  ratio "speedup>=3x at 4 shards" ~at_least:3.0 ]
+                  ratio "speedup>=3x at 4 shards" ~at_least:3.0;
+                  no_worse "cold-words-regression" ~key:"cold_words_per_decision" ~better:`Lower ]
   @@ fun x ->
   header "E16  Sharded, batched PDP tier (shard count x batch size ablation)"
     "hash-partitioning the Fig. 3 flow across PDP replicas multiplies sustained \
@@ -186,7 +187,12 @@ let e16 =
     (float_of_int busiest /. float_of_int (max 1 evaluations));
   Experiment.metric x "one_shard_req_s" base;
   Experiment.metric x "four_shards_req_s" (tput four);
-  Experiment.metric x "speedup_4_shards" (tput four /. base)
+  Experiment.metric x "speedup_4_shards" (tput four /. base);
+  let probe = W.cold_decision_probe () in
+  if probe.W.answered <> probe.W.decisions then failwith "E16: a cold decision went unanswered";
+  let words = probe.W.words_per_decision in
+  Printf.printf "minor words per cold decision (1 shard, 129-rule policy): %.1f\n\n" words;
+  Experiment.metric x ~digits:1 "cold_words_per_decision" words
 
 (* ==================================================================== *)
 (* The decision-cache ladder: dacs cache, E17                           *)

@@ -24,7 +24,8 @@ type trace_entry = { t_src : node_id; t_dst : node_id; t_category : string; t_ti
 type t = {
   engine : Engine.t;
   nodes : (node_id, node_state) Hashtbl.t;
-  latencies : (node_id * node_id, float) Hashtbl.t;
+  latencies : (node_id, (node_id, float) Hashtbl.t) Hashtbl.t;
+      (** per-link overrides under the lesser endpoint, keyed by the greater *)
   mutable default_latency : float;
   mutable bytes_per_second : float option;
   mutable drop_rate : float;
@@ -64,26 +65,45 @@ let has_node t id = Hashtbl.mem t.nodes id
 let nodes t = Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [] |> List.sort compare
 
 let node_exn t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Net: unknown node %s" id)
+  match Hashtbl.find t.nodes id with
+  | n -> n
+  | exception Not_found -> invalid_arg (Printf.sprintf "Net: unknown node %s" id)
 
 let set_handler t id handler = (node_exn t id).handler <- handler
 
 let set_default_latency t l = t.default_latency <- l
 
-let pair_key a b = if a <= b then (a, b) else (b, a)
+(* A link is symmetric: its override is filed under the lesser endpoint
+   and found by the greater, so a lookup builds no pair and returns no
+   option. *)
+let links_of t a b = Hashtbl.find t.latencies (if a <= b then a else b)
+let far a b = if a <= b then b else a
 
-let set_latency t a b l = Hashtbl.replace t.latencies (pair_key a b) l
+let set_latency t a b l =
+  let links =
+    match links_of t a b with
+    | links -> links
+    | exception Not_found ->
+      let links = Hashtbl.create 4 in
+      Hashtbl.add t.latencies (if a <= b then a else b) links;
+      links
+  in
+  Hashtbl.replace links (far a b) l
 
 let latency t a b =
-  match Hashtbl.find_opt t.latencies (pair_key a b) with
-  | Some l -> l
-  | None -> t.default_latency
+  match Hashtbl.find (links_of t a b) (far a b) with
+  | l -> l
+  | exception Not_found -> t.default_latency
 
-let latency_override t a b = Hashtbl.find_opt t.latencies (pair_key a b)
+let latency_override t a b =
+  match Hashtbl.find (links_of t a b) (far a b) with l -> Some l | exception Not_found -> None
 
-let clear_latency t a b = Hashtbl.remove t.latencies (pair_key a b)
+let clear_latency t a b =
+  match links_of t a b with
+  | links ->
+    Hashtbl.remove links (far a b);
+    if Hashtbl.length links = 0 then Hashtbl.remove t.latencies (if a <= b then a else b)
+  | exception Not_found -> ()
 
 let set_bytes_per_second t rate = t.bytes_per_second <- rate
 
@@ -108,9 +128,12 @@ let unpartition t group_a group_b =
 let heal t = t.partitions <- []
 
 let partitioned t a b =
-  List.exists
-    (fun (ga, gb) -> (List.mem a ga && List.mem b gb) || (List.mem a gb && List.mem b ga))
-    t.partitions
+  match t.partitions with
+  | [] -> false
+  | partitions ->
+    List.exists
+      (fun (ga, gb) -> (List.mem a ga && List.mem b gb) || (List.mem a gb && List.mem b ga))
+      partitions
 
 let bump table category size =
   match Hashtbl.find table category with
@@ -119,9 +142,22 @@ let bump table category size =
     tally.total_bytes <- tally.total_bytes + size
   | exception Not_found -> Hashtbl.add table category { messages = 1; total_bytes = size }
 
+(* Nodes are never removed, so the state found at send time is the one
+   the delivery reads; the delivery carries only it and the message. *)
+let deliver t dst_node msg =
+  if dst_node.crashed then t.dropped <- t.dropped + 1
+  else begin
+    bump t.delivered msg.category (String.length msg.payload);
+    if t.tracing then
+      t.trace_rev <-
+        { t_src = msg.src; t_dst = msg.dst; t_category = msg.category; t_time = now t }
+        :: t.trace_rev;
+    dst_node.handler msg
+  end
+
 let send t ~src ~dst ~category payload =
   let src_node = node_exn t src in
-  ignore (node_exn t dst);
+  let dst_node = node_exn t dst in
   let size = String.length payload in
   if src_node.crashed then ()
   else begin
@@ -137,16 +173,7 @@ let send t ~src ~dst ~category payload =
         +. (match t.bytes_per_second with None -> 0.0 | Some rate -> float_of_int size /. rate)
       in
       let msg = { src; dst; category; payload; sent_at = now t } in
-      Engine.schedule t.engine ~delay (fun () ->
-          let dst_node = node_exn t dst in
-          if dst_node.crashed then t.dropped <- t.dropped + 1
-          else begin
-            bump t.delivered category size;
-            if t.tracing then
-              t.trace_rev <-
-                { t_src = src; t_dst = dst; t_category = category; t_time = now t } :: t.trace_rev;
-            dst_node.handler msg
-          end)
+      Engine.schedule t.engine ~delay (fun () -> deliver t dst_node msg)
     end
   end
 

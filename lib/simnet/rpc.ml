@@ -52,8 +52,6 @@ type writer = Buffer.t -> unit
 
 let slice_to_string s = String.sub s.src s.off s.len
 
-type pending = { src : Net.node_id; dst : Net.node_id; k : (slice, error) result -> unit }
-
 (* The per-service series of the RPC layer, each resolved in the registry
    the first time it is used — the same moment the series came into
    existence when every call looked it up — and held from then on. *)
@@ -70,6 +68,10 @@ type series = {
 
 type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
 
+(* A registered service: its handler, and the envelope every reply body
+   is written in (see [serve_frame]). *)
+type service = { handler : handler; reply_envelope : Buffer.t -> writer -> unit }
+
 (* The resilience series of one calling node, resolved the same way.
    They are labelled by the caller, so a component resetting "its"
    series (e.g. Pep.reset_stats) and the bus-wide resilience_stats sum
@@ -80,10 +82,29 @@ type caller_series = {
   rejections : Metrics.counter Lazy.t;
 }
 
+(* One attempt of a call, from its request frame to its completion: the
+   pending-table entry that a reply, the timeout timer and [expire]
+   complete.  It carries everything the completion needs — the
+   caller's continuation included — so an attempt allocates no closure
+   around it.  A [guarded] attempt reports its outcome to the target's
+   breaker before the continuation runs.  [c_parts] is the number of
+   parts a batch reply must carry (0 for a plain frame). *)
+type call = {
+  c_src : Net.node_id;
+  c_dst : Net.node_id;
+  c_series : series;
+  c_started : float;
+  c_span : Trace.span option;
+  c_initiating : Trace.context option;
+  c_guarded : bool;
+  c_parts : int;
+  c_k : (slice, error) result -> unit;
+}
+
 type t = {
   net : Net.t;
-  services : (Net.node_id * string, handler) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
+  services : (Net.node_id * string, service) Hashtbl.t;
+  pending : (int, call) Hashtbl.t;
   mutable next_id : int;
   mutable breaker_config : breaker_config option;
   breakers : (Net.node_id, breaker) Hashtbl.t;
@@ -94,6 +115,7 @@ type t = {
   inflight : Metrics.gauge Lazy.t;
   frame : Buffer.t;  (* scratch: the frame being written *)
   part : Buffer.t;  (* scratch: the batch part being written *)
+  mutable dispatch : Net.message -> unit;  (* every node's handler, built once *)
 }
 
 let caller_series t src =
@@ -197,7 +219,7 @@ let rec spells s i stop known j =
 (* The unescaped header field [s.[i..stop)], or [None] when a '%' in it
    starts neither escape.  A field without escapes that spells [known] is
    [known] itself, compared in place rather than copied. *)
-let header_field ?(known = "") s i stop =
+let header_field ~known s i stop =
   if spells s i stop known 0 then Some known
   else if not (canonically_escaped s i stop) then None
   else if i = stop then Some ""
@@ -228,17 +250,24 @@ let add_part_length buf len =
   add_int buf len;
   Buffer.add_char buf ':'
 
-let rec parts_from src stop acc i =
-  if i = stop then Some (List.rev acc)
+(* Folds [f] over the parts of [src] from [i] to [stop]; [None] when the
+   bytes are not a well-formed part sequence. *)
+let rec fold_parts f src stop acc i =
+  if i = stop then Some acc
   else
     match String.index_from_opt src i ':' with
     | Some colon when colon < stop ->
       let len = decimal src i colon in
       if len < 0 || colon + 1 + len > stop then None
-      else parts_from src stop ({ src; off = colon + 1; len } :: acc) (colon + 1 + len)
+      else fold_parts f src stop (f { src; off = colon + 1; len } acc) (colon + 1 + len)
     | Some _ | None -> None
 
-let parts_of { src; off; len } = parts_from src (off + len) [] off
+let parts_of { src; off; len } =
+  Option.map List.rev (fold_parts List.cons src (off + len) [] off)
+
+(* The number of parts of a batch body; -1 when it is malformed. *)
+let part_count { src; off; len } =
+  match fold_parts (fun _ n -> n + 1) src (off + len) 0 off with Some n -> n | None -> -1
 
 let encode_parts parts =
   let buf = Buffer.create 256 in
@@ -281,7 +310,7 @@ type header = { kind : kind; id : int; service : string; trace : string; body : 
 (* The next '|' from [i] on, or the end of [s]. *)
 let rec bar s i = if i >= String.length s || String.unsafe_get s i = '|' then i else bar s (i + 1)
 
-let header ?known payload =
+let header ~known payload =
   let n = String.length payload in
   let first = bar payload 0 in
   let kind =
@@ -303,7 +332,7 @@ let header ?known payload =
     let third = if second < n then bar payload (second + 1) else n in
     if id < 0 || third >= n then None
     else
-      match header_field ?known payload (second + 1) third with
+      match header_field ~known payload (second + 1) third with
       | None -> None
       | Some service -> (
         match kind with
@@ -314,7 +343,7 @@ let header ?known payload =
           let fourth = bar payload (third + 1) in
           if fourth >= n then None
           else
-            match header_field payload (third + 1) fourth with
+            match header_field ~known:"" payload (third + 1) fourth with
             | None -> None
             | Some trace -> Some { kind; id; service; trace; body = fourth + 1 })))
 
@@ -348,7 +377,7 @@ type frame =
   | Error_frame of int * string
 
 let decode payload =
-  match header payload with
+  match header ~known:"" payload with
   | None -> None
   | Some h -> (
     let body () = slice_to_string (body_slice payload h) in
@@ -364,12 +393,16 @@ let decode payload =
     | K_reply -> Some (Reply (h.id, body ()))
     | K_error -> Some (Error_frame (h.id, body ())))
 
+(* The frame body [write] produces, bare: the envelope of callers and
+   services that add none. *)
+let bare buf (write : writer) = write buf
+
 (* Writes one frame into the bus's scratch buffer and sends it. *)
-let send_frame t ~src ~dst ~category kind id ~service ~trace write =
+let send_frame t ~src ~dst ~category kind id ~service ~trace ~envelope write =
   let buf = t.frame in
   Buffer.clear buf;
   add_header buf kind id ~service ~trace;
-  write buf;
+  envelope buf write;
   Net.send t.net ~src ~dst ~category (Buffer.contents buf)
 
 (* The bytes [write] produces, as one batch part ("<len>:<bytes>"). *)
@@ -379,95 +412,93 @@ let add_written_part t buf write =
   add_part_length buf (Buffer.length t.part);
   Buffer.add_buffer buf t.part
 
-let written t write =
+let written t ~envelope write =
   Buffer.clear t.part;
-  write t.part;
+  envelope t.part write;
   Buffer.contents t.part
 
 let send_error t (msg : Net.message) id text =
   send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:"rpc-error" K_error id ~service:"" ~trace:""
-    (fun buf -> Buffer.add_string buf text)
+    ~envelope:bare (fun buf -> Buffer.add_string buf text)
 
 (* A reply's category is its request's with "-reply"; a request sent as
    its service (as [issue] sends them) finds it resolved in the series. *)
 let reply_category (msg : Net.message) service series =
   if String.equal msg.Net.category service then series.reply else msg.Net.category ^ "-reply"
 
+(* The server span of one dispatch, started only when tracing is on. *)
+let serve_span t (msg : Net.message) ~label service trace =
+  if not (Trace.enabled t.tracer) then None
+  else begin
+    let s =
+      match trace with
+      | Some ctx -> Trace.start_span t.tracer ~parent:ctx (label ^ service)
+      | None -> Trace.start_span t.tracer (label ^ service)
+    in
+    Trace.annotate s "node" msg.Net.dst;
+    Trace.annotate s "caller" msg.Net.src;
+    Some s
+  end
+
+(* Runs the handler on one request, under the server span when there is
+   one. *)
+let run_handler t span (handler : handler) ~caller body reply =
+  match span with
+  | None -> handler ~caller body reply
+  | Some s ->
+    let saved = Trace.current t.tracer in
+    Trace.set_current t.tracer (Some (Trace.context s));
+    handler ~caller body reply;
+    Trace.set_current t.tracer saved
+
+(* The reply to one dispatched request.  The server span closes when the
+   handler replies — possibly much later than the handler returned,
+   after its own nested calls. *)
+let reply_once t (msg : Net.message) id ~category ~span ~envelope write =
+  (match span with Some s -> Trace.finish t.tracer s | None -> ());
+  send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category K_reply id ~service:"" ~trace:""
+    ~envelope write
+
 let dispatch_request t (msg : Net.message) id service trace body =
-  match Hashtbl.find_opt t.services (msg.Net.dst, service) with
-  | None -> send_error t msg id ("no-such-service:" ^ service)
-  | Some handler ->
+  match Hashtbl.find t.services (msg.Net.dst, service) with
+  | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
+  | { handler; reply_envelope = envelope } ->
     let series = series_for t service in
     Metrics.inc (Lazy.force series.served);
-    let span =
-      if Trace.enabled t.tracer then begin
-        let s =
-          match trace with
-          | Some ctx -> Trace.start_span t.tracer ~parent:ctx ("serve:" ^ service)
-          | None -> Trace.start_span t.tracer ("serve:" ^ service)
-        in
-        Trace.annotate s "node" msg.Net.dst;
-        Trace.annotate s "caller" msg.Net.src;
-        Some s
-      end
-      else None
-    in
-    let reply write =
-      (* The server span closes when the handler replies — possibly much
-         later than the handler returned, after its own nested calls. *)
-      Option.iter (fun s -> Trace.finish t.tracer s) span;
-      send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(reply_category msg service series) K_reply id
-        ~service:"" ~trace:"" write
-    in
-    let saved = Trace.current t.tracer in
-    Option.iter (fun s -> Trace.set_current t.tracer (Some (Trace.context s))) span;
-    handler ~caller:msg.Net.src body reply;
-    Trace.set_current t.tracer saved
+    let category = reply_category msg service series in
+    let span = serve_span t msg ~label:"serve:" service trace in
+    run_handler t span handler ~caller:msg.Net.src body
+      (reply_once t msg id ~category ~span ~envelope)
 
 (* A batch dispatches each part to the ordinary per-request handler and
    replies once, when the last part's (possibly asynchronous) reply has
    arrived — one round-trip, one fault envelope for the whole batch. *)
 let dispatch_batch t (msg : Net.message) id service trace parts =
-  match Hashtbl.find_opt t.services (msg.Net.dst, service) with
-  | None -> send_error t msg id ("no-such-service:" ^ service)
-  | Some handler ->
+  match Hashtbl.find t.services (msg.Net.dst, service) with
+  | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
+  | { handler; reply_envelope = envelope } ->
     let n = List.length parts in
     let series = series_for t service in
     Metrics.inc ~by:n (Lazy.force series.served);
-    let span =
-      if Trace.enabled t.tracer then begin
-        let s =
-          match trace with
-          | Some ctx -> Trace.start_span t.tracer ~parent:ctx ("serve-batch:" ^ service)
-          | None -> Trace.start_span t.tracer ("serve-batch:" ^ service)
-        in
-        Trace.annotate s "node" msg.Net.dst;
-        Trace.annotate s "caller" msg.Net.src;
-        Trace.annotate s "batch" (string_of_int n);
-        Some s
-      end
-      else None
-    in
+    let span = serve_span t msg ~label:"serve-batch:" service trace in
+    Option.iter (fun s -> Trace.annotate s "batch" (string_of_int n)) span;
     let replies = Array.make n "" in
     let outstanding = ref n in
     let reply_part i write =
-      replies.(i) <- written t write;
+      replies.(i) <- written t ~envelope write;
       decr outstanding;
-      if !outstanding = 0 then begin
-        Option.iter (fun s -> Trace.finish t.tracer s) span;
-        send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category:(reply_category msg service series) K_reply id
-          ~service:"" ~trace:"" (fun buf ->
+      if !outstanding = 0 then
+        reply_once t msg id ~category:(reply_category msg service series) ~span ~envelope:bare
+          (fun buf ->
             Array.iter
               (fun r ->
                 add_part_length buf (String.length r);
                 Buffer.add_string buf r)
               replies)
-      end
     in
-    let saved = Trace.current t.tracer in
-    Option.iter (fun s -> Trace.set_current t.tracer (Some (Trace.context s))) span;
-    List.iteri (fun i part -> handler ~caller:msg.Net.src part (reply_part i)) parts;
-    Trace.set_current t.tracer saved
+    List.iteri
+      (fun i part -> run_handler t span handler ~caller:msg.Net.src part (reply_part i))
+      parts
 
 let breaker_for t dst =
   match Hashtbl.find t.breakers dst with
@@ -488,178 +519,6 @@ let breaker_for t dst =
 let heard_from t dst =
   match Hashtbl.find t.breakers dst with b -> b.heard.(0) | exception Not_found -> neg_infinity
 
-(* A call completes only with an answer from the node it was sent to,
-   delivered to the node that made it: a reply after the timeout, from
-   any other node, or to any other node is dropped.  Ids are one
-   sequence for the whole bus, so without the second check a node could
-   relay — send the callee a request under another node's pending id —
-   and the callee's answer to it would complete that other call. *)
-let complete t (msg : Net.message) id result =
-  match Hashtbl.find_opt t.pending id with
-  | Some p when String.equal p.dst msg.Net.src && String.equal p.src msg.Net.dst ->
-    Hashtbl.remove t.pending id;
-    p.k result
-  | Some _ | None -> ()
-
-(* The bus's own verdict on a call still pending: a timeout. *)
-let time_out t id =
-  match Hashtbl.find_opt t.pending id with
-  | Some p ->
-    Hashtbl.remove t.pending id;
-    p.k (Error Timeout)
-  | None -> ()
-
-let handle_message t (msg : Net.message) =
-  let payload = msg.Net.payload in
-  (* A request's category is its service, so the service field is
-     matched against it in place. *)
-  match header ~known:msg.Net.category payload with
-  | None -> ()
-  | Some h -> (
-    let trace () = if h.kind = K_traced || h.kind = K_traced_batch then Trace.context_of_string h.trace else None in
-    match h.kind with
-    | K_request | K_traced -> dispatch_request t msg h.id h.service (trace ()) (body_slice payload h)
-    | K_batch | K_traced_batch -> (
-      match parts_of (body_slice payload h) with
-      | None -> ()
-      | Some parts -> dispatch_batch t msg h.id h.service (trace ()) parts)
-    | K_reply ->
-      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
-      complete t msg h.id (Ok (body_slice payload h))
-    | K_error ->
-      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
-      let err =
-        let prefix = "no-such-service:" in
-        let np = String.length prefix in
-        let n = String.length payload - h.body in
-        if n >= np && String.sub payload h.body np = prefix then
-          No_such_service (String.sub payload (h.body + np) (n - np))
-        else Timeout
-      in
-      complete t msg h.id (Error err))
-
-let create net =
-  let now () = Net.now net in
-  let next_id () = Dacs_crypto.Rng.next_int64 (Engine.rng (Net.engine net)) in
-  let metrics = Metrics.create ~now () in
-  {
-    net;
-    services = Hashtbl.create 64;
-    pending = Hashtbl.create 64;
-    next_id = 0;
-    breaker_config = Some default_breaker;
-    breakers = Hashtbl.create 16;
-    metrics;
-    tracer = Trace.create ~now ~next_id ();
-    series = Hashtbl.create 16;
-    callers = Hashtbl.create 16;
-    inflight = lazy (Metrics.gauge metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight");
-    frame = Buffer.create 1024;
-    part = Buffer.create 1024;
-  }
-
-let net t = t.net
-let metrics t = t.metrics
-let tracer t = t.tracer
-let set_tracing t on = Trace.set_enabled t.tracer on
-
-let ensure_dispatch t node =
-  Net.add_node t.net node;
-  Net.set_handler t.net node (handle_message t)
-
-let serve_frame t ~node ~service handler =
-  ensure_dispatch t node;
-  Hashtbl.replace t.services (node, service) handler
-
-(* Shared correlation machinery of single and batched calls: id
-   allocation, one client span per attempt, the pending-table entry and
-   its timeout timer.  The request frame is [kind] (or [traced] when a
-   trace context rides along) with [write] producing its body. *)
-let issue t series ~src ~dst ~service ~timeout ~span_label ~annotate_span ~kind ~traced ~write k =
-  ensure_dispatch t src;
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let started = Net.now t.net in
-  (* One client span per call attempt, parented on the ambient context —
-     the span under which the caller's code is currently running.  Its
-     context rides inside the request frame, and the continuation runs
-     with the ambient context restored to the caller's, so nested calls
-     made from continuations still stitch into the same tree. *)
-  let initiating = Trace.current t.tracer in
-  let span =
-    if Trace.enabled t.tracer then begin
-      let s = Trace.start_span t.tracer (span_label ^ service) in
-      Trace.annotate s "src" src;
-      Trace.annotate s "dst" dst;
-      annotate_span s;
-      Some s
-    end
-    else None
-  in
-  let finish result =
-    Metrics.observe (Lazy.force series.latency) (Net.now t.net -. started);
-    (match result with
-    | Ok _ -> ()
-    | Error e ->
-      Metrics.inc (Lazy.force series.errors);
-      Option.iter (fun s -> Trace.set_status s (Trace.Span_error (error_to_string e))) span);
-    Option.iter (fun s -> Trace.finish t.tracer s) span;
-    Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
-    let saved = Trace.current t.tracer in
-    Trace.set_current t.tracer initiating;
-    k result;
-    Trace.set_current t.tracer saved
-  in
-  Hashtbl.replace t.pending id { src; dst; k = finish };
-  Metrics.set_gauge (Lazy.force t.inflight) (float_of_int (Hashtbl.length t.pending));
-  (match span with
-  | Some s ->
-    send_frame t ~src ~dst ~category:service traced id ~service
-      ~trace:(Trace.context_to_string (Trace.context s))
-      write
-  | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" write);
-  Engine.schedule (Net.engine t.net) ~delay:timeout (fun () -> time_out t id)
-
-let call_once t ~src ~dst ~service ~timeout write k =
-  let series = series_for t service in
-  Metrics.inc (Lazy.force series.calls);
-  issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~annotate_span:ignore
-    ~kind:K_request ~traced:K_traced ~write k
-
-let call_batch_once t ~src ~dst ~service writes k =
-  let n = List.length writes in
-  if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
-  let series = series_for t service in
-  Metrics.inc (Lazy.force series.calls);
-  Metrics.inc (Lazy.force series.batches);
-  Metrics.inc ~by:n (Lazy.force series.batch_parts);
-  Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
-  issue t series ~src ~dst ~service ~timeout:1.0 ~span_label:"rpc-batch:"
-    ~annotate_span:(fun s -> Trace.annotate s "batch" (string_of_int n))
-    ~kind:K_batch ~traced:K_traced_batch
-    ~write:(fun buf -> List.iter (add_written_part t buf) writes)
-    (fun result ->
-      match result with
-      | Error e -> k (Error e)
-      | Ok reply -> (
-        match parts_of reply with
-        | Some parts when List.length parts = n -> k (Ok parts)
-        | Some _ | None ->
-          (* A peer that answers with the wrong arity is indistinguishable
-             from a lost reply to the caller: fail the whole envelope. *)
-          k (Error Timeout)))
-
-let calls_in_flight t = Hashtbl.length t.pending
-
-(* Ids are collected first and failed in ascending order: [Hashtbl]
-   iteration order is not a contract, and a continuation may issue new
-   calls — those are not this expiry's to fail. *)
-let expire t dst =
-  let ids =
-    Hashtbl.fold (fun id p acc -> if String.equal p.dst dst then id :: acc else acc) t.pending []
-  in
-  List.iter (fun id -> time_out t id) (List.sort Int.compare ids)
-
 (* --- circuit breaker ------------------------------------------------------ *)
 
 let set_breaker t config = t.breaker_config <- config
@@ -675,13 +534,16 @@ let breaker_state t dst =
     | s -> s)
 
 let breaker_sheds t dst =
-  match (t.breaker_config, Hashtbl.find_opt t.breakers dst) with
-  | None, _ | _, None -> false
-  | Some cfg, Some b -> (
-    match b.b_state with
-    | Closed -> false
-    | Open -> Net.now t.net < b.opened_at +. cfg.cooldown
-    | Half_open -> b.probe_in_flight)
+  match t.breaker_config with
+  | None -> false
+  | Some cfg -> (
+    match Hashtbl.find t.breakers dst with
+    | exception Not_found -> false
+    | b -> (
+      match b.b_state with
+      | Closed -> false
+      | Open -> Net.now t.net < b.opened_at +. cfg.cooldown
+      | Half_open -> b.probe_in_flight))
 
 (* A trace event naming [dst], built only when tracing is on. *)
 let record_towards t what dst = if Trace.enabled t.tracer then Trace.record t.tracer (what ^ dst)
@@ -696,10 +558,6 @@ let breaker_admit t ~src dst =
   | None -> true
   | Some cfg -> (
     let b = breaker_for t dst in
-    let reject () =
-      record_shed t ~src dst;
-      false
-    in
     match b.b_state with
     | Closed -> true
     | Open ->
@@ -709,9 +567,15 @@ let breaker_admit t ~src dst =
         record_towards t "breaker-half-open " dst;
         true
       end
-      else reject ()
+      else begin
+        record_shed t ~src dst;
+        false
+      end
     | Half_open ->
-      if b.probe_in_flight then reject ()
+      if b.probe_in_flight then begin
+        record_shed t ~src dst;
+        false
+      end
       else begin
         b.probe_in_flight <- true;
         true
@@ -750,6 +614,232 @@ let breaker_failure t ~src dst =
       if b.consecutive_failures >= cfg.failure_threshold then trip ()
     | Open -> ())
 
+(* What one attempt's outcome tells the target's breaker: a reply is a
+   success, a timeout a failure; a missing service means the target
+   answered, which is neither. *)
+let account t ~src dst = function
+  | Ok _ -> breaker_success t dst
+  | Error Timeout -> breaker_failure t ~src dst
+  | Error (No_such_service _ | Circuit_open _) -> ()
+
+(* --- calls ----------------------------------------------------------------- *)
+
+let inflight_changed t = Metrics.set_gauge_count (Lazy.force t.inflight) (Hashtbl.length t.pending)
+
+(* A batch reply must carry exactly one part per query: a peer that
+   answers with the wrong arity is indistinguishable from a lost reply to
+   the caller, so the whole envelope fails — and its breaker counts the
+   failure. *)
+let checked_arity c = function
+  | Ok reply when c.c_parts > 0 && part_count reply <> c.c_parts -> Error Timeout
+  | result -> result
+
+(* The attempt is over: record it, then run the caller's continuation
+   with the ambient trace context restored to the caller's, so nested
+   calls made from continuations still stitch into the same tree.  The
+   breaker of a guarded attempt hears the outcome the caller gets. *)
+let finish t c result =
+  Metrics.observe (Lazy.force c.c_series.latency) (Net.now t.net -. c.c_started);
+  (match result with
+  | Ok _ -> ()
+  | Error e -> (
+    Metrics.inc (Lazy.force c.c_series.errors);
+    match c.c_span with
+    | Some s -> Trace.set_status s (Trace.Span_error (error_to_string e))
+    | None -> ()));
+  (match c.c_span with Some s -> Trace.finish t.tracer s | None -> ());
+  inflight_changed t;
+  let saved = Trace.current t.tracer in
+  Trace.set_current t.tracer c.c_initiating;
+  let result = checked_arity c result in
+  if c.c_guarded then account t ~src:c.c_src c.c_dst result;
+  c.c_k result;
+  Trace.set_current t.tracer saved
+
+(* A call completes only with an answer from the node it was sent to,
+   delivered to the node that made it: a reply after the timeout, from
+   any other node, or to any other node is dropped.  Ids are one
+   sequence for the whole bus, so without the second check a node could
+   relay — send the callee a request under another node's pending id —
+   and the callee's answer to it would complete that other call. *)
+let complete t (msg : Net.message) id result =
+  match Hashtbl.find t.pending id with
+  | c when String.equal c.c_dst msg.Net.src && String.equal c.c_src msg.Net.dst ->
+    Hashtbl.remove t.pending id;
+    finish t c result
+  | _ -> ()
+  | exception Not_found -> ()
+
+(* The bus's own verdict on a call still pending: a timeout. *)
+let time_out t id =
+  match Hashtbl.find t.pending id with
+  | c ->
+    Hashtbl.remove t.pending id;
+    finish t c (Error Timeout)
+  | exception Not_found -> ()
+
+(* The trace context a request frame carries, if it is of a traced kind. *)
+let trace_context h =
+  match h.kind with
+  | K_traced | K_traced_batch -> Trace.context_of_string h.trace
+  | K_request | K_batch | K_reply | K_error -> None
+
+let handle_message t (msg : Net.message) =
+  let payload = msg.Net.payload in
+  (* A request's category is its service, so the service field is
+     matched against it in place. *)
+  match header ~known:msg.Net.category payload with
+  | None -> ()
+  | Some h -> (
+    match h.kind with
+    | K_request | K_traced ->
+      dispatch_request t msg h.id h.service (trace_context h) (body_slice payload h)
+    | K_batch | K_traced_batch -> (
+      match parts_of (body_slice payload h) with
+      | None -> ()
+      | Some parts -> dispatch_batch t msg h.id h.service (trace_context h) parts)
+    | K_reply ->
+      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
+      complete t msg h.id (Ok (body_slice payload h))
+    | K_error ->
+      (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
+      let err =
+        let prefix = "no-such-service:" in
+        let np = String.length prefix in
+        let n = String.length payload - h.body in
+        if n >= np && String.sub payload h.body np = prefix then
+          No_such_service (String.sub payload (h.body + np) (n - np))
+        else Timeout
+      in
+      complete t msg h.id (Error err))
+
+let create net =
+  let now () = Net.now net in
+  let next_id () = Dacs_crypto.Rng.next_int64 (Engine.rng (Net.engine net)) in
+  let metrics = Metrics.create ~now () in
+  let t =
+    {
+      net;
+      services = Hashtbl.create 64;
+      pending = Hashtbl.create 64;
+      next_id = 0;
+      breaker_config = Some default_breaker;
+      breakers = Hashtbl.create 16;
+      metrics;
+      tracer = Trace.create ~now ~next_id ();
+      series = Hashtbl.create 16;
+      callers = Hashtbl.create 16;
+      inflight =
+        lazy (Metrics.gauge metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight");
+      frame = Buffer.create 1024;
+      part = Buffer.create 1024;
+      dispatch = ignore;
+    }
+  in
+  t.dispatch <- handle_message t;
+  t
+
+let net t = t.net
+let metrics t = t.metrics
+let tracer t = t.tracer
+let set_tracing t on = Trace.set_enabled t.tracer on
+
+let ensure_dispatch t node =
+  Net.add_node t.net node;
+  Net.set_handler t.net node t.dispatch
+
+let serve_frame t ~node ~service ?(envelope = bare) handler =
+  ensure_dispatch t node;
+  Hashtbl.replace t.services (node, service) { handler; reply_envelope = envelope }
+
+(* Shared correlation machinery of single and batched calls: id
+   allocation, one client span per attempt, the pending-table entry and
+   its timeout timer.  The request frame is [kind] (or [traced] when a
+   trace context rides along) with [envelope] writing [write]'s body. *)
+let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced ~guarded ~envelope
+    write k =
+  ensure_dispatch t src;
+  let id = t.next_id in
+  t.next_id <- t.next_id + 1;
+  (* One client span per call attempt, parented on the ambient context —
+     the span under which the caller's code is currently running.  Its
+     context rides inside the request frame. *)
+  let span =
+    if Trace.enabled t.tracer then begin
+      let s = Trace.start_span t.tracer (span_label ^ service) in
+      Trace.annotate s "src" src;
+      Trace.annotate s "dst" dst;
+      if batch > 0 then Trace.annotate s "batch" (string_of_int batch);
+      Some s
+    end
+    else None
+  in
+  Hashtbl.replace t.pending id
+    {
+      c_src = src;
+      c_dst = dst;
+      c_series = series;
+      c_started = Net.now t.net;
+      c_span = span;
+      c_initiating = Trace.current t.tracer;
+      c_guarded = guarded;
+      c_parts = batch;
+      c_k = k;
+    };
+  inflight_changed t;
+  (match span with
+  | Some s ->
+    send_frame t ~src ~dst ~category:service traced id ~service
+      ~trace:(Trace.context_to_string (Trace.context s))
+      ~envelope write
+  | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" ~envelope write);
+  Engine.schedule (Net.engine t.net) ~delay:timeout (fun () -> time_out t id)
+
+(* A [guarded] attempt first asks the target's breaker; a rejected one
+   fails at once with [Circuit_open], sending nothing and counting no
+   call. *)
+let call_once t ~src ~dst ~service ~timeout ~guarded ~envelope write k =
+  if guarded && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
+  else begin
+    let series = series_for t service in
+    Metrics.inc (Lazy.force series.calls);
+    issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~batch:0 ~kind:K_request
+      ~traced:K_traced ~guarded ~envelope write k
+  end
+
+(* [finish] has checked the reply's arity against the batch's. *)
+let batch_reply k = function
+  | Error e -> k (Error e)
+  | Ok reply -> (
+    match parts_of reply with Some parts -> k (Ok parts) | None -> k (Error Timeout))
+
+let call_batch_once t ~src ~dst ~service ~guarded writes k =
+  let n = List.length writes in
+  if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
+  if guarded && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
+  else begin
+    let series = series_for t service in
+    Metrics.inc (Lazy.force series.calls);
+    Metrics.inc (Lazy.force series.batches);
+    Metrics.inc ~by:n (Lazy.force series.batch_parts);
+    Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
+    issue t series ~src ~dst ~service ~timeout:1.0 ~span_label:"rpc-batch:" ~batch:n ~kind:K_batch
+      ~traced:K_traced_batch ~guarded ~envelope:bare
+      (fun buf -> List.iter (add_written_part t buf) writes)
+      (batch_reply k)
+  end
+
+let calls_in_flight t = Hashtbl.length t.pending
+
+(* Ids are collected first and failed in ascending order: [Hashtbl]
+   iteration order is not a contract, and a continuation may issue new
+   calls — those are not this expiry's to fail. *)
+let expire t dst =
+  let ids =
+    Hashtbl.fold (fun id c acc -> if String.equal c.c_dst dst then id :: acc else acc) t.pending []
+  in
+  List.iter (fun id -> time_out t id) (List.sort Int.compare ids)
+
 (* --- resilient calls ---------------------------------------------------------- *)
 
 let resilience_stats t =
@@ -773,9 +863,11 @@ let backoff_delay t retry failures =
     Float.max 0.0 (d *. (1.0 +. (retry.jitter *. ((2.0 *. u) -. 1.0))))
   end
 
-(* The shared retry/breaker envelope: [issue] performs one attempt and
-   hands its result to the continuation it is given.  Batched calls reuse
-   the exact same envelope, which is what makes a batch "one fault/retry
+(* The retry envelope of a call allowed several attempts: [issue]
+   performs one guarded attempt — its call record reports the outcome to
+   the breaker — and hands its result to the continuation it is given;
+   the loop only decides whether to try again.  Batched calls reuse the
+   exact same envelope, which is what makes a batch "one fault/retry
    unit" — the whole frame succeeds or the whole frame backs off. *)
 let resilient_loop (type a) t ~src ~dst ~retry ~(issue : ((a, error) result -> unit) -> unit)
     (k : (a, error) result -> unit) =
@@ -788,21 +880,13 @@ let resilient_loop (type a) t ~src ~dst ~retry ~(issue : ((a, error) result -> u
   let rec attempt n =
     let saved = Trace.current t.tracer in
     Trace.set_current t.tracer initiating;
-    (if not (breaker_admit t ~src dst) then after_failure n (Circuit_open dst)
-     else
-       issue (fun result ->
-           match result with
-           | Ok reply ->
-             breaker_success t dst;
-             k (Ok reply)
-           | Error Timeout ->
-             breaker_failure t ~src dst;
-             after_failure n Timeout
-           | Error (No_such_service _ as e) ->
-             (* The target answered: not a health failure, and retrying the
-                same missing service cannot succeed. *)
-             k (Error e)
-           | Error (Circuit_open _ as e) -> after_failure n e));
+    issue (function
+      | Ok reply -> k (Ok reply)
+      | Error ((Timeout | Circuit_open _) as e) -> after_failure n e
+      | Error (No_such_service _ as e) ->
+        (* The target answered: retrying the same missing service cannot
+           succeed. *)
+        k (Error e));
     Trace.set_current t.tracer saved
   and after_failure n err =
     if n >= retry.attempts then k (Error err)
@@ -817,13 +901,23 @@ let resilient_loop (type a) t ~src ~dst ~retry ~(issue : ((a, error) result -> u
   in
   attempt 1
 
-let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?resilient write k =
+(* Every call takes one of three paths: unguarded (no [resilient]); a
+   single guarded attempt, which builds no closure around the
+   continuation; or the retry loop around guarded attempts. *)
+let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?resilient ?(envelope = bare) write k =
   match resilient with
-  | None -> call_once t ~src ~dst ~service ~timeout write k
+  | None -> call_once t ~src ~dst ~service ~timeout ~guarded:false ~envelope write k
+  | Some { attempts = 1; _ } -> call_once t ~src ~dst ~service ~timeout ~guarded:true ~envelope write k
   | Some retry ->
-    resilient_loop t ~src ~dst ~retry ~issue:(fun k -> call_once t ~src ~dst ~service ~timeout write k) k
+    resilient_loop t ~src ~dst ~retry
+      ~issue:(fun k -> call_once t ~src ~dst ~service ~timeout ~guarded:true ~envelope write k)
+      k
 
 let call_batch_frame t ~src ~dst ~service ?resilient writes k =
   match resilient with
-  | None -> call_batch_once t ~src ~dst ~service writes k
-  | Some retry -> resilient_loop t ~src ~dst ~retry ~issue:(fun k -> call_batch_once t ~src ~dst ~service writes k) k
+  | None -> call_batch_once t ~src ~dst ~service ~guarded:false writes k
+  | Some { attempts = 1; _ } -> call_batch_once t ~src ~dst ~service ~guarded:true writes k
+  | Some retry ->
+    resilient_loop t ~src ~dst ~retry
+      ~issue:(fun k -> call_batch_once t ~src ~dst ~service ~guarded:true writes k)
+      k

@@ -162,12 +162,16 @@ val serve_frame :
   t ->
   node:Net.node_id ->
   service:string ->
+  ?envelope:(Buffer.t -> writer -> unit) ->
   (caller:Net.node_id -> slice -> (writer -> unit) -> unit) ->
   unit
 (** [serve_frame t ~node ~service handler] registers a service.  The
     handler receives the request body and a [reply] continuation it must
     call exactly once (possibly later, after its own nested calls
-    complete) with the writer of its answer. *)
+    complete) with the writer of its answer.  [envelope buf write]
+    writes each reply body around the handler's writer (by default the
+    writer's bytes alone): how a layer above wraps every reply in its
+    envelope without a closure per reply. *)
 
 val call_frame :
   t ->
@@ -176,6 +180,7 @@ val call_frame :
   service:string ->
   ?timeout:float ->
   ?resilient:retry_policy ->
+  ?envelope:(Buffer.t -> writer -> unit) ->
   writer ->
   ((slice, error) result -> unit) ->
   unit
@@ -186,7 +191,9 @@ val call_frame :
     completes the call: one from any other node, or to any other node
     (the callee's answer to a third node that sent it a request under
     this call's id), is dropped, as a reply after the timeout is.
-    Traffic is accounted under the service name.
+    Traffic is accounted under the service name.  [envelope buf write]
+    writes the request body around [write] (by default [write]'s bytes
+    alone), as {!serve_frame}'s does for replies.
 
     With [resilient] the call goes through the per-target circuit
     breaker and is retried per that policy ({!no_retry}: one attempt),
@@ -195,7 +202,9 @@ val call_frame :
     at once (the target is alive, retrying cannot help).  Each retry
     counts in [rpc_retries_total{src}] and, when tracing, is recorded as
     a ["retry …"] trace event.  Raises [Invalid_argument] when the
-    policy allows fewer than one attempt. *)
+    policy allows fewer than one attempt.  A policy of one attempt
+    ({!no_retry}) costs no more than an unguarded call: the attempt's
+    own call record reports its outcome to the breaker. *)
 
 val call_batch_frame :
   t ->
@@ -212,7 +221,9 @@ val call_batch_frame :
     receives exactly one reply per query.  The whole batch shares one
     correlation id, one 1 s timeout and (with [resilient]) one
     retry/breaker envelope — a timeout retries the whole frame, and
-    partial results are never delivered.
+    partial results are never delivered.  A reply with the wrong number
+    of parts fails the whole batch with [Timeout], and the target's
+    breaker counts it as a failure.
     Raises [Invalid_argument] on an empty batch. *)
 
 (** {1 Wire format}

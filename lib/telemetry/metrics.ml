@@ -82,6 +82,7 @@ let gauge t ?(help = "") ?(labels = []) name =
     ~cast:(function I_gauge g -> g | I_counter _ | I_histogram _ -> assert false)
 
 let set_gauge gauge v = gauge.g <- v
+let set_gauge_count gauge n = gauge.g <- float_of_int n
 
 let histogram t ?(help = "") ?(labels = []) name =
   register t ~name ~labels ~kind:K_histogram ~help

@@ -38,6 +38,10 @@ val counter_value : counter -> int
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
 
+val set_gauge_count : gauge -> int -> unit
+(** [set_gauge g n] for a count: the conversion happens in place, so a
+    caller setting a count allocates nothing. *)
+
 val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
 (** A {!Loghist} series: every histogram has Loghist's one shape,
     upper bounds 0.5 ms·2^i for i = 0…19 and then [+Inf]. *)

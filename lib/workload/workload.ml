@@ -526,3 +526,53 @@ let render_json r =
     r.offered r.completed r.shed shed_reasons r.pdp_overloads r.granted r.denied r.errors
     r.offline_serves r.active_users r.cache_hits r.publishes r.throughput r.makespan r.messages
     r.latency.p50 r.latency.p95 r.latency.p99 r.latency.max r.mean_latency slo
+
+type cold_probe = { words_per_decision : float; decisions : int; answered : int; permitted : int }
+
+let cold_decision_probe () =
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Dacs_net.Rpc.create net) in
+  Net.add_node net "pdp.0";
+  ignore
+    (Pdp_service.create services ~node:"pdp.0" ~name:"pdp.0"
+       ~root:(Policy.Inline_policy (churned_policy ~resources:64 ~gen:0))
+       ~service_time:0.001 ());
+  Net.add_node net "pep";
+  let tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp.0" ] () in
+  let pep =
+    Pep.create services ~node:"pep" ~domain:"demo" ~resource:"res5"
+      (Pep.Sharded { tier; cache = None })
+  in
+  let warm = 20 and n = 200 in
+  (* Contexts are built before measuring: building one is the caller's
+     cost, not the decision's. *)
+  let ctxs =
+    Array.init (warm + n) (fun i ->
+        Context.make
+          ~subject:
+            [
+              ("subject-id", Value.String ("user" ^ string_of_int i));
+              ("role", Value.String (if i mod 2 = 0 then "doctor" else "nurse"));
+            ]
+          ~resource:[ ("resource-id", Value.String "res5") ]
+          ~action:[ ("action-id", Value.String "read") ]
+          ())
+  in
+  let answered = ref 0 and permitted = ref 0 in
+  let on_answer r _ =
+    incr answered;
+    if Decision.is_permit r then incr permitted
+  in
+  let decide i =
+    Pep.decide_explained pep ctxs.(i) on_answer;
+    Net.run net
+  in
+  for i = 0 to warm - 1 do
+    decide i
+  done;
+  let before = Gc.minor_words () in
+  for i = warm to warm + n - 1 do
+    decide i
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  { words_per_decision = words; decisions = warm + n; answered = !answered; permitted = !permitted }

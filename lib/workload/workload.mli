@@ -140,3 +140,24 @@ val render : report -> string
     scenario (the determinism contract [dacs load] and E18 gate on). *)
 
 val render_json : report -> string
+
+(** {1 The words of one cold decision} *)
+
+type cold_probe = {
+  words_per_decision : float;  (** minor words of one measured decision *)
+  decisions : int;  (** decisions made, warm-up included *)
+  answered : int;  (** decisions whose answer arrived *)
+  permitted : int;  (** answers that were Permit: all of them, when sound *)
+}
+
+val cold_decision_probe : unit -> cold_probe
+(** Minor words of one uncached decision through a one-shard sharded PEP
+    guarding res5 under the 129-rule serving policy, every subject a
+    doctor or nurse reading: [Pep.decide_explained] to the answer, each
+    decision drained alone by [Net.run] (its timers included), so every
+    flush carries one query.  The whole path a cold-wide decision takes:
+    the PEP ladder, the tier, the SOAP and RPC framing, two deliveries,
+    the PDP's FIFO and evaluation, and back.  Twenty warm-up decisions,
+    then 200 measured.  Deterministic: the words of one binary are the
+    same on every run.  E16's [cold_words_per_decision] and [test_tier]'s
+    word bound both read this probe. *)

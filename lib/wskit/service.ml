@@ -36,10 +36,15 @@ let fault code reason buf = Xml.print buf (Soap.fault_body { Soap.code; reason }
 let sender_fault = fault "soap:Sender"
 let receiver_fault = fault "soap:Receiver"
 
+(* The SOAP envelope around a body writer, as the RPC layer's envelope:
+   the bus writes it around every body, so no call or reply wraps its
+   writer in a closure of its own. *)
+let soap_envelope buf write = Soap.write buf write
+
 let serve_frame t ~node ~service ~read handler =
-  Rpc.serve_frame t.rpc ~node ~service (fun ~caller body reply ->
-      let reply write = reply (fun buf -> Soap.write buf write) in
-      match read_slice body (raising read) with
+  let read = raising read in
+  Rpc.serve_frame t.rpc ~node ~service ~envelope:soap_envelope (fun ~caller body reply ->
+      match read_slice body read with
       | Ok (headers, v) -> handler ~caller ~headers v reply
       | Error e -> reply (sender_fault e))
 
@@ -53,10 +58,17 @@ let decode_reply read s =
     | Ok (_, tree) -> (
       match Soap.fault_of_body tree with Some f -> Error (Fault f) | None -> Ok (Error e)))
 
+let reply_to read k = function
+  | Error e -> k (Error (Transport e))
+  | Ok reply -> k (decode_reply read reply)
+
 let call_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read write k =
-  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?resilient
-    (fun buf -> Soap.write ~headers buf write)
-    (function Error e -> k (Error (Transport e)) | Ok reply -> k (decode_reply read reply))
+  let envelope =
+    match headers with
+    | [] -> soap_envelope
+    | headers -> fun buf write -> Soap.write ~headers buf write
+  in
+  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?resilient ~envelope write (reply_to read k)
 
 let call_batch_frame t ~src ~dst ~service ?resilient ~read writes k =
   Rpc.call_batch_frame t.rpc ~src ~dst ~service ?resilient

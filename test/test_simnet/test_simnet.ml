@@ -713,6 +713,57 @@ let test_rpc_breaker_default () =
   check int_ "disabled: no trip" 0 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
   check bool_ "disabled: sheds nothing" false (Rpc.breaker_sheds rpc "server")
 
+(* A peer that answers every batch with one part, whatever it was asked:
+   a raw node, below the RPC layer, that echoes the request's id. *)
+let one_part_server net node =
+  Net.set_handler net node (fun msg ->
+      match Rpc.decode msg.Net.payload with
+      | Some (Rpc.Batch_request (id, _, _)) ->
+        Net.send net ~src:node ~dst:msg.Net.src ~category:"reply"
+          (Rpc.encode_reply id (Rpc.encode_parts [ "only" ]))
+      | Some _ | None -> ())
+
+(* A batch reply with the wrong number of parts fails the call with
+   [Timeout], and the breaker hears the failure the caller gets, on the
+   one-attempt path and the retry loop alike: two such calls trip it, and
+   a half-open probe answered that way re-opens it. *)
+let test_rpc_breaker_counts_wrong_arity () =
+  let batch_of_two rpc ~at ~resilient results net =
+    Engine.schedule_at (Net.engine net) ~at (fun () ->
+        Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"q" ~resilient
+          [ (fun buf -> Buffer.add_string buf "a"); (fun buf -> Buffer.add_string buf "b") ]
+          (fun r -> results := r :: !results))
+  in
+  let setup () =
+    let net, rpc = make_rpc () in
+    Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
+    one_part_server net "server";
+    (net, rpc)
+  in
+  let net, rpc = setup () in
+  let results = ref [] in
+  batch_of_two rpc ~at:0.1 ~resilient:Rpc.no_retry results net;
+  batch_of_two rpc ~at:0.5 ~resilient:Rpc.no_retry results net;
+  Net.run net;
+  check bool_ "both calls time out" true (!results = [ Error Rpc.Timeout; Error Rpc.Timeout ]);
+  check bool_ "two wrong-arity replies trip the breaker" true
+    (Rpc.breaker_state rpc "server" = Rpc.Open);
+  check int_ "one trip" 1 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
+  batch_of_two rpc ~at:6.0 ~resilient:Rpc.no_retry results net;
+  Net.run net;
+  check bool_ "the half-open probe timed out" true (List.hd !results = Error Rpc.Timeout);
+  check bool_ "the probe re-opened the breaker" true (Rpc.breaker_state rpc "server" = Rpc.Open);
+  check int_ "a second trip" 2 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
+  let net, rpc = setup () in
+  let results = ref [] in
+  let twice = { Rpc.no_retry with Rpc.attempts = 2; base_delay = 0.01 } in
+  batch_of_two rpc ~at:0.1 ~resilient:twice results net;
+  Net.run net;
+  check bool_ "retried, then timed out" true (!results = [ Error Rpc.Timeout ]);
+  check int_ "one retry" 1 (Rpc.resilience_stats rpc).Rpc.retries;
+  check bool_ "the retry loop's two failures trip it too" true
+    (Rpc.breaker_state rpc "server" = Rpc.Open)
+
 (* --- failure-detection primitives ------------------------------------------- *)
 
 (* Twenty calls alternating between a crashed server and a live but slow
@@ -910,6 +961,8 @@ let () =
           Alcotest.test_case "breaker open/half-open/close" `Quick test_rpc_breaker_lifecycle;
           Alcotest.test_case "breaker on by default, set_breaker None disables" `Quick
             test_rpc_breaker_default;
+          Alcotest.test_case "a wrong-arity batch reply is a breaker failure" `Quick
+            test_rpc_breaker_counts_wrong_arity;
         ] );
       ( "rpc-detection",
         [

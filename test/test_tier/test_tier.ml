@@ -263,6 +263,66 @@ let test_batching () =
   check bool_ "batched frames on the wire" true
     (Metrics.sum_counter (Service.metrics fx.services) "rpc_batches_total" >= 3)
 
+(* A flush that carries one query sends Fig. 3's plain authz-query frame
+   even on a tier that batches; only a flush of several queries pays the
+   batch envelope.  The frames are told apart by their exact bytes on the
+   wire: the one message of each flush is as long as the frame of its
+   kind around the SOAP envelopes of its queries. *)
+let test_frame_per_flush () =
+  let envelope ctx =
+    let buf = Buffer.create 256 in
+    Dacs_ws.Soap.write buf (fun buf -> Wire.write_authz_query buf ctx);
+    Buffer.contents buf
+  in
+  let flush ctxs =
+    let fx = setup ~shards:1 () in
+    let answers = ref [] in
+    List.iter
+      (fun ctx -> Pdp_tier.decide_meta fx.tier ctx (fun r meta -> answers := (r, meta) :: !answers))
+      ctxs;
+    Net.run fx.net;
+    let sent =
+      match List.assoc_opt "authz-query" (Net.stats_by_category fx.net) with
+      | Some st -> st
+      | None -> Alcotest.fail "no authz-query frame sent"
+    in
+    let metrics = Service.metrics fx.services in
+    (List.rev !answers, sent, Metrics.sum_counter metrics "rpc_batches_total")
+  in
+  let alice = ctx_for "alice" "read" and bob = ctx_for "bob" "write" in
+  let decisions answers =
+    List.map
+      (function
+        | Ok r, _ -> Decision.decision_to_string r.Decision.decision
+        | Error e, _ -> Alcotest.failf "tier failed: %s" e)
+      answers
+  in
+  let one, one_sent, one_batches = flush [ alice ] in
+  check int_ "one query: one frame" 1 one_sent.Net.count;
+  check int_ "one query: a plain Q frame"
+    (String.length (Rpc.encode_request 0 "authz-query" (envelope alice)))
+    one_sent.Net.bytes;
+  check int_ "one query: no batch frame" 0 one_batches;
+  List.iter
+    (fun (_, meta) -> check int_ "provenance still reads batch=1" 1 meta.Pdp_tier.batch)
+    one;
+  let two, two_sent, two_batches = flush [ alice; bob ] in
+  check int_ "two queries: one frame" 1 two_sent.Net.count;
+  check int_ "two queries: one B frame with two parts"
+    (String.length (Rpc.encode_batch_request 0 "authz-query" [ envelope alice; envelope bob ]))
+    two_sent.Net.bytes;
+  check int_ "two queries: one batch frame" 1 two_batches;
+  List.iter (fun (_, meta) -> check int_ "both ride a batch of two" 2 meta.Pdp_tier.batch) two;
+  let expected ctx =
+    Decision.decision_to_string (Policy.evaluate_child ctx (doctor_policy "r")).Decision.decision
+  in
+  check (Alcotest.list string_) "the plain frame decides as the policy does" [ expected alice ]
+    (decisions one);
+  check (Alcotest.list string_) "both frames decide identically"
+    [ expected alice; expected bob ] (decisions two);
+  check string_ "alice's decision is the same either way" (List.hd (decisions one))
+    (List.hd (decisions two))
+
 (* --- failover ----------------------------------------------------------------- *)
 
 let test_failover () =
@@ -654,9 +714,31 @@ let test_same_seed_identical_runs () =
   let report2, dump2 = chaos_run 1234L in
   (* The runs must be non-trivial: the tier actually routed queries. *)
   check bool_ "tier series present in the dump" true (contains dump1 "pdp_tier_dispatch_total");
-  check bool_ "batch series present in the dump" true (contains dump1 "rpc_batches_total");
+  (* Every flush of this schedule carries one query, so its frames are
+     plain authz-query calls and no batch series exists. *)
+  check bool_ "authz-query calls present in the dump" true
+    (contains dump1 "rpc_calls_total{service=\"authz-query\"}");
   check string_ "byte-identical reports" report1 report2;
   check string_ "byte-identical metric dumps" dump1 dump2
+
+(* --- allocation of one whole decision ------------------------------------- *)
+
+(* Measured: 544 words (992 when a one-query flush rode a batch frame,
+   every layer wrapped the continuation in a closure of its own and each
+   engine event and link lookup allocated); the bound leaves 10 %
+   headroom. *)
+let cold_words_bound = 597.0
+
+let test_cold_decision_allocation () =
+  let probe = Dacs_workload.Workload.cold_decision_probe () in
+  check int_ "every decision answered" probe.decisions probe.answered;
+  check int_ "doctors and nurses may read" probe.decisions probe.permitted;
+  let words = probe.words_per_decision in
+  Printf.printf "one cold decision, one-shard sharded PEP: %.1f minor words (bound %.1f)\n" words
+    cold_words_bound;
+  check bool_
+    (Printf.sprintf "%.1f words <= %.1f" words cold_words_bound)
+    true (words <= cold_words_bound)
 
 let () =
   Alcotest.run "dacs_tier"
@@ -669,6 +751,7 @@ let () =
           Alcotest.test_case "reordering an ordered tier moves its keys" `Quick
             test_ordered_reorder_moves_keys;
           Alcotest.test_case "same-instant queries coalesce into frames" `Quick test_batching;
+          Alcotest.test_case "one query per flush rides a plain frame" `Quick test_frame_per_flush;
           Alcotest.test_case "eight shards: the busiest holds <= 1.10x the mean" `Quick
             test_balance;
           Alcotest.test_case "placement ignores the order of the shard list" `Quick
@@ -709,5 +792,10 @@ let () =
         [
           Alcotest.test_case "same seed, byte-identical report and metric dump" `Quick
             test_same_seed_identical_runs;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "one cold decision stays within its word bound" `Quick
+            test_cold_decision_allocation;
         ] );
     ]
