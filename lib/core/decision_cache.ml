@@ -15,6 +15,12 @@ type counters = {
   c_stale_hits : Metrics.counter;
 }
 
+(* What a cache keeps once a bounded region has made it scan: the census
+   that lets a later purge skip it, the scans made, and a reusable array
+   for the keys a scan drops.  A cache no bounded region reaches pays
+   nothing for it. *)
+type scans = { census : Intern.census; mutable count : int; mutable doomed : string array }
+
 type t = {
   ttl : float;
   max_entries : int;
@@ -25,6 +31,7 @@ type t = {
   counters : counters;
   mutable next_stamp : int;
   mutable purges : int;  (* full and region purges applied so far *)
+  mutable scans : scans option;
 }
 
 let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
@@ -48,7 +55,14 @@ let create ?metrics ?(owner = "default") ?(max_entries = 1024) ~ttl () =
       };
     next_stamp = 0;
     purges = 0;
+    scans = None;
   }
+
+(* Every way a key leaves other than the full flush: expiry, eviction
+   and a region drop. *)
+let remove t key =
+  Hashtbl.remove t.table key;
+  match t.scans with Some s -> Intern.census_remove s.census key | None -> ()
 
 type lookup =
   | Fresh of Dacs_policy.Decision.result
@@ -76,7 +90,7 @@ let lookup t ~now ~max_stale ~key =
         Stale { result = e.result; age }
       end
       else begin
-        Hashtbl.remove t.table key;
+        remove t key;
         Metrics.inc c.c_expiries;
         Metrics.inc c.c_misses;
         Absent
@@ -98,13 +112,14 @@ let evict_one t =
     | Some (key, stamp) -> (
       match Hashtbl.find_opt t.table key with
       | Some e when e.stamp = stamp ->
-        Hashtbl.remove t.table key;
+        remove t key;
         Metrics.inc t.counters.c_evictions
       | Some _ | None -> go ())
   in
   go ()
 
 let purges t = t.purges
+let region_scans t = match t.scans with Some s -> s.count | None -> 0
 
 let put ?since t ~now ~key result =
   (* The put/purge race: a fill whose descent started before a purge
@@ -122,18 +137,31 @@ let put ?since t ~now ~key result =
     (* Negative caching: Deny and NotApplicable are cached under the same
        TTL as Permit — a hot mistaken request is as worth absorbing as a
        hot granted one, and invalidation rounds purge all three alike. *)
-    if not (Hashtbl.mem t.table key) && Hashtbl.length t.table >= t.max_entries then evict_one t;
+    let fresh = not (Hashtbl.mem t.table key) in
+    if fresh && Hashtbl.length t.table >= t.max_entries then evict_one t;
     let stamp = t.next_stamp in
     t.next_stamp <- t.next_stamp + 1;
     Hashtbl.replace t.table key { result; expires = now +. t.ttl; stamp };
-    Queue.add (key, stamp) t.order
+    Queue.add (key, stamp) t.order;
+    if fresh then match t.scans with Some s -> Intern.census_add s.census key | None -> ()
+
+let push_doomed s i key =
+  if i >= Array.length s.doomed then begin
+    (* The largest array the minor heap takes: one growth covers a
+       typical purge, and later purges reuse it. *)
+    let bigger = Array.make (max 256 (2 * Array.length s.doomed)) "" in
+    Array.blit s.doomed 0 bigger 0 i;
+    s.doomed <- bigger
+  end;
+  s.doomed.(i) <- key
 
 (* The region is compiled once per purge into an atom-level test
    (Intern.compile_region) that reads each packed key in place — no
-   Context is built per key.  The doomed keys are collected first and
-   removed after the fold: a Hashtbl.filter_map_inplace would allocate a
-   [Some] for every retained entry, so the purge's allocation would grow
-   with the cache instead of with what it drops. *)
+   Context is built per key.  The census first asks whether any live key
+   can be in the region; when none can, the purge visits no entry.
+   Otherwise the doomed keys are collected into [s.doomed] and removed
+   after the scan: a Hashtbl.filter_map_inplace would allocate a [Some]
+   for every retained entry, and a list three words per dropped one. *)
 let invalidate_region t region =
   match region with
   | Dacs_policy.Delta.Empty -> 0
@@ -141,18 +169,38 @@ let invalidate_region t region =
     let n = Hashtbl.length t.table in
     Hashtbl.reset t.table;
     Queue.clear t.order;
+    (match t.scans with Some s -> Intern.census_clear s.census | None -> ());
     t.purges <- t.purges + 1;
     n
   | Dacs_policy.Delta.Zones _ ->
     t.purges <- t.purges + 1;
     let region = Intern.compile_region region in
-    let doomed =
-      Hashtbl.fold
-        (fun key _ acc -> if Intern.key_in_region region key then key :: acc else acc)
-        t.table []
+    let s =
+      match t.scans with
+      | Some s -> s
+      | None ->
+        let s = { census = Intern.census (); count = 0; doomed = [||] } in
+        t.scans <- Some s;
+        s
     in
-    List.iter (fun key -> Hashtbl.remove t.table key) doomed;
-    List.length doomed
+    if Intern.census_misses s.census region ~live:(Hashtbl.length t.table) then 0
+    else begin
+      s.count <- s.count + 1;
+      Intern.census_track s.census region;
+      let n = ref 0 in
+      Hashtbl.iter
+        (fun key _ ->
+          if Intern.census_in_region s.census region key then begin
+            push_doomed s !n key;
+            incr n
+          end)
+        t.table;
+      for i = 0 to !n - 1 do
+        remove t s.doomed.(i);
+        s.doomed.(i) <- ""
+      done;
+      !n
+    end
 
 let size t = Hashtbl.length t.table
 

@@ -58,17 +58,24 @@ val purges : t -> int
 
 val invalidate_region : t -> Dacs_policy.Delta.t -> int
 (** The one way entries leave other than expiry and eviction: drop the
-    entries whose keys the region covers; returns the number dropped.  The region is compiled once per
-    call ({!Intern.compile_region}) and each packed key is tested as
-    integer atoms ({!Intern.key_in_region}), exactly as [Delta.covers]
-    would judge the context the key decodes to, so the purge allocates
-    in proportion to what it drops, not to the cache size.  Conservative
+    entries whose keys the region covers; returns the number dropped.
+    The region is compiled once per call ({!Intern.compile_region}).
+    When the cache's census proves that no live key can be in it
+    ({!Intern.census_misses}) the purge visits no entry; otherwise each
+    packed key is tested as integer atoms ({!Intern.key_in_region}),
+    exactly as [Delta.covers] would judge the context the key decodes
+    to, and the scan allocates nothing per key or per dropped entry
+    (a first scan also starts counting the region's pairs).  Conservative
     on both unreadable keys (a shared L2 stores keys its peers put over
     the wire, and a digest, a corrupted key or an atom id the intern
     table never minted drops) and environment-guarded pins (keys carry
     no Environment atoms, so such pins never exclude).  [Unbounded]
     empties the cache (what a PEP applies when a policy change has no
     bounded region, or a right is revoked); [Empty] drops nothing. *)
+
+val region_scans : t -> int
+(** Bounded-region purges that visited the entries: the {!purges} with
+    a [Zones] region that the census could not prove missed. *)
 
 val size : t -> int
 

@@ -227,13 +227,16 @@ let decode_key ?(table = global) key =
    syms of its allowed strings. *)
 type region_pin = { guards : int array; pinned : int; allowed : int array }
 
+(* The packed (pair | value) words of the key in hand, grown only for a
+   key longer than any before it. *)
+type key_packs = { mutable words : int array }
+
 type region = {
   table : t;
   (* A key is in the region when some zone has no excluding pin; an empty
      zone covers every key. *)
   zones : region_pin array array;
-  (* the packed (pair | value) words of the key under test's atoms *)
-  mutable key_packs : int array;
+  key : key_packs;
 }
 
 let compile_region ?(table = global) (region : Dacs_policy.Delta.t) =
@@ -262,34 +265,38 @@ let compile_region ?(table = global) (region : Dacs_policy.Delta.t) =
     | Dacs_policy.Delta.Zones zs ->
       Array.of_list (List.map (fun z -> Array.of_list (List.filter_map compile_pin z)) zs)
   in
-  { table = t; zones; key_packs = Array.make 16 0 }
+  { table = t; zones; key = { words = Array.make 16 0 } }
 
 (* The per-key test allocates nothing: every loop below is a top-level
    function over explicit arguments, so no closure is built per key. *)
 
-let push_pack r i pack =
-  if i >= Array.length r.key_packs then begin
-    let bigger = Array.make (2 * Array.length r.key_packs) 0 in
-    Array.blit r.key_packs 0 bigger 0 i;
-    r.key_packs <- bigger
+let push_pack k i pack =
+  if i >= Array.length k.words then begin
+    let bigger = Array.make (2 * Array.length k.words) 0 in
+    Array.blit k.words 0 bigger 0 i;
+    k.words <- bigger
   end;
-  r.key_packs.(i) <- pack
+  k.words.(i) <- pack
 
 (* Parse [key] under exactly decode_key's grammar, storing each atom's
-   packed word in [r.key_packs]; the atom count, or -1 where decode_key
+   packed word in [k.words]; the atom count, or -1 where decode_key
    answers None. *)
-let rec parse_atoms r key n start i acc count =
+let rec parse_atoms t k key n start i acc count =
   if i = n || key.[i] = '.' then
-    if i = start || acc >= r.table.n_atoms then -1
+    if i = start || acc >= t.n_atoms then -1
     else begin
-      push_pack r count r.table.atom_packs.(acc);
-      if i = n then count + 1 else parse_atoms r key n (i + 1) (i + 1) 0 (count + 1)
+      push_pack k count t.atom_packs.(acc);
+      if i = n then count + 1 else parse_atoms t k key n (i + 1) (i + 1) 0 (count + 1)
     end
   else
     match key.[i] with
     | '0' .. '9' when i - start < 10 ->
-      parse_atoms r key n start (i + 1) ((acc * 10) + (Char.code key.[i] - Char.code '0')) count
+      parse_atoms t k key n start (i + 1) ((acc * 10) + (Char.code key.[i] - Char.code '0')) count
     | _ -> -1
+
+let parse_key t k key =
+  let n = String.length key in
+  if n = 0 then 0 else parse_atoms t k key n 0 0 0 0
 
 let value_mask = (1 lsl 31) - 1
 
@@ -332,10 +339,146 @@ let rec zones_cover t packs n zones z =
   z < Array.length zones
   && (zone_covers t packs n zones.(z) 0 || zones_cover t packs n zones (z + 1))
 
-let key_in_region r key =
-  let n = String.length key in
-  let count = if n = 0 then 0 else parse_atoms r key n 0 0 0 0 in
-  count < 0 || zones_cover r.table r.key_packs count r.zones 0
+(* The one membership test, on a key already parsed into [packs]. *)
+let covers_parsed r packs count = count < 0 || zones_cover r.table packs count r.zones 0
+
+let key_in_region r key = covers_parsed r r.key.words (parse_key r.table r.key key)
+
+(* --- region census ------------------------------------------------------- *)
+
+(* Packed (pair | value) words, hashed by folding the pair onto the value
+   bits; no polymorphic compare or C hash per probe. *)
+module Packs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x lxor (x lsr 31)
+end)
+
+(* What the census counts, over the live keys it has read: per tracked
+   pair, the keys whose bag there is non-empty and all-string; per
+   (pair | value) word of a tracked pair, the atoms that carry it.  A
+   tracked pair's [clean] slot is its count; an untracked one's is -1.
+   Keys are read against [global], the table cache keys are built in. *)
+type census = {
+  ckey : key_packs;
+  mutable clean : int array;
+  mutable tracked : int;
+  carried : int ref Packs.t;
+  (* Live keys the census could not parse when it met them (an atom id
+     not yet minted).  They were counted nowhere, so their removal
+     decrements nothing, and while one is live the census proves
+     nothing. *)
+  unread : (string, unit) Hashtbl.t;
+  (* The pairs the scan in progress started tracking. *)
+  mutable fresh : int array;
+}
+
+let census () =
+  {
+    ckey = { words = Array.make 16 0 };
+    clean = [||];
+    tracked = 0;
+    carried = Packs.create 16;
+    unread = Hashtbl.create 1;
+    fresh = [||];
+  }
+
+let is_tracked c pair = pair < Array.length c.clean && c.clean.(pair) >= 0
+
+(* Whether no atom before [i] sits at [pair]: each key counts once per
+   pair in [clean], however many values its bag there holds. *)
+let rec first_at packs pair i j =
+  j >= i || (packs.(j) lsr 31 <> pair && first_at packs pair i (j + 1))
+
+let bump c pack d =
+  match Packs.find c.carried pack with
+  | r -> r := !r + d
+  | exception Not_found -> Packs.add c.carried pack (ref d)
+
+(* Adds [d] to the counts of one parsed key: over every tracked pair, or
+   only over the pairs the scan in progress started tracking. *)
+let rec tally c packs n only_fresh d i =
+  if i < n then begin
+    let pack = packs.(i) in
+    let pair = pack lsr 31 in
+    if if only_fresh then mem_sym pair c.fresh 0 else is_tracked c pair then begin
+      bump c pack d;
+      if first_at packs pair i 0 && clean_at global packs n pair 0 false then
+        c.clean.(pair) <- c.clean.(pair) + d
+    end;
+    tally c packs n only_fresh d (i + 1)
+  end
+
+let is_unread c key = Hashtbl.length c.unread > 0 && Hashtbl.mem c.unread key
+
+let census_add c key =
+  if c.tracked > 0 then begin
+    let count = parse_key global c.ckey key in
+    if count < 0 then Hashtbl.replace c.unread key () else tally c c.ckey.words count false 1 0
+  end
+
+let census_remove c key =
+  if c.tracked > 0 then
+    if is_unread c key then Hashtbl.remove c.unread key
+    else
+      let count = parse_key global c.ckey key in
+      if count >= 0 then tally c c.ckey.words count false (-1) 0
+
+let census_clear c =
+  Array.iteri (fun pair k -> if k > 0 then c.clean.(pair) <- 0) c.clean;
+  Packs.iter (fun _ r -> r := 0) c.carried;
+  Hashtbl.reset c.unread
+
+(* A tracked pair every live key is clean at. *)
+let full c live pair = pair < Array.length c.clean && c.clean.(pair) = live
+
+let rec all_full c live pairs i =
+  i = Array.length pairs || (full c live pairs.(i) && all_full c live pairs (i + 1))
+
+let carried c pack = match Packs.find c.carried pack with r -> !r > 0 | exception Not_found -> false
+
+let rec none_carried c pinned allowed i =
+  i = Array.length allowed
+  || ((not (carried c (pack2 pinned allowed.(i)))) && none_carried c pinned allowed (i + 1))
+
+(* pin_excludes, for every live key at once. *)
+let pin_misses c live pin =
+  all_full c live pin.guards 0 && full c live pin.pinned && none_carried c pin.pinned pin.allowed 0
+
+let rec zone_missed c live zone p =
+  p < Array.length zone && (pin_misses c live zone.(p) || zone_missed c live zone (p + 1))
+
+let rec zones_missed c live zones z =
+  z = Array.length zones || (zone_missed c live zones.(z) 0 && zones_missed c live zones (z + 1))
+
+let census_misses c r ~live =
+  c.tracked > 0 && Hashtbl.length c.unread = 0 && zones_missed c live r.zones 0
+
+let census_track c r =
+  let fresh = ref [] in
+  let track pair =
+    if not (is_tracked c pair) then begin
+      if pair >= Array.length c.clean then begin
+        let bigger = Array.make (max 16 (2 * (pair + 1))) (-1) in
+        Array.blit c.clean 0 bigger 0 (Array.length c.clean);
+        c.clean <- bigger
+      end;
+      c.clean.(pair) <- 0;
+      c.tracked <- c.tracked + 1;
+      fresh := pair :: !fresh
+    end
+  in
+  Array.iter (Array.iter (fun pin -> Array.iter track pin.guards; track pin.pinned)) r.zones;
+  c.fresh <- Array.of_list !fresh
+
+let census_in_region c r key =
+  let count = parse_key global c.ckey key in
+  if Array.length c.fresh > 0 then begin
+    if count < 0 then Hashtbl.replace c.unread key ()
+    else if not (is_unread c key) then tally c c.ckey.words count true 1 0
+  end;
+  covers_parsed r c.ckey.words count
 
 type stats = { strings : int; pairs : int; values : int; atoms : int }
 

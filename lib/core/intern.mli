@@ -100,6 +100,55 @@ val key_in_region : region -> string -> bool
     (the region's scratch array grows only for a key longer than any
     before it). *)
 
+(** {1 Region census}
+
+    What lets a bounded-region purge skip a cache without visiting an
+    entry.  A census belongs to one cache and counts over its live keys,
+    for each pair some earlier region pinned or used as a guard (the
+    {e tracked} pairs): the keys whose bag there is non-empty and
+    all-string, and for each value the atoms that carry it.  A zone is
+    provably missed when one of its pins excludes every live key — every
+    key clean at the pin's guards and pinned pair, and no allowed value
+    carried: exactly [pin_excludes], for all keys at once.  The census
+    only decides whether to scan; {!key_in_region} still decides each
+    key.  Until a region is scanned it tracks nothing and costs
+    nothing. *)
+
+type census
+
+val census : unit -> census
+(** An empty census over {!global}'s syms, tracking no pair. *)
+
+val census_add : census -> string -> unit
+(** A key entered the cache (not a re-insertion of a live key).  Counts
+    it when any pair is tracked; a key that does not parse yet (an atom
+    id not minted) is remembered as unread instead and counted nowhere,
+    so its removal decrements nothing, whatever is minted meanwhile.
+    Allocates nothing once every value it carries has been seen. *)
+
+val census_remove : census -> string -> unit
+(** A key left the cache: eviction, expiry or a region drop. *)
+
+val census_clear : census -> unit
+(** The cache was emptied.  Tracked pairs stay tracked. *)
+
+val census_misses : census -> region -> live:int -> bool
+(** Every zone of the region is provably missed by all [live] keys of
+    the cache, so a purge drops nothing and need not scan.  Never
+    [true] while an unread key is live, nor for a zone none of whose
+    pins has all its pairs tracked. *)
+
+val census_track : census -> region -> unit
+(** Starts a scan: the region's pairs the census does not track yet
+    become tracked, counted by the {!census_in_region} calls of this
+    scan. *)
+
+val census_in_region : census -> region -> string -> bool
+(** [key_in_region] for one live key of the scan {!census_track}
+    began, reading the key once for both the test and the counts of
+    the pairs that scan started tracking.  Call it on every live key,
+    then {!census_remove} the ones it answers [true] for. *)
+
 (** {1 Reverse lookups}
 
     Dense per-sym reverse tables, populated as syms are minted, so a

@@ -1269,7 +1269,7 @@ let e23 =
                   exact "sha-degrades-soundly"; exact "regions-bounded";
                   exact "workload-conservation"; exact "workload-publishes";
                   exact "workload-hit-retention"; exact "workload-msgs-per-req";
-                  exact "workload-determinism";
+                  exact "workload-determinism"; exact "missed-cache-skipped";
                   no_worse "hit-ratio-regression" ~key:"churn_hit_ratio" ~better:`Higher;
                   no_worse "churn-msgs-per-req-regression" ~key:"churn_msgs_per_req"
                     ~better:`Lower;
@@ -1358,16 +1358,16 @@ let e23 =
     (Printf.sprintf "every consecutive-generation region bounded, max %d zones" !max_zones);
   (* -- purge cost: one consecutive-generation purge of a warm L1 ------- *)
   let purge_entries = 4096 in
-  let purged, purge_words =
+  let region = D.between (Some (root 1)) (Some (root 2)) in
+  let warm_l1 roles =
     let warm = Decision_cache.create ~max_entries:purge_entries ~ttl:3600.0 () in
-    let roles = [| "doctor"; "nurse"; "admin" |] in
     for i = 0 to purge_entries - 1 do
       let ctx =
         Context.make
           ~subject:
             [
               ("subject-id", Value.String (Printf.sprintf "purge-%d" i));
-              ("role", Value.String roles.(i mod 3));
+              ("role", Value.String roles.(i mod Array.length roles));
             ]
           ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" (i / 3 mod resources))) ]
           ~action:[ ("action-id", Value.String (if i / 24 mod 2 = 0 then "read" else "write")) ]
@@ -1375,16 +1375,37 @@ let e23 =
       in
       Decision_cache.put warm ~now:0.0 ~key:(Decision_cache.request_key ctx) Decision.permit
     done;
-    let region = D.between (Some (root 1)) (Some (root 2)) in
+    warm
+  in
+  let purged, purge_words =
+    let warm = warm_l1 [| "doctor"; "nurse"; "admin" |] in
     let before = Gc.minor_words () in
     let purged = Decision_cache.invalidate_region warm region in
     (purged, Gc.minor_words () -. before)
+  in
+  (* A second L1 holds no admin key, so the region's admin pin excludes
+     every entry.  After the previous publish's purge has counted it, the
+     census proves the region missed and the purge visits no entry. *)
+  let missed_dropped, missed_scans =
+    let missed = warm_l1 [| "doctor"; "nurse" |] in
+    ignore (Decision_cache.invalidate_region missed (D.between (Some (root 0)) (Some (root 1))));
+    let scans = Decision_cache.region_scans missed in
+    let dropped = Decision_cache.invalidate_region missed region in
+    (dropped, Decision_cache.region_scans missed - scans)
   in
   Printf.printf
     "purge cost: one publish's region over a warm %d-entry L1 dropped %d entries \
      in %.0f minor words (%.3f per entry)\n"
     purge_entries purged purge_words
     (purge_words /. float_of_int purge_entries);
+  Printf.printf
+    "missed cache: the same region over a warm %d-entry L1 with no key in it dropped %d \
+     entries in %d scans\n"
+    purge_entries missed_dropped missed_scans;
+  check "missed-cache-skipped"
+    (missed_dropped = 0 && missed_scans = 0)
+    (Printf.sprintf "%d dropped, %d scans of a cache the region provably misses" missed_dropped
+       missed_scans);
   (* -- part 2: workload ablation -------------------------------------- *)
   let scenario targeted =
     {
@@ -1437,6 +1458,7 @@ let e23 =
   Experiment.metric x "full_msgs_per_req" (mpr full_run);
   Experiment.count x "publishes" targeted_run.W.publishes;
   Experiment.count x "purge_dropped" purged;
+  Experiment.count x "missed_cache_scans" missed_scans;
   Experiment.metric x "purge_words_per_entry" (purge_words /. float_of_int purge_entries)
 
 

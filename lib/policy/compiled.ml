@@ -39,13 +39,17 @@ type leaf = {
   res_guards : (Context.category * string) list;
       (* the pin guards of every resource-indexed rule *)
   act_guards : (Context.category * string) list;  (* likewise for action *)
+  rule_pins : Target.pin list array;
+      (* Policy.rule_pins per position, kept only by a leaf a recompile
+         built, for the next one to reuse; empty after a fresh compile,
+         so a tree that is never republished does not hold them *)
 }
 
 type node = Leaf_node of leaf | Set_node of cset | Ref_node of string
 
 and cset = { cs : Policy.set; centries : (Policy.child * node) list }
 
-type t = { root : Policy.child; node : node; epoch : int; reused : int }
+type t = { root : Policy.child; node : node; epoch : int; reused : int; reused_rules : int }
 
 (* --- leaf compilation --------------------------------------------------- *)
 
@@ -77,7 +81,7 @@ let prepare_rule policy rule =
     | Ok condition -> { prule = { rule with Rule.condition = Some condition }; prep_error = None }
     | Error e -> { prule = rule; prep_error = Some e })
 
-let compile_leaf policy =
+let compile_leaf policy prules rule_pins =
   let by_pair = Stbl.create 16 in
   let by_res = Stbl.create 16 in
   let by_act = Stbl.create 16 in
@@ -88,9 +92,10 @@ let compile_leaf policy =
   let wild = ref [] in
   let res_guards = ref [] in
   let act_guards = ref [] in
-  let prules = Array.of_list (List.map (prepare_rule policy) policy.Policy.rules) in
   for pos = Array.length prules - 1 downto 0 do
-    let pins = Policy.rule_pins policy prules.(pos).prule in
+    let pins =
+      if Array.length rule_pins > 0 then rule_pins.(pos) else Policy.rule_pins policy prules.(pos).prule
+    in
     let rvals = axis_pin pins Context.Resource "resource-id" in
     let avals = axis_pin pins Context.Action "action-id" in
     (match rvals with
@@ -136,7 +141,45 @@ let compile_leaf policy =
     wild = Array.of_list !wild;
     res_guards = List.sort_uniq compare !res_guards;
     act_guards = List.sort_uniq compare !act_guards;
+    rule_pins;
   }
+
+let fresh_leaf policy =
+  compile_leaf policy (Array.of_list (List.map (prepare_rule policy) policy.Policy.rules)) [||]
+
+(* A rule's prepared form and pins depend on the rule and its policy's
+   variables alone, so a changed leaf whose variables are unchanged
+   reuses them for every rule whose id and source are unchanged; only
+   the buckets are rebuilt. *)
+let recompiled_leaf prev ~reused_rules policy =
+  let rules = Array.of_list policy.Policy.rules in
+  let previous = Stbl.create (Array.length rules) in
+  if prev.lp.Policy.variables = policy.Policy.variables then
+    List.iteri (fun pos rule -> Stbl.replace previous rule.Rule.id (rule, pos)) prev.lp.Policy.rules;
+  let old rule =
+    match Stbl.find_opt previous rule.Rule.id with
+    | Some (source, pos) when source = rule -> pos
+    | Some _ | None -> -1
+  in
+  let olds = Array.map old rules in
+  let prules =
+    Array.mapi
+      (fun i rule ->
+        if olds.(i) < 0 then prepare_rule policy rule
+        else begin
+          incr reused_rules;
+          prev.prules.(olds.(i))
+        end)
+      rules
+  in
+  let rule_pins =
+    Array.mapi
+      (fun i p ->
+        if olds.(i) >= 0 && Array.length prev.rule_pins > 0 then prev.rule_pins.(olds.(i))
+        else Policy.rule_pins policy p.prule)
+      prules
+  in
+  compile_leaf policy prules rule_pins
 
 (* --- dispatch ----------------------------------------------------------- *)
 
@@ -286,18 +329,23 @@ let evaluate ?resolve ?resolve_ref ctx t =
 
 (* --- compilation and incremental recompilation -------------------------- *)
 
-let rec compile_node ~reuse ~reused child =
+let rec compile_node ~reuse ~reused ~reused_rules child =
   match child with
   | Policy.Policy_ref id -> Ref_node id
   | Policy.Inline_policy p -> (
     match Hashtbl.find_opt reuse p.Policy.id with
     | Some leaf when leaf.lp = p ->
       incr reused;
+      reused_rules := !reused_rules + Array.length leaf.prules;
       Leaf_node leaf
-    | _ -> Leaf_node (compile_leaf p))
+    | Some prev -> Leaf_node (recompiled_leaf prev ~reused_rules p)
+    | None -> Leaf_node (fresh_leaf p))
   | Policy.Inline_set s ->
     Set_node
-      { cs = s; centries = List.map (fun c -> (c, compile_node ~reuse ~reused c)) s.Policy.children }
+      {
+        cs = s;
+        centries = List.map (fun c -> (c, compile_node ~reuse ~reused ~reused_rules c)) s.Policy.children;
+      }
 
 let rec collect_leaves reuse node =
   match node with
@@ -306,18 +354,19 @@ let rec collect_leaves reuse node =
   | Ref_node _ -> ()
   | Set_node { centries; _ } -> List.iter (fun (_, n) -> collect_leaves reuse n) centries
 
-let compile child =
-  let reused = ref 0 in
-  { root = child; node = compile_node ~reuse:(Hashtbl.create 1) ~reused child; epoch = 1; reused = 0 }
+let build ~reuse ~epoch child =
+  let reused = ref 0 and reused_rules = ref 0 in
+  let node = compile_node ~reuse ~reused ~reused_rules child in
+  { root = child; node; epoch; reused = !reused; reused_rules = !reused_rules }
+
+let compile child = build ~reuse:(Hashtbl.create 1) ~epoch:1 child
 
 let recompile t child =
   if t.root = child then t
   else begin
     let reuse = Hashtbl.create 16 in
     collect_leaves reuse t.node;
-    let reused = ref 0 in
-    let node = compile_node ~reuse ~reused child in
-    { root = child; node; epoch = t.epoch + 1; reused = !reused }
+    build ~reuse ~epoch:(t.epoch + 1) child
   end
 
 let epoch t = t.epoch
@@ -343,6 +392,7 @@ let bucket_count t =
     0 t
 
 let reused_leaves t = t.reused
+let reused_rules t = t.reused_rules
 
 (* The positions dispatch keeps for [ctx] in one leaf, as flags. *)
 let kept leaf ctx =

@@ -35,7 +35,10 @@ val compile : Policy.child -> t
 
 val recompile : t -> Policy.child -> t
 (** Incremental recompilation against a previous compile: leaf policies
-    that are structurally unchanged reuse their compiled form.  If the
+    that are structurally unchanged reuse their compiled form.  A
+    changed leaf with the same id and unchanged [variables] reuses the
+    prepared form (substituted condition and pins) of every rule whose
+    id and source are unchanged, and rebuilds only its buckets.  If the
     whole tree is unchanged the previous value is returned as-is and the
     epoch is preserved; any structural change bumps the epoch by one
     (epochs are monotonic). *)
@@ -71,6 +74,11 @@ val bucket_count : t -> int
 val reused_leaves : t -> int
 (** Leaves carried over unchanged by the {!recompile} that produced this
     value; 0 after a fresh {!compile}. *)
+
+val reused_rules : t -> int
+(** Rules whose prepared form the {!recompile} that produced this value
+    carried over, in reused leaves and changed ones alike; 0 after a
+    fresh {!compile}. *)
 
 val candidate_count : t -> Context.t -> int
 (** Rules evaluation would consider for this request, summed over all

@@ -1163,6 +1163,179 @@ let region_equivalence_prop =
           (List.length doomed) (List.length survivors) (List.length expected);
       true)
 
+(* --- the region census ------------------------------------------------- *)
+
+(* What a cache's census must survive: fresh puts, TTL expiries,
+   capacity evictions, Unbounded resets and Zones purges, interleaved,
+   over a small vocabulary of keys (multi-valued and non-string bags
+   from [gen_ctx], plus keys that do not parse).  One of them, the
+   late key, names the first atom of a packed key and the next atom id;
+   a [Mint] mints that atom (the packed key's pair, a fresh Integer), so
+   a key unread at its put can become a mixed-type bag before it
+   leaves.  Whether a purge skips the scan or not, it must drop exactly
+   the keys [key_in_region] answers [true] for in a snapshot taken
+   before it. *)
+type census_op = Put of int | Tick of float | Get of int | Sweep | Reset | Purge of int | Mint
+
+let census_packed = 8
+let census_regions = 3
+
+let gen_census_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (8, map (fun i -> Put i) (int_bound (census_packed - 1)));
+      (1, map (fun i -> Put (census_packed + i)) (int_bound 1));
+      (2, return (Put (census_packed + 2)));
+      (1, return Mint);
+      (2, map (fun d -> Tick d) (float_bound_inclusive 3.0));
+      (3, map (fun i -> Get i) (int_bound (census_packed + 2)));
+      (2, return Sweep);
+      (1, return Reset);
+      (4, map (fun r -> Purge r) (int_bound census_regions));
+    ]
+
+let census_minted = ref 1_000_000
+
+let census_prop =
+  QCheck.Test.make ~count:2000 ~name:"a purge drops exactly the keys in region, census or not"
+    (QCheck.make
+       ~print:(fun (_, malformed, regions, ops) ->
+         Printf.sprintf "malformed %s, regions [%s], %d ops" (String.concat "," (List.map string_of_int malformed))
+           (String.concat "; " (List.map Delta.to_string regions))
+           (List.length ops))
+       QCheck.Gen.(
+         quad
+           (list_repeat census_packed gen_ctx)
+           (list_repeat 2 (int_bound 8))
+           (list_repeat census_regions gen_region)
+           (list_size (int_range 1 80) gen_census_op)))
+    (fun (ctxs, malformed, regions, ops) ->
+      let packed = List.map Decision_cache.request_key ctxs in
+      let bad = Array.of_list (malformed_keys ()) in
+      let late = (Intern.stats Intern.global).Intern.atoms in
+      let first_atom =
+        List.find_map
+          (fun key -> match String.split_on_char '.' key with a :: _ when a <> "" -> Some a | _ -> None)
+          packed
+      in
+      let late_key, late_pair, late_region =
+        match first_atom with
+        | Some a ->
+          let pair, value = Intern.atom_info Intern.global (int_of_string a) in
+          (* A region pinning the late key's own string, the one its
+             removal must not uncount. *)
+          let region =
+            match Intern.value_of Intern.global value with
+            | Value.String v ->
+              let category, attr = Intern.pair_info Intern.global pair in
+              Delta.Zones
+                [ [ { Delta.pin_category = category; pin_attribute = attr; pin_values = [ v ];
+                      pin_guards = [] } ] ]
+            | _ -> Delta.empty
+          in
+          (Printf.sprintf "%s.%d" a late, Some pair, region)
+        | None -> (string_of_int late, None, Delta.empty)
+      in
+      let keys = Array.of_list (packed @ List.map (fun i -> bad.(i)) malformed @ [ late_key ]) in
+      let regions = Array.of_list (regions @ [ late_region ]) in
+      let c = Decision_cache.create ~max_entries:5 ~ttl:5.0 () in
+      let now = ref 0.0 in
+      let live () =
+        List.filter
+          (fun key -> Decision_cache.lookup c ~now:!now ~max_stale:infinity ~key <> Decision_cache.Absent)
+          (List.sort_uniq compare (Array.to_list keys))
+      in
+      List.iter
+        (function
+          | Put i -> Decision_cache.put c ~now:!now ~key:keys.(i) Decision.permit
+          | Tick d -> now := !now +. d
+          | Get i -> ignore (Decision_cache.lookup c ~now:!now ~max_stale:0.0 ~key:keys.(i))
+          | Sweep ->
+            Array.iter (fun key -> ignore (Decision_cache.lookup c ~now:!now ~max_stale:0.0 ~key)) keys
+          | Reset -> ignore (Decision_cache.invalidate_region c Delta.unbounded)
+          | Mint -> (
+            match late_pair with
+            | Some pair when (Intern.stats Intern.global).Intern.atoms = late ->
+              incr census_minted;
+              ignore
+                (Intern.atom Intern.global ~pair
+                   ~value:(Intern.value Intern.global (Value.Int !census_minted)))
+            | Some _ | None -> ())
+          | Purge r ->
+            let region = regions.(r) in
+            let before = live () in
+            let expected =
+              match region with
+              | Delta.Empty -> []
+              | Delta.Unbounded -> before
+              | Delta.Zones _ -> List.filter (Intern.key_in_region (Intern.compile_region region)) before
+            in
+            let dropped = Decision_cache.invalidate_region c region in
+            let after = live () in
+            let gone = List.filter (fun key -> not (List.mem key after)) before in
+            if dropped <> List.length expected || gone <> expected then
+              QCheck.Test.fail_reportf "purge of %s dropped %d [%s], expected %d [%s]"
+                (Delta.to_string region) dropped (String.concat "; " gone) (List.length expected)
+                (String.concat "; " expected))
+        ops;
+      true)
+
+(* A shared L2 may hold a key naming an atom id not minted yet when a
+   peer put it, and the atom may be minted before the key leaves.  The
+   census could not read the key at its put and counted nothing, so its
+   removal must decrement nothing: here the late atom makes the key's
+   role bag mixed-type, and decrementing it would zero the count of a
+   value a live key still carries, so the next purge would skip the key
+   it must drop. *)
+let test_census_unread_key_asymmetry () =
+  let table = Intern.global in
+  let role = Intern.pair table Context.Subject "role" in
+  let carried = Intern.atom table ~pair:role ~value:(Intern.value table (Value.String "asym-carried")) in
+  let key1 =
+    Decision_cache.request_key
+      (Context.make ~subject:[ ("role", Value.String "asym-carried") ] ())
+  in
+  let region =
+    Delta.Zones
+      [ [ { Delta.pin_category = Context.Subject; pin_attribute = "role";
+            pin_values = [ "asym-carried" ]; pin_guards = [] } ] ]
+  in
+  let c = Decision_cache.create ~max_entries:16 ~ttl:10.0 () in
+  (* The first purge starts tracking the role pair. *)
+  check int_ "nothing to drop yet" 0 (Decision_cache.invalidate_region c region);
+  let late = (Intern.stats table).Intern.atoms in
+  let key2 = Printf.sprintf "%d.%d" carried late in
+  check bool_ "the peer's key does not parse at its put" true (Intern.decode_key key2 = None);
+  Decision_cache.put c ~now:0.0 ~key:key2 Decision.permit;
+  Decision_cache.put c ~now:5.0 ~key:key1 Decision.permit;
+  check int_ "the late atom is minted" late
+    (Intern.atom table ~pair:role ~value:(Intern.value table (Value.Int 424_242)));
+  check bool_ "the peer's key parses now" true (Intern.decode_key key2 <> None);
+  (* The peer's key expires; the carried one stays live. *)
+  check bool_ "the peer's key expired" true
+    (Decision_cache.lookup c ~now:12.0 ~max_stale:0.0 ~key:key2 = Decision_cache.Absent);
+  check int_ "one live key" 1 (Decision_cache.size c);
+  check int_ "the live key carrying the value is dropped" 1 (Decision_cache.invalidate_region c region);
+  check int_ "the cache is empty" 0 (Decision_cache.size c)
+
+(* The skip itself: once a purge has counted a cache, a later purge of
+   a region every live key provably misses visits no entry, and one
+   that may hit a key scans. *)
+let test_census_skips_missed_cache () =
+  let c = Decision_cache.create ~max_entries:64 ~ttl:60.0 () in
+  List.iter (fun r -> Decision_cache.put c ~now:0.0 ~key:(rkey r) Decision.permit) [ "chart"; "note"; "ward" ];
+  check int_ "the first purge scans and drops nothing" 0 (Decision_cache.invalidate_region c lab_region);
+  check int_ "one scan" 1 (Decision_cache.region_scans c);
+  Decision_cache.put c ~now:0.0 ~key:(rkey "desk") Decision.permit;
+  check int_ "a missed region drops nothing" 0 (Decision_cache.invalidate_region c lab_region);
+  check int_ "and scans nothing" 1 (Decision_cache.region_scans c);
+  check int_ "but counts as a purge" 2 (Decision_cache.purges c);
+  Decision_cache.put c ~now:0.0 ~key:(rkey "lab") Decision.permit;
+  check int_ "a key in the region is dropped" 1 (Decision_cache.invalidate_region c lab_region);
+  check int_ "by a scan" 2 (Decision_cache.region_scans c);
+  check int_ "the others survive" 4 (Decision_cache.size c)
+
 (* The shared L2 stores whatever keys its peers put over the wire, so a
    resident key need not be one this process packed.  A region purge must
    drop every key it cannot read — it cannot prove such a key is outside
@@ -1299,6 +1472,11 @@ let () =
             `Quick
             (test_l1_put_after_purge_race ~sharded:false);
           QCheck_alcotest.to_alcotest region_equivalence_prop;
+          QCheck_alcotest.to_alcotest census_prop;
+          Alcotest.test_case "an unread key's removal decrements nothing" `Quick
+            test_census_unread_key_asymmetry;
+          Alcotest.test_case "a purge skips a cache the census proves missed" `Quick
+            test_census_skips_missed_cache;
           Alcotest.test_case "a purge that drops nothing allocates independently of size" `Quick
             test_region_purge_allocation;
           Alcotest.test_case "an L2 region purge drops malformed peer keys" `Quick

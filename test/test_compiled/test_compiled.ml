@@ -511,11 +511,16 @@ let compile_idempotent =
 
 (* Epoch and reuse across publishes of multi-policy sets: a no-op
    preserves the epoch; changing one of two leaves bumps it and reuses
-   the untouched leaf's compiled form. *)
+   the untouched leaf's compiled form.  Within the changed leaf, a
+   one-rule edit reuses every other rule's prepared form, and the
+   recompiled value decides exactly as a fresh compile, whole result
+   (Indeterminate reasons included). *)
 let recompile_epochs =
-  QCheck.Test.make ~name:"recompile: no-op preserves epoch, change reuses leaves" ~count:500
-    QCheck.(pair arb_pspec arb_pspec)
-    (fun (spec_a, spec_b) ->
+  QCheck.Test.make ~name:"recompile: no-op preserves epoch, change reuses leaves and rules"
+    ~count:500
+    QCheck.(
+      quad arb_pspec arb_pspec (pair small_nat arb_rule) (list_of_size (Gen.int_range 1 4) arb_ctx))
+    (fun (spec_a, spec_b, (at, edit), cspecs) ->
       let set_of pa pb =
         Policy.Inline_set
           (Policy.make_set ~id:"s" ~policy_combining:Combine.Deny_overrides
@@ -535,7 +540,57 @@ let recompile_epochs =
         QCheck.Test.fail_reportf "changed tree did not bump the epoch (%s)" (seed_hint ());
       if Compiled.reused_leaves c3 < 1 then
         QCheck.Test.fail_reportf "unchanged leaf was recompiled (%s)" (seed_hint ());
+      if Compiled.reused_rules c3 <> Compiled.rule_count c3 - 1 then
+        QCheck.Test.fail_reportf "appending a rule reused %d of %d old rules (%s)"
+          (Compiled.reused_rules c3) (Compiled.rule_count c3 - 1) (seed_hint ());
+      (* Edit one rule of leaf b' in place, against c3: a recompiled
+         leaf, so its rules' pins are reused too. *)
+      let rules = b'.Policy.rules in
+      let at = at mod List.length rules in
+      let edited = List.mapi (fun i r -> if i = at then rule_of_spec i edit else r) rules in
+      if edited <> rules then begin
+        let tree = set_of a { b' with Policy.rules = edited } in
+        let c4 = Compiled.recompile c3 tree in
+        if Compiled.reused_rules c4 <> Compiled.rule_count c4 - 1 then
+          QCheck.Test.fail_reportf "a one-rule edit reused %d of %d other rules (%s)"
+            (Compiled.reused_rules c4) (Compiled.rule_count c4 - 1) (seed_hint ());
+        let fresh = Compiled.compile tree in
+        List.iter
+          (fun cspec ->
+            let ctx = ctx_of_spec cspec in
+            if Compiled.evaluate ctx c4 <> Compiled.evaluate ctx fresh then
+              QCheck.Test.fail_reportf "recompiled %s <> fresh compile %s (%s)"
+                (show_result (Compiled.evaluate ctx c4))
+                (show_result (Compiled.evaluate ctx fresh))
+                (seed_hint ()))
+          cspecs
+      end;
       true)
+
+(* Rule reuse is keyed on the policy's variables too: the prepared form
+   of a condition holds its substituted variables, so a publish that
+   changes a variable recompiles every rule, and decides by the new
+   value. *)
+let test_variables_change_recompiles_rules () =
+  let policy clearance =
+    Policy.make ~id:"v" ~rule_combining:Combine.First_applicable
+      ~variables:[ ("clearance", Expr.Const (Value.String clearance)) ]
+      [
+        Rule.make
+          ~condition:
+            (Expr.Apply
+               ( "string-equal",
+                 [ Expr.Apply ("string-one-and-only", [ Expr.subject_attr "role" ]);
+                   Expr.Variable_ref "clearance" ] ))
+          Rule.Permit "cleared";
+        Rule.deny "otherwise";
+      ]
+  in
+  let c1 = Compiled.compile (Policy.Inline_policy (policy "nurse")) in
+  let c2 = Compiled.recompile c1 (Policy.Inline_policy (policy "doctor")) in
+  Alcotest.(check int) "no rule reused across a variable change" 0 (Compiled.reused_rules c2);
+  check_result "the new variable decides" Decision.permit (Compiled.evaluate ctx c2);
+  check_result "the old one did not" Decision.deny (Compiled.evaluate ctx c1)
 
 (* Fallback-bucket soundness: dispatch may only drop rules whose targets
    cannot match, so every pruned rule's target must evaluate to
@@ -569,6 +624,8 @@ let () =
         [
           Alcotest.test_case "PDP picks up a publish and recompiles" `Quick test_recompile_on_publish;
           Alcotest.test_case "epoch counts semantic changes only" `Quick test_epoch_monotonic;
+          Alcotest.test_case "a variable change recompiles every rule" `Quick
+            test_variables_change_recompiles_rules;
           Alcotest.test_case "default shard serves compiled" `Quick
             test_default_shard_serves_compiled;
         ] );
