@@ -339,7 +339,7 @@ let seed_arg =
 let chaos_t =
   Cmd.v
     (Cmd.info "chaos"
-       ~doc:"Replay the demo scenario under a random fault schedule with resilient enforcement")
+       ~doc:"Replay the demo scenario under a random fault schedule with retrying, breaker-guarded enforcement")
     Term.(const chaos_cmd $ seed_arg $ Registry.json_flag)
 
 let trace_t =

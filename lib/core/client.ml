@@ -17,10 +17,10 @@ let create services ~node ~subject =
 
 let now t = Dacs_net.Net.now (Service.net t.services)
 
-(* One access call; an outcome the client cannot read is a malformed
-   answer. *)
-let access t ~pep ~action ?timeout ~resilient ?headers k =
-  Service.call_frame t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ~resilient ?headers
+(* One access call through the breaker; an outcome the client cannot
+   read is a malformed answer. *)
+let access t ~pep ~action ?timeout ?headers k =
+  Service.call_frame t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ~breaker:true ?headers
     ~read:Wire.read_access_outcome
     (fun buf -> Wire.write_access_request buf ~subject:t.subject ~action)
     (function
@@ -29,7 +29,9 @@ let access t ~pep ~action ?timeout ~resilient ?headers k =
       | Error e -> k (Error e))
 
 let request t ~pep ~action ?timeout ?(retry = Dacs_net.Rpc.no_retry) k =
-  access t ~pep ~action ?timeout ~resilient:retry k
+  Dacs_net.Rpc.validate_retry retry;
+  Dacs_net.Rpc.retrying (Service.rpc t.services) ~src:t.node ~dst:pep retry ~failed:Service.transport_error
+    (fun k -> access t ~pep ~action ?timeout k) k
 
 let valid_capability t ~resource ~action =
   match Hashtbl.find_opt t.capabilities (resource, action) with
@@ -43,9 +45,6 @@ let drop_capabilities t = Hashtbl.reset t.capabilities
 
 let capability_requests_made t = t.capability_requests
 
-let call_with_capability t ~pep ~action wire k =
-  access t ~pep ~action ~resilient:Dacs_net.Rpc.no_retry ~headers:[ wire ] k
-
 (* The capability and the wire form it arrived in. *)
 let read_capability c =
   let body = Dacs_xml.Xml.Cursor.subtree c in
@@ -58,15 +57,15 @@ let read_capability c =
 
 let request_with_capability t ~capability_service ~pep ~resource ~action k =
   match valid_capability t ~resource ~action with
-  | Some wire -> call_with_capability t ~pep ~action wire k
+  | Some wire -> access t ~pep ~action ~headers:[ wire ] k
   | None ->
     t.capability_requests <- t.capability_requests + 1;
     Service.call_frame t.services ~src:t.node ~dst:capability_service ~service:"capability-request"
-      ~resilient:Dacs_net.Rpc.no_retry ~read:read_capability
+      ~breaker:true ~read:read_capability
       (fun buf -> Wire.write_capability_request buf ~subject:t.subject ~pairs:[ (resource, action) ])
       (function
         | Error e -> k (Error e)
         | Ok (Error e) -> k (Error (Service.Malformed e))
         | Ok (Ok ((_, body) as capability)) ->
           Hashtbl.replace t.capabilities (resource, action) capability;
-          call_with_capability t ~pep ~action body k)
+          access t ~pep ~action ~headers:[ body ] k)

@@ -23,9 +23,11 @@ val request :
   (( Wire.access_outcome, Dacs_ws.Service.error) result -> unit) ->
   unit
 (** Pull-model access: one call to the PEP through the bus's circuit
-    breaker.  [retry] (default {!Dacs_net.Rpc.no_retry}) re-sends
-    through the RPC resilience layer when the link to the PEP itself is
-    lossy or partitioned. *)
+    breaker.  [retry] (default {!Dacs_net.Rpc.no_retry}) re-sends it
+    with backoff ({!Dacs_net.Rpc.retrying}) after a timeout or a breaker
+    rejection, when the link to the PEP itself is lossy or partitioned.
+    Raises [Invalid_argument] when [retry] fails
+    {!Dacs_net.Rpc.validate_retry}. *)
 
 val request_with_capability :
   t ->

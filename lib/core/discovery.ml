@@ -73,7 +73,7 @@ let advertise t ~services ~node ~kind () =
     (* A crashed node's sends are dropped by the network, so the
        advertisement naturally lapses; the loop keeps ticking and renews
        again after recovery. *)
-    Service.call_frame services ~src:node ~dst:t.node ~service:"register" ~resilient:Dacs_net.Rpc.no_retry
+    Service.call_frame services ~src:node ~dst:t.node ~service:"register" ~breaker:true
       ~read:Wire.read_register_ack
       (fun buf -> Wire.write_register buf ~kind ~node)
       ignore;
@@ -87,7 +87,7 @@ let auto_rebind t ~pep ~kind ?period () =
   let pep_node = Pep.node pep in
   let rec refresh () =
     Service.call_frame t.services ~src:pep_node ~dst:t.node ~service:"discover"
-      ~resilient:Dacs_net.Rpc.no_retry ~read:Wire.read_endpoints
+      ~breaker:true ~read:Wire.read_endpoints
       (fun buf -> Wire.write_discover buf ~kind)
       (fun response ->
         (match response with

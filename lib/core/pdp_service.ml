@@ -145,7 +145,7 @@ let ensure_policy t k =
     | None -> k ()
     | Some pap ->
       Metrics.inc t.counters.c_pap_fetches;
-      Service.call_frame t.services ~src:t.node ~dst:pap ~resilient:Dacs_net.Rpc.no_retry
+      Service.call_frame t.services ~src:t.node ~dst:pap ~breaker:true
         ~service:"policy-query" ~read:Wire.read_policy_response
         (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:t.version)
         (fun result ->
@@ -237,15 +237,14 @@ let fetch_batched t ~subject misses ctx k =
           (fun (category, id) buf -> Wire.write_attribute_query buf ~category ~attribute_id:id ~subject)
           misses
       in
-      let resilient = Dacs_net.Rpc.no_retry in
       let read = Wire.read_attribute_result in
       (match bodies with
       | [ single ] ->
         (* A batch of one needs no envelope. *)
-        Service.call_frame t.services ~src:t.node ~dst:pip ~resilient ~service:"attribute-query" ~read single
+        Service.call_frame t.services ~src:t.node ~dst:pip ~breaker:true ~service:"attribute-query" ~read single
           (fun result -> handle [ result ])
       | _ ->
-        Service.call_batch_frame t.services ~src:t.node ~dst:pip ~resilient ~service:"attribute-query" ~read
+        Service.call_batch_frame t.services ~src:t.node ~dst:pip ~breaker:true ~service:"attribute-query" ~read
           bodies (fun result ->
             match result with
             | Ok parts -> handle parts

@@ -27,14 +27,16 @@ type meta = {
 }
 
 (* One queued authorisation query: its point (the hash of its routing
-   key, computed once) survives re-routing, and [excluded] accumulates
-   the shards that already failed it so a remap never bounces back to a
-   dead replica. *)
+   key, computed once) survives re-routing, [excluded] accumulates the
+   shards that already failed it so a remap never bounces back to a dead
+   replica, and [tries] counts the frames carrying it that its current
+   shard has lost. *)
 type item = {
   point : int;
   ctx : Context.t;
   deliver : (Decision.result, string) result -> meta -> unit;
   excluded : Dacs_net.Net.node_id list;
+  tries : int;
 }
 
 (* Slots of a shard's [timing] array: the Jacobson/Karels smoothed
@@ -277,9 +279,8 @@ and answered t s ~batch item part =
       epoch;
     }
 
-(* The whole frame failed: the shard is unreachable (or its breaker is
-   open).  Re-route every query to the next shard in its own key's
-   ranking — replica loss only remaps its own keys. *)
+(* Re-route every query to the next shard in its own key's ranking —
+   replica loss only remaps its own keys. *)
 and fail_over t shard items =
   if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
   List.iter
@@ -288,9 +289,27 @@ and fail_over t shard items =
       match route t ~excluded item.point with
       | Some next ->
         Metrics.inc t.c_failovers;
-        enqueue t next { item with excluded }
+        enqueue t next { item with excluded; tries = 0 }
       | None -> fail_closed t item)
     items
+
+(* The whole frame failed.  After a timeout or a breaker rejection, the
+   queries with attempts left on this shard go to it again after one
+   backoff, through [enqueue]: the retry is a frame like any other,
+   outstanding, watched by the silence clock, with its own RTO.  The
+   rest fail over. *)
+and frame_failed t shard err items =
+  match err with
+  | Service.Transport err when t.retry.attempts > 1 ->
+    let again, spent = List.partition (fun i -> i.tries + 1 < t.retry.attempts) items in
+    let failures = List.fold_left (fun n i -> Int.max n (i.tries + 1)) 0 again in
+    if
+      again <> []
+      && Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:shard t.retry ~failures
+           err (fun () -> List.iter (fun i -> enqueue t shard { i with tries = i.tries + 1 }) again)
+    then (if spent <> [] then fail_over t shard spent)
+    else fail_over t shard items
+  | _ -> fail_over t shard items
 
 and enqueue t shard item =
   let s = state_of t shard in
@@ -317,27 +336,27 @@ and frame_over t s ~sent ~replied =
    frame's fixed 1 s timeout is always a sharded tier's own. *)
 and send_plain t shard s ~sent item =
   Service.call_frame t.services ~src:t.node ~dst:shard ~service:"authz-query" ~timeout:t.timeout
-    ~resilient:t.retry ~read:t.read_answer
+    ~breaker:true ~read:t.read_answer
     (fun buf -> Wire.write_authz_query buf item.ctx)
     (function
-      | Error (Service.Transport _) ->
+      | Error (Service.Transport _ as e) ->
         frame_over t s ~sent ~replied:false;
-        fail_over t shard [ item ]
+        frame_failed t shard e [ item ]
       | part ->
         frame_over t s ~sent ~replied:true;
         answered t s ~batch:1 item part)
 
 and send_batch t shard s ~sent ~n items =
   Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-    ~resilient:t.retry ~read:t.read_answer
+    ~breaker:true ~read:t.read_answer
     (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
     (function
       | Ok parts ->
         frame_over t s ~sent ~replied:true;
         List.iter2 (answered t s ~batch:n) items parts
-      | Error _ ->
+      | Error e ->
         frame_over t s ~sent ~replied:false;
-        fail_over t shard items)
+        frame_failed t shard e items)
 
 and flush t shard s =
   s.flush_pending <- false;
@@ -368,7 +387,7 @@ let decide_meta ?key t ctx deliver =
     deliver (Error "pdp tier is empty") { shard = None; batch = 0; failovers = 0; epoch = 0 }
   end
   else
-    let item = { point = point_of key; ctx; deliver; excluded = [] } in
+    let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0 } in
     match route t ~excluded:[] item.point with
     | Some shard -> enqueue t shard item
     | None ->
@@ -386,7 +405,9 @@ let answer_reader ?trust services =
   fun c -> Wire.read_authz_answer ?trust ~now:(Dacs_net.Net.now net) c
 
 let require_signed_decisions t trust = t.read_answer <- answer_reader ~trust t.services
-let set_retry_policy t retry = t.retry <- retry
+let set_retry_policy t retry =
+  Dacs_net.Rpc.validate_retry retry;
+  t.retry <- retry
 
 (* --- construction ------------------------------------------------------- *)
 

@@ -23,14 +23,18 @@
     several queries pays the batch envelope.  A tier whose batch limit
     is 1 therefore never sends a batch.  Each frame, plain or batch,
     waits the tier's frame timeout (1 s, or an ordered tier's
-    [call_timeout]) and goes through the bus's circuit
-    breaker with the tier's retry policy ({!set_retry_policy}; one
-    attempt by default), so a retried frame is retried on the same
-    shard.  A frame is one fault unit: a transport failure fails the
-    whole frame, after which each query is individually re-routed to the
+    [call_timeout]), is one attempt, and goes through the bus's circuit
+    breaker.  A frame is one fault unit: a transport failure fails the
+    whole frame.  The tier is the only code that re-sends a query: after
+    a timeout or a breaker rejection, each query with attempts left under
+    the tier's retry policy ({!set_retry_policy}; one attempt by
+    default) is queued again for the same shard after one backoff
+    ({!Dacs_net.Rpc.retry_after}, drawn and counted once per frame), so
+    the queries of a lost frame are re-sent together, as a frame of the
+    tier's own.  Every other query is individually re-routed to the
     next shard in its own key's ranking, excluding every shard that
-    already failed it.  When no shard remains the query fails closed
-    with an [Indeterminate] decision.
+    already failed it, with a fresh count of attempts.  When no shard
+    remains the query fails closed with an [Indeterminate] decision.
 
     Routing — first and on every re-route — skips each shard whose
     circuit breaker would shed a call now ({!Dacs_net.Rpc.breaker_sheds}).
@@ -50,8 +54,9 @@
     ({!Dacs_net.Rpc.heard_from}) since the latest of its last answer,
     the start of its current busy period and its last suspicion, for one
     RTO, is suspected: {!Dacs_net.Rpc.expire} fails its waiting frames
-    with a timeout at that instant, and they are retried or fail over as
-    above.  Each
+    with a timeout at that instant, and their queries are re-sent or
+    fail over as above.  A re-sent frame is outstanding like any other:
+    it restarts the shard's silence window and gets its own RTO.  Each
     expired frame counts as one breaker failure, so the breaker still
     trips on its own rule.  Silence, not a shorter deadline, is the
     evidence: a saturated shard that keeps answering is never suspected,
@@ -101,9 +106,11 @@ val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
     is not failed over. *)
 
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy -> unit
-(** The retry envelope of every frame from now on ({!Dacs_net.Rpc.no_retry}
-    by default): a frame that times out is retried on its shard with
-    backoff before its queries fail over. *)
+(** The retry policy of every query from now on ({!Dacs_net.Rpc.no_retry}
+    by default): a query whose frame times out or is shed by the breaker
+    is re-sent to its shard with backoff until its attempts there are
+    spent, then fails over.  Raises [Invalid_argument] when the policy
+    fails {!Dacs_net.Rpc.validate_retry}. *)
 
 val shards : t -> Dacs_net.Net.node_id list
 
@@ -164,8 +171,8 @@ val decide_meta :
 (** {1 Statistics} *)
 
 type stats = {
-  dispatched : int;  (** queries routed (including re-routes) *)
-  batches : int;  (** frames flushed *)
+  dispatched : int;  (** queries routed (including re-routes and re-sends) *)
+  batches : int;  (** frames flushed (including re-sends) *)
   failovers : int;  (** queries re-routed after a shard failure *)
   rebalances : int;  (** shard-set changes *)
   exhausted : int;  (** queries failed closed *)

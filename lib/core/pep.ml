@@ -258,12 +258,8 @@ let require_signed_decisions t trust =
     invalid_arg "Pep.require_signed_decisions: no decision crosses the wire in push or agent mode"
 
 let set_retry_policy t retry =
-  (match retry with
-  | Some { Dacs_net.Rpc.attempts; jitter; _ }
-    when attempts < 1 || not (jitter >= 0.0 && jitter <= 1.0) ->
-    invalid_arg "Pep.set_retry_policy: attempts must be >= 1 and jitter in [0, 1]"
-  | _ -> ());
   let retry = Option.value retry ~default:Dacs_net.Rpc.no_retry in
+  Dacs_net.Rpc.validate_retry retry;
   match t.serving with
   | Tier { tier; _ } -> Pdp_tier.set_retry_policy tier retry
   | Capability _ | Local _ -> t.retry <- retry
@@ -645,9 +641,13 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
         | Some authority ->
           Metrics.inc t.counters.c_revocation_checks;
           let assertion_id = assertion.Assertion.id in
-          Service.call_frame t.services ~src:t.node ~dst:authority ~service:"revocation-check"
-            ~resilient:t.retry ~read:Wire.read_revocation_status
-            (fun buf -> Wire.write_revocation_check buf ~assertion_id)
+          Dacs_net.Rpc.retrying (Service.rpc t.services) ~src:t.node ~dst:authority t.retry
+            ~failed:Service.transport_error
+            (fun k ->
+              Service.call_frame t.services ~src:t.node ~dst:authority ~service:"revocation-check"
+                ~breaker:true ~read:Wire.read_revocation_status
+                (fun buf -> Wire.write_revocation_check buf ~assertion_id)
+                k)
             (fun response ->
               match response with
               | Ok (Ok true) -> deny_with "capability has been revoked"

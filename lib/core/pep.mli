@@ -162,11 +162,12 @@ val shed_reason : string
     bounded-stale serving default off. *)
 
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
-(** Retry each PDP frame (pull and sharded: the tier's
-    {!Pdp_tier.set_retry_policy}) / revocation authority call (push) with
-    backoff on the same target before giving up on it.  [None] (the
-    default) restores single-attempt calls.  Raises [Invalid_argument]
-    unless [attempts >= 1] and [jitter] lies in [[0, 1]]. *)
+(** Re-send each PDP query (pull and sharded: the tier owns the re-send,
+    {!Pdp_tier.set_retry_policy}) / revocation authority call (push,
+    through {!Dacs_net.Rpc.retrying}) with backoff on the same target
+    before giving up on it.  [None] (the default) restores
+    single-attempt calls.  Raises [Invalid_argument] when the policy
+    fails {!Dacs_net.Rpc.validate_retry}. *)
 
 val set_stale_window : t -> float -> unit
 (** Pull or sharded mode with a cache only: when the live step reaches no
@@ -200,7 +201,7 @@ type stats = {
       (** the tier's re-routes after a failed frame
           ([pdp_tier_failovers_total]); a replica whose breaker sheds is
           skipped without one *)
-  retries : int;  (** resilient-call retry attempts issued *)
+  retries : int;  (** re-sends issued after a failed attempt *)
   breaker_trips : int;  (** circuit-breaker opens observed on our calls *)
   breaker_rejections : int;  (** calls shed without touching the network *)
   cache_hits : int;

@@ -26,7 +26,7 @@ type t = {
   batch : int;  (** queries in the tier frame that carried the answer; 0 = n/a *)
   coalesced : bool;  (** folded onto an identical in-flight descent *)
   failovers : int;  (** replicas/shards skipped before this answer *)
-  retried : bool;  (** resilient-call retries observed during the descent *)
+  retried : bool;  (** re-sends observed during the descent *)
   breaker_tripped : bool;  (** circuit breaker activity observed during the descent *)
   stale_age : float;  (** seconds past TTL for [Stale] serves; 0 otherwise *)
   epoch : int;

@@ -126,7 +126,7 @@ let caller_series t src =
     let counter help name = lazy (Metrics.counter t.metrics ~help ~labels name) in
     let s =
       {
-        retries = counter "Resilient-call retry attempts issued." "rpc_retries_total";
+        retries = counter "Retry attempts issued after a failed attempt." "rpc_retries_total";
         trips = counter "Circuit-breaker opens observed." "rpc_breaker_trips_total";
         rejections = counter "Calls shed by an open breaker." "rpc_breaker_rejections_total";
       }
@@ -795,16 +795,16 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced 
   | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" ~envelope write);
   Engine.schedule (Net.engine t.net) ~delay:timeout (fun () -> time_out t id)
 
-(* A [guarded] attempt first asks the target's breaker; a rejected one
-   fails at once with [Circuit_open], sending nothing and counting no
-   call. *)
-let call_once t ~src ~dst ~service ~timeout ~guarded ~envelope write k =
-  if guarded && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
+(* One attempt.  With [breaker] the target's breaker admits it first —
+   a rejected one fails at once with [Circuit_open], sending nothing and
+   counting no call — and hears its outcome. *)
+let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?(breaker = false) ?(envelope = bare) write k =
+  if breaker && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
   else begin
     let series = series_for t service in
     Metrics.inc (Lazy.force series.calls);
     issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~batch:0 ~kind:K_request
-      ~traced:K_traced ~guarded ~envelope write k
+      ~traced:K_traced ~guarded:breaker ~envelope write k
   end
 
 (* [finish] has checked the reply's arity against the batch's. *)
@@ -813,10 +813,10 @@ let batch_reply k = function
   | Ok reply -> (
     match parts_of reply with Some parts -> k (Ok parts) | None -> k (Error Timeout))
 
-let call_batch_once t ~src ~dst ~service ~guarded writes k =
+let call_batch_frame t ~src ~dst ~service ?(breaker = false) writes k =
   let n = List.length writes in
   if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
-  if guarded && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
+  if breaker && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
   else begin
     let series = series_for t service in
     Metrics.inc (Lazy.force series.calls);
@@ -824,7 +824,7 @@ let call_batch_once t ~src ~dst ~service ~guarded writes k =
     Metrics.inc ~by:n (Lazy.force series.batch_parts);
     Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
     issue t series ~src ~dst ~service ~timeout:1.0 ~span_label:"rpc-batch:" ~batch:n ~kind:K_batch
-      ~traced:K_traced_batch ~guarded ~envelope:bare
+      ~traced:K_traced_batch ~guarded:breaker ~envelope:bare
       (fun buf -> List.iter (add_written_part t buf) writes)
       (batch_reply k)
   end
@@ -840,7 +840,7 @@ let expire t dst =
   in
   List.iter (fun id -> time_out t id) (List.sort Int.compare ids)
 
-(* --- resilient calls ---------------------------------------------------------- *)
+(* --- retries ---------------------------------------------------------------- *)
 
 let resilience_stats t =
   {
@@ -848,6 +848,10 @@ let resilience_stats t =
     breaker_trips = Metrics.sum_counter t.metrics "rpc_breaker_trips_total";
     breaker_rejections = Metrics.sum_counter t.metrics "rpc_breaker_rejections_total";
   }
+
+let validate_retry retry =
+  if retry.attempts < 1 || not (retry.jitter >= 0.0 && retry.jitter <= 1.0) then
+    invalid_arg "Rpc.validate_retry: attempts must be >= 1 and jitter in [0, 1]"
 
 let backoff_delay t retry failures =
   let d = ref retry.base_delay in
@@ -860,64 +864,39 @@ let backoff_delay t retry failures =
     (* Deterministic jitter: drawn from the engine's seeded RNG, so a
        rerun with the same seed backs off at exactly the same instants. *)
     let u = Dacs_crypto.Rng.float (Engine.rng (Net.engine t.net)) 1.0 in
-    Float.max 0.0 (d *. (1.0 +. (retry.jitter *. ((2.0 *. u) -. 1.0))))
+    d *. (1.0 +. (retry.jitter *. ((2.0 *. u) -. 1.0)))
   end
 
-(* The retry envelope of a call allowed several attempts: [issue]
-   performs one guarded attempt — its call record reports the outcome to
-   the breaker — and hands its result to the continuation it is given;
-   the loop only decides whether to try again.  Batched calls reuse the
-   exact same envelope, which is what makes a batch "one fault/retry
-   unit" — the whole frame succeeds or the whole frame backs off. *)
-let resilient_loop (type a) t ~src ~dst ~retry ~(issue : ((a, error) result -> unit) -> unit)
-    (k : (a, error) result -> unit) =
-  if retry.attempts < 1 then invalid_arg "Rpc.call_frame: attempts must be >= 1";
-  let engine = Net.engine t.net in
-  (* Backoff waits run as fresh engine callbacks with no ambient trace
-     context; re-instate the initiator's so every attempt's span lands
-     under the same parent. *)
-  let initiating = Trace.current t.tracer in
-  let rec attempt n =
-    let saved = Trace.current t.tracer in
-    Trace.set_current t.tracer initiating;
-    issue (function
-      | Ok reply -> k (Ok reply)
-      | Error ((Timeout | Circuit_open _) as e) -> after_failure n e
-      | Error (No_such_service _ as e) ->
-        (* The target answered: retrying the same missing service cannot
-           succeed. *)
-        k (Error e));
-    Trace.set_current t.tracer saved
-  and after_failure n err =
-    if n >= retry.attempts then k (Error err)
-    else begin
-      let delay = backoff_delay t retry n in
-      Metrics.inc (Lazy.force (caller_series t src).retries);
-      if Trace.enabled t.tracer then
-        Trace.record t.tracer
-          (Printf.sprintf "retry %d -> %s after %s" (n + 1) dst (error_to_string err));
-      Engine.schedule engine ~delay (fun () -> attempt (n + 1))
-    end
+(* The step every re-send takes after a failed attempt, whoever owns the
+   re-send.  A missing service is final: the target answered, and
+   retrying the same missing service cannot succeed. *)
+let retry_after t ~src ~dst retry ~failures err resend =
+  match err with
+  | No_such_service _ -> false
+  | Timeout | Circuit_open _ when failures >= retry.attempts -> false
+  | Timeout | Circuit_open _ ->
+    let delay = backoff_delay t retry failures in
+    Metrics.inc (Lazy.force (caller_series t src).retries);
+    if Trace.enabled t.tracer then
+      Trace.record t.tracer
+        (Printf.sprintf "retry %d -> %s after %s" (failures + 1) dst (error_to_string err));
+    (* The backoff wait runs as a fresh engine callback with no ambient
+       trace context; re-instate the one the failure was delivered under
+       — the initiator's — so every attempt's span lands under the same
+       parent. *)
+    let initiating = Trace.current t.tracer in
+    Engine.schedule (Net.engine t.net) ~delay (fun () ->
+        let saved = Trace.current t.tracer in
+        Trace.set_current t.tracer initiating;
+        resend ();
+        Trace.set_current t.tracer saved);
+    true
+
+let retrying t ~src ~dst retry ~failed attempt k =
+  let rec go failures =
+    attempt (fun r ->
+        match failed r with
+        | Some err when retry_after t ~src ~dst retry ~failures err (fun () -> go (failures + 1)) -> ()
+        | Some _ | None -> k r)
   in
-  attempt 1
-
-(* Every call takes one of three paths: unguarded (no [resilient]); a
-   single guarded attempt, which builds no closure around the
-   continuation; or the retry loop around guarded attempts. *)
-let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?resilient ?(envelope = bare) write k =
-  match resilient with
-  | None -> call_once t ~src ~dst ~service ~timeout ~guarded:false ~envelope write k
-  | Some { attempts = 1; _ } -> call_once t ~src ~dst ~service ~timeout ~guarded:true ~envelope write k
-  | Some retry ->
-    resilient_loop t ~src ~dst ~retry
-      ~issue:(fun k -> call_once t ~src ~dst ~service ~timeout ~guarded:true ~envelope write k)
-      k
-
-let call_batch_frame t ~src ~dst ~service ?resilient writes k =
-  match resilient with
-  | None -> call_batch_once t ~src ~dst ~service ~guarded:false writes k
-  | Some { attempts = 1; _ } -> call_batch_once t ~src ~dst ~service ~guarded:true writes k
-  | Some retry ->
-    resilient_loop t ~src ~dst ~retry
-      ~issue:(fun k -> call_batch_once t ~src ~dst ~service ~guarded:true writes k)
-      k
+  go 1

@@ -1,6 +1,7 @@
 (** Request/response layer over {!Net} with correlation ids, timeouts and
-    a resilience layer (retry with exponential backoff and deterministic
-    jitter, per-target circuit breakers).
+    a resilience layer (per-target circuit breakers, and the one retry
+    step — exponential backoff with deterministic jitter — that every
+    caller re-sending an attempt takes).
 
     Components register named services on nodes; callers issue asynchronous
     calls and receive either the reply payload or an error.  This is the
@@ -47,11 +48,13 @@ val calls_in_flight : t -> int
 
 (** {1 Retry with backoff}
 
-    A retry policy bounds the total number of attempts; between attempts
-    the caller waits [base_delay * multiplier^(n-1)] capped at
-    [max_delay], multiplied by a jitter factor drawn uniformly from
-    [1 ± jitter] using the engine's seeded RNG — so backoff sequences are
-    deterministic for a given seed. *)
+    A call is one attempt; the caller owns any re-send.  A retry policy
+    bounds the total number of attempts; after the [n]th failure the
+    caller waits [base_delay * multiplier^(n-1)] capped at [max_delay],
+    multiplied by a jitter factor drawn uniformly from [1 ± jitter] using
+    the engine's seeded RNG — so backoff sequences are deterministic for
+    a given seed.  {!retry_after} is that step; {!retrying} re-sends a
+    point-to-point call with it. *)
 
 type retry_policy = {
   attempts : int;  (** total attempts including the first; >= 1 *)
@@ -62,22 +65,25 @@ type retry_policy = {
 }
 
 val no_retry : retry_policy
-(** Exactly one attempt: the call still goes through the breaker, but a
-    failure is final. *)
+(** Exactly one attempt: a failure is final. *)
 
 val default_retry : retry_policy
 (** 3 attempts, 50 ms base, doubling, 2 s cap, 20% jitter. *)
+
+val validate_retry : retry_policy -> unit
+(** Raises [Invalid_argument] unless [attempts >= 1] and [jitter] lies
+    in [[0, 1]] — what every setter of a policy checks when it is set. *)
 
 (** {1 Circuit breaker}
 
     One breaker per target node, shared by all callers on this RPC bus,
     and on from {!create} with {!default_breaker}.
     [failure_threshold] consecutive timeouts trip it open; while open,
-    resilient calls to that target fail immediately with {!Circuit_open}
-    (shedding load from a struggling replica).  After [cooldown] seconds
-    the next call is admitted as a half-open probe: success closes the
-    breaker, failure re-opens it for another cooldown.  Calls without
-    [resilient] bypass the breaker.  Every transition is counted in
+    calls made with [~breaker:true] to that target fail immediately with
+    {!Circuit_open} (shedding load from a struggling replica).  After
+    [cooldown] seconds the next such call is admitted as a half-open
+    probe: success closes the breaker, failure re-opens it for another
+    cooldown.  Calls without [~breaker:true] bypass it.  Every transition is counted in
     [rpc_breaker_trips_total{src}] / [rpc_breaker_rejections_total{src}]
     and, when tracing, recorded as a ["breaker-…"] trace event. *)
 
@@ -90,7 +96,7 @@ type breaker_state = Closed | Open | Half_open
 
 val set_breaker : t -> breaker_config option -> unit
 (** Reconfigure ([Some cfg]) or disable ([None]) circuit breaking for
-    resilient calls on this bus; a bus starts with
+    [~breaker:true] calls on this bus; a bus starts with
     [Some default_breaker]. *)
 
 val breaker_state : t -> Net.node_id -> breaker_state
@@ -99,7 +105,7 @@ val breaker_state : t -> Net.node_id -> breaker_state
     lapsed reports [Half_open]. *)
 
 val breaker_sheds : t -> Net.node_id -> bool
-(** Whether a resilient call to the target issued now would be shed
+(** Whether a [~breaker:true] call to the target issued now would be shed
     without touching the network: its breaker is [Open] within its
     cooldown, or [Half_open] with its probe in flight.  A read: it makes
     no state transition and counts nothing, so a caller can route
@@ -108,7 +114,7 @@ val breaker_sheds : t -> Net.node_id -> bool
 
 val record_shed : t -> src:Net.node_id -> Net.node_id -> unit
 (** Count one call from [src] shed by the target's breaker, exactly as a
-    rejected resilient call is counted: one
+    rejected call is counted: one
     [rpc_breaker_rejections_total{src}] increment and, when tracing, a
     ["breaker-rejected"] event.  For callers that route around a
     target on {!breaker_sheds} rather than call it. *)
@@ -128,18 +134,18 @@ val heard_from : t -> Net.node_id -> float
 
 val expire : t -> Net.node_id -> unit
 (** Fail every call pending towards the target with [Timeout], exactly
-    as its timer would, in ascending correlation-id order.  Resilient
-    calls count each failure through the breaker as usual (so five
-    expired calls trip it) and retry per their policy; a reply that
-    arrives afterwards is dropped.  Calls issued by the continuations
-    are not expired. *)
+    as its timer would, in ascending correlation-id order.  Calls made
+    with [~breaker:true] count each failure through the breaker as usual
+    (so five expired calls trip it); whether to re-send is the caller's
+    choice.  A reply that arrives afterwards is dropped.  Calls issued by
+    the continuations are not expired. *)
 
 (** {1 Resilience counters} *)
 
 type resilience_stats = { retries : int; breaker_trips : int; breaker_rejections : int }
 
 val resilience_stats : t -> resilience_stats
-(** Bus-wide counters across all resilient calls — a thin read summing
+(** Bus-wide counters across all callers — a thin read summing
     the per-caller [rpc_retries_total]/[rpc_breaker_trips_total]/
     [rpc_breaker_rejections_total{src}] series in {!metrics}, so a
     component resetting its own series is immediately reflected here. *)
@@ -179,12 +185,12 @@ val call_frame :
   dst:Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?resilient:retry_policy ->
+  ?breaker:bool ->
   ?envelope:(Buffer.t -> writer -> unit) ->
   writer ->
   ((slice, error) result -> unit) ->
   unit
-(** Asynchronous call.  The continuation fires with [Ok reply], or with
+(** Asynchronous call of one attempt.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
     service.  Only a reply or error frame from [dst], delivered to [src],
@@ -195,23 +201,18 @@ val call_frame :
     writes the request body around [write] (by default [write]'s bytes
     alone), as {!serve_frame}'s does for replies.
 
-    With [resilient] the call goes through the per-target circuit
-    breaker and is retried per that policy ({!no_retry}: one attempt),
-    re-running the writer for each attempt.  Timeouts and breaker
-    rejections are retried with backoff; [No_such_service] is returned
-    at once (the target is alive, retrying cannot help).  Each retry
-    counts in [rpc_retries_total{src}] and, when tracing, is recorded as
-    a ["retry …"] trace event.  Raises [Invalid_argument] when the
-    policy allows fewer than one attempt.  A policy of one attempt
-    ({!no_retry}) costs no more than an unguarded call: the attempt's
-    own call record reports its outcome to the breaker. *)
+    With [~breaker:true] (default [false]) the target's circuit breaker
+    admits the attempt first — a shed one fails at once with
+    [Circuit_open] and sends nothing — and hears its outcome: a reply is
+    a success, a timeout a failure.  The call is never re-sent; a caller
+    that retries takes {!retry_after} per failure. *)
 
 val call_batch_frame :
   t ->
   src:Net.node_id ->
   dst:Net.node_id ->
   service:string ->
-  ?resilient:retry_policy ->
+  ?breaker:bool ->
   writer list ->
   ((slice list, error) result -> unit) ->
   unit
@@ -219,12 +220,55 @@ val call_batch_frame :
     The server dispatches each part to the registered handler and gathers
     the replies into a single frame, preserving order; the continuation
     receives exactly one reply per query.  The whole batch shares one
-    correlation id, one 1 s timeout and (with [resilient]) one
-    retry/breaker envelope — a timeout retries the whole frame, and
-    partial results are never delivered.  A reply with the wrong number
-    of parts fails the whole batch with [Timeout], and the target's
-    breaker counts it as a failure.
+    correlation id, one 1 s timeout and (with [~breaker:true]) one
+    breaker verdict — the frame is one attempt, and partial results are
+    never delivered.  A reply with the wrong number of parts fails the
+    whole batch with [Timeout], and the target's breaker counts it as a
+    failure.
     Raises [Invalid_argument] on an empty batch. *)
+
+(** {1 Re-sending}
+
+    A re-send has one owner: the caller that holds the queries.  Both
+    owners — the PDP tier for authorisation frames, {!retrying} for a
+    point-to-point call — take the same step after each failed
+    attempt. *)
+
+val retry_after :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  retry_policy ->
+  failures:int ->
+  error ->
+  (unit -> unit) ->
+  bool
+(** [retry_after t ~src ~dst retry ~failures err resend], after the
+    [failures]th failed attempt from [src] to [dst], which failed with
+    [err]: when [err] is a timeout or a breaker rejection and the policy
+    allows another attempt, draw the backoff, count one retry in
+    [rpc_retries_total{src}], record a ["retry …"] trace event when
+    tracing, schedule [resend] after the backoff — under the trace
+    context current now, so the re-sent attempt's span has the failed
+    one's parent — and return [true].  Otherwise do nothing and return
+    [false]: the attempts are spent, or the target answered
+    [No_such_service] and retrying cannot help.  The policy must pass
+    {!validate_retry}. *)
+
+val retrying :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  retry_policy ->
+  failed:('a -> error option) ->
+  (('a -> unit) -> unit) ->
+  ('a -> unit) ->
+  unit
+(** [retrying t ~src ~dst retry ~failed attempt k] runs [attempt], and
+    runs it again through {!retry_after} each time [failed] reads a
+    transport error from its outcome; [k] gets the first outcome that
+    is not re-sent.  For point-to-point callers whose one call is the
+    whole request. *)
 
 (** {1 Wire format}
 

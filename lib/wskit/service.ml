@@ -58,20 +58,22 @@ let decode_reply read s =
     | Ok (_, tree) -> (
       match Soap.fault_of_body tree with Some f -> Error (Fault f) | None -> Ok (Error e)))
 
+let transport_error = function Error (Transport e) -> Some e | Ok _ | Error _ -> None
+
 let reply_to read k = function
   | Error e -> k (Error (Transport e))
   | Ok reply -> k (decode_reply read reply)
 
-let call_frame t ~src ~dst ~service ?timeout ?resilient ?(headers = []) ~read write k =
+let call_frame t ~src ~dst ~service ?timeout ?breaker ?(headers = []) ~read write k =
   let envelope =
     match headers with
     | [] -> soap_envelope
     | headers -> fun buf write -> Soap.write ~headers buf write
   in
-  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?resilient ~envelope write (reply_to read k)
+  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?breaker ~envelope write (reply_to read k)
 
-let call_batch_frame t ~src ~dst ~service ?resilient ~read writes k =
-  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?resilient
+let call_batch_frame t ~src ~dst ~service ?breaker ~read writes k =
+  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?breaker
     (List.map (fun write buf -> Soap.write buf write) writes)
     (function
       | Error e -> k (Error (Transport e))

@@ -27,6 +27,10 @@ type error =
 
 val error_to_string : error -> string
 
+val transport_error : ('a, error) result -> Dacs_net.Rpc.error option
+(** The RPC error of a transport failure, the one failure a re-send can
+    mend; [None] for an answer, a SOAP fault or a malformed envelope. *)
+
 (** {1 Frames}
 
     The one transport path.  A request body is written straight into the
@@ -71,7 +75,7 @@ val call_frame :
   dst:Dacs_net.Net.node_id ->
   service:string ->
   ?timeout:float ->
-  ?resilient:Dacs_net.Rpc.retry_policy ->
+  ?breaker:bool ->
   ?headers:Dacs_xml.Xml.t list ->
   read:'a reader ->
   (Buffer.t -> unit) ->
@@ -80,23 +84,24 @@ val call_frame :
 (** Send the body the writer produces and read the response body with
     [read]: [Ok (Ok v)] on success, [Ok (Error e)] when [read] rejected
     the response body, [Error] on a transport failure, a SOAP fault or a
-    malformed envelope.  With [resilient] the call goes through the RPC
-    breaker and is retried per that policy ({!Dacs_net.Rpc.call_frame});
-    SOAP faults are application answers, never retried. *)
+    malformed envelope.  The call is one attempt; with [~breaker:true]
+    it goes through the target's circuit breaker
+    ({!Dacs_net.Rpc.call_frame}).  A SOAP fault is an application
+    answer, never a breaker failure. *)
 
 val call_batch_frame :
   t ->
   src:Dacs_net.Net.node_id ->
   dst:Dacs_net.Net.node_id ->
   service:string ->
-  ?resilient:Dacs_net.Rpc.retry_policy ->
+  ?breaker:bool ->
   read:'a reader ->
   (Buffer.t -> unit) list ->
   (((('a, string) result, error) result list, error) result -> unit) ->
   unit
 (** Several request bodies coalesced into one
-    {!Dacs_net.Rpc.call_batch_frame} round-trip with a single
-    retry/breaker envelope.  On transport success the continuation
+    {!Dacs_net.Rpc.call_batch_frame} round-trip: one attempt, with (given
+    [~breaker:true]) one breaker verdict.  On transport success the continuation
     receives one result per request, each as from {!call_frame}; on
     transport failure the whole batch fails with [Error (Transport _)] —
     there are no partial deliveries.  The frame carries no SOAP headers

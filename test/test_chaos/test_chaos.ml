@@ -1,6 +1,6 @@
 (* Chaos suite: the paper's Fig. 2/Fig. 3 authorisation flows replayed
-   under declarative fault schedules (Faults), exercising the resilient
-   RPC layer (retry/backoff, circuit breaker) and the PEP's stale-cache
+   under declarative fault schedules (Faults), exercising retry with
+   backoff, the RPC circuit breaker and the PEP's stale-cache
    degradation.
 
    Every scenario checks the same safety invariant — a subject the policy

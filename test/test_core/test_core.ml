@@ -795,20 +795,29 @@ let test_pep_pull_all_pdps_down () =
   | _ -> Alcotest.fail "expected deny (fail closed)");
   check int_ "denied" 1 (Pep.stats pep).Pep.denied
 
-(* A retry policy outside the ranges [Rpc] documents is refused when it
-   is set, so it can never abort the run from inside the first pull
-   decision; the PEP keeps deciding under the policy it had. *)
+(* A retry policy outside the ranges [Rpc] documents is refused where it
+   is set — by a PEP, a sharded tier and a client request alike — so it
+   can never abort the run from inside the first decision (for a tier,
+   inside [Net.run]); the PEP keeps deciding under the policy it had. *)
 let test_pep_rejects_bad_retry_policy () =
-  let net, _services, pep, client, _ = pull_setup () in
+  let net, services, pep, client, pdps = pull_setup () in
+  let tier = Pdp_tier.create services ~node:"pep" ~shards:pdps () in
   let bad =
     [ { Rpc.no_retry with attempts = 0 }; { Rpc.default_retry with jitter = 1.5 }; { Rpc.default_retry with jitter = -0.1 } ]
   in
-  List.iter
-    (fun retry ->
-      match Pep.set_retry_policy pep (Some retry) with
-      | () -> Alcotest.failf "accepted attempts=%d jitter=%g" retry.Rpc.attempts retry.Rpc.jitter
-      | exception Invalid_argument _ -> ())
-    bad;
+  let rejected what set =
+    List.iter
+      (fun retry ->
+        match set retry with
+        | () ->
+          Alcotest.failf "%s accepted attempts=%d jitter=%g" what retry.Rpc.attempts retry.Rpc.jitter
+        | exception Invalid_argument _ -> ())
+      bad
+  in
+  rejected "Pep.set_retry_policy" (fun retry -> Pep.set_retry_policy pep (Some retry));
+  rejected "Pdp_tier.set_retry_policy" (Pdp_tier.set_retry_policy tier);
+  rejected "Client.request" (fun retry -> Client.request client ~pep:"pep" ~action:"read" ~retry ignore);
+  check int_ "no request sent" 0 (Net.total_sent net).Net.count;
   Pep.set_retry_policy pep (Some Rpc.default_retry);
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);

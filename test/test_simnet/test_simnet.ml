@@ -271,8 +271,8 @@ let serve_string rpc ~node ~service handler =
   Rpc.serve_frame rpc ~node ~service (fun ~caller body reply ->
       handler ~caller (Rpc.slice_to_string body) (fun r -> reply (fun buf -> Buffer.add_string buf r)))
 
-let call_string rpc ~src ~dst ~service ?timeout ?resilient body k =
-  Rpc.call_frame rpc ~src ~dst ~service ?timeout ?resilient
+let call_string rpc ~src ~dst ~service ?timeout ?breaker body k =
+  Rpc.call_frame rpc ~src ~dst ~service ?timeout ?breaker
     (fun buf -> Buffer.add_string buf body)
     (fun r -> k (Result.map Rpc.slice_to_string r))
 
@@ -577,6 +577,14 @@ let test_decode_parts_negative () =
 
 (* --- rpc resilience -------------------------------------------------------- *)
 
+(* A point-to-point echo call re-sent by [Rpc.retrying], each attempt
+   through the breaker. *)
+let retrying_echo rpc ?(service = "echo") ?timeout retry k =
+  Rpc.retrying rpc ~src:"client" ~dst:"server" retry
+    ~failed:(function Error e -> Some e | Ok _ -> None)
+    (fun k -> call_string rpc ~src:"client" ~dst:"server" ~service ?timeout ~breaker:true "hi" k)
+    k
+
 let test_rpc_retry_recovers () =
   (* Server down for the first attempts, back before they run out. *)
   let net, rpc = make_rpc () in
@@ -585,8 +593,7 @@ let test_rpc_retry_recovers () =
   Engine.schedule (Net.engine net) ~delay:1.5 (fun () -> Net.recover net "server");
   let retry = { Rpc.attempts = 5; base_delay = 0.5; multiplier = 2.0; max_delay = 4.0; jitter = 0.0 } in
   let result = ref None in
-  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.4 ~resilient:retry "hi" (fun r ->
-      result := Some r);
+  retrying_echo rpc ~timeout:0.4 retry (fun r -> result := Some r);
   Net.run net;
   check bool_ "eventually ok" true (!result = Some (Ok "hi"));
   let retries = (Rpc.resilience_stats rpc).Rpc.retries in
@@ -601,8 +608,7 @@ let test_rpc_retry_exhausted () =
   Net.crash net "server";
   let retry = { Rpc.no_retry with attempts = 3; base_delay = 0.1 } in
   let result = ref None in
-  call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:0.2 ~resilient:retry "hi"
-    (fun r -> result := Some r);
+  retrying_echo rpc ~timeout:0.2 retry (fun r -> result := Some r);
   Net.run net;
   check bool_ "all attempts failed" true (!result = Some (Error Rpc.Timeout));
   check int_ "two retries counted" 2 (Rpc.resilience_stats rpc).Rpc.retries
@@ -611,8 +617,8 @@ let test_rpc_no_such_service_not_retried () =
   let net, rpc = make_rpc () in
   serve_string rpc ~node:"server" ~service:"other" (fun ~caller:_ _ reply -> reply "x");
   let result = ref None in
-  call_string rpc ~src:"client" ~dst:"server" ~service:"missing"
-    ~resilient:{ Rpc.no_retry with attempts = 4 } "hi" (fun r -> result := Some r);
+  retrying_echo rpc ~service:"missing" { Rpc.no_retry with attempts = 4 } (fun r ->
+      result := Some r);
   Net.run net;
   check bool_ "fails fast" true (!result = Some (Error (Rpc.No_such_service "missing")));
   check int_ "no retries burned" 0 (Rpc.resilience_stats rpc).Rpc.retries
@@ -632,7 +638,7 @@ let test_rpc_backoff_is_deterministic () =
     let retry =
       { Rpc.attempts = 4; base_delay = 0.2; multiplier = 2.0; max_delay = 10.0; jitter = 0.5 }
     in
-    call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout ~resilient:retry "hi" ignore;
+    retrying_echo rpc ~timeout retry ignore;
     Net.run net;
     (* Attempts travel over the same link, so the gap between two
        consecutive deliveries is the timeout plus the backoff. *)
@@ -655,7 +661,7 @@ let test_rpc_breaker_lifecycle () =
   let results = ref [] in
   let call_at at =
     Engine.schedule_at (Net.engine net) ~at (fun () ->
-        call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~resilient:Rpc.no_retry "x"
+        call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~breaker:true "x"
           (fun r -> results := (Net.now net, r) :: !results))
   in
   call_at 0.1;
@@ -694,7 +700,7 @@ let test_rpc_breaker_default () =
     let results = ref [] in
     for i = 0 to 5 do
       Engine.schedule_at (Net.engine net) ~at:(2.0 *. float_of_int i) (fun () ->
-          call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~resilient:Rpc.no_retry "x"
+          call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:1.0 ~breaker:true "x"
             (fun r -> results := r :: !results))
     done;
     Net.run net;
@@ -724,45 +730,32 @@ let one_part_server net node =
       | Some _ | None -> ())
 
 (* A batch reply with the wrong number of parts fails the call with
-   [Timeout], and the breaker hears the failure the caller gets, on the
-   one-attempt path and the retry loop alike: two such calls trip it, and
-   a half-open probe answered that way re-opens it. *)
+   [Timeout], and the breaker hears the failure the caller gets: two such
+   calls trip it, and a half-open probe answered that way re-opens it.
+   (A tier that re-sends such a frame counts each attempt: test_tier.) *)
 let test_rpc_breaker_counts_wrong_arity () =
-  let batch_of_two rpc ~at ~resilient results net =
+  let batch_of_two rpc ~at results net =
     Engine.schedule_at (Net.engine net) ~at (fun () ->
-        Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"q" ~resilient
+        Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"q" ~breaker:true
           [ (fun buf -> Buffer.add_string buf "a"); (fun buf -> Buffer.add_string buf "b") ]
           (fun r -> results := r :: !results))
   in
-  let setup () =
-    let net, rpc = make_rpc () in
-    Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
-    one_part_server net "server";
-    (net, rpc)
-  in
-  let net, rpc = setup () in
+  let net, rpc = make_rpc () in
+  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
+  one_part_server net "server";
   let results = ref [] in
-  batch_of_two rpc ~at:0.1 ~resilient:Rpc.no_retry results net;
-  batch_of_two rpc ~at:0.5 ~resilient:Rpc.no_retry results net;
+  batch_of_two rpc ~at:0.1 results net;
+  batch_of_two rpc ~at:0.5 results net;
   Net.run net;
   check bool_ "both calls time out" true (!results = [ Error Rpc.Timeout; Error Rpc.Timeout ]);
   check bool_ "two wrong-arity replies trip the breaker" true
     (Rpc.breaker_state rpc "server" = Rpc.Open);
   check int_ "one trip" 1 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
-  batch_of_two rpc ~at:6.0 ~resilient:Rpc.no_retry results net;
+  batch_of_two rpc ~at:6.0 results net;
   Net.run net;
   check bool_ "the half-open probe timed out" true (List.hd !results = Error Rpc.Timeout);
   check bool_ "the probe re-opened the breaker" true (Rpc.breaker_state rpc "server" = Rpc.Open);
-  check int_ "a second trip" 2 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
-  let net, rpc = setup () in
-  let results = ref [] in
-  let twice = { Rpc.no_retry with Rpc.attempts = 2; base_delay = 0.01 } in
-  batch_of_two rpc ~at:0.1 ~resilient:twice results net;
-  Net.run net;
-  check bool_ "retried, then timed out" true (!results = [ Error Rpc.Timeout ]);
-  check int_ "one retry" 1 (Rpc.resilience_stats rpc).Rpc.retries;
-  check bool_ "the retry loop's two failures trip it too" true
-    (Rpc.breaker_state rpc "server" = Rpc.Open)
+  check int_ "a second trip" 2 (Rpc.resilience_stats rpc).Rpc.breaker_trips
 
 (* --- failure-detection primitives ------------------------------------------- *)
 
@@ -813,7 +806,7 @@ let test_rpc_reply_after_expire_dropped () =
   check bool_ "the late reply still counts as hearing from the server" true
     (Rpc.heard_from rpc "server" > 1.0)
 
-(* The expiry of [n] resilient calls at once: each is one breaker
+(* The expiry of [n] breaker-guarded calls at once: each is one breaker
    failure, so the default rule (five in a row) decides the trip. *)
 let breaker_after_expiring n =
   let net, rpc = make_rpc () in
@@ -821,7 +814,7 @@ let breaker_after_expiring n =
   Net.crash net "server";
   for _ = 1 to n do
     call_string rpc ~src:"client" ~dst:"server" ~service:"echo" ~timeout:10.0
-      ~resilient:Rpc.no_retry "x" ignore
+      ~breaker:true "x" ignore
   done;
   Engine.schedule_at (Net.engine net) ~at:0.5 (fun () -> Rpc.expire rpc "server");
   Net.run ~until:1.0 net;

@@ -253,7 +253,7 @@ let test_reset_consistency () =
   in
   Client.request client ~pep:"pep" ~action:"read" ~timeout:10.0 (fun _ -> ());
   Net.run net;
-  (* The PEP's resilient call retried twice; both its own stats and the
+  (* The PEP's query was re-sent twice; both its own stats and the
      bus-wide aggregate see the same underlying counters. *)
   check int_ "pep saw retries" 2 (Pep.stats pep).Pep.retries;
   check int_ "bus saw the same retries" 2 (Rpc.resilience_stats rpc).Rpc.retries;
@@ -423,6 +423,53 @@ let test_trace_determinism () =
   check string_ "same seed, byte-identical tree" (render 7L) (render 7L);
   check bool_ "different seed, different ids" true (render 7L <> render 8L)
 
+(* A retried frame is sent from a backoff timer, where no span is
+   current; every attempt must still land under the decision that asked
+   for it.  The PDP is down for the first attempt and back for the
+   second: both [rpc:authz-query] spans are children of [pep:enforce]. *)
+let test_retry_attempts_share_a_parent () =
+  let net = Net.create ~seed:7L () in
+  let rpc = Rpc.create net in
+  let services = Service.create rpc in
+  List.iter (Net.add_node net) [ "pep"; "pdp"; "cli" ];
+  ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:deny_all_policy ());
+  let pep =
+    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
+      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 0.2 })
+  in
+  Pep.set_retry_policy pep
+    (Some { Rpc.attempts = 3; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  Rpc.set_tracing rpc true;
+  Net.crash net "pdp";
+  Dacs_net.Engine.schedule_at (Net.engine net) ~at:0.1 (fun () -> Net.recover net "pdp");
+  let client = Client.create services ~node:"cli" ~subject:[ ("subject-id", Value.String "u") ] in
+  let answered = ref false in
+  Client.request client ~pep:"pep" ~action:"read" ~timeout:10.0 (fun r -> answered := Result.is_ok r);
+  Net.run net;
+  check bool_ "answered" true !answered;
+  check int_ "one retry" 1 (Pep.stats pep).Pep.retries;
+  (* Each span line of the tree with the name of the line it hangs under. *)
+  let lines = String.split_on_char '\n' (Trace.render_tree (Rpc.tracer rpc)) in
+  let depth l =
+    let rec go i = if i < String.length l && String.contains " |`-" l.[i] then go (i + 1) else i in
+    go 0
+  in
+  let name l = List.hd (String.split_on_char ' ' (String.sub l (depth l) (String.length l - depth l))) in
+  let rec parents stack = function
+    | [] -> []
+    | l :: rest when depth l = 0 || l = "" -> parents [] rest
+    | l :: rest ->
+      let stack = List.filter (fun (d, _) -> d < depth l) stack in
+      let parent = match stack with (_, p) :: _ -> p | [] -> "" in
+      (name l, parent) :: parents ((depth l, name l) :: stack) rest
+  in
+  let attempts = List.filter (fun (n, _) -> n = "rpc:authz-query") (parents [] lines) in
+  check
+    (Alcotest.list (Alcotest.pair string_ string_))
+    "both attempts under the decision"
+    [ ("rpc:authz-query", "pep:enforce"); ("rpc:authz-query", "pep:enforce") ]
+    attempts
+
 let test_tracing_off_is_free () =
   let net = Net.create ~seed:7L () in
   let rpc = Rpc.create net in
@@ -565,5 +612,7 @@ let () =
           Alcotest.test_case "golden Fig. 3 pull-flow span tree" `Quick test_golden_pull_trace;
           Alcotest.test_case "trace output deterministic per seed" `Quick test_trace_determinism;
           Alcotest.test_case "disabled tracing mints no ids" `Quick test_tracing_off_is_free;
+          Alcotest.test_case "every attempt of a retried frame has the decision as parent" `Quick
+            test_retry_attempts_share_a_parent;
         ] );
     ]

@@ -598,8 +598,9 @@ let test_silent_shard_detected () =
    shard is lost and expired after one RTO, then waits out a long
    backoff before its retry; a frame sent to the shard meanwhile, once
    it is back up, must get its own RTO to be answered, not be expired at
-   the instant it is sent.  (Alice's retry itself is invisible to the
-   tier, so only that it is answered at all is checked.) *)
+   the instant it is sent.  The retry is a frame of the tier's too: it
+   restarts the silence clock, so the shard that came back answers it,
+   and the one lost frame is the only expiry. *)
 let test_frame_after_suspicion_gets_an_rto () =
   let fx = setup () in
   Pdp_tier.set_retry_policy fx.tier
@@ -620,12 +621,51 @@ let test_frame_after_suspicion_gets_an_rto () =
   let lost = ref None and later = ref None in
   decide_at fx ~at:3.0 (ctx_for "alice" "read") lost;
   decide_at fx ~at:3.3 (ctx_for other "read") later;
+  let before = expiries fx in
   Net.run fx.net;
-  ignore (answered_by "lost" lost);
+  check string_ "alice's retry is answered by the shard that came back" victim
+    (answered_by "lost" lost);
+  check int_ "one expiry" (before + 1) (expiries fx);
   check string_ "the later frame is answered by the same shard" victim (answered_by "later" later);
   match !later with
   | Some (t, _, _) -> check bool_ "within one round trip" true (t < 3.35)
   | None -> ()
+
+(* A lost two-query flush is re-sent whole: one frame after one backoff,
+   one retry counted, and each attempt's failure heard by the breaker
+   (threshold 2, so the second trips it).  The shard swallows every
+   frame; with attempts spent and no other shard, both fail closed. *)
+let test_lost_flush_resent_as_one_frame () =
+  let fx = setup ~shards:1 () in
+  let rpc = Service.rpc fx.services in
+  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 30.0 });
+  Pdp_tier.set_retry_policy fx.tier
+    { Rpc.attempts = 2; base_delay = 0.25; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
+  let frames = ref [] in
+  Net.set_handler fx.net "shard0" (fun msg ->
+      match Rpc.decode msg.Net.payload with
+      | Some (Rpc.Batch_request (_, _, parts)) -> frames := (Net.now fx.net, List.length parts) :: !frames
+      | Some _ | None -> frames := (Net.now fx.net, 1) :: !frames);
+  let a = ref None and b = ref None in
+  decide_at fx ~at:0.5 (ctx_for "alice" "read") a;
+  decide_at fx ~at:0.5 (ctx_for "bob" "read") b;
+  Net.run fx.net;
+  (* Sent at 0.5, timed out at 1.5, re-sent after the 0.25 s backoff;
+     each arrives one 5 ms hop later. *)
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.float 1e-9) int_))
+    "two 2-query frames" [ (0.505, 2); (1.755, 2) ] (List.rev !frames);
+  check int_ "one retry" 1 (Rpc.resilience_stats rpc).Rpc.retries;
+  check bool_ "both attempts' failures trip the breaker" true
+    (Rpc.breaker_state rpc "shard0" = Rpc.Open);
+  check int_ "one trip" 1 (Rpc.resilience_stats rpc).Rpc.breaker_trips;
+  List.iter
+    (fun r ->
+      match !r with
+      | Some (_, Error _, _) -> ()
+      | _ -> Alcotest.fail "expected the query to fail closed")
+    [ a; b ];
+  check int_ "both failed closed" 2 (Pdp_tier.stats fx.tier).Pdp_tier.exhausted
 
 (* 15 ms per query and 48 queries at once: six 8-query frames queue on
    one shard, so round trips grow to ~0.7 s, far above the warm RTO —
@@ -782,6 +822,8 @@ let () =
             test_silent_shard_detected;
           Alcotest.test_case "a saturated shard that keeps answering is never suspected" `Quick
             test_saturated_shard_not_suspected;
+          Alcotest.test_case "a lost flush is re-sent whole after one backoff" `Quick
+            test_lost_flush_resent_as_one_frame;
           Alcotest.test_case "a frame sent after a suspicion gets its own RTO" `Quick
             test_frame_after_suspicion_gets_an_rto;
           Alcotest.test_case "a cold tier waits the full call timeout" `Quick
