@@ -83,6 +83,15 @@ type counters = {
   c_decides : Metrics.counter;
 }
 
+(* One author's chain as known here: [evs.(i)] is its event [seq = i + 1],
+   for [i < len]. *)
+type log = {
+  mutable evs : event array;
+  mutable len : int;
+  mutable stepped_back : bool;  (* some event's [at] is below its predecessor's *)
+  fired : (int, unit) Hashtbl.t;  (* seqs of the Decides already invalidated *)
+}
+
 type t = {
   key : Hmac.key;  (* the mesh key, its pads absorbed once *)
   t_author : string;
@@ -90,8 +99,8 @@ type t = {
   audit : Audit.t option;
   metrics : Metrics.t;
   counters : counters;
-  logs : (string, event list ref) Hashtbl.t;  (* per author, newest first *)
-  heads : (string, string) Hashtbl.t;  (* per author chain head *)
+  logs : (string, log) Hashtbl.t;  (* per author, own chain included *)
+  own : log;  (* [t_author]'s entry of [logs] *)
   mutable t_frontier : (string * int) list;  (* highest seq per author, sorted *)
   scratch : Buffer.t;  (* canonical bytes of the event being chained *)
   mutable offline : bool;
@@ -99,15 +108,19 @@ type t = {
   mutable state : state;  (* derived by the last replay *)
   mutable dirty : bool;  (* the log grew since: replay on demand *)
   mutable hooks : (string -> unit) list;
-  fired : (string * int, unit) Hashtbl.t;  (* Decide events already invalidated *)
   known_conflicts : (string * int * string * int, unit) Hashtbl.t;
   mutable n_replayed : int;  (* no registry twin *)
   mutable n_rechecked : int;  (* nor this one *)
 }
 
+let new_log () = { evs = [||]; len = 0; stepped_back = false; fired = Hashtbl.create 1 }
+
 let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let own name help = Metrics.counter metrics ~help ~labels:[ ("domain", author) ] name in
+  let own_log = new_log () in
+  let logs = Hashtbl.create 7 in
+  Hashtbl.replace logs author own_log;
   {
     key = Hmac.key key;
     t_author = author;
@@ -124,8 +137,8 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
         c_conflicts = own "offline_conflicts_total" "concurrent grant/revoke races (deny won)";
         c_decides = own "offline_decides_total" "decisions served from the local log";
       };
-    logs = Hashtbl.create 7;
-    heads = Hashtbl.create 7;
+    logs;
+    own = own_log;
     t_frontier = [];
     scratch = Buffer.create 1024;
     offline = false;
@@ -133,7 +146,6 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     state = { s_grants = []; s_policy = None; s_conflicts = [] };
     dirty = true;
     hooks = [];
-    fired = Hashtbl.create 64;
     known_conflicts = Hashtbl.create 16;
     n_replayed = 0;
     n_rechecked = 0;
@@ -156,21 +168,9 @@ let set_offline t offline =
   if offline && not t.offline then t.t_epoch <- t.t_epoch + 1;
   t.offline <- offline
 
-let head_of t author =
-  match Hashtbl.find_opt t.heads author with Some h -> h | None -> Chain.genesis
-
-let head t = head_of t t.t_author
+let last_digest log = if log.len = 0 then Chain.genesis else log.evs.(log.len - 1).digest
+let head t = last_digest t.own
 let head_short t = Chain.short (head t)
-
-let log_of t author =
-  match Hashtbl.find_opt t.logs author with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.replace t.logs author l;
-    l
-
-let max_seq t author = match !(log_of t author) with [] -> 0 | ev :: _ -> ev.seq
 
 let frontier t = t.t_frontier
 
@@ -183,27 +183,87 @@ let rec advance author seq = function
     else if c > 0 then (author, seq) :: entry :: rest
     else entry :: advance author seq rest
 
+(* [author]'s seq in [frontier] ([List.assoc], first entry wins), 0 when
+   absent. *)
+let rec seq_in frontier author =
+  match frontier with
+  | [] -> 0
+  | (a, n) :: rest -> if String.equal a author then n else seq_in rest author
+
 let total_order a b =
-  match compare a.at b.at with
-  | 0 -> ( match String.compare a.author b.author with 0 -> compare a.seq b.seq | c -> c)
+  match Float.compare a.at b.at with
+  | 0 -> ( match String.compare a.author b.author with 0 -> Int.compare a.seq b.seq | c -> c)
   | c -> c
 
+let push log ev =
+  if log.len = Array.length log.evs then begin
+    let evs = Array.make (max 8 (2 * log.len)) ev in
+    Array.blit log.evs 0 evs 0 log.len;
+    log.evs <- evs
+  end;
+  if log.len > 0 && Float.compare ev.at log.evs.(log.len - 1).at < 0 then log.stepped_back <- true;
+  log.evs.(log.len) <- ev;
+  log.len <- log.len + 1
+
+(* One author's events in total order: its chain itself while the
+   author's clock never stepped back — seq order is then total order —
+   and a sorted copy otherwise. *)
+type run = { r_log : log; r_evs : event array; mutable r_pos : int; r_end : int }
+
+let run_of log =
+  let evs =
+    if log.stepped_back then begin
+      let evs = Array.sub log.evs 0 log.len in
+      Array.stable_sort total_order evs;
+      evs
+    end
+    else log.evs
+  in
+  { r_log = log; r_evs = evs; r_pos = 0; r_end = log.len }
+
+let runs t = Hashtbl.fold (fun _ log acc -> run_of log :: acc) t.logs [] |> Array.of_list
+
+(* Calls [f] on every event of [runs] in total order: a merge of the
+   per-author runs, each already in that order. *)
+let rec merge runs f =
+  let best = ref (-1) in
+  for i = 0 to Array.length runs - 1 do
+    let r = runs.(i) in
+    if
+      r.r_pos < r.r_end
+      && (!best < 0
+         ||
+         let b = runs.(!best) in
+         total_order r.r_evs.(r.r_pos) b.r_evs.(b.r_pos) < 0)
+    then best := i
+  done;
+  if !best >= 0 then begin
+    let r = runs.(!best) in
+    let ev = r.r_evs.(r.r_pos) in
+    r.r_pos <- r.r_pos + 1;
+    f r.r_log ev;
+    merge runs f
+  end
+
 let events t =
-  Hashtbl.fold (fun _ l acc -> List.rev_append !l acc) t.logs [] |> List.sort total_order
+  let acc = ref [] in
+  merge (runs t) (fun _ ev -> acc := ev :: !acc);
+  List.rev !acc
 
 let on_invalidate t hook = t.hooks <- hook :: t.hooks
 
 (* --- signing ------------------------------------------------------------- *)
 
-(* [Wire.write_log_event]'s unsigned bytes, written into the replica's
-   scratch buffer. *)
-let canonical_bytes t ev =
+(* The chain link over [ev]'s canonical bytes — [Wire.write_log_event]'s
+   unsigned ones, written into the replica's scratch buffer and hashed
+   there. *)
+let link t ~prev ev =
   Buffer.clear t.scratch;
   Wire.write_log_event t.scratch ~signed:false ev;
-  Buffer.contents t.scratch
+  Chain.extend ~prev t.scratch
 
 let append_own t kind =
-  let seq = max_seq t t.t_author + 1 in
+  let seq = t.own.len + 1 in
   let frontier = advance t.t_author seq t.t_frontier in
   let unsigned =
     {
@@ -217,16 +277,12 @@ let append_own t kind =
       tag = "";
     }
   in
-  let digest = Chain.extend ~prev:(head t) (canonical_bytes t unsigned) in
+  let digest = link t ~prev:(head t) unsigned in
   let tag = Hmac.tag t.key digest in
-  let ev = { unsigned with digest; tag } in
-  let l = log_of t t.t_author in
-  l := ev :: !l;
-  Hashtbl.replace t.heads t.t_author digest;
+  push t.own { unsigned with digest; tag };
   t.t_frontier <- frontier;
   Metrics.inc t.counters.c_events;
-  t.dirty <- true;
-  ev
+  t.dirty <- true
 
 (* --- deny-wins replay --------------------------------------------------- *)
 
@@ -312,27 +368,71 @@ let adopt t publishes =
        (fun acc ev -> match ev.kind with Publish { policy } -> policy :: acc | _ -> acc)
        [] publishes)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec matches i j = j = m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
-  let rec from i = i + m <= n && (matches i 0 || from (i + 1)) in
-  from 0
+(* Whether [s] holds [word] at [i + j], from [word]'s [j]th byte on. *)
+let rec holds s i word j =
+  j = String.length word
+  || (i + j < String.length s
+     && Char.equal (String.unsafe_get s (i + j)) (String.unsafe_get word j)
+     && holds s i word (j + 1))
+
+let rec lossy_from ctx i =
+  i < String.length ctx
+  && ((Char.equal (String.unsafe_get ctx i) '"'
+      && (holds ctx (i + 1) "double\"" 0 || holds ctx (i + 1) "time\"" 0))
+     || lossy_from ctx (i + 1))
 
 (* [Value.to_string] renders Double and Time values with [%g], so a
    logged context carrying one may not be the context that was served.
    Judged from the bytes alone, conservatively: every such value is
-   written with a quoted "double" or "time" type name. *)
-let may_be_lossy ctx = contains ctx "\"double\"" || contains ctx "\"time\""
+   written with a quoted "double" or "time" type name, found here in one
+   pass over the bytes. *)
+let may_be_lossy ctx = lossy_from ctx 0
 
-(* How many of the ascending [seqs] are at most [n]. *)
-let count_le seqs n =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if seqs.(mid) <= n then go (mid + 1) hi else go lo mid
+(* The index of the first of the ascending [seqs.(lo) .. seqs.(hi - 1)]
+   above [n], or [hi]: from [lo = 0], how many are at most [n]. *)
+let rec count_le seqs n lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if seqs.(mid) <= n then count_le seqs n (mid + 1) hi else count_le seqs n lo mid
+
+(* Whether every entry of [frontier] is covered by [known]. *)
+let rec knows known = function
+  | [] -> true
+  | (author, seq) :: rest -> covers known author seq && knows known rest
+
+(* The cuts of one replay.  [authors] are the authors of some
+   Grant/Revoke/Publish event, sorted, and [seqs.(i)] the ascending seqs
+   of [authors.(i)]'s; a Decide's cut is how many of each author's its
+   frontier covers, written into [cut] to be looked up in [memo]. *)
+type cuts = {
+  authors : string array;
+  seqs : int array array;
+  cut : int array;
+  memo : (int array, bool) Hashtbl.t;
+}
+
+(* [changes] holds [(author, ascending seqs)] for every author with a
+   change.  The cut covering every change is the converged state
+   itself. *)
+let cuts_of changes =
+  let changes = List.sort (fun (a, _) (b, _) -> String.compare a b) changes in
+  let seqs = Array.of_list (List.map snd changes) in
+  let memo = Hashtbl.create 8 in
+  Hashtbl.replace memo (Array.map Array.length seqs) true;
+  { authors = Array.of_list (List.map fst changes); seqs; cut = Array.make (Array.length seqs) 0; memo }
+
+(* Whether the Grant/Revoke/Publish events [frontier] covers derive the
+   converged grants and adopted policy bytes. *)
+let agrees state ~grants ~revokes ~publishes frontier =
+  let covered ev = covers frontier ev.author ev.seq in
+  let grants, _ = deny_wins (List.filter covered grants) (List.filter covered revokes) in
+  let policy =
+    List.fold_left
+      (fun acc ev -> match ev.kind with Publish { policy } when covered ev -> Some policy | _ -> acc)
+      None publishes
   in
-  go 0 (Array.length seqs)
+  grants = state.s_grants && Option.equal String.equal policy (Option.map fst state.s_policy)
 
 (* Whether a Decide's answer still stands without re-evaluating it.  Its
    author evaluated the served context against the state derived from
@@ -342,66 +442,45 @@ let count_le seqs n =
    state is that same evaluation, so it returns the logged answer.  The
    verdict depends only on which state-changing events the frontier
    covers — per author, a prefix of its changes — so it is memoised per
-   such cut, and the cut covering every change is the converged state
-   itself. *)
-let unchanged_since t state ~grants ~revokes ~publishes =
-  let changes =
-    lazy
-      (let by_author = Hashtbl.create 7 in
-       let add ev =
-         let seqs = Option.value (Hashtbl.find_opt by_author ev.author) ~default:[] in
-         Hashtbl.replace by_author ev.author (ev.seq :: seqs)
-       in
-       List.iter add grants;
-       List.iter add revokes;
-       List.iter add publishes;
-       let changes = Hashtbl.create 7 and full = ref [] in
-       Hashtbl.iter
-         (fun author seqs ->
-           let seqs = Array.of_list seqs in
-           Array.sort compare seqs;
-           Hashtbl.replace changes author seqs;
-           full := (author, Array.length seqs) :: !full)
-         by_author;
-       let memo = Hashtbl.create 8 in
-       Hashtbl.replace memo (List.sort compare !full) true;
-       (changes, memo))
-  in
-  let agrees frontier =
-    let covered ev = covers frontier ev.author ev.seq in
-    let grants, _ = deny_wins (List.filter covered grants) (List.filter covered revokes) in
-    let policy =
-      List.fold_left
-        (fun acc ev -> match ev.kind with Publish { policy } when covered ev -> Some policy | _ -> acc)
-        None publishes
-    in
-    grants = state.s_grants && Option.equal String.equal policy (Option.map fst state.s_policy)
-  in
-  fun ev ->
-    List.for_all (fun (author, seq) -> covers t.t_frontier author seq) ev.frontier
-    &&
-    let changes, memo = Lazy.force changes in
-    let cut =
-      List.filter_map
-        (fun (author, seq) ->
-          match Hashtbl.find_opt changes author with
-          | Some seqs -> (
-            match count_le seqs seq with 0 -> None | n -> Some (author, n))
-          | None -> None)
-        ev.frontier
-    in
-    match Hashtbl.find_opt memo cut with
-    | Some verdict -> verdict
-    | None ->
-      let verdict = agrees ev.frontier in
-      Hashtbl.replace memo cut verdict;
-      verdict
+   such cut; a cut already judged costs a lookup and allocates
+   nothing. *)
+let unchanged_since t state cuts ~grants ~revokes ~publishes ev =
+  knows t.t_frontier ev.frontier
+  &&
+  let cut = cuts.cut in
+  for i = 0 to Array.length cut - 1 do
+    let seqs = cuts.seqs.(i) in
+    cut.(i) <- count_le seqs (seq_in ev.frontier cuts.authors.(i)) 0 (Array.length seqs)
+  done;
+  match Hashtbl.find cuts.memo cut with
+  | verdict -> verdict
+  | exception Not_found ->
+    let verdict = agrees state ~grants ~revokes ~publishes ev.frontier in
+    Hashtbl.replace cuts.memo (Array.copy cut) verdict;
+    verdict
 
 let replay t =
-  let all = events t in
-  t.n_replayed <- t.n_replayed + List.length all;
+  (* The state-changing events, walked per author in seq order; a Decide
+     is only visited by the ordered walk below. *)
+  let visited = ref 0 and all_changes = ref [] and by_author = ref [] in
+  Hashtbl.iter
+    (fun author log ->
+      visited := !visited + log.len;
+      let seqs = ref [] in
+      for i = log.len - 1 downto 0 do
+        let ev = log.evs.(i) in
+        match ev.kind with
+        | Decide _ -> ()
+        | Grant _ | Revoke _ | Publish _ ->
+          all_changes := ev :: !all_changes;
+          seqs := ev.seq :: !seqs
+      done;
+      match !seqs with [] -> () | seqs -> by_author := (author, Array.of_list seqs) :: !by_author)
+    t.logs;
+  t.n_replayed <- t.n_replayed + !visited;
   Metrics.inc t.counters.c_replays;
-  let of_kind p = List.filter (fun ev -> p ev.kind) all in
+  let changes = List.sort total_order !all_changes in
+  let of_kind p = List.filter (fun ev -> p ev.kind) changes in
   let grants = of_kind (function Grant _ -> true | _ -> false)
   and revokes = of_kind (function Revoke _ -> true | _ -> false)
   and publishes = of_kind (function Publish _ -> true | _ -> false) in
@@ -462,13 +541,13 @@ let replay t =
   (* Retroactive invalidation: any logged offline decision the converged
      state now contradicts gets its cache key purged, once.  Only a
      Decide a merge could flip is re-evaluated. *)
-  let unchanged = unchanged_since t state ~grants ~revokes ~publishes in
-  List.iter
-    (fun ev ->
+  let cuts = cuts_of !by_author in
+  merge (runs t) (fun log ev ->
       match ev.kind with
       | Decide { key; ctx; decision } ->
         if
-          (not (Hashtbl.mem t.fired (ev.author, ev.seq))) && (may_be_lossy ctx || not (unchanged ev))
+          (not (Hashtbl.mem log.fired ev.seq))
+          && (may_be_lossy ctx || not (unchanged_since t state cuts ~grants ~revokes ~publishes ev))
         then begin
           t.n_rechecked <- t.n_rechecked + 1;
           let converged = evaluate_logged state ctx in
@@ -478,7 +557,7 @@ let replay t =
             | Some result -> decision_name result <> decision
           in
           if contradicted then begin
-            Hashtbl.replace t.fired (ev.author, ev.seq) ();
+            Hashtbl.replace log.fired ev.seq ();
             Metrics.inc t.counters.c_invalidations;
             List.iter (fun hook -> hook key) t.hooks;
             Option.iter
@@ -499,8 +578,7 @@ let replay t =
               t.audit
           end
         end
-      | _ -> ())
-    all;
+      | Grant _ | Revoke _ | Publish _ -> ());
   t.state <- state;
   t.dirty <- false;
   state
@@ -509,11 +587,11 @@ let force t = if t.dirty then replay t else t.state
 
 (* --- log writers -------------------------------------------------------- *)
 
-let grant t ~subject ~attr ~value = ignore (append_own t (Grant { subject; attr; value }))
-let revoke t ~subject ~attr = ignore (append_own t (Revoke { subject; attr }))
+let grant t ~subject ~attr ~value = append_own t (Grant { subject; attr; value })
+let revoke t ~subject ~attr = append_own t (Revoke { subject; attr })
 
 let publish t child =
-  ignore (append_own t (Publish { policy = Dacs_policy.Xacml_xml.child_to_string child }))
+  append_own t (Publish { policy = Dacs_policy.Xacml_xml.child_to_string child })
 
 (* --- offline decisions -------------------------------------------------- *)
 
@@ -533,8 +611,7 @@ let decide t ctx =
       Buffer.clear t.scratch;
       Context.write t.scratch ctx;
       let ctx_str = Buffer.contents t.scratch in
-      ignore
-        (append_own t (Decide { key; ctx = ctx_str; decision = decision_name result }));
+      append_own t (Decide { key; ctx = ctx_str; decision = decision_name result });
       (* The Decide append itself never changes the derived state. *)
       t.dirty <- false;
       Metrics.inc t.counters.c_decides;
@@ -567,7 +644,7 @@ let state_digest t =
   Sha256.hex_digest (Buffer.contents b)
 
 let stats t =
-  let events_known = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.logs 0 in
+  let events_known = Hashtbl.fold (fun _ log acc -> acc + log.len) t.logs 0 in
   let v = Metrics.counter_value in
   let c = t.counters in
   {
@@ -586,49 +663,63 @@ let stats t =
 
 (* --- sync --------------------------------------------------------------- *)
 
+(* Each author's suffix in seq order, authors in name order. *)
 let missing_for t ~frontier:peer =
-  let missing_author author l =
-    let known = match List.assoc_opt author peer with Some n -> n | None -> 0 in
-    List.filter (fun ev -> ev.seq > known) (List.rev !l)
-  in
-  Hashtbl.fold (fun author l acc -> missing_author author l @ acc) t.logs []
-  |> List.sort total_order
+  let authors = Hashtbl.fold (fun author _ acc -> author :: acc) t.logs [] in
+  List.fold_left
+    (fun acc author ->
+      let log = Hashtbl.find t.logs author in
+      let acc = ref acc in
+      for i = log.len - 1 downto max 0 (seq_in peer author) do
+        acc := log.evs.(i) :: !acc
+      done;
+      !acc)
+    []
+    (List.sort (fun a b -> String.compare b a) authors)
 
+(* One author's part of a segment under verification: its chain here
+   ([known] events, or a detached empty one for a new author), the seq
+   its next fresh event must carry and the digest that event must
+   extend. *)
+type check = { c_author : string; c_log : log; known : int; mutable next : int; mutable prev : string }
+
+let rec find_check author = function
+  | [] -> raise Not_found
+  | c :: rest -> if String.equal c.c_author author then c else find_check author rest
+
+(* Every fresh event — above its author's known seq — in the segment's
+   order, which per author must be seq order, from our locally known
+   head: recompute the chain and check every signature before admitting
+   anything. *)
 let verify_segment t incoming =
-  (* Per-author, in seq order, from our locally known head: recompute the
-     chain and check every signature before admitting anything. *)
-  let by_author = Hashtbl.create 7 in
-  List.iter
-    (fun ev ->
-      let l = match Hashtbl.find_opt by_author ev.author with Some l -> l | None -> [] in
-      Hashtbl.replace by_author ev.author (ev :: l))
-    incoming;
+  let checks = ref [] in
+  let check_of author =
+    match find_check author !checks with
+    | c -> c
+    | exception Not_found ->
+      let log = match Hashtbl.find_opt t.logs author with Some l -> l | None -> new_log () in
+      let c = { c_author = author; c_log = log; known = log.len; next = log.len + 1; prev = last_digest log } in
+      checks := c :: !checks;
+      c
+  in
   let exception Reject of sync_error in
   try
-    let verified =
-      Hashtbl.fold
-        (fun author l acc ->
-          let l = List.sort (fun a b -> compare a.seq b.seq) l in
-          let known = max_seq t author in
-          let fresh = List.filter (fun ev -> ev.seq > known) l in
-          let _ =
-            List.fold_left
-              (fun (expected, prev) ev ->
-                if ev.seq <> expected then
-                  raise (Reject (Gap { author; expected; got = ev.seq }));
-                let digest = Chain.extend ~prev (canonical_bytes t ev) in
-                if not (String.equal digest ev.digest) then
-                  raise (Reject (Chain_mismatch { author; seq = ev.seq }));
-                if not (Hmac.check t.key digest ~tag:ev.tag) then
-                  raise (Reject (Bad_signature { author; seq = ev.seq }));
-                (expected + 1, digest))
-              (known + 1, head_of t author)
-              fresh
-          in
-          (author, fresh) :: acc)
-        by_author []
-    in
-    Ok verified
+    List.iter
+      (fun ev ->
+        let c = check_of ev.author in
+        if ev.seq > c.known then begin
+          if ev.seq <> c.next then
+            raise (Reject (Gap { author = ev.author; expected = c.next; got = ev.seq }));
+          let digest = link t ~prev:c.prev ev in
+          if not (String.equal digest ev.digest) then
+            raise (Reject (Chain_mismatch { author = ev.author; seq = ev.seq }));
+          if not (Hmac.check t.key digest ~tag:ev.tag) then
+            raise (Reject (Bad_signature { author = ev.author; seq = ev.seq }));
+          c.next <- ev.seq + 1;
+          c.prev <- digest
+        end)
+      incoming;
+    Ok !checks
   with Reject e -> Error e
 
 let admit t incoming =
@@ -636,20 +727,23 @@ let admit t incoming =
   | Error e ->
     count_rejection t (sync_error_reason e);
     Error e
-  | Ok verified ->
+  | Ok checks ->
+    (* Each fresh event is its author's next, in the segment's order. *)
+    List.iter
+      (fun ev ->
+        let c = find_check ev.author checks in
+        if ev.seq = c.c_log.len + 1 then push c.c_log ev)
+      incoming;
     let admitted =
       List.fold_left
-        (fun n (author, fresh) ->
-          match fresh with
-          | [] -> n
-          | _ ->
-            let l = log_of t author in
-            List.iter (fun ev -> l := ev :: !l) fresh;
-            let last = List.hd !l in
-            Hashtbl.replace t.heads author last.digest;
-            t.t_frontier <- advance author last.seq t.t_frontier;
-            n + List.length fresh)
-        0 verified
+        (fun n c ->
+          let fresh = c.c_log.len - c.known in
+          if fresh > 0 then begin
+            Hashtbl.replace t.logs c.c_author c.c_log;
+            t.t_frontier <- advance c.c_author c.c_log.len t.t_frontier
+          end;
+          n + fresh)
+        0 checks
     in
     if admitted > 0 then ignore (replay t);
     Ok admitted
@@ -670,7 +764,7 @@ let serve t services ~node =
   Service.serve_frame services ~node ~service:service_name ~read:Wire.read_log_sync_request
     (fun ~caller:_ ~headers:_ peer_frontier reply ->
       let suffix = missing_for t ~frontier:peer_frontier in
-      reply (fun buf -> Wire.write_log_sync_response buf ~head:(head t) suffix))
+      reply (fun buf -> Wire.write_log_sync_response buf suffix))
 
 let sync_rpc t services ~src ~dst k =
   Service.call_frame services ~src ~dst ~service:service_name ~read:Wire.read_log_sync_response
@@ -678,7 +772,7 @@ let sync_rpc t services ~src ~dst k =
     (function
       | Error e -> k (Error (Service.error_to_string e))
       | Ok (Error reason) -> k (Error reason)
-      | Ok (Ok (_head, events)) -> (
+      | Ok (Ok events) -> (
         match admit t events with
         | Ok n -> k (Ok n)
         | Error e -> k (Error (sync_error_to_string e))))

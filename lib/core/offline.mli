@@ -54,7 +54,19 @@
     names an event this replica lacks, or the Grant/Revoke/Publish
     events its frontier covers derive other grants or other adopted
     policy bytes than the converged state.  Otherwise the re-check would
-    repeat the author's own evaluation and return the logged answer. *)
+    repeat the author's own evaluation and return the logged answer.
+
+    {2 Cost}
+
+    A replica keeps each author's chain in seq order.  Replay merges
+    those chains into the total order, sorting only the chain of an
+    author whose clock stepped back, and a Decide it need not re-check
+    costs a scan of its bytes and a lookup of its frontier's cut, with
+    nothing allocated.  Admission walks each author's fresh events once
+    in seq order.  Each of them is re-rendered into one reused buffer,
+    chain-hashed there and HMAC-checked, and allocates only three
+    digests (the link, the tag's inner hash, the tag) and its rendered
+    timestamp. *)
 
 type kind = Wire.log_kind =
   | Grant of { subject : string; attr : string; value : string }
@@ -150,7 +162,8 @@ val frontier : t -> (string * int) list
 (** Highest seq known per author, sorted by author. *)
 
 val events : t -> event list
-(** Every known event in the deterministic total order [(at, author, seq)]. *)
+(** Every known event in the deterministic total order [(at, author, seq)]:
+    the per-author chains merged. *)
 
 val stats : t -> stats
 (** A read over this replica's registry series; [sync_rejections] sums
@@ -179,11 +192,13 @@ val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result * string
 (** {1 Sync and replay} *)
 
 val missing_for : t -> frontier:(string * int) list -> event list
-(** The suffix a peer with [frontier] lacks, oldest first per author. *)
+(** The suffix a peer with [frontier] lacks: author by author in name
+    order, each author's events oldest first. *)
 
 val admit : t -> event list -> (int, sync_error) result
-(** Verify and ingest a peer's segment: per-author contiguity (else
-    {!Gap}), chain recomputation from the locally known head (else
+(** Verify and ingest a peer's segment: per-author contiguity, each
+    author's fresh events in seq order as {!missing_for} exports them
+    (else {!Gap}), chain recomputation from the locally known head (else
     {!Chain_mismatch}), HMAC check (else {!Bad_signature}).  Any failure
     rejects the {e whole} segment — nothing is admitted, the local log
     is untouched, and the rejection metric increments.  On success all
@@ -232,5 +247,6 @@ val sync_rpc :
   unit
 (** One anti-entropy round against a peer's {!serve} endpoint: send our
     frontier, admit the returned suffix.  Transport failures, unreadable
-    responses and rejected segments surface as [Error].  The response's
-    head is read but not yet checked against the admitted chain. *)
+    responses and rejected segments surface as [Error].  The response
+    carries no chain head: an untagged head proves nothing that the
+    per-event tags do not. *)

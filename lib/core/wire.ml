@@ -538,16 +538,42 @@ external format_float : string -> float -> string = "caml_format_float"
 
 let float_attr f = format_float "%.17g" f
 
+(* [string_of_int n] for [n <= 0], written digit by digit. *)
+let rec add_nonpositive buf n =
+  if n <= -10 then add_nonpositive buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [write_count] without the intermediate string: a heal re-renders every
+   event it admits, so the log writer allocates nothing per integer. *)
+let write_log_count buf name n =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpositive buf n
+  end
+  else add_nonpositive buf (-n);
+  Buffer.add_char buf '"'
+
 let write_entry buf (author, seq) =
   Buffer.add_string buf "<Entry";
   add_attr buf "Author" author;
-  write_count buf "Seq" seq;
+  write_log_count buf "Seq" seq;
   Buffer.add_string buf "/>"
 
-(* Entries sorted by author, whatever order the frontier came in. *)
+let by_author (a, _) (b, _) = String.compare a b
+
+let rec sorted_by_author = function
+  | a :: (b :: _ as rest) -> by_author a b <= 0 && sorted_by_author rest
+  | [ _ ] | [] -> true
+
+(* Entries sorted by author, whatever order the frontier came in; one
+   already sorted, as a replica's own always is, is written as it is. *)
 let write_frontier buf frontier =
   Buffer.add_string buf "<Frontier";
-  end_with buf "Frontier" write_entry (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier)
+  end_with buf "Frontier" write_entry
+    (if sorted_by_author frontier then frontier else List.stable_sort by_author frontier)
 
 let write_field buf name value =
   Buffer.add_string buf "<Field";
@@ -559,9 +585,9 @@ let write_field buf name value =
 let write_log_event buf ~signed ev =
   Buffer.add_string buf "<LogEvent";
   add_attr buf "Author" ev.author;
-  write_count buf "Seq" ev.seq;
+  write_log_count buf "Seq" ev.seq;
   add_attr buf "At" (float_attr ev.at);
-  write_count buf "Epoch" ev.epoch;
+  write_log_count buf "Epoch" ev.epoch;
   add_attr buf "Kind"
     (match ev.kind with
     | Grant _ -> "grant"
@@ -658,17 +684,15 @@ let read_log_sync_request =
 
 let write_signed_event buf ev = write_log_event buf ~signed:true ev
 
-let write_log_sync_response buf ~head events =
+let write_log_sync_response buf events =
   Buffer.add_string buf "<LogSyncResponse";
-  add_attr buf "Head" (Dacs_crypto.Encoding.hex_encode head);
   end_with buf "LogSyncResponse" write_signed_event events
 
 let read_log_sync_response =
   total (fun c ->
       let tag = Cursor.enter_named c "LogSyncResponse" in
-      let head = hex_attr c tag "Head" in
       Cursor.end_attrs c tag;
-      (head, children c tag log_event_in))
+      children c tag log_event_in)
 
 (* --- capabilities and revocation ----------------------------------------------- *)
 

@@ -218,13 +218,13 @@ val write_log_sync_request : Buffer.t -> frontier:(string * int) list -> unit
 
 val read_log_sync_request : Xml.Cursor.t -> ((string * int) list, string) result
 
-val write_log_sync_response : Buffer.t -> head:string -> log_event list -> unit
-(** [head] is the responder's own chain head (raw bytes).  It is carried
-    but not yet checked by the requester.  Each event is written
-    signed. *)
+val write_log_sync_response : Buffer.t -> log_event list -> unit
+(** The suffix the requester lacks, each event written signed.  No
+    untagged chain head rides along: anyone able to truncate a segment
+    could rewrite it too, so checking it would prove nothing. *)
 
-val read_log_sync_response : Xml.Cursor.t -> (string * log_event list, string) result
-(** The head and the events, each read as {!write_log_event} wrote it:
+val read_log_sync_response : Xml.Cursor.t -> (log_event list, string) result
+(** The events, each read as {!write_log_event} wrote it:
     attributes and the kind's fields in the writer's order, nothing
     else.  Frontiers come back in the order they were written. *)
 

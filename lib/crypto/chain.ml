@@ -1,6 +1,6 @@
 let genesis = Sha256.digest "dacs:chain:genesis"
 
-let extend ~prev payload = Sha256.digest2 prev payload
+let extend ~prev payload = Sha256.digest2_buffer prev payload
 
 let short digest =
   let n = min 6 (String.length digest) in

@@ -12,9 +12,12 @@ val genesis : string
 (** The 32-byte digest every chain starts from (a fixed domain-separated
     constant, not a secret). *)
 
-val extend : prev:string -> string -> string
+val extend : prev:string -> Buffer.t -> string
 (** [extend ~prev payload] is the 32-byte digest of the chain ending in
-    [payload], given the previous link's digest. *)
+    the bytes [payload] holds, given the previous link's digest.  They
+    are hashed where the buffer holds them: the offline log writes each
+    event's canonical bytes into one buffer it reuses, and chains them
+    without copying them out. *)
 
 val short : string -> string
 (** First 6 bytes of a digest, hex-encoded — the human-readable "log

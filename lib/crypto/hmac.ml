@@ -21,12 +21,13 @@ let tag key msg = Sha256.resume key.outer (Sha256.resume key.inner msg)
 
 let check key msg ~tag:received =
   let expected = tag key msg in
-  if String.length expected <> String.length received then false
-  else begin
-    let diff = ref 0 in
-    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code received.[i])) expected;
-    !diff = 0
-  end
+  String.length expected = String.length received
+  &&
+  let diff = ref 0 in
+  for i = 0 to String.length expected - 1 do
+    diff := !diff lor (Char.code (String.unsafe_get expected i) lxor Char.code (String.unsafe_get received i))
+  done;
+  !diff = 0
 
 let sha256 ~key:secret msg = tag (key secret) msg
 let verify ~key:secret msg ~tag = check (key secret) msg ~tag

@@ -20,7 +20,8 @@ val tag : key -> string -> string
 (** [tag key msg] is the 32-byte authentication tag. *)
 
 val check : key -> string -> tag:string -> bool
-(** Constant-time comparison of the expected tag against [tag]. *)
+(** Constant-time comparison of the expected tag against [tag]; it
+    allocates only the expected tag. *)
 
 val sha256 : key:string -> string -> string
 (** [sha256 ~key msg] is [tag (key key) msg]. *)

@@ -32,17 +32,10 @@ type ctx = {
    one array per domain serves every context. *)
 let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-        0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-  }
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
 (* Big-endian 32-bit words, read and written in place without bounds
    checks: every caller stays inside its 64-byte block or 32-byte digest. *)
@@ -176,6 +169,24 @@ let update ctx s =
     ctx.buf_len <- n - !pos
   end
 
+(* [update ctx (Buffer.contents b)] without the copy: each block is
+   blitted from [b] into the context's block buffer. *)
+let update_buffer ctx b =
+  let n = Buffer.length b in
+  ctx.total <- ctx.total + n;
+  let w = Domain.DLS.get schedule in
+  let pos = ref 0 in
+  while !pos < n do
+    let take = min (64 - ctx.buf_len) (n - !pos) in
+    Buffer.blit b !pos ctx.buf ctx.buf_len take;
+    ctx.buf_len <- ctx.buf_len + take;
+    pos := !pos + take;
+    if ctx.buf_len = 64 then begin
+      compress ctx.h w (Bytes.unsafe_to_string ctx.buf) 0;
+      ctx.buf_len <- 0
+    end
+  done
+
 (* Pads [ctx]'s input and writes its digest into [out]. *)
 let finish ctx out =
   let w = Domain.DLS.get schedule in
@@ -202,10 +213,10 @@ let finalize ctx =
   finish ctx out;
   Bytes.unsafe_to_string out
 
-(* [resume]'s working context, like [schedule] one per domain: the state
-   is copied in, the input absorbed and the digest written out without
-   yielding.  The digest is allocated first, so nothing between the copy
-   and the read-out allocates. *)
+(* The working context of [resume], [digest] and [digest2], like
+   [schedule] one per domain: the state is set, the input absorbed and
+   the digest written out without yielding.  The digest is allocated
+   first, so nothing between the set-up and the read-out allocates. *)
 let scratch = Domain.DLS.new_key init
 
 let resume ctx s =
@@ -219,15 +230,35 @@ let resume ctx s =
   finish c out;
   Bytes.unsafe_to_string out
 
+(* The scratch context, reset to the empty message. *)
+let fresh () =
+  let c = Domain.DLS.get scratch in
+  Array.blit iv 0 c.h 0 8;
+  c.buf_len <- 0;
+  c.total <- 0;
+  c
+
 let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+  let out = Bytes.create 32 in
+  let c = fresh () in
+  update c s;
+  finish c out;
+  Bytes.unsafe_to_string out
 
 let digest2 a b =
-  let ctx = init () in
-  update ctx a;
-  update ctx b;
-  finalize ctx
+  let out = Bytes.create 32 in
+  let c = fresh () in
+  update c a;
+  update c b;
+  finish c out;
+  Bytes.unsafe_to_string out
+
+let digest2_buffer a b =
+  let out = Bytes.create 32 in
+  let c = fresh () in
+  update c a;
+  update_buffer c b;
+  finish c out;
+  Bytes.unsafe_to_string out
 
 let hex_digest s = Encoding.hex_encode (digest s)

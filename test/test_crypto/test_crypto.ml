@@ -197,9 +197,10 @@ let test_sha256_reference_lengths () =
   done
 
 (* Messages of 0-2,000 bytes (one in three of 55-129) cut at random
-   points: [digest], [digest2] at the first cut, [update] over all the
-   pieces, and [resume] of a context that absorbed the first piece —
-   twice, since it must leave that context as it was. *)
+   points: [digest], [digest2] and [digest2_buffer] at the first cut,
+   [update] over all the pieces, and [resume] of a context that
+   absorbed the first piece — twice, since it must leave that context
+   as it was. *)
 let prop_sha256_reference =
   let gen =
     QCheck.Gen.(
@@ -223,8 +224,11 @@ let prop_sha256_reference =
       List.iter (Sha256.update ctx) pieces;
       let prefix = Sha256.init () in
       Sha256.update prefix first;
+      let rest_buffer = Buffer.create 16 in
+      Buffer.add_string rest_buffer rest;
       Sha256.digest msg = expected
       && Sha256.digest2 first rest = expected
+      && Sha256.digest2_buffer first rest_buffer = expected
       && Sha256.finalize ctx = expected
       && Sha256.resume prefix rest = expected
       && Sha256.resume prefix rest = expected)
@@ -334,6 +338,24 @@ let test_hmac_allocation () =
    bound, 16, leaves the same 30 % headroom, so one context allocated
    per tag again (24 words) breaks it. *)
 let hmac_prepared_words_bound = 16.0
+
+(* Minor words of one-shot digests of a 200-byte message: they hash in
+   the per-domain working context, as [resume] does, so each allocates
+   only its 32-byte result, 6 words with its header.  A context of
+   their own would add 24. *)
+let test_digest_allocation () =
+  let msg = message 200 in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf msg;
+  List.iter
+    (fun (name, f) ->
+      let words = words_per_call f in
+      check bool_ (Printf.sprintf "%s: %.1f words <= 6" name words) true (words <= 6.0))
+    [
+      ("digest", fun () -> Sha256.digest msg);
+      ("digest2", fun () -> Sha256.digest2 msg msg);
+      ("digest2_buffer", fun () -> Sha256.digest2_buffer msg buf);
+    ]
 
 let test_hmac_prepared_allocation () =
   let key = Hmac.key tag_key in
@@ -668,6 +690,12 @@ let test_trust_store_dedup () =
 
 (* --- hash chain ----------------------------------------------------------- *)
 
+(* [Chain.extend] over a string payload. *)
+let extend ~prev payload =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf payload;
+  Chain.extend ~prev buf
+
 (* Reference folds over [Chain.extend]: the digest of every prefix, and a
    link-by-link check of a (payload, claimed digest) segment that returns
    the index of the first link whose digest does not recompute.  The
@@ -678,7 +706,7 @@ module Chain_ref = struct
       (fst
          (List.fold_left
             (fun (acc, prev) payload ->
-              let d = Chain.extend ~prev payload in
+              let d = extend ~prev payload in
               (d :: acc, d))
             ([], prev) payloads))
 
@@ -686,7 +714,7 @@ module Chain_ref = struct
     let rec go i prev = function
       | [] -> Ok prev
       | (payload, claimed) :: rest ->
-        let d = Chain.extend ~prev payload in
+        let d = extend ~prev payload in
         if String.equal d claimed then go (i + 1) d rest else Error i
     in
     go 0 prev segment
@@ -751,7 +779,7 @@ let test_hashchain_splice_detected () =
   | Error i -> Alcotest.failf "honest tail rejected at %d" i
 
 let test_hashchain_short () =
-  let d = Chain.extend ~prev:Chain.genesis "x" in
+  let d = extend ~prev:Chain.genesis "x" in
   check int_ "6 bytes hex" 12 (String.length (Chain.short d));
   check bool_ "hex alphabet" true
     (String.for_all (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) (Chain.short d))
@@ -800,6 +828,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sha256_interleaved_contexts;
           Alcotest.test_case "lengths 55-129 agree with the reference" `Quick test_sha256_reference_lengths;
           QCheck_alcotest.to_alcotest prop_sha256_reference;
+          Alcotest.test_case "a one-shot digest allocates only its result" `Quick
+            test_digest_allocation;
         ] );
       ( "hmac",
         [

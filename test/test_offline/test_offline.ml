@@ -17,11 +17,15 @@
    - a coalesced waiter parked across the partition transition observes
      the rung that actually answered (offline), not the leader's
      pre-partition rung;
-   - on random scripts over 2-3 replicas, replay agrees with a reference
-     deny-wins replay on the interpreter: state digest, purged keys,
-     conflicts and stats, with replay judging the request as logged and
-     re-checking no more Decides than the reference, which re-checks
-     every one. *)
+   - on random scripts over 2-3 replicas, whose shared clock also steps
+     back, replay agrees with a reference deny-wins replay on the
+     interpreter: state digest, purged keys, conflicts and stats, with
+     replay judging the request as logged and re-checking no more
+     Decides than the reference, which re-checks every one; and
+     [events], the order both replays follow, is the replica's log
+     sorted in total order;
+   - a heal of two diverged replicas allocates a bounded number of words
+     per moved event. *)
 
 module Policy = Dacs_policy.Policy
 module Rule = Dacs_policy.Rule
@@ -557,6 +561,7 @@ type op =
   | Decide of int * string * float option
   | Sync of int * int
   | Tick
+  | Rewind
   | Digest of int
 
 let show_op = function
@@ -567,6 +572,7 @@ let show_op = function
   | Decide (i, s, None) -> Printf.sprintf "decide %d %s" i s
   | Sync (i, j) -> Printf.sprintf "sync %d %d" i j
   | Tick -> "tick"
+  | Rewind -> "rewind"
   | Digest i -> Printf.sprintf "digest %d" i
 
 let script_gen =
@@ -587,6 +593,7 @@ let script_gen =
             (oneofl [ Some 0.0; Some 1000000.4; Some 2e6; None; None ]) );
         (2, map2 (fun i d -> Sync (i, (i + 1 + d) mod n)) replica (int_bound (n - 2)));
         (2, return Tick);
+        (1, return Rewind);
         (1, map (fun i -> Digest i) replica);
       ]
   in
@@ -737,6 +744,12 @@ let ref_digest m =
     m.state.r_conflicts;
   Dacs_crypto.Sha256.hex_digest (Buffer.contents b)
 
+(* The replay order [(at, author, seq)], sorted directly. *)
+let in_total_order events =
+  List.sort
+    (fun a b -> compare (a.O.at, a.O.author, a.O.seq) (b.O.at, b.O.author, b.O.seq))
+    events
+
 let missing ~from ~into =
   let known = List.map (fun e -> (e.O.author, e.O.seq)) (O.events into.o) in
   List.length (List.filter (fun e -> not (List.mem (e.O.author, e.O.seq) known)) (O.events from.o))
@@ -821,6 +834,9 @@ let run_script (n, ops) =
     | Tick ->
       clock := !clock +. 1.0;
       true
+    | Rewind ->
+      clock := !clock -. 1.5;
+      true
     | Digest i -> digest_agrees i
   in
   List.for_all step ops
@@ -828,6 +844,8 @@ let run_script (n, ops) =
        (fun i ->
          let m = ms.(i) in
          digest_agrees i
+         && (O.events m.o = in_total_order (O.missing_for m.o ~frontier:[])
+            || fail "replica %d: events are not its log in total order" i)
          && (O.conflicts m.o = m.state.r_conflicts || fail "replica %d: conflicts differ" i)
          && (O.surviving_grants m.o = m.state.r_grants || fail "replica %d: grants differ" i)
          && (List.rev m.hooked_keys = List.rev m.expected_keys
@@ -867,6 +885,106 @@ let oracle_test =
        script_gen)
     run_script
 
+(* --- replay order ----------------------------------------------------------- *)
+
+(* A clock reading [times] in turn, then 10.0. *)
+let clock times =
+  let rest = ref times in
+  fun () ->
+    match !rest with
+    | t :: more ->
+      rest := more;
+      t
+    | [] -> 10.0
+
+(* [events] merges the per-author logs, each in [(at, author, seq)]
+   order while its author's clock never steps back, and sorts the log of
+   one whose clock did.  Alpha and beta stamp equal times, so the author
+   breaks those ties, and beta's clock steps back twice. *)
+let test_events_total_order () =
+  let a = O.create ~now:(clock [ 1.0; 2.0; 2.0; 3.0; 5.0 ]) ~key:mesh_key ~author:"alpha" ()
+  and b = O.create ~now:(clock [ 2.0; 1.0; 2.0; 4.0; 0.5 ]) ~key:mesh_key ~author:"beta" () in
+  O.publish a (Policy.Inline_policy pol);
+  List.iter
+    (fun subject -> O.grant a ~subject ~attr:"role" ~value:"doctor")
+    [ "alice"; "bob"; "carol"; "dave" ];
+  List.iter
+    (fun subject -> O.grant b ~subject ~attr:"role" ~value:"nurse")
+    [ "erin"; "frank"; "grace"; "heidi"; "ivan" ];
+  (match O.sync_pair a b with
+  | Ok n -> check int_ "every event moved" 10 n
+  | Error e -> Alcotest.failf "honest sync rejected: %s" (O.sync_error_to_string e));
+  let order o = List.map (fun ev -> Printf.sprintf "%s#%d" ev.O.author ev.O.seq) (O.events o) in
+  List.iter
+    (fun o ->
+      check (Alcotest.list string_)
+        (O.author o ^ ": (at, author, seq) order")
+        [
+          "beta#5"; "alpha#1"; "beta#2"; "alpha#2"; "alpha#3"; "beta#1"; "beta#3"; "alpha#4"; "beta#4";
+          "alpha#5";
+        ]
+        (order o);
+      check bool_
+        (O.author o ^ ": events = its log sorted")
+        true
+        (O.events o = in_total_order (O.missing_for o ~frontier:[])))
+    [ a; b ];
+  check string_ "digests converge" (O.state_digest a) (O.state_digest b)
+
+(* --- allocation of a heal ------------------------------------------------ *)
+
+(* Minor words per moved event of a heal of two diverged replicas, [n]
+   Decides a side: the segments both ways, their verification (each
+   event re-rendered, chain-hashed and HMAC-checked) and both replays.
+   Measured: 32.5 words, of which 15 are the three digests of each
+   verified event, 4 its rendered timestamp and 3 its cell in the
+   exported segment (480 when each heal sorted the whole log, rebuilt
+   and re-sorted per-author lists, copied every event's canonical bytes
+   out of the buffer and allocated closures, tuples and cut lists per
+   replayed Decide); the bound leaves 10 % headroom. *)
+let heal_words_bound = 36.0
+
+let test_heal_allocation () =
+  let n = 400 in
+  let now = ref 0.0 in
+  let mk author = O.create ~now:(fun () -> !now) ~key:mesh_key ~author () in
+  let a = mk "alpha" and b = mk "beta" in
+  let fired = ref 0 in
+  List.iter
+    (fun o ->
+      O.on_invalidate o (fun _ -> incr fired);
+      O.publish o (Policy.Inline_policy pol))
+    [ a; b ];
+  O.grant a ~subject:"user0" ~attr:"role" ~value:"doctor";
+  ignore (O.sync_pair a b);
+  let ctxs = Array.init 40 (fun i -> ctx ~subject:(Printf.sprintf "user%d" i) ()) in
+  O.set_offline a true;
+  O.set_offline b true;
+  for i = 0 to n - 1 do
+    now := !now +. 0.001;
+    ignore (O.decide a ctxs.(i mod 40));
+    ignore (O.decide b ctxs.((i * 7) mod 40))
+  done;
+  O.set_offline a false;
+  O.set_offline b false;
+  let before = Gc.minor_words () in
+  let moved =
+    match O.sync_pair a b with
+    | Ok moved -> moved
+    | Error e -> Alcotest.failf "honest heal rejected: %s" (O.sync_error_to_string e)
+  in
+  let words = (Gc.minor_words () -. before) /. float_of_int moved in
+  check int_ "every Decide moved" (2 * n) moved;
+  check int_ "alpha re-checked nothing" 0 (O.stats a).O.rechecked;
+  check int_ "beta re-checked nothing" 0 (O.stats b).O.rechecked;
+  check int_ "no hook fired" 0 !fired;
+  check string_ "digests converge" (O.state_digest a) (O.state_digest b);
+  Printf.printf "heal of 2 x %d Decides: %.1f minor words per moved event (bound %.1f)\n" n words
+    heal_words_bound;
+  check bool_
+    (Printf.sprintf "%.1f words <= %.1f" words heal_words_bound)
+    true (words <= heal_words_bound)
+
 let () =
   Alcotest.run "dacs_offline"
     [
@@ -898,6 +1016,8 @@ let () =
           Alcotest.test_case "a Decide without its causal past is re-checked" `Quick
             test_replay_rechecks_without_causal_past;
           QCheck_alcotest.to_alcotest oracle_test;
+          Alcotest.test_case "events merge per-author logs in total order" `Quick
+            test_events_total_order;
         ] );
       ( "pep",
         [
@@ -909,4 +1029,6 @@ let () =
           Alcotest.test_case "coalesced waiter across partition transition" `Quick
             test_coalesced_waiter_across_partition;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "a heal stays within its word bound" `Quick test_heal_allocation ] );
     ]

@@ -299,12 +299,12 @@ let frames =
       ~equal:( = )
       (fun frontier -> Ref.log_sync_request ~frontier);
     frame ~name:"log_sync_response"
-      ~gen:Gen.(pair raw_bytes_gen (list_size (int_bound 3) valid_log_event_gen))
-      ~write:(fun buf (head, events) -> Wire.write_log_sync_response buf ~head events)
+      ~gen:Gen.(list_size (int_bound 3) valid_log_event_gen)
+      ~write:Wire.write_log_sync_response
       ~read:Wire.read_log_sync_response
-      ~of_value:(fun (head, events) -> (head, List.map sorted_frontier events))
+      ~of_value:(List.map sorted_frontier)
       ~equal:( = )
-      (fun (head, events) -> Ref.log_sync_response ~head events);
+      Ref.log_sync_response;
     (* every other frame *)
     plain ~name:"access_request" ~gen:(Gen.pair subject_gen text_gen)
       ~write:(fun buf (subject, action) -> Wire.write_access_request buf ~subject ~action)
@@ -579,7 +579,7 @@ let segment =
          ()
      in
      ignore (Offline.decide beta ctx);
-     (key, Offline.head beta, Offline.missing_for beta ~frontier:[]))
+     (key, Offline.missing_for beta ~frontier:[]))
 
 let signed_bytes ev = written (fun buf ev -> Wire.write_log_event buf ~signed:true ev) ev
 
@@ -590,14 +590,14 @@ let log_admit_mutation_test =
   Test.make ~name:"log_sync_response: a mutation is admitted only with its events intact" ~count:500
     (make ~print:Print.(list (triple int int int)) mutations_gen)
     (fun ops ->
-      let key, head, events = Lazy.force segment in
+      let key, events = Lazy.force segment in
       let original = Hashtbl.create 8 in
       List.iter (fun ev -> Hashtbl.replace original (ev.Offline.author, ev.Offline.seq) (signed_bytes ev)) events;
-      let s = mutate ops (enveloped (fun buf events -> Wire.write_log_sync_response buf ~head events) events) in
+      let s = mutate ops (enveloped Wire.write_log_sync_response events) in
       match live_read Wire.read_log_sync_response s with
       | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
       | Error _ -> true
-      | Ok (_, (_, decoded)) -> (
+      | Ok (_, decoded) -> (
         let replica = Offline.create ~key ~author:"gamma" () in
         match Offline.admit replica decoded with
         | Error _ -> true
@@ -609,11 +609,10 @@ let log_admit_mutation_test =
           || Test.fail_reportf "admitted an altered event from %S" s))
 
 let log_intact () =
-  let key, head, events = Lazy.force segment in
-  let s = enveloped (fun buf events -> Wire.write_log_sync_response buf ~head events) events in
+  let key, events = Lazy.force segment in
+  let s = enveloped Wire.write_log_sync_response events in
   match live_read Wire.read_log_sync_response s with
-  | Ok (_, (got_head, decoded)) ->
-    Alcotest.(check bool) "the head reads back" true (String.equal got_head head);
+  | Ok (_, decoded) ->
     Alcotest.(check (list string)) "every event reads back" (List.map signed_bytes events) (List.map signed_bytes decoded);
     Alcotest.(check bool) "and is admitted whole" true
       (Offline.admit (Offline.create ~key ~author:"gamma" ()) decoded = Ok (List.length events));

@@ -392,10 +392,7 @@ let log_event (ev : Wire.log_event) =
 let log_sync_request ~frontier =
   Xml.element "LogSyncRequest" ~children:[ frontier_element frontier ]
 
-let log_sync_response ~head events =
-  Xml.element "LogSyncResponse"
-    ~attrs:[ ("Head", Dacs_crypto.Encoding.hex_encode head) ]
-    ~children:(List.map log_event events)
+let log_sync_response events = Xml.element "LogSyncResponse" ~children:(List.map log_event events)
 
 (* --- Wire: the signed authorisation response over its canonical form -------- *)
 

@@ -573,7 +573,7 @@ let wire_envelopes () =
       ("policy_update_ack", written (fun buf -> Wire.write_policy_update_ack buf ~version:3));
       ("log_event", written (fun buf -> Wire.write_log_event buf ~signed:true event));
       ("log_sync_request", written (fun buf -> Wire.write_log_sync_request buf ~frontier:[ ("domain-b", 1); ("domain-a", 3) ]));
-      ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf ~head:"\x02head" [ event; event ]));
+      ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf [ event; event ]));
       ("capability_request", written (fun buf -> Wire.write_capability_request buf ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]));
       ("revocation_check", written (fun buf -> Wire.write_revocation_check buf ~assertion_id:"a-1"));
       ("revocation_status", written (fun buf -> Wire.write_revocation_status buf ~revoked:true));
