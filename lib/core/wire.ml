@@ -119,7 +119,24 @@ let timestamp c what s =
   if not (Float.is_finite f) then Cursor.fail c (Printf.sprintf "%s is not a finite decimal: %s" what s);
   f
 
-let write_count buf name n = add_attr buf name (string_of_int n)
+(* [string_of_int n] for [n <= 0], written digit by digit. *)
+let rec add_nonpositive buf n =
+  if n <= -10 then add_nonpositive buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [add_attr buf name (string_of_int n)] without the intermediate string:
+   a heal re-renders every event it admits, so the log writer allocates
+   nothing per integer. *)
+let write_count buf name n =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpositive buf n
+  end
+  else add_nonpositive buf (-n);
+  Buffer.add_char buf '"'
 
 (* --- named values: <Attribute Name DataType>value</Attribute> -------------------- *)
 
@@ -385,7 +402,11 @@ let read_cache_put_ack = total (Cursor.leaf0 "CachePutAck")
 
 (* A childless element carrying one count: the anti-entropy poll, the
    answer to every purge and a policy update's acknowledgement. *)
-let write_count_leaf name attr buf n = write_leaf buf name [ (attr, string_of_int n) ]
+let write_count_leaf name attr buf n =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf name;
+  write_count buf attr n;
+  Buffer.add_string buf "/>"
 let count_leaf name attr c = count c attr (Cursor.leaf1 c name attr)
 let write_cache_sync buf ~known_epoch = write_count_leaf "CacheSync" "KnownEpoch" buf known_epoch
 let read_cache_sync = total (count_leaf "CacheSync" "KnownEpoch")
@@ -538,28 +559,10 @@ external format_float : string -> float -> string = "caml_format_float"
 
 let float_attr f = format_float "%.17g" f
 
-(* [string_of_int n] for [n <= 0], written digit by digit. *)
-let rec add_nonpositive buf n =
-  if n <= -10 then add_nonpositive buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-
-(* [write_count] without the intermediate string: a heal re-renders every
-   event it admits, so the log writer allocates nothing per integer. *)
-let write_log_count buf name n =
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf name;
-  Buffer.add_string buf "=\"";
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpositive buf n
-  end
-  else add_nonpositive buf (-n);
-  Buffer.add_char buf '"'
-
 let write_entry buf (author, seq) =
   Buffer.add_string buf "<Entry";
   add_attr buf "Author" author;
-  write_log_count buf "Seq" seq;
+  write_count buf "Seq" seq;
   Buffer.add_string buf "/>"
 
 let by_author (a, _) (b, _) = String.compare a b
@@ -585,9 +588,9 @@ let write_field buf name value =
 let write_log_event buf ~signed ev =
   Buffer.add_string buf "<LogEvent";
   add_attr buf "Author" ev.author;
-  write_log_count buf "Seq" ev.seq;
+  write_count buf "Seq" ev.seq;
   add_attr buf "At" (float_attr ev.at);
-  write_log_count buf "Epoch" ev.epoch;
+  write_count buf "Epoch" ev.epoch;
   add_attr buf "Kind"
     (match ev.kind with
     | Grant _ -> "grant"

@@ -213,7 +213,7 @@ let finalize ctx =
   finish ctx out;
   Bytes.unsafe_to_string out
 
-(* The working context of [resume], [digest] and [digest2], like
+(* The working context of [resume], [digest] and [digest2_buffer], like
    [schedule] one per domain: the state is set, the input absorbed and
    the digest written out without yielding.  The digest is allocated
    first, so nothing between the set-up and the read-out allocates. *)
@@ -242,14 +242,6 @@ let digest s =
   let out = Bytes.create 32 in
   let c = fresh () in
   update c s;
-  finish c out;
-  Bytes.unsafe_to_string out
-
-let digest2 a b =
-  let out = Bytes.create 32 in
-  let c = fresh () in
-  update c a;
-  update c b;
   finish c out;
   Bytes.unsafe_to_string out
 

@@ -9,8 +9,8 @@
     costs about 0.6 µs on a 2-core x86-64 VM shared with other jobs
     ([bench/main.exe micro]: [sha256 (64 B)], two blocks, 1.3 µs).
     Whole blocks are read where they lie in the input; only a partial
-    block is copied into the context.  {!digest}, {!digest2},
-    {!digest2_buffer} and {!resume} hash in one working context per
+    block is copied into the context.  {!digest}, {!digest2_buffer}
+    and {!resume} hash in one working context per
     domain, so each allocates only its 32-byte result (6 words with its
     header); {!init} allocates a context of its own (24 words). *)
 
@@ -37,13 +37,9 @@ val resume : ctx -> string -> string
 val digest : string -> string
 (** One-shot digest of a full message (32 raw bytes). *)
 
-val digest2 : string -> string -> string
-(** [digest2 a b] is [digest (a ^ b)], streamed without building the
-    concatenation. *)
-
 val digest2_buffer : string -> Buffer.t -> string
-(** [digest2_buffer a b] is [digest2 a (Buffer.contents b)], read from
-    [b] where it lies instead of copied out first. *)
+(** [digest2_buffer a b] is [digest (a ^ Buffer.contents b)], streamed
+    without building the concatenation and read from [b] where it lies. *)
 
 val hex_digest : string -> string
 (** [Encoding.hex_encode (digest s)]. *)

@@ -136,16 +136,24 @@ let test_sha256_block_boundaries () =
         (Encoding.hex_encode (Sha256.finalize ctx)))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
-let test_sha256_digest2 () =
+(* A buffer holding [s], as [Sha256.digest2_buffer] and [Chain.extend]
+   take their second part. *)
+let buffer_of s =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf s;
+  buf
+
+(* [Sha256.digest2_buffer] of [msg] split at [k]. *)
+let digest_split msg k =
+  Sha256.digest2_buffer (String.sub msg 0 k) (buffer_of (String.sub msg k (String.length msg - k)))
+
+let test_sha256_digest2_buffer () =
   (* Every split of messages around one and two blocks. *)
   List.iter
     (fun n ->
       let msg = String.init n (fun i -> Char.chr (i land 0xff)) in
       for k = 0 to n do
-        check string_
-          (Printf.sprintf "length %d split at %d" n k)
-          (Sha256.digest msg)
-          (Sha256.digest2 (String.sub msg 0 k) (String.sub msg k (n - k)))
+        check string_ (Printf.sprintf "length %d split at %d" n k) (Sha256.digest msg) (digest_split msg k)
       done)
     [ 0; 1; 63; 64; 65; 96; 130 ]
 
@@ -188,8 +196,7 @@ let test_sha256_reference_lengths () =
     let name what = Printf.sprintf "length %d: %s" n what in
     check string_ (name "digest") expected (Sha256.digest msg);
     for k = 0 to n do
-      if Sha256.digest2 (String.sub msg 0 k) (String.sub msg k (n - k)) <> expected then
-        Alcotest.failf "length %d: digest2 split at %d" n k
+      if digest_split msg k <> expected then Alcotest.failf "length %d: digest2_buffer split at %d" n k
     done;
     let ctx = Sha256.init () in
     String.iter (fun c -> Sha256.update ctx (String.make 1 c)) msg;
@@ -197,7 +204,7 @@ let test_sha256_reference_lengths () =
   done
 
 (* Messages of 0-2,000 bytes (one in three of 55-129) cut at random
-   points: [digest], [digest2] and [digest2_buffer] at the first cut,
+   points: [digest], [digest2_buffer] at the first cut,
    [update] over all the pieces, and [resume] of a context that
    absorbed the first piece — twice, since it must leave that context
    as it was. *)
@@ -209,7 +216,8 @@ let prop_sha256_reference =
       return (n, List.sort_uniq compare cuts))
   in
   let print (n, cuts) = Printf.sprintf "n=%d cuts=[%s]" n (String.concat ";" (List.map string_of_int cuts)) in
-  QCheck.Test.make ~name:"digest, digest2, update and resume agree with the reference" ~count:300
+  QCheck.Test.make ~name:"digest, digest2_buffer, update and resume agree with the reference"
+    ~count:300
     (QCheck.make ~print gen) (fun (n, cuts) ->
       let msg = message n in
       let expected = Sha256_reference.digest msg in
@@ -224,11 +232,8 @@ let prop_sha256_reference =
       List.iter (Sha256.update ctx) pieces;
       let prefix = Sha256.init () in
       Sha256.update prefix first;
-      let rest_buffer = Buffer.create 16 in
-      Buffer.add_string rest_buffer rest;
       Sha256.digest msg = expected
-      && Sha256.digest2 first rest = expected
-      && Sha256.digest2_buffer first rest_buffer = expected
+      && Sha256.digest2_buffer first (buffer_of rest) = expected
       && Sha256.finalize ctx = expected
       && Sha256.resume prefix rest = expected
       && Sha256.resume prefix rest = expected)
@@ -345,15 +350,13 @@ let hmac_prepared_words_bound = 16.0
    their own would add 24. *)
 let test_digest_allocation () =
   let msg = message 200 in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf msg;
+  let buf = buffer_of msg in
   List.iter
     (fun (name, f) ->
       let words = words_per_call f in
       check bool_ (Printf.sprintf "%s: %.1f words <= 6" name words) true (words <= 6.0))
     [
       ("digest", fun () -> Sha256.digest msg);
-      ("digest2", fun () -> Sha256.digest2 msg msg);
       ("digest2_buffer", fun () -> Sha256.digest2_buffer msg buf);
     ]
 
@@ -691,10 +694,7 @@ let test_trust_store_dedup () =
 (* --- hash chain ----------------------------------------------------------- *)
 
 (* [Chain.extend] over a string payload. *)
-let extend ~prev payload =
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf payload;
-  Chain.extend ~prev buf
+let extend ~prev payload = Chain.extend ~prev (buffer_of payload)
 
 (* Reference folds over [Chain.extend]: the digest of every prefix, and a
    link-by-link check of a (payload, claimed digest) segment that returns
@@ -824,7 +824,8 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental_matches_oneshot;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
-          Alcotest.test_case "digest2 = digest of the concatenation" `Quick test_sha256_digest2;
+          Alcotest.test_case "digest2_buffer = digest of the concatenation" `Quick
+            test_sha256_digest2_buffer;
           QCheck_alcotest.to_alcotest prop_sha256_interleaved_contexts;
           Alcotest.test_case "lengths 55-129 agree with the reference" `Quick test_sha256_reference_lengths;
           QCheck_alcotest.to_alcotest prop_sha256_reference;

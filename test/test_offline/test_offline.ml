@@ -168,6 +168,20 @@ let test_truncated_segment_rejected () =
     | O.Gap { author = "beta"; expected = 1; got = 2 } -> ()
     | e -> Alcotest.failf "expected Gap beta 1/2, got %s" (O.sync_error_to_string e))
 
+let test_out_of_order_segment_rejected () =
+  (* Swap the positions of two honest links: each author's fresh events
+     must arrive in seq order, as [missing_for] exports them. *)
+  let metrics = Metrics.create () in
+  let a = replica ~metrics "alpha" and b = populated "beta" in
+  let seg =
+    match segment_for a b with
+    | [ e1; e2; e3 ] -> [ e2; e1; e3 ]
+    | _ -> Alcotest.fail "expected 3 events"
+  in
+  assert_rejected ~what:"out-of-order segment" ~reason:"gap" metrics a seg (function
+    | O.Gap { author = "beta"; expected = 1; got = 2 } -> ()
+    | e -> Alcotest.failf "expected Gap beta 1/2, got %s" (O.sync_error_to_string e))
+
 let test_forged_tag_rejected () =
   let metrics = Metrics.create () in
   let a = replica ~metrics "alpha" and b = populated "beta" in
@@ -999,6 +1013,7 @@ let () =
           Alcotest.test_case "reordered payloads -> Chain_mismatch" `Quick
             test_reordered_segment_rejected;
           Alcotest.test_case "truncated segment -> Gap" `Quick test_truncated_segment_rejected;
+          Alcotest.test_case "out-of-order segment -> Gap" `Quick test_out_of_order_segment_rejected;
           Alcotest.test_case "forged tag -> Bad_signature" `Quick test_forged_tag_rejected;
           Alcotest.test_case "wrong mesh key -> Bad_signature" `Quick test_wrong_mesh_key_rejected;
           Alcotest.test_case "tampered tail rejects honest prefix" `Quick
