@@ -334,10 +334,10 @@ let enrich_ctx grants ctx =
 
 let decision_name (result : Decision.result) = Decision.decision_to_string result.decision
 
-(* The request as logged, not as it was served: [ctx] holds the
-   rendered context, so replay judges exactly those bytes. *)
+(* The request as logged: [ctx] holds the served context in its compact
+   form, which reads back to exactly that context. *)
 let evaluate_logged state ctx_str =
-  match Context.of_string ctx_str with
+  match Context.read_compact ctx_str with
   | Error _ -> None
   | Ok ctx -> (
     match state.s_policy with
@@ -367,26 +367,6 @@ let adopt t publishes =
     (List.fold_left
        (fun acc ev -> match ev.kind with Publish { policy } -> policy :: acc | _ -> acc)
        [] publishes)
-
-(* Whether [s] holds [word] at [i + j], from [word]'s [j]th byte on. *)
-let rec holds s i word j =
-  j = String.length word
-  || (i + j < String.length s
-     && Char.equal (String.unsafe_get s (i + j)) (String.unsafe_get word j)
-     && holds s i word (j + 1))
-
-let rec lossy_from ctx i =
-  i < String.length ctx
-  && ((Char.equal (String.unsafe_get ctx i) '"'
-      && (holds ctx (i + 1) "double\"" 0 || holds ctx (i + 1) "time\"" 0))
-     || lossy_from ctx (i + 1))
-
-(* [Value.to_string] renders Double and Time values with [%g], so a
-   logged context carrying one may not be the context that was served.
-   Judged from the bytes alone, conservatively: every such value is
-   written with a quoted "double" or "time" type name, found here in one
-   pass over the bytes. *)
-let may_be_lossy ctx = lossy_from ctx 0
 
 (* The index of the first of the ascending [seqs.(lo) .. seqs.(hi - 1)]
    above [n], or [hi]: from [lo = 0], how many are at most [n]. *)
@@ -547,7 +527,7 @@ let replay t =
       | Decide { key; ctx; decision } ->
         if
           (not (Hashtbl.mem log.fired ev.seq))
-          && (may_be_lossy ctx || not (unchanged_since t state cuts ~grants ~revokes ~publishes ev))
+          && not (unchanged_since t state cuts ~grants ~revokes ~publishes ev)
         then begin
           t.n_rechecked <- t.n_rechecked + 1;
           let converged = evaluate_logged state ctx in
@@ -609,7 +589,7 @@ let decide t ctx =
     | _ ->
       let key = Decision_cache.request_key ctx in
       Buffer.clear t.scratch;
-      Context.write t.scratch ctx;
+      Context.write_compact t.scratch ctx;
       let ctx_str = Buffer.contents t.scratch in
       append_own t (Decide { key; ctx = ctx_str; decision = decision_name result });
       (* The Decide append itself never changes the derived state. *)

@@ -43,30 +43,30 @@
     previous replay's value so unchanged leaves are reused; bytes equal
     to the adopted ones reuse it as is.  {!decide} and replay's
     re-check of a [Decide] both run {!Dacs_policy.Compiled.evaluate}.
-    Replay re-checks the request {e as logged}: the [ctx] field renders
-    Double and Time values with [%g], so a re-check judges those bytes,
-    which can differ from the request that was served.
+    Replay re-checks the request {e as logged}: the [ctx] field holds
+    the served context in {!Dacs_policy.Context.write_compact}'s form,
+    which reads back to exactly that context, Double and Time values
+    included.
 
     {2 Incremental re-checks}
 
     Replay re-evaluates a not-yet-fired [Decide] only when a merge could
-    flip it: its bytes may carry a Double or Time value, its frontier
-    names an event this replica lacks, or the Grant/Revoke/Publish
-    events its frontier covers derive other grants or other adopted
-    policy bytes than the converged state.  Otherwise the re-check would
-    repeat the author's own evaluation and return the logged answer.
+    flip it: its frontier names an event this replica lacks, or the
+    Grant/Revoke/Publish events its frontier covers derive other grants
+    or other adopted policy bytes than the converged state.  Otherwise
+    the re-check would repeat the author's own evaluation and return the
+    logged answer.
 
     {2 Cost}
 
     A replica keeps each author's chain in seq order.  Replay merges
     those chains into the total order, sorting only the chain of an
     author whose clock stepped back, and a Decide it need not re-check
-    costs a scan of its bytes and a lookup of its frontier's cut, with
-    nothing allocated.  Admission walks each author's fresh events once
-    in seq order.  Each of them is re-rendered into one reused buffer,
-    chain-hashed there and HMAC-checked, and allocates only three
-    digests (the link, the tag's inner hash, the tag) and its rendered
-    timestamp. *)
+    costs a lookup of its frontier's cut, with nothing allocated.
+    Admission walks each author's fresh events once in seq order.  Each
+    of them is re-rendered into one reused buffer, chain-hashed there
+    and HMAC-checked, and allocates only three digests (the link, the
+    tag's inner hash, the tag) and its rendered timestamp. *)
 
 type kind = Wire.log_kind =
   | Grant of { subject : string; attr : string; value : string }
@@ -74,9 +74,10 @@ type kind = Wire.log_kind =
   | Publish of { policy : string }
       (** a {!Dacs_policy.Policy.child} via {!Dacs_policy.Xacml_xml.child_to_string} *)
   | Decide of { key : string; ctx : string; decision : string }
-      (** [key] is the {!Decision_cache.request_key}; [ctx] the serialized
-          request context, kept so replay can re-evaluate the exact
-          request under the converged state *)
+      (** [key] is the {!Decision_cache.request_key}; [ctx] the request
+          context in {!Dacs_policy.Context.write_compact}'s form, kept so
+          replay can re-evaluate the exact request under the converged
+          state *)
 
 type event = Wire.log_event = {
   author : string;

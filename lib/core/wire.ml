@@ -119,11 +119,6 @@ let timestamp c what s =
   if not (Float.is_finite f) then Cursor.fail c (Printf.sprintf "%s is not a finite decimal: %s" what s);
   f
 
-(* [string_of_int n] for [n <= 0], written digit by digit. *)
-let rec add_nonpositive buf n =
-  if n <= -10 then add_nonpositive buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-
 (* [add_attr buf name (string_of_int n)] without the intermediate string:
    a heal re-renders every event it admits, so the log writer allocates
    nothing per integer. *)
@@ -131,11 +126,7 @@ let write_count buf name n =
   Buffer.add_char buf ' ';
   Buffer.add_string buf name;
   Buffer.add_string buf "=\"";
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpositive buf n
-  end
-  else add_nonpositive buf (-n);
+  Xml.add_int buf n;
   Buffer.add_char buf '"'
 
 (* --- named values: <Attribute Name DataType>value</Attribute> -------------------- *)

@@ -796,6 +796,8 @@ let e21 =
                   no_worse "offline-decide-words-regression" ~key:"words_per_offline_decide"
                     ~better:`Lower;
                   no_worse "heal-words-regression" ~key:"words_per_heal_event" ~better:`Lower;
+                  no_worse "logged-bytes-regression" ~key:"logged_bytes_per_decide"
+                    ~better:`Lower;
                   no_worse "offline-p99-regression" ~key:"offline_p99_s" ~better:`Lower ]
   @@ fun x ->
   header "E21  Partition -> heal ablation (offline authorization)"
@@ -887,6 +889,21 @@ let e21 =
   tick ();
   O.revoke reps.(3) ~subject:(user 11) ~attr:"role";
   ignore (sync_round intra);
+  (* The canonical bytes of each offline Decide: what the chain hashes
+     at append and again at every admission. *)
+  let logged_bytes =
+    let buf = Buffer.create 1024 in
+    List.fold_left
+      (fun acc ev ->
+        match ev.O.kind with
+        | O.Decide _ ->
+          Buffer.clear buf;
+          Wire.write_log_event buf ~signed:false ev;
+          acc + Buffer.length buf
+        | _ -> acc)
+      0 (O.events reps.(0))
+  in
+  let logged_bytes_per_decide = float_of_int logged_bytes /. float_of_int (max 1 !offline_decides) in
   (* heal over the ring: count rounds until every digest is identical *)
   let converged () =
     let d0 = O.state_digest reps.(0) in
@@ -915,6 +932,7 @@ let e21 =
   Printf.printf "  %-32s %8d\n" "deny-wins conflicts" conflicts;
   Printf.printf "  %-32s %8.1f\n" "minor words per offline decide" words_per_decide;
   Printf.printf "  %-32s %8.1f\n" "minor words per heal-moved event" words_per_heal_event;
+  Printf.printf "  %-32s %8.1f\n" "canonical bytes per Decide" logged_bytes_per_decide;
   print_newline ();
   let check = Experiment.check x in
   check "offline-serves-partition"
@@ -941,6 +959,7 @@ let e21 =
   Experiment.count x "conflicts" conflicts;
   Experiment.metric x ~digits:1 "words_per_offline_decide" words_per_decide;
   Experiment.metric x ~digits:1 "words_per_heal_event" words_per_heal_event;
+  Experiment.metric x ~digits:1 "logged_bytes_per_decide" logged_bytes_per_decide;
   Experiment.metric x "offline_p99_s" served.W.latency.W.p99
 
 (* ==================================================================== *)

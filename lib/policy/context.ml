@@ -88,21 +88,25 @@ let rec fill a i = function
     a.(i) <- e;
     fill a (i - 1) rest
 
-(* The context holding [entries] (one value each, newest first), sorted
-   stably, so a repeated id keeps its values in document order.  A
-   context without repeated ids is the sorted array itself. *)
+(* The context holding the entries of [a] (one value each, in document
+   order), sorted stably in place, so a repeated id keeps its values in
+   document order.  A context without repeated ids is [a] itself. *)
+let of_entries a =
+  insertion_sort a 1;
+  let repeated = ref false in
+  for i = 1 to Array.length a - 1 do
+    if compare_entry a.(i - 1) a.(i) = 0 then repeated := true
+  done;
+  if !repeated then Array.fold_left (fun t e -> add_bag t e.category e.id e.bag) empty a else a
+
+(* [of_entries] of [entries] listed newest first. *)
 let of_rev_entries = function
   | [] -> empty
   | first :: _ as entries ->
     let n = List.length entries in
     let a = Array.make n first in
     fill a (n - 1) entries;
-    insertion_sort a 1;
-    let repeated = ref false in
-    for i = 1 to n - 1 do
-      if compare_entry a.(i - 1) a.(i) = 0 then repeated := true
-    done;
-    if !repeated then Array.fold_left (fun t e -> add_bag t e.category e.id e.bag) empty a else a
+    of_entries a
 
 let attributes t category =
   Array.fold_right (fun e acc -> if e.category = category then (e.id, e.bag) :: acc else acc) t []
@@ -258,6 +262,145 @@ let read c =
   of_rev_entries !entries
 
 let of_string s = Cursor.parse s read
+
+(* --- the compact form ----------------------------------------------------- *)
+
+(* A count of values, then one record per value in canonical order:
+   category char, type char, [len:id], [len:value] — the lexical form
+   {!Value.to_string} gives, read back by {!Value.of_string}. *)
+
+let category_char = function Subject -> 'S' | Resource -> 'R' | Action -> 'A' | Environment -> 'E'
+
+let type_char = function
+  | Value.String _ -> 's'
+  | Value.Int _ -> 'i'
+  | Value.Bool _ -> 'b'
+  | Value.Double _ -> 'd'
+  | Value.Time _ -> 't'
+  | Value.Uri _ -> 'u'
+
+(* [String.length (string_of_int n)] for [n <= 0]. *)
+let rec nonpositive_width n = if n <= -10 then 1 + nonpositive_width (n / 10) else 1
+
+let add_length buf n =
+  Xml.add_int buf n;
+  Buffer.add_char buf ':'
+
+let add_field buf s =
+  add_length buf (String.length s);
+  Buffer.add_string buf s
+
+let add_value buf = function
+  | Value.Int n ->
+    add_length buf (if n < 0 then 1 + nonpositive_width n else nonpositive_width (-n));
+    Xml.add_int buf n
+  | v -> add_field buf (Value.to_string v)
+
+let rec add_records buf category id = function
+  | [] -> ()
+  | v :: rest ->
+    Buffer.add_char buf (category_char category);
+    Buffer.add_char buf (type_char v);
+    add_field buf id;
+    add_value buf v;
+    add_records buf category id rest
+
+let write_compact buf t =
+  let values = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    values := !values + List.length t.(i).bag
+  done;
+  add_length buf !values;
+  for i = 0 to Array.length t - 1 do
+    let e = t.(i) in
+    add_records buf e.category e.id e.bag
+  done
+
+let data_type_of_char = function
+  | 's' -> Some Value.String_t
+  | 'i' -> Some Value.Int_t
+  | 'b' -> Some Value.Bool_t
+  | 'd' -> Some Value.Double_t
+  | 't' -> Some Value.Time_t
+  | 'u' -> Some Value.Uri_t
+  | _ -> None
+
+exception Malformed of string * int
+
+(* The bytes under [read_compact] and how many of them are read. *)
+type reader = { s : string; mutable pos : int }
+
+let fail r what = raise_notrace (Malformed (what, r.pos))
+
+let next_char r what =
+  if r.pos >= String.length r.s then fail r what;
+  let ch = String.unsafe_get r.s r.pos in
+  r.pos <- r.pos + 1;
+  ch
+
+(* Decimal digits onto [len], stopping once [len] exceeds the bytes there
+   are, before it could overflow. *)
+let rec digits r len =
+  if r.pos < String.length r.s && len <= String.length r.s then
+    match String.unsafe_get r.s r.pos with
+    | '0' .. '9' as d ->
+      r.pos <- r.pos + 1;
+      digits r ((10 * len) + Char.code d - Char.code '0')
+    | _ -> len
+  else len
+
+let length r =
+  let start = r.pos in
+  let len = digits r 0 in
+  if r.pos = start || len > String.length r.s then fail r "bad length";
+  if next_char r "missing ':'" <> ':' then fail r "expected ':'";
+  len
+
+let field r =
+  let len = length r in
+  if len > String.length r.s - r.pos then fail r "truncated field";
+  let f = String.sub r.s r.pos len in
+  r.pos <- r.pos + len;
+  f
+
+let record r =
+  let category =
+    match next_char r "missing record" with
+    | 'S' -> Subject
+    | 'R' -> Resource
+    | 'A' -> Action
+    | 'E' -> Environment
+    | _ -> fail r "unknown category"
+  in
+  match data_type_of_char (next_char r "missing data type") with
+  | None -> fail r "unknown data type"
+  | Some dt -> (
+    let id = field r in
+    match Value.of_string dt (field r) with
+    | Ok v -> { category; id; bag = [ v ] }
+    | Error e -> fail r e)
+
+(* The shortest record, [Ss0:0:], is 6 bytes. *)
+let records r =
+  let values = length r in
+  if values > (String.length r.s - r.pos) / 6 then fail r "more values than bytes";
+  let t =
+    if values = 0 then empty
+    else begin
+      let a = Array.make values (record r) in
+      for i = 1 to values - 1 do
+        a.(i) <- record r
+      done;
+      of_entries a
+    end
+  in
+  if r.pos <> String.length r.s then fail r "trailing bytes";
+  t
+
+let read_compact s =
+  match records { s; pos = 0 } with
+  | t -> Ok t
+  | exception Malformed (what, at) -> Error (Printf.sprintf "compact context: %s at byte %d" what at)
 
 let to_xml t = Xml.of_string (to_string t)
 let of_xml node = of_string (Xml.to_string node)

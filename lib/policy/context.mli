@@ -81,5 +81,25 @@ val of_string : string -> (t, string) result
 val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (t, string) result
 
+(** {1 The compact form}
+
+    How an offline log records the context it decided: the count of
+    values, then one record per value in canonical order — category
+    char ([S], [R], [A], [E]), type char ([s], [i], [b], [d], [t],
+    [u]), [len:id], [len:value] with lengths in bytes and the value in
+    its {!Value.to_string} form.  Nothing is escaped: a context holding
+    only [subject-id = "alice"] is [1:Ss10:subject-id5:alice]. *)
+
+val write_compact : Buffer.t -> t -> unit
+(** Appends the compact form of [t]: integers digit by digit, and
+    nothing allocated but a Double or Time value's rendering. *)
+
+val read_compact : string -> (t, string) result
+(** Total: the context {!write_compact} wrote, value for value and
+    bit for bit (a NaN as the quiet NaN of its sign; a bag left empty
+    is not written), values of a repeated id in bag order; [Error] for
+    any other bytes, truncated, trailing or malformed.  It never
+    raises. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

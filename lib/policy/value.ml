@@ -57,12 +57,34 @@ let compare_same_type a b =
     Error
       (Printf.sprintf "type mismatch: %s vs %s" (type_name (type_of a)) (type_name (type_of b)))
 
+(* The C formatter behind [Printf]'s %g, called without the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let precisions = Array.init 11 (fun i -> Printf.sprintf "%%.%dg" (i + 7))
+
+let reads_back s f = Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float f)
+
+(* The first of %.7g .. %.17g that reads back; %.17g always does. *)
+let rec exact_from f i =
+  let s = format_float precisions.(i) f in
+  if i = Array.length precisions - 1 || reads_back s f then s else exact_from f (i + 1)
+
+(* Exact: the rendering reads back to the same bits, so a context sent or
+   logged is the context that was decided.  A NaN is written by its sign
+   bit alone: its payload has no decimal form, and no comparison can
+   observe it. *)
+let float_to_string f =
+  if Float.is_nan f then if Float.sign_bit f then "-nan" else "nan"
+  else
+    let s = format_float "%g" f in
+    if reads_back s f then s else exact_from f 0
+
 let to_string = function
   | String s -> s
   | Int i -> string_of_int i
   | Bool b -> string_of_bool b
-  | Double f -> Printf.sprintf "%g" f
-  | Time f -> Printf.sprintf "%g" f
+  | Double f | Time f -> float_to_string f
   | Uri u -> u
 
 let of_string dt s =

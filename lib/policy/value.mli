@@ -37,7 +37,12 @@ val compare_same_type : t -> t -> (int, string) result
 (** {1 Rendering and parsing} *)
 
 val to_string : t -> string
-(** Lexical form, e.g. ["42"], ["true"], ["urn:x"]. *)
+(** Lexical form, e.g. ["42"], ["true"], ["urn:x"].  Exact: {!of_string}
+    reads it back to the same value.  A Double or Time is written with
+    [%g] when that reads back bit-identically, and otherwise with the
+    shortest of [%.7g] .. [%.17g] that does, so [1000000.4] is
+    ["1000000.4"], not ["1e+06"].  A NaN is written ["nan"] or ["-nan"]
+    by its sign and reads back as the quiet NaN of that sign. *)
 
 val of_string : data_type -> string -> (t, string) result
 (** Parse the lexical form of the given type. *)

@@ -77,6 +77,19 @@ let add_escaped buf s =
   done;
   Buffer.add_substring buf s !run (n - !run)
 
+(* [string_of_int n] for [n <= 0], written digit by digit: negative
+   remainders reach [min_int] too. *)
+let rec add_nonpositive buf n =
+  if n <= -10 then add_nonpositive buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpositive buf n
+  end
+  else add_nonpositive buf (-n)
+
 let rec print_attrs buf = function
   | [] -> ()
   | (k, v) :: rest ->

@@ -65,6 +65,10 @@ val add_escaped : Buffer.t -> string -> unit
 (** [add_escaped buf s] appends [escape s]: the one escaping rule that
     {!print} and every direct message writer share. *)
 
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n] digit by digit, without
+    the intermediate string. *)
+
 val to_pretty_string : ?indent:int -> t -> string
 (** Indented serialisation for human consumption. *)
 

@@ -45,6 +45,39 @@ let test_value_parse () =
   check bool_ "bool bad" true (Result.is_error (Value.of_string Value.Bool_t "yes"));
   check bool_ "double" true (Value.of_string Value.Double_t "2.5" = Ok (Value.Double 2.5))
 
+(* Double and Time values read back bit for bit, shortest rendering
+   first: %g where it is exact, the shortest exact %.{7..17}g otherwise. *)
+let test_value_exact_floats () =
+  let bits f = Int64.bits_of_float f in
+  let reads_back v =
+    match (v, Value.of_string (Value.type_of v) (Value.to_string v)) with
+    | (Value.Double f | Value.Time f), Ok (Value.Double g | Value.Time g) -> bits f = bits g
+    | _ -> false
+  in
+  List.iter
+    (fun (f, rendered) ->
+      check string_ (Printf.sprintf "%h renders" f) rendered (Value.to_string (Value.Time f));
+      check bool_ (Printf.sprintf "%h reads back" f) true (reads_back (Value.Double f)))
+    [
+      (1000000.4, "1000000.4");
+      (120.0, "120");
+      (0.1, "0.1");
+      (2.5, "2.5");
+      (1e6, "1e+06");
+      (0.30000000000000004, "0.30000000000000004");
+      (-0.0, "-0");
+      (Float.infinity, "inf");
+      (Float.neg_infinity, "-inf");
+      (4.9e-324, "4.94066e-324");
+      (Float.max_float, "1.7976931348623157e+308");
+    ];
+  check string_ "nan" "nan" (Value.to_string (Value.Double Float.nan));
+  check string_ "negative nan" "-nan" (Value.to_string (Value.Double (-.Float.nan)));
+  check bool_ "negative nan reads back negative" true
+    (match Value.of_string Value.Double_t "-nan" with
+    | Ok (Value.Double f) -> Float.is_nan f && Float.sign_bit f
+    | _ -> false)
+
 let test_value_bags () =
   let b1 = Value.[ String "a"; String "b"; String "a" ] in
   let b2 = Value.[ String "a"; String "a"; String "b" ] in
@@ -81,6 +114,155 @@ let test_context_xml_errors () =
   check bool_ "wrong root" true (Result.is_error (Context.of_xml (Dacs_xml.Xml.element "Nope")));
   let bad = Dacs_xml.Xml.of_string "<Request><Subject><Attribute AttributeId=\"a\" DataType=\"bogus\">x</Attribute></Subject></Request>" in
   check bool_ "bad data type" true (Result.is_error (Context.of_xml bad))
+
+(* --- the compact form ------------------------------------------------------ *)
+
+(* A context's entries in canonical order, compared value by value in bag
+   order and floats by their bits: the equality [read_compact] promises,
+   stricter than [Context.equal]'s multisets and IEEE comparisons. *)
+let same_value a b =
+  match (a, b) with
+  | (Value.Double x, Value.Double y | Value.Time x, Value.Time y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let entries t =
+  let acc = ref [] in
+  Context.iter t (fun category id bag -> acc := (category, id, bag) :: !acc);
+  List.rev !acc
+
+let same_context a b =
+  let ea = entries a and eb = entries b in
+  List.length ea = List.length eb
+  && List.for_all2
+       (fun (c, id, bag) (c', id', bag') ->
+         c = c' && String.equal id id' && List.length bag = List.length bag'
+         && List.for_all2 same_value bag bag')
+       ea eb
+
+let compact t =
+  let buf = Buffer.create 64 in
+  Context.write_compact buf t;
+  Buffer.contents buf
+
+(* Ids and strings from bytes a length-prefixed form must not confuse
+   with its own syntax, non-ASCII ones included. *)
+let gen_text =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 4)
+         (oneof
+            [
+              oneofl [ ""; "0"; "17"; ":"; "<"; "&"; "\""; "\n"; "é"; "日本"; "s"; "1:x"; "&amp;"; "\000" ];
+              map (String.make 1) char;
+            ])))
+
+(* Every NaN here is one the decimal form carries: the quiet NaN of
+   either sign. *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; 1000000.4; 0.1; 1e6; 4.9e-324; -2.2250738585072e-308; Float.max_float;
+            Float.infinity; Float.neg_infinity; float_of_string "nan"; float_of_string "-nan";
+          ];
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_nan f then float_of_string "nan" else f)
+          ui64;
+        float;
+      ])
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Value.String s) gen_text;
+        map (fun i -> Value.Int i) (oneof [ int; oneofl [ 0; -1; min_int; max_int ] ]);
+        map (fun b -> Value.Bool b) bool;
+        map (fun f -> Value.Double f) gen_float;
+        map (fun f -> Value.Time f) gen_float;
+        map (fun s -> Value.Uri s) gen_text;
+      ])
+
+(* A few ids per category, drawn from a small pool so that repeated ids
+   (bags of several values, kept in list order) are common. *)
+let gen_context =
+  QCheck.Gen.(
+    let attrs = list_size (0 -- 4) (pair (oneof [ oneofl [ "role"; ""; "a:b" ]; gen_text ]) gen_value) in
+    map
+      (fun (subject, resource, action, environment) ->
+        Context.make ~subject ~resource ~action ~environment ())
+      (quad attrs attrs attrs attrs))
+
+let arb_context = QCheck.make ~print:compact gen_context
+
+let prop_compact_roundtrip =
+  QCheck.Test.make ~name:"read_compact (write_compact c) = c, floats by bits" ~count:500 arb_context
+    (fun c ->
+      match Context.read_compact (compact c) with
+      | Ok c' -> same_context c c'
+      | Error e -> QCheck.Test.fail_report e)
+
+let reads_without_raising s =
+  match Context.read_compact s with Ok _ | Error _ -> true | exception _ -> false
+
+let prop_compact_truncated =
+  QCheck.Test.make ~name:"every strict prefix of the compact form is an Error" ~count:200 arb_context
+    (fun c ->
+      let s = compact c in
+      List.for_all
+        (fun len ->
+          match Context.read_compact (String.sub s 0 len) with
+          | Error _ -> true
+          | Ok _ | (exception _) -> false)
+        (List.init (String.length s) Fun.id))
+
+let prop_compact_mutated =
+  QCheck.Test.make ~name:"mutated compact bytes never raise" ~count:500
+    QCheck.(pair arb_context (triple small_nat small_nat (make QCheck.Gen.char)))
+    (fun (c, (at, op, byte)) ->
+      let s = compact c in
+      let n = String.length s in
+      let at = at mod (n + 1) in
+      let mutated =
+        match op mod 3 with
+        | 0 when at < n -> String.mapi (fun i ch -> if i = at then byte else ch) s
+        | 1 -> String.sub s 0 at ^ String.make 1 byte ^ String.sub s at (n - at)
+        | _ when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+        | _ -> s ^ String.make 1 byte
+      in
+      reads_without_raising mutated)
+
+let test_compact_errors () =
+  let c = Context.make ~subject:[ ("subject-id", Value.String "alice") ] () in
+  check string_ "the documented example" "1:Ss10:subject-id5:alice" (compact c);
+  check string_ "an empty context" "0:" (compact Context.empty);
+  List.iter
+    (fun s -> check bool_ (Printf.sprintf "%S is refused" s) true (Result.is_error (Context.read_compact s)))
+    [
+      "";
+      "1:";
+      "1:Ss10:subject-id5:alic";
+      "1:Ss10:subject-id5:alicee";
+      "1:Xs1:a1:b";
+      "1:Sz1:a1:b";
+      "1:Si1:a1:x";
+      "1:Sb1:a3:yes";
+      "1:Ss99999999999999999999999999:a";
+      "2:Ss1:a1:b";
+      "-1:";
+      "1:Ss1a1:b";
+    ];
+  check bool_ "a stray byte between records is refused" true
+    (Result.is_error (Context.read_compact "2:Ss1:a1:y Ss1:a1:x"));
+  check bool_ "two records of one id form one bag, in order" true
+    (match Context.read_compact "2:Ss1:a1:ySs1:a1:x" with
+    | Ok t -> Context.bag t Context.Subject "a" = Value.[ String "y"; String "x" ]
+    | Error _ -> false)
 
 (* --- expressions ---------------------------------------------------------- *)
 
@@ -1064,6 +1246,7 @@ let () =
           Alcotest.test_case "equality" `Quick test_value_equal;
           Alcotest.test_case "comparison" `Quick test_value_compare;
           Alcotest.test_case "parsing" `Quick test_value_parse;
+          Alcotest.test_case "Double and Time render exactly" `Quick test_value_exact_floats;
           Alcotest.test_case "bags" `Quick test_value_bags;
         ] );
       ( "context",
@@ -1071,6 +1254,10 @@ let () =
           Alcotest.test_case "bags" `Quick test_context_bags;
           Alcotest.test_case "XML roundtrip" `Quick test_context_xml_roundtrip;
           Alcotest.test_case "XML errors" `Quick test_context_xml_errors;
+          Alcotest.test_case "compact form errors" `Quick test_compact_errors;
+          QCheck_alcotest.to_alcotest prop_compact_roundtrip;
+          QCheck_alcotest.to_alcotest prop_compact_truncated;
+          QCheck_alcotest.to_alcotest prop_compact_mutated;
         ] );
       ( "expr",
         [

@@ -33,16 +33,25 @@ let text_gen =
       (list_size (int_bound 5) (oneofl [ "a"; "Z9"; "<"; ">"; "&"; "\""; "'"; " "; "x:y"; "\xc3\xa9"; "]]>"; "" ])))
 
 let value_gen =
-  (* Doubles and times are quarters in [-2500, 2500]: "%g" keeps them exact. *)
+  (* Doubles and times are quarters in [-2500, 2500] or any float but a
+     NaN, which no equality matches. *)
   let quarter = Gen.map (fun i -> float_of_int i /. 4.0) (Gen.int_range (-10000) 10000) in
+  let float_gen =
+    Gen.(
+      oneof
+        [
+          quarter;
+          map (fun b -> let f = Int64.float_of_bits b in if Float.is_nan f then 1000000.4 else f) ui64;
+        ])
+  in
   Gen.(
     oneof
       [
         map (fun s -> Value.String s) text_gen;
         map (fun i -> Value.Int i) (int_range (-1000000) 1000000);
         map (fun b -> Value.Bool b) bool;
-        map (fun f -> Value.Double f) quarter;
-        map (fun f -> Value.Time f) quarter;
+        map (fun f -> Value.Double f) float_gen;
+        map (fun f -> Value.Time f) float_gen;
         map (fun s -> Value.Uri s) text_gen;
       ])
 
@@ -157,7 +166,10 @@ let log_kind_gen =
         map2 (fun subject attr -> Wire.Revoke { subject; attr }) text_gen text_gen;
         map (fun policy -> Wire.Publish { policy }) text_gen;
         map3
-          (fun key ctx decision -> Wire.Decide { key; ctx = Context.to_string ctx; decision })
+          (fun key ctx decision ->
+            let buf = Buffer.create 64 in
+            Context.write_compact buf ctx;
+            Wire.Decide { key; ctx = Buffer.contents buf; decision })
           text_gen context_gen text_gen;
       ])
 
@@ -619,6 +631,33 @@ let log_intact () =
     Alcotest.(check int) "two authors, five events" 5 (List.length events)
   | Error e -> Alcotest.failf "the unmutated response was rejected: %s" e
 
+(* --- an authz query carries Double and Time values exactly ------------------- *)
+
+(* Values %g rounds — 1000000.4 printed as "1e+06" — reach the PDP as
+   sent: the query reads back to the same context, floats by their bits. *)
+let floats_exact () =
+  let floats = [ 1000000.4; 0.1 +. 0.2; 1.0 /. 3.0; 4.9e-324; -0.0; Float.max_float; 123456789.0 ] in
+  let ctx =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "bob") ]
+      ~environment:(List.concat_map (fun f -> [ ("rate", Value.Double f); ("time", Value.Time f) ]) floats)
+      ()
+  in
+  let bits bag =
+    List.map (function Value.Double f | Value.Time f -> Int64.bits_of_float f | _ -> 0L) bag
+  in
+  match live_read Wire.read_authz_query (enveloped Wire.write_authz_query ctx) with
+  | Ok (_, decoded) ->
+    Alcotest.(check bool) "the context reads back equal" true (Context.equal ctx decoded);
+    List.iter
+      (fun id ->
+        Alcotest.(check (list int64))
+          (id ^ " bit for bit")
+          (bits (Context.bag ctx Context.Environment id))
+          (bits (Context.bag decoded Context.Environment id)))
+      [ "rate"; "time" ]
+  | Error e -> Alcotest.failf "the query was rejected: %s" e
+
 (* --- signed responses: a mutation never forges a decision ---------------------- *)
 
 let signer =
@@ -809,6 +848,7 @@ let () =
           Alcotest.test_case "a canonically equal re-serialisation does not verify" `Quick signed_reserialised;
           Alcotest.test_case "an intact log-sync response is admitted whole" `Quick log_intact;
         ] );
+      ("values", [ Alcotest.test_case "an authz query carries Double and Time exactly" `Quick floats_exact ]);
       ( "allocation",
         [ Alcotest.test_case "one authz round trip stays under its word bound" `Quick test_round_trip_allocation ] );
     ])
