@@ -56,14 +56,10 @@ module Attr_cache = struct
 
   let find_sym t ~now ~pair ~subject_sym = find_key t ~now (key ~pair ~subject_sym)
 
-  let find t ~now ~category ~id ~subject =
-    find_sym t ~now ~pair:(pair_sym category id) ~subject_sym:(subject_sym subject)
-
-  let store_sym t ~now ~pair ~subject_sym bag =
-    Hashtbl.replace t.table (key ~pair ~subject_sym) { bag; expires = now +. t.ttl }
-
   let store t ~now ~category ~id ~subject bag =
-    store_sym t ~now ~pair:(pair_sym category id) ~subject_sym:(subject_sym subject) bag
+    Hashtbl.replace t.table
+      (key ~pair:(pair_sym category id) ~subject_sym:(subject_sym subject))
+      { bag; expires = now +. t.ttl }
 
   let invalidate_subject t ~subject ~id =
     let k = key ~pair:(pair_sym Context.Subject id) ~subject_sym:(subject_sym subject) in

@@ -37,21 +37,11 @@ module Attr_cache : sig
   val subject_sym : string -> int
 
   val find_sym : t -> now:float -> pair:int -> subject_sym:int -> Dacs_policy.Value.bag option
-  (** {!find} with pre-interned ids: one packed-word table probe, no
-      string hashing.  What {!Pdp_service} uses per evaluation. *)
-
-  val store_sym : t -> now:float -> pair:int -> subject_sym:int -> Dacs_policy.Value.bag -> unit
-
-  val find :
-    t ->
-    now:float ->
-    category:Dacs_policy.Context.category ->
-    id:string ->
-    subject:string ->
-    Dacs_policy.Value.bag option
   (** [Some bag] within the TTL (the bag may be empty: negative entries
       suppress refetching attributes no PIP has); [None] on miss or
-      expiry (the expired entry is dropped). *)
+      expiry (the expired entry is dropped).  Takes pre-interned ids:
+      one packed-word table probe, no string hashing.  What
+      {!Pdp_service} uses per evaluation. *)
 
   val store :
     t ->

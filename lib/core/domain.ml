@@ -46,24 +46,9 @@ let combined t =
             ~id:(t.name ^ "-combined")
             ~policy_combining:Combine.Deny_overrides [ local; vo ]))
 
-let republish t =
-  match combined t with
-  | None -> ()
-  | Some root ->
-    Pap.publish t.pap root;
-    (* Decisions cached under the old policy are purged by change-impact
-       region: only entries the publish can affect drop (the region of a
-       first publish is Unbounded, which is the old full flush).  The L2
-       purge fans out to any subscribed child caches and — via the
-       region hook below — to the PEPs' L1s in the same round. *)
-    let region = Pap.last_region t.pap in
-    match t.l2 with
-    | Some l2 -> Cache_hierarchy.L2.invalidate_region l2 region
-    | None -> List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps
-
 let set_local_policy t child =
   t.local <- Some child;
-  republish t
+  Option.iter (Pap.publish t.pap) (combined t)
 
 let allow_policy_updates_from t nodes =
   let admin =
@@ -162,7 +147,16 @@ let create services ~name ?attr_cache_ttl () =
   (* Syndicated updates land as the VO component of the combined root. *)
   Pap.set_update_transform t.pap (fun incoming ->
       t.vo_policy <- Some incoming;
-      match combined t with Some c -> c | None -> incoming);
+      combined t);
+  (* Every update the PAP accepts, local or syndicated, purges the
+     decisions cached under the old policy by change-impact region: only
+     entries the update can affect drop (a first policy's region is
+     Unbounded, a full flush).  The L2 purge fans out to any subscribed
+     child caches and — via its region hook — to the PEPs' L1s. *)
+  Pap.on_update t.pap (fun region ->
+      match t.l2 with
+      | Some l2 -> Cache_hierarchy.L2.invalidate_region l2 region
+      | None -> List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps);
   t
 
 let expose_resource t ~resource ?content ?cache ?pdps ?(call_timeout = 1.0) () =

@@ -11,7 +11,14 @@ val create : Dacs_ws.Service.t -> name:string -> ?attr_cache_ttl:float -> unit -
 (** Creates the component nodes and services.  Keys are generated
     deterministically from a seed derived from the name.
     [attr_cache_ttl] enables the domain PDP's attribute cache with
-    batched PIP resolution (see {!Pdp_service.create}). *)
+    batched PIP resolution (see {!Pdp_service.create}).
+
+    Registers the domain's cache purge on its PAP ({!Pap.on_update}):
+    every update the PAP accepts — a local publish, a syndicated push or
+    an anti-entropy pull — purges the change-impact region from the
+    domain L2 when one is attached ({!attach_l2}), else from the private
+    L1 of every PEP made by {!expose_resource}.  A PEP built outside the
+    domain is not purged. *)
 
 val name : t -> string
 
@@ -30,10 +37,11 @@ val idp_node : t -> Dacs_net.Net.node_id
 (** {1 Policy administration} *)
 
 val set_local_policy : t -> Dacs_policy.Policy.child -> unit
-(** Install the domain's own policy.  If a VO-wide policy has been
-    received by syndication, the stored root combines both
-    (deny-overrides), so local restrictions always apply — the domain
-    autonomy requirement of §3.2. *)
+(** Install the domain's own policy and publish it at the domain PAP.
+    If a VO-wide policy has been received by syndication, the stored
+    root combines both (deny-overrides), so local restrictions always
+    apply — the domain autonomy requirement of §3.2.  A syndicated
+    update is combined the same way when the PAP accepts it. *)
 
 val set_rbac : t -> Dacs_rbac.Rbac.t -> unit
 (** Install an RBAC model as the domain's local policy: compiles it to a

@@ -1,7 +1,7 @@
 module Engine = Dacs_net.Engine
 module Service = Dacs_ws.Service
 module Policy = Dacs_policy.Policy
-module Compiled = Dacs_policy.Compiled
+module Delta = Dacs_policy.Delta
 module Decision = Dacs_policy.Decision
 module Context = Dacs_policy.Context
 module Value = Dacs_policy.Value
@@ -16,12 +16,10 @@ type t = {
   c_rejected : Metrics.counter;
   mutable admin_policy : Policy.child option;
   mutable root : Policy.child option;
-  mutable compiled : Compiled.t option;  (* kept in step with [root] *)
   mutable version : int;
   mutable subscribers : Dacs_net.Net.node_id list;
-  mutable update_filter : Policy.child -> bool;
-  mutable update_transform : Policy.child -> Policy.child;
-  mutable last_region : Dacs_policy.Delta.t;
+  mutable update_transform : Policy.child -> Policy.child option;
+  mutable hooks : (Delta.t -> unit) list;  (* in registration order *)
   mutable parent : Dacs_net.Net.node_id option;  (* the anti-entropy parent *)
   mutable parent_version : int;
       (* parent's version as last pushed/polled; kept apart from [version],
@@ -31,13 +29,11 @@ type t = {
 let node t = t.node
 let version t = t.version
 let current t = t.root
-let compilation_epoch t = match t.compiled with None -> 0 | Some c -> Compiled.epoch c
 let subscribers t = t.subscribers
 
 let set_admin_policy t p = t.admin_policy <- Some p
-let set_update_filter t f = t.update_filter <- f
 let set_update_transform t f = t.update_transform <- f
-let last_region t = t.last_region
+let on_update t hook = t.hooks <- t.hooks @ [ hook ]
 
 let queries_served t = Metrics.counter_value t.c_queries
 let updates_accepted t = Metrics.counter_value t.c_accepted
@@ -69,27 +65,28 @@ let push_to_subscribers t =
           ignore)
       t.subscribers
 
+(* The one place a policy change is announced: every accepted update
+   (local publish, pushed [policy-update], anti-entropy pull) computes its
+   change-impact region once and hands it to the hooks, after the pushes
+   to subscribers so message order does not depend on who listens. *)
 let accept_update t child =
-  let before = t.root in
+  let region = Delta.between t.root (Some child) in
   t.root <- Some child;
-  (* Incremental recompilation: unchanged leaf policies keep their
-     compiled form; the epoch moves only when the tree actually changed,
-     so PDPs can cheaply detect a semantic update. *)
-  t.compiled <-
-    Some
-      (match t.compiled with
-      | None -> Compiled.compile child
-      | Some prev -> Compiled.recompile prev child);
   t.version <- t.version + 1;
   Metrics.inc t.c_accepted;
-  (* Change-impact analysis over the same structural diff recompilation
-     reuses: a no-op publish yields an Empty region (and a preserved
-     compilation epoch), a bounded edit yields the zones the
-     invalidation plane purges instead of flushing VO-wide. *)
-  t.last_region <- Dacs_policy.Delta.between before (Some child);
-  push_to_subscribers t
+  push_to_subscribers t;
+  List.iter (fun hook -> hook region) t.hooks
 
-let publish t child = accept_update t child
+(* A syndicated update, pushed or pulled, is stored as the local
+   transform makes it, or ignored when the transform declines it. *)
+let adopt t child =
+  match t.update_transform child with
+  | Some stored ->
+    accept_update t stored;
+    true
+  | None -> false
+
+let publish = accept_update
 
 let lookup t id =
   match t.root with
@@ -116,12 +113,10 @@ let create services ~node ~name ?admin_policy ?root () =
       c_rejected = own "pap_updates_rejected_total" ~help:"Policy updates rejected";
       admin_policy;
       root;
-      compiled = Option.map Compiled.compile root;
       version = (match root with None -> 0 | Some _ -> 1);
       subscribers = [];
-      update_filter = (fun _ -> true);
-      update_transform = (fun c -> c);
-      last_region = Dacs_policy.Delta.empty;
+      update_transform = Option.some;
+      hooks = [];
       parent = None;
       parent_version = 0;
     }
@@ -139,7 +134,7 @@ let create services ~node ~name ?admin_policy ?root () =
       in
       (* Every caller, a syndicating parent we subscribed to included,
          needs the admin policy's blessing; an authorised update must
-         then pass the local filter.  A push from the anti-entropy
+         then pass the local transform.  A push from the anti-entropy
          parent moves the version its polls report as known, and one
          whose version is already known was adopted before. *)
       let from_parent = t.parent = Some caller in
@@ -148,11 +143,8 @@ let create services ~node ~name ?admin_policy ?root () =
         reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
       else begin
         if from_parent then t.parent_version <- remote_version;
-        if not (t.update_filter child) then refuse "update rejected by local constraints"
-        else begin
-          accept_update t (t.update_transform child);
-          reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
-        end
+        if adopt t child then reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
+        else refuse "update rejected by local constraints"
       end);
   t
 
@@ -169,7 +161,7 @@ let enable_anti_entropy t ~parent ~period =
         (match result with
         | Ok (Ok (version, Some child)) when version > t.parent_version ->
           t.parent_version <- version;
-          if t.update_filter child then accept_update t (t.update_transform child)
+          ignore (adopt t child : bool)
         | Ok (Ok (version, None)) -> t.parent_version <- max t.parent_version version
         | Ok (Ok (_, Some _)) | Ok (Error _) | Error _ -> ());
         Engine.schedule engine ~delay:period poll)

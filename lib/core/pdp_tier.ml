@@ -398,8 +398,6 @@ let decide_meta ?key t ctx deliver =
 let rto t shard =
   match Hashtbl.find_opt t.states shard with Some s -> current_rto t s | None -> t.timeout
 
-let decide t ctx deliver = decide_meta t ctx (fun outcome _meta -> deliver outcome)
-
 let answer_reader ?trust services =
   let net = Service.net services in
   fun c -> Wire.read_authz_answer ?trust ~now:(Dacs_net.Net.now net) c

@@ -132,20 +132,6 @@ val rto : t -> Dacs_net.Net.node_id -> float
     tests): the frame timeout before its first answered frame, then
     [srtt + 4·rttvar] clamped to \[0.2, timeout\]. *)
 
-val decide :
-  t ->
-  Dacs_policy.Context.t ->
-  ((Dacs_policy.Decision.result, string) result -> unit) ->
-  unit
-(** Route one authorisation query through the tier.  The continuation
-    fires exactly once: [Ok] with the shard's answer (which may itself be
-    an [Indeterminate] decision — e.g. a malformed response or a SOAP
-    fault), or [Error reason] when the tier could not obtain a decision
-    at all (no shard reachable, every shard's breaker open, or the tier
-    is empty).  Callers decide
-    how to degrade — a PEP falls back to bounded-stale cache, then fails
-    closed. *)
-
 type meta = {
   shard : Dacs_net.Net.node_id option;  (** the shard that answered; [None] when none could *)
   batch : int;
@@ -162,11 +148,18 @@ val decide_meta :
   Dacs_policy.Context.t ->
   ((Dacs_policy.Decision.result, string) result -> meta -> unit) ->
   unit
-(** {!decide} plus serving metadata — what a PEP folds into the
-    decision's provenance record.  [key] is the request's routing key
-    when the caller already built it ({!Decision_cache.request_key} is
-    computed otherwise) — the PEP passes its own cache key down so the
-    hot path builds each key exactly once. *)
+(** Route one authorisation query through the tier.  The continuation
+    fires exactly once, with the serving metadata a PEP folds into the
+    decision's provenance record: [Ok] with the shard's answer (which
+    may itself be an [Indeterminate] decision — e.g. a malformed
+    response or a SOAP fault), or [Error reason] when the tier could not
+    obtain a decision at all (no shard reachable, every shard's breaker
+    open, or the tier is empty).  Callers decide how to degrade — a PEP
+    falls back to bounded-stale cache, then fails closed.  [key] is the
+    request's routing key when the caller already built it
+    ({!Decision_cache.request_key} is computed otherwise) — the PEP
+    passes its own cache key down so the hot path builds each key
+    exactly once. *)
 
 (** {1 Statistics} *)
 

@@ -36,20 +36,21 @@ let form services ~name domains =
       Pap.subscribe_local vo_pap ~child:(Domain.pap_node domain);
       Domain.allow_policy_updates_from domain [ Pap.node vo_pap ])
     domains;
-  { name; services; domains; vo_pap; cas; l2_root = None }
+  let t = { name; services; domains; vo_pap; cas; l2_root = None } in
+  (* Syndicate every accepted update's change-impact region down the
+     Fig. 5 cache hierarchy: the root L2 purges only matching entries and
+     fans the region to every domain L2 (and from there to PEP L1s); each
+     domain PAP purges its own caches again when the pushed policy lands.
+     A domain L2 that misses the region push repairs itself by the
+     anti-entropy epoch poll, with a conservative full purge one round
+     later. *)
+  Pap.on_update vo_pap (fun region ->
+      Option.iter (fun root -> Cache_hierarchy.L2.invalidate_region root region) t.l2_root);
+  t
 
 let publish_policy t child =
   Capability_service.set_policy t.cas child;
-  Pap.publish t.vo_pap child;
-  (* Syndicate the publish's change-impact region down the Fig. 5 cache
-     hierarchy: the root L2 purges only matching entries and fans the
-     region to every domain L2 (and from there to PEP L1s).  The
-     anti-entropy epoch poll is unchanged — a domain that misses the
-     push repairs itself with a conservative full purge one round
-     later. *)
-  Option.iter
-    (fun root -> Cache_hierarchy.L2.invalidate_region root (Pap.last_region t.vo_pap))
-    t.l2_root
+  Pap.publish t.vo_pap child
 
 let issuer_key t issuer =
   if issuer = Capability_service.issuer t.cas then Some (Capability_service.public_key t.cas)

@@ -11,7 +11,10 @@ type t
 val form : Dacs_ws.Service.t -> name:string -> Domain.t list -> t
 (** Creates nodes [<name>.pap] and [<name>.cas], subscribes every member
     PAP to the VO PAP, and authorises the VO PAP as a policy updater at
-    each member. *)
+    each member.  Registers the VO-root cache purge on the VO PAP
+    ({!Pap.on_update}): once {!cache_hierarchy} is attached, every
+    update the VO PAP accepts syndicates its change-impact region down
+    the L2 tree. *)
 
 val name : t -> string
 val services : t -> Dacs_ws.Service.t
@@ -22,13 +25,14 @@ val vo_pap : t -> Pap.t
 val capability_service : t -> Capability_service.t
 
 val publish_policy : t -> Dacs_policy.Policy.child -> unit
-(** Publish at the VO PAP; syndication pushes it to every member, where it
-    is combined with the member's local policy.  Also installs it as the
-    capability service's decision basis, and — when {!cache_hierarchy}
-    is attached — syndicates the publish's change-impact region down the
-    L2 tree so only affected cached decisions are purged (an unbounded
-    region degrades to the old VO-wide flush; the anti-entropy epoch
-    poll backstops lost region pushes). *)
+(** Install the policy as the capability service's decision basis and
+    publish it at the VO PAP; syndication pushes it to every member,
+    where it is combined with the member's local policy and the
+    member's caches purge by region (see {!Domain.create}).  With
+    {!cache_hierarchy} attached, the VO-root purge registered by {!form}
+    also sends the region down the L2 tree (an unbounded region is the
+    VO-wide flush; the anti-entropy epoch poll backstops lost region
+    pushes). *)
 
 val issuer_key : t -> string -> Dacs_crypto.Rsa.public_key option
 (** Trust lookup across the VO: IdP issuers of every member plus the VO

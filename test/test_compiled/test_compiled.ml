@@ -1,5 +1,5 @@
 (* The compiler's own test suite: recompilation wiring through PAP
-   publish and PDP fetch, epoch semantics, obligation order through
+   publish and PDP fetch, the PAP's change signal, obligation order through
    mixed dispatch buckets, Indeterminate-coarsening parity on the
    pruning guards, and QCheck properties over the compiler itself —
    idempotence, no-op epoch preservation, leaf reuse, and soundness of
@@ -18,6 +18,7 @@ module Decision = Dacs_policy.Decision
 module Obligation = Dacs_policy.Obligation
 module Value = Dacs_policy.Value
 module Compiled = Dacs_policy.Compiled
+module Delta = Dacs_policy.Delta
 module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
 open Dacs_core
@@ -75,10 +76,13 @@ let test_recompile_on_publish () =
   let epoch_before = Pdp_service.compilation_epoch pdp in
   Alcotest.(check bool) "compiled is the serving evaluator" true
     (Pdp_service.compiled_enabled pdp);
+  let announced = ref [] in
+  Pap.on_update pap (fun region -> announced := region :: !announced);
   Pap.publish pap (deny_policy "a");
   check_result "after publish" Decision.deny (decide ());
   Alcotest.(check bool) "pdp epoch bumped" true (Pdp_service.compilation_epoch pdp > epoch_before);
-  Alcotest.(check int) "pap epoch" 2 (Pap.compilation_epoch pap)
+  Alcotest.(check bool) "pap announced a change" true
+    (match !announced with [ r ] -> not (Delta.is_empty r) | _ -> false)
 
 (* Compiled evaluation is the default, not an option: a shard built with
    no optional arguments answers a live query through a sharded PEP with
@@ -116,26 +120,32 @@ let test_default_shard_serves_compiled () =
   Alcotest.(check int) "identical install keeps the epoch" changed.Provenance.epoch
     same.Provenance.epoch
 
-(* Epochs count *semantic* changes: a no-op publish bumps the version
-   (it is still an administrative action) but leaves the compiled epoch
-   alone, so downstream consumers can use the epoch as a cheap "did the
-   tree really change" signal. *)
-let test_epoch_monotonic () =
+(* A PAP's announced region tells semantic changes from no-ops: a no-op
+   publish bumps the version (it is still an administrative action) but
+   announces the empty region, so downstream consumers can use
+   [not (Delta.is_empty region)] as a cheap "did the tree really change"
+   signal. *)
+let test_region_marks_semantic_changes () =
   let net = Net.create ~seed:5L () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   Net.add_node net "pap";
   let pap = Pap.create services ~node:"pap" ~name:"pap" ~root:(permit_policy "a") () in
-  Alcotest.(check int) "initial epoch" 1 (Pap.compilation_epoch pap);
+  let changed = ref [] in
+  Pap.on_update pap (fun region -> changed := not (Delta.is_empty region) :: !changed);
+  let publish policy =
+    Pap.publish pap policy;
+    match !changed with
+    | [ c ] ->
+      changed := [];
+      c
+    | cs -> Alcotest.failf "expected one announced region, got %d" (List.length cs)
+  in
   let v0 = Pap.version pap in
-  Pap.publish pap (permit_policy "a");
-  Alcotest.(check int) "no-op publish preserves epoch" 1 (Pap.compilation_epoch pap);
+  Alcotest.(check bool) "no-op publish is empty" false (publish (permit_policy "a"));
   Alcotest.(check bool) "no-op publish still bumps version" true (Pap.version pap > v0);
-  Pap.publish pap (deny_policy "a");
-  Alcotest.(check int) "change bumps epoch" 2 (Pap.compilation_epoch pap);
-  Pap.publish pap (deny_policy "a");
-  Alcotest.(check int) "repeat publish preserves epoch" 2 (Pap.compilation_epoch pap);
-  Pap.publish pap (permit_policy "a");
-  Alcotest.(check int) "revert bumps epoch again" 3 (Pap.compilation_epoch pap)
+  Alcotest.(check bool) "change is announced" true (publish (deny_policy "a"));
+  Alcotest.(check bool) "repeat publish is empty" false (publish (deny_policy "a"));
+  Alcotest.(check bool) "revert is announced again" true (publish (permit_policy "a"))
 
 (* --- obligation order through mixed dispatch buckets -------------------- *)
 
@@ -623,7 +633,7 @@ let () =
       ( "recompilation",
         [
           Alcotest.test_case "PDP picks up a publish and recompiles" `Quick test_recompile_on_publish;
-          Alcotest.test_case "epoch counts semantic changes only" `Quick test_epoch_monotonic;
+          Alcotest.test_case "a region marks semantic changes only" `Quick test_region_marks_semantic_changes;
           Alcotest.test_case "a variable change recompiles every rule" `Quick
             test_variables_change_recompiles_rules;
           Alcotest.test_case "default shard serves compiled" `Quick

@@ -373,34 +373,46 @@ let test_pap_syndication_cascade () =
   check bool_ "region b updated" true (Pap.current region_b <> None);
   check bool_ "leaf updated through the hierarchy" true (Pap.current leaf <> None)
 
-let test_pap_last_region_every_update () =
-  (* Consumers (Vo, Domain) read the change-impact region of the latest
-     accepted update from [Pap.last_region]; a syndicated update computes
-     the same region at the PAP it is pushed to. *)
+let test_pap_announces_every_update () =
+  (* Every accepted update hands its change-impact region to the
+     [on_update] hooks; a syndicated update computes the same region at
+     the PAP it is pushed to. *)
   let net, services = fresh () in
   let global = Pap.create services ~node:(add_node net "g") ~name:"g" () in
   let child =
     Pap.create services ~node:(add_node net "c") ~name:"c" ~admin_policy:(admin_policy_for [ "g" ]) ()
   in
   Pap.subscribe_local global ~child:"c";
-  let region pap = Dacs_policy.Delta.to_string (Pap.last_region pap) in
-  check bool_ "empty before any update" true (Dacs_policy.Delta.is_empty (Pap.last_region child));
+  let captured pap =
+    let regions = ref [] in
+    Pap.on_update pap (fun r -> regions := r :: !regions);
+    fun () ->
+      match !regions with
+      | [ r ] ->
+        regions := [];
+        r
+      | rs -> Alcotest.failf "expected one announced region, got %d" (List.length rs)
+  in
+  let at_global = captured global and at_child = captured child in
+  let region take = Dacs_policy.Delta.to_string (take ()) in
   Pap.publish global (doctor_policy "r");
   Net.run net;
-  check bool_ "a first publish is unbounded" true (Dacs_policy.Delta.is_unbounded (Pap.last_region global));
-  check string_ "the pushed update carries the same region" (region global) (region child);
+  let first = at_global () in
+  check bool_ "a first publish is unbounded" true (Dacs_policy.Delta.is_unbounded first);
+  check string_ "the pushed update carries the same region" (Dacs_policy.Delta.to_string first)
+    (region at_child);
   Pap.publish global (doctor_policy "r2");
   Net.run net;
+  let edit = at_global () in
   check bool_ "an edit yields zones" true
-    (Dacs_policy.Delta.zone_count (Pap.last_region global) > 0
-    && not (Dacs_policy.Delta.is_unbounded (Pap.last_region global)));
-  check string_ "same zones below" (region global) (region child);
+    (Dacs_policy.Delta.zone_count edit > 0 && not (Dacs_policy.Delta.is_unbounded edit));
+  check string_ "same zones below" (Dacs_policy.Delta.to_string edit) (region at_child);
   Pap.publish global (doctor_policy "r2");
   Net.run net;
-  check bool_ "a no-op republish is empty" true (Dacs_policy.Delta.is_empty (Pap.last_region global));
-  check bool_ "below too" true (Dacs_policy.Delta.is_empty (Pap.last_region child))
+  check bool_ "a no-op republish is empty" true (Dacs_policy.Delta.is_empty (at_global ()));
+  check bool_ "below too" true (Dacs_policy.Delta.is_empty (at_child ()))
 
-let test_pap_update_filter_blocks () =
+let test_pap_update_transform_declines () =
   let net, services = fresh () in
   let parent = Pap.create services ~node:(add_node net "parent") ~name:"parent" () in
   let child =
@@ -410,10 +422,12 @@ let test_pap_update_filter_blocks () =
   in
   Pap.subscribe_local parent ~child:"child";
   (* The child only accepts policies whose id starts with "approved". *)
-  Pap.set_update_filter child (fun c -> String.length (Policy.child_id c) >= 8 && String.sub (Policy.child_id c) 0 8 = "approved");
+  Pap.set_update_transform child (fun c ->
+      if String.starts_with ~prefix:"approved" (Policy.child_id c) then Some c else None);
   Pap.publish parent (doctor_policy ~id:"rogue-policy" "r");
   Net.run net;
   check bool_ "filtered out" true (Pap.current child = None);
+  check int_ "the push is refused" 1 (Pap.updates_rejected child);
   Pap.publish parent (doctor_policy ~id:"approved-1" "r");
   Net.run net;
   check bool_ "accepted" true (Pap.current child <> None)
@@ -1550,8 +1564,8 @@ let () =
           Alcotest.test_case "query versions" `Quick test_pap_query_versions;
           Alcotest.test_case "remote update access control" `Quick test_pap_remote_update_access_control;
           Alcotest.test_case "syndication cascade" `Quick test_pap_syndication_cascade;
-          Alcotest.test_case "last region follows every update" `Quick test_pap_last_region_every_update;
-          Alcotest.test_case "update filter" `Quick test_pap_update_filter_blocks;
+          Alcotest.test_case "every update is announced" `Quick test_pap_announces_every_update;
+          Alcotest.test_case "update transform declines" `Quick test_pap_update_transform_declines;
           Alcotest.test_case "lookup" `Quick test_pap_lookup;
         ] );
       ("pip", [ Alcotest.test_case "lookups" `Quick test_pip_lookup_service ]);

@@ -98,8 +98,9 @@ let test_domain_policy_change_invalidates () =
   (match !got with
   | Some (Ok (Wire.Granted _)) -> ()
   | _ -> Alcotest.fail "expected initial grant");
-  (* Replace the policy with deny-all; set_local_policy republished and
-     invalidated the PEP cache, so the change takes effect at once. *)
+  (* Replace the policy with deny-all; set_local_policy published it and
+     the domain PAP's accept purged the PEP cache, so the change takes
+     effect at once. *)
   Domain.set_local_policy domain (Policy.Inline_policy (Policy.make ~id:"lockdown" [ Rule.deny "deny" ]));
   request (fun r -> got := Some r);
   match !got with
@@ -261,6 +262,52 @@ let test_vo_domain_autonomy () =
   | Some (Ok (Wire.Granted _)) -> ()
   | _ -> Alcotest.fail "expected grant for carol"
 
+(* Revocation across a VO (§3.2, Fig. 5): a VO-wide deny-all purges a
+   member domain's PEP caches as soon as the member PAP accepts it, as a
+   local publish would, however long their TTL. *)
+let vo_lockdown = Policy.Inline_policy (Policy.make ~id:"vo-lockdown" [ Rule.deny "deny-all" ])
+
+let cached_member_pep () =
+  let net, _services, vo, d_a, _, _ = make_vo () in
+  Domain.set_local_policy d_a (doctor_read_policy "shared-ws");
+  let cache = Decision_cache.create ~ttl:300.0 () in
+  let pep = Domain.expose_resource d_a ~resource:"shared-ws" ~cache () in
+  let alice = Vo.client_for vo ~domain:d_a ~user:"alice" (doctor_subject "alice") in
+  let granted ~until =
+    let got = ref None in
+    Client.request alice ~pep:(Pep.node pep) ~action:"read" ~timeout:5.0 (fun r -> got := Some r);
+    Net.run ~until net;
+    match !got with
+    | Some (Ok (Wire.Granted _)) -> true
+    | Some (Ok (Wire.Denied _)) -> false
+    | _ -> Alcotest.fail "expected an answer"
+  in
+  (net, vo, d_a, granted)
+
+let test_vo_revocation_purges_member_caches () =
+  let net, vo, d_a, granted = cached_member_pep () in
+  check bool_ "initial grant" true (granted ~until:1.0);
+  Vo.publish_policy vo vo_lockdown;
+  Net.run ~until:2.0 net;
+  check int_ "the member PAP accepted it" 2 (Pap.version (Domain.pap d_a));
+  check bool_ "denied at once, inside the TTL" false (granted ~until:3.0)
+
+let test_vo_anti_entropy_pull_purges_member_caches () =
+  let net, vo, d_a, granted = cached_member_pep () in
+  let member = Domain.pap d_a and vo_pap = Vo.vo_pap vo in
+  Pap.enable_anti_entropy member ~parent:(Pap.node vo_pap) ~period:5.0;
+  check bool_ "initial grant" true (granted ~until:1.0);
+  (* The push is lost to a partition; the member keeps its policy. *)
+  Net.partition net [ Pap.node vo_pap ] [ Pap.node member ];
+  Vo.publish_policy vo vo_lockdown;
+  check bool_ "still granted while the push is lost" true (granted ~until:3.0);
+  check int_ "not accepted yet" 1 (Pap.version member);
+  (* The next poll after the heal pulls the lockdown and purges. *)
+  Net.heal net;
+  Net.run ~until:12.0 net;
+  check int_ "pulled by anti-entropy" 2 (Pap.version member);
+  check bool_ "denied at once, inside the TTL" false (granted ~until:13.0)
+
 let test_vo_push_model_with_vo_cas () =
   (* Push model inside the VO: capability from the VO capability service,
      honoured by a push-mode PEP in a member domain. *)
@@ -403,7 +450,14 @@ let test_cache_staleness_window () =
   let domain = Domain.create services ~name:"d" () in
   Domain.set_local_policy domain (doctor_read_policy "ws");
   let cache = Decision_cache.create ~ttl:50.0 () in
-  let pep = Domain.expose_resource domain ~resource:"ws" ~cache () in
+  (* The PEP is built outside the domain, so the domain's purge on a
+     publish does not reach its cache. *)
+  let pep_node = "d.pep.ws" in
+  Net.add_node net pep_node;
+  let pep =
+    Pep.create services ~node:pep_node ~domain:"d" ~resource:"ws" ~audit:(Domain.audit domain)
+      (Pep.Pull { pdps = [ Domain.pdp_node domain ]; cache = Some cache; call_timeout = 1.0 })
+  in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
   let outcome = ref None in
@@ -551,6 +605,10 @@ let () =
           Alcotest.test_case "domain autonomy" `Quick test_vo_domain_autonomy;
           Alcotest.test_case "push model via VO CAS" `Quick test_vo_push_model_with_vo_cas;
           Alcotest.test_case "merged audit" `Quick test_vo_merged_audit;
+          Alcotest.test_case "a VO revocation purges member caches" `Quick
+            test_vo_revocation_purges_member_caches;
+          Alcotest.test_case "an anti-entropy pull purges member caches" `Quick
+            test_vo_anti_entropy_pull_purges_member_caches;
         ] );
       ( "rbac-domain",
         [ Alcotest.test_case "RBAC-backed domain" `Quick test_domain_set_rbac ] );

@@ -195,7 +195,7 @@ let tier_evaluate root ctx =
   Net.add_node net "dispatch";
   let tier = Pdp_tier.create services ~node:"dispatch" ~shards () in
   let answer = ref None in
-  Pdp_tier.decide tier ctx (fun r -> answer := Some r);
+  Pdp_tier.decide_meta tier ctx (fun r _ -> answer := Some r);
   Net.run net;
   !answer
 

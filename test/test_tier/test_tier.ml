@@ -246,7 +246,7 @@ let test_batching () =
   (* Ten same-key queries issued in one instant: same point, so one
      shard sees all ten as 4 + 4 + 2 frames. *)
   for _ = 1 to 10 do
-    Pdp_tier.decide fx.tier ctx (fun r -> answers := r :: !answers)
+    Pdp_tier.decide_meta fx.tier ctx (fun r _ -> answers := r :: !answers)
   done;
   Net.run fx.net;
   check int_ "all continuations fired" 10 (List.length !answers);
@@ -410,7 +410,7 @@ let test_empty_tier_fails_closed () =
   let fx = setup ~shards:1 () in
   Pdp_tier.set_shards fx.tier [];
   let answer = ref None in
-  Pdp_tier.decide fx.tier (ctx_for "alice" "read") (fun r -> answer := Some r);
+  Pdp_tier.decide_meta fx.tier (ctx_for "alice" "read") (fun r _ -> answer := Some r);
   Net.run fx.net;
   match !answer with
   | Some (Error _) -> ()
