@@ -26,8 +26,10 @@ type t = {
   mutable pair_infos : (int * string) array;
   mutable value_of : Value.t array;
   mutable atom_packs : int array;
-  (* reusable scratch for key building: atom syms of the request in hand *)
+  (* reusable scratch for key building: atom syms of the request in hand,
+     [keyed] of them *)
   mutable scratch : int array;
+  mutable keyed : int;
   buf : Buffer.t;
 }
 
@@ -47,6 +49,7 @@ let create ?(expected = 1024) () =
     value_of = Array.make 16 (Value.String "");
     atom_packs = Array.make 16 0;
     scratch = Array.make 16 0;
+    keyed = 0;
     buf = Buffer.create 64;
   }
 
@@ -135,28 +138,37 @@ let rec add_decimal buf x =
   if x >= 10 then add_decimal buf (x / 10);
   Buffer.add_char buf (Char.chr (Char.code '0' + (x mod 10)))
 
+(* Appends the atom syms of one bag to the scratch of the key being
+   built. *)
+let rec add_atoms t p = function
+  | [] -> ()
+  | v :: rest ->
+    let n = t.keyed in
+    if n >= Array.length t.scratch then begin
+      let bigger = Array.make (2 * Array.length t.scratch) 0 in
+      Array.blit t.scratch 0 bigger 0 n;
+      t.scratch <- bigger
+    end;
+    t.scratch.(n) <- atom t ~pair:p ~value:(value t v);
+    t.keyed <- n + 1;
+    add_atoms t p rest
+
+let add_bag category id bag t =
+  (match category with
+  | Context.Environment -> ()
+  | Context.Subject | Context.Resource | Context.Action -> add_atoms t (pair t category id) bag);
+  t
+
+(* The fold carries the table itself, so it captures nothing: a key
+   allocates only its string. *)
 let request_key ?(table = global) ctx =
-  let t = table in
-  let n = ref 0 in
-  Context.iter ctx (fun category id bag ->
-      match category with
-      | Context.Environment -> ()
-      | Context.Subject | Context.Resource | Context.Action ->
-        let p = pair t category id in
-        List.iter
-          (fun v ->
-            if !n >= Array.length t.scratch then begin
-              let bigger = Array.make (2 * Array.length t.scratch) 0 in
-              Array.blit t.scratch 0 bigger 0 !n;
-              t.scratch <- bigger
-            end;
-            t.scratch.(!n) <- atom t ~pair:p ~value:(value t v);
-            incr n)
-          bag);
+  table.keyed <- 0;
+  let t = Context.fold add_bag ctx table in
+  let n = t.keyed in
   (* Insertion sort: the canonical form must not depend on bag order, and
      requests carry a handful of atoms, where this beats Array.sort. *)
   let a = t.scratch in
-  for i = 1 to !n - 1 do
+  for i = 1 to n - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
     while !j >= 0 && a.(!j) > x do
@@ -166,7 +178,7 @@ let request_key ?(table = global) ctx =
     a.(!j + 1) <- x
   done;
   Buffer.clear t.buf;
-  for i = 0 to !n - 1 do
+  for i = 0 to n - 1 do
     if i > 0 then Buffer.add_char t.buf '.';
     add_decimal t.buf a.(i)
   done;

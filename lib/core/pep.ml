@@ -564,7 +564,6 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
           { p with Provenance.coalesced = true; at = now t });
     Trace.record (tracer t) "pep:coalesced"
   | None -> (
-    let flight = Cache_hierarchy.Single_flight.lead t.sf ~key in
     let retries0 = retries_seen t and breaker0 = breaker_seen t in
     let found =
       match cache with
@@ -573,11 +572,14 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
     in
     match found with
     | Decision_cache.Fresh result ->
+      (* A fresh hit answers at once: no flight is led, so none is
+         registered or removed, and no waiter can have joined one. *)
       Metrics.inc t.counters.c_cache_hits;
       Trace.record (tracer t) "pep:cache-hit";
-      settle t flight ~admitted ~started ~tag k result
+      answer t ~admitted ~started ~tag k result
         (minted t ~retries0 ~breaker0 ~batch:0 ~failovers:0 ~stale_age:0.0 ~epoch:0 Provenance.L1)
     | Decision_cache.Stale _ | Decision_cache.Absent -> (
+      let flight = Cache_hierarchy.Single_flight.lead t.sf ~key in
       let d =
         {
           pep = t;

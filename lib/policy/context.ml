@@ -111,11 +111,13 @@ let of_rev_entries = function
 let attributes t category =
   Array.fold_right (fun e acc -> if e.category = category then (e.id, e.bag) :: acc else acc) t []
 
-let iter t f =
+let fold f t acc =
+  let acc = ref acc in
   for i = 0 to Array.length t - 1 do
     let e = t.(i) in
-    f e.category e.id e.bag
-  done
+    acc := f e.category e.id e.bag !acc
+  done;
+  !acc
 
 let rec push category entries = function
   | [] -> entries

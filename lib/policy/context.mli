@@ -30,10 +30,11 @@ val bag : t -> category -> string -> Value.bag
 val attributes : t -> category -> (string * Value.bag) list
 (** All attributes of a category, sorted by id. *)
 
-val iter : t -> (category -> string -> Value.bag -> unit) -> unit
-(** Visit every attribute bag in canonical (category, id) order without
-    building the intermediate lists of {!attributes} — the traversal the
-    hot request-key builder uses. *)
+val fold : (category -> string -> Value.bag -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every attribute bag in canonical (category, id) order
+    without building the intermediate lists of {!attributes} — the
+    traversal the hot request-key builder uses: given a function that
+    captures nothing, the fold allocates nothing. *)
 
 (** {1 Convenience constructors} *)
 

@@ -71,20 +71,27 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
-let schedule_at t ~at action =
-  if at < t.clock then invalid_arg "Engine.schedule_at: time is in the past";
-  if t.size = Array.length t.times then grow t;
+(* Files [action] under the time already written in slot [t.size], so
+   neither entry point passes the time on as a boxed float. *)
+let push t action =
   let i = t.size in
-  t.times.(i) <- at;
   t.seqs.(i) <- t.next_seq;
   t.actions.(i) <- action;
   t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
 
+let schedule_at t ~at action =
+  if at < t.clock then invalid_arg "Engine.schedule_at: time is in the past";
+  if t.size = Array.length t.times then grow t;
+  t.times.(t.size) <- at;
+  push t action
+
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~at:(t.clock +. delay) action
+  if t.size = Array.length t.times then grow t;
+  t.times.(t.size) <- t.clock +. delay;
+  push t action
 
 (* Removes the earliest event, advances the clock to it and runs it. *)
 let run_first t =

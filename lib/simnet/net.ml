@@ -5,12 +5,6 @@ type message = {
   dst : node_id;
   category : string;
   payload : string;
-  sent_at : float;
-}
-
-type node_state = {
-  mutable handler : message -> unit;
-  mutable crashed : bool;
 }
 
 type stat = { count : int; bytes : int }
@@ -37,6 +31,14 @@ type t = {
   mutable trace_rev : trace_entry list;
 }
 
+(* A node knows its network, so a delivery needs only the node and the
+   message. *)
+and node_state = {
+  net : t;
+  mutable handler : message -> unit;
+  mutable crashed : bool;
+}
+
 let create ?seed () =
   {
     engine = Engine.create ?seed ();
@@ -58,7 +60,7 @@ let now t = Engine.now t.engine
 
 let add_node t id =
   if not (Hashtbl.mem t.nodes id) then
-    Hashtbl.add t.nodes id { handler = ignore; crashed = false }
+    Hashtbl.add t.nodes id { net = t; handler = ignore; crashed = false }
 
 let has_node t id = Hashtbl.mem t.nodes id
 
@@ -144,7 +146,8 @@ let bump table category size =
 
 (* Nodes are never removed, so the state found at send time is the one
    the delivery reads; the delivery carries only it and the message. *)
-let deliver t dst_node msg =
+let deliver dst_node msg =
+  let t = dst_node.net in
   if dst_node.crashed then t.dropped <- t.dropped + 1
   else begin
     bump t.delivered msg.category (String.length msg.payload);
@@ -155,6 +158,12 @@ let deliver t dst_node msg =
     dst_node.handler msg
   end
 
+(* The delay under the bandwidth model, kept out of line so that [send]
+   does no float arithmetic: without the model it passes the link's
+   latency on in the box it is stored in. *)
+let[@inline never] transfer_delay t src dst size rate = latency t src dst +. (float_of_int size /. rate)
+
+(* A message allocates itself and its delivery. *)
 let send t ~src ~dst ~category payload =
   let src_node = node_exn t src in
   let dst_node = node_exn t dst in
@@ -169,11 +178,12 @@ let send t ~src ~dst ~category payload =
     if lost then t.dropped <- t.dropped + 1
     else begin
       let delay =
-        latency t src dst
-        +. (match t.bytes_per_second with None -> 0.0 | Some rate -> float_of_int size /. rate)
+        match t.bytes_per_second with
+        | None -> latency t src dst
+        | Some rate -> transfer_delay t src dst size rate
       in
-      let msg = { src; dst; category; payload; sent_at = now t } in
-      Engine.schedule t.engine ~delay (fun () -> deliver t dst_node msg)
+      let msg = { src; dst; category; payload } in
+      Engine.schedule t.engine ~delay (fun () -> deliver dst_node msg)
     end
   end
 

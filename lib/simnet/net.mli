@@ -12,7 +12,6 @@ type message = {
   dst : node_id;
   category : string;  (** e.g. ["authz-query"], for traffic accounting *)
   payload : string;
-  sent_at : float;
 }
 
 type t

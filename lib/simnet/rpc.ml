@@ -68,9 +68,14 @@ type series = {
 
 type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
 
-(* A registered service: its handler, and the envelope every reply body
-   is written in (see [serve_frame]). *)
-type service = { handler : handler; reply_envelope : Buffer.t -> writer -> unit }
+(* A registered service: its handler, the envelope every reply body is
+   written in (see [serve_frame]), its name and its series. *)
+type service = {
+  handler : handler;
+  reply_envelope : Buffer.t -> writer -> unit;
+  name : string;
+  series : series;
+}
 
 (* The resilience series of one calling node, resolved the same way.
    They are labelled by the caller, so a component resetting "its"
@@ -82,29 +87,51 @@ type caller_series = {
   rejections : Metrics.counter Lazy.t;
 }
 
-(* One attempt of a call, from its request frame to its completion: the
-   pending-table entry that a reply, the timeout timer and [expire]
-   complete.  It carries everything the completion needs — the
-   caller's continuation included — so an attempt allocates no closure
-   around it.  A [guarded] attempt reports its outcome to the target's
-   breaker before the continuation runs.  [c_parts] is the number of
-   parts a batch reply must carry (0 for a plain frame). *)
-type call = {
-  c_src : Net.node_id;
-  c_dst : Net.node_id;
-  c_series : series;
-  c_started : float;
-  c_span : Trace.span option;
-  c_initiating : Trace.context option;
-  c_guarded : bool;
-  c_parts : int;
-  c_k : (slice, error) result -> unit;
+type kind = K_request | K_traced | K_batch | K_traced_batch | K_reply | K_error
+
+(* A frame's header as parsed: the bus parses every frame that arrives
+   into its own, [decode] into a fresh one. *)
+type header = {
+  mutable kind : kind;
+  mutable id : int;
+  mutable service : string;
+  mutable trace : string;
+  mutable body : int;  (* the offset of the body in the frame *)
+}
+
+let fresh_header () = { kind = K_error; id = 0; service = ""; trace = ""; body = 0 }
+
+(* The calls awaiting an answer: one attempt each, from its request frame
+   to its completion by a reply, its timeout timer or [expire].  Ids are
+   dense and sequential, so call [id] lives in slot
+   [id land (capacity - 1)] of parallel arrays, one per field of the
+   call, and issuing or completing a call allocates nothing here.
+   [p_ids] names the id a slot holds, -1 when it is free; the table
+   grows when a new id finds its slot taken, so its size follows the
+   span of ids pending at once.  A slot carries
+   everything the completion needs — the caller's continuation included
+   — so an attempt allocates no closure around it.  A [guarded] attempt
+   reports its outcome to the target's breaker before the continuation
+   runs.  [p_parts] is the number of parts a batch reply must carry (0
+   for a plain frame). *)
+type pending = {
+  mutable p_ids : int array;
+  mutable p_src : Net.node_id array;
+  mutable p_dst : Net.node_id array;
+  mutable p_series : series array;
+  mutable p_started : float array;
+  mutable p_span : Trace.span option array;
+  mutable p_initiating : Trace.context option array;
+  mutable p_guarded : bool array;
+  mutable p_parts : int array;
+  mutable p_k : ((slice, error) result -> unit) array;
+  mutable p_count : int;
 }
 
 type t = {
   net : Net.t;
-  services : (Net.node_id * string, service) Hashtbl.t;
-  pending : (int, call) Hashtbl.t;
+  services : (Net.node_id, (string, service) Hashtbl.t) Hashtbl.t;  (* per node, by name *)
+  mutable pending : pending;
   mutable next_id : int;
   mutable breaker_config : breaker_config option;
   breakers : (Net.node_id, breaker) Hashtbl.t;
@@ -115,6 +142,7 @@ type t = {
   inflight : Metrics.gauge Lazy.t;
   frame : Buffer.t;  (* scratch: the frame being written *)
   part : Buffer.t;  (* scratch: the batch part being written *)
+  arrived : header;  (* scratch: the header of the frame being handled *)
   mutable dispatch : Net.message -> unit;  (* every node's handler, built once *)
 }
 
@@ -216,20 +244,24 @@ let rec spells s i stop known j =
     let c = String.unsafe_get known j in
     c <> '%' && String.unsafe_get s (i + j) = c && spells s i stop known (j + 1)
 
-(* The unescaped header field [s.[i..stop)], or [None] when a '%' in it
-   starts neither escape.  A field without escapes that spells [known] is
-   [known] itself, compared in place rather than copied. *)
+exception Malformed_header
+
+let rec has_percent s j stop = j < stop && (String.unsafe_get s j = '%' || has_percent s (j + 1) stop)
+
+(* The unescaped header field [s.[i..stop)]; raises [Malformed_header]
+   when a '%' in it starts neither escape.  A field without escapes that
+   spells [known] is [known] itself, compared in place rather than
+   copied. *)
 let header_field ~known s i stop =
-  if spells s i stop known 0 then Some known
-  else if not (canonically_escaped s i stop) then None
-  else if i = stop then Some ""
-  else
-    match String.index_from_opt s i '%' with
-    | Some j when j < stop ->
-      let buf = Buffer.create (stop - i) in
-      unescape_into buf s i stop;
-      Some (Buffer.contents buf)
-    | Some _ | None -> Some (String.sub s i (stop - i))
+  if spells s i stop known 0 then known
+  else if not (canonically_escaped s i stop) then raise_notrace Malformed_header
+  else if i = stop then ""
+  else if has_percent s i stop then begin
+    let buf = Buffer.create (stop - i) in
+    unescape_into buf s i stop;
+    Buffer.contents buf
+  end
+  else String.sub s i (stop - i)
 
 let rec digits s j stop acc =
   if j = stop then acc
@@ -280,8 +312,6 @@ let encode_parts parts =
 
 let decode_parts s = Option.map (List.map slice_to_string) (parts_of { src = s; off = 0; len = String.length s })
 
-type kind = K_request | K_traced | K_batch | K_traced_batch | K_reply | K_error
-
 let kind_tag = function
   | K_request -> "Q"
   | K_traced -> "T"
@@ -305,12 +335,12 @@ let add_header buf kind id ~service ~trace =
     Buffer.add_char buf '|'
   | K_request | K_batch | K_reply | K_error -> ()
 
-type header = { kind : kind; id : int; service : string; trace : string; body : int }
-
 (* The next '|' from [i] on, or the end of [s]. *)
 let rec bar s i = if i >= String.length s || String.unsafe_get s i = '|' then i else bar s (i + 1)
 
-let header ~known payload =
+(* Fills [h] with the header of [payload]; [false] when it is not a
+   well-formed, canonical one (and [h] is then unspecified). *)
+let parse_header h ~known payload =
   let n = String.length payload in
   let first = bar payload 0 in
   let kind =
@@ -324,30 +354,37 @@ let header ~known payload =
     | _ -> None
   in
   match kind with
-  | None -> None
-  | Some _ when first >= n -> None
+  | None -> false
+  | Some _ when first >= n -> false
   | Some kind -> (
     let second = bar payload (first + 1) in
     let id = decimal payload (first + 1) second in
     let third = if second < n then bar payload (second + 1) else n in
-    if id < 0 || third >= n then None
-    else
-      match header_field ~known payload (second + 1) third with
-      | None -> None
-      | Some service -> (
-        match kind with
-        | K_reply | K_error ->
-          if service = "" then Some { kind; id; service; trace = ""; body = third + 1 } else None
-        | K_request | K_batch -> Some { kind; id; service; trace = ""; body = third + 1 }
-        | K_traced | K_traced_batch -> (
-          let fourth = bar payload (third + 1) in
-          if fourth >= n then None
-          else
-            match header_field ~known:"" payload (third + 1) fourth with
-            | None -> None
-            | Some trace -> Some { kind; id; service; trace; body = fourth + 1 })))
+    id >= 0 && third < n
+    &&
+    match header_field ~known payload (second + 1) third with
+    | exception Malformed_header -> false
+    | service -> (
+      h.kind <- kind;
+      h.id <- id;
+      h.service <- service;
+      h.trace <- "";
+      h.body <- third + 1;
+      match kind with
+      | K_reply | K_error -> service = ""
+      | K_request | K_batch -> true
+      | K_traced | K_traced_batch -> (
+        let fourth = bar payload (third + 1) in
+        fourth < n
+        &&
+        match header_field ~known:"" payload (third + 1) fourth with
+        | exception Malformed_header -> false
+        | trace ->
+          h.trace <- trace;
+          h.body <- fourth + 1;
+          true)))
 
-let body_slice payload h = { src = payload; off = h.body; len = String.length payload - h.body }
+let body_slice payload body = { src = payload; off = body; len = String.length payload - body }
 
 let frame kind id ?(service = "") ?(trace = "") body =
   let buf = Buffer.create (String.length body + 32) in
@@ -377,11 +414,11 @@ type frame =
   | Error_frame of int * string
 
 let decode payload =
-  match header ~known:"" payload with
-  | None -> None
-  | Some h -> (
-    let body () = slice_to_string (body_slice payload h) in
-    let parts () = Option.map (List.map slice_to_string) (parts_of (body_slice payload h)) in
+  let h = fresh_header () in
+  if not (parse_header h ~known:"" payload) then None
+  else begin
+    let body () = slice_to_string (body_slice payload h.body) in
+    let parts () = Option.map (List.map slice_to_string) (parts_of (body_slice payload h.body)) in
     match h.kind with
     | K_request -> Some (Request (h.id, h.service, body ()))
     | K_traced -> Some (Traced_request { id = h.id; service = h.service; trace = h.trace; body = body () })
@@ -391,7 +428,8 @@ let decode payload =
         (fun parts -> Traced_batch_request { id = h.id; service = h.service; trace = h.trace; parts })
         (parts ())
     | K_reply -> Some (Reply (h.id, body ()))
-    | K_error -> Some (Error_frame (h.id, body ())))
+    | K_error -> Some (Error_frame (h.id, body ()))
+  end
 
 (* The frame body [write] produces, bare: the envelope of callers and
    services that add none. *)
@@ -423,8 +461,8 @@ let send_error t (msg : Net.message) id text =
 
 (* A reply's category is its request's with "-reply"; a request sent as
    its service (as [issue] sends them) finds it resolved in the series. *)
-let reply_category (msg : Net.message) service series =
-  if String.equal msg.Net.category service then series.reply else msg.Net.category ^ "-reply"
+let reply_category (msg : Net.message) srv =
+  if String.equal msg.Net.category srv.name then srv.series.reply else msg.Net.category ^ "-reply"
 
 (* The server span of one dispatch, started only when tracing is on. *)
 let serve_span t (msg : Net.message) ~label service trace =
@@ -459,37 +497,36 @@ let reply_once t (msg : Net.message) id ~category ~span ~envelope write =
   send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category K_reply id ~service:"" ~trace:""
     ~envelope write
 
+(* The service [node] offers under [name]; raises [Not_found]. *)
+let find_service t node name = Hashtbl.find (Hashtbl.find t.services node) name
+
 let dispatch_request t (msg : Net.message) id service trace body =
-  match Hashtbl.find t.services (msg.Net.dst, service) with
+  match find_service t msg.Net.dst service with
   | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
-  | { handler; reply_envelope = envelope } ->
-    let series = series_for t service in
-    Metrics.inc (Lazy.force series.served);
-    let category = reply_category msg service series in
+  | srv ->
+    Metrics.inc (Lazy.force srv.series.served);
     let span = serve_span t msg ~label:"serve:" service trace in
-    run_handler t span handler ~caller:msg.Net.src body
-      (reply_once t msg id ~category ~span ~envelope)
+    run_handler t span srv.handler ~caller:msg.Net.src body (fun write ->
+        reply_once t msg id ~category:(reply_category msg srv) ~span ~envelope:srv.reply_envelope write)
 
 (* A batch dispatches each part to the ordinary per-request handler and
    replies once, when the last part's (possibly asynchronous) reply has
    arrived — one round-trip, one fault envelope for the whole batch. *)
 let dispatch_batch t (msg : Net.message) id service trace parts =
-  match Hashtbl.find t.services (msg.Net.dst, service) with
+  match find_service t msg.Net.dst service with
   | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
-  | { handler; reply_envelope = envelope } ->
+  | srv ->
     let n = List.length parts in
-    let series = series_for t service in
-    Metrics.inc ~by:n (Lazy.force series.served);
+    Metrics.inc ~by:n (Lazy.force srv.series.served);
     let span = serve_span t msg ~label:"serve-batch:" service trace in
     Option.iter (fun s -> Trace.annotate s "batch" (string_of_int n)) span;
     let replies = Array.make n "" in
     let outstanding = ref n in
     let reply_part i write =
-      replies.(i) <- written t ~envelope write;
+      replies.(i) <- written t ~envelope:srv.reply_envelope write;
       decr outstanding;
       if !outstanding = 0 then
-        reply_once t msg id ~category:(reply_category msg service series) ~span ~envelope:bare
-          (fun buf ->
+        reply_once t msg id ~category:(reply_category msg srv) ~span ~envelope:bare (fun buf ->
             Array.iter
               (fun r ->
                 add_part_length buf (String.length r);
@@ -497,7 +534,7 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
               replies)
     in
     List.iteri
-      (fun i part -> run_handler t span handler ~caller:msg.Net.src part (reply_part i))
+      (fun i part -> run_handler t span srv.handler ~caller:msg.Net.src part (reply_part i))
       parts
 
 let breaker_for t dst =
@@ -624,36 +661,117 @@ let account t ~src dst = function
 
 (* --- calls ----------------------------------------------------------------- *)
 
-let inflight_changed t = Metrics.set_gauge_count (Lazy.force t.inflight) (Hashtbl.length t.pending)
+(* What an empty slot of the pending table holds. *)
+let no_series =
+  let none () = invalid_arg "Rpc: no call in this slot" in
+  {
+    calls = lazy (none ());
+    errors = lazy (none ());
+    served = lazy (none ());
+    latency = lazy (none ());
+    batches = lazy (none ());
+    batch_parts = lazy (none ());
+    batch_size = lazy (none ());
+    reply = "";
+  }
+
+let no_k (_ : (slice, error) result) = ()
+
+let make_pending capacity =
+  {
+    p_ids = Array.make capacity (-1);
+    p_src = Array.make capacity "";
+    p_dst = Array.make capacity "";
+    p_series = Array.make capacity no_series;
+    p_started = Array.make capacity 0.0;
+    p_span = Array.make capacity None;
+    p_initiating = Array.make capacity None;
+    p_guarded = Array.make capacity false;
+    p_parts = Array.make capacity 0;
+    p_k = Array.make capacity no_k;
+    p_count = 0;
+  }
+
+let slot_of p id = id land (Array.length p.p_ids - 1)
+
+let store p slot ~id ~src ~dst ~series ~started ~span ~initiating ~guarded ~parts ~k =
+  p.p_ids.(slot) <- id;
+  p.p_src.(slot) <- src;
+  p.p_dst.(slot) <- dst;
+  p.p_series.(slot) <- series;
+  p.p_started.(slot) <- started;
+  p.p_span.(slot) <- span;
+  p.p_initiating.(slot) <- initiating;
+  p.p_guarded.(slot) <- guarded;
+  p.p_parts.(slot) <- parts;
+  p.p_k.(slot) <- k
+
+(* Empties a slot, dropping what would keep a finished call's garbage
+   alive (node ids and series live as long as the bus). *)
+let release p slot =
+  p.p_ids.(slot) <- -1;
+  p.p_span.(slot) <- None;
+  p.p_initiating.(slot) <- None;
+  p.p_k.(slot) <- no_k;
+  p.p_count <- p.p_count - 1
+
+(* A table whose capacity exceeds the span of pending ids up to [id], so
+   every pending call keeps a slot of its own, with each call moved to
+   its new slot. *)
+let regrown p id =
+  let lowest = ref id in
+  Array.iter (fun i -> if i >= 0 && i < !lowest then lowest := i) p.p_ids;
+  let capacity = ref (2 * Array.length p.p_ids) in
+  while !capacity <= id - !lowest do
+    capacity := 2 * !capacity
+  done;
+  let q = make_pending !capacity in
+  Array.iteri
+    (fun slot i ->
+      if i >= 0 then
+        store q (slot_of q i) ~id:i ~src:p.p_src.(slot) ~dst:p.p_dst.(slot) ~series:p.p_series.(slot)
+          ~started:p.p_started.(slot) ~span:p.p_span.(slot) ~initiating:p.p_initiating.(slot)
+          ~guarded:p.p_guarded.(slot) ~parts:p.p_parts.(slot) ~k:p.p_k.(slot))
+    p.p_ids;
+  q.p_count <- p.p_count;
+  q
+
+let inflight_changed t = Metrics.set_gauge_count (Lazy.force t.inflight) t.pending.p_count
 
 (* A batch reply must carry exactly one part per query: a peer that
    answers with the wrong arity is indistinguishable from a lost reply to
    the caller, so the whole envelope fails — and its breaker counts the
    failure. *)
-let checked_arity c = function
-  | Ok reply when c.c_parts > 0 && part_count reply <> c.c_parts -> Error Timeout
+let checked_arity parts = function
+  | Ok reply when parts > 0 && part_count reply <> parts -> Error Timeout
   | result -> result
 
-(* The attempt is over: record it, then run the caller's continuation
-   with the ambient trace context restored to the caller's, so nested
-   calls made from continuations still stitch into the same tree.  The
-   breaker of a guarded attempt hears the outcome the caller gets. *)
-let finish t c result =
-  Metrics.observe (Lazy.force c.c_series.latency) (Net.now t.net -. c.c_started);
+(* The attempt in [slot] is over: take it out of the table, record it,
+   then run the caller's continuation with the ambient trace context
+   restored to the caller's, so nested calls made from continuations
+   still stitch into the same tree.  The breaker of a guarded attempt
+   hears the outcome the caller gets. *)
+let finish t slot result =
+  let p = t.pending in
+  let src = p.p_src.(slot) and dst = p.p_dst.(slot) and series = p.p_series.(slot) in
+  let span = p.p_span.(slot) and initiating = p.p_initiating.(slot) in
+  let guarded = p.p_guarded.(slot) and parts = p.p_parts.(slot) and k = p.p_k.(slot) in
+  Metrics.observe (Lazy.force series.latency) (Net.now t.net -. p.p_started.(slot));
+  release p slot;
   (match result with
   | Ok _ -> ()
   | Error e -> (
-    Metrics.inc (Lazy.force c.c_series.errors);
-    match c.c_span with
+    Metrics.inc (Lazy.force series.errors);
+    match span with
     | Some s -> Trace.set_status s (Trace.Span_error (error_to_string e))
     | None -> ()));
-  (match c.c_span with Some s -> Trace.finish t.tracer s | None -> ());
+  (match span with Some s -> Trace.finish t.tracer s | None -> ());
   inflight_changed t;
   let saved = Trace.current t.tracer in
-  Trace.set_current t.tracer c.c_initiating;
-  let result = checked_arity c result in
-  if c.c_guarded then account t ~src:c.c_src c.c_dst result;
-  c.c_k result;
+  Trace.set_current t.tracer initiating;
+  let result = checked_arity parts result in
+  if guarded then account t ~src dst result;
+  k result;
   Trace.set_current t.tracer saved
 
 (* A call completes only with an answer from the node it was sent to,
@@ -663,55 +781,54 @@ let finish t c result =
    relay — send the callee a request under another node's pending id —
    and the callee's answer to it would complete that other call. *)
 let complete t (msg : Net.message) id result =
-  match Hashtbl.find t.pending id with
-  | c when String.equal c.c_dst msg.Net.src && String.equal c.c_src msg.Net.dst ->
-    Hashtbl.remove t.pending id;
-    finish t c result
-  | _ -> ()
-  | exception Not_found -> ()
+  let p = t.pending in
+  let slot = slot_of p id in
+  if p.p_ids.(slot) = id && String.equal p.p_dst.(slot) msg.Net.src && String.equal p.p_src.(slot) msg.Net.dst
+  then finish t slot result
 
 (* The bus's own verdict on a call still pending: a timeout. *)
 let time_out t id =
-  match Hashtbl.find t.pending id with
-  | c ->
-    Hashtbl.remove t.pending id;
-    finish t c (Error Timeout)
-  | exception Not_found -> ()
+  let p = t.pending in
+  let slot = slot_of p id in
+  if p.p_ids.(slot) = id then finish t slot (Error Timeout)
 
 (* The trace context a request frame carries, if it is of a traced kind. *)
-let trace_context h =
-  match h.kind with
-  | K_traced | K_traced_batch -> Trace.context_of_string h.trace
+let trace_context kind trace =
+  match kind with
+  | K_traced | K_traced_batch -> Trace.context_of_string trace
   | K_request | K_batch | K_reply | K_error -> None
 
+(* The header is read out of the bus's scratch before anything runs
+   that could handle another frame. *)
 let handle_message t (msg : Net.message) =
   let payload = msg.Net.payload in
+  let h = t.arrived in
   (* A request's category is its service, so the service field is
      matched against it in place. *)
-  match header ~known:msg.Net.category payload with
-  | None -> ()
-  | Some h -> (
-    match h.kind with
+  if parse_header h ~known:msg.Net.category payload then begin
+    let kind = h.kind and id = h.id and service = h.service and trace = h.trace and body = h.body in
+    match kind with
     | K_request | K_traced ->
-      dispatch_request t msg h.id h.service (trace_context h) (body_slice payload h)
+      dispatch_request t msg id service (trace_context kind trace) (body_slice payload body)
     | K_batch | K_traced_batch -> (
-      match parts_of (body_slice payload h) with
+      match parts_of (body_slice payload body) with
       | None -> ()
-      | Some parts -> dispatch_batch t msg h.id h.service (trace_context h) parts)
+      | Some parts -> dispatch_batch t msg id service (trace_context kind trace) parts)
     | K_reply ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
-      complete t msg h.id (Ok (body_slice payload h))
+      complete t msg id (Ok (body_slice payload body))
     | K_error ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
       let err =
         let prefix = "no-such-service:" in
         let np = String.length prefix in
-        let n = String.length payload - h.body in
-        if n >= np && String.sub payload h.body np = prefix then
-          No_such_service (String.sub payload (h.body + np) (n - np))
+        let n = String.length payload - body in
+        if n >= np && String.sub payload body np = prefix then
+          No_such_service (String.sub payload (body + np) (n - np))
         else Timeout
       in
-      complete t msg h.id (Error err))
+      complete t msg id (Error err)
+  end
 
 let create net =
   let now () = Net.now net in
@@ -721,7 +838,7 @@ let create net =
     {
       net;
       services = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
+      pending = make_pending 64;
       next_id = 0;
       breaker_config = Some default_breaker;
       breakers = Hashtbl.create 16;
@@ -733,6 +850,7 @@ let create net =
         lazy (Metrics.gauge metrics ~help:"RPC calls awaiting a reply." "rpc_calls_in_flight");
       frame = Buffer.create 1024;
       part = Buffer.create 1024;
+      arrived = fresh_header ();
       dispatch = ignore;
     }
   in
@@ -744,13 +862,28 @@ let metrics t = t.metrics
 let tracer t = t.tracer
 let set_tracing t on = Trace.set_enabled t.tracer on
 
+(* Every node the bus sends from or serves on answers through
+   [dispatch]: one lookup of a node that exists, a second only to add
+   one. *)
 let ensure_dispatch t node =
-  Net.add_node t.net node;
-  Net.set_handler t.net node t.dispatch
+  match Net.set_handler t.net node t.dispatch with
+  | () -> ()
+  | exception Invalid_argument _ ->
+    Net.add_node t.net node;
+    Net.set_handler t.net node t.dispatch
 
 let serve_frame t ~node ~service ?(envelope = bare) handler =
   ensure_dispatch t node;
-  Hashtbl.replace t.services (node, service) { handler; reply_envelope = envelope }
+  let offered =
+    match Hashtbl.find t.services node with
+    | offered -> offered
+    | exception Not_found ->
+      let offered = Hashtbl.create 8 in
+      Hashtbl.add t.services node offered;
+      offered
+  in
+  Hashtbl.replace offered service
+    { handler; reply_envelope = envelope; name = service; series = series_for t service }
 
 (* Shared correlation machinery of single and batched calls: id
    allocation, one client span per attempt, the pending-table entry and
@@ -774,18 +907,11 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced 
     end
     else None
   in
-  Hashtbl.replace t.pending id
-    {
-      c_src = src;
-      c_dst = dst;
-      c_series = series;
-      c_started = Net.now t.net;
-      c_span = span;
-      c_initiating = Trace.current t.tracer;
-      c_guarded = guarded;
-      c_parts = batch;
-      c_k = k;
-    };
+  if t.pending.p_ids.(slot_of t.pending id) >= 0 then t.pending <- regrown t.pending id;
+  let p = t.pending in
+  store p (slot_of p id) ~id ~src ~dst ~series ~started:(Net.now t.net) ~span
+    ~initiating:(Trace.current t.tracer) ~guarded ~parts:batch ~k;
+  p.p_count <- p.p_count + 1;
   inflight_changed t;
   (match span with
   | Some s ->
@@ -829,16 +955,16 @@ let call_batch_frame t ~src ~dst ~service ?(breaker = false) writes k =
       (batch_reply k)
   end
 
-let calls_in_flight t = Hashtbl.length t.pending
+let calls_in_flight t = t.pending.p_count
 
-(* Ids are collected first and failed in ascending order: [Hashtbl]
-   iteration order is not a contract, and a continuation may issue new
-   calls — those are not this expiry's to fail. *)
+(* Ids are collected first and failed in ascending order: slot order is
+   not id order, and a continuation may issue new calls — those are not
+   this expiry's to fail. *)
 let expire t dst =
-  let ids =
-    Hashtbl.fold (fun id c acc -> if String.equal c.c_dst dst then id :: acc else acc) t.pending []
-  in
-  List.iter (fun id -> time_out t id) (List.sort Int.compare ids)
+  let p = t.pending in
+  let ids = ref [] in
+  Array.iteri (fun slot id -> if id >= 0 && String.equal p.p_dst.(slot) dst then ids := id :: !ids) p.p_ids;
+  List.iter (fun id -> time_out t id) (List.sort Int.compare !ids)
 
 (* --- retries ---------------------------------------------------------------- *)
 

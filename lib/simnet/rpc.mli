@@ -154,7 +154,16 @@ val resilience_stats : t -> resilience_stats
 
     A request or reply body travels as a {!slice} of the frame that
     arrived — no copy — and is produced by a {!writer} appending straight
-    into the frame being sent, after the header. *)
+    into the frame being sent, after the header.
+
+    What a round trip allocates in the bus, besides its two frame
+    strings: the body slice each side reads, the [Ok] around the reply's,
+    the server's [reply] continuation, the closure of the call's timeout
+    timer, the boxed latency its histogram observes, and {!Net}'s record
+    and delivery per message.  An arriving frame's header is parsed into
+    the bus's own scratch, a service is found in its node's table by
+    name, and a pending call takes a slot of a table indexed by its
+    correlation id, so none of these allocates. *)
 
 type slice = { src : string; off : int; len : int }
 (** The body: [len] bytes of [src] from [off]. *)

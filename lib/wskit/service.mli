@@ -38,7 +38,15 @@ val transport_error : ('a, error) result -> Dacs_net.Rpc.error option
     pull cursor over the bytes that arrived ({!Soap.read}) — no tree, no
     intermediate string.  Bodies whose content is a whole document (a
     signed assertion, a policy, a service description) print and read
-    that document as a tree inside their frame. *)
+    that document as a tree inside their frame.
+
+    Beyond what {!Dacs_net.Rpc} and {!Soap.read} allocate, a served
+    request costs nothing here; a call costs its reply continuation
+    (the reader and the caller's continuation), and its reply the
+    closure that reads the body behind the SOAP-fault check and the
+    [Ok (Ok v)] it is delivered in.  A bare [<Ping/>] round trip
+    allocates 137 minor words in all (dune's dev profile), 34 of them
+    the two frames. *)
 
 type 'a reader = Dacs_xml.Xml.Cursor.t -> ('a, string) result
 (** Reads one body element from its ['<'].  [Error] rejects the body. *)

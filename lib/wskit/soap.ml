@@ -29,46 +29,78 @@ let skip_attrs c tag =
     ()
   done
 
-(* The envelope's shape as a tree reading sees it: the first Header and
-   the first Body child count, wherever they sit; text and any other
-   element around them are ignored.  Each child is entered once and told
-   apart by its name in place; an ignored one is read through to its end
-   (its children whole), which checks what {!Cursor.subtree} would. *)
-let read_envelope c body =
-  let env = Cursor.enter c in
-  if not (Cursor.has_local_name c env "Envelope") then Cursor.fail c "expected a SOAP Envelope";
-  skip_attrs c env;
-  let headers = ref None and result = ref None in
-  while Cursor.next_child c env do
-    let child = Cursor.enter c in
-    skip_attrs c child;
-    if Option.is_none !headers && Cursor.has_local_name c child "Header" then begin
+(* One child of the Envelope other than its first Body, entered and past
+   its attributes: the first Header gives the headers (as trees), and any
+   other element is read through to its end, its children whole — which
+   checks what {!Cursor.subtree} would.  [headers] is [None] until a
+   Header is read. *)
+let other_child c child headers =
+  let headers =
+    if Option.is_none headers && Cursor.has_local_name c child "Header" then begin
       let acc = ref [] in
       while Cursor.next_child c child do
         acc := Cursor.subtree c :: !acc
       done;
-      headers := Some (List.rev !acc)
+      Some (List.rev !acc)
     end
-    else if Option.is_none !result && Cursor.has_local_name c child "Body" then begin
-      if not (Cursor.next_child c child) then Cursor.fail c "SOAP Body is empty";
-      result := Some (body c);
-      if Cursor.next_child c child then Cursor.fail c "SOAP Body must contain a single element"
-    end
-    else
+    else begin
       while Cursor.next_child c child do
         ignore (Cursor.subtree c)
       done;
-    Cursor.close c child
-  done;
-  Cursor.close c env;
-  Cursor.finish c;
-  match !result with
-  | None -> Cursor.fail c "SOAP Envelope has no Body"
-  | Some v -> (Option.value !headers ~default:[], v)
+      headers
+    end
+  in
+  Cursor.close c child;
+  headers
 
+(* The envelope's shape as a tree reading sees it: the first Header and
+   the first Body child count, wherever they sit; text and any other
+   element around them are ignored.  Each child is entered once and told
+   apart by its name in place.  [before_body] reads the children up to
+   the first Body, and [after_body] the rest with the body's value in
+   hand, so the value needs no option around it. *)
+let rec after_body c env headers v =
+  if Cursor.next_child c env then begin
+    let child = Cursor.enter c in
+    skip_attrs c child;
+    after_body c env (other_child c child headers) v
+  end
+  else begin
+    Cursor.close c env;
+    Cursor.finish c;
+    (Option.value headers ~default:[], v)
+  end
+
+let rec before_body c env body headers =
+  if Cursor.next_child c env then begin
+    let child = Cursor.enter c in
+    skip_attrs c child;
+    if Cursor.has_local_name c child "Body" then begin
+      if not (Cursor.next_child c child) then Cursor.fail c "SOAP Body is empty";
+      let v = body c in
+      if Cursor.next_child c child then Cursor.fail c "SOAP Body must contain a single element";
+      Cursor.close c child;
+      after_body c env headers v
+    end
+    else before_body c env body (other_child c child headers)
+  end
+  else begin
+    Cursor.close c env;
+    Cursor.finish c;
+    Cursor.fail c "SOAP Envelope has no Body"
+  end
+
+(* No closure around the reading: a read without headers allocates the
+   cursor, the body's value, and the pair and [Ok] it is returned in. *)
 let read src off len body =
-  match Cursor.of_slice src off len with
-  | c -> Cursor.read c (fun c -> read_envelope c body)
+  match
+    let c = Cursor.of_slice src off len in
+    let env = Cursor.enter c in
+    if not (Cursor.has_local_name c env "Envelope") then Cursor.fail c "expected a SOAP Envelope";
+    skip_attrs c env;
+    before_body c env body None
+  with
+  | v -> Ok v
   | exception Xml.Parse_error { message; _ } -> Error message
 
 let parse s =

@@ -24,7 +24,10 @@ val read :
     hold exactly one element, which [body] reads from its ['<'];
     anything else in the envelope is ignored, as a tree reading would.
     Total: malformed XML, a wrong shape or a {!Dacs_xml.Xml.Parse_error}
-    raised by [body] come back as [Error]. *)
+    raised by [body] come back as [Error].  A read allocates the cursor,
+    what [body] returns, and the pair and [Ok] it comes back in: no
+    closure and no option around the body, and an envelope without a
+    Header gives the shared [[]]. *)
 
 val to_string : envelope -> string
 (** {!write} of a tree body. *)

@@ -225,20 +225,20 @@ let span_len s = s land ((1 lsl len_bits) - 1)
    nothing but the offset and examines each byte once: markup is tested
    a byte at a time, a name is classified by [name_chars] and from then on
    known by its span, and a run of character data stays a span of [src]
-   until a reader asks for a copy.  [buf] (empty between runs) assembles
-   only the runs that entities, CDATA, comments or PIs interrupt.  The
-   same state is the pull {!Cursor}: [depth] counts the open elements it
-   has entered and [empty] says the start tag just read was self-closing;
-   [attrs] counts the attributes read from the current start tag and
-   [attr] spans the last one's name.  [run] spans the last attribute
-   value or text run read, or is -1 when that run was assembled in [buf]
-   and kept, decoded, in [decoded]. *)
+   until a reader asks for a copy.  The one [scratch] buffer below (empty
+   between runs) assembles only the runs that entities, CDATA, comments
+   or PIs interrupt.  The same state is the pull {!Cursor}: [depth]
+   counts the open elements it has entered and [empty] says the start
+   tag just read was self-closing; [attrs] counts the attributes read
+   from the current start tag and [attr] spans the last one's name.
+   [run] spans the last attribute value or text run read, or is -1 when
+   that run was assembled in [scratch] and kept, decoded, in
+   [decoded]. *)
 type parser = {
   src : string;
   origin : int;
   stop : int;
   mutable pos : int;
-  buf : Buffer.t;
   mutable depth : int;
   mutable empty : bool;
   mutable attrs : int;
@@ -270,7 +270,6 @@ let make_parser src off len =
       origin = off;
       stop = off + len;
       pos = off;
-      buf = scratch;
       depth = 0;
       empty = false;
       attrs = 0;
@@ -402,7 +401,7 @@ let char_ref_code name =
   in
   if first >= n then -1 else go first 0
 
-(* Decodes the reference at the cursor (on '&') into [p.buf]. *)
+(* Decodes the reference at the cursor (on '&') into [scratch]. *)
 let parse_entity p =
   let src = p.src in
   let start = p.pos + 1 in
@@ -413,21 +412,21 @@ let parse_entity p =
   end;
   p.pos <- semi + 1;
   match predefined_entity src start (semi - start) with
-  | Some c -> Buffer.add_char p.buf c
+  | Some c -> Buffer.add_char scratch c
   | None ->
     let name = String.sub src start (semi - start) in
     if String.length name > 1 && name.[0] = '#' then begin
       let code = char_ref_code name in
       if code < 0 then fail p (Printf.sprintf "bad character reference &%s;" name);
       if code > 0x10FFFF then fail p "character reference out of range";
-      utf8_of_code p.buf code
+      utf8_of_code scratch code
     end
     else fail p (Printf.sprintf "unknown entity &%s;" name)
 
-(* Keeps the buffered run as the current one, leaving [p.buf] empty. *)
+(* Keeps the buffered run as the current one, leaving [scratch] empty. *)
 let take_buffer p =
-  p.decoded <- (if Buffer.length p.buf = 0 then "" else Buffer.contents p.buf);
-  Buffer.clear p.buf;
+  p.decoded <- (if Buffer.length scratch = 0 then "" else Buffer.contents scratch);
+  Buffer.clear scratch;
   p.run <- -1
 
 (* The current run, copied out; [""] copies nothing. *)
@@ -449,7 +448,7 @@ let rec attr_value_rest p quote =
       attr_value_rest p quote
     | _ ->
       let stop = index_either src p.pos p.stop quote '&' in
-      Buffer.add_substring p.buf src p.pos (stop - p.pos);
+      Buffer.add_substring scratch src p.pos (stop - p.pos);
       p.pos <- stop;
       attr_value_rest p quote
 
@@ -519,12 +518,12 @@ let skip_interruption p =
       p.pos <- p.stop;
       fail p "unterminated CDATA section"
     end;
-    Buffer.add_substring p.buf p.src start (stop - start);
+    Buffer.add_substring scratch p.src start (stop - start);
     p.pos <- stop + 3
   end
   else skip_until p "-->"
 
-(* Character data in [p.buf] up to the next child element or closing tag
+(* Character data in [scratch] up to the next child element or closing tag
    of the element [tag], then kept as the current run. *)
 let rec buffered_text p tag =
   let src = p.src in
@@ -540,7 +539,7 @@ let rec buffered_text p tag =
     | '<' -> take_buffer p
     | _ ->
       let stop = index_either src p.pos p.stop '<' '&' in
-      Buffer.add_substring p.buf src p.pos (stop - p.pos);
+      Buffer.add_substring scratch src p.pos (stop - p.pos);
       p.pos <- stop;
       buffered_text p tag
 
@@ -554,7 +553,7 @@ let text_run p tag =
   if (not (at_end p)) && String.unsafe_get src p.pos = '<' && not (at_interruption p) then
     p.run <- span start (p.pos - start)
   else begin
-    Buffer.add_substring p.buf src start (p.pos - start);
+    Buffer.add_substring scratch src start (p.pos - start);
     buffered_text p tag
   end
 

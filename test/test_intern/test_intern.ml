@@ -48,9 +48,11 @@ let arb_context_pair = QCheck.(pair arb_context arb_context)
    over the Subject/Resource/Action sections. *)
 let canonical ctx =
   let parts = ref [] in
-  Context.iter ctx (fun cat id bag ->
+  Context.fold
+    (fun cat id bag () ->
       if cat <> Context.Environment then
-        List.iter (fun v -> parts := (cat, id, v) :: !parts) bag);
+        List.iter (fun v -> parts := (cat, id, v) :: !parts) bag)
+    ctx ();
   List.sort compare !parts
 
 (* --- interning injectivity ---------------------------------------------- *)
@@ -288,6 +290,37 @@ let test_packed_keys_are_short () =
       check bool_ "digits and dots only" true (ch = '.' || (ch >= '0' && ch <= '9')))
     key
 
+(* --- allocation ---------------------------------------------------------- *)
+
+(* Minor words of one warm key: the key "0.1.2.3" is two words, and
+   building it allocates nothing else — no closure per bag or per
+   traversal, no captured counter (the table's option is built once, as
+   the serving path passes none).  The key builder allocated 34 words for
+   it when it walked the context with Context.iter and List.iter closures
+   around a captured ref; the bound, 4, fails that. *)
+let request_key_bound = 4.0
+
+let test_request_key_allocation () =
+  let t = Intern.create () in
+  let ctx =
+    Context.make
+      ~subject:[ ("subject-id", Value.String "alice"); ("role", Value.String "doctor") ]
+      ~resource:[ ("resource-id", Value.String "records") ]
+      ~action:[ ("action-id", Value.String "read") ]
+      ~environment:[ ("time", Value.Int 9) ]
+      ()
+  in
+  let table = Some t in
+  Alcotest.(check string) "four atoms, sorted" "0.1.2.3" (Intern.request_key ?table ctx);
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Intern.request_key ?table ctx))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  Printf.printf "request_key: %.1f minor words (bound %.1f)\n" words request_key_bound;
+  Alcotest.(check bool) (Printf.sprintf "%.1f words <= %.1f" words request_key_bound) true (words <= request_key_bound)
+
 let () =
   Alcotest.run "dacs_intern"
     [
@@ -329,4 +362,5 @@ let () =
             test_cache_key_is_global_packed_key;
           Alcotest.test_case "resident key byte accounting" `Quick test_key_bytes_accounting;
         ] );
+      ("allocation", [ Alcotest.test_case "a warm key allocates only itself" `Quick test_request_key_allocation ]);
     ]

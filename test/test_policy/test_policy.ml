@@ -127,9 +127,7 @@ let same_value a b =
   | _ -> Value.equal a b
 
 let entries t =
-  let acc = ref [] in
-  Context.iter t (fun category id bag -> acc := (category, id, bag) :: !acc);
-  List.rev !acc
+  List.rev (Context.fold (fun category id bag acc -> (category, id, bag) :: acc) t [])
 
 let same_context a b =
   let ea = entries a and eb = entries b in

@@ -73,13 +73,14 @@ let prop_net_delivery_timing =
       let latency = 0.25 in
       Net.set_latency net "a" "b" latency;
       let ok = ref true in
+      (* Each payload carries the instant it was sent. *)
       Net.set_handler net "b" (fun m ->
-          let expected = m.Net.sent_at +. latency in
+          let expected = float_of_string m.Net.payload +. latency in
           if abs_float (Net.now net -. expected) > 1e-9 then ok := false);
       List.iter
         (fun (at, _size) ->
           Engine.schedule (Net.engine net) ~delay:(float_of_int at) (fun () ->
-              Net.send net ~src:"a" ~dst:"b" ~category:"t" "payload"))
+              Net.send net ~src:"a" ~dst:"b" ~category:"t" (Printf.sprintf "%h" (Net.now net))))
         sends;
       Net.run net;
       !ok)

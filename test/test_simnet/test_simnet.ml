@@ -407,6 +407,39 @@ let test_rpc_concurrent_calls () =
     (List.map string_of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ])
     (List.sort (fun a b -> compare (int_of_string a) (int_of_string b)) !replies)
 
+(* The pending table is indexed by id: a call held open while hundreds
+   of later ids come and go — one at a time, then 150 at once — keeps its
+   slot through every growth, and each call is completed once, by its
+   own answer. *)
+let test_rpc_long_pending_call () =
+  let net, rpc = make_rpc () in
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
+  let held = ref None in
+  serve_string rpc ~node:"server" ~service:"hold" (fun ~caller:_ _ reply -> held := Some reply);
+  let first = ref [] in
+  call_string rpc ~src:"client" ~dst:"server" ~service:"hold" ~timeout:1000.0 "x" (fun r -> first := r :: !first);
+  Net.run net ~until:1.0;
+  let answered = ref 0 in
+  let echo i =
+    call_string rpc ~src:"client" ~dst:"server" ~service:"echo" (string_of_int i) (function
+      | Ok r when r = string_of_int i -> incr answered
+      | Ok _ | Error _ -> ())
+  in
+  for i = 1 to 300 do
+    echo i;
+    Net.run net ~until:(1.0 +. float_of_int i)
+  done;
+  for i = 301 to 450 do
+    echo i
+  done;
+  check int_ "the held call and 150 echoes pending" 151 (Rpc.calls_in_flight rpc);
+  Net.run net ~until:400.0;
+  check int_ "every echo answered by its own reply" 450 !answered;
+  check int_ "the held call still pending" 1 (Rpc.calls_in_flight rpc);
+  (match !held with Some reply -> reply "late" | None -> Alcotest.fail "the hold service never ran");
+  Net.run net;
+  check bool_ "the held call answered once" true (!first = [ Ok "late" ]);
+  check int_ "nothing pending" 0 (Rpc.calls_in_flight rpc)
 
 let test_rpc_service_name_with_separator () =
   (* A service whose *name* contains the frame separator must round-trip:
@@ -887,6 +920,52 @@ let test_sequence_participants () =
     (Sequence.participants_of (Net.trace net));
   check string_ "empty trace" "(no messages)\n" (Sequence.render [])
 
+(* --- allocation: one bare round trip ------------------------------------- *)
+
+(* Minor words of one bare <Ping/> request and its <Pong/> reply through
+   Service.call_frame, Rpc and Net and back, drained by Net.run, after
+   warm-up: the fixed cost every exchange pays before its payload
+   (OCaml 5.1, dune's dev profile).  The substrate allocated 202 words
+   for it when each message carried a closure and a boxed send time,
+   each call a hashed pending entry and a timeout closure, and each
+   received frame an optional header record and an optional envelope
+   pair; the bound, 140, fails that. *)
+let bare_round_trip_words () =
+  let module Service = Dacs_ws.Service in
+  let module Cursor = Dacs_xml.Xml.Cursor in
+  let net = Net.create () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "client";
+  Net.add_node net "server";
+  let ping c = Ok (Cursor.leaf0 "Ping" c) and pong c = Ok (Cursor.leaf0 "Pong" c) in
+  Service.serve_frame services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ ~headers:_ () reply ->
+      reply (fun buf -> Buffer.add_string buf "<Pong/>"));
+  let answered = ref 0 in
+  let on_reply = function Ok (Ok ()) -> incr answered | Ok (Error _) | Error _ -> () in
+  let write_ping buf = Buffer.add_string buf "<Ping/>" in
+  let round () =
+    Service.call_frame services ~src:"client" ~dst:"server" ~service:"ping" ~read:pong write_ping on_reply;
+    Net.run net
+  in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check int_ "every round trip answered" (rounds + 10) !answered;
+  words
+
+let bare_round_trip_bound = 140.0
+
+let test_bare_round_trip_allocation () =
+  let words = bare_round_trip_words () in
+  Printf.printf "bare <Ping/> round trip: %.1f minor words (bound %.1f)\n" words bare_round_trip_bound;
+  check bool_ (Printf.sprintf "%.1f words <= %.1f" words bare_round_trip_bound) true (words <= bare_round_trip_bound)
+
 let () =
   Alcotest.run "dacs_net"
     [
@@ -933,6 +1012,7 @@ let () =
           Alcotest.test_case "a relayed request id completes no other node's call" `Quick test_rpc_relayed_id;
           Alcotest.test_case "nested call" `Quick test_rpc_nested_call;
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
+          Alcotest.test_case "a long-pending call outlives later ids" `Quick test_rpc_long_pending_call;
           Alcotest.test_case "service name with separator" `Quick
             test_rpc_service_name_with_separator;
         ] );
@@ -968,4 +1048,5 @@ let () =
           Alcotest.test_case "heard_from advances on replies and errors only" `Quick
             test_rpc_heard_from;
         ] );
+      ("allocation", [ Alcotest.test_case "a bare round trip" `Quick test_bare_round_trip_allocation ]);
     ]

@@ -763,11 +763,13 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 544 words (992 when a one-query flush rode a batch frame,
+(* Measured: 439.5 words (992 when a one-query flush rode a batch frame,
    every layer wrapped the continuation in a closure of its own and each
-   engine event and link lookup allocated); the bound leaves 10 %
-   headroom. *)
-let cold_words_bound = 597.0
+   engine event and link lookup allocated; 540.5 before the bus parsed
+   headers into its own scratch, kept pending calls in an id-indexed
+   table and read envelopes without a closure); the bound leaves 10 %
+   headroom, which the former 540.5 does not fit in. *)
+let cold_words_bound = 483.0
 
 let test_cold_decision_allocation () =
   let probe = Dacs_workload.Workload.cold_decision_probe () in
