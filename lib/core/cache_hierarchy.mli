@@ -11,11 +11,10 @@
       {!Decision_cache.request_key}) share one upstream call instead of
       stampeding the decision tier.
     - {!L2}: a domain-level shared decision cache service, consulted by
-      PEPs between their private L1 and the PDP tier; purges — each a
-      change-impact region, [Unbounded] for a revocation — fan out along
-      the syndication hierarchy (push) with an anti-entropy poll as the
-      backstop, so a revoked grant is purged from every member within
-      one round.
+      PEPs between their private L1 and the PDP tier.  Its owner purges
+      it by change-impact region ([Unbounded] for a revocation); a
+      domain does so, with its PEPs' L1s, whenever its PAP accepts a
+      policy update, so one VO publish purges each member once.
 
     The stale-degradation ladder composes unchanged:
     L1 fresh -> L2 fresh -> live tier -> bounded-stale L1 -> fail closed. *)
@@ -110,52 +109,28 @@ module L2 : sig
     ttl:float ->
     unit ->
     t
-  (** Registers [cache-lookup], [cache-put], [cache-region] and
-      [cache-sync] on [node]; [max_entries] defaults to 4096.  Storage is
-      a {!Decision_cache} (owner = node), so the usual
-      [decision_cache_*{cache}] series apply on top of the
-      [l2_*_total{node}] counters and the
-      [l2_invalidation_latency_seconds{node}] histogram.  A
-      [cache-region] frame is applied only when its caller is this
-      cache's parent (set by {!subscribe} or {!enable_anti_entropy});
-      any other caller gets a [soap:Sender] fault and purges nothing. *)
+  (** Registers [cache-lookup] and [cache-put] on [node];
+      [max_entries] defaults to 4096.  Storage is a {!Decision_cache}
+      (owner = node), so the usual [decision_cache_*{cache}] series apply
+      on top of the [l2_*_total{node}] counters.  Nothing is purged over
+      the network: the owner purges with {!invalidate_region} (a domain
+      does so when its PAP accepts an update, see {!Domain.create}). *)
 
   val node : t -> Dacs_net.Net.node_id
 
-  val subscribe : t -> child:t -> unit
-  (** Wire [child] under this cache: every purge fans out to each
-      subscribed child (and recursively to theirs), and the child
-      records this cache's node as its parent, the one node whose
-      purges it accepts. *)
-
-  val enable_anti_entropy : t -> parent:Dacs_net.Net.node_id -> period:float -> unit
-  (** Record [parent] as this cache's parent and poll its purge epoch
-      every [period] seconds, applying any purge the push missed as a
-      full purge — the one-round staleness bound for revocations. *)
-
-  val set_on_region : t -> (Dacs_policy.Delta.t -> unit) -> unit
-  (** Local hook run with the region of every purge applied here
-      ([Unbounded] for a full purge or an anti-entropy repair); domains
-      use it to purge their PEPs' L1 caches in the same round. *)
-
   val invalidate_region : t -> Dacs_policy.Delta.t -> unit
-  (** The one purge entry point.  Drop the entries the region covers
-      (see {!Decision_cache.invalidate_region}; [Unbounded] is the full
-      flush a revocation sends), bump the epoch, run the hook and fan a
-      [cache-region] frame to subscribed children.  [Empty] is a no-op
-      (no epoch bump, no fan-out).  The epoch bump means a child that
-      misses the push repairs itself at its next anti-entropy poll (as a
-      full purge); a child that receives it advances its parent-epoch
-      view and does not re-purge. *)
+  (** Drop the entries the region covers (see
+      {!Decision_cache.invalidate_region}; [Unbounded] is the full flush
+      a revocation sends) and stamp the purge, so a put sent before it is
+      rejected.  [Empty] is a no-op. *)
 
-  val epoch : t -> int
   val size : t -> int
 
   val rejected_puts : t -> int
   (** Puts stamped before the last purge, dropped instead of
       resurrecting the entry they carried. *)
 
-  type stats = { lookups : int; hits : int; puts : int; invalidations : int; size : int; epoch : int }
+  type stats = { lookups : int; hits : int; puts : int; invalidations : int; size : int }
 
   val stats : t -> stats
 

@@ -93,6 +93,13 @@ let seed_of_name name =
 
 let l2 t = t.l2
 
+(* The domain's one cache purge: its L2 when attached, then every PEP's
+   L1 with the same region, so no cache level outlives a revocation or a
+   publish. *)
+let purge t region =
+  Option.iter (fun l2 -> Cache_hierarchy.L2.invalidate_region l2 region) t.l2;
+  List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps
+
 let attach_l2 t ~ttl () =
   match t.l2 with
   | Some l2 -> l2
@@ -101,11 +108,6 @@ let attach_l2 t ~ttl () =
     let node = t.name ^ ".l2" in
     Dacs_net.Net.add_node net node;
     let l2 = Cache_hierarchy.L2.create t.services ~node ~ttl () in
-    (* Every purge that reaches the domain cache also purges the PEPs'
-       private L1s with the same region, so no cache level outlives a
-       revocation or a publish. *)
-    Cache_hierarchy.L2.set_on_region l2 (fun region ->
-        List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps);
     List.iter (fun pep -> Pep.set_l2 pep (Some node)) t.peps;
     t.l2 <- Some l2;
     l2
@@ -151,12 +153,8 @@ let create services ~name ?attr_cache_ttl () =
   (* Every update the PAP accepts, local or syndicated, purges the
      decisions cached under the old policy by change-impact region: only
      entries the update can affect drop (a first policy's region is
-     Unbounded, a full flush).  The L2 purge fans out to any subscribed
-     child caches and — via its region hook — to the PEPs' L1s. *)
-  Pap.on_update t.pap (fun region ->
-      match t.l2 with
-      | Some l2 -> Cache_hierarchy.L2.invalidate_region l2 region
-      | None -> List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) t.peps);
+     Unbounded, a full flush). *)
+  Pap.on_update t.pap (purge t);
   t
 
 let expose_resource t ~resource ?content ?cache ?pdps ?(call_timeout = 1.0) () =

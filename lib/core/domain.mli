@@ -13,12 +13,9 @@ val create : Dacs_ws.Service.t -> name:string -> ?attr_cache_ttl:float -> unit -
     [attr_cache_ttl] enables the domain PDP's attribute cache with
     batched PIP resolution (see {!Pdp_service.create}).
 
-    Registers the domain's cache purge on its PAP ({!Pap.on_update}):
-    every update the PAP accepts — a local publish, a syndicated push or
-    an anti-entropy pull — purges the change-impact region from the
-    domain L2 when one is attached ({!attach_l2}), else from the private
-    L1 of every PEP made by {!expose_resource}.  A PEP built outside the
-    domain is not purged. *)
+    Registers {!purge} on its PAP ({!Pap.on_update}): every update the
+    PAP accepts — a local publish, a syndicated push or an anti-entropy
+    pull — purges its change-impact region from the domain's caches. *)
 
 val name : t -> string
 
@@ -60,12 +57,16 @@ val attach_l2 : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
 (** Stand up the domain's shared decision cache on node [<domain>.l2]
     (at most 4096 entries, {!Cache_hierarchy.L2.create}'s default):
     every PEP of the domain (current and future) consults it between its
-    private L1 and the decision tier, and every purge that reaches it
-    also purges the PEPs' L1s with the same region, so no cache level
-    outlives a revocation or a publish.  Idempotent: a second call returns the
-    existing cache. *)
+    private L1 and the decision tier, and {!purge} purges it.
+    Idempotent: a second call returns the existing cache. *)
 
 val l2 : t -> Cache_hierarchy.L2.t option
+
+val purge : t -> Dacs_policy.Delta.t -> unit
+(** The domain's one cache purge: drop the region from the L2 when one
+    is attached, then from the private L1 of every PEP made by
+    {!expose_resource}, so no cache level outlives a revocation or a
+    publish.  A PEP built outside the domain is not purged. *)
 
 (** {1 Users and resources} *)
 

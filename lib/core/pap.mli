@@ -48,8 +48,8 @@ val on_update : t -> (Dacs_policy.Delta.t -> unit) -> unit
     order.  The region is {!Dacs_policy.Delta.unbounded} for the first
     policy the PAP stores and {!Dacs_policy.Delta.empty} for a no-op
     update (which still bumps the version), so [not (Delta.is_empty
-    region)] says whether the tree changed.  {!Domain} and {!Vo}
-    register their cache purges here. *)
+    region)] says whether the tree changed.  {!Domain} registers its
+    cache purge here. *)
 
 val lookup : t -> string -> Dacs_policy.Policy.child option
 (** Resolve a policy id inside the stored tree (for policy references):

@@ -8,7 +8,7 @@ type t = {
   domains : Domain.t list;
   vo_pap : Pap.t;
   cas : Capability_service.t;
-  mutable l2_root : Cache_hierarchy.L2.t option;
+  mutable caching : bool;  (* [cache_hierarchy] attached *)
 }
 
 let name t = t.name
@@ -36,17 +36,7 @@ let form services ~name domains =
       Pap.subscribe_local vo_pap ~child:(Domain.pap_node domain);
       Domain.allow_policy_updates_from domain [ Pap.node vo_pap ])
     domains;
-  let t = { name; services; domains; vo_pap; cas; l2_root = None } in
-  (* Syndicate every accepted update's change-impact region down the
-     Fig. 5 cache hierarchy: the root L2 purges only matching entries and
-     fans the region to every domain L2 (and from there to PEP L1s); each
-     domain PAP purges its own caches again when the pushed policy lands.
-     A domain L2 that misses the region push repairs itself by the
-     anti-entropy epoch poll, with a conservative full purge one round
-     later. *)
-  Pap.on_update vo_pap (fun region ->
-      Option.iter (fun root -> Cache_hierarchy.L2.invalidate_region root region) t.l2_root);
-  t
+  { name; services; domains; vo_pap; cas; caching = false }
 
 let publish_policy t child =
   Capability_service.set_policy t.cas child;
@@ -63,35 +53,25 @@ let issuer_key t issuer =
 
 let merged_audit t = Audit.merge (List.map Domain.audit t.domains)
 
-(* The caching mirror of policy syndication (Fig. 5): a VO-root cache
-   node with every domain's shared L2 subscribed under it.  Purges push
-   root -> domain -> PEP L1 along the same edges policy updates flow, and
-   each domain polls the root's epoch as the anti-entropy backstop, so a
-   revocation purges every member within one round even if a push was
-   lost. *)
+(* Policy flows down Fig. 5 by push, and each member purges its own
+   caches when its PAP accepts (see [Domain.create]); the member PAP's
+   anti-entropy pull is the backstop for a lost push, and repairs the
+   policy along with the caches. *)
 let cache_hierarchy t ~ttl () =
-  match t.l2_root with
-  | Some root -> root
-  | None ->
-    let net = Service.net t.services in
-    let node = t.name ^ ".l2" in
-    Dacs_net.Net.add_node net node;
-    let root = Cache_hierarchy.L2.create t.services ~node ~ttl () in
+  if not t.caching then begin
+    t.caching <- true;
     List.iter
       (fun domain ->
-        let l2 = Domain.attach_l2 domain ~ttl () in
-        Cache_hierarchy.L2.subscribe root ~child:l2;
-        Cache_hierarchy.L2.enable_anti_entropy l2 ~parent:node ~period:5.0)
-      t.domains;
-    t.l2_root <- Some root;
-    root
+        ignore (Domain.attach_l2 domain ~ttl () : Cache_hierarchy.L2.t);
+        Pap.enable_anti_entropy (Domain.pap domain) ~parent:(Pap.node t.vo_pap) ~period:5.0)
+      t.domains
+  end
 
 let revoke_capability t ~assertion_id =
   Capability_service.revoke t.cas ~assertion_id;
-  (* Decisions influenced by the revoked grant may sit in any cache
-     level, and no region bounds them: one unbounded purge from the root
-     empties them all. *)
-  Option.iter (fun root -> Cache_hierarchy.L2.invalidate_region root Dacs_policy.Delta.unbounded) t.l2_root
+  (* Decisions influenced by the revoked grant may sit in any member's
+     caches, and no region bounds them: purge them all. *)
+  List.iter (fun domain -> Domain.purge domain Dacs_policy.Delta.unbounded) t.domains
 
 let client_for t ~domain ~user subject =
   let net = Service.net t.services in

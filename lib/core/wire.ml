@@ -1,7 +1,6 @@
 module Xml = Dacs_xml.Xml
 module Value = Dacs_policy.Value
 module Context = Dacs_policy.Context
-module Delta = Dacs_policy.Delta
 module Cursor = Xml.Cursor
 
 (* --- one writer and one cursor reader per frame ---------------------------- *)
@@ -391,85 +390,6 @@ let read_cache_put =
 let write_cache_put_ack buf = write_leaf buf "CachePutAck" []
 let read_cache_put_ack = total (Cursor.leaf0 "CachePutAck")
 
-(* A childless element carrying one count: the anti-entropy poll, the
-   answer to every purge and a policy update's acknowledgement. *)
-let write_count_leaf name attr buf n =
-  Buffer.add_char buf '<';
-  Buffer.add_string buf name;
-  write_count buf attr n;
-  Buffer.add_string buf "/>"
-let count_leaf name attr c = count c attr (Cursor.leaf1 c name attr)
-let write_cache_sync buf ~known_epoch = write_count_leaf "CacheSync" "KnownEpoch" buf known_epoch
-let read_cache_sync = total (count_leaf "CacheSync" "KnownEpoch")
-let write_cache_epoch buf ~epoch = write_count_leaf "CacheEpoch" "Epoch" buf epoch
-let read_cache_epoch = total (count_leaf "CacheEpoch" "Epoch")
-
-(* Change-impact regions travel as structured frames so an L2 can apply
-   a targeted purge pushed by its parent without seeing the policies the
-   delta came from. *)
-
-let category_attrs (category, attribute) = [ ("Category", Context.category_name category); ("Attribute", attribute) ]
-
-let write_pin buf (p : Delta.pin) =
-  Buffer.add_string buf "<Pin";
-  add_attrs buf (category_attrs (p.pin_category, p.pin_attribute));
-  if p.pin_values = [] && p.pin_guards = [] then Buffer.add_string buf "/>"
-  else begin
-    Buffer.add_char buf '>';
-    List.iter (fun v -> write_leaf buf "V" [ ("Value", v) ]) p.pin_values;
-    List.iter (fun guard -> write_leaf buf "Guard" (category_attrs guard)) p.pin_guards;
-    Buffer.add_string buf "</Pin>"
-  end
-
-let write_zone buf zone =
-  Buffer.add_string buf "<Zone";
-  end_with buf "Zone" write_pin zone
-
-let write_cache_region buf ~epoch region =
-  Buffer.add_string buf "<CacheRegion";
-  write_count buf "Epoch" epoch;
-  match region with
-  | Delta.Empty | Delta.Unbounded ->
-    add_attr buf "Kind" (if region = Delta.Empty then "empty" else "unbounded");
-    Buffer.add_string buf "/>"
-  | Delta.Zones zones ->
-    add_attr buf "Kind" "zones";
-    end_with buf "CacheRegion" write_zone zones
-
-let pin_in c =
-  let tag = Cursor.enter_named c "Pin" in
-  let pin_category = category c (Cursor.attr_named c tag "Category") in
-  let pin_attribute = Cursor.attr_named c tag "Attribute" in
-  Cursor.end_attrs c tag;
-  let values = ref [] and guards = ref [] in
-  while Cursor.next_child c tag do
-    if Cursor.at_local_name c "V" then values := Cursor.leaf1 c "V" "Value" :: !values
-    else begin
-      let g, attribute = Cursor.leaf2 c "Guard" "Category" "Attribute" in
-      guards := (category c g, attribute) :: !guards
-    end
-  done;
-  Cursor.close c tag;
-  { Delta.pin_category; pin_attribute; pin_values = List.rev !values; pin_guards = List.rev !guards }
-
-let zone_in c =
-  let tag = Cursor.enter_named c "Zone" in
-  Cursor.end_attrs c tag;
-  children c tag pin_in
-
-let read_cache_region =
-  total (fun c ->
-      let tag = Cursor.enter_named c "CacheRegion" in
-      let epoch = count_attr c tag "Epoch" in
-      let kind = Cursor.attr_named c tag "Kind" in
-      Cursor.end_attrs c tag;
-      match (kind, children c tag zone_in) with
-      | "empty", [] -> (epoch, Delta.Empty)
-      | "unbounded", [] -> (epoch, Delta.Unbounded)
-      | "zones", zones -> (epoch, Delta.Zones zones)
-      | ("empty" | "unbounded"), _ -> Cursor.fail c "only a zones region holds zones"
-      | other, _ -> Cursor.fail c (Printf.sprintf "unknown region kind %s" other))
-
 (* --- policy distribution ------------------------------------------------------ *)
 
 let write_policy_query buf ~scope ~known_version =
@@ -519,8 +439,12 @@ let read_policy_update =
       | [ child ] -> (version, child)
       | _ -> Cursor.fail c "PolicyUpdate must carry exactly one policy")
 
-let write_policy_update_ack buf ~version = write_count_leaf "PolicyUpdateAck" "Version" buf version
-let read_policy_update_ack = total (count_leaf "PolicyUpdateAck" "Version")
+let write_policy_update_ack buf ~version =
+  Buffer.add_string buf "<PolicyUpdateAck";
+  write_count buf "Version" version;
+  Buffer.add_string buf "/>"
+
+let read_policy_update_ack = total (fun c -> count c "Version" (Cursor.leaf1 c "PolicyUpdateAck" "Version"))
 
 (* --- offline event logs ------------------------------------------------ *)
 

@@ -122,7 +122,7 @@ val read_attribute_invalidate : Xml.Cursor.t -> (string * string, string) result
 val write_invalidate_ack : Buffer.t -> unit
 val read_invalidate_ack : Xml.Cursor.t -> (unit, string) result
 
-(** {1 Shared decision cache (PEP <-> L2, L2 <-> L2 syndication)} *)
+(** {1 Shared decision cache (PEP <-> L2)} *)
 
 val write_cache_lookup : Buffer.t -> key:string -> unit
 val read_cache_lookup : Xml.Cursor.t -> (string, string) result
@@ -145,24 +145,6 @@ val read_cache_put :
 
 val write_cache_put_ack : Buffer.t -> unit
 val read_cache_put_ack : Xml.Cursor.t -> (unit, string) result
-
-val write_cache_region : Buffer.t -> epoch:int -> Dacs_policy.Delta.t -> unit
-(** The one purge frame, pushed down the syndication tree: the
-    change-impact region of a policy publish, or [Unbounded] for a full
-    purge (a revocation).  [epoch] is the sender's invalidation
-    epoch after applying the purge locally, so receivers that get the
-    push do not re-purge on their next anti-entropy poll — and receivers
-    that miss it do. *)
-
-val read_cache_region : Xml.Cursor.t -> (int * Dacs_policy.Delta.t, string) result
-
-val write_cache_sync : Buffer.t -> known_epoch:int -> unit
-(** Anti-entropy poll: "my view of your invalidation epoch is N". *)
-
-val read_cache_sync : Xml.Cursor.t -> (int, string) result
-
-val write_cache_epoch : Buffer.t -> epoch:int -> unit
-val read_cache_epoch : Xml.Cursor.t -> (int, string) result
 
 (** {1 Policy distribution (PDP/PAP, PAP/PAP syndication)} *)
 

@@ -264,11 +264,6 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
         Option.iter (fun l2 -> Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2))) l2;
         pep)
   in
-  Option.iter
-    (fun l2 ->
-      Cache_hierarchy.L2.set_on_region l2 (fun region ->
-          List.iter (fun pep -> ignore (Pep.invalidate_region pep region)) peps))
-    l2;
   let pep0 = List.nth peps 0 and pep1 = List.nth peps 1 in
   let pairs =
     List.concat_map
@@ -317,6 +312,7 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
     | None -> 0
     | Some l2 ->
       Cache_hierarchy.L2.invalidate_region l2 Dacs_policy.Delta.unbounded;
+      List.iter (fun pep -> ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded)) peps;
       Net.run net;
       Cache_hierarchy.L2.size l2
   in

@@ -439,9 +439,6 @@ let test_l2_unreachable_degrades_to_miss () =
 
 let test_deny_never_outlives_invalidation () =
   let fx = setup_l2 () in
-  (* The hook a domain installs: every L2 purge purges the PEP L1s. *)
-  Cache_hierarchy.L2.set_on_region fx.l2 (fun region ->
-      List.iter (fun p -> ignore (Pep.invalidate_region p region)) [ fx.pep1; fx.pep2 ]);
   let mallory =
     Client.create fx.services ~node:"mallory"
       ~subject:[ ("subject-id", Value.String "mallory"); ("role", Value.String "intern") ]
@@ -461,9 +458,11 @@ let test_deny_never_outlives_invalidation () =
   let s = Pep.stats fx.pep1 in
   check int_ "the deny was served from L1" 1 s.Pep.cache_hits;
   check int_ "one live call so far" 1 s.Pep.pdp_calls;
-  (* One unbounded purge: the cached deny is gone from every level —
-     negative entries obey revocation exactly like grants. *)
+  (* One unbounded purge of every level, as a domain runs it: the cached
+     deny is gone — negative entries obey revocation exactly like
+     grants. *)
   Cache_hierarchy.L2.invalidate_region fx.l2 Delta.unbounded;
+  List.iter (fun p -> ignore (Pep.invalidate_region p Delta.unbounded)) [ fx.pep1; fx.pep2 ];
   Net.run fx.net;
   check int_ "L2 purged" 0 (Cache_hierarchy.L2.size fx.l2);
   ask 20.0 o3;
@@ -472,136 +471,6 @@ let test_deny_never_outlives_invalidation () =
   let s = Pep.stats fx.pep1 in
   check int_ "no stale cache answered" 1 s.Pep.cache_hits;
   check int_ "the third request went live" 2 s.Pep.pdp_calls
-
-(* --- invalidation fan-out and anti-entropy ------------------------------ *)
-
-let test_invalidation_fanout () =
-  let net = Net.create ~seed:13L () in
-  let services = Service.create (Rpc.create net) in
-  let add id =
-    Net.add_node net id;
-    id
-  in
-  let root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
-  let l2a = Cache_hierarchy.L2.create services ~node:(add "l2a") ~ttl:60.0 () in
-  let l2b = Cache_hierarchy.L2.create services ~node:(add "l2b") ~ttl:60.0 () in
-  Cache_hierarchy.L2.subscribe root ~child:l2a;
-  Cache_hierarchy.L2.subscribe root ~child:l2b;
-  let seeder = add "seeder" in
-  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
-      List.iter
-        (fun l2 ->
-          Cache_hierarchy.L2.remote_put services ~src:seeder ~l2 ~key:"k1" Decision.permit;
-          Cache_hierarchy.L2.remote_put services ~src:seeder ~l2 ~key:"k2" Decision.permit)
-        [ "l2a"; "l2b" ]);
-  Net.run net;
-  check int_ "children seeded" 4
-    (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
-  (* An empty region: nothing dropped, no epoch moves. *)
-  Cache_hierarchy.L2.invalidate_region root Delta.empty;
-  Net.run net;
-  check int_ "an empty region drops nothing" 4
-    (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
-  check int_ "nor bumps an epoch" 0 (Cache_hierarchy.L2.epoch l2a);
-  (* Full purge: everything gone, epochs advance, latency observed. *)
-  Cache_hierarchy.L2.invalidate_region root Delta.unbounded;
-  Net.run net;
-  check int_ "full purge reached both children" 0
-    (Cache_hierarchy.L2.size l2a + Cache_hierarchy.L2.size l2b);
-  check int_ "child epoch advanced" 1 (Cache_hierarchy.L2.epoch l2a);
-  check int_ "root epoch advanced" 1 (Cache_hierarchy.L2.epoch root);
-  let dump = Metrics.render (Service.metrics services) in
-  check bool_ "invalidation latency histogram populated" true
-    (contains dump "l2_invalidation_latency_seconds")
-
-(* A domain L2 applies purges only from its parent in the hierarchy: an
-   unbounded region from any other node gets a fault and purges
-   nothing, while the parent's own purge still lands. *)
-let test_purge_only_from_parent () =
-  let net = Net.create ~seed:29L () in
-  let services = Service.create (Rpc.create net) in
-  let da = Domain.create services ~name:"hospital" () in
-  let vo = Vo.form services ~name:"vo" [ da ] in
-  let root = Vo.cache_hierarchy vo ~ttl:60.0 () in
-  let l2 = match Domain.l2 da with Some l2 -> l2 | None -> Alcotest.fail "domain should have an L2" in
-  Net.add_node net "mallory";
-  let t0 = Net.now net in
-  Engine.schedule_at (Net.engine net) ~at:(t0 +. 0.5) (fun () ->
-      Cache_hierarchy.L2.remote_put services ~src:"mallory" ~l2:(Cache_hierarchy.L2.node l2) ~key:"k"
-        Decision.permit);
-  let answer = ref None in
-  Engine.schedule_at (Net.engine net) ~at:(t0 +. 1.0) (fun () ->
-      Service.call_frame services ~src:"mallory" ~dst:(Cache_hierarchy.L2.node l2)
-        ~service:"cache-region" ~read:Wire.read_cache_epoch
-        (fun buf -> Wire.write_cache_region buf ~epoch:99 Delta.unbounded)
-        (fun r -> answer := Some r));
-  Engine.run (Net.engine net) ~until:(t0 +. 3.0);
-  check bool_ "the stranger's purge is refused" true
-    (match !answer with Some (Error _) -> true | _ -> false);
-  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size l2);
-  check int_ "epoch untouched" 0 (Cache_hierarchy.L2.epoch l2);
-  Cache_hierarchy.L2.invalidate_region root Delta.unbounded;
-  Engine.run (Net.engine net) ~until:(t0 +. 5.0);
-  check int_ "the parent's purge lands" 0 (Cache_hierarchy.L2.size l2);
-  check int_ "and advances the epoch" 1 (Cache_hierarchy.L2.epoch l2)
-
-(* [enable_anti_entropy ~parent] records the parent as well: a child
-   that is only polled, never subscribed, accepts a purge frame from
-   that node and refuses the same frame from any other. *)
-let test_purge_from_anti_entropy_parent () =
-  let net = Net.create ~seed:31L () in
-  let services = Service.create (Rpc.create net) in
-  let add id =
-    Net.add_node net id;
-    id
-  in
-  let _root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
-  let child = Cache_hierarchy.L2.create services ~node:(add "child") ~ttl:60.0 () in
-  Cache_hierarchy.L2.enable_anti_entropy child ~parent:"root" ~period:2.0;
-  let seeder = add "seeder" in
-  let purge ~src ~at answer =
-    Engine.schedule_at (Net.engine net) ~at (fun () ->
-        Service.call_frame services ~src ~dst:"child" ~service:"cache-region" ~read:Wire.read_cache_epoch
-          (fun buf -> Wire.write_cache_region buf ~epoch:1 Delta.unbounded)
-          (fun r -> answer := Some r))
-  in
-  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
-      Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"child" ~key:"k" Decision.permit);
-  let from_seeder = ref None in
-  purge ~src:seeder ~at:1.0 from_seeder;
-  Engine.run (Net.engine net) ~until:1.5;
-  check bool_ "a non-parent's purge is refused" true
-    (match !from_seeder with Some (Error _) -> true | _ -> false);
-  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size child);
-  check int_ "epoch untouched" 0 (Cache_hierarchy.L2.epoch child);
-  let from_root = ref None in
-  purge ~src:"root" ~at:1.6 from_root;
-  Engine.run (Net.engine net) ~until:1.9;
-  check bool_ "the polled parent's purge is accepted" true
-    (match !from_root with Some (Ok _) -> true | _ -> false);
-  check int_ "the purge landed" 0 (Cache_hierarchy.L2.size child);
-  check int_ "and advanced the epoch" 1 (Cache_hierarchy.L2.epoch child)
-
-let test_anti_entropy_backstop () =
-  let net = Net.create ~seed:17L () in
-  let services = Service.create (Rpc.create net) in
-  let add id =
-    Net.add_node net id;
-    id
-  in
-  let root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
-  (* The child is NOT subscribed: the push is "lost".  Only the
-     anti-entropy poll can tell it about the purge. *)
-  let child = Cache_hierarchy.L2.create services ~node:(add "child") ~ttl:60.0 () in
-  Cache_hierarchy.L2.enable_anti_entropy child ~parent:"root" ~period:2.0;
-  let seeder = add "seeder" in
-  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
-      Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"child" ~key:"k" Decision.permit);
-  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
-      Cache_hierarchy.L2.invalidate_region root Delta.unbounded);
-  Engine.run (Net.engine net) ~until:10.0;
-  check int_ "the poll applied the missed purge" 0 (Cache_hierarchy.L2.size child);
-  check bool_ "child epoch caught up" true (Cache_hierarchy.L2.epoch child >= 1)
 
 (* --- targeted invalidation from change-impact regions ------------------- *)
 
@@ -680,37 +549,6 @@ let test_region_trace_events () =
   Cache_hierarchy.L2.invalidate_region root lab_region;
   check bool_ "a bounded region records invalidate-region" true
     (contains (Trace.render_tree tracer) "l2:invalidate-region root")
-
-(* A region push the child never hears (not subscribed) still bumps the
-   root epoch, so the child's next anti-entropy poll repairs the loss —
-   as a conservative full purge. *)
-let test_region_anti_entropy_repair () =
-  let net = Net.create ~seed:23L () in
-  let services = Service.create (Rpc.create net) in
-  let add id =
-    Net.add_node net id;
-    id
-  in
-  let root = Cache_hierarchy.L2.create services ~node:(add "root") ~ttl:60.0 () in
-  let child = Cache_hierarchy.L2.create services ~node:(add "child") ~ttl:60.0 () in
-  Cache_hierarchy.L2.enable_anti_entropy child ~parent:"root" ~period:2.0;
-  let seeder = add "seeder" in
-  Engine.schedule_at (Net.engine net) ~at:0.5 (fun () ->
-      List.iter
-        (fun r ->
-          Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"child" ~key:(rkey r)
-            Decision.permit)
-        [ "chart"; "lab" ]);
-  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
-      Cache_hierarchy.L2.invalidate_region root lab_region);
-  Engine.run (Net.engine net) ~until:10.0;
-  check int_ "region purge bumped the root epoch" 1 (Cache_hierarchy.L2.epoch root);
-  check int_ "the poll repaired the lost region push" 0 (Cache_hierarchy.L2.size child);
-  check bool_ "child epoch caught up" true (Cache_hierarchy.L2.epoch child >= 1);
-  (* An Empty region must NOT bump the epoch: no purge happened anywhere,
-     so no poll-driven flush may be triggered. *)
-  Cache_hierarchy.L2.invalidate_region root Delta.empty;
-  check int_ "empty regions leave the epoch alone" 1 (Cache_hierarchy.L2.epoch root)
 
 (* The put/region race: a fire-and-forget put composed before a targeted
    purge but delivered after it must not resurrect the entry the purge
@@ -892,7 +730,7 @@ let test_vo_revocation_round () =
     [ ("subject-id", Value.String "alice"); ("role", Value.String "doctor") ];
   let l1 = Decision_cache.create ~ttl:60.0 () in
   let pep = Domain.expose_resource da ~resource:"chart" ~cache:l1 () in
-  let root = Vo.cache_hierarchy vo ~ttl:60.0 () in
+  Vo.cache_hierarchy vo ~ttl:60.0 ();
   Net.add_node net "alice.pc";
   (* The client presents only its identity; the role lives at the PIP. *)
   let alice =
@@ -911,8 +749,8 @@ let test_vo_revocation_round () =
   (* A bounded publish first: a rule confined to resource "lab" joins
      the VO policy.  Every level holds one seeded "lab" entry beside
      entries for "chart"; the region must drop exactly the "lab" one at
-     the VO root, at both domain L2s and in the PEP's L1. *)
-  let l2s = root :: List.filter_map Domain.l2 (Vo.domains vo) in
+     both domain L2s and in the PEP's L1. *)
+  let l2s = List.filter_map Domain.l2 (Vo.domains vo) in
   let sizes () = Decision_cache.size l1 :: List.map Cache_hierarchy.L2.size l2s in
   Net.add_node net "seeder";
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 12.0) (fun () ->
@@ -941,9 +779,9 @@ let test_vo_revocation_round () =
   check bool_ "the lab entry left L1" true (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "lab") = None);
   check bool_ "the chart entry stayed in L1" true
     (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "chart") <> None);
-  (* Revoke at t=10: the PIP drops the role (pushing an attribute
-     invalidation to the PDP cache) and the capability revocation runs
-     one decision-cache invalidation round from the VO root. *)
+  (* Revoke: the PIP drops the role (pushing an attribute invalidation
+     to the PDP cache) and the capability revocation purges every
+     member's decision caches. *)
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 20.0) (fun () ->
       Pip.remove_subject_attribute (Domain.pip da) ~subject:"alice" ~id:"role";
       Vo.revoke_capability vo ~assertion_id:"cap-1");
@@ -1442,14 +1280,6 @@ let () =
             test_l2_shared_between_peps;
           Alcotest.test_case "an unreachable L2 degrades to a miss" `Quick
             test_l2_unreachable_degrades_to_miss;
-          Alcotest.test_case "invalidations fan out along the hierarchy" `Quick
-            test_invalidation_fanout;
-          Alcotest.test_case "a purge from a node other than the parent is refused" `Quick
-            test_purge_only_from_parent;
-          Alcotest.test_case "an anti-entropy parent's purge is accepted" `Quick
-            test_purge_from_anti_entropy_parent;
-          Alcotest.test_case "anti-entropy applies a lost purge within one round" `Quick
-            test_anti_entropy_backstop;
           Alcotest.test_case "a pull PEP sends no L2 put for an Indeterminate" `Quick
             (test_no_l2_put_for_indeterminate ~sharded:false);
           Alcotest.test_case "a sharded PEP sends no L2 put for an Indeterminate" `Quick
@@ -1462,8 +1292,6 @@ let () =
           Alcotest.test_case "an unbounded region degrades to the full flush" `Quick
             test_region_unbounded_flush;
           Alcotest.test_case "traces name the purge kind" `Quick test_region_trace_events;
-          Alcotest.test_case "anti-entropy repairs a lost region push" `Quick
-            test_region_anti_entropy_repair;
           Alcotest.test_case "an in-flight put cannot outlive a region purge" `Quick
             test_region_put_race;
           Alcotest.test_case "a live answer in flight across a purge stays out of L1" `Quick

@@ -308,6 +308,22 @@ let test_vo_anti_entropy_pull_purges_member_caches () =
   check int_ "pulled by anti-entropy" 2 (Pap.version member);
   check bool_ "denied at once, inside the TTL" false (granted ~until:13.0)
 
+(* With the cache hierarchy attached, a member that misses the VO push
+   pulls the policy itself within one anti-entropy period: purging its
+   caches without the policy would only re-grant from the live PDP. *)
+let test_vo_cache_hierarchy_heals_lost_policy () =
+  let net, vo, d_a, granted = cached_member_pep () in
+  let member = Domain.pap d_a and vo_pap = Vo.vo_pap vo in
+  Vo.cache_hierarchy vo ~ttl:60.0 ();
+  check bool_ "initial grant" true (granted ~until:1.0);
+  Net.partition net [ Pap.node vo_pap ] [ Pap.node member ];
+  Vo.publish_policy vo vo_lockdown;
+  check bool_ "still granted while the push is lost" true (granted ~until:3.0);
+  Net.heal net;
+  Net.run ~until:61.0 net;
+  check int_ "the member PAP pulled the lockdown" 2 (Pap.version member);
+  check bool_ "denied after the heal" false (granted ~until:62.0)
+
 let test_vo_push_model_with_vo_cas () =
   (* Push model inside the VO: capability from the VO capability service,
      honoured by a push-mode PEP in a member domain. *)
@@ -609,6 +625,8 @@ let () =
             test_vo_revocation_purges_member_caches;
           Alcotest.test_case "an anti-entropy pull purges member caches" `Quick
             test_vo_anti_entropy_pull_purges_member_caches;
+          Alcotest.test_case "the cache hierarchy heals a lost policy push" `Quick
+            test_vo_cache_hierarchy_heals_lost_policy;
         ] );
       ( "rbac-domain",
         [ Alcotest.test_case "RBAC-backed domain" `Quick test_domain_set_rbac ] );

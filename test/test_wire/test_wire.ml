@@ -111,23 +111,6 @@ let policy_gen =
 
 let same_policy a b = Dacs_policy.Xacml_xml.(child_to_string a = child_to_string b)
 
-let region_gen =
-  let pin =
-    Gen.(
-      map
-        (fun ((pin_category, pin_attribute), (pin_values, pin_guards)) ->
-          { Dacs_policy.Delta.pin_category; pin_attribute; pin_values; pin_guards })
-        (pair (pair category_gen text_gen)
-           (pair (list_size (int_bound 3) text_gen) (list_size (int_bound 2) (pair category_gen text_gen)))))
-  in
-  Gen.(
-    oneof
-      [
-        return Dacs_policy.Delta.Empty;
-        return Dacs_policy.Delta.Unbounded;
-        map (fun zones -> Dacs_policy.Delta.Zones zones) (list_size (int_bound 3) (list_size (int_bound 3) pin));
-      ])
-
 let outcome_gen =
   Gen.oneof
     [
@@ -369,18 +352,6 @@ let frames =
     ack "subscribe_ack" Wire.write_subscribe_ack Wire.read_subscribe_ack Ref.subscribe_ack;
     ack "invalidate_ack" Wire.write_invalidate_ack Wire.read_invalidate_ack Ref.invalidate_ack;
     ack "cache_put_ack" Wire.write_cache_put_ack Wire.read_cache_put_ack Ref.cache_put_ack;
-    plain ~name:"cache_region" ~gen:(Gen.pair count_gen region_gen)
-      ~write:(fun buf (epoch, region) -> Wire.write_cache_region buf ~epoch region)
-      ~read:Wire.read_cache_region ~parse:Ref.parse_cache_region
-      (fun (epoch, region) -> Ref.cache_region ~epoch region);
-    plain ~name:"cache_sync" ~gen:count_gen
-      ~write:(fun buf known_epoch -> Wire.write_cache_sync buf ~known_epoch)
-      ~read:Wire.read_cache_sync ~parse:Ref.parse_cache_sync
-      (fun known_epoch -> Ref.cache_sync ~known_epoch);
-    plain ~name:"cache_epoch" ~gen:count_gen
-      ~write:(fun buf epoch -> Wire.write_cache_epoch buf ~epoch)
-      ~read:Wire.read_cache_epoch ~parse:Ref.parse_cache_epoch
-      (fun epoch -> Ref.cache_epoch ~epoch);
     (* discovery, identity assertions and trust negotiation *)
     plain ~name:"register" ~gen:(Gen.pair text_gen text_gen)
       ~write:(fun buf (kind, node) -> Wire.write_register buf ~kind ~node)

@@ -187,8 +187,6 @@ module Context = struct
   let of_xml = context_of_xml
 end
 
-module Delta = Dacs_policy.Delta
-
 let reference_result_to_xml = result_to_xml
 let reference_result_of_xml = result_of_xml
 
@@ -485,125 +483,6 @@ let parse_attribute_invalidate node =
   let* subject = attr_or_error node "Subject" in
   let* attribute_id = attr_or_error node "AttributeId" in
   Ok (subject, attribute_id)
-
-let cache_sync ~known_epoch =
-  Xml.element "CacheSync" ~attrs:[ ("KnownEpoch", string_of_int known_epoch) ]
-
-let parse_cache_sync node =
-  let* () = expect_tag node "CacheSync" in
-  let* s = attr_or_error node "KnownEpoch" in
-  match int_of_string_opt s with
-  | Some e -> Ok e
-  | None -> Error "KnownEpoch is not an integer"
-
-let pin_to_xml (p : Delta.pin) =
-  Xml.element "Pin"
-    ~attrs:
-      [
-        ("Category", Context.category_name p.Delta.pin_category);
-        ("Attribute", p.Delta.pin_attribute);
-      ]
-    ~children:
-      (List.map
-         (fun v -> Xml.element "V" ~attrs:[ ("Value", v) ])
-         p.Delta.pin_values
-      @ List.map
-          (fun (c, a) ->
-            Xml.element "Guard"
-              ~attrs:[ ("Category", Context.category_name c); ("Attribute", a) ])
-          p.Delta.pin_guards)
-
-let cache_region ~epoch region =
-  let kind, children =
-    match region with
-    | Delta.Empty -> ("empty", [])
-    | Delta.Unbounded -> ("unbounded", [])
-    | Delta.Zones zs ->
-      ( "zones",
-        List.map (fun z -> Xml.element "Zone" ~children:(List.map pin_to_xml z)) zs )
-  in
-  Xml.element "CacheRegion"
-    ~attrs:[ ("Epoch", string_of_int epoch); ("Kind", kind) ]
-    ~children
-
-let parse_category node name =
-  let* s = attr_or_error node name in
-  match Context.category_of_name s with
-  | None -> Error (Printf.sprintf "unknown category %s" s)
-  | Some c -> Ok c
-
-let parse_pin node =
-  let* () = expect_tag node "Pin" in
-  let* category = parse_category node "Category" in
-  let* attribute = attr_or_error node "Attribute" in
-  let* values =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        let* value = attr_or_error v "Value" in
-        Ok (value :: acc))
-      (Ok [])
-      (Xml.find_children node "V")
-  in
-  let* guards =
-    List.fold_left
-      (fun acc g ->
-        let* acc = acc in
-        let* c = parse_category g "Category" in
-        let* a = attr_or_error g "Attribute" in
-        Ok ((c, a) :: acc))
-      (Ok [])
-      (Xml.find_children node "Guard")
-  in
-  Ok
-    {
-      Delta.pin_category = category;
-      pin_attribute = attribute;
-      pin_values = List.rev values;
-      pin_guards = List.rev guards;
-    }
-
-let parse_cache_region node =
-  let* () = expect_tag node "CacheRegion" in
-  let* epoch_s = attr_or_error node "Epoch" in
-  let* epoch =
-    match int_of_string_opt epoch_s with
-    | None -> Error "Epoch is not an integer"
-    | Some e -> Ok e
-  in
-  let* kind = attr_or_error node "Kind" in
-  match kind with
-  | "empty" -> Ok (epoch, Delta.Empty)
-  | "unbounded" -> Ok (epoch, Delta.Unbounded)
-  | "zones" ->
-    let* zones =
-      List.fold_left
-        (fun acc z ->
-          let* acc = acc in
-          let* pins =
-            List.fold_left
-              (fun acc p ->
-                let* acc = acc in
-                let* pin = parse_pin p in
-                Ok (pin :: acc))
-              (Ok [])
-              (Xml.find_children z "Pin")
-          in
-          Ok (List.rev pins :: acc))
-        (Ok [])
-        (Xml.find_children node "Zone")
-    in
-    Ok (epoch, Delta.Zones (List.rev zones))
-  | other -> Error (Printf.sprintf "unknown region kind %s" other)
-
-let cache_epoch ~epoch = Xml.element "CacheEpoch" ~attrs:[ ("Epoch", string_of_int epoch) ]
-
-let parse_cache_epoch node =
-  let* () = expect_tag node "CacheEpoch" in
-  let* s = attr_or_error node "Epoch" in
-  match int_of_string_opt s with
-  | Some e -> Ok e
-  | None -> Error "Epoch is not an integer"
 
 let policy_query ~scope ~known_version =
   Xml.element "PolicyQuery" ~attrs:[ ("Scope", scope); ("KnownVersion", string_of_int known_version) ]
