@@ -806,6 +806,270 @@ let test_vo_revocation_round () =
     (fun size -> check bool_ "member L2 emptied" true (size = 0))
     !l2_sizes_after_round
 
+(* --- purges along the syndication hierarchy ------------------------------ *)
+
+(* No cache purges another over the network: each member domain purges
+   its own caches when its PAP accepts an update, pushed by the VO PAP or
+   pulled by anti-entropy, so a purge reaches exactly the members the
+   policy reaches, and a lost purge is repaired with the lost policy. *)
+
+let run_for net dt = Net.run ~until:(Net.now net +. dt) net
+let member_l2s vo = List.filter_map Domain.l2 (Vo.domains vo)
+let l2_sizes vo = List.map Cache_hierarchy.L2.size (member_l2s vo)
+let pap_versions vo = List.map (fun d -> Pap.version (Domain.pap d)) (Vo.domains vo)
+let sizes_list = Alcotest.list int_
+
+(* [doctor_policy]'s rules replaced by an untargeted deny: the change's
+   region has a zone with no pins, which covers every request. *)
+let lockdown_policy =
+  Policy.Inline_policy (Policy.make ~id:"doctor" ~issuer:"d" [ Rule.deny "deny-all" ])
+
+(* A VO of two members under [doctor_policy], the cache hierarchy
+   attached (unless [hierarchy] is false) and its first polls settled. *)
+let setup_vo ?(hierarchy = true) () =
+  let net = Net.create ~seed:41L () in
+  let services = Service.create (Rpc.create net) in
+  let members = [ Domain.create services ~name:"hospital" (); Domain.create services ~name:"lab" () ] in
+  let vo = Vo.form services ~name:"vo" members in
+  Vo.publish_policy vo doctor_policy;
+  Net.run net;
+  if hierarchy then Vo.cache_hierarchy vo ~ttl:60.0 ();
+  Net.add_node net "seeder";
+  run_for net 1.0;
+  (net, services, vo)
+
+(* A permit for each resource in every member L2, put over the wire. *)
+let seed_l2s net services vo resources =
+  Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+      List.iter
+        (fun l2 ->
+          List.iter
+            (fun r ->
+              Cache_hierarchy.L2.remote_put services ~src:"seeder" ~l2:(Cache_hierarchy.L2.node l2)
+                ~key:(rkey r) Decision.permit)
+            resources)
+        (member_l2s vo));
+  run_for net 1.0
+
+let test_invalidation_fanout () =
+  let net, services, vo = setup_vo () in
+  seed_l2s net services vo [ "chart"; "lab" ];
+  check sizes_list "both members seeded" [ 2; 2 ] (l2_sizes vo);
+  let purges () =
+    List.map (fun l2 -> (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.invalidations) (member_l2s vo)
+  in
+  let purged = purges () in
+  (* The same tree again: every member accepts it, and its empty region
+     drops nothing anywhere. *)
+  let v0 = pap_versions vo in
+  Vo.publish_policy vo doctor_policy;
+  run_for net 1.0;
+  check sizes_list "every member accepted the republish" (List.map succ v0) (pap_versions vo);
+  check sizes_list "an empty region drops nothing" [ 2; 2 ] (l2_sizes vo);
+  check sizes_list "nor counts a purge" purged (purges ());
+  (* One publish at the VO PAP: each member purges once, on its own. *)
+  Vo.publish_policy vo lockdown_policy;
+  run_for net 1.0;
+  check sizes_list "the full purge reached both members" [ 0; 0 ] (l2_sizes vo);
+  check sizes_list "one purge per member" (List.map succ purged) (purges ())
+
+(* A policy-update from a node the member's admin policy does not name
+   is refused and purges nothing; the VO PAP's own push still lands. *)
+let test_purge_only_from_parent () =
+  let net, services, vo = setup_vo () in
+  seed_l2s net services vo [ "chart" ];
+  let member = Domain.pap (List.hd (Vo.domains vo)) in
+  let v0 = Pap.version member in
+  Net.add_node net "mallory";
+  let answer = ref None in
+  Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+      Service.call_frame services ~src:"mallory" ~dst:(Pap.node member) ~service:"policy-update"
+        ~read:Wire.read_policy_update_ack
+        (fun buf -> Wire.write_policy_update buf ~version:99 lockdown_policy)
+        (fun r -> answer := Some r));
+  run_for net 1.0;
+  check bool_ "the stranger's update is refused" true
+    (match !answer with Some (Error _) -> true | _ -> false);
+  check int_ "the member PAP kept its policy" v0 (Pap.version member);
+  check sizes_list "nothing purged" [ 1; 1 ] (l2_sizes vo);
+  Vo.publish_policy vo lockdown_policy;
+  run_for net 1.0;
+  check sizes_list "the VO PAP's push purges" [ 0; 0 ] (l2_sizes vo)
+
+(* A member that is only polled, never subscribed, accepts a push from
+   its anti-entropy parent and purges; the same version pushed again was
+   adopted already, so it is acknowledged without a second purge. *)
+let test_purge_from_anti_entropy_parent () =
+  let net = Net.create ~seed:31L () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "parent";
+  Net.add_node net "seeder";
+  ignore (Pap.create services ~node:"parent" ~name:"parent" ());
+  let d = Domain.create services ~name:"child" () in
+  let l2 = Domain.attach_l2 d ~ttl:60.0 () in
+  Domain.allow_policy_updates_from d [ "parent" ];
+  let member = Domain.pap d in
+  Pap.enable_anti_entropy member ~parent:"parent" ~period:2.0;
+  let seed () =
+    Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+        Cache_hierarchy.L2.remote_put services ~src:"seeder" ~l2:(Cache_hierarchy.L2.node l2) ~key:(rkey "chart")
+          Decision.permit);
+    run_for net 0.5
+  in
+  let push ~src =
+    let answer = ref None in
+    Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+        Service.call_frame services ~src ~dst:(Pap.node member) ~service:"policy-update"
+          ~read:Wire.read_policy_update_ack
+          (fun buf -> Wire.write_policy_update buf ~version:1 doctor_policy)
+          (fun r -> answer := Some r));
+    run_for net 0.5;
+    !answer
+  in
+  seed ();
+  check bool_ "a non-parent's push is refused" true
+    (match push ~src:"seeder" with Some (Error _) -> true | _ -> false);
+  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size l2);
+  check bool_ "the polled parent's push is accepted" true
+    (match push ~src:"parent" with Some (Ok (Ok _)) -> true | _ -> false);
+  check int_ "the push purged" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "one update accepted" 1 (Pap.updates_accepted member);
+  seed ();
+  check bool_ "a known version is acknowledged" true
+    (match push ~src:"parent" with Some (Ok (Ok _)) -> true | _ -> false);
+  check int_ "and not accepted again" 1 (Pap.updates_accepted member);
+  check int_ "so nothing is purged" 1 (Cache_hierarchy.L2.size l2)
+
+(* The push to one member is lost to a partition; the other purges at
+   once, and the cut-off member's next poll after the heal pulls the
+   policy and purges.  A poll that times out waits one more period, so
+   the repair lands within a period plus the call timeout. *)
+let lost_push_round next =
+  let net, services, vo = setup_vo () in
+  seed_l2s net services vo [ "chart"; "lab" ];
+  let cut = Domain.pap (List.hd (Vo.domains vo)) in
+  let v0 = pap_versions vo in
+  Net.partition net [ Pap.node (Vo.vo_pap vo) ] [ Pap.node cut ];
+  Vo.publish_policy vo next;
+  run_for net 2.0;
+  let during = (pap_versions vo, l2_sizes vo) in
+  Net.heal net;
+  run_for net 6.5;
+  (v0, during, net, vo)
+
+let test_anti_entropy_backstop () =
+  let v0, (versions, sizes), _, vo = lost_push_round lockdown_policy in
+  check sizes_list "only the reachable member accepted" [ List.hd v0; List.nth v0 1 + 1 ] versions;
+  check sizes_list "only the reachable member purged" [ 2; 0 ] sizes;
+  check sizes_list "the poll applied the missed purge" [ 0; 0 ] (l2_sizes vo);
+  check int_ "by pulling the missed policy" (List.hd v0 + 1) (List.hd (pap_versions vo))
+
+let test_region_anti_entropy_repair () =
+  let v0, (_, sizes), net, vo = lost_push_round doctor_lab_policy in
+  check sizes_list "the reachable member dropped the lab entry" [ 2; 1 ] sizes;
+  check int_ "the cut-off member pulled the policy" (List.hd v0 + 1) (List.hd (pap_versions vo));
+  (* The pull purges the update's own region, not everything. *)
+  check sizes_list "the poll repaired the lost region push" [ 1; 1 ] (l2_sizes vo);
+  let l2 = List.hd (member_l2s vo) in
+  let cached r =
+    let got = ref None in
+    Net.add_node net "probe";
+    Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+        Cache_hierarchy.L2.remote_lookup (Vo.services vo) ~src:"probe" ~l2:(Cache_hierarchy.L2.node l2)
+          ~key:(rkey r) (fun a -> got := Some a));
+    run_for net 0.5;
+    match !got with Some (Some _) -> true | _ -> false
+  in
+  check bool_ "the chart entry stayed" true (cached "chart");
+  check bool_ "the lab entry left" false (cached "lab")
+
+(* A member whose local constraints decline an update stores nothing,
+   so it purges nothing either; the other member purges as usual. *)
+let test_declined_update_purges_nothing () =
+  let net, services, vo = setup_vo () in
+  seed_l2s net services vo [ "chart"; "lab" ];
+  let declining = Domain.pap (List.hd (Vo.domains vo)) in
+  Pap.set_update_transform declining (fun _ -> None);
+  let v0 = Pap.version declining in
+  Vo.publish_policy vo lockdown_policy;
+  run_for net 1.0;
+  check int_ "the push was refused" 1 (Pap.updates_rejected declining);
+  check int_ "the declining member kept its version" v0 (Pap.version declining);
+  check sizes_list "only the accepting member purged" [ 2; 0 ] (l2_sizes vo)
+
+(* [Vo.cache_hierarchy] twice is once: the same L2s, one poll per member
+   per period. *)
+let test_hierarchy_idempotent () =
+  let polls ~twice =
+    let net, _, vo = setup_vo () in
+    let l2s = member_l2s vo in
+    if twice then Vo.cache_hierarchy vo ~ttl:60.0 ();
+    check bool_ "the same L2s" true (List.for_all2 ( == ) l2s (member_l2s vo));
+    let q0 = Pap.queries_served (Vo.vo_pap vo) in
+    run_for net 20.0;
+    Pap.queries_served (Vo.vo_pap vo) - q0
+  in
+  let once = polls ~twice:false in
+  check int_ "four polls per member in 20 s" 8 once;
+  check int_ "a second attach adds no poll" once (polls ~twice:true)
+
+(* [Domain.purge] is the one cache purge: the region leaves the L2 and
+   every PEP's L1 alike, and an empty region leaves both alone. *)
+let seeded_domain ~l2 =
+  let net = Net.create ~seed:43L () in
+  let services = Service.create (Rpc.create net) in
+  let d = Domain.create services ~name:"hospital" () in
+  let l1s = [ Decision_cache.create ~ttl:60.0 (); Decision_cache.create ~ttl:60.0 () ] in
+  List.iteri
+    (fun i cache -> ignore (Domain.expose_resource d ~resource:(Printf.sprintf "r%d" i) ~cache () : Pep.t))
+    l1s;
+  let l2 = if l2 then Some (Domain.attach_l2 d ~ttl:60.0 ()) else None in
+  Net.add_node net "seeder";
+  Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
+      List.iter
+        (fun r ->
+          List.iter (fun c -> Decision_cache.put c ~now:(Net.now net) ~key:(rkey r) Decision.permit) l1s;
+          Option.iter
+            (fun l2 ->
+              Cache_hierarchy.L2.remote_put services ~src:"seeder" ~l2:(Cache_hierarchy.L2.node l2) ~key:(rkey r)
+                Decision.permit)
+            l2)
+        [ "chart"; "lab" ]);
+  Net.run net;
+  let sizes () = List.map Decision_cache.size l1s @ Option.to_list (Option.map Cache_hierarchy.L2.size l2) in
+  (d, l1s, sizes)
+
+let test_domain_purge_every_level () =
+  let d, l1s, sizes = seeded_domain ~l2:true in
+  check sizes_list "every level seeded" [ 2; 2; 2 ] (sizes ());
+  Domain.purge d Delta.empty;
+  check sizes_list "an empty region drops nothing" [ 2; 2; 2 ] (sizes ());
+  Domain.purge d lab_region;
+  check sizes_list "the region left every level" [ 1; 1; 1 ] (sizes ());
+  List.iter
+    (fun c -> check bool_ "the chart entry stayed in L1" true (Decision_cache.get c ~now:1.0 ~key:(rkey "chart") <> None))
+    l1s;
+  Domain.purge d Delta.unbounded;
+  check sizes_list "an unbounded region empties every level" [ 0; 0; 0 ] (sizes ())
+
+let test_domain_purge_without_l2 () =
+  let d, _, sizes = seeded_domain ~l2:false in
+  check bool_ "no L2 attached" true (Domain.l2 d = None);
+  check sizes_list "both L1s seeded" [ 2; 2 ] (sizes ());
+  Domain.purge d Delta.unbounded;
+  check sizes_list "the PEP L1s purge all the same" [ 0; 0 ] (sizes ())
+
+(* A revoked capability purges every member's PEP caches even when no
+   cache hierarchy is attached. *)
+let test_revocation_without_hierarchy () =
+  let net, _, vo = setup_vo ~hierarchy:false () in
+  let l1 = Decision_cache.create ~ttl:60.0 () in
+  ignore (Domain.expose_resource (List.hd (Vo.domains vo)) ~resource:"chart" ~cache:l1 () : Pep.t);
+  check sizes_list "no member L2" [] (l2_sizes vo);
+  Decision_cache.put l1 ~now:(Net.now net) ~key:(rkey "chart") Decision.permit;
+  Vo.revoke_capability vo ~assertion_id:"cap-1";
+  check int_ "the member L1 was purged" 0 (Decision_cache.size l1)
+
 (* --- the compiled region test against its reference --------------------- *)
 
 (* The per-key test region invalidation used before it was compiled to
@@ -1316,5 +1580,28 @@ let () =
         [
           Alcotest.test_case "after one round no cache level serves the grant" `Quick
             test_vo_revocation_round;
+          Alcotest.test_case "a revocation purges member L1s without a hierarchy" `Quick
+            test_revocation_without_hierarchy;
+        ] );
+      ( "syndicated-purge",
+        [
+          Alcotest.test_case "invalidations fan out along the hierarchy" `Quick
+            test_invalidation_fanout;
+          Alcotest.test_case "a purge from a node other than the parent is refused" `Quick
+            test_purge_only_from_parent;
+          Alcotest.test_case "an anti-entropy parent's purge is accepted" `Quick
+            test_purge_from_anti_entropy_parent;
+          Alcotest.test_case "anti-entropy applies a lost purge within one round" `Quick
+            test_anti_entropy_backstop;
+          Alcotest.test_case "anti-entropy repairs a lost region push" `Quick
+            test_region_anti_entropy_repair;
+          Alcotest.test_case "a declined update purges nothing" `Quick
+            test_declined_update_purges_nothing;
+          Alcotest.test_case "attaching the hierarchy twice starts one poll" `Quick
+            test_hierarchy_idempotent;
+          Alcotest.test_case "Domain.purge drops a region from every level" `Quick
+            test_domain_purge_every_level;
+          Alcotest.test_case "Domain.purge without an L2 purges the L1s" `Quick
+            test_domain_purge_without_l2;
         ] );
     ]

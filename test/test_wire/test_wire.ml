@@ -494,8 +494,26 @@ let captured_frame send =
       Rpc.serve_frame rpc ~node:"server" ~service (fun ~caller:_ body reply ->
           seen := body.Rpc.src;
           reply (fun buf -> Soap.write buf (fun buf -> Buffer.add_string buf "<Ack/>"))))
-    [ "authz-query"; "cache-lookup" ];
+    [ "authz-query"; "cache-lookup"; "policy-query"; "policy-update" ];
   send services;
+  Net.run net;
+  !seen
+
+(* The reply a live PAP that admits every caller sends to its first
+   push: captured at the raw caller, whose reply slice lies inside the
+   whole frame. *)
+let pap_ack_frame child =
+  let net = Net.create () in
+  let rpc = Rpc.create net in
+  let services = Service.create rpc in
+  Net.add_node net "parent";
+  Net.add_node net "pap";
+  let admin = Dacs_policy.Policy.Inline_policy (Dacs_policy.Policy.make ~id:"admin" [ Dacs_policy.Rule.permit "anyone" ]) in
+  ignore (Pap.create services ~node:"pap" ~name:"pap" ~admin_policy:admin () : Pap.t);
+  let seen = ref "" in
+  Rpc.call_frame rpc ~src:"parent" ~dst:"pap" ~service:"policy-update"
+    (fun buf -> Soap.write buf (fun buf -> Wire.write_policy_update buf ~version:1 child))
+    (function Ok reply -> seen := reply.Rpc.src | Error _ -> ());
   Net.run net;
   !seen
 
@@ -526,6 +544,39 @@ let whole_frame_tests =
                 ignore)
         in
         sent = Rpc.encode_request 0 "cache-lookup" (Xml.to_string (Ref.Soap.envelope (Ref.cache_lookup ~key))));
+    (* the syndication plane: a member PAP's anti-entropy poll and a
+       parent's push *)
+    Test.make ~name:"policy_query: the single frame sent = the reference frame" ~count:100
+      (make ~print:(fun (scope, v) -> Printf.sprintf "%S %d" scope v) (Gen.pair text_gen count_gen))
+      (fun (scope, known_version) ->
+        let sent =
+          captured_frame (fun services ->
+              Service.call_frame services ~src:"client" ~dst:"server" ~service:"policy-query"
+                ~read:(fun _ -> Ok ())
+                (fun buf -> Wire.write_policy_query buf ~scope ~known_version)
+                ignore)
+        in
+        sent
+        = Rpc.encode_request 0 "policy-query"
+            (Xml.to_string (Ref.Soap.envelope (Ref.policy_query ~scope ~known_version))));
+    Test.make ~name:"policy_update: the single frame sent = the reference frame" ~count:100
+      (make ~print:(fun (v, child) -> Printf.sprintf "%d %s" v (Dacs_policy.Xacml_xml.child_to_string child))
+         (Gen.pair count_gen policy_gen))
+      (fun (version, child) ->
+        let sent =
+          captured_frame (fun services ->
+              Service.call_frame services ~src:"client" ~dst:"server" ~service:"policy-update"
+                ~read:(fun _ -> Ok ())
+                (fun buf -> Wire.write_policy_update buf ~version child)
+                ignore)
+        in
+        sent
+        = Rpc.encode_request 0 "policy-update"
+            (Xml.to_string (Ref.Soap.envelope (Ref.policy_update ~version child))));
+    Test.make ~name:"policy_update_ack: the reply a PAP sends = the reference frame" ~count:50
+      (make ~print:Dacs_policy.Xacml_xml.child_to_string policy_gen)
+      (fun child ->
+        pap_ack_frame child = Rpc.encode_reply 0 (Xml.to_string (Ref.Soap.envelope (Ref.policy_update_ack ~version:1))));
   ]
 
 (* --- log-sync admission: a mutation never smuggles in an event ------------------- *)
