@@ -187,7 +187,7 @@ module L2 = struct
         reply (fun buf -> Wire.write_cache_answer buf answer));
     Service.serve_frame services ~node ~service:"cache-put" ~read:Wire.read_cache_put
       (fun ~caller:_ ~headers:_ (key, result, sent_at) reply ->
-        (* The put/invalidate race: a fire-and-forget put composed
+        (* The put/invalidate race: a one-way put composed
            before a purge must not land after it and resurrect the
            entry it carried.  The reader refuses unstamped puts. *)
         if sent_at < t.purged_at then Metrics.inc t.c_rejected_puts
@@ -214,8 +214,6 @@ module L2 = struct
 
   let remote_put services ~src ~l2 ~key result =
     let sent_at = Dacs_net.Net.now (Service.net services) in
-    Service.call_frame services ~src ~dst:l2 ~service:"cache-put"
-      ~read:Wire.read_cache_put_ack
-      (fun buf -> Wire.write_cache_put ~sent_at buf ~key result)
-      (fun _ -> ())
+    Service.cast_frame services ~src ~dst:l2 ~service:"cache-put" (fun buf ->
+        Wire.write_cache_put ~sent_at buf ~key result)
 end

@@ -154,5 +154,7 @@ module L2 : sig
     key:string ->
     Dacs_policy.Decision.result ->
     unit
-  (** Fire-and-forget. *)
+  (** Sends the put as one one-way frame ({!Dacs_ws.Service.cast_frame}),
+      stamped with the send time: nothing answers it, and the L2's
+      refusal of a put sent before its last purge reaches nobody. *)
 end

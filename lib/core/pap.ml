@@ -21,9 +21,10 @@ type t = {
   mutable update_transform : Policy.child -> Policy.child option;
   mutable hooks : (Delta.t -> unit) list;  (* in registration order *)
   mutable parent : Dacs_net.Net.node_id option;  (* the anti-entropy parent *)
-  mutable parent_version : int;
-      (* parent's version as last pushed/polled; kept apart from [version],
-         which local accepts bump, so comparing against that would loop *)
+  known : (Dacs_net.Net.node_id, int) Hashtbl.t;
+      (* each upstream PAP's version as last pushed (or, for the parent,
+         polled); kept apart from [version], which local accepts bump, so
+         comparing against that would loop *)
 }
 
 let node t = t.node
@@ -34,6 +35,8 @@ let subscribers t = t.subscribers
 let set_admin_policy t p = t.admin_policy <- Some p
 let set_update_transform t f = t.update_transform <- f
 let on_update t hook = t.hooks <- t.hooks @ [ hook ]
+
+let known_version t node = Option.value (Hashtbl.find_opt t.known node) ~default:0
 
 let queries_served t = Metrics.counter_value t.c_queries
 let updates_accepted t = Metrics.counter_value t.c_accepted
@@ -59,10 +62,8 @@ let push_to_subscribers t =
   | Some root ->
     List.iter
       (fun child ->
-        Service.call_frame t.services ~src:t.node ~dst:child ~service:"policy-update"
-          ~read:Wire.read_policy_update_ack
-          (fun buf -> Wire.write_policy_update buf ~version:t.version root)
-          ignore)
+        Service.cast_frame t.services ~src:t.node ~dst:child ~service:"policy-update" (fun buf ->
+            Wire.write_policy_update buf ~version:t.version root))
       t.subscribers
 
 (* The one place a policy change is announced: every accepted update
@@ -118,7 +119,7 @@ let create services ~node ~name ?admin_policy ?root () =
       update_transform = Option.some;
       hooks = [];
       parent = None;
-      parent_version = 0;
+      known = Hashtbl.create 2;
     }
   in
   Service.serve_frame services ~node ~service:"policy-query" ~read:Wire.read_policy_query
@@ -134,15 +135,16 @@ let create services ~node ~name ?admin_policy ?root () =
       in
       (* Every caller, a syndicating parent we subscribed to included,
          needs the admin policy's blessing; an authorised update must
-         then pass the local transform.  A push from the anti-entropy
-         parent moves the version its polls report as known, and one
-         whose version is already known was adopted before. *)
+         then pass the local transform.  Each authorised push records
+         its caller's version, which a later anti-entropy pull from that
+         caller starts from; a push from the anti-entropy parent whose
+         version is already known was adopted before. *)
       let from_parent = t.parent = Some caller in
       if not (admin_permits t ~caller) then refuse "policy update not authorised"
-      else if from_parent && remote_version <= t.parent_version then
+      else if from_parent && remote_version <= known_version t caller then
         reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
       else begin
-        if from_parent then t.parent_version <- remote_version;
+        Hashtbl.replace t.known caller remote_version;
         if adopt t child then reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
         else refuse "update rejected by local constraints"
       end);
@@ -156,13 +158,13 @@ let enable_anti_entropy t ~parent ~period =
   t.parent <- Some parent;
   let rec poll () =
     Service.call_frame t.services ~src:t.node ~dst:parent ~service:"policy-query" ~read:Wire.read_policy_response
-      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:t.parent_version)
+      (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:(known_version t parent))
       (fun result ->
         (match result with
-        | Ok (Ok (version, Some child)) when version > t.parent_version ->
-          t.parent_version <- version;
+        | Ok (Ok (version, Some child)) when version > known_version t parent ->
+          Hashtbl.replace t.known parent version;
           ignore (adopt t child : bool)
-        | Ok (Ok (version, None)) -> t.parent_version <- max t.parent_version version
+        | Ok (Ok (version, None)) -> Hashtbl.replace t.known parent (max (known_version t parent) version)
         | Ok (Ok (_, Some _)) | Ok (Error _) | Error _ -> ());
         Engine.schedule engine ~delay:period poll)
   in

@@ -10,8 +10,10 @@
       mechanisms" (§3.2).
 
     On every accepted change the PAP bumps its version and pushes the new
-    policy to subscribers, which accept it subject to their local
-    transform (domain autonomy) and cascade to their own subscribers.
+    policy to subscribers, each in a one-way frame whose acknowledgement
+    or refusal goes to nobody.  A subscriber accepts it subject to its
+    local transform (domain autonomy) and cascades to its own
+    subscribers.
     Subscribers are wired by the PAP's owner ({!subscribe_local}); no
     node can add itself over the network.
 
@@ -75,11 +77,13 @@ val enable_anti_entropy : t -> parent:Dacs_net.Net.node_id -> period:float -> un
 (** Dependability for syndication: a push lost to the network would
     otherwise leave this PAP stale forever.  Enabling anti-entropy makes
     it poll the parent's ["policy-query"] every [period] seconds and adopt
-    any newer version (through the local transform, as a push would).  A
-    push from [parent] moves the version the polls report as known, so a
-    pushed policy is not fetched and accepted again, and a push whose
-    version is already known is acknowledged without being accepted.  Schedules itself forever — drive such simulations with
-    [Net.run ~until:…]. *)
+    any newer version (through the local transform, as a push would).
+    Every authorised push records its caller's version, and the polls
+    start from [parent]'s, so a policy [parent] pushed — before or after
+    anti-entropy was enabled — is not fetched and accepted again; a push
+    from [parent] whose version is already known is acknowledged
+    without being accepted.  Schedules itself forever — drive such
+    simulations with [Net.run ~until:…]. *)
 
 val subscribers : t -> Dacs_net.Net.node_id list
 

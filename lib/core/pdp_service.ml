@@ -443,8 +443,8 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
         end);
     List.iter
       (fun pip ->
-        Service.call_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"
-          ~read:Wire.read_subscribe_ack Wire.write_attribute_subscribe ignore)
+        Service.cast_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"
+          Wire.write_attribute_subscribe)
       pips);
   Service.serve_frame services ~node ~service:"authz-query" ~read:Wire.read_authz_query
     (fun ~caller:_ ~headers:_ ctx reply ->

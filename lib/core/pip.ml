@@ -30,10 +30,8 @@ let remove_subject_attribute t ~subject ~id =
   List.iter
     (fun dst ->
       Metrics.inc t.c_invalidations;
-      Service.call_frame t.services ~src:t.node ~dst ~service:"attribute-invalidate"
-        ~read:Wire.read_invalidate_ack
-        (fun buf -> Wire.write_attribute_invalidate buf ~subject ~attribute_id:id)
-        ignore)
+      Service.cast_frame t.services ~src:t.node ~dst ~service:"attribute-invalidate" (fun buf ->
+          Wire.write_attribute_invalidate buf ~subject ~attribute_id:id))
     t.subscribers
 
 let set_environment t ~id f = Hashtbl.replace t.environment id f

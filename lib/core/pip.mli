@@ -24,8 +24,8 @@ val add_subject_attribute : t -> subject:string -> id:string -> Dacs_policy.Valu
 
 val remove_subject_attribute : t -> subject:string -> id:string -> unit
 (** Revocation: subsequent queries return an empty bag, and every
-    subscribed PDP attribute cache is pushed an explicit invalidation so
-    the drop does not wait out a cache TTL. *)
+    subscribed PDP attribute cache is pushed an explicit invalidation,
+    one one-way frame each, so the drop does not wait out a cache TTL. *)
 
 val set_environment : t -> id:string -> (unit -> Dacs_policy.Value.bag) -> unit
 (** Computed environment attribute, e.g. the current simulation time. *)

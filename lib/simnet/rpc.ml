@@ -87,7 +87,15 @@ type caller_series = {
   rejections : Metrics.counter Lazy.t;
 }
 
-type kind = K_request | K_traced | K_batch | K_traced_batch | K_reply | K_error
+type kind =
+  | K_request
+  | K_traced
+  | K_batch
+  | K_traced_batch
+  | K_one_way
+  | K_traced_one_way
+  | K_reply
+  | K_error
 
 (* A frame's header as parsed: the bus parses every frame that arrives
    into its own, [decode] into a fresh one. *)
@@ -317,6 +325,8 @@ let kind_tag = function
   | K_traced -> "T"
   | K_batch -> "B"
   | K_traced_batch -> "BT"
+  | K_one_way -> "O"
+  | K_traced_one_way -> "OT"
   | K_reply -> "A"
   | K_error -> "E"
 
@@ -330,16 +340,17 @@ let add_header buf kind id ~service ~trace =
   add_escaped_service buf service;
   Buffer.add_char buf '|';
   match kind with
-  | K_traced | K_traced_batch ->
+  | K_traced | K_traced_batch | K_traced_one_way ->
     add_escaped_service buf trace;
     Buffer.add_char buf '|'
-  | K_request | K_batch | K_reply | K_error -> ()
+  | K_request | K_batch | K_one_way | K_reply | K_error -> ()
 
 (* The next '|' from [i] on, or the end of [s]. *)
 let rec bar s i = if i >= String.length s || String.unsafe_get s i = '|' then i else bar s (i + 1)
 
 (* Fills [h] with the header of [payload]; [false] when it is not a
-   well-formed, canonical one (and [h] is then unspecified). *)
+   well-formed, canonical one (and [h] is then unspecified).  A one-way
+   frame is answered by nobody, so its id is always 0. *)
 let parse_header h ~known payload =
   let n = String.length payload in
   let first = bar payload 0 in
@@ -349,6 +360,8 @@ let parse_header h ~known payload =
     | 1, 'T' -> Some K_traced
     | 1, 'B' -> Some K_batch
     | 2, 'B' when payload.[1] = 'T' -> Some K_traced_batch
+    | 1, 'O' -> Some K_one_way
+    | 2, 'O' when payload.[1] = 'T' -> Some K_traced_one_way
     | 1, 'A' -> Some K_reply
     | 1, 'E' -> Some K_error
     | _ -> None
@@ -373,7 +386,9 @@ let parse_header h ~known payload =
       match kind with
       | K_reply | K_error -> service = ""
       | K_request | K_batch -> true
-      | K_traced | K_traced_batch -> (
+      | K_one_way -> id = 0
+      | K_traced_one_way when id <> 0 -> false
+      | K_traced | K_traced_batch | K_traced_one_way -> (
         let fourth = bar payload (third + 1) in
         fourth < n
         &&
@@ -405,11 +420,16 @@ let encode_batch_request id service parts = frame K_batch id ~service (encode_pa
 let encode_traced_batch_request id service ~trace parts =
   frame K_traced_batch id ~service ~trace (encode_parts parts)
 
+let encode_one_way service body = frame K_one_way 0 ~service body
+let encode_traced_one_way service ~trace body = frame K_traced_one_way 0 ~service ~trace body
+
 type frame =
   | Request of int * string * string
   | Traced_request of { id : int; service : string; trace : string; body : string }
   | Batch_request of int * string * string list
   | Traced_batch_request of { id : int; service : string; trace : string; parts : string list }
+  | One_way of string * string
+  | Traced_one_way of { service : string; trace : string; body : string }
   | Reply of int * string
   | Error_frame of int * string
 
@@ -427,6 +447,8 @@ let decode payload =
       Option.map
         (fun parts -> Traced_batch_request { id = h.id; service = h.service; trace = h.trace; parts })
         (parts ())
+    | K_one_way -> Some (One_way (h.service, body ()))
+    | K_traced_one_way -> Some (Traced_one_way { service = h.service; trace = h.trace; body = body () })
     | K_reply -> Some (Reply (h.id, body ()))
     | K_error -> Some (Error_frame (h.id, body ()))
   end
@@ -508,6 +530,20 @@ let dispatch_request t (msg : Net.message) id service trace body =
     let span = serve_span t msg ~label:"serve:" service trace in
     run_handler t span srv.handler ~caller:msg.Net.src body (fun write ->
         reply_once t msg id ~category:(reply_category msg srv) ~span ~envelope:srv.reply_envelope write)
+
+let drop_reply (_ : writer) = ()
+
+(* A one-way frame runs the same handler as a request, but its reply
+   sends nothing: it only closes the server span.  Nobody awaits an
+   answer, so a missing service is not answered either. *)
+let dispatch_one_way t (msg : Net.message) service trace body =
+  match find_service t msg.Net.dst service with
+  | exception Not_found -> ()
+  | srv ->
+    Metrics.inc (Lazy.force srv.series.served);
+    let span = serve_span t msg ~label:"serve:" service trace in
+    let reply = match span with None -> drop_reply | Some s -> fun _ -> Trace.finish t.tracer s in
+    run_handler t span srv.handler ~caller:msg.Net.src body reply
 
 (* A batch dispatches each part to the ordinary per-request handler and
    replies once, when the last part's (possibly asynchronous) reply has
@@ -795,8 +831,8 @@ let time_out t id =
 (* The trace context a request frame carries, if it is of a traced kind. *)
 let trace_context kind trace =
   match kind with
-  | K_traced | K_traced_batch -> Trace.context_of_string trace
-  | K_request | K_batch | K_reply | K_error -> None
+  | K_traced | K_traced_batch | K_traced_one_way -> Trace.context_of_string trace
+  | K_request | K_batch | K_one_way | K_reply | K_error -> None
 
 (* The header is read out of the bus's scratch before anything runs
    that could handle another frame. *)
@@ -814,6 +850,8 @@ let handle_message t (msg : Net.message) =
       match parts_of (body_slice payload body) with
       | None -> ()
       | Some parts -> dispatch_batch t msg id service (trace_context kind trace) parts)
+    | K_one_way | K_traced_one_way ->
+      dispatch_one_way t msg service (trace_context kind trace) (body_slice payload body)
     | K_reply ->
       (breaker_for t msg.Net.src).heard.(0) <- Net.now t.net;
       complete t msg id (Ok (body_slice payload body))
@@ -885,6 +923,19 @@ let serve_frame t ~node ~service ?(envelope = bare) handler =
   Hashtbl.replace offered service
     { handler; reply_envelope = envelope; name = service; series = series_for t service }
 
+(* One client span per call attempt, parented on the ambient context —
+   the span under which the caller's code is currently running.  Its
+   context rides inside the request frame. *)
+let client_span t ~span_label ~src ~dst ~service ~batch =
+  if Trace.enabled t.tracer then begin
+    let s = Trace.start_span t.tracer (span_label ^ service) in
+    Trace.annotate s "src" src;
+    Trace.annotate s "dst" dst;
+    if batch > 0 then Trace.annotate s "batch" (string_of_int batch);
+    Some s
+  end
+  else None
+
 (* Shared correlation machinery of single and batched calls: id
    allocation, one client span per attempt, the pending-table entry and
    its timeout timer.  The request frame is [kind] (or [traced] when a
@@ -894,19 +945,7 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced 
   ensure_dispatch t src;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  (* One client span per call attempt, parented on the ambient context —
-     the span under which the caller's code is currently running.  Its
-     context rides inside the request frame. *)
-  let span =
-    if Trace.enabled t.tracer then begin
-      let s = Trace.start_span t.tracer (span_label ^ service) in
-      Trace.annotate s "src" src;
-      Trace.annotate s "dst" dst;
-      if batch > 0 then Trace.annotate s "batch" (string_of_int batch);
-      Some s
-    end
-    else None
-  in
+  let span = client_span t ~span_label ~src ~dst ~service ~batch in
   if t.pending.p_ids.(slot_of t.pending id) >= 0 then t.pending <- regrown t.pending id;
   let p = t.pending in
   store p (slot_of p id) ~id ~src ~dst ~series ~started:(Net.now t.net) ~span
@@ -932,6 +971,20 @@ let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?(breaker = false) ?(envelo
     issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~batch:0 ~kind:K_request
       ~traced:K_traced ~guarded:breaker ~envelope write k
   end
+
+(* A one-way frame: counted and traced as a call, but it takes no id, no
+   pending slot and no timer, and nothing ever answers it.  Its client
+   span closes once the frame is sent. *)
+let cast_frame t ~src ~dst ~service ?(envelope = bare) write =
+  ensure_dispatch t src;
+  Metrics.inc (Lazy.force (series_for t service).calls);
+  match client_span t ~span_label:"rpc:" ~src ~dst ~service ~batch:0 with
+  | None -> send_frame t ~src ~dst ~category:service K_one_way 0 ~service ~trace:"" ~envelope write
+  | Some s ->
+    send_frame t ~src ~dst ~category:service K_traced_one_way 0 ~service
+      ~trace:(Trace.context_to_string (Trace.context s))
+      ~envelope write;
+    Trace.finish t.tracer s
 
 (* [finish] has checked the reply's arity against the batch's. *)
 let batch_reply k = function

@@ -216,6 +216,28 @@ val call_frame :
     a success, a timeout a failure.  The call is never re-sent; a caller
     that retries takes {!retry_after} per failure. *)
 
+val cast_frame :
+  t ->
+  src:Net.node_id ->
+  dst:Net.node_id ->
+  service:string ->
+  ?envelope:(Buffer.t -> writer -> unit) ->
+  writer ->
+  unit
+(** [cast_frame t ~src ~dst ~service write] sends one one-way frame: a
+    request nobody answers, for a caller that would ignore the reply.
+    It takes no correlation id, no pending slot and no timer, so it
+    never shows in {!calls_in_flight}, never times out and passes no
+    breaker.  It counts one [rpc_calls_total{service}] like a call, and
+    when tracing it opens the same client span, carries its context in
+    the frame and finishes the span once the frame is sent.  The
+    receiving bus runs the service's ordinary {!serve_frame} handler
+    (counting [rpc_requests_served_total]) with a [reply] that sends
+    nothing and only closes the server span; a frame to a missing
+    service is dropped unanswered.  Loss, a crash or a refusal by the
+    handler is invisible to the sender.  [envelope] is as for
+    {!call_frame}. *)
+
 val call_batch_frame :
   t ->
   src:Net.node_id ->
@@ -285,8 +307,9 @@ val retrying :
     for non-negative ids and arbitrary service names (including ['|'] and
     ['%']) and bodies.  Headers are canonical: ids and part lengths are
     plain decimal digits without a sign or leading zeros, a ['%'] in a
-    header field must start ["%7C"] or ["%25"], and a reply or error
-    frame has an empty service field — so whenever [decode s = Some f],
+    header field must start ["%7C"] or ["%25"], a reply or error
+    frame has an empty service field, and a one-way frame (kind [O], or
+    [OT] with a trace context) has the id 0 — so whenever [decode s = Some f],
     encoding [f] gives back [s].  The live path parses the same header
     in place and hands the body on as a {!slice}. *)
 
@@ -298,6 +321,8 @@ type frame =
           span tree across PEP → PDP → PIP/PAP hops. *)
   | Batch_request of int * string * string list  (** id, service, parts *)
   | Traced_batch_request of { id : int; service : string; trace : string; parts : string list }
+  | One_way of string * string  (** service, body: a request nobody answers *)
+  | Traced_one_way of { service : string; trace : string; body : string }
   | Reply of int * string
   | Error_frame of int * string
 
@@ -307,6 +332,8 @@ val encode_reply : int -> string -> string
 val encode_error : int -> string -> string
 val encode_batch_request : int -> string -> string list -> string
 val encode_traced_batch_request : int -> string -> trace:string -> string list -> string
+val encode_one_way : string -> string -> string
+val encode_traced_one_way : string -> trace:string -> string -> string
 val decode : string -> frame option
 
 val encode_parts : string list -> string

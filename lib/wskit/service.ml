@@ -72,6 +72,9 @@ let call_frame t ~src ~dst ~service ?timeout ?breaker ?(headers = []) ~read writ
   in
   Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?breaker ~envelope write (reply_to read k)
 
+let cast_frame t ~src ~dst ~service write =
+  Rpc.cast_frame t.rpc ~src ~dst ~service ~envelope:soap_envelope write
+
 let call_batch_frame t ~src ~dst ~service ?breaker ~read writes k =
   Rpc.call_batch_frame t.rpc ~src ~dst ~service ?breaker
     (List.map (fun write buf -> Soap.write buf write) writes)

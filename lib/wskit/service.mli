@@ -97,6 +97,20 @@ val call_frame :
     ({!Dacs_net.Rpc.call_frame}).  A SOAP fault is an application
     answer, never a breaker failure. *)
 
+val cast_frame :
+  t ->
+  src:Dacs_net.Net.node_id ->
+  dst:Dacs_net.Net.node_id ->
+  service:string ->
+  (Buffer.t -> unit) ->
+  unit
+(** Send the body the writer produces, in its SOAP envelope, as a
+    one-way frame ({!Dacs_net.Rpc.cast_frame}): the service's handler
+    runs as for {!call_frame}, but its answer — a fault included — is
+    sent to nobody, and the sender learns nothing of loss or refusal.
+    For a notification whose reply the caller would ignore; it costs one
+    message where a call costs two, and no timer. *)
+
 val call_batch_frame :
   t ->
   src:Dacs_net.Net.node_id ->

@@ -110,6 +110,12 @@ let request fx ?(client = fx.alice) ?(action = "read") ~at outcome =
 let granted o = match !o with Some (Ok (Wire.Granted _)) -> true | _ -> false
 let denied o = match !o with Some (Ok (Wire.Denied _)) -> true | _ -> false
 
+(* How many messages of one category a run sent. *)
+let sent_count net category =
+  match List.assoc_opt category (Net.stats_by_category net) with
+  | Some st -> st.Net.count
+  | None -> 0
+
 (* --- batched attribute resolution -------------------------------------- *)
 
 let test_batched_single_round_trip () =
@@ -305,6 +311,25 @@ let test_attribute_invalidation_only_from_pips () =
   request fx ~at:20.0 o3;
   Net.run fx.net;
   check int_ "the PIP's own push dropped the bag" 4 (Pip.lookups_served fx.pip)
+
+(* The same refusal holds for an invalidation sent one way: the bag
+   stays cached, and no fault goes back to the stranger. *)
+let test_one_way_invalidation_only_from_pips () =
+  let fx = setup () in
+  let o1 = ref None in
+  request fx ~at:1.0 o1;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o1);
+  Net.add_node fx.net "mallory";
+  Service.cast_frame fx.services ~src:"mallory" ~dst:"pdp" ~service:"attribute-invalidate" (fun buf ->
+      Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role");
+  Net.run fx.net;
+  check int_ "no answer sent" 0 (sent_count fx.net "attribute-invalidate-reply");
+  let o2 = ref None in
+  request fx ~at:10.0 o2;
+  Net.run fx.net;
+  check bool_ "granted from the cached bags" true (granted o2);
+  check int_ "no attribute refetched" 3 (Pip.lookups_served fx.pip)
 
 let test_negative_attribute_cache () =
   let fx = setup () in
@@ -618,6 +643,73 @@ let test_unstamped_puts_refused () =
     !replies;
   check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
   check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2)
+
+(* --- one-way frames on the security paths -------------------------------- *)
+
+(* A put travels one way: nothing answers it, so the put-before-purge
+   check stands alone.  A stamped put sent at t=1 over a slow link lands
+   after the purge at t=1.5 and is rejected without a word back. *)
+let test_one_way_put_race () =
+  let net = Net.create ~seed:27L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  let seeder = add "seeder" in
+  Net.set_latency net "seeder" "l2" 1.0;
+  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
+      Service.cast_frame services ~src:seeder ~dst:"l2" ~service:"cache-put" (fun buf ->
+          Wire.write_cache_put ~sent_at:(Net.now net) buf ~key:(rkey "lab") Decision.permit));
+  Engine.schedule_at (Net.engine net) ~at:1.5 (fun () ->
+      Cache_hierarchy.L2.invalidate_region l2 lab_region);
+  Engine.run (Net.engine net) ~until:5.0;
+  check int_ "the in-flight put was rejected" 1 (Cache_hierarchy.L2.rejected_puts l2);
+  check int_ "the purged entry was not resurrected" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "the put was sent" 1 (sent_count net "cache-put");
+  check int_ "nothing answered it" 0 (sent_count net "cache-put-reply")
+
+(* One-way puts without a usable stamp store nothing, as called ones
+   do; their faults go to nobody. *)
+let test_one_way_unstamped_puts () =
+  let net = Net.create ~seed:27L () in
+  let services = Service.create (Rpc.create net) in
+  let add id =
+    Net.add_node net id;
+    id
+  in
+  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
+  let sender = add "sender" in
+  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
+      Cache_hierarchy.L2.invalidate_region l2 lab_region);
+  List.iter
+    (fun stamp ->
+      Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
+          Service.cast_frame services ~src:sender ~dst:"l2" ~service:"cache-put" (fun buf ->
+              Buffer.add_string buf "<CachePut Key=\"";
+              Dacs_xml.Xml.add_escaped buf (rkey "lab");
+              Buffer.add_string buf ("\"" ^ stamp ^ ">");
+              Dacs_policy.Xacml_xml.write_result buf Decision.permit;
+              Buffer.add_string buf "</CachePut>")))
+    [ ""; " SentAt=\"x\""; " SentAt=\"nan\""; " SentAt=\"inf\"" ];
+  Engine.run (Net.engine net) ~until:5.0;
+  check int_ "every put was sent" 4 (sent_count net "cache-put");
+  check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
+  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "no fault sent back" 0 (sent_count net "cache-put-reply")
+
+(* A PEP that misses its L1 and the L2 decides live and publishes the
+   answer to the L2 in exactly one message, which nothing answers. *)
+let test_l2_miss_sends_one_put () =
+  let fx = setup_l2 () in
+  let o = ref None in
+  l2_request fx ~pep:"pep1" ~at:1.0 o;
+  Net.run fx.net;
+  check bool_ "granted live" true (granted o);
+  check int_ "one put" 1 (sent_count fx.net "cache-put");
+  check int_ "no put reply" 0 (sent_count fx.net "cache-put-reply");
+  check int_ "stored" 1 (Cache_hierarchy.L2.size fx.l2)
 
 (* A PEP on node "pep" whose live rung reaches the single PDP "pdp",
    either as a pull PEP's failover list or through a one-shard tier — the
@@ -1522,6 +1614,8 @@ let () =
             test_attribute_invalidation_push;
           Alcotest.test_case "only the PDP's PIPs may drop a cached bag" `Quick
             test_attribute_invalidation_only_from_pips;
+          Alcotest.test_case "a stranger's one-way invalidation drops no cached bag" `Quick
+            test_one_way_invalidation_only_from_pips;
           Alcotest.test_case "empty bags are negative-cached" `Quick test_negative_attribute_cache;
         ] );
       ( "single-flight",
@@ -1548,6 +1642,8 @@ let () =
             (test_no_l2_put_for_indeterminate ~sharded:false);
           Alcotest.test_case "a sharded PEP sends no L2 put for an Indeterminate" `Quick
             (test_no_l2_put_for_indeterminate ~sharded:true);
+          Alcotest.test_case "an L2-miss descent sends one put and no reply" `Quick
+            test_l2_miss_sends_one_put;
         ] );
       ( "region-invalidation",
         [
@@ -1575,6 +1671,10 @@ let () =
             test_l2_region_drops_peer_malformed_keys;
           Alcotest.test_case "an unstamped put is refused after a purge" `Quick
             test_unstamped_puts_refused;
+          Alcotest.test_case "a one-way put sent before a purge is rejected" `Quick
+            test_one_way_put_race;
+          Alcotest.test_case "unstamped one-way puts store nothing" `Quick
+            test_one_way_unstamped_puts;
         ] );
       ( "revocation",
         [

@@ -324,6 +324,22 @@ let test_vo_cache_hierarchy_heals_lost_policy () =
   check int_ "the member PAP pulled the lockdown" 2 (Pap.version member);
   check bool_ "denied after the heal" false (granted ~until:62.0)
 
+(* A policy the VO pushed before the cache hierarchy was attached is not
+   pulled again: the member's anti-entropy starts from the version the
+   VO PAP last pushed it, so its polls find nothing new. *)
+let test_vo_anti_entropy_starts_from_adopted_push () =
+  let net, services = fresh () in
+  let d_a = Domain.create services ~name:"org-a" () in
+  let vo = Vo.form services ~name:"vo" [ d_a ] in
+  let member = Domain.pap d_a in
+  Vo.publish_policy vo (doctor_read_policy ~id:"vo-policy" ~issuer:"vo" "shared-ws");
+  Net.run net;
+  check int_ "the push was adopted" 1 (Pap.version member);
+  Vo.cache_hierarchy vo ~ttl:60.0 ();
+  Net.run ~until:(Net.now net +. 11.0) net;
+  check int_ "still at the pushed version after two polls" 1 (Pap.version member);
+  check int_ "accepted once" 1 (Pap.updates_accepted member)
+
 let test_vo_push_model_with_vo_cas () =
   (* Push model inside the VO: capability from the VO capability service,
      honoured by a push-mode PEP in a member domain. *)
@@ -627,6 +643,8 @@ let () =
             test_vo_anti_entropy_pull_purges_member_caches;
           Alcotest.test_case "the cache hierarchy heals a lost policy push" `Quick
             test_vo_cache_hierarchy_heals_lost_policy;
+          Alcotest.test_case "anti-entropy starts from the version already pushed" `Quick
+            test_vo_anti_entropy_starts_from_adopted_push;
         ] );
       ( "rbac-domain",
         [ Alcotest.test_case "RBAC-backed domain" `Quick test_domain_set_rbac ] );

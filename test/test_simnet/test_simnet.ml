@@ -441,6 +441,55 @@ let test_rpc_long_pending_call () =
   check bool_ "the held call answered once" true (!first = [ Ok "late" ]);
   check int_ "nothing pending" 0 (Rpc.calls_in_flight rpc)
 
+(* --- one-way frames --------------------------------------------------------- *)
+
+let cast_string rpc ~src ~dst ~service body =
+  Rpc.cast_frame rpc ~src ~dst ~service (fun buf -> Buffer.add_string buf body)
+
+let test_cast_runs_handler () =
+  let net, rpc = make_rpc () in
+  let seen = ref [] in
+  serve_string rpc ~node:"server" ~service:"note" (fun ~caller body reply ->
+      seen := (caller, body) :: !seen;
+      reply "ack");
+  cast_string rpc ~src:"client" ~dst:"server" ~service:"note" "hello";
+  check int_ "nothing pending once sent" 0 (Rpc.calls_in_flight rpc);
+  Net.run net;
+  check bool_ "handler ran once" true (!seen = [ ("client", "hello") ]);
+  check int_ "no call in flight" 0 (Rpc.calls_in_flight rpc);
+  check int_ "no timer left" 0 (Engine.pending (Net.engine net));
+  let bytes = String.length (Rpc.encode_one_way "note" "hello") in
+  check bool_ "one message, no reply" true (Net.stats_by_category net = [ ("note", { Net.count = 1; bytes }) ]);
+  let metrics = Rpc.metrics rpc in
+  check int_ "counted as a call" 1 (Dacs_telemetry.Metrics.sum_counter metrics "rpc_calls_total");
+  check int_ "counted as served" 1 (Dacs_telemetry.Metrics.sum_counter metrics "rpc_requests_served_total")
+
+let test_cast_unknown_service () =
+  let net, rpc = make_rpc () in
+  serve_string rpc ~node:"server" ~service:"note" (fun ~caller:_ _ reply -> reply "ack");
+  cast_string rpc ~src:"client" ~dst:"server" ~service:"missing" "hello";
+  Net.run net;
+  check bool_ "only the one-way frame was sent" true
+    (List.map fst (Net.stats_by_category net) = [ "missing" ]);
+  check int_ "no timer left" 0 (Engine.pending (Net.engine net))
+
+let test_cast_traced_span_tree () =
+  let module Trace = Dacs_telemetry.Trace in
+  let net, rpc = make_rpc () in
+  Rpc.set_tracing rpc true;
+  serve_string rpc ~node:"server" ~service:"note" (fun ~caller:_ _ reply -> reply "ack");
+  cast_string rpc ~src:"client" ~dst:"server" ~service:"note" "hello";
+  Net.run net;
+  match Trace.critical_path (Rpc.tracer rpc) with
+  | [ client; server ] ->
+    check string_ "client span" "rpc:note" client.Trace.v_name;
+    check string_ "server span" "serve:note" server.Trace.v_name;
+    check bool_ "server span is the client span's child" true
+      (server.Trace.v_parent = Some client.Trace.v_span_id);
+    check bool_ "same trace" true (server.Trace.v_trace_id = client.Trace.v_trace_id);
+    check bool_ "both finished" true (client.Trace.v_end <> None && server.Trace.v_end <> None)
+  | path -> Alcotest.failf "expected a client and a serve span, got %d spans" (List.length path)
+
 let test_rpc_service_name_with_separator () =
   (* A service whose *name* contains the frame separator must round-trip:
      historically "a|b" mis-framed and the call never matched the
@@ -487,6 +536,11 @@ let frame_roundtrip_tests =
       (fun ((id, service, trace), parts) ->
         Rpc.decode (Rpc.encode_traced_batch_request id service ~trace parts)
         = Some (Rpc.Traced_batch_request { id; service; trace; parts }));
+    Test.make ~name:"rpc frame: one-way and traced one-way round-trip" ~count:500
+      (triple nasty_string nasty_string nasty_string) (fun (service, trace, body) ->
+        Rpc.decode (Rpc.encode_one_way service body) = Some (Rpc.One_way (service, body))
+        && Rpc.decode (Rpc.encode_traced_one_way service ~trace body)
+           = Some (Rpc.Traced_one_way { service; trace; body }));
     Test.make ~name:"rpc frame: parts codec round-trips" ~count:500
       (list_of_size (Gen.int_bound 8) nasty_string) (fun parts ->
         Rpc.decode_parts (Rpc.encode_parts parts) = Some parts);
@@ -500,6 +554,8 @@ let encode_frame = function
   | Rpc.Batch_request (id, service, parts) -> Rpc.encode_batch_request id service parts
   | Rpc.Traced_batch_request { id; service; trace; parts } ->
     Rpc.encode_traced_batch_request id service ~trace parts
+  | Rpc.One_way (service, body) -> Rpc.encode_one_way service body
+  | Rpc.Traced_one_way { service; trace; body } -> Rpc.encode_traced_one_way service ~trace body
   | Rpc.Reply (id, body) -> Rpc.encode_reply id body
   | Rpc.Error_frame (id, body) -> Rpc.encode_error id body
 
@@ -558,13 +614,18 @@ let frame_fuzz_tests =
       (fun ((id, body), ops) ->
         total_decode (mutate ops (Rpc.encode_request id "svc" body))
         && total_decode (mutate ops (Rpc.encode_reply id body)));
+    Test.make ~name:"rpc fuzz: mutated one-way frames never raise" ~count:1000
+      (pair small_string arb_mutations)
+      (fun (body, ops) ->
+        total_decode (mutate ops (Rpc.encode_one_way "svc" body))
+        && total_decode (mutate ops (Rpc.encode_traced_one_way "svc" ~trace:"t|1" body)));
     Test.make ~name:"rpc fuzz: arbitrary bytes never raise" ~count:1000
       (string_gen Gen.char) total_decode;
   ]
 
 let frame_canonical_tests =
   let open QCheck in
-  let header_bytes = Gen.(map (String.concat "") (list_size (int_bound 12) (oneofl [ "|"; "%"; "7C"; "25"; "0"; "1"; "x"; "+"; "_"; "-"; "B"; "T"; "A"; "Q"; "E"; ":" ]))) in
+  let header_bytes = Gen.(map (String.concat "") (list_size (int_bound 12) (oneofl [ "|"; "%"; "7C"; "25"; "0"; "1"; "x"; "+"; "_"; "-"; "B"; "T"; "A"; "Q"; "E"; "O"; ":" ]))) in
   [
     Test.make ~name:"rpc frame: a decoded frame re-encodes to its bytes (header-ish bytes)" ~count:2000
       (make ~print:Print.string header_bytes) canonical_decode;
@@ -579,7 +640,12 @@ let test_non_canonical_headers () =
       "A|0x10||b"; "A|1_0||b"; "A|+3||b"; "A|0b11||b"; "A|010||b"; "A|-1||b"; "A|||b"; "A|1|svc|b";
       "E|1|x|no"; "Q|1|a%b|x"; "Q|1|a%7c|x"; "T|1|s|t%|x"; "B|1|s|01:a"; "B|1|s|+1:a"; "B|1|s|0x1:a";
       "BT|1|s|t|1_0:aaaaaaaaaa"; "X|1|s|b"; "QQ|1|s|b";
+      (* a one-way frame takes no id: only 0 is accepted *)
+      "O|1|s|b"; "O|00|s|b"; "O||s|b"; "OT|7|s|t|b"; "OT|0|s|t%|b"; "OQ|0|s|b";
     ];
+  check bool_ "one-way id 0 accepted" true (Rpc.decode "O|0|s|b" = Some (Rpc.One_way ("s", "b")));
+  check bool_ "traced one-way id 0 accepted" true
+    (Rpc.decode "OT|0|s|t|b" = Some (Rpc.Traced_one_way { service = "s"; trace = "t"; body = "b" }));
   check bool_ "plain decimal accepted" true (Rpc.decode "A|16||b" = Some (Rpc.Reply (16, "b")));
   check bool_ "zero id accepted" true (Rpc.decode "A|0||b" = Some (Rpc.Reply (0, "b")))
 
@@ -961,6 +1027,48 @@ let bare_round_trip_words () =
 
 let bare_round_trip_bound = 140.0
 
+(* Minor words of one bare <Ping/> sent one way through
+   Service.cast_frame, Rpc and Net, drained by Net.run, after warm-up:
+   one frame, no reply, no pending slot and no timer.  It measured 53
+   words (OCaml 5.1, dune's dev profile); the bound is that plus 10 %. *)
+let bare_one_way_words () =
+  let module Service = Dacs_ws.Service in
+  let module Cursor = Dacs_xml.Xml.Cursor in
+  let net = Net.create () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "client";
+  Net.add_node net "server";
+  let ping c = Ok (Cursor.leaf0 "Ping" c) in
+  let served = ref 0 in
+  Service.serve_frame services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ ~headers:_ () reply ->
+      incr served;
+      reply (fun buf -> Buffer.add_string buf "<Pong/>"));
+  let write_ping buf = Buffer.add_string buf "<Ping/>" in
+  let round () =
+    Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" write_ping;
+    Net.run net
+  in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check int_ "every one-way frame served" (rounds + 10) !served;
+  words
+
+let bare_one_way_bound = 58.0
+
+let test_bare_one_way_allocation () =
+  let words = bare_one_way_words () in
+  Printf.printf "bare <Ping/> one-way send: %.1f minor words (bound %.1f)\n" words bare_one_way_bound;
+  check bool_
+    (Printf.sprintf "%.1f words <= %.1f" words bare_one_way_bound)
+    true (words <= bare_one_way_bound)
+
 let test_bare_round_trip_allocation () =
   let words = bare_round_trip_words () in
   Printf.printf "bare <Ping/> round trip: %.1f minor words (bound %.1f)\n" words bare_round_trip_bound;
@@ -1016,6 +1124,15 @@ let () =
           Alcotest.test_case "service name with separator" `Quick
             test_rpc_service_name_with_separator;
         ] );
+      ( "rpc-one-way",
+        [
+          Alcotest.test_case "a one-way frame runs the handler and leaves nothing pending" `Quick
+            test_cast_runs_handler;
+          Alcotest.test_case "a one-way frame to an unknown service is not answered" `Quick
+            test_cast_unknown_service;
+          Alcotest.test_case "a traced one-way serve span is its client span's child" `Quick
+            test_cast_traced_span_tree;
+        ] );
       ( "rpc-frames",
         List.map QCheck_alcotest.to_alcotest (frame_roundtrip_tests @ frame_fuzz_tests @ frame_canonical_tests)
         @ [
@@ -1048,5 +1165,9 @@ let () =
           Alcotest.test_case "heard_from advances on replies and errors only" `Quick
             test_rpc_heard_from;
         ] );
-      ("allocation", [ Alcotest.test_case "a bare round trip" `Quick test_bare_round_trip_allocation ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "a bare round trip" `Quick test_bare_round_trip_allocation;
+          Alcotest.test_case "a bare one-way send" `Quick test_bare_one_way_allocation;
+        ] );
     ]
