@@ -185,17 +185,15 @@ module L2 = struct
         let answer = Decision_cache.get t.cache ~now:(now t) ~key in
         if answer <> None then Metrics.inc t.c_hits;
         reply (fun buf -> Wire.write_cache_answer buf answer));
-    Service.serve_frame services ~node ~service:"cache-put" ~read:Wire.read_cache_put
-      (fun ~caller:_ ~headers:_ (key, result, sent_at) reply ->
-        (* The put/invalidate race: a one-way put composed
-           before a purge must not land after it and resurrect the
-           entry it carried.  The reader refuses unstamped puts. *)
+    Service.serve_cast services ~node ~service:"cache-put" ~read:Wire.read_cache_put
+      (fun ~caller:_ (key, result, sent_at) ->
+        (* The put/invalidate race: a put composed before a purge must not land
+           after it and resurrect its entry.  The reader drops unstamped puts. *)
         if sent_at < t.purged_at then Metrics.inc t.c_rejected_puts
         else begin
           Metrics.inc t.c_puts;
           Decision_cache.put t.cache ~now:(now t) ~key result
-        end;
-        reply Wire.write_cache_put_ack);
+        end);
     t
 
   (* --- client side (what a PEP calls) ---------------------------------- *)

@@ -109,7 +109,7 @@ module L2 : sig
     ttl:float ->
     unit ->
     t
-  (** Registers [cache-lookup] and [cache-put] on [node];
+  (** Registers [cache-lookup] and the one-way [cache-put] on [node];
       [max_entries] defaults to 4096.  Storage is a {!Decision_cache}
       (owner = node), so the usual [decision_cache_*{cache}] series apply
       on top of the [l2_*_total{node}] counters.  Nothing is purged over
@@ -155,6 +155,6 @@ module L2 : sig
     Dacs_policy.Decision.result ->
     unit
   (** Sends the put as one one-way frame ({!Dacs_ws.Service.cast_frame}),
-      stamped with the send time: nothing answers it, and the L2's
-      refusal of a put sent before its last purge reaches nobody. *)
+      stamped with the send time: nothing answers it, and the L2 drops
+      a put sent before its last purge. *)
 end

@@ -48,7 +48,7 @@ val set_rbac : t -> Dacs_rbac.Rbac.t -> unit
 
 val allow_policy_updates_from : t -> Dacs_net.Net.node_id list -> unit
 (** Regenerate the PAP's admin policy to permit remote [policy-update]
-    calls from the given nodes (the PAP is guarded by the same policy
+    pushes from the given nodes (the PAP is guarded by the same policy
     machinery as any resource). *)
 
 (** {1 Hierarchical caching} *)

@@ -127,26 +127,18 @@ let create services ~node ~name ?admin_policy ?root () =
       Metrics.inc t.c_queries;
       let policy = if known_version >= t.version then None else t.root in
       reply (fun buf -> Wire.write_policy_response buf ~version:t.version policy));
-  Service.serve_frame services ~node ~service:"policy-update" ~read:Wire.read_policy_update
-    (fun ~caller ~headers:_ (remote_version, child) reply ->
-      let refuse reason =
-        Metrics.inc t.c_rejected;
-        reply (Service.receiver_fault reason)
-      in
+  Service.serve_cast services ~node ~service:"policy-update" ~read:Wire.read_policy_update
+    (fun ~caller (remote_version, child) ->
       (* Every caller, a syndicating parent we subscribed to included,
          needs the admin policy's blessing; an authorised update must
          then pass the local transform.  Each authorised push records
          its caller's version, which a later anti-entropy pull from that
          caller starts from; a push from the anti-entropy parent whose
          version is already known was adopted before. *)
-      let from_parent = t.parent = Some caller in
-      if not (admin_permits t ~caller) then refuse "policy update not authorised"
-      else if from_parent && remote_version <= known_version t caller then
-        reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
-      else begin
+      if not (admin_permits t ~caller) then Metrics.inc t.c_rejected
+      else if not (t.parent = Some caller && remote_version <= known_version t caller) then begin
         Hashtbl.replace t.known caller remote_version;
-        if adopt t child then reply (fun buf -> Wire.write_policy_update_ack buf ~version:t.version)
-        else refuse "update rejected by local constraints"
+        if not (adopt t child) then Metrics.inc t.c_rejected
       end);
   t
 

@@ -4,16 +4,15 @@
     Exposes two services on its node:
     - ["policy-query"]: PDPs (and child PAPs) fetch the current policy,
       version-gated so an up-to-date caller gets a small "current" reply;
-    - ["policy-update"]: remote administration and syndication pushes,
-      allowed only when the PAP's own admin policy permits the caller —
-      the paper's "protect the authorisation system with its own
-      mechanisms" (§3.2).
+    - ["policy-update"]: one-way remote administration and syndication
+      pushes, accepted only when the PAP's own admin policy permits the
+      caller — the paper's "protect the authorisation system with its
+      own mechanisms" (§3.2).
 
     On every accepted change the PAP bumps its version and pushes the new
-    policy to subscribers, each in a one-way frame whose acknowledgement
-    or refusal goes to nobody.  A subscriber accepts it subject to its
-    local transform (domain autonomy) and cascades to its own
-    subscribers.
+    policy to subscribers, each in a one-way frame that nothing answers.
+    A subscriber accepts it subject to its local transform (domain
+    autonomy) and cascades to its own subscribers.
     Subscribers are wired by the PAP's owner ({!subscribe_local}); no
     node can add itself over the network.
 
@@ -67,8 +66,8 @@ val set_update_transform :
     pulled) becomes this PAP's stored policy — e.g. wrap the incoming
     VO-wide policy together with the domain's own rules so local
     restrictions always apply (§3.2).  [None] ignores the update: it is
-    not stored or cascaded, and a push is refused with "update rejected
-    by local constraints".  The default stores the update as is. *)
+    not stored or cascaded, and a declined push counts as rejected.  The
+    default stores the update as is. *)
 
 val subscribe_local : t -> child:Dacs_net.Net.node_id -> unit
 (** Wire a child PAP for pushes. *)
@@ -81,8 +80,8 @@ val enable_anti_entropy : t -> parent:Dacs_net.Net.node_id -> period:float -> un
     Every authorised push records its caller's version, and the polls
     start from [parent]'s, so a policy [parent] pushed — before or after
     anti-entropy was enabled — is not fetched and accepted again; a push
-    from [parent] whose version is already known is acknowledged
-    without being accepted.  Schedules itself forever — drive such
+    from [parent] whose version is already known is neither accepted nor
+    rejected.  Schedules itself forever — drive such
     simulations with [Net.run ~until:…]. *)
 
 val subscribers : t -> Dacs_net.Net.node_id list

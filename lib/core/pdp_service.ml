@@ -432,15 +432,10 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
   | Some ac ->
     (* Explicit invalidation path: the PIP pushes when an attribute is
        removed, so revocation never waits out the cache TTL.  Only this
-       PDP's own PIPs may push: a drop from anyone else is refused. *)
-    Service.serve_frame services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
-      (fun ~caller ~headers:_ (subject, id) reply ->
-        if not (List.mem caller pips) then
-          reply (Service.sender_fault "attribute invalidations are accepted only from this PDP's PIPs")
-        else begin
-          Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id;
-          reply Wire.write_invalidate_ack
-        end);
+       PDP's own PIPs may push: a drop from anyone else is ignored. *)
+    Service.serve_cast services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
+      (fun ~caller (subject, id) ->
+        if List.mem caller pips then Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id);
     List.iter
       (fun pip ->
         Service.cast_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"

@@ -49,9 +49,9 @@ val create :
     cache: fetched bags (including empty ones — negative entries) are
     reused across decisions for that long, the PDP subscribes to its
     PIPs for explicit invalidation pushes ([remove_subject_attribute]
-    purges subscribed caches immediately), and serves
+    purges subscribed caches immediately), and serves the one-way
     ["attribute-invalidate"] to those PIPs only: a push from any other
-    node gets a [soap:Sender] fault and drops nothing.
+    node drops nothing.
 
     Attributes missing from a context-handler round are fetched together:
     one multi-part frame per PIP (the B/BT batch envelope), or a plain

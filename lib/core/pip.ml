@@ -69,10 +69,8 @@ let create services ~node ~name:_ =
       Metrics.inc t.c_lookups;
       let bag = lookup t ~category ~id ~subject in
       reply (fun buf -> Wire.write_attribute_result buf bag));
-  Service.serve_frame services ~node ~service:"attribute-subscribe" ~read:Wire.read_attribute_subscribe
-    (fun ~caller ~headers:_ () reply ->
-      if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers;
-      reply Wire.write_subscribe_ack);
+  Service.serve_cast services ~node ~service:"attribute-subscribe" ~read:Wire.read_attribute_subscribe
+    (fun ~caller () -> if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers);
   t
 
 let lookups_served t = Metrics.counter_value t.c_lookups

@@ -8,9 +8,9 @@ type t
 
 val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> name:string -> t
 (** Registers the ["attribute-query"] service (single queries and the
-    parts of batched B/BT frames dispatch to the same handler) and
-    ["attribute-subscribe"], through which PDP attribute caches register
-    for invalidation pushes. *)
+    parts of batched B/BT frames dispatch to the same handler) and the
+    one-way ["attribute-subscribe"], through which PDP attribute caches
+    register for invalidation pushes. *)
 
 val node : t -> Dacs_net.Net.node_id
 

@@ -330,16 +330,12 @@ let read_attribute_result =
 
 let write_attribute_subscribe buf = write_leaf buf "AttributeSubscribe" []
 let read_attribute_subscribe = total (Cursor.leaf0 "AttributeSubscribe")
-let write_subscribe_ack buf = write_leaf buf "SubscribeAck" []
-let read_subscribe_ack = total (Cursor.leaf0 "SubscribeAck")
 
 let write_attribute_invalidate buf ~subject ~attribute_id =
   write_leaf buf "AttributeInvalidate" [ ("Subject", subject); ("AttributeId", attribute_id) ]
 
 let read_attribute_invalidate =
   total (fun c -> Cursor.leaf2 c "AttributeInvalidate" "Subject" "AttributeId")
-let write_invalidate_ack buf = write_leaf buf "InvalidateAck" []
-let read_invalidate_ack = total (Cursor.leaf0 "InvalidateAck")
 
 (* --- shared decision cache (PEP <-> L2, L2 <-> L2) ------------------------- *)
 
@@ -386,9 +382,6 @@ let read_cache_put =
       Cursor.end_attrs c tag;
       let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
       (key, result, sent_at))
-
-let write_cache_put_ack buf = write_leaf buf "CachePutAck" []
-let read_cache_put_ack = total (Cursor.leaf0 "CachePutAck")
 
 (* --- policy distribution ------------------------------------------------------ *)
 
@@ -438,13 +431,6 @@ let read_policy_update =
       match children c tag policy_in with
       | [ child ] -> (version, child)
       | _ -> Cursor.fail c "PolicyUpdate must carry exactly one policy")
-
-let write_policy_update_ack buf ~version =
-  Buffer.add_string buf "<PolicyUpdateAck";
-  write_count buf "Version" version;
-  Buffer.add_string buf "/>"
-
-let read_policy_update_ack = total (fun c -> count c "Version" (Cursor.leaf1 c "PolicyUpdateAck" "Version"))
 
 (* --- offline event logs ------------------------------------------------ *)
 

@@ -18,7 +18,9 @@
     finite decimals, and only ever accept what a tree reading would,
     with the same result.  A service hands its reader to
     {!Dacs_ws.Service.serve_frame}, which answers a rejected body with a
-    Sender fault itself.
+    Sender fault itself, or, for a one-way frame (attribute subscription
+    and invalidation, cache put, policy update), to
+    {!Dacs_ws.Service.serve_cast}, which drops it and has no reply.
 
     Content that needs canonical XML keeps its tree codec inside a
     frame: the policy of a policy response or update and the signed
@@ -111,16 +113,11 @@ val write_attribute_subscribe : Buffer.t -> unit
 
 val read_attribute_subscribe : Xml.Cursor.t -> (unit, string) result
 
-val write_subscribe_ack : Buffer.t -> unit
-val read_subscribe_ack : Xml.Cursor.t -> (unit, string) result
-
 val write_attribute_invalidate : Buffer.t -> subject:string -> attribute_id:string -> unit
 (** PIP -> subscribed PDPs: [remove_subject_attribute] happened — drop
     any cached bag for this (subject, attribute). *)
 
 val read_attribute_invalidate : Xml.Cursor.t -> (string * string, string) result
-val write_invalidate_ack : Buffer.t -> unit
-val read_invalidate_ack : Xml.Cursor.t -> (unit, string) result
 
 (** {1 Shared decision cache (PEP <-> L2)} *)
 
@@ -143,9 +140,6 @@ val read_cache_put :
     is absent or not a finite decimal is rejected: it cannot be ordered
     against a purge. *)
 
-val write_cache_put_ack : Buffer.t -> unit
-val read_cache_put_ack : Xml.Cursor.t -> (unit, string) result
-
 (** {1 Policy distribution (PDP/PAP, PAP/PAP syndication)} *)
 
 val write_policy_query : Buffer.t -> scope:string -> known_version:int -> unit
@@ -157,9 +151,6 @@ val write_policy_response : Buffer.t -> version:int -> Dacs_policy.Policy.child 
 val read_policy_response : Xml.Cursor.t -> (int * Dacs_policy.Policy.child option, string) result
 val write_policy_update : Buffer.t -> version:int -> Dacs_policy.Policy.child -> unit
 val read_policy_update : Xml.Cursor.t -> (int * Dacs_policy.Policy.child, string) result
-
-val write_policy_update_ack : Buffer.t -> version:int -> unit
-val read_policy_update_ack : Xml.Cursor.t -> (int, string) result
 
 (** {1 Offline event logs (domain ↔ domain log anti-entropy)}
 

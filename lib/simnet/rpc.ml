@@ -66,16 +66,17 @@ type series = {
   reply : string;  (* the category of a reply to a request sent as this service *)
 }
 
-type handler = caller:Net.node_id -> slice -> (writer -> unit) -> unit
-
-(* A registered service: its handler, the envelope every reply body is
-   written in (see [serve_frame]), its name and its series. *)
-type service = {
-  handler : handler;
-  reply_envelope : Buffer.t -> writer -> unit;
-  name : string;
-  series : series;
-}
+(* A registered service in its one shape: request/reply, with the
+   envelope every reply body is written in (see [serve_frame]), or
+   one-way, whose handler takes [()] where the other takes its reply. *)
+type service =
+  | Answers of {
+      handler : caller:Net.node_id -> slice -> (writer -> unit) -> unit;
+      reply_envelope : Buffer.t -> writer -> unit;
+      name : string;
+      series : series;
+    }
+  | Cast of { handler : caller:Net.node_id -> slice -> unit -> unit; series : series }
 
 (* The resilience series of one calling node, resolved the same way.
    They are labelled by the caller, so a component resetting "its"
@@ -483,8 +484,8 @@ let send_error t (msg : Net.message) id text =
 
 (* A reply's category is its request's with "-reply"; a request sent as
    its service (as [issue] sends them) finds it resolved in the series. *)
-let reply_category (msg : Net.message) srv =
-  if String.equal msg.Net.category srv.name then srv.series.reply else msg.Net.category ^ "-reply"
+let reply_category (msg : Net.message) ~name series =
+  if String.equal msg.Net.category name then series.reply else msg.Net.category ^ "-reply"
 
 (* The server span of one dispatch, started only when tracing is on. *)
 let serve_span t (msg : Net.message) ~label service trace =
@@ -500,9 +501,9 @@ let serve_span t (msg : Net.message) ~label service trace =
     Some s
   end
 
-(* Runs the handler on one request, under the server span when there is
-   one. *)
-let run_handler t span (handler : handler) ~caller body reply =
+(* Runs the handler on one request or one-way frame, under the server
+   span when there is one. *)
+let run_handler t span handler ~caller body reply =
   match span with
   | None -> handler ~caller body reply
   | Some s ->
@@ -519,50 +520,55 @@ let reply_once t (msg : Net.message) id ~category ~span ~envelope write =
   send_frame t ~src:msg.Net.dst ~dst:msg.Net.src ~category K_reply id ~service:"" ~trace:""
     ~envelope write
 
+(* A request/reply service's reply in its envelope: a reply continuation
+   holding the service, not its fields, is one word smaller. *)
+let answer t msg id ~span srv write =
+  match srv with
+  | Answers { reply_envelope; name; series; _ } ->
+    reply_once t msg id ~category:(reply_category msg ~name series) ~span ~envelope:reply_envelope write
+  | Cast _ -> ()
+
 (* The service [node] offers under [name]; raises [Not_found]. *)
 let find_service t node name = Hashtbl.find (Hashtbl.find t.services node) name
 
 let dispatch_request t (msg : Net.message) id service trace body =
   match find_service t msg.Net.dst service with
-  | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
-  | srv ->
-    Metrics.inc (Lazy.force srv.series.served);
+  | Answers { handler; series; _ } as srv ->
+    Metrics.inc (Lazy.force series.served);
     let span = serve_span t msg ~label:"serve:" service trace in
-    run_handler t span srv.handler ~caller:msg.Net.src body (fun write ->
-        reply_once t msg id ~category:(reply_category msg srv) ~span ~envelope:srv.reply_envelope write)
+    run_handler t span handler ~caller:msg.Net.src body (fun write -> answer t msg id ~span srv write)
+  | Cast _ | (exception Not_found) -> send_error t msg id ("no-such-service:" ^ service)
 
-let drop_reply (_ : writer) = ()
-
-(* A one-way frame runs the same handler as a request, but its reply
-   sends nothing: it only closes the server span.  Nobody awaits an
-   answer, so a missing service is not answered either. *)
+(* A one-way frame runs only a one-way handler, its server span closing
+   when it returns, and a request or batch only a request/reply one.  A
+   one-way frame to a missing or request/reply service is dropped. *)
 let dispatch_one_way t (msg : Net.message) service trace body =
   match find_service t msg.Net.dst service with
-  | exception Not_found -> ()
-  | srv ->
-    Metrics.inc (Lazy.force srv.series.served);
+  | Cast { handler; series } ->
+    Metrics.inc (Lazy.force series.served);
     let span = serve_span t msg ~label:"serve:" service trace in
-    let reply = match span with None -> drop_reply | Some s -> fun _ -> Trace.finish t.tracer s in
-    run_handler t span srv.handler ~caller:msg.Net.src body reply
+    run_handler t span handler ~caller:msg.Net.src body ();
+    (match span with Some s -> Trace.finish t.tracer s | None -> ())
+  | Answers _ | (exception Not_found) -> ()
 
 (* A batch dispatches each part to the ordinary per-request handler and
    replies once, when the last part's (possibly asynchronous) reply has
    arrived — one round-trip, one fault envelope for the whole batch. *)
 let dispatch_batch t (msg : Net.message) id service trace parts =
   match find_service t msg.Net.dst service with
-  | exception Not_found -> send_error t msg id ("no-such-service:" ^ service)
-  | srv ->
+  | Cast _ | (exception Not_found) -> send_error t msg id ("no-such-service:" ^ service)
+  | Answers { handler; reply_envelope; name; series } ->
     let n = List.length parts in
-    Metrics.inc ~by:n (Lazy.force srv.series.served);
+    Metrics.inc ~by:n (Lazy.force series.served);
     let span = serve_span t msg ~label:"serve-batch:" service trace in
     Option.iter (fun s -> Trace.annotate s "batch" (string_of_int n)) span;
     let replies = Array.make n "" in
     let outstanding = ref n in
     let reply_part i write =
-      replies.(i) <- written t ~envelope:srv.reply_envelope write;
+      replies.(i) <- written t ~envelope:reply_envelope write;
       decr outstanding;
       if !outstanding = 0 then
-        reply_once t msg id ~category:(reply_category msg srv) ~span ~envelope:bare (fun buf ->
+        reply_once t msg id ~category:(reply_category msg ~name series) ~span ~envelope:bare (fun buf ->
             Array.iter
               (fun r ->
                 add_part_length buf (String.length r);
@@ -570,7 +576,7 @@ let dispatch_batch t (msg : Net.message) id service trace parts =
               replies)
     in
     List.iteri
-      (fun i part -> run_handler t span srv.handler ~caller:msg.Net.src part (reply_part i))
+      (fun i part -> run_handler t span handler ~caller:msg.Net.src part (reply_part i))
       parts
 
 let breaker_for t dst =
@@ -910,7 +916,7 @@ let ensure_dispatch t node =
     Net.add_node t.net node;
     Net.set_handler t.net node t.dispatch
 
-let serve_frame t ~node ~service ?(envelope = bare) handler =
+let offer t ~node ~service srv =
   ensure_dispatch t node;
   let offered =
     match Hashtbl.find t.services node with
@@ -920,8 +926,15 @@ let serve_frame t ~node ~service ?(envelope = bare) handler =
       Hashtbl.add t.services node offered;
       offered
   in
-  Hashtbl.replace offered service
-    { handler; reply_envelope = envelope; name = service; series = series_for t service }
+  Hashtbl.replace offered service srv
+
+let serve_frame t ~node ~service ?(envelope = bare) handler =
+  let series = series_for t service in
+  offer t ~node ~service (Answers { handler; reply_envelope = envelope; name = service; series })
+
+let serve_cast t ~node ~service handler =
+  let handler ~caller body () = handler ~caller body in
+  offer t ~node ~service (Cast { handler; series = series_for t service })
 
 (* One client span per call attempt, parented on the ambient context —
    the span under which the caller's code is currently running.  Its
@@ -974,13 +987,15 @@ let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?(breaker = false) ?(envelo
 
 (* A one-way frame: counted and traced as a call, but it takes no id, no
    pending slot and no timer, and nothing ever answers it.  Its client
-   span closes once the frame is sent. *)
+   span is marked one-way, so no critical path runs through it, and
+   closes once the frame is sent. *)
 let cast_frame t ~src ~dst ~service ?(envelope = bare) write =
   ensure_dispatch t src;
   Metrics.inc (Lazy.force (series_for t service).calls);
   match client_span t ~span_label:"rpc:" ~src ~dst ~service ~batch:0 with
   | None -> send_frame t ~src ~dst ~category:service K_one_way 0 ~service ~trace:"" ~envelope write
   | Some s ->
+    Trace.mark_one_way s;
     send_frame t ~src ~dst ~category:service K_traced_one_way 0 ~service
       ~trace:(Trace.context_to_string (Trace.context s))
       ~envelope write;

@@ -180,13 +180,19 @@ val serve_frame :
   ?envelope:(Buffer.t -> writer -> unit) ->
   (caller:Net.node_id -> slice -> (writer -> unit) -> unit) ->
   unit
-(** [serve_frame t ~node ~service handler] registers a service.  The
-    handler receives the request body and a [reply] continuation it must
-    call exactly once (possibly later, after its own nested calls
-    complete) with the writer of its answer.  [envelope buf write]
-    writes each reply body around the handler's writer (by default the
-    writer's bytes alone): how a layer above wraps every reply in its
-    envelope without a closure per reply. *)
+(** [serve_frame t ~node ~service handler] registers a request/reply
+    service.  The handler receives the request body and a [reply]
+    continuation it must call exactly once (possibly later, after its
+    own nested calls complete) with the writer of its answer.
+    [envelope buf write] writes each reply body around the handler's
+    writer (by default the writer's bytes alone): how a layer above
+    wraps every reply in its envelope without a closure per reply. *)
+
+val serve_cast : t -> node:Net.node_id -> service:string -> (caller:Net.node_id -> slice -> unit) -> unit
+(** [serve_cast t ~node ~service handler] registers a one-way service:
+    the handler gets the caller and the body, and answers nothing.  A
+    service has one shape: only a {!cast_frame} runs a one-way handler,
+    and a call or batch naming it fails with [No_such_service]. *)
 
 val call_frame :
   t ->
@@ -229,14 +235,13 @@ val cast_frame :
     It takes no correlation id, no pending slot and no timer, so it
     never shows in {!calls_in_flight}, never times out and passes no
     breaker.  It counts one [rpc_calls_total{service}] like a call, and
-    when tracing it opens the same client span, carries its context in
-    the frame and finishes the span once the frame is sent.  The
-    receiving bus runs the service's ordinary {!serve_frame} handler
-    (counting [rpc_requests_served_total]) with a [reply] that sends
-    nothing and only closes the server span; a frame to a missing
-    service is dropped unanswered.  Loss, a crash or a refusal by the
-    handler is invisible to the sender.  [envelope] is as for
-    {!call_frame}. *)
+    when tracing it opens the same client span, marked
+    {!Dacs_telemetry.Trace.mark_one_way}, carries its context in the
+    frame and finishes the span once the frame is sent.  The receiving
+    bus runs the service's {!serve_cast} handler (counting
+    [rpc_requests_served_total]); a frame to any other service runs
+    nothing.  Loss, a crash or what the handler does is invisible to
+    the sender.  [envelope] is as for {!call_frame}. *)
 
 val call_batch_frame :
   t ->

@@ -10,6 +10,7 @@ type span = {
   s_name : string;
   s_start : float;
   s_seq : int;
+  mutable s_one_way : bool;  (* a one-way send's span: it bounds nobody's answer *)
   mutable s_end : float option;
   mutable s_status : status;
   mutable s_attrs : (string * string) list;  (* reversed *)
@@ -59,6 +60,7 @@ let inert =
     s_name = "";
     s_start = 0.0;
     s_seq = 0;
+    s_one_way = false;
     s_end = None;
     s_status = Span_ok;
     s_attrs = [];
@@ -83,6 +85,7 @@ let start_span t ?parent name =
         s_name = name;
         s_start = t.now ();
         s_seq = t.seq;
+        s_one_way = false;
         s_end = None;
         s_status = Span_ok;
         s_attrs = [];
@@ -102,6 +105,8 @@ let annotate s key value = if not s.noop then s.s_attrs <- (key, value) :: s.s_a
 let set_status s status = if not s.noop then s.s_status <- status
 
 let add_event t s name = if not s.noop then s.s_events <- (t.now (), name) :: s.s_events
+
+let mark_one_way s = if not s.noop then s.s_one_way <- true
 
 let finish t s = if not s.noop && s.s_end = None then s.s_end <- Some (t.now ())
 
@@ -158,8 +163,8 @@ let global_events t = List.rev t.globals
 
 (* The critical path of a trace: from the root span, repeatedly descend
    into the child that finished last — the chain of spans that actually
-   bounded the end-to-end latency.  Unfinished spans count as ending at
-   their start. *)
+   bounded the end-to-end latency, so never a one-way send's.  Unfinished
+   spans count as ending at their start. *)
 let critical_path ?trace_id t =
   let all = in_order t in
   let tid =
@@ -179,7 +184,7 @@ let critical_path ?trace_id t =
         spans
     in
     let rec walk acc s =
-      let kids = List.filter (fun c -> c.s_parent = Some s.s_id) spans in
+      let kids = List.filter (fun c -> c.s_parent = Some s.s_id && not c.s_one_way) spans in
       match kids with
       | [] -> List.rev (s :: acc)
       | _ ->

@@ -55,6 +55,10 @@ val annotate : span -> string -> string -> unit
 val set_status : span -> status -> unit
 (** Default status is [Span_ok]. *)
 
+val mark_one_way : span -> unit
+(** Mark a one-way send's client span, which bounds nobody's latency:
+    {!critical_path} never descends into it.  No rendering shows it. *)
+
 val finish : t -> span -> unit
 (** Stamp the end time.  Idempotent; the first finish wins. *)
 
@@ -83,7 +87,8 @@ val trace_ids : t -> int64 list
 
 val critical_path : ?trace_id:int64 -> t -> span_view list
 (** The chain of spans that bounded a trace's end-to-end latency: from
-    the root span, repeatedly descend into the child that finished last.
+    the root span, repeatedly descend into the child that finished last,
+    never into a span marked {!mark_one_way}.
     [trace_id] defaults to the first recorded trace; [[]] when the trace
     has no spans.  Unfinished spans count as ending at their start. *)
 

@@ -48,6 +48,11 @@ let serve_frame t ~node ~service ~read handler =
       | Ok (headers, v) -> handler ~caller ~headers v reply
       | Error e -> reply (sender_fault e))
 
+let serve_cast t ~node ~service ~read handler =
+  let read = raising read in
+  Rpc.serve_cast t.rpc ~node ~service (fun ~caller body ->
+      match read_slice body read with Ok (_, v) -> handler ~caller v | Error _ -> ())
+
 let decode_reply read s =
   let body c = if Cursor.at_local_name c "Fault" then Cursor.fail c "SOAP fault" else raising read c in
   match read_slice s body with

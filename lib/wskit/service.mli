@@ -4,9 +4,9 @@
     PEP, PDP, PAP, PIP, capability service, discovery, IdP, trust
     negotiation, description registry — declares one total reader for
     its request body; the handler gets the value that reader read and
-    answers with the writer of its response body (or of a fault).  This
-    matches the paper's SOA deployment model, with every inbound byte
-    behind one reader. *)
+    answers with the writer of its response body (or of a fault), or,
+    for a one-way service, answers nothing.  This matches the paper's
+    SOA deployment model, with every inbound byte behind one reader. *)
 
 type t
 
@@ -70,12 +70,19 @@ val serve_frame :
   ((Buffer.t -> unit) -> unit) ->
   unit) ->
   unit
-(** [serve_frame t ~node ~service ~read handler]: [handler ~caller
-    ~headers body reply] gets the request [read] read and must call
-    [reply] exactly once with the writer of its response body element.
-    A request [read] rejects, or whose envelope is malformed, never
-    reaches the handler: it is answered with a {!sender_fault} carrying
-    the reader's error. *)
+(** [serve_frame t ~node ~service ~read handler] registers a
+    request/reply service: [handler ~caller ~headers body reply] gets
+    the request [read] read and must call [reply] exactly once with the
+    writer of its response body element.  A request [read] rejects, or
+    whose envelope is malformed, never reaches the handler: it is
+    answered with a {!sender_fault} carrying the reader's error. *)
+
+val serve_cast :
+  t -> node:Dacs_net.Net.node_id -> service:string -> read:'a reader ->
+  (caller:Dacs_net.Net.node_id -> 'a -> unit) -> unit
+(** Registers a one-way service, reached only by {!cast_frame}: [handler
+    ~caller body] gets the body [read] read and answers nothing; a body
+    [read] rejects is dropped ({!Dacs_net.Rpc.serve_cast}). *)
 
 val call_frame :
   t ->
@@ -104,12 +111,9 @@ val cast_frame :
   service:string ->
   (Buffer.t -> unit) ->
   unit
-(** Send the body the writer produces, in its SOAP envelope, as a
-    one-way frame ({!Dacs_net.Rpc.cast_frame}): the service's handler
-    runs as for {!call_frame}, but its answer — a fault included — is
-    sent to nobody, and the sender learns nothing of loss or refusal.
-    For a notification whose reply the caller would ignore; it costs one
-    message where a call costs two, and no timer. *)
+(** Send the body the writer produces, in its SOAP envelope, as one
+    one-way frame ({!Dacs_net.Rpc.cast_frame}) to a {!serve_cast} service:
+    no timer, and no word of loss or of what the handler did. *)
 
 val call_batch_frame :
   t ->

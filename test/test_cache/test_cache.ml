@@ -283,37 +283,8 @@ let test_attribute_invalidation_push () =
   check bool_ "denied once every grant-carrying attribute is revoked" true (denied o3)
 
 (* Only the PDP's own PIPs may drop its cached bags: an invalidation
-   from any other node is refused and leaves the bag in place, and the
-   PIP's own push still drops it. *)
-let test_attribute_invalidation_only_from_pips () =
-  let fx = setup () in
-  let o1 = ref None in
-  request fx ~at:1.0 o1;
-  Net.run fx.net;
-  check bool_ "granted" true (granted o1);
-  Net.add_node fx.net "mallory";
-  let answer = ref None in
-  Service.call_frame fx.services ~src:"mallory" ~dst:"pdp" ~service:"attribute-invalidate"
-    ~read:Wire.read_invalidate_ack
-    (fun buf -> Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role")
-    (fun r -> answer := Some r);
-  Net.run fx.net;
-  check bool_ "a non-PIP invalidation is refused" true
-    (match !answer with Some (Error _) -> true | _ -> false);
-  let o2 = ref None in
-  request fx ~at:10.0 o2;
-  Net.run fx.net;
-  check bool_ "granted from the cached bags" true (granted o2);
-  check int_ "no attribute refetched" 3 (Pip.lookups_served fx.pip);
-  Pip.remove_subject_attribute fx.pip ~subject:"alice" ~id:"role";
-  Net.run fx.net;
-  let o3 = ref None in
-  request fx ~at:20.0 o3;
-  Net.run fx.net;
-  check int_ "the PIP's own push dropped the bag" 4 (Pip.lookups_served fx.pip)
-
-(* The same refusal holds for an invalidation sent one way: the bag
-   stays cached, and no fault goes back to the stranger. *)
+   from any other node, sent one way, is ignored and leaves the bag in
+   place, and no answer goes back to the stranger. *)
 let test_one_way_invalidation_only_from_pips () =
   let fx = setup () in
   let o1 = ref None in
@@ -606,8 +577,10 @@ let test_region_put_race () =
 
 (* Only a stamped put can be ordered against a purge.  Raw cache-put
    frames sent after one, without a SentAt or with one that is not a
-   finite decimal, are refused with a fault and store nothing: a NaN
-   stamp compares below no purge time, so it would otherwise land. *)
+   finite decimal, are dropped by the reader before any stamp is
+   compared — a NaN stamp compares below no purge time, so it would
+   otherwise land — and nothing answers them.  A stamped put sent after
+   the purge still lands. *)
 let test_unstamped_puts_refused () =
   let net = Net.create ~seed:27L () in
   let services = Service.create (Rpc.create net) in
@@ -619,30 +592,27 @@ let test_unstamped_puts_refused () =
   let sender = add "sender" in
   Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
       Cache_hierarchy.L2.invalidate_region l2 lab_region);
-  let replies = ref [] in
   List.iter
     (fun stamp ->
       Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
-          Service.call_frame services ~src:sender ~dst:"l2" ~service:"cache-put"
-            ~read:Wire.read_cache_put_ack
-            (fun buf ->
+          Service.cast_frame services ~src:sender ~dst:"l2" ~service:"cache-put" (fun buf ->
               Buffer.add_string buf "<CachePut Key=\"";
               Dacs_xml.Xml.add_escaped buf (rkey "lab");
               Buffer.add_string buf ("\"" ^ stamp ^ ">");
               Dacs_policy.Xacml_xml.write_result buf Decision.permit;
-              Buffer.add_string buf "</CachePut>")
-            (fun reply -> replies := reply :: !replies)))
+              Buffer.add_string buf "</CachePut>")))
     [ ""; " SentAt=\"x\""; " SentAt=\"nan\""; " SentAt=\"inf\"" ];
   Engine.run (Net.engine net) ~until:5.0;
-  check int_ "every frame answered" 4 (List.length !replies);
-  List.iter
-    (function
-      | Error (Service.Fault _) -> ()
-      | Error e -> Alcotest.failf "expected a fault, got %s" (Service.error_to_string e)
-      | Ok _ -> Alcotest.fail "an unstamped put was acknowledged")
-    !replies;
+  check int_ "every put was sent" 4 (sent_count net "cache-put");
+  check int_ "no fault sent back" 0 (sent_count net "cache-put-reply");
   check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
-  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2)
+  check int_ "none reached the stamp check" 0 (Cache_hierarchy.L2.rejected_puts l2);
+  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2);
+  Engine.schedule_at (Net.engine net) ~at:6.0 (fun () ->
+      Cache_hierarchy.L2.remote_put services ~src:sender ~l2:"l2" ~key:(rkey "lab") Decision.permit);
+  Engine.run (Net.engine net) ~until:10.0;
+  check int_ "a stamped put lands" 1 (Cache_hierarchy.L2.size l2);
+  check int_ "and is not rejected" 0 (Cache_hierarchy.L2.rejected_puts l2)
 
 (* --- one-way frames on the security paths -------------------------------- *)
 
@@ -670,35 +640,6 @@ let test_one_way_put_race () =
   check int_ "the put was sent" 1 (sent_count net "cache-put");
   check int_ "nothing answered it" 0 (sent_count net "cache-put-reply")
 
-(* One-way puts without a usable stamp store nothing, as called ones
-   do; their faults go to nobody. *)
-let test_one_way_unstamped_puts () =
-  let net = Net.create ~seed:27L () in
-  let services = Service.create (Rpc.create net) in
-  let add id =
-    Net.add_node net id;
-    id
-  in
-  let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
-  let sender = add "sender" in
-  Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
-      Cache_hierarchy.L2.invalidate_region l2 lab_region);
-  List.iter
-    (fun stamp ->
-      Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
-          Service.cast_frame services ~src:sender ~dst:"l2" ~service:"cache-put" (fun buf ->
-              Buffer.add_string buf "<CachePut Key=\"";
-              Dacs_xml.Xml.add_escaped buf (rkey "lab");
-              Buffer.add_string buf ("\"" ^ stamp ^ ">");
-              Dacs_policy.Xacml_xml.write_result buf Decision.permit;
-              Buffer.add_string buf "</CachePut>")))
-    [ ""; " SentAt=\"x\""; " SentAt=\"nan\""; " SentAt=\"inf\"" ];
-  Engine.run (Net.engine net) ~until:5.0;
-  check int_ "every put was sent" 4 (sent_count net "cache-put");
-  check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
-  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2);
-  check int_ "no fault sent back" 0 (sent_count net "cache-put-reply")
-
 (* A PEP that misses its L1 and the L2 decides live and publishes the
    answer to the L2 in exactly one message, which nothing answers. *)
 let test_l2_miss_sends_one_put () =
@@ -710,6 +651,140 @@ let test_l2_miss_sends_one_put () =
   check int_ "one put" 1 (sent_count fx.net "cache-put");
   check int_ "no put reply" 0 (sent_count fx.net "cache-put-reply");
   check int_ "stored" 1 (Cache_hierarchy.L2.size fx.l2)
+
+(* --- one shape per service --------------------------------------------------- *)
+
+(* The four notification services are one-way: a call naming one fails
+   at once with no-such-service and runs nothing, whoever sends it; a
+   one-way frame to a request/reply service runs nothing either; and a
+   one-way body the service's reader rejects is dropped unanswered. *)
+
+let no_such_service service = function
+  | Some (Error (Service.Transport (Rpc.No_such_service s))) -> s = service
+  | _ -> false
+
+(* Sends a call to [service] at [dst] and returns its result. *)
+let call_notification services net ~src ~dst ~service write =
+  let answer = ref None in
+  Service.call_frame services ~src ~dst ~service ~read:(fun _ -> Ok ()) write (fun r -> answer := Some r);
+  Net.run net;
+  !answer
+
+let test_call_to_cache_put () =
+  let fx = setup_l2 () in
+  let answer =
+    call_notification fx.services fx.net ~src:"pep1" ~dst:"l2" ~service:"cache-put" (fun buf ->
+        Wire.write_cache_put ~sent_at:(Net.now fx.net) buf ~key:(rkey "lab") Decision.permit)
+  in
+  check bool_ "the call fails with no-such-service" true (no_such_service "cache-put" answer);
+  check int_ "nothing stored" 0 (Cache_hierarchy.L2.stats fx.l2).Cache_hierarchy.L2.puts;
+  check int_ "the L2 stays empty" 0 (Cache_hierarchy.L2.size fx.l2);
+  check int_ "nothing pending" 0 (Rpc.calls_in_flight (Service.rpc fx.services))
+
+let test_call_to_attribute_invalidate () =
+  let fx = setup () in
+  let o1 = ref None in
+  request fx ~at:1.0 o1;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o1);
+  let answer =
+    call_notification fx.services fx.net ~src:"pip" ~dst:"pdp" ~service:"attribute-invalidate" (fun buf ->
+        Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role")
+  in
+  check bool_ "even the PIP's call fails with no-such-service" true
+    (no_such_service "attribute-invalidate" answer);
+  let o2 = ref None in
+  request fx ~at:10.0 o2;
+  Net.run fx.net;
+  check bool_ "granted from the cached bags" true (granted o2);
+  check int_ "no attribute refetched" 3 (Pip.lookups_served fx.pip)
+
+let test_call_to_attribute_subscribe () =
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pip"; "pdp" ];
+  let pip = Pip.create services ~node:"pip" ~name:"pip" in
+  let answer =
+    call_notification services net ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe"
+      Wire.write_attribute_subscribe
+  in
+  check bool_ "the call fails with no-such-service" true (no_such_service "attribute-subscribe" answer);
+  check bool_ "nobody subscribed" true (Pip.subscribers pip = []);
+  Service.cast_frame services ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe" Wire.write_attribute_subscribe;
+  Net.run net;
+  check bool_ "the one-way subscribe lands" true (Pip.subscribers pip = [ "pdp" ])
+
+(* A PAP whose admin policy admits every caller. *)
+let open_pap services ~node =
+  let admin = Policy.Inline_policy (Policy.make ~id:"admin" [ Rule.permit "anyone" ]) in
+  Pap.create services ~node ~name:node ~admin_policy:admin ()
+
+let test_call_to_policy_update () =
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pap"; "parent" ];
+  let pap = open_pap services ~node:"pap" in
+  let answer =
+    call_notification services net ~src:"parent" ~dst:"pap" ~service:"policy-update" (fun buf ->
+        Wire.write_policy_update buf ~version:1 doctor_policy)
+  in
+  check bool_ "the call fails with no-such-service" true (no_such_service "policy-update" answer);
+  check int_ "the version stays" 0 (Pap.version pap);
+  check int_ "nothing accepted" 0 (Pap.updates_accepted pap);
+  check int_ "nothing refused" 0 (Pap.updates_rejected pap)
+
+let test_cast_to_cache_lookup () =
+  let fx = setup_l2 () in
+  Service.cast_frame fx.services ~src:"pep1" ~dst:"l2" ~service:"cache-lookup" (fun buf ->
+      Wire.write_cache_lookup buf ~key:(rkey "lab"));
+  Net.run fx.net;
+  check int_ "no lookup ran" 0 (Cache_hierarchy.L2.stats fx.l2).Cache_hierarchy.L2.lookups;
+  check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category fx.net) = [ "cache-lookup" ])
+
+let test_garbled_policy_update_dropped () =
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pap"; "parent" ];
+  let pap = open_pap services ~node:"pap" in
+  (* A PolicyUpdate must carry exactly one policy. *)
+  Service.cast_frame services ~src:"parent" ~dst:"pap" ~service:"policy-update" (fun buf ->
+      Buffer.add_string buf "<PolicyUpdate Version=\"1\"/>");
+  Net.run net;
+  check int_ "the version stays" 0 (Pap.version pap);
+  check int_ "nothing accepted" 0 (Pap.updates_accepted pap);
+  check int_ "dropped before the admin check" 0 (Pap.updates_rejected pap);
+  check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category net) = [ "policy-update" ]);
+  Service.cast_frame services ~src:"parent" ~dst:"pap" ~service:"policy-update" (fun buf ->
+      Wire.write_policy_update buf ~version:1 doctor_policy);
+  Net.run net;
+  check int_ "a well-formed update is accepted" 1 (Pap.updates_accepted pap)
+
+let test_garbled_invalidation_dropped () =
+  let fx = setup () in
+  let o1 = ref None in
+  request fx ~at:1.0 o1;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o1);
+  Service.cast_frame fx.services ~src:"pip" ~dst:"pdp" ~service:"attribute-invalidate" (fun buf ->
+      Buffer.add_string buf "<AttributeInvalidate Subject=\"alice\"/>");
+  Net.run fx.net;
+  check int_ "no answer sent" 0 (sent_count fx.net "attribute-invalidate-reply");
+  let o2 = ref None in
+  request fx ~at:10.0 o2;
+  Net.run fx.net;
+  check bool_ "granted from the cached bags" true (granted o2);
+  check int_ "no attribute refetched" 3 (Pip.lookups_served fx.pip)
+
+let test_garbled_subscribe_dropped () =
+  let net = Net.create ~seed:5L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pip"; "pdp" ];
+  let pip = Pip.create services ~node:"pip" ~name:"pip" in
+  Service.cast_frame services ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe" (fun buf ->
+      Buffer.add_string buf "<Subscribe/>");
+  Net.run net;
+  check bool_ "nobody subscribed" true (Pip.subscribers pip = []);
+  check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category net) = [ "attribute-subscribe" ])
 
 (* A PEP on node "pep" whose live rung reaches the single PDP "pdp",
    either as a pull PEP's failover list or through a one-shard tier — the
@@ -973,15 +1048,11 @@ let test_purge_only_from_parent () =
   let member = Domain.pap (List.hd (Vo.domains vo)) in
   let v0 = Pap.version member in
   Net.add_node net "mallory";
-  let answer = ref None in
   Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
-      Service.call_frame services ~src:"mallory" ~dst:(Pap.node member) ~service:"policy-update"
-        ~read:Wire.read_policy_update_ack
-        (fun buf -> Wire.write_policy_update buf ~version:99 lockdown_policy)
-        (fun r -> answer := Some r));
+      Service.cast_frame services ~src:"mallory" ~dst:(Pap.node member) ~service:"policy-update" (fun buf ->
+          Wire.write_policy_update buf ~version:99 lockdown_policy));
   run_for net 1.0;
-  check bool_ "the stranger's update is refused" true
-    (match !answer with Some (Error _) -> true | _ -> false);
+  check int_ "the stranger's update is refused" 1 (Pap.updates_rejected member);
   check int_ "the member PAP kept its policy" v0 (Pap.version member);
   check sizes_list "nothing purged" [ 1; 1 ] (l2_sizes vo);
   Vo.publish_policy vo lockdown_policy;
@@ -990,7 +1061,8 @@ let test_purge_only_from_parent () =
 
 (* A member that is only polled, never subscribed, accepts a push from
    its anti-entropy parent and purges; the same version pushed again was
-   adopted already, so it is acknowledged without a second purge. *)
+   adopted already, so it is neither accepted nor refused, and purges
+   nothing. *)
 let test_purge_from_anti_entropy_parent () =
   let net = Net.create ~seed:31L () in
   let services = Service.create (Rpc.create net) in
@@ -1009,28 +1081,26 @@ let test_purge_from_anti_entropy_parent () =
     run_for net 0.5
   in
   let push ~src =
-    let answer = ref None in
     Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
-        Service.call_frame services ~src ~dst:(Pap.node member) ~service:"policy-update"
-          ~read:Wire.read_policy_update_ack
-          (fun buf -> Wire.write_policy_update buf ~version:1 doctor_policy)
-          (fun r -> answer := Some r));
-    run_for net 0.5;
-    !answer
+        Service.cast_frame services ~src ~dst:(Pap.node member) ~service:"policy-update" (fun buf ->
+            Wire.write_policy_update buf ~version:1 doctor_policy));
+    run_for net 0.5
   in
   seed ();
-  check bool_ "a non-parent's push is refused" true
-    (match push ~src:"seeder" with Some (Error _) -> true | _ -> false);
+  push ~src:"seeder";
+  check int_ "a non-parent's push is refused" 1 (Pap.updates_rejected member);
+  check int_ "and leaves the version" 0 (Pap.version member);
   check int_ "nothing purged" 1 (Cache_hierarchy.L2.size l2);
-  check bool_ "the polled parent's push is accepted" true
-    (match push ~src:"parent" with Some (Ok (Ok _)) -> true | _ -> false);
+  push ~src:"parent";
+  check int_ "the polled parent's push is accepted" 1 (Pap.version member);
   check int_ "the push purged" 0 (Cache_hierarchy.L2.size l2);
   check int_ "one update accepted" 1 (Pap.updates_accepted member);
   seed ();
-  check bool_ "a known version is acknowledged" true
-    (match push ~src:"parent" with Some (Ok (Ok _)) -> true | _ -> false);
-  check int_ "and not accepted again" 1 (Pap.updates_accepted member);
-  check int_ "so nothing is purged" 1 (Cache_hierarchy.L2.size l2)
+  push ~src:"parent";
+  check int_ "a known version is not accepted again" 1 (Pap.updates_accepted member);
+  check int_ "nor refused" 1 (Pap.updates_rejected member);
+  check int_ "so the version stays" 1 (Pap.version member);
+  check int_ "and nothing is purged" 1 (Cache_hierarchy.L2.size l2)
 
 (* The push to one member is lost to a partition; the other purges at
    once, and the cut-off member's next poll after the heal pulls the
@@ -1612,8 +1682,6 @@ let () =
             test_legacy_no_attr_cache;
           Alcotest.test_case "PIP pushes purge exactly the dropped attribute" `Quick
             test_attribute_invalidation_push;
-          Alcotest.test_case "only the PDP's PIPs may drop a cached bag" `Quick
-            test_attribute_invalidation_only_from_pips;
           Alcotest.test_case "a stranger's one-way invalidation drops no cached bag" `Quick
             test_one_way_invalidation_only_from_pips;
           Alcotest.test_case "empty bags are negative-cached" `Quick test_negative_attribute_cache;
@@ -1673,8 +1741,25 @@ let () =
             test_unstamped_puts_refused;
           Alcotest.test_case "a one-way put sent before a purge is rejected" `Quick
             test_one_way_put_race;
-          Alcotest.test_case "unstamped one-way puts store nothing" `Quick
-            test_one_way_unstamped_puts;
+        ] );
+      ( "one-shape",
+        [
+          Alcotest.test_case "a call to the L2's cache-put fails with no-such-service" `Quick
+            test_call_to_cache_put;
+          Alcotest.test_case "a call to the PDP's attribute-invalidate fails with no-such-service"
+            `Quick test_call_to_attribute_invalidate;
+          Alcotest.test_case "a call to the PIP's attribute-subscribe fails with no-such-service"
+            `Quick test_call_to_attribute_subscribe;
+          Alcotest.test_case "a call to the PAP's policy-update fails with no-such-service" `Quick
+            test_call_to_policy_update;
+          Alcotest.test_case "a one-way cache-lookup runs no lookup" `Quick
+            test_cast_to_cache_lookup;
+          Alcotest.test_case "a one-way policy-update the reader rejects is dropped" `Quick
+            test_garbled_policy_update_dropped;
+          Alcotest.test_case "a one-way invalidation the reader rejects drops no bag" `Quick
+            test_garbled_invalidation_dropped;
+          Alcotest.test_case "a one-way subscribe the reader rejects subscribes nobody" `Quick
+            test_garbled_subscribe_dropped;
         ] );
       ( "revocation",
         [

@@ -825,13 +825,11 @@ let test_pap_has_no_subscribe_service () =
   let net, services, parent, _ = pap_pair () in
   Net.add_node net "mallory";
   let pushes = ref 0 in
-  Service.serve_frame services ~node:"mallory" ~service:"policy-update"
-    ~read:Wire.read_policy_update (fun ~caller:_ ~headers:_ _ reply ->
-      incr pushes;
-      reply (fun buf -> Wire.write_policy_update_ack buf ~version:0));
+  Service.serve_cast services ~node:"mallory" ~service:"policy-update" ~read:Wire.read_policy_update
+    (fun ~caller:_ _ -> incr pushes);
   let answer = ref None in
   Service.call_frame services ~src:"mallory" ~dst:"parent" ~service:"subscribe"
-    ~read:Wire.read_subscribe_ack
+    ~read:(fun _ -> Ok ())
     (fun buf -> Xml.print buf (Xml.element "Subscribe"))
     (fun r -> answer := Some r);
   Net.run net;

@@ -446,12 +446,18 @@ let test_rpc_long_pending_call () =
 let cast_string rpc ~src ~dst ~service body =
   Rpc.cast_frame rpc ~src ~dst ~service (fun buf -> Buffer.add_string buf body)
 
+(* A one-way service recording each (caller, body) it runs for. *)
+let serve_note rpc ~node =
+  let seen = ref [] in
+  Rpc.serve_cast rpc ~node ~service:"note" (fun ~caller body ->
+      seen := (caller, Rpc.slice_to_string body) :: !seen);
+  seen
+
+let served_total rpc = Dacs_telemetry.Metrics.sum_counter (Rpc.metrics rpc) "rpc_requests_served_total"
+
 let test_cast_runs_handler () =
   let net, rpc = make_rpc () in
-  let seen = ref [] in
-  serve_string rpc ~node:"server" ~service:"note" (fun ~caller body reply ->
-      seen := (caller, body) :: !seen;
-      reply "ack");
+  let seen = serve_note rpc ~node:"server" in
   cast_string rpc ~src:"client" ~dst:"server" ~service:"note" "hello";
   check int_ "nothing pending once sent" 0 (Rpc.calls_in_flight rpc);
   Net.run net;
@@ -460,9 +466,8 @@ let test_cast_runs_handler () =
   check int_ "no timer left" 0 (Engine.pending (Net.engine net));
   let bytes = String.length (Rpc.encode_one_way "note" "hello") in
   check bool_ "one message, no reply" true (Net.stats_by_category net = [ ("note", { Net.count = 1; bytes }) ]);
-  let metrics = Rpc.metrics rpc in
-  check int_ "counted as a call" 1 (Dacs_telemetry.Metrics.sum_counter metrics "rpc_calls_total");
-  check int_ "counted as served" 1 (Dacs_telemetry.Metrics.sum_counter metrics "rpc_requests_served_total")
+  check int_ "counted as a call" 1 (Dacs_telemetry.Metrics.sum_counter (Rpc.metrics rpc) "rpc_calls_total");
+  check int_ "counted as served" 1 (served_total rpc)
 
 let test_cast_unknown_service () =
   let net, rpc = make_rpc () in
@@ -477,7 +482,7 @@ let test_cast_traced_span_tree () =
   let module Trace = Dacs_telemetry.Trace in
   let net, rpc = make_rpc () in
   Rpc.set_tracing rpc true;
-  serve_string rpc ~node:"server" ~service:"note" (fun ~caller:_ _ reply -> reply "ack");
+  ignore (serve_note rpc ~node:"server");
   cast_string rpc ~src:"client" ~dst:"server" ~service:"note" "hello";
   Net.run net;
   match Trace.critical_path (Rpc.tracer rpc) with
@@ -489,6 +494,99 @@ let test_cast_traced_span_tree () =
     check bool_ "same trace" true (server.Trace.v_trace_id = client.Trace.v_trace_id);
     check bool_ "both finished" true (client.Trace.v_end <> None && server.Trace.v_end <> None)
   | path -> Alcotest.failf "expected a client and a serve span, got %d spans" (List.length path)
+
+(* A handler that casts just before it replies: the cast's client span
+   ends at the instant the nested call it follows completes, but it
+   bounds nobody's answer, so the path runs through the nested call. *)
+let test_cast_off_critical_path () =
+  let module Trace = Dacs_telemetry.Trace in
+  let net, rpc = make_rpc () in
+  Net.add_node net "pip";
+  Net.add_node net "sink";
+  Rpc.set_tracing rpc true;
+  ignore (serve_note rpc ~node:"sink");
+  serve_string rpc ~node:"pip" ~service:"lookup" (fun ~caller:_ _ reply -> reply "role=doctor");
+  serve_string rpc ~node:"server" ~service:"work" (fun ~caller:_ body reply ->
+      call_string rpc ~src:"server" ~dst:"pip" ~service:"lookup" body (fun _ ->
+          cast_string rpc ~src:"server" ~dst:"sink" ~service:"note" body;
+          reply "done"));
+  call_string rpc ~src:"client" ~dst:"server" ~service:"work" "alice" ignore;
+  Net.run net;
+  check (Alcotest.list string_) "the path runs through the nested call"
+    [ "rpc:work"; "serve:work"; "rpc:lookup"; "serve:lookup" ]
+    (List.map (fun v -> v.Trace.v_name) (Trace.critical_path (Rpc.tracer rpc)));
+  check int_ "the cast was still traced" 6 (Trace.span_count (Rpc.tracer rpc))
+
+(* --- one shape per service: a call never runs a one-way handler, nor
+   a one-way frame a request/reply one -------------------------------------- *)
+
+let test_call_to_one_way_service () =
+  let net, rpc = make_rpc () in
+  let seen = serve_note rpc ~node:"server" in
+  let results = ref [] in
+  for _ = 1 to 6 do
+    call_string rpc ~src:"client" ~dst:"server" ~service:"note" ~breaker:true "hello" (fun r ->
+        results := r :: !results)
+  done;
+  Net.run net ~until:0.5;
+  check bool_ "every call answered at once with no-such-service" true
+    (!results = List.init 6 (fun _ -> Error (Rpc.No_such_service "note")));
+  check int_ "nothing pending" 0 (Rpc.calls_in_flight rpc);
+  Net.run net;
+  check int_ "each continuation ran once" 6 (List.length !results);
+  check bool_ "the handler never ran" true (!seen = []);
+  check int_ "nothing served" 0 (served_total rpc);
+  check bool_ "no breaker failure counted" true (Rpc.breaker_state rpc "server" = Rpc.Closed)
+
+let test_batch_to_one_way_service () =
+  let net, rpc = make_rpc () in
+  let seen = serve_note rpc ~node:"server" in
+  let result = ref None in
+  Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"note"
+    [ (fun buf -> Buffer.add_string buf "a"); (fun buf -> Buffer.add_string buf "b") ]
+    (fun r -> result := Some r);
+  Net.run net ~until:0.5;
+  check bool_ "the batch fails with no-such-service" true
+    (match !result with Some (Error (Rpc.No_such_service "note")) -> true | _ -> false);
+  check bool_ "the handler never ran" true (!seen = []);
+  check int_ "nothing served" 0 (served_total rpc)
+
+let test_cast_to_request_reply_service () =
+  let net, rpc = make_rpc () in
+  let ran = ref 0 in
+  serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply ->
+      incr ran;
+      reply body);
+  cast_string rpc ~src:"client" ~dst:"server" ~service:"echo" "hello";
+  Net.run net;
+  check int_ "the handler never ran" 0 !ran;
+  check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category net) = [ "echo" ]);
+  check int_ "nothing served" 0 (served_total rpc)
+
+(* A one-way body its reader rejects, or whose envelope is malformed,
+   reaches no handler and sends no fault: there is nobody to send it to. *)
+let test_cast_rejected_body_dropped () =
+  let module Service = Dacs_ws.Service in
+  let module Cursor = Dacs_xml.Xml.Cursor in
+  let net = Net.create () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "client";
+  Net.add_node net "server";
+  let ran = ref 0 in
+  let ping c = Ok (Cursor.leaf0 "Ping" c) in
+  Service.serve_cast services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ () -> incr ran);
+  Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
+      Buffer.add_string buf "<Pong/>");
+  Rpc.cast_frame (Service.rpc services) ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
+      Buffer.add_string buf "<not-an-envelope");
+  Net.run net;
+  check int_ "no handler ran" 0 !ran;
+  check bool_ "only the two one-way frames were sent" true
+    (List.map (fun (c, st) -> (c, st.Net.count)) (Net.stats_by_category net) = [ ("ping", 2) ]);
+  Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
+      Buffer.add_string buf "<Ping/>");
+  Net.run net;
+  check int_ "a well-formed body still runs the handler" 1 !ran
 
 let test_rpc_service_name_with_separator () =
   (* A service whose *name* contains the frame separator must round-trip:
@@ -1028,9 +1126,10 @@ let bare_round_trip_words () =
 let bare_round_trip_bound = 140.0
 
 (* Minor words of one bare <Ping/> sent one way through
-   Service.cast_frame, Rpc and Net, drained by Net.run, after warm-up:
-   one frame, no reply, no pending slot and no timer.  It measured 53
-   words (OCaml 5.1, dune's dev profile); the bound is that plus 10 %. *)
+   Service.cast_frame to a Service.serve_cast handler, Rpc and Net,
+   drained by Net.run, after warm-up: one frame, no reply, no pending
+   slot and no timer.  It measured 53 words (OCaml 5.1, dune's dev
+   profile); the bound is that plus 10 %. *)
 let bare_one_way_words () =
   let module Service = Dacs_ws.Service in
   let module Cursor = Dacs_xml.Xml.Cursor in
@@ -1040,9 +1139,7 @@ let bare_one_way_words () =
   Net.add_node net "server";
   let ping c = Ok (Cursor.leaf0 "Ping" c) in
   let served = ref 0 in
-  Service.serve_frame services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ ~headers:_ () reply ->
-      incr served;
-      reply (fun buf -> Buffer.add_string buf "<Pong/>"));
+  Service.serve_cast services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ () -> incr served);
   let write_ping buf = Buffer.add_string buf "<Ping/>" in
   let round () =
     Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" write_ping;
@@ -1132,6 +1229,16 @@ let () =
             test_cast_unknown_service;
           Alcotest.test_case "a traced one-way serve span is its client span's child" `Quick
             test_cast_traced_span_tree;
+          Alcotest.test_case "a cast before a reply stays off the critical path" `Quick
+            test_cast_off_critical_path;
+          Alcotest.test_case "a call to a one-way service fails at once with no-such-service" `Quick
+            test_call_to_one_way_service;
+          Alcotest.test_case "a batch to a one-way service fails with no-such-service" `Quick
+            test_batch_to_one_way_service;
+          Alcotest.test_case "a one-way frame to a request/reply service runs nothing" `Quick
+            test_cast_to_request_reply_service;
+          Alcotest.test_case "a one-way body the reader rejects is dropped" `Quick
+            test_cast_rejected_body_dropped;
         ] );
       ( "rpc-frames",
         List.map QCheck_alcotest.to_alcotest (frame_roundtrip_tests @ frame_fuzz_tests @ frame_canonical_tests)

@@ -338,10 +338,6 @@ let frames =
       ~equal:(fun (v, a) (w, b) -> v = w && same_policy a b)
       ~parse:Ref.parse_policy_update
       (fun (version, child) -> Ref.policy_update ~version child);
-    plain ~name:"policy_update_ack" ~gen:count_gen
-      ~write:(fun buf version -> Wire.write_policy_update_ack buf ~version)
-      ~read:Wire.read_policy_update_ack
-      (fun version -> Ref.policy_update_ack ~version);
     plain ~name:"attribute_subscribe" ~gen:Gen.unit
       ~write:(fun buf () -> Wire.write_attribute_subscribe buf)
       ~read:Wire.read_attribute_subscribe ~parse:Ref.parse_attribute_subscribe Ref.attribute_subscribe;
@@ -349,9 +345,6 @@ let frames =
       ~write:(fun buf (subject, attribute_id) -> Wire.write_attribute_invalidate buf ~subject ~attribute_id)
       ~read:Wire.read_attribute_invalidate ~parse:Ref.parse_attribute_invalidate
       (fun (subject, attribute_id) -> Ref.attribute_invalidate ~subject ~attribute_id);
-    ack "subscribe_ack" Wire.write_subscribe_ack Wire.read_subscribe_ack Ref.subscribe_ack;
-    ack "invalidate_ack" Wire.write_invalidate_ack Wire.read_invalidate_ack Ref.invalidate_ack;
-    ack "cache_put_ack" Wire.write_cache_put_ack Wire.read_cache_put_ack Ref.cache_put_ack;
     (* discovery, identity assertions and trust negotiation *)
     plain ~name:"register" ~gen:(Gen.pair text_gen text_gen)
       ~write:(fun buf (kind, node) -> Wire.write_register buf ~kind ~node)
@@ -481,8 +474,8 @@ let log_event_bytes_tests =
 
 (* --- whole frames: the bytes that leave the sender ---------------------------------- *)
 
-(* The frame a request leaves the sender as: captured at a raw RPC
-   handler, whose body slice lies inside the whole frame. *)
+(* The frame a request or a one-way send leaves the sender as: captured
+   at a raw RPC handler, whose body slice lies inside the whole frame. *)
 let captured_frame send =
   let net = Net.create () in
   let rpc = Rpc.create net in
@@ -494,26 +487,11 @@ let captured_frame send =
       Rpc.serve_frame rpc ~node:"server" ~service (fun ~caller:_ body reply ->
           seen := body.Rpc.src;
           reply (fun buf -> Soap.write buf (fun buf -> Buffer.add_string buf "<Ack/>"))))
-    [ "authz-query"; "cache-lookup"; "policy-query"; "policy-update" ];
+    [ "authz-query"; "cache-lookup"; "policy-query" ];
+  List.iter
+    (fun service -> Rpc.serve_cast rpc ~node:"server" ~service (fun ~caller:_ body -> seen := body.Rpc.src))
+    [ "cache-put"; "policy-update"; "attribute-subscribe"; "attribute-invalidate" ];
   send services;
-  Net.run net;
-  !seen
-
-(* The reply a live PAP that admits every caller sends to its first
-   push: captured at the raw caller, whose reply slice lies inside the
-   whole frame. *)
-let pap_ack_frame child =
-  let net = Net.create () in
-  let rpc = Rpc.create net in
-  let services = Service.create rpc in
-  Net.add_node net "parent";
-  Net.add_node net "pap";
-  let admin = Dacs_policy.Policy.Inline_policy (Dacs_policy.Policy.make ~id:"admin" [ Dacs_policy.Rule.permit "anyone" ]) in
-  ignore (Pap.create services ~node:"pap" ~name:"pap" ~admin_policy:admin () : Pap.t);
-  let seen = ref "" in
-  Rpc.call_frame rpc ~src:"parent" ~dst:"pap" ~service:"policy-update"
-    (fun buf -> Soap.write buf (fun buf -> Wire.write_policy_update buf ~version:1 child))
-    (function Ok reply -> seen := reply.Rpc.src | Error _ -> ());
   Net.run net;
   !seen
 
@@ -544,6 +522,37 @@ let whole_frame_tests =
                 ignore)
         in
         sent = Rpc.encode_request 0 "cache-lookup" (Xml.to_string (Ref.Soap.envelope (Ref.cache_lookup ~key))));
+    Test.make ~name:"cache_put: the one-way frame sent = the reference frame" ~count:100
+      (make ~print:(fun (sent_at, key, _) -> Printf.sprintf "%f %S" sent_at key)
+         (Gen.triple sent_at_gen text_gen result_gen))
+      (fun (sent_at, key, r) ->
+        let sent =
+          captured_frame (fun services ->
+              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"cache-put" (fun buf ->
+                  Wire.write_cache_put ~sent_at buf ~key r))
+        in
+        sent = Rpc.encode_one_way "cache-put" (Xml.to_string (Ref.Soap.envelope (Ref.cache_put ~sent_at ~key r))));
+    (* the attribute plane: a PDP's subscription and a PIP's revocation push *)
+    Test.make ~name:"attribute_subscribe: the one-way frame sent = the reference frame" ~count:1
+      (make Gen.unit) (fun () ->
+        let sent =
+          captured_frame (fun services ->
+              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"attribute-subscribe"
+                Wire.write_attribute_subscribe)
+        in
+        sent
+        = Rpc.encode_one_way "attribute-subscribe" (Xml.to_string (Ref.Soap.envelope (Ref.attribute_subscribe ()))));
+    Test.make ~name:"attribute_invalidate: the one-way frame sent = the reference frame" ~count:100
+      (make ~print:(fun (s, a) -> Printf.sprintf "%S %S" s a) (Gen.pair text_gen text_gen))
+      (fun (subject, attribute_id) ->
+        let sent =
+          captured_frame (fun services ->
+              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"attribute-invalidate" (fun buf ->
+                  Wire.write_attribute_invalidate buf ~subject ~attribute_id))
+        in
+        sent
+        = Rpc.encode_one_way "attribute-invalidate"
+            (Xml.to_string (Ref.Soap.envelope (Ref.attribute_invalidate ~subject ~attribute_id))));
     (* the syndication plane: a member PAP's anti-entropy poll and a
        parent's push *)
     Test.make ~name:"policy_query: the single frame sent = the reference frame" ~count:100
@@ -559,24 +568,18 @@ let whole_frame_tests =
         sent
         = Rpc.encode_request 0 "policy-query"
             (Xml.to_string (Ref.Soap.envelope (Ref.policy_query ~scope ~known_version))));
-    Test.make ~name:"policy_update: the single frame sent = the reference frame" ~count:100
+    Test.make ~name:"policy_update: the one-way frame sent = the reference frame" ~count:100
       (make ~print:(fun (v, child) -> Printf.sprintf "%d %s" v (Dacs_policy.Xacml_xml.child_to_string child))
          (Gen.pair count_gen policy_gen))
       (fun (version, child) ->
         let sent =
           captured_frame (fun services ->
-              Service.call_frame services ~src:"client" ~dst:"server" ~service:"policy-update"
-                ~read:(fun _ -> Ok ())
-                (fun buf -> Wire.write_policy_update buf ~version child)
-                ignore)
+              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"policy-update" (fun buf ->
+                  Wire.write_policy_update buf ~version child))
         in
         sent
-        = Rpc.encode_request 0 "policy-update"
+        = Rpc.encode_one_way "policy-update"
             (Xml.to_string (Ref.Soap.envelope (Ref.policy_update ~version child))));
-    Test.make ~name:"policy_update_ack: the reply a PAP sends = the reference frame" ~count:50
-      (make ~print:Dacs_policy.Xacml_xml.child_to_string policy_gen)
-      (fun child ->
-        pap_ack_frame child = Rpc.encode_reply 0 (Xml.to_string (Ref.Soap.envelope (Ref.policy_update_ack ~version:1))));
   ]
 
 (* --- log-sync admission: a mutation never smuggles in an event ------------------- *)

@@ -589,11 +589,6 @@ let parse_access_outcome node =
     Ok (Wire.Denied (Option.value (Xml.attr node "Reason") ~default:""))
   | other -> Error (Printf.sprintf "unexpected access outcome <%s>" other)
 
-let policy_update_ack ~version = Xml.element "PolicyUpdateAck" ~attrs:[ ("Version", string_of_int version) ]
-let subscribe_ack = Xml.element "SubscribeAck"
-let invalidate_ack = Xml.element "InvalidateAck"
-let cache_put_ack = Xml.element "CachePutAck"
-
 (* --- the services that spoke trees: Discovery, Idp, Negotiation_service, Wsdl --- *)
 
 (* Their bodies' former tree builders, and the readings their handlers

@@ -557,17 +557,13 @@ let wire_envelopes () =
       ("attribute_result", written (fun buf -> Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3; Value.Bool true ]));
       ("attribute_subscribe", written Wire.write_attribute_subscribe);
       ("attribute_invalidate", written (fun buf -> Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role"));
-      ("invalidate_ack", written Wire.write_invalidate_ack);
-      ("subscribe_ack", written Wire.write_subscribe_ack);
       ("cache_lookup", written (fun buf -> Wire.write_cache_lookup buf ~key:"alice|read|r1"));
       ("cache_answer", written (fun buf -> Wire.write_cache_answer buf (Some result)));
       ("cache_answer (miss)", written (fun buf -> Wire.write_cache_answer buf None));
       ("cache_put", written (fun buf -> Wire.write_cache_put ~sent_at:1.25 buf ~key:"alice|read|r1" result));
-      ("cache_put_ack", written Wire.write_cache_put_ack);
       ("policy_query", written (fun buf -> Wire.write_policy_query buf ~scope:"domain-a" ~known_version:1));
       ("policy_response", written (fun buf -> Wire.write_policy_response buf ~version:2 (Some set)));
       ("policy_update", written (fun buf -> Wire.write_policy_update buf ~version:2 set));
-      ("policy_update_ack", written (fun buf -> Wire.write_policy_update_ack buf ~version:3));
       ("log_event", written (fun buf -> Wire.write_log_event buf ~signed:true event));
       ("log_sync_request", written (fun buf -> Wire.write_log_sync_request buf ~frontier:[ ("domain-b", 1); ("domain-a", 3) ]));
       ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf [ event; event ]));
