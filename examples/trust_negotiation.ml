@@ -61,9 +61,9 @@ let () =
       | None -> ()
       | Some capability ->
         (* Present the negotiated capability at the archive's PEP. *)
-        Service.call_frame services ~src:"stranger" ~dst:"archive.example.org" ~service:"access"
+        Service.call services ~src:"stranger" ~dst:"archive.example.org"
           ~headers:[ Dacs_saml.Assertion.to_xml capability ]
-          ~read:Wire.read_access_outcome
+          Wire.Services.access
           (fun buf ->
             Wire.write_access_request buf ~subject:[ ("subject-id", Value.String "dr-visitor") ] ~action:"read")
           (function

@@ -179,13 +179,13 @@ module L2 = struct
             ~help:"Puts sent before the last purge, dropped instead of resurrected";
       }
     in
-    Service.serve_frame services ~node ~service:"cache-lookup" ~read:Wire.read_cache_lookup
+    Service.serve services ~node Wire.Services.cache_lookup
       (fun ~caller:_ ~headers:_ key reply ->
         Metrics.inc t.c_lookups;
         let answer = Decision_cache.get t.cache ~now:(now t) ~key in
         if answer <> None then Metrics.inc t.c_hits;
         reply (fun buf -> Wire.write_cache_answer buf answer));
-    Service.serve_cast services ~node ~service:"cache-put" ~read:Wire.read_cache_put
+    Service.serve_cast services ~node Wire.Services.cache_put
       (fun ~caller:_ (key, result, sent_at) ->
         (* The put/invalidate race: a put composed before a purge must not land
            after it and resurrect its entry.  The reader drops unstamped puts. *)
@@ -199,7 +199,7 @@ module L2 = struct
   (* --- client side (what a PEP calls) ---------------------------------- *)
 
   let remote_lookup services ~src ~l2 ~key k =
-    Service.call_frame services ~src ~dst:l2 ~service:"cache-lookup" ~read:Wire.read_cache_answer
+    Service.call services ~src ~dst:l2 Wire.Services.cache_lookup
       (fun buf -> Wire.write_cache_lookup buf ~key)
       (fun reply ->
         match reply with
@@ -212,6 +212,6 @@ module L2 = struct
 
   let remote_put services ~src ~l2 ~key result =
     let sent_at = Dacs_net.Net.now (Service.net services) in
-    Service.cast_frame services ~src ~dst:l2 ~service:"cache-put" (fun buf ->
+    Service.cast services ~src ~dst:l2 Wire.Services.cache_put (fun buf ->
         Wire.write_cache_put ~sent_at buf ~key result)
 end

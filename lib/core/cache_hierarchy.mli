@@ -154,7 +154,7 @@ module L2 : sig
     key:string ->
     Dacs_policy.Decision.result ->
     unit
-  (** Sends the put as one one-way frame ({!Dacs_ws.Service.cast_frame}),
+  (** Sends the put as one one-way frame ({!Dacs_ws.Service.cast}),
       stamped with the send time: nothing answers it, and the L2 drops
       a put sent before its last purge. *)
 end

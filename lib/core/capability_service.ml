@@ -99,14 +99,14 @@ let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) ?(format = 
           ~help:"Revocation-status queries served" "cas_revocation_checks_total";
     }
   in
-  Service.serve_frame services ~node ~service:"capability-request" ~read:Wire.read_capability_request
+  Service.serve services ~node Wire.Services.capability_request
     (fun ~caller:_ ~headers:_ (subject, pairs) reply ->
       let assertion = issue t ~subject ~pairs in
       let to_xml =
         match t.format with Saml -> Assertion.to_xml | X509_attribute_cert -> Dacs_saml.Attribute_cert.to_xml
       in
       reply (fun buf -> Dacs_xml.Xml.print buf (to_xml assertion)));
-  Service.serve_frame services ~node ~service:"revocation-check" ~read:Wire.read_revocation_check
+  Service.serve services ~node Wire.Services.revocation_check
     (fun ~caller:_ ~headers:_ assertion_id reply ->
       Metrics.inc t.c_revocation_checks;
       reply (fun buf -> Wire.write_revocation_status buf ~revoked:(is_revoked t ~assertion_id)));

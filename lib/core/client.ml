@@ -20,8 +20,7 @@ let now t = Dacs_net.Net.now (Service.net t.services)
 (* One access call through the breaker; an outcome the client cannot
    read is a malformed answer. *)
 let access t ~pep ~action ?timeout ?headers k =
-  Service.call_frame t.services ~src:t.node ~dst:pep ~service:"access" ?timeout ~breaker:true ?headers
-    ~read:Wire.read_access_outcome
+  Service.call t.services ~src:t.node ~dst:pep ?timeout ~breaker:true ?headers Wire.Services.access
     (fun buf -> Wire.write_access_request buf ~subject:t.subject ~action)
     (function
       | Ok (Ok outcome) -> k (Ok outcome)
@@ -45,23 +44,12 @@ let drop_capabilities t = Hashtbl.reset t.capabilities
 
 let capability_requests_made t = t.capability_requests
 
-(* The capability and the wire form it arrived in. *)
-let read_capability c =
-  let body = Dacs_xml.Xml.Cursor.subtree c in
-  let capability =
-    if Dacs_xml.Xml.local_name (Dacs_xml.Xml.tag body) = Dacs_saml.Attribute_cert.element_name then
-      Dacs_saml.Attribute_cert.of_xml body
-    else Assertion.of_xml body
-  in
-  Result.map (fun assertion -> (assertion, body)) capability
-
 let request_with_capability t ~capability_service ~pep ~resource ~action k =
   match valid_capability t ~resource ~action with
   | Some wire -> access t ~pep ~action ~headers:[ wire ] k
   | None ->
     t.capability_requests <- t.capability_requests + 1;
-    Service.call_frame t.services ~src:t.node ~dst:capability_service ~service:"capability-request"
-      ~breaker:true ~read:read_capability
+    Service.call t.services ~src:t.node ~dst:capability_service ~breaker:true Wire.Services.capability_request
       (fun buf -> Wire.write_capability_request buf ~subject:t.subject ~pairs:[ (resource, action) ])
       (function
         | Error e -> k (Error e)

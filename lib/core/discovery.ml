@@ -41,7 +41,7 @@ let create services ~node ?(lease = 10.0) () =
       next_order = 0;
     }
   in
-  Service.serve_frame services ~node ~service:"register" ~read:Wire.read_register
+  Service.serve services ~node Wire.Services.register
     (fun ~caller ~headers:_ (kind, advertised) reply ->
       (* Only accept self-advertisements: the caller vouches for itself.
          A node advertising someone else could keep a dead replica
@@ -59,7 +59,7 @@ let create services ~node ?(lease = 10.0) () =
         Hashtbl.replace t.entries (kind, advertised) (now t +. t.lease, order);
         reply Wire.write_register_ack
       end);
-  Service.serve_frame services ~node ~service:"discover" ~read:Wire.read_discover
+  Service.serve services ~node Wire.Services.discover
     (fun ~caller:_ ~headers:_ kind reply ->
       Metrics.inc t.c_lookups;
       let endpoints = lookup t ~kind in
@@ -73,8 +73,7 @@ let advertise t ~services ~node ~kind () =
     (* A crashed node's sends are dropped by the network, so the
        advertisement naturally lapses; the loop keeps ticking and renews
        again after recovery. *)
-    Service.call_frame services ~src:node ~dst:t.node ~service:"register" ~breaker:true
-      ~read:Wire.read_register_ack
+    Service.call services ~src:node ~dst:t.node ~breaker:true Wire.Services.register
       (fun buf -> Wire.write_register buf ~kind ~node)
       ignore;
     Engine.schedule engine ~delay:period renew
@@ -86,8 +85,7 @@ let auto_rebind t ~pep ~kind ?period () =
   let engine = Net.engine (Service.net t.services) in
   let pep_node = Pep.node pep in
   let rec refresh () =
-    Service.call_frame t.services ~src:pep_node ~dst:t.node ~service:"discover"
-      ~breaker:true ~read:Wire.read_endpoints
+    Service.call t.services ~src:pep_node ~dst:t.node ~breaker:true Wire.Services.discover
       (fun buf -> Wire.write_discover buf ~kind)
       (fun response ->
         (match response with

@@ -36,7 +36,7 @@ let issued_count t = t.issued
 
 let create services ~node ~issuer ~keypair ?(validity = 300.0) () =
   let t = { services; node; issuer; keypair; validity; users = Hashtbl.create 64; issued = 0 } in
-  Service.serve_frame services ~node ~service:"attribute-assertion" ~read:Wire.read_attribute_assertion_request
+  Service.serve services ~node Wire.Services.attribute_assertion
     (fun ~caller:_ ~headers:_ user reply ->
       match issue t ~user with
       | Some assertion -> reply (fun buf -> Dacs_xml.Xml.print buf (Assertion.to_xml assertion))

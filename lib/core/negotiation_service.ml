@@ -49,7 +49,7 @@ let create services ~node ~issuer ~keypair ~credentials ~requirement_for ?(valid
       issued = 0;
     }
   in
-  Service.serve_frame services ~node ~service:"negotiate" ~read:Wire.read_negotiate
+  Service.serve services ~node Wire.Services.negotiate
     (fun ~caller ~headers:_ (resource, action, subject_name, disclosed) reply ->
       let key = (caller, resource, action) in
       let session =
@@ -115,7 +115,7 @@ let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action
         credentials
     in
     disclosed := unlocked @ !disclosed;
-    Service.call_frame services ~src:client_node ~dst:t.node ~service:"negotiate" ~read:Wire.read_negotiate_response
+    Service.call services ~src:client_node ~dst:t.node Wire.Services.negotiate
       (fun buf -> Wire.write_negotiate buf ~resource ~action ~subject:subject_name unlocked)
       (fun response ->
         let messages = messages + 2 in

@@ -738,16 +738,14 @@ let sync_pair a b =
 
 (* --- RPC sync ----------------------------------------------------------- *)
 
-let service_name = "log-sync"
-
 let serve t services ~node =
-  Service.serve_frame services ~node ~service:service_name ~read:Wire.read_log_sync_request
+  Service.serve services ~node Wire.Services.log_sync
     (fun ~caller:_ ~headers:_ peer_frontier reply ->
       let suffix = missing_for t ~frontier:peer_frontier in
       reply (fun buf -> Wire.write_log_sync_response buf suffix))
 
 let sync_rpc t services ~src ~dst k =
-  Service.call_frame services ~src ~dst ~service:service_name ~read:Wire.read_log_sync_response
+  Service.call services ~src ~dst Wire.Services.log_sync
     (fun buf -> Wire.write_log_sync_request buf ~frontier:(frontier t))
     (function
       | Error e -> k (Error (Service.error_to_string e))

@@ -231,7 +231,7 @@ val on_invalidate : t -> (string -> unit) -> unit
 
     The same exchange as {!sync_pair}, over the simulated network.  Both
     frames are written straight into the RPC frame and read in place
-    with {!Wire.read_log_sync_request} and {!Wire.read_log_sync_response}.
+    by the readers of {!Wire.Services.log_sync}.
     [dacs offline], E21 and the end-to-end benchmark sync in process
     instead. *)
 

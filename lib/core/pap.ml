@@ -62,7 +62,7 @@ let push_to_subscribers t =
   | Some root ->
     List.iter
       (fun child ->
-        Service.cast_frame t.services ~src:t.node ~dst:child ~service:"policy-update" (fun buf ->
+        Service.cast t.services ~src:t.node ~dst:child Wire.Services.policy_update (fun buf ->
             Wire.write_policy_update buf ~version:t.version root))
       t.subscribers
 
@@ -122,12 +122,12 @@ let create services ~node ~name ?admin_policy ?root () =
       known = Hashtbl.create 2;
     }
   in
-  Service.serve_frame services ~node ~service:"policy-query" ~read:Wire.read_policy_query
+  Service.serve services ~node Wire.Services.policy_query
     (fun ~caller:_ ~headers:_ (_scope, known_version) reply ->
       Metrics.inc t.c_queries;
       let policy = if known_version >= t.version then None else t.root in
       reply (fun buf -> Wire.write_policy_response buf ~version:t.version policy));
-  Service.serve_cast services ~node ~service:"policy-update" ~read:Wire.read_policy_update
+  Service.serve_cast services ~node Wire.Services.policy_update
     (fun ~caller (remote_version, child) ->
       (* Every caller, a syndicating parent we subscribed to included,
          needs the admin policy's blessing; an authorised update must
@@ -149,7 +149,7 @@ let enable_anti_entropy t ~parent ~period =
   let engine = Dacs_net.Net.engine (Service.net t.services) in
   t.parent <- Some parent;
   let rec poll () =
-    Service.call_frame t.services ~src:t.node ~dst:parent ~service:"policy-query" ~read:Wire.read_policy_response
+    Service.call t.services ~src:t.node ~dst:parent Wire.Services.policy_query
       (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:(known_version t parent))
       (fun result ->
         (match result with

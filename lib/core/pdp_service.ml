@@ -145,8 +145,7 @@ let ensure_policy t k =
     | None -> k ()
     | Some pap ->
       Metrics.inc t.counters.c_pap_fetches;
-      Service.call_frame t.services ~src:t.node ~dst:pap ~breaker:true
-        ~service:"policy-query" ~read:Wire.read_policy_response
+      Service.call t.services ~src:t.node ~dst:pap ~breaker:true Wire.Services.policy_query
         (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version:t.version)
         (fun result ->
           (match result with
@@ -237,14 +236,13 @@ let fetch_batched t ~subject misses ctx k =
           (fun (category, id) buf -> Wire.write_attribute_query buf ~category ~attribute_id:id ~subject)
           misses
       in
-      let read = Wire.read_attribute_result in
       (match bodies with
       | [ single ] ->
         (* A batch of one needs no envelope. *)
-        Service.call_frame t.services ~src:t.node ~dst:pip ~breaker:true ~service:"attribute-query" ~read single
+        Service.call t.services ~src:t.node ~dst:pip ~breaker:true Wire.Services.attribute_query single
           (fun result -> handle [ result ])
       | _ ->
-        Service.call_batch_frame t.services ~src:t.node ~dst:pip ~breaker:true ~service:"attribute-query" ~read
+        Service.call_batch t.services ~src:t.node ~dst:pip ~breaker:true Wire.Services.attribute_query
           bodies (fun result ->
             match result with
             | Ok parts -> handle parts
@@ -433,15 +431,15 @@ let create services ~node ~name:_ ?root ?pap ?refresh ?(pips = []) ?signer ?(ser
     (* Explicit invalidation path: the PIP pushes when an attribute is
        removed, so revocation never waits out the cache TTL.  Only this
        PDP's own PIPs may push: a drop from anyone else is ignored. *)
-    Service.serve_cast services ~node ~service:"attribute-invalidate" ~read:Wire.read_attribute_invalidate
+    Service.serve_cast services ~node Wire.Services.attribute_invalidate
       (fun ~caller (subject, id) ->
         if List.mem caller pips then Cache_hierarchy.Attr_cache.invalidate_subject ac ~subject ~id);
     List.iter
       (fun pip ->
-        Service.cast_frame services ~src:node ~dst:pip ~service:"attribute-subscribe"
+        Service.cast services ~src:node ~dst:pip Wire.Services.attribute_subscribe
           Wire.write_attribute_subscribe)
       pips);
-  Service.serve_frame services ~node ~service:"authz-query" ~read:Wire.read_authz_query
+  Service.serve services ~node Wire.Services.authz_query
     (fun ~caller:_ ~headers:_ ctx reply ->
       if overloaded t then begin
         Metrics.inc t.counters.c_overloads;

@@ -1,6 +1,5 @@
 module Service = Dacs_ws.Service
 module Engine = Dacs_net.Engine
-module Xml = Dacs_xml.Xml
 module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Metrics = Dacs_telemetry.Metrics
@@ -79,10 +78,10 @@ type t = {
   ordered : bool;  (** placement is list order, not rendezvous *)
   timeout : float;  (** every frame's timeout, and the RTO cap *)
   mutable retry : Dacs_net.Rpc.retry_policy;
-  (* The per-query answer decoder: [Wire.read_authz_answer] at the bus's
+  (* The authz-query declaration whose replies are read at the bus's
      current instant, given the trust store once [require_signed_decisions]
      is called.  Built then, not per frame. *)
-  mutable read_answer : Xml.Cursor.t -> (Decision.result * int, string) result;
+  mutable authz : (Context.t, Decision.result * int) Service.call;
   c_batches : Dacs_net.Net.node_id -> Metrics.counter;
   c_dispatch : Dacs_net.Net.node_id -> Metrics.counter;
   c_failovers : Metrics.counter;
@@ -335,8 +334,7 @@ and frame_over t s ~sent ~replied =
    An ordered tier has batch limit 1 and never sends a batch, so a batch
    frame's fixed 1 s timeout is always a sharded tier's own. *)
 and send_plain t shard s ~sent item =
-  Service.call_frame t.services ~src:t.node ~dst:shard ~service:"authz-query" ~timeout:t.timeout
-    ~breaker:true ~read:t.read_answer
+  Service.call t.services ~src:t.node ~dst:shard ~timeout:t.timeout ~breaker:true t.authz
     (fun buf -> Wire.write_authz_query buf item.ctx)
     (function
       | Error (Service.Transport _ as e) ->
@@ -347,8 +345,7 @@ and send_plain t shard s ~sent item =
         answered t s ~batch:1 item part)
 
 and send_batch t shard s ~sent ~n items =
-  Service.call_batch_frame t.services ~src:t.node ~dst:shard ~service:"authz-query"
-    ~breaker:true ~read:t.read_answer
+  Service.call_batch t.services ~src:t.node ~dst:shard ~breaker:true t.authz
     (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
     (function
       | Ok parts ->
@@ -398,11 +395,9 @@ let decide_meta ?key t ctx deliver =
 let rto t shard =
   match Hashtbl.find_opt t.states shard with Some s -> current_rto t s | None -> t.timeout
 
-let answer_reader ?trust services =
-  let net = Service.net services in
-  fun c -> Wire.read_authz_answer ?trust ~now:(Dacs_net.Net.now net) c
+let require_signed_decisions t trust =
+  t.authz <- Wire.Services.authz_query_checked ~trust (Service.net t.services)
 
-let require_signed_decisions t trust = t.read_answer <- answer_reader ~trust t.services
 let set_retry_policy t retry =
   Dacs_net.Rpc.validate_retry retry;
   t.retry <- retry
@@ -422,7 +417,7 @@ let make services ~node ~shards ~batch ~ordered ~timeout =
     ordered;
     timeout;
     retry = Dacs_net.Rpc.no_retry;
-    read_answer = answer_reader services;
+    authz = Wire.Services.authz_query_checked (Service.net services);
     c_batches =
       per_shard "pdp_tier_batches_total" ~help:"Batched frames flushed to this shard";
     c_dispatch =

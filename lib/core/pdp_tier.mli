@@ -83,8 +83,9 @@ val create :
   t
 (** Rendezvous-placed dispatcher issuing calls from [node] with a 1 s
     frame timeout.  [batch] (default 8) is the maximum queries per
-    frame.  Each per-query response body is decoded by
-    {!Wire.read_authz_answer}; see {!require_signed_decisions}. *)
+    frame.  Each per-query response body is decoded by the reply reader
+    of {!Wire.Services.authz_query_checked}; see
+    {!require_signed_decisions}. *)
 
 val ordered :
   Dacs_ws.Service.t ->

@@ -646,8 +646,8 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
           Dacs_net.Rpc.retrying (Service.rpc t.services) ~src:t.node ~dst:authority t.retry
             ~failed:Service.transport_error
             (fun k ->
-              Service.call_frame t.services ~src:t.node ~dst:authority ~service:"revocation-check"
-                ~breaker:true ~read:Wire.read_revocation_status
+              Service.call t.services ~src:t.node ~dst:authority Wire.Services.revocation_check
+                ~breaker:true
                 (fun buf -> Wire.write_revocation_check buf ~assertion_id)
                 k)
             (fun response ->
@@ -752,7 +752,7 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       waiting = Queue.create ();
     }
   in
-  Service.serve_frame services ~node ~service:"access" ~read:Wire.read_access_request
+  Service.serve services ~node Wire.Services.access
     (fun ~caller:_ ~headers (subject_attrs, action) reply ->
       Metrics.inc t.counters.c_requests;
       let subject =

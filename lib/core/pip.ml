@@ -30,7 +30,7 @@ let remove_subject_attribute t ~subject ~id =
   List.iter
     (fun dst ->
       Metrics.inc t.c_invalidations;
-      Service.cast_frame t.services ~src:t.node ~dst ~service:"attribute-invalidate" (fun buf ->
+      Service.cast t.services ~src:t.node ~dst Wire.Services.attribute_invalidate (fun buf ->
           Wire.write_attribute_invalidate buf ~subject ~attribute_id:id))
     t.subscribers
 
@@ -64,12 +64,12 @@ let create services ~node ~name:_ =
   (* Batched attribute queries arrive as multi-part B/BT frames whose
      parts are ordinary AttributeQuery bodies: the RPC layer dispatches
      each part here, so one handler serves both shapes. *)
-  Service.serve_frame services ~node ~service:"attribute-query" ~read:Wire.read_attribute_query
+  Service.serve services ~node Wire.Services.attribute_query
     (fun ~caller:_ ~headers:_ (category, id, subject) reply ->
       Metrics.inc t.c_lookups;
       let bag = lookup t ~category ~id ~subject in
       reply (fun buf -> Wire.write_attribute_result buf bag));
-  Service.serve_cast services ~node ~service:"attribute-subscribe" ~read:Wire.read_attribute_subscribe
+  Service.serve_cast services ~node Wire.Services.attribute_subscribe
     (fun ~caller () -> if not (List.mem caller t.subscribers) then t.subscribers <- caller :: t.subscribers);
   t
 

@@ -623,6 +623,16 @@ let read_capability_request =
       Cursor.close c tag;
       (List.rev !subject, List.rev !pairs))
 
+let read_capability =
+  total (fun c ->
+      let body = Cursor.subtree c in
+      let capability =
+        if Xml.local_name (Xml.tag body) = Dacs_saml.Attribute_cert.element_name then
+          Dacs_saml.Attribute_cert.of_xml body
+        else Dacs_saml.Assertion.of_xml body
+      in
+      match capability with Ok a -> (a, body) | Error e -> Cursor.fail c e)
+
 let write_revocation_check buf ~assertion_id = write_leaf buf "RevocationCheck" [ ("AssertionId", assertion_id) ]
 let read_revocation_check = total (fun c -> Cursor.leaf1 c "RevocationCheck" "AssertionId")
 let write_revocation_status buf ~revoked = write_leaf buf "RevocationStatus" [ ("Revoked", string_of_bool revoked) ]
@@ -700,3 +710,50 @@ let read_negotiate_response =
       | "granted" -> Issued (only_child c tag ~missing:"NegotiateResponse grants no Assertion" assertion_in)
       | "continue" -> Continue (children c tag credential_in)
       | other -> Cursor.fail c ("unknown negotiation status " ^ other))
+
+let read_attribute_assertion = total assertion_in
+
+(* --- service declarations ------------------------------------------------------------ *)
+
+module Services = struct
+  open Dacs_ws.Service
+
+  let access = request_reply "access" ~request:read_access_request ~reply:read_access_outcome
+  let authz_query = request_reply "authz-query" ~request:read_authz_query ~reply:read_authz_response
+
+  let authz_query_checked ?trust net =
+    let reply c = read_authz_answer ?trust ~now:(Dacs_net.Net.now net) c in
+    request_reply authz_query.name ~request:read_authz_query ~reply
+
+  let attribute_query =
+    request_reply "attribute-query" ~request:read_attribute_query ~reply:read_attribute_result
+
+  let attribute_subscribe = one_way "attribute-subscribe" read_attribute_subscribe
+  let attribute_invalidate = one_way "attribute-invalidate" read_attribute_invalidate
+  let cache_lookup = request_reply "cache-lookup" ~request:read_cache_lookup ~reply:read_cache_answer
+  let cache_put = one_way "cache-put" read_cache_put
+  let policy_query = request_reply "policy-query" ~request:read_policy_query ~reply:read_policy_response
+  let policy_update = one_way "policy-update" read_policy_update
+  let log_sync = request_reply "log-sync" ~request:read_log_sync_request ~reply:read_log_sync_response
+
+  let capability_request =
+    request_reply "capability-request" ~request:read_capability_request ~reply:read_capability
+
+  let revocation_check =
+    request_reply "revocation-check" ~request:read_revocation_check ~reply:read_revocation_status
+
+  let register = request_reply "register" ~request:read_register ~reply:read_register_ack
+  let discover = request_reply "discover" ~request:read_discover ~reply:read_endpoints
+
+  let attribute_assertion =
+    request_reply "attribute-assertion" ~request:read_attribute_assertion_request
+      ~reply:read_attribute_assertion
+
+  let negotiate = request_reply "negotiate" ~request:read_negotiate ~reply:read_negotiate_response
+
+  let all =
+    [ Call access; Call authz_query; Call attribute_query; Cast attribute_subscribe; Cast attribute_invalidate;
+      Call cache_lookup; Cast cache_put; Call policy_query; Cast policy_update; Call log_sync;
+      Call capability_request; Call revocation_check; Call register; Call discover; Call attribute_assertion;
+      Call negotiate ]
+end

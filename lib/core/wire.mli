@@ -10,17 +10,17 @@
     live in {!Dacs_ws.Wsdl}.)
 
     Every frame has one direct writer ([write_*], appending the body
-    element to the frame being sent) and one pull-cursor reader
-    ([read_*], reading the body element in place from its ['<']).
-    Readers are total: a malformed or misshapen element is an [Error],
-    never an exception.  They take attributes in the writer's order and
-    nothing else, counts as non-negative decimals and timestamps as
-    finite decimals, and only ever accept what a tree reading would,
-    with the same result.  A service hands its reader to
-    {!Dacs_ws.Service.serve_frame}, which answers a rejected body with a
-    Sender fault itself, or, for a one-way frame (attribute subscription
-    and invalidation, cache put, policy update), to
-    {!Dacs_ws.Service.serve_cast}, which drops it and has no reply.
+    element to the frame being sent) and one pull-cursor reader, reading
+    the body element in place from its ['<'], held by the declaration of
+    the service that receives it ({!Services}).  Readers are total: a
+    malformed or misshapen element is an [Error], never an exception.
+    They take attributes in the writer's order and nothing else, counts
+    as non-negative decimals and timestamps as finite decimals, and only
+    ever accept what a tree reading would, with the same result.
+    {!Dacs_ws.Service.serve} answers a request body its reader rejects
+    with a Sender fault itself, and {!Dacs_ws.Service.serve_cast}, for a
+    one-way frame (attribute subscription and invalidation, cache put,
+    policy update), drops it and has no reply.
 
     Content that needs canonical XML keeps its tree codec inside a
     frame: the policy of a policy response or update and the signed
@@ -38,31 +38,21 @@ val write_access_request :
 (** The client names itself and the action; the PEP fills in the resource
     it guards and the environment. *)
 
-val read_access_request :
-  Xml.Cursor.t -> ((string * Dacs_policy.Value.t) list * string, string) result
-
 type access_outcome =
   | Granted of { content : string; encrypted : bool }
   | Denied of string
 
 val write_access_outcome : Buffer.t -> access_outcome -> unit
-val read_access_outcome : Xml.Cursor.t -> (access_outcome, string) result
 
 (** {1 Authorisation decision queries (PEP → PDP)} *)
 
 val write_authz_query : Buffer.t -> Dacs_policy.Context.t -> unit
-val read_authz_query : Xml.Cursor.t -> (Dacs_policy.Context.t, string) result
 val authz_query : Dacs_policy.Context.t -> Xml.t
 val parse_authz_query : Xml.t -> (Dacs_policy.Context.t, string) result
 
 val write_authz_response : ?epoch:int -> Buffer.t -> Dacs_policy.Decision.result -> unit
 (** [epoch] (default 0) is the deciding PDP's compilation epoch; positive
     epochs ride the response as provenance, 0 (unknown) is omitted. *)
-
-val read_authz_response : Xml.Cursor.t -> (Dacs_policy.Decision.result * int, string) result
-(** The decision and the epoch it carries — 0 when absent or not a
-    decimal count: tolerant by design, so a pre-epoch peer simply
-    reports 0.  Its attributes may come in any order. *)
 
 val authz_response : ?epoch:int -> Dacs_policy.Decision.result -> Xml.t
 val parse_authz_response : Xml.t -> (Dacs_policy.Decision.result, string) result
@@ -79,31 +69,12 @@ val write_signed_authz_response :
     §3.2: "enforcement points need to be sure that the authorisation
     decision response comes from their trusted decision point". *)
 
-val read_authz_answer :
-  ?trust:Dacs_crypto.Cert.Trust_store.t ->
-  now:float ->
-  Xml.Cursor.t ->
-  (Dacs_policy.Decision.result * int, string) result
-(** The one decoder for a live decision answer: the decision and its
-    epoch.  Without [trust] it
-    is {!read_authz_response}; with it only a
-    {!write_signed_authz_response} frame decodes, read in one pass in the
-    writer's order, whose certificate
-    {!Dacs_crypto.Cert.Trust_store.trusts} accepts at [now] and whose
-    signature verifies over the response's bytes as they arrived — "only
-    authenticated decisions are enforceable" (§3.2).  A re-serialised
-    response, even one with the same canonical form, does not verify. *)
-
 (** {1 Attributes (PDP ↔ PIP)} *)
 
 val write_attribute_query :
   Buffer.t -> category:Dacs_policy.Context.category -> attribute_id:string -> subject:string -> unit
 
-val read_attribute_query :
-  Xml.Cursor.t -> (Dacs_policy.Context.category * string * string, string) result
-
 val write_attribute_result : Buffer.t -> Dacs_policy.Value.bag -> unit
-val read_attribute_result : Xml.Cursor.t -> (Dacs_policy.Value.bag, string) result
 
 val write_attribute_subscribe : Buffer.t -> unit
 (** PDP -> PIP: register the caller for attribute-invalidation pushes.
@@ -111,46 +82,30 @@ val write_attribute_subscribe : Buffer.t -> unit
     B/BT envelope whose parts are ordinary {!write_attribute_query}
     bodies is one attribute-resolution round trip. *)
 
-val read_attribute_subscribe : Xml.Cursor.t -> (unit, string) result
-
 val write_attribute_invalidate : Buffer.t -> subject:string -> attribute_id:string -> unit
 (** PIP -> subscribed PDPs: [remove_subject_attribute] happened — drop
     any cached bag for this (subject, attribute). *)
 
-val read_attribute_invalidate : Xml.Cursor.t -> (string * string, string) result
-
 (** {1 Shared decision cache (PEP <-> L2)} *)
 
 val write_cache_lookup : Buffer.t -> key:string -> unit
-val read_cache_lookup : Xml.Cursor.t -> (string, string) result
 
 val write_cache_answer : Buffer.t -> Dacs_policy.Decision.result option -> unit
 (** [None] encodes a miss, [Some r] a fresh hit carrying the decision. *)
-
-val read_cache_answer : Xml.Cursor.t -> (Dacs_policy.Decision.result option, string) result
 
 val write_cache_put : sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Decision.result -> unit
 (** [sent_at] stamps the frame with the sender's clock so a receiver
     that purged after this put left the sender can reject it instead of
     resurrecting a stale entry (the put/invalidate race). *)
 
-val read_cache_put :
-  Xml.Cursor.t -> (string * Dacs_policy.Decision.result * float, string) result
-(** The key, the decision and the sender's stamp.  A put whose [SentAt]
-    is absent or not a finite decimal is rejected: it cannot be ordered
-    against a purge. *)
-
 (** {1 Policy distribution (PDP/PAP, PAP/PAP syndication)} *)
 
 val write_policy_query : Buffer.t -> scope:string -> known_version:int -> unit
-val read_policy_query : Xml.Cursor.t -> (string * int, string) result
 
 val write_policy_response : Buffer.t -> version:int -> Dacs_policy.Policy.child option -> unit
 (** [None] means "your version is current". *)
 
-val read_policy_response : Xml.Cursor.t -> (int * Dacs_policy.Policy.child option, string) result
 val write_policy_update : Buffer.t -> version:int -> Dacs_policy.Policy.child -> unit
-val read_policy_update : Xml.Cursor.t -> (int * Dacs_policy.Policy.child, string) result
 
 (** {1 Offline event logs (domain ↔ domain log anti-entropy)}
 
@@ -189,17 +144,10 @@ val write_log_event : Buffer.t -> signed:bool -> log_event -> unit
 val write_log_sync_request : Buffer.t -> frontier:(string * int) list -> unit
 (** Anti-entropy poll: "this is my frontier — send what I lack." *)
 
-val read_log_sync_request : Xml.Cursor.t -> ((string * int) list, string) result
-
 val write_log_sync_response : Buffer.t -> log_event list -> unit
 (** The suffix the requester lacks, each event written signed.  No
     untagged chain head rides along: anyone able to truncate a segment
     could rewrite it too, so checking it would prove nothing. *)
-
-val read_log_sync_response : Xml.Cursor.t -> (log_event list, string) result
-(** The events, each read as {!write_log_event} wrote it:
-    attributes and the kind's fields in the writer's order, nothing
-    else.  Frontiers come back in the order they were written. *)
 
 (** {1 Capabilities and revocation (push model)} *)
 
@@ -208,13 +156,8 @@ val write_capability_request :
 (** [pairs] are (resource, action) the client wants capabilities for;
     the answer is the capability document itself. *)
 
-val read_capability_request :
-  Xml.Cursor.t -> ((string * Dacs_policy.Value.t) list * (string * string) list, string) result
-
 val write_revocation_check : Buffer.t -> assertion_id:string -> unit
-val read_revocation_check : Xml.Cursor.t -> (string, string) result
 val write_revocation_status : Buffer.t -> revoked:bool -> unit
-val read_revocation_status : Xml.Cursor.t -> (bool, string) result
 
 (** {1 Discovery (component ↔ registry)} *)
 
@@ -222,16 +165,11 @@ val write_register : Buffer.t -> kind:string -> node:Dacs_net.Net.node_id -> uni
 (** A component advertises itself under [kind]; the registry accepts
     only self-advertisements. *)
 
-val read_register : Xml.Cursor.t -> (string * Dacs_net.Net.node_id, string) result
 val write_register_ack : Buffer.t -> unit
-val read_register_ack : Xml.Cursor.t -> (unit, string) result
 val write_discover : Buffer.t -> kind:string -> unit
-val read_discover : Xml.Cursor.t -> (string, string) result
 
 val write_endpoints : Buffer.t -> Dacs_net.Net.node_id list -> unit
 (** The live advertisements of a kind, oldest registration first. *)
-
-val read_endpoints : Xml.Cursor.t -> (Dacs_net.Net.node_id list, string) result
 
 (** {1 Identity assertions and trust negotiation} *)
 
@@ -239,19 +177,71 @@ val write_attribute_assertion_request : Buffer.t -> subject:string -> unit
 (** Asks an IdP for a signed attribute assertion about [subject]; the
     answer is the assertion document itself. *)
 
-val read_attribute_assertion_request : Xml.Cursor.t -> (string, string) result
-
 val write_negotiate :
   Buffer.t -> resource:string -> action:string -> subject:string -> string list -> unit
 (** One negotiation round: the client names the pair it wants and
     itself, and discloses these credentials (by name). *)
-
-val read_negotiate : Xml.Cursor.t -> (string * string * string * string list, string) result
-(** The resource, action, subject and disclosed credentials. *)
 
 type negotiation_step =
   | Issued of Dacs_saml.Assertion.t  (** the requirement is met: a signed capability *)
   | Continue of string list  (** the credentials the server now discloses *)
 
 val write_negotiate_response : Buffer.t -> negotiation_step -> unit
-val read_negotiate_response : Xml.Cursor.t -> (negotiation_step, string) result
+
+(** {1 Service declarations}
+
+    Every service of this vocabulary, declared once with its name and the
+    total readers of its bodies ({!Dacs_ws.Service.call},
+    {!Dacs_ws.Service.cast}): its server and its callers name the same
+    value, and the types say what each reader returns.  The description
+    registry's two live in {!Dacs_ws.Wsdl}. *)
+
+module Services : sig
+  type ('q, 'r) call := ('q, 'r) Dacs_ws.Service.call
+  type 'q cast := 'q Dacs_ws.Service.cast
+
+  val access : ((string * Dacs_policy.Value.t) list * string, access_outcome) call
+  val authz_query : (Dacs_policy.Context.t, Dacs_policy.Decision.result * int) call
+  (** A reply is the decision and its epoch, 0 when absent or not a
+      decimal count (a pre-epoch peer reports 0). *)
+
+  val authz_query_checked :
+    ?trust:Dacs_crypto.Cert.Trust_store.t ->
+    Dacs_net.Net.t ->
+    (Dacs_policy.Context.t, Dacs_policy.Decision.result * int) call
+  (** {!authz_query} as a decision tier reads its answers.  Given
+      [trust], only a {!write_signed_authz_response} frame decodes, read
+      in one pass, whose certificate the store trusts at the network's
+      current instant and whose signature verifies over the response's
+      bytes as they arrived (§3.2); a re-serialised response does not. *)
+
+  val attribute_query : (Dacs_policy.Context.category * string * string, Dacs_policy.Value.bag) call
+  val attribute_subscribe : unit cast
+  val attribute_invalidate : (string * string) cast
+  val cache_lookup : (string, Dacs_policy.Decision.result option) call
+  val cache_put : (string * Dacs_policy.Decision.result * float) cast
+  (** A put with no finite [SentAt] is rejected: no purge orders it. *)
+
+  val policy_query : (string * int, int * Dacs_policy.Policy.child option) call
+  val policy_update : (int * Dacs_policy.Policy.child) cast
+  val log_sync : ((string * int) list, log_event list) call
+  (** Each event is read as {!write_log_event} wrote it, and frontiers
+      come back in the order they were written. *)
+
+  val capability_request :
+    ((string * Dacs_policy.Value.t) list * (string * string) list, Dacs_saml.Assertion.t * Xml.t) call
+  (** A reply is the SAML assertion or X.509 attribute certificate
+      itself, with the tree a client presents to the PEP. *)
+
+  val revocation_check : (string, bool) call
+  val register : (string * Dacs_net.Net.node_id, unit) call
+  val discover : (string, Dacs_net.Net.node_id list) call
+  val attribute_assertion : (string, Dacs_saml.Assertion.t) call
+  (** A reply is the IdP's signed assertion document itself. *)
+
+  val negotiate : (string * string * string * string list, negotiation_step) call
+  (** A request: resource, action, subject, disclosed credentials. *)
+
+  val all : Dacs_ws.Service.declaration list
+  (** The sixteen above. *)
+end

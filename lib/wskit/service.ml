@@ -41,16 +41,24 @@ let receiver_fault = fault "soap:Receiver"
    writer in a closure of its own. *)
 let soap_envelope buf write = Soap.write buf write
 
-let serve_frame t ~node ~service ~read handler =
-  let read = raising read in
-  Rpc.serve_frame t.rpc ~node ~service ~envelope:soap_envelope (fun ~caller body reply ->
+type ('q, 'r) call = { name : string; request : 'q reader; reply : 'r reader }
+type 'q cast = { name : string; request : 'q reader }
+
+let request_reply name ~request ~reply : (_, _) call = { name; request; reply }
+let one_way name request : _ cast = { name; request }
+
+type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
+
+let serve t ~node (service : (_, _) call) handler =
+  let read = raising service.request in
+  Rpc.serve_frame t.rpc ~node ~service:service.name ~envelope:soap_envelope (fun ~caller body reply ->
       match read_slice body read with
       | Ok (headers, v) -> handler ~caller ~headers v reply
       | Error e -> reply (sender_fault e))
 
-let serve_cast t ~node ~service ~read handler =
-  let read = raising read in
-  Rpc.serve_cast t.rpc ~node ~service (fun ~caller body ->
+let serve_cast t ~node (service : _ cast) handler =
+  let read = raising service.request in
+  Rpc.serve_cast t.rpc ~node ~service:service.name (fun ~caller body ->
       match read_slice body read with Ok (_, v) -> handler ~caller v | Error _ -> ())
 
 let decode_reply read s =
@@ -69,20 +77,21 @@ let reply_to read k = function
   | Error e -> k (Error (Transport e))
   | Ok reply -> k (decode_reply read reply)
 
-let call_frame t ~src ~dst ~service ?timeout ?breaker ?(headers = []) ~read write k =
+let call t ~src ~dst ?timeout ?breaker ?(headers = []) (service : (_, _) call) write k =
   let envelope =
     match headers with
     | [] -> soap_envelope
     | headers -> fun buf write -> Soap.write ~headers buf write
   in
-  Rpc.call_frame t.rpc ~src ~dst ~service ?timeout ?breaker ~envelope write (reply_to read k)
+  Rpc.call_frame t.rpc ~src ~dst ~service:service.name ?timeout ?breaker ~envelope write
+    (reply_to service.reply k)
 
-let cast_frame t ~src ~dst ~service write =
-  Rpc.cast_frame t.rpc ~src ~dst ~service ~envelope:soap_envelope write
+let cast t ~src ~dst (service : _ cast) write =
+  Rpc.cast_frame t.rpc ~src ~dst ~service:service.name ~envelope:soap_envelope write
 
-let call_batch_frame t ~src ~dst ~service ?breaker ~read writes k =
-  Rpc.call_batch_frame t.rpc ~src ~dst ~service ?breaker
+let call_batch t ~src ~dst ?breaker (service : (_, _) call) writes k =
+  Rpc.call_batch_frame t.rpc ~src ~dst ~service:service.name ?breaker
     (List.map (fun write buf -> Soap.write buf write) writes)
     (function
       | Error e -> k (Error (Transport e))
-      | Ok replies -> k (Ok (List.map (decode_reply read) replies)))
+      | Ok replies -> k (Ok (List.map (decode_reply service.reply) replies)))

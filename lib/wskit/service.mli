@@ -1,12 +1,13 @@
 (** SOAP services over the simulated network.
 
-    Registers named endpoints on nodes.  Every service a node offers —
-    PEP, PDP, PAP, PIP, capability service, discovery, IdP, trust
-    negotiation, description registry — declares one total reader for
-    its request body; the handler gets the value that reader read and
-    answers with the writer of its response body (or of a fault), or,
-    for a one-way service, answers nothing.  This matches the paper's
-    SOA deployment model, with every inbound byte behind one reader. *)
+    Every service a node offers — PEP, PDP, PAP, PIP, capability
+    service, discovery, IdP, trust negotiation, description registry —
+    is one typed declaration ({!call} or {!cast}).  Its server's handler
+    gets the value the declared request reader read and answers with the
+    writer of its response body (or of a fault), or, one-way, nothing;
+    its callers read the answer with the declared reply reader.  This
+    matches the paper's SOA deployment model, with every inbound byte
+    behind one declared reader. *)
 
 type t
 
@@ -42,7 +43,7 @@ val transport_error : ('a, error) result -> Dacs_net.Rpc.error option
 
     Beyond what {!Dacs_net.Rpc} and {!Soap.read} allocate, a served
     request costs nothing here; a call costs its reply continuation
-    (the reader and the caller's continuation), and its reply the
+    (the reply reader and the caller's continuation), and its reply the
     closure that reads the body behind the SOAP-fault check and the
     [Ok (Ok v)] it is delivered in.  A bare [<Ping/>] round trip
     allocates 137 minor words in all (dune's dev profile), 34 of them
@@ -59,76 +60,95 @@ val receiver_fault : string -> Buffer.t -> unit
 (** The writer of a [soap:Receiver] fault body with this reason: the
     request was understood but the service cannot answer it. *)
 
-val serve_frame :
+(** {1 Declarations}
+
+    Each service is declared once, as a static value, in the shape a
+    WSDL port type gives an operation: request/reply ({!call}: name,
+    request reader, reply reader) or one-way ({!cast}: name, request
+    reader).  Server and callers take the same value, so calling a
+    one-way service or casting to a request/reply one does not compile.
+    The bus below still keys services by name and checks shapes at run
+    time ({!Dacs_net.Rpc}), the defence against untyped peers.
+
+    Body writers stay [Buffer.t -> unit] closures.  Several take state
+    the sender holds and no reader returns (a signing key and
+    certificate, an epoch, a send stamp), so a typed writer would build
+    a message value on every send only to take it apart again. *)
+
+type ('q, 'r) call = private { name : string; request : 'q reader; reply : 'r reader }
+type 'q cast = private { name : string; request : 'q reader }
+
+val request_reply : string -> request:'q reader -> reply:'r reader -> ('q, 'r) call
+val one_way : string -> 'q reader -> 'q cast
+
+type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
+(** Either shape, for lists of a module's services. *)
+
+(** {1 Serving and calling} *)
+
+val serve :
   t ->
   node:Dacs_net.Net.node_id ->
-  service:string ->
-  read:'a reader ->
+  ('q, 'r) call ->
   (caller:Dacs_net.Net.node_id ->
   headers:Dacs_xml.Xml.t list ->
-  'a ->
+  'q ->
   ((Buffer.t -> unit) -> unit) ->
   unit) ->
   unit
-(** [serve_frame t ~node ~service ~read handler] registers a
-    request/reply service: [handler ~caller ~headers body reply] gets
-    the request [read] read and must call [reply] exactly once with the
-    writer of its response body element.  A request [read] rejects, or
-    whose envelope is malformed, never reaches the handler: it is
-    answered with a {!sender_fault} carrying the reader's error. *)
+(** [serve t ~node service handler] registers a request/reply service:
+    [handler ~caller ~headers body reply] gets the request the
+    service's request reader read and must call [reply] exactly once
+    with the writer of its response body element.  A request the reader
+    rejects, or whose envelope is malformed, never reaches the handler:
+    it is answered with a {!sender_fault} carrying the reader's
+    error. *)
 
 val serve_cast :
-  t -> node:Dacs_net.Net.node_id -> service:string -> read:'a reader ->
-  (caller:Dacs_net.Net.node_id -> 'a -> unit) -> unit
-(** Registers a one-way service, reached only by {!cast_frame}: [handler
-    ~caller body] gets the body [read] read and answers nothing; a body
-    [read] rejects is dropped ({!Dacs_net.Rpc.serve_cast}). *)
+  t -> node:Dacs_net.Net.node_id -> 'q cast -> (caller:Dacs_net.Net.node_id -> 'q -> unit) -> unit
+(** Registers a one-way service, reached only by {!cast}: [handler
+    ~caller body] gets the body the service's reader read and answers
+    nothing; a body the reader rejects is dropped
+    ({!Dacs_net.Rpc.serve_cast}). *)
 
-val call_frame :
+val call :
   t ->
   src:Dacs_net.Net.node_id ->
   dst:Dacs_net.Net.node_id ->
-  service:string ->
   ?timeout:float ->
   ?breaker:bool ->
   ?headers:Dacs_xml.Xml.t list ->
-  read:'a reader ->
+  ('q, 'r) call ->
   (Buffer.t -> unit) ->
-  ((('a, string) result, error) result -> unit) ->
+  ((('r, string) result, error) result -> unit) ->
   unit
 (** Send the body the writer produces and read the response body with
-    [read]: [Ok (Ok v)] on success, [Ok (Error e)] when [read] rejected
-    the response body, [Error] on a transport failure, a SOAP fault or a
-    malformed envelope.  The call is one attempt; with [~breaker:true]
-    it goes through the target's circuit breaker
-    ({!Dacs_net.Rpc.call_frame}).  A SOAP fault is an application
-    answer, never a breaker failure. *)
+    the service's reply reader: [Ok (Ok v)] on success, [Ok (Error e)]
+    when the reader rejected the response body, [Error] on a transport
+    failure, a SOAP fault or a malformed envelope.  The call is one
+    attempt; with [~breaker:true] it goes through the target's circuit
+    breaker ({!Dacs_net.Rpc.call_frame}).  A SOAP fault is an
+    application answer, never a breaker failure. *)
 
-val cast_frame :
-  t ->
-  src:Dacs_net.Net.node_id ->
-  dst:Dacs_net.Net.node_id ->
-  service:string ->
-  (Buffer.t -> unit) ->
-  unit
+val cast : t -> src:Dacs_net.Net.node_id -> dst:Dacs_net.Net.node_id -> 'q cast -> (Buffer.t -> unit) -> unit
 (** Send the body the writer produces, in its SOAP envelope, as one
-    one-way frame ({!Dacs_net.Rpc.cast_frame}) to a {!serve_cast} service:
-    no timer, and no word of loss or of what the handler did. *)
+    one-way frame ({!Dacs_net.Rpc.cast_frame}) to a {!serve_cast}
+    service: no timer, and no word of loss or of what the handler
+    did. *)
 
-val call_batch_frame :
+val call_batch :
   t ->
   src:Dacs_net.Net.node_id ->
   dst:Dacs_net.Net.node_id ->
-  service:string ->
   ?breaker:bool ->
-  read:'a reader ->
+  ('q, 'r) call ->
   (Buffer.t -> unit) list ->
-  (((('a, string) result, error) result list, error) result -> unit) ->
+  (((('r, string) result, error) result list, error) result -> unit) ->
   unit
 (** Several request bodies coalesced into one
     {!Dacs_net.Rpc.call_batch_frame} round-trip: one attempt, with (given
     [~breaker:true]) one breaker verdict.  On transport success the continuation
-    receives one result per request, each as from {!call_frame}; on
+    receives one result per request, each as from {!call}; on
     transport failure the whole batch fails with [Error (Transport _)] —
     there are no partial deliveries.  The frame carries no SOAP headers
     and waits 1 s for its reply. *)

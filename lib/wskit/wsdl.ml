@@ -134,23 +134,25 @@ type registry = { descriptions : (string, t) Hashtbl.t }
 
 let lookup r ~service = Hashtbl.find_opt r.descriptions service
 
+let publish = Service.request_reply "wsdl-publish" ~request:read_service_description ~reply:read_publish_ack
+let query = Service.request_reply "wsdl-query" ~request:read_description_query ~reply:read_service_description
+let registry_services = [ Service.Call publish; Service.Call query ]
+
 let create_registry services ~node =
   let r = { descriptions = Hashtbl.create 16 } in
-  Service.serve_frame services ~node ~service:"wsdl-publish" ~read:read_service_description
-    (fun ~caller ~headers:_ d reply ->
+  Service.serve services ~node publish (fun ~caller ~headers:_ d reply ->
       if d.endpoint <> caller then reply (Service.sender_fault "services may only publish their own descriptions")
       else begin
         Hashtbl.replace r.descriptions d.service d;
         reply write_publish_ack
       end);
-  Service.serve_frame services ~node ~service:"wsdl-query" ~read:read_description_query
-    (fun ~caller:_ ~headers:_ service reply ->
+  Service.serve services ~node query (fun ~caller:_ ~headers:_ service reply ->
       match lookup r ~service with
       | Some d -> reply (fun buf -> write_service_description buf d)
       | None -> reply (Service.receiver_fault "unknown service"));
   r
 
 let fetch services ~registry ~caller ~service k =
-  Service.call_frame services ~src:caller ~dst:registry ~service:"wsdl-query" ~read:read_service_description
+  Service.call services ~src:caller ~dst:registry query
     (fun buf -> write_description_query buf ~service)
     (function Ok read -> k read | Error e -> k (Error (Service.error_to_string e)))

@@ -43,25 +43,26 @@ val unmet :
 (** {1 Frames}
 
     The bodies of the registry's two services, each with one writer and
-    one total reader (see {!Service.reader}).  A description keeps its
-    tree codec ({!to_xml}, {!of_xml}) inside its frame. *)
+    one total reader, held by the declarations below.  A description
+    keeps its tree codec ({!to_xml}, {!of_xml}) inside its frame. *)
 
 val write_service_description : Buffer.t -> t -> unit
-val read_service_description : t Service.reader
 val write_description_query : Buffer.t -> service:string -> unit
-val read_description_query : string Service.reader
 val write_publish_ack : Buffer.t -> unit
-val read_publish_ack : unit Service.reader
 
 (** {1 Description registry} *)
+
+val publish : (t, unit) Service.call
+val query : (string, t) Service.call
+
+val registry_services : Service.declaration list
+(** The registry's two services, ["wsdl-publish"] and ["wsdl-query"]. *)
 
 type registry
 
 val create_registry : Service.t -> node:Dacs_net.Net.node_id -> registry
-(** Serves ["wsdl-publish"] (a {!write_service_description} body,
-    self-descriptions only, like discovery) and ["wsdl-query"] (a
-    {!write_description_query} body; an unknown service earns a
-    [soap:Receiver] fault). *)
+(** Serves {!publish} (self-descriptions only, like discovery) and
+    {!query} (an unknown service earns a [soap:Receiver] fault). *)
 
 val lookup : registry -> service:string -> t option
 

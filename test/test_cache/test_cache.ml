@@ -292,7 +292,7 @@ let test_one_way_invalidation_only_from_pips () =
   Net.run fx.net;
   check bool_ "granted" true (granted o1);
   Net.add_node fx.net "mallory";
-  Service.cast_frame fx.services ~src:"mallory" ~dst:"pdp" ~service:"attribute-invalidate" (fun buf ->
+  Service.cast fx.services ~src:"mallory" ~dst:"pdp" Wire.Services.attribute_invalidate (fun buf ->
       Wire.write_attribute_invalidate buf ~subject:"alice" ~attribute_id:"role");
   Net.run fx.net;
   check int_ "no answer sent" 0 (sent_count fx.net "attribute-invalidate-reply");
@@ -595,7 +595,7 @@ let test_unstamped_puts_refused () =
   List.iter
     (fun stamp ->
       Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
-          Service.cast_frame services ~src:sender ~dst:"l2" ~service:"cache-put" (fun buf ->
+          Service.cast services ~src:sender ~dst:"l2" Wire.Services.cache_put (fun buf ->
               Buffer.add_string buf "<CachePut Key=\"";
               Dacs_xml.Xml.add_escaped buf (rkey "lab");
               Buffer.add_string buf ("\"" ^ stamp ^ ">");
@@ -630,7 +630,7 @@ let test_one_way_put_race () =
   let seeder = add "seeder" in
   Net.set_latency net "seeder" "l2" 1.0;
   Engine.schedule_at (Net.engine net) ~at:1.0 (fun () ->
-      Service.cast_frame services ~src:seeder ~dst:"l2" ~service:"cache-put" (fun buf ->
+      Service.cast services ~src:seeder ~dst:"l2" Wire.Services.cache_put (fun buf ->
           Wire.write_cache_put ~sent_at:(Net.now net) buf ~key:(rkey "lab") Decision.permit));
   Engine.schedule_at (Net.engine net) ~at:1.5 (fun () ->
       Cache_hierarchy.L2.invalidate_region l2 lab_region);
@@ -657,16 +657,22 @@ let test_l2_miss_sends_one_put () =
 (* The four notification services are one-way: a call naming one fails
    at once with no-such-service and runs nothing, whoever sends it; a
    one-way frame to a request/reply service runs nothing either; and a
-   one-way body the service's reader rejects is dropped unanswered. *)
+   one-way body the service's reader rejects is dropped unanswered.  A
+   typed node cannot send the first two (its declarations do not let
+   it), so they come from an untyped peer writing raw frames in a SOAP
+   envelope: the bus's own shape checks are what stop them. *)
 
 let no_such_service service = function
-  | Some (Error (Service.Transport (Rpc.No_such_service s))) -> s = service
+  | Some (Error (Rpc.No_such_service s)) -> s = service
   | _ -> false
 
-(* Sends a call to [service] at [dst] and returns its result. *)
+let soap buf write = Dacs_ws.Soap.write buf write
+
+(* An untyped peer's call to [service] at [dst]: its result. *)
 let call_notification services net ~src ~dst ~service write =
   let answer = ref None in
-  Service.call_frame services ~src ~dst ~service ~read:(fun _ -> Ok ()) write (fun r -> answer := Some r);
+  Rpc.call_frame (Service.rpc services) ~src ~dst ~service ~envelope:soap write (fun r ->
+      answer := Some (Result.map Rpc.slice_to_string r));
   Net.run net;
   !answer
 
@@ -710,7 +716,7 @@ let test_call_to_attribute_subscribe () =
   in
   check bool_ "the call fails with no-such-service" true (no_such_service "attribute-subscribe" answer);
   check bool_ "nobody subscribed" true (Pip.subscribers pip = []);
-  Service.cast_frame services ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe" Wire.write_attribute_subscribe;
+  Service.cast services ~src:"pdp" ~dst:"pip" Wire.Services.attribute_subscribe Wire.write_attribute_subscribe;
   Net.run net;
   check bool_ "the one-way subscribe lands" true (Pip.subscribers pip = [ "pdp" ])
 
@@ -735,7 +741,7 @@ let test_call_to_policy_update () =
 
 let test_cast_to_cache_lookup () =
   let fx = setup_l2 () in
-  Service.cast_frame fx.services ~src:"pep1" ~dst:"l2" ~service:"cache-lookup" (fun buf ->
+  Rpc.cast_frame (Service.rpc fx.services) ~src:"pep1" ~dst:"l2" ~service:"cache-lookup" ~envelope:soap (fun buf ->
       Wire.write_cache_lookup buf ~key:(rkey "lab"));
   Net.run fx.net;
   check int_ "no lookup ran" 0 (Cache_hierarchy.L2.stats fx.l2).Cache_hierarchy.L2.lookups;
@@ -747,14 +753,14 @@ let test_garbled_policy_update_dropped () =
   List.iter (Net.add_node net) [ "pap"; "parent" ];
   let pap = open_pap services ~node:"pap" in
   (* A PolicyUpdate must carry exactly one policy. *)
-  Service.cast_frame services ~src:"parent" ~dst:"pap" ~service:"policy-update" (fun buf ->
+  Service.cast services ~src:"parent" ~dst:"pap" Wire.Services.policy_update (fun buf ->
       Buffer.add_string buf "<PolicyUpdate Version=\"1\"/>");
   Net.run net;
   check int_ "the version stays" 0 (Pap.version pap);
   check int_ "nothing accepted" 0 (Pap.updates_accepted pap);
   check int_ "dropped before the admin check" 0 (Pap.updates_rejected pap);
   check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category net) = [ "policy-update" ]);
-  Service.cast_frame services ~src:"parent" ~dst:"pap" ~service:"policy-update" (fun buf ->
+  Service.cast services ~src:"parent" ~dst:"pap" Wire.Services.policy_update (fun buf ->
       Wire.write_policy_update buf ~version:1 doctor_policy);
   Net.run net;
   check int_ "a well-formed update is accepted" 1 (Pap.updates_accepted pap)
@@ -765,7 +771,7 @@ let test_garbled_invalidation_dropped () =
   request fx ~at:1.0 o1;
   Net.run fx.net;
   check bool_ "granted" true (granted o1);
-  Service.cast_frame fx.services ~src:"pip" ~dst:"pdp" ~service:"attribute-invalidate" (fun buf ->
+  Service.cast fx.services ~src:"pip" ~dst:"pdp" Wire.Services.attribute_invalidate (fun buf ->
       Buffer.add_string buf "<AttributeInvalidate Subject=\"alice\"/>");
   Net.run fx.net;
   check int_ "no answer sent" 0 (sent_count fx.net "attribute-invalidate-reply");
@@ -780,7 +786,7 @@ let test_garbled_subscribe_dropped () =
   let services = Service.create (Rpc.create net) in
   List.iter (Net.add_node net) [ "pip"; "pdp" ];
   let pip = Pip.create services ~node:"pip" ~name:"pip" in
-  Service.cast_frame services ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe" (fun buf ->
+  Service.cast services ~src:"pdp" ~dst:"pip" Wire.Services.attribute_subscribe (fun buf ->
       Buffer.add_string buf "<Subscribe/>");
   Net.run net;
   check bool_ "nobody subscribed" true (Pip.subscribers pip = []);
@@ -1049,7 +1055,7 @@ let test_purge_only_from_parent () =
   let v0 = Pap.version member in
   Net.add_node net "mallory";
   Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
-      Service.cast_frame services ~src:"mallory" ~dst:(Pap.node member) ~service:"policy-update" (fun buf ->
+      Service.cast services ~src:"mallory" ~dst:(Pap.node member) Wire.Services.policy_update (fun buf ->
           Wire.write_policy_update buf ~version:99 lockdown_policy));
   run_for net 1.0;
   check int_ "the stranger's update is refused" 1 (Pap.updates_rejected member);
@@ -1082,7 +1088,7 @@ let test_purge_from_anti_entropy_parent () =
   in
   let push ~src =
     Engine.schedule_at (Net.engine net) ~at:(Net.now net +. 0.1) (fun () ->
-        Service.cast_frame services ~src ~dst:(Pap.node member) ~service:"policy-update" (fun buf ->
+        Service.cast services ~src ~dst:(Pap.node member) Wire.Services.policy_update (fun buf ->
             Wire.write_policy_update buf ~version:1 doctor_policy));
     run_for net 0.5
   in

@@ -57,7 +57,7 @@ let read_written write read =
 
 let test_wire_access_request () =
   let request buf = Wire.write_access_request buf ~subject:(doctor_subject "alice") ~action:"read" in
-  match read_written request Wire.read_access_request with
+  match read_written request Wire.Services.access.request with
   | Ok (subject, action) ->
     check string_ "action" "read" action;
     check int_ "attrs" 2 (List.length subject);
@@ -78,28 +78,28 @@ let test_wire_authz_roundtrip () =
 
 let test_wire_attribute_roundtrip () =
   let q buf = Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice" in
-  (match read_written q Wire.read_attribute_query with
+  (match read_written q Wire.Services.attribute_query.request with
   | Ok (c, id, s) ->
     check bool_ "category" true (c = Context.Subject);
     check string_ "id" "role" id;
     check string_ "subject" "alice" s
   | Error e -> Alcotest.fail e);
   let r buf = Wire.write_attribute_result buf [ Value.String "doctor"; Value.Int 3 ] in
-  match read_written r Wire.read_attribute_result with
+  match read_written r Wire.Services.attribute_query.reply with
   | Ok bag -> check int_ "bag" 2 (List.length bag)
   | Error e -> Alcotest.fail e
 
 let test_wire_policy_roundtrip () =
   let child = doctor_policy "r1" in
   let response policy buf = Wire.write_policy_response buf ~version:7 policy in
-  (match read_written (response (Some child)) Wire.read_policy_response with
+  (match read_written (response (Some child)) Wire.Services.policy_query.reply with
   | Ok (7, Some c) -> check string_ "id" "p" (Policy.child_id c)
   | Ok _ -> Alcotest.fail "wrong shape"
   | Error e -> Alcotest.fail e);
-  (match read_written (response None) Wire.read_policy_response with
+  (match read_written (response None) Wire.Services.policy_query.reply with
   | Ok (7, None) -> ()
   | _ -> Alcotest.fail "expected current marker");
-  match read_written (fun buf -> Wire.write_policy_update buf ~version:3 child) Wire.read_policy_update with
+  match read_written (fun buf -> Wire.write_policy_update buf ~version:3 child) Wire.Services.policy_update.request with
   | Ok (3, c) -> check string_ "id" "p" (Policy.child_id c)
   | _ -> Alcotest.fail "update roundtrip failed"
 
@@ -108,7 +108,7 @@ let test_wire_capability_roundtrip () =
     Wire.write_capability_request buf ~subject:(doctor_subject "alice")
       ~pairs:[ ("r1", "read"); ("r2", "write") ]
   in
-  match read_written request Wire.read_capability_request with
+  match read_written request Wire.Services.capability_request.request with
   | Ok (subject, pairs) ->
     check int_ "subject" 2 (List.length subject);
     check int_ "pairs" 2 (List.length pairs);
@@ -117,12 +117,12 @@ let test_wire_capability_roundtrip () =
 
 let test_wire_outcomes () =
   let outcome o buf = Wire.write_access_outcome buf o in
-  (match read_written (outcome (Wire.Granted { content = "data"; encrypted = false })) Wire.read_access_outcome with
+  (match read_written (outcome (Wire.Granted { content = "data"; encrypted = false })) Wire.Services.access.reply with
   | Ok (Wire.Granted { content; encrypted }) ->
     check string_ "content" "data" content;
     check bool_ "plain" false encrypted
   | _ -> Alcotest.fail "expected granted");
-  match read_written (outcome (Wire.Denied "nope")) Wire.read_access_outcome with
+  match read_written (outcome (Wire.Denied "nope")) Wire.Services.access.reply with
   | Ok (Wire.Denied reason) -> check string_ "reason" "nope" reason
   | _ -> Alcotest.fail "expected denied"
 
@@ -297,7 +297,7 @@ let test_pap_query_versions () =
   check int_ "initial version" 1 (Pap.version pap);
   let got = ref None in
   let query known_version =
-    Service.call_frame services ~src:client ~dst:pap_node ~service:"policy-query" ~read:Wire.read_policy_response
+    Service.call services ~src:client ~dst:pap_node Wire.Services.policy_query
       (fun buf -> Wire.write_policy_query buf ~scope:"" ~known_version)
       (fun r -> got := Some r);
     Net.run net
@@ -332,7 +332,7 @@ let test_pap_remote_update_access_control () =
       ~root:(doctor_policy "r") ()
   in
   let send_update src =
-    Service.cast_frame services ~src ~dst:pap_node ~service:"policy-update" (fun buf ->
+    Service.cast services ~src ~dst:pap_node Wire.Services.policy_update (fun buf ->
         Wire.write_policy_update buf ~version:9 (doctor_policy ~id:"p2" "r2"));
     Net.run net
   in
@@ -450,8 +450,7 @@ let test_pip_lookup_service () =
   Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
   Pip.set_environment pip ~id:"load" (fun () -> [ Value.Int 42 ]);
   let got = ref None in
-  Service.call_frame services ~src:caller ~dst:pip_node ~service:"attribute-query"
-    ~read:Wire.read_attribute_result
+  Service.call services ~src:caller ~dst:pip_node Wire.Services.attribute_query
     (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice")
     (fun r -> got := Some r);
   Net.run net;
@@ -483,7 +482,7 @@ let role_condition_policy resource =
        ])
 
 let authz_call services ~src ~dst ctx k =
-  Service.call_frame services ~src ~dst ~service:"authz-query" ~read:Wire.read_authz_response
+  Service.call services ~src ~dst Wire.Services.authz_query
     (fun buf -> Wire.write_authz_query buf ctx)
     (fun r ->
       match r with
@@ -660,8 +659,7 @@ let test_idp () =
   let caller = add_node net "c" in
   let ask subject =
     let got = ref None in
-    Service.call_frame services ~src:caller ~dst:"idp" ~service:"attribute-assertion"
-      ~read:(fun c -> Dacs_saml.Assertion.of_xml (Xml.Cursor.subtree c))
+    Service.call services ~src:caller ~dst:"idp" Wire.Services.attribute_assertion
       (fun buf -> Wire.write_attribute_assertion_request buf ~subject)
       (fun r -> got := Some r);
     Net.run net;
@@ -992,9 +990,9 @@ let pep_denies_undecodable_capability wire_of () =
     Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ]
   in
   let got = ref None in
-  Service.call_frame services ~src:"client" ~dst:"pep" ~service:"access"
+  Service.call services ~src:"client" ~dst:"pep"
     ~headers:[ corrupt_signature_value (wire_of capability) ]
-    ~read:Wire.read_access_outcome
+    Wire.Services.access
     (fun buf -> Wire.write_access_request buf ~subject:(doctor_subject "alice") ~action:"read")
     (fun r -> got := Some r);
   Net.run net;
@@ -1011,10 +1009,12 @@ let pep_denies_undecodable_capability wire_of () =
 
 let client_rejects_undecodable_capability wire_of () =
   let net, services, cas, pep, client = push_setup () in
-  (* A capability service that answers with a corrupted capability. *)
+  (* A capability service that answers with a corrupted capability: a
+     hostile peer, serving raw frames in a SOAP envelope. *)
   let rogue = add_node net "rogue-cas" in
-  Service.serve_frame services ~node:rogue ~service:"capability-request" ~read:Wire.read_capability_request
-    (fun ~caller:_ ~headers:_ _ reply ->
+  Rpc.serve_frame (Service.rpc services) ~node:rogue ~service:"capability-request"
+    ~envelope:(fun buf write -> Dacs_ws.Soap.write buf write)
+    (fun ~caller:_ _ reply ->
       let corrupted =
         corrupt_signature_value
           (wire_of (Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ]))

@@ -11,7 +11,9 @@ module Target = Dacs_policy.Target
 module Combine = Dacs_policy.Combine
 module Net = Dacs_net.Net
 module Engine = Dacs_net.Engine
+module Rpc = Dacs_net.Rpc
 module Service = Dacs_ws.Service
+module Soap = Dacs_ws.Soap
 module Rsa = Dacs_crypto.Rsa
 module Cert = Dacs_crypto.Cert
 module Rng = Dacs_crypto.Rng
@@ -26,6 +28,10 @@ let fresh () =
   let net = Net.create () in
   let services = Service.create (Dacs_net.Rpc.create net) in
   (net, services)
+
+(* The SOAP envelope a hostile or untyped peer writes around its raw
+   frames, as an honest node's Service does. *)
+let soap buf write = Soap.write buf write
 
 let doctor_subject user = [ ("subject-id", Value.String user); ("role", Value.String "doctor") ]
 
@@ -46,7 +52,7 @@ let doctor_read_policy resource =
 
 (* [src] asks the registry to list [node] under "pdp". *)
 let register services ~src ~node k =
-  Service.call_frame services ~src ~dst:"registry" ~service:"register" ~read:Wire.read_register_ack
+  Service.call services ~src ~dst:"registry" Wire.Services.register
     (fun buf -> Wire.write_register buf ~kind:"pdp" ~node)
     k
 
@@ -99,7 +105,7 @@ let test_discover_service () =
   register services ~src:"pdp1" ~node:"pdp1" ignore;
   Net.run net;
   let got = ref None in
-  Service.call_frame services ~src:"pep" ~dst:"registry" ~service:"discover" ~read:Wire.read_endpoints
+  Service.call services ~src:"pep" ~dst:"registry" Wire.Services.discover
     (fun buf -> Wire.write_discover buf ~kind:"pdp")
     (fun r -> got := Some r);
   Net.run net;
@@ -191,7 +197,9 @@ let written write =
 
 let read_answer ~trust body =
   Xml.Cursor.parse body (fun c ->
-      match Wire.read_authz_answer ~trust ~now:1.0 c with Ok v -> v | Error e -> Xml.Cursor.fail c e)
+      match (Wire.Services.authz_query_checked ~trust (Net.create ())).reply c with
+      | Ok v -> v
+      | Error e -> Xml.Cursor.fail c e)
 
 let test_wire_signed_response_roundtrip () =
   let _net, _services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
@@ -291,10 +299,14 @@ let nurse_denied_despite ~attack () =
       ()
   in
   let signed = ref "" in
-  Service.call_frame services ~src:"mallory" ~dst:"signing-pdp" ~service:"authz-query"
-    ~read:(fun c -> Ok (snd (Xml.Cursor.with_bytes c Xml.Cursor.subtree)))
+  Rpc.call_frame (Service.rpc services) ~src:"mallory" ~dst:"signing-pdp" ~service:"authz-query" ~envelope:soap
     (fun buf -> Wire.write_authz_query buf doctor)
-    (function Ok (Ok body) -> signed := body | _ -> ());
+    (function
+      | Ok s -> (
+        match Soap.read s.Rpc.src s.Rpc.off s.Rpc.len (fun c -> snd (Xml.Cursor.with_bytes c Xml.Cursor.subtree)) with
+        | Ok (_, body) -> signed := body
+        | Error _ -> ())
+      | Error _ -> ());
   Net.run net;
   (match read_answer ~trust !signed with
   | Ok (r, _) -> check bool_ "mallory holds a genuinely signed Permit" true (Decision.is_permit r)
@@ -469,8 +481,8 @@ let test_negotiation_undecodable_grant () =
     Net.run net;
     !got
   in
-  Service.serve_frame services ~node:"traust" ~service:"negotiate" ~read:Wire.read_negotiate
-    (fun ~caller:_ ~headers:_ _ reply ->
+  Rpc.serve_frame (Service.rpc services) ~node:"traust" ~service:"negotiate" ~envelope:soap
+    (fun ~caller:_ _ reply ->
       reply (fun buf ->
           Buffer.add_string buf
             "<NegotiateResponse Status=\"granted\"><Assertion ID=\"a\" Issuer=\"traust\" Subject=\"zoe\" \
@@ -508,9 +520,9 @@ let test_negotiation_capability_works_at_pep () =
       | None -> Alcotest.fail "negotiation should grant"
       | Some assertion ->
         (* Present the assertion at the PEP exactly as a capability. *)
-        Service.call_frame services ~src:"stranger" ~dst:"pep" ~service:"access"
+        Service.call services ~src:"stranger" ~dst:"pep"
           ~headers:[ Dacs_saml.Assertion.to_xml assertion ]
-          ~read:Wire.read_access_outcome
+          Wire.Services.access
           (fun buf -> Wire.write_access_request buf ~subject:[ ("subject-id", Value.String "zoe") ] ~action:"read")
           (fun r -> outcome := Some r));
   Net.run net;
@@ -825,16 +837,14 @@ let test_pap_has_no_subscribe_service () =
   let net, services, parent, _ = pap_pair () in
   Net.add_node net "mallory";
   let pushes = ref 0 in
-  Service.serve_cast services ~node:"mallory" ~service:"policy-update" ~read:Wire.read_policy_update
+  Service.serve_cast services ~node:"mallory" Wire.Services.policy_update
     (fun ~caller:_ _ -> incr pushes);
   let answer = ref None in
-  Service.call_frame services ~src:"mallory" ~dst:"parent" ~service:"subscribe"
-    ~read:(fun _ -> Ok ())
+  Rpc.call_frame (Service.rpc services) ~src:"mallory" ~dst:"parent" ~service:"subscribe" ~envelope:soap
     (fun buf -> Xml.print buf (Xml.element "Subscribe"))
-    (fun r -> answer := Some r);
+    (fun r -> answer := Some (Result.map Rpc.slice_to_string r));
   Net.run net;
-  check bool_ "no subscribe service" true
-    (!answer = Some (Error (Service.Transport (Dacs_net.Rpc.No_such_service "subscribe"))));
+  check bool_ "no subscribe service" true (!answer = Some (Error (Rpc.No_such_service "subscribe")));
   Pap.publish parent (doctor_read_policy "r");
   Net.run net;
   check int_ "mallory receives no push" 0 !pushes;

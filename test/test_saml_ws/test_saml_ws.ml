@@ -248,13 +248,15 @@ let make_services () =
 (* Test bodies as whole trees: read by [tree], written by [print]. *)
 let tree c = Xml.Cursor.read c Xml.Cursor.subtree
 let print node buf = Xml.print buf node
+let echo = Service.request_reply "echo" ~request:tree ~reply:tree
+let s_tree = Service.request_reply "s" ~request:tree ~reply:tree
 
 let test_service_roundtrip () =
   let net, svc = make_services () in
-  Service.serve_frame svc ~node:"server" ~service:"echo" ~read:tree (fun ~caller:_ ~headers:_ body reply ->
+  Service.serve svc ~node:"server" echo (fun ~caller:_ ~headers:_ body reply ->
       reply (print (Xml.element "EchoResponse" ~children:[ Xml.text (Xml.text_content body) ])));
   let result = ref None in
-  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"echo" ~read:tree
+  Service.call svc ~src:"client" ~dst:"server" echo
     (print (Xml.element "Echo" ~children:[ Xml.text "hello" ]))
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
@@ -269,12 +271,13 @@ let test_service_roundtrip () =
 let test_service_headers_delivered () =
   let net, svc = make_services () in
   let seen = ref [] in
-  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller ~headers body reply ->
+  Service.serve svc ~node:"server" s_tree (fun ~caller ~headers body reply ->
       seen := (caller, List.map Xml.tag headers) :: !seen;
       reply (print body));
   let result = ref None in
-  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree
+  Service.call svc ~src:"client" ~dst:"server"
     ~headers:[ Xml.element "Security"; Xml.element "Routing" ]
+    s_tree
     (print (Xml.element "Q"))
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
@@ -287,10 +290,10 @@ let test_service_headers_delivered () =
 
 let test_service_fault_propagation () =
   let net, svc = make_services () in
-  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller:_ ~headers:_ _ reply ->
+  Service.serve svc ~node:"server" s_tree (fun ~caller:_ ~headers:_ _ reply ->
       reply (Service.receiver_fault "not authorised"));
   let result = ref None in
-  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree (print (Xml.element "Q")) (fun r ->
+  Service.call svc ~src:"client" ~dst:"server" s_tree (print (Xml.element "Q")) (fun r ->
       result := Some r);
   Dacs_net.Net.run net;
   match !result with
@@ -301,11 +304,11 @@ let test_service_fault_propagation () =
 
 let test_service_transport_error () =
   let net, svc = make_services () in
-  Service.serve_frame svc ~node:"server" ~service:"s" ~read:tree (fun ~caller:_ ~headers:_ body reply ->
+  Service.serve svc ~node:"server" s_tree (fun ~caller:_ ~headers:_ body reply ->
       reply (print body));
   Dacs_net.Net.crash net "server";
   let result = ref None in
-  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~timeout:0.5 ~read:tree (print (Xml.element "Q"))
+  Service.call svc ~src:"client" ~dst:"server" ~timeout:0.5 s_tree (print (Xml.element "Q"))
     (fun r -> result := Some r);
   Dacs_net.Net.run net;
   match !result with
@@ -323,7 +326,8 @@ let test_service_malformed_request_faults () =
     Result.bind (tree c) (fun body ->
         if Xml.tag body = "Q" then Ok body else Error (Printf.sprintf "expected <Q>, got <%s>" (Xml.tag body)))
   in
-  Service.serve_frame svc ~node:"server" ~service:"s" ~read:read_q (fun ~caller:_ ~headers:_ _ reply ->
+  let strict = Service.request_reply "s" ~request:read_q ~reply:tree in
+  Service.serve svc ~node:"server" strict (fun ~caller:_ ~headers:_ _ reply ->
       invoked := true;
       reply (print (Xml.element "R")));
   let result = ref None in
@@ -339,7 +343,7 @@ let test_service_malformed_request_faults () =
     | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "expected a reply");
   let rejected = ref None in
-  Service.call_frame svc ~src:"client" ~dst:"server" ~service:"s" ~read:tree (print (Xml.element "P")) (fun r ->
+  Service.call svc ~src:"client" ~dst:"server" strict (print (Xml.element "P")) (fun r ->
       rejected := Some r);
   Dacs_net.Net.run net;
   check bool_ "handler skipped for a rejected body" false !invoked;
@@ -397,7 +401,7 @@ let test_wsdl_registry () =
   (* Publishing someone else's endpoint is refused. *)
   let refused = ref None in
   let publish src k =
-    Service.call_frame svc ~src ~dst:"registry" ~service:"wsdl-publish" ~read:Wsdl.read_publish_ack
+    Service.call svc ~src ~dst:"registry" Wsdl.publish
       (fun buf -> Wsdl.write_service_description buf sample_description)
       k
   in

@@ -573,18 +573,16 @@ let test_cast_rejected_body_dropped () =
   Net.add_node net "client";
   Net.add_node net "server";
   let ran = ref 0 in
-  let ping c = Ok (Cursor.leaf0 "Ping" c) in
-  Service.serve_cast services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ () -> incr ran);
-  Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
-      Buffer.add_string buf "<Pong/>");
+  let ping = Service.one_way "ping" (fun c -> Ok (Cursor.leaf0 "Ping" c)) in
+  Service.serve_cast services ~node:"server" ping (fun ~caller:_ () -> incr ran);
+  Service.cast services ~src:"client" ~dst:"server" ping (fun buf -> Buffer.add_string buf "<Pong/>");
   Rpc.cast_frame (Service.rpc services) ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
       Buffer.add_string buf "<not-an-envelope");
   Net.run net;
   check int_ "no handler ran" 0 !ran;
   check bool_ "only the two one-way frames were sent" true
     (List.map (fun (c, st) -> (c, st.Net.count)) (Net.stats_by_category net) = [ ("ping", 2) ]);
-  Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" (fun buf ->
-      Buffer.add_string buf "<Ping/>");
+  Service.cast services ~src:"client" ~dst:"server" ping (fun buf -> Buffer.add_string buf "<Ping/>");
   Net.run net;
   check int_ "a well-formed body still runs the handler" 1 !ran
 
@@ -1087,7 +1085,7 @@ let test_sequence_participants () =
 (* --- allocation: one bare round trip ------------------------------------- *)
 
 (* Minor words of one bare <Ping/> request and its <Pong/> reply through
-   Service.call_frame, Rpc and Net and back, drained by Net.run, after
+   Service.call, Rpc and Net and back, drained by Net.run, after
    warm-up: the fixed cost every exchange pays before its payload
    (OCaml 5.1, dune's dev profile).  The substrate allocated 202 words
    for it when each message carried a closure and a boxed send time,
@@ -1101,14 +1099,16 @@ let bare_round_trip_words () =
   let services = Service.create (Rpc.create net) in
   Net.add_node net "client";
   Net.add_node net "server";
-  let ping c = Ok (Cursor.leaf0 "Ping" c) and pong c = Ok (Cursor.leaf0 "Pong" c) in
-  Service.serve_frame services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ ~headers:_ () reply ->
+  let ping =
+    Service.request_reply "ping" ~request:(fun c -> Ok (Cursor.leaf0 "Ping" c)) ~reply:(fun c -> Ok (Cursor.leaf0 "Pong" c))
+  in
+  Service.serve services ~node:"server" ping (fun ~caller:_ ~headers:_ () reply ->
       reply (fun buf -> Buffer.add_string buf "<Pong/>"));
   let answered = ref 0 in
   let on_reply = function Ok (Ok ()) -> incr answered | Ok (Error _) | Error _ -> () in
   let write_ping buf = Buffer.add_string buf "<Ping/>" in
   let round () =
-    Service.call_frame services ~src:"client" ~dst:"server" ~service:"ping" ~read:pong write_ping on_reply;
+    Service.call services ~src:"client" ~dst:"server" ping write_ping on_reply;
     Net.run net
   in
   for _ = 1 to 10 do
@@ -1126,7 +1126,7 @@ let bare_round_trip_words () =
 let bare_round_trip_bound = 140.0
 
 (* Minor words of one bare <Ping/> sent one way through
-   Service.cast_frame to a Service.serve_cast handler, Rpc and Net,
+   Service.cast to a Service.serve_cast handler, Rpc and Net,
    drained by Net.run, after warm-up: one frame, no reply, no pending
    slot and no timer.  It measured 53 words (OCaml 5.1, dune's dev
    profile); the bound is that plus 10 %. *)
@@ -1137,12 +1137,12 @@ let bare_one_way_words () =
   let services = Service.create (Rpc.create net) in
   Net.add_node net "client";
   Net.add_node net "server";
-  let ping c = Ok (Cursor.leaf0 "Ping" c) in
+  let ping = Service.one_way "ping" (fun c -> Ok (Cursor.leaf0 "Ping" c)) in
   let served = ref 0 in
-  Service.serve_cast services ~node:"server" ~service:"ping" ~read:ping (fun ~caller:_ () -> incr served);
+  Service.serve_cast services ~node:"server" ping (fun ~caller:_ () -> incr served);
   let write_ping buf = Buffer.add_string buf "<Ping/>" in
   let round () =
-    Service.cast_frame services ~src:"client" ~dst:"server" ~service:"ping" write_ping;
+    Service.cast services ~src:"client" ~dst:"server" ping write_ping;
     Net.run net
   in
   for _ = 1 to 10 do

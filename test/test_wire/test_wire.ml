@@ -194,6 +194,29 @@ let assertion_gen =
     (Gen.pair sent_at_gen sent_at_gen)
     (Gen.pair (Gen.list_size (Gen.int_bound 3) statement) (Gen.opt raw_bytes_gen))
 
+(* A capability in either of its two formats, with the tree printer the
+   issuing service writes it with. *)
+let capability_gen = Gen.pair Gen.bool assertion_gen
+let capability_xml (x509, a) = if x509 then Dacs_saml.Attribute_cert.to_xml a else Assertion.to_xml a
+
+(* Capabilities compare as the tree they arrived as (the written bytes
+   parsed: an empty text child does not survive) and the assertion
+   re-encoded in that tree's format (an attribute certificate normalises
+   its statements' order). *)
+let same_capability (a, tree) (b, tree') =
+  let x509 = Xml.local_name (Xml.tag tree) = Dacs_saml.Attribute_cert.element_name in
+  Xml.to_string tree = Xml.to_string tree'
+  && Xml.to_string (capability_xml (x509, a)) = Xml.to_string (capability_xml (x509, b))
+
+let read_capability_tree node =
+  let decode =
+    if Xml.local_name (Xml.tag node) = Dacs_saml.Attribute_cert.element_name then Dacs_saml.Attribute_cert.of_xml
+    else Assertion.of_xml
+  in
+  Result.map (fun a -> (a, node)) (decode node)
+
+let same_assertion a b = Xml.to_string (Assertion.to_xml a) = Xml.to_string (Assertion.to_xml b)
+
 let negotiation_step_gen =
   Gen.oneof
     [ Gen.map (fun a -> Wire.Issued a) assertion_gen; Gen.map (fun names -> Wire.Continue names) names_gen ]
@@ -251,24 +274,24 @@ let ack name write read tree = plain ~name ~gen:Gen.unit ~write:(fun buf () -> w
 let frames =
   [
     (* the per-decision frames *)
-    plain ~name:"authz_query" ~gen:context_gen ~write:Wire.write_authz_query ~read:Wire.read_authz_query
+    plain ~name:"authz_query" ~gen:context_gen ~write:Wire.write_authz_query ~read:Wire.Services.authz_query.request
       ~equal:Context.equal ~parse:Ref.parse_authz_query Ref.authz_query;
     frame ~name:"authz_response" ~gen:(Gen.pair epoch_gen result_gen)
       ~write:(fun buf (epoch, r) -> Wire.write_authz_response ~epoch buf r)
-      ~read:Wire.read_authz_response
+      ~read:Wire.Services.authz_query.reply
       ~of_value:(fun (epoch, r) -> (r, epoch))
       ~equal:( = )
       ~parse:(fun node -> Result.map (fun r -> (r, Ref.authz_response_epoch node)) (Ref.parse_authz_response node))
       (fun (epoch, r) -> Ref.authz_response ~epoch r);
     plain ~name:"cache_lookup" ~gen:text_gen
       ~write:(fun buf key -> Wire.write_cache_lookup buf ~key)
-      ~read:Wire.read_cache_lookup ~parse:Ref.parse_cache_lookup
+      ~read:Wire.Services.cache_lookup.request ~parse:Ref.parse_cache_lookup
       (fun key -> Ref.cache_lookup ~key);
-    plain ~name:"cache_answer" ~gen:(Gen.opt result_gen) ~write:Wire.write_cache_answer ~read:Wire.read_cache_answer
+    plain ~name:"cache_answer" ~gen:(Gen.opt result_gen) ~write:Wire.write_cache_answer ~read:Wire.Services.cache_lookup.reply
       ~parse:Ref.parse_cache_answer Ref.cache_answer;
     frame ~name:"cache_put" ~gen:(Gen.triple sent_at_gen text_gen result_gen)
       ~write:(fun buf (sent_at, key, r) -> Wire.write_cache_put ~sent_at buf ~key r)
-      ~read:Wire.read_cache_put
+      ~read:Wire.Services.cache_put.request
       ~of_value:(fun (sent_at, key, r) -> (key, r, sent_at))
       ~equal:( = )
       (* The reference read an unstamped put as [None]; the reader
@@ -280,98 +303,109 @@ let frames =
       (fun (sent_at, key, r) -> Ref.cache_put ~sent_at ~key r);
     plain ~name:"attribute_query" ~gen:(Gen.triple category_gen text_gen text_gen)
       ~write:(fun buf (category, attribute_id, subject) -> Wire.write_attribute_query buf ~category ~attribute_id ~subject)
-      ~read:Wire.read_attribute_query ~parse:Ref.parse_attribute_query
+      ~read:Wire.Services.attribute_query.request ~parse:Ref.parse_attribute_query
       (fun (category, attribute_id, subject) -> Ref.attribute_query ~category ~attribute_id ~subject);
     plain ~name:"attribute_result"
       ~gen:(Gen.list_size (Gen.int_bound 4) value_gen)
-      ~write:Wire.write_attribute_result ~read:Wire.read_attribute_result ~parse:Ref.parse_attribute_result
+      ~write:Wire.write_attribute_result ~read:Wire.Services.attribute_query.reply ~parse:Ref.parse_attribute_result
       Ref.attribute_result;
     (* the offline log frames *)
     frame ~name:"log_sync_request" ~gen:frontier_gen
       ~write:(fun buf frontier -> Wire.write_log_sync_request buf ~frontier)
-      ~read:Wire.read_log_sync_request
+      ~read:Wire.Services.log_sync.request
       ~of_value:(List.stable_sort by_author)
       ~equal:( = )
       (fun frontier -> Ref.log_sync_request ~frontier);
     frame ~name:"log_sync_response"
       ~gen:Gen.(list_size (int_bound 3) valid_log_event_gen)
       ~write:Wire.write_log_sync_response
-      ~read:Wire.read_log_sync_response
+      ~read:Wire.Services.log_sync.reply
       ~of_value:(List.map sorted_frontier)
       ~equal:( = )
       Ref.log_sync_response;
     (* every other frame *)
     plain ~name:"access_request" ~gen:(Gen.pair subject_gen text_gen)
       ~write:(fun buf (subject, action) -> Wire.write_access_request buf ~subject ~action)
-      ~read:Wire.read_access_request ~parse:Ref.parse_access_request
+      ~read:Wire.Services.access.request ~parse:Ref.parse_access_request
       (fun (subject, action) -> Ref.access_request ~subject ~action);
-    plain ~name:"access_outcome" ~gen:outcome_gen ~write:Wire.write_access_outcome ~read:Wire.read_access_outcome
+    plain ~name:"access_outcome" ~gen:outcome_gen ~write:Wire.write_access_outcome ~read:Wire.Services.access.reply
       ~parse:Ref.parse_access_outcome (function
       | Wire.Granted { content; encrypted } -> Ref.access_granted ~content ~encrypted ()
       | Wire.Denied reason -> Ref.access_denied ~reason);
     plain ~name:"capability_request"
       ~gen:Gen.(pair subject_gen (list_size (int_bound 3) (pair text_gen text_gen)))
       ~write:(fun buf (subject, pairs) -> Wire.write_capability_request buf ~subject ~pairs)
-      ~read:Wire.read_capability_request ~parse:Ref.parse_capability_request
+      ~read:Wire.Services.capability_request.request ~parse:Ref.parse_capability_request
       (fun (subject, pairs) -> Ref.capability_request ~subject ~pairs);
     plain ~name:"revocation_check" ~gen:text_gen
       ~write:(fun buf assertion_id -> Wire.write_revocation_check buf ~assertion_id)
-      ~read:Wire.read_revocation_check ~parse:Ref.parse_revocation_check
+      ~read:Wire.Services.revocation_check.request ~parse:Ref.parse_revocation_check
       (fun assertion_id -> Ref.revocation_check ~assertion_id);
     plain ~name:"revocation_status" ~gen:Gen.bool
       ~write:(fun buf revoked -> Wire.write_revocation_status buf ~revoked)
-      ~read:Wire.read_revocation_status ~parse:Ref.parse_revocation_status
+      ~read:Wire.Services.revocation_check.reply ~parse:Ref.parse_revocation_status
       (fun revoked -> Ref.revocation_status ~revoked);
     plain ~name:"policy_query" ~gen:(Gen.pair text_gen count_gen)
       ~write:(fun buf (scope, known_version) -> Wire.write_policy_query buf ~scope ~known_version)
-      ~read:Wire.read_policy_query ~parse:Ref.parse_policy_query
+      ~read:Wire.Services.policy_query.request ~parse:Ref.parse_policy_query
       (fun (scope, known_version) -> Ref.policy_query ~scope ~known_version);
     plain ~name:"policy_response" ~gen:(Gen.pair count_gen (Gen.opt policy_gen))
       ~write:(fun buf (version, child) -> Wire.write_policy_response buf ~version child)
-      ~read:Wire.read_policy_response
+      ~read:Wire.Services.policy_query.reply
       ~equal:(fun (v, a) (w, b) -> v = w && Option.equal same_policy a b)
       ~parse:Ref.parse_policy_response
       (fun (version, child) -> Ref.policy_response ~version child);
     plain ~name:"policy_update" ~gen:(Gen.pair count_gen policy_gen)
       ~write:(fun buf (version, child) -> Wire.write_policy_update buf ~version child)
-      ~read:Wire.read_policy_update
+      ~read:Wire.Services.policy_update.request
       ~equal:(fun (v, a) (w, b) -> v = w && same_policy a b)
       ~parse:Ref.parse_policy_update
       (fun (version, child) -> Ref.policy_update ~version child);
     plain ~name:"attribute_subscribe" ~gen:Gen.unit
       ~write:(fun buf () -> Wire.write_attribute_subscribe buf)
-      ~read:Wire.read_attribute_subscribe ~parse:Ref.parse_attribute_subscribe Ref.attribute_subscribe;
+      ~read:Wire.Services.attribute_subscribe.request ~parse:Ref.parse_attribute_subscribe Ref.attribute_subscribe;
     plain ~name:"attribute_invalidate" ~gen:(Gen.pair text_gen text_gen)
       ~write:(fun buf (subject, attribute_id) -> Wire.write_attribute_invalidate buf ~subject ~attribute_id)
-      ~read:Wire.read_attribute_invalidate ~parse:Ref.parse_attribute_invalidate
+      ~read:Wire.Services.attribute_invalidate.request ~parse:Ref.parse_attribute_invalidate
       (fun (subject, attribute_id) -> Ref.attribute_invalidate ~subject ~attribute_id);
+    (* The answer to a capability request and an IdP's answer are whole
+       documents: their writers are the tree printers the issuing
+       services use. *)
+    frame ~name:"capability" ~gen:capability_gen
+      ~write:(fun buf v -> Xml.print buf (capability_xml v))
+      ~read:Wire.Services.capability_request.reply
+      ~of_value:(fun ((_, a) as v) -> (a, Xml.of_string (Xml.to_string (capability_xml v))))
+      ~equal:same_capability ~parse:read_capability_tree capability_xml;
     (* discovery, identity assertions and trust negotiation *)
     plain ~name:"register" ~gen:(Gen.pair text_gen text_gen)
       ~write:(fun buf (kind, node) -> Wire.write_register buf ~kind ~node)
-      ~read:Wire.read_register ~parse:Ref.parse_register
+      ~read:Wire.Services.register.request ~parse:Ref.parse_register
       (fun (kind, node) -> Ref.register_body ~kind ~node);
-    ack "register_ack" Wire.write_register_ack Wire.read_register_ack Ref.register_ack;
+    ack "register_ack" Wire.write_register_ack Wire.Services.register.reply Ref.register_ack;
     plain ~name:"discover" ~gen:text_gen
       ~write:(fun buf kind -> Wire.write_discover buf ~kind)
-      ~read:Wire.read_discover ~parse:Ref.parse_discover
+      ~read:Wire.Services.discover.request ~parse:Ref.parse_discover
       (fun kind -> Ref.discover_body ~kind);
-    plain ~name:"endpoints" ~gen:names_gen ~write:Wire.write_endpoints ~read:Wire.read_endpoints
+    plain ~name:"endpoints" ~gen:names_gen ~write:Wire.write_endpoints ~read:Wire.Services.discover.reply
       ~parse:Ref.parse_endpoints Ref.endpoints_body;
     plain ~name:"attribute_assertion_request" ~gen:text_gen
       ~write:(fun buf subject -> Wire.write_attribute_assertion_request buf ~subject)
-      ~read:Wire.read_attribute_assertion_request ~parse:Ref.parse_attribute_assertion_request
+      ~read:Wire.Services.attribute_assertion.request ~parse:Ref.parse_attribute_assertion_request
       (fun subject -> Ref.attribute_assertion_request ~subject);
+    plain ~name:"attribute_assertion" ~gen:assertion_gen
+      ~write:(fun buf a -> Xml.print buf (Assertion.to_xml a))
+      ~read:Wire.Services.attribute_assertion.reply ~equal:same_assertion ~parse:Assertion.of_xml Assertion.to_xml;
     (* The former handler defaulted a missing Subject to the caller; the
        reader requires it. *)
     frame ~name:"negotiate" ~gen:Gen.(pair (triple text_gen text_gen text_gen) names_gen)
       ~write:(fun buf ((resource, action, subject), credentials) ->
         Wire.write_negotiate buf ~resource ~action ~subject credentials)
-      ~read:Wire.read_negotiate
+      ~read:Wire.Services.negotiate.request
       ~of_value:(fun ((resource, action, subject), credentials) -> (resource, action, subject, credentials))
       ~equal:( = ) ~parse:(Ref.parse_negotiate ~caller:"caller")
       (fun ((resource, action, subject_name), unlocked) -> Ref.negotiate ~resource ~action ~subject_name unlocked);
     plain ~name:"negotiate_response" ~gen:negotiation_step_gen ~write:Wire.write_negotiate_response
-      ~read:Wire.read_negotiate_response
+      ~read:Wire.Services.negotiate.reply
       ~equal:(fun a b -> written Wire.write_negotiate_response a = written Wire.write_negotiate_response b)
       ~parse:Ref.parse_negotiate_response (function
       | Wire.Issued assertion -> Ref.negotiate_granted assertion
@@ -379,13 +413,32 @@ let frames =
     (* the description registry's frames, which live in Wsdl; a
        description keeps its tree codec inside the frame *)
     plain ~name:"service_description" ~gen:description_gen ~write:Wsdl.write_service_description
-      ~read:Wsdl.read_service_description ~parse:Wsdl.of_xml Wsdl.to_xml;
+      ~read:Wsdl.publish.request ~parse:Wsdl.of_xml Wsdl.to_xml;
     plain ~name:"description_query" ~gen:text_gen
       ~write:(fun buf service -> Wsdl.write_description_query buf ~service)
-      ~read:Wsdl.read_description_query ~parse:Ref.parse_description_query
+      ~read:Wsdl.query.request ~parse:Ref.parse_description_query
       (fun service -> Ref.description_query ~service);
-    ack "publish_ack" Wsdl.write_publish_ack Wsdl.read_publish_ack Ref.publish_ack;
+    ack "publish_ack" Wsdl.write_publish_ack Wsdl.publish.reply Ref.publish_ack;
   ]
+
+(* Every reader a service declaration holds — of Wire.Services and of
+   the description registry — must be one of the frames' readers above
+   (the same value): a service declared with a reader the harness does
+   not cover fails here. *)
+let declared_readers_have_frames () =
+  let covered reader = List.exists (fun (Frame f) -> Obj.repr f.read == reader) frames in
+  List.iter
+    (fun declaration ->
+      let name, readers =
+        match declaration with
+        | Service.Call c -> (c.name, [ ("request", Obj.repr c.request); ("reply", Obj.repr c.reply) ])
+        | Service.Cast c -> (c.name, [ ("request", Obj.repr c.request) ])
+      in
+      List.iter
+        (fun (which, reader) ->
+          if not (covered reader) then Alcotest.failf "%s: its %s reader has no frame in the harness" name which)
+        readers)
+    (Wire.Services.all @ Wsdl.registry_services)
 
 let enveloped write v =
   let buf = Buffer.create 512 in
@@ -501,8 +554,7 @@ let whole_frame_tests =
       (make ~print:(Format.asprintf "%a" Context.pp) context_gen) (fun ctx ->
         let sent =
           captured_frame (fun services ->
-              Service.call_batch_frame services ~src:"client" ~dst:"server" ~service:"authz-query"
-                ~read:(fun _ -> Ok ())
+              Service.call_batch services ~src:"client" ~dst:"server" Wire.Services.authz_query
                 [ (fun buf -> Wire.write_authz_query buf ctx) ]
                 ignore)
         in
@@ -516,8 +568,7 @@ let whole_frame_tests =
       (make ~print:Fun.id text_gen) (fun key ->
         let sent =
           captured_frame (fun services ->
-              Service.call_frame services ~src:"client" ~dst:"server" ~service:"cache-lookup"
-                ~read:(fun _ -> Ok ())
+              Service.call services ~src:"client" ~dst:"server" Wire.Services.cache_lookup
                 (fun buf -> Wire.write_cache_lookup buf ~key)
                 ignore)
         in
@@ -528,7 +579,7 @@ let whole_frame_tests =
       (fun (sent_at, key, r) ->
         let sent =
           captured_frame (fun services ->
-              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"cache-put" (fun buf ->
+              Service.cast services ~src:"client" ~dst:"server" Wire.Services.cache_put (fun buf ->
                   Wire.write_cache_put ~sent_at buf ~key r))
         in
         sent = Rpc.encode_one_way "cache-put" (Xml.to_string (Ref.Soap.envelope (Ref.cache_put ~sent_at ~key r))));
@@ -537,7 +588,7 @@ let whole_frame_tests =
       (make Gen.unit) (fun () ->
         let sent =
           captured_frame (fun services ->
-              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"attribute-subscribe"
+              Service.cast services ~src:"client" ~dst:"server" Wire.Services.attribute_subscribe
                 Wire.write_attribute_subscribe)
         in
         sent
@@ -547,7 +598,7 @@ let whole_frame_tests =
       (fun (subject, attribute_id) ->
         let sent =
           captured_frame (fun services ->
-              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"attribute-invalidate" (fun buf ->
+              Service.cast services ~src:"client" ~dst:"server" Wire.Services.attribute_invalidate (fun buf ->
                   Wire.write_attribute_invalidate buf ~subject ~attribute_id))
         in
         sent
@@ -560,8 +611,7 @@ let whole_frame_tests =
       (fun (scope, known_version) ->
         let sent =
           captured_frame (fun services ->
-              Service.call_frame services ~src:"client" ~dst:"server" ~service:"policy-query"
-                ~read:(fun _ -> Ok ())
+              Service.call services ~src:"client" ~dst:"server" Wire.Services.policy_query
                 (fun buf -> Wire.write_policy_query buf ~scope ~known_version)
                 ignore)
         in
@@ -574,7 +624,7 @@ let whole_frame_tests =
       (fun (version, child) ->
         let sent =
           captured_frame (fun services ->
-              Service.cast_frame services ~src:"client" ~dst:"server" ~service:"policy-update" (fun buf ->
+              Service.cast services ~src:"client" ~dst:"server" Wire.Services.policy_update (fun buf ->
                   Wire.write_policy_update buf ~version child))
         in
         sent
@@ -631,7 +681,7 @@ let log_admit_mutation_test =
       let original = Hashtbl.create 8 in
       List.iter (fun ev -> Hashtbl.replace original (ev.Offline.author, ev.Offline.seq) (signed_bytes ev)) events;
       let s = mutate ops (enveloped Wire.write_log_sync_response events) in
-      match live_read Wire.read_log_sync_response s with
+      match live_read Wire.Services.log_sync.reply s with
       | exception e -> Test.fail_reportf "reader raised %s on %S" (Printexc.to_string e) s
       | Error _ -> true
       | Ok (_, decoded) -> (
@@ -648,7 +698,7 @@ let log_admit_mutation_test =
 let log_intact () =
   let key, events = Lazy.force segment in
   let s = enveloped Wire.write_log_sync_response events in
-  match live_read Wire.read_log_sync_response s with
+  match live_read Wire.Services.log_sync.reply s with
   | Ok (_, decoded) ->
     Alcotest.(check (list string)) "every event reads back" (List.map signed_bytes events) (List.map signed_bytes decoded);
     Alcotest.(check bool) "and is admitted whole" true
@@ -671,7 +721,7 @@ let floats_exact () =
   let bits bag =
     List.map (function Value.Double f | Value.Time f -> Int64.bits_of_float f | _ -> 0L) bag
   in
-  match live_read Wire.read_authz_query (enveloped Wire.write_authz_query ctx) with
+  match live_read Wire.Services.authz_query.request (enveloped Wire.write_authz_query ctx) with
   | Ok (_, decoded) ->
     Alcotest.(check bool) "the context reads back equal" true (Context.equal ctx decoded);
     List.iter
@@ -700,12 +750,13 @@ let signer =
 let signed_frame ~key ~cert (epoch, result) =
   enveloped (fun buf result -> Wire.write_signed_authz_response ~epoch ~key ~cert buf result) result
 
-let signed_read ~trust = live_read (Wire.read_authz_answer ~trust ~now:1.0)
+(* A tier's reading, on a network whose clock stands at 0. *)
+let signed_read ~trust = live_read (Wire.Services.authz_query_checked ~trust (Net.create ())).reply
 
 (* The reference verifier's reading of a whole frame: the decision and
    epoch of an accepted response. *)
 let reference_signed_read ~trust =
-  reference_read (fun body -> Result.map (fun (result, epoch, _) -> (result, epoch)) (Ref.verify_signed ~trust ~now:1.0 body))
+  reference_read (fun body -> Result.map (fun (result, epoch, _) -> (result, epoch)) (Ref.verify_signed ~trust ~now:0.0 body))
 
 (* The first occurrence of [sub] in [s]: where it starts and ends. *)
 let find_sub s sub =
@@ -828,7 +879,7 @@ let round_trip_words () =
   let services = Service.create (Rpc.create net) in
   Net.add_node net "pep";
   Net.add_node net "pdp";
-  Service.serve_frame services ~node:"pdp" ~service:"authz-query" ~read:Wire.read_authz_query
+  Service.serve services ~node:"pdp" Wire.Services.authz_query
     (fun ~caller:_ ~headers:_ _ reply -> reply (fun buf -> Wire.write_authz_response ~epoch:3 buf Decision.permit));
   let ctx =
     Context.make
@@ -839,7 +890,7 @@ let round_trip_words () =
   in
   let round () =
     let answered = ref false in
-    Service.call_frame services ~src:"pep" ~dst:"pdp" ~service:"authz-query" ~read:Wire.read_authz_response
+    Service.call services ~src:"pep" ~dst:"pdp" Wire.Services.authz_query
       (fun buf -> Wire.write_authz_query buf ctx)
       (fun r -> answered := r = Ok (Ok (Decision.permit, 3)));
     Net.run net;
@@ -877,6 +928,9 @@ let () =
           Alcotest.test_case "an intact log-sync response is admitted whole" `Quick log_intact;
         ] );
       ("values", [ Alcotest.test_case "an authz query carries Double and Time exactly" `Quick floats_exact ]);
+      ( "declarations",
+        [ Alcotest.test_case "every declared reader has a frame in the harness" `Quick declared_readers_have_frames ]
+      );
       ( "allocation",
         [ Alcotest.test_case "one authz round trip stays under its word bound" `Quick test_round_trip_allocation ] );
     ])

@@ -451,7 +451,7 @@ let verify_signed ~trust ~now node =
       else
         let* result, epoch =
           Xml.Cursor.parse (Xml.to_string response) (fun c ->
-              match Wire.read_authz_response c with Ok v -> v | Error e -> Xml.Cursor.fail c e)
+              match Wire.Services.authz_query.reply c with Ok v -> v | Error e -> Xml.Cursor.fail c e)
         in
         Ok (result, epoch, cert))
   | _ -> Error "SignedAuthzResponse lacks response, certificate or signature"

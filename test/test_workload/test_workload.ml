@@ -269,7 +269,7 @@ let test_pdp_max_inflight () =
   in
   let answers = ref [] in
   let ask tag =
-    Service.call_frame services ~src:"client" ~dst:"pdp.0" ~service:"authz-query" ~read:Wire.read_authz_response
+    Service.call services ~src:"client" ~dst:"pdp.0" Wire.Services.authz_query
       (fun buf -> Wire.write_authz_query buf (ctx_for tag))
       (fun reply ->
         match reply with
