@@ -339,7 +339,8 @@ let seed_arg =
 let chaos_t =
   Cmd.v
     (Cmd.info "chaos"
-       ~doc:"Replay the demo scenario under a random fault schedule with retrying, breaker-guarded enforcement")
+       ~doc:
+         "Replay the demo scenario under a random fault schedule, with breaker-guarded enforcement that retries")
     Term.(const chaos_cmd $ seed_arg $ Registry.json_flag)
 
 let trace_t =

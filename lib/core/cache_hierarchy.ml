@@ -1,6 +1,5 @@
 module Service = Dacs_ws.Service
 module Context = Dacs_policy.Context
-module Decision = Dacs_policy.Decision
 module Delta = Dacs_policy.Delta
 module Value = Dacs_policy.Value
 module Metrics = Dacs_telemetry.Metrics

@@ -27,10 +27,20 @@ let access t ~pep ~action ?timeout ?headers k =
       | Ok (Error e) -> k (Error (Service.Malformed e))
       | Error e -> k (Error e))
 
+(* The client owns the re-send: each failed attempt takes the bus's one
+   retry step, as the PDP tier's frames do. *)
 let request t ~pep ~action ?timeout ?(retry = Dacs_net.Rpc.no_retry) k =
   Dacs_net.Rpc.validate_retry retry;
-  Dacs_net.Rpc.retrying (Service.rpc t.services) ~src:t.node ~dst:pep retry ~failed:Service.transport_error
-    (fun k -> access t ~pep ~action ?timeout k) k
+  let rec attempt failures =
+    access t ~pep ~action ?timeout (fun r ->
+        match Service.transport_error r with
+        | Some err
+          when Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:pep retry ~failures err
+                 (fun () -> attempt (failures + 1)) ->
+          ()
+        | Some _ | None -> k r)
+  in
+  attempt 1
 
 let valid_capability t ~resource ~action =
   match Hashtbl.find_opt t.capabilities (resource, action) with

@@ -24,8 +24,9 @@ val request :
   unit
 (** Pull-model access: one call to the PEP through the bus's circuit
     breaker.  [retry] (default {!Dacs_net.Rpc.no_retry}) re-sends it
-    with backoff ({!Dacs_net.Rpc.retrying}) after a timeout or a breaker
-    rejection, when the link to the PEP itself is lossy or partitioned.
+    with backoff ({!Dacs_net.Rpc.retry_after}) after a timeout or a
+    breaker rejection, when the link to the PEP itself is lossy or
+    partitioned.
     Raises [Invalid_argument] when [retry] fails
     {!Dacs_net.Rpc.validate_retry}. *)
 

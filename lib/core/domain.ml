@@ -125,7 +125,7 @@ let create services ~name ?attr_cache_ttl () =
     id
   in
   let pap = Pap.create services ~node:(node "pap") ~name:(name ^ "-pap") () in
-  let pip = Pip.create services ~node:(node "pip") ~name:(name ^ "-pip") in
+  let pip = Pip.create services ~node:(node "pip") in
   let pdp =
     Pdp_service.create services ~node:(node "pdp") ~name:(name ^ "-pdp") ~pap:(Pap.node pap)
       ~pips:[ Pip.node pip ] ?attr_cache_ttl ()

@@ -1,6 +1,5 @@
 module Policy = Dacs_policy.Policy
 module Decision = Dacs_policy.Decision
-module Context = Dacs_policy.Context
 module Validate = Dacs_policy.Validate
 module Xacml = Dacs_policy.Xacml_xml
 

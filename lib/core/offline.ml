@@ -6,7 +6,6 @@ module Chain = Dacs_crypto.Chain
 module Hmac = Dacs_crypto.Hmac
 module Sha256 = Dacs_crypto.Sha256
 module Metrics = Dacs_telemetry.Metrics
-module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
 
 type kind = Wire.log_kind =

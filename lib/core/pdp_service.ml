@@ -4,7 +4,6 @@ module Context = Dacs_policy.Context
 module Decision = Dacs_policy.Decision
 module Policy = Dacs_policy.Policy
 module Compiled = Dacs_policy.Compiled
-module Value = Dacs_policy.Value
 module Metrics = Dacs_telemetry.Metrics
 module Trace = Dacs_telemetry.Trace
 

@@ -157,7 +157,6 @@ type t = {
   counters : counters;
   sf : (Decision.result -> Provenance.t -> unit) Cache_hierarchy.Single_flight.t;
   serving : serving;
-  mutable retry : Dacs_net.Rpc.retry_policy;  (* revocation checks; a tier keeps its own *)
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
@@ -258,11 +257,10 @@ let require_signed_decisions t trust =
     invalid_arg "Pep.require_signed_decisions: no decision crosses the wire in push or agent mode"
 
 let set_retry_policy t retry =
-  let retry = Option.value retry ~default:Dacs_net.Rpc.no_retry in
-  Dacs_net.Rpc.validate_retry retry;
   match t.serving with
-  | Tier { tier; _ } -> Pdp_tier.set_retry_policy tier retry
-  | Capability _ | Local _ -> t.retry <- retry
+  | Tier { tier; _ } -> Pdp_tier.set_retry_policy tier (Option.value retry ~default:Dacs_net.Rpc.no_retry)
+  | Capability _ | Local _ ->
+    invalid_arg "Pep.set_retry_policy: no decision call to re-send in push or agent mode"
 
 let set_stale_window t window =
   if window < 0.0 then invalid_arg "Pep.set_stale_window: negative window";
@@ -643,15 +641,9 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
         | Some authority ->
           Metrics.inc t.counters.c_revocation_checks;
           let assertion_id = assertion.Assertion.id in
-          Dacs_net.Rpc.retrying (Service.rpc t.services) ~src:t.node ~dst:authority t.retry
-            ~failed:Service.transport_error
-            (fun k ->
-              Service.call t.services ~src:t.node ~dst:authority Wire.Services.revocation_check
-                ~breaker:true
-                (fun buf -> Wire.write_revocation_check buf ~assertion_id)
-                k)
-            (fun response ->
-              match response with
+          Service.call t.services ~src:t.node ~dst:authority Wire.Services.revocation_check ~breaker:true
+            (fun buf -> Wire.write_revocation_check buf ~assertion_id)
+            (function
               | Ok (Ok true) -> deny_with "capability has been revoked"
               | Ok (Ok false) -> continue_after_revocation ()
               | Ok (Error e) -> deny_with ("malformed revocation status: " ^ e)
@@ -743,7 +735,6 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       counters = make_counters (Service.metrics services) ~node;
       sf = Cache_hierarchy.Single_flight.create (Service.metrics services) ~node;
       serving;
-      retry = Dacs_net.Rpc.no_retry;
       stale_window = 0.0;
       offline = None;
       l2 = None;

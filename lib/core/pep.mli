@@ -162,12 +162,13 @@ val shed_reason : string
     bounded-stale serving default off. *)
 
 val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
-(** Re-send each PDP query (pull and sharded: the tier owns the re-send,
-    {!Pdp_tier.set_retry_policy}) / revocation authority call (push,
-    through {!Dacs_net.Rpc.retrying}) with backoff on the same target
-    before giving up on it.  [None] (the default) restores
+(** Pull or sharded mode: re-send each PDP query with backoff on the
+    same target before giving up on it (the tier owns the re-send,
+    {!Pdp_tier.set_retry_policy}).  [None] (the default) restores
     single-attempt calls.  Raises [Invalid_argument] when the policy
-    fails {!Dacs_net.Rpc.validate_retry}. *)
+    fails {!Dacs_net.Rpc.validate_retry}, and in push or agent mode,
+    where no decision call crosses the wire: a push PEP's revocation
+    check is one breaker-guarded attempt that fails closed. *)
 
 val set_stale_window : t -> float -> unit
 (** Pull or sharded mode with a cache only: when the live step reaches no

@@ -44,7 +44,7 @@ let lookup t ~category ~id ~subject =
     match Hashtbl.find_opt t.environment id with Some f -> f () | None -> [])
   | Context.Resource | Context.Action -> []
 
-let create services ~node ~name:_ =
+let create services ~node =
   let t =
     {
       services;

@@ -6,7 +6,7 @@
 
 type t
 
-val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> name:string -> t
+val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> t
 (** Registers the ["attribute-query"] service (single queries and the
     parts of batched B/BT frames dispatch to the same handler) and the
     one-way ["attribute-subscribe"], through which PDP attribute caches

@@ -1,6 +1,5 @@
 module Service = Dacs_ws.Service
 module Rsa = Dacs_crypto.Rsa
-module Value = Dacs_policy.Value
 
 type t = {
   name : string;

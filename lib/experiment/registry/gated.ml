@@ -239,7 +239,7 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
              "by-clearance";
          ])
   in
-  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let pip = Pip.create services ~node:(add "pip") in
   let pdp =
     Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:policy ~pips:[ "pip" ]
       ?attr_cache_ttl:(if attr_cache then Some 3600.0 else None)

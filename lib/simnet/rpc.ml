@@ -171,10 +171,13 @@ let caller_series t src =
     Hashtbl.add t.callers src s;
     s
 
+(* Every serve, call, cast and batch resolves its service here, so a
+   name holding the frame separator is refused once, when first met. *)
 let series_for t service =
   match Hashtbl.find t.series service with
   | s -> s
   | exception Not_found ->
+    if String.contains service '|' then invalid_arg ("Rpc: service name holds '|': " ^ service);
     let labels = [ ("service", service) ] in
     let counter help name = lazy (Metrics.counter t.metrics ~help ~labels name) in
     let s =
@@ -201,10 +204,10 @@ let series_for t service =
 (* Wire format: kind '|' id '|' service '|' body.  The few header bytes
    model transport framing; the body carries the real (XML) payload whose
    size dominates.  The body is the unframed remainder and may contain
-   anything; the service name is percent-escaped so that '|' (and '%')
-   in a service name cannot break the framing.  Headers are canonical:
-   ids and part lengths are plain decimal digits without leading zeros,
-   and a '%' in a header field starts one of the two escapes — so a frame
+   anything; a header field is the bytes between two bars, written and
+   read verbatim, which is why no service name may hold '|'
+   ([series_for] refuses one).  Headers are canonical: ids and part
+   lengths are plain decimal digits without leading zeros — so a frame
    that decodes re-encodes to the same bytes. *)
 
 let rec add_digits buf n =
@@ -213,64 +216,18 @@ let rec add_digits buf n =
 
 let add_int buf n = if n < 0 then Buffer.add_string buf (string_of_int n) else add_digits buf n
 
-let add_escaped_service buf s =
-  if String.contains s '|' || String.contains s '%' then
-    String.iter
-      (function
-        | '|' -> Buffer.add_string buf "%7C"
-        | '%' -> Buffer.add_string buf "%25"
-        | c -> Buffer.add_char buf c)
-      s
-  else Buffer.add_string buf s
-
-(* Whether every '%' in [s.[j..stop)] starts one of the two escapes. *)
-let rec canonically_escaped s j stop =
-  j >= stop
-  ||
-  if String.unsafe_get s j <> '%' then canonically_escaped s (j + 1) stop
-  else
-    j + 2 < stop
-    && ((s.[j + 1] = '7' && s.[j + 2] = 'C') || (s.[j + 1] = '2' && s.[j + 2] = '5'))
-    && canonically_escaped s (j + 3) stop
-
-let rec unescape_into buf s j stop =
-  if j < stop then
-    if String.unsafe_get s j = '%' then begin
-      Buffer.add_char buf (if s.[j + 1] = '7' then '|' else '%');
-      unescape_into buf s (j + 3) stop
-    end
-    else begin
-      Buffer.add_char buf (String.unsafe_get s j);
-      unescape_into buf s (j + 1) stop
-    end
-
-(* [s.[i..stop)] spells [known] from its byte [j] on, and holds no '%'. *)
+(* [s.[i..stop)] spells [known] from its byte [j] on. *)
 let rec spells s i stop known j =
   if i + j = stop then j = String.length known
   else
     j < String.length known
-    &&
-    let c = String.unsafe_get known j in
-    c <> '%' && String.unsafe_get s (i + j) = c && spells s i stop known (j + 1)
+    && String.unsafe_get s (i + j) = String.unsafe_get known j
+    && spells s i stop known (j + 1)
 
-exception Malformed_header
-
-let rec has_percent s j stop = j < stop && (String.unsafe_get s j = '%' || has_percent s (j + 1) stop)
-
-(* The unescaped header field [s.[i..stop)]; raises [Malformed_header]
-   when a '%' in it starts neither escape.  A field without escapes that
-   spells [known] is [known] itself, compared in place rather than
-   copied. *)
+(* The header field [s.[i..stop)].  A field that spells [known] is
+   [known] itself, compared in place rather than copied. *)
 let header_field ~known s i stop =
-  if spells s i stop known 0 then known
-  else if not (canonically_escaped s i stop) then raise_notrace Malformed_header
-  else if i = stop then ""
-  else if has_percent s i stop then begin
-    let buf = Buffer.create (stop - i) in
-    unescape_into buf s i stop;
-    Buffer.contents buf
-  end
-  else String.sub s i (stop - i)
+  if spells s i stop known 0 then known else if i = stop then "" else String.sub s i (stop - i)
 
 let rec digits s j stop acc =
   if j = stop then acc
@@ -338,11 +295,11 @@ let add_header buf kind id ~service ~trace =
   Buffer.add_char buf '|';
   add_int buf id;
   Buffer.add_char buf '|';
-  add_escaped_service buf service;
+  Buffer.add_string buf service;
   Buffer.add_char buf '|';
   match kind with
   | K_traced | K_traced_batch | K_traced_one_way ->
-    add_escaped_service buf trace;
+    Buffer.add_string buf trace;
     Buffer.add_char buf '|'
   | K_request | K_batch | K_one_way | K_reply | K_error -> ()
 
@@ -376,29 +333,25 @@ let parse_header h ~known payload =
     let third = if second < n then bar payload (second + 1) else n in
     id >= 0 && third < n
     &&
-    match header_field ~known payload (second + 1) third with
-    | exception Malformed_header -> false
-    | service -> (
-      h.kind <- kind;
-      h.id <- id;
-      h.service <- service;
-      h.trace <- "";
-      h.body <- third + 1;
-      match kind with
-      | K_reply | K_error -> service = ""
-      | K_request | K_batch -> true
-      | K_one_way -> id = 0
-      | K_traced_one_way when id <> 0 -> false
-      | K_traced | K_traced_batch | K_traced_one_way -> (
-        let fourth = bar payload (third + 1) in
-        fourth < n
-        &&
-        match header_field ~known:"" payload (third + 1) fourth with
-        | exception Malformed_header -> false
-        | trace ->
-          h.trace <- trace;
-          h.body <- fourth + 1;
-          true)))
+    let service = header_field ~known payload (second + 1) third in
+    h.kind <- kind;
+    h.id <- id;
+    h.service <- service;
+    h.trace <- "";
+    h.body <- third + 1;
+    match kind with
+    | K_reply | K_error -> service = ""
+    | K_request | K_batch -> true
+    | K_one_way -> id = 0
+    | K_traced_one_way when id <> 0 -> false
+    | K_traced | K_traced_batch | K_traced_one_way ->
+      let fourth = bar payload (third + 1) in
+      fourth < n
+      && begin
+        h.trace <- header_field ~known:"" payload (third + 1) fourth;
+        h.body <- fourth + 1;
+        true
+      end)
 
 let body_slice payload body = { src = payload; off = body; len = String.length payload - body }
 
@@ -410,7 +363,7 @@ let frame kind id ?(service = "") ?(trace = "") body =
 
 let encode_request id service body = frame K_request id ~service body
 
-(* The trace context travels as one extra escaped header segment; replies
+(* The trace context travels as one extra header segment; replies
    need none (the pending table already knows which span awaits them). *)
 let encode_traced_request id service ~trace body = frame K_traced id ~service ~trace body
 
@@ -977,9 +930,9 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced 
    a rejected one fails at once with [Circuit_open], sending nothing and
    counting no call — and hears its outcome. *)
 let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?(breaker = false) ?(envelope = bare) write k =
+  let series = series_for t service in
   if breaker && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
   else begin
-    let series = series_for t service in
     Metrics.inc (Lazy.force series.calls);
     issue t series ~src ~dst ~service ~timeout ~span_label:"rpc:" ~batch:0 ~kind:K_request
       ~traced:K_traced ~guarded:breaker ~envelope write k
@@ -990,8 +943,9 @@ let call_frame t ~src ~dst ~service ?(timeout = 1.0) ?(breaker = false) ?(envelo
    span is marked one-way, so no critical path runs through it, and
    closes once the frame is sent. *)
 let cast_frame t ~src ~dst ~service ?(envelope = bare) write =
+  let series = series_for t service in
   ensure_dispatch t src;
-  Metrics.inc (Lazy.force (series_for t service).calls);
+  Metrics.inc (Lazy.force series.calls);
   match client_span t ~span_label:"rpc:" ~src ~dst ~service ~batch:0 with
   | None -> send_frame t ~src ~dst ~category:service K_one_way 0 ~service ~trace:"" ~envelope write
   | Some s ->
@@ -1010,9 +964,9 @@ let batch_reply k = function
 let call_batch_frame t ~src ~dst ~service ?(breaker = false) writes k =
   let n = List.length writes in
   if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
+  let series = series_for t service in
   if breaker && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
   else begin
-    let series = series_for t service in
     Metrics.inc (Lazy.force series.calls);
     Metrics.inc (Lazy.force series.batches);
     Metrics.inc ~by:n (Lazy.force series.batch_parts);
@@ -1063,7 +1017,7 @@ let backoff_delay t retry failures =
 
 (* The step every re-send takes after a failed attempt, whoever owns the
    re-send.  A missing service is final: the target answered, and
-   retrying the same missing service cannot succeed. *)
+   a re-send to the same missing service cannot succeed. *)
 let retry_after t ~src ~dst retry ~failures err resend =
   match err with
   | No_such_service _ -> false
@@ -1085,12 +1039,3 @@ let retry_after t ~src ~dst retry ~failures err resend =
         resend ();
         Trace.set_current t.tracer saved);
     true
-
-let retrying t ~src ~dst retry ~failed attempt k =
-  let rec go failures =
-    attempt (fun r ->
-        match failed r with
-        | Some err when retry_after t ~src ~dst retry ~failures err (fun () -> go (failures + 1)) -> ()
-        | Some _ | None -> k r)
-  in
-  go 1

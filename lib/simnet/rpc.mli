@@ -53,8 +53,7 @@ val calls_in_flight : t -> int
     caller waits [base_delay * multiplier^(n-1)] capped at [max_delay],
     multiplied by a jitter factor drawn uniformly from [1 ± jitter] using
     the engine's seeded RNG — so backoff sequences are deterministic for
-    a given seed.  {!retry_after} is that step; {!retrying} re-sends a
-    point-to-point call with it. *)
+    a given seed.  {!retry_after} is that step. *)
 
 type retry_policy = {
   attempts : int;  (** total attempts including the first; >= 1 *)
@@ -266,9 +265,8 @@ val call_batch_frame :
 (** {1 Re-sending}
 
     A re-send has one owner: the caller that holds the queries.  Both
-    owners — the PDP tier for authorisation frames, {!retrying} for a
-    point-to-point call — take the same step after each failed
-    attempt. *)
+    owners — the PDP tier for authorisation frames, the client for its
+    access call — take the same step after each failed attempt. *)
 
 val retry_after :
   t ->
@@ -288,35 +286,25 @@ val retry_after :
     context current now, so the re-sent attempt's span has the failed
     one's parent — and return [true].  Otherwise do nothing and return
     [false]: the attempts are spent, or the target answered
-    [No_such_service] and retrying cannot help.  The policy must pass
+    [No_such_service] and a re-send cannot help.  The policy must pass
     {!validate_retry}. *)
-
-val retrying :
-  t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  retry_policy ->
-  failed:('a -> error option) ->
-  (('a -> unit) -> unit) ->
-  ('a -> unit) ->
-  unit
-(** [retrying t ~src ~dst retry ~failed attempt k] runs [attempt], and
-    runs it again through {!retry_after} each time [failed] reads a
-    transport error from its outcome; [k] gets the first outcome that
-    is not re-sent.  For point-to-point callers whose one call is the
-    whole request. *)
 
 (** {1 Wire format}
 
     Exposed for property testing: [decode] must invert every [encode_*]
-    for non-negative ids and arbitrary service names (including ['|'] and
-    ['%']) and bodies.  Headers are canonical: ids and part lengths are
-    plain decimal digits without a sign or leading zeros, a ['%'] in a
-    header field must start ["%7C"] or ["%25"], a reply or error
-    frame has an empty service field, and a one-way frame (kind [O], or
-    [OT] with a trace context) has the id 0 — so whenever [decode s = Some f],
-    encoding [f] gives back [s].  The live path parses the same header
-    in place and hands the body on as a {!slice}. *)
+    for non-negative ids, service names and trace contexts without
+    ['|'], and arbitrary bodies.  A header field is the bytes between
+    two ['|'], taken verbatim: ["Q|1|a%7Cb|x"] names the service
+    ["a%7Cb"].  No name can mis-frame, because every serve, call, cast
+    and batch refuses a service name holding ['|'] with
+    [Invalid_argument] (once per name), as {!Dacs_ws.Service}'s
+    declarations do.  Headers are canonical: ids and part lengths are
+    plain decimal digits without a sign or leading zeros, a reply or
+    error frame has an empty service field, and a one-way frame (kind
+    [O], or [OT] with a trace context) has the id 0 — so whenever
+    [decode s = Some f], encoding [f] gives back [s].  The live path
+    parses the same header in place and hands the body on as a
+    {!slice}. *)
 
 type frame =
   | Request of int * string * string  (** id, service, body *)

@@ -44,8 +44,13 @@ let soap_envelope buf write = Soap.write buf write
 type ('q, 'r) call = { name : string; request : 'q reader; reply : 'r reader }
 type 'q cast = { name : string; request : 'q reader }
 
-let request_reply name ~request ~reply : (_, _) call = { name; request; reply }
-let one_way name request : _ cast = { name; request }
+(* The bus frames a name verbatim between two bars. *)
+let framable name =
+  if String.contains name '|' then invalid_arg ("Service: name holds '|': " ^ name);
+  name
+
+let request_reply name ~request ~reply : (_, _) call = { name = framable name; request; reply }
+let one_way name request : _ cast = { name = framable name; request }
 
 type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
 

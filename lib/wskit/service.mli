@@ -80,6 +80,8 @@ type 'q cast = private { name : string; request : 'q reader }
 
 val request_reply : string -> request:'q reader -> reply:'r reader -> ('q, 'r) call
 val one_way : string -> 'q reader -> 'q cast
+(** Both raise [Invalid_argument] when the name holds ['|']: the bus
+    carries a service name verbatim between two bars. *)
 
 type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
 (** Either shape, for lists of a module's services. *)

@@ -81,7 +81,7 @@ let setup ?(attr_cache = true) ?cache () =
     Net.add_node net id;
     id
   in
-  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let pip = Pip.create services ~node:(add "pip") in
   List.iter
     (fun (id, v) -> Pip.add_subject_attribute pip ~subject:"alice" ~id v)
     [
@@ -183,8 +183,8 @@ let two_pip_setup ~crash_first =
     Net.add_node net id;
     id
   in
-  let pip1 = Pip.create services ~node:(add "pip1") ~name:"pip1" in
-  let pip2 = Pip.create services ~node:(add "pip2") ~name:"pip2" in
+  let pip1 = Pip.create services ~node:(add "pip1") in
+  let pip2 = Pip.create services ~node:(add "pip2") in
   let attrs =
     [
       ("role", Value.String "doctor");
@@ -709,7 +709,7 @@ let test_call_to_attribute_subscribe () =
   let net = Net.create ~seed:5L () in
   let services = Service.create (Rpc.create net) in
   List.iter (Net.add_node net) [ "pip"; "pdp" ];
-  let pip = Pip.create services ~node:"pip" ~name:"pip" in
+  let pip = Pip.create services ~node:"pip" in
   let answer =
     call_notification services net ~src:"pdp" ~dst:"pip" ~service:"attribute-subscribe"
       Wire.write_attribute_subscribe
@@ -785,7 +785,7 @@ let test_garbled_subscribe_dropped () =
   let net = Net.create ~seed:5L () in
   let services = Service.create (Rpc.create net) in
   List.iter (Net.add_node net) [ "pip"; "pdp" ];
-  let pip = Pip.create services ~node:"pip" ~name:"pip" in
+  let pip = Pip.create services ~node:"pip" in
   Service.cast services ~src:"pdp" ~dst:"pip" Wire.Services.attribute_subscribe (fun buf ->
       Buffer.add_string buf "<Subscribe/>");
   Net.run net;

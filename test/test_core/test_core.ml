@@ -446,7 +446,7 @@ let test_pip_lookup_service () =
   let net, services = fresh () in
   let pip_node = add_node net "pip" in
   let caller = add_node net "pdp" in
-  let pip = Pip.create services ~node:pip_node ~name:"pip" in
+  let pip = Pip.create services ~node:pip_node in
   Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
   Pip.set_environment pip ~id:"load" (fun () -> [ Value.Int 42 ]);
   let got = ref None in
@@ -533,7 +533,7 @@ let test_pdp_service_pip_fetch () =
   let pdp_node = add_node net "pdp" in
   let pip_node = add_node net "pip" in
   let pep = add_node net "pep" in
-  let pip = Pip.create services ~node:pip_node ~name:"pip" in
+  let pip = Pip.create services ~node:pip_node in
   Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
   let pdp =
     Pdp_service.create services ~node:pdp_node ~name:"pdp" ~root:(role_condition_policy "r")

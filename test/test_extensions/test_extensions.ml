@@ -345,27 +345,39 @@ let test_relayed_request_id =
       Net.send net ~src:"mallory" ~dst:"signing-pdp" ~category:"authz-query"
         (Dacs_net.Rpc.encode_request 2 "authz-query" (Buffer.contents query)))
 
-(* No decision crosses the wire in push or agent mode, so a decision
-   trust store would have nothing to check there: requiring one is an
-   error, not a silent no-op. *)
-let test_signed_decisions_need_a_wire () =
+(* No decision crosses the wire in push or agent mode, so a setting
+   that only a wire decision call reads — a decision trust store, a
+   retry policy — would have nothing to act on there: setting one is an
+   error, not a silent no-op.  [push_and_agent_refuse what set] runs
+   [set] on a push PEP (one that checks revocation, the one call it
+   makes) and on an agent PEP. *)
+let push_and_agent_refuse what set =
   let net, services, trust, _, _, _ = signed_setup () in
-  List.iter (Net.add_node net) [ "push-pep"; "agent-pep"; "agent-pdp" ];
+  List.iter (Net.add_node net) [ "push-pep"; "agent-pep"; "agent-pdp"; "authority" ];
   let agent_pdp =
     Pdp_service.create services ~node:"agent-pdp" ~name:"a" ~root:(doctor_read_policy "r") ()
   in
   List.iter
     (fun (name, node, mode) ->
       let pep = Pep.create services ~node ~domain:"d" ~resource:"r" mode in
-      match Pep.require_signed_decisions pep trust with
-      | () -> Alcotest.failf "the %s PEP accepted a decision trust store" name
+      match set pep trust with
+      | () -> Alcotest.failf "the %s PEP accepted %s" name what
       | exception Invalid_argument _ -> ())
     [
       ( "push",
         "push-pep",
-        Pep.Push { trusted_issuer = (fun _ -> None); check_revocation = None; local_pdp = None } );
+        Pep.Push
+          { trusted_issuer = (fun _ -> None); check_revocation = Some "authority"; local_pdp = None } );
       ("agent", "agent-pep", Pep.Agent agent_pdp);
     ]
+
+let test_signed_decisions_need_a_wire () =
+  push_and_agent_refuse "a decision trust store" Pep.require_signed_decisions
+
+let test_retry_policy_needs_a_wire () =
+  push_and_agent_refuse "a retry policy" (fun pep _ ->
+      Pep.set_retry_policy pep (Some Dacs_net.Rpc.default_retry));
+  push_and_agent_refuse "no retry policy" (fun pep _ -> Pep.set_retry_policy pep None)
 
 let test_signed_decisions_without_requirement () =
   (* A PEP without the requirement still accepts plain responses —
@@ -931,6 +943,8 @@ let () =
             (test_pep_requires_signed_decisions ~sharded:true);
           Alcotest.test_case "push and agent PEPs refuse a decision trust store" `Quick
             test_signed_decisions_need_a_wire;
+          Alcotest.test_case "push and agent PEPs refuse a retry policy" `Quick
+            test_retry_policy_needs_a_wire;
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
           Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick

@@ -117,7 +117,7 @@ let make_sut () =
     Net.add_node net id;
     id
   in
-  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let pip = Pip.create services ~node:(add "pip") in
   for u = 0 to users - 1 do
     Pip.add_subject_attribute pip ~subject:(user_name u) ~id:"role"
       (Value.String roles.(u mod Array.length roles))

@@ -240,7 +240,7 @@ let cached_ladder_evaluate ~sharded root cspec =
     Net.add_node net id;
     id
   in
-  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let pip = Pip.create services ~node:(add "pip") in
   if cspec.role_code <> 0 then
     Pip.add_subject_attribute pip ~subject:"alice" ~id:"role"
       (Value.String roles.((cspec.role_code - 1) mod Array.length roles));
@@ -890,7 +890,7 @@ let shared_cache_evaluate ~alg:name root role_codes =
     Net.add_node net id;
     id
   in
-  let pip = Pip.create services ~node:(add "pip") ~name:"pip" in
+  let pip = Pip.create services ~node:(add "pip") in
   let requests =
     List.concat
       (List.mapi

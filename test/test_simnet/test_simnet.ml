@@ -586,34 +586,53 @@ let test_cast_rejected_body_dropped () =
   Net.run net;
   check int_ "a well-formed body still runs the handler" 1 !ran
 
+(* The bus frames a service name verbatim between two bars, so a name
+   holding '|' would mis-frame ("a|b" would be read as the service "a").
+   Every way a name enters the bus, and both declaration shapes, refuse
+   one before anything is registered or sent. *)
 let test_rpc_service_name_with_separator () =
-  (* A service whose *name* contains the frame separator must round-trip:
-     historically "a|b" mis-framed and the call never matched the
-     registration. *)
+  let module Service = Dacs_ws.Service in
+  let module Cursor = Dacs_xml.Xml.Cursor in
   let net, rpc = make_rpc () in
-  serve_string rpc ~node:"server" ~service:"weird|name" (fun ~caller:_ body reply ->
-      reply ("got:" ^ body));
-  let result = ref None in
-  call_string rpc ~src:"client" ~dst:"server" ~service:"weird|name" "x|y" (fun r -> result := Some r);
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a service name holding '|'" what
+    | exception Invalid_argument _ -> ()
+  in
+  let name = "weird|name" in
+  let ping c = Ok (Cursor.leaf0 "Ping" c) in
+  refused "Rpc.serve_frame" (fun () ->
+      serve_string rpc ~node:"server" ~service:name (fun ~caller:_ b r -> r b));
+  refused "Rpc.serve_cast" (fun () ->
+      Rpc.serve_cast rpc ~node:"server" ~service:name (fun ~caller:_ _ -> ()));
+  refused "Rpc.call_frame" (fun () -> call_string rpc ~src:"client" ~dst:"server" ~service:name "x|y" ignore);
+  refused "Rpc.cast_frame" (fun () -> cast_string rpc ~src:"client" ~dst:"server" ~service:name "x|y");
+  refused "Rpc.call_batch_frame" (fun () ->
+      Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:name
+        [ (fun buf -> Buffer.add_string buf "x") ]
+        ignore);
+  refused "Service.request_reply" (fun () -> ignore (Service.request_reply name ~request:ping ~reply:ping));
+  refused "Service.one_way" (fun () -> ignore (Service.one_way name ping));
   Net.run net;
-  check bool_ "pipe-named service answers" true (!result = Some (Ok "got:x|y"))
+  check int_ "nothing sent" 0 (Net.total_sent net).Net.count;
+  check int_ "nothing pending" 0 (Rpc.calls_in_flight rpc)
 
 (* --- rpc wire format (satellite: QCheck round-trip) ----------------------- *)
 
 let frame_roundtrip_tests =
   let open QCheck in
-  (* Adversarial strings: plenty of '|', '%', empty chunks. *)
-  let nasty_string =
-    let gen =
-      Gen.(
-        map (String.concat "")
-          (list_size (int_bound 8) (oneofl [ "|"; "%"; "%7C"; "a"; "xml<>&"; ""; "Q|1|"; "%25" ])))
-    in
-    make gen ~print:Print.string
+  (* Adversarial strings: plenty of '|', '%', empty chunks.  Header
+     fields (service names and trace contexts) are drawn from the same
+     chunks without '|', the one byte no name may hold. *)
+  let chunks = [ "|"; "%"; "%7C"; "a"; "xml<>&"; ""; "Q|1|"; "%25" ] in
+  let made chunks =
+    make ~print:Print.string Gen.(map (String.concat "") (list_size (int_bound 8) (oneofl chunks)))
   in
+  let nasty_string = made chunks in
+  let field = made (List.filter (fun c -> not (String.contains c '|')) chunks) in
   [
     Test.make ~name:"rpc frame: request round-trips adversarial service/body" ~count:500
-      (triple small_nat nasty_string nasty_string) (fun (id, service, body) ->
+      (triple small_nat field nasty_string) (fun (id, service, body) ->
         Rpc.decode (Rpc.encode_request id service body) = Some (Rpc.Request (id, service, body)));
     Test.make ~name:"rpc frame: reply and error round-trip" ~count:300
       (pair small_nat nasty_string) (fun (id, body) ->
@@ -623,17 +642,17 @@ let frame_roundtrip_tests =
        attribute fetcher ride on.  Empty part lists and parts that are
        themselves empty strings are legal payloads. *)
     Test.make ~name:"rpc frame: batch request round-trips (incl. empty parts)" ~count:500
-      (triple small_nat nasty_string (list_of_size (Gen.int_bound 6) nasty_string))
+      (triple small_nat field (list_of_size (Gen.int_bound 6) nasty_string))
       (fun (id, service, parts) ->
         Rpc.decode (Rpc.encode_batch_request id service parts)
         = Some (Rpc.Batch_request (id, service, parts)));
     Test.make ~name:"rpc frame: traced batch request round-trips" ~count:500
-      (pair (triple small_nat nasty_string nasty_string) (list_of_size (Gen.int_bound 6) nasty_string))
+      (pair (triple small_nat field field) (list_of_size (Gen.int_bound 6) nasty_string))
       (fun ((id, service, trace), parts) ->
         Rpc.decode (Rpc.encode_traced_batch_request id service ~trace parts)
         = Some (Rpc.Traced_batch_request { id; service; trace; parts }));
     Test.make ~name:"rpc frame: one-way and traced one-way round-trip" ~count:500
-      (triple nasty_string nasty_string nasty_string) (fun (service, trace, body) ->
+      (triple field field nasty_string) (fun (service, trace, body) ->
         Rpc.decode (Rpc.encode_one_way service body) = Some (Rpc.One_way (service, body))
         && Rpc.decode (Rpc.encode_traced_one_way service ~trace body)
            = Some (Rpc.Traced_one_way { service; trace; body }));
@@ -704,7 +723,7 @@ let frame_fuzz_tests =
     Test.make ~name:"rpc fuzz: mutated traced batch frames never raise" ~count:1000
       (pair (triple small_nat small_string (list_of_size (Gen.int_bound 4) small_string)) arb_mutations)
       (fun ((id, service, parts), ops) ->
-        total_decode (mutate ops (Rpc.encode_traced_batch_request id service ~trace:"t|1" parts)));
+        total_decode (mutate ops (Rpc.encode_traced_batch_request id service ~trace:"7f-2a" parts)));
     Test.make ~name:"rpc fuzz: mutated request/reply frames never raise" ~count:1000
       (pair (pair small_nat small_string) arb_mutations)
       (fun ((id, body), ops) ->
@@ -714,7 +733,7 @@ let frame_fuzz_tests =
       (pair small_string arb_mutations)
       (fun (body, ops) ->
         total_decode (mutate ops (Rpc.encode_one_way "svc" body))
-        && total_decode (mutate ops (Rpc.encode_traced_one_way "svc" ~trace:"t|1" body)));
+        && total_decode (mutate ops (Rpc.encode_traced_one_way "svc" ~trace:"7f-2a" body)));
     Test.make ~name:"rpc fuzz: arbitrary bytes never raise" ~count:1000
       (string_gen Gen.char) total_decode;
   ]
@@ -734,16 +753,29 @@ let test_non_canonical_headers () =
     (fun s -> check bool_ (Printf.sprintf "%S rejected" s) true (Rpc.decode s = None))
     [
       "A|0x10||b"; "A|1_0||b"; "A|+3||b"; "A|0b11||b"; "A|010||b"; "A|-1||b"; "A|||b"; "A|1|svc|b";
-      "E|1|x|no"; "Q|1|a%b|x"; "Q|1|a%7c|x"; "T|1|s|t%|x"; "B|1|s|01:a"; "B|1|s|+1:a"; "B|1|s|0x1:a";
+      "E|1|x|no"; "B|1|s|01:a"; "B|1|s|+1:a"; "B|1|s|0x1:a";
       "BT|1|s|t|1_0:aaaaaaaaaa"; "X|1|s|b"; "QQ|1|s|b";
       (* a one-way frame takes no id: only 0 is accepted *)
-      "O|1|s|b"; "O|00|s|b"; "O||s|b"; "OT|7|s|t|b"; "OT|0|s|t%|b"; "OQ|0|s|b";
+      "O|1|s|b"; "O|00|s|b"; "O||s|b"; "OT|7|s|t|b"; "OQ|0|s|b";
     ];
   check bool_ "one-way id 0 accepted" true (Rpc.decode "O|0|s|b" = Some (Rpc.One_way ("s", "b")));
   check bool_ "traced one-way id 0 accepted" true
     (Rpc.decode "OT|0|s|t|b" = Some (Rpc.Traced_one_way { service = "s"; trace = "t"; body = "b" }));
   check bool_ "plain decimal accepted" true (Rpc.decode "A|16||b" = Some (Rpc.Reply (16, "b")));
   check bool_ "zero id accepted" true (Rpc.decode "A|0||b" = Some (Rpc.Reply (0, "b")))
+
+(* A header field is the bytes between two bars, read verbatim: a '%' in
+   a service name or trace context escapes nothing, so "%7C" names no
+   '|' and a hostile one is just the name of some unknown service. *)
+let test_percent_headers_verbatim () =
+  let accepted s frame =
+    check bool_ (Printf.sprintf "%S accepted verbatim" s) true (Rpc.decode s = Some frame)
+  in
+  accepted "Q|1|a%7Cb|x" (Rpc.Request (1, "a%7Cb", "x"));
+  accepted "Q|1|a%b|x" (Rpc.Request (1, "a%b", "x"));
+  accepted "Q|1|a%7c|x" (Rpc.Request (1, "a%7c", "x"));
+  accepted "T|1|s|t%|x" (Rpc.Traced_request { id = 1; service = "s"; trace = "t%"; body = "x" });
+  accepted "OT|0|s|t%|b" (Rpc.Traced_one_way { service = "s"; trace = "t%"; body = "b" })
 
 (* Hand-picked malformed part encodings: every way a length prefix can
    lie about the bytes that follow. *)
@@ -772,13 +804,19 @@ let test_decode_parts_negative () =
 
 (* --- rpc resilience -------------------------------------------------------- *)
 
-(* A point-to-point echo call re-sent by [Rpc.retrying], each attempt
-   through the breaker. *)
+(* A point-to-point echo call whose caller owns the re-send: each
+   attempt goes through the breaker, and each failure takes
+   [Rpc.retry_after]. *)
 let retrying_echo rpc ?(service = "echo") ?timeout retry k =
-  Rpc.retrying rpc ~src:"client" ~dst:"server" retry
-    ~failed:(function Error e -> Some e | Ok _ -> None)
-    (fun k -> call_string rpc ~src:"client" ~dst:"server" ~service ?timeout ~breaker:true "hi" k)
-    k
+  let rec attempt failures =
+    call_string rpc ~src:"client" ~dst:"server" ~service ?timeout ~breaker:true "hi" (function
+      | Error err
+        when Rpc.retry_after rpc ~src:"client" ~dst:"server" retry ~failures err (fun () ->
+                 attempt (failures + 1)) ->
+        ()
+      | r -> k r)
+  in
+  attempt 1
 
 let test_rpc_retry_recovers () =
   (* Server down for the first attempts, back before they run out. *)
@@ -1218,7 +1256,7 @@ let () =
           Alcotest.test_case "nested call" `Quick test_rpc_nested_call;
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "a long-pending call outlives later ids" `Quick test_rpc_long_pending_call;
-          Alcotest.test_case "service name with separator" `Quick
+          Alcotest.test_case "a service name with the separator is refused" `Quick
             test_rpc_service_name_with_separator;
         ] );
       ( "rpc-one-way",
@@ -1245,6 +1283,7 @@ let () =
         @ [
             Alcotest.test_case "malformed part encodings rejected" `Quick test_decode_parts_negative;
             Alcotest.test_case "non-canonical headers rejected" `Quick test_non_canonical_headers;
+            Alcotest.test_case "a '%' in a header is taken verbatim" `Quick test_percent_headers_verbatim;
           ]
       );
       ( "rpc-resilience",

@@ -335,11 +335,13 @@ let test_steady_state_decision_no_lookups () =
 
 (* --- trace context through an RPC frame (QCheck) ----------------------------- *)
 
+(* A service name holds no '|' (the bus refuses one); a body holds
+   anything. *)
 let context_roundtrip =
+  let service_name = QCheck.(string_gen Gen.(map (fun c -> if c = '|' then '_' else c) printable)) in
   QCheck.Test.make ~count:200 ~name:"trace context survives the RPC frame"
     QCheck.(
-      quad (map Int64.of_int int) (map Int64.of_int int) small_nat
-        (pair printable_string printable_string))
+      quad (map Int64.of_int int) (map Int64.of_int int) small_nat (pair service_name printable_string))
     (fun (trace_id, span_id, id, (service, body)) ->
       let ctx = { Trace.trace_id; span_id } in
       let trace = Trace.context_to_string ctx in
