@@ -35,7 +35,10 @@ let disclose_turn party ~already ~seen =
       else None)
     party.credentials
 
-let negotiate ?(max_rounds = 20) ~client ~server ~target () =
+(* What bounds a pathological pair of policies. *)
+let max_rounds = 20
+
+let negotiate ~client ~server ~target =
   let rec go ~round ~messages ~from_client ~from_server =
     if satisfied target from_client then
       {

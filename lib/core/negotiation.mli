@@ -35,9 +35,9 @@ type outcome = {
   disclosed_by_server : string list;
 }
 
-val negotiate : ?max_rounds:int -> client:party -> server:party -> target:requirement -> unit -> outcome
-(** The client starts.  [max_rounds] (default 20) bounds pathological
-    policies. *)
+val negotiate : client:party -> server:party -> target:requirement -> outcome
+(** The client starts.  At most 20 rounds are played, which bounds
+    pathological policies. *)
 
 val satisfied : requirement -> string list -> bool
 (** Is the requirement met by the given disclosed-credential names? *)

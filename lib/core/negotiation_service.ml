@@ -95,8 +95,10 @@ type outcome = {
   messages : int;
 }
 
-let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action
-    ?(max_rounds = 20) k =
+(* What bounds a client that keeps disclosing. *)
+let max_rounds = 20
+
+let negotiate t ~services ~client_node ~credentials ~subject ~resource ~action k =
   let subject_name =
     match List.assoc_opt "subject-id" subject with
     | Some v -> Value.to_string v

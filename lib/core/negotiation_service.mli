@@ -42,8 +42,7 @@ val negotiate :
   subject:(string * Dacs_policy.Value.t) list ->
   resource:string ->
   action:string ->
-  ?max_rounds:int ->
   (outcome -> unit) ->
   unit
 (** Client-side driver: runs rounds against the server until granted,
-    refused, or no progress ([max_rounds] defaults to 20). *)
+    refused, no progress, or 20 rounds. *)

@@ -14,29 +14,27 @@ type stats = {
   expiries : int;
 }
 
-(* Serving metadata delivered with each answer: which shard decided,
-   how big the frame was, how many shards were skipped first, and the
-   deciding PDP's compilation epoch — the raw material of a provenance
-   record. *)
-type meta = {
-  shard : Dacs_net.Net.node_id option;
-  batch : int;
-  failovers : int;
-  epoch : int;
-}
-
 (* One queued authorisation query: its point (the hash of its routing
    key, computed once) survives re-routing, [excluded] accumulates the
    shards that already failed it so a remap never bounces back to a dead
-   replica, and [tries] counts the frames carrying it that its current
-   shard has lost. *)
+   replica, [tries] counts the frames carrying it that its current
+   shard has lost, and [flags] holds what its provenance reports of its
+   trip: the bits below. *)
 type item = {
   point : int;
   ctx : Context.t;
-  deliver : (Decision.result, string) result -> meta -> unit;
+  deliver : (Decision.result, string) result -> Provenance.t -> unit;
   excluded : Dacs_net.Net.node_id list;
   tries : int;
+  mutable flags : int;
 }
+
+(* The tier re-sent this query after a failed frame. *)
+let flag_retried = 1
+
+(* Its route skipped a shard for its breaker, or a frame carrying it
+   was refused by a breaker or failed leaving the shard's breaker open. *)
+let flag_breaker = 2
 
 (* Slots of a shard's [timing] array: the Jacobson/Karels smoothed
    round trip and its mean deviation over the shard's answered frames,
@@ -144,15 +142,16 @@ let owner t ~excluded point =
 
 let shard_for t key = owner t ~excluded:[] (point_of key)
 
-(* The highest-ranked shard for [point] outside [excluded] whose breaker
-   would admit a call now.  A shard passed over for its breaker counts
-   once as a call shed by it, under the tier's node — what the PEP's
-   provenance reads as "breaker tripped" — and costs no frame. *)
-let rec route t ~excluded point =
-  match owner t ~excluded point with
+(* The highest-ranked shard for the item's point outside [excluded]
+   whose breaker would admit a call now.  A shard passed over for its
+   breaker counts once as a call shed by it, under the tier's node,
+   flags the item's breaker bit, and costs no frame. *)
+let rec route t ~excluded item =
+  match owner t ~excluded item.point with
   | Some shard when Dacs_net.Rpc.breaker_sheds (Service.rpc t.services) shard ->
     Dacs_net.Rpc.record_shed (Service.rpc t.services) ~src:t.node shard;
-    route t ~excluded:(shard :: excluded) point
+    item.flags <- item.flags lor flag_breaker;
+    route t ~excluded:(shard :: excluded) item
   | found -> found
 
 (* Rendezvous placement ignores the list's order, so only a different
@@ -227,6 +226,24 @@ let check t shard s =
 
 (* --- batching and dispatch ---------------------------------------------- *)
 
+(* The provenance record of a query's trip, built when the tier
+   delivers: [Live] with the answering shard, or [Fail_closed] with
+   none. *)
+let delivered t ~stage ~shard ~batch ~epoch item =
+  {
+    Provenance.stage;
+    shard;
+    batch;
+    coalesced = false;
+    failovers = List.length item.excluded;
+    retried = item.flags land flag_retried <> 0;
+    breaker_tripped = item.flags land flag_breaker <> 0;
+    stale_age = 0.0;
+    epoch;
+    at = Engine.now (engine t);
+    log_head = None;
+  }
+
 (* The shard's state, made at its first query. *)
 let rec state_of t shard =
   match Hashtbl.find t.states shard with
@@ -256,7 +273,7 @@ let rec state_of t shard =
 and fail_closed t item =
   Metrics.inc t.c_exhausted;
   item.deliver (Error "pdp tier exhausted: no shard reachable")
-    { shard = None; batch = 0; failovers = List.length item.excluded; epoch = 0 }
+    (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
 
 (* One query's answer from a shard that answered.  An undecodable or
    untrusted answer, or a SOAP fault, is that PDP's Indeterminate at the
@@ -271,12 +288,9 @@ and answered t s ~batch item part =
     | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
   in
   item.deliver (Ok decision)
-    {
-      shard = s.answered_by;
-      batch = (if t.batch = 1 then 0 else batch);
-      failovers = List.length item.excluded;
-      epoch;
-    }
+    (delivered t ~stage:Provenance.Live ~shard:s.answered_by
+       ~batch:(if t.batch = 1 then 0 else batch)
+       ~epoch item)
 
 (* Re-route every query to the next shard in its own key's ranking —
    replica loss only remaps its own keys. *)
@@ -285,7 +299,7 @@ and fail_over t shard items =
   List.iter
     (fun item ->
       let excluded = shard :: item.excluded in
-      match route t ~excluded item.point with
+      match route t ~excluded item with
       | Some next ->
         Metrics.inc t.c_failovers;
         enqueue t next { item with excluded; tries = 0 }
@@ -296,8 +310,11 @@ and fail_over t shard items =
    queries with attempts left on this shard go to it again after one
    backoff, through [enqueue]: the retry is a frame like any other,
    outstanding, watched by the silence clock, with its own RTO.  The
-   rest fail over. *)
+   rest fail over.  A frame refused by the breaker, or whose failure
+   left it open, flags every query it carried. *)
 and frame_failed t shard err items =
+  if Dacs_net.Rpc.breaker_state (Service.rpc t.services) shard <> Dacs_net.Rpc.Closed then
+    List.iter (fun i -> i.flags <- i.flags lor flag_breaker) items;
   match err with
   | Service.Transport err when t.retry.attempts > 1 ->
     let again, spent = List.partition (fun i -> i.tries + 1 < t.retry.attempts) items in
@@ -305,7 +322,11 @@ and frame_failed t shard err items =
     if
       again <> []
       && Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:shard t.retry ~failures
-           err (fun () -> List.iter (fun i -> enqueue t shard { i with tries = i.tries + 1 }) again)
+           err (fun () ->
+             List.iter
+               (fun i ->
+                 enqueue t shard { i with tries = i.tries + 1; flags = i.flags lor flag_retried })
+               again)
     then (if spent <> [] then fail_over t shard spent)
     else fail_over t shard items
   | _ -> fail_over t shard items
@@ -375,17 +396,18 @@ and flush t shard s =
       arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto t s))
   end
 
-let decide_meta ?key t ctx deliver =
+let decide ?key t ctx deliver =
   (* A PEP that already built the request key for its own caches passes
      it down; only key-less callers pay the build here. *)
   let key = match key with Some k -> k | None -> Decision_cache.request_key ctx in
+  let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0; flags = 0 } in
   if Array.length t.seeded = 0 then begin
     Metrics.inc t.c_exhausted;
-    deliver (Error "pdp tier is empty") { shard = None; batch = 0; failovers = 0; epoch = 0 }
+    deliver (Error "pdp tier is empty")
+      (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
   end
   else
-    let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0 } in
-    match route t ~excluded:[] item.point with
+    match route t ~excluded:[] item with
     | Some shard -> enqueue t shard item
     | None ->
       (* Every shard's breaker is open: fail closed now, so the caller

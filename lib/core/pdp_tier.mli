@@ -40,9 +40,9 @@
     circuit breaker would shed a call now ({!Dacs_net.Rpc.breaker_sheds}).
     A skipped shard is sent no frame and is not a failover; it counts
     once in [rpc_breaker_rejections_total{src}] under the tier's node,
-    as a shed call would, so the caller's provenance still records the
+    as a shed call would, and the query's provenance records the
     breaker.  When every shard is skipped, the query fails closed before
-    {!decide_meta} returns: no frame, no flush event, no failover.
+    {!decide} returns: no frame, no flush event, no failover.
     Each query hashes its key once, and every re-route ranks the same
     hash.
 
@@ -133,31 +133,35 @@ val rto : t -> Dacs_net.Net.node_id -> float
     tests): the frame timeout before its first answered frame, then
     [srtt + 4·rttvar] clamped to \[0.2, timeout\]. *)
 
-type meta = {
-  shard : Dacs_net.Net.node_id option;  (** the shard that answered; [None] when none could *)
-  batch : int;
-      (** queries in the flush that carried this answer on a sharded
-          tier — 1 for a flush of one, though it rides a plain frame; 0
-          on an ordered tier, or when no shard answered *)
-  failovers : int;  (** shards excluded before this answer *)
-  epoch : int;  (** deciding PDP's compilation epoch (0 = unknown) *)
-}
-
-val decide_meta :
+val decide :
   ?key:string ->
   t ->
   Dacs_policy.Context.t ->
-  ((Dacs_policy.Decision.result, string) result -> meta -> unit) ->
+  ((Dacs_policy.Decision.result, string) result -> Provenance.t -> unit) ->
   unit
 (** Route one authorisation query through the tier.  The continuation
-    fires exactly once, with the serving metadata a PEP folds into the
-    decision's provenance record: [Ok] with the shard's answer (which
-    may itself be an [Indeterminate] decision — e.g. a malformed
-    response or a SOAP fault), or [Error reason] when the tier could not
-    obtain a decision at all (no shard reachable, every shard's breaker
-    open, or the tier is empty).  Callers decide how to degrade — a PEP
-    falls back to bounded-stale cache, then fails closed.  [key] is the
-    request's routing key when the caller already built it
+    fires exactly once, with the shard's answer as [Ok] (which may itself
+    be an [Indeterminate] decision — e.g. a malformed response or a SOAP
+    fault), or [Error reason] when the tier could not obtain a decision
+    at all (no shard reachable, every shard's breaker open, or the tier
+    is empty).  Callers decide how to degrade — a PEP falls back to
+    bounded-stale cache, then fails closed.
+
+    The continuation also receives the query's provenance record, built
+    by the tier as it delivers: stage [Live] on [Ok], [Fail_closed] on
+    [Error].  [shard] is the shard that answered ([None] when none
+    could); [batch] the queries in the flush that carried the answer on
+    a sharded tier — 1 for a flush of one, though it rides a plain frame
+    — and 0 on an ordered tier or when no shard answered; [failovers]
+    the shards excluded before the answer; [epoch] the deciding PDP's
+    compilation epoch (0 = unknown).  [retried] says the tier re-sent
+    this query after a failed frame.  [breaker_tripped] says its route
+    skipped a shard for its breaker, or a frame carrying it was refused
+    by a breaker or failed leaving the shard's breaker open.  Both flags
+    are this query's own: another query's re-send or breaker shed never
+    sets them.
+
+    [key] is the request's routing key when the caller already built it
     ({!Decision_cache.request_key} is computed otherwise) — the PEP
     passes its own cache key down so the hot path builds each key
     exactly once. *)

@@ -365,10 +365,12 @@ let build_context t ~subject_attrs ~action =
 (* One ladder serves every tier, ordered (pull) or sharded: L1 fresh ->
    L2 fresh -> live -> bounded-stale L1 -> offline log -> fail closed.
    Identical concurrent queries (same request key) are coalesced onto one
-   descent.  Every exit mints a provenance record naming the rung that
-   answered.  The ladder is written as plain functions over one
-   [descent] record: a cold decision allocates that record, one closure
-   per rung that waits on the wire, and its answer. *)
+   descent.  Every exit answers with a provenance record naming the rung
+   that answered: a cache hit makes its own, and every exit below it
+   carries the tier's record of the query's trip.  The ladder is written
+   as plain functions over one [descent] record: a cold decision
+   allocates that record, one closure per rung that waits on the wire,
+   and its answer. *)
 
 let l1_put ?since t cache ~key result =
   match cache with
@@ -403,33 +405,9 @@ let answer t ~admitted ~started ~tag k result (p : Provenance.t) =
     (now t -. started) ~trace:tag ~at:(now t);
   k result p
 
-(* Resilience flags are read as deltas of this PEP's own rpc series
-   between the descent's start and its answer. *)
-let retries_seen t = Metrics.counter_value t.counters.c_retries
-
-let breaker_seen t =
-  Metrics.counter_value t.counters.c_breaker_trips
-  + Metrics.counter_value t.counters.c_breaker_rejections
-
-(* A leader's provenance record, minted when it answers. *)
-let minted t ~retries0 ~breaker0 ?shard ~batch ~failovers ~stale_age ~epoch ?log_head stage =
-  {
-    Provenance.stage;
-    shard;
-    batch;
-    coalesced = false;
-    failovers;
-    retried = retries_seen t > retries0;
-    breaker_tripped = breaker_seen t > breaker0;
-    stale_age;
-    epoch;
-    at = now t;
-    log_head;
-  }
-
 (* The leader's flight settles: the leader is answered, then every waiter
    folded onto it, with the leader's record re-flagged as coalesced —
-   theirs was not a descent of its own.  The leader mints at
+   theirs was not a descent of its own.  The leader's record is made at
    {e completion}, so a waiter that parked before a partition transition
    still observes the rung that actually answered (e.g. [Offline] when
    the tier vanished mid-flight), never the rung the ladder would have
@@ -456,18 +434,10 @@ type descent = {
   started : float;
   tag : string;
   k : Decision.result -> Provenance.t -> unit;
-  retries0 : int;
-  breaker0 : int;
 }
 
 let settle_descent d result prov =
   settle d.pep d.flight ~admitted:d.admitted ~started:d.started ~tag:d.tag d.k result prov
-
-(* A descent's exit below the live rung, or from the L2. *)
-let descent_answer d ~failovers ?(stale_age = 0.0) ?(epoch = 0) ?log_head stage result =
-  settle_descent d result
-    (minted d.pep ~retries0:d.retries0 ~breaker0:d.breaker0 ~batch:0 ~failovers ~stale_age ~epoch
-       ?log_head stage)
 
 (* The offline rung: below bounded-stale, above fail-closed.  With every
    live authority unreachable and no servable stale entry, a PEP holding
@@ -475,8 +445,9 @@ let descent_answer d ~failovers ?(stale_age = 0.0) ?(epoch = 0) ?log_head stage 
    answer is deliberately NOT written to L1/L2 — it reflects partition-
    local knowledge and must not outlive the partition in caches that
    reconciliation would then have to chase; contradicted decisions are
-   instead invalidated by deny-wins replay on heal. *)
-let offline_serve d ~failovers =
+   instead invalidated by deny-wins replay on heal.  Its record is the
+   tier's, re-staged. *)
+let offline_serve d (p : Provenance.t) =
   let t = d.pep in
   match t.offline with
   | None -> false
@@ -490,28 +461,29 @@ let offline_serve d ~failovers =
     | Some (result, head) ->
       Metrics.inc t.counters.c_offline_serves;
       Trace.record (tracer t) "pep:offline-serve";
-      descent_answer d ~failovers ~epoch:(Offline.epoch o) ~log_head:head Provenance.Offline result;
+      settle_descent d result
+        { p with Provenance.stage = Offline; epoch = Offline.epoch o; log_head = Some head };
       true)
 
 (* Degraded availability (§ dependability): with every replica down, a
    decision expired by at most [stale_window] seconds is still served —
    the last answer the policy actually gave — in preference to denying
    all access.  Beyond the bound, and with no offline log to decide
-   from, we fail closed. *)
-let degrade d ~failovers reason =
+   from, we fail closed.  [p] is the tier's [Fail_closed] record; each
+   exit keeps its trip and names its own rung. *)
+let degrade d (p : Provenance.t) reason =
   let t = d.pep in
   match d.found with
   | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
     Metrics.inc t.counters.c_stale_serves;
     Trace.record (tracer t) "pep:stale-serve";
-    descent_answer d ~failovers ~stale_age:age Provenance.Stale result
+    settle_descent d result { p with Provenance.stage = Stale; stale_age = age }
   | Decision_cache.Stale _ | Decision_cache.Fresh _ | Decision_cache.Absent ->
-    if not (offline_serve d ~failovers) then
-      descent_answer d ~failovers Provenance.Fail_closed (Decision.indeterminate reason)
+    if not (offline_serve d p) then settle_descent d (Decision.indeterminate reason) p
 
-(* The live rung is one tier call: the tier routes, fails over and
-   checks signatures itself. *)
-let live_answer d ~started ~tag outcome (meta : Pdp_tier.meta) =
+(* The live rung is one tier call: the tier routes, fails over, checks
+   signatures and records the query's trip itself. *)
+let live_answer d ~started ~tag outcome p =
   let t = d.pep in
   Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag ~at:(now t);
   match outcome with
@@ -521,19 +493,15 @@ let live_answer d ~started ~tag outcome (meta : Pdp_tier.meta) =
     (match result.Decision.decision with
     | Decision.Indeterminate _ -> ()
     | Decision.Permit | Decision.Deny | Decision.Not_applicable -> l2_put t ~key:d.key result);
-    settle_descent d result
-      (minted t ~retries0:d.retries0 ~breaker0:d.breaker0 ?shard:meta.Pdp_tier.shard
-         ~batch:meta.batch ~failovers:meta.failovers ~stale_age:0.0 ~epoch:meta.epoch
-         Provenance.Live)
-  | Error reason -> degrade d ~failovers:meta.failovers reason
+    settle_descent d result p
+  | Error reason -> degrade d p reason
 
 let live d =
   let t = d.pep in
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
   Metrics.inc t.counters.c_pdp_calls;
-  Pdp_tier.decide_meta ~key:d.key d.tier d.ctx (fun outcome meta ->
-      live_answer d ~started ~tag outcome meta)
+  Pdp_tier.decide ~key:d.key d.tier d.ctx (fun outcome p -> live_answer d ~started ~tag outcome p)
 
 (* Consult the domain's shared cache between an L1 miss and the live
    tier.  A hit also warms L1, so the replica that asked converges to
@@ -549,7 +517,7 @@ let consult_l2 d l2 =
         Metrics.inc t.counters.c_l2_hits;
         Trace.record (tracer t) "pep:l2-hit";
         l1_put t d.cache ~key:d.key result;
-        descent_answer d ~failovers:0 Provenance.L2 result
+        settle_descent d result (Provenance.make ~at:(now t) Provenance.L2)
       | None -> live d)
 
 let ladder t ~cache tier ctx ~admitted ~started ~tag k =
@@ -562,7 +530,6 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
           { p with Provenance.coalesced = true; at = now t });
     Trace.record (tracer t) "pep:coalesced"
   | None -> (
-    let retries0 = retries_seen t and breaker0 = breaker_seen t in
     let found =
       match cache with
       | None -> Decision_cache.Absent
@@ -574,8 +541,7 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
          registered or removed, and no waiter can have joined one. *)
       Metrics.inc t.counters.c_cache_hits;
       Trace.record (tracer t) "pep:cache-hit";
-      answer t ~admitted ~started ~tag k result
-        (minted t ~retries0 ~breaker0 ~batch:0 ~failovers:0 ~stale_age:0.0 ~epoch:0 Provenance.L1)
+      answer t ~admitted ~started ~tag k result (Provenance.make ~at:(now t) Provenance.L1)
     | Decision_cache.Stale _ | Decision_cache.Absent -> (
       let flight = Cache_hierarchy.Single_flight.lead t.sf ~key in
       let d =
@@ -592,8 +558,6 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
           started;
           tag;
           k;
-          retries0;
-          breaker0;
         }
       in
       match t.l2 with None -> live d | Some l2 -> consult_l2 d l2))

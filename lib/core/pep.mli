@@ -92,11 +92,15 @@ val decide_explained :
     answered (L1/L2/live/stale/offline/fail-closed/shed), the serving
     shard, batch size, failover count, resilience flags, staleness age,
     the deciding PDP's compilation epoch (or offline epoch) and, for
-    offline serves, the log head.  Coalesced waiters receive the
+    offline serves, the log head.  A descent that reached the tier
+    carries the tier's record of its query's trip ({!Pdp_tier.decide}),
+    re-staged for a stale, offline or fail-closed exit, so its
+    resilience flags are that query's own; an L1 or L2 hit reads both
+    flags false.  Coalesced waiters receive the
     leader's record with the [coalesced] flag set and [at] re-stamped to
-    their own delivery instant; since the leader mints at completion, a
-    waiter parked across a partition transition observes the rung that
-    actually answered.  The same record is
+    their own delivery instant; since the leader's record is made at
+    completion, a waiter parked across a partition transition observes
+    the rung that actually answered.  The same record is
     attached to the audit entry by the wire handler, and the ladder
     latency is observed into [pep_decide_seconds{node,stage}] (with trace
     exemplars when tracing is on). *)

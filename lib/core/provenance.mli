@@ -2,10 +2,14 @@
     request, and in what operating conditions (§3 dependability — every
     authorization outcome must be explainable).
 
-    A provenance record is minted once per decision by {!Pep.decide} (and
-    the wire handler above it), attached to the audit entry, and carried
-    to coalesced waiters verbatim apart from their own [coalesced] flag —
-    a waiter was served by the leader's descent. *)
+    A record that reached the decision tier is built by
+    {!Pdp_tier.decide} when it delivers, as the record of that query's
+    trip; the PEP forwards it for a live answer and re-stages a copy for
+    a stale, offline or fail-closed one.  Every other rung's record is
+    the PEP's own ({!Pep.decide_explained} and the wire handler above
+    it).  The record is attached to the audit entry and carried to
+    coalesced waiters verbatim apart from their own [coalesced] flag — a
+    waiter was served by the leader's descent. *)
 
 type stage =
   | L1  (** fresh hit in the PEP's own decision cache *)
@@ -26,8 +30,10 @@ type t = {
   batch : int;  (** queries in the tier frame that carried the answer; 0 = n/a *)
   coalesced : bool;  (** folded onto an identical in-flight descent *)
   failovers : int;  (** replicas/shards skipped before this answer *)
-  retried : bool;  (** re-sends observed during the descent *)
-  breaker_tripped : bool;  (** circuit breaker activity observed during the descent *)
+  retried : bool;  (** the tier re-sent this query after a failed frame *)
+  breaker_tripped : bool;
+      (** this query's route skipped a shard for its breaker, or a frame
+          carrying it was refused by a breaker or failed leaving it open *)
   stale_age : float;  (** seconds past TTL for [Stale] serves; 0 otherwise *)
   epoch : int;
       (** deciding PDP's compilation epoch — or, for [Offline] serves,

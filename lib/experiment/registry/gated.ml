@@ -1042,39 +1042,10 @@ let e22 =
   Printf.printf "  %-32s %10.3f us\n" "packed (interned atom tuple)" packed_us;
   (* -- part 2: a warm L1 under a 1M-user Zipf draw ------------------- *)
   let population = 1_000_000 and draws = 120_000 and skew = 1.1 in
-  (* Walker alias sampler, same construction as the workload engine's:
-     O(n) setup, one uniform draw per sample. *)
-  let sample_users () =
-    let rng = Rng.create 0xe22L in
-    let scaled = Array.init population (fun i -> 1.0 /. (float_of_int (i + 1) ** skew)) in
-    let total = Array.fold_left ( +. ) 0.0 scaled in
-    let norm = float_of_int population /. total in
-    Array.iteri (fun i w -> scaled.(i) <- w *. norm) scaled;
-    let prob = Array.make population 1.0 in
-    let alias = Array.init population Fun.id in
-    let small = ref [] and large = ref [] in
-    for i = population - 1 downto 0 do
-      if scaled.(i) < 1.0 then small := i :: !small else large := i :: !large
-    done;
-    let rec pair () =
-      match (!small, !large) with
-      | s :: ss, l :: ls ->
-        prob.(s) <- scaled.(s);
-        alias.(s) <- l;
-        scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
-        small := ss;
-        large := ls;
-        if scaled.(l) < 1.0 then small := l :: !small else large := l :: !large;
-        pair ()
-      | _, _ -> ()
-    in
-    pair ();
-    Array.init draws (fun _ ->
-        let u = Rng.float rng (float_of_int population) in
-        let i = min (int_of_float u) (population - 1) in
-        if u -. float_of_int i < prob.(i) then i else alias.(i))
+  let users =
+    let draw = W.zipf_sampler (Rng.create 0xe22L) ~n:population ~skew in
+    Array.init draws (fun _ -> draw ())
   in
-  let users = sample_users () in
   let distinct = Hashtbl.create 65536 in
   Array.iter (fun u -> Hashtbl.replace distinct u ()) users;
   let working_set = Hashtbl.length distinct in

@@ -570,7 +570,6 @@ let e9_negotiation () =
           ~client:{ Negotiation.party_name = "client"; credentials = client_creds }
           ~server:{ Negotiation.party_name = "server"; credentials = server_creds }
           ~target:[ [ Printf.sprintf "c%d" depth ] ]
-          ()
       in
       Printf.printf "%8d %10b %10d %12d %12d\n" depth outcome.Negotiation.success
         outcome.Negotiation.rounds outcome.Negotiation.messages
@@ -634,7 +633,6 @@ let e9_negotiation () =
             ~client:{ Negotiation.party_name = "c"; credentials = make_party "c" "s" }
             ~server:{ Negotiation.party_name = "s"; credentials = make_party "s" "c" }
             ~target:[ [ "c0"; "c1" ] ]
-            ()
         in
         if outcome.Negotiation.success then incr successes;
         rounds := !rounds + outcome.Negotiation.rounds

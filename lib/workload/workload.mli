@@ -114,6 +114,13 @@ type report = {
           and fail-closed answers burn the availability budget *)
 }
 
+val zipf_sampler : Dacs_crypto.Rng.t -> n:int -> skew:float -> unit -> int
+(** A sampler of Zipf([skew]) over \[0, n): index [i] has weight
+    [1/(i+1)^skew], drawn by Walker's alias method — O(n) setup, then one
+    uniform draw from the given stream per sample.  [skew <= 0] is
+    uniform.  The engine draws users and PEPs with it; E22 draws its
+    warm-L1 working set. *)
+
 val churned_policy : resources:int -> gen:int -> Dacs_policy.Policy.t
 (** The churn schedule's generation [gen] policy over [resources]
     guarded resources: generation 0 is exactly the base serving policy;

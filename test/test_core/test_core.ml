@@ -1196,7 +1196,7 @@ let test_negotiation_immediate () =
   (* Freely released credential satisfies the target in one round. *)
   let client = { Negotiation.party_name = "c"; credentials = [ Negotiation.unprotected "id-card" ] } in
   let server = { Negotiation.party_name = "s"; credentials = [] } in
-  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "id-card" ] ] () in
+  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "id-card" ] ] in
   check bool_ "success" true outcome.Negotiation.success;
   check int_ "one round" 1 outcome.Negotiation.rounds
 
@@ -1220,7 +1220,7 @@ let test_negotiation_iterative () =
       credentials = [ Negotiation.protected_by "accreditation" [ "membership" ] ];
     }
   in
-  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "clearance" ] ] () in
+  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "clearance" ] ] in
   check bool_ "success" true outcome.Negotiation.success;
   check bool_ "multiple rounds" true (outcome.Negotiation.rounds >= 2);
   check (Alcotest.list string_) "client disclosed" [ "membership"; "clearance" ]
@@ -1236,7 +1236,7 @@ let test_negotiation_deadlock () =
   let server =
     { Negotiation.party_name = "s"; credentials = [ Negotiation.protected_by "b" [ "a" ] ] }
   in
-  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "a" ] ] () in
+  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "a" ] ] in
   check bool_ "failure" false outcome.Negotiation.success;
   check bool_ "terminates quickly" true (outcome.Negotiation.rounds <= 2)
 
@@ -1244,10 +1244,10 @@ let test_negotiation_alternatives () =
   (* The target accepts either of two credentials. *)
   let client = { Negotiation.party_name = "c"; credentials = [ Negotiation.unprotected "visa" ] } in
   let server = { Negotiation.party_name = "s"; credentials = [] } in
-  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "passport" ]; [ "visa" ] ] () in
+  let outcome = Negotiation.negotiate ~client ~server ~target:[ [ "passport" ]; [ "visa" ] ] in
   check bool_ "alternative satisfied" true outcome.Negotiation.success;
   check bool_ "unsatisfiable" false
-    (Negotiation.negotiate ~client ~server ~target:[] ()).Negotiation.success
+    (Negotiation.negotiate ~client ~server ~target:[]).Negotiation.success
 
 (* --- conflict analysis ------------------------------------------------------------------------------- *)
 

@@ -195,7 +195,7 @@ let tier_evaluate root ctx =
   Net.add_node net "dispatch";
   let tier = Pdp_tier.create services ~node:"dispatch" ~shards () in
   let answer = ref None in
-  Pdp_tier.decide_meta tier ctx (fun r _ -> answer := Some r);
+  Pdp_tier.decide tier ctx (fun r _ -> answer := Some r);
   Net.run net;
   !answer
 
@@ -763,7 +763,7 @@ let negotiation_oracle (name, alg) =
     ~count:300 arb_negotiation_case
     (fun (nspec, pspec, (role_code, resource_code, action_code)) ->
       let client, server, target = nego_parties nspec in
-      let outcome = Negotiation.negotiate ~client ~server ~target () in
+      let outcome = Negotiation.negotiate ~client ~server ~target in
       (* Internal consistency of the negotiation itself. *)
       if outcome.Negotiation.success <> Negotiation.satisfied target outcome.Negotiation.disclosed_by_client
       then QCheck.Test.fail_reportf "negotiation outcome disagrees with satisfied";

@@ -170,7 +170,7 @@ let prop_negotiation_invariants =
     (fun (client_creds, server_creds, target) ->
       let client = { Negotiation.party_name = "c"; credentials = client_creds } in
       let server = { Negotiation.party_name = "s"; credentials = server_creds } in
-      let o = Negotiation.negotiate ~client ~server ~target () in
+      let o = Negotiation.negotiate ~client ~server ~target in
       let owned creds names =
         List.for_all
           (fun n -> List.exists (fun c -> c.Negotiation.name = n) creds)

@@ -246,7 +246,7 @@ let test_batching () =
   (* Ten same-key queries issued in one instant: same point, so one
      shard sees all ten as 4 + 4 + 2 frames. *)
   for _ = 1 to 10 do
-    Pdp_tier.decide_meta fx.tier ctx (fun r _ -> answers := r :: !answers)
+    Pdp_tier.decide fx.tier ctx (fun r _ -> answers := r :: !answers)
   done;
   Net.run fx.net;
   check int_ "all continuations fired" 10 (List.length !answers);
@@ -278,7 +278,7 @@ let test_frame_per_flush () =
     let fx = setup ~shards:1 () in
     let answers = ref [] in
     List.iter
-      (fun ctx -> Pdp_tier.decide_meta fx.tier ctx (fun r meta -> answers := (r, meta) :: !answers))
+      (fun ctx -> Pdp_tier.decide fx.tier ctx (fun r p -> answers := (r, p) :: !answers))
       ctxs;
     Net.run fx.net;
     let sent =
@@ -304,7 +304,7 @@ let test_frame_per_flush () =
     one_sent.Net.bytes;
   check int_ "one query: no batch frame" 0 one_batches;
   List.iter
-    (fun (_, meta) -> check int_ "provenance still reads batch=1" 1 meta.Pdp_tier.batch)
+    (fun (_, p) -> check int_ "provenance still reads batch=1" 1 p.Provenance.batch)
     one;
   let two, two_sent, two_batches = flush [ alice; bob ] in
   check int_ "two queries: one frame" 1 two_sent.Net.count;
@@ -312,7 +312,7 @@ let test_frame_per_flush () =
     (String.length (Rpc.encode_batch_request 0 "authz-query" [ envelope alice; envelope bob ]))
     two_sent.Net.bytes;
   check int_ "two queries: one batch frame" 1 two_batches;
-  List.iter (fun (_, meta) -> check int_ "both ride a batch of two" 2 meta.Pdp_tier.batch) two;
+  List.iter (fun (_, p) -> check int_ "both ride a batch of two" 2 p.Provenance.batch) two;
   let expected ctx =
     Decision.decision_to_string (Policy.evaluate_child ctx (doctor_policy "r")).Decision.decision
   in
@@ -410,7 +410,7 @@ let test_empty_tier_fails_closed () =
   let fx = setup ~shards:1 () in
   Pdp_tier.set_shards fx.tier [];
   let answer = ref None in
-  Pdp_tier.decide_meta fx.tier (ctx_for "alice" "read") (fun r _ -> answer := Some r);
+  Pdp_tier.decide fx.tier (ctx_for "alice" "read") (fun r _ -> answer := Some r);
   Net.run fx.net;
   match !answer with
   | Some (Error _) -> ()
@@ -429,17 +429,17 @@ let rejections fx =
     (Metrics.counter (Service.metrics fx.services) ~labels:[ ("src", "pep") ]
        "rpc_breaker_rejections_total")
 
-(* [decide_meta] for [key] issued at [at]; the answer lands in the ref. *)
+(* [Pdp_tier.decide] for [key] issued at [at]; the answer lands in the ref. *)
 let decide_at fx ~at ?key ctx answer =
   Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
-      Pdp_tier.decide_meta ?key fx.tier ctx (fun outcome meta ->
-          answer := Some (Net.now fx.net, outcome, meta)))
+      Pdp_tier.decide ?key fx.tier ctx (fun outcome p ->
+          answer := Some (Net.now fx.net, outcome, p)))
 
 let answered_by what answer =
   match !answer with
-  | Some (_, Ok _, { Pdp_tier.shard = Some s; _ }) -> s
+  | Some (_, Ok _, { Provenance.shard = Some s; _ }) -> s
   | Some (_, Error e, _) -> Alcotest.failf "%s: tier failed: %s" what e
-  | Some (_, Ok _, { Pdp_tier.shard = None; _ }) | None ->
+  | Some (_, Ok _, { Provenance.shard = None; _ }) | None ->
     Alcotest.failf "%s: no shard answered" what
 
 let test_all_breakers_open () =
@@ -463,13 +463,13 @@ let test_all_breakers_open () =
   let sent = (Net.total_sent fx.net).Net.count in
   let answer = ref None and fired_inline = ref false in
   Engine.schedule_at (Net.engine fx.net) ~at:10.0 (fun () ->
-      Pdp_tier.decide_meta fx.tier ctx (fun outcome meta ->
-          answer := Some (Net.now fx.net, outcome, meta));
+      Pdp_tier.decide fx.tier ctx (fun outcome p ->
+          answer := Some (Net.now fx.net, outcome, p));
       fired_inline := !answer <> None);
   Net.run fx.net;
-  check bool_ "deliver fired before decide_meta returned" true !fired_inline;
+  check bool_ "deliver fired before decide returned" true !fired_inline;
   (match !answer with
-  | Some (at, Error _, { Pdp_tier.shard = None; batch = 0; failovers = 0; _ }) ->
+  | Some (at, Error _, { Provenance.shard = None; batch = 0; failovers = 0; _ }) ->
     check (Alcotest.float 0.0) "at the instant it was issued" 10.0 at
   | _ -> Alcotest.fail "expected a synchronous fail-closed answer with no shard");
   check int_ "no message sent" sent (Net.total_sent fx.net).Net.count;
@@ -532,7 +532,7 @@ let test_one_breaker_open () =
         (Option.get (Pdp_tier.shard_for successor_tier key))
         (answered_by key answer);
       match !answer with
-      | Some (_, _, meta) -> check int_ "skipping is not a failover" 0 meta.Pdp_tier.failovers
+      | Some (_, _, p) -> check int_ "skipping is not a failover" 0 p.Provenance.failovers
       | None -> ())
     keys;
   check bool_ "no frame reached the open shard" false
@@ -585,8 +585,8 @@ let test_silent_shard_detected () =
   let successor = answered_by "after the cut" answer in
   check bool_ "answered by another shard" true (successor <> victim);
   (match !answer with
-  | Some (at, _, meta) ->
-    check int_ "one failover" 1 meta.Pdp_tier.failovers;
+  | Some (at, _, p) ->
+    check int_ "one failover" 1 p.Provenance.failovers;
     (* Failed over at 3.0 + RTO, then one round trip to the successor. *)
     check bool_ "not before one RTO" true (at >= 3.0 +. rto);
     check bool_ "well before the call timeout" true (at < 3.0 +. rto +. 0.05)
@@ -722,6 +722,123 @@ let test_rto_clamps () =
   (* Round trips of up to ~0.7 s: the estimate overshoots the cap. *)
   check (Alcotest.float 0.0) "clamped to the call timeout" 1.0 (in_bounds "saturated")
 
+(* --- each query's own trip ------------------------------------------------------ *)
+
+(* The provenance flags are facts about one query's trip through the
+   tier.  Another query's re-send, breaker trip or breaker skip on the
+   same PEP, landing while this one is in flight, must not set them. *)
+
+(* The first of user0..user99 whose read [wanted] says yes to the owner of. *)
+let user_where fx wanted =
+  List.find
+    (fun user ->
+      wanted (Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for user "read"))))
+    (List.init 100 (Printf.sprintf "user%d"))
+
+(* [user]'s read asked of the PEP at [at]; the decision, its delivery
+   instant and its provenance land in the ref. *)
+let explain_at fx ~at user answer =
+  Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
+      Pep.decide_explained fx.pep (ctx_for user "read") (fun r p ->
+          answer := Some (Net.now fx.net, r, p)))
+
+let explained what answer =
+  match !answer with Some a -> a | None -> Alcotest.failf "%s: no decision" what
+
+(* Alice's owner is down from 0.4 s to 0.6 s, so her frame sent at 0.5 s
+   (with no L2 to ask first) times out at 1.5 s and, under a two-attempt
+   policy, is re-sent to the same shard after a 50 ms backoff. *)
+let alice_resent fx =
+  Pep.set_retry_policy fx.pep
+    (Some { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  let owner = owner_of_alice fx in
+  Engine.schedule_at (Net.engine fx.net) ~at:0.4 (fun () -> Net.crash fx.net owner);
+  Engine.schedule_at (Net.engine fx.net) ~at:0.6 (fun () -> Net.recover fx.net owner);
+  let alice = ref None in
+  explain_at fx ~at:0.5 "alice" alice;
+  (owner, alice)
+
+let test_bystander_not_retried () =
+  let fx = setup ~shards:2 () in
+  let owner, alice = alice_resent fx in
+  let bob = user_where fx (fun s -> s <> Some owner) in
+  let during = ref None in
+  explain_at fx ~at:1.495 bob during;
+  Net.run fx.net;
+  let _, _, p = explained "alice" alice in
+  check bool_ "alice's query was re-sent" true p.Provenance.retried;
+  check int_ "one re-send on the PEP" 1 (Pep.stats fx.pep).Pep.retries;
+  let at, r, p = explained "bob" during in
+  check bool_ "bob granted" true (Decision.is_permit r);
+  check bool_ "by the healthy shard" true (p.Provenance.shard <> Some owner);
+  check bool_ "answered after alice's re-send" true (at > 1.5);
+  check bool_ "bob's query was not re-sent" false p.Provenance.retried
+
+let test_bystander_not_breaker_tripped () =
+  let fx = setup () in
+  let victim, _ = open_one_breaker fx ~cooldown:300.0 in
+  let bob = user_where fx (fun s -> s <> Some victim) in
+  let carol = user_where fx (fun s -> s = Some victim) in
+  let routed = ref None and skipping = ref None in
+  explain_at fx ~at:3.0 bob routed;
+  explain_at fx ~at:3.001 carol skipping;
+  Net.run fx.net;
+  let _, _, p = explained "carol" skipping in
+  check bool_ "carol's route skipped the open shard" true p.Provenance.breaker_tripped;
+  let at, _, p = explained "bob" routed in
+  let shard = Option.get p.Provenance.shard in
+  check bool_ "bob's shard has a closed breaker" true
+    (Rpc.breaker_state (Service.rpc fx.services) shard = Rpc.Closed);
+  check bool_ "answered after carol's skip" true (at > 3.001);
+  check bool_ "bob's trip met no breaker" false p.Provenance.breaker_tripped
+
+let test_l2_hit_flags_false () =
+  let fx = setup ~shards:2 () in
+  Net.add_node fx.net "l2";
+  ignore (Cache_hierarchy.L2.create fx.services ~node:"l2" ~ttl:60.0 ());
+  Pep.set_l2 fx.pep (Some "l2");
+  (* Alice's lost frame also trips her owner's breaker.  Her L2 miss
+     takes one 10 ms round trip first, so the frame leaves at 0.51 s and
+     fails at 1.51 s. *)
+  trip_on_first_timeout fx ~cooldown:30.0;
+  let owner, alice = alice_resent fx in
+  let bob = user_where fx (fun s -> s <> Some owner) in
+  let priming = ref None and hit = ref None in
+  explain_at fx ~at:0.1 bob priming;
+  explain_at fx ~at:1.505 bob hit;
+  Net.run fx.net;
+  let _, _, p = explained "alice" alice in
+  check bool_ "alice's query was re-sent" true p.Provenance.retried;
+  check bool_ "and met the breaker" true p.Provenance.breaker_tripped;
+  let at, r, p = explained "bob" hit in
+  check bool_ "bob granted" true (Decision.is_permit r);
+  check string_ "from the L2" "l2" (Provenance.stage_name p.Provenance.stage);
+  check bool_ "answered after alice's re-send" true (at > 1.51);
+  check bool_ "not retried" false p.Provenance.retried;
+  check bool_ "no breaker" false p.Provenance.breaker_tripped
+
+let test_own_trip_flagged () =
+  let fx = setup ~shards:2 () in
+  trip_on_first_timeout fx ~cooldown:30.0;
+  let owner = owner_of_alice fx in
+  Net.crash fx.net owner;
+  let bob = user_where fx (fun s -> s <> Some owner) in
+  let alice = ref None and during = ref None in
+  explain_at fx ~at:0.5 "alice" alice;
+  explain_at fx ~at:1.495 bob during;
+  Net.run fx.net;
+  check bool_ "alice's owner tripped" true
+    (Rpc.breaker_state (Service.rpc fx.services) owner = Rpc.Open);
+  let _, r, p = explained "alice" alice in
+  check bool_ "alice granted" true (Decision.is_permit r);
+  check string_ "live" "live" (Provenance.stage_name p.Provenance.stage);
+  check int_ "after one failover" 1 p.Provenance.failovers;
+  check bool_ "her own frame's failure tripped the breaker" true p.Provenance.breaker_tripped;
+  check bool_ "not retried" false p.Provenance.retried;
+  let at, _, p = explained "bob" during in
+  check bool_ "bob answered after the trip" true (at > 1.5);
+  check bool_ "bob's trip met no breaker" false p.Provenance.breaker_tripped
+
 (* --- same-seed determinism ----------------------------------------------------- *)
 
 (* One Fig. 3 pull-flow run through the sharded tier under a chaos
@@ -763,12 +880,14 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 439.5 words (992 when a one-query flush rode a batch frame,
-   every layer wrapped the continuation in a closure of its own and each
-   engine event and link lookup allocated; 540.5 before the bus parsed
-   headers into its own scratch, kept pending calls in an id-indexed
-   table and read envelopes without a closure); the bound leaves 10 %
-   headroom, which the former 540.5 does not fit in. *)
+(* Measured: 433.5 words (439.5 when the tier answered with a metadata
+   record the PEP copied into a provenance record of its own; 992 when a
+   one-query flush rode a batch frame, every layer wrapped the
+   continuation in a closure of its own and each engine event and link
+   lookup allocated; 540.5 before the bus parsed headers into its own
+   scratch, kept pending calls in an id-indexed table and read envelopes
+   without a closure); the bound leaves 10 % headroom over 439.5, which
+   the former 540.5 does not fit in. *)
 let cold_words_bound = 483.0
 
 let test_cold_decision_allocation () =
@@ -831,6 +950,17 @@ let () =
           Alcotest.test_case "a cold tier waits the full call timeout" `Quick
             test_cold_tier_waits_full_timeout;
           Alcotest.test_case "the RTO stays within [0.2 s, 1 s]" `Quick test_rto_clamps;
+        ] );
+      ( "provenance",
+        [
+          Alcotest.test_case "a query answered during another's re-send is not retried" `Quick
+            test_bystander_not_retried;
+          Alcotest.test_case "a closed-breaker route during another's skip met no breaker"
+            `Quick test_bystander_not_breaker_tripped;
+          Alcotest.test_case "an L2 hit during another's re-send reads both flags false" `Quick
+            test_l2_hit_flags_false;
+          Alcotest.test_case "a query whose own frame trips the breaker reads it" `Quick
+            test_own_trip_flagged;
         ] );
       ( "determinism",
         [
