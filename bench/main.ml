@@ -25,7 +25,7 @@ open Dacs_core
 
 let micro () =
   header "MICRO  CPU micro-benchmarks (Bechamel, monotonic clock)"
-    "absolute costs of the primitives: hashing, signatures, XML, evaluation";
+    "absolute costs of the primitives: the event loop, hashing, signatures, XML, evaluation";
   let open Bechamel in
   let kilobyte = String.make 1024 'x' in
   (* One block hashes to two compressions (the second is padding); a
@@ -62,8 +62,25 @@ let micro () =
       (List.init 20 (fun i ->
            Rule.deny ~target:(Target.for_resource (string_of_int (i mod 5))) (Printf.sprintf "d%d" i)))
   in
+  (* The event loop's cost per event at two queue depths: one event
+     scheduled now and run, above [depth] events parked far in the
+     future.  A [warm-zipf] run queues about 200 events; about 6,000
+     when every call's timer is an event of its own. *)
+  let engine_with depth =
+    let e = Dacs_net.Engine.create () in
+    for _ = 1 to depth do
+      Dacs_net.Engine.schedule e ~delay:1e9 ignore
+    done;
+    e
+  in
+  let schedule_and_run e () =
+    Dacs_net.Engine.schedule e ~delay:0.0 ignore;
+    ignore (Dacs_net.Engine.step e)
+  in
   let tests =
     [
+      Test.make ~name:"engine event (200 pending)" (Staged.stage (schedule_and_run (engine_with 200)));
+      Test.make ~name:"engine event (6000 pending)" (Staged.stage (schedule_and_run (engine_with 6000)));
       Test.make ~name:"sha256 (64 B)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest block));
       Test.make ~name:"sha256 (1 KiB)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest kilobyte));
       Test.make ~name:"hmac-sha256 prepared key (32 B)"

@@ -71,24 +71,30 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
-(* Files [action] under the time already written in slot [t.size], so
-   neither entry point passes the time on as a boxed float. *)
-let push t action =
+(* Files [action] under the time already written in slot [t.size] and
+   the sequence number [seq], so no entry point passes the time on as a
+   boxed float. *)
+let push_seq t seq action =
   let i = t.size in
-  t.seqs.(i) <- t.next_seq;
+  t.seqs.(i) <- seq;
   t.actions.(i) <- action;
-  t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
 
+let push t action =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push_seq t seq action
+
+(* Written as [not (x >= y)] so that a NaN is refused too. *)
 let schedule_at t ~at action =
-  if at < t.clock then invalid_arg "Engine.schedule_at: time is in the past";
+  if not (at >= t.clock) then invalid_arg "Engine.schedule_at: time is in the past or NaN";
   if t.size = Array.length t.times then grow t;
   t.times.(t.size) <- at;
   push t action
 
 let schedule t ~delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
   if t.size = Array.length t.times then grow t;
   t.times.(t.size) <- t.clock +. delay;
   push t action
@@ -131,3 +137,98 @@ let run ?until t =
     done
 
 let pending t = t.size
+
+(* A ring of [(at, seq, id)] in firing order, of which only the head has
+   an event in the heap, filed under the head's own [(at, seq)].  Every
+   timer of one class has the same delay and the clock never goes back,
+   so the ring is sorted by [(at, seq)] as it is filled: a timer whose
+   sequence number is taken when it is added, and whose event is filed
+   under that number when it reaches the head, fires in exactly the
+   slot an event scheduled when it was added would have fired in. *)
+module Deadlines = struct
+  type engine = t
+
+  type t = {
+    engine : engine;
+    delay : float;
+    live : int -> bool;
+    fire : int -> unit;
+    mutable ats : float array;
+    mutable seqs : int array;
+    mutable ids : int array;
+    mutable head : int;  (* the ring's first slot; the capacity is a power of two *)
+    mutable count : int;
+    mutable wake : unit -> unit;  (* the head's heap action, built once *)
+  }
+
+  let capacity = 16
+
+  (* Reads the head's time out of the ring straight into the heap, so
+     arming boxes nothing. *)
+  let arm d =
+    let e = d.engine in
+    if e.size = Array.length e.times then grow e;
+    e.times.(e.size) <- d.ats.(d.head);
+    push_seq e d.seqs.(d.head) d.wake
+
+  (* Pops the head, then drops the dead timers behind it — never the
+     last one, whose event is what keeps the clock going to the
+     latest deadline — and re-arms before firing, so a timer the
+     firing adds is filed behind the new head. *)
+  let wake d () =
+    let mask = Array.length d.ids - 1 in
+    let id = d.ids.(d.head) in
+    d.head <- (d.head + 1) land mask;
+    d.count <- d.count - 1;
+    while d.count > 1 && not (d.live d.ids.(d.head)) do
+      d.head <- (d.head + 1) land mask;
+      d.count <- d.count - 1
+    done;
+    if d.count > 0 then arm d;
+    d.fire id
+
+  let create engine ~delay ~live ~fire =
+    if not (delay >= 0.0) then invalid_arg "Engine.Deadlines.create: negative or NaN delay";
+    let d =
+      {
+        engine;
+        delay;
+        live;
+        fire;
+        ats = Array.make capacity 0.0;
+        seqs = Array.make capacity 0;
+        ids = Array.make capacity 0;
+        head = 0;
+        count = 0;
+        wake = ignore;
+      }
+    in
+    d.wake <- wake d;
+    d
+
+  (* Unrolls the ring from its head into arrays twice its size. *)
+  let grow_ring d =
+    let n = Array.length d.ids in
+    let ats = Array.make (2 * n) 0.0 and seqs = Array.make (2 * n) 0 and ids = Array.make (2 * n) 0 in
+    for k = 0 to n - 1 do
+      let i = (d.head + k) land (n - 1) in
+      ats.(k) <- d.ats.(i);
+      seqs.(k) <- d.seqs.(i);
+      ids.(k) <- d.ids.(i)
+    done;
+    d.ats <- ats;
+    d.seqs <- seqs;
+    d.ids <- ids;
+    d.head <- 0
+
+  let add d id =
+    if d.count = Array.length d.ids then grow_ring d;
+    let e = d.engine in
+    let i = (d.head + d.count) land (Array.length d.ids - 1) in
+    d.ats.(i) <- e.clock +. d.delay;
+    d.seqs.(i) <- e.next_seq;
+    d.ids.(i) <- id;
+    e.next_seq <- e.next_seq + 1;
+    d.count <- d.count + 1;
+    if d.count = 1 then arm d
+end

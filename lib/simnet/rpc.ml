@@ -142,6 +142,7 @@ type t = {
   services : (Net.node_id, (string, service) Hashtbl.t) Hashtbl.t;  (* per node, by name *)
   mutable pending : pending;
   mutable next_id : int;
+  mutable deadlines : (float * Engine.Deadlines.t) list;  (* one timer class per timeout, by value *)
   mutable breaker_config : breaker_config option;
   breakers : (Net.node_id, breaker) Hashtbl.t;
   metrics : Metrics.t;
@@ -781,11 +782,24 @@ let complete t (msg : Net.message) id result =
   if p.p_ids.(slot) = id && String.equal p.p_dst.(slot) msg.Net.src && String.equal p.p_src.(slot) msg.Net.dst
   then finish t slot result
 
+let is_pending t id =
+  let p = t.pending in
+  p.p_ids.(slot_of p id) = id
+
 (* The bus's own verdict on a call still pending: a timeout. *)
 let time_out t id =
   let p = t.pending in
   let slot = slot_of p id in
   if p.p_ids.(slot) = id then finish t slot (Error Timeout)
+
+(* The timer class of calls that time out after [timeout] seconds: a
+   bus meets only a few timeouts, so a short list finds it. *)
+let rec deadlines_for t timeout = function
+  | (delay, d) :: rest -> if Float.equal delay timeout then d else deadlines_for t timeout rest
+  | [] ->
+    let d = Engine.Deadlines.create (Net.engine t.net) ~delay:timeout ~live:(is_pending t) ~fire:(time_out t) in
+    t.deadlines <- (timeout, d) :: t.deadlines;
+    d
 
 (* The trace context a request frame carries, if it is of a traced kind. *)
 let trace_context kind trace =
@@ -837,6 +851,7 @@ let create net =
       services = Hashtbl.create 64;
       pending = make_pending 64;
       next_id = 0;
+      deadlines = [];
       breaker_config = Some default_breaker;
       breakers = Hashtbl.create 16;
       metrics;
@@ -904,10 +919,12 @@ let client_span t ~span_label ~src ~dst ~service ~batch =
 
 (* Shared correlation machinery of single and batched calls: id
    allocation, one client span per attempt, the pending-table entry and
-   its timeout timer.  The request frame is [kind] (or [traced] when a
-   trace context rides along) with [envelope] writing [write]'s body. *)
+   its timer in the class of its timeout.  The request frame is [kind]
+   (or [traced] when a trace context rides along) with [envelope]
+   writing [write]'s body. *)
 let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced ~guarded ~envelope
     write k =
+  let deadlines = deadlines_for t timeout t.deadlines in
   ensure_dispatch t src;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
@@ -924,7 +941,7 @@ let issue t series ~src ~dst ~service ~timeout ~span_label ~batch ~kind ~traced 
       ~trace:(Trace.context_to_string (Trace.context s))
       ~envelope write
   | None -> send_frame t ~src ~dst ~category:service kind id ~service ~trace:"" ~envelope write);
-  Engine.schedule (Net.engine t.net) ~delay:timeout (fun () -> time_out t id)
+  Engine.Deadlines.add deadlines id
 
 (* One attempt.  With [breaker] the target's breaker admits it first —
    a rejected one fails at once with [Circuit_open], sending nothing and

@@ -157,12 +157,15 @@ val resilience_stats : t -> resilience_stats
 
     What a round trip allocates in the bus, besides its two frame
     strings: the body slice each side reads, the [Ok] around the reply's,
-    the server's [reply] continuation, the closure of the call's timeout
-    timer, the boxed latency its histogram observes, and {!Net}'s record
-    and delivery per message.  An arriving frame's header is parsed into
-    the bus's own scratch, a service is found in its node's table by
-    name, and a pending call takes a slot of a table indexed by its
-    correlation id, so none of these allocates. *)
+    the server's [reply] continuation, the boxed latency its histogram
+    observes, and {!Net}'s record and delivery per message.  An arriving
+    frame's header is parsed into the bus's own scratch, a service is
+    found in its node's table by name, a pending call takes a slot of a
+    table indexed by its correlation id, and its timeout timer takes a
+    slot in the ring of the bus's {!Engine.Deadlines} class for that
+    timeout, so none of these allocates.  An answered call's timer stays
+    in the ring, out of the event queue, until the timer ahead of it
+    fires and drops it. *)
 
 type slice = { src : string; off : int; len : int }
 (** The body: [len] bytes of [src] from [off]. *)
@@ -207,7 +210,8 @@ val call_frame :
 (** Asynchronous call of one attempt.  The continuation fires with [Ok reply], or with
     [Error Timeout] after [timeout] seconds (default 1.0) if no reply
     arrived — whether because of loss, crash, partition or a missing
-    service.  Only a reply or error frame from [dst], delivered to [src],
+    service.  An attempt with a negative or NaN [timeout] raises
+    [Invalid_argument] instead of sending its frame.  Only a reply or error frame from [dst], delivered to [src],
     completes the call: one from any other node, or to any other node
     (the callee's answer to a third node that sent it a request under
     this call's id), is dropped, as a reply after the timeout is.

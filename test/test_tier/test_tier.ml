@@ -880,8 +880,10 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 433.5 words (439.5 when the tier answered with a metadata
-   record the PEP copied into a provenance record of its own; 992 when a
+(* Measured: 428.5 words (433.5 when each call's timeout timer was an
+   event of its own, with a closure; 439.5 when the tier answered with a
+   metadata record the PEP copied into a provenance record of its own;
+   992 when a
    one-query flush rode a batch frame, every layer wrapped the
    continuation in a closure of its own and each engine event and link
    lookup allocated; 540.5 before the bus parsed headers into its own
