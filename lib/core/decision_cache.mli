@@ -81,9 +81,8 @@ val size : t -> int
 
 val key_bytes : t -> int
 (** Total bytes of resident keys, counting expired entries not yet
-    dropped — the footprint the E22 scale ablation gates: packed
-    integer-tuple keys must stay well under the 64-byte-per-entry hex
-    digests they replaced. *)
+    dropped: packed integer-tuple keys stay well under the
+    64-byte-per-entry hex digests they replaced. *)
 
 type stats = {
   hits : int;

@@ -23,20 +23,19 @@ type t = {
   log_head : string option;
 }
 
-let make ?shard ?(batch = 0) ?(coalesced = false) ?(failovers = 0) ?(retried = false)
-    ?(breaker_tripped = false) ?(stale_age = 0.0) ?(epoch = 0) ?log_head ~at stage =
+let make ?(epoch = 0) ~at stage =
   {
     stage;
-    shard;
-    batch;
-    coalesced;
-    failovers;
-    retried;
-    breaker_tripped;
-    stale_age;
+    shard = None;
+    batch = 0;
+    coalesced = false;
+    failovers = 0;
+    retried = false;
+    breaker_tripped = false;
+    stale_age = 0.0;
     epoch;
     at;
-    log_head;
+    log_head = None;
   }
 
 let stage_count = 9

@@ -45,19 +45,10 @@ type t = {
           [Offline] serves only *)
 }
 
-val make :
-  ?shard:string ->
-  ?batch:int ->
-  ?coalesced:bool ->
-  ?failovers:int ->
-  ?retried:bool ->
-  ?breaker_tripped:bool ->
-  ?stale_age:float ->
-  ?epoch:int ->
-  ?log_head:string ->
-  at:float ->
-  stage ->
-  t
+val make : ?epoch:int -> at:float -> stage -> t
+(** The record of a rung the PEP answers itself (L1, L2, shed, local,
+    capability): no shard, batch, flag, stale age or log head; [epoch]
+    defaults to 0 (unknown). *)
 
 val stage_name : stage -> string
 (** ["l1"], ["l2"], ["live"], ["stale"], ["offline"], ["fail-closed"],

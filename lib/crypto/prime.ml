@@ -42,7 +42,7 @@ let miller_rabin_witness n witness =
     squares x 0
   end
 
-let is_probably_prime ?(rounds = 20) rng n =
+let is_probably_prime rng n =
   match Bignum.to_int_opt n with
   | Some v when v < 1000 -> List.mem v small_primes
   | _ ->
@@ -51,7 +51,7 @@ let is_probably_prime ?(rounds = 20) rng n =
     else begin
       let n3 = Bignum.sub n (Bignum.of_int 3) in
       let rec rounds_loop i =
-        if i >= rounds then true
+        if i >= 20 then true
         else begin
           (* Witness in [2, n-2]. *)
           let w = Bignum.add (Bignum.random_below rng (Bignum.succ n3)) Bignum.two in

@@ -1,4 +1,4 @@
-(* The gated experiments: E16-E23 and the seven gated dacs scenarios
+(* The gated experiments: E16-E21, E23 and the seven gated dacs scenarios
    (tier, cache, explain, slo, offline, load, delta).  Each is an
    Experiment.v whose gates are declared up front.  Where a scenario and
    a bench experiment build the same setup, one function below builds
@@ -134,8 +134,7 @@ let tier shards batch seed requests json =
 let e16 =
   Experiment.v "e16"
     ~gates:Gate.[ exact "all-requests-granted"; exact "balanced-shards";
-                  ratio "speedup>=3x at 4 shards" ~at_least:3.0;
-                  no_worse "cold-words-regression" ~key:"cold_words_per_decision" ~better:`Lower ]
+                  ratio "speedup>=3x at 4 shards" ~at_least:3.0 ]
   @@ fun x ->
   header "E16  Sharded, batched PDP tier (shard count x batch size ablation)"
     "hash-partitioning the Fig. 3 flow across PDP replicas multiplies sustained \
@@ -187,12 +186,7 @@ let e16 =
     (float_of_int busiest /. float_of_int (max 1 evaluations));
   Experiment.metric x "one_shard_req_s" base;
   Experiment.metric x "four_shards_req_s" (tput four);
-  Experiment.metric x "speedup_4_shards" (tput four /. base);
-  let probe = W.cold_decision_probe () in
-  if probe.W.answered <> probe.W.decisions then failwith "E16: a cold decision went unanswered";
-  let words = probe.W.words_per_decision in
-  Printf.printf "minor words per cold decision (1 shard, 129-rule policy): %.1f\n\n" words;
-  Experiment.metric x ~digits:1 "cold_words_per_decision" words
+  Experiment.metric x "speedup_4_shards" (tput four /. base)
 
 (* ==================================================================== *)
 (* The decision-cache ladder: dacs cache, E17                           *)
@@ -959,179 +953,6 @@ let e21 =
   Experiment.metric x "offline_p99_s" served.W.latency.W.p99
 
 (* ==================================================================== *)
-(* E22 — million-user scale: packed keys x cache tier                   *)
-(* ==================================================================== *)
-
-(* The baseline digest the packed keys replaced: every Subject, Resource
-   and Action attribute formatted, sorted, joined and SHA-256-hashed per
-   request.  E22 prices key construction against it and E23 runs its
-   churn corpus on it, as keys a region purge cannot read. *)
-let sha_request_key ctx =
-  let section category =
-    List.concat_map
-      (fun (id, bag) ->
-        List.map
-          (fun v ->
-            Printf.sprintf "%s/%s=%s" (Context.category_name category) id (Value.describe v))
-          bag)
-      (Context.attributes ctx category)
-  in
-  let parts = section Context.Subject @ section Context.Resource @ section Context.Action in
-  Dacs_crypto.Sha256.hex_digest (String.concat "|" (List.sort compare parts))
-
-(* The serving-path scale check behind the interned-identity rework,
-   measured three ways —
-
-   - key construction alone, packed keys against the sorted-string +
-     SHA-256 baseline digest (the per-request cost the swap removed);
-   - a warm L1 under a 1M-user Zipf draw: every warm decide must answer
-     synchronously, and the resident packed keys
-     ({!Decision_cache.key_bytes}) must take at most half the bytes the
-     baseline digests of the same working set would;
-   - a full engine run at 1M users: reports byte-identical per seed,
-     and the lazy workload state must stay O(active). *)
-
-let e22 =
-  Experiment.v "e22"
-    ~gates:Gate.[ ratio "key-build-speedup" ~at_least:2.0; exact "warm-decides-synchronous";
-                  exact "resident-key-bytes"; exact "o-active-state"; exact "determinism";
-                  exact "conservation" ]
-  @@ fun x ->
-  header "E22  Million-user serving path (packed keys x cache tier)"
-    "interning identities and packing cache keys as integer tuples builds \
-     keys >= 2x faster than the sorted-string + SHA-256 scheme and at least \
-     halves resident key bytes at a 1M-user Zipf working set, whose warm \
-     decides all answer from L1; the workload engine completes 1M-user runs \
-     materialising state only for active users";
-  let check = Experiment.check x in
-  (* -- part 1: key construction ------------------------------------- *)
-  (* The e17 attribute shape: identity plus the role/clearance/department
-     triple a PIP would have resolved, over a 16-resource estate. *)
-  let ctx_for u =
-    Context.make
-      ~subject:
-        [
-          ("subject-id", Value.String (Printf.sprintf "user%d" u));
-          ("role", Value.String "doctor");
-          ("clearance", Value.String "secret");
-          ("department", Value.String (Printf.sprintf "dept%d" (u mod 8)));
-        ]
-      ~resource:
-        [
-          ("resource-id", Value.String (Printf.sprintf "res%d" (u mod 16)));
-          ("owner", Value.String (Printf.sprintf "dept%d" (u mod 8)));
-        ]
-      ~action:[ ("action-id", Value.String "read") ]
-      ()
-  in
-  let key_ctxs = Array.init 256 ctx_for in
-  (* Intern every context once, untimed and in order, so atom ids — and
-     with them the packed key bytes below — do not depend on how many
-     iterations the CPU-time-bounded loops ran. *)
-  Array.iter (fun ctx -> ignore (Intern.request_key ctx)) key_ctxs;
-  let spin = ref 0 in
-  let cycle f () =
-    f key_ctxs.(!spin land 255) |> ignore;
-    incr spin
-  in
-  let sha_us = time_us (cycle sha_request_key) in
-  let packed_us = time_us (cycle Intern.request_key) in
-  let key_speedup = sha_us /. packed_us in
-  Printf.printf "key construction (256-context cycle):\n";
-  Printf.printf "  %-32s %10.3f us\n" "sha-hex (sort + format + SHA-256)" sha_us;
-  Printf.printf "  %-32s %10.3f us\n" "packed (interned atom tuple)" packed_us;
-  (* -- part 2: a warm L1 under a 1M-user Zipf draw ------------------- *)
-  let population = 1_000_000 and draws = 120_000 and skew = 1.1 in
-  let users =
-    let draw = W.zipf_sampler (Rng.create 0xe22L) ~n:population ~skew in
-    Array.init draws (fun _ -> draw ())
-  in
-  let distinct = Hashtbl.create 65536 in
-  Array.iter (fun u -> Hashtbl.replace distinct u ()) users;
-  let working_set = Hashtbl.length distinct in
-  let sha_bytes =
-    Hashtbl.fold (fun u () acc -> acc + String.length (sha_request_key (ctx_for u))) distinct 0
-  in
-  let ctxs = Array.map ctx_for users in
-  let pep, cache =
-    let net, services = fresh () in
-    let add id = Net.add_node net id; id in
-    ignore
-      (Pdp_service.create services ~node:(add "pdp") ~name:"pdp"
-         ~root:
-           (Policy.Inline_policy
-              (Policy.make ~id:"e22" ~rule_combining:Combine.First_applicable
-                 [ Rule.permit ~target:Target.(any |> subject_is "role" "doctor") "permit-doctor";
-                   Rule.deny "default-deny" ]))
-         ());
-    let cache = Decision_cache.create ~max_entries:(1 lsl 18) ~ttl:3600.0 () in
-    let pep =
-      Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-        (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
-    in
-    (* Warm: every draw descends once; single-flight coalesces the
-       duplicates, Net.run settles the misses, and from then on every
-       lookup is a synchronous L1 hit. *)
-    Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> ())) ctxs;
-    Net.run net;
-    (pep, cache)
-  in
-  let answered = ref 0 in
-  Array.iter (fun ctx -> Pep.decide pep ctx (fun _ -> incr answered)) ctxs;
-  let packed_bytes = Decision_cache.key_bytes cache and entries = Decision_cache.size cache in
-  let st = Intern.stats Intern.global in
-  Printf.printf "\nwarm L1, %d draws over %d-user Zipf(%.1f) (%d distinct):\n" draws population
-    skew working_set;
-  Printf.printf "  %-24s %14s %12s\n" "keys" "resident keys" "key bytes";
-  Printf.printf "  %-24s %14d %12d\n" "packed (resident)" entries packed_bytes;
-  Printf.printf "  %-24s %14d %12d\n" "sha-hex (baseline digest)" working_set sha_bytes;
-  Printf.printf "  intern table: %d strings, %d pairs, %d values, %d atoms\n" st.Intern.strings
-    st.Intern.pairs st.Intern.values st.Intern.atoms;
-  (* -- part 3: engine-level 1M-user run ------------------------------ *)
-  let scenario =
-    {
-      W.default with
-      W.seed = 7;
-      users = 1_000_000;
-      shards = 2;
-      cache_ttl = 30.0;
-      cache_capacity = 65_536;
-      arrivals = W.Open_loop { rate = 400.0 };
-      duration = 2.0;
-    }
-  in
-  let run = W.run scenario in
-  let rerun = W.run scenario in
-  let mpr (r : W.report) = float_of_int r.W.messages /. float_of_int r.W.offered in
-  Printf.printf "\n1M-user engine run (seed 7, 400 req/s, 2 shards, cached):\n";
-  Printf.printf "  %8s %8s %8s %8s %9s %12s\n" "offered" "granted" "denied" "errors" "msgs/req"
-    "active users";
-  Printf.printf "  %8d %8d %8d %8d %9.2f %12d\n" run.W.offered run.W.granted run.W.denied
-    run.W.errors (mpr run) run.W.active_users;
-  print_newline ();
-  Experiment.ratio x "key-build-speedup"
-    ~detail:(Printf.sprintf "packed %.3f us vs sha %.3f us" packed_us sha_us)
-    sha_us packed_us;
-  check "warm-decides-synchronous" (!answered = draws)
-    (Printf.sprintf "%d of %d warm decides answered from L1" !answered draws);
-  check "resident-key-bytes"
-    (entries = working_set && packed_bytes * 2 <= sha_bytes)
-    (Printf.sprintf "%d bytes packed vs %d sha over %d entries (<= half)" packed_bytes sha_bytes
-       entries);
-  check "o-active-state"
-    (run.W.active_users < 100_000 && run.W.active_users <= run.W.offered)
-    (Printf.sprintf "%d of %d users materialised" run.W.active_users scenario.W.users);
-  check "determinism" (W.render run = W.render rerun)
-    "same-seed 1M-user report renders byte-identical";
-  check "conservation" (W.conservation_ok run) "completed = offered and answers sum up";
-  Experiment.metric x "key_build_speedup" key_speedup;
-  Experiment.count x "packed_key_bytes" packed_bytes;
-  Experiment.count x "sha_key_bytes" sha_bytes;
-  Experiment.count x "working_set" working_set;
-  Experiment.count x "active_users_1m" run.W.active_users;
-  Experiment.metric x "msgs_per_req_1m" (mpr run)
-
-(* ==================================================================== *)
 (* The churn corpus: dacs delta, E23                                    *)
 (* ==================================================================== *)
 
@@ -1238,11 +1059,8 @@ let delta json =
      three arms — targeted region invalidation (Delta.between), full
      flush, and an uncached Policy.evaluate reference.  No request is
      ever in flight across a publish, so the three decision streams
-     must be byte-identical, both on packed keys and on the baseline
-     digest; on packed keys the targeted arm must also retain strictly
-     more warm entries (digest keys are undecodable, so targeted
-     degrades to the flush there — soundness preserved, savings
-     forfeited);
+     must be byte-identical, and the targeted arm must retain strictly
+     more warm entries;
    - the workload ablation: the same churn schedule through the engine
      with [churn_targeted] on and off — retained cache hits and
      messages per request, gated against the previous ledger entry
@@ -1250,9 +1068,8 @@ let delta json =
 
 let e23 =
   Experiment.v "e23"
-    ~gates:Gate.[ exact "corpus-decisions-identical"; exact "corpus-decisions-identical-sha";
-                  exact "corpus-hit-retention"; exact "corpus-targeted-drops-fewer";
-                  exact "sha-degrades-soundly"; exact "regions-bounded";
+    ~gates:Gate.[ exact "corpus-decisions-identical"; exact "corpus-hit-retention";
+                  exact "corpus-targeted-drops-fewer"; exact "regions-bounded";
                   exact "workload-conservation"; exact "workload-publishes";
                   exact "workload-hit-retention"; exact "workload-msgs-per-req";
                   exact "workload-determinism"; exact "missed-cache-skipped";
@@ -1272,8 +1089,8 @@ let e23 =
   (* -- part 1: sequential churn corpus ------------------------------- *)
   let resources = 8 and generations = 12 in
   let root, ctxs = churn_corpus ~resources in
-  let decide_cached key_of cache child ctx =
-    let key = key_of ctx in
+  let decide_cached cache child ctx =
+    let key = Decision_cache.request_key ctx in
     match Decision_cache.get cache ~now:0.0 ~key with
     | Some r -> r
     | None ->
@@ -1282,63 +1099,46 @@ let e23 =
       r
   in
   let max_zones = ref 0 and region_unbounded = ref false in
-  (* Runs the whole corpus with [key_of] as the cache key; returns the
-     three decision streams plus cache stats. *)
-  let corpus key_of =
-    let targeted = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
-    let full = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
-    let bufs = (Buffer.create 1024, Buffer.create 1024, Buffer.create 1024) in
-    let t_dropped = ref 0 and f_dropped = ref 0 in
-    for gen = 0 to generations do
-      if gen > 0 then begin
-        let region = D.between (Some (root (gen - 1))) (Some (root gen)) in
-        max_zones := max !max_zones (D.zone_count region);
-        if D.is_unbounded region then region_unbounded := true;
-        t_dropped := !t_dropped + Decision_cache.invalidate_region targeted region;
-        f_dropped := !f_dropped + Decision_cache.invalidate_region full D.unbounded
-      end;
-      List.iter
-        (fun ctx ->
-          let bt, bf, br = bufs in
-          let record buf (r : Decision.result) =
-            Buffer.add_string buf (Decision.decision_to_string r.Decision.decision);
-            Buffer.add_char buf ';'
-          in
-          record bt (decide_cached key_of targeted (root gen) ctx);
-          record bf (decide_cached key_of full (root gen) ctx);
-          record br (Policy.evaluate_child ctx (root gen)))
-        ctxs
-    done;
-    let bt, bf, br = bufs in
-    ( Buffer.contents bt,
-      Buffer.contents bf,
-      Buffer.contents br,
-      (Decision_cache.stats targeted).Decision_cache.hits,
-      (Decision_cache.stats full).Decision_cache.hits,
-      !t_dropped,
-      !f_dropped )
+  (* The three arms decide the whole corpus side by side, each recording
+     its decision stream. *)
+  let targeted = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
+  let full = Decision_cache.create ~max_entries:4096 ~ttl:3600.0 () in
+  let bt = Buffer.create 1024 and bf = Buffer.create 1024 and br = Buffer.create 1024 in
+  let record buf (r : Decision.result) =
+    Buffer.add_string buf (Decision.decision_to_string r.Decision.decision);
+    Buffer.add_char buf ';'
   in
-  let p_t, p_f, p_r, p_thits, p_fhits, p_tdrop, p_fdrop = corpus Decision_cache.request_key in
-  let s_t, s_f, s_r, s_thits, s_fhits, _, _ = corpus sha_request_key in
+  let p_tdrop = ref 0 and p_fdrop = ref 0 in
+  for gen = 0 to generations do
+    if gen > 0 then begin
+      let region = D.between (Some (root (gen - 1))) (Some (root gen)) in
+      max_zones := max !max_zones (D.zone_count region);
+      if D.is_unbounded region then region_unbounded := true;
+      p_tdrop := !p_tdrop + Decision_cache.invalidate_region targeted region;
+      p_fdrop := !p_fdrop + Decision_cache.invalidate_region full D.unbounded
+    end;
+    List.iter
+      (fun ctx ->
+        record bt (decide_cached targeted (root gen) ctx);
+        record bf (decide_cached full (root gen) ctx);
+        record br (Policy.evaluate_child ctx (root gen)))
+      ctxs
+  done;
+  let p_thits = (Decision_cache.stats targeted).Decision_cache.hits in
+  let p_fhits = (Decision_cache.stats full).Decision_cache.hits in
   Printf.printf "sequential corpus (%d resources, %d publishes, %d requests/generation):\n"
     resources generations (List.length ctxs);
-  Printf.printf "  %-10s %14s %14s %14s %14s\n" "keys" "targeted hits" "flush hits"
-    "targeted drops" "flush drops";
-  Printf.printf "  %-10s %14d %14d %14d %14d\n" "packed" p_thits p_fhits p_tdrop p_fdrop;
-  Printf.printf "  %-10s %14d %14d %14s %14s\n" "sha-hex" s_thits s_fhits "(degrades)" "";
+  Printf.printf "  %14s %14s %14s %14s\n" "targeted hits" "flush hits" "targeted drops"
+    "flush drops";
+  Printf.printf "  %14d %14d %14d %14d\n" p_thits p_fhits !p_tdrop !p_fdrop;
   print_newline ();
   check "corpus-decisions-identical"
-    (p_t = p_f && p_f = p_r)
-    "targeted = full-flush = uncached reference, byte-identical streams (packed)";
-  check "corpus-decisions-identical-sha"
-    (s_t = s_f && s_f = s_r)
-    "the same three streams keyed by the bench-local digest";
+    (Buffer.contents bt = Buffer.contents bf && Buffer.contents bf = Buffer.contents br)
+    "targeted = full-flush = uncached reference, byte-identical streams";
   check "corpus-hit-retention" (p_thits > p_fhits)
-    (Printf.sprintf "%d targeted hits > %d flush hits (packed)" p_thits p_fhits);
-  check "corpus-targeted-drops-fewer" (p_tdrop < p_fdrop)
-    (Printf.sprintf "%d targeted drops < %d flush drops" p_tdrop p_fdrop);
-  check "sha-degrades-soundly" (s_thits >= s_fhits)
-    (Printf.sprintf "%d vs %d hits: undecodable keys drop conservatively" s_thits s_fhits);
+    (Printf.sprintf "%d targeted hits > %d flush hits" p_thits p_fhits);
+  check "corpus-targeted-drops-fewer" (!p_tdrop < !p_fdrop)
+    (Printf.sprintf "%d targeted drops < %d flush drops" !p_tdrop !p_fdrop);
   check "regions-bounded"
     ((not !region_unbounded) && !max_zones <= 4)
     (Printf.sprintf "every consecutive-generation region bounded, max %d zones" !max_zones);
@@ -1433,8 +1233,8 @@ let e23 =
     "same-seed churn report renders byte-identical";
   Experiment.count x "seq_targeted_hits" p_thits;
   Experiment.count x "seq_full_hits" p_fhits;
-  Experiment.count x "seq_targeted_drops" p_tdrop;
-  Experiment.count x "seq_full_drops" p_fdrop;
+  Experiment.count x "seq_targeted_drops" !p_tdrop;
+  Experiment.count x "seq_full_drops" !p_fdrop;
   Experiment.count x "max_region_zones" !max_zones;
   Experiment.count x "targeted_cache_hits" targeted_run.W.cache_hits;
   Experiment.count x "full_cache_hits" full_run.W.cache_hits;

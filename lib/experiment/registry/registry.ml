@@ -1,6 +1,6 @@
 (* The one experiment registry.  Every experiment and every gated
-   scenario is declared here once: E1-E23 and the seven gated dacs
-   subcommands, each built from its flags with their defaults.
+   scenario is declared here once: E1-E23 (no E13 or E22) and the seven
+   gated dacs subcommands, each built from its flags with their defaults.
    bench/main.exe selects entries by name and runs them at their
    defaults; dacs <name> [flags] runs a subcommand entry with the flags
    given. *)
@@ -156,7 +156,6 @@ let entries =
     gated Gated.e18;
     gated Gated.e19;
     gated Gated.e21;
-    gated Gated.e22;
     gated Gated.e23;
     command "tier"
       ~doc:

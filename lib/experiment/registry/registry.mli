@@ -1,5 +1,5 @@
-(** The one experiment registry: E1-E23 and the seven gated [dacs]
-    subcommands (tier, cache, explain, slo, offline, load, delta), each
+(** The one experiment registry: E1-E23 (no E13 or E22) and the seven
+    gated [dacs] subcommands (tier, cache, explain, slo, offline, load, delta), each
     declared once as an {!Dacs_experiment.Experiment.v} with its gates. *)
 
 val all : Dacs_experiment.Experiment.experiment list

@@ -78,27 +78,8 @@ let remove_one x xs =
   let rec go = function [] -> [] | y :: rest -> if y = x then rest else y :: go rest in
   go xs
 
-let apply ?tracer net specs =
+let apply net specs =
   List.iter validate specs;
-  (* Window edges as trace events, scheduled before the state mutations so
-     the note fires first at equal timestamps. *)
-  (match tracer with
-  | None -> ()
-  | Some tr ->
-    let note at msg = at_time net ~at (fun () -> Dacs_telemetry.Trace.record tr msg) in
-    List.iter
-      (fun spec ->
-        let from_, until_ =
-          match spec with
-          | Latency_spike { window; _ }
-          | Drop_burst { window; _ }
-          | Flapping_partition { window; _ }
-          | Slow_node { window; _ } -> (window.from_, Some window.until_)
-          | Crash_restart { at; restart; _ } -> (at, restart)
-        in
-        note from_ ("fault-open: " ^ describe spec);
-        Option.iter (fun u -> note u ("fault-cleared: " ^ describe spec)) until_)
-      specs);
   (* Per-link state: a spike pins the latency (highest active spike wins),
      slow-node extras add on top, and an untouched link shows its
      baseline. *)

@@ -40,18 +40,13 @@ type spec =
 val describe : spec -> string
 (** One-line human-readable rendering, for logs and bench output. *)
 
-val apply : ?tracer:Dacs_telemetry.Trace.t -> Net.t -> spec list -> unit
+val apply : Net.t -> spec list -> unit
 (** Compile the schedule onto the network's engine.  Windows already in
     the past fire immediately.  Overlapping windows compose rather than
     clobber each other's saved state: the harshest active drop burst and
     latency spike win, slow-node extras stack, and a node recovers only
     when its last crash window has closed — once every window has closed,
     the network is back at its pre-schedule baseline.
-
-    With [tracer], every window edge is recorded as a span event
-    ([fault-open: …] / [fault-cleared: …]) on whatever span is current
-    when the window fires — or in the trace-global event log — so a
-    rendered trace shows which faults were active around each hop.
     @raise Invalid_argument on empty or negative windows, rates outside
     [0,1], non-positive flap periods or restarts not after their crash. *)
 

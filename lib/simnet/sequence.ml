@@ -5,10 +5,8 @@ let participants_of trace =
       add (add acc e.Net.t_src) e.Net.t_dst)
     [] trace
 
-let render ?participants trace =
-  let fixed = Option.value participants ~default:[] in
-  let discovered = participants_of trace in
-  let columns = fixed @ List.filter (fun n -> not (List.mem n fixed)) discovered in
+let render trace =
+  let columns = participants_of trace in
   match columns with
   | [] -> "(no messages)\n"
   | _ ->

@@ -11,10 +11,9 @@
         |<--------|          |   access-reply      t=0.015
     v} *)
 
-val render : ?participants:Net.node_id list -> Net.trace_entry list -> string
-(** Render delivered messages in order.  [participants] fixes the column
-    order (defaults to first-appearance order); nodes not listed are
-    appended. *)
+val render : Net.trace_entry list -> string
+(** Render delivered messages in order, one column per node in
+    first-appearance order. *)
 
 val participants_of : Net.trace_entry list -> Net.node_id list
 (** Nodes in first-appearance order. *)

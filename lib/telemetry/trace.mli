@@ -64,8 +64,8 @@ val finish : t -> span -> unit
 
 val record : t -> string -> unit
 (** Timestamped event attached to the ambient span, or to the trace-global
-    event log when no span is current — how fault-window openings and
-    breaker transitions land in the story of a run. *)
+    event log when no span is current — how breaker transitions and
+    serving-ladder rungs land in the story of a run. *)
 
 (** {1 Inspection} *)
 

@@ -48,7 +48,7 @@ type scenario = {
   arrivals : arrivals;
   duration : float;  (** virtual seconds during which traffic is offered *)
   cache_ttl : float;  (** L1 decision-cache TTL; <= 0 disables the cache *)
-  cache_capacity : int;  (** L1 max entries (the E22 warm-working-set knob) *)
+  cache_capacity : int;  (** L1 max entries (the warm working-set bound) *)
   service_time : float;  (** per-query PDP occupancy (the FIFO model) *)
   batch : int;  (** tier batch limit *)
   admission : Dacs_core.Pep.admission option;  (** per-PEP bound *)
@@ -114,13 +114,6 @@ type report = {
           and fail-closed answers burn the availability budget *)
 }
 
-val zipf_sampler : Dacs_crypto.Rng.t -> n:int -> skew:float -> unit -> int
-(** A sampler of Zipf([skew]) over \[0, n): index [i] has weight
-    [1/(i+1)^skew], drawn by Walker's alias method — O(n) setup, then one
-    uniform draw from the given stream per sample.  [skew <= 0] is
-    uniform.  The engine draws users and PEPs with it; E22 draws its
-    warm-L1 working set. *)
-
 val churned_policy : resources:int -> gen:int -> Dacs_policy.Policy.t
 (** The churn schedule's generation [gen] policy over [resources]
     guarded resources: generation 0 is exactly the base serving policy;
@@ -166,5 +159,4 @@ val cold_decision_probe : unit -> cold_probe
     the PEP ladder, the tier, the SOAP and RPC framing, two deliveries,
     the PDP's FIFO and evaluation, and back.  Twenty warm-up decisions,
     then 200 measured.  Deterministic: the words of one binary are the
-    same on every run.  E16's [cold_words_per_decision] and [test_tier]'s
-    word bound both read this probe. *)
+    same on every run.  [test_tier]'s word bound reads this probe. *)

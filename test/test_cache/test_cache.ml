@@ -876,6 +876,30 @@ let test_no_l2_put_for_indeterminate ~sharded () =
   check int_ "the L2 was consulted" 1 st.Cache_hierarchy.L2.lookups;
   check int_ "no cache-put reached the L2" 0 st.Cache_hierarchy.L2.puts
 
+(* A fresh L1 hit is the ladder's synchronous rung: the answer arrives
+   before Pep.decide returns, with no engine event and no message. *)
+let test_fresh_l1_hit_is_synchronous ~sharded () =
+  let net = Net.create ~seed:37L () in
+  let services = Service.create (Rpc.create net) in
+  Net.add_node net "pdp";
+  ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:region_base ());
+  Net.add_node net "pep";
+  let pep =
+    pep_over_pdp services ~sharded ~resource:"lab" (Some (Decision_cache.create ~ttl:60.0 ()))
+  in
+  let cold = ref None in
+  Pep.decide pep (rctx "lab") (fun r -> cold := Some r.Decision.decision);
+  check bool_ "a cold decide waits for the live answer" true (!cold = None);
+  Net.run net;
+  check bool_ "the live answer fills L1" true (!cold = Some Decision.Permit);
+  let sent = (Net.total_sent net).Net.count in
+  let warm = ref None in
+  Pep.decide pep (rctx "lab") (fun r -> warm := Some r.Decision.decision);
+  check bool_ "the warm decide answered before returning" true (!warm = Some Decision.Permit);
+  check int_ "from L1" 1 (Pep.stats pep).Pep.cache_hits;
+  Net.run net;
+  check int_ "without a message" sent (Net.total_sent net).Net.count
+
 (* --- the whole hierarchy under revocation ------------------------------- *)
 
 (* [doctor_policy] plus a rule confined to resource "lab": the publish
@@ -1698,6 +1722,13 @@ let () =
             test_coalescing;
           Alcotest.test_case "distinct queries never coalesce" `Quick
             test_coalescing_distinct_keys;
+        ] );
+      ( "l1",
+        [
+          Alcotest.test_case "a pull PEP answers a fresh L1 hit synchronously" `Quick
+            (test_fresh_l1_hit_is_synchronous ~sharded:false);
+          Alcotest.test_case "a sharded PEP answers a fresh L1 hit synchronously" `Quick
+            (test_fresh_l1_hit_is_synchronous ~sharded:true);
         ] );
       ( "negative-caching",
         [

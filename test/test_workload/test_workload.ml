@@ -35,11 +35,11 @@ let test_determinism () =
   Alcotest.(check string) "same seed renders byte-identical" (W.render a) (W.render b);
   Alcotest.(check string) "json render too" (W.render_json a) (W.render_json b)
 
-(* The O(active) scale contract (E22's unit-level counterpart): a
-   100k-user Zipf population runs to completion materialising state only
-   for users that actually issued a request, same-seed reports stay
-   byte-identical at that scale, and a million-user population is
-   admissible without a million-entry table. *)
+(* The O(active) scale contract: a 100k-user Zipf population runs to
+   completion materialising state only for users that actually issued a
+   request, same-seed reports stay byte-identical at that scale, and a
+   million-user population is admissible without a million-entry table.
+   CI's million-user load smoke adds same-seed byte identity at 1M. *)
 let test_scale_lazy_users () =
   let s =
     {
