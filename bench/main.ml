@@ -50,6 +50,34 @@ let micro () =
       ~action:[ ("action-id", Value.String "read") ]
       ()
   in
+  (* A nurse's read as an offline replica logs it: the link is what the
+     author pays per Decide (canonical bytes, chain digest, tag under the
+     prepared mesh key), the verify what each receiver pays to admit it. *)
+  let replica = Offline.create ~key:"mesh" ~author:"dom0" () in
+  Offline.publish replica (Policy.Inline_policy (W.churned_policy ~resources:64 ~gen:0));
+  Offline.set_offline replica true;
+  ignore (Offline.decide replica nurse_read);
+  let logged, prev =
+    match Offline.events replica with
+    | [ publish; decide ] -> (decide, publish.Offline.digest)
+    | _ -> failwith "micro: expected a Publish and a Decide"
+  in
+  let replica_key = Dacs_crypto.Hmac.key "mesh" in
+  let link_buf = Buffer.create 256 in
+  let link_digest () =
+    Buffer.clear link_buf;
+    Wire.write_log_link link_buf logged;
+    Dacs_crypto.Chain.extend ~prev link_buf
+  in
+  let offline_verify () =
+    let digest = link_digest () in
+    if
+      not
+        (String.equal digest logged.Offline.digest
+        && Dacs_crypto.Hmac.check replica_key digest ~tag:logged.Offline.tag)
+    then failwith "micro: the logged Decide does not verify"
+  in
+  offline_verify ();
   let query_envelope = Soap.envelope (Wire.authz_query ctx) in
   let query_xml = Xml.to_string query_envelope in
   let pa =
@@ -83,6 +111,9 @@ let micro () =
       Test.make ~name:"engine event (6000 pending)" (Staged.stage (schedule_and_run (engine_with 6000)));
       Test.make ~name:"sha256 (64 B)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest block));
       Test.make ~name:"sha256 (1 KiB)" (Staged.stage (fun () -> Dacs_crypto.Sha256.digest kilobyte));
+      Test.make ~name:"offline link (Decide)"
+        (Staged.stage (fun () -> Dacs_crypto.Hmac.tag replica_key (link_digest ())));
+      Test.make ~name:"offline verify (Decide)" (Staged.stage offline_verify);
       Test.make ~name:"hmac-sha256 prepared key (32 B)"
         (Staged.stage (fun () -> Dacs_crypto.Hmac.tag mesh_key chain_digest));
       Test.make ~name:"hmac-sha256 (1 KiB)"

@@ -204,8 +204,6 @@ let invalidate_region t region =
 
 let size t = Hashtbl.length t.table
 
-let key_bytes t = Hashtbl.fold (fun key _ acc -> acc + String.length key) t.table 0
-
 let stats t =
   let v = Metrics.counter_value in
   let c = t.counters in

@@ -79,11 +79,6 @@ val region_scans : t -> int
 
 val size : t -> int
 
-val key_bytes : t -> int
-(** Total bytes of resident keys, counting expired entries not yet
-    dropped: packed integer-tuple keys stay well under the
-    64-byte-per-entry hex digests they replaced. *)
-
 type stats = {
   hits : int;
   misses : int;

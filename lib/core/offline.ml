@@ -253,12 +253,11 @@ let on_invalidate t hook = t.hooks <- hook :: t.hooks
 
 (* --- signing ------------------------------------------------------------- *)
 
-(* The chain link over [ev]'s canonical bytes — [Wire.write_log_event]'s
-   unsigned ones, written into the replica's scratch buffer and hashed
-   there. *)
+(* The chain link over [ev]'s canonical bytes — [Wire.write_log_link]'s,
+   written into the replica's scratch buffer and hashed there. *)
 let link t ~prev ev =
   Buffer.clear t.scratch;
-  Wire.write_log_event t.scratch ~signed:false ev;
+  Wire.write_log_link t.scratch ev;
   Chain.extend ~prev t.scratch
 
 let append_own t kind =

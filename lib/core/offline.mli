@@ -15,9 +15,12 @@
     {!Dacs_crypto.Chain}) and an HMAC-SHA256 tag over the digest under
     the mesh key.  The event is {!Wire.log_event}, re-exported here: one
     typed value from append to wire.  Canonical bytes are what
-    {!Wire.write_log_event} writes from it with [~signed:false] — the one
-    definition of the event element, written into a buffer the replica
-    reuses — so every replica recomputes identical digests.  Each event
+    {!Wire.write_log_link} writes from it — an injective compact form:
+    a kind byte, length-prefixed strings, delimited integers, [at] as
+    its 8 IEEE bits and the frontier sorted by author — written into a
+    buffer the replica reuses, so every replica recomputes identical
+    digests.  Log-sync frames carry the event element that
+    {!Wire.write_log_event} writes, digest and tag included.  Each event
     also carries the author's vector-clock frontier (highest seq seen
     per author, self included) — the causality needed by deny-wins.
 
@@ -64,9 +67,12 @@
     author whose clock stepped back, and a Decide it need not re-check
     costs a lookup of its frontier's cut, with nothing allocated.
     Admission walks each author's fresh events once in seq order.  Each
-    of them is re-rendered into one reused buffer, chain-hashed there
-    and HMAC-checked, and allocates only three digests (the link, the
-    tag's inner hash, the tag) and its rendered timestamp. *)
+    of them is re-written in its canonical form into one reused buffer,
+    chain-hashed there and HMAC-checked, and allocates only three
+    digests (the link, the tag's inner hash, the tag).  A
+    benchmark-shaped Decide is about 140 canonical bytes, so its link
+    hashes 3 SHA-256 blocks and its tag 2, at append and again at
+    admission. *)
 
 type kind = Wire.log_kind =
   | Grant of { subject : string; attr : string; value : string }

@@ -473,11 +473,13 @@ let rec sorted_by_author = function
   | [ _ ] | [] -> true
 
 (* Entries sorted by author, whatever order the frontier came in; one
-   already sorted, as a replica's own always is, is written as it is. *)
+   already sorted, as a replica's own always is, is used as it is. *)
+let in_author_order frontier =
+  if sorted_by_author frontier then frontier else List.stable_sort by_author frontier
+
 let write_frontier buf frontier =
   Buffer.add_string buf "<Frontier";
-  end_with buf "Frontier" write_entry
-    (if sorted_by_author frontier then frontier else List.stable_sort by_author frontier)
+  end_with buf "Frontier" write_entry (in_author_order frontier)
 
 let write_field buf name value =
   Buffer.add_string buf "<Field";
@@ -486,7 +488,7 @@ let write_field buf name value =
   Xml.add_escaped buf value;
   Buffer.add_string buf "</Field>"
 
-let write_log_event buf ~signed ev =
+let write_log_event buf ev =
   Buffer.add_string buf "<LogEvent";
   add_attr buf "Author" ev.author;
   write_count buf "Seq" ev.seq;
@@ -498,10 +500,8 @@ let write_log_event buf ~signed ev =
     | Revoke _ -> "revoke"
     | Publish _ -> "publish"
     | Decide _ -> "decide");
-  if signed then begin
-    add_attr buf "Digest" (Dacs_crypto.Encoding.hex_encode ev.digest);
-    add_attr buf "Tag" (Dacs_crypto.Encoding.hex_encode ev.tag)
-  end;
+  add_attr buf "Digest" (Dacs_crypto.Encoding.hex_encode ev.digest);
+  add_attr buf "Tag" (Dacs_crypto.Encoding.hex_encode ev.tag);
   Buffer.add_char buf '>';
   write_frontier buf ev.frontier;
   (match ev.kind with
@@ -518,6 +518,51 @@ let write_log_event buf ~signed ev =
     write_field buf "ctx" ctx;
     write_field buf "decision" decision);
   Buffer.add_string buf "</LogEvent>"
+
+(* The bytes a chain link hashes.  Every field is self-delimiting — a
+   string is [len:bytes], an integer is decimal ended by [;], [at] is
+   its 8 IEEE bits big-endian, the frontier is its count then its
+   entries — and the kind byte fixes which fields follow, so the bytes
+   read back one way only.  Nothing is escaped or formatted. *)
+
+let add_link_int buf n =
+  Xml.add_int buf n;
+  Buffer.add_char buf ';'
+
+let add_link_string buf s =
+  Xml.add_int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let rec add_link_entries buf = function
+  | [] -> ()
+  | (author, seq) :: rest ->
+    add_link_string buf author;
+    add_link_int buf seq;
+    add_link_entries buf rest
+
+let write_log_link buf ev =
+  Buffer.add_char buf
+    (match ev.kind with Grant _ -> 'G' | Revoke _ -> 'R' | Publish _ -> 'P' | Decide _ -> 'D');
+  add_link_string buf ev.author;
+  add_link_int buf ev.seq;
+  Buffer.add_int64_be buf (Int64.bits_of_float ev.at);
+  add_link_int buf ev.epoch;
+  add_link_int buf (List.length ev.frontier);
+  add_link_entries buf (in_author_order ev.frontier);
+  match ev.kind with
+  | Grant { subject; attr; value } ->
+    add_link_string buf subject;
+    add_link_string buf attr;
+    add_link_string buf value
+  | Revoke { subject; attr } ->
+    add_link_string buf subject;
+    add_link_string buf attr
+  | Publish { policy } -> add_link_string buf policy
+  | Decide { key; ctx; decision } ->
+    add_link_string buf key;
+    add_link_string buf ctx;
+    add_link_string buf decision
 
 let hex_attr c tag name =
   let s = Cursor.attr_named c tag name in
@@ -586,11 +631,9 @@ let read_log_sync_request =
       Cursor.end_attrs c tag;
       only_child c tag ~missing:"LogSyncRequest has no Frontier" frontier_in)
 
-let write_signed_event buf ev = write_log_event buf ~signed:true ev
-
 let write_log_sync_response buf events =
   Buffer.add_string buf "<LogSyncResponse";
-  end_with buf "LogSyncResponse" write_signed_event events
+  end_with buf "LogSyncResponse" write_log_event events
 
 let read_log_sync_response =
   total (fun c ->

@@ -132,14 +132,26 @@ type log_event = {
   tag : string;  (** HMAC-SHA256 over the digest, raw bytes *)
 }
 
-val write_log_event : Buffer.t -> signed:bool -> log_event -> unit
-(** The one definition of the event element: the kind's fields are
-    written as [Field] children in a fixed order per kind.  With
-    [~signed:false] it leaves out the digest and tag and writes the
-    canonical bytes that the hash chain links and the HMAC
-    authenticates; both sides must derive them the same way, which is
-    why they live here next to the encoding.  Frontier entries are
-    written sorted by author. *)
+val write_log_event : Buffer.t -> log_event -> unit
+(** The event element of a log-sync response, digest and tag included:
+    the kind's fields are written as [Field] children in a fixed order
+    per kind, and frontier entries sorted by author. *)
+
+val write_log_link : Buffer.t -> log_event -> unit
+(** The canonical bytes that the hash chain links: every field but the
+    digest and tag, in one injective form.  A kind byte ([G], [R], [P],
+    [D]); the author as [len:bytes]; [seq] as decimal ended by [;]; [at]
+    as its 8 IEEE bits, big-endian; [epoch] as decimal ended by [;]; the
+    frontier's entry count, then its entries sorted by author, each
+    [len:author] and [seq;]; then the kind's fields in
+    {!write_log_event}'s order, each [len:bytes].  Lengths are in bytes
+    and nothing is escaped, so two events write equal bytes exactly when
+    their fields are equal, [at] bit for bit and the frontier up to the
+    order of its authors.  A grant by [d] of [(u, r, v)] at seq 1, time
+    0.5, epoch 0, frontier [[(d, 1)]] is
+    [G1:d1;\x3f\xe0\x00\x00\x00\x00\x00\x000;1;1:d1;1:u1:r1:v].
+    Both the author and every receiver derive the chain from these
+    bytes, which is why they live here next to the event. *)
 
 val write_log_sync_request : Buffer.t -> frontier:(string * int) list -> unit
 (** Anti-entropy poll: "this is my frontier — send what I lack." *)

@@ -14,6 +14,9 @@ type private_key = {
   d : Bignum.t;
   p : Bignum.t;
   q : Bignum.t;
+  dp : Bignum.t;  (** [d mod (p - 1)] *)
+  dq : Bignum.t;  (** [d mod (q - 1)] *)
+  qinv : Bignum.t;  (** [q]{^ -1} [mod p] *)
 }
 
 type keypair = { public : public_key; private_ : private_key }
@@ -28,7 +31,10 @@ val key_bytes : public_key -> int
 (** {1 Signatures (SHA-256, PKCS#1 v1.5-style padding)} *)
 
 val sign : private_key -> string -> string
-(** [sign key msg] is the raw signature (of {!key_bytes} length). *)
+(** [sign key msg] is the raw signature (of {!key_bytes} length):
+    [m]{^ [d]} [mod n] of the padded digest [m], computed by the Chinese
+    remainder theorem from [dp], [dq] and [qinv].  The padding is
+    deterministic, so a message always signs to the same bytes. *)
 
 val verify : public_key -> string -> signature:string -> bool
 

@@ -879,8 +879,8 @@ let e21 =
   tick ();
   O.revoke reps.(3) ~subject:(user 11) ~attr:"role";
   ignore (sync_round intra);
-  (* The canonical bytes of each offline Decide: what the chain hashes
-     at append and again at every admission. *)
+  (* The canonical bytes of each offline Decide ([Wire.write_log_link]'s):
+     what the chain hashes at append and again at every admission. *)
   let logged_bytes =
     let buf = Buffer.create 1024 in
     List.fold_left
@@ -888,7 +888,7 @@ let e21 =
         match ev.O.kind with
         | O.Decide _ ->
           Buffer.clear buf;
-          Wire.write_log_event buf ~signed:false ev;
+          Wire.write_log_link buf ev;
           acc + Buffer.length buf
         | _ -> acc)
       0 (O.events reps.(0))

@@ -572,6 +572,28 @@ let test_rsa_sign_wrong_key () =
   let signature = Rsa.sign kp.Rsa.private_ "msg" in
   check bool_ "other key rejects" false (Rsa.verify other.Rsa.public "msg" ~signature)
 
+(* The CRT signature equals the plain [m^d mod n] of the padded digest,
+   byte for byte, on keys of several widths and messages of several
+   lengths; the key's CRT parts are what they claim. *)
+let test_rsa_crt_matches_plain () =
+  let plain (key : Rsa.private_key) msg =
+    let k = Rsa.key_bytes key.Rsa.pub in
+    let block = "\x00\x01" ^ String.make (k - 35) '\xFF' ^ "\x00" ^ Sha256.digest msg in
+    Bignum.to_bytes_be_padded (Bignum.modpow (Bignum.of_bytes_be block) key.Rsa.d key.Rsa.pub.Rsa.n) k
+  in
+  List.iter
+    (fun (seed, bits) ->
+      let key = (Rsa.generate (Rng.create seed) ~bits).Rsa.private_ in
+      check bn "dp = d mod (p-1)" (Bignum.rem key.Rsa.d (Bignum.pred key.Rsa.p)) key.Rsa.dp;
+      check bn "dq = d mod (q-1)" (Bignum.rem key.Rsa.d (Bignum.pred key.Rsa.q)) key.Rsa.dq;
+      check bn "q * qinv = 1 (mod p)" Bignum.one (Bignum.rem (Bignum.mul key.Rsa.q key.Rsa.qinv) key.Rsa.p);
+      List.iter
+        (fun msg ->
+          check string_ (Printf.sprintf "%d-bit key, %d-byte message" bits (String.length msg)) (plain key msg)
+            (Rsa.sign key msg))
+        [ ""; "msg"; "authorise: subject=alice action=read resource=wsA"; String.make 1000 'x'; Int64.to_string seed ])
+    [ (1L, 512); (2L, 512); (3L, 384); (4L, 320); (5L, 768) ]
+
 let test_rsa_public_xml_roundtrip () =
   let kp = Lazy.force test_keypair in
   match Rsa.public_of_xml (Rsa.public_to_xml kp.Rsa.public) with
@@ -869,6 +891,7 @@ let () =
           Alcotest.test_case "keygen shape" `Quick test_rsa_keygen_shape;
           Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "wrong key rejects" `Quick test_rsa_sign_wrong_key;
+          Alcotest.test_case "CRT signature = plain modpow" `Quick test_rsa_crt_matches_plain;
           Alcotest.test_case "public key XML roundtrip" `Quick test_rsa_public_xml_roundtrip;
         ] );
       ( "stream_cipher",

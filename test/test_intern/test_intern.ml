@@ -268,17 +268,6 @@ let test_cache_key_is_global_packed_key () =
   | None -> Alcotest.fail "a serving-path key must decode against the global table"
   | Some ctx -> check bool_ "decodes to the keyed multisets" true (canonical ctx = canonical ctx_alice)
 
-let test_key_bytes_accounting () =
-  let cache = Decision_cache.create ~max_entries:16 ~ttl:60.0 () in
-  check int_ "empty cache holds no key bytes" 0 (Decision_cache.key_bytes cache);
-  let keys = [ "1.2.3"; "4.5"; "6" ] in
-  List.iter
-    (fun key -> Decision_cache.put cache ~now:0.0 ~key Dacs_policy.Decision.permit)
-    keys;
-  check int_ "key_bytes sums resident key lengths"
-    (List.fold_left (fun acc k -> acc + String.length k) 0 keys)
-    (Decision_cache.key_bytes cache)
-
 let test_packed_keys_are_short () =
   (* The point of packing: a key is far below a 64-hex SHA-256 digest for
      realistic attribute counts, and stays XML-safe ASCII. *)
@@ -360,7 +349,6 @@ let () =
         [
           Alcotest.test_case "request_key is the global packed key" `Quick
             test_cache_key_is_global_packed_key;
-          Alcotest.test_case "resident key byte accounting" `Quick test_key_bytes_accounting;
         ] );
       ("allocation", [ Alcotest.test_case "a warm key allocates only itself" `Quick test_request_key_allocation ]);
     ]

@@ -1016,14 +1016,16 @@ let test_heal_allocation () =
 (* --- the size and cost of one Decide ---------------------------------------- *)
 
 (* A Decide shaped like a workload request (subject-id, role, resource-id,
-   action-id) has canonical bytes — what the chain hashes at append and
-   again at admission — of at most [decide_bytes_bound], and one offline
-   decide allocates at most [decide_words_bound] minor words, 60 fewer
-   than when the context was logged as escaped XACML XML.  Measured: 326
-   bytes (6 SHA-256 blocks with the previous digest) and 214.6 words;
-   as XML, 794 bytes (14 blocks) and 278.6 words, a closure per
-   attribute and the escaped string among them. *)
-let decide_bytes_bound = 400
+   action-id) has canonical bytes — [Wire.write_log_link]'s, what the
+   chain hashes at append and again at admission — of at most
+   [decide_bytes_bound], and one offline decide allocates at most
+   [decide_words_bound] minor words, 60 fewer than when the context was
+   logged as escaped XACML XML.  Measured: 136 bytes (3 SHA-256 blocks
+   with the previous digest) and 173.6 words; hashed as the event's XML
+   element, 326 bytes (6 blocks) and 182.6 words, its timestamp rendered
+   as a string among them; with the context as XML too, 794 bytes (14
+   blocks) and 278.6 words. *)
+let decide_bytes_bound = 180
 let decide_words_bound = 218.0
 
 let test_decide_cost () =
@@ -1058,7 +1060,7 @@ let test_decide_cost () =
         match ev.O.kind with
         | O.Decide _ ->
           let buf = Buffer.create 512 in
-          Wire.write_log_event buf ~signed:false ev;
+          Wire.write_log_link buf ev;
           max acc (Buffer.length buf)
         | _ -> acc)
       0 (O.events o)

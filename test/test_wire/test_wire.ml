@@ -510,20 +510,185 @@ let properties (Frame f) =
           | Error e -> Test.fail_reportf "accepted what the reference rejects (%s): %S" e s));
   ]
 
-(* The offline log event itself: the writer's canonical (unsigned) and
-   signed bytes are the former tree printers' to the byte, whatever the
-   timestamp or sequence number. *)
-let log_event_bytes_tests =
-  List.map
-    (fun signed ->
-      let name = if signed then "log_event (signed)" else "log_event (canonical)" in
-      let reference = if signed then Ref.log_event else Ref.log_event_unsigned in
-      Test.make ~name:(name ^ ": writer bytes = reference tree printed") ~count:500
-        (make ~print:(fun ev -> Xml.to_string (Ref.log_event ev)) any_log_event_gen) (fun ev ->
-          let ours = written (fun buf ev -> Wire.write_log_event buf ~signed ev) ev
-          and theirs = Xml.to_string (reference ev) in
-          ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs))
-    [ false; true ]
+(* The offline log event's frame: the writer's bytes are the former tree
+   printer's to the byte, whatever the timestamp or sequence number. *)
+let log_event_bytes_test =
+  Test.make ~name:"log_event: writer bytes = reference tree printed" ~count:500
+    (make ~print:(fun ev -> Xml.to_string (Ref.log_event ev)) any_log_event_gen) (fun ev ->
+      let ours = written Wire.write_log_event ev and theirs = Xml.to_string (Ref.log_event ev) in
+      ours = theirs || Test.fail_reportf "writer: %S@.reference: %S" ours theirs)
+
+(* --- the bytes a chain link hashes --------------------------------------------------- *)
+
+let link_bytes = written Wire.write_log_link
+
+(* One event of each kind, to the byte: a grant whose frontier arrives
+   unsorted, a revoke at -0.0 with an empty frontier, a publication and
+   a Decide logging a compact context. *)
+let link_pinned () =
+  let ev ~author ~seq ~at ~epoch frontier kind =
+    { Wire.author; seq; at; epoch; frontier; kind; digest = "digest"; tag = "tag" }
+  in
+  List.iter
+    (fun (name, ev, want) -> Alcotest.(check string) name want (link_bytes ev))
+    [
+      ( "grant",
+        ev ~author:"dom0" ~seq:3 ~at:1.5 ~epoch:2 [ ("dom1", 4); ("dom0", 3) ]
+          (Wire.Grant { subject = "alice"; attr = "role"; value = "doctor" }),
+        "G4:dom03;\x3f\xf8\x00\x00\x00\x00\x00\x002;2;4:dom03;4:dom14;5:alice4:role6:doctor" );
+      ( "revoke",
+        ev ~author:"dom2" ~seq:1 ~at:(-0.0) ~epoch:0 [] (Wire.Revoke { subject = "alice"; attr = "role" }),
+        "R4:dom21;\x80\x00\x00\x00\x00\x00\x00\x000;0;5:alice4:role" );
+      ( "publish",
+        ev ~author:"dom1" ~seq:7 ~at:1e9 ~epoch:0 [ ("dom1", 7) ] (Wire.Publish { policy = "<PolicySet/>" }),
+        "P4:dom17;\x41\xcd\xcd\x65\x00\x00\x00\x000;1;4:dom17;12:<PolicySet/>" );
+      ( "decide",
+        ev ~author:"dom0" ~seq:12 ~at:0.25 ~epoch:1 [ ("dom0", 12) ]
+          (Wire.Decide { key = "0.1.2.3"; ctx = "1:Ss10:subject-id5:alice"; decision = "Permit" }),
+        "D4:dom012;\x3f\xd0\x00\x00\x00\x00\x00\x001;1;4:dom012;7:0.1.2.324:1:Ss10:subject-id5:alice6:Permit" );
+    ]
+
+(* Events as a replica holds them: at most one frontier entry per
+   author, in any order. *)
+let link_event_gen =
+  Gen.map
+    (fun (ev : Wire.log_event) -> { ev with frontier = List.sort_uniq by_author ev.frontier })
+    any_log_event_gen
+
+(* The kind's string fields, and the kind rebuilt from such a list. *)
+let kind_strings = function
+  | Wire.Grant { subject; attr; value } -> [ subject; attr; value ]
+  | Wire.Revoke { subject; attr } -> [ subject; attr ]
+  | Wire.Publish { policy } -> [ policy ]
+  | Wire.Decide { key; ctx; decision } -> [ key; ctx; decision ]
+
+let with_strings kind strings =
+  match (kind, strings) with
+  | Wire.Grant _, [ subject; attr; value ] -> Wire.Grant { subject; attr; value }
+  | Wire.Revoke _, [ subject; attr ] -> Wire.Revoke { subject; attr }
+  | Wire.Publish _, [ policy ] -> Wire.Publish { policy }
+  | Wire.Decide _, [ key; ctx; decision ] -> Wire.Decide { key; ctx; decision }
+  | _ -> invalid_arg "with_strings"
+
+(* [ev] with one field changed, chosen by [which]; [i] picks the
+   frontier entry or kind field.  The last two keep every string but
+   move the bounds between them: the same strings under another kind
+   byte, and one byte shifted from a field into the next. *)
+let changed (ev : Wire.log_event) which i =
+  let nth_mapped f l =
+    let k = i mod List.length l in
+    List.mapi (fun j x -> if j = k then f x else x) l
+  in
+  match which with
+  | 0 -> ("author", { ev with author = ev.author ^ "x" })
+  | 1 -> ("seq", { ev with seq = ev.seq + 1 })
+  | 2 -> ("epoch", { ev with epoch = ev.epoch + 1 })
+  | 3 -> ("at's sign", { ev with at = Float.neg ev.at })
+  | 4 -> ("at's last bit", { ev with at = Int64.(float_of_bits (logxor (bits_of_float ev.at) 1L)) })
+  | 5 when ev.frontier <> [] ->
+    ("a frontier seq", { ev with frontier = nth_mapped (fun (a, n) -> (a, n + 1)) ev.frontier })
+  | 6 when ev.frontier <> [] ->
+    ("a frontier author", { ev with frontier = nth_mapped (fun (a, n) -> (a ^ "x", n)) ev.frontier })
+  | 7 when ev.frontier <> [] ->
+    let k = i mod List.length ev.frontier in
+    ("a frontier entry dropped", { ev with frontier = List.filteri (fun j _ -> j <> k) ev.frontier })
+  | 5 | 6 | 7 -> ("a frontier entry added", { ev with frontier = [ ("dom9", i) ] })
+  | 8 ->
+    ("a kind field", { ev with kind = with_strings ev.kind (nth_mapped (fun s -> s ^ "x") (kind_strings ev.kind)) })
+  | 9 ->
+    ( "the kind byte",
+      {
+        ev with
+        kind =
+          (match ev.kind with
+          | Wire.Grant { subject; attr; value } -> Wire.Decide { key = subject; ctx = attr; decision = value }
+          | Wire.Decide { key; ctx; decision } -> Wire.Grant { subject = key; attr = ctx; value = decision }
+          | Wire.Revoke { subject; attr } -> Wire.Grant { subject; attr; value = "" }
+          | Wire.Publish { policy } -> Wire.Revoke { subject = policy; attr = "" });
+      } )
+  | _ -> (
+    match kind_strings ev.kind with
+    | first :: second :: rest when first <> "" ->
+      let n = String.length first in
+      let shifted = String.sub first 0 (n - 1) :: (String.sub first (n - 1) 1 ^ second) :: rest in
+      ("a byte shifted between fields", { ev with kind = with_strings ev.kind shifted })
+    | strings -> ("a kind field", { ev with kind = with_strings ev.kind (List.map (fun s -> s ^ "x") strings) }))
+
+(* A reader of the canonical form, for the test: that it reads every
+   event's bytes back to the event (frontier sorted, digest and tag
+   left out) shows that no two events share their bytes. *)
+let read_link s =
+  let pos = ref 1 in
+  let until stop =
+    let j = String.index_from s !pos stop in
+    let n = int_of_string (String.sub s !pos (j - !pos)) in
+    pos := j + 1;
+    n
+  in
+  let int () = until ';' in
+  let str () =
+    let n = until ':' in
+    let v = String.sub s !pos n in
+    pos := !pos + n;
+    v
+  in
+  let author = str () in
+  let seq = int () in
+  let at = Int64.float_of_bits (String.get_int64_be s !pos) in
+  pos := !pos + 8;
+  let epoch = int () in
+  let rec entries n =
+    if n = 0 then []
+    else
+      let author = str () in
+      let seq = int () in
+      (author, seq) :: entries (n - 1)
+  in
+  let frontier = entries (int ()) in
+  let kind =
+    match s.[0] with
+    | 'G' ->
+      let subject = str () in
+      let attr = str () in
+      Wire.Grant { subject; attr; value = str () }
+    | 'R' ->
+      let subject = str () in
+      Wire.Revoke { subject; attr = str () }
+    | 'P' -> Wire.Publish { policy = str () }
+    | 'D' ->
+      let key = str () in
+      let ctx = str () in
+      Wire.Decide { key; ctx; decision = str () }
+    | c -> failwith (Printf.sprintf "kind byte %C" c)
+  in
+  if !pos <> String.length s then failwith "trailing bytes";
+  { Wire.author; seq; at; epoch; frontier; kind; digest = ""; tag = "" }
+
+let link_tests =
+  let print ev = String.escaped (link_bytes ev) in
+  [
+    Test.make ~name:"log link: the bytes read back to the event" ~count:500 (make ~print any_log_event_gen)
+      (fun ev ->
+        let want = { (sorted_frontier ev) with digest = ""; tag = "" } in
+        match read_link (link_bytes ev) with
+        | got ->
+          Int64.equal (Int64.bits_of_float got.at) (Int64.bits_of_float want.at)
+          && { got with at = 0.0 } = { want with at = 0.0 }
+          || Test.fail_reportf "read back differently: %s" (print ev)
+        | exception e -> Test.fail_reportf "unreadable (%s): %s" (Printexc.to_string e) (print ev));
+    Test.make ~name:"log link: changing one field changes the bytes" ~count:1000
+      (make ~print:(fun (ev, which, i) -> Printf.sprintf "%s / change %d at %d" (print ev) which i)
+         Gen.(triple link_event_gen (int_bound 10) nat))
+      (fun (ev, which, i) ->
+        let what, ev' = changed ev which i in
+        link_bytes ev <> link_bytes ev' || Test.fail_reportf "%s changed, bytes did not: %s" what (print ev));
+    Test.make ~name:"log link: permuting the frontier keeps the bytes" ~count:500
+      (make ~print:(fun (ev, _) -> print ev) Gen.(pair link_event_gen (shuffle_l [ 0; 1; 2; 3; 4; 5 ])))
+      (fun (ev, order) ->
+        let frontier = Array.of_list ev.frontier in
+        let permuted = List.filter_map (fun j -> if j < Array.length frontier then Some frontier.(j) else None) order in
+        link_bytes ev = link_bytes { ev with frontier = permuted });
+  ]
 
 (* --- whole frames: the bytes that leave the sender ---------------------------------- *)
 
@@ -668,7 +833,7 @@ let segment =
      ignore (Offline.decide beta ctx);
      (key, Offline.missing_for beta ~frontier:[]))
 
-let signed_bytes ev = written (fun buf ev -> Wire.write_log_event buf ~signed:true ev) ev
+let signed_bytes ev = written Wire.write_log_event ev
 
 (* A mutated response may still decode, but admission must then hold
    only events whose bytes are the originals': the chain and tag catch
@@ -920,7 +1085,9 @@ let () =
   Alcotest.run "dacs_wire"
     (List.map (fun (Frame f as frame) -> props f.name (properties frame)) frames
     @ [
-      props "bytes" (whole_frame_tests @ log_event_bytes_tests);
+      props "bytes" (whole_frame_tests @ [ log_event_bytes_test ]);
+      ("log link", Alcotest.test_case "one event of each kind, to the byte" `Quick link_pinned
+                   :: List.map QCheck_alcotest.to_alcotest link_tests);
       props "mutations" [ signed_mutation_test; signed_oracle_test; log_admit_mutation_test ];
       props "signed bytes" [ signed_bytes_test ];
       ( "signed",

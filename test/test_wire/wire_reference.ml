@@ -338,8 +338,8 @@ let parse_cache_put node =
 
 module Wire = Dacs_core.Wire
 
-(* Each kind's name and (name, value) fields, in the order the chain
-   hashed them. *)
+(* Each kind's name and (name, value) fields, in the order the frame
+   writes them. *)
 let kind_fields = function
   | Wire.Grant { subject; attr; value } -> ("grant", [ ("subject", subject); ("attr", attr); ("value", value) ])
   | Wire.Revoke { subject; attr } -> ("revoke", [ ("subject", subject); ("attr", attr) ])
@@ -356,7 +356,7 @@ let frontier_element frontier =
            Xml.element "Entry" ~attrs:[ ("Author", author); ("Seq", string_of_int seq) ])
          (List.sort (fun (a, _) (b, _) -> String.compare a b) frontier))
 
-let log_event_unsigned (ev : Wire.log_event) =
+let log_event (ev : Wire.log_event) =
   let kind, fields = kind_fields ev.kind in
   Xml.element "LogEvent"
     ~attrs:
@@ -366,6 +366,8 @@ let log_event_unsigned (ev : Wire.log_event) =
         ("At", float_attr ev.at);
         ("Epoch", string_of_int ev.epoch);
         ("Kind", kind);
+        ("Digest", Dacs_crypto.Encoding.hex_encode ev.digest);
+        ("Tag", Dacs_crypto.Encoding.hex_encode ev.tag);
       ]
     ~children:
       (frontier_element ev.frontier
@@ -373,19 +375,6 @@ let log_event_unsigned (ev : Wire.log_event) =
            (fun (name, value) ->
              Xml.element "Field" ~attrs:[ ("Name", name) ] ~children:[ Xml.text value ])
            fields)
-
-let log_event (ev : Wire.log_event) =
-  match log_event_unsigned ev with
-  | Xml.Text _ -> assert false
-  | Xml.Element e ->
-    Xml.element e.tag
-      ~attrs:
-        (e.attrs
-        @ [
-            ("Digest", Dacs_crypto.Encoding.hex_encode ev.digest);
-            ("Tag", Dacs_crypto.Encoding.hex_encode ev.tag);
-          ])
-      ~children:e.children
 
 let log_sync_request ~frontier =
   Xml.element "LogSyncRequest" ~children:[ frontier_element frontier ]

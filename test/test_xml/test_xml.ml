@@ -564,7 +564,7 @@ let wire_envelopes () =
       ("policy_query", written (fun buf -> Wire.write_policy_query buf ~scope:"domain-a" ~known_version:1));
       ("policy_response", written (fun buf -> Wire.write_policy_response buf ~version:2 (Some set)));
       ("policy_update", written (fun buf -> Wire.write_policy_update buf ~version:2 set));
-      ("log_event", written (fun buf -> Wire.write_log_event buf ~signed:true event));
+      ("log_event", written (fun buf -> Wire.write_log_event buf event));
       ("log_sync_request", written (fun buf -> Wire.write_log_sync_request buf ~frontier:[ ("domain-b", 1); ("domain-a", 3) ]));
       ("log_sync_response", written (fun buf -> Wire.write_log_sync_response buf [ event; event ]));
       ("capability_request", written (fun buf -> Wire.write_capability_request buf ~subject ~pairs:[ ("r1", "read"); ("r2", "write") ]));
