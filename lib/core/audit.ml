@@ -28,7 +28,6 @@ let permitted_resources t ~subject =
     t.entries_rev
   |> List.sort_uniq compare
 
-let by_subject t subject = List.filter (fun e -> e.subject = subject) (entries t)
 
 let find t ?subject ?resource ?decision () =
   let matches e =

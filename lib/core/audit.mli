@@ -29,8 +29,6 @@ val size : t -> int
 val permitted_resources : t -> subject:string -> string list
 (** Distinct resources the subject has been {e permitted} to access. *)
 
-val by_subject : t -> string -> entry list
-
 val find : t -> ?subject:string -> ?resource:string -> ?decision:Dacs_policy.Decision.t -> unit -> entry list
 (** Filtered view; unspecified fields match anything. *)
 

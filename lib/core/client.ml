@@ -50,8 +50,6 @@ let valid_capability t ~resource ~action =
     None
   | None -> None
 
-let drop_capabilities t = Hashtbl.reset t.capabilities
-
 let capability_requests_made t = t.capability_requests
 
 let request_with_capability t ~capability_service ~pep ~resource ~action k =

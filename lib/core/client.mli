@@ -43,9 +43,6 @@ val request_with_capability :
     Both calls take one attempt with the default 1 s timeout, through
     the bus's circuit breaker. *)
 
-val drop_capabilities : t -> unit
-(** Forget cached capabilities (forces re-issuance). *)
-
 val capability_requests_made : t -> int
 (** How many capability-request calls this client has issued (cache
     effectiveness measure for the push-vs-pull experiment). *)

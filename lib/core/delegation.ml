@@ -1,7 +1,3 @@
-module Policy = Dacs_policy.Policy
-module Target = Dacs_policy.Target
-module Value = Dacs_policy.Value
-
 type grant = {
   id : string;
   delegator : string;
@@ -93,52 +89,3 @@ let revoke t ~grant_id =
   let existed = List.exists (fun g -> g.id = grant_id) t.grant_list in
   t.grant_list <- List.filter (fun g -> g.id <> grant_id) t.grant_list;
   existed
-
-(* Resources a policy child claims authority over: the string-equal
-   resource-id matches in its target.  None = no resource constraint. *)
-let claimed_resources child =
-  let target =
-    match child with
-    | Policy.Inline_policy p -> Some p.Policy.target
-    | Policy.Inline_set s -> Some s.Policy.set_target
-    | Policy.Policy_ref _ -> None
-  in
-  match target with
-  | None -> Some []
-  | Some target ->
-    let resources =
-      List.concat_map
-        (fun clause ->
-          List.filter_map
-            (fun m ->
-              if m.Target.attribute_id = "resource-id" then
-                match m.Target.value with
-                | Value.String s -> Some s
-                | _ -> None
-              else None)
-            clause)
-        target.Target.resources
-    in
-    if resources = [] then None else Some resources
-
-let child_issuer = function
-  | Policy.Inline_policy p -> Some p.Policy.issuer
-  | Policy.Inline_set _ | Policy.Policy_ref _ -> None
-
-let filter_authorized t ~now set =
-  let keep, dropped =
-    List.partition
-      (fun child ->
-        match child_issuer child with
-        | None -> true (* nested sets and references are kept; their
-                          contents are checked when resolved *)
-        | Some issuer -> (
-          match claimed_resources child with
-          | None ->
-            (* No resource constraint: needs blanket authority. *)
-            authority_for t ~issuer ~resource:"" ~now
-          | Some resources ->
-            List.for_all (fun r -> authority_for t ~issuer ~resource:r ~now) resources))
-      set.Policy.children
-  in
-  ({ set with Policy.children = keep }, List.map Policy.child_id dropped)

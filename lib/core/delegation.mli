@@ -45,11 +45,3 @@ val authority_for : t -> issuer:string -> resource:string -> now:float -> bool
     grants whose scopes all cover [resource], where every link except the
     last allows re-delegation. *)
 
-val chain_for : t -> issuer:string -> resource:string -> now:float -> grant list option
-(** The shortest validating chain (root end first), when one exists. *)
-
-val filter_authorized :
-  t -> now:float -> Dacs_policy.Policy.set -> Dacs_policy.Policy.set * string list
-(** Drop children whose issuer lacks authority over the resources their
-    target names (children without resource targets need authority over
-    everything).  Returns the filtered set and the dropped child ids. *)

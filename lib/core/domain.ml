@@ -72,16 +72,6 @@ let register_user t ~user attrs =
       if id <> "subject-id" then Pip.add_subject_attribute t.pip ~subject:user ~id v)
     attrs
 
-let set_rbac t model =
-  List.iter
-    (fun user ->
-      Idp.register_user t.idp ~user (Dacs_rbac.Compile.subject_for_user model user);
-      Pip.set_subject_attribute t.pip ~subject:user ~id:"role"
-        (List.map (fun r -> Value.String r) (Dacs_rbac.Rbac.authorized_roles model user)))
-    (Dacs_rbac.Rbac.users model);
-  set_local_policy t
-    (Policy.Inline_policy (Dacs_rbac.Compile.to_policy ~id:(t.name ^ "-rbac") model))
-
 let seed_of_name name =
   (* Stable per-name seed so domains are reproducible without coordination. *)
   let digest = Dacs_crypto.Sha256.digest name in
@@ -173,4 +163,3 @@ let expose_resource t ~resource ?content ?cache ?pdps ?(call_timeout = 1.0) () =
 
 let peps t = List.rev t.peps
 
-let find_pep t ~resource = List.find_opt (fun p -> Pep.resource p = resource) t.peps

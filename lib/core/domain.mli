@@ -40,12 +40,6 @@ val set_local_policy : t -> Dacs_policy.Policy.child -> unit
     apply — the domain autonomy requirement of §3.2.  A syndicated
     update is combined the same way when the PAP accepts it. *)
 
-val set_rbac : t -> Dacs_rbac.Rbac.t -> unit
-(** Install an RBAC model as the domain's local policy: compiles it to a
-    role-based policy (see {!Dacs_rbac.Compile.to_policy}), publishes it,
-    and registers every assigned user's id and authorised roles at the
-    domain IdP/PIP so pull-mode PDPs can resolve role attributes. *)
-
 val allow_policy_updates_from : t -> Dacs_net.Net.node_id list -> unit
 (** Regenerate the PAP's admin policy to permit remote [policy-update]
     pushes from the given nodes (the PAP is guarded by the same policy
@@ -87,4 +81,3 @@ val expose_resource :
     domain PDP (or the explicit [pdps] failover list). *)
 
 val peps : t -> Pep.t list
-val find_pep : t -> resource:string -> Pep.t option

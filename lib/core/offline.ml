@@ -106,7 +106,6 @@ type t = {
   mutable t_epoch : int;
   mutable state : state;  (* derived by the last replay *)
   mutable dirty : bool;  (* the log grew since: replay on demand *)
-  mutable hooks : (string -> unit) list;
   known_conflicts : (string * int * string * int, unit) Hashtbl.t;
   mutable n_replayed : int;  (* no registry twin *)
   mutable n_rechecked : int;  (* nor this one *)
@@ -144,7 +143,6 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     t_epoch = 0;
     state = { s_grants = []; s_policy = None; s_conflicts = [] };
     dirty = true;
-    hooks = [];
     known_conflicts = Hashtbl.create 16;
     n_replayed = 0;
     n_rechecked = 0;
@@ -161,7 +159,6 @@ let count_rejection t reason =
 
 let author t = t.t_author
 let epoch t = t.t_epoch
-let is_offline t = t.offline
 
 let set_offline t offline =
   if offline && not t.offline then t.t_epoch <- t.t_epoch + 1;
@@ -249,7 +246,6 @@ let events t =
   merge (runs t) (fun _ ev -> acc := ev :: !acc);
   List.rev !acc
 
-let on_invalidate t hook = t.hooks <- hook :: t.hooks
 
 (* --- signing ------------------------------------------------------------- *)
 
@@ -537,7 +533,6 @@ let replay t =
           if contradicted then begin
             Hashtbl.replace log.fired ev.seq ();
             Metrics.inc t.counters.c_invalidations;
-            List.iter (fun hook -> hook key) t.hooks;
             Option.iter
               (fun audit ->
                 Audit.record audit

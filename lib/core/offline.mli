@@ -36,8 +36,9 @@
     surfaced as a conflict record on the audit log.  Among surviving
     grants of one key, the latest in total order supplies the value; the
     latest publication in total order supplies the policy.  Offline
-    [Decide] events contradicted by the converged state trigger the
-    {!on_invalidate} hook (cache purge) and an audit record.
+    [Decide] events contradicted by the converged state are counted as
+    invalidations and leave an audit record (action
+    ["offline-invalidate"], the decision's request key as resource).
 
     {2 Evaluation}
 
@@ -158,12 +159,7 @@ val head : t -> string
 (** This replica's own chain head (raw bytes); {!Dacs_crypto.Chain.genesis}
     while the chain is empty. *)
 
-val head_short : t -> string
-(** Human-readable head ({!Dacs_crypto.Chain.short}) — the [log_head]
-    carried in offline provenance records. *)
-
 val set_offline : t -> bool -> unit
-val is_offline : t -> bool
 
 val frontier : t -> (string * int) list
 (** Highest seq known per author, sorted by author. *)
@@ -193,7 +189,8 @@ val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result * string
     local basis to answer — no policy published, or the evaluation is
     Indeterminate (an Indeterminate is {e never} logged, so it can never
     replay into a grant).  On [Some (result, head)] a [Decide] event has
-    been appended and [head] is {!head_short} at decision time, for the
+    been appended and [head] is the {!Dacs_crypto.Chain.short} form of
+    {!head} at decision time, for the
     provenance record. *)
 
 (** {1 Sync and replay} *)
@@ -227,11 +224,6 @@ val surviving_grants : t -> (string * string * string) list
 (** [(subject, attr, value)] after deny-wins replay, sorted. *)
 
 val conflicts : t -> conflict list
-
-val on_invalidate : t -> (string -> unit) -> unit
-(** Register a hook called with the {!Decision_cache.request_key} of any
-    logged decision the post-heal replay contradicts — wire it to L2/L1
-    purges.  Hooks accumulate; each fires at most once per (author, seq). *)
 
 (** {1 RPC sync (Wire log-sync frames)}
 

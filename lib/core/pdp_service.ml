@@ -91,8 +91,6 @@ let compiled_enabled _ = true
 let compilation_epoch t =
   match t.policy with None -> 0 | Some c -> Compiled.epoch c
 
-let policy_version t = t.version
-
 let stats t =
   let v = Metrics.counter_value in
   let c = t.counters in

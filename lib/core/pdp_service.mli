@@ -82,9 +82,6 @@ val install_policy : t -> Dacs_policy.Policy.child -> unit
 (** Local installation (also what a PAP fetch does internally): compiles
     the tree, incrementally against the previously installed one. *)
 
-val policy_version : t -> int
-(** Last version seen from the PAP (0 when none). *)
-
 val compiled_enabled : t -> bool
 (** Always [true]: compiled evaluation is the only serving evaluator.
     Kept for callers that attribute evaluation cost to it. *)

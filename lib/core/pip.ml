@@ -7,7 +7,6 @@ type t = {
   services : Service.t;
   node : Dacs_net.Net.node_id;
   subject_attrs : (string * string, Value.bag) Hashtbl.t;  (* (subject, id) *)
-  environment : (string, unit -> Value.bag) Hashtbl.t;
   mutable subscribers : Dacs_net.Net.node_id list;  (* PDP attribute caches *)
   c_lookups : Metrics.counter;
   c_invalidations : Metrics.counter;
@@ -16,8 +15,6 @@ type t = {
 let node t = t.node
 
 let subscribers t = t.subscribers
-
-let set_subject_attribute t ~subject ~id bag = Hashtbl.replace t.subject_attrs (subject, id) bag
 
 let add_subject_attribute t ~subject ~id v =
   let prev = Option.value (Hashtbl.find_opt t.subject_attrs (subject, id)) ~default:[] in
@@ -34,15 +31,11 @@ let remove_subject_attribute t ~subject ~id =
           Wire.write_attribute_invalidate buf ~subject ~attribute_id:id))
     t.subscribers
 
-let set_environment t ~id f = Hashtbl.replace t.environment id f
-
 let lookup t ~category ~id ~subject =
   match category with
   | Context.Subject ->
     Option.value (Hashtbl.find_opt t.subject_attrs (subject, id)) ~default:[]
-  | Context.Environment -> (
-    match Hashtbl.find_opt t.environment id with Some f -> f () | None -> [])
-  | Context.Resource | Context.Action -> []
+  | Context.Resource | Context.Action | Context.Environment -> []
 
 let create services ~node =
   let t =
@@ -50,7 +43,6 @@ let create services ~node =
       services;
       node;
       subject_attrs = Hashtbl.create 64;
-      environment = Hashtbl.create 8;
       subscribers = [];
       c_lookups =
         Metrics.counter (Service.metrics services) ~help:"Attribute lookups served"

@@ -17,18 +17,12 @@ val node : t -> Dacs_net.Net.node_id
 val subscribers : t -> Dacs_net.Net.node_id list
 (** Nodes subscribed for attribute-invalidation pushes. *)
 
-val set_subject_attribute : t -> subject:string -> id:string -> Dacs_policy.Value.bag -> unit
-(** Replace the bag for (subject, attribute id). *)
-
 val add_subject_attribute : t -> subject:string -> id:string -> Dacs_policy.Value.t -> unit
 
 val remove_subject_attribute : t -> subject:string -> id:string -> unit
 (** Revocation: subsequent queries return an empty bag, and every
     subscribed PDP attribute cache is pushed an explicit invalidation,
     one one-way frame each, so the drop does not wait out a cache TTL. *)
-
-val set_environment : t -> id:string -> (unit -> Dacs_policy.Value.bag) -> unit
-(** Computed environment attribute, e.g. the current simulation time. *)
 
 val lookup :
   t -> category:Dacs_policy.Context.category -> id:string -> subject:string -> Dacs_policy.Value.bag

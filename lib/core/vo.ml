@@ -13,7 +13,6 @@ type t = {
 let name t = t.name
 let services t = t.services
 let domains t = t.domains
-let find_domain t name = List.find_opt (fun d -> Domain.name d = name) t.domains
 let vo_pap t = t.vo_pap
 let capability_service t = t.cas
 

@@ -16,7 +16,6 @@ val form : Dacs_ws.Service.t -> name:string -> Domain.t list -> t
 val name : t -> string
 val services : t -> Dacs_ws.Service.t
 val domains : t -> Domain.t list
-val find_domain : t -> string -> Domain.t option
 
 val vo_pap : t -> Pap.t
 val capability_service : t -> Capability_service.t

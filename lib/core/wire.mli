@@ -6,8 +6,7 @@
     requests and revocation checks, discovery, identity-assertion
     requests and trust-negotiation rounds.  One module so every
     component agrees on syntax — the interoperability requirement of
-    §3.2.  (Service descriptions sit below this library, so their frames
-    live in {!Dacs_ws.Wsdl}.)
+    §3.2.
 
     Every frame has one direct writer ([write_*], appending the body
     element to the frame being sent) and one pull-cursor reader, reading
@@ -205,8 +204,7 @@ val write_negotiate_response : Buffer.t -> negotiation_step -> unit
     Every service of this vocabulary, declared once with its name and the
     total readers of its bodies ({!Dacs_ws.Service.call},
     {!Dacs_ws.Service.cast}): its server and its callers name the same
-    value, and the types say what each reader returns.  The description
-    registry's two live in {!Dacs_ws.Wsdl}. *)
+    value, and the types say what each reader returns. *)
 
 module Services : sig
   type ('q, 'r) call := ('q, 'r) Dacs_ws.Service.call

@@ -335,33 +335,6 @@ let of_hex s =
 
 let to_hex a = if is_zero a then "0" else Encoding.hex_encode (to_bytes_be a)
 
-let of_decimal s =
-  if s = "" then invalid_arg "Bignum.of_decimal: empty";
-  let v = ref zero in
-  String.iter
-    (fun c ->
-      match c with
-      | '0' .. '9' -> v := add (mul !v (of_int 10)) (of_int (Char.code c - Char.code '0'))
-      | _ -> invalid_arg "Bignum.of_decimal: non-digit")
-    s;
-  !v
-
-let to_decimal a =
-  if is_zero a then "0"
-  else begin
-    (* Peel 7 decimal digits at a time (10^7 < 2^26). *)
-    let chunk = 10_000_000 in
-    let rec go a acc =
-      if is_zero a then acc
-      else begin
-        let q, r = divmod_small a chunk in
-        if is_zero q then string_of_int r :: acc
-        else go q (Printf.sprintf "%07d" r :: acc)
-      end
-    in
-    String.concat "" (go a [])
-  end
-
 let random_bits rng n =
   if n < 0 then invalid_arg "Bignum.random_bits";
   if n = 0 then zero

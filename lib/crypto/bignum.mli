@@ -63,20 +63,12 @@ val modinv : t -> t -> t option
 val of_bytes_be : string -> t
 (** Big-endian byte-string interpretation (leading zeros allowed). *)
 
-val to_bytes_be : t -> string
-(** Minimal big-endian encoding; [""] for zero. *)
-
 val to_bytes_be_padded : t -> int -> string
 (** Fixed-width big-endian encoding. @raise Invalid_argument when the value
     does not fit. *)
 
 val of_hex : string -> t
 val to_hex : t -> string
-
-val of_decimal : string -> t
-(** @raise Invalid_argument on non-digit characters or empty input. *)
-
-val to_decimal : t -> string
 
 (** {1 Random values} *)
 

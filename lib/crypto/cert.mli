@@ -18,9 +18,6 @@ type t = {
 val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> t option
 
-val fingerprint : t -> string
-(** Hex SHA-256 over the full canonical certificate. *)
-
 val self_signed :
   Rsa.keypair -> subject:string -> serial:int -> not_before:float -> not_after:float -> t
 (** A root (CA) certificate: issuer = subject, signed by its own key. *)

@@ -7,6 +7,3 @@ val is_probably_prime : Rng.t -> Bignum.t -> bool
 val generate : Rng.t -> bits:int -> Bignum.t
 (** A random probable prime with exactly [bits] bits (top bit set).
     [bits] must be at least 8. *)
-
-val small_primes : int list
-(** The primes below 1000, used for sieving. *)

@@ -208,11 +208,6 @@ let finish ctx out =
     set_word out (4 * i) ctx.h.(i)
   done
 
-let finalize ctx =
-  let out = Bytes.create 32 in
-  finish ctx out;
-  Bytes.unsafe_to_string out
-
 (* The working context of [resume], [digest] and [digest2_buffer], like
    [schedule] one per domain: the state is set, the input absorbed and
    the digest written out without yielding.  The digest is allocated

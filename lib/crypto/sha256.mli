@@ -25,9 +25,6 @@ val init : unit -> ctx
 val update : ctx -> string -> unit
 (** Absorb more input. May be called any number of times. *)
 
-val finalize : ctx -> string
-(** The 32-byte digest. The context must not be used afterwards. *)
-
 val resume : ctx -> string -> string
 (** [resume ctx s] is the digest of everything [ctx] has absorbed
     followed by [s].  [ctx] itself is left as it was, so a context that

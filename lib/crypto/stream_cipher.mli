@@ -5,9 +5,6 @@
     encrypt/decrypt symmetry.  [encrypt] and [decrypt] are the same XOR
     operation once the nonce is fixed. *)
 
-val nonce_bytes : int
-(** Nonce length prepended to ciphertexts (16). *)
-
 val encrypt : Rng.t -> key:string -> string -> string
 (** [encrypt rng ~key plain] draws a fresh nonce and returns
     [nonce ^ ciphertext]. @raise Invalid_argument on a wrong-size key. *)

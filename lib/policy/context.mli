@@ -8,7 +8,6 @@ type category = Subject | Resource | Action | Environment
 
 val category_name : category -> string
 val category_of_name : string -> category option
-val all_categories : category list
 
 type t
 (** One bag per (category, id), held sorted in canonical order (category
@@ -60,7 +59,7 @@ val subject_id : t -> string option
 
 val write : Buffer.t -> t -> unit
 (** [write buf t] appends [<Request>] with one section per category (in
-    {!all_categories} order, empty ones as [<Action/>]) holding one
+    declaration order, empty ones as [<Action/>]) holding one
     [<Attribute AttributeId=… DataType=…>value</Attribute>] per value,
     ids ascending. *)
 

@@ -686,7 +686,6 @@ let attr category ?(must_be_present = false) attribute_id =
   Designator { category; attribute_id; must_be_present }
 
 let subject_attr ?must_be_present id = attr Context.Subject ?must_be_present id
-let environment_attr ?must_be_present id = attr Context.Environment ?must_be_present id
 
 let one_of designator values =
   Apply

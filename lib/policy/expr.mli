@@ -47,10 +47,6 @@ val eval_condition : ?resolve:resolver -> Context.t -> t -> (bool, error) result
 
 (** {1 The function registry} *)
 
-val known_function : string -> bool
-val function_arity : string -> int option option
-(** [None] if unknown; [Some None] if variadic; [Some (Some n)] fixed. *)
-
 type matcher
 (** A binary boolean function usable in target matches, resolved once
     from the registry.  A plain value: a target holding one still
@@ -88,7 +84,6 @@ val int : int -> t
 val bool : bool -> t
 val time : float -> t
 val subject_attr : ?must_be_present:bool -> string -> t
-val environment_attr : ?must_be_present:bool -> string -> t
 
 val one_of : t -> string list -> t
 (** [one_of designator values]: true when some attribute value equals one

@@ -12,10 +12,6 @@ let applicable obligations effect = List.filter (fun o -> o.fulfill_on = effect)
 
 let audit = make ~fulfill_on:Permit "urn:dacs:obligation:audit"
 
-let content_filter ~forbidden =
-  make ~fulfill_on:Permit "urn:dacs:obligation:content-filter"
-    ~parameters:[ ("forbidden", Value.String forbidden) ]
-
 let encrypt_response ~strength =
   make ~fulfill_on:Permit "urn:dacs:obligation:encrypt-response"
     ~parameters:[ ("strength", Value.Int strength) ]

@@ -24,11 +24,5 @@ val audit : t
 val encrypt_response : strength:int -> t
 (** Stock content-protection obligation, parameterised by key strength. *)
 
-val content_filter : forbidden:string -> t
-(** Content-based access control (§3.1): the PEP must inspect the
-    resource representation before provisioning it and refuse if it
-    contains the forbidden marker — the paper's example of obligations
-    standing in for content checks that cannot be decided statically. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -136,7 +136,6 @@ and applicability_in env ctx child =
     | Some resolved -> applicability_in env ctx resolved
     | None -> Target.Indeterminate_match (unresolved id))
 
-let evaluate_set ?resolve ?resolve_ref ctx set = evaluate_set_in { resolve; resolve_ref } ctx set
 let evaluate_child ?resolve ?resolve_ref ctx child = evaluate_in { resolve; resolve_ref } ctx child
 let applicability ?resolve ?resolve_ref ctx child = applicability_in { resolve; resolve_ref } ctx child
 

@@ -67,9 +67,6 @@ val evaluate : ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Context.t 
 (** Policy evaluation: target, then rule combination, then the policy's
     obligations filtered by the outcome. *)
 
-val evaluate_set :
-  ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Context.t -> set -> Decision.result
-
 val evaluate_child :
   ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Context.t -> child -> Decision.result
 

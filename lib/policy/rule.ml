@@ -14,10 +14,6 @@ let make ?(description = "") ?(target = Target.any) ?condition effect id =
 let permit ?description ?target ?condition id = make ?description ?target ?condition Permit id
 let deny ?description ?target ?condition id = make ?description ?target ?condition Deny id
 
-let effect_decision = function
-  | Permit -> Decision.Permit
-  | Deny -> Decision.Deny
-
 let label rule = "rule " ^ rule.id
 
 (* The shared constant results: a decided rule allocates nothing. *)

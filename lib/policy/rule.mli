@@ -26,4 +26,3 @@ val label : t -> string
 (** ["rule <id>"], the rule's name in a combining algorithm's
     Indeterminate message. *)
 
-val effect_decision : effect -> Decision.t

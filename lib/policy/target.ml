@@ -37,9 +37,7 @@ let resource_is attr v t =
 let action_is attr v t =
   { t with actions = t.actions @ [ [ match_string Context.Action attr v ] ] }
 
-let for_action name = action_is "action-id" name any
 let for_resource name = resource_is "resource-id" name any
-let for_subject_role role = subject_is "role" role any
 
 type outcome = Match | No_match | Indeterminate_match of string
 

@@ -53,11 +53,8 @@ val subject_is : string -> string -> t -> t
 val resource_is : string -> string -> t -> t
 val action_is : string -> string -> t -> t
 
-val for_action : string -> t
-(** Target matching requests whose ["action-id"] equals the given name. *)
-
 val for_resource : string -> t
-val for_subject_role : string -> t
+(** Target matching requests whose ["resource-id"] equals the given name. *)
 
 type outcome = Match | No_match | Indeterminate_match of string
 

@@ -12,10 +12,9 @@ val check_policy : Policy.t -> problem list
 (** Duplicate rule ids, empty rule lists, unknown or mis-used expression
     functions, [Only_one_applicable] used as a rule-combining algorithm. *)
 
-val check_set : Policy.set -> problem list
-(** Recursively checks children; also reports duplicate child ids. *)
-
 val check_child : Policy.child -> problem list
+(** A set's children are checked recursively, and duplicate child ids
+    reported. *)
 
 val shadowed_rules : Policy.t -> (string * string) list
 (** Unreachable-rule lint for [first-applicable] policies: pairs

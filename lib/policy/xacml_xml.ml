@@ -246,11 +246,6 @@ let read_obligation c =
   | None, _, _ -> Cursor.fail c "<Obligation> is missing attribute ObligationId"
   | _, None, _ -> Cursor.fail c "<Obligation> is missing attribute FulfillOn"
 
-let written write v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
-
 let obligation_to_xml o =
   Xml.element "Obligation"
     ~attrs:[ ("ObligationId", o.Obligation.id); ("FulfillOn", effect_to_string o.Obligation.fulfill_on) ]
@@ -522,8 +517,6 @@ let read_result c =
   | Some decision -> { Decision.decision; obligations }
   | None -> Cursor.fail c (Printf.sprintf "unknown decision %s" unknown)
 
-let result_to_xml r = Xml.of_string (written write_result r)
-let result_of_xml node = Cursor.parse (Xml.to_string node) read_result
 
 (* --- string round-trips ------------------------------------------------------------ *)
 
@@ -534,8 +527,5 @@ let parse_then f s =
 
 let child_to_string c = Xml.to_string (child_to_xml c)
 let child_of_string = parse_then child_of_xml
-let result_to_string r = written write_result r
-
-let result_of_string s = Cursor.parse s read_result
 
 let request_of_string = Context.of_string

@@ -14,7 +14,6 @@ type t = {
   user_roles : String_set.t String_map.t;
   role_perms : permission list String_map.t;
   ssd : constraint_ list;
-  dsd : constraint_ list;
 }
 
 let empty =
@@ -24,7 +23,6 @@ let empty =
     user_roles = String_map.empty;
     role_perms = String_map.empty;
     ssd = [];
-    dsd = [];
   }
 
 let add_role t role = { t with role_set = String_set.add role t.role_set }
@@ -99,9 +97,6 @@ let assign_user t user role =
     | None ->
       Ok { t with user_roles = String_map.add user (String_set.add role (assigned_set t user)) t.user_roles }
 
-let deassign_user t user role =
-  { t with user_roles = String_map.add user (String_set.remove role (assigned_set t user)) t.user_roles }
-
 let grant_permission t role perm =
   if not (has_role t role) then Error (Printf.sprintf "unknown role %s" role)
   else begin
@@ -109,10 +104,6 @@ let grant_permission t role perm =
     let perms = if List.mem perm current then current else perm :: current in
     Ok { t with role_perms = String_map.add role perms t.role_perms }
   end
-
-let revoke_permission t role perm =
-  let current = Option.value (String_map.find_opt role t.role_perms) ~default:[] in
-  { t with role_perms = String_map.add role (List.filter (fun p -> p <> perm) current) t.role_perms }
 
 let direct_permissions t role = Option.value (String_map.find_opt role t.role_perms) ~default:[]
 
@@ -148,22 +139,14 @@ let add_ssd t ~name ~roles:role_list ~cardinality =
     | Some user -> Error (Printf.sprintf "existing assignment for %s already violates %s" user name)
     | None -> Ok { t with ssd = c :: t.ssd })
 
-let add_dsd t ~name ~roles:role_list ~cardinality =
-  match make_constraint t ~name ~roles:role_list ~cardinality with
-  | Error e -> Error e
-  | Ok c -> Ok { t with dsd = c :: t.dsd }
-
-let dsd_constraints t =
-  List.map (fun c -> (c.name, String_set.elements c.c_roles, c.cardinality)) t.dsd
-
 let ssd_constraints t =
   List.map (fun c -> (c.name, String_set.elements c.c_roles, c.cardinality)) t.ssd
 
 let pp fmt t =
-  Format.fprintf fmt "rbac: %d roles, %d users, %d SSD, %d DSD"
+  Format.fprintf fmt "rbac: %d roles, %d users, %d SSD"
     (String_set.cardinal t.role_set)
     (List.length (users t))
-    (List.length t.ssd) (List.length t.dsd)
+    (List.length t.ssd)
 
 (* Public, list-returning views of the internal helpers (placed last so
    they shadow the set-returning internals only at the interface). *)

@@ -21,7 +21,6 @@ val add_role : t -> role -> t
 (** Idempotent. *)
 
 val roles : t -> role list
-val has_role : t -> role -> bool
 
 val add_inheritance : t -> senior:role -> junior:role -> (t, string) result
 (** The senior role inherits all the junior's permissions.  Fails on
@@ -38,9 +37,10 @@ val seniors : t -> role -> role list
 (** {1 Assignment} *)
 
 val assign_user : t -> user -> role -> (t, string) result
-(** Fails on unknown role or a static separation-of-duty violation. *)
+(** Fails on unknown role or a static separation-of-duty violation,
+    checked on authorised roles, so inheritance counts; the error names
+    the violated constraint. *)
 
-val deassign_user : t -> user -> role -> t
 val assigned_roles : t -> user -> role list
 (** Directly assigned roles. *)
 
@@ -48,7 +48,6 @@ val authorized_roles : t -> user -> role list
 (** Assigned roles plus everything they inherit. *)
 
 val grant_permission : t -> role -> permission -> (t, string) result
-val revoke_permission : t -> role -> permission -> t
 val role_permissions : t -> role -> permission list
 (** Direct plus inherited permissions. *)
 
@@ -70,14 +69,5 @@ val add_ssd : t -> name:string -> roles:role list -> cardinality:int -> (t, stri
     fewer roles than its cardinality. *)
 
 val ssd_constraints : t -> (string * role list * int) list
-
-val ssd_violation : t -> user -> role -> string option
-(** The constraint that assigning [role] to [user] would violate, if any
-    (checked on authorised roles, so inheritance counts). *)
-
-(** {1 Dynamic separation of duty (checked by {!Session})} *)
-
-val add_dsd : t -> name:string -> roles:role list -> cardinality:int -> (t, string) result
-val dsd_constraints : t -> (string * role list * int) list
 
 val pp : Format.formatter -> t -> unit

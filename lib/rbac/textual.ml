@@ -22,10 +22,6 @@ let parse_line model line_no line =
     match int_of_string_opt cardinality with
     | Some cardinality -> lift (Rbac.add_ssd model ~name ~roles ~cardinality)
     | None -> fail "ssd cardinality is not an integer")
-  | "dsd" :: name :: cardinality :: roles when roles <> [] -> (
-    match int_of_string_opt cardinality with
-    | Some cardinality -> lift (Rbac.add_dsd model ~name ~roles ~cardinality)
-    | None -> fail "dsd cardinality is not an integer")
   | directive :: _ -> fail (Printf.sprintf "unknown or malformed directive %S" directive)
 
 let parse text =
@@ -60,8 +56,4 @@ let to_string model =
     (fun (name, roles, cardinality) ->
       line "ssd %s %d %s" name cardinality (String.concat " " roles))
     (Rbac.ssd_constraints model);
-  List.iter
-    (fun (name, roles, cardinality) ->
-      line "dsd %s %d %s" name cardinality (String.concat " " roles))
-    (Rbac.dsd_constraints model);
   Buffer.contents buf

@@ -10,7 +10,6 @@
       grant nurse read vitals
       user alice doctor
       ssd care-vs-billing 2 doctor billing
-      dsd no-dual-hats 2 doctor auditor
     v} *)
 
 val parse : string -> (Rbac.t, string) result

@@ -21,7 +21,6 @@ type t = {
   latencies : (node_id, (node_id, float) Hashtbl.t) Hashtbl.t;
       (** per-link overrides under the lesser endpoint, keyed by the greater *)
   mutable default_latency : float;
-  mutable bytes_per_second : float option;
   mutable drop_rate : float;
   mutable partitions : (node_id list * node_id list) list;
   sent : (string, tally) Hashtbl.t;
@@ -45,7 +44,6 @@ let create ?seed () =
     nodes = Hashtbl.create 64;
     latencies = Hashtbl.create 64;
     default_latency = 0.005;
-    bytes_per_second = None;
     drop_rate = 0.0;
     partitions = [];
     sent = Hashtbl.create 16;
@@ -107,8 +105,6 @@ let clear_latency t a b =
     if Hashtbl.length links = 0 then Hashtbl.remove t.latencies (if a <= b then a else b)
   | exception Not_found -> ()
 
-let set_bytes_per_second t rate = t.bytes_per_second <- rate
-
 let set_drop_rate t rate =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Net.set_drop_rate";
   t.drop_rate <- rate
@@ -117,7 +113,6 @@ let drop_rate t = t.drop_rate
 
 let crash t id = (node_exn t id).crashed <- true
 let recover t id = (node_exn t id).crashed <- false
-let is_crashed t id = (node_exn t id).crashed
 
 let partition t group_a group_b = t.partitions <- (group_a, group_b) :: t.partitions
 
@@ -158,11 +153,6 @@ let deliver dst_node msg =
     dst_node.handler msg
   end
 
-(* The delay under the bandwidth model, kept out of line so that [send]
-   does no float arithmetic: without the model it passes the link's
-   latency on in the box it is stored in. *)
-let[@inline never] transfer_delay t src dst size rate = latency t src dst +. (float_of_int size /. rate)
-
 (* A message allocates itself and its delivery. *)
 let send t ~src ~dst ~category payload =
   let src_node = node_exn t src in
@@ -177,11 +167,7 @@ let send t ~src ~dst ~category payload =
     in
     if lost then t.dropped <- t.dropped + 1
     else begin
-      let delay =
-        match t.bytes_per_second with
-        | None -> latency t src dst
-        | Some rate -> transfer_delay t src dst size rate
-      in
+      let delay = latency t src dst in
       let msg = { src; dst; category; payload } in
       Engine.schedule t.engine ~delay (fun () -> deliver dst_node msg)
     end
@@ -208,6 +194,5 @@ let reset_stats t =
 
 let set_tracing t on = t.tracing <- on
 let trace t = List.rev t.trace_rev
-let clear_trace t = t.trace_rev <- []
 
 let run ?until t = Engine.run ?until t.engine

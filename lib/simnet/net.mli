@@ -50,10 +50,6 @@ val latency_override : t -> node_id -> node_id -> float option
 val clear_latency : t -> node_id -> node_id -> unit
 (** Remove a per-pair override; the pair reverts to the default latency. *)
 
-val set_bytes_per_second : t -> float option -> unit
-(** When set, delivery delay additionally includes [size / rate] —
-    makes big signed envelopes measurably slower. *)
-
 val set_drop_rate : t -> float -> unit
 (** Probability in [0,1] that any message is silently lost. *)
 
@@ -66,7 +62,6 @@ val crash : t -> node_id -> unit
 (** A crashed node receives nothing and sends nothing. *)
 
 val recover : t -> node_id -> unit
-val is_crashed : t -> node_id -> bool
 
 val partition : t -> node_id list -> node_id list -> unit
 (** Messages between the two groups are dropped until {!heal} (or a
@@ -106,8 +101,6 @@ type trace_entry = { t_src : node_id; t_dst : node_id; t_category : string; t_ti
 
 val trace : t -> trace_entry list
 (** Delivered messages in delivery order. *)
-
-val clear_trace : t -> unit
 
 (** {1 Running} *)
 

@@ -14,6 +14,3 @@
 val render : Net.trace_entry list -> string
 (** Render delivered messages in order, one column per node in
     first-appearance order. *)
-
-val participants_of : Net.trace_entry list -> Net.node_id list
-(** Nodes in first-appearance order. *)

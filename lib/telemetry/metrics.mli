@@ -74,7 +74,6 @@ val histogram_exemplars : histogram -> (float * exemplar) list
 
 val reset : t -> unit
 val reset_counter : counter -> unit
-val reset_histogram : histogram -> unit
 
 (** {1 Snapshot and exposition} *)
 

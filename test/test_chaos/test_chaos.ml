@@ -155,7 +155,6 @@ let test_crash_restart () =
   Net.run fx.net;
   check bool_ "alice granted after restart" true (granted (outcome_at a 1.0));
   assert_never_granted "crash/restart" m;
-  check bool_ "pdp back up" true (not (Net.is_crashed fx.net "pdp0"));
   check bool_ "took several retries" true ((Pep.stats fx.pep).Pep.retries >= 3)
 
 (* --- scenario 4: flapping partition ----------------------------------------- *)

@@ -4,7 +4,7 @@
    empty sets, all-NotApplicable children, Indeterminate propagation,
    obligation merge order — as a (policy, request, expected) triple.
    The corpus is data, not test closures: every entry is evaluated twice,
-   through the interpreter (Policy.evaluate_set) and through the compiled
+   through the interpreter (Policy.evaluate_child) and through the compiled
    form (Compiled.compile + evaluate), and both passes must produce
    byte-identical decisions and obligation order.
 
@@ -206,7 +206,7 @@ let corpus = empty_set_entries @ all_na_entries @ indeterminate_entries @ obliga
 
 let interpreted_case e =
   Alcotest.test_case e.name `Quick (fun () ->
-      Alcotest.check decision e.name e.expected (Policy.evaluate_set ctx e.s))
+      Alcotest.check decision e.name e.expected (Policy.evaluate_child ctx (Policy.Inline_set e.s)))
 
 (* The compiled pass: same corpus, same expectations, byte-identical
    obligation order — the golden cases double as the compiled evaluator's

@@ -138,7 +138,7 @@ let test_audit_basics () =
   Audit.record log (entry ~at:3.0 "bob" "r1" Decision.Permit);
   check int_ "size" 3 (Audit.size log);
   check (Alcotest.list string_) "permitted" [ "r1" ] (Audit.permitted_resources log ~subject:"alice");
-  check int_ "by subject" 2 (List.length (Audit.by_subject log "alice"));
+  check int_ "by subject" 2 (List.length (Audit.find log ~subject:"alice" ()));
   check int_ "find denies" 1 (List.length (Audit.find log ~decision:Decision.Deny ()));
   check int_ "find resource" 2 (List.length (Audit.find log ~resource:"r1" ()))
 
@@ -447,8 +447,7 @@ let test_pip_lookup_service () =
   let pip_node = add_node net "pip" in
   let caller = add_node net "pdp" in
   let pip = Pip.create services ~node:pip_node in
-  Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
-  Pip.set_environment pip ~id:"load" (fun () -> [ Value.Int 42 ]);
+  Pip.add_subject_attribute pip ~subject:"alice" ~id:"role" (Value.String "doctor");
   let got = ref None in
   Service.call services ~src:caller ~dst:pip_node Wire.Services.attribute_query
     (fun buf -> Wire.write_attribute_query buf ~category:Context.Subject ~attribute_id:"role" ~subject:"alice")
@@ -459,9 +458,7 @@ let test_pip_lookup_service () =
   | Some (Ok _) -> Alcotest.fail "wrong attribute value"
   | _ -> Alcotest.fail "no reply");
   check int_ "served" 1 (Pip.lookups_served pip);
-  (* Environment + unknown lookups. *)
-  check bool_ "environment" true
-    (Pip.lookup pip ~category:Context.Environment ~id:"load" ~subject:"" = [ Value.Int 42 ]);
+  (* Unknown lookups. *)
   check bool_ "unknown empty" true (Pip.lookup pip ~category:Context.Subject ~id:"x" ~subject:"bob" = []);
   (* Revocation. *)
   Pip.remove_subject_attribute pip ~subject:"alice" ~id:"role";
@@ -534,7 +531,7 @@ let test_pdp_service_pip_fetch () =
   let pip_node = add_node net "pip" in
   let pep = add_node net "pep" in
   let pip = Pip.create services ~node:pip_node in
-  Pip.set_subject_attribute pip ~subject:"alice" ~id:"role" [ Value.String "doctor" ];
+  Pip.add_subject_attribute pip ~subject:"alice" ~id:"role" (Value.String "doctor");
   let pdp =
     Pdp_service.create services ~node:pdp_node ~name:"pdp" ~root:(role_condition_policy "r")
       ~pips:[ pip_node ] ()
@@ -592,7 +589,6 @@ let test_pdp_service_policy_fetch_and_ttl () =
   | Some (Ok r) -> check bool_ "permit after fetch" true (Decision.is_permit r)
   | _ -> Alcotest.fail "no decision");
   check int_ "one pap fetch" 1 (Pdp_service.stats pdp).Pdp_service.pap_fetches;
-  check int_ "version" 1 (Pdp_service.policy_version pdp);
   (* Within the TTL no new fetch happens. *)
   decide (fun r -> got := Some r);
   Net.run net;
@@ -891,8 +887,9 @@ let test_pep_encrypt_fresh_nonces () =
    Ok (Wire.Granted { content = c1; encrypted = true }); Ok (Wire.Granted { content = c2; encrypted = true });
   ] ->
     let c1 = Dacs_crypto.Encoding.base64_decode c1 and c2 = Dacs_crypto.Encoding.base64_decode c2 in
-    let nonce c = String.sub c 0 Dacs_crypto.Stream_cipher.nonce_bytes in
-    check bool_ "distinct nonces" true (nonce c1 <> nonce c2);
+    (* One key and one plaintext: the ciphertexts differ only if the
+       nonces do. *)
+    check bool_ "distinct nonces" true (c1 <> c2);
     check bool_ "first decrypts" true (Dacs_crypto.Stream_cipher.decrypt ~key c1 = Some "secret");
     check bool_ "second decrypts" true (Dacs_crypto.Stream_cipher.decrypt ~key c2 = Some "secret")
   | _ -> Alcotest.fail "expected two encrypted grants"
@@ -1144,9 +1141,6 @@ let test_delegation_chains () =
   in
   check bool_ "redelegation ok" true (Result.is_ok g2);
   check bool_ "c authorised" true (Delegation.authority_for d ~issuer:"c" ~resource:"res/sub/x" ~now:20.0);
-  (match Delegation.chain_for d ~issuer:"c" ~resource:"res/sub/x" ~now:20.0 with
-  | Some chain -> check int_ "chain length" 2 (List.length chain)
-  | None -> Alcotest.fail "expected a chain");
   (* c cannot re-delegate (grant was not redelegable). *)
   check bool_ "c cannot delegate" true
     (Result.is_error
@@ -1169,26 +1163,6 @@ let test_delegation_revocation_cascades () =
   check bool_ "b cut" false (Delegation.authority_for d ~issuer:"b" ~resource:"x" ~now:1.0);
   check bool_ "c cut too" false (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:1.0);
   check bool_ "unknown revoke" false (Delegation.revoke d ~grant_id:"nope")
-
-let test_delegation_filters_policies () =
-  let d = Delegation.create ~roots:[ "domain-a" ] in
-  ignore (Delegation.grant d ~delegator:"domain-a" ~delegate:"domain-b" ~scope:"shared/" ~now:0.0 ~expires:100.0 ());
-  let policy issuer resource id =
-    Policy.Inline_policy
-      (Policy.make ~id ~issuer ~target:Target.(any |> resource_is "resource-id" resource) [ Rule.permit "r" ])
-  in
-  let set =
-    Policy.make_set ~id:"s"
-      [
-        policy "domain-a" "anything" "own";
-        policy "domain-b" "shared/doc" "delegated-ok";
-        policy "domain-b" "private/doc" "overreach";
-        policy "domain-c" "shared/doc" "stranger";
-      ]
-  in
-  let filtered, dropped = Delegation.filter_authorized d ~now:1.0 set in
-  check int_ "kept" 2 (List.length filtered.Policy.children);
-  check (Alcotest.list string_) "dropped" [ "overreach"; "stranger" ] (List.sort compare dropped)
 
 (* --- negotiation ----------------------------------------------------------------------------------- *)
 
@@ -1422,7 +1396,7 @@ let test_meta_guard () =
 
 (* --- remaining edges ------------------------------------------------------------ *)
 
-let test_client_drop_capabilities () =
+let test_client_reuses_capability () =
   let net, services = fresh () in
   let keys = Dacs_crypto.Rsa.generate (Dacs_crypto.Rng.create 13L) ~bits:512 in
   Net.add_node net "cas";
@@ -1449,10 +1423,7 @@ let test_client_drop_capabilities () =
   in
   go ();
   go ();
-  check int_ "cached" 1 (Client.capability_requests_made client);
-  Client.drop_capabilities client;
-  go ();
-  check int_ "re-issued after drop" 2 (Client.capability_requests_made client)
+  check int_ "cached" 1 (Client.capability_requests_made client)
 
 let test_capability_expiry_forces_reissue () =
   let net, services = fresh () in
@@ -1608,7 +1579,7 @@ let () =
         ] );
       ( "edges",
         [
-          Alcotest.test_case "drop capabilities" `Quick test_client_drop_capabilities;
+          Alcotest.test_case "capability reuse" `Quick test_client_reuses_capability;
           Alcotest.test_case "capability expiry re-issues" `Quick test_capability_expiry_forces_reissue;
           Alcotest.test_case "PEP mode getters" `Quick test_pep_mode_getters;
           Alcotest.test_case "lifecycle drafts listing" `Quick test_lifecycle_drafts_listing;
@@ -1617,7 +1588,6 @@ let () =
         [
           Alcotest.test_case "chains" `Quick test_delegation_chains;
           Alcotest.test_case "revocation cascades" `Quick test_delegation_revocation_cascades;
-          Alcotest.test_case "policy filtering" `Quick test_delegation_filters_policies;
         ] );
       ( "negotiation",
         [

@@ -111,7 +111,7 @@ let test_sha256_million_a () =
     Sha256.update ctx chunk
   done;
   check string_ "million a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Encoding.hex_encode (Sha256.finalize ctx))
+    (Encoding.hex_encode (Sha256.resume ctx ""))
 
 let test_sha256_incremental_matches_oneshot () =
   let msg = String.init 300 (fun i -> Char.chr (i mod 256)) in
@@ -121,7 +121,7 @@ let test_sha256_incremental_matches_oneshot () =
   Sha256.update ctx (String.sub msg 63 2);
   Sha256.update ctx (String.sub msg 65 128);
   Sha256.update ctx (String.sub msg 193 107);
-  check string_ "incremental" (Sha256.hex_digest msg) (Encoding.hex_encode (Sha256.finalize ctx))
+  check string_ "incremental" (Sha256.hex_digest msg) (Encoding.hex_encode (Sha256.resume ctx ""))
 
 let test_sha256_block_boundaries () =
   (* Lengths 55, 56, 63, 64, 65 hit all the padding branches. *)
@@ -133,7 +133,7 @@ let test_sha256_block_boundaries () =
       check string_
         (Printf.sprintf "length %d" n)
         (Sha256.hex_digest msg)
-        (Encoding.hex_encode (Sha256.finalize ctx)))
+        (Encoding.hex_encode (Sha256.resume ctx "")))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
 (* A buffer holding [s], as [Sha256.digest2_buffer] and [Chain.extend]
@@ -174,8 +174,8 @@ let prop_sha256_interleaved_contexts =
       in
       let rec interleave xs ys = if xs <> [] || ys <> [] then interleave (feed a xs) (feed b ys) in
       interleave xs ys;
-      Sha256.finalize a = Sha256.digest (String.concat "" xs)
-      && Sha256.finalize b = Sha256.digest (String.concat "" ys))
+      Sha256.resume a "" = Sha256.digest (String.concat "" xs)
+      && Sha256.resume b "" = Sha256.digest (String.concat "" ys))
 
 (* --- the kernel against its reference ------------------------------------- *)
 
@@ -200,7 +200,7 @@ let test_sha256_reference_lengths () =
     done;
     let ctx = Sha256.init () in
     String.iter (fun c -> Sha256.update ctx (String.make 1 c)) msg;
-    check string_ (name "bytewise update") expected (Sha256.finalize ctx)
+    check string_ (name "bytewise update") expected (Sha256.resume ctx "")
   done
 
 (* Messages of 0-2,000 bytes (one in three of 55-129) cut at random
@@ -234,7 +234,7 @@ let prop_sha256_reference =
       Sha256.update prefix first;
       Sha256.digest msg = expected
       && Sha256.digest2_buffer first (buffer_of rest) = expected
-      && Sha256.finalize ctx = expected
+      && Sha256.resume ctx "" = expected
       && Sha256.resume prefix rest = expected
       && Sha256.resume prefix rest = expected)
 
@@ -371,7 +371,7 @@ let test_hmac_prepared_allocation () =
 
 (* --- bignum ------------------------------------------------------------------ *)
 
-let bn = Alcotest.testable (fun fmt a -> Format.pp_print_string fmt (Bignum.to_decimal a)) Bignum.equal
+let bn = Alcotest.testable (fun fmt a -> Format.pp_print_string fmt (Bignum.to_hex a)) Bignum.equal
 
 let test_bignum_of_to_int () =
   List.iter
@@ -379,28 +379,24 @@ let test_bignum_of_to_int () =
       check (Alcotest.option int_) (string_of_int i) (Some i) (Bignum.to_int_opt (Bignum.of_int i)))
     [ 0; 1; 2; 1000; 67108863; 67108864; max_int ]
 
-let test_bignum_decimal_roundtrip () =
-  List.iter
-    (fun s -> check string_ s s (Bignum.to_decimal (Bignum.of_decimal s)))
-    [ "0"; "1"; "10000000"; "123456789012345678901234567890"; "99999999999999999999" ]
-
 let test_bignum_hex_roundtrip () =
-  let v = Bignum.of_decimal "123456789012345678901234567890" in
+  let v = Bignum.of_hex "18ee90ff6c373e0ee4e3f0ad2" in
   check bn "hex roundtrip" v (Bignum.of_hex (Bignum.to_hex v))
 
 let test_bignum_bytes_roundtrip () =
-  let v = Bignum.of_decimal "987654321098765432109876543210" in
-  check bn "bytes roundtrip" v (Bignum.of_bytes_be (Bignum.to_bytes_be v));
-  check bn "leading zeros ok" v (Bignum.of_bytes_be ("\x00\x00" ^ Bignum.to_bytes_be v));
+  let v = Bignum.of_hex "c7748819dffb62438d1c67eea" in
+  check bn "bytes roundtrip" v (Bignum.of_bytes_be (Bignum.to_bytes_be_padded v 13));
+  check bn "leading zeros ok" v (Bignum.of_bytes_be ("\x00\x00" ^ Bignum.to_bytes_be_padded v 13));
   let padded = Bignum.to_bytes_be_padded v 20 in
   check int_ "padded width" 20 (String.length padded);
   check bn "padded roundtrip" v (Bignum.of_bytes_be padded)
 
 let test_bignum_known_arithmetic () =
-  let a = Bignum.of_decimal "123456789123456789123456789" in
-  let b = Bignum.of_decimal "987654321987654321" in
-  check string_ "add" "123456790111111111111111110" (Bignum.to_decimal (Bignum.add a b));
-  check string_ "sub" "123456788135802467135802468" (Bignum.to_decimal (Bignum.sub a b));
+  (* 123456789123456789123456789 and 987654321987654321 *)
+  let a = Bignum.of_hex "661efdf2e3b19f7c045f15" in
+  let b = Bignum.of_hex "db4da5f7ef412b1" in
+  check bn "add" (Bignum.of_hex "661efe00988bfefaf871c6") (Bignum.add a b);
+  check bn "sub" (Bignum.of_hex "661efde52ed73ffd104c64") (Bignum.sub a b);
   (* mul is checked by the divmod reconstruction identity. *)
   let q, r = Bignum.divmod a b in
   check bn "divmod reconstructs" a (Bignum.add (Bignum.mul q b) r);
@@ -411,7 +407,7 @@ let test_bignum_shift () =
   check bn "shl" (Bignum.of_int 0b1011000) (Bignum.shift_left v 3);
   check bn "shr" (Bignum.of_int 0b10) (Bignum.shift_right v 2);
   check bn "shr to zero" Bignum.zero (Bignum.shift_right v 10);
-  let big = Bignum.of_decimal "123456789012345678901234567890" in
+  let big = Bignum.of_hex "18ee90ff6c373e0ee4e3f0ad2" in
   check bn "shl/shr inverse" big (Bignum.shift_right (Bignum.shift_left big 137) 137)
 
 let test_bignum_num_bits () =
@@ -458,10 +454,10 @@ let test_bignum_modinv () =
 
 let gen_bignum =
   QCheck.make
-    ~print:Bignum.to_decimal
+    ~print:Bignum.to_hex
     QCheck.Gen.(
-      let digits = string_size ~gen:(map (fun i -> Char.chr (Char.code '0' + i)) (0 -- 9)) (1 -- 40) in
-      map Bignum.of_decimal digits)
+      let digits = string_size ~gen:(map (fun i -> "0123456789abcdef".[i]) (0 -- 15)) (1 -- 34) in
+      map Bignum.of_hex digits)
 
 let prop_add_commutative =
   QCheck.Test.make ~name:"add commutative" ~count:300 (QCheck.pair gen_bignum gen_bignum)
@@ -489,11 +485,7 @@ let prop_divmod_reconstruction =
 
 let prop_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes roundtrip" ~count:300 gen_bignum (fun a ->
-      Bignum.equal a (Bignum.of_bytes_be (Bignum.to_bytes_be a)))
-
-let prop_decimal_roundtrip =
-  QCheck.Test.make ~name:"decimal roundtrip" ~count:300 gen_bignum (fun a ->
-      Bignum.equal a (Bignum.of_decimal (Bignum.to_decimal a)))
+      Bignum.equal a (Bignum.of_bytes_be (Bignum.to_bytes_be_padded a ((Bignum.num_bits a + 7) / 8))))
 
 let prop_modpow_mul =
   (* a^(x+y) = a^x * a^y (mod m) *)
@@ -508,11 +500,15 @@ let prop_modpow_mul =
 
 (* --- primes -------------------------------------------------------------- *)
 
+(* Below 1000 the test reads its sieve list alone: it must name exactly
+   the 168 primes there, 2 and 997 among them. *)
 let test_small_primes_list () =
-  check bool_ "2 listed" true (List.mem 2 Prime.small_primes);
-  check bool_ "997 listed" true (List.mem 997 Prime.small_primes);
-  check bool_ "1000 not listed" false (List.mem 1000 Prime.small_primes);
-  check int_ "count below 1000" 168 (List.length Prime.small_primes)
+  let rng = Rng.create 1L in
+  let prime n = Prime.is_probably_prime rng (Bignum.of_int n) in
+  check bool_ "2 listed" true (prime 2);
+  check bool_ "997 listed" true (prime 997);
+  check bool_ "1000 not listed" false (prime 1000);
+  check int_ "count below 1000" 168 (List.length (List.filter prime (List.init 1000 Fun.id)))
 
 let test_primality_small () =
   let rng = Rng.create 1L in
@@ -609,7 +605,9 @@ let test_stream_roundtrip () =
   let key = Stream_cipher.derive_key "shared secret" in
   let plain = "the body of a SOAP message with sensitive content" in
   let cipher = Stream_cipher.encrypt rng ~key plain in
-  check int_ "expansion = nonce" (String.length plain + Stream_cipher.nonce_bytes) (String.length cipher);
+  (* The nonce prefix is the whole expansion: the same for any length. *)
+  let short = Stream_cipher.encrypt rng ~key "x" in
+  check int_ "expansion = nonce" (String.length short - 1) (String.length cipher - String.length plain);
   check (Alcotest.option string_) "roundtrip" (Some plain) (Stream_cipher.decrypt ~key cipher)
 
 let test_stream_wrong_key () =
@@ -664,7 +662,9 @@ let test_cert_xml_roundtrip () =
   match Cert.of_xml (Cert.to_xml ca) with
   | Some c ->
     check string_ "subject" ca.Cert.subject c.Cert.subject;
-    check string_ "fingerprint" (Cert.fingerprint ca) (Cert.fingerprint c);
+    check string_ "canonical form"
+      (Dacs_xml.Xml.canonical_string (Cert.to_xml ca))
+      (Dacs_xml.Xml.canonical_string (Cert.to_xml c));
     check bool_ "still verifies" true (Cert.verify_signature c ~issuer_key:c.Cert.public_key)
   | None -> Alcotest.fail "expected certificate to parse back"
 
@@ -817,7 +817,6 @@ let props =
       prop_mul_distributive;
       prop_divmod_reconstruction;
       prop_bytes_roundtrip;
-      prop_decimal_roundtrip;
       prop_modpow_mul;
     ]
 
@@ -866,7 +865,6 @@ let () =
       ( "bignum",
         [
           Alcotest.test_case "of_int/to_int" `Quick test_bignum_of_to_int;
-          Alcotest.test_case "decimal roundtrip" `Quick test_bignum_decimal_roundtrip;
           Alcotest.test_case "hex roundtrip" `Quick test_bignum_hex_roundtrip;
           Alcotest.test_case "bytes roundtrip" `Quick test_bignum_bytes_roundtrip;
           Alcotest.test_case "known arithmetic" `Quick test_bignum_known_arithmetic;

@@ -619,7 +619,14 @@ let test_content_filter_obligation () =
   let policy =
     Policy.Inline_policy
       (Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
-         ~obligations:[ Dacs_policy.Obligation.content_filter ~forbidden:"CLASSIFIED" ]
+         ~obligations:
+           [
+             (* Content-based access control (§3.1): the PEP inspects the
+                resource before provisioning it and refuses it when it
+                holds the forbidden marker. *)
+             Dacs_policy.Obligation.make ~fulfill_on:Permit "urn:dacs:obligation:content-filter"
+               ~parameters:[ ("forbidden", Value.String "CLASSIFIED") ];
+           ]
          [ Rule.permit "allow" ])
   in
   ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:policy ());

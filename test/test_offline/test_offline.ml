@@ -64,8 +64,15 @@ let ctx ?(subject = "alice") () =
     ~action:[ ("action-id", Value.String "read") ]
     ()
 
-let replica ?metrics name =
-  O.create ?metrics ~now:(fun () -> 0.0) ~key:mesh_key ~author:name ()
+let replica ?metrics ?audit name =
+  O.create ?metrics ?audit ~now:(fun () -> 0.0) ~key:mesh_key ~author:name ()
+
+(* The request keys a replica's replay retroactively invalidated, oldest
+   first: the resources of the invalidation records in its audit. *)
+let invalidated audit =
+  List.filter_map
+    (fun (e : Audit.entry) -> if e.action = "offline-invalidate" then Some e.resource else None)
+    (Audit.entries audit)
 
 (* A replica with a few events to sync: policy, a grant, a revoke. *)
 let populated ?metrics name =
@@ -81,7 +88,6 @@ let test_log_basics () =
   let o = populated "alpha" in
   check int_ "three events logged" 3 (O.stats o).O.events_logged;
   check bool_ "head advanced" true (O.head o <> Chain.genesis);
-  check string_ "head_short matches" (Chain.short (O.head o)) (O.head_short o);
   (match O.frontier o with
   | [ ("alpha", 3) ] -> ()
   | _ -> Alcotest.fail "frontier should be [alpha -> 3]");
@@ -91,7 +97,7 @@ let test_log_basics () =
   match O.decide o (ctx ()) with
   | Some (r, head) ->
     check bool_ "granted from log" true (r.Decision.decision = Decision.Permit);
-    check string_ "decision stamped with head" (O.head_short o) head;
+    check string_ "decision stamped with head" (Chain.short (O.head o)) head;
     check int_ "decide logged" 4 (O.stats o).O.events_logged
   | None -> Alcotest.fail "no offline decision"
 
@@ -379,7 +385,6 @@ let test_pep_offline_rung () =
   (match p.Provenance.log_head with
   | Some h -> check bool_ "log head stamped" true (String.length h = 12)
   | None -> Alcotest.fail "offline provenance must carry the log head");
-  check bool_ "replica marked offline" true (O.is_offline s.offline);
   (* offline answers are never cached: the identical repeat descends the
      ladder again and is served offline again *)
   let _, p2 = decide_explained s (ctx ()) in
@@ -460,7 +465,15 @@ let late_pol =
         ~condition:
           (Expr.Apply
              ( "time-greater-than",
-               [ Expr.Apply ("time-one-and-only", [ Expr.environment_attr "time" ]); Expr.time 1e6 ] ))
+               [
+                 Expr.Apply
+                   ( "time-one-and-only",
+                     [
+                       Expr.Designator
+                         { category = Context.Environment; attribute_id = "time"; must_be_present = false };
+                     ] );
+                 Expr.time 1e6;
+               ] ))
         "late";
       Rule.deny "default-deny";
     ]
@@ -484,9 +497,8 @@ let ctx_at subject time =
     ()
 
 let test_log_renders_floats_exactly () =
-  let o = replica "alpha" in
-  let fired = ref [] in
-  O.on_invalidate o (fun key -> fired := key :: !fired);
+  let audit = Audit.create () in
+  let o = replica ~audit "alpha" in
   O.publish o (Policy.Inline_policy late_pol);
   let c = ctx_at "bob" (Some 1000000.4) in
   (match O.decide o c with
@@ -510,7 +522,7 @@ let test_log_renders_floats_exactly () =
   O.grant o ~subject:"carol" ~attr:"role" ~value:"nurse";
   ignore (O.state_digest o);
   check int_ "re-checked once" 1 (O.stats o).O.rechecked;
-  check (Alcotest.list string_) "no hook fired" [] !fired;
+  check (Alcotest.list string_) "nothing invalidated in the audit" [] (invalidated audit);
   check int_ "no invalidation" 0 (O.stats o).O.invalidations
 
 (* Replay re-evaluates only the Decides a merge could flip.  Two
@@ -520,13 +532,12 @@ let test_log_renders_floats_exactly () =
    role, concurrent with one more of her Decides, then fires exactly her
    Decides at both replicas. *)
 let test_replay_rechecks_what_changed () =
-  let a = replica "alpha" and b = replica "beta" in
-  let hooked o =
-    let fired = ref [] in
-    O.on_invalidate o (fun key -> fired := key :: !fired);
-    (o, fired)
+  let audited name =
+    let audit = Audit.create () in
+    (replica ~audit name, audit)
   in
-  let replicas = [ hooked a; hooked b ] in
+  let ((a, _) as alpha) = audited "alpha" and ((b, _) as beta) = audited "beta" in
+  let replicas = [ alpha; beta ] in
   O.publish a (Policy.Inline_policy nurse_pol);
   O.publish b (Policy.Inline_policy nurse_pol);
   O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
@@ -552,8 +563,9 @@ let test_replay_rechecks_what_changed () =
   ignore (O.sync_pair a b);
   let alice = Decision_cache.request_key (ctx_at "alice" None) in
   List.iter
-    (fun (o, fired) ->
-      check (Alcotest.list string_) (O.author o ^ ": alice's Decides fire") [ alice; alice; alice ] !fired;
+    (fun (o, audit) ->
+      check (Alcotest.list string_) (O.author o ^ ": alice's Decides fire") [ alice; alice; alice ]
+        (invalidated audit);
       check int_ (O.author o ^ ": three invalidations") 3 (O.stats o).O.invalidations)
     replicas
 
@@ -563,9 +575,8 @@ let test_replay_rechecks_what_changed () =
    alice is a nurse, so the full replay's re-check contradicts the Deny
    and purges its key, and so must ours. *)
 let test_replay_rechecks_without_causal_past () =
-  let a = replica "alpha" and b = replica "beta" and c = replica "gamma" in
-  let fired = ref [] in
-  O.on_invalidate a (fun key -> fired := key :: !fired);
+  let audit = Audit.create () in
+  let a = replica ~audit "alpha" and b = replica "beta" and c = replica "gamma" in
   O.publish a (Policy.Inline_policy nurse_pol);
   O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
   ignore (O.sync_pair a b);
@@ -579,7 +590,7 @@ let test_replay_rechecks_without_causal_past () =
   check bool_ "gamma's segment admitted" true (O.admit a gammas = Ok 1);
   check (Alcotest.list string_) "the Deny's key is purged"
     [ Decision_cache.request_key (ctx_at "alice" None) ]
-    !fired;
+    (invalidated audit);
   check int_ "re-checked" 1 (O.stats a).O.rechecked
 
 type op =
@@ -643,7 +654,7 @@ type model = {
   mutable fired : (string * int) list;
   mutable known : (string * int * string * int) list;
   mutable expected_keys : string list;  (* newest first *)
-  mutable hooked_keys : string list;  (* newest first *)
+  audit : Audit.t;  (* the replica's; its invalidation records are the purged keys *)
   mutable logged : int;
   mutable replays : int;
   mutable replayed : int;
@@ -786,7 +797,8 @@ let run_script (n, ops) =
   let clock = ref 0.0 in
   let ms =
     Array.init n (fun i ->
-        let o = O.create ~now:(fun () -> !clock) ~key:mesh_key ~author:(Printf.sprintf "dom%d" i) () in
+        let audit = Audit.create () in
+        let o = O.create ~audit ~now:(fun () -> !clock) ~key:mesh_key ~author:(Printf.sprintf "dom%d" i) () in
         let m =
           {
             o;
@@ -795,7 +807,7 @@ let run_script (n, ops) =
             fired = [];
             known = [];
             expected_keys = [];
-            hooked_keys = [];
+            audit;
             logged = 0;
             replays = 0;
             replayed = 0;
@@ -805,7 +817,6 @@ let run_script (n, ops) =
             decides = 0;
           }
         in
-        O.on_invalidate o (fun key -> m.hooked_keys <- key :: m.hooked_keys);
         m)
   in
   let fail fmt = QCheck.Test.fail_reportf fmt in
@@ -876,9 +887,9 @@ let run_script (n, ops) =
             || fail "replica %d: events are not its log in total order" i)
          && (O.conflicts m.o = m.state.r_conflicts || fail "replica %d: conflicts differ" i)
          && (O.surviving_grants m.o = m.state.r_grants || fail "replica %d: grants differ" i)
-         && (List.rev m.hooked_keys = List.rev m.expected_keys
-            || fail "replica %d: hooks got [%s], expected [%s]" i
-                 (String.concat "; " (List.rev m.hooked_keys))
+         && (invalidated m.audit = List.rev m.expected_keys
+            || fail "replica %d: audit invalidated [%s], expected [%s]" i
+                 (String.concat "; " (invalidated m.audit))
                  (String.concat "; " (List.rev m.expected_keys)))
          &&
          let expected =
@@ -977,12 +988,7 @@ let test_heal_allocation () =
   let now = ref 0.0 in
   let mk author = O.create ~now:(fun () -> !now) ~key:mesh_key ~author () in
   let a = mk "alpha" and b = mk "beta" in
-  let fired = ref 0 in
-  List.iter
-    (fun o ->
-      O.on_invalidate o (fun _ -> incr fired);
-      O.publish o (Policy.Inline_policy pol))
-    [ a; b ];
+  List.iter (fun o -> O.publish o (Policy.Inline_policy pol)) [ a; b ];
   O.grant a ~subject:"user0" ~attr:"role" ~value:"doctor";
   ignore (O.sync_pair a b);
   let ctxs = Array.init 40 (fun i -> ctx ~subject:(Printf.sprintf "user%d" i) ()) in
@@ -1005,7 +1011,8 @@ let test_heal_allocation () =
   check int_ "every Decide moved" (2 * n) moved;
   check int_ "alpha re-checked nothing" 0 (O.stats a).O.rechecked;
   check int_ "beta re-checked nothing" 0 (O.stats b).O.rechecked;
-  check int_ "no hook fired" 0 !fired;
+  check int_ "alpha invalidated nothing" 0 (O.stats a).O.invalidations;
+  check int_ "beta invalidated nothing" 0 (O.stats b).O.invalidations;
   check string_ "digests converge" (O.state_digest a) (O.state_digest b);
   Printf.printf "heal of 2 x %d Decides: %.1f minor words per moved event (bound %.1f)\n" n words
     heal_words_bound;

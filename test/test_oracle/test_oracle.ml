@@ -592,44 +592,17 @@ let full_result_oracle (name, alg) =
         QCheck.Test.fail_reportf "[%s] reference %s <> compiled %s (%s)" name (show_full reference)
           (show_full compiled) (seed_hint ()))
 
-(* --- oracle 4: delegation-augmented policy sets ------------------------- *)
+(* --- oracle 4: issuer-targeted, possibly-empty policy sets --------------- *)
 
-(* A random delegation registry (grants between three issuers, some
-   revoked) filters a random policy set; the surviving set must evaluate
+(* A random policy set of zero to four children, each issued by one of
+   three issuers and optionally targeted at one resource, must evaluate
    identically in-process, through the sharded tier, and through the
-   cached ladder.  This is the administrative path the earlier oracles
-   never touched: children dropped by [filter_authorized], possibly-empty
-   sets, and issuer-targeted children must not change under wire
-   encoding, sharding or caching. *)
+   cached ladder.  Empty sets are exactly the shape the compiled set
+   walker has to get right, in process and behind the wire. *)
 
 let issuers = [| "root"; "alpha"; "beta" |]
 
-type grant_spec = { from_code : int; to_code : int; scope_code : int; flag_code : int }
 type child_spec = { issuer_code : int; child_resource_code : int; child_effect_code : int }
-
-let scope_of_code c = if c = 0 then "" else resources.((c - 1) mod Array.length resources)
-
-let delegation_of_specs specs =
-  let deleg = Delegation.create ~roots:[ "root" ] in
-  let granted =
-    List.filter_map
-      (fun g ->
-        match
-          Delegation.grant deleg
-            ~can_redelegate:(g.flag_code land 1 = 1)
-            ~delegator:issuers.(g.from_code mod Array.length issuers)
-            ~delegate:issuers.(g.to_code mod Array.length issuers)
-            ~scope:(scope_of_code g.scope_code) ~now:0.0 ~expires:100.0 ()
-        with
-        | Ok recorded -> Some (recorded, g.flag_code land 2 = 2)
-        | Error _ -> None)
-      specs
-  in
-  List.iter
-    (fun ((recorded : Delegation.grant), revoked) ->
-      if revoked then ignore (Delegation.revoke deleg ~grant_id:recorded.Delegation.id))
-    granted;
-  deleg
 
 let child_of_spec i c =
   let target =
@@ -643,14 +616,8 @@ let child_of_spec i c =
        ~target
        [ (if c.child_effect_code = 0 then Rule.permit "p" else Rule.deny "d") ])
 
-let arb_delegation_case =
+let arb_set_case =
   let open QCheck in
-  let arb_grant =
-    map
-      ~rev:(fun g -> (g.from_code, g.to_code, g.scope_code, g.flag_code))
-      (fun (f, t, s, fl) -> { from_code = f; to_code = t; scope_code = s; flag_code = fl })
-      (quad (int_bound 2) (int_bound 2) (int_bound 3) (int_bound 3))
-  in
   let arb_child =
     map
       ~rev:(fun c -> (c.issuer_code, c.child_resource_code, c.child_effect_code))
@@ -663,27 +630,21 @@ let arb_delegation_case =
       (fun (r, rs, a) -> { role_code = r; resource_code = rs; action_code = a; cross_code = 0 })
       (triple (int_bound (Array.length roles)) (int_bound 2) (int_bound 1))
   in
-  triple (list_of_size (Gen.int_bound 4) arb_grant) (list_of_size (Gen.int_bound 4) arb_child) arb_ctx
+  pair (list_of_size (Gen.int_bound 4) arb_child) arb_ctx
 
-let delegation_filtered_root alg (grant_specs, child_specs, _) =
-  let deleg = delegation_of_specs grant_specs in
-  let set =
-    Policy.make_set ~policy_combining:alg ~id:"deleg-set" (List.mapi child_of_spec child_specs)
-  in
-  let filtered, _dropped = Delegation.filter_authorized deleg ~now:1.0 set in
-  Policy.Inline_set filtered
+let set_root alg (child_specs, _) =
+  Policy.Inline_set
+    (Policy.make_set ~policy_combining:alg ~id:"issuer-set" (List.mapi child_of_spec child_specs))
 
-let delegation_tier_oracle (name, alg) =
+let set_tier_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "delegation-filtered set: tier/compiled == reference (%s)" name)
-    ~count:300 arb_delegation_case
+    ~name:(Printf.sprintf "issuer set: tier/compiled == reference (%s)" name)
+    ~count:300 arb_set_case
     (fun case ->
-      let _, _, cspec = case in
-      let root = delegation_filtered_root alg case in
+      let _, cspec = case in
+      let root = set_root alg case in
       let ctx = ctx_of_spec cspec in
       let reference = Policy.evaluate_child ctx root in
-      (* Possibly-empty filtered sets are exactly the shape the compiled
-         set walker has to get right, in process and behind the wire. *)
       let compiled = Compiled.evaluate ctx (Compiled.compile root) in
       if not (result_equal reference compiled) then
         fail_diverged ~alg:name ~expected:reference ~got:compiled "reference" "compiled"
@@ -696,13 +657,13 @@ let delegation_tier_oracle (name, alg) =
           if result_equal reference tiered then true
           else fail_diverged ~alg:name ~expected:reference ~got:tiered "reference" "tier")
 
-let delegation_cached_oracle (name, alg) =
+let set_cached_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "delegation-filtered set: caching ladder == reference (%s)" name)
-    ~count:100 arb_delegation_case
+    ~name:(Printf.sprintf "issuer set: caching ladder == reference (%s)" name)
+    ~count:100 arb_set_case
     (fun case ->
-      let _, _, cspec = case in
-      let root = delegation_filtered_root alg case in
+      let _, cspec = case in
+      let root = set_root alg case in
       let reference = Policy.evaluate_child (ctx_of_spec cspec) root in
       check_both_live_rungs ~alg:name ~reference root cspec)
 
@@ -947,13 +908,12 @@ let shared_cache_oracle (name, alg) =
     (fun ((pspec, _), role_codes) ->
       shared_cache_evaluate ~alg:name (Policy.Inline_policy (policy_of_spec alg pspec)) role_codes)
 
-let delegation_shared_cache_oracle (name, alg) =
+let set_shared_cache_oracle (name, alg) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "shared cache: delegation-filtered set == reference (%s)" name)
+    ~name:(Printf.sprintf "shared cache: issuer set == reference (%s)" name)
     ~count:40
-    QCheck.(pair arb_delegation_case arb_role_codes)
-    (fun (case, role_codes) ->
-      shared_cache_evaluate ~alg:name (delegation_filtered_root alg case) role_codes)
+    QCheck.(pair arb_set_case arb_role_codes)
+    (fun (case, role_codes) -> shared_cache_evaluate ~alg:name (set_root alg case) role_codes)
 
 (* --- directed regressions: empty rule lists ----------------------------- *)
 
@@ -1036,15 +996,14 @@ let () =
       ("tier-differential", List.map (fun a -> QCheck_alcotest.to_alcotest (tier_oracle a)) algorithms);
       ( "cached-ladder-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (cached_oracle a)) algorithms );
-      ( "delegation-differential",
-        List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_tier_oracle a)) algorithms
-        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_cached_oracle a)) algorithms );
+      ( "issuer-set-differential",
+        List.map (fun a -> QCheck_alcotest.to_alcotest (set_tier_oracle a)) algorithms
+        @ List.map (fun a -> QCheck_alcotest.to_alcotest (set_cached_oracle a)) algorithms );
       ( "negotiation-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (negotiation_oracle a)) algorithms );
       ( "churn-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (churn_oracle a)) algorithms );
       ( "shared-cache-differential",
         List.map (fun a -> QCheck_alcotest.to_alcotest (shared_cache_oracle a)) algorithms
-        @ List.map (fun a -> QCheck_alcotest.to_alcotest (delegation_shared_cache_oracle a))
-            algorithms );
+        @ List.map (fun a -> QCheck_alcotest.to_alcotest (set_shared_cache_oracle a)) algorithms );
     ]

@@ -499,12 +499,15 @@ let test_expr_validate () =
        (Expr.validate
           (Expr.Apply ("any-of", [ Expr.Function_ref "string-equal"; Expr.str "x"; Expr.subject_attr "role" ]))))
 
+(* The registry as validation reads it: a known name, an unknown one, a
+   fixed arity and a variadic one. *)
 let test_expr_registry () =
-  check bool_ "known" true (Expr.known_function "string-equal");
-  check bool_ "unknown" false (Expr.known_function "frobnicate");
-  check bool_ "arity fixed" true (Expr.function_arity "not" = Some (Some 1));
-  check bool_ "arity variadic" true (Expr.function_arity "and" = Some None);
-  check bool_ "arity unknown" true (Expr.function_arity "nope" = None)
+  let problems e = List.length (Expr.validate e) in
+  check int_ "known" 0 (problems (Expr.Apply ("string-equal", [ Expr.str "a"; Expr.str "b" ])));
+  check int_ "unknown" 1 (problems (Expr.Apply ("frobnicate", [])));
+  check int_ "arity fixed" 1 (problems (Expr.Apply ("not", [])));
+  check int_ "arity variadic" 0
+    (problems (Expr.Apply ("and", [ Expr.bool true; Expr.bool true; Expr.bool true ])))
 
 (* --- targets ------------------------------------------------------------------ *)
 
@@ -512,11 +515,11 @@ let test_target_any () =
   check bool_ "any matches" true (Target.evaluate ctx Target.any = Target.Match)
 
 let test_target_sections () =
-  let t = Target.for_action "read" in
+  let t = Target.(action_is "action-id" "read" any) in
   check bool_ "action matches" true (Target.evaluate ctx t = Target.Match);
-  let t = Target.for_action "write" in
+  let t = Target.(action_is "action-id" "write" any) in
   check bool_ "action mismatch" true (Target.evaluate ctx t = Target.No_match);
-  let t = Target.for_subject_role "doctor" in
+  let t = Target.(subject_is "role" "doctor" any) in
   check bool_ "role in bag matches" true (Target.evaluate ctx t = Target.Match)
 
 let test_target_conjunction () =
@@ -574,7 +577,7 @@ let test_rule_plain () =
   check_decision "deny" Decision.Deny (Rule.evaluate ctx r)
 
 let test_rule_target () =
-  let r = Rule.permit ~target:(Target.for_action "write") "r" in
+  let r = Rule.permit ~target:(Target.(action_is "action-id" "write" any)) "r" in
   check_decision "target mismatch" Decision.Not_applicable (Rule.evaluate ctx r)
 
 let test_rule_condition () =
@@ -699,7 +702,7 @@ let test_policy_eval () =
 
 let test_policy_target_gates_rules () =
   let p =
-    Policy.make ~id:"p" ~target:(Target.for_action "write") [ Rule.permit "r" ]
+    Policy.make ~id:"p" ~target:(Target.(action_is "action-id" "write" any)) [ Rule.permit "r" ]
   in
   check_decision "policy NA" Decision.Not_applicable (Policy.evaluate ctx p)
 
@@ -721,13 +724,13 @@ let test_policy_set_nesting () =
       [
         Policy.Inline_policy doctor_read_policy;
         Policy.Inline_set
-          (Policy.make_set ~id:"inner" ~target:(Target.for_action "write")
+          (Policy.make_set ~id:"inner" ~target:(Target.(action_is "action-id" "write" any))
              [ Policy.Inline_policy inner_deny ]);
       ]
   in
   (* The inner set's target is write, so for a read request only
      doctor-read applies. *)
-  check_decision "nested" Decision.Permit (Policy.evaluate_set ctx set)
+  check_decision "nested" Decision.Permit (Policy.evaluate_child ctx (Policy.Inline_set set))
 
 let test_policy_refs () =
   let lookup = function
@@ -737,15 +740,15 @@ let test_policy_refs () =
   in
   let set = Policy.make_set ~id:"root" [ Policy.Policy_ref "doctor-read" ] in
   check_decision "resolved ref" Decision.Permit
-    (Policy.evaluate_set ~resolve_ref:lookup ctx set);
+    (Policy.evaluate_child ~resolve_ref:lookup ctx (Policy.Inline_set set));
   check_decision "unresolved ref" (Decision.Indeterminate "")
-    (Policy.evaluate_set ctx set);
+    (Policy.evaluate_child ctx (Policy.Inline_set set));
   let missing = Policy.make_set ~id:"root" [ Policy.Policy_ref "nope" ] in
   check_decision "missing ref" (Decision.Indeterminate "")
-    (Policy.evaluate_set ~resolve_ref:lookup ctx missing);
+    (Policy.evaluate_child ~resolve_ref:lookup ctx (Policy.Inline_set missing));
   let loop = Policy.make_set ~id:"root" [ Policy.Policy_ref "looping" ] in
   check_decision "ref-to-ref rejected" (Decision.Indeterminate "")
-    (Policy.evaluate_set ~resolve_ref:lookup ctx loop)
+    (Policy.evaluate_child ~resolve_ref:lookup ctx (Policy.Inline_set loop))
 
 let test_policy_rule_counts () =
   check int_ "rule count" 2 (Policy.rule_count doctor_read_policy);
@@ -772,7 +775,8 @@ let complex_policy =
           (Expr.Apply
              ( "time-in-range",
                [
-                 Expr.Apply ("time-one-and-only", [ Expr.environment_attr ~must_be_present:true "time" ]);
+                 Expr.Apply ("time-one-and-only", [ Expr.Designator
+                       { category = Context.Environment; attribute_id = "time"; must_be_present = true } ]);
                  Expr.time 0.0;
                  Expr.time 86400.0;
                ] ))
@@ -780,9 +784,22 @@ let complex_policy =
       Rule.deny "r2";
     ]
 
+(* A policy read back through the one tree reader, [child_of_xml]. *)
+let policy_roundtrip p =
+  match Xacml_xml.child_of_xml (Xacml_xml.policy_to_xml p) with
+  | Ok (Policy.Inline_policy p') -> Ok p'
+  | Ok _ -> Error "expected a policy"
+  | Error e -> Error e
+
+(* A decision result written by [write_result] and read back by
+   [read_result]. *)
+let result_roundtrip r =
+  let buf = Buffer.create 128 in
+  Xacml_xml.write_result buf r;
+  Dacs_xml.Xml.Cursor.parse (Buffer.contents buf) Xacml_xml.read_result
+
 let test_xml_policy_roundtrip () =
-  let xml = Xacml_xml.policy_to_xml complex_policy in
-  match Xacml_xml.policy_of_xml xml with
+  match policy_roundtrip complex_policy with
   | Error e -> Alcotest.fail e
   | Ok p ->
     check string_ "id" "complex" p.Policy.id;
@@ -822,22 +839,24 @@ let test_xml_expr_roundtrip () =
       ( "any-of",
         [ Expr.Function_ref "string-equal"; Expr.str "doctor"; Expr.subject_attr ~must_be_present:true "role" ] )
   in
-  match Xacml_xml.expr_of_xml (Xacml_xml.expr_to_xml e) with
+  (* An expression travels as a rule's condition. *)
+  match policy_roundtrip (Policy.make ~id:"p" [ Rule.permit ~condition:e "r" ]) with
+  | Ok { Policy.rules = [ { Rule.condition = Some e'; _ } ]; _ } -> check bool_ "same" true (e = e')
+  | Ok _ -> Alcotest.fail "expected one rule with a condition"
   | Error err -> Alcotest.fail err
-  | Ok e' -> check bool_ "same" true (e = e')
 
 let test_xml_result_roundtrip () =
   let r =
     Decision.with_obligations Decision.permit [ Obligation.encrypt_response ~strength:256 ]
   in
-  (match Xacml_xml.result_of_string (Xacml_xml.result_to_string r) with
+  (match result_roundtrip r with
   | Error e -> Alcotest.fail e
   | Ok r' ->
     check_decision "decision" Decision.Permit r';
     check int_ "obligations" 1 (List.length r'.Decision.obligations));
   (* Indeterminate keeps its status message. *)
   let r = Decision.indeterminate "something broke" in
-  match Xacml_xml.result_of_string (Xacml_xml.result_to_string r) with
+  match result_roundtrip r with
   | Ok { Decision.decision = Decision.Indeterminate m; _ } ->
     check string_ "status" "something broke" m
   | _ -> Alcotest.fail "expected indeterminate"
@@ -876,7 +895,8 @@ let test_validate_catches () =
   let dup_set =
     Policy.make_set ~id:"s" [ Policy.Inline_policy dup; Policy.Inline_policy dup ]
   in
-  check bool_ "set reports recursively and dups" true (List.length (Validate.check_set dup_set) >= 3)
+  check bool_ "set reports recursively and dups" true
+    (List.length (Validate.check_child (Policy.Inline_set dup_set)) >= 3)
 
 
 let test_shadowed_rules () =
@@ -884,10 +904,10 @@ let test_shadowed_rules () =
   let p =
     Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
       [
-        Rule.permit ~target:(Target.for_action "read") "read-ok";
+        Rule.permit ~target:(Target.(action_is "action-id" "read" any)) "read-ok";
         Rule.deny "catch-all";
-        Rule.permit ~target:(Target.for_action "write") "never-reached";
-        Rule.deny ~target:(Target.for_action "read") "also-dead";
+        Rule.permit ~target:(Target.(action_is "action-id" "write" any)) "never-reached";
+        Rule.deny ~target:(Target.(action_is "action-id" "read" any)) "also-dead";
       ]
   in
   check (Alcotest.list (Alcotest.pair string_ string_)) "dead rules found"
@@ -897,8 +917,8 @@ let test_shadowed_rules () =
   let dup =
     Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
       [
-        Rule.permit ~target:(Target.for_action "read") "first";
-        Rule.deny ~target:(Target.for_action "read") "second";
+        Rule.permit ~target:(Target.(action_is "action-id" "read" any)) "first";
+        Rule.deny ~target:(Target.(action_is "action-id" "read" any)) "second";
       ]
   in
   check int_ "duplicate target shadowed" 1 (List.length (Validate.shadowed_rules dup));
@@ -939,7 +959,7 @@ let clearance_policy =
         "senior-full-access";
       Rule.permit
         ~condition:(Expr.Apply ("integer-greater-than", [ Expr.Variable_ref "clearance"; Expr.int 2 ]))
-        ~target:(Target.for_action "read")
+        ~target:(Target.(action_is "action-id" "read" any))
         "cleared-read";
       Rule.deny "default-deny";
     ]
@@ -968,7 +988,7 @@ let test_variables_undefined_is_indeterminate () =
   check_decision "undefined variable" (Decision.Indeterminate "") (Policy.evaluate ctx p)
 
 let test_variables_xml_roundtrip () =
-  match Xacml_xml.policy_of_xml (Xacml_xml.policy_to_xml clearance_policy) with
+  match policy_roundtrip clearance_policy with
   | Error e -> Alcotest.fail e
   | Ok p ->
     check int_ "definitions preserved" 2 (List.length p.Policy.variables);
@@ -1119,7 +1139,7 @@ let test_explain_structure () =
 
 let test_explain_skips_unmatched () =
   (* When the policy target misses, no rule nodes are produced. *)
-  let p = Policy.make ~id:"p" ~target:(Target.for_action "write") [ Rule.permit "r" ] in
+  let p = Policy.make ~id:"p" ~target:(Target.(action_is "action-id" "write" any)) [ Rule.permit "r" ] in
   let tree, result = Explain.explain ctx (Policy.Inline_policy p) in
   check bool_ "not applicable" true (result.Decision.decision = Decision.Not_applicable);
   check int_ "no children" 0 (List.length tree.Explain.children);
@@ -1188,7 +1208,7 @@ let arb_policy =
 
 let prop_xml_roundtrip_preserves_decision =
   QCheck.Test.make ~name:"XML roundtrip preserves decisions" ~count:200 arb_policy (fun p ->
-      match Xacml_xml.policy_of_xml (Xacml_xml.policy_to_xml p) with
+      match policy_roundtrip p with
       | Error _ -> false
       | Ok p' ->
         Decision.equal_decision
@@ -1223,7 +1243,8 @@ let prop_first_applicable_is_first_rule =
       match p.Policy.rules with
       | [] -> true
       | first :: _ ->
-        (Policy.evaluate ctx p).Decision.decision = Rule.effect_decision first.Rule.effect)
+        (Policy.evaluate ctx p).Decision.decision =
+        match first.Rule.effect with Rule.Permit -> Decision.Permit | Rule.Deny -> Decision.Deny)
 
 let props =
   List.map QCheck_alcotest.to_alcotest

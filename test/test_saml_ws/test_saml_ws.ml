@@ -353,86 +353,6 @@ let test_service_malformed_request_faults () =
     check string_ "the reader's error" "expected <Q>, got <P>" f.Soap.reason
   | _ -> Alcotest.fail "expected a sender fault"
 
-(* --- wsdl / ws-policy ------------------------------------------------------------ *)
-
-let sample_description =
-  {
-    Wsdl.service = "patient-records";
-    endpoint = "hospital.pep.records";
-    operations =
-      [ { Wsdl.op_name = "access"; input = "AccessRequest"; output = "AccessGranted" } ];
-    assertions =
-      [
-        Wsdl.Requires_subject_attribute "role";
-        Wsdl.Requires_capability_from "health-cas";
-        Wsdl.Requires_signed_messages;
-        Wsdl.Responses_encrypted;
-      ];
-  }
-
-let test_wsdl_roundtrip () =
-  match Wsdl.of_xml (Wsdl.to_xml sample_description) with
-  | Error e -> Alcotest.fail e
-  | Ok d ->
-    check string_ "service" "patient-records" d.Wsdl.service;
-    check string_ "endpoint" "hospital.pep.records" d.Wsdl.endpoint;
-    check int_ "operations" 1 (List.length d.Wsdl.operations);
-    check int_ "assertions" 4 (List.length d.Wsdl.assertions)
-
-let test_wsdl_unmet () =
-  let unmet = Wsdl.unmet sample_description in
-  check int_ "fully equipped caller" 0
-    (List.length
-       (unmet ~subject_attributes:[ "role"; "org" ] ~capabilities_from:[ "health-cas" ]
-          ~will_sign:true));
-  let missing =
-    unmet ~subject_attributes:[] ~capabilities_from:[] ~will_sign:false
-  in
-  (* Responses_encrypted is informational, so 3 of 4 are unmet. *)
-  check int_ "bare caller misses three" 3 (List.length missing);
-  check bool_ "names the attribute" true
-    (List.mem (Wsdl.Requires_subject_attribute "role") missing)
-
-let test_wsdl_registry () =
-  let net, svc = make_services () in
-  Dacs_net.Net.add_node net "registry";
-  Dacs_net.Net.add_node net "hospital.pep.records";
-  let reg = Wsdl.create_registry svc ~node:"registry" in
-  (* Publishing someone else's endpoint is refused. *)
-  let refused = ref None in
-  let publish src k =
-    Service.call svc ~src ~dst:"registry" Wsdl.publish
-      (fun buf -> Wsdl.write_service_description buf sample_description)
-      k
-  in
-  publish "client" (fun r -> refused := Some r);
-  Dacs_net.Net.run net;
-  (match !refused with
-  | Some (Error (Service.Fault _)) -> ()
-  | _ -> Alcotest.fail "expected third-party publish to be refused");
-  (* The owner publishes successfully. *)
-  publish "hospital.pep.records" ignore;
-  Dacs_net.Net.run net;
-  check bool_ "stored" true (Wsdl.lookup reg ~service:"patient-records" <> None);
-  (* A client fetches and pre-checks its own readiness. *)
-  let fetched = ref None in
-  Wsdl.fetch svc ~registry:"registry" ~caller:"client" ~service:"patient-records" (fun r ->
-      fetched := Some r);
-  Dacs_net.Net.run net;
-  (match !fetched with
-  | Some (Ok d) ->
-    check int_ "client pre-check finds gaps" 2
-      (List.length
-         (Wsdl.unmet d ~subject_attributes:[ "role" ] ~capabilities_from:[] ~will_sign:false))
-  | _ -> Alcotest.fail "expected a description");
-  (* Unknown services fault. *)
-  let missing = ref None in
-  Wsdl.fetch svc ~registry:"registry" ~caller:"client" ~service:"nope" (fun r -> missing := Some r);
-  Dacs_net.Net.run net;
-  match !missing with
-  | Some (Error _) -> ()
-  | _ -> Alcotest.fail "expected an error for an unknown service"
-
 let () =
   Alcotest.run "dacs_saml_ws"
     [
@@ -460,12 +380,6 @@ let () =
           Alcotest.test_case "size overhead" `Quick test_security_size_overhead;
           Alcotest.test_case "encrypt/decrypt body" `Quick test_encrypt_decrypt_body;
           Alcotest.test_case "sign then encrypt" `Quick test_sign_then_encrypt;
-        ] );
-      ( "wsdl",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_wsdl_roundtrip;
-          Alcotest.test_case "unmet requirements" `Quick test_wsdl_unmet;
-          Alcotest.test_case "registry" `Quick test_wsdl_registry;
         ] );
       ( "service",
         [

@@ -45,7 +45,7 @@ let test_histogram_buckets () =
   check int_ "overflow" 1 (snd c.(Loghist.buckets));
   check int_ "count" 6 (Loghist.count (Metrics.loghist h));
   check (Alcotest.float 1e-9) "sum" 300.00390001 (Loghist.sum (Metrics.loghist h));
-  Metrics.reset_histogram h;
+  Metrics.reset m;
   check int_ "count after reset" 0 (Loghist.count (Metrics.loghist h));
   check (Alcotest.float 0.0) "max after reset" 0.0 (Loghist.max_seen (Metrics.loghist h));
   check bool_ "every bucket empty after reset" true
@@ -132,7 +132,7 @@ let test_exemplar_retention () =
   check int_ "observation counted" 1 (Loghist.count (Metrics.loghist h2));
   check int_ "no exemplar without a trace" 0 (List.length (Metrics.histogram_exemplars h2));
   (* Reset clears exemplars along with the counts. *)
-  Metrics.reset_histogram h;
+  Metrics.reset m;
   check int_ "reset clears counts" 0 (Loghist.count (Metrics.loghist h));
   check int_ "reset clears exemplars" 0 (List.length (Metrics.histogram_exemplars h))
 

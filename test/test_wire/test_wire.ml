@@ -18,7 +18,6 @@ module Service = Dacs_ws.Service
 module Rsa = Dacs_crypto.Rsa
 module Cert = Dacs_crypto.Cert
 module Assertion = Dacs_saml.Assertion
-module Wsdl = Dacs_ws.Wsdl
 module Ref = Wire_reference
 open Dacs_core
 
@@ -55,7 +54,7 @@ let value_gen =
         map (fun s -> Value.Uri s) text_gen;
       ])
 
-let category_gen = Gen.oneofl Context.all_categories
+let category_gen = Gen.oneofl Context.[ Subject; Resource; Action; Environment ]
 
 let context_gen =
   Gen.(
@@ -170,9 +169,8 @@ let valid_log_event_gen = log_event_gen ~seq:Gen.nat ~at:finite_float_gen
 let by_author (a, _) (b, _) = String.compare a b
 let sorted_frontier (ev : Wire.log_event) = { ev with frontier = List.stable_sort by_author ev.frontier }
 
-(* The tree services' bodies: names, signed assertions (any signature
-   bytes; timestamps in milliseconds, exact under "%.6f") and service
-   descriptions. *)
+(* The tree services' bodies: names and signed assertions (any signature
+   bytes; timestamps in milliseconds, exact under "%.6f"). *)
 
 let names_gen = Gen.(list_size (int_bound 4) text_gen)
 
@@ -220,21 +218,6 @@ let same_assertion a b = Xml.to_string (Assertion.to_xml a) = Xml.to_string (Ass
 let negotiation_step_gen =
   Gen.oneof
     [ Gen.map (fun a -> Wire.Issued a) assertion_gen; Gen.map (fun names -> Wire.Continue names) names_gen ]
-
-let description_gen =
-  let operation = Gen.map3 (fun op_name input output -> { Wsdl.op_name; input; output }) text_gen text_gen text_gen in
-  let assertion =
-    Gen.oneof
-      [
-        Gen.map (fun a -> Wsdl.Requires_subject_attribute a) text_gen;
-        Gen.map (fun i -> Wsdl.Requires_capability_from i) text_gen;
-        Gen.oneofl [ Wsdl.Requires_signed_messages; Wsdl.Responses_encrypted ];
-      ]
-  in
-  Gen.map2
-    (fun (service, endpoint) (operations, assertions) -> { Wsdl.service; endpoint; operations; assertions })
-    (Gen.pair text_gen text_gen)
-    (Gen.pair (Gen.list_size (Gen.int_bound 3) operation) (Gen.list_size (Gen.int_bound 4) assertion))
 
 let written write v =
   let buf = Buffer.create 256 in
@@ -410,21 +393,11 @@ let frames =
       ~parse:Ref.parse_negotiate_response (function
       | Wire.Issued assertion -> Ref.negotiate_granted assertion
       | Wire.Continue unlocked -> Ref.negotiate_continue unlocked);
-    (* the description registry's frames, which live in Wsdl; a
-       description keeps its tree codec inside the frame *)
-    plain ~name:"service_description" ~gen:description_gen ~write:Wsdl.write_service_description
-      ~read:Wsdl.publish.request ~parse:Wsdl.of_xml Wsdl.to_xml;
-    plain ~name:"description_query" ~gen:text_gen
-      ~write:(fun buf service -> Wsdl.write_description_query buf ~service)
-      ~read:Wsdl.query.request ~parse:Ref.parse_description_query
-      (fun service -> Ref.description_query ~service);
-    ack "publish_ack" Wsdl.write_publish_ack Wsdl.publish.reply Ref.publish_ack;
   ]
 
-(* Every reader a service declaration holds — of Wire.Services and of
-   the description registry — must be one of the frames' readers above
-   (the same value): a service declared with a reader the harness does
-   not cover fails here. *)
+(* Every reader a service declaration of Wire.Services holds must be one
+   of the frames' readers above (the same value): a service declared
+   with a reader the harness does not cover fails here. *)
 let declared_readers_have_frames () =
   let covered reader = List.exists (fun (Frame f) -> Obj.repr f.read == reader) frames in
   List.iter
@@ -438,7 +411,7 @@ let declared_readers_have_frames () =
         (fun (which, reader) ->
           if not (covered reader) then Alcotest.failf "%s: its %s reader has no frame in the harness" name which)
         readers)
-    (Wire.Services.all @ Wsdl.registry_services)
+    Wire.Services.all
 
 let enveloped write v =
   let buf = Buffer.create 512 in

@@ -1,6 +1,5 @@
-(* The tree codecs of every Wire frame, and of the description
-   registry's frames in Wsdl, as they stood before the frame was written
-   and read in place: the per-decision frames, the tree printers of the
+(* The tree codecs of every Wire frame, as they stood before the frame
+   was written and read in place: the per-decision frames, the tree printers of the
    offline log-event frames, and the tree builders and readers of every
    other frame.  Every body below is the former library
    code, moved here verbatim as the oracle that [test_wire] compares the
@@ -23,7 +22,7 @@ let ( let* ) = Result.bind
 open struct
   let category_name = Dacs_policy.Context.category_name
   let category_of_name = Dacs_policy.Context.category_of_name
-  let all_categories = Dacs_policy.Context.all_categories
+  let all_categories = Dacs_policy.Context.[ Subject; Resource; Action; Environment ]
   let attributes = Dacs_policy.Context.attributes
   let empty = Dacs_policy.Context.empty
   let add = Dacs_policy.Context.add
@@ -578,7 +577,7 @@ let parse_access_outcome node =
     Ok (Wire.Denied (Option.value (Xml.attr node "Reason") ~default:""))
   | other -> Error (Printf.sprintf "unexpected access outcome <%s>" other)
 
-(* --- the services that spoke trees: Discovery, Idp, Negotiation_service, Wsdl --- *)
+(* --- the services that spoke trees: Discovery, Idp, Negotiation_service --- *)
 
 (* Their bodies' former tree builders, and the readings their handlers
    and clients made of a body, lifted out of the handler as a function
@@ -660,15 +659,6 @@ let parse_negotiate_response reply_body =
     | _ -> Error "granted without a readable Assertion")
   | Some "continue" -> Ok (Wire.Continue (credential_names reply_body))
   | _ -> Error "unknown Status"
-
-let description_query ~service = Xml.element "DescriptionQuery" ~attrs:[ ("Service", service) ]
-
-let parse_description_query body =
-  match Xml.attr body "Service" with
-  | None -> Error "query names no service"
-  | Some service -> Ok service
-
-let publish_ack = Dacs_xml.Xml.element "PublishAck"
 
 (* --- Soap: the envelope ---------------------------------------------------- *)
 
