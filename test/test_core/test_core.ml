@@ -1164,6 +1164,69 @@ let test_delegation_revocation_cascades () =
   check bool_ "c cut too" false (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:1.0);
   check bool_ "unknown revoke" false (Delegation.revoke d ~grant_id:"nope")
 
+let granted = function
+  | Ok g -> g
+  | Error e -> Alcotest.fail e
+
+let test_delegation_scope_narrows () =
+  let d = Delegation.create ~roots:[ "root" ] in
+  ignore
+    (granted
+       (Delegation.grant d ~can_redelegate:true ~delegator:"root" ~delegate:"b" ~scope:"res/" ~now:0.0
+          ~expires:100.0 ()));
+  let by_b scope now = Delegation.grant d ~delegator:"b" ~delegate:"c" ~scope ~now ~expires:100.0 () in
+  check bool_ "everything is wider than res/" true (Result.is_error (by_b "" 10.0));
+  check bool_ "a sibling scope is outside res/" true (Result.is_error (by_b "other/" 10.0));
+  check bool_ "an expired delegator grants nothing" true (Result.is_error (by_b "res/x" 150.0));
+  check bool_ "a narrower scope is granted" true (Result.is_ok (by_b "res/sub/" 10.0));
+  check bool_ "c holds the narrower scope" true
+    (Delegation.authority_for d ~issuer:"c" ~resource:"res/sub/1" ~now:20.0);
+  check bool_ "c lacks the rest of b's scope" false
+    (Delegation.authority_for d ~issuer:"c" ~resource:"res/1" ~now:20.0)
+
+let test_delegation_revoke_last_link () =
+  let d = Delegation.create ~roots:[ "root" ] in
+  ignore
+    (granted
+       (Delegation.grant d ~can_redelegate:true ~delegator:"root" ~delegate:"b" ~scope:"" ~now:0.0
+          ~expires:100.0 ()));
+  let g2 = granted (Delegation.grant d ~delegator:"b" ~delegate:"c" ~scope:"" ~now:0.0 ~expires:100.0 ()) in
+  check bool_ "revoked" true (Delegation.revoke d ~grant_id:g2.Delegation.id);
+  check bool_ "c cut" false (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:1.0);
+  check bool_ "b keeps its authority" true (Delegation.authority_for d ~issuer:"b" ~resource:"x" ~now:1.0);
+  check bool_ "a second revoke finds nothing" false (Delegation.revoke d ~grant_id:g2.Delegation.id)
+
+let test_delegation_expired_link_breaks_chain () =
+  (* c's own grant is live, but the link above it expires first. *)
+  let d = Delegation.create ~roots:[ "root" ] in
+  ignore
+    (granted
+       (Delegation.grant d ~can_redelegate:true ~delegator:"root" ~delegate:"b" ~scope:"" ~now:0.0
+          ~expires:50.0 ()));
+  ignore (granted (Delegation.grant d ~delegator:"b" ~delegate:"c" ~scope:"" ~now:10.0 ~expires:100.0 ()));
+  check bool_ "c authorised while b's link lives" true
+    (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:20.0);
+  check bool_ "c cut once b's link expires" false
+    (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:60.0)
+
+let test_delegation_second_chain_survives () =
+  let d = Delegation.create ~roots:[ "root" ] in
+  let via_b =
+    granted
+      (Delegation.grant d ~can_redelegate:true ~delegator:"root" ~delegate:"b" ~scope:"" ~now:0.0
+         ~expires:100.0 ())
+  in
+  ignore
+    (granted
+       (Delegation.grant d ~can_redelegate:true ~delegator:"root" ~delegate:"e" ~scope:"" ~now:0.0
+          ~expires:100.0 ()));
+  ignore (granted (Delegation.grant d ~delegator:"b" ~delegate:"c" ~scope:"" ~now:0.0 ~expires:100.0 ()));
+  ignore (granted (Delegation.grant d ~delegator:"e" ~delegate:"c" ~scope:"" ~now:0.0 ~expires:100.0 ()));
+  check bool_ "revoked" true (Delegation.revoke d ~grant_id:via_b.Delegation.id);
+  check bool_ "b cut" false (Delegation.authority_for d ~issuer:"b" ~resource:"x" ~now:1.0);
+  check bool_ "c still authorised through e" true
+    (Delegation.authority_for d ~issuer:"c" ~resource:"x" ~now:1.0)
+
 (* --- negotiation ----------------------------------------------------------------------------------- *)
 
 let test_negotiation_immediate () =
@@ -1588,6 +1651,10 @@ let () =
         [
           Alcotest.test_case "chains" `Quick test_delegation_chains;
           Alcotest.test_case "revocation cascades" `Quick test_delegation_revocation_cascades;
+          Alcotest.test_case "a re-delegated scope only narrows" `Quick test_delegation_scope_narrows;
+          Alcotest.test_case "revoking the last link" `Quick test_delegation_revoke_last_link;
+          Alcotest.test_case "an expired link breaks the chain" `Quick test_delegation_expired_link_breaks_chain;
+          Alcotest.test_case "a second chain survives a revocation" `Quick test_delegation_second_chain_survives;
         ] );
       ( "negotiation",
         [

@@ -450,6 +450,25 @@ let test_bignum_modinv () =
   check bool_ "no inverse when not coprime" true (Bignum.modinv (Bignum.of_int 6) (Bignum.of_int 9) = None);
   check bool_ "zero has no inverse" true (Bignum.modinv Bignum.zero (Bignum.of_int 9) = None)
 
+let test_bignum_padded_too_narrow () =
+  check string_ "fits in two bytes" "\x01\x00" (Bignum.to_bytes_be_padded (Bignum.of_int 256) 2);
+  try
+    ignore (Bignum.to_bytes_be_padded (Bignum.of_int 256) 1);
+    Alcotest.fail "expected Invalid_argument"
+  with Invalid_argument _ -> ()
+
+let test_bignum_random_in_range () =
+  let rng = Rng.create 5L in
+  let bound = Bignum.of_hex "1000000000000000001" in
+  for _ = 1 to 200 do
+    check bool_ "random_bits within 70 bits" true (Bignum.num_bits (Bignum.random_bits rng 70) <= 70);
+    check bool_ "random_below under its bound" true (Bignum.compare (Bignum.random_below rng bound) bound < 0);
+    check bn "below one is zero" Bignum.zero (Bignum.random_below rng Bignum.one)
+  done;
+  (* 200 draws of 70 bits all landing under 2^69 has odds 2^-200. *)
+  check bool_ "the top bit is reached" true
+    (List.exists (fun _ -> Bignum.num_bits (Bignum.random_bits rng 70) = 70) (List.init 200 Fun.id))
+
 (* qcheck generators for bignums *)
 
 let gen_bignum =
@@ -497,6 +516,41 @@ let prop_modpow_mul =
       let lhs = Bignum.modpow a (Bignum.add x y) m in
       let rhs = Bignum.rem (Bignum.mul (Bignum.modpow a x m) (Bignum.modpow a y m)) m in
       Bignum.equal lhs rhs)
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex roundtrip" ~count:300 gen_bignum (fun a ->
+      Bignum.equal a (Bignum.of_hex (Bignum.to_hex a)))
+
+(* Shifts agree with multiplying and dividing by 2^k, where 2^k is built
+   by repeated doubling rather than by a shift. *)
+let prop_shifts_scale_by_powers_of_two =
+  QCheck.Test.make ~name:"shifts multiply and divide by 2^k" ~count:200
+    (QCheck.pair gen_bignum (QCheck.int_range 0 130))
+    (fun (a, k) ->
+      let pow = List.fold_left (fun p _ -> Bignum.mul p Bignum.two) Bignum.one (List.init k Fun.id) in
+      Bignum.equal (Bignum.shift_left a k) (Bignum.mul a pow)
+      && Bignum.equal (Bignum.shift_right a k) (fst (Bignum.divmod a pow)))
+
+let prop_gcd_divides =
+  QCheck.Test.make ~name:"gcd divides both and leaves coprime cofactors" ~count:300
+    (QCheck.pair gen_bignum gen_bignum)
+    (fun (a, b) ->
+      let g = Bignum.gcd a b in
+      if Bignum.is_zero g then Bignum.is_zero a && Bignum.is_zero b
+      else
+        Bignum.is_zero (Bignum.rem a g)
+        && Bignum.is_zero (Bignum.rem b g)
+        && Bignum.equal Bignum.one (Bignum.gcd (fst (Bignum.divmod a g)) (fst (Bignum.divmod b g))))
+
+let prop_modinv_inverts =
+  (* An inverse exists exactly when a and m are coprime, and it is one. *)
+  QCheck.Test.make ~name:"modinv inverts exactly the coprime residues" ~count:300
+    (QCheck.pair gen_bignum gen_bignum)
+    (fun (a, m) ->
+      QCheck.assume (Bignum.compare m Bignum.one > 0);
+      match Bignum.modinv a m with
+      | Some v -> Bignum.compare v m < 0 && Bignum.equal Bignum.one (Bignum.rem (Bignum.mul a v) m)
+      | None -> not (Bignum.equal Bignum.one (Bignum.gcd a m)))
 
 (* --- primes -------------------------------------------------------------- *)
 
@@ -818,6 +872,10 @@ let props =
       prop_divmod_reconstruction;
       prop_bytes_roundtrip;
       prop_modpow_mul;
+      prop_hex_roundtrip;
+      prop_shifts_scale_by_powers_of_two;
+      prop_gcd_divides;
+      prop_modinv_inverts;
     ]
 
 let () =
@@ -875,6 +933,8 @@ let () =
           Alcotest.test_case "modpow known values" `Quick test_bignum_modpow_known;
           Alcotest.test_case "gcd" `Quick test_bignum_gcd;
           Alcotest.test_case "modinv" `Quick test_bignum_modinv;
+          Alcotest.test_case "padded encoding refuses a narrow width" `Quick test_bignum_padded_too_narrow;
+          Alcotest.test_case "random values in range" `Quick test_bignum_random_in_range;
         ]
         @ props );
       ( "prime",

@@ -173,6 +173,118 @@ let test_auto_rebind_end_to_end () =
   check (Alcotest.list string_) "dead replica dropped from the list" [ "pdp2" ]
     (Pep.pull_pdps pep)
 
+let register_as services ~node ~kind k =
+  Service.call services ~src:node ~dst:"registry" Wire.Services.register
+    (fun buf -> Wire.write_register buf ~kind ~node)
+    k
+
+let discover services ~kind =
+  let got = ref None in
+  Service.call services ~src:"pep" ~dst:"registry" Wire.Services.discover
+    (fun buf -> Wire.write_discover buf ~kind)
+    (fun r -> got := Some r);
+  got
+
+(* The clock only moves with events: schedule one at [t] so a lookup there
+   sees time [t]. *)
+let run_to net t =
+  Engine.schedule (Net.engine net) ~delay:(t -. Net.now net) ignore;
+  Net.run ~until:t net
+
+let test_registry_renewal_keeps_order () =
+  (* Renewals arrive in the opposite order; the listing keeps the order of
+     first registration, and each renewal restarts its lease. *)
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp1"; "pdp2" ];
+  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
+  register services ~src:"pdp2" ~node:"pdp2" ignore;
+  Engine.schedule (Net.engine net) ~delay:8.0 (fun () ->
+      register services ~src:"pdp2" ~node:"pdp2" ignore;
+      register services ~src:"pdp1" ~node:"pdp1" ignore);
+  run_to net 12.0;
+  check (Alcotest.list string_) "renewed, first-registration order" [ "pdp1"; "pdp2" ]
+    (Discovery.lookup reg ~kind:"pdp");
+  check int_ "every renewal counted" 4 (Discovery.registrations reg);
+  run_to net 19.0;
+  check (Alcotest.list string_) "one lease after the renewal, gone" [] (Discovery.lookup reg ~kind:"pdp")
+
+let test_registry_default_lease () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp1" ];
+  let reg = Discovery.create services ~node:"registry" () in
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
+  run_to net 9.5;
+  check (Alcotest.list string_) "listed before ten seconds" [ "pdp1" ] (Discovery.lookup reg ~kind:"pdp");
+  run_to net 10.5;
+  check (Alcotest.list string_) "gone after ten seconds" [] (Discovery.lookup reg ~kind:"pdp")
+
+let test_registry_node_under_two_kinds () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp1"; "pap1" ];
+  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  register_as services ~node:"pdp1" ~kind:"pdp" ignore;
+  register_as services ~node:"pap1" ~kind:"pap" ignore;
+  register_as services ~node:"pdp1" ~kind:"pap" ignore;
+  Net.run net;
+  check (Alcotest.list string_) "pdp kind" [ "pdp1" ] (Discovery.lookup reg ~kind:"pdp");
+  check (Alcotest.list string_) "pap kind" [ "pap1"; "pdp1" ] (Discovery.lookup reg ~kind:"pap")
+
+let test_discover_unlisted_kind () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp1"; "pep" ];
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
+  register services ~src:"pdp1" ~node:"pdp1" ignore;
+  Net.run net;
+  let got = discover services ~kind:"pap" in
+  Net.run net;
+  match !got with
+  | Some (Ok (Ok eps)) -> check (Alcotest.list string_) "no endpoints" [] eps
+  | Some (Ok (Error e)) -> Alcotest.fail e
+  | _ -> Alcotest.fail "no reply"
+
+let test_discover_calls_counted () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pep" ];
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
+  ignore (discover services ~kind:"pdp");
+  ignore (discover services ~kind:"pap");
+  Net.run net;
+  let lookups =
+    Dacs_telemetry.Metrics.counter (Service.metrics services) ~labels:[ ("node", "registry") ]
+      "discovery_lookups_total"
+  in
+  check int_ "two discover calls" 2 (Dacs_telemetry.Metrics.counter_value lookups)
+
+let pull_pep services ~pdps =
+  Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
+    (Pep.Pull { pdps; cache = None; call_timeout = 0.3 })
+
+let test_auto_rebind_keeps_list_when_registry_down () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp1"; "pep"; "bogus" ];
+  let reg = Discovery.create services ~node:"registry" ~lease:4.0 () in
+  Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
+  let pep = pull_pep services ~pdps:[ "bogus" ] in
+  Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:2.0 ();
+  Net.run ~until:5.0 net;
+  check (Alcotest.list string_) "rebound" [ "pdp1" ] (Pep.pull_pdps pep);
+  Net.crash net "registry";
+  Net.run ~until:30.0 net;
+  check (Alcotest.list string_) "last known list kept" [ "pdp1" ] (Pep.pull_pdps pep)
+
+let test_auto_rebind_ignores_empty_listing () =
+  let net, services = fresh () in
+  List.iter (Net.add_node net) [ "registry"; "pdp0"; "pdp1"; "pep" ];
+  let reg = Discovery.create services ~node:"registry" ~lease:4.0 () in
+  let pep = pull_pep services ~pdps:[ "pdp0" ] in
+  Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:2.0 ();
+  Net.run ~until:10.0 net;
+  check (Alcotest.list string_) "static list kept" [ "pdp0" ] (Pep.pull_pdps pep);
+  Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
+  Net.run ~until:15.0 net;
+  check (Alcotest.list string_) "rebound once something is listed" [ "pdp1" ] (Pep.pull_pdps pep)
+
 (* --- signed decisions ------------------------------------------------------ *)
 
 let signed_setup () =
@@ -905,6 +1017,14 @@ let () =
           Alcotest.test_case "discover service" `Quick test_discover_service;
           Alcotest.test_case "advertise heartbeat" `Quick test_advertise_keeps_entry_alive;
           Alcotest.test_case "auto rebind end-to-end" `Quick test_auto_rebind_end_to_end;
+          Alcotest.test_case "renewal keeps the registration order" `Quick test_registry_renewal_keeps_order;
+          Alcotest.test_case "default lease" `Quick test_registry_default_lease;
+          Alcotest.test_case "one node under two kinds" `Quick test_registry_node_under_two_kinds;
+          Alcotest.test_case "discover an unlisted kind" `Quick test_discover_unlisted_kind;
+          Alcotest.test_case "discover calls counted" `Quick test_discover_calls_counted;
+          Alcotest.test_case "auto rebind keeps the list while the registry is down" `Quick
+            test_auto_rebind_keeps_list_when_registry_down;
+          Alcotest.test_case "auto rebind ignores an empty listing" `Quick test_auto_rebind_ignores_empty_listing;
         ] );
       ( "negotiation-service",
         [

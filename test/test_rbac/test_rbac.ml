@@ -88,6 +88,55 @@ let test_ssd_parameter_validation () =
   expect_error (Rbac.add_ssd m ~name:"c" ~roles:[ "doctor" ] ~cardinality:2);
   expect_error (Rbac.add_ssd m ~name:"c" ~roles:[ "doctor"; "ghost" ] ~cardinality:2)
 
+let perms ps = List.sort compare (List.map (fun p -> p.Rbac.action ^ " " ^ p.Rbac.resource) ps)
+
+let test_direct_and_inherited_permissions () =
+  let m = hospital () in
+  check string_list "doctor's own" [ "write charts" ] (perms (Rbac.direct_permissions m "doctor"));
+  check string_list "doctor's with inherited" [ "read charts"; "write charts" ]
+    (perms (Rbac.role_permissions m "doctor"));
+  check string_list "physician's with inherited" [ "read charts"; "sign orders"; "write charts" ]
+    (perms (Rbac.role_permissions m "physician"));
+  check string_list "unrelated role inherits nothing" [ "dispense drugs" ]
+    (perms (Rbac.role_permissions m "pharmacist"));
+  check string_list "physician's direct juniors" [ "doctor" ] (Rbac.direct_juniors m "physician")
+
+let test_assigned_and_authorized_roles () =
+  let m = hospital () in
+  let m = ok (Rbac.assign_user m "alice" "doctor") in
+  let m = ok (Rbac.assign_user m "alice" "doctor") in
+  let m = ok (Rbac.assign_user m "alice" "auditor") in
+  check string_list "assigned once each" [ "auditor"; "doctor" ] (List.sort compare (Rbac.assigned_roles m "alice"));
+  check string_list "authorized adds juniors" [ "auditor"; "clinician"; "doctor" ]
+    (List.sort compare (Rbac.authorized_roles m "alice"));
+  check string_list "users" [ "alice" ] (Rbac.users m);
+  check string_list "unknown user has no roles" [] (Rbac.authorized_roles m "mallory");
+  check bool_ "unknown user has no access" false (Rbac.check_access m "mallory" ~action:"read" ~resource:"charts")
+
+let test_ssd_constraints_listed () =
+  let m = hospital () in
+  check int_ "none yet" 0 (List.length (Rbac.ssd_constraints m));
+  let m = ok (Rbac.add_ssd m ~name:"prescriber-dispenser" ~roles:[ "doctor"; "pharmacist" ] ~cardinality:2) in
+  expect_error (Rbac.add_ssd m ~name:"bad" ~roles:[ "doctor" ] ~cardinality:2);
+  match Rbac.ssd_constraints m with
+  | [ (name, roles, cardinality) ] ->
+    check Alcotest.string "name" "prescriber-dispenser" name;
+    check string_list "roles" [ "doctor"; "pharmacist" ] (List.sort compare roles);
+    check int_ "cardinality" 2 cardinality
+  | l -> Alcotest.failf "expected one constraint, got %d" (List.length l)
+
+let test_ssd_cardinality_three () =
+  (* Cardinality 3 over three roles admits any two of them, not all three. *)
+  let m = hospital () in
+  let m = ok (Rbac.add_ssd m ~name:"c3" ~roles:[ "doctor"; "pharmacist"; "auditor" ] ~cardinality:3) in
+  let m = ok (Rbac.assign_user m "carol" "doctor") in
+  let m = ok (Rbac.assign_user m "carol" "pharmacist") in
+  expect_error (Rbac.assign_user m "carol" "auditor");
+  (* Inheritance counts: physician brings doctor along. *)
+  let m = ok (Rbac.assign_user m "dave" "auditor") in
+  let m = ok (Rbac.assign_user m "dave" "pharmacist") in
+  expect_error (Rbac.assign_user m "dave" "physician")
+
 let test_unknown_role_errors () =
   let m = hospital () in
   expect_error (Rbac.assign_user m "x" "ghost");
@@ -300,12 +349,16 @@ let () =
           Alcotest.test_case "hierarchy errors" `Quick test_hierarchy_errors;
           Alcotest.test_case "assignment and permissions" `Quick test_assignment_and_permissions;
           Alcotest.test_case "unknown roles" `Quick test_unknown_role_errors;
+          Alcotest.test_case "direct and inherited permissions" `Quick test_direct_and_inherited_permissions;
+          Alcotest.test_case "assigned and authorized roles" `Quick test_assigned_and_authorized_roles;
         ] );
       ( "sod",
         [
           Alcotest.test_case "static SoD" `Quick test_ssd;
           Alcotest.test_case "retroactive SSD rejected" `Quick test_ssd_retroactive;
           Alcotest.test_case "constraint validation" `Quick test_ssd_parameter_validation;
+          Alcotest.test_case "constraints listed" `Quick test_ssd_constraints_listed;
+          Alcotest.test_case "cardinality three" `Quick test_ssd_cardinality_three;
         ] );
       ( "textual",
         [

@@ -249,6 +249,29 @@ let test_net_default_latency () =
   Net.set_latency net "a" "b" 0.7;
   check float_ "override" 0.7 (Net.latency net "b" "a") (* symmetric *)
 
+(* The simulator charges no bandwidth: a message's delay is its link's
+   latency whatever its size, and equal delays deliver in send order. *)
+let test_net_delay_size_independent () =
+  let net = make_pair () in
+  Net.set_latency net "a" "b" 0.1;
+  let got = ref [] in
+  Net.set_handler net "b" (fun m -> got := (String.length m.Net.payload, Net.now net) :: !got);
+  Net.send net ~src:"a" ~dst:"b" ~category:"t" (String.make 100_000 'x');
+  Net.send net ~src:"a" ~dst:"b" ~category:"t" "y";
+  Net.run net;
+  check (Alcotest.list (Alcotest.pair int_ float_)) "both after the latency, in send order"
+    [ (100_000, 0.1); (1, 0.1) ] (List.rev !got)
+
+let test_net_partition_counts_sent_not_delivered () =
+  let net = make_pair () in
+  Net.set_handler net "b" ignore;
+  Net.partition net [ "a" ] [ "b" ];
+  Net.send net ~src:"a" ~dst:"b" ~category:"t" "12345";
+  Net.run net;
+  check int_ "sent bytes counted" 5 (Net.total_sent net).Net.bytes;
+  check int_ "dropped" 1 (Net.dropped_count net);
+  check int_ "nothing delivered" 0 (Net.total_delivered net).Net.count
+
 let test_net_crash_drops () =
   let net = make_pair () in
   let got = ref 0 in
@@ -1388,6 +1411,9 @@ let () =
         [
           Alcotest.test_case "delivery with latency" `Quick test_net_delivery_latency;
           Alcotest.test_case "default/override latency" `Quick test_net_default_latency;
+          Alcotest.test_case "delay does not depend on size" `Quick test_net_delay_size_independent;
+          Alcotest.test_case "a partitioned message is sent, not delivered" `Quick
+            test_net_partition_counts_sent_not_delivered;
           Alcotest.test_case "crash drops" `Quick test_net_crash_drops;
           Alcotest.test_case "crashed sender silent" `Quick test_net_crashed_sender_silent;
           Alcotest.test_case "crash while in flight" `Quick test_net_crash_in_flight;
