@@ -29,14 +29,6 @@ let permitted_resources t ~subject =
   |> List.sort_uniq compare
 
 
-let find t ?subject ?resource ?decision () =
-  let matches e =
-    (match subject with None -> true | Some s -> e.subject = s)
-    && (match resource with None -> true | Some r -> e.resource = r)
-    && match decision with None -> true | Some d -> Dacs_policy.Decision.equal_decision e.decision d
-  in
-  List.filter matches (entries t)
-
 let merge logs =
   let all = List.concat_map entries logs in
   let sorted = List.stable_sort (fun a b -> compare a.at b.at) all in

@@ -29,8 +29,5 @@ val size : t -> int
 val permitted_resources : t -> subject:string -> string list
 (** Distinct resources the subject has been {e permitted} to access. *)
 
-val find : t -> ?subject:string -> ?resource:string -> ?decision:Dacs_policy.Decision.t -> unit -> entry list
-(** Filtered view; unspecified fields match anything. *)
-
 val merge : t list -> t
 (** Consolidated, time-ordered view across domains (§3.2 management). *)

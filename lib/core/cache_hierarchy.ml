@@ -66,10 +66,6 @@ module Attr_cache = struct
       Hashtbl.remove t.table k;
       Metrics.inc t.c_invalidations
     end
-
-  let clear t = Hashtbl.reset t.table
-  let size t = Hashtbl.length t.table
-  let hits t = Metrics.counter_value t.c_hits
 end
 
 (* ===================================================================== *)
@@ -110,7 +106,6 @@ module Single_flight = struct
     match flight.waiters with [] -> [] | waiters -> List.rev waiters
 
   let coalesced t = Metrics.counter_value t.c_coalesced
-  let counter t = t.c_coalesced
 end
 
 (* ===================================================================== *)

@@ -54,10 +54,6 @@ module Attr_cache : sig
   val invalidate_subject : t -> subject:string -> id:string -> unit
   (** What a PIP's [attribute-invalidate] push triggers: drop the cached
       subject-category bag for (subject, id). *)
-
-  val clear : t -> unit
-  val size : t -> int
-  val hits : t -> int
 end
 
 (** {1 Single-flight coalescing} *)
@@ -90,10 +86,6 @@ module Single_flight : sig
       in arrival order, for the leader to answer after itself. *)
 
   val coalesced : 'w t -> int
-
-  val counter : 'w t -> Dacs_telemetry.Metrics.counter
-  (** The [coalesced_total] cell, for owners folding it into their own
-      stats/reset machinery. *)
 end
 
 (** {1 Domain-level shared L2 decision cache} *)

@@ -25,7 +25,6 @@ type t = {
   c_revocation_checks : Metrics.counter;
 }
 
-let node t = t.node
 let issuer t = t.issuer
 let public_key t = t.keypair.Dacs_crypto.Rsa.public
 

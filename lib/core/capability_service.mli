@@ -27,7 +27,6 @@ val create :
     (default {!Saml}) selects the wire encoding — the CAS-vs-VOMS
     distinction of §2.2. *)
 
-val node : t -> Dacs_net.Net.node_id
 val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key
 
@@ -35,15 +34,6 @@ val set_policy : t -> Dacs_policy.Policy.child -> unit
 (** Adopt a policy: it is compiled ({!Dacs_policy.Compiled.recompile}
     against the previous one, reusing unchanged leaves), and every
     issued decision statement is evaluated by the compiled form. *)
-
-val issue :
-  t ->
-  subject:(string * Dacs_policy.Value.t) list ->
-  pairs:(string * string) list ->
-  Dacs_saml.Assertion.t
-(** Local issuing path (the service handler uses it too): evaluates each
-    (resource, action) pair against the policy and signs an assertion
-    with one decision statement per pair. *)
 
 val revoke : t -> assertion_id:string -> unit
 val is_revoked : t -> assertion_id:string -> bool

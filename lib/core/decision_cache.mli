@@ -62,7 +62,7 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
     The region is compiled once per call ({!Intern.compile_region}).
     When the cache's census proves that no live key can be in it
     ({!Intern.census_misses}) the purge visits no entry; otherwise each
-    packed key is tested as integer atoms ({!Intern.key_in_region}),
+    packed key is tested as integer atoms ({!Intern.census_in_region}),
     exactly as [Delta.covers] would judge the context the key decodes
     to, and the scan allocates nothing per key or per dropped entry
     (a first scan also starts counting the region's pairs).  Conservative

@@ -25,8 +25,6 @@ let lookup t ~kind =
   in
   List.map snd (List.sort compare live)
 
-let registrations t = Metrics.counter_value t.c_registrations
-
 let create services ~node ?(lease = 10.0) () =
   let metrics = Service.metrics services in
   let own ?help n = Metrics.counter metrics ?help ~labels:[ ("node", node) ] n in

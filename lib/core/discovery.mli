@@ -20,14 +20,6 @@ val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> ?lease:float -> u
     [lease] (default 10 s) is how long an advertisement lives without
     renewal. *)
 
-val lookup : t -> kind:string -> Dacs_net.Net.node_id list
-(** Live advertisements of a kind, oldest registration first (local
-    read; remote parties use the ["discover"] service). *)
-
-val registrations : t -> int
-(** Total register calls served (a read of
-    [discovery_registrations_total{node}] in the bus registry). *)
-
 (** {1 Client-side helpers} *)
 
 val advertise :

@@ -81,8 +81,6 @@ let seed_of_name name =
     digest;
   !v
 
-let l2 t = t.l2
-
 (* The domain's one cache purge: its L2 when attached, then every PEP's
    L1 with the same region, so no cache level outlives a revocation or a
    publish. *)

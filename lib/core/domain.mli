@@ -54,8 +54,6 @@ val attach_l2 : t -> ttl:float -> unit -> Cache_hierarchy.L2.t
     private L1 and the decision tier, and {!purge} purges it.
     Idempotent: a second call returns the existing cache. *)
 
-val l2 : t -> Cache_hierarchy.L2.t option
-
 val purge : t -> Dacs_policy.Delta.t -> unit
 (** The domain's one cache purge: drop the region from the L2 when one
     is attached, then from the private L1 of every PEP made by

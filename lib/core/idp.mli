@@ -23,7 +23,4 @@ val public_key : t -> Dacs_crypto.Rsa.public_key
 
 val register_user : t -> user:string -> (string * Dacs_policy.Value.t) list -> unit
 
-val issue : t -> user:string -> Dacs_saml.Assertion.t option
-(** Local issuing path; [None] for unknown users. *)
-
 val issued_count : t -> int

@@ -5,7 +5,6 @@ type sym = int
 
 type t = {
   strings : (string, int) Hashtbl.t;
-  mutable names : string array;
   mutable n_strings : int;
   (* One string-keyed table per category: an attribute position resolves
      in a single probe, and the hit path allocates nothing (lookups go
@@ -37,7 +36,6 @@ let create ?(expected = 1024) () =
   let expected = max 16 (min expected (1 lsl 20)) in
   {
     strings = Hashtbl.create expected;
-    names = Array.make (max 16 (min expected 4096)) "";
     n_strings = 0;
     pairs_by_category = Array.init 4 (fun _ -> Hashtbl.create (max 16 (expected / 16)));
     n_pairs = 0;
@@ -74,18 +72,8 @@ let string t s =
   | exception Not_found ->
     let sym = t.n_strings in
     Hashtbl.add t.strings s sym;
-    if sym >= Array.length t.names then begin
-      let bigger = Array.make (2 * Array.length t.names) "" in
-      Array.blit t.names 0 bigger 0 sym;
-      t.names <- bigger
-    end;
-    t.names.(sym) <- s;
     t.n_strings <- sym + 1;
     sym
-
-let name t sym =
-  if sym < 0 || sym >= t.n_strings then invalid_arg "Intern.name: unknown sym"
-  else t.names.(sym)
 
 let value t v =
   match Hashtbl.find t.values v with
@@ -353,8 +341,6 @@ let rec zones_cover t packs n zones z =
 
 (* The one membership test, on a key already parsed into [packs]. *)
 let covers_parsed r packs count = count < 0 || zones_cover r.table packs count r.zones 0
-
-let key_in_region r key = covers_parsed r r.key.words (parse_key r.table r.key key)
 
 (* --- region census ------------------------------------------------------- *)
 

@@ -41,22 +41,8 @@ val global : t
 val string : t -> string -> sym
 (** Intern raw identifier text. *)
 
-val name : t -> sym -> string
-(** Reverse lookup; raises [Invalid_argument] on an unknown sym. *)
-
-val value : t -> Dacs_policy.Value.t -> sym
-(** Intern a typed attribute value.  Distinct types never share a sym
-    (structural interning): [String "1"] and [Int 1] are different
-    values.  Caveat: a NaN [Double] never equals itself and so never
-    re-interns to the same sym — callers must not feed NaN attribute
-    values. *)
-
 val pair : t -> Dacs_policy.Context.category -> string -> sym
 (** Intern an attribute position [(category, id)]. *)
-
-val atom : t -> pair:sym -> value:sym -> sym
-(** Intern one attribute binding.  Equal bindings get equal syms, so a
-    sorted atom sequence is a canonical form of an attribute multiset. *)
 
 val pack2 : int -> int -> int
 (** [pack2 a b] packs two dense syms into one word ([a lsl 31 lor b]) —
@@ -88,18 +74,6 @@ type region
 
 val compile_region : ?table:t -> Dacs_policy.Delta.t -> region
 
-val key_in_region : region -> string -> bool
-(** Exactly [Delta.covers] on the context {!decode_key} would rebuild:
-    a pin excludes the key only when every guard pair carries a
-    non-empty, all-string bag, the pinned pair does too, and none of its
-    values is allowed ([Target.guards_clean]/[clean] on atoms).  A
-    key {!decode_key} rejects — a hex digest, an empty segment, an atom
-    id the table never minted — answers [true], so it drops: a shared
-    L2 stores keys its peers put over the wire, and a key nobody can
-    read cannot be proven outside the region.  Allocates nothing per key
-    (the region's scratch array grows only for a key longer than any
-    before it). *)
-
 (** {1 Region census}
 
     What lets a bounded-region purge skip a cache without visiting an
@@ -110,7 +84,7 @@ val key_in_region : region -> string -> bool
     provably missed when one of its pins excludes every live key — every
     key clean at the pin's guards and pinned pair, and no allowed value
     carried: exactly [pin_excludes], for all keys at once.  The census
-    only decides whether to scan; {!key_in_region} still decides each
+    only decides whether to scan; {!census_in_region} still decides each
     key.  Until a region is scanned it tracks nothing and costs
     nothing. *)
 
@@ -144,25 +118,32 @@ val census_track : census -> region -> unit
     scan. *)
 
 val census_in_region : census -> region -> string -> bool
-(** [key_in_region] for one live key of the scan {!census_track}
-    began, reading the key once for both the test and the counts of
+(** Whether one live key of the scan {!census_track} began is in the
+    region, reading the key once for both the test and the counts of
     the pairs that scan started tracking.  Call it on every live key,
-    then {!census_remove} the ones it answers [true] for. *)
+    then {!census_remove} the ones it answers [true] for.
+
+    The test is exactly [Delta.covers] on the context {!decode_key}
+    would rebuild: a pin excludes the key only when every guard pair
+    carries a non-empty, all-string bag, the pinned pair does too, and
+    none of its values is allowed ([Target.guards_clean]/[clean] on
+    atoms).  A key {!decode_key} rejects — a hex digest, an empty
+    segment, an atom id the table never minted — answers [true], so it
+    drops: a shared L2 stores keys its peers put over the wire, and a
+    key nobody can read cannot be proven outside the region.  Allocates
+    nothing per key (the region's scratch array grows only for a key
+    longer than any before it). *)
 
 (** {1 Reverse lookups}
 
     Dense per-sym reverse tables, populated as syms are minted, so a
     packed cache key can be decoded back into the attribute bags it was
-    built from.  The serving path no longer decodes ({!key_in_region}
+    built from.  The serving path no longer decodes ({!census_in_region}
     reads atoms in place); {!decode_key} plus [Delta.covers] is the
     reference the region test is checked against in the tests. *)
 
 val pair_info : t -> sym -> Dacs_policy.Context.category * string
 (** The attribute position a pair sym was minted for; raises
-    [Invalid_argument] on an unknown sym. *)
-
-val value_of : t -> sym -> Dacs_policy.Value.t
-(** The typed value a value sym was minted for; raises
     [Invalid_argument] on an unknown sym. *)
 
 val atom_info : t -> sym -> sym * sym

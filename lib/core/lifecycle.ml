@@ -175,6 +175,3 @@ let issue t ~draft =
 
 let history t ~draft =
   match find t draft with None -> [] | Some e -> List.rev e.history
-
-let drafts t =
-  Hashtbl.fold (fun id e acc -> (id, e.state) :: acc) t.entries [] |> List.sort compare

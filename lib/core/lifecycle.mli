@@ -78,5 +78,3 @@ val issue : t -> draft:string -> (int, string) result
 
 val history : t -> draft:string -> (float * string) list
 (** Timestamped transitions, oldest first. *)
-
-val drafts : t -> (string * state) list

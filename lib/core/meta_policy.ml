@@ -55,21 +55,3 @@ let check meta ~history ~subject ~resource =
              name (List.length already + 1))
       else Ok ()
     end
-
-let check_all metas ~history ~subject ~resource =
-  let rec go = function
-    | [] -> Ok ()
-    | m :: rest -> (
-      match check m ~history ~subject ~resource with
-      | Ok () -> go rest
-      | Error _ as e -> e)
-  in
-  go metas
-
-let guard metas ~history ~subject ~resource (result : Decision.result) =
-  match result.Decision.decision with
-  | Decision.Permit -> (
-    match check_all metas ~history ~subject ~resource with
-    | Ok () -> result
-    | Error _reason -> { Decision.decision = Decision.Deny; obligations = [] })
-  | Decision.Deny | Decision.Not_applicable | Decision.Indeterminate _ -> result

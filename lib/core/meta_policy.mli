@@ -23,13 +23,3 @@ val check :
   t -> history:Audit.t -> subject:string -> resource:string -> (unit, string) result
 (** [Error reason] when the requested access would violate the
     meta-policy given the subject's permitted-access history. *)
-
-val guard :
-  t list ->
-  history:Audit.t ->
-  subject:string ->
-  resource:string ->
-  Dacs_policy.Decision.result ->
-  Dacs_policy.Decision.result
-(** Downgrade a Permit to Deny when a meta-policy objects; other decisions
-    pass through unchanged. *)

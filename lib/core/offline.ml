@@ -157,7 +157,6 @@ let count_rejection t reason =
        ~labels:[ ("domain", t.t_author); ("reason", reason) ]
        rejections_metric)
 
-let author t = t.t_author
 let epoch t = t.t_epoch
 
 let set_offline t offline =

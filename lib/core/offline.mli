@@ -19,8 +19,8 @@
     a kind byte, length-prefixed strings, delimited integers, [at] as
     its 8 IEEE bits and the frontier sorted by author — written into a
     buffer the replica reuses, so every replica recomputes identical
-    digests.  Log-sync frames carry the event element that
-    {!Wire.write_log_event} writes, digest and tag included.  Each event
+    digests.  Log-sync frames carry each event as an element, digest and
+    tag included.  Each event
     also carries the author's vector-clock frontier (highest seq seen
     per author, self included) — the causality needed by deny-wins.
 
@@ -149,15 +149,9 @@ val create :
     name and labels, so replicas counting into one registry need
     distinct authors. *)
 
-val author : t -> string
-
 val epoch : t -> int
 (** Offline episodes survived: bumped each time {!set_offline} turns the
     replica offline.  Stamped on events and offline provenance. *)
-
-val head : t -> string
-(** This replica's own chain head (raw bytes); {!Dacs_crypto.Chain.genesis}
-    while the chain is empty. *)
 
 val set_offline : t -> bool -> unit
 

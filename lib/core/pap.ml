@@ -89,18 +89,6 @@ let adopt t child =
 
 let publish = accept_update
 
-let lookup t id =
-  match t.root with
-  | None -> None
-  | Some root ->
-    if Policy.child_id root = id then Some root
-    else begin
-      match root with
-      | Policy.Inline_set s ->
-        List.find_opt (fun c -> Policy.child_id c = id) s.Policy.children
-      | Policy.Inline_policy _ | Policy.Policy_ref _ -> None
-    end
-
 let create services ~node ~name ?admin_policy ?root () =
   let metrics = Service.metrics services in
   let own ?help n = Metrics.counter metrics ?help ~labels:[ ("node", node) ] n in

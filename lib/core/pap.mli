@@ -52,10 +52,6 @@ val on_update : t -> (Dacs_policy.Delta.t -> unit) -> unit
     region)] says whether the tree changed.  {!Domain} registers its
     cache purge here. *)
 
-val lookup : t -> string -> Dacs_policy.Policy.child option
-(** Resolve a policy id inside the stored tree (for policy references):
-    the root itself or a direct child of a root set. *)
-
 val set_admin_policy : t -> Dacs_policy.Policy.child -> unit
 (** Replace the PAP's administrative policy — the policy that itself
     controls who may update this PAP's policies. *)

@@ -70,7 +70,6 @@ type t = {
 }
 
 let node t = t.node
-let attr_cache t = t.attr_cache
 let tracer t = Service.tracer t.services
 
 let now t = Dacs_net.Net.now (Service.net t.services)
@@ -103,19 +102,6 @@ let stats t =
     pap_refresh_hits = v c.c_pap_refresh_hits;
     overloads = v c.c_overloads;
   }
-
-let reset_stats t =
-  let c = t.counters in
-  List.iter Metrics.reset_counter
-    [
-      c.c_queries;
-      c.c_permits;
-      c.c_denies;
-      c.c_pip_fetches;
-      c.c_pap_fetches;
-      c.c_pap_refresh_hits;
-      c.c_overloads;
-    ]
 
 (* Resolve a policy reference against the locally cached tree: a direct
    child of the cached root set. *)

@@ -75,9 +75,6 @@ val create :
 
 val node : t -> Dacs_net.Net.node_id
 
-val attr_cache : t -> Cache_hierarchy.Attr_cache.t option
-(** The attribute cache, when [attr_cache_ttl] was given. *)
-
 val install_policy : t -> Dacs_policy.Policy.child -> unit
 (** Local installation (also what a PAP fetch does internally): compiles
     the tree, incrementally against the previously installed one. *)
@@ -112,6 +109,3 @@ type stats = {
 val stats : t -> stats
 (** A thin read over the bus-wide metrics registry's [pdp_*_total{node}]
     counters. *)
-
-val reset_stats : t -> unit
-(** Zeros this PDP's series in the shared registry. *)

@@ -167,7 +167,6 @@ type t = {
 
 let node t = t.node
 let resource t = t.resource
-let audit t = t.audit
 let tracer t = Service.tracer t.services
 
 let stats t =
@@ -196,29 +195,6 @@ let stats t =
     obligations_fulfilled = v c.c_obligations_fulfilled;
   }
 
-let reset_stats t =
-  let c = t.counters in
-  List.iter Metrics.reset_counter
-    [
-      c.c_requests;
-      c.c_granted;
-      c.c_denied;
-      c.c_pdp_calls;
-      c.c_retries;
-      c.c_breaker_trips;
-      c.c_breaker_rejections;
-      c.c_cache_hits;
-      c.c_l2_hits;
-      Cache_hierarchy.Single_flight.counter t.sf;
-      c.c_stale_serves;
-      c.c_offline_serves;
-      c.c_shed;
-      c.c_shed_admission;
-      c.c_assertion_rejections;
-      c.c_revocation_checks;
-      c.c_obligations_fulfilled;
-    ]
-
 let now t = Dacs_net.Net.now (Service.net t.services)
 
 let invalidate_region t region =
@@ -246,7 +222,6 @@ let set_admission t a =
       (List.rev drained)
   end
 
-let admission t = t.admission
 let admission_inflight t = t.inflight
 let admission_queue_length t = Queue.length t.waiting
 

@@ -62,7 +62,6 @@ val create :
 
 val node : t -> Dacs_net.Net.node_id
 val resource : t -> string
-val audit : t -> Audit.t
 
 val invalidate_region : t -> Dacs_policy.Delta.t -> int
 (** The PEP's one L1 purge, called when it learns its policy changed or
@@ -149,7 +148,6 @@ val set_admission : t -> admission option -> unit
     bound and admits everything currently waiting.  [max_inflight] must
     be positive and [max_queue] non-negative, else [Invalid_argument]. *)
 
-val admission : t -> admission option
 val admission_inflight : t -> int
 val admission_queue_length : t -> int
 
@@ -225,9 +223,3 @@ val stats : t -> stats
     [pep_*_total{node}] counter, except the resilience trio which reads
     the very [rpc_*_total{src=node}] series the RPC layer increments,
     and [failovers], the tier's own count. *)
-
-val reset_stats : t -> unit
-(** Zeros this PEP's series in the shared registry — including the
-    resilience counters the RPC bus accumulates on this PEP's behalf, so
-    [stats] and {!Dacs_net.Rpc.resilience_stats} stay consistent.  The
-    tier's series, [failovers] among them, are the tier's and stay. *)

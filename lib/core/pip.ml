@@ -14,8 +14,6 @@ type t = {
 
 let node t = t.node
 
-let subscribers t = t.subscribers
-
 let add_subject_attribute t ~subject ~id v =
   let prev = Option.value (Hashtbl.find_opt t.subject_attrs (subject, id)) ~default:[] in
   Hashtbl.replace t.subject_attrs (subject, id) (prev @ [ v ])

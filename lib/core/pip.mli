@@ -14,7 +14,6 @@ val create : Dacs_ws.Service.t -> node:Dacs_net.Net.node_id -> t
 
 val node : t -> Dacs_net.Net.node_id
 
-val subscribers : t -> Dacs_net.Net.node_id list
 (** Nodes subscribed for attribute-invalidation pushes. *)
 
 val add_subject_attribute : t -> subject:string -> id:string -> Dacs_policy.Value.t -> unit
@@ -23,9 +22,5 @@ val remove_subject_attribute : t -> subject:string -> id:string -> unit
 (** Revocation: subsequent queries return an empty bag, and every
     subscribed PDP attribute cache is pushed an explicit invalidation,
     one one-way frame each, so the drop does not wait out a cache TTL. *)
-
-val lookup :
-  t -> category:Dacs_policy.Context.category -> id:string -> subject:string -> Dacs_policy.Value.bag
-(** Local lookup (also used by the service handler). *)
 
 val lookups_served : t -> int

@@ -13,10 +13,6 @@ val vo : Vo.t -> string
 (** The VO report includes every member domain, the consolidated audit
     summary (grants/denies per domain) and the telemetry section. *)
 
-val telemetry : Dacs_ws.Service.t -> string
-(** Bus-wide telemetry summary: registry series count, aggregate RPC and
-    resilience counters, and tracing volume when tracing is on. *)
-
 val attribution : Dacs_ws.Service.t -> string
 (** Latency attribution across the serving path: one line per populated
     stage histogram (ladder by stage, queue wait, L2 round trip, live

@@ -704,9 +704,6 @@ let read_endpoints =
 
 (* --- identity assertions and trust negotiation -------------------------------- *)
 
-let write_attribute_assertion_request buf ~subject =
-  write_leaf buf "AttributeAssertionRequest" [ ("Subject", subject) ]
-
 let read_attribute_assertion_request =
   total (fun c -> Cursor.leaf1 c "AttributeAssertionRequest" "Subject")
 let write_credential buf name = write_leaf buf "Credential" [ ("Name", name) ]
@@ -793,10 +790,4 @@ module Services = struct
       ~reply:read_attribute_assertion
 
   let negotiate = request_reply "negotiate" ~request:read_negotiate ~reply:read_negotiate_response
-
-  let all =
-    [ Call access; Call authz_query; Call attribute_query; Cast attribute_subscribe; Cast attribute_invalidate;
-      Call cache_lookup; Cast cache_put; Call policy_query; Cast policy_update; Call log_sync;
-      Call capability_request; Call revocation_check; Call register; Call discover; Call attribute_assertion;
-      Call negotiate ]
 end

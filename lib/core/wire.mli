@@ -131,11 +131,6 @@ type log_event = {
   tag : string;  (** HMAC-SHA256 over the digest, raw bytes *)
 }
 
-val write_log_event : Buffer.t -> log_event -> unit
-(** The event element of a log-sync response, digest and tag included:
-    the kind's fields are written as [Field] children in a fixed order
-    per kind, and frontier entries sorted by author. *)
-
 val write_log_link : Buffer.t -> log_event -> unit
 (** The canonical bytes that the hash chain links: every field but the
     digest and tag, in one injective form.  A kind byte ([G], [R], [P],
@@ -183,10 +178,6 @@ val write_endpoints : Buffer.t -> Dacs_net.Net.node_id list -> unit
 (** The live advertisements of a kind, oldest registration first. *)
 
 (** {1 Identity assertions and trust negotiation} *)
-
-val write_attribute_assertion_request : Buffer.t -> subject:string -> unit
-(** Asks an IdP for a signed attribute assertion about [subject]; the
-    answer is the assertion document itself. *)
 
 val write_negotiate :
   Buffer.t -> resource:string -> action:string -> subject:string -> string list -> unit
@@ -251,7 +242,4 @@ module Services : sig
 
   val negotiate : (string * string * string * string list, negotiation_step) call
   (** A request: resource, action, subject, disclosed credentials. *)
-
-  val all : Dacs_ws.Service.declaration list
-  (** The sixteen above. *)
 end

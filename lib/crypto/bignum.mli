@@ -7,7 +7,6 @@
 
 type t
 
-val zero : t
 val one : t
 val two : t
 

@@ -35,9 +35,6 @@ val issue :
 
 val verify_signature : t -> issuer_key:Rsa.public_key -> bool
 
-val valid_at : t -> float -> bool
-(** Within the [not_before, not_after] window. *)
-
 (** {1 Trust stores} *)
 
 module Trust_store : sig

@@ -25,9 +25,6 @@ val generate : Rng.t -> bits:int -> keypair
 (** Fresh keypair with an [n] of exactly [bits] bits and [e = 65537].
     [bits] must be at least 64. *)
 
-val key_bytes : public_key -> int
-(** Width in bytes of signatures and ciphertext blocks for this key. *)
-
 (** {1 Signatures (SHA-256, PKCS#1 v1.5-style padding)} *)
 
 val sign : private_key -> string -> string

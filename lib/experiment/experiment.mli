@@ -65,15 +65,6 @@ val run_one : experiment -> int
     declared gate passed.  Writes no snapshot and no ledger entry; a
     ledger gate is [SKIP]. *)
 
-val run : history:string -> pr:string -> experiment list -> string list -> int
-(** [run ~history ~pr registry names] runs the named experiments in the
-    order given (all of them when [names] is empty), each in its own
-    forked child, so no process-global state (interning tables, key
-    schemes) leaks from one into the next.  The baseline, the last entry
-    of [history/ledger.jsonl], is read once before any experiment runs.
-    [pr] keys appended entries.  Returns 0 iff every experiment exited 0
-    and every name was known. *)
-
 val main : experiment list -> unit
 (** {!run} over the command line, with [history] from [$DACS_HISTORY]
     (default [bench/history]) and [pr] from [$DACS_PR] (default

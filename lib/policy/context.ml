@@ -108,9 +108,6 @@ let of_rev_entries = function
     fill a (n - 1) entries;
     of_entries a
 
-let attributes t category =
-  Array.fold_right (fun e acc -> if e.category = category then (e.id, e.bag) :: acc else acc) t []
-
 let fold f t acc =
   let acc = ref acc in
   for i = 0 to Array.length t - 1 do
@@ -184,11 +181,6 @@ let write buf t =
   if !current >= 0 then close buf !current;
   empty_sections buf (!current + 1) (Array.length section_names);
   Buffer.add_string buf "</Request>"
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  write buf t;
-  Buffer.contents buf
 
 module Cursor = Xml.Cursor
 
@@ -404,20 +396,8 @@ let read_compact s =
   | t -> Ok t
   | exception Malformed (what, at) -> Error (Printf.sprintf "compact context: %s at byte %d" what at)
 
-let to_xml t = Xml.of_string (to_string t)
-let of_xml node = of_string (Xml.to_string node)
-
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2
        (fun x y -> x.category = y.category && String.equal x.id y.id && Value.bag_equal x.bag y.bag)
        a b
-
-let pp fmt t =
-  List.iter
-    (fun category ->
-      List.iter
-        (fun (id, values) ->
-          Format.fprintf fmt "%s/%s=%a@ " (category_name category) id Value.pp_bag values)
-        (attributes t category))
-    all_categories

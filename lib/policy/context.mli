@@ -26,9 +26,6 @@ val bag : t -> category -> string -> Value.bag
 (** The (possibly empty) bag bound to the attribute: a binary search
     that allocates nothing, the lookup every target match makes. *)
 
-val attributes : t -> category -> (string * Value.bag) list
-(** All attributes of a category, sorted by id. *)
-
 val fold : (category -> string -> Value.bag -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every attribute bag in canonical (category, id) order
     without building the intermediate lists of {!attributes} — the
@@ -76,10 +73,7 @@ val read_data_type : Dacs_xml.Xml.Cursor.t -> Value.data_type option
 (** The data type the attribute value just read names (a
     {!Value.type_name}), compared in place; [None] for any other name. *)
 
-val to_string : t -> string
 val of_string : string -> (t, string) result
-val to_xml : t -> Dacs_xml.Xml.t
-val of_xml : Dacs_xml.Xml.t -> (t, string) result
 
 (** {1 The compact form}
 
@@ -102,4 +96,3 @@ val read_compact : string -> (t, string) result
     raises. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

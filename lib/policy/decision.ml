@@ -48,15 +48,3 @@ let equal_decision a b =
   | Permit, Permit | Deny, Deny | Not_applicable, Not_applicable -> true
   | Indeterminate _, Indeterminate _ -> true
   | (Permit | Deny | Not_applicable | Indeterminate _), _ -> false
-
-let pp fmt r =
-  Format.fprintf fmt "%s" (decision_to_string r.decision);
-  (match r.decision with
-  | Indeterminate m when m <> "" -> Format.fprintf fmt "(%s)" m
-  | _ -> ());
-  match r.obligations with
-  | [] -> ()
-  | obs ->
-    Format.fprintf fmt " with %a"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") Obligation.pp)
-      obs

@@ -31,5 +31,3 @@ val decision_of_string : string -> t option
 
 val equal_decision : t -> t -> bool
 (** Indeterminate compares equal regardless of message. *)
-
-val pp : Format.formatter -> result -> unit

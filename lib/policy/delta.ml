@@ -9,7 +9,6 @@ type zone = pin list
 
 type t = Empty | Zones of zone list | Unbounded
 
-let empty = Empty
 let unbounded = Unbounded
 let max_zones = 64
 let is_empty = function Empty -> true | _ -> false

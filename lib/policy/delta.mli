@@ -49,7 +49,6 @@ type t =
   | Zones of zone list  (** union of zones *)
   | Unbounded  (** no static bound — callers must full-flush *)
 
-val empty : t
 val unbounded : t
 
 val is_empty : t -> bool

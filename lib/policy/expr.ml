@@ -678,9 +678,6 @@ let validate expr =
 (* ------------------------------------------------------------------ *)
 
 let str s = Const (Value.String s)
-let int i = Const (Value.Int i)
-let bool b = Const (Value.Bool b)
-let time t = Const (Value.Time t)
 
 let attr category ?(must_be_present = false) attribute_id =
   Designator { category; attribute_id; must_be_present }

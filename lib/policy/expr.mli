@@ -40,8 +40,6 @@ type resolver = Context.category -> string -> Value.bag option
     designator.  [None] means the resolver cannot supply the attribute
     either. *)
 
-val eval : ?resolve:resolver -> Context.t -> t -> (Value.bag, error) result
-
 val eval_condition : ?resolve:resolver -> Context.t -> t -> (bool, error) result
 (** The expression must produce exactly one boolean. *)
 
@@ -79,10 +77,6 @@ val validate : t -> string list
 
 (** {1 Convenience constructors} *)
 
-val str : string -> t
-val int : int -> t
-val bool : bool -> t
-val time : float -> t
 val subject_attr : ?must_be_present:bool -> string -> t
 
 val one_of : t -> string list -> t

@@ -16,8 +16,6 @@ let encrypt_response ~strength =
   make ~fulfill_on:Permit "urn:dacs:obligation:encrypt-response"
     ~parameters:[ ("strength", Value.Int strength) ]
 
-let equal a b = a.id = b.id && a.fulfill_on = b.fulfill_on && a.parameters = b.parameters
-
 let pp fmt o =
   Format.fprintf fmt "%s[on=%s%s]" o.id
     (match o.fulfill_on with Permit -> "Permit" | Deny -> "Deny")

@@ -13,8 +13,6 @@ type t = {
   parameters : (string * Value.t) list;
 }
 
-val make : ?parameters:(string * Value.t) list -> fulfill_on:effect -> string -> t
-
 val applicable : t list -> effect -> t list
 (** Obligations to hand to the PEP for a decision with the given effect. *)
 
@@ -24,5 +22,4 @@ val audit : t
 val encrypt_response : strength:int -> t
 (** Stock content-protection obligation, parameterised by key strength. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -19,9 +19,6 @@ type t = {
 
 let any = { subjects = []; resources = []; actions = []; environments = [] }
 
-let make ?(subjects = []) ?(resources = []) ?(actions = []) ?(environments = []) () =
-  { subjects; resources; actions; environments }
-
 let make_match ~fn ~value ~category ~attribute_id =
   { fn; value; category; attribute_id; matcher = Expr.matcher fn }
 

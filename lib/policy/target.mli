@@ -17,7 +17,7 @@ type match_ = private {
       (** [fn] resolved once, when the match is built; [None] when no
           registered function has that name *)
 }
-(** Built only by {!make_match} (or {!match_string}), so [matcher]
+(** Built only by {!make_match}, so [matcher]
     always agrees with [fn]. *)
 
 val make_match :
@@ -39,13 +39,8 @@ type t = {
 val any : t
 (** Matches every request. *)
 
-val make :
-  ?subjects:section -> ?resources:section -> ?actions:section -> ?environments:section -> unit -> t
-
 (** {1 Simple builders} *)
 
-val match_string : Context.category -> string -> string -> match_
-(** [match_string cat attr v] — string-equal on one attribute. *)
 
 val subject_is : string -> string -> t -> t
 (** [subject_is attr v t] adds a one-clause subject requirement. *)

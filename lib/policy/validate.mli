@@ -8,12 +8,10 @@ type problem = {
 
 val problem_to_string : problem -> string
 
-val check_policy : Policy.t -> problem list
-(** Duplicate rule ids, empty rule lists, unknown or mis-used expression
-    functions, [Only_one_applicable] used as a rule-combining algorithm. *)
-
 val check_child : Policy.child -> problem list
-(** A set's children are checked recursively, and duplicate child ids
+(** Duplicate rule ids, empty rule lists, unknown or mis-used expression
+    functions, [Only_one_applicable] used as a rule-combining algorithm.
+    A set's children are checked recursively, and duplicate child ids
     reported. *)
 
 val shadowed_rules : Policy.t -> (string * string) list

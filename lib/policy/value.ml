@@ -140,8 +140,3 @@ let bag_union a b =
   List.rev (List.fold_left add (List.fold_left add [] a) b)
 
 let bag_subset a b = List.for_all (fun v -> bag_contains b v) a
-
-let pp_bag fmt bag =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp)
-    bag

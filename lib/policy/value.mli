@@ -50,8 +50,6 @@ val of_string : data_type -> string -> (t, string) result
 val pp : Format.formatter -> t -> unit
 (** Type-annotated, e.g. [integer:42]. *)
 
-val describe : t -> string
-
 (** {1 Bags} *)
 
 val bag_contains : bag -> t -> bool
@@ -63,4 +61,3 @@ val bag_union : bag -> bag -> bag
 (** Set-style union (duplicates collapsed), as in XACML. *)
 
 val bag_subset : bag -> bag -> bool
-val pp_bag : Format.formatter -> bag -> unit

@@ -49,11 +49,6 @@ let juniors_set t role =
 
 let juniors t role = String_set.elements (juniors_set t role)
 
-let direct_juniors_public t role = String_set.elements (direct_juniors t role)
-
-let seniors t role =
-  List.filter (fun r -> String_set.mem role (juniors_set t r)) (roles t)
-
 let add_inheritance t ~senior ~junior =
   if not (has_role t senior) then Error (Printf.sprintf "unknown role %s" senior)
   else if not (has_role t junior) then Error (Printf.sprintf "unknown role %s" junior)
@@ -70,8 +65,6 @@ let add_inheritance t ~senior ~junior =
 
 let assigned_set t user =
   Option.value (String_map.find_opt user t.user_roles) ~default:String_set.empty
-
-let assigned_roles t user = String_set.elements (assigned_set t user)
 
 let authorized_set t user =
   String_set.fold
@@ -138,16 +131,3 @@ let add_ssd t ~name ~roles:role_list ~cardinality =
     (match offender with
     | Some user -> Error (Printf.sprintf "existing assignment for %s already violates %s" user name)
     | None -> Ok { t with ssd = c :: t.ssd })
-
-let ssd_constraints t =
-  List.map (fun c -> (c.name, String_set.elements c.c_roles, c.cardinality)) t.ssd
-
-let pp fmt t =
-  Format.fprintf fmt "rbac: %d roles, %d users, %d SSD"
-    (String_set.cardinal t.role_set)
-    (List.length (users t))
-    (List.length t.ssd)
-
-(* Public, list-returning views of the internal helpers (placed last so
-   they shadow the set-returning internals only at the interface). *)
-let direct_juniors = direct_juniors_public

@@ -29,11 +29,6 @@ val add_inheritance : t -> senior:role -> junior:role -> (t, string) result
 val juniors : t -> role -> role list
 (** Transitive juniors (the role itself excluded). *)
 
-val direct_juniors : t -> role -> role list
-(** Immediate inheritance edges only. *)
-
-val seniors : t -> role -> role list
-
 (** {1 Assignment} *)
 
 val assign_user : t -> user -> role -> (t, string) result
@@ -41,18 +36,12 @@ val assign_user : t -> user -> role -> (t, string) result
     checked on authorised roles, so inheritance counts; the error names
     the violated constraint. *)
 
-val assigned_roles : t -> user -> role list
-(** Directly assigned roles. *)
-
 val authorized_roles : t -> user -> role list
 (** Assigned roles plus everything they inherit. *)
 
 val grant_permission : t -> role -> permission -> (t, string) result
 val role_permissions : t -> role -> permission list
 (** Direct plus inherited permissions. *)
-
-val direct_permissions : t -> role -> permission list
-(** Permissions granted to the role itself, inheritance excluded. *)
 
 val user_permissions : t -> user -> permission list
 
@@ -67,7 +56,3 @@ val add_ssd : t -> name:string -> roles:role list -> cardinality:int -> (t, stri
     simultaneously.  Fails if an existing assignment already violates the
     new constraint, if [cardinality < 2], or if the constraint names
     fewer roles than its cardinality. *)
-
-val ssd_constraints : t -> (string * role list * int) list
-
-val pp : Format.formatter -> t -> unit

@@ -33,27 +33,3 @@ let parse text =
       go model (line_no + 1) rest
   in
   go Rbac.empty 1 lines
-
-let to_string model =
-  let buf = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  List.iter (fun r -> line "role %s" r) (Rbac.roles model);
-  List.iter
-    (fun senior ->
-      List.iter (fun junior -> line "inherit %s %s" senior junior) (Rbac.direct_juniors model senior))
-    (Rbac.roles model);
-  List.iter
-    (fun role ->
-      List.iter
-        (fun (p : Rbac.permission) -> line "grant %s %s %s" role p.Rbac.action p.Rbac.resource)
-        (List.sort compare (Rbac.direct_permissions model role)))
-    (Rbac.roles model);
-  List.iter
-    (fun user ->
-      List.iter (fun role -> line "user %s %s" user role) (Rbac.assigned_roles model user))
-    (Rbac.users model);
-  List.iter
-    (fun (name, roles, cardinality) ->
-      line "ssd %s %d %s" name cardinality (String.concat " " roles))
-    (Rbac.ssd_constraints model);
-  Buffer.contents buf

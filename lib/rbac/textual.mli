@@ -14,7 +14,3 @@
 
 val parse : string -> (Rbac.t, string) result
 (** Parse a whole document.  Errors carry the line number. *)
-
-val to_string : Rbac.t -> string
-(** Serialise a model back to the textual form.  [parse (to_string m)]
-    reconstructs an equivalent model. *)

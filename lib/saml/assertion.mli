@@ -75,7 +75,6 @@ val permits : t -> resource:string -> action:string -> bool
 val to_xml : t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (t, string) result
 val to_string : t -> string
-val of_string : string -> (t, string) result
 
 val signature_of_xml : Dacs_xml.Xml.t -> (string option, string) result
 (** The decoded [SignatureValue] child of a capability element, which

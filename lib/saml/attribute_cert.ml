@@ -138,8 +138,3 @@ let of_xml node =
   end
 
 let to_string a = Xml.to_string (to_xml a)
-
-let of_string s =
-  match Xml.of_string_opt s with
-  | None -> Error "malformed XML"
-  | Some node -> of_xml node

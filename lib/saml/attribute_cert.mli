@@ -17,7 +17,6 @@ val to_xml : Assertion.t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (Assertion.t, string) result
 
 val to_string : Assertion.t -> string
-val of_string : string -> (Assertion.t, string) result
 
 val element_name : string
 (** ["X509AttributeCertificate"], the root element this codec produces. *)

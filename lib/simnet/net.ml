@@ -122,8 +122,6 @@ let unpartition t group_a group_b =
       (fun (ga, gb) -> not ((ga = group_a && gb = group_b) || (ga = group_b && gb = group_a)))
       t.partitions
 
-let heal t = t.partitions <- []
-
 let partitioned t a b =
   match t.partitions with
   | [] -> false

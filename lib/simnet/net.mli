@@ -64,16 +64,12 @@ val crash : t -> node_id -> unit
 val recover : t -> node_id -> unit
 
 val partition : t -> node_id list -> node_id list -> unit
-(** Messages between the two groups are dropped until {!heal} (or a
-    matching {!unpartition}). *)
+(** Messages between the two groups are dropped until a matching
+    {!unpartition}. *)
 
 val unpartition : t -> node_id list -> node_id list -> unit
 (** Remove the partition between exactly these two groups (in either
-    order), leaving any other partitions in place — what a flapping-link
-    fault needs that {!heal} cannot express. *)
-
-val heal : t -> unit
-(** Remove all partitions. *)
+    order), leaving any other partitions in place. *)
 
 (** {1 Sending} *)
 

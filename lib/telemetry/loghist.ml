@@ -37,12 +37,6 @@ let count t = t.count
 let sum t = t.stats.(0)
 let max_seen t = t.stats.(1)
 
-let clear t =
-  Array.fill t.counts 0 (buckets + 1) 0;
-  t.count <- 0;
-  t.stats.(0) <- 0.0;
-  t.stats.(1) <- 0.0
-
 let merge a b =
   let m = create () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;

@@ -37,9 +37,6 @@ val sum : t -> float
 val max_seen : t -> float
 (** 0 when empty. *)
 
-val clear : t -> unit
-(** Back to empty. *)
-
 val merge : t -> t -> t
 (** Fresh histogram holding both populations. *)
 

@@ -105,22 +105,6 @@ let histogram_exemplars h =
     (List.init (Array.length h.exemplars) (fun i ->
          match h.exemplars.(i) with None -> [] | Some e -> [ (Loghist.bound i, e) ]))
 
-let reset_counter counter = counter.c <- 0
-let reset_gauge gauge = gauge.g <- 0.0
-
-let reset_histogram h =
-  Loghist.clear h.hist;
-  Array.fill h.exemplars 0 (Array.length h.exemplars) None
-
-let reset t =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | I_counter c -> reset_counter c
-      | I_gauge g -> reset_gauge g
-      | I_histogram h -> reset_histogram h)
-    t.series
-
 (* --- snapshot ----------------------------------------------------------- *)
 
 type value =

@@ -68,13 +68,6 @@ val histogram_exemplars : histogram -> (float * exemplar) list
     pairs in bucket order — the links from latency buckets back to the
     traces that landed in them. *)
 
-(** {1 Reset}
-
-    Resets zero values but keep registrations. *)
-
-val reset : t -> unit
-val reset_counter : counter -> unit
-
 (** {1 Snapshot and exposition} *)
 
 type value =

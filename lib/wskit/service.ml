@@ -52,8 +52,6 @@ let framable name =
 let request_reply name ~request ~reply : (_, _) call = { name = framable name; request; reply }
 let one_way name request : _ cast = { name = framable name; request }
 
-type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
-
 let serve t ~node (service : (_, _) call) handler =
   let read = raising service.request in
   Rpc.serve_frame t.rpc ~node ~service:service.name ~envelope:soap_envelope (fun ~caller body reply ->

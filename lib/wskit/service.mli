@@ -83,9 +83,6 @@ val one_way : string -> 'q reader -> 'q cast
 (** Both raise [Invalid_argument] when the name holds ['|']: the bus
     carries a service name verbatim between two bars. *)
 
-type declaration = Call : ('q, 'r) call -> declaration | Cast : 'q cast -> declaration
-(** Either shape, for lists of a module's services. *)
-
 (** {1 Serving and calling} *)
 
 val serve :

@@ -192,16 +192,6 @@ let rec canonical node =
 
 let canonical_string node = to_string (canonical node)
 
-let equal a b = canonical a = canonical b
-
-let rec size = function
-  | Text _ -> 1
-  | Element e -> 1 + List.fold_left (fun acc k -> acc + size k) 0 e.children
-
-let rec depth = function
-  | Text _ -> 0
-  | Element e -> 1 + List.fold_left (fun acc k -> max acc (depth k)) 0 e.children
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

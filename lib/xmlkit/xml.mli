@@ -72,14 +72,12 @@ val add_int : Buffer.t -> int -> unit
 val to_pretty_string : ?indent:int -> t -> string
 (** Indented serialisation for human consumption. *)
 
-val canonical : t -> t
-(** Canonical form: attributes sorted by name, whitespace-only text dropped,
-    adjacent text merged, comments already absent.  [canonical] is
-    idempotent and two semantically equal documents share one canonical
-    serialisation — the form that signatures are computed over. *)
-
 val canonical_string : t -> string
-(** [to_string (canonical t)]. *)
+(** The canonical serialisation: attributes sorted by name,
+    whitespace-only text dropped, adjacent text merged, comments already
+    absent.  Canonicalising is idempotent and two semantically equal
+    documents share one canonical serialisation — the form that
+    signatures are computed over. *)
 
 (** {1 Parsing} *)
 
@@ -150,8 +148,6 @@ module Cursor : sig
       skipped).
       @raise Parse_error when no root element follows the prolog.
       @raise Invalid_argument when the slice is out of bounds. *)
-
-  val of_string : string -> t
 
   val read : t -> (t -> 'a) -> ('a, string) result
   (** [read c f] runs [f c], turning {!Parse_error} into [Error message]. *)
@@ -268,12 +264,3 @@ module Cursor : sig
 end
 
 (** {1 Comparison} *)
-
-val equal : t -> t -> bool
-(** Structural equality on canonical forms. *)
-
-val size : t -> int
-(** Number of nodes (elements plus text nodes). *)
-
-val depth : t -> int
-(** Longest element nesting chain; a leaf element has depth 1. *)

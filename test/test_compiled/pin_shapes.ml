@@ -10,6 +10,10 @@ module Target = Dacs_policy.Target
 module Context = Dacs_policy.Context
 module Value = Dacs_policy.Value
 
+(* A string-equal match on one attribute, in any section. *)
+let match_string category attribute_id s =
+  Target.make_match ~fn:"string-equal" ~value:(Value.String s) ~category ~attribute_id
+
 let resources = [| "chart"; "lab"; "note" |]
 let actions = [| "read"; "write" |]
 
@@ -24,34 +28,29 @@ let target k =
   let a = actions.(k mod Array.length actions) in
   let open Context in
   match k mod kinds with
-  | 0 -> Target.make ~resources:[ [ Target.match_string Subject "resource-id" r ] ] ()
-  | 1 -> Target.make ~resources:[ [ Target.match_string Action "resource-id" r ] ] ()
-  | 2 -> Target.make ~actions:[ [ Target.match_string Subject "action-id" a ] ] ()
-  | 3 -> Target.make ~actions:[ [ Target.match_string Resource "action-id" a ] ] ()
+  | 0 -> { Target.any with resources = [ [ match_string Subject "resource-id" r ] ] }
+  | 1 -> { Target.any with resources = [ [ match_string Action "resource-id" r ] ] }
+  | 2 -> { Target.any with actions = [ [ match_string Subject "action-id" a ] ] }
+  | 3 -> { Target.any with actions = [ [ match_string Resource "action-id" a ] ] }
   | 4 ->
     (* two clauses, each pinning resource-id under a different category *)
-    Target.make
-      ~resources:
-        [
-          [ Target.match_string Resource "resource-id" r ];
-          [ Target.match_string Subject "resource-id" r' ];
-        ]
-      ()
+    { Target.any with resources = [
+          [ match_string Resource "resource-id" r ];
+          [ match_string Subject "resource-id" r' ];
+        ] }
   | 5 ->
-    Target.make
-      ~resources:
-        [
-          [ Target.match_string Subject "resource-id" r; Target.match_string Resource "resource-id" r' ];
-        ]
-      ()
-  | 6 -> Target.make ~resources:[ [ starts_with Resource "resource-id" (String.sub r 0 1) ] ] ()
-  | 7 -> Target.make ~actions:[ [ starts_with Action "action-id" (String.sub a 0 1) ] ] ()
+    { Target.any with resources = [
+          [ match_string Subject "resource-id" r; match_string Resource "resource-id" r' ];
+        ] }
+  | 6 -> { Target.any with resources = [ [ starts_with Resource "resource-id" (String.sub r 0 1) ] ] }
+  | 7 -> { Target.any with actions = [ [ starts_with Action "action-id" (String.sub a 0 1) ] ] }
   | _ ->
     (* an unguardable subject section in front of an action pin *)
-    Target.make
-      ~subjects:[ [ starts_with Subject "role" "d" ] ]
-      ~actions:[ [ Target.match_string Action "action-id" a ] ]
-      ()
+    {
+      Target.any with
+        subjects = [ [ starts_with Subject "role" "d" ] ];
+        actions = [ [ match_string Action "action-id" a ] ]
+    }
 
 let cross_codes = Array.length resources * Array.length actions
 

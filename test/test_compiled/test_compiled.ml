@@ -23,10 +23,14 @@ module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
 open Dacs_core
 
+(* A string-equal match on one attribute, in any section. *)
+let match_string category attribute_id s =
+  Target.make_match ~fn:"string-equal" ~value:(Value.String s) ~category ~attribute_id
+
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision
   && List.length a.Decision.obligations = List.length b.Decision.obligations
-  && List.for_all2 Obligation.equal a.Decision.obligations b.Decision.obligations
+  && List.for_all2 ( = ) a.Decision.obligations b.Decision.obligations
 
 let show_result (r : Decision.result) =
   Printf.sprintf "%s [%s]"
@@ -149,7 +153,7 @@ let test_region_marks_semantic_changes () =
 
 (* --- obligation order through mixed dispatch buckets -------------------- *)
 
-let ob id = Obligation.make ~fulfill_on:Obligation.Permit ("urn:test:" ^ id)
+let ob id = { Obligation.id = "urn:test:" ^ id; fulfill_on = Permit; parameters = [] }
 
 (* Three children landing in different buckets of their leaves — pair-
    pinned (matches), resource-pinned (matches), action-pinned
@@ -257,10 +261,11 @@ let test_guard_attribute_disables_pruning () =
    rule ineligible for indexing entirely: it is always scanned. *)
 let test_unguardable_rule_never_indexed () =
   let target =
-    Target.make
-      ~subjects:[ [ Target.make_match ~fn:"string-equal" ~value:(Value.Int 1) ~category:Context.Subject ~attribute_id:"level" ] ]
-      ~resources:[ [ Target.match_string Context.Resource "resource-id" "chart" ] ]
-      ()
+    {
+      Target.any with
+        subjects = [ [ Target.make_match ~fn:"string-equal" ~value:(Value.Int 1) ~category:Context.Subject ~attribute_id:"level" ] ];
+        resources = [ [ match_string Context.Resource "resource-id" "chart" ] ]
+    }
   in
   let p = inline_policy "p" [ Rule.permit ~target "r" ] in
   let c = Compiled.compile p in
@@ -278,7 +283,7 @@ let test_category_mismatch_never_indexed () =
     inline_policy "p"
       [
         Rule.deny
-          ~target:(Target.make ~resources:[ [ Target.match_string Context.Subject "resource-id" "lab" ] ] ())
+          ~target:{ Target.any with resources = [ [ match_string Context.Subject "resource-id" "lab" ] ] }
           "deny-lab";
         Rule.permit "permit-all";
       ]
@@ -389,12 +394,14 @@ let read_words_bound = 117.0
 
 let test_read_allocation () =
   let request =
-    Context.to_string
+    let buf = Buffer.create 256 in
+    Context.write buf
       (Context.make
          ~subject:[ ("subject-id", Value.String "user7"); ("role", Value.String "nurse") ]
          ~resource:[ ("resource-id", Value.String "res5") ]
          ~action:[ ("action-id", Value.String "read") ]
-         ())
+         ());
+    Buffer.contents buf
   in
   let words = words_per_call (fun () -> Dacs_xml.Xml.Cursor.parse request Context.read) in
   Printf.printf "Context.read of 4 attributes: %.1f minor words (bound %.1f)\n" words read_words_bound;
@@ -458,7 +465,7 @@ let policy_of_spec id (rule_specs, obligation_code) =
   let rules = List.mapi rule_of_spec rule_specs in
   let obligations =
     if obligation_code = 0 then []
-    else [ Obligation.make ~fulfill_on:Obligation.Permit (Printf.sprintf "urn:test:%s" id) ]
+    else [ { Obligation.id = Printf.sprintf "urn:test:%s" id; fulfill_on = Permit; parameters = [] } ]
   in
   Policy.make ~id ~rule_combining:Combine.Deny_overrides ~obligations rules
 

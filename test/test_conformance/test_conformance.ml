@@ -59,15 +59,17 @@ let na_policy id =
 let set alg ?obligations children =
   Policy.make_set ~id:"set" ~policy_combining:alg ?obligations children
 
-let decision = Alcotest.testable Decision.pp (fun a b ->
-    Decision.equal_decision a.Decision.decision b.Decision.decision
-    && List.length a.Decision.obligations = List.length b.Decision.obligations
-    && List.for_all2 Obligation.equal a.Decision.obligations b.Decision.obligations)
+let decision =
+  Alcotest.testable
+    (fun fmt r -> Format.pp_print_string fmt (Decision.decision_to_string r.Decision.decision))
+    (fun a b ->
+      Decision.equal_decision a.Decision.decision b.Decision.decision
+      && a.Decision.obligations = b.Decision.obligations)
 
 let indet = Decision.indeterminate "any message"
 
-let ob id = Obligation.make ~fulfill_on:Obligation.Permit ("urn:test:" ^ id)
-let ob_deny id = Obligation.make ~fulfill_on:Obligation.Deny ("urn:test:" ^ id)
+let ob id = { Obligation.id = "urn:test:" ^ id; fulfill_on = Permit; parameters = [] }
+let ob_deny id = { Obligation.id = "urn:test:" ^ id; fulfill_on = Deny; parameters = [] }
 
 let with_obs decision obs = { decision with Decision.obligations = obs }
 

@@ -406,12 +406,12 @@ let test_bignum_shift () =
   let v = Bignum.of_int 0b1011 in
   check bn "shl" (Bignum.of_int 0b1011000) (Bignum.shift_left v 3);
   check bn "shr" (Bignum.of_int 0b10) (Bignum.shift_right v 2);
-  check bn "shr to zero" Bignum.zero (Bignum.shift_right v 10);
+  check bn "shr to zero" (Bignum.of_int 0) (Bignum.shift_right v 10);
   let big = Bignum.of_hex "18ee90ff6c373e0ee4e3f0ad2" in
   check bn "shl/shr inverse" big (Bignum.shift_right (Bignum.shift_left big 137) 137)
 
 let test_bignum_num_bits () =
-  check int_ "zero" 0 (Bignum.num_bits Bignum.zero);
+  check int_ "zero" 0 (Bignum.num_bits (Bignum.of_int 0));
   check int_ "one" 1 (Bignum.num_bits Bignum.one);
   check int_ "255" 8 (Bignum.num_bits (Bignum.of_int 255));
   check int_ "256" 9 (Bignum.num_bits (Bignum.of_int 256));
@@ -425,7 +425,7 @@ let test_bignum_sub_negative_raises () =
 
 let test_bignum_div_by_zero () =
   try
-    ignore (Bignum.divmod Bignum.one Bignum.zero);
+    ignore (Bignum.divmod Bignum.one (Bignum.of_int 0));
     Alcotest.fail "expected Division_by_zero"
   with Division_by_zero -> ()
 
@@ -435,20 +435,20 @@ let test_bignum_modpow_known () =
     (Bignum.modpow Bignum.two (Bignum.of_int 10) (Bignum.of_int 1000));
   check bn "3^100 mod 7" (Bignum.of_int 4)
     (Bignum.modpow (Bignum.of_int 3) (Bignum.of_int 100) (Bignum.of_int 7));
-  check bn "x^0 = 1" Bignum.one (Bignum.modpow (Bignum.of_int 5) Bignum.zero (Bignum.of_int 7));
-  check bn "mod 1 = 0" Bignum.zero (Bignum.modpow (Bignum.of_int 5) (Bignum.of_int 3) Bignum.one)
+  check bn "x^0 = 1" Bignum.one (Bignum.modpow (Bignum.of_int 5) (Bignum.of_int 0) (Bignum.of_int 7));
+  check bn "mod 1 = 0" (Bignum.of_int 0) (Bignum.modpow (Bignum.of_int 5) (Bignum.of_int 3) Bignum.one)
 
 let test_bignum_gcd () =
   check bn "gcd(12,18)" (Bignum.of_int 6) (Bignum.gcd (Bignum.of_int 12) (Bignum.of_int 18));
   check bn "gcd(17,5)" Bignum.one (Bignum.gcd (Bignum.of_int 17) (Bignum.of_int 5));
-  check bn "gcd(0,x)" (Bignum.of_int 9) (Bignum.gcd Bignum.zero (Bignum.of_int 9))
+  check bn "gcd(0,x)" (Bignum.of_int 9) (Bignum.gcd (Bignum.of_int 0) (Bignum.of_int 9))
 
 let test_bignum_modinv () =
   (match Bignum.modinv (Bignum.of_int 3) (Bignum.of_int 11) with
   | Some v -> check bn "3^-1 mod 11 = 4" (Bignum.of_int 4) v
   | None -> Alcotest.fail "expected an inverse");
   check bool_ "no inverse when not coprime" true (Bignum.modinv (Bignum.of_int 6) (Bignum.of_int 9) = None);
-  check bool_ "zero has no inverse" true (Bignum.modinv Bignum.zero (Bignum.of_int 9) = None)
+  check bool_ "zero has no inverse" true (Bignum.modinv (Bignum.of_int 0) (Bignum.of_int 9) = None)
 
 let test_bignum_padded_too_narrow () =
   check string_ "fits in two bytes" "\x01\x00" (Bignum.to_bytes_be_padded (Bignum.of_int 256) 2);
@@ -463,7 +463,7 @@ let test_bignum_random_in_range () =
   for _ = 1 to 200 do
     check bool_ "random_bits within 70 bits" true (Bignum.num_bits (Bignum.random_bits rng 70) <= 70);
     check bool_ "random_below under its bound" true (Bignum.compare (Bignum.random_below rng bound) bound < 0);
-    check bn "below one is zero" Bignum.zero (Bignum.random_below rng Bignum.one)
+    check bn "below one is zero" (Bignum.of_int 0) (Bignum.random_below rng Bignum.one)
   done;
   (* 200 draws of 70 bits all landing under 2^69 has odds 2^-200. *)
   check bool_ "the top bit is reached" true
@@ -597,7 +597,7 @@ let test_keypair = lazy (Rsa.generate (Rng.create 2024L) ~bits:512)
 let test_rsa_keygen_shape () =
   let kp = Lazy.force test_keypair in
   check int_ "modulus width" 512 (Bignum.num_bits kp.Rsa.public.n);
-  check int_ "key bytes" 64 (Rsa.key_bytes kp.Rsa.public);
+  check int_ "signature bytes" 64 (String.length (Rsa.sign kp.Rsa.private_ "m"));
   (* d*e = 1 mod (p-1)(q-1) *)
   let phi = Bignum.mul (Bignum.pred kp.Rsa.private_.p) (Bignum.pred kp.Rsa.private_.q) in
   check bn "d*e = 1 (mod phi)" Bignum.one
@@ -627,7 +627,7 @@ let test_rsa_sign_wrong_key () =
    lengths; the key's CRT parts are what they claim. *)
 let test_rsa_crt_matches_plain () =
   let plain (key : Rsa.private_key) msg =
-    let k = Rsa.key_bytes key.Rsa.pub in
+    let k = (Bignum.num_bits key.Rsa.pub.Rsa.n + 7) / 8 in
     let block = "\x00\x01" ^ String.make (k - 35) '\xFF' ^ "\x00" ^ Sha256.digest msg in
     Bignum.to_bytes_be_padded (Bignum.modpow (Bignum.of_bytes_be block) key.Rsa.d key.Rsa.pub.Rsa.n) k
   in
@@ -697,9 +697,10 @@ let test_cert_self_signed () =
   let ca = make_ca () in
   check string_ "issuer = subject" ca.Cert.subject ca.Cert.issuer;
   check bool_ "self-verifies" true (Cert.verify_signature ca ~issuer_key:ca.Cert.public_key);
-  check bool_ "valid inside window" true (Cert.valid_at ca 500.0);
-  check bool_ "invalid after" false (Cert.valid_at ca 1001.0);
-  check bool_ "invalid before" false (Cert.valid_at ca (-1.0))
+  let store = Cert.Trust_store.(add empty ca) in
+  check bool_ "valid inside window" true (Cert.Trust_store.trusts store ~now:500.0 ca);
+  check bool_ "invalid after" false (Cert.Trust_store.trusts store ~now:1001.0 ca);
+  check bool_ "invalid before" false (Cert.Trust_store.trusts store ~now:(-1.0) ca)
 
 let test_cert_issue_and_verify () =
   let ca = make_ca () in

@@ -35,6 +35,10 @@ module Value = Dacs_policy.Value
 module Delta = Dacs_policy.Delta
 module Conflict = Dacs_core.Conflict
 
+(* A string-equal match on one attribute, in any section. *)
+let match_string category attribute_id s =
+  Target.make_match ~fn:"string-equal" ~value:(Value.String s) ~category ~attribute_id
+
 (* --- spec encoding (the oracle vocabulary) ------------------------------ *)
 
 let roles = [| "doctor"; "nurse"; "admin" |]
@@ -85,7 +89,7 @@ type pspec = { rule_specs : rule_spec list; obligation_code : int }
 let policy_of_spec ?(id = "delta-policy") alg p =
   let obligations =
     if p.obligation_code = 0 then []
-    else [ Obligation.make ~fulfill_on:Obligation.Permit (Printf.sprintf "urn:test:o%d" p.obligation_code) ]
+    else [ { Obligation.id = Printf.sprintf "urn:test:o%d" p.obligation_code; fulfill_on = Permit; parameters = [] } ]
   in
   Policy.make ~id ~rule_combining:alg ~obligations (List.mapi rule_of_spec p.rule_specs)
 
@@ -193,7 +197,7 @@ let arb_ctx =
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision
   && List.length a.Decision.obligations = List.length b.Decision.obligations
-  && List.for_all2 Obligation.equal a.Decision.obligations b.Decision.obligations
+  && List.for_all2 ( = ) a.Decision.obligations b.Decision.obligations
 
 let show_result (r : Decision.result) =
   Printf.sprintf "%s [%s]"
@@ -412,7 +416,7 @@ let directed_obligation_only () =
          [ permit_rule (); deny_all ])
   in
   let before = mk [] in
-  let after = mk [ Obligation.make ~fulfill_on:Obligation.Permit "urn:log" ] in
+  let after = mk [ { Obligation.id = "urn:log"; fulfill_on = Permit; parameters = [] } ] in
   let region = Delta.between (Some before) (Some after) in
   (* A shell change affects every request the policy's target admits —
      here the target is [any], so the region must cover everything. *)
@@ -434,9 +438,7 @@ let directed_env_guard_conservative () =
   let env_rule v =
     Rule.make
       ~target:
-        (Target.make
-           ~environments:[ [ Target.match_string Context.Environment "time-of-day" v ] ]
-           ())
+        { Target.any with environments = [ [ match_string Context.Environment "time-of-day" v ] ] }
       Rule.Permit "night-shift"
   in
   let before = pol [ env_rule "night"; deny_all ] in
@@ -463,7 +465,7 @@ let directed_mutation_check () =
   check "true region is sound over the population" true
     (List.for_all (fun c -> region_sound (Delta.between (Some before) (Some after)) before after c) all_ctxs);
   check "under-approximated Empty region is caught" false
-    (List.for_all (fun c -> region_sound Delta.empty before after c) all_ctxs)
+    (List.for_all (fun c -> region_sound Delta.Empty before after c) all_ctxs)
 
 let directed_attributes () =
   let before = pol [ deny_all ] in

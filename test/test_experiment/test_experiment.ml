@@ -13,9 +13,14 @@ let status = Alcotest.(check int)
 
 let history lines =
   let dir = Filename.temp_dir "dacs-experiment" "" in
+  (* Removed by the test process only: a child running [E.main] exits
+     through the same handlers. *)
+  let owner = Unix.getpid () in
   at_exit (fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir);
+      if Unix.getpid () = owner then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end);
   let oc = open_out (Filename.concat dir "ledger.jsonl") in
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
@@ -28,7 +33,24 @@ let ledger_lines dir =
   close_in ic;
   List.length lines
 
-let run dir experiments names = E.run ~history:dir ~pr:"test" experiments names
+external set_argv : string array -> unit = "caml_sys_modify_argv"
+
+(* [E.main] in a child process, with the ledger directory in the
+   environment and [names] as its command line: the status it exits
+   with. *)
+let run dir experiments names =
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Unix.putenv "DACS_HISTORY" dir;
+    Unix.putenv "DACS_PR" "test";
+    set_argv (Array.of_list (Sys.executable_name :: names));
+    E.main experiments;
+    Unix._exit 2
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _ -> Alcotest.fail "E.main did not exit")
 
 (* An experiment with one lower-is-better ledger gate on [key]. *)
 let gated_on ?(key = "k") name value =

@@ -50,6 +50,24 @@ let doctor_read_policy resource =
 
 (* --- discovery registry ------------------------------------------------ *)
 
+(* The registry's listing of [kind], as a remote party reads it through
+   the discover service. *)
+let listed services ~kind =
+  let net = Service.net services in
+  if not (List.mem "seeker" (Net.nodes net)) then Net.add_node net "seeker";
+  let got = ref None in
+  Service.call services ~src:"seeker" ~dst:"registry" Wire.Services.discover
+    (fun buf -> Wire.write_discover buf ~kind)
+    (fun r -> got := Some r);
+  Net.run ~until:(Net.now net +. 0.05) net;
+  match !got with Some (Ok (Ok eps)) -> eps | _ -> Alcotest.fail "no discover reply"
+
+(* Register calls the registry served. *)
+let registrations services =
+  Dacs_telemetry.Metrics.counter_value
+    (Dacs_telemetry.Metrics.counter (Service.metrics services) ~labels:[ ("node", "registry") ]
+       "discovery_registrations_total")
+
 (* [src] asks the registry to list [node] under "pdp". *)
 let register services ~src ~node k =
   Service.call services ~src ~dst:"registry" Wire.Services.register
@@ -61,40 +79,40 @@ let test_registry_register_and_lookup () =
   Net.add_node net "registry";
   Net.add_node net "pdp1";
   Net.add_node net "pdp2";
-  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
   register services ~src:"pdp1" ~node:"pdp1" ignore;
   register services ~src:"pdp2" ~node:"pdp2" ignore;
   Net.run net;
   check (Alcotest.list string_) "both listed, registration order" [ "pdp1"; "pdp2" ]
-    (Discovery.lookup reg ~kind:"pdp");
-  check (Alcotest.list string_) "other kinds empty" [] (Discovery.lookup reg ~kind:"pap");
-  check int_ "registrations counted" 2 (Discovery.registrations reg)
+    (listed services ~kind:"pdp");
+  check (Alcotest.list string_) "other kinds empty" [] (listed services ~kind:"pap");
+  check int_ "registrations counted" 2 (registrations services)
 
 let test_registry_lease_expiry () =
   let net, services = fresh () in
   Net.add_node net "registry";
   Net.add_node net "pdp1";
-  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
   register services ~src:"pdp1" ~node:"pdp1" ignore;
   Net.run net;
-  check int_ "listed" 1 (List.length (Discovery.lookup reg ~kind:"pdp"));
+  check int_ "listed" 1 (List.length (listed services ~kind:"pdp"));
   (* Jump past the lease without renewal: gone. *)
   Engine.schedule (Net.engine net) ~delay:11.0 ignore;
   Net.run net;
-  check int_ "expired" 0 (List.length (Discovery.lookup reg ~kind:"pdp"))
+  check int_ "expired" 0 (List.length (listed services ~kind:"pdp"))
 
 let test_registry_rejects_proxy_advertisement () =
   let net, services = fresh () in
   Net.add_node net "registry";
   Net.add_node net "mallory";
-  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
   let got = ref None in
   register services ~src:"mallory" ~node:"somebody-else" (fun r -> got := Some r);
   Net.run net;
   (match !got with
   | Some (Error (Service.Fault _)) -> ()
   | _ -> Alcotest.fail "expected a fault for third-party advertisement");
-  check int_ "nothing registered" 0 (List.length (Discovery.lookup reg ~kind:"pdp"))
+  check int_ "nothing registered" 0 (List.length (listed services ~kind:"pdp"))
 
 let test_discover_service () =
   let net, services = fresh () in
@@ -122,15 +140,15 @@ let test_advertise_keeps_entry_alive () =
   Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
   (* Far beyond the lease, the renewals keep the entry live. *)
   Net.run ~until:60.0 net;
-  check int_ "still listed" 1 (List.length (Discovery.lookup reg ~kind:"pdp"));
+  check int_ "still listed" 1 (List.length (listed services ~kind:"pdp"));
   (* Crash the advertiser: its renewals are dropped and the lease lapses. *)
   Net.crash net "pdp1";
   Net.run ~until:85.0 net;
-  check int_ "lapsed after crash" 0 (List.length (Discovery.lookup reg ~kind:"pdp"));
+  check int_ "lapsed after crash" 0 (List.length (listed services ~kind:"pdp"));
   (* Recovery resumes the heartbeat loop. *)
   Net.recover net "pdp1";
   Net.run ~until:100.0 net;
-  check int_ "re-listed after recovery" 1 (List.length (Discovery.lookup reg ~kind:"pdp"))
+  check int_ "re-listed after recovery" 1 (List.length (listed services ~kind:"pdp"))
 
 let test_auto_rebind_end_to_end () =
   (* Two PDP replicas advertise; the PEP starts bound to a bogus endpoint
@@ -196,7 +214,7 @@ let test_registry_renewal_keeps_order () =
      first registration, and each renewal restarts its lease. *)
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "registry"; "pdp1"; "pdp2" ];
-  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
   register services ~src:"pdp1" ~node:"pdp1" ignore;
   register services ~src:"pdp2" ~node:"pdp2" ignore;
   Engine.schedule (Net.engine net) ~delay:8.0 (fun () ->
@@ -204,31 +222,31 @@ let test_registry_renewal_keeps_order () =
       register services ~src:"pdp1" ~node:"pdp1" ignore);
   run_to net 12.0;
   check (Alcotest.list string_) "renewed, first-registration order" [ "pdp1"; "pdp2" ]
-    (Discovery.lookup reg ~kind:"pdp");
-  check int_ "every renewal counted" 4 (Discovery.registrations reg);
+    (listed services ~kind:"pdp");
+  check int_ "every renewal counted" 4 (registrations services);
   run_to net 19.0;
-  check (Alcotest.list string_) "one lease after the renewal, gone" [] (Discovery.lookup reg ~kind:"pdp")
+  check (Alcotest.list string_) "one lease after the renewal, gone" [] (listed services ~kind:"pdp")
 
 let test_registry_default_lease () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "registry"; "pdp1" ];
-  let reg = Discovery.create services ~node:"registry" () in
+  ignore (Discovery.create services ~node:"registry" ());
   register services ~src:"pdp1" ~node:"pdp1" ignore;
   run_to net 9.5;
-  check (Alcotest.list string_) "listed before ten seconds" [ "pdp1" ] (Discovery.lookup reg ~kind:"pdp");
+  check (Alcotest.list string_) "listed before ten seconds" [ "pdp1" ] (listed services ~kind:"pdp");
   run_to net 10.5;
-  check (Alcotest.list string_) "gone after ten seconds" [] (Discovery.lookup reg ~kind:"pdp")
+  check (Alcotest.list string_) "gone after ten seconds" [] (listed services ~kind:"pdp")
 
 let test_registry_node_under_two_kinds () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "registry"; "pdp1"; "pap1" ];
-  let reg = Discovery.create services ~node:"registry" ~lease:10.0 () in
+  ignore (Discovery.create services ~node:"registry" ~lease:10.0 ());
   register_as services ~node:"pdp1" ~kind:"pdp" ignore;
   register_as services ~node:"pap1" ~kind:"pap" ignore;
   register_as services ~node:"pdp1" ~kind:"pap" ignore;
   Net.run net;
-  check (Alcotest.list string_) "pdp kind" [ "pdp1" ] (Discovery.lookup reg ~kind:"pdp");
-  check (Alcotest.list string_) "pap kind" [ "pap1"; "pdp1" ] (Discovery.lookup reg ~kind:"pap")
+  check (Alcotest.list string_) "pdp kind" [ "pdp1" ] (listed services ~kind:"pdp");
+  check (Alcotest.list string_) "pap kind" [ "pap1"; "pdp1" ] (listed services ~kind:"pap")
 
 let test_discover_unlisted_kind () =
   let net, services = fresh () in
@@ -676,12 +694,22 @@ let cas_setup format =
             local_pdp = None;
           }));
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
-  (net, cas, client)
+  (net, services, cas, client)
+
+(* A capability asked for over the capability-request service, as a
+   client asks for one. *)
+let request_capability services =
+  let got = ref None in
+  Service.call services ~src:"client" ~dst:"cas" Wire.Services.capability_request
+    (fun buf -> Wire.write_capability_request buf ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ])
+    (fun r -> got := Some r);
+  Net.run (Service.net services);
+  match !got with Some (Ok (Ok (a, _))) -> a | _ -> Alcotest.fail "no capability issued"
 
 let test_attribute_cert_roundtrip () =
-  let _net, cas, _client = cas_setup Capability_service.Saml in
-  let a = Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ] in
-  match Dacs_saml.Attribute_cert.of_string (Dacs_saml.Attribute_cert.to_string a) with
+  let _net, services, cas, _client = cas_setup Capability_service.Saml in
+  let a = request_capability services in
+  match Dacs_saml.Attribute_cert.of_xml (Xml.of_string (Dacs_saml.Attribute_cert.to_string a)) with
   | Error e -> Alcotest.fail e
   | Ok a' ->
     check string_ "id preserved" a.Dacs_saml.Assertion.id a'.Dacs_saml.Assertion.id;
@@ -698,7 +726,7 @@ let test_attribute_cert_roundtrip () =
 let test_attribute_cert_end_to_end () =
   (* A VOMS-style CAS: the X.509-encoded capability is honoured by the
      same push PEP that accepts SAML assertions. *)
-  let net, _cas, client = cas_setup Capability_service.X509_attribute_cert in
+  let net, _services, _cas, client = cas_setup Capability_service.X509_attribute_cert in
   let got = ref None in
   Client.request_with_capability client ~capability_service:"cas" ~pep:"pep" ~resource:"r"
     ~action:"read" (fun r -> got := Some r);
@@ -716,8 +744,8 @@ let test_attribute_cert_end_to_end () =
   | _ -> Alcotest.fail "expected reuse grant"
 
 let test_capability_format_sizes_differ () =
-  let _net, cas, _client = cas_setup Capability_service.Saml in
-  let a = Capability_service.issue cas ~subject:(doctor_subject "alice") ~pairs:[ ("r", "read") ] in
+  let _net, services, _cas, _client = cas_setup Capability_service.Saml in
+  let a = request_capability services in
   let saml = Dacs_saml.Assertion.to_string a in
   let x509 = Dacs_saml.Attribute_cert.to_string a in
   check bool_ "formats differ" true (saml <> x509);
@@ -736,8 +764,11 @@ let test_content_filter_obligation () =
              (* Content-based access control (§3.1): the PEP inspects the
                 resource before provisioning it and refuses it when it
                 holds the forbidden marker. *)
-             Dacs_policy.Obligation.make ~fulfill_on:Permit "urn:dacs:obligation:content-filter"
-               ~parameters:[ ("forbidden", Value.String "CLASSIFIED") ];
+             {
+               Dacs_policy.Obligation.id = "urn:dacs:obligation:content-filter";
+               fulfill_on = Permit;
+               parameters = [ ("forbidden", Value.String "CLASSIFIED") ];
+             };
            ]
          [ Rule.permit "allow" ])
   in
@@ -933,7 +964,7 @@ let test_pap_anti_entropy_heals_lost_push () =
   Pap.publish parent (doctor_read_policy "r");
   Net.run ~until:2.0 net;
   check bool_ "push lost" true (Pap.current child = None);
-  Net.heal net;
+  Net.unpartition net [ "parent" ] [ "child" ];
   (* Within one anti-entropy period the child converges. *)
   Net.run ~until:12.0 net;
   check bool_ "healed by anti-entropy" true (Pap.current child <> None);

@@ -303,7 +303,7 @@ let test_vo_anti_entropy_pull_purges_member_caches () =
   check bool_ "still granted while the push is lost" true (granted ~until:3.0);
   check int_ "not accepted yet" 1 (Pap.version member);
   (* The next poll after the heal pulls the lockdown and purges. *)
-  Net.heal net;
+  Net.unpartition net [ Pap.node vo_pap ] [ Pap.node member ];
   Net.run ~until:12.0 net;
   check int_ "pulled by anti-entropy" 2 (Pap.version member);
   check bool_ "denied at once, inside the TTL" false (granted ~until:13.0)
@@ -319,7 +319,7 @@ let test_vo_cache_hierarchy_heals_lost_policy () =
   Net.partition net [ Pap.node vo_pap ] [ Pap.node member ];
   Vo.publish_policy vo vo_lockdown;
   check bool_ "still granted while the push is lost" true (granted ~until:3.0);
-  Net.heal net;
+  Net.unpartition net [ Pap.node vo_pap ] [ Pap.node member ];
   Net.run ~until:61.0 net;
   check int_ "the member PAP pulled the lockdown" 2 (Pap.version member);
   check bool_ "denied after the heal" false (granted ~until:62.0)
@@ -360,7 +360,7 @@ let test_vo_push_model_with_vo_cas () =
   let client = Vo.client_for vo ~domain:d_b ~user:"dave" (doctor_subject "dave") in
   let got = ref None in
   Client.request_with_capability client
-    ~capability_service:(Capability_service.node (Vo.capability_service vo))
+    ~capability_service:"vo.cas"
     ~pep:pep_node ~resource:"shared-ws" ~action:"read" (fun r -> got := Some r);
   Net.run net;
   match !got with
@@ -441,7 +441,7 @@ let test_partition_heals () =
   (match !got with
   | Some (Ok (Wire.Denied _)) -> ()
   | _ -> Alcotest.fail "expected fail-closed deny during the partition");
-  Net.heal net;
+  Net.unpartition net [ Pep.node pep ] [ Domain.pdp_node domain ];
   Client.request client ~pep:(Pep.node pep) ~action:"read" ~timeout:5.0 (fun r -> got := Some r);
   Net.run net;
   match !got with

@@ -40,7 +40,14 @@ let gen_context =
       (List.fold_left (fun ctx (cat, id, v) -> Context.add ctx cat id v) Context.empty)
       (list_size (0 -- 8) gen_attr))
 
-let print_context attrs_ctx = Format.asprintf "%a" Context.pp attrs_ctx
+let print_context ctx =
+  Context.fold
+    (fun cat id bag acc ->
+      Printf.sprintf "%s/%s={%s}" (Context.category_name cat) id
+        (String.concat ", " (List.map Value.to_string bag))
+      :: acc)
+    ctx []
+  |> List.rev |> String.concat " "
 let arb_context = QCheck.make ~print:print_context gen_context
 let arb_context_pair = QCheck.(pair arb_context arb_context)
 
@@ -65,16 +72,16 @@ let prop_string_injective =
       let syms = List.map (fun w -> (w, Intern.string t w)) words in
       List.for_all
         (fun (w1, s1) ->
-          List.for_all (fun (w2, s2) -> s1 = s2 = (String.equal w1 w2)) syms
-          && String.equal (Intern.name t s1) w1)
+          List.for_all (fun (w2, s2) -> s1 = s2 = (String.equal w1 w2)) syms)
         syms)
 
 let prop_value_injective =
-  QCheck.Test.make ~name:"intern: equal value syms iff equal values" ~count:200
-    QCheck.(list_of_size Gen.(2 -- 12) (make ~print:Value.describe gen_value))
+  QCheck.Test.make ~name:"intern: equal value keys iff equal values" ~count:200
+    QCheck.(list_of_size Gen.(2 -- 12) (make ~print:Value.to_string gen_value))
     (fun values ->
       let t = Intern.create ~expected:16 () in
-      let syms = List.map (fun v -> (v, Intern.value t v)) values in
+      let key v = Intern.request_key ~table:t (Context.make ~subject:[ ("role", v) ] ()) in
+      let syms = List.map (fun v -> (v, key v)) values in
       List.for_all
         (fun (v1, s1) -> List.for_all (fun (v2, s2) -> s1 = s2 = Value.equal v1 v2) syms)
         syms)
@@ -175,11 +182,10 @@ let test_duplicate_values_distinct () =
 
 let test_value_types_distinct () =
   let t = Intern.create () in
-  let s42 = Intern.value t (Value.String "42")
-  and i42 = Intern.value t (Value.Int 42)
-  and u42 = Intern.value t (Value.Uri "42") in
-  check bool_ "string/int never share a sym" true (s42 <> i42);
-  check bool_ "string/uri never share a sym" true (s42 <> u42)
+  let key v = Intern.request_key ~table:t (Context.make ~subject:[ ("role", v) ] ()) in
+  let s42 = key (Value.String "42") and i42 = key (Value.Int 42) and u42 = key (Value.Uri "42") in
+  check bool_ "string/int never share a key" true (s42 <> i42);
+  check bool_ "string/uri never share a key" true (s42 <> u42)
 
 let test_pack2_injective () =
   let seen = Hashtbl.create 64 in
@@ -226,11 +232,12 @@ let test_reverse_lookups () =
   let pair = Intern.pair t Context.Resource "resource-id" in
   check bool_ "pair_info returns the minted position" true
     (Intern.pair_info t pair = (Context.Resource, "resource-id"));
-  let v = Intern.value t (Value.Int 7) in
-  check bool_ "value_of returns the minted value" true
-    (Value.equal (Intern.value_of t v) (Value.Int 7));
-  let a = Intern.atom t ~pair ~value:v in
-  check bool_ "atom_info returns the (pair, value) syms" true (Intern.atom_info t a = (pair, v));
+  (* A one-binding key is the one atom's sym. *)
+  let a =
+    int_of_string
+      (Intern.request_key ~table:t (Context.make ~resource:[ ("resource-id", Value.Int 7) ] ()))
+  in
+  check bool_ "atom_info returns the atom's pair sym" true (fst (Intern.atom_info t a) = pair);
   match Intern.pair_info t 9999 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown pair sym must raise"

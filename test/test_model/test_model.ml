@@ -244,10 +244,16 @@ let publish_delta sut m p =
   ignore (Pep.invalidate_region sut.pep region);
   Net.run sut.net
 
-let clear_attr_cache shard =
-  match Pdp_service.attr_cache shard with
-  | Some ac -> Cache_hierarchy.Attr_cache.clear ac
-  | None -> ()
+(* The PIP pushes an invalidation of every user's role to every
+   subscribed attribute cache, re-adding the roles the model holds. *)
+let repush_roles sut m =
+  for u = 0 to users - 1 do
+    Pip.remove_subject_attribute sut.pip ~subject:(user_name u) ~id:"role";
+    Option.iter
+      (fun role -> Pip.add_subject_attribute sut.pip ~subject:(user_name u) ~id:"role" (Value.String role))
+      m.role_of.(u)
+  done;
+  Net.run sut.net
 
 (* Whether a decision issued at [at] may fail closed: every shard is
    crashed or inside its skip window. *)
@@ -311,12 +317,12 @@ let run_op sut m trace op =
   | Recover i ->
     if m.crashed.(i) then begin
       Net.recover sut.net (shard_node i);
-      (* The shard was deaf while down: any attribute-invalidate push it
-         missed is gone for good, so a rejoining shard flushes its
-         attribute cache (the lost-push repair). *)
-      clear_attr_cache sut.shards.(i);
       m.crashed.(i) <- false;
-      m.recovered_at.(i) <- Net.now sut.net
+      m.recovered_at.(i) <- Net.now sut.net;
+      (* The shard was deaf while down: any attribute-invalidate push it
+         missed is gone for good, so the PIP pushes every role again (the
+         lost-push repair). *)
+      repush_roles sut m
     end
   | Decide_during_publish (u, a, p) ->
     (* The decision is in flight while the publish + invalidation round

@@ -29,6 +29,10 @@ module Net = Dacs_net.Net
 module Service = Dacs_ws.Service
 open Dacs_core
 
+(* A string-equal match on one attribute, in any section. *)
+let match_string category attribute_id s =
+  Target.make_match ~fn:"string-equal" ~value:(Value.String s) ~category ~attribute_id
+
 (* --- spec encoding ------------------------------------------------------ *)
 
 (* Small closed vocabularies keep collision probability high: targets
@@ -76,8 +80,8 @@ let condition_code_max = Array.length roles + 1
 let obligations_of_spec i code =
   match code with
   | 0 -> []
-  | 1 -> [ Obligation.make ~fulfill_on:Obligation.Permit (Printf.sprintf "urn:test:p%d" i) ]
-  | _ -> [ Obligation.make ~fulfill_on:Obligation.Deny (Printf.sprintf "urn:test:d%d" i) ]
+  | 1 -> [ { Obligation.id = Printf.sprintf "urn:test:p%d" i; fulfill_on = Permit; parameters = [] } ]
+  | _ -> [ { Obligation.id = Printf.sprintf "urn:test:d%d" i; fulfill_on = Deny; parameters = [] } ]
 
 (* A policy is a list of rule specs plus its own obligations; rules keep
    per-rule obligations out (the engine attaches obligations at policy
@@ -142,7 +146,7 @@ let arb_wide_case = arb_case_upto ~targets:target_codes ~crosses:Pin_shapes.cros
 let result_equal (a : Decision.result) (b : Decision.result) =
   Decision.equal_decision a.Decision.decision b.Decision.decision
   && List.length a.Decision.obligations = List.length b.Decision.obligations
-  && List.for_all2 Obligation.equal a.Decision.obligations b.Decision.obligations
+  && List.for_all2 ( = ) a.Decision.obligations b.Decision.obligations
 
 let show_result (r : Decision.result) =
   Printf.sprintf "%s [%s]"
@@ -435,22 +439,22 @@ let full_target code =
   | 6 | 7 -> Target.(any |> subject_is "role" role |> resource_is "resource-id" r)
   | 8 -> Target.(any |> subject_is "role" role |> resource_is "resource-id" r |> action_is "action-id" a)
   | 9 ->
-    Target.make
-      ~resources:
-        [ [ Target.make_match ~fn:"no-such-function" ~value:(Value.String r) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
-      ()
+    {
+      Target.any with
+        resources = [ [ Target.make_match ~fn:"no-such-function" ~value:(Value.String r) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
+    }
   | 10 ->
-    Target.make
-      ~resources:
-        [ [ Target.make_match ~fn:"string-starts-with" ~value:(Value.String (String.sub r 0 1)) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
-      ()
+    {
+      Target.any with
+        resources = [ [ Target.make_match ~fn:"string-starts-with" ~value:(Value.String (String.sub r 0 1)) ~category:Context.Resource ~attribute_id:"resource-id" ] ]
+    }
   | 11 ->
     (* integer-equal on a string role errors *)
-    Target.make
-      ~subjects:
-        [ [ Target.make_match ~fn:"integer-equal" ~value:(Value.Int 3) ~category:Context.Subject ~attribute_id:"role" ] ]
-      ~actions:[ [ Target.match_string Context.Action "action-id" a ] ]
-      ()
+    {
+      Target.any with
+        subjects = [ [ Target.make_match ~fn:"integer-equal" ~value:(Value.Int 3) ~category:Context.Subject ~attribute_id:"role" ] ];
+        actions = [ [ match_string Context.Action "action-id" a ] ]
+    }
   | 12 -> Target.(any |> subject_is "clearance" "secret")
   | c -> Pin_shapes.target (c - 13)
 
@@ -461,7 +465,7 @@ let full_condition code =
   | 0 -> None
   | 1 | 2 | 3 -> Some (Expr.one_of (Expr.subject_attr "role") [ roles.(code - 1) ])
   | 4 -> Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
-  | 5 -> Some (Expr.Apply ("integer-equal", [ Expr.Apply ("integer-divide", [ Expr.int 1; Expr.int 0 ]); Expr.int 1 ]))
+  | 5 -> Some (Expr.Apply ("integer-equal", [ Expr.Apply ("integer-divide", [ Expr.Const (Value.Int 1); Expr.Const (Value.Int 0) ]); Expr.Const (Value.Int 1) ]))
   | 6 -> Some (Expr.Variable_ref "undefined")
   | 7 -> Some (Expr.Variable_ref "is-doctor")
   | _ -> None
@@ -963,7 +967,7 @@ let test_pin_shapes_xml () =
   (match mismatched with
   | Policy.Inline_policy { Policy.rules = [ { Rule.target; _ } ]; _ } ->
     Alcotest.(check bool) "the quoted case: an Action match in the resources section" true
-      (target.Target.resources = [ [ Target.match_string Context.Action "resource-id" "lab" ] ])
+      (target.Target.resources = [ [ match_string Context.Action "resource-id" "lab" ] ])
   | _ -> Alcotest.fail "unexpected policy shape");
   let ctx =
     Context.add

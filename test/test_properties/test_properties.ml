@@ -277,7 +277,7 @@ let prop_conflict_reports_reachable_pairs =
   let gen_target =
     Gen.(
       map
-        (fun (subjects, resources, actions) -> Target.make ~subjects ~resources ~actions ())
+        (fun (subjects, resources, actions) -> { Target.any with subjects; resources; actions })
         (triple gen_section gen_section gen_section))
   in
   (* One optional value per (category, attribute) position. *)
@@ -300,7 +300,10 @@ let prop_conflict_reports_reachable_pairs =
   in
   let print ((ppa, ra, ppb, rb), ctx) =
     Format.asprintf "permit %a / %a; deny %a / %a; request %s" Target.pp ppa Target.pp ra
-      Target.pp ppb Target.pp rb (Context.to_string ctx)
+      Target.pp ppb Target.pp rb
+      (let buf = Buffer.create 256 in
+       Context.write buf ctx;
+       Buffer.contents buf)
   in
   Test.make ~name:"conflict analysis reports every pair one request reaches" ~count:1000
     (make ~print Gen.(pair (quad gen_target gen_target gen_target gen_target) gen_ctx))
@@ -343,7 +346,7 @@ let prop_assertion_roundtrip_random =
           (Dacs_saml.Assertion.make ~id:"a" ~issuer:"i" ~subject ~issued_at:0.0
              [ Dacs_saml.Assertion.Attribute_statement [ ("x", Value.String attr_value) ] ])
       in
-      match Dacs_saml.Assertion.of_string (Dacs_saml.Assertion.to_string a) with
+      match Dacs_saml.Assertion.of_xml (Dacs_xml.Xml.of_string (Dacs_saml.Assertion.to_string a)) with
       | Ok a' -> Dacs_saml.Assertion.verify kp.Dacs_crypto.Rsa.public a'
       | Error _ -> false)
 

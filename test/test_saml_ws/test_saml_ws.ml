@@ -72,7 +72,7 @@ let test_assertion_content () =
 
 let test_assertion_xml_roundtrip () =
   let a = Assertion.sign (Lazy.force idp_kp).Rsa.private_ (sample_assertion ()) in
-  match Assertion.of_string (Assertion.to_string a) with
+  match Assertion.of_xml (Xml.of_string (Assertion.to_string a)) with
   | Error e -> Alcotest.fail e
   | Ok a' ->
     check string_ "id" a.Assertion.id a'.Assertion.id;
@@ -83,9 +83,9 @@ let test_assertion_xml_roundtrip () =
     check bool_ "permits preserved" true (Assertion.permits a' ~resource:"charts" ~action:"read")
 
 let test_assertion_xml_errors () =
-  check bool_ "not xml" true (Result.is_error (Assertion.of_string "junk"));
-  check bool_ "wrong element" true (Result.is_error (Assertion.of_string "<Wat/>"));
-  check bool_ "missing fields" true (Result.is_error (Assertion.of_string "<Assertion ID=\"a\"/>"));
+  let read s = Assertion.of_xml (Xml.of_string s) in
+  check bool_ "wrong element" true (Result.is_error (read "<Wat/>"));
+  check bool_ "missing fields" true (Result.is_error (read "<Assertion ID=\"a\"/>"));
   (* A SignatureValue that is not base64 is an Error, never an exception:
      both capability encodings decode peer bytes from headers. *)
   let bad_signature = "<SignatureValue>!!!!</SignatureValue>" in
@@ -94,10 +94,11 @@ let test_assertion_xml_errors () =
     String.sub s 0 close ^ bad_signature ^ String.sub s close (String.length s - close)
   in
   check bool_ "SAML signature not base64" true
-    (Result.is_error (Assertion.of_string (with_bad_signature (Assertion.to_string (sample_assertion ())))));
+    (Result.is_error (read (with_bad_signature (Assertion.to_string (sample_assertion ())))));
   check bool_ "attribute certificate signature not base64" true
     (Result.is_error
-       (Attribute_cert.of_string (with_bad_signature (Attribute_cert.to_string (sample_assertion ())))))
+       (Attribute_cert.of_xml
+          (Xml.of_string (with_bad_signature (Attribute_cert.to_string (sample_assertion ()))))))
 
 (* --- soap ---------------------------------------------------------------------- *)
 

@@ -44,12 +44,7 @@ let test_histogram_buckets () =
   check bool_ "last bound is +Inf" true (fst c.(Loghist.buckets) = infinity);
   check int_ "overflow" 1 (snd c.(Loghist.buckets));
   check int_ "count" 6 (Loghist.count (Metrics.loghist h));
-  check (Alcotest.float 1e-9) "sum" 300.00390001 (Loghist.sum (Metrics.loghist h));
-  Metrics.reset m;
-  check int_ "count after reset" 0 (Loghist.count (Metrics.loghist h));
-  check (Alcotest.float 0.0) "max after reset" 0.0 (Loghist.max_seen (Metrics.loghist h));
-  check bool_ "every bucket empty after reset" true
-    (Array.for_all (fun (_, n) -> n = 0) (counts h))
+  check (Alcotest.float 1e-9) "sum" 300.00390001 (Loghist.sum (Metrics.loghist h))
 
 let test_histogram_one_shape () =
   (* Every series has the same buckets: 0.5 ms * 2^i for i = 0..19, then
@@ -130,11 +125,7 @@ let test_exemplar_retention () =
   let h2 = Metrics.histogram m "ex2_seconds" in
   Metrics.observe_exemplar h2 0.05 ~trace:"" ~at:1.0;
   check int_ "observation counted" 1 (Loghist.count (Metrics.loghist h2));
-  check int_ "no exemplar without a trace" 0 (List.length (Metrics.histogram_exemplars h2));
-  (* Reset clears exemplars along with the counts. *)
-  Metrics.reset m;
-  check int_ "reset clears counts" 0 (Loghist.count (Metrics.loghist h));
-  check int_ "reset clears exemplars" 0 (List.length (Metrics.histogram_exemplars h))
+  check int_ "no exemplar without a trace" 0 (List.length (Metrics.histogram_exemplars h2))
 
 let test_observe_is_exemplar_free () =
   (* [observe] is [observe_exemplar] with no trace: same buckets, same
@@ -155,26 +146,6 @@ let test_observe_is_exemplar_free () =
   check int_ "one exemplar per bucket otherwise" 5 (List.length (Metrics.histogram_exemplars b))
 
 (* --- label-set identity across reset --------------------------------------- *)
-
-let test_label_identity_after_reset () =
-  let m = Metrics.create () in
-  let a = Metrics.counter m ~labels:[ ("node", "pep"); ("reason", "overload") ] "shed_total" in
-  Metrics.inc a;
-  let h = Metrics.histogram m ~labels:[ ("node", "pep") ] "lat_seconds" in
-  Metrics.observe h 0.5;
-  let series_before = Metrics.series_count m in
-  Metrics.reset m;
-  (* Reset zeroes values but keeps every registered series: the same
-     (name, labels) in any order resolves to the same zeroed cell. *)
-  check int_ "series survive reset" series_before (Metrics.series_count m);
-  let a' = Metrics.counter m ~labels:[ ("reason", "overload"); ("node", "pep") ] "shed_total" in
-  check int_ "same cell, zeroed" 0 (Metrics.counter_value a');
-  Metrics.inc a';
-  check int_ "original handle sees the increment" 1 (Metrics.counter_value a);
-  check int_ "no duplicate series minted" series_before (Metrics.series_count m);
-  let h' = Metrics.histogram m ~labels:[ ("node", "pep") ] "lat_seconds" in
-  Metrics.observe h' 0.25;
-  check int_ "histogram cell identity survives too" 1 (Loghist.count (Metrics.loghist h))
 
 (* --- per-label counter breakdown ------------------------------------------- *)
 
@@ -235,7 +206,7 @@ let deny_all_policy =
   Policy.Inline_policy
     (Policy.make ~id:"p" ~rule_combining:Combine.First_applicable [ Rule.deny "deny-all" ])
 
-let test_reset_consistency () =
+let test_retries_counted_once () =
   let net = Net.create ~seed:5L () in
   let rpc = Rpc.create net in
   let services = Service.create rpc in
@@ -256,12 +227,7 @@ let test_reset_consistency () =
   (* The PEP's query was re-sent twice; both its own stats and the
      bus-wide aggregate see the same underlying counters. *)
   check int_ "pep saw retries" 2 (Pep.stats pep).Pep.retries;
-  check int_ "bus saw the same retries" 2 (Rpc.resilience_stats rpc).Rpc.retries;
-  Pep.reset_stats pep;
-  check int_ "pep reset" 0 (Pep.stats pep).Pep.retries;
-  (* Regression (PR 2 satellite): this used to stay at 2 because the bus
-     kept its own mutable total that Pep.reset_stats never touched. *)
-  check int_ "bus reset too" 0 (Rpc.resilience_stats rpc).Rpc.retries
+  check int_ "bus saw the same retries" 2 (Rpc.resilience_stats rpc).Rpc.retries
 
 (* --- registry lookups stay off the request path ----------------------------- *)
 
@@ -569,11 +535,7 @@ let test_loghist_edges () =
   Loghist.observe o 1000.0;
   Loghist.observe o infinity;
   check int_ "overflow bucket" 2 (snd (Loghist.bucket_counts o).(Loghist.buckets));
-  check (Alcotest.float 0.0) "overflow quantile is exact max" infinity (Loghist.quantile o 0.99);
-  Loghist.clear o;
-  check int_ "clear empties it" 0 (Loghist.count o);
-  check bool_ "clear empties every bucket" true
-    (Array.for_all (fun (_, n) -> n = 0) (Loghist.bucket_counts o))
+  check (Alcotest.float 0.0) "overflow quantile is exact max" infinity (Loghist.quantile o 0.99)
 
 (* --- suite ------------------------------------------------------------------- *)
 
@@ -591,13 +553,11 @@ let () =
           Alcotest.test_case "exemplar retention bounds" `Quick test_exemplar_retention;
           Alcotest.test_case "observe is observe_exemplar without a trace" `Quick
             test_observe_is_exemplar_free;
-          Alcotest.test_case "label-set identity after reset" `Quick
-            test_label_identity_after_reset;
           Alcotest.test_case "per-label counter breakdown" `Quick test_sum_counter_by;
           Alcotest.test_case "label-set identity" `Quick test_label_identity;
           Alcotest.test_case "exposition has no duplicate headers" `Quick
             test_render_no_duplicate_names;
-          Alcotest.test_case "reset is consistent across the bus" `Quick test_reset_consistency;
+          Alcotest.test_case "a PEP's retries are the bus's retries" `Quick test_retries_counted_once;
           Alcotest.test_case "a steady-state tier decision makes no registry lookups" `Quick
             test_steady_state_decision_no_lookups;
         ] );

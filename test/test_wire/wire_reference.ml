@@ -23,7 +23,9 @@ open struct
   let category_name = Dacs_policy.Context.category_name
   let category_of_name = Dacs_policy.Context.category_of_name
   let all_categories = Dacs_policy.Context.[ Subject; Resource; Action; Environment ]
-  let attributes = Dacs_policy.Context.attributes
+  let attributes t category =
+    List.rev
+      (Dacs_policy.Context.fold (fun c id bag acc -> if c = category then (id, bag) :: acc else acc) t [])
   let empty = Dacs_policy.Context.empty
   let add = Dacs_policy.Context.add
 end
@@ -403,7 +405,7 @@ let signed_authz_response ?epoch ~key ~cert result =
       ]
 
 let trusted_cert ~trust ~now cert =
-  if Cert.Trust_store.mem trust cert then Cert.valid_at cert now
+  if Cert.Trust_store.mem trust cert then cert.Cert.not_before <= now && now <= cert.Cert.not_after
   else begin
     match
       List.find_opt
