@@ -4,8 +4,8 @@
     Named counters, gauges and histograms, each identified by
     a metric name plus a label set; requesting the same (name, labels)
     pair again returns the {e same} instance, so independent components
-    incrementing "their" counter actually share one cell — that identity
-    is what makes one [reset] consistent everywhere.
+    incrementing "their" counter actually share one cell, and every
+    handle reads the one count.
 
     All timestamps come from the [now] function given at {!create} — in
     DACS that is the simnet virtual clock, so latency histograms and
@@ -30,8 +30,7 @@ type histogram
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 val inc : ?by:int -> counter -> unit
-(** [by] defaults to 1 and must be >= 0 (counters are monotonic between
-    resets). *)
+(** [by] defaults to 1 and must be >= 0 (counters are monotonic). *)
 
 val counter_value : counter -> int
 

@@ -407,6 +407,27 @@ let test_pap_announces_every_update () =
   check bool_ "a no-op republish is empty" true (Dacs_policy.Delta.is_empty (at_global ()));
   check bool_ "below too" true (Dacs_policy.Delta.is_empty (at_child ()))
 
+let test_pap_hooks_in_order () =
+  (* Hooks run in registration order, after the version bump; a no-op
+     republish still bumps the version and announces an empty region. *)
+  let net, services = fresh () in
+  let pap = Pap.create services ~node:(add_node net "pap") ~name:"pap" () in
+  let seen = ref [] in
+  let hook name region =
+    seen := (name, Pap.version pap, Dacs_policy.Delta.is_empty region) :: !seen
+  in
+  Pap.on_update pap (hook "first");
+  Pap.on_update pap (hook "second");
+  let v0 = Pap.version pap in
+  Pap.publish pap (doctor_policy "r");
+  Pap.publish pap (doctor_policy "r");
+  check int_ "two bumps" (v0 + 2) (Pap.version pap);
+  check
+    (Alcotest.list (Alcotest.triple string_ int_ bool_))
+    "order, version and region"
+    [ ("first", v0 + 1, false); ("second", v0 + 1, false); ("first", v0 + 2, true); ("second", v0 + 2, true) ]
+    (List.rev !seen)
+
 let test_pap_update_transform_declines () =
   let net, services = fresh () in
   let parent = Pap.create services ~node:(add_node net "parent") ~name:"parent" () in
@@ -1445,6 +1466,27 @@ let test_dynamic_resource_sod () =
   check bool_ "same resource again ok" true
     (Meta_policy.check sod ~history ~subject:"u" ~resource:"submit" = Ok ())
 
+let test_meta_denials_leave_no_history () =
+  (* Only permitted accesses build a wall or count towards a limit. *)
+  let history = Audit.create () in
+  Audit.record history (entry "u" "a-books" Decision.Deny);
+  Audit.record history (entry "u" "submit" Decision.Deny);
+  Audit.record history (entry "u" "review" Decision.Permit);
+  let wall =
+    Meta_policy.Chinese_wall
+      [ { Meta_policy.class_name = "banks"; datasets = [ ("bank-a", [ "a-books" ]); ("bank-b", [ "b-books" ]) ] } ]
+  in
+  check bool_ "denied dataset builds no wall" true
+    (Meta_policy.check wall ~history ~subject:"u" ~resource:"b-books" = Ok ());
+  let sod =
+    Meta_policy.Dynamic_resource_sod { name = "three"; resources = [ "submit"; "review"; "approve" ]; limit = 3 }
+  in
+  check bool_ "one permitted, one denied: a second is fine" true
+    (Meta_policy.check sod ~history ~subject:"u" ~resource:"approve" = Ok ());
+  Audit.record history (entry "u" "submit" Decision.Permit);
+  check bool_ "two permitted: a third reaches the limit" true
+    (Result.is_error (Meta_policy.check sod ~history ~subject:"u" ~resource:"approve"))
+
 (* --- remaining edges ------------------------------------------------------------ *)
 
 let test_client_reuses_capability () =
@@ -1580,6 +1622,7 @@ let () =
           Alcotest.test_case "syndication cascade" `Quick test_pap_syndication_cascade;
           Alcotest.test_case "every update is announced" `Quick test_pap_announces_every_update;
           Alcotest.test_case "update transform declines" `Quick test_pap_update_transform_declines;
+          Alcotest.test_case "hooks run in registration order" `Quick test_pap_hooks_in_order;
         ] );
       ("pip", [ Alcotest.test_case "lookups" `Quick test_pip_lookup_service ]);
       ( "pdp-service",
@@ -1663,5 +1706,6 @@ let () =
         [
           Alcotest.test_case "Chinese wall" `Quick test_chinese_wall;
           Alcotest.test_case "dynamic resource SoD" `Quick test_dynamic_resource_sod;
+          Alcotest.test_case "denials leave no history" `Quick test_meta_denials_leave_no_history;
         ] );
     ]

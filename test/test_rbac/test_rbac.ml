@@ -244,6 +244,54 @@ let prop_hierarchy_acyclic =
   QCheck.Test.make ~name:"no role is its own junior" ~count:100 arb_model (fun m ->
       List.for_all (fun r -> not (List.mem r (Rbac.juniors m r))) (Rbac.roles m))
 
+let prop_juniors_transitive =
+  QCheck.Test.make ~name:"juniors are transitive" ~count:100 arb_model (fun m ->
+      List.for_all
+        (fun r ->
+          let js = Rbac.juniors m r in
+          List.for_all (fun j -> List.for_all (fun k -> List.mem k js) (Rbac.juniors m j)) js)
+        (Rbac.roles m))
+
+let prop_user_permissions_union =
+  QCheck.Test.make ~name:"a user holds the permissions of the authorised roles" ~count:100 arb_model
+    (fun m ->
+      List.for_all
+        (fun user ->
+          let held = List.sort_uniq compare (Rbac.user_permissions m user) in
+          held
+          = List.sort_uniq compare (List.concat_map (Rbac.role_permissions m) (Rbac.authorized_roles m user))
+          && List.for_all
+               (fun (p : Rbac.permission) -> Rbac.check_access m user ~action:p.action ~resource:p.resource)
+               held)
+        (Rbac.users m))
+
+let prop_ssd_holds =
+  (* Once a constraint is accepted, no later assignment lets a user be
+     authorised for [cardinality] of its roles. *)
+  let roles = [ "r0"; "r1"; "r2"; "r3"; "r4" ] in
+  let gen =
+    QCheck.Gen.(
+      triple gen_model
+        (pair (2 -- 3) (list_size (2 -- 4) (oneofl roles)))
+        (list_size (0 -- 8) (pair (oneofl [ "u0"; "u1"; "u2"; "u3" ]) (oneofl roles))))
+  in
+  QCheck.Test.make ~name:"an accepted SSD holds for every user" ~count:200 (QCheck.make gen)
+    (fun (m, (cardinality, ssd_roles), assigns) ->
+      let ssd_roles = List.sort_uniq compare ssd_roles in
+      match Rbac.add_ssd m ~name:"c" ~roles:ssd_roles ~cardinality with
+      | Error _ -> true
+      | Ok m ->
+        let m =
+          List.fold_left
+            (fun m (u, r) -> match Rbac.assign_user m u r with Ok m -> m | Error _ -> m)
+            m assigns
+        in
+        List.for_all
+          (fun u ->
+            List.length (List.filter (fun r -> List.mem r ssd_roles) (Rbac.authorized_roles m u))
+            < cardinality)
+          (Rbac.users m))
+
 (* --- textual format ----------------------------------------------------------- *)
 
 let sample_text =
@@ -281,9 +329,76 @@ let test_textual_errors () =
   bad "role a\nssd c x a\n" 2;       (* non-integer cardinality *)
   bad "grant ghost read r\n" 1
 
+(* Each directive as a line of text and as the builder call it stands
+   for: parsing a document must give what folding the calls gives, or
+   fail at the first failing call's line with that call's message. *)
+let gen_directive =
+  QCheck.Gen.(
+    let role = oneofl [ "r0"; "r1"; "r2"; "r3" ] and user = oneofl [ "u0"; "u1" ] in
+    let apply_role r m = Ok (Rbac.add_role m r) in
+    frequency
+      [
+        (4, map (fun r -> (Printf.sprintf "role %s" r, apply_role r)) role);
+        ( 2,
+          map2
+            (fun senior junior ->
+              (Printf.sprintf "inherit %s %s" senior junior, fun m -> Rbac.add_inheritance m ~senior ~junior))
+            role role );
+        ( 2,
+          map3
+            (fun r action resource ->
+              ( Printf.sprintf "grant %s %s %s" r action resource,
+                fun m -> Rbac.grant_permission m r { Rbac.action; resource } ))
+            role (oneofl [ "read"; "write" ]) (oneofl [ "x"; "y" ]) );
+        (2, map2 (fun u r -> (Printf.sprintf "user %s %s  # note" u r, fun m -> Rbac.assign_user m u r)) user role);
+        ( 1,
+          map2
+            (fun cardinality roles ->
+              ( Printf.sprintf "ssd c %d %s" cardinality (String.concat " " roles),
+                fun m -> Rbac.add_ssd m ~name:"c" ~roles ~cardinality ))
+            (1 -- 3) (list_size (1 -- 3) role) );
+      ])
+
+let same_model a b =
+  let sorted l = List.sort compare l in
+  Rbac.roles a = Rbac.roles b
+  && Rbac.users a = Rbac.users b
+  && List.for_all
+       (fun r ->
+         sorted (Rbac.juniors a r) = sorted (Rbac.juniors b r)
+         && sorted (Rbac.role_permissions a r) = sorted (Rbac.role_permissions b r))
+       (Rbac.roles a)
+  && List.for_all
+       (fun u -> sorted (Rbac.authorized_roles a u) = sorted (Rbac.authorized_roles b u))
+       (Rbac.users a)
+
+let prop_textual_agrees =
+  QCheck.Test.make ~name:"textual parse agrees with the builder" ~count:200
+    (QCheck.make ~print:(fun ds -> String.concat "\n" (List.map fst ds)) QCheck.Gen.(list_size (0 -- 12) gen_directive))
+    (fun directives ->
+      let text = String.concat "\n" (List.map fst directives) in
+      let rec build m line = function
+        | [] -> Ok m
+        | (_, apply) :: rest -> (
+          match apply m with
+          | Ok m -> build m (line + 1) rest
+          | Error e -> Error (Printf.sprintf "line %d: %s" line e))
+      in
+      match (Textual.parse text, build Rbac.empty 1 directives) with
+      | Ok parsed, Ok built -> same_model parsed built
+      | Error e, Error e' -> String.equal e e'
+      | _ -> false)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_compiled_agrees; prop_hierarchy_acyclic ]
+    [
+      prop_compiled_agrees;
+      prop_hierarchy_acyclic;
+      prop_juniors_transitive;
+      prop_user_permissions_union;
+      prop_ssd_holds;
+      prop_textual_agrees;
+    ]
 
 let () =
   Alcotest.run "dacs_rbac"

@@ -1,5 +1,5 @@
 (* Telemetry suite: the metrics registry (bucket semantics, label-set
-   identity, reset consistency with the RPC bus) and the tracing layer
+   identity, one retry count with the RPC bus) and the tracing layer
    (context propagation through RPC frames, the golden Fig. 3 span tree).
 
    The golden-tree test is the paper's Fig. 3 pull flow made visible: one
@@ -145,7 +145,36 @@ let test_observe_is_exemplar_free () =
   check int_ "observe keeps no exemplar" 0 (List.length (Metrics.histogram_exemplars a));
   check int_ "one exemplar per bucket otherwise" 5 (List.length (Metrics.histogram_exemplars b))
 
-(* --- label-set identity across reset --------------------------------------- *)
+(* --- snapshot ------------------------------------------------------------------ *)
+
+let test_snapshot_order_and_values () =
+  let m = Metrics.create () in
+  let z = Metrics.counter m ~labels:[ ("node", "b") ] "z_total" in
+  ignore (Metrics.counter m ~labels:[ ("node", "a") ] "z_total");
+  Metrics.inc ~by:4 z;
+  Metrics.set_gauge_count (Metrics.gauge m "inflight") 7;
+  Metrics.observe (Metrics.histogram m ~labels:[ ("zone", "x"); ("node", "a") ] "lat_seconds") 0.001;
+  (* Sorted by name, then labels; labels sorted by key whatever order
+     they were given in. *)
+  check
+    (Alcotest.list (Alcotest.pair string_ (Alcotest.list (Alcotest.pair string_ string_))))
+    "series order"
+    [
+      ("inflight", []);
+      ("lat_seconds", [ ("node", "a"); ("zone", "x") ]);
+      ("z_total", [ ("node", "a") ]);
+      ("z_total", [ ("node", "b") ]);
+    ]
+    (List.map (fun s -> (s.Metrics.name, s.Metrics.labels)) (Metrics.snapshot m));
+  match List.map (fun s -> s.Metrics.value) (Metrics.snapshot m) with
+  | [ Metrics.Gauge g; Metrics.Histogram h; Metrics.Counter a; Metrics.Counter b ] ->
+    check (Alcotest.float 0.0) "a count set as a gauge" 7.0 g;
+    check int_ "histogram count" 1 h.count;
+    check int_ "one bucket per bound" (Loghist.buckets + 1) (List.length h.buckets);
+    check int_ "the observation in the second bucket" 1 (snd (List.nth h.buckets 1));
+    check int_ "untouched counter" 0 a;
+    check int_ "incremented counter" 4 b
+  | _ -> Alcotest.fail "unexpected sample kinds"
 
 (* --- per-label counter breakdown ------------------------------------------- *)
 
@@ -200,7 +229,7 @@ let test_render_no_duplicate_names () =
   check int_ "no duplicate TYPE headers" 2
     (List.length (List.sort_uniq compare type_lines))
 
-(* --- reset consistency across the bus (the satellite fix) ------------------- *)
+(* --- one retry count across the bus ------------------------------------------ *)
 
 let deny_all_policy =
   Policy.Inline_policy
@@ -555,6 +584,7 @@ let () =
             test_observe_is_exemplar_free;
           Alcotest.test_case "per-label counter breakdown" `Quick test_sum_counter_by;
           Alcotest.test_case "label-set identity" `Quick test_label_identity;
+          Alcotest.test_case "snapshot order and values" `Quick test_snapshot_order_and_values;
           Alcotest.test_case "exposition has no duplicate headers" `Quick
             test_render_no_duplicate_names;
           Alcotest.test_case "a PEP's retries are the bus's retries" `Quick test_retries_counted_once;

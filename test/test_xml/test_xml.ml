@@ -15,6 +15,11 @@ let rec depth = function
   | Xml.Text _ -> 0
   | Xml.Element e -> 1 + List.fold_left (fun acc k -> max acc (depth k)) 0 e.Xml.children
 
+(* Number of nodes, elements plus text nodes. *)
+let rec size = function
+  | Xml.Text _ -> 1
+  | Xml.Element e -> List.fold_left (fun acc k -> acc + size k) 1 e.Xml.children
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -174,6 +179,16 @@ let test_equal_modulo_whitespace () =
   let a = Xml.of_string "<a x=\"1\" y=\"2\"><b>t</b></a>" in
   let b = Xml.of_string "<a y=\"2\" x=\"1\">\n  <b>t</b>\n</a>" in
   check bool_ "equal" true (xml_equal a b)
+
+(* --- size / depth ------------------------------------------------------ *)
+
+(* The parser builds one node per element and per text run, nested as
+   written. *)
+let test_size_depth () =
+  let a = Xml.of_string "<a><b><c/></b><d/>x</a>" in
+  check int_ "size" 5 (size a);
+  check int_ "depth" 3 (depth a);
+  check int_ "leaf depth" 1 (depth (Xml.element "x"))
 
 (* --- pretty printing ---------------------------------------------------- *)
 
@@ -688,6 +703,7 @@ let suite =
     Alcotest.test_case "canonical merges text" `Quick test_canonical_merges_text;
     Alcotest.test_case "canonical idempotent" `Quick test_canonical_idempotent;
     Alcotest.test_case "equality modulo whitespace" `Quick test_equal_modulo_whitespace;
+    Alcotest.test_case "size and depth" `Quick test_size_depth;
     Alcotest.test_case "pretty print parses back" `Quick test_pretty_parses_back;
     Alcotest.test_case "wire frames reprint byte for byte" `Quick test_wire_frames_reprint;
     Alcotest.test_case "nesting depth limit" `Quick test_depth_limit;
