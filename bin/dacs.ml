@@ -259,14 +259,14 @@ let chaos_cmd seed json =
   if json then begin
     let schedule_json =
       String.concat ","
-        (List.map (fun sp -> Printf.sprintf "%S" (Metrics.json_escape (Faults.describe sp))) schedule)
+        (List.map (fun sp -> Metrics.json_string (Faults.describe sp)) schedule)
     in
     let requests_json =
       String.concat ","
         (List.map
            (fun (at, finished, r) ->
-             Printf.sprintf "{\"at\":%g,\"answered_at\":%g,\"outcome\":%S}" at finished
-               (Metrics.json_escape (render_outcome r)))
+             Printf.sprintf "{\"at\":%g,\"answered_at\":%g,\"outcome\":%s}" at finished
+               (Metrics.json_string (render_outcome r)))
            sorted)
     in
     Printf.printf

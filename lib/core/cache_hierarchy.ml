@@ -155,8 +155,8 @@ module L2 = struct
       Metrics.inc t.c_invalidations
     end
 
-  let create services ~node ?metrics ?(max_entries = 4096) ~ttl () =
-    let registry = match metrics with Some m -> m | None -> Service.metrics services in
+  let create services ~node ?(max_entries = 4096) ~ttl () =
+    let registry = Service.metrics services in
     let own ?help name = Metrics.counter registry ?help ~labels:[ ("node", node) ] name in
     let t =
       {

@@ -96,7 +96,6 @@ module L2 : sig
   val create :
     Dacs_ws.Service.t ->
     node:Dacs_net.Net.node_id ->
-    ?metrics:Dacs_telemetry.Metrics.t ->
     ?max_entries:int ->
     ttl:float ->
     unit ->

@@ -6,12 +6,7 @@ module Decision = Dacs_policy.Decision
 module Assertion = Dacs_saml.Assertion
 module Metrics = Dacs_telemetry.Metrics
 
-type format =
-  | Saml
-  | X509_attribute_cert
-
 type t = {
-  format : format;
   services : Dacs_ws.Service.t;
   node : Dacs_net.Net.node_id;
   issuer : string;
@@ -79,10 +74,9 @@ let is_revoked t ~assertion_id = Hashtbl.mem t.revoked assertion_id
 let issued_count t = Metrics.counter_value t.c_issued
 let revocation_checks_served t = Metrics.counter_value t.c_revocation_checks
 
-let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) ?(format = Saml) () =
+let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) () =
   let t =
     {
-      format;
       services;
       node;
       issuer;
@@ -101,10 +95,7 @@ let create services ~node ~issuer ~keypair ?root ?(validity = 300.0) ?(format = 
   Service.serve services ~node Wire.Services.capability_request
     (fun ~caller:_ ~headers:_ (subject, pairs) reply ->
       let assertion = issue t ~subject ~pairs in
-      let to_xml =
-        match t.format with Saml -> Assertion.to_xml | X509_attribute_cert -> Dacs_saml.Attribute_cert.to_xml
-      in
-      reply (fun buf -> Dacs_xml.Xml.print buf (to_xml assertion)));
+      reply (fun buf -> Dacs_xml.Xml.print buf (Assertion.to_xml assertion)));
   Service.serve services ~node Wire.Services.revocation_check
     (fun ~caller:_ ~headers:_ assertion_id reply ->
       Metrics.inc t.c_revocation_checks;

@@ -6,10 +6,6 @@
     against its own policies, while resource providers keep the final
     say.  Also answers revocation checks. *)
 
-type format =
-  | Saml  (** CAS-style SAML assertion encoding *)
-  | X509_attribute_cert  (** VOMS-style attribute-certificate encoding *)
-
 type t
 
 val create :
@@ -19,13 +15,12 @@ val create :
   keypair:Dacs_crypto.Rsa.keypair ->
   ?root:Dacs_policy.Policy.child ->
   ?validity:float ->
-  ?format:format ->
   unit ->
   t
 (** Registers ["capability-request"] and ["revocation-check"].
-    [validity] (default 300 s) bounds issued assertions; [format]
-    (default {!Saml}) selects the wire encoding — the CAS-vs-VOMS
-    distinction of §2.2. *)
+    [validity] (default 300 s) bounds issued assertions, which travel
+    as SAML assertions (CAS style; {!Dacs_saml.Attribute_cert} is the
+    VOMS-style encoding a PEP also reads). *)
 
 val issuer : t -> string
 val public_key : t -> Dacs_crypto.Rsa.public_key

@@ -100,7 +100,7 @@ let attach_l2 t ~ttl () =
     t.l2 <- Some l2;
     l2
 
-let create services ~name ?attr_cache_ttl () =
+let create services ~name () =
   let rng = Dacs_crypto.Rng.create (seed_of_name name) in
   (* The first key of the domain's stream is reserved for a domain CA,
      which nothing issues from yet; the IdP key is the second draw. *)
@@ -116,7 +116,7 @@ let create services ~name ?attr_cache_ttl () =
   let pip = Pip.create services ~node:(node "pip") in
   let pdp =
     Pdp_service.create services ~node:(node "pdp") ~name:(name ^ "-pdp") ~pap:(Pap.node pap)
-      ~pips:[ Pip.node pip ] ?attr_cache_ttl ()
+      ~pips:[ Pip.node pip ] ()
   in
   let idp = Idp.create services ~node:(node "idp") ~issuer:("idp." ^ name) ~keypair:idp_keys () in
   let t =
@@ -145,15 +145,14 @@ let create services ~name ?attr_cache_ttl () =
   Pap.on_update t.pap (purge t);
   t
 
-let expose_resource t ~resource ?content ?cache ?pdps ?(call_timeout = 1.0) () =
+let expose_resource t ~resource ?content ?cache () =
   let net = Service.net t.services in
   let node = Printf.sprintf "%s.pep.%s" t.name resource in
   Dacs_net.Net.add_node net node;
-  let pdps = Option.value pdps ~default:[ pdp_node t ] in
   let pep =
     Pep.create t.services ~node ~domain:t.name ~resource ?content ~audit:t.audit
       ~encryption_key:(Dacs_crypto.Stream_cipher.derive_key (t.name ^ "/" ^ resource))
-      (Pep.Pull { pdps; cache; call_timeout })
+      (Pep.Pull { pdps = [ pdp_node t ]; cache; call_timeout = 1.0 })
   in
   Option.iter (fun l2 -> Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2))) t.l2;
   t.peps <- pep :: t.peps;

@@ -7,11 +7,9 @@
 
 type t
 
-val create : Dacs_ws.Service.t -> name:string -> ?attr_cache_ttl:float -> unit -> t
+val create : Dacs_ws.Service.t -> name:string -> unit -> t
 (** Creates the component nodes and services.  Keys are generated
     deterministically from a seed derived from the name.
-    [attr_cache_ttl] enables the domain PDP's attribute cache with
-    batched PIP resolution (see {!Pdp_service.create}).
 
     Registers {!purge} on its PAP ({!Pap.on_update}): every update the
     PAP accepts — a local publish, a syndicated push or an anti-entropy
@@ -71,11 +69,9 @@ val expose_resource :
   resource:string ->
   ?content:string ->
   ?cache:Decision_cache.t ->
-  ?pdps:Dacs_net.Net.node_id list ->
-  ?call_timeout:float ->
   unit ->
   Pep.t
 (** A pull-mode PEP on node [<domain>.pep.<resource>], wired to the
-    domain PDP (or the explicit [pdps] failover list). *)
+    domain PDP with a 1 s call timeout. *)
 
 val peps : t -> Pep.t list

@@ -6,7 +6,6 @@ type t = {
   node : Dacs_net.Net.node_id;
   issuer : string;
   keypair : Dacs_crypto.Rsa.keypair;
-  validity : float;
   users : (string, (string * Dacs_policy.Value.t) list) Hashtbl.t;
   mutable issued : int;
 }
@@ -27,15 +26,15 @@ let issue t ~user =
         ~id:(Printf.sprintf "idp-%s-%d" t.issuer t.issued)
         ~issuer:t.issuer ~subject:user
         ~issued_at:(Dacs_net.Net.now (Service.net t.services))
-        ~validity:t.validity
+        ~validity:300.0
         [ Assertion.Attribute_statement attrs ]
     in
     Some (Assertion.sign t.keypair.Dacs_crypto.Rsa.private_ unsigned)
 
 let issued_count t = t.issued
 
-let create services ~node ~issuer ~keypair ?(validity = 300.0) () =
-  let t = { services; node; issuer; keypair; validity; users = Hashtbl.create 64; issued = 0 } in
+let create services ~node ~issuer ~keypair () =
+  let t = { services; node; issuer; keypair; users = Hashtbl.create 64; issued = 0 } in
   Service.serve services ~node Wire.Services.attribute_assertion
     (fun ~caller:_ ~headers:_ user reply ->
       match issue t ~user with

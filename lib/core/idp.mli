@@ -9,12 +9,11 @@ val create :
   node:Dacs_net.Net.node_id ->
   issuer:string ->
   keypair:Dacs_crypto.Rsa.keypair ->
-  ?validity:float ->
   unit ->
   t
 (** Registers ["attribute-assertion"]: a
     {!Wire.write_attribute_assertion_request} body → signed assertion
-    with the registered attributes.  Unknown subjects earn a
+    with the registered attributes, valid for 300 s.  Unknown subjects earn a
     [soap:Receiver] fault. *)
 
 val node : t -> Dacs_net.Net.node_id

@@ -12,7 +12,6 @@ type t = {
   keypair : Dacs_crypto.Rsa.keypair;
   credentials : Negotiation.credential list;
   requirement_for : resource:string -> action:string -> Negotiation.requirement;
-  validity : float;
   sessions : (Dacs_net.Net.node_id * string * string, session) Hashtbl.t;
   mutable issued : int;
 }
@@ -27,7 +26,7 @@ let issue_capability t ~subject ~subject_name ~resource ~action =
   let unsigned =
     Assertion.make
       ~id:(Printf.sprintf "tn-%s-%d" t.issuer t.issued)
-      ~issuer:t.issuer ~subject:subject_name ~issued_at:(now t) ~validity:t.validity
+      ~issuer:t.issuer ~subject:subject_name ~issued_at:(now t) ~validity:300.0
       [
         Assertion.Attribute_statement subject;
         Assertion.Authz_decision_statement { resource; action; decision = Decision.Permit };
@@ -35,7 +34,7 @@ let issue_capability t ~subject ~subject_name ~resource ~action =
   in
   Assertion.sign t.keypair.Dacs_crypto.Rsa.private_ unsigned
 
-let create services ~node ~issuer ~keypair ~credentials ~requirement_for ?(validity = 300.0) () =
+let create services ~node ~issuer ~keypair ~credentials ~requirement_for () =
   let t =
     {
       services;
@@ -44,7 +43,6 @@ let create services ~node ~issuer ~keypair ~credentials ~requirement_for ?(valid
       keypair;
       credentials;
       requirement_for;
-      validity;
       sessions = Hashtbl.create 16;
       issued = 0;
     }

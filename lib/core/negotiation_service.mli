@@ -17,12 +17,12 @@ val create :
   keypair:Dacs_crypto.Rsa.keypair ->
   credentials:Negotiation.credential list ->
   requirement_for:(resource:string -> action:string -> Negotiation.requirement) ->
-  ?validity:float ->
   unit ->
   t
 (** [credentials] are the server's own disclosable credentials;
     [requirement_for] gives each (resource, action)'s access requirement
-    over client credential names. *)
+    over client credential names.  A granted capability is valid for
+    300 s. *)
 
 val public_key : t -> Dacs_crypto.Rsa.public_key
 val sessions : t -> int

@@ -95,7 +95,6 @@ type t = {
   key : Hmac.key;  (* the mesh key, its pads absorbed once *)
   t_author : string;
   now : unit -> float;
-  audit : Audit.t option;
   metrics : Metrics.t;
   counters : counters;
   logs : (string, log) Hashtbl.t;  (* per author, own chain included *)
@@ -113,7 +112,7 @@ type t = {
 
 let new_log () = { evs = [||]; len = 0; stepped_back = false; fired = Hashtbl.create 1 }
 
-let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
+let create ?metrics ?(now = fun () -> 0.0) ~key ~author () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let own name help = Metrics.counter metrics ~help ~labels:[ ("domain", author) ] name in
   let own_log = new_log () in
@@ -123,7 +122,6 @@ let create ?metrics ?audit ?(now = fun () -> 0.0) ~key ~author () =
     key = Hmac.key key;
     t_author = author;
     now;
-    audit;
     metrics;
     counters =
       {
@@ -489,35 +487,22 @@ let replay t =
       defeated
   in
   List.iter
-    (fun (id, c) ->
+    (fun (id, _) ->
       if not (Hashtbl.mem t.known_conflicts id) then begin
         Hashtbl.replace t.known_conflicts id ();
-        Metrics.inc t.counters.c_conflicts;
-        Option.iter
-          (fun audit ->
-            Audit.record audit
-              {
-                Audit.at = t.now ();
-                domain = t.t_author;
-                subject = c.c_subject;
-                resource = c.c_attr;
-                action = "offline-conflict";
-                decision = Decision.Deny;
-                provenance = None;
-              })
-          t.audit
+        Metrics.inc t.counters.c_conflicts
       end)
     s_conflicts;
   let state =
     { s_grants; s_policy; s_conflicts = List.map snd s_conflicts |> List.sort_uniq compare }
   in
   (* Retroactive invalidation: any logged offline decision the converged
-     state now contradicts gets its cache key purged, once.  Only a
-     Decide a merge could flip is re-evaluated. *)
+     state now contradicts is counted, once.  Only a Decide a merge could
+     flip is re-evaluated. *)
   let cuts = cuts_of !by_author in
   merge (runs t) (fun log ev ->
       match ev.kind with
-      | Decide { key; ctx; decision } ->
+      | Decide { ctx; decision; _ } ->
         if
           (not (Hashtbl.mem log.fired ev.seq))
           && not (unchanged_since t state cuts ~grants ~revokes ~publishes ev)
@@ -531,23 +516,7 @@ let replay t =
           in
           if contradicted then begin
             Hashtbl.replace log.fired ev.seq ();
-            Metrics.inc t.counters.c_invalidations;
-            Option.iter
-              (fun audit ->
-                Audit.record audit
-                  {
-                    Audit.at = t.now ();
-                    domain = t.t_author;
-                    subject = "";
-                    resource = key;
-                    action = "offline-invalidate";
-                    decision =
-                      (match converged with
-                      | Some r -> r.Decision.decision
-                      | None -> Decision.Indeterminate "unreplayable");
-                    provenance = None;
-                  })
-              t.audit
+            Metrics.inc t.counters.c_invalidations
           end
         end
       | Grant _ | Revoke _ | Publish _ -> ());

@@ -33,12 +33,11 @@
     [(author, seq)].  A revocation therefore retroactively defeats any
     grant made concurrently (in another partition component): deny wins
     whenever neither side knew of the other, and each such race is
-    surfaced as a conflict record on the audit log.  Among surviving
+    surfaced as a {!conflict} and counted.  Among surviving
     grants of one key, the latest in total order supplies the value; the
     latest publication in total order supplies the policy.  Offline
     [Decide] events contradicted by the converged state are counted as
-    invalidations and leave an audit record (action
-    ["offline-invalidate"], the decision's request key as resource).
+    invalidations, each once.
 
     {2 Evaluation}
 
@@ -133,7 +132,6 @@ type t
 
 val create :
   ?metrics:Dacs_telemetry.Metrics.t ->
-  ?audit:Audit.t ->
   ?now:(unit -> float) ->
   key:string ->
   author:string ->
@@ -141,8 +139,7 @@ val create :
   t
 (** [key] is the mesh-wide HMAC key (shared by every replica that may
     sync); [author] names this replica's chain — use the domain name.
-    [audit], when given, receives conflict and retroactive-invalidation
-    records.  Every {!stats} field but [events_known],
+    Every {!stats} field but [events_known],
     [replayed_events] and [rechecked] is counted in
     [offline_*_total{domain=author}] series of [metrics], or of a
     private registry when [metrics] is absent.  Series are shared by

@@ -85,9 +85,10 @@ let to_string p =
     ]
 
 let to_json p =
+  let json = Dacs_telemetry.Metrics.json_string in
   Printf.sprintf
-    "{\"stage\":%S,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
-    (stage_name p.stage)
-    (match p.shard with None -> "null" | Some s -> Printf.sprintf "%S" s)
+    "{\"stage\":%s,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
+    (json (stage_name p.stage))
+    (match p.shard with None -> "null" | Some s -> json s)
     p.batch p.coalesced p.failovers p.retried p.breaker_tripped p.stale_age p.epoch p.at
-    (match p.log_head with None -> "null" | Some h -> Printf.sprintf "%S" h)
+    (match p.log_head with None -> "null" | Some h -> json h)

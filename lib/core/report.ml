@@ -72,11 +72,11 @@ let attribution services =
   if not !any then line "  (no serving-path observations)";
   Buffer.contents buf
 
-let critical_path ?trace_id services =
+let critical_path services =
   let tr = Dacs_ws.Service.tracer services in
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  match Trace.critical_path ?trace_id tr with
+  match Trace.critical_path tr with
   | [] -> "critical path: (no spans recorded)\n"
   | path ->
     let root = List.hd path in

@@ -19,6 +19,6 @@ val attribution : Dacs_ws.Service.t -> string
     tier call, policy evaluation, PIP fetch) with count, interpolated
     p50/p99, and the exemplars linking buckets back to trace ids. *)
 
-val critical_path : ?trace_id:int64 -> Dacs_ws.Service.t -> string
-(** The {!Dacs_telemetry.Trace.critical_path} of [trace_id] (default: the
-    first recorded trace) rendered with per-span offsets and durations. *)
+val critical_path : Dacs_ws.Service.t -> string
+(** The {!Dacs_telemetry.Trace.critical_path} of the first recorded
+    trace, rendered with per-span offsets and durations. *)

@@ -138,8 +138,13 @@ let ratio t name ?detail num den =
   match declared t name with
   | Ratio at_least ->
     let r = num /. den in
-    verdict t name (r >= at_least)
-      (Printf.sprintf "%.2fx >= %gx%s" r at_least
+    let ok = r >= at_least in
+    (* A passing line names only its floor, so it reads the same on
+       every run of a wall-clock ratio; the snapshot keeps the value. *)
+    verdict t name ok
+      (Printf.sprintf "%s%gx%s"
+         (if ok then ">= " else Printf.sprintf "%.2fx < " r)
+         at_least
          (match detail with Some d -> ", " ^ d | None -> ""))
   | _ -> invalid_arg ("Experiment: not a ratio gate: " ^ name)
 
@@ -208,6 +213,8 @@ let rec ensure_dir d =
 
 let snapshot_path h name = Filename.concat h.dir (Printf.sprintf "BENCH_%s.json" name)
 
+let json_string = Dacs_telemetry.Metrics.json_string
+
 let write_snapshot h t failed =
   ensure_dir h.dir;
   let fields =
@@ -215,7 +222,7 @@ let write_snapshot h t failed =
   in
   let oc = open_out (snapshot_path h t.name) in
   Printf.fprintf oc "{\n%s\n}\n"
-    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields));
+    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %s: %s" (json_string k) v) fields));
   close_out oc
 
 let append_ledger t =
@@ -226,15 +233,16 @@ let append_ledger t =
       (fun name ->
         let path = snapshot_path h name in
         if name <> t.name && Sys.file_exists path then
-          Some (Printf.sprintf "%S:%s" name (minify (read_file path)))
+          Some (Printf.sprintf "%s:%s" (json_string name) (minify (read_file path)))
         else None)
       h.gated
   in
-  let own = List.rev_map (fun (k, _, lit) -> Printf.sprintf "%S:%s" k lit) t.metrics in
+  let own = List.rev_map (fun (k, _, lit) -> Printf.sprintf "%s:%s" (json_string k) lit) t.metrics in
   let ledger = Filename.concat h.dir "ledger.jsonl" in
   ensure_dir h.dir;
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 ledger in
-  Printf.fprintf oc "{\"pr\":%S,%S:{%s},\"snapshots\":{%s}}\n" h.pr t.name (String.concat "," own)
+  Printf.fprintf oc "{\"pr\":%s,%s:{%s},\"snapshots\":{%s}}\n" (json_string h.pr) (json_string t.name)
+    (String.concat "," own)
     (String.concat "," snapshots);
   close_out oc;
   Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots)\n" h.pr ledger

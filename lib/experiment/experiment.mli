@@ -35,7 +35,9 @@ val check : t -> string -> bool -> string -> unit
     already has a verdict. *)
 
 val ratio : t -> string -> ?detail:string -> float -> float -> unit
-(** [ratio t name num den]: [num /. den] must reach [name]'s floor. *)
+(** [ratio t name num den]: [num /. den] must reach [name]'s floor.  A
+    passing CHECK line names the floor; a failing one also the measured
+    ratio. *)
 
 val metric : t -> ?digits:int -> string -> float -> unit
 (** Records a snapshot metric with [digits] decimals (default 4).

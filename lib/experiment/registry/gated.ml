@@ -103,7 +103,7 @@ let tier shards batch seed requests json =
       String.concat ","
         (List.map
            (fun shard ->
-             Printf.sprintf "{\"shard\":%S,\"dispatched\":%d,\"evaluated\":%d}" shard
+             Printf.sprintf "{\"shard\":%s,\"dispatched\":%d,\"evaluated\":%d}" (Metrics.json_string shard)
                (r.dispatched shard) (r.evaluated shard))
            r.shard_nodes)
     in
@@ -1030,12 +1030,12 @@ let delta json =
   in
   if json then begin
     let fields =
-      List.map (fun (name, ok, _) -> Printf.sprintf "\"%s\":%b" (Metrics.json_escape name) ok) verdicts
+      List.map (fun (name, ok, _) -> Printf.sprintf "%s:%b" (Metrics.json_string name) ok) verdicts
     in
     Printf.printf
-      "{\"region_0_1\":\"%s\",\"region_1_2\":\"%s\",\"zones_1_2\":%d,\"warm\":%d,\"dropped\":%d,%s}\n"
-      (Metrics.json_escape (Delta.to_string region01))
-      (Metrics.json_escape (Delta.to_string region12))
+      "{\"region_0_1\":%s,\"region_1_2\":%s,\"zones_1_2\":%d,\"warm\":%d,\"dropped\":%d,%s}\n"
+      (Metrics.json_string (Delta.to_string region01))
+      (Metrics.json_string (Delta.to_string region12))
       (Delta.zone_count region12) warm dropped (String.concat "," fields)
   end
   else begin
@@ -1329,9 +1329,9 @@ let explain seed json =
       String.concat ","
         (List.map
            (fun e ->
-             Printf.sprintf "{\"at\":%.6f,\"subject\":%S,\"action\":%S,\"decision\":%S,\"provenance\":%s}"
-               e.Audit.at (Metrics.json_escape e.Audit.subject) (Metrics.json_escape e.Audit.action)
-               (Metrics.json_escape (Decision.decision_to_string e.Audit.decision))
+             Printf.sprintf "{\"at\":%.6f,\"subject\":%s,\"action\":%s,\"decision\":%s,\"provenance\":%s}"
+               e.Audit.at (Metrics.json_string e.Audit.subject) (Metrics.json_string e.Audit.action)
+               (Metrics.json_string (Decision.decision_to_string e.Audit.decision))
                (match e.Audit.provenance with
                | Some p -> Provenance.to_json p
                | None -> "null"))
@@ -1397,9 +1397,9 @@ let slo seed json =
   else begin
     Printf.printf "slo monitor (seed %d, objective: %.1f%% served, %.0f%% within %gs, %gs window)\n\n"
       seed
-      (Slo.default_objective.Slo.availability_target *. 100.0)
-      (Slo.default_objective.Slo.latency_target *. 100.0)
-      Slo.default_objective.Slo.latency_threshold Slo.default_objective.Slo.window;
+      (Slo.objective.Slo.availability_target *. 100.0)
+      (Slo.objective.Slo.latency_target *. 100.0)
+      Slo.objective.Slo.latency_threshold Slo.objective.Slo.window;
     Printf.printf "within capacity (%d decisions):\n" h.Slo.total;
     print_string (W.render healthy);
     Printf.printf "\noffered 10x capacity (%d decisions):\n" o.Slo.total;
@@ -1420,7 +1420,7 @@ let slo seed json =
 (* The deterministic workload engine from the command line: the same
    scenario (same seed) always prints a byte-identical report. *)
 let load seed rate clients think duration peps shards users domains zipf cache_ttl cache_entries
-    service_time batch max_inflight queue pdp_max_inflight rule_cost churn_period churn_flush json =
+    service_time batch max_inflight queue pdp_max_inflight rule_cost churn_period json =
   Experiment.v "load" ~log:(log json) ~gates:Gate.[ exact "conservation"; exact "answered" ]
   @@ fun x ->
   let arrivals =
@@ -1447,7 +1447,7 @@ let load seed rate clients think duration peps shards users domains zipf cache_t
       partition = None;
       offline = false;
       churn =
-        (if churn_period > 0.0 then Some { W.churn_period; churn_targeted = not churn_flush }
+        (if churn_period > 0.0 then Some { W.churn_period; churn_targeted = true }
          else None);
     }
   in

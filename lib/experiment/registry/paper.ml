@@ -5,6 +5,9 @@
 open Dacs_core
 open Common
 
+(* The breaker of an ablation arm that names none: it never trips. *)
+let never_trips = { Rpc.failure_threshold = max_int; cooldown = 0.0 }
+
 (* ==================================================================== *)
 (* E1 — Fig. 1 baseline: a VO of N domains serving cross-domain reads   *)
 (* ==================================================================== *)
@@ -761,9 +764,10 @@ let e12_discovery_ablation () =
   Printf.printf "%-28s %10s %12s %14s %12s\n" "strategy" "served" "failovers" "mean lat (ms)" "p-max (ms)";
   let run_strategy use_discovery =
     let net, services = fresh () in
-    (* Failover against discovery alone: both arms turn the bus's default
-       breaker off, which would otherwise skip the dead replica too. *)
-    Rpc.set_breaker (Service.rpc services) None;
+    (* Failover against discovery alone: both arms give the bus a breaker
+       that never trips, where the default one would skip the dead
+       replica too. *)
+    Rpc.set_breaker (Service.rpc services) never_trips;
     let policy = doctor_read_policy "ws" in
     List.iter (Net.add_node net) [ "registry"; "pep"; "c" ];
     let replicas =
@@ -857,9 +861,9 @@ let e14_resilience () =
     (* Retry on every lossy leg: client->PEP and PEP->PDP. *)
     let client_retry = if retry then Some retry_policy else None in
     if retry then Pep.set_retry_policy pep (Some retry_policy);
-    (* A bus starts with the default breaker: the arms without one opt out. *)
-    Rpc.set_breaker rpc
-      (if breaker then Some { Rpc.failure_threshold = 4; cooldown = 3.0 } else None);
+    (* A bus starts with the default breaker: the arms without one get a
+       breaker that never trips. *)
+    Rpc.set_breaker rpc (if breaker then { Rpc.failure_threshold = 4; cooldown = 3.0 } else never_trips);
     if stale then Pep.set_stale_window pep 30.0;
     Faults.apply net schedule;
     let alice = Client.create services ~node:"alice" ~subject:(doctor_subject "alice") in

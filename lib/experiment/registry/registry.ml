@@ -126,15 +126,6 @@ let churn_period_arg =
           "Publish a new policy generation every S virtual seconds (0 = static policy); each \
            publish runs a targeted invalidation round from its change-impact region.")
 
-let churn_flush_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "churn-flush" ]
-        ~doc:
-          "Ablation arm for --churn-period: invalidate with the unbounded region (the legacy \
-           VO-wide full flush) instead of the computed change-impact region.")
-
 let entries =
   [
     plain "e1" Paper.e1_vo_baseline;
@@ -195,7 +186,7 @@ let entries =
         const Gated.load $ sim_seed_arg $ rate_arg $ clients_arg $ think_arg $ duration_arg
         $ peps_arg $ shards_arg $ users_arg $ domains_arg $ zipf_arg $ cache_ttl_arg
         $ cache_entries_arg $ service_time_arg $ batch_arg $ max_inflight_arg $ queue_arg
-        $ pdp_inflight_arg $ rule_cost_arg $ churn_period_arg $ churn_flush_flag $ json_flag);
+        $ pdp_inflight_arg $ rule_cost_arg $ churn_period_arg $ json_flag);
     command "delta"
       ~doc:
         "Analyse policy change impact: compute the region of decisions a publish can affect \

@@ -20,9 +20,9 @@ let describe_target t =
   (* Target.pp uses format breaks; flatten to one line for the detail. *)
   String.trim (String.map (fun c -> if c = '\n' then ' ' else c) (Format.asprintf "target %a" Target.pp t))
 
-let explain_rule ?resolve ctx variables (rule : Rule.t) =
-  let target = Target.evaluate ?resolve ctx rule.Rule.target in
-  let result = Rule.evaluate ?resolve ctx rule in
+let explain_rule ctx variables (rule : Rule.t) =
+  let target = Target.evaluate ctx rule.Rule.target in
+  let result = Rule.evaluate ctx rule in
   let condition_detail =
     match (target, rule.Rule.condition) with
     | Target.Match, Some c -> (
@@ -32,7 +32,7 @@ let explain_rule ?resolve ctx variables (rule : Rule.t) =
       match resolved with
       | Error e -> Printf.sprintf "condition unresolved: %s" e
       | Ok c -> (
-        match Expr.eval_condition ?resolve ctx c with
+        match Expr.eval_condition ctx c with
         | Ok b -> Printf.sprintf "condition = %b" b
         | Error e -> Printf.sprintf "condition error: %s" (Expr.error_to_string e)))
     | _, None -> "no condition"
@@ -52,33 +52,23 @@ let explain_rule ?resolve ctx variables (rule : Rule.t) =
    explanation we redo the substitution explicitly so the condition line
    reflects what the engine actually evaluated. *)
 
-let rec explain ?resolve ?resolve_ref ctx child =
-  let result = Policy.evaluate_child ?resolve ?resolve_ref ctx child in
+let rec explain ctx child =
+  let result = Policy.evaluate_child ctx child in
   let node =
     match child with
-    | Policy.Policy_ref id -> (
-      match Option.bind resolve_ref (fun r -> r id) with
-      | Some (Policy.Policy_ref _) | None ->
-        {
-          label = Printf.sprintf "policy reference %s" id;
-          outcome = decision_outcome result;
-          detail = "unresolvable reference";
-          children = [];
-        }
-      | Some resolved ->
-        let inner, _ = explain ?resolve ?resolve_ref ctx resolved in
-        {
-          label = Printf.sprintf "policy reference %s" id;
-          outcome = decision_outcome result;
-          detail = "resolved";
-          children = [ inner ];
-        })
+    | Policy.Policy_ref id ->
+      {
+        label = Printf.sprintf "policy reference %s" id;
+        outcome = decision_outcome result;
+        detail = "unresolvable reference";
+        children = [];
+      }
     | Policy.Inline_policy p ->
-      let target = Target.evaluate ?resolve ctx p.Policy.target in
+      let target = Target.evaluate ctx p.Policy.target in
       let children =
         match target with
         | Target.Match ->
-          List.map (explain_rule ?resolve ctx p.Policy.variables) p.Policy.rules
+          List.map (explain_rule ctx p.Policy.variables) p.Policy.rules
         | Target.No_match | Target.Indeterminate_match _ -> []
       in
       {
@@ -91,12 +81,12 @@ let rec explain ?resolve ?resolve_ref ctx child =
         children;
       }
     | Policy.Inline_set s ->
-      let target = Target.evaluate ?resolve ctx s.Policy.set_target in
+      let target = Target.evaluate ctx s.Policy.set_target in
       let children =
         match target with
         | Target.Match ->
           List.map
-            (fun c -> fst (explain ?resolve ?resolve_ref ctx c))
+            (fun c -> fst (explain ctx c))
             s.Policy.children
         | Target.No_match | Target.Indeterminate_match _ -> []
       in

@@ -14,14 +14,10 @@ type node = {
   children : node list;
 }
 
-val explain :
-  ?resolve:Expr.resolver ->
-  ?resolve_ref:Policy.ref_resolver ->
-  Context.t ->
-  Policy.child ->
-  node * Decision.result
+val explain : Context.t -> Policy.child -> node * Decision.result
 (** The returned result is exactly what {!Policy.evaluate_child} returns
-    for the same inputs (property-tested). *)
+    for the same inputs (property-tested).  A {!Policy.Policy_ref} is
+    explained as unresolvable. *)
 
 val to_string : node -> string
 (** Indented tree rendering. *)

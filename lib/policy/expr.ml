@@ -679,10 +679,8 @@ let validate expr =
 
 let str s = Const (Value.String s)
 
-let attr category ?(must_be_present = false) attribute_id =
-  Designator { category; attribute_id; must_be_present }
-
-let subject_attr ?must_be_present id = attr Context.Subject ?must_be_present id
+let subject_attr attribute_id =
+  Designator { category = Context.Subject; attribute_id; must_be_present = false }
 
 let one_of designator values =
   Apply

@@ -77,7 +77,7 @@ val validate : t -> string list
 
 (** {1 Convenience constructors} *)
 
-val subject_attr : ?must_be_present:bool -> string -> t
+val subject_attr : string -> t
 
 val one_of : t -> string list -> t
 (** [one_of designator values]: true when some attribute value equals one

@@ -25,20 +25,29 @@ and set = {
   set_obligations : Obligation.t list;
 }
 
-let make ?(version = 1) ?(description = "") ?(issuer = "") ?(target = Target.any)
-    ?(variables = []) ?(rule_combining = Combine.Deny_overrides) ?(obligations = []) ~id rules =
-  { id; version; description; issuer; target; variables; rules; rule_combining; obligations }
+let make ?(description = "") ?(issuer = "") ?(rule_combining = Combine.Deny_overrides)
+    ?(obligations = []) ~id rules =
+  {
+    id;
+    version = 1;
+    description;
+    issuer;
+    target = Target.any;
+    variables = [];
+    rules;
+    rule_combining;
+    obligations;
+  }
 
-let make_set ?(version = 1) ?(description = "") ?(target = Target.any)
-    ?(policy_combining = Combine.Deny_overrides) ?(obligations = []) ~id children =
+let make_set ?(policy_combining = Combine.Deny_overrides) ~id children =
   {
     set_id = id;
-    set_version = version;
-    set_description = description;
-    set_target = target;
+    set_version = 1;
+    set_description = "";
+    set_target = Target.any;
     children;
     policy_combining;
-    set_obligations = obligations;
+    set_obligations = [];
   }
 
 type ref_resolver = string -> child option
@@ -82,9 +91,7 @@ let evaluate_policy resolve ctx policy =
     let result = Combine.combine policy.rule_combining rule_children resolve ctx policy in
     Decision.with_obligations result policy.obligations
 
-let evaluate ?resolve ?resolve_ref ctx policy =
-  ignore resolve_ref;
-  evaluate_policy resolve ctx policy
+let evaluate ctx policy = evaluate_policy None ctx policy
 
 (* What evaluating a set's children reads besides the context. *)
 type resolvers = { resolve : Expr.resolver option; resolve_ref : ref_resolver option }

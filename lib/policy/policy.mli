@@ -35,27 +35,19 @@ and set = {
 }
 
 val make :
-  ?version:int ->
   ?description:string ->
   ?issuer:string ->
-  ?target:Target.t ->
-  ?variables:(string * Expr.t) list ->
   ?rule_combining:Combine.algorithm ->
   ?obligations:Obligation.t list ->
   id:string ->
   Rule.t list ->
   t
-(** Defaults: version 1, any target, no variables, deny-overrides. *)
+(** Version 1, any target, no variables; deny-overrides by default.  The
+    parser fills every field of {!t} from the document. *)
 
-val make_set :
-  ?version:int ->
-  ?description:string ->
-  ?target:Target.t ->
-  ?policy_combining:Combine.algorithm ->
-  ?obligations:Obligation.t list ->
-  id:string ->
-  child list ->
-  set
+val make_set : ?policy_combining:Combine.algorithm -> id:string -> child list -> set
+(** Version 1, any target, no description or obligations;
+    deny-overrides by default. *)
 
 (** {1 Evaluation} *)
 
@@ -63,7 +55,7 @@ type ref_resolver = string -> child option
 (** Lookup for {!Policy_ref} children (backed by a PAP).  Unresolvable
     references evaluate to Indeterminate. *)
 
-val evaluate : ?resolve:Expr.resolver -> ?resolve_ref:ref_resolver -> Context.t -> t -> Decision.result
+val evaluate : Context.t -> t -> Decision.result
 (** Policy evaluation: target, then rule combination, then the policy's
     obligations filtered by the outcome. *)
 

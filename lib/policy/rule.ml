@@ -8,11 +8,12 @@ type t = {
   condition : Expr.t option;
 }
 
-let make ?(description = "") ?(target = Target.any) ?condition effect id =
+let rule effect ?(description = "") ?(target = Target.any) ?condition id =
   { id; description; effect; target; condition }
 
-let permit ?description ?target ?condition id = make ?description ?target ?condition Permit id
-let deny ?description ?target ?condition id = make ?description ?target ?condition Deny id
+let make ?target effect id = rule effect ?target id
+let permit ?description ?target ?condition id = rule Permit ?description ?target ?condition id
+let deny ?description ?target ?condition id = rule Deny ?description ?target ?condition id
 
 let label rule = "rule " ^ rule.id
 

@@ -10,8 +10,8 @@ type t = {
   condition : Expr.t option;
 }
 
-val make : ?description:string -> ?target:Target.t -> ?condition:Expr.t -> effect -> string -> t
-(** [make effect id]. *)
+val make : ?target:Target.t -> effect -> string -> t
+(** [make effect id]: no description, no condition. *)
 
 val permit : ?description:string -> ?target:Target.t -> ?condition:Expr.t -> string -> t
 val deny : ?description:string -> ?target:Target.t -> ?condition:Expr.t -> string -> t

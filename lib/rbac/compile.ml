@@ -35,7 +35,7 @@ let to_policy ?(id = "rbac") model =
     ~rule_combining:Combine.First_applicable
     (rules @ [ Rule.deny "default-deny" ])
 
-let to_identity_policy ?(id = "rbac-acl") model =
+let to_identity_policy model =
   let rules =
     List.concat_map
       (fun user ->
@@ -52,7 +52,7 @@ let to_identity_policy ?(id = "rbac-acl") model =
           (Rbac.user_permissions model user))
       (Rbac.users model)
   in
-  Policy.make ~id ~description:"compiled from RBAC (identity-based ACL)"
+  Policy.make ~id:"rbac-acl" ~description:"compiled from RBAC (identity-based ACL)"
     ~rule_combining:Combine.First_applicable
     (rules @ [ Rule.deny "default-deny" ])
 

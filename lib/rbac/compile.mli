@@ -11,7 +11,7 @@ val to_policy : ?id:string -> Rbac.t -> Dacs_policy.Policy.t
     (directly or by inheritance) grants the permission; a trailing
     deny-all rule.  Uses first-applicable combining. *)
 
-val to_identity_policy : ?id:string -> Rbac.t -> Dacs_policy.Policy.t
+val to_identity_policy : Rbac.t -> Dacs_policy.Policy.t
 (** Identity-based (ACL) encoding: one permit rule per (user, permission)
     pair, matching on ["subject-id"].  Exists as the baseline the paper
     argues against for large user bases. *)

@@ -4,7 +4,7 @@
     to the format of the capabilities that are issued" — CAS encodes them
     as SAML assertions, VOMS as extended X.509 attribute certificates.
     This module is the second wire format for the same logical capability:
-    {!to_xml}/{!of_xml} convert between an {!Assertion.t} and an
+    {!to_string}/{!of_xml} convert between an {!Assertion.t} and an
     [X509AttributeCertificate] document (holder, issuer, serial, validity,
     attributes, authorisation decisions, signature).  The signature is the
     issuer's signature over the capability's canonical logical payload, so
@@ -13,7 +13,6 @@
     statement followed by decision statements — the codec normalises to
     that order.) *)
 
-val to_xml : Assertion.t -> Dacs_xml.Xml.t
 val of_xml : Dacs_xml.Xml.t -> (Assertion.t, string) result
 
 val to_string : Assertion.t -> string

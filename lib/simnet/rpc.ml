@@ -143,7 +143,7 @@ type t = {
   mutable pending : pending;
   mutable next_id : int;
   mutable deadlines : (float * Engine.Deadlines.t) list;  (* one timer class per timeout, by value *)
-  mutable breaker_config : breaker_config option;
+  mutable breaker_config : breaker_config;
   breakers : (Net.node_id, breaker) Hashtbl.t;
   metrics : Metrics.t;
   tracer : Trace.t;
@@ -557,26 +557,23 @@ let heard_from t dst =
 let set_breaker t config = t.breaker_config <- config
 
 let breaker_state t dst =
-  match (t.breaker_config, Hashtbl.find_opt t.breakers dst) with
-  | None, _ | _, None -> Closed
-  | Some cfg, Some b ->
+  match Hashtbl.find_opt t.breakers dst with
+  | None -> Closed
+  | Some b ->
     (* An open breaker past its cooldown admits a probe on the next call;
        report it as half-open so observers see the recoverable state. *)
     (match b.b_state with
-    | Open when Net.now t.net >= b.opened_at +. cfg.cooldown -> Half_open
+    | Open when Net.now t.net >= b.opened_at +. t.breaker_config.cooldown -> Half_open
     | s -> s)
 
 let breaker_sheds t dst =
-  match t.breaker_config with
-  | None -> false
-  | Some cfg -> (
-    match Hashtbl.find t.breakers dst with
-    | exception Not_found -> false
-    | b -> (
-      match b.b_state with
-      | Closed -> false
-      | Open -> Net.now t.net < b.opened_at +. cfg.cooldown
-      | Half_open -> b.probe_in_flight))
+  match Hashtbl.find t.breakers dst with
+  | exception Not_found -> false
+  | b -> (
+    match b.b_state with
+    | Closed -> false
+    | Open -> Net.now t.net < b.opened_at +. t.breaker_config.cooldown
+    | Half_open -> b.probe_in_flight)
 
 (* A trace event naming [dst], built only when tracing is on. *)
 let record_towards t what dst = if Trace.enabled t.tracer then Trace.record t.tracer (what ^ dst)
@@ -587,65 +584,56 @@ let record_shed t ~src dst =
 
 (* [true] when the attempt may be sent. *)
 let breaker_admit t ~src dst =
-  match t.breaker_config with
-  | None -> true
-  | Some cfg -> (
-    let b = breaker_for t dst in
-    match b.b_state with
-    | Closed -> true
-    | Open ->
-      if Net.now t.net >= b.opened_at +. cfg.cooldown then begin
-        b.b_state <- Half_open;
-        b.probe_in_flight <- true;
-        record_towards t "breaker-half-open " dst;
-        true
-      end
-      else begin
-        record_shed t ~src dst;
-        false
-      end
-    | Half_open ->
-      if b.probe_in_flight then begin
-        record_shed t ~src dst;
-        false
-      end
-      else begin
-        b.probe_in_flight <- true;
-        true
-      end)
+  let b = breaker_for t dst in
+  match b.b_state with
+  | Closed -> true
+  | Open ->
+    if Net.now t.net >= b.opened_at +. t.breaker_config.cooldown then begin
+      b.b_state <- Half_open;
+      b.probe_in_flight <- true;
+      record_towards t "breaker-half-open " dst;
+      true
+    end
+    else begin
+      record_shed t ~src dst;
+      false
+    end
+  | Half_open ->
+    if b.probe_in_flight then begin
+      record_shed t ~src dst;
+      false
+    end
+    else begin
+      b.probe_in_flight <- true;
+      true
+    end
 
 let breaker_success t dst =
-  match t.breaker_config with
-  | None -> ()
-  | Some _ -> (
-    let b = breaker_for t dst in
-    match b.b_state with
-    | Half_open ->
-      b.b_state <- Closed;
-      b.probe_in_flight <- false;
-      b.consecutive_failures <- 0;
-      record_towards t "breaker-closed " dst
-    | Closed -> b.consecutive_failures <- 0
-    | Open -> () (* a straggler reply from before the trip; stay open until probed *))
+  let b = breaker_for t dst in
+  match b.b_state with
+  | Half_open ->
+    b.b_state <- Closed;
+    b.probe_in_flight <- false;
+    b.consecutive_failures <- 0;
+    record_towards t "breaker-closed " dst
+  | Closed -> b.consecutive_failures <- 0
+  | Open -> () (* a straggler reply from before the trip; stay open until probed *)
 
 let breaker_failure t ~src dst =
-  match t.breaker_config with
-  | None -> ()
-  | Some cfg -> (
-    let b = breaker_for t dst in
-    let trip () =
-      b.b_state <- Open;
-      b.probe_in_flight <- false;
-      b.opened_at <- Net.now t.net;
-      Metrics.inc (Lazy.force (caller_series t src).trips);
-      record_towards t "breaker-opened " dst
-    in
-    match b.b_state with
-    | Half_open -> trip ()
-    | Closed ->
-      b.consecutive_failures <- b.consecutive_failures + 1;
-      if b.consecutive_failures >= cfg.failure_threshold then trip ()
-    | Open -> ())
+  let b = breaker_for t dst in
+  let trip () =
+    b.b_state <- Open;
+    b.probe_in_flight <- false;
+    b.opened_at <- Net.now t.net;
+    Metrics.inc (Lazy.force (caller_series t src).trips);
+    record_towards t "breaker-opened " dst
+  in
+  match b.b_state with
+  | Half_open -> trip ()
+  | Closed ->
+    b.consecutive_failures <- b.consecutive_failures + 1;
+    if b.consecutive_failures >= t.breaker_config.failure_threshold then trip ()
+  | Open -> ()
 
 (* What one attempt's outcome tells the target's breaker: a reply is a
    success, a timeout a failure; a missing service means the target
@@ -852,7 +840,7 @@ let create net =
       pending = make_pending 64;
       next_id = 0;
       deadlines = [];
-      breaker_config = Some default_breaker;
+      breaker_config = default_breaker;
       breakers = Hashtbl.create 16;
       metrics;
       tracer = Trace.create ~now ~next_id ();

@@ -93,15 +93,15 @@ val default_breaker : breaker_config
 
 type breaker_state = Closed | Open | Half_open
 
-val set_breaker : t -> breaker_config option -> unit
-(** Reconfigure ([Some cfg]) or disable ([None]) circuit breaking for
-    [~breaker:true] calls on this bus; a bus starts with
-    [Some default_breaker]. *)
+val set_breaker : t -> breaker_config -> unit
+(** Reconfigure circuit breaking for [~breaker:true] calls on this bus;
+    a bus starts with {!default_breaker}.  A [failure_threshold] of
+    [max_int] gives a breaker that never trips. *)
 
 val breaker_state : t -> Net.node_id -> breaker_state
-(** Current state towards a target ([Closed] when breaking is disabled or
-    the target has never failed).  An open breaker whose cooldown has
-    lapsed reports [Half_open]. *)
+(** Current state towards a target ([Closed] when the target has never
+    failed).  An open breaker whose cooldown has lapsed reports
+    [Half_open]. *)
 
 val breaker_sheds : t -> Net.node_id -> bool
 (** Whether a [~breaker:true] call to the target issued now would be shed

@@ -76,8 +76,8 @@ let inc ?(by = 1) counter =
 
 let counter_value counter = counter.c
 
-let gauge t ?(help = "") ?(labels = []) name =
-  register t ~name ~labels ~kind:K_gauge ~help
+let gauge t ?(help = "") name =
+  register t ~name ~labels:[] ~kind:K_gauge ~help
     ~make:(fun () -> I_gauge { g = 0.0 })
     ~cast:(function I_gauge g -> g | I_counter _ | I_histogram _ -> assert false)
 
@@ -215,8 +215,9 @@ let render t =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
+let json_string s =
   let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (function
       | '"' -> Buffer.add_string buf "\\\""
@@ -226,17 +227,17 @@ let json_escape s =
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 let render_json t =
   let labels_json labels =
     "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%S:%S" (json_escape k) (json_escape v)) labels)
+    ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) labels)
     ^ "}"
   in
   let sample_json s =
-    let common = Printf.sprintf "\"name\":%S,\"labels\":%s" (json_escape s.name) (labels_json s.labels) in
+    let common = Printf.sprintf "\"name\":%s,\"labels\":%s" (json_string s.name) (labels_json s.labels) in
     match s.value with
     | Counter c -> Printf.sprintf "{%s,\"type\":\"counter\",\"value\":%d}" common c
     | Gauge g -> Printf.sprintf "{%s,\"type\":\"gauge\",\"value\":%s}" common (float_str g)

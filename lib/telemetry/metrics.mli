@@ -34,7 +34,9 @@ val inc : ?by:int -> counter -> unit
 
 val counter_value : counter -> int
 
-val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
+val gauge : t -> ?help:string -> string -> gauge
+(** An unlabelled series. *)
+
 val set_gauge : gauge -> float -> unit
 
 val set_gauge_count : gauge -> int -> unit
@@ -105,6 +107,8 @@ val render : t -> string
 val render_json : t -> string
 (** The same snapshot as a single-line JSON object, for bench scrapers. *)
 
-val json_escape : string -> string
-(** The body of a JSON string literal: quote, backslash, [\n] and [\t]
-    escaped, other control bytes as [\u00XX]. *)
+val json_string : string -> string
+(** A JSON string literal, quotes included: quote, backslash, [\n] and
+    [\t] escaped, other control bytes as [\u00XX], every other byte
+    (UTF-8 included) as is.  Every JSON writer quotes its strings with
+    this. *)

@@ -9,39 +9,24 @@ type objective = {
   window : float;
 }
 
-let default_objective =
+let objective =
   { availability_target = 0.999; latency_threshold = 0.25; latency_target = 0.99; window = 60.0 }
 
 let slices = 60
 
 type slice = { mutable id : int; mutable total : int; mutable ok : int; mutable fast : int }
 
-type t = {
-  now : unit -> float;
-  objective : objective;
-  width : float;  (* seconds of virtual time per slice *)
-  ring : slice array;
-}
+type t = { now : unit -> float; ring : slice array }
 
-let create ?(objective = default_objective) ~now () =
-  if objective.window <= 0.0 then invalid_arg "Slo.create: window must be positive";
-  if objective.availability_target < 0.0 || objective.availability_target > 1.0 then
-    invalid_arg "Slo.create: availability_target must be in [0, 1]";
-  if objective.latency_target < 0.0 || objective.latency_target > 1.0 then
-    invalid_arg "Slo.create: latency_target must be in [0, 1]";
-  if objective.latency_threshold < 0.0 then
-    invalid_arg "Slo.create: latency_threshold must be non-negative";
-  {
-    now;
-    objective;
-    width = objective.window /. float_of_int slices;
-    ring = Array.init slices (fun _ -> { id = -1; total = 0; ok = 0; fast = 0 });
-  }
+let create ~now () = { now; ring = Array.init slices (fun _ -> { id = -1; total = 0; ok = 0; fast = 0 }) }
 
-let slice_id t at = int_of_float (Float.floor (at /. t.width))
+(* seconds of virtual time per slice *)
+let width = objective.window /. float_of_int slices
+
+let slice_id at = int_of_float (Float.floor (at /. width))
 
 let slice_at t at =
-  let id = slice_id t at in
+  let id = slice_id at in
   let s = t.ring.(id mod slices) in
   if s.id <> id then begin
     s.id <- id;
@@ -55,7 +40,7 @@ let record t ~ok ~latency =
   let s = slice_at t (t.now ()) in
   s.total <- s.total + 1;
   if ok then s.ok <- s.ok + 1;
-  if latency <= t.objective.latency_threshold then s.fast <- s.fast + 1
+  if latency <= objective.latency_threshold then s.fast <- s.fast + 1
 
 type status = {
   at : float;
@@ -72,16 +57,12 @@ type status = {
 
 (* Burn rate: error rate as a multiple of the error budget.  1.0 means
    errors arrive exactly as fast as the objective tolerates; above 1.0
-   the budget is being exhausted.  A zero budget burns infinitely on the
-   first error and not at all without one. *)
-let burn ~rate ~target =
-  let errors = 1.0 -. rate in
-  let budget = 1.0 -. target in
-  if budget <= 0.0 then if errors > 0.0 then infinity else 0.0 else errors /. budget
+   the budget is being exhausted. *)
+let burn ~rate ~target = (1.0 -. rate) /. (1.0 -. target)
 
 let status t =
   let at = t.now () in
-  let newest = slice_id t at in
+  let newest = slice_id at in
   let oldest = newest - slices + 1 in
   let total = ref 0 and ok = ref 0 and fast = ref 0 in
   Array.iter
@@ -102,8 +83,8 @@ let status t =
     fast = !fast;
     availability;
     latency_compliance;
-    availability_burn = burn ~rate:availability ~target:t.objective.availability_target;
-    latency_burn = burn ~rate:latency_compliance ~target:t.objective.latency_target;
-    availability_met = availability >= t.objective.availability_target;
-    latency_met = latency_compliance >= t.objective.latency_target;
+    availability_burn = burn ~rate:availability ~target:objective.availability_target;
+    latency_burn = burn ~rate:latency_compliance ~target:objective.latency_target;
+    availability_met = availability >= objective.availability_target;
+    latency_met = latency_compliance >= objective.latency_target;
   }

@@ -22,15 +22,14 @@ type objective = {
   window : float;  (** rolling window, seconds of virtual time *)
 }
 
-val default_objective : objective
-(** 99.9% availability, 99% of decisions within 250 ms, over 60 s. *)
+val objective : objective
+(** Every monitor's: 99.9% availability, 99% of decisions within 250 ms,
+    over 60 s. *)
 
 type t
 
-val create : ?objective:objective -> now:(unit -> float) -> unit -> t
-(** [now] must be the virtual clock for deterministic windows.  Raises
-    [Invalid_argument] on a non-positive window, targets outside [0, 1]
-    or a negative threshold. *)
+val create : now:(unit -> float) -> unit -> t
+(** [now] must be the virtual clock for deterministic windows. *)
 
 val record : t -> ok:bool -> latency:float -> unit
 (** Account one decision at the current virtual time.  [ok] means the

@@ -161,20 +161,15 @@ let trace_ids t =
 
 let global_events t = List.rev t.globals
 
-(* The critical path of a trace: from the root span, repeatedly descend
-   into the child that finished last — the chain of spans that actually
-   bounded the end-to-end latency, so never a one-way send's.  Unfinished
-   spans count as ending at their start. *)
-let critical_path ?trace_id t =
+(* The critical path of the first trace: from the root span, repeatedly
+   descend into the child that finished last — the chain of spans that
+   actually bounded the end-to-end latency, so never a one-way send's.
+   Unfinished spans count as ending at their start. *)
+let critical_path t =
   let all = in_order t in
-  let tid =
-    match trace_id with
-    | Some id -> Some id
-    | None -> ( match all with [] -> None | s :: _ -> Some s.s_trace)
-  in
-  match tid with
-  | None -> []
-  | Some tid ->
+  match all with
+  | [] -> []
+  | { s_trace = tid; _ } :: _ ->
     let spans = List.filter (fun s -> s.s_trace = tid) all in
     let ids = List.map (fun s -> s.s_id) spans in
     let ends s = Option.value s.s_end ~default:s.s_start in
@@ -219,9 +214,8 @@ let context_of_string s =
 
 let ms v = Printf.sprintf "%.1fms" (v *. 1000.0)
 
-let render_tree ?trace_id t =
+let render_tree t =
   let all = in_order t in
-  let all = match trace_id with None -> all | Some id -> List.filter (fun s -> s.s_trace = id) all in
   let buf = Buffer.create 1024 in
   let traces =
     List.fold_left

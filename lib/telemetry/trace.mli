@@ -85,12 +85,12 @@ val span_count : t -> int
 val trace_ids : t -> int64 list
 (** Distinct trace ids in order of first appearance. *)
 
-val critical_path : ?trace_id:int64 -> t -> span_view list
-(** The chain of spans that bounded a trace's end-to-end latency: from
-    the root span, repeatedly descend into the child that finished last,
-    never into a span marked {!mark_one_way}.
-    [trace_id] defaults to the first recorded trace; [[]] when the trace
-    has no spans.  Unfinished spans count as ending at their start. *)
+val critical_path : t -> span_view list
+(** The chain of spans that bounded the first recorded trace's
+    end-to-end latency: from the root span, repeatedly descend into the
+    child that finished last, never into a span marked {!mark_one_way}.
+    [[]] when nothing was recorded.  Unfinished spans count as ending at
+    their start. *)
 
 (** {1 Context propagation} *)
 
@@ -101,8 +101,8 @@ val context_of_string : string -> context option
 
 (** {1 Rendering} *)
 
-val render_tree : ?trace_id:int64 -> t -> string
-(** ASCII span tree (all traces, or just [trace_id]): one line per span
+val render_tree : t -> string
+(** ASCII span tree of every trace: one line per span
     with start offset, duration and annotations, nested children, inline
     events, and the trace-global event log at the end.  Deterministic for
     a given seed. *)

@@ -511,7 +511,7 @@ let json_burn v = if v = infinity then "\"inf\"" else Printf.sprintf "%.4f" v
 let render_json r =
   let shed_reasons =
     String.concat ","
-      (List.map (fun (why, n) -> Printf.sprintf "\"%s\":%d" (Metrics.json_escape why) n) r.shed_reasons)
+      (List.map (fun (why, n) -> Printf.sprintf "%s:%d" (Metrics.json_string why) n) r.shed_reasons)
   in
   let slo =
     Printf.sprintf

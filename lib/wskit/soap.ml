@@ -22,7 +22,7 @@ let to_string e =
   write ~headers:e.headers buf (fun buf -> Xml.print buf e.body);
   Buffer.contents buf
 
-let envelope ?(headers = []) body = Xml.of_string (to_string { headers; body })
+let envelope body = Xml.of_string (to_string { headers = []; body })
 
 let skip_attrs c tag =
   while Cursor.next_attr c tag do

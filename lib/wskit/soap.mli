@@ -32,8 +32,9 @@ val read :
 val to_string : envelope -> string
 (** {!write} of a tree body. *)
 
-val envelope : ?headers:Dacs_xml.Xml.t list -> Dacs_xml.Xml.t -> Dacs_xml.Xml.t
-(** The envelope {!write} produces, as a tree. *)
+val envelope : Dacs_xml.Xml.t -> Dacs_xml.Xml.t
+(** The envelope {!write} produces for a body without headers, as a
+    tree. *)
 
 val parse : string -> (envelope, string) result
 (** {!read} with the body taken as a tree. *)

@@ -129,9 +129,9 @@ let to_string node =
   print_compact buf node;
   Buffer.contents buf
 
-let to_pretty_string ?(indent = 2) node =
+let to_pretty_string node =
   let buf = Buffer.create 256 in
-  let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+  let pad level = Buffer.add_string buf (String.make (level * 2) ' ') in
   let rec go level node =
     match node with
     | Text s ->

@@ -69,8 +69,8 @@ val add_int : Buffer.t -> int -> unit
 (** [add_int buf n] appends [string_of_int n] digit by digit, without
     the intermediate string. *)
 
-val to_pretty_string : ?indent:int -> t -> string
-(** Indented serialisation for human consumption. *)
+val to_pretty_string : t -> string
+(** Serialisation for human consumption, indented two spaces a level. *)
 
 val canonical_string : t -> string
 (** The canonical serialisation: attributes sorted by name,

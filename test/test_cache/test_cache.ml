@@ -929,8 +929,8 @@ let doctor_lab_policy =
 let test_vo_revocation_round () =
   let net = Net.create ~seed:21L () in
   let services = Service.create (Rpc.create net) in
-  let da = Domain.create services ~name:"hospital" ~attr_cache_ttl:60.0 () in
-  let db = Domain.create services ~name:"lab" ~attr_cache_ttl:60.0 () in
+  let da = Domain.create services ~name:"hospital" () in
+  let db = Domain.create services ~name:"lab" () in
   let vo = Vo.form services ~name:"vo" [ da; db ] in
   Vo.publish_policy vo doctor_policy;
   Net.run net;
@@ -989,9 +989,8 @@ let test_vo_revocation_round () =
   check bool_ "the lab entry left L1" true (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "lab") = None);
   check bool_ "the chart entry stayed in L1" true
     (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "chart") <> None);
-  (* Revoke: the PIP drops the role (pushing an attribute invalidation
-     to the PDP cache) and the capability revocation purges every
-     member's decision caches. *)
+  (* Revoke: the PIP drops the role and the capability revocation
+     purges every member's decision caches. *)
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 20.0) (fun () ->
       Pip.remove_subject_attribute (Domain.pip da) ~subject:"alice" ~id:"role";
       Vo.revoke_capability vo ~assertion_id:"cap-1");

@@ -102,7 +102,7 @@ let test_latency_spike () =
   (* Retries alone.  Both requests' timed-out attempts count against
      pdp0's one shared breaker, which would trip and shed alice's last
      attempt; the breaker has its own scenario (7). *)
-  Rpc.set_breaker fx.rpc None;
+  Rpc.set_breaker fx.rpc { Rpc.failure_threshold = max_int; cooldown = 0.0 };
   (* The pep<->pdp link runs at 2 s one-way while every call times out at
      0.5 s; only retries that land after the spike clears can succeed. *)
   Faults.apply fx.net
@@ -163,7 +163,7 @@ let test_flapping_partition () =
   let fx = setup () in
   Pep.set_retry_policy fx.pep (Some steady_retry);
   (* Retries alone, as in the latency spike. *)
-  Rpc.set_breaker fx.rpc None;
+  Rpc.set_breaker fx.rpc { Rpc.failure_threshold = max_int; cooldown = 0.0 };
   Faults.apply fx.net
     [
       Faults.Flapping_partition
@@ -245,7 +245,7 @@ let test_stale_cache_degradation () =
 
 let test_breaker_recovery () =
   let fx = setup () in
-  Rpc.set_breaker fx.rpc (Some { Rpc.failure_threshold = 3; cooldown = 2.0 });
+  Rpc.set_breaker fx.rpc { Rpc.failure_threshold = 3; cooldown = 2.0 };
   Faults.apply fx.net [ Faults.Crash_restart { node = "pdp0"; at = 0.3; restart = Some 6.0 } ];
   let a = ref [] in
   (* Three timeouts trip the breaker... *)

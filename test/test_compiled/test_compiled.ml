@@ -50,9 +50,9 @@ let ctx =
 
 (* --- recompilation on publish ------------------------------------------- *)
 
-let inline_policy ?obligations ?target id rules =
+let inline_policy ?obligations ?(target = Target.any) id rules =
   Policy.Inline_policy
-    (Policy.make ?obligations ?target ~id ~rule_combining:Combine.First_applicable rules)
+    { (Policy.make ?obligations ~id ~rule_combining:Combine.First_applicable rules) with target }
 
 let permit_policy id = inline_policy id [ Rule.permit "r" ]
 let deny_policy id = inline_policy id [ Rule.deny "r" ]
@@ -175,9 +175,12 @@ let test_obligation_order () =
   in
   let s =
     Policy.Inline_set
-      (Policy.make_set ~id:"s" ~policy_combining:Combine.Deny_overrides
-         ~obligations:[ ob "set" ]
-         [ pair_pinned; res_pinned; act_pruned ])
+      {
+        (Policy.make_set ~id:"s" ~policy_combining:Combine.Deny_overrides
+           [ pair_pinned; res_pinned; act_pruned ])
+        with
+        Policy.set_obligations = [ ob "set" ];
+      }
   in
   let interpreted = Policy.evaluate_child ctx s in
   let compiled = Compiled.evaluate ctx (Compiled.compile s) in
@@ -454,9 +457,9 @@ let rule_of_spec i s =
     match s.condition_code with
     | 0 -> None
     | c when c <= Array.length roles -> Some (Expr.one_of (Expr.subject_attr "role") [ roles.(c - 1) ])
-    | _ -> Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+    | _ -> Some (Expr.one_of (Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true }) [ "secret" ])
   in
-  Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
+  { (Rule.make ~target effect (Printf.sprintf "r%d" i)) with Rule.condition }
 
 let target_code_max = pin_shapes_base + Pin_shapes.kinds - 1
 let condition_code_max = Array.length roles + 1
@@ -590,18 +593,21 @@ let recompile_epochs =
    value. *)
 let test_variables_change_recompiles_rules () =
   let policy clearance =
-    Policy.make ~id:"v" ~rule_combining:Combine.First_applicable
-      ~variables:[ ("clearance", Expr.Const (Value.String clearance)) ]
-      [
-        Rule.make
-          ~condition:
-            (Expr.Apply
-               ( "string-equal",
-                 [ Expr.Apply ("string-one-and-only", [ Expr.subject_attr "role" ]);
-                   Expr.Variable_ref "clearance" ] ))
-          Rule.Permit "cleared";
-        Rule.deny "otherwise";
-      ]
+    {
+      (Policy.make ~id:"v" ~rule_combining:Combine.First_applicable
+         [
+           Rule.permit
+             ~condition:
+               (Expr.Apply
+                  ( "string-equal",
+                    [ Expr.Apply ("string-one-and-only", [ Expr.subject_attr "role" ]);
+                      Expr.Variable_ref "clearance" ] ))
+             "cleared";
+           Rule.deny "otherwise";
+         ])
+      with
+      Policy.variables = [ ("clearance", Expr.Const (Value.String clearance)) ];
+    }
   in
   let c1 = Compiled.compile (Policy.Inline_policy (policy "nurse")) in
   let c2 = Compiled.recompile c1 (Policy.Inline_policy (policy "doctor")) in

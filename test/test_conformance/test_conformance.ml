@@ -44,7 +44,7 @@ let na_rule id = Rule.permit ~target:Target.(any |> subject_is "role" "nobody") 
 let indet_rule id =
   (* A condition over a designator that must be present but is not: the
      canonical missing-attribute evaluation error. *)
-  Rule.permit ~condition:(Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "x" ]) id
+  Rule.permit ~condition:(Expr.one_of (Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true }) [ "x" ]) id
 
 let policy_of ?obligations id rule =
   Policy.Inline_policy (Policy.make ?obligations ~id ~rule_combining:Combine.First_applicable [ rule ])
@@ -54,10 +54,13 @@ let policy_of ?obligations id rule =
    rules all fall through is still "applicable" to that algorithm). *)
 let na_policy id =
   Policy.Inline_policy
-    (Policy.make ~id ~target:Target.(any |> subject_is "role" "nobody") [ Rule.permit "r" ])
+    {
+      (Policy.make ~id [ Rule.permit "r" ]) with
+      Policy.target = Target.(any |> subject_is "role" "nobody");
+    }
 
-let set alg ?obligations children =
-  Policy.make_set ~id:"set" ~policy_combining:alg ?obligations children
+let set alg ?(obligations = []) children =
+  { (Policy.make_set ~id:"set" ~policy_combining:alg children) with Policy.set_obligations = obligations }
 
 let decision =
   Alcotest.testable

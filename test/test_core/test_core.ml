@@ -1003,6 +1003,8 @@ let corrupt_signature_value node =
   let stop = String.index_from s start '<' in
   Xml.of_string (String.sub s 0 start ^ "!!!!" ^ String.sub s stop (String.length s - stop))
 
+let x509_xml a = Xml.of_string (Dacs_saml.Attribute_cert.to_string a)
+
 let pep_denies_undecodable_capability wire_of () =
   let net, services, _cas, pep, client = push_setup () in
   let capability =
@@ -1658,11 +1660,11 @@ let () =
           Alcotest.test_case "undecodable SAML capability denied" `Quick
             (pep_denies_undecodable_capability Dacs_saml.Assertion.to_xml);
           Alcotest.test_case "undecodable attribute certificate denied" `Quick
-            (pep_denies_undecodable_capability Dacs_saml.Attribute_cert.to_xml);
+            (pep_denies_undecodable_capability x509_xml);
           Alcotest.test_case "client rejects an undecodable SAML capability" `Quick
             (client_rejects_undecodable_capability Dacs_saml.Assertion.to_xml);
           Alcotest.test_case "client rejects an undecodable attribute certificate" `Quick
-            (client_rejects_undecodable_capability Dacs_saml.Attribute_cert.to_xml);
+            (client_rejects_undecodable_capability x509_xml);
           Alcotest.test_case "capability scope" `Quick test_pep_push_capability_scope;
           Alcotest.test_case "revocation" `Quick test_pep_push_revocation;
           Alcotest.test_case "local PDP final say" `Quick test_pep_push_local_final_say;

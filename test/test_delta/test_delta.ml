@@ -73,13 +73,13 @@ let rule_of_spec i s =
     | c when c <= Array.length roles ->
       Some (Expr.one_of (Expr.subject_attr "role") [ roles.(c - 1) ])
     | c when c = Array.length roles + 1 ->
-      Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+      Some (Expr.one_of (Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true }) [ "secret" ])
     | _ ->
       (* Names no variable the policy defines: Indeterminate whatever
          the rule's target. *)
       Some (Expr.Variable_ref "undefined")
   in
-  Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
+  { (Rule.make ~target effect (Printf.sprintf "r%d" i)) with Rule.condition }
 
 let target_code_max = pin_shapes_base + Pin_shapes.kinds - 1
 let condition_code_max = Array.length roles + 2
@@ -380,7 +380,7 @@ let directed_rule_retargeted () =
 
 let directed_condition_only () =
   let conditioned c =
-    Rule.make ~target:(permit_rule ()).Rule.target ?condition:c Rule.Permit "r"
+    Rule.permit ~target:(permit_rule ()).Rule.target ?condition:c "r"
   in
   let before = pol [ conditioned None; deny_all ] in
   let after =
@@ -397,9 +397,9 @@ let directed_condition_only () =
    does: adding one must cover requests its target never pins. *)
 let directed_undefined_variable () =
   let lab_rule =
-    Rule.make
+    Rule.deny
       ~target:Target.(any |> resource_is "resource-id" "lab")
-      ~condition:(Expr.Variable_ref "undefined") Rule.Deny "x"
+      ~condition:(Expr.Variable_ref "undefined") "x"
   in
   let mk rules = Policy.Inline_policy (Policy.make ~id:"undefined-var" rules) in
   let before = mk [ Rule.permit "all" ] and after = mk [ Rule.permit "all"; lab_rule ] in

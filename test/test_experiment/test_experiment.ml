@@ -80,6 +80,25 @@ let test_failing_gate () =
          E.v "bad" ~gates:[ Gate.exact "g" ] (fun x -> E.check x "g" false "") ]
        [])
 
+(* A passing ratio line names its floor, not what it measured, so two
+   passing runs of a wall-clock ratio print the same bytes; a failing
+   line also names the measured ratio. *)
+let test_ratio_line () =
+  let line num =
+    let path = Filename.temp_file "dacs-ratio" ".log" in
+    let oc = open_out path in
+    ignore
+      (E.run_one
+         (E.v "r" ~log:oc ~gates:[ Gate.ratio "r" ~at_least:2.0 ] (fun x -> E.ratio x "r" num 1.0)));
+    close_out oc;
+    let l = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    l
+  in
+  Alcotest.(check string) "passing lines agree" (line 5.0) (line 7.5);
+  Alcotest.(check string) "a passing line names its floor" "R CHECK r: PASS (>= 2x)\n" (line 5.0);
+  Alcotest.(check string) "a failing line names the ratio" "R CHECK r: FAIL (1.50x < 2x)\n" (line 1.5)
+
 let test_unevaluated_gate () =
   let dir = history [ {|{"pr":"base","snapshots":{"e":{"k":1.0}}}|} ] in
   let forgetful gate = E.v "e" ~gates:[ Gate.exact "a"; gate ] (fun x -> E.check x "a" true "") in
@@ -191,6 +210,7 @@ let () =
       ( "gates",
         [
           Alcotest.test_case "failing gate fails the status" `Quick test_failing_gate;
+          Alcotest.test_case "a passing ratio line names its floor" `Quick test_ratio_line;
           Alcotest.test_case "never-evaluated gate fails the status" `Quick test_unevaluated_gate;
         ] );
       ( "ledger",

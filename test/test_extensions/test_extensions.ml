@@ -676,13 +676,13 @@ let test_negotiation_capability_works_at_pep () =
 
 (* --- capability wire formats (CAS vs VOMS, §2.2) ------------------------------- *)
 
-let cas_setup format =
+let cas_setup () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "cas"; "pep"; "client" ];
   let keys = Rsa.generate (Rng.create 51L) ~bits:512 in
   let cas =
     Capability_service.create services ~node:"cas" ~issuer:"cas" ~keypair:keys
-      ~root:(doctor_read_policy "r") ~format ()
+      ~root:(doctor_read_policy "r") ()
   in
   ignore
     (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" ~content:"data"
@@ -707,7 +707,7 @@ let request_capability services =
   match !got with Some (Ok (Ok (a, _))) -> a | _ -> Alcotest.fail "no capability issued"
 
 let test_attribute_cert_roundtrip () =
-  let _net, services, cas, _client = cas_setup Capability_service.Saml in
+  let _net, services, cas, _client = cas_setup () in
   let a = request_capability services in
   match Dacs_saml.Attribute_cert.of_xml (Xml.of_string (Dacs_saml.Attribute_cert.to_string a)) with
   | Error e -> Alcotest.fail e
@@ -724,18 +724,24 @@ let test_attribute_cert_roundtrip () =
       (List.mem_assoc "role" (Dacs_saml.Assertion.attributes a'))
 
 let test_attribute_cert_end_to_end () =
-  (* A VOMS-style CAS: the X.509-encoded capability is honoured by the
-     same push PEP that accepts SAML assertions. *)
-  let net, _services, _cas, client = cas_setup Capability_service.X509_attribute_cert in
+  (* A VOMS-style issuer: the X.509 encoding of the CAS's capability is
+     honoured by the same push PEP that accepts SAML assertions. *)
+  let net, services, _cas, client = cas_setup () in
+  let a = request_capability services in
+  Net.add_node net "voms";
+  Rpc.serve_frame (Service.rpc services) ~node:"voms" ~service:"capability-request"
+    ~envelope:(fun buf write -> Soap.write buf write)
+    (fun ~caller:_ _ reply ->
+      reply (fun buf -> Buffer.add_string buf (Dacs_saml.Attribute_cert.to_string a)));
   let got = ref None in
-  Client.request_with_capability client ~capability_service:"cas" ~pep:"pep" ~resource:"r"
+  Client.request_with_capability client ~capability_service:"voms" ~pep:"pep" ~resource:"r"
     ~action:"read" (fun r -> got := Some r);
   Net.run net;
   (match !got with
   | Some (Ok (Wire.Granted { content; _ })) -> check string_ "content" "data" content
   | _ -> Alcotest.fail "expected grant with X.509 capability");
   (* Reuse works for the cached X.509 wire form too. *)
-  Client.request_with_capability client ~capability_service:"cas" ~pep:"pep" ~resource:"r"
+  Client.request_with_capability client ~capability_service:"voms" ~pep:"pep" ~resource:"r"
     ~action:"read" (fun r -> got := Some r);
   Net.run net;
   check int_ "capability reused" 1 (Client.capability_requests_made client);
@@ -744,7 +750,7 @@ let test_attribute_cert_end_to_end () =
   | _ -> Alcotest.fail "expected reuse grant"
 
 let test_capability_format_sizes_differ () =
-  let _net, services, _cas, _client = cas_setup Capability_service.Saml in
+  let _net, services, _cas, _client = cas_setup () in
   let a = request_capability services in
   let saml = Dacs_saml.Assertion.to_string a in
   let x509 = Dacs_saml.Attribute_cert.to_string a in

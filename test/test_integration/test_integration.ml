@@ -395,10 +395,10 @@ let test_replicated_pdps_survive_crash () =
   Net.add_node net "d.pdp2";
   ignore
     (Pdp_service.create services ~node:"d.pdp2" ~name:"d-pdp2" ~pap:(Domain.pap_node domain) ());
+  Net.add_node net "d.pep.ws";
   let pep =
-    Domain.expose_resource domain ~resource:"ws"
-      ~pdps:[ Domain.pdp_node domain; "d.pdp2" ]
-      ~call_timeout:0.3 ()
+    Pep.create services ~node:"d.pep.ws" ~domain:"d" ~resource:"ws"
+      (Pep.Pull { pdps = [ Domain.pdp_node domain; "d.pdp2" ]; cache = None; call_timeout = 0.3 })
   in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
@@ -430,7 +430,7 @@ let test_partition_heals () =
   let net, services = fresh () in
   let domain = Domain.create services ~name:"d" () in
   Domain.set_local_policy domain (doctor_read_policy "ws");
-  let pep = Domain.expose_resource domain ~resource:"ws" ~call_timeout:0.3 () in
+  let pep = Domain.expose_resource domain ~resource:"ws" () in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
   (* Partition the PEP from the PDP: requests fail closed. *)
@@ -455,7 +455,7 @@ let test_lossy_network_with_cache () =
   let domain = Domain.create services ~name:"d" () in
   Domain.set_local_policy domain (doctor_read_policy "ws");
   let cache = Decision_cache.create ~ttl:1000.0 () in
-  let pep = Domain.expose_resource domain ~resource:"ws" ~cache ~call_timeout:0.3 () in
+  let pep = Domain.expose_resource domain ~resource:"ws" ~cache () in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
   (* Warm the cache on a healthy network. *)

@@ -64,15 +64,7 @@ let ctx ?(subject = "alice") () =
     ~action:[ ("action-id", Value.String "read") ]
     ()
 
-let replica ?metrics ?audit name =
-  O.create ?metrics ?audit ~now:(fun () -> 0.0) ~key:mesh_key ~author:name ()
-
-(* The request keys a replica's replay retroactively invalidated, oldest
-   first: the resources of the invalidation records in its audit. *)
-let invalidated audit =
-  List.filter_map
-    (fun (e : Audit.entry) -> if e.action = "offline-invalidate" then Some e.resource else None)
-    (Audit.entries audit)
+let replica ?metrics name = O.create ?metrics ~now:(fun () -> 0.0) ~key:mesh_key ~author:name ()
 
 (* A replica with a few events to sync: policy, a grant, a revoke. *)
 let populated ?metrics name =
@@ -499,8 +491,7 @@ let ctx_at subject time =
     ()
 
 let test_log_renders_floats_exactly () =
-  let audit = Audit.create () in
-  let o = replica ~audit "alpha" in
+  let o = replica "alpha" in
   O.publish o (Policy.Inline_policy late_pol);
   let c = ctx_at "bob" (Some 1000000.4) in
   (match O.decide o c with
@@ -524,7 +515,6 @@ let test_log_renders_floats_exactly () =
   O.grant o ~subject:"carol" ~attr:"role" ~value:"nurse";
   ignore (O.state_digest o);
   check int_ "re-checked once" 1 (O.stats o).O.rechecked;
-  check (Alcotest.list string_) "nothing invalidated in the audit" [] (invalidated audit);
   check int_ "no invalidation" 0 (O.stats o).O.invalidations
 
 (* Replay re-evaluates only the Decides a merge could flip.  Two
@@ -534,12 +524,8 @@ let test_log_renders_floats_exactly () =
    role, concurrent with one more of her Decides, then fires exactly her
    Decides at both replicas. *)
 let test_replay_rechecks_what_changed () =
-  let audited name =
-    let audit = Audit.create () in
-    (replica ~audit name, (name, audit))
-  in
-  let ((a, _) as alpha) = audited "alpha" and ((b, _) as beta) = audited "beta" in
-  let replicas = [ alpha; beta ] in
+  let a = replica "alpha" and b = replica "beta" in
+  let replicas = [ (a, "alpha"); (b, "beta") ] in
   O.publish a (Policy.Inline_policy nurse_pol);
   O.publish b (Policy.Inline_policy nurse_pol);
   O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
@@ -556,29 +542,24 @@ let test_replay_rechecks_what_changed () =
   decide b "carol" Decision.Deny;
   (match O.sync_pair a b with Ok n -> check int_ "decides exchanged" 4 n | Error _ -> Alcotest.fail "sync");
   List.iter
-    (fun (o, (name, _)) ->
+    (fun (o, name) ->
       check int_ (name ^ ": nothing re-checked") 0 (O.stats o).O.rechecked;
       check int_ (name ^ ": nothing invalidated") 0 (O.stats o).O.invalidations)
     replicas;
   O.revoke b ~subject:"alice" ~attr:"role";
   decide a "alice" Decision.Permit;
   ignore (O.sync_pair a b);
-  let alice = Decision_cache.request_key (ctx_at "alice" None) in
   List.iter
-    (fun (o, (name, audit)) ->
-      check (Alcotest.list string_) (name ^ ": alice's Decides fire") [ alice; alice; alice ]
-        (invalidated audit);
-      check int_ (name ^ ": three invalidations") 3 (O.stats o).O.invalidations)
+    (fun (o, name) -> check int_ (name ^ ": alice's three Decides fire") 3 (O.stats o).O.invalidations)
     replicas
 
 (* The shortcut derives a Decide's state from the events its frontier
    covers, so it must know all of them.  Here alpha admits gamma's Deny
    of alice without beta's revoke that caused it: under alpha's state
    alice is a nurse, so the full replay's re-check contradicts the Deny
-   and purges its key, and so must ours. *)
+   and invalidates it, and so must ours. *)
 let test_replay_rechecks_without_causal_past () =
-  let audit = Audit.create () in
-  let a = replica ~audit "alpha" and b = replica "beta" and c = replica "gamma" in
+  let a = replica "alpha" and b = replica "beta" and c = replica "gamma" in
   O.publish a (Policy.Inline_policy nurse_pol);
   O.grant a ~subject:"alice" ~attr:"role" ~value:"nurse";
   ignore (O.sync_pair a b);
@@ -590,9 +571,7 @@ let test_replay_rechecks_without_causal_past () =
   | None -> Alcotest.fail "no offline decision");
   let gammas = List.filter (fun ev -> ev.O.author = "gamma") (O.missing_for c ~frontier:(O.frontier a)) in
   check bool_ "gamma's segment admitted" true (O.admit a gammas = Ok 1);
-  check (Alcotest.list string_) "the Deny's key is purged"
-    [ Decision_cache.request_key (ctx_at "alice" None) ]
-    (invalidated audit);
+  check int_ "the Deny is invalidated" 1 (O.stats a).O.invalidations;
   check int_ "re-checked" 1 (O.stats a).O.rechecked
 
 type op =
@@ -642,7 +621,7 @@ let script_gen =
 
 (* The reference replay: deny-wins over the replica's merged log with
    the interpreter, lists for every set, and its own counts of replays,
-   conflicts, invalidations and purged keys. *)
+   conflicts and invalidations. *)
 type ref_state = {
   r_grants : (string * string * string) list;
   r_policy : Policy.child option;
@@ -655,8 +634,6 @@ type model = {
   mutable state : ref_state;
   mutable fired : (string * int) list;
   mutable known : (string * int * string * int) list;
-  mutable expected_keys : string list;  (* newest first *)
-  audit : Audit.t;  (* the replica's; its invalidation records are the purged keys *)
   mutable logged : int;
   mutable replays : int;
   mutable replayed : int;
@@ -755,13 +732,12 @@ let ref_replay m =
   List.iter
     (fun e ->
       match e.O.kind with
-      | O.Decide { key; ctx; decision } when not (List.mem (e.O.author, e.O.seq) m.fired) -> (
+      | O.Decide { ctx; decision; _ } when not (List.mem (e.O.author, e.O.seq) m.fired) -> (
         m.rechecks <- m.rechecks + 1;
         match Result.to_option (Context.read_compact ctx) |> Option.map (ref_evaluate m.state) with
         | Some (Some r) when Decision.decision_to_string r.Decision.decision <> decision ->
           m.fired <- (e.O.author, e.O.seq) :: m.fired;
-          m.invalidations <- m.invalidations + 1;
-          m.expected_keys <- key :: m.expected_keys
+          m.invalidations <- m.invalidations + 1
         | _ -> ())
       | _ -> ())
     all;
@@ -799,8 +775,7 @@ let run_script (n, ops) =
   let clock = ref 0.0 in
   let ms =
     Array.init n (fun i ->
-        let audit = Audit.create () in
-        let o = O.create ~audit ~now:(fun () -> !clock) ~key:mesh_key ~author:(Printf.sprintf "dom%d" i) () in
+        let o = O.create ~now:(fun () -> !clock) ~key:mesh_key ~author:(Printf.sprintf "dom%d" i) () in
         let m =
           {
             o;
@@ -808,8 +783,6 @@ let run_script (n, ops) =
             state = { r_grants = []; r_policy = None; r_conflicts = [] };
             fired = [];
             known = [];
-            expected_keys = [];
-            audit;
             logged = 0;
             replays = 0;
             replayed = 0;
@@ -889,10 +862,6 @@ let run_script (n, ops) =
             || fail "replica %d: events are not its log in total order" i)
          && (O.conflicts m.o = m.state.r_conflicts || fail "replica %d: conflicts differ" i)
          && (O.surviving_grants m.o = m.state.r_grants || fail "replica %d: grants differ" i)
-         && (invalidated m.audit = List.rev m.expected_keys
-            || fail "replica %d: audit invalidated [%s], expected [%s]" i
-                 (String.concat "; " (invalidated m.audit))
-                 (String.concat "; " (List.rev m.expected_keys)))
          &&
          let expected =
            {

@@ -70,9 +70,9 @@ let rule_of_spec i s =
     | _ ->
       (* The Indeterminate generator: a designator that must be present
          but never is. *)
-      Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+      Some (Expr.one_of (Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true }) [ "secret" ])
   in
-  Rule.make ~target ?condition effect (Printf.sprintf "r%d" i)
+  { (Rule.make ~target effect (Printf.sprintf "r%d" i)) with Rule.condition }
 
 let target_code_max = pin_shapes_base - 1
 let condition_code_max = Array.length roles + 1
@@ -464,7 +464,7 @@ let full_condition code =
   match code with
   | 0 -> None
   | 1 | 2 | 3 -> Some (Expr.one_of (Expr.subject_attr "role") [ roles.(code - 1) ])
-  | 4 -> Some (Expr.one_of (Expr.subject_attr ~must_be_present:true "clearance") [ "secret" ])
+  | 4 -> Some (Expr.one_of (Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true }) [ "secret" ])
   | 5 -> Some (Expr.Apply ("integer-equal", [ Expr.Apply ("integer-divide", [ Expr.Const (Value.Int 1); Expr.Const (Value.Int 0) ]); Expr.Const (Value.Int 1) ]))
   | 6 -> Some (Expr.Variable_ref "undefined")
   | 7 -> Some (Expr.Variable_ref "is-doctor")
@@ -472,16 +472,23 @@ let full_condition code =
 
 let full_policy alg p (rules, obligation_code, target_code) =
   let id = Printf.sprintf "p%d" p in
-  Policy.make ~id ~rule_combining:alg
-    ~target:(if target_code < 8 then Target.any else full_target (target_code - 7))
-    ~variables:[ ("is-doctor", Expr.one_of (Expr.subject_attr "role") [ "doctor" ]) ]
-    ~obligations:(obligations_of_spec p obligation_code)
-    (List.mapi
-       (fun i r ->
-         Rule.make ~target:(full_target r.fr_target) ?condition:(full_condition r.fr_condition)
-           (if r.fr_effect = 0 then Rule.Permit else Rule.Deny)
-           (Printf.sprintf "r%d" i))
-       rules)
+  {
+    (Policy.make ~id ~rule_combining:alg
+       ~obligations:(obligations_of_spec p obligation_code)
+       (List.mapi
+          (fun i r ->
+            {
+              (Rule.make ~target:(full_target r.fr_target)
+                 (if r.fr_effect = 0 then Rule.Permit else Rule.Deny)
+                 (Printf.sprintf "r%d" i))
+              with
+              Rule.condition = full_condition r.fr_condition;
+            })
+          rules))
+    with
+    Policy.target = (if target_code < 8 then Target.any else full_target (target_code - 7));
+    variables = [ ("is-doctor", Expr.one_of (Expr.subject_attr "role") [ "doctor" ]) ];
+  }
 
 (* Shape 0 is a lone policy (the serving shape); otherwise a set of the
    policies under [set_alg], the last child a reference to the first
@@ -493,9 +500,11 @@ let full_tree alg (shape, set_alg, policies) =
   | _ ->
     let refs = match shape with 2 -> [ Policy.Policy_ref "p0" ] | 3 -> [ Policy.Policy_ref "gone" ] | _ -> [] in
     Policy.Inline_set
-      (Policy.make_set ~id:"s" ~policy_combining:(snd (List.nth algorithms set_alg))
-         ~obligations:(obligations_of_spec 9 (set_alg mod 3))
-         (leaves @ refs))
+      {
+        (Policy.make_set ~id:"s" ~policy_combining:(snd (List.nth algorithms set_alg)) (leaves @ refs))
+        with
+        Policy.set_obligations = obligations_of_spec 9 (set_alg mod 3);
+      }
 
 let full_resolve_ref tree id =
   match tree with
@@ -614,11 +623,14 @@ let child_of_spec i c =
     else Target.(any |> resource_is "resource-id" resources.((c.child_resource_code - 1) mod Array.length resources))
   in
   Policy.Inline_policy
-    (Policy.make
-       ~id:(Printf.sprintf "child%d" i)
-       ~issuer:issuers.(c.issuer_code mod Array.length issuers)
-       ~target
-       [ (if c.child_effect_code = 0 then Rule.permit "p" else Rule.deny "d") ])
+    {
+      (Policy.make
+         ~id:(Printf.sprintf "child%d" i)
+         ~issuer:issuers.(c.issuer_code mod Array.length issuers)
+         [ (if c.child_effect_code = 0 then Rule.permit "p" else Rule.deny "d") ])
+      with
+      Policy.target;
+    }
 
 let arb_set_case =
   let open QCheck in

@@ -392,7 +392,7 @@ let test_expr_designators () =
 
 let test_expr_missing_attribute () =
   (* Absent + must_be_present = Missing_attribute (→ Indeterminate). *)
-  let e = Expr.Apply ("string-bag-size", [ Expr.subject_attr ~must_be_present:true "nope" ]) in
+  let e = Expr.Apply ("string-bag-size", [ Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "nope"; must_be_present = true } ]) in
   check bool_ "missing" true ((eval_err (Expr.Apply ("integer-equal", [ e; lit_int 0 ]))).Expr.code = Expr.Missing_attribute);
   (* Absent without must_be_present = empty bag. *)
   check bool_ "empty bag ok" true
@@ -707,9 +707,14 @@ let test_policy_eval () =
   in
   check_decision "nurse denied" Decision.Deny (Policy.evaluate nurse_ctx doctor_read_policy)
 
+(* Policy.make builds an untargeted policy without variables; the
+   parser fills these fields from a document, and so do these. *)
+let targeted target p = { p with Policy.target }
+let with_variables variables p = { p with Policy.variables }
+
 let test_policy_target_gates_rules () =
   let p =
-    Policy.make ~id:"p" ~target:(Target.(action_is "action-id" "write" any)) [ Rule.permit "r" ]
+    targeted Target.(action_is "action-id" "write" any) (Policy.make ~id:"p" [ Rule.permit "r" ])
   in
   check_decision "policy NA" Decision.Not_applicable (Policy.evaluate ctx p)
 
@@ -731,8 +736,10 @@ let test_policy_set_nesting () =
       [
         Policy.Inline_policy doctor_read_policy;
         Policy.Inline_set
-          (Policy.make_set ~id:"inner" ~target:(Target.(action_is "action-id" "write" any))
-             [ Policy.Inline_policy inner_deny ]);
+          {
+            (Policy.make_set ~id:"inner" [ Policy.Inline_policy inner_deny ]) with
+            Policy.set_target = Target.(action_is "action-id" "write" any);
+          };
       ]
   in
   (* The inner set's target is write, so for a read request only
@@ -771,8 +778,8 @@ let test_policy_rule_counts () =
 (* --- xml round-trips ------------------------------------------------------------------- *)
 
 let complex_policy =
-  Policy.make ~id:"complex" ~version:3 ~description:"a complex policy" ~issuer:"domain-a"
-    ~target:Target.(any |> resource_is "resource-id" "patient-records")
+  {
+    (Policy.make ~id:"complex" ~description:"a complex policy" ~issuer:"domain-a"
     ~rule_combining:Combine.Permit_overrides
     ~obligations:[ Obligation.encrypt_response ~strength:128 ]
     [
@@ -789,7 +796,11 @@ let complex_policy =
                ] ))
         "r1";
       Rule.deny "r2";
-    ]
+    ])
+    with
+    Policy.version = 3;
+    target = Target.(any |> resource_is "resource-id" "patient-records");
+  }
 
 (* A policy read back through the one tree reader, [child_of_xml]. *)
 let policy_roundtrip p =
@@ -823,12 +834,16 @@ let test_xml_policy_roundtrip () =
 
 let test_xml_set_roundtrip () =
   let set =
-    Policy.make_set ~id:"root" ~description:"top" ~policy_combining:Combine.Only_one_applicable
-      [
-        Policy.Inline_policy complex_policy;
-        Policy.Policy_ref "external-policy";
-        Policy.Inline_set (Policy.make_set ~id:"nested" [ Policy.Inline_policy doctor_read_policy ]);
-      ]
+    {
+      (Policy.make_set ~id:"root" ~policy_combining:Combine.Only_one_applicable
+         [
+           Policy.Inline_policy complex_policy;
+           Policy.Policy_ref "external-policy";
+           Policy.Inline_set (Policy.make_set ~id:"nested" [ Policy.Inline_policy doctor_read_policy ]);
+         ])
+      with
+      Policy.set_description = "top";
+    }
   in
   let s = Xacml_xml.child_to_string (Policy.Inline_set set) in
   match Xacml_xml.child_of_string s with
@@ -844,7 +859,7 @@ let test_xml_expr_roundtrip () =
   let e =
     Expr.Apply
       ( "any-of",
-        [ Expr.Function_ref "string-equal"; lit_str "doctor"; Expr.subject_attr ~must_be_present:true "role" ] )
+        [ Expr.Function_ref "string-equal"; lit_str "doctor"; Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "role"; must_be_present = true } ] )
   in
   (* An expression travels as a rule's condition. *)
   match policy_roundtrip (Policy.make ~id:"p" [ Rule.permit ~condition:e "r" ]) with
@@ -891,13 +906,12 @@ let test_validate_catches () =
   let bad_expr = Policy.make ~id:"p" [ Rule.permit ~condition:(Expr.Apply ("nope", [])) "r" ] in
   check bool_ "unknown function" true (Validate.check_child (Policy.Inline_policy bad_expr) <> []);
   let bad_match =
-    Policy.make ~id:"p"
-      ~target:
-        ({
-          Target.any with
-            subjects = [ [ Target.make_match ~fn:"nope" ~value:(Value.String "x") ~category:Context.Subject ~attribute_id:"a" ] ]
-        })
-      [ Rule.permit "r" ]
+    targeted
+      {
+        Target.any with
+        subjects = [ [ Target.make_match ~fn:"nope" ~value:(Value.String "x") ~category:Context.Subject ~attribute_id:"a" ] ];
+      }
+      (Policy.make ~id:"p" [ Rule.permit "r" ])
   in
   check bool_ "unknown match fn" true (Validate.check_child (Policy.Inline_policy bad_match) <> []);
   let dup_set =
@@ -954,13 +968,13 @@ end
 
 let clearance_policy =
   (* A variable used by two rules: subject clearance as an integer. *)
-  Policy.make ~id:"vars" ~rule_combining:Combine.First_applicable
-    ~variables:
-      [
-        ( "clearance",
-          Expr.Apply ("integer-one-and-only", [ Expr.subject_attr ~must_be_present:true "clearance" ]) );
-        ("is-senior", Expr.Apply ("integer-greater-than", [ Expr.Variable_ref "clearance"; lit_int 5 ]));
-      ]
+  with_variables
+    [
+      ( "clearance",
+        Expr.Apply ("integer-one-and-only", [ Expr.Designator { Expr.category = Dacs_policy.Context.Subject; attribute_id = "clearance"; must_be_present = true } ]) );
+      ("is-senior", Expr.Apply ("integer-greater-than", [ Expr.Variable_ref "clearance"; lit_int 5 ]));
+    ]
+  @@ Policy.make ~id:"vars" ~rule_combining:Combine.First_applicable
     [
       Rule.permit
         ~condition:(Expr.Variable_ref "is-senior")
@@ -1011,9 +1025,9 @@ let test_variables_xml_roundtrip () =
 let test_variables_validation () =
   check int_ "clearance policy clean" 0 (List.length (Validate.check_child (Policy.Inline_policy clearance_policy)));
   let cyclic =
-    Policy.make ~id:"p"
-      ~variables:[ ("a", Expr.Variable_ref "b"); ("b", Expr.Variable_ref "a") ]
-      [ Rule.permit "r" ]
+    with_variables
+      [ ("a", Expr.Variable_ref "b"); ("b", Expr.Variable_ref "a") ]
+      (Policy.make ~id:"p" [ Rule.permit "r" ])
   in
   check bool_ "cycle reported" true
     (List.exists
@@ -1027,9 +1041,9 @@ let test_variables_validation () =
        (fun pr -> Astring_find.find "undefined" (Validate.problem_to_string pr))
        (Validate.check_child (Policy.Inline_policy undefined)));
   let dup =
-    Policy.make ~id:"p"
-      ~variables:[ ("a", lit_bool true); ("a", lit_bool false) ]
-      [ Rule.permit "r" ]
+    with_variables
+      [ ("a", lit_bool true); ("a", lit_bool false) ]
+      (Policy.make ~id:"p" [ Rule.permit "r" ])
   in
   check bool_ "duplicate reported" true
     (List.exists
@@ -1038,9 +1052,10 @@ let test_variables_validation () =
   (* A cyclic policy still evaluates (to Indeterminate), never loops. *)
   check_decision "cycle evaluates safely" (Decision.Indeterminate "")
     (Policy.evaluate ctx
-       (Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
-          ~variables:[ ("a", Expr.Variable_ref "a") ]
-          [ Rule.permit ~condition:(Expr.Variable_ref "a") "r" ]))
+       (with_variables
+          [ ("a", Expr.Variable_ref "a") ]
+          (Policy.make ~id:"p" ~rule_combining:Combine.First_applicable
+             [ Rule.permit ~condition:(Expr.Variable_ref "a") "r" ])))
 
 (* --- target-indexed dispatch ---------------------------------------------------------------------- *)
 
@@ -1147,7 +1162,7 @@ let test_explain_structure () =
 
 let test_explain_skips_unmatched () =
   (* When the policy target misses, no rule nodes are produced. *)
-  let p = Policy.make ~id:"p" ~target:(Target.(action_is "action-id" "write" any)) [ Rule.permit "r" ] in
+  let p = targeted Target.(action_is "action-id" "write" any) (Policy.make ~id:"p" [ Rule.permit "r" ]) in
   let tree, result = Explain.explain ctx (Policy.Inline_policy p) in
   check bool_ "not applicable" true (result.Decision.decision = Decision.Not_applicable);
   check int_ "no children" 0 (List.length tree.Explain.children);
@@ -1170,21 +1185,17 @@ let test_explain_condition_detail () =
   | [] -> Alcotest.fail "expected rule nodes"
 
 let test_explain_nested_sets_and_refs () =
-  let lookup = function
-    | "doctor-read" -> Some (Policy.Inline_policy doctor_read_policy)
-    | _ -> None
-  in
+  let inner = Policy.make_set ~id:"inner" [ Policy.Inline_policy doctor_read_policy ] in
   let set =
-    Policy.make_set ~id:"root"
-      [ Policy.Policy_ref "doctor-read"; Policy.Policy_ref "missing" ]
+    Policy.make_set ~id:"root" [ Policy.Inline_set inner; Policy.Policy_ref "doctor-read" ]
   in
-  let tree, result = Explain.explain ~resolve_ref:lookup ctx (Policy.Inline_set set) in
-  check int_ "two reference nodes" 2 (List.length tree.Explain.children);
+  let tree, result = Explain.explain ctx (Policy.Inline_set set) in
+  check int_ "two child nodes" 2 (List.length tree.Explain.children);
   (match tree.Explain.children with
-  | [ resolved; missing ] ->
-    check bool_ "resolved has inner node" true (resolved.Explain.children <> []);
-    check bool_ "missing is unresolvable" true
-      (Astring_find.find "unresolvable" missing.Explain.detail)
+  | [ nested; reference ] ->
+    check bool_ "nested set has inner node" true (nested.Explain.children <> []);
+    check bool_ "a reference is unresolvable" true
+      (Astring_find.find "unresolvable" reference.Explain.detail)
   | _ -> Alcotest.fail "unexpected shape");
   ignore result
 

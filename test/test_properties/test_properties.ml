@@ -308,8 +308,8 @@ let prop_conflict_reports_reachable_pairs =
   Test.make ~name:"conflict analysis reports every pair one request reaches" ~count:1000
     (make ~print Gen.(pair (quad gen_target gen_target gen_target gen_target) gen_ctx))
     (fun ((ppa, ra, ppb, rb), ctx) ->
-      let pa = Policy.make ~id:"pa" ~target:ppa [ Rule.permit ~target:ra "permit" ] in
-      let pb = Policy.make ~id:"pb" ~target:ppb [ Rule.deny ~target:rb "deny" ] in
+      let pa = { (Policy.make ~id:"pa" [ Rule.permit ~target:ra "permit" ]) with Policy.target = ppa } in
+      let pb = { (Policy.make ~id:"pb" [ Rule.deny ~target:rb "deny" ]) with Policy.target = ppb } in
       let reached =
         List.for_all (fun t -> Target.evaluate ctx t = Target.Match) [ ppa; ra; ppb; rb ]
       in

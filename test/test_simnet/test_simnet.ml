@@ -1066,7 +1066,7 @@ let test_rpc_backoff_is_deterministic () =
 
 let test_rpc_breaker_lifecycle () =
   let net, rpc = make_rpc () in
-  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
+  Rpc.set_breaker rpc { Rpc.failure_threshold = 2; cooldown = 5.0 };
   serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
   Net.crash net "server";
   let results = ref [] in
@@ -1101,11 +1101,11 @@ let test_rpc_breaker_lifecycle () =
 
 (* A bus breaks circuits from the start: five consecutive timeouts open
    the target's breaker without any [set_breaker] call, and the sixth
-   call is shed.  [set_breaker None] turns that off. *)
+   call is shed.  A breaker whose threshold is [max_int] never trips. *)
 let test_rpc_breaker_default () =
   let sixth_after_five_timeouts ~disable =
     let net, rpc = make_rpc () in
-    if disable then Rpc.set_breaker rpc None;
+    if disable then Rpc.set_breaker rpc { Rpc.failure_threshold = max_int; cooldown = 0.0 };
     serve_string rpc ~node:"server" ~service:"echo" (fun ~caller:_ body reply -> reply body);
     Net.crash net "server";
     let results = ref [] in
@@ -1152,7 +1152,7 @@ let test_rpc_breaker_counts_wrong_arity () =
           (fun r -> results := r :: !results))
   in
   let net, rpc = make_rpc () in
-  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 5.0 });
+  Rpc.set_breaker rpc { Rpc.failure_threshold = 2; cooldown = 5.0 };
   one_part_server net "server";
   let results = ref [] in
   batch_of_two rpc ~at:0.1 results net;
@@ -1484,7 +1484,7 @@ let () =
           Alcotest.test_case "deterministic jittered backoff" `Quick
             test_rpc_backoff_is_deterministic;
           Alcotest.test_case "breaker open/half-open/close" `Quick test_rpc_breaker_lifecycle;
-          Alcotest.test_case "breaker on by default, set_breaker None disables" `Quick
+          Alcotest.test_case "breaker on by default, a never-tripping one sheds nothing" `Quick
             test_rpc_breaker_default;
           Alcotest.test_case "a wrong-arity batch reply is a breaker failure" `Quick
             test_rpc_breaker_counts_wrong_arity;

@@ -11,20 +11,12 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let float_ = Alcotest.float 1e-9
 
-(* A monitor on a hand-cranked clock. *)
-let monitor ?objective () =
+(* A monitor on a hand-cranked clock, held to Slo.objective: 99.9%
+   served, 99% within 250 ms, over 60 s. *)
+let monitor () =
   let now = ref 0.0 in
-  let t = Slo.create ?objective ~now:(fun () -> !now) () in
+  let t = Slo.create ~now:(fun () -> !now) () in
   (t, now)
-
-let default_with ?availability_target ?latency_threshold ?latency_target ?window () =
-  let d = Slo.default_objective in
-  {
-    Slo.availability_target = Option.value availability_target ~default:d.Slo.availability_target;
-    latency_threshold = Option.value latency_threshold ~default:d.Slo.latency_threshold;
-    latency_target = Option.value latency_target ~default:d.Slo.latency_target;
-    window = Option.value window ~default:d.Slo.window;
-  }
 
 let test_empty_window () =
   let t, _ = monitor () in
@@ -36,10 +28,10 @@ let test_empty_window () =
   check bool_ "objectives met" true (s.Slo.availability_met && s.Slo.latency_met)
 
 let test_accounting () =
-  let t, now = monitor ~objective:(default_with ~latency_threshold:0.1 ()) () in
+  let t, now = monitor () in
   now := 1.0;
   Slo.record t ~ok:true ~latency:0.05;
-  Slo.record t ~ok:true ~latency:0.25;
+  Slo.record t ~ok:true ~latency:0.3;
   Slo.record t ~ok:false ~latency:0.05;
   let s = Slo.status t in
   check int_ "three decisions" 3 s.Slo.total;
@@ -50,8 +42,7 @@ let test_accounting () =
   check bool_ "availability violated" false s.Slo.availability_met
 
 let test_window_aging () =
-  let objective = default_with ~window:60.0 () in
-  let t, now = monitor ~objective () in
+  let t, now = monitor () in
   now := 1.0;
   Slo.record t ~ok:false ~latency:10.0;
   let s = Slo.status t in
@@ -70,46 +61,27 @@ let test_window_aging () =
   check float_ "clean availability" 1.0 s.Slo.availability
 
 let test_burn_rates () =
-  (* 10% error budget: a 20% error rate burns at exactly 2x. *)
-  let objective = default_with ~availability_target:0.9 () in
-  let t, now = monitor ~objective () in
+  (* 0.1% error budget: a 0.2% error rate burns at 2x. *)
+  let t, now = monitor () in
   now := 1.0;
-  for _ = 1 to 8 do
+  for _ = 1 to 998 do
     Slo.record t ~ok:true ~latency:0.01
   done;
   Slo.record t ~ok:false ~latency:0.01;
   Slo.record t ~ok:false ~latency:0.01;
   let s = Slo.status t in
-  check float_ "availability 80%" 0.8 s.Slo.availability;
+  check float_ "availability 99.8%" 0.998 s.Slo.availability;
   check float_ "burn 2x" 2.0 s.Slo.availability_burn;
   (* Errors at exactly the budget rate burn at 1x — sustainable. *)
-  let t2, now2 = monitor ~objective () in
+  let t2, now2 = monitor () in
   now2 := 1.0;
-  for _ = 1 to 9 do
+  for _ = 1 to 999 do
     Slo.record t2 ~ok:true ~latency:0.01
   done;
   Slo.record t2 ~ok:false ~latency:0.01;
   let s2 = Slo.status t2 in
   check float_ "burn exactly 1x at the budget rate" 1.0 s2.Slo.availability_burn;
-  check bool_ "still met at the boundary" true s2.Slo.availability_met;
-  (* A zero budget burns infinitely on the first error. *)
-  let t3, now3 = monitor ~objective:(default_with ~availability_target:1.0 ()) () in
-  now3 := 1.0;
-  Slo.record t3 ~ok:false ~latency:0.01;
-  check bool_ "zero budget burns infinitely" true
-    ((Slo.status t3).Slo.availability_burn = infinity)
-
-let test_validation () =
-  let now () = 0.0 in
-  Alcotest.check_raises "non-positive window"
-    (Invalid_argument "Slo.create: window must be positive") (fun () ->
-      ignore (Slo.create ~objective:(default_with ~window:0.0 ()) ~now ()));
-  Alcotest.check_raises "target above 1"
-    (Invalid_argument "Slo.create: availability_target must be in [0, 1]") (fun () ->
-      ignore (Slo.create ~objective:(default_with ~availability_target:1.5 ()) ~now ()));
-  Alcotest.check_raises "negative threshold"
-    (Invalid_argument "Slo.create: latency_threshold must be non-negative") (fun () ->
-      ignore (Slo.create ~objective:(default_with ~latency_threshold:(-1.0) ()) ~now ()))
+  check bool_ "still met at the boundary" true s2.Slo.availability_met
 
 (* --- workload integration ----------------------------------------------- *)
 
@@ -149,7 +121,6 @@ let () =
           Alcotest.test_case "availability and latency accounting" `Quick test_accounting;
           Alcotest.test_case "rolling window ages traffic out" `Quick test_window_aging;
           Alcotest.test_case "error-budget burn rates" `Quick test_burn_rates;
-          Alcotest.test_case "objective validation" `Quick test_validation;
         ] );
       ( "workload",
         [

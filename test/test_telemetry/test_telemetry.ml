@@ -229,6 +229,15 @@ let test_render_no_duplicate_names () =
   check int_ "no duplicate TYPE headers" 2
     (List.length (List.sort_uniq compare type_lines))
 
+(* A label value is a JSON string: a quote, a backslash and a control
+   byte are escaped once, and UTF-8 bytes pass as they are. *)
+let test_render_json_escapes_labels () =
+  let m = Metrics.create ~now:(fun () -> 1.5) () in
+  ignore (Metrics.counter m ~labels:[ ("path", "q\"b\\s\001 \xc3\xa9") ] "x_total");
+  check string_ "escaped once"
+    "{\"at\":1.5,\"metrics\":[{\"name\":\"x_total\",\"labels\":{\"path\":\"q\\\"b\\\\s\\u0001 \xc3\xa9\"},\"type\":\"counter\",\"value\":0}]}"
+    (Metrics.render_json m)
+
 (* --- one retry count across the bus ------------------------------------------ *)
 
 let deny_all_policy =
@@ -318,7 +327,7 @@ let test_steady_state_decision_no_lookups () =
   Net.recover net "pdp.0";
   (* Both shards go down; the first decision's timeouts open both
      breakers, the next warms the shed path. *)
-  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 1; cooldown = 100.0 });
+  Rpc.set_breaker rpc { Rpc.failure_threshold = 1; cooldown = 100.0 };
   List.iter (Net.crash net) [ "pdp.0"; "pdp.1" ];
   List.iter decide [ "h"; "i" ];
   let shed = (Rpc.resilience_stats rpc).Rpc.breaker_rejections in
@@ -587,6 +596,7 @@ let () =
           Alcotest.test_case "snapshot order and values" `Quick test_snapshot_order_and_values;
           Alcotest.test_case "exposition has no duplicate headers" `Quick
             test_render_no_duplicate_names;
+          Alcotest.test_case "JSON label values are escaped once" `Quick test_render_json_escapes_labels;
           Alcotest.test_case "a PEP's retries are the bus's retries" `Quick test_retries_counted_once;
           Alcotest.test_case "a steady-state tier decision makes no registry lookups" `Quick
             test_steady_state_decision_no_lookups;

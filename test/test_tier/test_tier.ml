@@ -422,7 +422,7 @@ let test_empty_tier_fails_closed () =
 (* Breakers that trip on the first timeout and stay open [cooldown]
    seconds, so a test opens one with a single lost frame. *)
 let trip_on_first_timeout fx ~cooldown =
-  Rpc.set_breaker (Service.rpc fx.services) (Some { Rpc.failure_threshold = 1; cooldown })
+  Rpc.set_breaker (Service.rpc fx.services) { Rpc.failure_threshold = 1; cooldown }
 
 let rejections fx =
   Metrics.counter_value
@@ -638,7 +638,7 @@ let test_frame_after_suspicion_gets_an_rto () =
 let test_lost_flush_resent_as_one_frame () =
   let fx = setup ~shards:1 () in
   let rpc = Service.rpc fx.services in
-  Rpc.set_breaker rpc (Some { Rpc.failure_threshold = 2; cooldown = 30.0 });
+  Rpc.set_breaker rpc { Rpc.failure_threshold = 2; cooldown = 30.0 };
   Pdp_tier.set_retry_policy fx.tier
     { Rpc.attempts = 2; base_delay = 0.25; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   let frames = ref [] in

@@ -192,10 +192,11 @@ let assertion_gen =
     (Gen.pair sent_at_gen sent_at_gen)
     (Gen.pair (Gen.list_size (Gen.int_bound 3) statement) (Gen.opt raw_bytes_gen))
 
-(* A capability in either of its two formats, with the tree printer the
-   issuing service writes it with. *)
+(* A capability in either of the two formats a PEP reads, as a tree. *)
 let capability_gen = Gen.pair Gen.bool assertion_gen
-let capability_xml (x509, a) = if x509 then Dacs_saml.Attribute_cert.to_xml a else Assertion.to_xml a
+
+let capability_xml (x509, a) =
+  if x509 then Xml.of_string (Dacs_saml.Attribute_cert.to_string a) else Assertion.to_xml a
 
 (* Capabilities compare as the tree they arrived as (the written bytes
    parsed: an empty text child does not survive) and the assertion

@@ -10,12 +10,17 @@
    land on the defining unit.  An identifier that cannot be resolved
    fails the check.
 
-   Three kinds of finding, each printed on its own line:
+   Four kinds of finding, each printed on its own line:
    - a `val` of a lib .mli, top-level or in a submodule signature, that
      no other unit under lib, bin, bench, benchmark or examples
      references (a reference under test/ does not count), unless
      ROOT/tools/export_check/hooks lists it with a reason; a hook that
      names no `val`, gives no reason or has such a caller fails too;
+   - an optional argument `?x` of such a `val` that no call from those
+     units passes, as `~x` or `?x` (the `None` the compiler fills in for
+     an omitted argument is not a pass, and a reference that is not
+     applied passes every label), printed `<mli>:<val>?x`, unless the
+     hooks list it the same way;
    - a reference that breaks an `only` rule of ROOT/tools/export_check/rules
      (the value may be referenced under a directory only from the files
      listed);
@@ -79,13 +84,23 @@ let exports = Hashtbl.create 1024
 let constructors = Hashtbl.create 256
 let interfaces = Hashtbl.create 128
 
+(* (module name, qualified name) -> the optional labels of its type *)
+let optionals = Hashtbl.create 256
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
 let rec walk_signature modname mli prefix (s : signature) =
   List.iter
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
           let name = prefix ^ vd.val_name.txt in
-          Hashtbl.replace exports (modname, name) (mli ^ ":" ^ name)
+          Hashtbl.replace exports (modname, name) (mli ^ ":" ^ name);
+          Hashtbl.replace optionals (modname, name) (optional_labels vd.val_desc.ctyp_type)
       | Tsig_type (_, decls) ->
           List.iter
             (fun td ->
@@ -124,8 +139,11 @@ let () =
 (* ---- References ---- *)
 
 (* (module name, qualified name) -> the files that reference it, with a
-   line each. *)
-let references : (string * string, string * int) Hashtbl.t = Hashtbl.create 8192
+   line each and the optional labels the reference passes: [None] for a
+   reference that is not applied, which may pass any. *)
+let references : (string * string, string * int * string list option) Hashtbl.t =
+  Hashtbl.create 8192
+
 let resolved = ref 0
 
 let rec split = function
@@ -142,7 +160,7 @@ let set_load_path (cmt : Cmt_format.cmt_infos) =
 (* A path whose head is a compilation unit lands on that unit.  One
    into a lib interface must name what it exports, and one into a
    library wrapper means an alias was not followed. *)
-let record src (loc : Location.t) ~known path =
+let record ?labels src (loc : Location.t) ~known path =
   match split path with
   | Some (id, rev_names) when Ident.global id ->
       let modname = Ident.name id and name = String.concat "." (List.rev rev_names) in
@@ -152,7 +170,7 @@ let record src (loc : Location.t) ~known path =
       then
         problem "%s:%d: cannot resolve %s (lands on %s.%s)" src loc.loc_start.pos_lnum
           (Path.name path) modname name
-      else Hashtbl.add references (modname, name) (src, loc.loc_start.pos_lnum)
+      else Hashtbl.add references (modname, name) (src, loc.loc_start.pos_lnum, labels)
   | _ -> ()
 
 let resolve src (loc : Location.t) env normalize p =
@@ -172,16 +190,38 @@ let constructor src loc env (cd : Types.constructor_description) =
       | _ -> ())
   | _ -> ()
 
+(* The function an application calls, with the arguments of every
+   application in a curried chain such as [(f x) ~y]. *)
+let rec applied f args =
+  match f.exp_desc with Texp_apply (g, inner) -> applied g (inner @ args) | _ -> (f, args)
+
+(* An omitted optional argument of a full application is the compiler's
+   [None], which has no location. *)
+let passed = function
+  | Asttypes.Optional l, Some a when a.exp_loc <> Location.none -> Some l
+  | _ -> None
+
 let iterator src =
+  let ident ?labels e p =
+    Option.iter
+      (record ?labels src e.exp_loc ~known:exports)
+      (resolve src e.exp_loc e.exp_env Env.normalize_value_path p)
+  in
   let expr sub e =
-    (match e.exp_desc with
-    | Texp_ident (p, _, _) ->
-        Option.iter
-          (record src e.exp_loc ~known:exports)
-          (resolve src e.exp_loc e.exp_env Env.normalize_value_path p)
-    | Texp_construct (_, cd, _) -> constructor src e.exp_loc e.exp_env cd
-    | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
+    match e.exp_desc with
+    | Texp_apply (f, args) -> (
+        (* The callee is not visited on its own: that would count it as
+           an unapplied reference. *)
+        match applied f args with
+        | ({ exp_desc = Texp_ident (p, _, _); _ } as f), args ->
+            ident ~labels:(List.filter_map passed args) f p;
+            List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a) args
+        | _ -> Tast_iterator.default_iterator.expr sub e)
+    | Texp_ident (p, _, _) -> ident e p
+    | Texp_construct (_, cd, _) ->
+        constructor src e.exp_loc e.exp_env cd;
+        Tast_iterator.default_iterator.expr sub e
+    | _ -> Tast_iterator.default_iterator.expr sub e
   in
   let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
    fun sub p ->
@@ -205,7 +245,8 @@ let () =
 
 (* A unit's references to its own values are local paths, never
    recorded, so every recorded reference comes from another unit. *)
-let callers key = List.filter (fun (src, _) -> under caller_dirs src) (Hashtbl.find_all references key)
+let callers key =
+  List.filter (fun (src, _, _) -> under caller_dirs src) (Hashtbl.find_all references key)
 
 (* ---- Hooks ---- *)
 
@@ -223,6 +264,7 @@ let lines file =
 let words l = List.filter (( <> ) "") (String.split_on_char ' ' l)
 
 let hooks = Hashtbl.create 64
+let label_hooks = Hashtbl.create 16
 
 let () =
   List.iter
@@ -231,9 +273,17 @@ let () =
       | [] -> ()
       | [ name ] -> problem "%s (hook without a reason)" name
       | name :: _ -> (
-          match Hashtbl.find_opt by_name name with
-          | Some key when Hashtbl.mem exports key -> Hashtbl.replace hooks key name
-          | _ -> problem "%s (hook names no val)" name))
+          match String.split_on_char '?' name with
+          | [ value; label ] -> (
+              match Hashtbl.find_opt by_name value with
+              | Some key when List.mem label (Hashtbl.find_opt optionals key |> Option.value ~default:[])
+                ->
+                  Hashtbl.replace label_hooks (key, label) name
+              | _ -> problem "%s (hook names no optional argument)" name)
+          | _ -> (
+              match Hashtbl.find_opt by_name name with
+              | Some key when Hashtbl.mem exports key -> Hashtbl.replace hooks key name
+              | _ -> problem "%s (hook names no val)" name)))
     (lines "tools/export_check/hooks")
 
 let () =
@@ -241,9 +291,30 @@ let () =
     (fun key name ->
       match (callers key, Hashtbl.mem hooks key) with
       | [], false -> problem "%s" name
-      | (src, line) :: _, true -> problem "%s (hook has a caller: %s:%d)" name src line
+      | (src, line, _) :: _, true -> problem "%s (hook has a caller: %s:%d)" name src line
       | _ -> ())
     exports
+
+(* ---- Optional arguments ---- *)
+
+let () =
+  Hashtbl.iter
+    (fun key labels ->
+      let callers = callers key in
+      List.iter
+        (fun label ->
+          let setter =
+            List.find_opt
+              (fun (_, _, passed) -> match passed with None -> true | Some ls -> List.mem label ls)
+              callers
+          in
+          let name = Hashtbl.find exports key ^ "?" ^ label in
+          match (setter, Hashtbl.mem label_hooks (key, label)) with
+          | None, false -> problem "%s" name
+          | Some (src, line, _), true -> problem "%s (hook has a caller: %s:%d)" name src line
+          | _ -> ())
+        labels)
+    optionals
 
 (* ---- Rules ---- *)
 
@@ -257,7 +328,7 @@ let () =
           match Hashtbl.find_opt by_name name with
           | Some key ->
               List.iter
-                (fun (src, line) ->
+                (fun (src, line, _) ->
                   if under [ scope ] src && not (List.mem src allowed) then
                     problem "%s:%d: %s referenced outside %s (%s:%d)" src line name
                       (String.concat ", " allowed) rules n)
@@ -273,7 +344,7 @@ let () =
           if vals = [] then problem "%s:%d: %s names nothing" rules n pattern;
           List.iter
             (fun (key, name) ->
-              if not (List.exists (fun (src, _) -> src = file) (Hashtbl.find_all references key))
+              if not (List.exists (fun (src, _, _) -> src = file) (Hashtbl.find_all references key))
               then problem "%s not referenced from %s (%s:%d)" name file rules n)
             vals
       | _ -> problem "%s:%d: cannot read rule %S" rules n l)
@@ -282,8 +353,14 @@ let () =
 let () =
   match List.sort_uniq compare !problems with
   | [] ->
-      Printf.printf "export check: %d exported vals in %d lib interfaces, %d hooks, %d references resolved\n"
-        (Hashtbl.length exports) (Hashtbl.length interfaces) (Hashtbl.length hooks) !resolved
+      Printf.printf
+        "export check: %d exported vals with %d optional arguments in %d lib interfaces, %d hooks, \
+         %d references resolved\n"
+        (Hashtbl.length exports)
+        (Hashtbl.fold (fun _ ls n -> n + List.length ls) optionals 0)
+        (Hashtbl.length interfaces)
+        (Hashtbl.length hooks + Hashtbl.length label_hooks)
+        !resolved
   | ps ->
       prerr_endline "export check failed:";
       List.iter (fun p -> prerr_endline ("  " ^ p)) ps;
