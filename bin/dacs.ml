@@ -64,7 +64,7 @@ let validate_cmd path =
 (* --- evaluate ------------------------------------------------------------ *)
 
 let evaluate_cmd policy_path request_path explain =
-  match (load_policy policy_path, Result.bind (read_file request_path) Xacml.request_of_string) with
+  match (load_policy policy_path, Result.bind (read_file request_path) Dacs_policy.Context.of_string) with
   | Error e, _ | _, Error e ->
     Printf.eprintf "error: %s\n" e;
     1
@@ -223,11 +223,12 @@ let chaos_cmd seed json =
     (fun node -> ignore (Pdp_service.create services ~node ~name:node ~root:policy ()))
     [ "pdp0"; "pdp1" ];
   let cache = Decision_cache.create ~ttl:2.0 () in
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp0"; "pdp1" ] ~call_timeout:0.4 in
   let pep =
     Pep.create services ~node:"pep" ~domain:"demo" ~resource:"demo-resource" ~content:"42"
-      (Pep.Pull { pdps = [ "pdp0"; "pdp1" ]; cache = Some cache; call_timeout = 0.4 })
+      (Pep.Sharded { tier; cache = Some cache })
   in
-  Pep.set_retry_policy pep (Some Rpc.default_retry);
+  Pdp_tier.set_retry_policy tier Rpc.default_retry;
   Pep.set_stale_window pep 10.0;
   let rng = Dacs_crypto.Rng.create (Int64.of_int (seed + 1)) in
   let horizon = 8.0 in

@@ -37,7 +37,8 @@ let () =
   Net.add_node net "pep";
   let pep =
     Pep.create services ~node:"pep" ~domain:"ops" ~resource:"control-panel"
-      (Pep.Pull { pdps = replicas; cache = None; call_timeout = 0.4 })
+      (Pep.Sharded
+         { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:replicas ~call_timeout:0.4; cache = None })
   in
   Net.add_node net "console";
   let client =

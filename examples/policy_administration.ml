@@ -109,7 +109,8 @@ let () =
   Net.add_node net "pep";
   ignore
     (Pep.create services ~node:"pep" ~domain:"corp" ~resource:"wiki"
-       (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 1.0 }));
+       (Pep.Sharded
+          { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:1.0; cache = None }));
   Net.add_node net "c";
   let contractor =
     Client.create services ~node:"c"

@@ -78,16 +78,17 @@ let advertise t ~services ~node ~kind () =
   in
   renew ()
 
-let auto_rebind t ~pep ~kind ?period () =
+(* Discovery-driven rebinding reshapes the tier: lapsed replicas drop
+   out, new ones join, and only their keys remap. *)
+let auto_rebind t ~node ~tier ~kind ?period () =
   let period = Option.value period ~default:t.lease in
   let engine = Net.engine (Service.net t.services) in
-  let pep_node = Pep.node pep in
   let rec refresh () =
-    Service.call t.services ~src:pep_node ~dst:t.node ~breaker:true Wire.Services.discover
+    Service.call t.services ~src:node ~dst:t.node ~breaker:true Wire.Services.discover
       (fun buf -> Wire.write_discover buf ~kind)
       (fun response ->
         (match response with
-        | Ok (Ok (_ :: _ as endpoints)) -> Pep.set_pull_pdps pep endpoints
+        | Ok (Ok (_ :: _ as endpoints)) -> Pdp_tier.set_shards tier endpoints
         | Ok (Ok []) | Ok (Error _) | Error _ -> () (* keep the last known list *));
         Engine.schedule engine ~delay:period refresh)
   in

@@ -36,12 +36,14 @@ val advertise :
 
 val auto_rebind :
   t ->
-  pep:Pep.t ->
+  node:Dacs_net.Net.node_id ->
+  tier:Pdp_tier.t ->
   kind:string ->
   ?period:float ->
   unit ->
   unit
-(** Poll the registry every [period] seconds (default: the lease), one
-    attempt per poll, and install the discovered endpoints as the PEP's
-    pull-mode failover list.  While the registry is unreachable the PEP
-    keeps its last known list. *)
+(** Poll the registry from [node] every [period] seconds (default: the
+    lease), one attempt per poll, and install the discovered endpoints
+    as the tier's shards ({!Pdp_tier.set_shards}; on an ordered tier,
+    the failover order).  While the registry is unreachable, or lists
+    nothing, the tier keeps its last known shards. *)

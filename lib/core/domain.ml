@@ -27,11 +27,6 @@ let pip t = t.pip
 let pdp t = t.pdp
 let idp t = t.idp
 
-let pap_node t = Pap.node t.pap
-let pdp_node t = Pdp_service.node t.pdp
-let pip_node t = Pip.node t.pip
-let idp_node t = Idp.node t.idp
-
 (* The stored root combines the domain's own policy with any syndicated
    VO policy under deny-overrides: the VO can grant nothing the domain
    forbids, and vice versa. *)
@@ -149,10 +144,11 @@ let expose_resource t ~resource ?content ?cache () =
   let net = Service.net t.services in
   let node = Printf.sprintf "%s.pep.%s" t.name resource in
   Dacs_net.Net.add_node net node;
+  let tier = Pdp_tier.ordered t.services ~node ~pdps:[ Pdp_service.node t.pdp ] ~call_timeout:1.0 in
   let pep =
     Pep.create t.services ~node ~domain:t.name ~resource ?content ~audit:t.audit
       ~encryption_key:(Dacs_crypto.Stream_cipher.derive_key (t.name ^ "/" ^ resource))
-      (Pep.Pull { pdps = [ pdp_node t ]; cache; call_timeout = 1.0 })
+      (Pep.Sharded { tier; cache })
   in
   Option.iter (fun l2 -> Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2))) t.l2;
   t.peps <- pep :: t.peps;

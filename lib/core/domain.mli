@@ -24,11 +24,6 @@ val pip : t -> Pip.t
 val pdp : t -> Pdp_service.t
 val idp : t -> Idp.t
 
-val pap_node : t -> Dacs_net.Net.node_id
-val pdp_node : t -> Dacs_net.Net.node_id
-val pip_node : t -> Dacs_net.Net.node_id
-val idp_node : t -> Dacs_net.Net.node_id
-
 (** {1 Policy administration} *)
 
 val set_local_policy : t -> Dacs_policy.Policy.child -> unit
@@ -71,7 +66,8 @@ val expose_resource :
   ?cache:Decision_cache.t ->
   unit ->
   Pep.t
-(** A pull-mode PEP on node [<domain>.pep.<resource>], wired to the
-    domain PDP with a 1 s call timeout. *)
+(** A pull-mode PEP on node [<domain>.pep.<resource>] over an ordered
+    tier ({!Pdp_tier.ordered}) of the domain PDP alone, with a 1 s call
+    timeout. *)
 
 val peps : t -> Pep.t list

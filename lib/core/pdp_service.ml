@@ -225,7 +225,7 @@ let fetch_batched t ~subject misses ctx k =
         Service.call t.services ~src:t.node ~dst:pip ~breaker:true Wire.Services.attribute_query single
           (fun result -> handle [ result ])
       | _ ->
-        Service.call_batch t.services ~src:t.node ~dst:pip ~breaker:true Wire.Services.attribute_query
+        Service.call_batch t.services ~src:t.node ~dst:pip Wire.Services.attribute_query
           bodies (fun result ->
             match result with
             | Ok parts -> handle parts

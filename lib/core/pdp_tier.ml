@@ -366,7 +366,7 @@ and send_plain t shard s ~sent item =
         answered t s ~batch:1 item part)
 
 and send_batch t shard s ~sent ~n items =
-  Service.call_batch t.services ~src:t.node ~dst:shard ~breaker:true t.authz
+  Service.call_batch t.services ~src:t.node ~dst:shard t.authz
     (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
     (function
       | Ok parts ->
@@ -396,10 +396,7 @@ and flush t shard s =
       arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto t s))
   end
 
-let decide ?key t ctx deliver =
-  (* A PEP that already built the request key for its own caches passes
-     it down; only key-less callers pay the build here. *)
-  let key = match key with Some k -> k | None -> Decision_cache.request_key ctx in
+let decide ~key t ctx deliver =
   let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0; flags = 0 } in
   if Array.length t.seeded = 0 then begin
     Metrics.inc t.c_exhausted;

@@ -134,7 +134,7 @@ val rto : t -> Dacs_net.Net.node_id -> float
     [srtt + 4·rttvar] clamped to \[0.2, timeout\]. *)
 
 val decide :
-  ?key:string ->
+  key:string ->
   t ->
   Dacs_policy.Context.t ->
   ((Dacs_policy.Decision.result, string) result -> Provenance.t -> unit) ->
@@ -161,10 +161,9 @@ val decide :
     are this query's own: another query's re-send or breaker shed never
     sets them.
 
-    [key] is the request's routing key when the caller already built it
-    ({!Decision_cache.request_key} is computed otherwise) — the PEP
-    passes its own cache key down so the hot path builds each key
-    exactly once. *)
+    [key] is the request's routing key, {!Decision_cache.request_key}
+    of [ctx]: the PEP passes its own cache key down, so the hot path
+    builds each key exactly once. *)
 
 (** {1 Statistics} *)
 

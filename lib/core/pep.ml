@@ -9,11 +9,6 @@ module Metrics = Dacs_telemetry.Metrics
 module Trace = Dacs_telemetry.Trace
 
 type mode =
-  | Pull of {
-      pdps : Dacs_net.Net.node_id list;
-      cache : Decision_cache.t option;
-      call_timeout : float;
-    }
   | Sharded of { tier : Pdp_tier.t; cache : Decision_cache.t option }
   | Push of {
       trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
@@ -21,18 +16,6 @@ type mode =
       local_pdp : Pdp_service.t option;
     }
   | Agent of Pdp_service.t
-
-(* A mode as the PEP keeps it: a pull PEP's failover list becomes an
-   ordered tier at [create], so every decision that crosses the wire is
-   one [Pdp_tier] call, under one trust store and one retry policy. *)
-type serving =
-  | Tier of { tier : Pdp_tier.t; cache : Decision_cache.t option }
-  | Capability of {
-      trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
-      check_revocation : Dacs_net.Net.node_id option;
-      local_pdp : Pdp_service.t option;
-    }
-  | Local of Pdp_service.t
 
 type admission = { max_inflight : int; max_queue : int }
 
@@ -156,7 +139,7 @@ type t = {
   nonces : Dacs_crypto.Rng.t;  (* draws the nonce of every encrypted response *)
   counters : counters;
   sf : (Decision.result -> Provenance.t -> unit) Cache_hierarchy.Single_flight.t;
-  serving : serving;
+  mode : mode;
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
@@ -178,9 +161,9 @@ let stats t =
     denied = v c.c_denied;
     pdp_calls = v c.c_pdp_calls;
     failovers =
-      (match t.serving with
-      | Tier { tier; _ } -> (Pdp_tier.stats tier).Pdp_tier.failovers
-      | Capability _ | Local _ -> 0);
+      (match t.mode with
+      | Sharded { tier; _ } -> (Pdp_tier.stats tier).Pdp_tier.failovers
+      | Push _ | Agent _ -> 0);
     retries = v c.c_retries;
     breaker_trips = v c.c_breaker_trips;
     breaker_rejections = v c.c_breaker_rejections;
@@ -198,9 +181,9 @@ let stats t =
 let now t = Dacs_net.Net.now (Service.net t.services)
 
 let invalidate_region t region =
-  match t.serving with
-  | Tier { cache = Some cache; _ } -> Decision_cache.invalidate_region cache region
-  | Tier _ | Capability _ | Local _ -> 0
+  match t.mode with
+  | Sharded { cache = Some cache; _ } -> Decision_cache.invalidate_region cache region
+  | Sharded _ | Push _ | Agent _ -> 0
 
 let set_l2 t l2 = t.l2 <- l2
 
@@ -225,33 +208,11 @@ let set_admission t a =
 let admission_inflight t = t.inflight
 let admission_queue_length t = Queue.length t.waiting
 
-let require_signed_decisions t trust =
-  match t.serving with
-  | Tier { tier; _ } -> Pdp_tier.require_signed_decisions tier trust
-  | Capability _ | Local _ ->
-    invalid_arg "Pep.require_signed_decisions: no decision crosses the wire in push or agent mode"
-
-let set_retry_policy t retry =
-  match t.serving with
-  | Tier { tier; _ } -> Pdp_tier.set_retry_policy tier (Option.value retry ~default:Dacs_net.Rpc.no_retry)
-  | Capability _ | Local _ ->
-    invalid_arg "Pep.set_retry_policy: no decision call to re-send in push or agent mode"
-
 let set_stale_window t window =
   if window < 0.0 then invalid_arg "Pep.set_stale_window: negative window";
   t.stale_window <- window
 
 let set_offline_replica t o = t.offline <- o
-
-(* Discovery-driven rebinding reshapes the tier: lapsed replicas drop
-   out, new ones join, and only their keys remap. *)
-let set_pull_pdps t pdps =
-  match t.serving with
-  | Tier { tier; _ } -> Pdp_tier.set_shards tier pdps
-  | Capability _ | Local _ -> ()
-
-let pull_pdps t =
-  match t.serving with Tier { tier; _ } -> Pdp_tier.shards tier | Capability _ | Local _ -> []
 
 (* --- enforcement -------------------------------------------------------- *)
 
@@ -599,13 +560,13 @@ let push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action 
    decision.  Push mode decides from presented capabilities, which only
    exist on the wire, so it is out of scope here. *)
 let decide_admitted t ctx ~admitted ~started ~tag k =
-  match t.serving with
-  | Tier { tier; cache } -> ladder t ~cache tier ctx ~admitted ~started ~tag k
-  | Local pdp ->
+  match t.mode with
+  | Sharded { tier; cache } -> ladder t ~cache tier ctx ~admitted ~started ~tag k
+  | Agent pdp ->
     Pdp_service.evaluate_local pdp ctx (fun result ->
         answer t ~admitted ~started ~tag k result
           (Provenance.make ~epoch:(Pdp_service.compilation_epoch pdp) ~at:(now t) Provenance.Local))
-  | Capability _ ->
+  | Push _ ->
     answer t ~admitted ~started ~tag k
       (Decision.indeterminate "push-mode PEP decides from presented capabilities")
       (Provenance.make ~at:(now t) Provenance.Capability)
@@ -650,15 +611,6 @@ let decide t ctx k = decide_explained t ctx (fun result _prov -> k result)
 
 let create services ~node ~domain ~resource ?(content = "resource-content") ?audit
     ?encryption_key mode =
-  let serving =
-    match mode with
-    | Pull { pdps; cache; call_timeout } ->
-      Tier { tier = Pdp_tier.ordered services ~node ~pdps ~call_timeout; cache }
-    | Sharded { tier; cache } -> Tier { tier; cache }
-    | Push { trusted_issuer; check_revocation; local_pdp } ->
-      Capability { trusted_issuer; check_revocation; local_pdp }
-    | Agent pdp -> Local pdp
-  in
   let t =
     {
       services;
@@ -673,7 +625,7 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       nonces = Dacs_crypto.Rng.create (String.get_int64_be (Dacs_crypto.Sha256.digest node) 0);
       counters = make_counters (Service.metrics services) ~node;
       sf = Cache_hierarchy.Single_flight.create (Service.metrics services) ~node;
-      serving;
+      mode;
       stale_window = 0.0;
       offline = None;
       l2 = None;
@@ -708,10 +660,10 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       in
       let saved = Trace.current tr in
       if Trace.enabled tr then Trace.set_current tr (Some (Trace.context span));
-      (match t.serving with
-      | Capability { trusted_issuer; check_revocation; local_pdp } ->
+      (match t.mode with
+      | Push { trusted_issuer; check_revocation; local_pdp } ->
         push_decide t ~trusted_issuer ~check_revocation ~local_pdp ~headers ~action ctx
           (fun result -> finish result (Provenance.make ~at:(now t) Provenance.Capability))
-      | Tier _ | Local _ -> decide_explained t ctx finish);
+      | Sharded _ | Agent _ -> decide_explained t ctx finish);
       Trace.set_current tr saved);
   t

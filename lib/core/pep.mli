@@ -4,16 +4,15 @@
     (§2.2):
 
     - {b Pull} (policy-issuing, Fig. 3): the PEP turns each access request
-      into an authorisation query to its PDP (with decision caching and
-      ordered failover across PDP replicas — the dependability machinery).
-      {!create} makes the failover list an ordered {!Pdp_tier}
-      ({!Pdp_tier.ordered}): one plain query frame per attempt, replicas
-      tried in list order.
-    - {b Sharded}: pull semantics over a caller-built {!Pdp_tier} —
-      queries are hash-partitioned and batched across PDP replicas.
-      Once created, pull and sharded PEPs are the same PEP: one decision
-      ladder (see {!decide}) whose live step is one tier call, with one
-      trust store and one retry policy, both the tier's.
+      into an authorisation query to the {!Pdp_tier} its caller built and
+      holds — {!Pdp_tier.ordered} for ordered failover across PDP replicas
+      (one plain query frame per attempt, replicas tried in list order),
+      {!Pdp_tier.create} for hash-partitioned, batched shards.  One
+      decision ladder (see {!decide}) serves both; its live step is one
+      tier call.  The tier's trust store, retry policy and membership are
+      set on the tier itself ({!Pdp_tier.require_signed_decisions},
+      {!Pdp_tier.set_retry_policy}, {!Pdp_tier.set_shards}), so a push or
+      agent PEP has none to be handed.
     - {b Push} (capability-issuing, Fig. 2): the request must carry a
       signed capability assertion; the PEP verifies it locally, optionally
       checks revocation with the issuer, and can still consult a local PDP
@@ -26,15 +25,10 @@
     obligations return the content encrypted. *)
 
 type mode =
-  | Pull of {
-      pdps : Dacs_net.Net.node_id list;  (** failover order *)
-      cache : Decision_cache.t option;
-      call_timeout : float;
-    }
   | Sharded of { tier : Pdp_tier.t; cache : Decision_cache.t option }
-      (** Enforcement fans out through a sharded, batched PDP tier — the
-          same live step a pull PEP's ordered tier is, so the cache,
-          {!set_stale_window} and signed-decision rules are identical. *)
+      (** Pull enforcement over any caller-built tier, ordered or
+          rendezvous-sharded: the live step is one {!Pdp_tier.decide},
+          and [cache] is the PEP's L1. *)
   | Push of {
       trusted_issuer : string -> Dacs_crypto.Rsa.public_key option;
       check_revocation : Dacs_net.Net.node_id option;
@@ -73,9 +67,8 @@ val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit)
 (** The decision ladder for a context without the inbound access RPC or
     enforcement: L1 fresh -> L2 fresh -> live -> bounded-stale L1 ->
     offline log -> fail closed.  Identical concurrent queries (same
-    {!Decision_cache.request_key}) always share one descent.  Pull and
-    sharded modes share this one ladder, and its live step is one call
-    to the PEP's tier.  A live answer in flight across an L1 purge is served
+    {!Decision_cache.request_key}) always share one descent.  Its live
+    step is one call to the PEP's tier.  A live answer in flight across an L1 purge is served
     but not stored, and an Indeterminate live answer is never published
     to the L2.  This is
     what the differential oracle drives to prove that no cache level can
@@ -108,30 +101,9 @@ val decide_explained :
 
 val set_l2 : t -> Dacs_net.Net.node_id option -> unit
 (** Attach (or detach) the domain's shared {!Cache_hierarchy.L2} service:
-    pull and sharded modes consult it between an L1 miss and the live
+    a pull PEP consults it between an L1 miss and the live
     tier, warm L1 from its hits, and publish live decisions back to it.
     An unreachable L2 degrades to a miss, never a failure. *)
-
-val require_signed_decisions : t -> Dacs_crypto.Cert.Trust_store.t -> unit
-(** Pull and sharded modes: from now on, the PEP's tier accepts only
-    decision responses signed, over the bytes the PDP wrote, by a PDP
-    whose certificate the given trust store trusts
-    ({!Dacs_crypto.Cert.Trust_store.trusts}; mutual authentication of
-    §3.2) — {!Pdp_tier.require_signed_decisions}, the one gate every
-    wire decision passes.  A forged or unsigned decision is that PDP's
-    Indeterminate and therefore denied.  Push and agent PEPs receive no
-    decision over the wire: [Invalid_argument]. *)
-
-val set_pull_pdps : t -> Dacs_net.Net.node_id list -> unit
-(** Replace the PEP's tier membership ({!Pdp_tier.set_shards}) — how a
-    discovery service rebinds enforcement points to live decision
-    points (§3.2 "Location of Policy Decision Points").  For a pull PEP
-    the list order is the failover order, so a reordered list is a
-    rebalance.  Ignored in push/agent modes. *)
-
-val pull_pdps : t -> Dacs_net.Net.node_id list
-(** The tier's current shard list (a pull PEP's failover order); [[]]
-    in push/agent modes. *)
 
 (** {1 Overload protection} *)
 
@@ -160,21 +132,14 @@ val shed_reason : string
     Orthogonal to the mode: how hard this PEP fights to reach its
     decision (and revocation) authorities, and how far it degrades when
     it cannot.  Every such call goes through the bus's circuit breaker,
-    which is on by default ({!Dacs_net.Rpc.create}); retries and
-    bounded-stale serving default off. *)
-
-val set_retry_policy : t -> Dacs_net.Rpc.retry_policy option -> unit
-(** Pull or sharded mode: re-send each PDP query with backoff on the
-    same target before giving up on it (the tier owns the re-send,
-    {!Pdp_tier.set_retry_policy}).  [None] (the default) restores
-    single-attempt calls.  Raises [Invalid_argument] when the policy
-    fails {!Dacs_net.Rpc.validate_retry}, and in push or agent mode,
-    where no decision call crosses the wire: a push PEP's revocation
-    check is one breaker-guarded attempt that fails closed. *)
+    which is on by default ({!Dacs_net.Rpc.create}); bounded-stale
+    serving defaults off, and so do the tier's retries
+    ({!Pdp_tier.set_retry_policy}).  A push PEP's revocation check is one
+    breaker-guarded attempt that fails closed. *)
 
 val set_stale_window : t -> float -> unit
-(** Pull or sharded mode with a cache only: when the live step reaches no
-    PDP (every pull replica, or every tier shard, is unreachable),
+(** Pull mode with a cache only: when the live step reaches no PDP
+    (every replica or shard of the tier is unreachable),
     serve a cached decision expired by at most this many seconds instead
     of denying (recorded in [stale_serves]).  The safety bound: a served
     decision is never older than [cache ttl + window], and it is always

@@ -98,16 +98,16 @@ let domain d =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "domain %s" (Domain.name d);
   line "  PAP %-24s version %d, %d queries served, %d/%d updates accepted/rejected"
-    (Domain.pap_node d) (Pap.version (Domain.pap d))
+    (Pap.node (Domain.pap d)) (Pap.version (Domain.pap d))
     (Pap.queries_served (Domain.pap d))
     (Pap.updates_accepted (Domain.pap d))
     (Pap.updates_rejected (Domain.pap d));
   let s = Pdp_service.stats (Domain.pdp d) in
   line "  PDP %-24s %d queries (%d permit / %d deny), %d PIP fetches, %d PAP fetches"
-    (Domain.pdp_node d) s.Pdp_service.queries s.Pdp_service.permits s.Pdp_service.denies
+    (Pdp_service.node (Domain.pdp d)) s.Pdp_service.queries s.Pdp_service.permits s.Pdp_service.denies
     s.Pdp_service.pip_fetches s.Pdp_service.pap_fetches;
-  line "  PIP %-24s %d lookups served" (Domain.pip_node d) (Pip.lookups_served (Domain.pip d));
-  line "  IdP %-24s %d assertions issued" (Domain.idp_node d) (Idp.issued_count (Domain.idp d));
+  line "  PIP %-24s %d lookups served" (Pip.node (Domain.pip d)) (Pip.lookups_served (Domain.pip d));
+  line "  IdP %-24s %d assertions issued" (Idp.node (Domain.idp d)) (Idp.issued_count (Domain.idp d));
   List.iter
     (fun pep ->
       let ps = Pep.stats pep in

@@ -31,7 +31,7 @@ let form services ~name domains =
   in
   List.iter
     (fun domain ->
-      Pap.subscribe_local vo_pap ~child:(Domain.pap_node domain);
+      Pap.subscribe_local vo_pap ~child:(Pap.node (Domain.pap domain));
       Domain.allow_policy_updates_from domain [ Pap.node vo_pap ])
     domains;
   { name; services; domains; vo_pap; cas; caching = false }

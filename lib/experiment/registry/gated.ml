@@ -244,16 +244,12 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
   in
   let peps =
     List.init 2 (fun i ->
+        let cache = Some (Decision_cache.create ~ttl:3600.0 ()) in
+        let node = add (Printf.sprintf "pep%d" i) in
+        let tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:5.0 in
         let pep =
-          Pep.create services
-            ~node:(add (Printf.sprintf "pep%d" i))
-            ~domain:"demo" ~resource:"demo-resource" ~content:"42"
-            (Pep.Pull
-               {
-                 pdps = [ "pdp" ];
-                 cache = Some (Decision_cache.create ~ttl:3600.0 ());
-                 call_timeout = 5.0;
-               })
+          Pep.create services ~node ~domain:"demo" ~resource:"demo-resource" ~content:"42"
+            (Pep.Sharded { tier; cache })
         in
         Option.iter (fun l2 -> Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2))) l2;
         pep)
@@ -1279,16 +1275,12 @@ let explain seed json =
   let audit = Audit.create () in
   let peps =
     List.init 2 (fun i ->
+        let cache = Some (Decision_cache.create ~ttl:3.0 ()) in
+        let node = add (Printf.sprintf "pep%d" i) in
+        let tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:0.4 in
         let pep =
-          Pep.create services
-            ~node:(add (Printf.sprintf "pep%d" i))
-            ~domain:"demo" ~resource:"demo-resource" ~content:"42" ~audit
-            (Pep.Pull
-               {
-                 pdps = [ "pdp" ];
-                 cache = Some (Decision_cache.create ~ttl:3.0 ());
-                 call_timeout = 0.4;
-               })
+          Pep.create services ~node ~domain:"demo" ~resource:"demo-resource" ~content:"42" ~audit
+            (Pep.Sharded { tier; cache })
         in
         Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
         Pep.set_stale_window pep 30.0;

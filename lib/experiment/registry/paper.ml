@@ -85,7 +85,8 @@ let e2_push_vs_pull () =
         in
         ignore
           (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-             (Pep.Pull { pdps = [ "pdp" ]; cache; call_timeout = 1.0 }));
+             (Pep.Sharded
+                { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:1.0; cache }));
         ( (fun k -> Client.request client ~pep:"pep" ~action:"read" k),
           if mechanism = `Pull_cache then "pull+cache" else "pull" )
       | `Push ->
@@ -199,7 +200,14 @@ let e4_caching () =
       Net.add_node net pep_node;
       let pep =
         Pep.create services ~node:pep_node ~domain:"d" ~resource:"ws" ~audit:(Domain.audit domain)
-          (Pep.Pull { pdps = [ Domain.pdp_node domain ]; cache; call_timeout = 1.0 })
+          (Pep.Sharded
+             {
+               tier =
+                 Pdp_tier.ordered services ~node:pep_node
+                   ~pdps:[ Pdp_service.node (Domain.pdp domain) ]
+                   ~call_timeout:1.0;
+               cache;
+             })
       in
       let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
       (* One request per second for 200 s; rights revoked at t=100 at the
@@ -274,7 +282,8 @@ let e5_syndication () =
     ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~pap:pap_for_pdp ~refresh ());
     ignore
       (Pep.create services ~node:"pep" ~domain:"d" ~resource:"ws"
-         (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 2.0 }));
+         (Pep.Sharded
+            { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:2.0; cache = None }));
     let client = Client.create services ~node:"client" ~subject:(doctor_subject "a") in
     Net.run net;
     Net.reset_stats net;
@@ -516,7 +525,8 @@ let e8_dependability () =
     Net.add_node net "pep";
     let pep =
       Pep.create services ~node:"pep" ~domain:"d" ~resource:"ws"
-        (Pep.Pull { pdps = nodes; cache = None; call_timeout = 0.4 })
+        (Pep.Sharded
+           { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:nodes ~call_timeout:0.4; cache = None })
     in
     Net.add_node net "c";
     let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
@@ -777,14 +787,12 @@ let e12_discovery_ablation () =
           ignore (Pdp_service.create services ~node ~name:node ~root:policy ());
           node)
     in
-    let pep =
-      Pep.create services ~node:"pep" ~domain:"d" ~resource:"ws"
-        (Pep.Pull { pdps = replicas; cache = None; call_timeout = 0.4 })
-    in
+    let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:replicas ~call_timeout:0.4 in
+    let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"ws" (Pep.Sharded { tier; cache = None }) in
     if use_discovery then begin
       let reg = Discovery.create services ~node:"registry" ~lease () in
       List.iter (fun node -> Discovery.advertise reg ~services ~node ~kind:"pdp" ()) replicas;
-      Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:(lease /. 2.0) ()
+      Discovery.auto_rebind reg ~node:"pep" ~tier ~kind:"pdp" ~period:(lease /. 2.0) ()
     end;
     Engine.schedule (Net.engine net) ~delay:100.0 (fun () -> Net.crash net "pdp0");
     Engine.schedule (Net.engine net) ~delay:400.0 (fun () -> Net.recover net "pdp0");
@@ -851,16 +859,17 @@ let e14_resilience () =
           node)
     in
     let cache = Decision_cache.create ~ttl:2.0 () in
+    let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:replicas ~call_timeout:0.4 in
     let pep =
       Pep.create services ~node:"pep" ~domain:"d" ~resource:"ws" ~content:"x"
-        (Pep.Pull { pdps = replicas; cache = Some cache; call_timeout = 0.4 })
+        (Pep.Sharded { tier; cache = Some cache })
     in
     let retry_policy =
       { Rpc.attempts = 3; base_delay = 0.2; multiplier = 2.0; max_delay = 1.0; jitter = 0.1 }
     in
     (* Retry on every lossy leg: client->PEP and PEP->PDP. *)
     let client_retry = if retry then Some retry_policy else None in
-    if retry then Pep.set_retry_policy pep (Some retry_policy);
+    if retry then Pdp_tier.set_retry_policy tier retry_policy;
     (* A bus starts with the default breaker: the arms without one get a
        breaker that never trips. *)
     Rpc.set_breaker rpc (if breaker then { Rpc.failure_threshold = 4; cooldown = 3.0 } else never_trips);

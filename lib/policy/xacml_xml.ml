@@ -527,5 +527,3 @@ let parse_then f s =
 
 let child_to_string c = Xml.to_string (child_to_xml c)
 let child_of_string = parse_then child_of_xml
-
-let request_of_string = Context.of_string

@@ -31,4 +31,3 @@ val read_result : Dacs_xml.Xml.Cursor.t -> Decision.result
 
 val child_to_string : Policy.child -> string
 val child_of_string : string -> (Policy.child, string) result
-val request_of_string : string -> (Context.t, string) result

@@ -966,18 +966,18 @@ let batch_reply k = function
   | Ok reply -> (
     match parts_of reply with Some parts -> k (Ok parts) | None -> k (Error Timeout))
 
-let call_batch_frame t ~src ~dst ~service ?(breaker = false) writes k =
+let call_batch_frame t ~src ~dst ~service writes k =
   let n = List.length writes in
   if n = 0 then invalid_arg "Rpc.call_batch_frame: empty batch";
   let series = series_for t service in
-  if breaker && not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
+  if not (breaker_admit t ~src dst) then k (Error (Circuit_open dst))
   else begin
     Metrics.inc (Lazy.force series.calls);
     Metrics.inc (Lazy.force series.batches);
     Metrics.inc ~by:n (Lazy.force series.batch_parts);
     Metrics.observe (Lazy.force series.batch_size) (float_of_int n);
     issue t series ~src ~dst ~service ~timeout:1.0 ~span_label:"rpc-batch:" ~batch:n ~kind:K_batch
-      ~traced:K_traced_batch ~guarded:breaker ~envelope:bare
+      ~traced:K_traced_batch ~guarded:true ~envelope:bare
       (fun buf -> List.iter (add_written_part t buf) writes)
       (batch_reply k)
   end

@@ -251,7 +251,6 @@ val call_batch_frame :
   src:Net.node_id ->
   dst:Net.node_id ->
   service:string ->
-  ?breaker:bool ->
   writer list ->
   ((slice list, error) result -> unit) ->
   unit
@@ -259,8 +258,8 @@ val call_batch_frame :
     The server dispatches each part to the registered handler and gathers
     the replies into a single frame, preserving order; the continuation
     receives exactly one reply per query.  The whole batch shares one
-    correlation id, one 1 s timeout and (with [~breaker:true]) one
-    breaker verdict — the frame is one attempt, and partial results are
+    correlation id, one 1 s timeout and one breaker verdict (every
+    batch is breaker-guarded) — the frame is one attempt, and partial results are
     never delivered.  A reply with the wrong number of parts fails the
     whole batch with [Timeout], and the target's breaker counts it as a
     failure.

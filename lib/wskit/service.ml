@@ -92,8 +92,8 @@ let call t ~src ~dst ?timeout ?breaker ?(headers = []) (service : (_, _) call) w
 let cast t ~src ~dst (service : _ cast) write =
   Rpc.cast_frame t.rpc ~src ~dst ~service:service.name ~envelope:soap_envelope write
 
-let call_batch t ~src ~dst ?breaker (service : (_, _) call) writes k =
-  Rpc.call_batch_frame t.rpc ~src ~dst ~service:service.name ?breaker
+let call_batch t ~src ~dst (service : (_, _) call) writes k =
+  Rpc.call_batch_frame t.rpc ~src ~dst ~service:service.name
     (List.map (fun write buf -> Soap.write buf write) writes)
     (function
       | Error e -> k (Error (Transport e))

@@ -139,14 +139,13 @@ val call_batch :
   t ->
   src:Dacs_net.Net.node_id ->
   dst:Dacs_net.Net.node_id ->
-  ?breaker:bool ->
   ('q, 'r) call ->
   (Buffer.t -> unit) list ->
   (((('r, string) result, error) result list, error) result -> unit) ->
   unit
 (** Several request bodies coalesced into one
-    {!Dacs_net.Rpc.call_batch_frame} round-trip: one attempt, with (given
-    [~breaker:true]) one breaker verdict.  On transport success the continuation
+    {!Dacs_net.Rpc.call_batch_frame} round-trip: one attempt, with one
+    breaker verdict.  On transport success the continuation
     receives one result per request, each as from {!call}; on
     transport failure the whole batch fails with [Error (Transport _)] —
     there are no partial deliveries.  The frame carries no SOAP headers

@@ -100,7 +100,7 @@ let setup ?(attr_cache = true) ?cache () =
   in
   let pep =
     Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull { pdps = [ "pdp" ]; cache; call_timeout = 5.0 })
+      (Pep.Sharded { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:5.0; cache })
   in
   let alice =
     Client.create services ~node:(add "alice") ~subject:[ ("subject-id", Value.String "alice") ]
@@ -214,7 +214,8 @@ let two_pip_setup ~crash_first =
   in
   let pep =
     Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 5.0 })
+      (Pep.Sharded
+         { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:5.0; cache = None })
   in
   let alice =
     Client.create services ~node:(add "alice") ~subject:[ ("subject-id", Value.String "alice") ]
@@ -388,13 +389,10 @@ let setup_l2 () =
     (Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:doctor_policy ());
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
   let mk node =
-    Pep.create services ~node:(add node) ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull
-         {
-           pdps = [ "pdp" ];
-           cache = Some (Decision_cache.create ~ttl:60.0 ());
-           call_timeout = 5.0;
-         })
+    let cache = Some (Decision_cache.create ~ttl:60.0 ()) in
+    let node = add node in
+    Pep.create services ~node ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Sharded { tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:5.0; cache })
   in
   let pep1 = mk "pep1" and pep2 = mk "pep2" in
   Pep.set_l2 pep1 (Some "l2");
@@ -804,15 +802,14 @@ let test_garbled_subscribe_dropped () =
   check bool_ "nothing sent back" true (List.map fst (Net.stats_by_category net) = [ "attribute-subscribe" ])
 
 (* A PEP on node "pep" whose live rung reaches the single PDP "pdp",
-   either as a pull PEP's failover list or through a one-shard tier — the
-   two live steps of the one decision ladder. *)
+   through an ordered tier or a one-shard rendezvous tier — the two tier
+   shapes under the one decision ladder. *)
 let pep_over_pdp services ~sharded ~resource cache =
-  let mode =
-    if sharded then
-      Pep.Sharded { tier = Pdp_tier.create services ~node:"pep" ~shards:[ "pdp" ] (); cache }
-    else Pep.Pull { pdps = [ "pdp" ]; cache; call_timeout = 5.0 }
+  let tier =
+    if sharded then Pdp_tier.create services ~node:"pep" ~shards:[ "pdp" ] ()
+    else Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:5.0
   in
-  Pep.create services ~node:"pep" ~domain:"d" ~resource mode
+  Pep.create services ~node:"pep" ~domain:"d" ~resource (Pep.Sharded { tier; cache })
 
 (* The same race one level down: a publish lands while a live query is in
    flight, so the PDP answers under the old policy and the PEP's L1 is
@@ -989,8 +986,10 @@ let test_vo_revocation_round () =
   check bool_ "the lab entry left L1" true (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "lab") = None);
   check bool_ "the chart entry stayed in L1" true
     (Decision_cache.get l1 ~now:(Net.now net) ~key:(rkey "chart") <> None);
-  (* Revoke: the PIP drops the role and the capability revocation
-     purges every member's decision caches. *)
+  (* Revoke: the PIP drops the role, and the capability revocation is
+     what purges every member's decision caches.  The PIP revocation
+     alone purges no L1 or L2 entry (ROADMAP item 10): without
+     [Vo.revoke_capability] the cached grant outlives it until its TTL. *)
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 20.0) (fun () ->
       Pip.remove_subject_attribute (Domain.pip da) ~subject:"alice" ~id:"role";
       Vo.revoke_capability vo ~assertion_id:"cap-1");

@@ -45,6 +45,7 @@ type fixture = {
   net : Net.t;
   rpc : Rpc.t;
   pep : Pep.t;
+  tier : Pdp_tier.t;  (* the PEP's ordered tier *)
   alice : Client.t;
   mallory : Client.t;
   pdp_nodes : Net.node_id list;
@@ -64,13 +65,14 @@ let setup ?(seed = 7L) ?(pdps = 1) ?cache ?(call_timeout = 0.5) () =
         ignore (Pdp_service.create services ~node ~name:node ~root:(doctor_policy "r") ());
         node)
   in
+  let node = add "pep" in
+  let tier = Pdp_tier.ordered services ~node ~pdps:pdp_nodes ~call_timeout in
   let pep =
-    Pep.create services ~node:(add "pep") ~domain:"a" ~resource:"r" ~content:"the-content"
-      (Pep.Pull { pdps = pdp_nodes; cache; call_timeout })
+    Pep.create services ~node ~domain:"a" ~resource:"r" ~content:"the-content" (Pep.Sharded { tier; cache })
   in
   let alice = Client.create services ~node:(add "alice") ~subject:(doctor_subject "alice") in
   let mallory = Client.create services ~node:(add "mallory") ~subject:(intern_subject "mallory") in
-  { net; rpc; pep; alice; mallory; pdp_nodes }
+  { net; rpc; pep; tier; alice; mallory; pdp_nodes }
 
 (* Schedule a request at [at]; outcomes accumulate as (time, result). *)
 let request_at fx client ~at ?(timeout = 30.0) ?retry ~action outcomes =
@@ -98,7 +100,7 @@ let steady_retry = { Rpc.attempts = 4; base_delay = 0.2; multiplier = 2.0; max_d
 
 let test_latency_spike () =
   let fx = setup () in
-  Pep.set_retry_policy fx.pep (Some steady_retry);
+  Pdp_tier.set_retry_policy fx.tier steady_retry;
   (* Retries alone.  Both requests' timed-out attempts count against
      pdp0's one shared breaker, which would trip and shed alice's last
      attempt; the breaker has its own scenario (7). *)
@@ -124,7 +126,7 @@ let test_latency_spike () =
 
 let test_drop_burst () =
   let fx = setup () in
-  Pep.set_retry_policy fx.pep (Some steady_retry);
+  Pdp_tier.set_retry_policy fx.tier steady_retry;
   (* Heavy loss for ~3 s; the client retries its own leg too, so the flow
      survives whichever hop the loss model hits. *)
   Faults.apply fx.net [ Faults.Drop_burst { rate = 0.8; window = { from_ = 0.1; until_ = 3.0 } } ];
@@ -144,8 +146,8 @@ let test_drop_burst () =
 
 let test_crash_restart () =
   let fx = setup () in
-  Pep.set_retry_policy fx.pep
-    (Some { Rpc.attempts = 6; base_delay = 0.3; multiplier = 2.0; max_delay = 2.0; jitter = 0.0 });
+  Pdp_tier.set_retry_policy fx.tier
+    { Rpc.attempts = 6; base_delay = 0.3; multiplier = 2.0; max_delay = 2.0; jitter = 0.0 };
   let schedule = [ Faults.Crash_restart { node = "pdp0"; at = 0.5; restart = Some 4.0 } ] in
   check bool_ "schedule clears" true (Faults.clears_by schedule = Some 4.0);
   Faults.apply fx.net schedule;
@@ -161,7 +163,7 @@ let test_crash_restart () =
 
 let test_flapping_partition () =
   let fx = setup () in
-  Pep.set_retry_policy fx.pep (Some steady_retry);
+  Pdp_tier.set_retry_policy fx.tier steady_retry;
   (* Retries alone, as in the latency spike. *)
   Rpc.set_breaker fx.rpc { Rpc.failure_threshold = max_int; cooldown = 0.0 };
   Faults.apply fx.net
@@ -313,7 +315,7 @@ let random_schedule_safety =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let fx = setup ~seed:(Int64.of_int (seed + 1)) ~pdps:2 () in
-      Pep.set_retry_policy fx.pep (Some steady_retry);
+      Pdp_tier.set_retry_policy fx.tier steady_retry;
       let rng = Dacs_crypto.Rng.create (Int64.of_int (seed * 31 + 7)) in
       let horizon = 6.0 in
       let schedule =
@@ -339,7 +341,7 @@ let random_schedule_safety =
 
 let run_once seed =
   let fx = setup ~seed ~pdps:2 () in
-  Pep.set_retry_policy fx.pep (Some steady_retry);
+  Pdp_tier.set_retry_policy fx.tier steady_retry;
   Net.set_tracing fx.net true;
   Faults.apply fx.net
     [

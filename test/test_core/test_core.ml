@@ -700,16 +700,17 @@ let pull_setup ?cache ?(pdps = 1) ?audit () =
         node)
   in
   let pep_node = add_node net "pep" in
+  let tier = Pdp_tier.ordered services ~node:pep_node ~pdps:pdp_nodes ~call_timeout:0.5 in
   let pep =
     Pep.create services ~node:pep_node ~domain:"a" ~resource:"r" ~content:"the-content" ?audit
-      (Pep.Pull { pdps = pdp_nodes; cache; call_timeout = 0.5 })
+      (Pep.Sharded { tier; cache })
   in
   let client = Client.create services ~node:(add_node net "client") ~subject:(doctor_subject "alice") in
-  (net, services, pep, client, pdp_nodes)
+  (net, tier, pep, client, pdp_nodes)
 
 let test_pep_pull_grant_and_deny () =
   let audit = Audit.create () in
-  let net, _services, pep, client, _ = pull_setup ~audit () in
+  let net, _tier, pep, client, _ = pull_setup ~audit () in
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
   Net.run net;
@@ -732,7 +733,7 @@ let test_pep_pull_grant_and_deny () =
 
 let test_pep_pull_cache () =
   let cache = Decision_cache.create ~ttl:60.0 () in
-  let net, _services, pep, client, _ = pull_setup ~cache () in
+  let net, _tier, pep, client, _ = pull_setup ~cache () in
   let run_request () =
     let got = ref None in
     Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
@@ -749,7 +750,7 @@ let test_pep_pull_cache () =
   check int_ "two cache hits" 2 s.Pep.cache_hits
 
 let test_pep_pull_failover () =
-  let net, _services, pep, client, pdp_nodes = pull_setup ~pdps:3 () in
+  let net, _tier, pep, client, pdp_nodes = pull_setup ~pdps:3 () in
   (* Crash the first two PDPs: the request must still succeed. *)
   Net.crash net (List.nth pdp_nodes 0);
   Net.crash net (List.nth pdp_nodes 1);
@@ -775,7 +776,7 @@ let test_pep_pull_failover () =
    silence (0.2 s here) moves the query to the next replica, well before
    the 0.5 s call timeout. *)
 let test_pep_pull_fails_over_at_rto () =
-  let net, _services, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
+  let net, _tier, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
   let decide_at at user answer =
     Dacs_net.Engine.schedule_at (Net.engine net) ~at (fun () ->
         let ctx =
@@ -807,7 +808,7 @@ let test_pep_pull_fails_over_at_rto () =
   | None -> Alcotest.fail "no second decision"
 
 let test_pep_pull_all_pdps_down () =
-  let net, _services, pep, client, pdp_nodes = pull_setup ~pdps:2 () in
+  let net, _tier, pep, client, pdp_nodes = pull_setup ~pdps:2 () in
   List.iter (Net.crash net) pdp_nodes;
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" ~timeout:10.0 (fun r -> got := Some r);
@@ -820,12 +821,11 @@ let test_pep_pull_all_pdps_down () =
   check int_ "denied" 1 (Pep.stats pep).Pep.denied
 
 (* A retry policy outside the ranges [Rpc] documents is refused where it
-   is set — by a PEP, a sharded tier and a client request alike — so it
-   can never abort the run from inside the first decision (for a tier,
-   inside [Net.run]); the PEP keeps deciding under the policy it had. *)
+   is set — by a PEP's tier and a client request alike — so it can never
+   abort the run from inside the first decision (for a tier, inside
+   [Net.run]); the PEP keeps deciding under the policy it had. *)
 let test_pep_rejects_bad_retry_policy () =
-  let net, services, pep, client, pdps = pull_setup () in
-  let tier = Pdp_tier.create services ~node:"pep" ~shards:pdps () in
+  let net, tier, _pep, client, _ = pull_setup () in
   let bad =
     [ { Rpc.no_retry with attempts = 0 }; { Rpc.default_retry with jitter = 1.5 }; { Rpc.default_retry with jitter = -0.1 } ]
   in
@@ -838,11 +838,10 @@ let test_pep_rejects_bad_retry_policy () =
         | exception Invalid_argument _ -> ())
       bad
   in
-  rejected "Pep.set_retry_policy" (fun retry -> Pep.set_retry_policy pep (Some retry));
   rejected "Pdp_tier.set_retry_policy" (Pdp_tier.set_retry_policy tier);
   rejected "Client.request" (fun retry -> Client.request client ~pep:"pep" ~action:"read" ~retry ignore);
   check int_ "no request sent" 0 (Net.total_sent net).Net.count;
-  Pep.set_retry_policy pep (Some Rpc.default_retry);
+  Pdp_tier.set_retry_policy tier Rpc.default_retry;
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
   Net.run net;
@@ -865,7 +864,8 @@ let test_pep_obligations_encrypt () =
   ignore
     (Pep.create services ~node:pep_node ~domain:"a" ~resource:"r" ~content:"secret"
        ~encryption_key:(Dacs_crypto.Stream_cipher.derive_key "k")
-       (Pep.Pull { pdps = [ pdp_node ]; cache = None; call_timeout = 0.5 }));
+       (Pep.Sharded
+          { tier = Pdp_tier.ordered services ~node:pep_node ~pdps:[ pdp_node ] ~call_timeout:0.5; cache = None }));
   let client = Client.create services ~node:(add_node net "client") ~subject:(doctor_subject "alice") in
   let got = ref None in
   Client.request client ~pep:pep_node ~action:"read" (fun r -> got := Some r);
@@ -897,7 +897,8 @@ let test_pep_encrypt_fresh_nonces () =
   let key = Dacs_crypto.Stream_cipher.derive_key "k" in
   ignore
     (Pep.create services ~node:pep_node ~domain:"a" ~resource:"r" ~content:"secret" ~encryption_key:key
-       (Pep.Pull { pdps = [ pdp_node ]; cache = None; call_timeout = 0.5 }));
+       (Pep.Sharded
+          { tier = Pdp_tier.ordered services ~node:pep_node ~pdps:[ pdp_node ] ~call_timeout:0.5; cache = None }));
   let client = Client.create services ~node:(add_node net "client") ~subject:(doctor_subject "alice") in
   let grants = ref [] in
   for _ = 1 to 2 do
@@ -929,7 +930,8 @@ let test_pep_unknown_obligation_fails_closed () =
   let pep_node = add_node net "pep" in
   ignore
     (Pep.create services ~node:pep_node ~domain:"a" ~resource:"r"
-       (Pep.Pull { pdps = [ pdp_node ]; cache = None; call_timeout = 0.5 }));
+       (Pep.Sharded
+          { tier = Pdp_tier.ordered services ~node:pep_node ~pdps:[ pdp_node ] ~call_timeout:0.5; cache = None }));
   let client = Client.create services ~node:(add_node net "client") ~subject:(doctor_subject "alice") in
   let got = ref None in
   Client.request client ~pep:pep_node ~action:"read" (fun r -> got := Some r);
@@ -1554,25 +1556,6 @@ let test_capability_expiry_forces_reissue () =
     (List.length (List.filter (function Ok (Wire.Granted _) -> true | _ -> false) !outcomes));
   check int_ "two issuances" 2 (Client.capability_requests_made client)
 
-let test_pep_mode_getters () =
-  let net, services = fresh () in
-  Net.add_node net "pep";
-  Net.add_node net "pdp";
-  let pull =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 1.0 })
-  in
-  check (Alcotest.list string_) "pull list" [ "pdp" ] (Pep.pull_pdps pull);
-  Pep.set_pull_pdps pull [ "a"; "b" ];
-  check (Alcotest.list string_) "updated" [ "a"; "b" ] (Pep.pull_pdps pull);
-  Net.add_node net "pep2";
-  let embedded = Pdp_service.create services ~node:"pep2" ~name:"e" ~root:(doctor_policy "r") () in
-  let agent = Pep.create services ~node:"pep2" ~domain:"d" ~resource:"r" (Pep.Agent embedded) in
-  check (Alcotest.list string_) "agent has none" [] (Pep.pull_pdps agent);
-  (* set_pull_pdps on a non-pull PEP is a no-op, not an error. *)
-  Pep.set_pull_pdps agent [ "x" ];
-  check (Alcotest.list string_) "still none" [] (Pep.pull_pdps agent)
-
 let test_lifecycle_draft_states () =
   let net, services = fresh () in
   Net.add_node net "pap";
@@ -1674,7 +1657,6 @@ let () =
         [
           Alcotest.test_case "capability reuse" `Quick test_client_reuses_capability;
           Alcotest.test_case "capability expiry re-issues" `Quick test_capability_expiry_forces_reissue;
-          Alcotest.test_case "PEP mode getters" `Quick test_pep_mode_getters;
           Alcotest.test_case "lifecycle draft states" `Quick test_lifecycle_draft_states;
         ] );
       ( "delegation",

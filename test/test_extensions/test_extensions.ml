@@ -150,6 +150,13 @@ let test_advertise_keeps_entry_alive () =
   Net.run ~until:100.0 net;
   check int_ "re-listed after recovery" 1 (List.length (listed services ~kind:"pdp"))
 
+(* A pull PEP on "pep" over an ordered tier of [pdps]; the tier is what
+   discovery rebinds. *)
+let pull_tier services ~pdps =
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps ~call_timeout:0.3 in
+  ignore (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }));
+  tier
+
 let test_auto_rebind_end_to_end () =
   (* Two PDP replicas advertise; the PEP starts bound to a bogus endpoint
      and is rebound by discovery; when the first replica crashes, the PEP
@@ -162,11 +169,8 @@ let test_auto_rebind_end_to_end () =
   ignore (Pdp_service.create services ~node:"pdp2" ~name:"pdp2" ~root:policy ());
   Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
   Discovery.advertise reg ~services ~node:"pdp2" ~kind:"pdp" ();
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "bogus" ]; cache = None; call_timeout = 0.3 })
-  in
-  Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:2.0 ();
+  let tier = pull_tier services ~pdps:[ "bogus" ] in
+  Discovery.auto_rebind reg ~node:"pep" ~tier ~kind:"pdp" ~period:2.0 ();
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
   let outcomes = ref [] in
   let request_at t =
@@ -188,8 +192,7 @@ let test_auto_rebind_end_to_end () =
   in
   check bool_ "rebound from bogus endpoint" true (granted 5.0);
   check bool_ "served after replica crash" true (granted 20.0);
-  check (Alcotest.list string_) "dead replica dropped from the list" [ "pdp2" ]
-    (Pep.pull_pdps pep)
+  check (Alcotest.list string_) "dead replica dropped from the list" [ "pdp2" ] (Pdp_tier.shards tier)
 
 let register_as services ~node ~kind k =
   Service.call services ~src:node ~dst:"registry" Wire.Services.register
@@ -274,34 +277,30 @@ let test_discover_calls_counted () =
   in
   check int_ "two discover calls" 2 (Dacs_telemetry.Metrics.counter_value lookups)
 
-let pull_pep services ~pdps =
-  Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-    (Pep.Pull { pdps; cache = None; call_timeout = 0.3 })
-
 let test_auto_rebind_keeps_list_when_registry_down () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "registry"; "pdp1"; "pep"; "bogus" ];
   let reg = Discovery.create services ~node:"registry" ~lease:4.0 () in
   Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
-  let pep = pull_pep services ~pdps:[ "bogus" ] in
-  Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:2.0 ();
+  let tier = pull_tier services ~pdps:[ "bogus" ] in
+  Discovery.auto_rebind reg ~node:"pep" ~tier ~kind:"pdp" ~period:2.0 ();
   Net.run ~until:5.0 net;
-  check (Alcotest.list string_) "rebound" [ "pdp1" ] (Pep.pull_pdps pep);
+  check (Alcotest.list string_) "rebound" [ "pdp1" ] (Pdp_tier.shards tier);
   Net.crash net "registry";
   Net.run ~until:30.0 net;
-  check (Alcotest.list string_) "last known list kept" [ "pdp1" ] (Pep.pull_pdps pep)
+  check (Alcotest.list string_) "last known list kept" [ "pdp1" ] (Pdp_tier.shards tier)
 
 let test_auto_rebind_ignores_empty_listing () =
   let net, services = fresh () in
   List.iter (Net.add_node net) [ "registry"; "pdp0"; "pdp1"; "pep" ];
   let reg = Discovery.create services ~node:"registry" ~lease:4.0 () in
-  let pep = pull_pep services ~pdps:[ "pdp0" ] in
-  Discovery.auto_rebind reg ~pep ~kind:"pdp" ~period:2.0 ();
+  let tier = pull_tier services ~pdps:[ "pdp0" ] in
+  Discovery.auto_rebind reg ~node:"pep" ~tier ~kind:"pdp" ~period:2.0 ();
   Net.run ~until:10.0 net;
-  check (Alcotest.list string_) "static list kept" [ "pdp0" ] (Pep.pull_pdps pep);
+  check (Alcotest.list string_) "static list kept" [ "pdp0" ] (Pdp_tier.shards tier);
   Discovery.advertise reg ~services ~node:"pdp1" ~kind:"pdp" ();
   Net.run ~until:15.0 net;
-  check (Alcotest.list string_) "rebound once something is listed" [ "pdp1" ] (Pep.pull_pdps pep)
+  check (Alcotest.list string_) "rebound once something is listed" [ "pdp1" ] (Pdp_tier.shards tier)
 
 (* --- signed decisions ------------------------------------------------------ *)
 
@@ -370,8 +369,9 @@ let test_wire_signed_response_untrusted_signer () =
   | Error e -> check string_ "names the signer" "decision signer cn=rogue-pdp is not trusted" e
   | Ok _ -> Alcotest.fail "rogue signer must be rejected"
 
-(* Both live rungs decode through the same trust check: a pull PEP's
-   failover list and a sharded PEP's tier reject unsigned answers alike. *)
+(* Both tier shapes decode through the same trust check: a PEP over an
+   ordered tier and one over a rendezvous tier reject unsigned answers
+   alike, also after the tier is rebound. *)
 let test_pep_requires_signed_decisions ~sharded () =
   let net, services, trust, pdp_keys, pdp_cert, _ = signed_setup () in
   List.iter (Net.add_node net) [ "signing-pdp"; "plain-pdp"; "pep"; "client" ];
@@ -380,14 +380,12 @@ let test_pep_requires_signed_decisions ~sharded () =
     (Pdp_service.create services ~node:"signing-pdp" ~name:"s" ~root:policy
        ~signer:(pdp_keys.Rsa.private_, pdp_cert) ());
   ignore (Pdp_service.create services ~node:"plain-pdp" ~name:"p" ~root:policy ());
-  let mode =
-    if sharded then
-      Pep.Sharded
-        { tier = Pdp_tier.create services ~node:"pep" ~shards:[ "signing-pdp" ] (); cache = None }
-    else Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 }
+  let tier =
+    if sharded then Pdp_tier.create services ~node:"pep" ~shards:[ "signing-pdp" ] ()
+    else Pdp_tier.ordered services ~node:"pep" ~pdps:[ "signing-pdp" ] ~call_timeout:0.5
   in
-  let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" mode in
-  Pep.require_signed_decisions pep trust;
+  ignore (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }));
+  Pdp_tier.require_signed_decisions tier trust;
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
@@ -396,7 +394,7 @@ let test_pep_requires_signed_decisions ~sharded () =
   | Some (Ok (Wire.Granted _)) -> ()
   | _ -> Alcotest.fail "signed decision should be accepted");
   (* Rebind to an unsigning PDP: its answers are no longer acceptable. *)
-  Pep.set_pull_pdps pep [ "plain-pdp" ];
+  Pdp_tier.set_shards tier [ "plain-pdp" ];
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
   Net.run net;
   match !got with
@@ -417,11 +415,9 @@ let nurse_denied_despite ~attack () =
   ignore
     (Pdp_service.create services ~node:"signing-pdp" ~name:"s" ~root:(doctor_read_policy "r")
        ~signer:(pdp_keys.Rsa.private_, pdp_cert) ());
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 })
-  in
-  Pep.require_signed_decisions pep trust;
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "signing-pdp" ] ~call_timeout:0.5 in
+  ignore (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }));
+  Pdp_tier.require_signed_decisions tier trust;
   let doctor =
     Dacs_policy.Context.make ~subject:(doctor_subject "dan")
       ~resource:[ ("resource-id", Value.String "r") ]
@@ -475,40 +471,6 @@ let test_relayed_request_id =
       Net.send net ~src:"mallory" ~dst:"signing-pdp" ~category:"authz-query"
         (Dacs_net.Rpc.encode_request 2 "authz-query" (Buffer.contents query)))
 
-(* No decision crosses the wire in push or agent mode, so a setting
-   that only a wire decision call reads — a decision trust store, a
-   retry policy — would have nothing to act on there: setting one is an
-   error, not a silent no-op.  [push_and_agent_refuse what set] runs
-   [set] on a push PEP (one that checks revocation, the one call it
-   makes) and on an agent PEP. *)
-let push_and_agent_refuse what set =
-  let net, services, trust, _, _, _ = signed_setup () in
-  List.iter (Net.add_node net) [ "push-pep"; "agent-pep"; "agent-pdp"; "authority" ];
-  let agent_pdp =
-    Pdp_service.create services ~node:"agent-pdp" ~name:"a" ~root:(doctor_read_policy "r") ()
-  in
-  List.iter
-    (fun (name, node, mode) ->
-      let pep = Pep.create services ~node ~domain:"d" ~resource:"r" mode in
-      match set pep trust with
-      | () -> Alcotest.failf "the %s PEP accepted %s" name what
-      | exception Invalid_argument _ -> ())
-    [
-      ( "push",
-        "push-pep",
-        Pep.Push
-          { trusted_issuer = (fun _ -> None); check_revocation = Some "authority"; local_pdp = None } );
-      ("agent", "agent-pep", Pep.Agent agent_pdp);
-    ]
-
-let test_signed_decisions_need_a_wire () =
-  push_and_agent_refuse "a decision trust store" Pep.require_signed_decisions
-
-let test_retry_policy_needs_a_wire () =
-  push_and_agent_refuse "a retry policy" (fun pep _ ->
-      Pep.set_retry_policy pep (Some Dacs_net.Rpc.default_retry));
-  push_and_agent_refuse "no retry policy" (fun pep _ -> Pep.set_retry_policy pep None)
-
 let test_signed_decisions_without_requirement () =
   (* A PEP without the requirement still accepts plain responses —
      and also still accepts signed ones?  No: a signed response is a
@@ -521,7 +483,8 @@ let test_signed_decisions_without_requirement () =
        ~signer:(pdp_keys.Rsa.private_, pdp_cert) ());
   ignore
     (Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-       (Pep.Pull { pdps = [ "signing-pdp" ]; cache = None; call_timeout = 0.5 }));
+       (Pep.Sharded
+          { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "signing-pdp" ] ~call_timeout:0.5; cache = None }));
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
   let got = ref None in
   Client.request client ~pep:"pep" ~action:"read" (fun r -> got := Some r);
@@ -779,11 +742,13 @@ let test_content_filter_obligation () =
          [ Rule.permit "allow" ])
   in
   ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:policy ());
-  let pull = Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 0.5 } in
-  ignore (Pep.create services ~node:"pep-clean" ~domain:"d" ~resource:"r" ~content:"routine report" pull);
+  let pull node =
+    Pep.Sharded { tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:0.5; cache = None }
+  in
+  ignore (Pep.create services ~node:"pep-clean" ~domain:"d" ~resource:"r" ~content:"routine report" (pull "pep-clean"));
   ignore
     (Pep.create services ~node:"pep-tainted" ~domain:"d" ~resource:"r"
-       ~content:"routine report with CLASSIFIED appendix" pull);
+       ~content:"routine report with CLASSIFIED appendix" (pull "pep-tainted"));
   let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
   let clean = ref None and tainted = ref None in
   Client.request client ~pep:"pep-clean" ~action:"read" (fun r -> clean := Some r);
@@ -1105,10 +1070,6 @@ let () =
             (test_pep_requires_signed_decisions ~sharded:false);
           Alcotest.test_case "sharded PEP requires signatures" `Quick
             (test_pep_requires_signed_decisions ~sharded:true);
-          Alcotest.test_case "push and agent PEPs refuse a decision trust store" `Quick
-            test_signed_decisions_need_a_wire;
-          Alcotest.test_case "push and agent PEPs refuse a retry policy" `Quick
-            test_retry_policy_needs_a_wire;
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
           Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick

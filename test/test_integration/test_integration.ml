@@ -391,14 +391,19 @@ let test_replicated_pdps_survive_crash () =
   let net, services = fresh () in
   let domain = Domain.create services ~name:"d" () in
   Domain.set_local_policy domain (doctor_read_policy "ws");
+  let pdp_node = Pdp_service.node (Domain.pdp domain) in
   (* A second PDP replica fed by the same PAP. *)
   Net.add_node net "d.pdp2";
   ignore
-    (Pdp_service.create services ~node:"d.pdp2" ~name:"d-pdp2" ~pap:(Domain.pap_node domain) ());
+    (Pdp_service.create services ~node:"d.pdp2" ~name:"d-pdp2" ~pap:(Pap.node (Domain.pap domain)) ());
   Net.add_node net "d.pep.ws";
   let pep =
     Pep.create services ~node:"d.pep.ws" ~domain:"d" ~resource:"ws"
-      (Pep.Pull { pdps = [ Domain.pdp_node domain; "d.pdp2" ]; cache = None; call_timeout = 0.3 })
+      (Pep.Sharded
+         {
+           tier = Pdp_tier.ordered services ~node:"d.pep.ws" ~pdps:[ pdp_node; "d.pdp2" ] ~call_timeout:0.3;
+           cache = None;
+         })
   in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
@@ -413,14 +418,14 @@ let test_replicated_pdps_survive_crash () =
   Net.run net;
   check int_ "baseline ok" 1 !succeeded;
   (* Crash the primary: requests keep succeeding via the replica. *)
-  Net.crash net (Domain.pdp_node domain);
+  Net.crash net pdp_node;
   request ();
   Net.run net;
   check int_ "survived primary crash" 2 !succeeded;
   check int_ "no failures" 0 !failed;
   check bool_ "failover recorded" true ((Pep.stats pep).Pep.failovers > 0);
   (* Recover the primary, crash the replica: still fine. *)
-  Net.recover net (Domain.pdp_node domain);
+  Net.recover net pdp_node;
   Net.crash net "d.pdp2";
   request ();
   Net.run net;
@@ -434,14 +439,14 @@ let test_partition_heals () =
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
   (* Partition the PEP from the PDP: requests fail closed. *)
-  Net.partition net [ Pep.node pep ] [ Domain.pdp_node domain ];
+  Net.partition net [ Pep.node pep ] [ Pdp_service.node (Domain.pdp domain) ];
   let got = ref None in
   Client.request client ~pep:(Pep.node pep) ~action:"read" ~timeout:5.0 (fun r -> got := Some r);
   Net.run net;
   (match !got with
   | Some (Ok (Wire.Denied _)) -> ()
   | _ -> Alcotest.fail "expected fail-closed deny during the partition");
-  Net.unpartition net [ Pep.node pep ] [ Domain.pdp_node domain ];
+  Net.unpartition net [ Pep.node pep ] [ Pdp_service.node (Domain.pdp domain) ];
   Client.request client ~pep:(Pep.node pep) ~action:"read" ~timeout:5.0 (fun r -> got := Some r);
   Net.run net;
   match !got with
@@ -488,7 +493,13 @@ let test_cache_staleness_window () =
   Net.add_node net pep_node;
   let pep =
     Pep.create services ~node:pep_node ~domain:"d" ~resource:"ws" ~audit:(Domain.audit domain)
-      (Pep.Pull { pdps = [ Domain.pdp_node domain ]; cache = Some cache; call_timeout = 1.0 })
+      (Pep.Sharded
+         {
+           tier =
+             Pdp_tier.ordered services ~node:pep_node ~pdps:[ Pdp_service.node (Domain.pdp domain) ]
+               ~call_timeout:1.0;
+           cache = Some cache;
+         })
   in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in

@@ -199,7 +199,7 @@ let tier_evaluate root ctx =
   Net.add_node net "dispatch";
   let tier = Pdp_tier.create services ~node:"dispatch" ~shards () in
   let answer = ref None in
-  Pdp_tier.decide tier ctx (fun r _ -> answer := Some r);
+  Pdp_tier.decide ~key:(Decision_cache.request_key ctx) tier ctx (fun r _ -> answer := Some r);
   Net.run net;
   !answer
 
@@ -254,13 +254,14 @@ let cached_ladder_evaluate ~sharded root cspec =
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:600.0 () in
   let cache = Decision_cache.create ~ttl:600.0 () in
   let pep_node = add "pep" in
-  let mode =
-    if sharded then
-      Pep.Sharded
-        { tier = Pdp_tier.create services ~node:pep_node ~shards:[ "pdp" ] (); cache = Some cache }
-    else Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 }
+  let tier =
+    if sharded then Pdp_tier.create services ~node:pep_node ~shards:[ "pdp" ] ()
+    else Pdp_tier.ordered services ~node:pep_node ~pdps:[ "pdp" ] ~call_timeout:5.0
   in
-  let pep = Pep.create services ~node:pep_node ~domain:"d" ~resource:"r" ~content:"c" mode in
+  let pep =
+    Pep.create services ~node:pep_node ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Sharded { tier; cache = Some cache })
+  in
   Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
   let ctx = lean_ctx_of_spec cspec in
   Pep.set_stale_window pep 2000.0;
@@ -885,9 +886,11 @@ let shared_cache_evaluate ~alg:name root role_codes =
        ~attr_cache_ttl:600.0 ());
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:600.0 () in
   let cache = Decision_cache.create ~ttl:600.0 () in
+  let pep_node = add "pep" in
   let pep =
-    Pep.create services ~node:(add "pep") ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = Some cache; call_timeout = 5.0 })
+    Pep.create services ~node:pep_node ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Sharded
+         { tier = Pdp_tier.ordered services ~node:pep_node ~pdps:[ "pdp" ] ~call_timeout:5.0; cache = Some cache })
   in
   Pep.set_l2 pep (Some (Cache_hierarchy.L2.node l2));
   let pass stage cached_rung =

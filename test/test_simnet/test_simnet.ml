@@ -1147,7 +1147,7 @@ let one_part_server net node =
 let test_rpc_breaker_counts_wrong_arity () =
   let batch_of_two rpc ~at results net =
     Engine.schedule_at (Net.engine net) ~at (fun () ->
-        Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"q" ~breaker:true
+        Rpc.call_batch_frame rpc ~src:"client" ~dst:"server" ~service:"q"
           [ (fun buf -> Buffer.add_string buf "a"); (fun buf -> Buffer.add_string buf "b") ]
           (fun r -> results := r :: !results))
   in

@@ -250,12 +250,10 @@ let test_retries_counted_once () =
   let services = Service.create rpc in
   List.iter (Net.add_node net) [ "pep"; "pdp"; "cli" ];
   ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:deny_all_policy ());
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 0.2 })
-  in
-  Pep.set_retry_policy pep
-    (Some { Rpc.attempts = 3; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:0.2 in
+  let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }) in
+  Pdp_tier.set_retry_policy tier
+    { Rpc.attempts = 3; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   Net.crash net "pdp";
   let client =
     Client.create services ~node:"cli" ~subject:[ ("subject-id", Value.String "u") ]
@@ -439,12 +437,10 @@ let test_retry_attempts_share_a_parent () =
   let services = Service.create rpc in
   List.iter (Net.add_node net) [ "pep"; "pdp"; "cli" ];
   ignore (Pdp_service.create services ~node:"pdp" ~name:"pdp" ~root:deny_all_policy ());
-  let pep =
-    Pep.create services ~node:"pep" ~domain:"d" ~resource:"r"
-      (Pep.Pull { pdps = [ "pdp" ]; cache = None; call_timeout = 0.2 })
-  in
-  Pep.set_retry_policy pep
-    (Some { Rpc.attempts = 3; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp" ] ~call_timeout:0.2 in
+  let pep = Pep.create services ~node:"pep" ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }) in
+  Pdp_tier.set_retry_policy tier
+    { Rpc.attempts = 3; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   Rpc.set_tracing rpc true;
   Net.crash net "pdp";
   Dacs_net.Engine.schedule_at (Net.engine net) ~at:0.1 (fun () -> Net.recover net "pdp");

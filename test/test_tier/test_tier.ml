@@ -238,6 +238,12 @@ let test_monotone_growth () =
 
 (* --- batch coalescing -------------------------------------------------------- *)
 
+(* [Pdp_tier.decide] routed by [key], by default the request's own key
+   as the PEP passes it. *)
+let tier_decide ?key tier ctx k =
+  let key = match key with Some key -> key | None -> Decision_cache.request_key ctx in
+  Pdp_tier.decide ~key tier ctx k
+
 let test_batching () =
   let fx = setup ~batch:4 () in
   let ctx = ctx_for "alice" "read" in
@@ -246,7 +252,7 @@ let test_batching () =
   (* Ten same-key queries issued in one instant: same point, so one
      shard sees all ten as 4 + 4 + 2 frames. *)
   for _ = 1 to 10 do
-    Pdp_tier.decide fx.tier ctx (fun r _ -> answers := r :: !answers)
+    tier_decide fx.tier ctx (fun r _ -> answers := r :: !answers)
   done;
   Net.run fx.net;
   check int_ "all continuations fired" 10 (List.length !answers);
@@ -278,7 +284,7 @@ let test_frame_per_flush () =
     let fx = setup ~shards:1 () in
     let answers = ref [] in
     List.iter
-      (fun ctx -> Pdp_tier.decide fx.tier ctx (fun r p -> answers := (r, p) :: !answers))
+      (fun ctx -> tier_decide fx.tier ctx (fun r p -> answers := (r, p) :: !answers))
       ctxs;
     Net.run fx.net;
     let sent =
@@ -348,8 +354,8 @@ let test_failover () =
    and a backoff, instead of failing over to another shard. *)
 let test_pep_retry_stays_on_shard () =
   let fx = setup ~shards:2 () in
-  Pep.set_retry_policy fx.pep
-    (Some { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  Pdp_tier.set_retry_policy fx.tier
+    { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   let owner =
     match Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for "alice" "read")) with
     | Some s -> s
@@ -410,7 +416,7 @@ let test_empty_tier_fails_closed () =
   let fx = setup ~shards:1 () in
   Pdp_tier.set_shards fx.tier [];
   let answer = ref None in
-  Pdp_tier.decide fx.tier (ctx_for "alice" "read") (fun r _ -> answer := Some r);
+  tier_decide fx.tier (ctx_for "alice" "read") (fun r _ -> answer := Some r);
   Net.run fx.net;
   match !answer with
   | Some (Error _) -> ()
@@ -432,7 +438,7 @@ let rejections fx =
 (* [Pdp_tier.decide] for [key] issued at [at]; the answer lands in the ref. *)
 let decide_at fx ~at ?key ctx answer =
   Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
-      Pdp_tier.decide ?key fx.tier ctx (fun outcome p ->
+      tier_decide ?key fx.tier ctx (fun outcome p ->
           answer := Some (Net.now fx.net, outcome, p)))
 
 let answered_by what answer =
@@ -463,7 +469,7 @@ let test_all_breakers_open () =
   let sent = (Net.total_sent fx.net).Net.count in
   let answer = ref None and fired_inline = ref false in
   Engine.schedule_at (Net.engine fx.net) ~at:10.0 (fun () ->
-      Pdp_tier.decide fx.tier ctx (fun outcome p ->
+      tier_decide fx.tier ctx (fun outcome p ->
           answer := Some (Net.now fx.net, outcome, p));
       fired_inline := !answer <> None);
   Net.run fx.net;
@@ -749,8 +755,8 @@ let explained what answer =
    (with no L2 to ask first) times out at 1.5 s and, under a two-attempt
    policy, is re-sent to the same shard after a 50 ms backoff. *)
 let alice_resent fx =
-  Pep.set_retry_policy fx.pep
-    (Some { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 });
+  Pdp_tier.set_retry_policy fx.tier
+    { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   let owner = owner_of_alice fx in
   Engine.schedule_at (Net.engine fx.net) ~at:0.4 (fun () -> Net.crash fx.net owner);
   Engine.schedule_at (Net.engine fx.net) ~at:0.6 (fun () -> Net.recover fx.net owner);
@@ -879,8 +885,10 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 428.5 words (433.5 when each call's timeout timer was an
-   event of its own, with a closure; 439.5 when the tier answered with a
+(* Measured: 426.5 words (428.5 while the tier took the request key as
+   an optional argument, boxed in a [Some]; 433.5 when each call's
+   timeout timer was an event of its own, with a closure; 439.5 when the
+   tier answered with a
    metadata record the PEP copied into a provenance record of its own;
    992 when a
    one-query flush rode a batch frame, every layer wrapped the
