@@ -807,6 +807,35 @@ let test_pep_pull_fails_over_at_rto () =
     check int_ "failover counted" 1 (Pep.stats pep).Pep.failovers
   | None -> Alcotest.fail "no second decision"
 
+(* A pull PEP asks the PDP list its tier holds now: the list the tier
+   was built with, then, after the caller rebinds the tier, the new
+   list, first PDP first.  No failover is involved: both PDPs stay up. *)
+let test_pep_pull_follows_tier_rebind () =
+  let net, tier, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
+  let answered_by user =
+    let got = ref None in
+    let ctx =
+      Context.make ~subject:(doctor_subject user)
+        ~resource:[ ("resource-id", Value.String "r") ]
+        ~action:[ ("action-id", Value.String "read") ]
+        ()
+    in
+    Pep.decide_explained pep ctx (fun r p -> got := Some (r, p));
+    Net.run net;
+    match !got with
+    | Some (r, p) ->
+      check bool_ "granted" true (Decision.is_permit r);
+      check int_ "no failover" 0 p.Provenance.failovers;
+      p.Provenance.shard
+    | None -> Alcotest.fail "no decision"
+  in
+  check (Alcotest.list string_) "built list" pdp_nodes (Pdp_tier.shards tier);
+  check (Alcotest.option string_) "first PDP answers" (Some "pdp0") (answered_by "alice");
+  Pdp_tier.set_shards tier [ "pdp1"; "pdp0" ];
+  check (Alcotest.list string_) "rebound list" [ "pdp1"; "pdp0" ] (Pdp_tier.shards tier);
+  check (Alcotest.option string_) "new first PDP answers" (Some "pdp1") (answered_by "bob");
+  check int_ "no failover counted" 0 (Pep.stats pep).Pep.failovers
+
 let test_pep_pull_all_pdps_down () =
   let net, _tier, pep, client, pdp_nodes = pull_setup ~pdps:2 () in
   List.iter (Net.crash net) pdp_nodes;
@@ -1630,6 +1659,8 @@ let () =
           Alcotest.test_case "failover" `Quick test_pep_pull_failover;
           Alcotest.test_case "a silent primary fails over at its RTO" `Quick
             test_pep_pull_fails_over_at_rto;
+          Alcotest.test_case "rebinding the tier moves the PEP's queries" `Quick
+            test_pep_pull_follows_tier_rebind;
           Alcotest.test_case "all PDPs down fails closed" `Quick test_pep_pull_all_pdps_down;
           Alcotest.test_case "bad retry policy rejected when set" `Quick test_pep_rejects_bad_retry_policy;
           Alcotest.test_case "encrypt obligation" `Quick test_pep_obligations_encrypt;

@@ -402,6 +402,34 @@ let test_pep_requires_signed_decisions ~sharded () =
     check bool_ "explains" true (String.length reason > 0)
   | _ -> Alcotest.fail "unsigned decision must be rejected when signatures are required"
 
+(* A trust store is a setting of the tier it is set on: of two PEPs
+   asking the same unsigning PDP, only the one whose tier requires
+   signatures refuses the answer. *)
+let test_trust_store_binds_its_tier () =
+  let net, services, trust, _, _, _ = signed_setup () in
+  List.iter (Net.add_node net) [ "plain-pdp"; "strict-pep"; "lax-pep"; "client" ];
+  ignore (Pdp_service.create services ~node:"plain-pdp" ~name:"p" ~root:(doctor_read_policy "r") ());
+  let pull_pep node =
+    let tier = Pdp_tier.ordered services ~node ~pdps:[ "plain-pdp" ] ~call_timeout:0.5 in
+    ignore (Pep.create services ~node ~domain:"d" ~resource:"r" (Pep.Sharded { tier; cache = None }));
+    tier
+  in
+  Pdp_tier.require_signed_decisions (pull_pep "strict-pep") trust;
+  ignore (pull_pep "lax-pep");
+  let client = Client.create services ~node:"client" ~subject:(doctor_subject "alice") in
+  let ask pep =
+    let got = ref None in
+    Client.request client ~pep ~action:"read" (fun r -> got := Some r);
+    Net.run net;
+    !got
+  in
+  (match ask "strict-pep" with
+  | Some (Ok (Wire.Denied _)) -> ()
+  | _ -> Alcotest.fail "the tier that requires signatures must refuse an unsigned answer");
+  match ask "lax-pep" with
+  | Some (Ok (Wire.Granted _)) -> ()
+  | _ -> Alcotest.fail "a tier without a trust store must accept the unsigned answer"
+
 (* A third node cannot get a PEP to enforce a genuinely signed Permit
    meant for someone else.  [mallory] asks the PDP about a doctor and
    keeps the signed answer; then, while a nurse's query is in flight,
@@ -1070,6 +1098,8 @@ let () =
             (test_pep_requires_signed_decisions ~sharded:false);
           Alcotest.test_case "sharded PEP requires signatures" `Quick
             (test_pep_requires_signed_decisions ~sharded:true);
+          Alcotest.test_case "a trust store binds only the tier it is set on" `Quick
+            test_trust_store_binds_its_tier;
           Alcotest.test_case "mismatched configuration fails closed" `Quick
             test_signed_decisions_without_requirement;
           Alcotest.test_case "a Permit replayed by a third node is not enforced" `Quick

@@ -380,6 +380,39 @@ let test_pep_retry_stays_on_shard () =
     check int_ "no failover counted" 0 s.Pep.failovers
   | None -> Alcotest.fail "no decision"
 
+(* A pull PEP's retry policy is its ordered tier's, as a sharded PEP's
+   is its rendezvous tier's: a frame lost on the way to the first PDP is
+   sent to that PDP again after the call timeout and a backoff, instead
+   of failing over down the list. *)
+let test_ordered_retry_stays_on_first_pdp () =
+  let net = Net.create ~seed:7L () in
+  let services = Service.create (Rpc.create net) in
+  List.iter (Net.add_node net) [ "pdp0"; "pdp1"; "pep" ];
+  List.iter
+    (fun node -> ignore (Pdp_service.create services ~node ~name:node ~root:(doctor_policy "r") ()))
+    [ "pdp0"; "pdp1" ];
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:[ "pdp0"; "pdp1" ] ~call_timeout:1.0 in
+  let pep = Pep.create services ~node:"pep" ~domain:"a" ~resource:"r" (Pep.Sharded { tier; cache = None }) in
+  Pdp_tier.set_retry_policy tier
+    { Rpc.attempts = 2; base_delay = 0.05; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
+  (* Down when the frame arrives, back long before the retry. *)
+  let at t f = Engine.schedule_at (Net.engine net) ~at:t f in
+  at 0.4 (fun () -> Net.crash net "pdp0");
+  at 0.6 (fun () -> Net.recover net "pdp0");
+  let answer = ref None in
+  at 0.5 (fun () -> Pep.decide_explained pep (ctx_for "alice" "read") (fun r p -> answer := Some (r, p)));
+  Net.run net;
+  match !answer with
+  | Some (r, p) ->
+    check bool_ "granted" true (Decision.is_permit r);
+    check (Alcotest.option string_) "answered by the first PDP" (Some "pdp0") p.Provenance.shard;
+    check int_ "no failover" 0 p.Provenance.failovers;
+    check bool_ "retried" true p.Provenance.retried;
+    let s = Pep.stats pep in
+    check int_ "one retry" 1 s.Pep.retries;
+    check int_ "no failover counted" 0 s.Pep.failovers
+  | None -> Alcotest.fail "no decision"
+
 (* --- stale-cache degradation and fail-closed ---------------------------------- *)
 
 let test_stale_degradation () =
@@ -935,6 +968,8 @@ let () =
           Alcotest.test_case "crash of the owning shard fails over" `Quick test_failover;
           Alcotest.test_case "a PEP's retry policy retries on the same shard" `Quick
             test_pep_retry_stays_on_shard;
+          Alcotest.test_case "a pull PEP's retry policy retries its first PDP" `Quick
+            test_ordered_retry_stays_on_first_pdp;
           Alcotest.test_case "total outage degrades to bounded-stale serving" `Quick
             test_stale_degradation;
           Alcotest.test_case "total outage without cache fails closed" `Quick
