@@ -130,7 +130,6 @@ module L2 = struct
   type stats = { lookups : int; hits : int; puts : int; invalidations : int; size : int }
 
   let node t = t.node
-  let size t = Decision_cache.size t.cache
   let rejected_puts t = Metrics.counter_value t.c_rejected_puts
   let now t = Dacs_net.Net.now (Service.net t.services)
   let tracer t = Service.tracer t.services

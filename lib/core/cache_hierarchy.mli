@@ -115,8 +115,6 @@ module L2 : sig
       a revocation sends) and stamp the purge, so a put sent before it is
       rejected.  [Empty] is a no-op. *)
 
-  val size : t -> int
-
   val rejected_puts : t -> int
   (** Puts stamped before the last purge, dropped instead of
       resurrecting the entry they carried. *)

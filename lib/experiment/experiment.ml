@@ -87,18 +87,14 @@ let read_baseline ledger =
       Entry ((match List.assoc_opt "pr" fields with Some (Str p) -> p | _ -> "?"), fields)
     | _ -> Unparseable)
 
-(* (experiment, key) in an entry: the experiment's own top-level object
-   (where the appending experiment records itself) or its embedded
-   snapshot — never whichever snapshot happens to mention [key] first. *)
+(* (experiment, key) in an entry: the experiment's own snapshot, never
+   whichever snapshot happens to mention [key] first. *)
 let lookup fields ~experiment ~key =
   let section =
-    match List.assoc_opt experiment fields with
-    | Some (Obj o) -> Some o
-    | _ -> (
-      match List.assoc_opt "snapshots" fields with
-      | Some (Obj snaps) -> (
-        match List.assoc_opt experiment snaps with Some (Obj o) -> Some o | _ -> None)
-      | _ -> None)
+    match List.assoc_opt "snapshots" fields with
+    | Some (Obj snaps) -> (
+      match List.assoc_opt experiment snaps with Some (Obj o) -> Some o | _ -> None)
+    | _ -> None
   in
   match Option.bind section (List.assoc_opt key) with
   | None -> `Missing
@@ -107,7 +103,7 @@ let lookup fields ~experiment ~key =
 
 (* --- collector ----------------------------------------------------------- *)
 
-type history = { dir : string; pr : string; baseline : baseline; gated : string list }
+type history = { dir : string; pr : string; baseline : baseline }
 
 type t = {
   name : string;
@@ -225,24 +221,19 @@ let write_snapshot h t failed =
     (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %s: %s" (json_string k) v) fields));
   close_out oc
 
-let append_ledger t =
-  let h = match t.history with Some h -> h | None -> invalid_arg "Experiment.append_ledger" in
+(* One ledger line embedding the snapshots of [names], which this run
+   wrote. *)
+let append_entry h names =
   let minify s = String.map (fun c -> if c = '\n' then ' ' else c) (String.trim s) in
   let snapshots =
-    List.filter_map
-      (fun name ->
-        let path = snapshot_path h name in
-        if name <> t.name && Sys.file_exists path then
-          Some (Printf.sprintf "%s:%s" (json_string name) (minify (read_file path)))
-        else None)
-      h.gated
+    List.map
+      (fun name -> Printf.sprintf "%s:%s" (json_string name) (minify (read_file (snapshot_path h name))))
+      names
   in
-  let own = List.rev_map (fun (k, _, lit) -> Printf.sprintf "%s:%s" (json_string k) lit) t.metrics in
   let ledger = Filename.concat h.dir "ledger.jsonl" in
   ensure_dir h.dir;
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 ledger in
-  Printf.fprintf oc "{\"pr\":%s,%s:{%s},\"snapshots\":{%s}}\n" (json_string h.pr) (json_string t.name)
-    (String.concat "," own)
+  Printf.fprintf oc "{\"pr\":%s,\"snapshots\":{%s}}\n" (json_string h.pr)
     (String.concat "," snapshots);
   close_out oc;
   Printf.printf "\nledger: appended entry for %S to %s (%d embedded snapshots)\n" h.pr ledger
@@ -286,15 +277,13 @@ let isolated h e =
   | 0 -> in_child h e
   | pid -> ( match snd (Unix.waitpid [] pid) with Unix.WEXITED n -> n | _ -> 2)
 
+let reads_ledger e = List.exists (fun g -> match g.kind with Ledger _ -> true | _ -> false) e.e_gates
+
+(* A run that selected every experiment with a ledger gate appends one
+   line, so the next run finds a baseline for each of them; the line
+   embeds the snapshot of every gated experiment the run finished. *)
 let run ~history ~pr experiments names =
-  let h =
-    {
-      dir = history;
-      pr;
-      baseline = read_baseline (Filename.concat history "ledger.jsonl");
-      gated = List.filter_map (fun e -> if e.e_gates <> [] then Some e.e_name else None) experiments;
-    }
-  in
+  let h = { dir = history; pr; baseline = read_baseline (Filename.concat history "ledger.jsonl") } in
   let known n = List.find_opt (fun e -> e.e_name = n) experiments in
   let unknown = List.filter (fun n -> known n = None) names in
   List.iter
@@ -303,10 +292,19 @@ let run ~history ~pr experiments names =
         (String.concat ", " (List.map (fun e -> e.e_name) experiments)))
     unknown;
   let selected = if names = [] then experiments else List.filter_map known names in
-  let failed = List.filter (fun e -> isolated h e <> 0) selected in
+  let statuses = List.map (fun e -> (e, isolated h e)) selected in
+  let failed = List.filter_map (fun (e, s) -> if s <> 0 then Some e.e_name else None) statuses in
   if failed <> [] then
-    Printf.printf "\n%d experiment(s) failed: %s\n" (List.length failed)
-      (String.concat ", " (List.map (fun e -> e.e_name) failed));
+    Printf.printf "\n%d experiment(s) failed: %s\n" (List.length failed) (String.concat ", " failed);
+  let ledgered = List.filter reads_ledger experiments in
+  if ledgered <> [] && List.for_all (fun e -> List.memq e selected) ledgered then
+    append_entry h
+      (List.filter_map
+         (fun e ->
+           match List.assq_opt e statuses with
+           | Some status when e.e_gates <> [] && status < 2 -> Some e.e_name
+           | _ -> None)
+         experiments);
   if failed = [] && unknown = [] then 0 else 1
 
 let main experiments =

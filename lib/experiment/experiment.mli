@@ -19,7 +19,7 @@ module Gate : sig
 
   val no_worse : string -> key:string -> better:[ `Lower | `Higher ] -> gate
   (** Compares the metric [key] this run records against the baseline
-      entry's value for (this experiment, [key]): at most 10 % worse
+      entry's snapshot of this experiment, at [key]: at most 10 % worse
       passes, [SKIP] when the entry has no such value, [FAIL] when the
       ledger's last entry cannot be parsed.  Ledger numbers are read as
       strict JSON decimals: an [inf], [nan], hex or [1_0] makes the entry
@@ -46,15 +46,10 @@ val metric : t -> ?digits:int -> string -> float -> unit
 
 val count : t -> string -> int -> unit
 
-val append_ledger : t -> unit
-(** Appends [{"pr":..,"<name>":{<this run's metrics>},"snapshots":{..}}]
-    to [ledger.jsonl], embedding the [BENCH_<n>.json] present for every
-    other gated experiment of the registry.  Only within {!run}. *)
-
 type experiment
 
 val v : ?gates:gate list -> ?log:out_channel -> string -> (t -> unit) -> experiment
-(** [v ~gates name body].  Within {!run} a gated experiment writes
+(** [v ~gates name body].  Within {!main} a gated experiment writes
     [BENCH_<name>.json]: its metrics plus [gate_failures].  The CHECK
     lines go to [log] (default [stdout]). *)
 
@@ -68,6 +63,13 @@ val run_one : experiment -> int
     ledger gate is [SKIP]. *)
 
 val main : experiment list -> unit
-(** {!run} over the command line, with [history] from [$DACS_HISTORY]
-    (default [bench/history]) and [pr] from [$DACS_PR] (default
-    ["local"]); exits with its status. *)
+(** Runs the experiments the command line names (all of them when it
+    names none), each in its own forked process, and exits 0 iff every
+    one passed and every name is known.  Ledger gates compare against
+    the last line of [$DACS_HISTORY/ledger.jsonl] (default
+    [bench/history]), read once before any experiment runs.  When the
+    selection holds every experiment that declares a ledger gate, the
+    run then appends one line [{"pr":..,"snapshots":{"<name>":{..},..}}],
+    keyed by [$DACS_PR] (default ["local"]), that embeds the snapshot of
+    each gated experiment it ran to the end; a partial selection
+    appends nothing. *)

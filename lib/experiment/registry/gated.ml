@@ -1,4 +1,4 @@
-(* The gated experiments: E16-E21, E23 and the seven gated dacs scenarios
+(* The gated experiments: E16-E19, E21, E23 and the seven gated dacs scenarios
    (tier, cache, explain, slo, offline, load, delta).  Each is an
    Experiment.v whose gates are declared up front.  Where a scenario and
    a bench experiment build the same setup, one function below builds
@@ -202,7 +202,6 @@ type ladder = {
   l1_hits : int;
   l2_hits : int;
   coalesced : int;
-  l2_size : int;  (** L2 entries after the invalidation round *)
   p50 : float;
   p99 : float;
 }
@@ -212,8 +211,7 @@ type ladder = {
    a shared L2.  Every (user, action) pair, one virtual second apart,
    runs down the ladder: a cold pass at replica 0 with a same-instant
    duplicate (the coalescing opportunity), a replica pass at replica 1
-   (the L2 opportunity), a warm pass at both (all L1), then an
-   invalidation round that must empty the L2. *)
+   (the L2 opportunity), then a warm pass at both (all L1). *)
 let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
   let net = Net.create ~seed:(Int64.of_int seed) () in
   let services = Service.create (Rpc.create net) in
@@ -297,15 +295,6 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
   let warm_mpr =
     float_of_int (Net.total_sent net).Net.count /. float_of_int (!total - cold_requests)
   in
-  let l2_size =
-    match l2 with
-    | None -> 0
-    | Some l2 ->
-      Cache_hierarchy.L2.invalidate_region l2 Dacs_policy.Delta.unbounded;
-      List.iter (fun pep -> ignore (Pep.invalidate_region pep Dacs_policy.Delta.unbounded)) peps;
-      Net.run net;
-      Cache_hierarchy.L2.size l2
-  in
   let stat f = List.fold_left (fun acc pep -> acc + f (Pep.stats pep)) 0 peps in
   {
     total = !total;
@@ -317,22 +306,20 @@ let cache_ladder ~seed ~users ~actions ~l2 ~attr_cache =
     l1_hits = stat (fun s -> s.Pep.cache_hits);
     l2_hits = stat (fun s -> s.Pep.l2_hits);
     coalesced = stat (fun s -> s.Pep.coalesced);
-    l2_size;
     p50 = 1000.0 *. Loghist.quantile lats 0.50;
     p99 = 1000.0 *. Loghist.quantile lats 0.99;
   }
 
 let cache seed json =
   Experiment.v "cache" ~log:(log json)
-    ~gates:Gate.[ exact "all-requests-granted"; exact "warm-path-msgs-per-req";
-                  exact "invalidation-empties-l2" ]
+    ~gates:Gate.[ exact "all-requests-granted"; exact "warm-path-msgs-per-req" ]
   @@ fun x ->
   let users = 4 in
   let r = cache_ladder ~seed ~users ~actions:[ "read" ] ~l2:true ~attr_cache:true in
   if json then
     Printf.printf
-      "{\"seed\":%d,\"requests\":%d,\"granted\":%d,\"warm_msgs_per_req\":%.2f,\"attr_frames\":%d,\"attrs_served\":%d,\"l1_hits\":%d,\"l2_hits\":%d,\"coalesced\":%d,\"l2_size_after_invalidation\":%d}\n"
-      seed r.total r.granted r.warm_mpr r.frames r.served r.l1_hits r.l2_hits r.coalesced r.l2_size
+      "{\"seed\":%d,\"requests\":%d,\"granted\":%d,\"warm_msgs_per_req\":%.2f,\"attr_frames\":%d,\"attrs_served\":%d,\"l1_hits\":%d,\"l2_hits\":%d,\"coalesced\":%d}\n"
+      seed r.total r.granted r.warm_mpr r.frames r.served r.l1_hits r.l2_hits r.coalesced
   else begin
     Printf.printf
       "cache hierarchy: %d users, 2 PEP replicas over one shared L2, attribute-caching PDP\n\n"
@@ -345,13 +332,11 @@ let cache seed json =
     Printf.printf "%-44s %8d\n" "L1 hits" r.l1_hits;
     Printf.printf "%-44s %8d\n" "shared L2 hits" r.l2_hits;
     Printf.printf "%-44s %8d\n" "coalesced (single-flight)" r.coalesced;
-    Printf.printf "%-44s %8d\n" "L2 entries after invalidation round" r.l2_size;
     print_newline ()
   end;
   Experiment.check x "all-requests-granted" (r.granted = r.total) (Printf.sprintf "%d/%d" r.granted r.total);
   Experiment.check x "warm-path-msgs-per-req" (r.warm_mpr < 2.2)
-    (Printf.sprintf "%.2f < 2.2" r.warm_mpr);
-  Experiment.check x "invalidation-empties-l2" (r.l2_size = 0) (Printf.sprintf "size %d" r.l2_size)
+    (Printf.sprintf "%.2f < 2.2" r.warm_mpr)
 
 let e17 =
   Experiment.v "e17"
@@ -604,79 +589,14 @@ let e19 =
   Experiment.metric x "deep_tree_compiled_us" comp
 
 (* ==================================================================== *)
-(* E20 — bench trajectory ledger + regression gate                      *)
+(* Offline authorization: dacs offline, E21                             *)
 (* ==================================================================== *)
 
-(* The serving path's headline numbers as a committed trajectory rather
-   than one-off thresholds: every run appends a ledger entry (keyed by
-   $DACS_PR) to bench/history/ledger.jsonl and gates its own
-   deterministic virtual-clock metrics — steady-state p99, messages per
-   request, saturated shedding — against the previous entry with a
-   tolerance band.  Wall-clock numbers (e19 speedups, micro) are
-   recorded in the embedded snapshots but never gated: only metrics that
-   are byte-identical per seed can fail a build honestly. *)
-
-let e20 =
-  Experiment.v "e20"
-    ~gates:Gate.[ no_worse "p99-regression" ~key:"p99_s" ~better:`Lower;
-                  no_worse "msgs-per-req-regression" ~key:"msgs_per_req" ~better:`Lower;
-                  no_worse "shed-regression" ~key:"shed_saturated" ~better:`Lower ]
-  @@ fun x ->
-  header "E20  Bench trajectory ledger + regression gate"
-    "the serving path's deterministic metrics (steady p99, messages per \
-     request, saturated shedding) must not worsen beyond tolerance against \
-     the previous committed ledger entry; every run appends its own entry \
-     with the other gated experiments' snapshots embedded, so the \
-     trajectory across PRs is reviewable history, not folklore";
-  let steady = W.run { W.default with W.seed = 11; cache_ttl = 30.0; duration = 4.0 } in
-  let saturated =
-    W.run
-      {
-        W.default with
-        W.seed = 11;
-        shards = 1;
-        arrivals = W.Open_loop { rate = 1600.0 };
-        duration = 2.0;
-      }
-  in
-  let p99 = steady.W.latency.W.p99 in
-  let mpr = float_of_int steady.W.messages /. float_of_int steady.W.offered in
-  let shed = saturated.W.shed in
-  Printf.printf "this run:\n";
-  Printf.printf "  %-32s %10.6f s\n" "steady-state p99 (cached, 200 req/s)" p99;
-  Printf.printf "  %-32s %10.2f\n" "messages per request (steady)" mpr;
-  Printf.printf "  %-32s %10d\n" "saturated shed (1600 req/s, 1 shard)" shed;
-  Experiment.metric x ~digits:6 "p99_s" p99;
-  Experiment.metric x "msgs_per_req" mpr;
-  Experiment.count x "shed_saturated" shed;
-  Experiment.append_ledger x;
-  print_newline ()
-
-(* ==================================================================== *)
-(* E21 — partition -> heal ablation (offline authorization)             *)
-(* ==================================================================== *)
-
-(* Two deterministic measurements of the offline mode:
-
-   - the workload ablation: the same partition-window scenario run with
-     and without offline replicas — fail-closed errors vs signed-log
-     serves;
-   - the reconciliation cost: a 4-domain mesh diverges across a
-     partition (concurrent grants, revocations and offline decisions),
-     then heals over a ring anti-entropy topology — convergence rounds,
-     replayed events, deny-wins conflicts and retroactive invalidations
-     are all virtual-clock deterministic, so they gate against the
-     previous ledger entry like the e20 trio. *)
-
-(* The same partition-window workload without and with offline replicas:
-   fail closed vs served from the signed log. *)
-let partition_ablation ~seed =
-  let partition = Some { W.from = 1.0; until = 3.0 } in
-  (W.run { W.default with W.seed; partition }, W.run { W.default with W.seed; partition; offline = true })
-
-(* The partition ablation, then the replica-level story end to end:
-   diverge under partition, reject a tampered segment, heal, deny-wins
-   replay with conflict surfacing and retroactive invalidation. *)
+(* The same partition-window workload without and with offline replicas
+   (fail closed vs served from the signed log), then the replica-level
+   story end to end: diverge under partition, reject a tampered segment,
+   heal, deny-wins replay with conflict surfacing and retroactive
+   invalidation. *)
 let offline seed json =
   Experiment.v "offline" ~log:(log json)
     ~gates:Gate.[ exact "partition-fails-closed-without-offline";
@@ -685,7 +605,9 @@ let offline seed json =
                   exact "post-heal-convergence"; exact "deny-wins-retroactively" ]
   @@ fun x ->
   let module O = Offline in
-  let base, off = partition_ablation ~seed in
+  let partition = Some { W.from = 1.0; until = 3.0 } in
+  let base = W.run { W.default with W.seed; partition } in
+  let off = W.run { W.default with W.seed; partition; offline = true } in
   (* Replica-level: two domains, a shared history, then a partition-era
      race — alpha grants carol and serves an offline Permit from that
      grant while beta, unaware, revokes her. *)
@@ -769,9 +691,14 @@ let offline seed json =
     (offline_permit && deny_wins && conflict_surfaced && invalidated)
     "offline grant defeated, conflict surfaced, offline Permit invalidated"
 
+(* The reconciliation cost: a 4-domain mesh diverges across a partition
+   (concurrent grants, revocations and offline decisions), then heals
+   over a ring anti-entropy topology.  Convergence rounds, replayed
+   events, deny-wins conflicts and retroactive invalidations are all
+   deterministic, so they gate against the previous ledger entry. *)
 let e21 =
   Experiment.v "e21"
-    ~gates:Gate.[ exact "offline-serves-partition"; exact "post-heal-convergence";
+    ~gates:Gate.[ exact "post-heal-convergence";
                   exact "deny-wins"; exact "retroactive-invalidation";
                   no_worse "convergence-rounds-regression" ~key:"convergence_rounds"
                     ~better:`Lower;
@@ -783,26 +710,13 @@ let e21 =
                     ~better:`Lower;
                   no_worse "heal-words-regression" ~key:"words_per_heal_event" ~better:`Lower;
                   no_worse "logged-bytes-regression" ~key:"logged_bytes_per_decide"
-                    ~better:`Lower;
-                  no_worse "offline-p99-regression" ~key:"offline_p99_s" ~better:`Lower ]
+                    ~better:`Lower ]
   @@ fun x ->
-  header "E21  Partition -> heal ablation (offline authorization)"
-    "a partitioned domain serves from its signed event log instead of failing \
-     closed, and heal reconverges every replica by deny-wins replay in a \
-     bounded number of anti-entropy rounds — convergence rounds, replayed \
-     events, retroactive invalidations and the offline arm's p99 latency \
-     (how fast a silent shard is detected) are deterministic and must not \
-     worsen against the previous ledger entry";
-  let closed, served = partition_ablation ~seed:11 in
-  Printf.printf "workload ablation (partition window [1s,3s) of a %.0fs run, seed 11):\n"
-    W.default.W.duration;
-  Printf.printf "  %-28s %8s %8s %8s\n" "" "errors" "offline" "granted";
-  Printf.printf "  %-28s %8d %8d %8d\n" "fail-closed (no replicas)" closed.W.errors
-    closed.W.offline_serves closed.W.granted;
-  Printf.printf "  %-28s %8d %8d %8d\n" "offline replicas" served.W.errors
-    served.W.offline_serves served.W.granted;
-  Printf.printf "  %-28s %8.3f s\n" "offline replicas p99" served.W.latency.W.p99;
-  (* --- reconciliation: 4 domains, 2-2 partition, ring heal ------------- *)
+  header "E21  Partition -> heal reconciliation (offline authorization)"
+    "after a partition, heal reconverges every offline replica by deny-wins \
+     replay in a bounded number of anti-entropy rounds — convergence rounds, \
+     replayed events, re-checked decisions and retroactive invalidations are \
+     deterministic and must not worsen against the previous ledger entry";
   let module O = Offline in
   let n = 4 in
   let now = ref 0.0 in
@@ -909,7 +823,7 @@ let e21 =
   let rechecked = total (fun s -> s.O.rechecked) in
   let invalidations = total (fun s -> s.O.invalidations) in
   let conflicts = List.length (O.conflicts reps.(0)) in
-  Printf.printf "\nreconciliation (4 domains, 2-2 partition, ring anti-entropy):\n";
+  Printf.printf "reconciliation (4 domains, 2-2 partition, ring anti-entropy):\n";
   Printf.printf "  %-32s %8d\n" "offline decisions under partition" !offline_decides;
   Printf.printf "  %-32s %8d\n" "convergence rounds (ring)" !rounds;
   Printf.printf "  %-32s %8d\n" "events replayed (all replicas)" replayed;
@@ -921,10 +835,6 @@ let e21 =
   Printf.printf "  %-32s %8.1f\n" "canonical bytes per Decide" logged_bytes_per_decide;
   print_newline ();
   let check = Experiment.check x in
-  check "offline-serves-partition"
-    (closed.W.errors > 0 && served.W.offline_serves > 0 && served.W.errors < closed.W.errors)
-    (Printf.sprintf "errors %d -> %d, %d offline serves" closed.W.errors served.W.errors
-       served.W.offline_serves);
   check "post-heal-convergence" (converged ())
     (Printf.sprintf "all digests identical after %d ring rounds" !rounds);
   check "deny-wins"
@@ -934,9 +844,6 @@ let e21 =
   check "retroactive-invalidation"
     (invalidations >= n)
     (Printf.sprintf "%d contradicted offline decisions purged" invalidations);
-  Experiment.count x "fail_closed_errors" closed.W.errors;
-  Experiment.count x "offline_serves" served.W.offline_serves;
-  Experiment.count x "offline_errors" served.W.errors;
   Experiment.count x "offline_decides_partition" !offline_decides;
   Experiment.count x "convergence_rounds" !rounds;
   Experiment.count x "replayed_events" replayed;
@@ -945,8 +852,7 @@ let e21 =
   Experiment.count x "conflicts" conflicts;
   Experiment.metric x ~digits:1 "words_per_offline_decide" words_per_decide;
   Experiment.metric x ~digits:1 "words_per_heal_event" words_per_heal_event;
-  Experiment.metric x ~digits:1 "logged_bytes_per_decide" logged_bytes_per_decide;
-  Experiment.metric x "offline_p99_s" served.W.latency.W.p99
+  Experiment.metric x ~digits:1 "logged_bytes_per_decide" logged_bytes_per_decide
 
 (* ==================================================================== *)
 (* The churn corpus: dacs delta, E23                                    *)
@@ -1048,30 +954,19 @@ let delta json =
 (* E23 — policy churn: targeted region invalidation vs full flush       *)
 (* ==================================================================== *)
 
-(* Two deterministic measurements of the change-impact engine:
-
-   - a sequential churn corpus: G policy generations over a fixed
-     request population, decided through an L1 decision cache under
-     three arms — targeted region invalidation (Delta.between), full
-     flush, and an uncached Policy.evaluate reference.  No request is
-     ever in flight across a publish, so the three decision streams
-     must be byte-identical, and the targeted arm must retain strictly
-     more warm entries;
-   - the workload ablation: the same churn schedule through the engine
-     with [churn_targeted] on and off — retained cache hits and
-     messages per request, gated against the previous ledger entry
-     with the e20 tolerance band. *)
+(* A sequential churn corpus: G policy generations over a fixed request
+   population, decided through an L1 decision cache under three arms —
+   targeted region invalidation (Delta.between), full flush, and an
+   uncached Policy.evaluate reference.  No request is ever in flight
+   across a publish, so the three decision streams must be
+   byte-identical, and the targeted arm must retain strictly more warm
+   entries.  Then the cost of one publish's purge over a warm L1. *)
 
 let e23 =
   Experiment.v "e23"
     ~gates:Gate.[ exact "corpus-decisions-identical"; exact "corpus-hit-retention";
                   exact "corpus-targeted-drops-fewer"; exact "regions-bounded";
-                  exact "workload-conservation"; exact "workload-publishes";
-                  exact "workload-hit-retention"; exact "workload-msgs-per-req";
-                  exact "workload-determinism"; exact "missed-cache-skipped";
-                  no_worse "hit-ratio-regression" ~key:"churn_hit_ratio" ~better:`Higher;
-                  no_worse "churn-msgs-per-req-regression" ~key:"churn_msgs_per_req"
-                    ~better:`Lower;
+                  exact "missed-cache-skipped";
                   no_worse "purge-words-regression" ~key:"purge_words_per_entry"
                     ~better:`Lower ]
   @@ fun x ->
@@ -1079,10 +974,9 @@ let e23 =
     "a publish's change-impact region purges only the affected cached \
      decisions: decision streams stay byte-identical to a full flush and an \
      uncached reference, while the targeted arm retains strictly more warm \
-     entries and spends fewer messages per request under churn";
+     entries";
   let module D = Dacs_policy.Delta in
   let check = Experiment.check x in
-  (* -- part 1: sequential churn corpus ------------------------------- *)
   let resources = 8 and generations = 12 in
   let root, ctxs = churn_corpus ~resources in
   let decide_cached cache child ctx =
@@ -1182,67 +1076,20 @@ let e23 =
     (purge_words /. float_of_int purge_entries);
   Printf.printf
     "missed cache: the same region over a warm %d-entry L1 with no key in it dropped %d \
-     entries in %d scans\n"
+     entries in %d scans\n\n"
     purge_entries missed_dropped missed_scans;
   check "missed-cache-skipped"
     (missed_dropped = 0 && missed_scans = 0)
     (Printf.sprintf "%d dropped, %d scans of a cache the region provably misses" missed_dropped
        missed_scans);
-  (* -- part 2: workload ablation -------------------------------------- *)
-  let scenario targeted =
-    {
-      W.default with
-      W.seed = 11;
-      cache_ttl = 30.0;
-      duration = 4.0;
-      churn = Some { W.churn_period = 0.5; churn_targeted = targeted };
-    }
-  in
-  let targeted_run = W.run (scenario true) in
-  let targeted_rerun = W.run (scenario true) in
-  let full_run = W.run (scenario false) in
-  let mpr (r : W.report) = float_of_int r.W.messages /. float_of_int r.W.offered in
-  Printf.printf "\nworkload ablation (seed 11, publish every 0.5s of a 4s cached run):\n";
-  Printf.printf "  %-14s %10s %10s %9s %9s %8s\n" "arm" "cache hits" "publishes" "granted"
-    "denied" "msgs/req";
-  List.iter
-    (fun (label, (r : W.report)) ->
-      Printf.printf "  %-14s %10d %10d %9d %9d %8.2f\n" label r.W.cache_hits r.W.publishes
-        r.W.granted r.W.denied (mpr r))
-    [ ("full-flush", full_run); ("targeted", targeted_run) ];
-  print_newline ();
-  check "workload-conservation"
-    (W.conservation_ok targeted_run && W.conservation_ok full_run)
-    "completed = offered and answers sum up under both arms";
-  check "workload-publishes"
-    (targeted_run.W.publishes = full_run.W.publishes && targeted_run.W.publishes > 0)
-    (Printf.sprintf "%d generations installed in both arms" targeted_run.W.publishes);
-  check "workload-hit-retention"
-    (targeted_run.W.cache_hits > full_run.W.cache_hits)
-    (Printf.sprintf "%d targeted hits > %d full-flush hits" targeted_run.W.cache_hits
-       full_run.W.cache_hits);
-  check "workload-msgs-per-req"
-    (mpr targeted_run < mpr full_run)
-    (Printf.sprintf "%.2f targeted < %.2f full-flush" (mpr targeted_run) (mpr full_run));
-  check "workload-determinism"
-    (W.render targeted_run = W.render targeted_rerun)
-    "same-seed churn report renders byte-identical";
   Experiment.count x "seq_targeted_hits" p_thits;
   Experiment.count x "seq_full_hits" p_fhits;
   Experiment.count x "seq_targeted_drops" !p_tdrop;
   Experiment.count x "seq_full_drops" !p_fdrop;
   Experiment.count x "max_region_zones" !max_zones;
-  Experiment.count x "targeted_cache_hits" targeted_run.W.cache_hits;
-  Experiment.count x "full_cache_hits" full_run.W.cache_hits;
-  Experiment.metric x "churn_hit_ratio"
-    (float_of_int targeted_run.W.cache_hits /. float_of_int (max 1 full_run.W.cache_hits));
-  Experiment.metric x "churn_msgs_per_req" (mpr targeted_run);
-  Experiment.metric x "full_msgs_per_req" (mpr full_run);
-  Experiment.count x "publishes" targeted_run.W.publishes;
   Experiment.count x "purge_dropped" purged;
   Experiment.count x "missed_cache_scans" missed_scans;
   Experiment.metric x "purge_words_per_entry" (purge_words /. float_of_int purge_entries)
-
 
 (* ==================================================================== *)
 (* dacs explain, slo and load                                           *)
@@ -1411,8 +1258,8 @@ let slo seed json =
 
 (* The deterministic workload engine from the command line: the same
    scenario (same seed) always prints a byte-identical report. *)
-let load seed rate clients think duration peps shards users domains zipf cache_ttl cache_entries
-    service_time batch max_inflight queue pdp_max_inflight rule_cost churn_period json =
+let load seed rate clients think duration peps shards users zipf cache_ttl cache_entries
+    service_time batch max_inflight queue pdp_max_inflight rule_cost json =
   Experiment.v "load" ~log:(log json) ~gates:Gate.[ exact "conservation"; exact "answered" ]
   @@ fun x ->
   let arrivals =
@@ -1421,7 +1268,6 @@ let load seed rate clients think duration peps shards users domains zipf cache_t
   let scenario =
     {
       W.seed;
-      domains;
       peps;
       shards;
       users;
@@ -1438,9 +1284,6 @@ let load seed rate clients think duration peps shards users domains zipf cache_t
       rule_cost;
       partition = None;
       offline = false;
-      churn =
-        (if churn_period > 0.0 then Some { W.churn_period; churn_targeted = true }
-         else None);
     }
   in
   let report =

@@ -1,5 +1,5 @@
 (* The one experiment registry.  Every experiment and every gated
-   scenario is declared here once: E1-E23 (no E13 or E22) and the seven
+   scenario is declared here once: E1-E23 (no E13, E20 or E22) and the seven
    gated dacs subcommands, each built from its flags with their defaults.
    bench/main.exe selects entries by name and runs them at their
    defaults; dacs <name> [flags] runs a subcommand entry with the flags
@@ -60,9 +60,6 @@ let peps_arg =
 let users_arg =
   Arg.(value & opt int 200 & info [ "users" ] ~docv:"N" ~doc:"Subject population size.")
 
-let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Domains the PEPs are spread across.")
-
 let zipf_arg =
   Arg.(
     value
@@ -117,15 +114,6 @@ let rule_cost_arg =
           "Extra virtual seconds of shard occupancy per rule compiled dispatch selects (0 keeps \
            the flat service-time model).")
 
-let churn_period_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "churn-period" ] ~docv:"S"
-        ~doc:
-          "Publish a new policy generation every S virtual seconds (0 = static policy); each \
-           publish runs a targeted invalidation round from its change-impact region.")
-
 let entries =
   [
     plain "e1" Paper.e1_vo_baseline;
@@ -156,8 +144,7 @@ let entries =
     command "cache"
       ~doc:
         "Walk one workload down the decision-cache ladder (L1, shared L2, PDP attribute cache \
-         with batched PIP fetches, single-flight coalescing), then run an invalidation round \
-         and report per-level hit counts"
+         with batched PIP fetches, single-flight coalescing) and report per-level hit counts"
       Term.(const Gated.cache $ sim_seed_arg $ json_flag);
     command "explain"
       ~doc:
@@ -184,9 +171,9 @@ let entries =
          report.  Exits non-zero when a LOAD CHECK fails"
       Term.(
         const Gated.load $ sim_seed_arg $ rate_arg $ clients_arg $ think_arg $ duration_arg
-        $ peps_arg $ shards_arg $ users_arg $ domains_arg $ zipf_arg $ cache_ttl_arg
-        $ cache_entries_arg $ service_time_arg $ batch_arg $ max_inflight_arg $ queue_arg
-        $ pdp_inflight_arg $ rule_cost_arg $ churn_period_arg $ json_flag);
+        $ peps_arg $ shards_arg $ users_arg $ zipf_arg $ cache_ttl_arg $ cache_entries_arg
+        $ service_time_arg $ batch_arg $ max_inflight_arg $ queue_arg $ pdp_inflight_arg
+        $ rule_cost_arg $ json_flag);
     command "delta"
       ~doc:
         "Analyse policy change impact: compute the region of decisions a publish can affect \
@@ -194,8 +181,6 @@ let entries =
          direct evaluation, and show what targeted cache invalidation saves over a full flush. \
          Exits non-zero when a DELTA CHECK fails"
       Term.(const Gated.delta $ json_flag);
-    (* Last, so its ledger entry embeds the snapshots written before it. *)
-    gated Gated.e20;
   ]
 
 let at_defaults e =

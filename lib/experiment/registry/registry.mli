@@ -1,10 +1,10 @@
-(** The one experiment registry: E1-E23 (no E13 or E22) and the seven
+(** The one experiment registry: E1-E23 (no E13, E20 or E22) and the seven
     gated [dacs] subcommands (tier, cache, explain, slo, offline, load, delta), each
     declared once as an {!Dacs_experiment.Experiment.v} with its gates. *)
 
 val all : Dacs_experiment.Experiment.experiment list
 (** Every entry at its default flags, in the order [bench/main.exe] runs
-    them when given no names (E20 last). *)
+    them when given no names. *)
 
 val commands : int Cmdliner.Cmd.t list
 (** The gated subcommands with their flags.  Each runs its entry in

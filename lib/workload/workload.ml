@@ -18,11 +18,8 @@ type arrivals =
 
 type partition = { from : float; until : float }
 
-type churn = { churn_period : float; churn_targeted : bool }
-
 type scenario = {
   seed : int;
-  domains : int;
   peps : int;
   shards : int;
   users : int;
@@ -38,13 +35,11 @@ type scenario = {
   rule_cost : float;
   partition : partition option;
   offline : bool;
-  churn : churn option;
 }
 
 let default =
   {
     seed = 42;
-    domains = 1;
     peps = 4;
     shards = 2;
     users = 200;
@@ -60,7 +55,6 @@ let default =
     rule_cost = 0.0;
     partition = None;
     offline = false;
-    churn = None;
   }
 
 (* Powers of two from 0.5 ms to ~4 min: wide enough that a saturated
@@ -84,14 +78,12 @@ type report = {
   messages : int;
   active_users : int;
   cache_hits : int;
-  publishes : int;
   shed_reasons : (string * int) list;
   slo : Slo.status;
 }
 
 let validate s =
   let bad fmt = Printf.ksprintf invalid_arg ("Workload.run: " ^^ fmt) in
-  if s.domains < 1 then bad "domains must be >= 1";
   if s.peps < 1 then bad "peps must be >= 1";
   if s.shards < 1 then bad "shards must be >= 1";
   if s.users < 1 then bad "users must be >= 1";
@@ -103,10 +95,6 @@ let validate s =
   (match s.partition with
   | Some { from; until } ->
     if from < 0.0 || until <= from then bad "partition window must satisfy 0 <= from < until"
-  | None -> ());
-  (match s.churn with
-  | Some { churn_period; _ } ->
-    if churn_period <= 0.0 then bad "churn period must be positive"
   | None -> ());
   match s.arrivals with
   | Open_loop { rate } -> if rate <= 0.0 then bad "open-loop rate must be positive"
@@ -193,14 +181,13 @@ let serving_policy ~resources =
     (List.concat_map per_resource (List.init resources Fun.id)
     @ [ Rule.make Rule.Deny "default-deny" ])
 
-(* The policy-churn lever: generation [gen] grants admins read access to
-   one rotating resource (res[gen mod resources]) via a single rule
+(* The policy-churn family: generation [gen] grants admins read access
+   to one rotating resource (res[gen mod resources]) via a single rule
    spliced in front of the default-deny.  Generation 0 is exactly
-   {!serving_policy}, so churn-free scenarios are byte-compatible with
-   the pre-churn engine.  Consecutive generations differ in one fully
+   {!serving_policy}.  Consecutive generations differ in one fully
    pinned rule, so {!Dacs_policy.Delta.between} yields a tight region
-   (admin ∧ read ∧ the two rotating resources) — the targeted-
-   invalidation arm keeps every other cached decision warm. *)
+   (admin ∧ read ∧ the two rotating resources), and a targeted purge
+   keeps every other cached decision warm. *)
 let churned_policy ~resources ~gen =
   let base = serving_policy ~resources in
   if gen <= 0 then base
@@ -249,11 +236,11 @@ let run s =
           ~service_time:s.service_time ~rule_cost:s.rule_cost ?max_inflight:s.pdp_max_inflight ())
   in
   let shard_nodes = List.map Pdp_service.node shards in
-  (* Enforcement points: one resource each, spread across the domains,
-     each dispatching through its own tier client over the same shards. *)
+  (* Enforcement points of one domain, one resource each, each
+     dispatching through its own tier client over the same shards. *)
   let peps =
     Array.init s.peps (fun i ->
-        let node = Printf.sprintf "dom%d.pep%d" (i mod s.domains) i in
+        let node = Printf.sprintf "dom0.pep%d" i in
         Net.add_node net node;
         let tier = Pdp_tier.create services ~node ~shards:shard_nodes ~batch:s.batch () in
         let cache =
@@ -264,7 +251,7 @@ let run s =
           else None
         in
         let pep =
-          Pep.create services ~node ~domain:(Printf.sprintf "dom%d" (i mod s.domains))
+          Pep.create services ~node ~domain:"dom0"
             ~resource:(Printf.sprintf "res%d" i)
             (Pep.Sharded { tier; cache })
         in
@@ -301,38 +288,6 @@ let run s =
     Engine.schedule_at engine ~at:until (fun () ->
         Net.unpartition net pep_nodes shard_nodes;
         Option.iter (fun o -> Offline.set_offline o false) offline_replica));
-  (* Policy churn: every period, install the next generation on every
-     shard and invalidate PEP L1s — either with the publish's
-     change-impact region ([Delta.between] over the two roots; targeted
-     arm) or with the unbounded region, which degrades to the classic
-     full flush (ablation baseline).  Both arms see identical policy
-     sequences, so any decision divergence is an invalidation bug. *)
-  let c_publishes =
-    Metrics.counter metrics ~help:"Policy generations installed by the churn schedule"
-      "workload_publishes_total"
-  in
-  (match s.churn with
-  | None -> ()
-  | Some { churn_period; churn_targeted } ->
-    let gen = ref 0 in
-    let current = ref (Policy.Inline_policy (serving_policy ~resources:s.peps)) in
-    let rec tick at =
-      if at <= s.duration then
-        Engine.schedule_at engine ~at (fun () ->
-            incr gen;
-            let root = Policy.Inline_policy (churned_policy ~resources:s.peps ~gen:!gen) in
-            let region =
-              if churn_targeted then Dacs_policy.Delta.between (Some !current) (Some root)
-              else Dacs_policy.Delta.unbounded
-            in
-            current := root;
-            List.iter (fun svc -> Pdp_service.install_policy svc root) shards;
-            Array.iter (fun pep -> ignore (Pep.invalidate_region pep region)) peps;
-            Option.iter (fun o -> Offline.publish o root) offline_replica;
-            Metrics.inc c_publishes;
-            tick (at +. churn_period))
-    in
-    tick churn_period);
   (* Latency accounting: one streaming log-bucket histogram per PEP,
      merged at report time — O(1) per observation and O(PEPs) memory
      however many requests run. *)
@@ -467,7 +422,6 @@ let run s =
     messages = (Net.total_sent net).Net.count;
     active_users = Hashtbl.length user_states;
     cache_hits = Metrics.sum_counter metrics "decision_cache_hits_total";
-    publishes = Metrics.counter_value c_publishes;
     shed_reasons = Metrics.sum_counter_by metrics "pep_shed_reason_total" ~label:"reason";
     slo = Slo.status slo;
   }
@@ -488,7 +442,7 @@ let render r =
         r.shed r.pdp_overloads;
       Printf.sprintf "granted %d  denied %d  errors %d  offline-serves %d  active-users %d"
         r.granted r.denied r.errors r.offline_serves r.active_users;
-      Printf.sprintf "cache-hits %d  publishes %d" r.cache_hits r.publishes;
+      Printf.sprintf "cache-hits %d" r.cache_hits;
       Printf.sprintf "shed reasons: %s" reasons;
       Printf.sprintf "throughput %.2f req/s over %.6f s makespan  (%d messages)" r.throughput
         r.makespan r.messages;
@@ -522,9 +476,9 @@ let render_json r =
       r.slo.Slo.availability_met r.slo.Slo.latency_met
   in
   Printf.sprintf
-    "{\"offered\":%d,\"completed\":%d,\"shed\":%d,\"shed_reasons\":{%s},\"pdp_overloads\":%d,\"granted\":%d,\"denied\":%d,\"errors\":%d,\"offline_serves\":%d,\"active_users\":%d,\"cache_hits\":%d,\"publishes\":%d,\"throughput\":%.2f,\"makespan\":%.6f,\"messages\":%d,\"latency\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,\"max\":%.6f,\"mean\":%.6f},\"slo\":%s}"
+    "{\"offered\":%d,\"completed\":%d,\"shed\":%d,\"shed_reasons\":{%s},\"pdp_overloads\":%d,\"granted\":%d,\"denied\":%d,\"errors\":%d,\"offline_serves\":%d,\"active_users\":%d,\"cache_hits\":%d,\"throughput\":%.2f,\"makespan\":%.6f,\"messages\":%d,\"latency\":{\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,\"max\":%.6f,\"mean\":%.6f},\"slo\":%s}"
     r.offered r.completed r.shed shed_reasons r.pdp_overloads r.granted r.denied r.errors
-    r.offline_serves r.active_users r.cache_hits r.publishes r.throughput r.makespan r.messages
+    r.offline_serves r.active_users r.cache_hits r.throughput r.makespan r.messages
     r.latency.p50 r.latency.p95 r.latency.p99 r.latency.max r.mean_latency slo
 
 type cold_probe = { words_per_decision : float; decisions : int; answered : int; permitted : int }

@@ -28,20 +28,9 @@ type partition = { from : float; until : float }
     every PDP shard ([Dacs_net.Net.partition] at [from], reconnect at
     [until]). *)
 
-type churn = { churn_period : float; churn_targeted : bool }
-(** Policy-churn schedule: every [churn_period] virtual seconds install
-    the next policy generation on every shard (a single rotating
-    admins-read rule spliced over the base serving policy) and
-    invalidate PEP L1 caches — with the publish's
-    {!Dacs_policy.Delta.between} change-impact region when
-    [churn_targeted], or with {!Dacs_policy.Delta.unbounded} (the
-    classic full flush) as the ablation baseline.  Both arms install
-    identical policy sequences, so their decisions must agree. *)
-
 type scenario = {
   seed : int;
-  domains : int;  (** domains the PEPs are spread across (naming only) *)
-  peps : int;  (** enforcement points, each guarding one resource *)
+  peps : int;  (** enforcement points of one domain, each guarding one resource *)
   shards : int;  (** PDP replicas behind every PEP's tier *)
   users : int;  (** subject population; roles assigned round-robin *)
   zipf : float;  (** skew for user and resource popularity; 0 = uniform *)
@@ -61,11 +50,10 @@ type scenario = {
       (** give every PEP an offline replica holding the serving policy,
           so partitioned requests are answered from the signed local log
           ([offline] provenance) instead of failing closed *)
-  churn : churn option;  (** the E23 policy-churn schedule; [None] = static policy *)
 }
 
 val default : scenario
-(** 1 domain, 4 PEPs, 2 shards, 200 users, zipf 1.1, open-loop 200 req/s
+(** 4 PEPs, 2 shards, 200 users, zipf 1.1, open-loop 200 req/s
     for 5 s, cache off (capacity 1024 when enabled), 4 ms service time,
     admission (32, 32), per-shard bound 64, seed 42, no rule cost, no
     partition, offline mode off.
@@ -101,10 +89,7 @@ type report = {
           this stays far below [users] and so does scenario memory *)
   cache_hits : int;
       (** L1 decision-cache hits across all PEPs,
-          [decision_cache_hits_total] — the E23 churn ablation's figure
-          of merit: targeted invalidation retains warm entries a full
-          flush discards *)
-  publishes : int;  (** policy generations the churn schedule installed *)
+          [decision_cache_hits_total] *)
   shed_reasons : (string * int) list;
       (** per-reason breakdown of [shed], from
           [pep_shed_reason_total{node,reason}], summed by reason *)
@@ -115,14 +100,14 @@ type report = {
 }
 
 val churned_policy : resources:int -> gen:int -> Dacs_policy.Policy.t
-(** The churn schedule's generation [gen] policy over [resources]
+(** The policy-churn family's generation [gen] policy over [resources]
     guarded resources: generation 0 is exactly the base serving policy;
     generation [g > 0] splices one fully pinned rule
     ([admins-read-churn], granting admins read on res[g mod resources])
     in front of the default-deny.  Consecutive generations therefore
     differ in one rule and {!Dacs_policy.Delta.between} yields a small
-    bounded region — the corpus E23 and the delta test-suites churn
-    over. *)
+    bounded region — the corpus dacsbench's [churn-rw] publishes, and
+    E23, [dacs delta] and the delta test-suites churn over. *)
 
 val run : scenario -> report
 (** Stand the scenario up on a fresh seeded network, offer the traffic,

@@ -413,7 +413,7 @@ let test_l2_shared_between_peps () =
   l2_request fx ~pep:"pep1" ~at:1.0 o1;
   Net.run fx.net;
   check bool_ "granted live" true (granted o1);
-  check int_ "the decision was published to L2" 1 (Cache_hierarchy.L2.size fx.l2);
+  check int_ "the decision was published to L2" 1 (Cache_hierarchy.L2.stats fx.l2).size;
   (* A replica that never saw this request answers from the shared
      cache — and warms its own L1 doing so. *)
   let o2 = ref None in
@@ -469,7 +469,7 @@ let test_deny_never_outlives_invalidation () =
   Cache_hierarchy.L2.invalidate_region fx.l2 Delta.unbounded;
   List.iter (fun p -> ignore (Pep.invalidate_region p Delta.unbounded)) [ fx.pep1; fx.pep2 ];
   Net.run fx.net;
-  check int_ "L2 purged" 0 (Cache_hierarchy.L2.size fx.l2);
+  check int_ "L2 purged" 0 (Cache_hierarchy.L2.stats fx.l2).size;
   ask 20.0 o3;
   Net.run fx.net;
   check bool_ "still denied, freshly decided" true (denied o3);
@@ -576,13 +576,13 @@ let test_region_put_race () =
       Cache_hierarchy.L2.invalidate_region l2 lab_region);
   Engine.run (Net.engine net) ~until:5.0;
   check int_ "the in-flight put was rejected" 1 (Cache_hierarchy.L2.rejected_puts l2);
-  check int_ "the purged entry was not resurrected" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "the purged entry was not resurrected" 0 (Cache_hierarchy.L2.stats l2).size;
   (* A put composed after the purge is accepted as usual. *)
   Engine.schedule_at (Net.engine net) ~at:6.0 (fun () ->
       Cache_hierarchy.L2.remote_put services ~src:seeder ~l2:"l2" ~key:(rkey "lab") Decision.permit);
   Engine.run (Net.engine net) ~until:10.0;
   check int_ "no further rejections" 1 (Cache_hierarchy.L2.rejected_puts l2);
-  check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.size l2)
+  check int_ "post-purge put stored" 1 (Cache_hierarchy.L2.stats l2).size
 
 (* Only a stamped put can be ordered against a purge.  Raw cache-put
    frames sent after one, without a SentAt or with one that is not a
@@ -616,11 +616,11 @@ let test_unstamped_puts_refused () =
   check int_ "no fault sent back" 0 (sent_count net "cache-put-reply");
   check int_ "no put stored" 0 (Cache_hierarchy.L2.stats l2).Cache_hierarchy.L2.puts;
   check int_ "none reached the stamp check" 0 (Cache_hierarchy.L2.rejected_puts l2);
-  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "nothing resurrected" 0 (Cache_hierarchy.L2.stats l2).size;
   Engine.schedule_at (Net.engine net) ~at:6.0 (fun () ->
       Cache_hierarchy.L2.remote_put services ~src:sender ~l2:"l2" ~key:(rkey "lab") Decision.permit);
   Engine.run (Net.engine net) ~until:10.0;
-  check int_ "a stamped put lands" 1 (Cache_hierarchy.L2.size l2);
+  check int_ "a stamped put lands" 1 (Cache_hierarchy.L2.stats l2).size;
   check int_ "and is not rejected" 0 (Cache_hierarchy.L2.rejected_puts l2)
 
 (* --- one-way frames on the security paths -------------------------------- *)
@@ -645,7 +645,7 @@ let test_one_way_put_race () =
       Cache_hierarchy.L2.invalidate_region l2 lab_region);
   Engine.run (Net.engine net) ~until:5.0;
   check int_ "the in-flight put was rejected" 1 (Cache_hierarchy.L2.rejected_puts l2);
-  check int_ "the purged entry was not resurrected" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "the purged entry was not resurrected" 0 (Cache_hierarchy.L2.stats l2).size;
   check int_ "the put was sent" 1 (sent_count net "cache-put");
   check int_ "nothing answered it" 0 (sent_count net "cache-put-reply")
 
@@ -659,7 +659,7 @@ let test_l2_miss_sends_one_put () =
   check bool_ "granted live" true (granted o);
   check int_ "one put" 1 (sent_count fx.net "cache-put");
   check int_ "no put reply" 0 (sent_count fx.net "cache-put-reply");
-  check int_ "stored" 1 (Cache_hierarchy.L2.size fx.l2)
+  check int_ "stored" 1 (Cache_hierarchy.L2.stats fx.l2).size
 
 (* --- one shape per service --------------------------------------------------- *)
 
@@ -693,7 +693,7 @@ let test_call_to_cache_put () =
   in
   check bool_ "the call fails with no-such-service" true (no_such_service "cache-put" answer);
   check int_ "nothing stored" 0 (Cache_hierarchy.L2.stats fx.l2).Cache_hierarchy.L2.puts;
-  check int_ "the L2 stays empty" 0 (Cache_hierarchy.L2.size fx.l2);
+  check int_ "the L2 stays empty" 0 (Cache_hierarchy.L2.stats fx.l2).size;
   check int_ "nothing pending" 0 (Rpc.calls_in_flight (Service.rpc fx.services))
 
 let test_call_to_attribute_invalidate () =
@@ -958,7 +958,9 @@ let test_vo_revocation_round () =
   (* Vo.cache_hierarchy attached every member's L2; attaching again
      returns it. *)
   let l2s = List.map (fun d -> Domain.attach_l2 d ~ttl:60.0 ()) (Vo.domains vo) in
-  let sizes () = Decision_cache.size l1 :: List.map Cache_hierarchy.L2.size l2s in
+  let sizes () =
+    Decision_cache.size l1 :: List.map (fun l2 -> (Cache_hierarchy.L2.stats l2).size) l2s
+  in
   Net.add_node net "seeder";
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 12.0) (fun () ->
       List.iter
@@ -997,7 +999,7 @@ let test_vo_revocation_round () =
      the next request re-populates the caches (with its deny). *)
   let l2_sizes_after_round = ref [] in
   Engine.schedule_at (Net.engine net) ~at:(t0 +. 25.0) (fun () ->
-      l2_sizes_after_round := List.map Cache_hierarchy.L2.size l2s);
+      l2_sizes_after_round := List.map (fun l2 -> (Cache_hierarchy.L2.stats l2).size) l2s);
   ask 30.0 o3;
   Engine.run (Net.engine net) ~until:(t0 +. 50.0);
   check bool_ "no cache level still serves the grant" true (denied o3);
@@ -1017,7 +1019,7 @@ let test_vo_revocation_round () =
 
 let run_for net dt = Net.run ~until:(Net.now net +. dt) net
 let member_l2s vo = List.map (fun d -> Domain.attach_l2 d ~ttl:60.0 ()) (Vo.domains vo)
-let l2_sizes vo = List.map Cache_hierarchy.L2.size (member_l2s vo)
+let l2_sizes vo = List.map (fun l2 -> (Cache_hierarchy.L2.stats l2).size) (member_l2s vo)
 let pap_versions vo = List.map (fun d -> Pap.version (Domain.pap d)) (Vo.domains vo)
 let sizes_list = Alcotest.list int_
 
@@ -1125,17 +1127,17 @@ let test_purge_from_anti_entropy_parent () =
   push ~src:"seeder";
   check int_ "a non-parent's push is refused" 1 (Pap.updates_rejected member);
   check int_ "and leaves the version" 0 (Pap.version member);
-  check int_ "nothing purged" 1 (Cache_hierarchy.L2.size l2);
+  check int_ "nothing purged" 1 (Cache_hierarchy.L2.stats l2).size;
   push ~src:"parent";
   check int_ "the polled parent's push is accepted" 1 (Pap.version member);
-  check int_ "the push purged" 0 (Cache_hierarchy.L2.size l2);
+  check int_ "the push purged" 0 (Cache_hierarchy.L2.stats l2).size;
   check int_ "one update accepted" 1 (Pap.updates_accepted member);
   seed ();
   push ~src:"parent";
   check int_ "a known version is not accepted again" 1 (Pap.updates_accepted member);
   check int_ "nor refused" 1 (Pap.updates_rejected member);
   check int_ "so the version stays" 1 (Pap.version member);
-  check int_ "and nothing is purged" 1 (Cache_hierarchy.L2.size l2)
+  check int_ "and nothing is purged" 1 (Cache_hierarchy.L2.stats l2).size
 
 (* The push to one member is lost to a partition; the other purges at
    once, and the cut-off member's next poll after the heal pulls the
@@ -1233,7 +1235,10 @@ let seeded_domain ~l2 =
             l2)
         [ "chart"; "lab" ]);
   Net.run net;
-  let sizes () = List.map Decision_cache.size l1s @ Option.to_list (Option.map Cache_hierarchy.L2.size l2) in
+  let sizes () =
+    List.map Decision_cache.size l1s
+    @ Option.to_list (Option.map (fun l2 -> (Cache_hierarchy.L2.stats l2).size) l2)
+  in
   (d, l1s, sizes)
 
 let test_domain_purge_every_level () =
@@ -1648,9 +1653,9 @@ let test_l2_region_drops_peer_malformed_keys () =
         (packed @ malformed));
   Engine.run (Net.engine net) ~until:1.0;
   check int_ "every peer put stored" (List.length packed + List.length malformed)
-    (Cache_hierarchy.L2.size l2);
+    (Cache_hierarchy.L2.stats l2).size;
   Cache_hierarchy.L2.invalidate_region l2 lab_region;
-  check int_ "only the packed keys survive" (List.length packed) (Cache_hierarchy.L2.size l2);
+  check int_ "only the packed keys survive" (List.length packed) (Cache_hierarchy.L2.stats l2).size;
   let answers = Hashtbl.create 16 in
   Engine.schedule_at (Net.engine net) ~at:2.0 (fun () ->
       List.iter

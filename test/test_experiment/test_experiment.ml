@@ -1,10 +1,10 @@
 (* Gate-harness suite: a failing or never-evaluated gate makes the exit
    status non-zero, ledger gates read (experiment, key) from the right
-   place in the baseline entry, a perturbed or unparseable baseline
-   fails, the baseline is read before any experiment appends to the
-   ledger, experiments do not share process state, and every gated dacs
-   subcommand's golden prints exactly the gates its registry entry
-   declares. *)
+   snapshot of the baseline entry, a perturbed or unparseable baseline
+   fails, a run that selects every experiment with a ledger gate appends
+   one entry and a partial one none, experiments do not share process
+   state, and every gated dacs subcommand's golden prints exactly the
+   gates its registry entry declares. *)
 
 module E = Dacs_experiment.Experiment
 module Gate = E.Gate
@@ -26,12 +26,13 @@ let history lines =
   close_out oc;
   dir
 
+(* The ledger's lines, newest first. *)
 let ledger_lines dir =
   let ic = open_in (Filename.concat dir "ledger.jsonl") in
   let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
   let lines = go [] in
   close_in ic;
-  List.length lines
+  lines
 
 external set_argv : string array -> unit = "caml_sys_modify_argv"
 
@@ -114,24 +115,25 @@ let test_unevaluated_gate () =
 let test_ledger_reads_experiment_key () =
   (* "other" carries the same key first, with a value "mine" would fail
      against; only (mine, k) may be compared. *)
-  let dir =
-    history [ {|{"pr":"base","snapshots":{"other":{"k":1.0},"mine":{"k":100.0}}}|} ]
-  in
-  status "compared against (mine, k) = 100" 0 (run dir [ gated_on "mine" 50.0 ] []);
-  status "and fails beyond its tolerance" 1 (run dir [ gated_on "mine" 200.0 ] []);
-  let dir = history [ {|{"pr":"base","e20":{"p99_s":0.02},"snapshots":{}}|} ] in
-  status "top-level object of the appending experiment" 0
-    (run dir [ gated_on ~key:"p99_s" "e20" 0.021 ] []);
+  (* Each run appends an entry, so each starts from its own ledger. *)
+  let baseline () = history [ {|{"pr":"base","snapshots":{"other":{"k":1.0},"mine":{"k":100.0}}}|} ] in
+  status "compared against (mine, k) = 100" 0 (run (baseline ()) [ gated_on "mine" 50.0 ] []);
+  status "and fails beyond its tolerance" 1 (run (baseline ()) [ gated_on "mine" 200.0 ] []);
+  let dir = history [ {|{"pr":"base","snapshots":{"e99":{"p99_s":0.02}}}|} ] in
+  status "within tolerance of its snapshot" 0 (run dir [ gated_on ~key:"p99_s" "e99" 0.021 ] []);
+  (* An object beside "snapshots" is no baseline, whatever its name. *)
+  let dir = history [ {|{"pr":"base","e99":{"p99_s":0.000001},"snapshots":{}}|} ] in
+  status "a top-level object is not read" 0 (run dir [ gated_on ~key:"p99_s" "e99" 0.02 ] []);
   status "no baseline value: SKIP, not FAIL" 0 (run dir [ gated_on "fresh" 1e9 ] [])
 
 let test_perturbed_baseline () =
+  let dir = history [ {|{"pr":"perturbed","snapshots":{"e99":{"p99_s":0.000001}}}|} ] in
+  status "absurdly fast previous entry" 1 (run dir [ gated_on ~key:"p99_s" "e99" 0.02 ] []);
   let dir =
     history
-      [ {|{"pr":"perturbed","e20":{"p99_s":0.000001,"msgs_per_req":0.0001,"shed_saturated":0},"snapshots":{}}|} ]
+      [ {|{"pr":"good","snapshots":{"e99":{"p99_s":0.02}}}|}; {|{"pr":"torn","snapshots":{"e99":{"p99_s":|} ]
   in
-  status "absurdly fast previous entry" 1 (run dir [ gated_on ~key:"p99_s" "e20" 0.02 ] []);
-  let dir = history [ {|{"pr":"good","e20":{"p99_s":0.02}}|}; {|{"pr":"torn","e20":{"p99_s":|} ] in
-  status "unparseable last entry" 1 (run dir [ gated_on ~key:"p99_s" "e20" 0.02 ] []);
+  status "unparseable last entry" 1 (run dir [ gated_on ~key:"p99_s" "e99" 0.02 ] []);
   let dir = history [ {|{"pr":"odd","snapshots":{"e":{"k":"fast"}}}|} ] in
   status "non-numeric baseline value" 1 (run dir [ gated_on "e" 1.0 ] [])
 
@@ -141,12 +143,12 @@ let test_perturbed_baseline () =
 let test_non_json_numbers () =
   List.iter
     (fun lit ->
-      let dir = history [ Printf.sprintf {|{"pr":"x","e99":{"p99_s":%s}}|} lit ] in
+      let dir = history [ Printf.sprintf {|{"pr":"x","snapshots":{"e99":{"p99_s":%s}}}|} lit ] in
       status (lit ^ " in the baseline") 1 (run dir [ gated_on ~key:"p99_s" "e99" 1e9 ] []))
     [ "inf"; "nan"; "-infinity"; "0x10"; "1_0"; "01"; "1."; ".5"; "+1"; "1e" ];
   List.iter
     (fun lit ->
-      let dir = history [ Printf.sprintf {|{"pr":"x","e99":{"p99_s":%s}}|} lit ] in
+      let dir = history [ Printf.sprintf {|{"pr":"x","snapshots":{"e99":{"p99_s":%s}}}|} lit ] in
       status (lit ^ " is a JSON number") 0 (run dir [ gated_on ~key:"p99_s" "e99" 0.0 ] []))
     [ "1"; "0.5e1"; "2.50"; "1E+2"; "0"; "-0" ]
 
@@ -157,19 +159,37 @@ let test_metric_refuses_non_finite () =
         (run (history []) [ E.v "e" (fun x -> E.metric x "k" v) ] []))
     [ Float.infinity; Float.neg_infinity; Float.nan ]
 
-let test_baseline_read_before_append () =
+(* The harness appends one entry after a run that selected every
+   experiment with a ledger gate ("b" and "c"): it embeds the snapshot of
+   each gated experiment of the run and none of an ungated one.  A
+   partial selection appends nothing, and the next run's ledger gates
+   read the appended entry. *)
+let test_run_appends_entry () =
   let dir = history [ {|{"pr":"base","snapshots":{"b":{"k":1.0}}}|} ] in
-  let appender =
-    E.v "a" ~gates:[ Gate.exact "ran" ] (fun x ->
-        E.check x "ran" true "";
-        E.metric x "m" 1.0;
-        E.append_ledger x)
+  let experiments b =
+    [
+      E.v "a" ~gates:[ Gate.exact "ran" ] (fun x ->
+          E.check x "ran" true "";
+          E.metric x "m" 1.0);
+      gated_on "b" b;
+      gated_on "c" 7.0;
+      E.v "plain" ignore;
+    ]
   in
-  (* "a" appends an entry without a "b" snapshot; a baseline re-read
-     after it would SKIP b's gate instead of failing it. *)
-  status "b judged against the entry that preceded the run" 1
-    (run dir [ appender; gated_on "b" 5.0 ] [ "a"; "b" ]);
-  Alcotest.(check int) "a appended one entry" 2 (ledger_lines dir)
+  status "a partial selection passes" 0 (run dir (experiments 1.0) [ "a"; "b"; "plain" ]);
+  Alcotest.(check int) "and appends nothing" 1 (List.length (ledger_lines dir));
+  status "b judged against the entry that preceded the run" 1 (run dir (experiments 5.0) []);
+  Alcotest.(check (list string))
+    "the full selection appended one entry"
+    [
+      {|{"pr":"test","snapshots":{"a":{   "m": 1.0000,   "gate_failures": 0 },"b":{   "k": 5.0000,   "gate_failures": 1 },"c":{   "k": 7.0000,   "gate_failures": 0 }}}|};
+      {|{"pr":"base","snapshots":{"b":{"k":1.0}}}|};
+    ]
+    (ledger_lines dir);
+  status "b within tolerance of the appended 5.0" 0 (run dir (experiments 5.4) [ "b" ]);
+  status "c beyond tolerance of the appended 7.0" 1
+    (run dir [ gated_on "b" 5.0; gated_on "c" 8.0 ] [ "c" ]);
+  Alcotest.(check int) "neither partial run appended" 2 (List.length (ledger_lines dir))
 
 let test_isolation () =
   let runs = ref 0 in
@@ -219,7 +239,7 @@ let () =
           Alcotest.test_case "perturbed baseline fails" `Quick test_perturbed_baseline;
           Alcotest.test_case "numbers must be JSON decimals" `Quick test_non_json_numbers;
           Alcotest.test_case "metric refuses non-finite values" `Quick test_metric_refuses_non_finite;
-          Alcotest.test_case "baseline read before any append" `Quick test_baseline_read_before_append;
+          Alcotest.test_case "a full selection appends one entry" `Quick test_run_appends_entry;
         ] );
       ("isolation", [ Alcotest.test_case "forked experiments" `Quick test_isolation ]);
       ( "registry",

@@ -130,45 +130,6 @@ let test_invalid_scenarios () =
     (raises { W.default with W.arrivals = W.Closed_loop { clients = 0; think_time = 0.01 } })
 
 (* -------------------------------------------------------------------- *)
-(* Policy churn (E23's unit-level counterpart)                          *)
-(* -------------------------------------------------------------------- *)
-
-let churn_scenario ~targeted =
-  {
-    (open_loop ~seed:11 ~shards:2 ~cache_ttl:30.0 ~duration:2.0 600.0) with
-    W.churn = Some { W.churn_period = 0.5; churn_targeted = targeted };
-  }
-
-let test_churn_determinism () =
-  let s = churn_scenario ~targeted:true in
-  let a = W.run s and b = W.run s in
-  Alcotest.(check string) "churning run renders byte-identical" (W.render a) (W.render b);
-  Alcotest.(check string) "json render too" (W.render_json a) (W.render_json b);
-  check_conserved a;
-  Alcotest.(check bool) "the schedule really published" true (a.W.publishes > 0)
-
-let test_churn_conservation_both_arms () =
-  let t = W.run (churn_scenario ~targeted:true) in
-  let f = W.run (churn_scenario ~targeted:false) in
-  check_conserved t;
-  check_conserved f;
-  Alcotest.(check int) "same publish schedule in both arms" t.W.publishes f.W.publishes
-
-let test_churn_targeted_retains_hits () =
-  let t = W.run (churn_scenario ~targeted:true) in
-  let f = W.run (churn_scenario ~targeted:false) in
-  Alcotest.(check bool)
-    (Printf.sprintf "targeted invalidation retains more cache hits (%d > %d)" t.W.cache_hits
-       f.W.cache_hits)
-    true
-    (t.W.cache_hits > f.W.cache_hits)
-
-let test_churn_validation () =
-  match W.run { W.default with W.churn = Some { W.churn_period = 0.0; churn_targeted = true } } with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-positive churn period must be rejected"
-
-(* -------------------------------------------------------------------- *)
 (* The primitives the engine drives, in isolation                       *)
 (* -------------------------------------------------------------------- *)
 
@@ -315,15 +276,6 @@ let () =
           Alcotest.test_case "latency percentiles monotone" `Quick test_latency_monotone;
           Alcotest.test_case "closed loop" `Quick test_closed_loop;
           Alcotest.test_case "invalid scenarios rejected" `Quick test_invalid_scenarios;
-        ] );
-      ( "policy-churn",
-        [
-          Alcotest.test_case "churning runs stay deterministic" `Quick test_churn_determinism;
-          Alcotest.test_case "conservation under churn, both arms" `Quick
-            test_churn_conservation_both_arms;
-          Alcotest.test_case "targeted invalidation retains more hits" `Quick
-            test_churn_targeted_retains_hits;
-          Alcotest.test_case "churn validation" `Quick test_churn_validation;
         ] );
       ( "admission",
         [

@@ -23,7 +23,7 @@
      hooks list it the same way;
    - a reference that breaks an `only` rule of ROOT/tools/export_check/rules
      (the value may be referenced under a directory only from the files
-     listed);
+     listed, or from none);
    - a `val` of a module that a `covered` rule names but that the rule's
      file never references. *)
 
@@ -330,8 +330,11 @@ let () =
               List.iter
                 (fun (src, line, _) ->
                   if under [ scope ] src && not (List.mem src allowed) then
-                    problem "%s:%d: %s referenced outside %s (%s:%d)" src line name
-                      (String.concat ", " allowed) rules n)
+                    if allowed = [] then
+                      problem "%s:%d: %s referenced under %s (%s:%d)" src line name scope rules n
+                    else
+                      problem "%s:%d: %s referenced outside %s (%s:%d)" src line name
+                        (String.concat ", " allowed) rules n)
                 (Hashtbl.find_all references key)
           | None -> problem "%s:%d: %s names nothing" rules n name)
       | [ "covered"; pattern; file ] when String.ends_with ~suffix:".*" pattern ->
