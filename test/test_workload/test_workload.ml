@@ -129,6 +129,113 @@ let test_invalid_scenarios () =
   Alcotest.(check bool) "no clients" true
     (raises { W.default with W.arrivals = W.Closed_loop { clients = 0; think_time = 0.01 } })
 
+(* A partition window cuts every PEP off from the tier: without offline
+   replicas those requests fail closed; with them the PEPs answer from
+   the signed log, and every request is still answered exactly once. *)
+let test_offline_serves_partition () =
+  let partition = Some { W.from = 1.0; until = 3.0 } in
+  let base = W.run { W.default with W.seed = 11; partition } in
+  let off = W.run { W.default with W.seed = 11; partition; offline = true } in
+  check_conserved base;
+  check_conserved off;
+  Alcotest.(check bool) "fail-closed answers without replicas" true (base.W.errors > 0);
+  Alcotest.(check int) "no offline serves without replicas" 0 base.W.offline_serves;
+  Alcotest.(check bool) "replicas serve from the log" true (off.W.offline_serves > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "replicas fail closed less (%d < %d)" off.W.errors base.W.errors)
+    true (off.W.errors < base.W.errors)
+
+(* -------------------------------------------------------------------- *)
+(* The policy-churn family dacsbench's churn-rw and E23 publish          *)
+(* -------------------------------------------------------------------- *)
+
+module Delta = Dacs_policy.Delta
+
+let churn_resources = 8
+
+let request ~role ~res ~action =
+  Context.make
+    ~subject:[ ("subject-id", Value.String ("u-" ^ role)); ("role", Value.String role) ]
+    ~resource:[ ("resource-id", Value.String (Printf.sprintf "res%d" res)) ]
+    ~action:[ ("action-id", Value.String action) ]
+    ()
+
+let decide gen ctx =
+  (Policy.evaluate ctx (W.churned_policy ~resources:churn_resources ~gen)).Decision.decision
+
+let rule_ids p = List.map (fun r -> r.Rule.id) p.Policy.rules
+
+let test_churn_generation_zero () =
+  let base = W.churned_policy ~resources:churn_resources ~gen:0 in
+  let expected =
+    List.concat_map
+      (fun i -> [ Printf.sprintf "doctors-%d" i; Printf.sprintf "nurses-read-%d" i ])
+      (List.init churn_resources Fun.id)
+    @ [ "default-deny" ]
+  in
+  Alcotest.(check (list string)) "per-resource pairs over a default-deny" expected (rule_ids base);
+  Alcotest.(check bool) "a negative generation is generation 0" true
+    (W.churned_policy ~resources:churn_resources ~gen:(-3) = base)
+
+let test_churn_grants_one_resource () =
+  List.iter
+    (fun gen ->
+      let hot = gen mod churn_resources in
+      let p = W.churned_policy ~resources:churn_resources ~gen in
+      let ids = rule_ids p in
+      Alcotest.(check int) "one rule more than generation 0" ((2 * churn_resources) + 2)
+        (List.length ids);
+      Alcotest.(check (list string))
+        "the churn rule sits just before the default-deny"
+        [ "admins-read-churn"; "default-deny" ]
+        (List.filteri (fun i _ -> i >= (2 * churn_resources)) ids);
+      for res = 0 to churn_resources - 1 do
+        let expect = if res = hot then Decision.Permit else Decision.Deny in
+        Alcotest.(check bool)
+          (Printf.sprintf "gen %d: admin read res%d" gen res)
+          true
+          (decide gen (request ~role:"admin" ~res ~action:"read") = expect);
+        Alcotest.(check bool)
+          (Printf.sprintf "gen %d: admin write res%d denied" gen res)
+          true
+          (decide gen (request ~role:"admin" ~res ~action:"write") = Decision.Deny)
+      done)
+    [ 1; 5; churn_resources + 3 ]
+
+(* Only admins' reads move between generations: every doctor and nurse
+   decision is the one generation 0 gives. *)
+let test_churn_keeps_other_decisions () =
+  for gen = 1 to 2 * churn_resources do
+    for res = 0 to churn_resources - 1 do
+      List.iter
+        (fun (role, action) ->
+          let ctx = request ~role ~res ~action in
+          Alcotest.(check bool)
+            (Printf.sprintf "gen %d: %s %s res%d as gen 0" gen role action res)
+            true
+            (decide gen ctx = decide 0 ctx))
+        [ ("doctor", "read"); ("doctor", "write"); ("nurse", "read"); ("nurse", "write") ]
+    done
+  done
+
+(* Consecutive generations differ in one pinned rule, so the region a
+   publish affects is bounded and leaves out every request that rule
+   cannot match: the targeted purge that keeps the rest of a cache warm. *)
+let test_churn_region_bounded () =
+  let child gen = Some (Policy.Inline_policy (W.churned_policy ~resources:churn_resources ~gen)) in
+  List.iter
+    (fun gen ->
+      let region = Delta.between (child (gen - 1)) (child gen) in
+      Alcotest.(check bool) "not empty" false (Delta.is_empty region);
+      Alcotest.(check bool) "not unbounded" false (Delta.is_unbounded region);
+      let hot = gen mod churn_resources and cold = (gen + 3) mod churn_resources in
+      let covers role res action = Delta.covers region (request ~role ~res ~action) in
+      Alcotest.(check bool) "covers admin read of the new resource" true (covers "admin" hot "read");
+      Alcotest.(check bool) "leaves doctors out" false (covers "doctor" hot "read");
+      Alcotest.(check bool) "leaves admin writes out" false (covers "admin" hot "write");
+      Alcotest.(check bool) "leaves untouched resources out" false (covers "admin" cold "read"))
+    [ 2; 5; churn_resources + 1 ]
+
 (* -------------------------------------------------------------------- *)
 (* The primitives the engine drives, in isolation                       *)
 (* -------------------------------------------------------------------- *)
@@ -276,6 +383,18 @@ let () =
           Alcotest.test_case "latency percentiles monotone" `Quick test_latency_monotone;
           Alcotest.test_case "closed loop" `Quick test_closed_loop;
           Alcotest.test_case "invalid scenarios rejected" `Quick test_invalid_scenarios;
+          Alcotest.test_case "offline replicas serve a partition" `Quick
+            test_offline_serves_partition;
+        ] );
+      ( "churned policy",
+        [
+          Alcotest.test_case "generation 0 is the serving policy" `Quick test_churn_generation_zero;
+          Alcotest.test_case "a generation grants admins one resource" `Quick
+            test_churn_grants_one_resource;
+          Alcotest.test_case "other decisions stay unchanged" `Quick
+            test_churn_keeps_other_decisions;
+          Alcotest.test_case "consecutive generations bound the region" `Quick
+            test_churn_region_bounded;
         ] );
       ( "admission",
         [
