@@ -35,10 +35,10 @@ let () =
       [ 1; 2; 3 ]
   in
   Net.add_node net "pep";
+  let tier = Pdp_tier.ordered services ~node:"pep" ~pdps:replicas ~call_timeout:0.4 in
   let pep =
     Pep.create services ~node:"pep" ~domain:"ops" ~resource:"control-panel"
-      (Pep.Sharded
-         { tier = Pdp_tier.ordered services ~node:"pep" ~pdps:replicas ~call_timeout:0.4; cache = None })
+      (Pep.Sharded { tier; cache = None })
   in
   Net.add_node net "console";
   let client =
@@ -84,8 +84,8 @@ let () =
     \  granted   : %d\n\
     \  denied    : %d\n\
     \  errors    : %d\n\
-    \  pdp calls : %d (failovers: %d)\n"
-    !granted !denied !errors s.Pep.pdp_calls s.Pep.failovers;
+    \  pdp calls : %d (failovers: %d, hedges: %d)\n"
+    !granted !denied !errors s.Pep.pdp_calls s.Pep.failovers (Pdp_tier.stats tier).Pdp_tier.hedges;
   if !granted = 60 then
     print_endline "\nevery request was served despite two simultaneous replica failures"
   else

@@ -12,20 +12,23 @@ type stats = {
   rebalances : int;
   exhausted : int;
   expiries : int;
+  hedges : int;
 }
 
-(* One queued authorisation query: its point (the hash of its routing
-   key, computed once) survives re-routing, [excluded] accumulates the
-   shards that already failed it so a remap never bounces back to a dead
-   replica, [tries] counts the frames carrying it that its current
-   shard has lost, and [flags] holds what its provenance reports of its
-   trip: the bits below. *)
+type answer = Decided of Decision.result | Exhausted of string | Suspected
+
+(* One authorisation query, one record for its whole trip (and one more
+   for its hedge): its point (the hash of its routing key, computed
+   once) survives re-routing, [excluded] accumulates the shards that
+   already failed it so a remap never bounces back to a dead replica,
+   [tries] counts the frames carrying it that its current shard has
+   lost, and [flags] holds the bits below. *)
 type item = {
   point : int;
   ctx : Context.t;
-  deliver : (Decision.result, string) result -> Provenance.t -> unit;
-  excluded : Dacs_net.Net.node_id list;
-  tries : int;
+  deliver : answer -> Provenance.t -> bool;
+  mutable excluded : Dacs_net.Net.node_id list;
+  mutable tries : int;
   mutable flags : int;
 }
 
@@ -36,33 +39,64 @@ let flag_retried = 1
    was refused by a breaker or failed leaving the shard's breaker open. *)
 let flag_breaker = 2
 
+(* It moved on from a suspected shard: re-sent to the next shard, routed
+   past the suspected one, or answered by a lower rung.  A query is
+   re-sent by suspicion at most once. *)
+let flag_hedged = 4
+
+(* It was offered to the caller's lower rungs; it is offered once. *)
+let flag_offered = 8
+
+(* It was answered: a later answer, failure or re-send of a frame
+   carrying it is dropped. *)
+let flag_settled = 16
+
+(* This record is a hedge: a copy of the query sent to the next shard
+   while the query's own frames stay in flight.  It answers through the
+   query's record, and its frame's failure is dropped, so a hedge adds
+   one frame and nothing else. *)
+let flag_copy = 32
+
 (* Slots of a shard's [timing] array: the Jacobson/Karels smoothed
    round trip and its mean deviation over the shard's answered frames,
-   and the instant the shard last went from idle to busy. *)
+   the instant the shard last went from idle to busy, the smoothed
+   queries per answered frame, and the instant of its suspicion. *)
 let srtt = 0
 let rttvar = 1
 let busy_since = 2
+let frame_size = 3
+let suspected_at = 4
 
 (* The RTO floor, deliberately not settable: Linux's TCP_RTO_MIN.  The
    cap is the tier's frame timeout, which is also the RTO before the
    first answer (RFC 6298 §2). *)
 let rto_min = 0.2
 
+(* The suspicion threshold's granularity term, RFC 6298's G: a floor on
+   its variance term, so a shard whose round trips never vary is not
+   suspected for the rounding of its own estimate. *)
+let granularity = 0.005
+
 type shard_state = {
   mutable queue : item list;  (** newest first *)
   mutable queued : int;
   mutable flush_pending : bool;
   (* The failure detector's state: frames in flight, whether an RTT
-     sample exists, whether a silence check is scheduled, the check
-     itself (built once), and [timing] — floats kept unboxed so a frame
-     allocates none. *)
+     sample exists, whether a silence check is scheduled, whether the
+     shard is suspected, the check itself (built once), and [timing] —
+     floats kept unboxed so a frame allocates none. *)
   mutable outstanding : int;
   mutable sampled : bool;
   mutable armed : bool;
+  mutable suspected : bool;
   mutable check : unit -> unit;
   mutable flush : unit -> unit;  (** this shard's end-of-instant flush, built once *)
   answered_by : Dacs_net.Net.node_id option;  (** [Some shard], built once for every answer *)
   timing : float array;
+  (* The frames in flight, by slot: each one's queries ([[]] for a free
+     slot) and send instant.  The reply closure holds only the slot. *)
+  mutable frames : item list array;
+  mutable sent_at : float array;
   (* Per-shard counter handles, resolved once per shard instead of
      re-registering (label sort + table lookup) on every dispatch. *)
   sc_batches : Metrics.counter;
@@ -86,10 +120,12 @@ type t = {
   c_rebalances : Metrics.counter;
   c_exhausted : Metrics.counter;
   c_expiries : Metrics.counter Lazy.t;
+  c_hedges : Metrics.counter Lazy.t;
   h_batch_size : Metrics.histogram;
   mutable shards : Dacs_net.Net.node_id list;
   mutable seeded : (Dacs_net.Net.node_id * int) array;  (** each shard with its seed *)
   states : (Dacs_net.Net.node_id, shard_state) Hashtbl.t;
+  mutable suspects : int;  (** shards whose [suspected] is set *)
 }
 
 let shards t = t.shards
@@ -142,17 +178,48 @@ let owner t ~excluded point =
 
 let shard_for t key = owner t ~excluded:[] (point_of key)
 
+(* --- suspicion ------------------------------------------------------------- *)
+
+let clear_suspicion t s =
+  if s.suspected then begin
+    s.suspected <- false;
+    t.suspects <- t.suspects - 1
+  end
+
+(* A suspicion lasts while the shard stays silent: any answer it gives
+   anyone on the bus after it ends it. *)
+let is_suspected t shard s =
+  if s.suspected && Dacs_net.Rpc.heard_from (Service.rpc t.services) shard > s.timing.(suspected_at)
+  then clear_suspicion t s;
+  s.suspected
+
+let suspected t shard =
+  t.suspects > 0
+  && match Hashtbl.find t.states shard with s -> is_suspected t shard s | exception Not_found -> false
+
 (* The highest-ranked shard for the item's point outside [excluded]
    whose breaker would admit a call now.  A shard passed over for its
    breaker counts once as a call shed by it, under the tier's node,
-   flags the item's breaker bit, and costs no frame. *)
-let rec route t ~excluded item =
+   flags the item's breaker bit, and costs no frame.  A suspected shard
+   is passed over too, at no cost, and is the answer only when no
+   healthy shard is left (the caller tells by [suspected]); a query
+   routed past one to a healthy shard is flagged hedged. *)
+let rec route_from t ~excluded ~suspect item =
   match owner t ~excluded item.point with
   | Some shard when Dacs_net.Rpc.breaker_sheds (Service.rpc t.services) shard ->
     Dacs_net.Rpc.record_shed (Service.rpc t.services) ~src:t.node shard;
     item.flags <- item.flags lor flag_breaker;
-    route t ~excluded:(shard :: excluded) item
-  | found -> found
+    route_from t ~excluded:(shard :: excluded) ~suspect item
+  | Some shard as found when suspected t shard ->
+    route_from t ~excluded:(shard :: excluded)
+      ~suspect:(if suspect = None then found else suspect)
+      item
+  | Some _ as found ->
+    if suspect <> None then item.flags <- item.flags lor flag_hedged;
+    found
+  | None -> suspect
+
+let route t ~excluded item = route_from t ~excluded ~suspect:None item
 
 (* Rendezvous placement ignores the list's order, so only a different
    set is a rebalance; on an ordered tier the order is the placement. *)
@@ -169,33 +236,62 @@ let set_shards t shards =
 
 (* --- failure detection --------------------------------------------------- *)
 
-(* A shard with frames outstanding that has answered nobody for one
-   retransmission timeout is suspected, and every frame waiting on it
-   fails over then rather than at the frame timeout.  Silence — not a
-   per-frame deadline — is the evidence: a saturated shard keeps
-   answering someone every service time, so its slow round trips never
-   look like death.  The breaker still trips only on its own rule, via
-   the timeouts the expiry delivers. *)
+(* Two thresholds watch a shard with frames outstanding, both measured
+   from the start of its silence.  Silence — not a per-frame deadline —
+   is the evidence: a saturated shard keeps answering someone every
+   service time, so its slow round trips never look like death.
+
+   At the suspicion threshold the shard is suspected: routing passes
+   over it, and each query waiting on it moves on once, to the next
+   shard in its key's ranking or, with none left, to the caller's lower
+   rungs.  Its frames stay in flight, and whichever answer comes first
+   settles the query.  At the retransmission timeout every frame still
+   waiting on it expires, and its queries are re-sent or fail over.  The
+   breaker trips only on its own rule, via the timeouts the expiry
+   delivers. *)
 
 let current_rto t s =
   if not s.sampled then t.timeout
   else Float.min t.timeout (Float.max rto_min (s.timing.(srtt) +. (4.0 *. s.timing.(rttvar))))
 [@@inline]
 
+(* The suspicion threshold: [srtt + max(G, 4·rttvar)] with no floor,
+   its [srtt] scaled by how much larger the oldest frame in flight is
+   than the frames it was measured over, since a shard works through a
+   frame's queries one at a time.  Infinite before the first RTT
+   sample. *)
+let suspicion_threshold s =
+  if not s.sampled then infinity
+  else begin
+    let oldest = ref (-1) in
+    for i = 0 to Array.length s.frames - 1 do
+      if s.frames.(i) != [] && (!oldest < 0 || s.sent_at.(i) < s.sent_at.(!oldest)) then oldest := i
+    done;
+    let n = if !oldest < 0 then 1 else List.length s.frames.(!oldest) in
+    let tm = s.timing in
+    (tm.(srtt) *. Float.max 1.0 (float_of_int n /. tm.(frame_size)))
+    +. Float.max granularity (4.0 *. tm.(rttvar))
+  end
+[@@inline]
+
 (* RFC 6298 §2: the first sample R sets SRTT = R and RTTVAR = R/2; later
-   ones move RTTVAR by 1/4 of |SRTT - R| and SRTT by 1/8 of R. *)
-let sample_rtt s ~sent ~now =
-  let r = now -. sent in
+   ones move RTTVAR by 1/4 of |SRTT - R| and SRTT by 1/8 of R.  The
+   frame's size is smoothed as SRTT is. *)
+let sample_rtt s ~slot ~n ~now =
+  let r = now -. s.sent_at.(slot) in
   let tm = s.timing in
   if s.sampled then begin
     tm.(rttvar) <- (0.75 *. tm.(rttvar)) +. (0.25 *. Float.abs (tm.(srtt) -. r));
-    tm.(srtt) <- (0.875 *. tm.(srtt)) +. (0.125 *. r)
+    tm.(srtt) <- (0.875 *. tm.(srtt)) +. (0.125 *. r);
+    tm.(frame_size) <- (0.875 *. tm.(frame_size)) +. (0.125 *. float_of_int n)
   end
   else begin
     s.sampled <- true;
     tm.(srtt) <- r;
-    tm.(rttvar) <- r /. 2.0
+    tm.(rttvar) <- r /. 2.0;
+    tm.(frame_size) <- float_of_int n
   end
+[@@inline]
 
 let engine t = Dacs_net.Net.engine (Service.net t.services)
 
@@ -203,32 +299,42 @@ let engine t = Dacs_net.Net.engine (Service.net t.services)
    the start of the current busy period if that is later. *)
 let silent_since t shard s =
   Float.max (Dacs_net.Rpc.heard_from (Service.rpc t.services) shard) s.timing.(busy_since)
+[@@inline]
+
+(* The next threshold the shard's silence can cross: suspicion until it
+   is suspected, then the RTO. *)
+let next_deadline t shard s =
+  let since = silent_since t shard s and rto = current_rto t s in
+  let threshold = if is_suspected t shard s then infinity else suspicion_threshold s in
+  since +. Float.min threshold rto
+[@@inline]
 
 let arm t s ~at =
   s.armed <- true;
   Engine.schedule_at (engine t) ~at s.check
 
-let check t shard s =
-  s.armed <- false;
-  if s.outstanding > 0 then begin
-    let deadline = silent_since t shard s +. current_rto t s in
-    if Engine.now (engine t) >= deadline then begin
-      Metrics.inc (Lazy.force t.c_expiries);
-      (* Spend the silence that raised this suspicion: later frames get an RTO. *)
-      s.timing.(busy_since) <- Engine.now (engine t);
-      Dacs_net.Rpc.expire (Service.rpc t.services) shard
-    end
-    else
-      (* An absolute deadline strictly in the future: rounding cannot
-         re-arm at the same instant. *)
-      arm t s ~at:deadline
-  end
+(* A free slot of the shard's in-flight table, now holding [items] sent
+   at this instant; the table doubles when full. *)
+let take_slot t s items =
+  let i = ref 0 in
+  while !i < Array.length s.frames && s.frames.(!i) != [] do
+    incr i
+  done;
+  if !i = Array.length s.frames then begin
+    let n = Array.length s.frames in
+    s.frames <- Array.append s.frames (Array.make n []);
+    s.sent_at <- Array.append s.sent_at (Array.make n 0.0)
+  end;
+  s.frames.(!i) <- items;
+  s.sent_at.(!i) <- Engine.now (engine t);
+  !i
 
 (* --- batching and dispatch ---------------------------------------------- *)
 
 (* The provenance record of a query's trip, built when the tier
    delivers: [Live] with the answering shard, or [Fail_closed] with
-   none. *)
+   none.  A hedge's answer counts the shard it was hedged from among its
+   failovers. *)
 let delivered t ~stage ~shard ~batch ~epoch item =
   {
     Provenance.stage;
@@ -238,11 +344,70 @@ let delivered t ~stage ~shard ~batch ~epoch item =
     failovers = List.length item.excluded;
     retried = item.flags land flag_retried <> 0;
     breaker_tripped = item.flags land flag_breaker <> 0;
+    hedged = item.flags land flag_hedged <> 0;
     stale_age = 0.0;
     epoch;
     at = Engine.now (engine t);
     log_head = None;
   }
+
+(* The one delivery of a query's answer; any later one is dropped. *)
+let settle item answer p =
+  if item.flags land flag_settled = 0 then begin
+    item.flags <- item.flags lor flag_settled;
+    ignore (item.deliver answer p)
+  end
+
+let fail_closed t item =
+  Metrics.inc t.c_exhausted;
+  settle item (Exhausted "pdp tier exhausted: no shard reachable")
+    (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
+
+(* Offer the query, once, to the caller's lower rungs (a PEP's
+   bounded-stale L1, then its offline log): [true] when one answered
+   it.  Unanswered, it keeps waiting for its frames. *)
+let offer t item =
+  item.flags land flag_offered = 0
+  && begin
+       item.flags <- item.flags lor flag_offered;
+       let p = delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item in
+       item.deliver Suspected { p with Provenance.hedged = true }
+       && begin
+            item.flags <- item.flags lor flag_settled lor flag_hedged;
+            true
+          end
+     end
+
+(* One query's answer from a shard that answered, unless the query is
+   already answered.  An undecodable or untrusted answer, or a SOAP
+   fault, is that PDP's Indeterminate at the unknown epoch: an answer,
+   not a health failure, so no remap.  A pull PEP's tier reports batch
+   0, a plain frame's; a sharded tier reports the queries its flush
+   carried, plain frame or not. *)
+let answered t s ~batch item part =
+  if item.flags land flag_settled = 0 then begin
+    let decision, epoch =
+      match part with
+      | Ok (Ok answer) -> answer
+      | Ok (Error e) -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
+      | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
+    in
+    settle item (Decided decision)
+      (delivered t ~stage:Provenance.Live ~shard:s.answered_by
+         ~batch:(if t.batch = 1 then 0 else batch)
+         ~epoch item)
+  end
+
+(* The frame in [slot] is over: its slot is freed and its queries
+   returned.  A reply is an RTT sample and ends the shard's suspicion;
+   so does its last frame ending. *)
+let frame_over t s ~slot ~replied =
+  let items = s.frames.(slot) in
+  s.frames.(slot) <- [];
+  s.outstanding <- s.outstanding - 1;
+  if replied then sample_rtt s ~slot ~n:(List.length items) ~now:(Engine.now (engine t));
+  if replied || s.outstanding = 0 then clear_suspicion t s;
+  items
 
 (* The shard's state, made at its first query. *)
 let rec state_of t shard =
@@ -257,10 +422,13 @@ let rec state_of t shard =
         outstanding = 0;
         sampled = false;
         armed = false;
+        suspected = false;
         check = ignore;
         flush = ignore;
         answered_by = Some shard;
-        timing = [| 0.0; 0.0; 0.0 |];
+        timing = [| 0.0; 0.0; 0.0; 0.0; 0.0 |];
+        frames = Array.make 4 [];
+        sent_at = Array.make 4 0.0;
         sc_batches = t.c_batches shard;
         sc_dispatch = t.c_dispatch shard;
       }
@@ -270,27 +438,21 @@ let rec state_of t shard =
     Hashtbl.replace t.states shard s;
     s
 
-and fail_closed t item =
-  Metrics.inc t.c_exhausted;
-  item.deliver (Error "pdp tier exhausted: no shard reachable")
-    (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
+(* Send the query where [route] puts it, outside [excluded].  With only
+   suspected shards left it is offered to the lower rungs first, and
+   goes to the best of them unanswered, as it would without suspicion.
+   A re-route counts as a failover when a frame takes it. *)
+and place t ~excluded ~failover item =
+  match route t ~excluded item with
+  | Some shard when suspected t shard ->
+    if not (offer t item) then send_to t shard ~excluded ~failover item
+  | Some shard -> send_to t shard ~excluded ~failover item
+  | None -> fail_closed t item
 
-(* One query's answer from a shard that answered.  An undecodable or
-   untrusted answer, or a SOAP fault, is that PDP's Indeterminate at the
-   unknown epoch: an answer, not a health failure, so no remap.  A
-   pull PEP's tier reports batch 0, a plain frame's; a sharded tier
-   reports the queries its flush carried, plain frame or not. *)
-and answered t s ~batch item part =
-  let decision, epoch =
-    match part with
-    | Ok (Ok answer) -> answer
-    | Ok (Error e) -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
-    | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
-  in
-  item.deliver (Ok decision)
-    (delivered t ~stage:Provenance.Live ~shard:s.answered_by
-       ~batch:(if t.batch = 1 then 0 else batch)
-       ~epoch item)
+and send_to t shard ~excluded ~failover item =
+  if failover then Metrics.inc t.c_failovers;
+  item.excluded <- excluded;
+  enqueue t shard item
 
 (* Re-route every query to the next shard in its own key's ranking —
    replica loss only remaps its own keys. *)
@@ -298,38 +460,42 @@ and fail_over t shard items =
   if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
   List.iter
     (fun item ->
-      let excluded = shard :: item.excluded in
-      match route t ~excluded item with
-      | Some next ->
-        Metrics.inc t.c_failovers;
-        enqueue t next { item with excluded; tries = 0 }
-      | None -> fail_closed t item)
+      item.tries <- 0;
+      place t ~excluded:(shard :: item.excluded) ~failover:true item)
     items
 
-(* The whole frame failed.  After a timeout or a breaker rejection, the
-   queries with attempts left on this shard go to it again after one
-   backoff, through [enqueue]: the retry is a frame like any other,
-   outstanding, watched by the silence clock, with its own RTO.  The
-   rest fail over.  A frame refused by the breaker, or whose failure
+(* The whole frame failed.  A query already answered, or a hedge, is
+   dropped.  After a timeout or a breaker rejection, the queries with
+   attempts left on this shard go to it again after one backoff, through
+   [enqueue], unless answered meanwhile: the retry is a frame like any
+   other, outstanding, watched by the silence clock, with its own RTO.
+   The rest fail over.  A frame refused by the breaker, or whose failure
    left it open, flags every query it carried. *)
 and frame_failed t shard err items =
-  if Dacs_net.Rpc.breaker_state (Service.rpc t.services) shard <> Dacs_net.Rpc.Closed then
-    List.iter (fun i -> i.flags <- i.flags lor flag_breaker) items;
-  match err with
-  | Service.Transport err when t.retry.attempts > 1 ->
-    let again, spent = List.partition (fun i -> i.tries + 1 < t.retry.attempts) items in
-    let failures = List.fold_left (fun n i -> Int.max n (i.tries + 1)) 0 again in
-    if
-      again <> []
-      && Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:shard t.retry ~failures
-           err (fun () ->
-             List.iter
-               (fun i ->
-                 enqueue t shard { i with tries = i.tries + 1; flags = i.flags lor flag_retried })
-               again)
-    then (if spent <> [] then fail_over t shard spent)
-    else fail_over t shard items
-  | _ -> fail_over t shard items
+  match List.filter (fun i -> i.flags land (flag_settled lor flag_copy) = 0) items with
+  | [] -> ()
+  | items -> (
+    if Dacs_net.Rpc.breaker_state (Service.rpc t.services) shard <> Dacs_net.Rpc.Closed then
+      List.iter (fun i -> i.flags <- i.flags lor flag_breaker) items;
+    match err with
+    | Service.Transport err when t.retry.attempts > 1 ->
+      let again, spent = List.partition (fun i -> i.tries + 1 < t.retry.attempts) items in
+      let failures = List.fold_left (fun n i -> Int.max n (i.tries + 1)) 0 again in
+      if
+        again <> []
+        && Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:shard t.retry
+             ~failures err (fun () ->
+               List.iter
+                 (fun i ->
+                   if i.flags land flag_settled = 0 then begin
+                     i.tries <- i.tries + 1;
+                     i.flags <- i.flags lor flag_retried;
+                     enqueue t shard i
+                   end)
+                 again)
+      then (if spent <> [] then fail_over t shard spent)
+      else fail_over t shard items
+    | _ -> fail_over t shard items)
 
 and enqueue t shard item =
   let s = state_of t shard in
@@ -345,36 +511,28 @@ and enqueue t shard item =
     Engine.schedule (engine t) ~delay:0.0 s.flush
   end
 
-(* The frame's round trip is over; a reply is an RTT sample. *)
-and frame_over t s ~sent ~replied =
-  s.outstanding <- s.outstanding - 1;
-  if replied then sample_rtt s ~sent ~now:(Engine.now (engine t))
-
 (* One query in this flush rides Fig. 3's plain query frame, which waits
    the tier's timeout; only a flush of several needs the batch envelope.
    An ordered tier has batch limit 1 and never sends a batch, so a batch
    frame's fixed 1 s timeout is always a sharded tier's own. *)
-and send_plain t shard s ~sent item =
+and send_plain t shard s ~slot item =
   Service.call t.services ~src:t.node ~dst:shard ~timeout:t.timeout ~breaker:true t.authz
     (fun buf -> Wire.write_authz_query buf item.ctx)
     (function
       | Error (Service.Transport _ as e) ->
-        frame_over t s ~sent ~replied:false;
-        frame_failed t shard e [ item ]
+        frame_failed t shard e (frame_over t s ~slot ~replied:false)
       | part ->
-        frame_over t s ~sent ~replied:true;
+        ignore (frame_over t s ~slot ~replied:true);
         answered t s ~batch:1 item part)
 
-and send_batch t shard s ~sent ~n items =
+and send_batch t shard s ~slot ~n items =
   Service.call_batch t.services ~src:t.node ~dst:shard t.authz
     (List.map (fun i buf -> Wire.write_authz_query buf i.ctx) items)
     (function
       | Ok parts ->
-        frame_over t s ~sent ~replied:true;
+        ignore (frame_over t s ~slot ~replied:true);
         List.iter2 (answered t s ~batch:n) items parts
-      | Error e ->
-        frame_over t s ~sent ~replied:false;
-        frame_failed t shard e items)
+      | Error e -> frame_failed t shard e (frame_over t s ~slot ~replied:false))
 
 and flush t shard s =
   s.flush_pending <- false;
@@ -385,31 +543,88 @@ and flush t shard s =
     s.queued <- 0;
     Metrics.inc s.sc_batches;
     Metrics.observe t.h_batch_size (float_of_int n);
-    let sent = Engine.now (engine t) in
-    if s.outstanding = 0 then s.timing.(busy_since) <- sent;
+    let items = match queue with [ _ ] -> queue | _ -> List.rev queue in
+    if s.outstanding = 0 then s.timing.(busy_since) <- Engine.now (engine t);
     s.outstanding <- s.outstanding + 1;
-    (match queue with
-    | [ item ] -> send_plain t shard s ~sent item
-    | _ -> send_batch t shard s ~sent ~n (List.rev queue));
+    let slot = take_slot t s items in
+    (match items with
+    | [ item ] -> send_plain t shard s ~slot item
+    | _ -> send_batch t shard s ~slot ~n items);
     (* A frame shed by the breaker has already failed over by now. *)
     if s.outstanding > 0 && not s.armed then
-      arm t s ~at:(Float.max sent (silent_since t shard s +. current_rto t s))
+      arm t s ~at:(Float.max (Engine.now (engine t)) (next_deadline t shard s))
+  end
+
+(* A query waiting on [shard], which the tier now suspects, moves on
+   once: hedged to the next shard in its ranking that is neither
+   suspected nor breaker-open, or, with none left or its one hedge
+   spent, offered to the lower rungs.  Its own frames stay in flight
+   and fail, re-send or fail over as they would unhedged. *)
+and move_on t shard item =
+  if item.flags land (flag_settled lor flag_offered) = 0 then
+    if item.flags land flag_hedged <> 0 then ignore (offer t item)
+    else
+      match route t ~excluded:(shard :: item.excluded) item with
+      | Some next when not (suspected t next) -> hedge t ~from:shard next item
+      | Some _ | None -> ignore (offer t item)
+
+(* The hedge: a copy of the query for [next], whose answer or offer is
+   the query's own. *)
+and hedge t ~from next item =
+  item.flags <- item.flags lor flag_hedged;
+  Metrics.inc (Lazy.force t.c_hedges);
+  let deliver answer p =
+    match answer with
+    | Suspected -> offer t item
+    | Decided _ | Exhausted _ ->
+      settle item answer p;
+      true
+  in
+  enqueue t next
+    { item with deliver; excluded = from :: item.excluded; tries = 0; flags = item.flags lor flag_copy }
+
+and suspect t shard s =
+  s.suspected <- true;
+  t.suspects <- t.suspects + 1;
+  s.timing.(suspected_at) <- Engine.now (engine t);
+  if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:suspect " ^ shard);
+  (* A copy: moving a query on may flush onto this shard, growing its table. *)
+  Array.iter (List.iter (move_on t shard)) (Array.copy s.frames)
+
+and check t shard s =
+  s.armed <- false;
+  if s.outstanding > 0 then begin
+    let now = Engine.now (engine t) in
+    let since = silent_since t shard s and rto = current_rto t s in
+    let threshold = suspicion_threshold s in
+    (* A check that finds the RTO passed too expires at once: the
+       expiry's failover moves the queries, and a hedge would only send
+       each one twice. *)
+    if now >= since +. threshold && now < since +. rto && not (is_suspected t shard s) then
+      suspect t shard s;
+    if now >= since +. rto then begin
+      Metrics.inc (Lazy.force t.c_expiries);
+      (* Spend the silence that raised this expiry: later frames get an RTO. *)
+      s.timing.(busy_since) <- now;
+      Dacs_net.Rpc.expire (Service.rpc t.services) shard
+    end
+    else
+      (* An absolute deadline strictly in the future: rounding cannot
+         re-arm at the same instant. *)
+      arm t s ~at:(next_deadline t shard s)
   end
 
 let decide ~key t ctx deliver =
   let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0; flags = 0 } in
   if Array.length t.seeded = 0 then begin
     Metrics.inc t.c_exhausted;
-    deliver (Error "pdp tier is empty")
+    settle item (Exhausted "pdp tier is empty")
       (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
   end
   else
-    match route t ~excluded:[] item with
-    | Some shard -> enqueue t shard item
-    | None ->
-      (* Every shard's breaker is open: fail closed now, so the caller
-         degrades at once instead of waiting out a timeout. *)
-      fail_closed t item
+    (* With every shard's breaker open this fails closed now, so the
+       caller degrades at once instead of waiting out a timeout. *)
+    place t ~excluded:[] ~failover:false item
 
 let rto t shard =
   match Hashtbl.find_opt t.states shard with Some s -> current_rto t s | None -> t.timeout
@@ -450,12 +665,18 @@ let make services ~node ~shards ~batch ~ordered ~timeout =
     c_expiries =
       lazy
         (own "pdp_tier_expiries_total" ~help:"Silent-shard suspicions that expired waiting frames");
+    (* Registered at the first hedge, likewise. *)
+    c_hedges =
+      lazy
+        (own "pdp_tier_hedges_total"
+           ~help:"Queries re-sent to the next shard when theirs was suspected");
     h_batch_size =
       Metrics.histogram metrics ~help:"Queries per flushed tier batch"
         ~labels:[ ("node", node) ] "pdp_tier_batch_size";
     shards;
     seeded = seeded_of shards;
     states = Hashtbl.create 8;
+    suspects = 0;
   }
 
 let create services ~node ~shards ?(batch = 8) () =
@@ -483,4 +704,5 @@ let stats t =
     exhausted = Metrics.counter_value t.c_exhausted;
     expiries =
       (if Lazy.is_val t.c_expiries then Metrics.counter_value (Lazy.force t.c_expiries) else 0);
+    hedges = (if Lazy.is_val t.c_hedges then Metrics.counter_value (Lazy.force t.c_hedges) else 0);
   }

@@ -49,19 +49,40 @@
     Each shard has a failure detector.  The tier keeps a Jacobson/Karels
     estimate of the shard's round trip over its answered frames, and
     [RTO = clamp (srtt + 4·rttvar) 0.2 timeout] seconds — the frame
-    timeout until the first answer (RFC 6298).  A shard with frames
-    outstanding that has answered nobody on the bus
-    ({!Dacs_net.Rpc.heard_from}) since the latest of its last answer,
-    the start of its current busy period and its last suspicion, for one
-    RTO, is suspected: {!Dacs_net.Rpc.expire} fails its waiting frames
-    with a timeout at that instant, and their queries are re-sent or
-    fail over as above.  A re-sent frame is outstanding like any other:
-    it restarts the shard's silence window and gets its own RTO.  Each
-    expired frame counts as one breaker failure, so the breaker still
-    trips on its own rule.  Silence, not a shorter deadline, is the
-    evidence: a saturated shard that keeps answering is never suspected,
-    however slow its round trips.  A shard that has never answered gets
-    the full frame timeout.
+    timeout until the first answer (RFC 6298).  Its silence is measured
+    while it has frames outstanding from this tier, from the latest of
+    its last answer to anyone on the bus ({!Dacs_net.Rpc.heard_from}),
+    the start of its current busy period and its last expiry.
+
+    Silent for the suspicion threshold — [srtt + max(5 ms, 4·rttvar)]
+    with no floor (RFC 6298's granularity term as a constant), its
+    [srtt] scaled up by how much larger the oldest frame in flight is
+    than the frames it was measured over, and only before the RTO has
+    passed too — the shard is {e suspected}.  Routing passes over it as
+    over an open breaker, at no cost, flagging the query hedged; a query
+    whose route finds only suspected shards is offered to the caller's
+    lower rungs, then sent to the best of them.  Each query waiting on
+    it moves on once (the hedged request of Dean and Barroso, "The Tail
+    at Scale"): a copy goes to the next shard in its key's ranking that
+    is neither suspected nor breaker-open, counted in
+    [pdp_tier_hedges_total{node}].  A query with no such shard left, or
+    whose one hedge is spent, is offered to the lower rungs (the
+    continuation's [Suspected]); if none answers it keeps waiting.  The
+    query's own frames stay in flight and behave as they would
+    unhedged; the first answer settles the query, and a later answer,
+    failure or re-send of an answered query is dropped, as is a copy's
+    failure.  Any answer from the shard, or the end of its last
+    outstanding frame, ends the suspicion.
+
+    Silent for one RTO, {!Dacs_net.Rpc.expire} fails the shard's waiting
+    frames with a timeout, and their queries are re-sent or fail over as
+    above.  A re-sent frame is outstanding like any other: it restarts
+    the shard's silence window and gets its own RTO.  Each expired frame
+    counts as one breaker failure, so the breaker still trips on its own
+    rule.  Silence, not a shorter deadline, is the evidence: a saturated
+    shard that keeps answering is never suspected, however slow its
+    round trips.  A shard that has never answered is never suspected,
+    and gets the full frame timeout.
 
     The tier registers its telemetry in the bus-wide registry:
     [pdp_tier_dispatch_total{node,shard}] and
@@ -69,8 +90,8 @@
     [pdp_tier_batch_size{node}] histogram, and tier-level
     [pdp_tier_failovers_total], [pdp_tier_rebalance_total] and
     [pdp_tier_exhausted_total{node}] counters, and
-    [pdp_tier_expiries_total{node}], registered at the first
-    suspicion. *)
+    [pdp_tier_expiries_total{node}] and [pdp_tier_hedges_total{node}],
+    registered at the first expiry and the first hedge. *)
 
 type t
 
@@ -133,33 +154,47 @@ val rto : t -> Dacs_net.Net.node_id -> float
     tests): the frame timeout before its first answered frame, then
     [srtt + 4·rttvar] clamped to \[0.2, timeout\]. *)
 
+type answer =
+  | Decided of Dacs_policy.Decision.result
+      (** a shard's answer, which may itself be an [Indeterminate]
+          decision — e.g. a malformed response or a SOAP fault *)
+  | Exhausted of string
+      (** the tier could not obtain a decision at all: no shard
+          reachable, every shard's breaker open, or the tier is empty *)
+  | Suspected
+      (** every shard left to the query is suspected: an offer to
+          answer it from a lower rung, made at most once *)
+
 val decide :
   key:string ->
   t ->
   Dacs_policy.Context.t ->
-  ((Dacs_policy.Decision.result, string) result -> Provenance.t -> unit) ->
+  (answer -> Provenance.t -> bool) ->
   unit
 (** Route one authorisation query through the tier.  The continuation
-    fires exactly once, with the shard's answer as [Ok] (which may itself
-    be an [Indeterminate] decision — e.g. a malformed response or a SOAP
-    fault), or [Error reason] when the tier could not obtain a decision
-    at all (no shard reachable, every shard's breaker open, or the tier
-    is empty).  Callers decide how to degrade — a PEP falls back to
-    bounded-stale cache, then fails closed.
+    answers the query once, with [Decided] or [Exhausted]; callers
+    decide how to degrade on [Exhausted] — a PEP falls back to
+    bounded-stale cache, then its offline log, then fails closed.
+    Before that it may be offered [Suspected], and returns whether it
+    answered the query then (from a lower rung; it must not fail
+    closed on an offer); if so, nothing more is delivered.  Its result
+    is ignored for the other two.
 
     The continuation also receives the query's provenance record, built
-    by the tier as it delivers: stage [Live] on [Ok], [Fail_closed] on
-    [Error].  [shard] is the shard that answered ([None] when none
-    could); [batch] the queries in the flush that carried the answer on
-    a sharded tier — 1 for a flush of one, though it rides a plain frame
-    — and 0 on an ordered tier or when no shard answered; [failovers]
-    the shards excluded before the answer; [epoch] the deciding PDP's
-    compilation epoch (0 = unknown).  [retried] says the tier re-sent
-    this query after a failed frame.  [breaker_tripped] says its route
-    skipped a shard for its breaker, or a frame carrying it was refused
-    by a breaker or failed leaving the shard's breaker open.  Both flags
-    are this query's own: another query's re-send or breaker shed never
-    sets them.
+    by the tier as it delivers: stage [Live] on [Decided],
+    [Fail_closed] otherwise.  [shard] is the shard that answered
+    ([None] when none could); [batch] the queries in the flush that
+    carried the answer on a sharded tier — 1 for a flush of one, though
+    it rides a plain frame — and 0 on an ordered tier or when no shard
+    answered; [failovers] the shards the query left before the answer;
+    [epoch] the deciding PDP's compilation epoch (0 = unknown).
+    [retried] says the tier re-sent this query after a failed frame.
+    [breaker_tripped] says its route skipped a shard for its breaker,
+    or a frame carrying it was refused by a breaker or failed leaving
+    the shard's breaker open.  [hedged] says it moved on from a
+    suspected shard (always set on a [Suspected] offer).  The flags are
+    this query's own: another query's re-send, breaker shed or hedge
+    never sets them.
 
     [key] is the request's routing key, {!Decision_cache.request_key}
     of [ctx]: the PEP passes its own cache key down, so the hot path
@@ -174,6 +209,7 @@ type stats = {
   rebalances : int;  (** shard-set changes *)
   exhausted : int;  (** queries failed closed *)
   expiries : int;  (** silent-shard suspicions that expired waiting frames *)
+  hedges : int;  (** queries re-sent to the next shard when theirs was suspected *)
 }
 
 val stats : t -> stats

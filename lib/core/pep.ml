@@ -376,21 +376,22 @@ let settle_descent d result prov =
   settle d.pep d.flight ~admitted:d.admitted ~started:d.started ~tag:d.tag d.k result prov
 
 (* The offline rung: below bounded-stale, above fail-closed.  With every
-   live authority unreachable and no servable stale entry, a PEP holding
-   an offline replica decides from the signed local event log.  The
-   answer is deliberately NOT written to L1/L2 — it reflects partition-
-   local knowledge and must not outlive the partition in caches that
-   reconciliation would then have to chase; contradicted decisions are
-   instead invalidated by deny-wins replay on heal.  Its record is the
-   tier's, re-staged. *)
+   live authority unreachable or suspected and no servable stale entry,
+   a PEP holding an offline replica decides from the signed local event
+   log.  The answer is deliberately NOT written to L1/L2 — it reflects
+   partition-local knowledge and must not outlive the partition in
+   caches that reconciliation would then have to chase; contradicted
+   decisions are instead invalidated by deny-wins replay on heal.  Its
+   record is the tier's, re-staged. *)
 let offline_serve d (p : Provenance.t) =
   let t = d.pep in
   match t.offline with
   | None -> false
   | Some o -> (
-    (* Reaching the degrade path means the live tier is unreachable: this
-       starts (or continues) an offline episode, so the epoch stamped on
-       events and provenance is consistent across the whole episode. *)
+    (* Reaching the degrade path means the live tier is unreachable or
+       silent: this starts (or continues) an offline episode, so the
+       epoch stamped on events and provenance is consistent across the
+       whole episode. *)
     Offline.set_offline o true;
     match Offline.decide o d.ctx with
     | None -> false
@@ -401,36 +402,51 @@ let offline_serve d (p : Provenance.t) =
         { p with Provenance.stage = Offline; epoch = Offline.epoch o; log_head = Some head };
       true)
 
-(* Degraded availability (§ dependability): with every replica down, a
-   decision expired by at most [stale_window] seconds is still served —
-   the last answer the policy actually gave — in preference to denying
-   all access.  Beyond the bound, and with no offline log to decide
-   from, we fail closed.  [p] is the tier's [Fail_closed] record; each
+(* Degraded availability (§ dependability): with every replica down or
+   suspected, a decision expired by at most [stale_window] seconds is
+   still served — the last answer the policy actually gave — in
+   preference to denying all access; else the offline log decides.
+   [true] when one of them answered.  [p] is the tier's record; each
    exit keeps its trip and names its own rung. *)
-let degrade d (p : Provenance.t) reason =
+let lower_rungs d (p : Provenance.t) =
   let t = d.pep in
   match d.found with
   | Decision_cache.Stale { result; age } when t.stale_window > 0.0 ->
     Metrics.inc t.counters.c_stale_serves;
     Trace.record (tracer t) "pep:stale-serve";
-    settle_descent d result { p with Provenance.stage = Stale; stale_age = age }
-  | Decision_cache.Stale _ | Decision_cache.Fresh _ | Decision_cache.Absent ->
-    if not (offline_serve d p) then settle_descent d (Decision.indeterminate reason) p
+    settle_descent d result { p with Provenance.stage = Stale; stale_age = age };
+    true
+  | Decision_cache.Stale _ | Decision_cache.Fresh _ | Decision_cache.Absent -> offline_serve d p
 
-(* The live rung is one tier call: the tier routes, fails over, checks
-   signatures and records the query's trip itself. *)
+let observe_live t ~started ~tag =
+  Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag ~at:(now t)
+
+(* The live rung is one tier call: the tier routes, fails over, hedges,
+   checks signatures and records the query's trip itself.  An exhausted
+   tier with no lower rung to answer fails closed; a tier that offers a
+   query whose shards are all suspected keeps it when none answers. *)
 let live_answer d ~started ~tag outcome p =
   let t = d.pep in
-  Metrics.observe_exemplar t.counters.h_live_call (now t -. started) ~trace:tag ~at:(now t);
   match outcome with
-  | Ok result ->
+  | Pdp_tier.Decided result ->
+    observe_live t ~started ~tag;
     l1_put ?since:d.since t d.cache ~key:d.key result;
     (* The L2 drops an Indeterminate anyway: do not send it. *)
     (match result.Decision.decision with
     | Decision.Indeterminate _ -> ()
     | Decision.Permit | Decision.Deny | Decision.Not_applicable -> l2_put t ~key:d.key result);
-    settle_descent d result p
-  | Error reason -> degrade d p reason
+    settle_descent d result p;
+    true
+  | Pdp_tier.Exhausted reason ->
+    observe_live t ~started ~tag;
+    if not (lower_rungs d p) then settle_descent d (Decision.indeterminate reason) p;
+    true
+  | Pdp_tier.Suspected ->
+    lower_rungs d p
+    && begin
+         observe_live t ~started ~tag;
+         true
+       end
 
 let live d =
   let t = d.pep in

@@ -86,7 +86,8 @@ val decide_explained :
     the deciding PDP's compilation epoch (or offline epoch) and, for
     offline serves, the log head.  A descent that reached the tier
     carries the tier's record of its query's trip ({!Pdp_tier.decide}),
-    re-staged for a stale, offline or fail-closed exit, so its
+    re-staged for a stale, offline or fail-closed exit (a stale or
+    offline answer to the tier's offer reads [hedged]), so its
     resilience flags are that query's own; an L1 or L2 hit reads both
     flags false.  Coalesced waiters receive the
     leader's record with the [coalesced] flag set and [at] re-stamped to
@@ -139,8 +140,9 @@ val shed_reason : string
 
 val set_stale_window : t -> float -> unit
 (** Pull mode with a cache only: when the live step reaches no PDP
-    (every replica or shard of the tier is unreachable),
-    serve a cached decision expired by at most this many seconds instead
+    (every replica or shard of the tier is unreachable), or every shard
+    left to the query is suspected ({!Pdp_tier.decide}'s offer), serve
+    a cached decision expired by at most this many seconds instead
     of denying (recorded in [stale_serves]).  The safety bound: a served
     decision is never older than [cache ttl + window], and it is always
     a decision the policy really issued.  [0.0] (the default) disables
@@ -149,7 +151,8 @@ val set_stale_window : t -> float -> unit
 val set_offline_replica : t -> Offline.t option -> unit
 (** Attach the domain's offline replica: a new rung of the decision
     ladder, {e below} bounded-stale and {e above} fail-closed.  When the
-    live tier is unreachable and no stale entry is servable, the PEP
+    live tier is unreachable, or every shard left to the query is
+    suspected, and no stale entry is servable, the PEP
     decides from the replica's signed event log ({!Offline.decide}),
     marks the replica offline (starting an offline epoch), and stamps
     the decision with [offline] provenance carrying the epoch and log

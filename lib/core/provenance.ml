@@ -17,6 +17,7 @@ type t = {
   failovers : int;
   retried : bool;
   breaker_tripped : bool;
+  hedged : bool;
   stale_age : float;
   epoch : int;
   at : float;
@@ -32,6 +33,7 @@ let make ?(epoch = 0) ~at stage =
     failovers = 0;
     retried = false;
     breaker_tripped = false;
+    hedged = false;
     stale_age = 0.0;
     epoch;
     at;
@@ -70,6 +72,7 @@ let to_string p =
         (p.coalesced, "coalesced");
         (p.retried, "retried");
         (p.breaker_tripped, "breaker");
+        (p.hedged, "hedged");
       ]
   in
   String.concat ""
@@ -87,8 +90,8 @@ let to_string p =
 let to_json p =
   let json = Dacs_telemetry.Metrics.json_string in
   Printf.sprintf
-    "{\"stage\":%s,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
+    "{\"stage\":%s,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"hedged\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
     (json (stage_name p.stage))
     (match p.shard with None -> "null" | Some s -> json s)
-    p.batch p.coalesced p.failovers p.retried p.breaker_tripped p.stale_age p.epoch p.at
+    p.batch p.coalesced p.failovers p.retried p.breaker_tripped p.hedged p.stale_age p.epoch p.at
     (match p.log_head with None -> "null" | Some h -> json h)

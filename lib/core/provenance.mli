@@ -34,6 +34,10 @@ type t = {
   breaker_tripped : bool;
       (** this query's route skipped a shard for its breaker, or a frame
           carrying it was refused by a breaker or failed leaving it open *)
+  hedged : bool;
+      (** this query moved on from a shard the tier suspected: re-sent
+          to the next shard in its ranking, routed past the suspected
+          one, or answered by a lower rung before that shard's RTO *)
   stale_age : float;  (** seconds past TTL for [Stale] serves; 0 otherwise *)
   epoch : int;
       (** deciding PDP's compilation epoch — or, for [Offline] serves,

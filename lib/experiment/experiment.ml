@@ -279,9 +279,11 @@ let isolated h e =
 
 let reads_ledger e = List.exists (fun g -> match g.kind with Ledger _ -> true | _ -> false) e.e_gates
 
-(* A run that selected every experiment with a ledger gate appends one
-   line, so the next run finds a baseline for each of them; the line
-   embeds the snapshot of every gated experiment the run finished. *)
+(* A run that selected every experiment with a ledger gate, and in which
+   none failed, appends one line, so the next run finds a baseline for
+   each of them; the line embeds the snapshot of every gated experiment
+   it ran.  A failed run appends nothing: a regression must not become
+   the baseline the next run is judged against. *)
 let run ~history ~pr experiments names =
   let h = { dir = history; pr; baseline = read_baseline (Filename.concat history "ledger.jsonl") } in
   let known n = List.find_opt (fun e -> e.e_name = n) experiments in
@@ -297,13 +299,10 @@ let run ~history ~pr experiments names =
   if failed <> [] then
     Printf.printf "\n%d experiment(s) failed: %s\n" (List.length failed) (String.concat ", " failed);
   let ledgered = List.filter reads_ledger experiments in
-  if ledgered <> [] && List.for_all (fun e -> List.memq e selected) ledgered then
+  if failed = [] && ledgered <> [] && List.for_all (fun e -> List.memq e selected) ledgered then
     append_entry h
       (List.filter_map
-         (fun e ->
-           match List.assq_opt e statuses with
-           | Some status when e.e_gates <> [] && status < 2 -> Some e.e_name
-           | _ -> None)
+         (fun e -> if e.e_gates <> [] && List.memq e selected then Some e.e_name else None)
          experiments);
   if failed = [] && unknown = [] then 0 else 1
 

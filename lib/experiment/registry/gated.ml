@@ -108,9 +108,9 @@ let tier shards batch seed requests json =
            r.shard_nodes)
     in
     Printf.printf
-      "{\"seed\":%d,\"shards\":%d,\"batch\":%d,\"requests\":%d,\"answered\":%d,\"granted\":%d,\"shard_load\":[%s],\"tier\":{\"dispatched\":%d,\"batches\":%d,\"failovers\":%d,\"exhausted\":%d}}\n"
+      "{\"seed\":%d,\"shards\":%d,\"batch\":%d,\"requests\":%d,\"answered\":%d,\"granted\":%d,\"shard_load\":[%s],\"tier\":{\"dispatched\":%d,\"batches\":%d,\"failovers\":%d,\"hedges\":%d,\"exhausted\":%d}}\n"
       seed shards batch total r.answered r.granted shard_json s.Pdp_tier.dispatched
-      s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.exhausted
+      s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.hedges s.Pdp_tier.exhausted
   end
   else begin
     Printf.printf
@@ -124,8 +124,10 @@ let tier shards batch seed requests json =
           (if shard = crashed then "   (crashed at t=2)" else ""))
       r.shard_nodes;
     Printf.printf
-      "\ntier: %d dispatched, %d batches, %d failovers after the crash, %d failed closed\n"
-      s.Pdp_tier.dispatched s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.exhausted;
+      "\ntier: %d dispatched, %d batches, %d failovers and %d hedges after the crash, %d failed \
+       closed\n"
+      s.Pdp_tier.dispatched s.Pdp_tier.batches s.Pdp_tier.failovers s.Pdp_tier.hedges
+      s.Pdp_tier.exhausted;
     Printf.printf "outcome: %d/%d answered, %d granted\n\n" r.answered total r.granted
   end;
   Experiment.check x "all-requests-granted" (r.granted = total)

@@ -771,7 +771,8 @@ let e12_discovery_ablation () =
   let duration = 600 in
   let lease = 5.0 in
   Printf.printf "(3 replicas; replica 0 down from t=100 to t=400; lease %.0fs, timeout 0.4s)\n\n" lease;
-  Printf.printf "%-28s %10s %12s %14s %12s\n" "strategy" "served" "failovers" "mean lat (ms)" "p-max (ms)";
+  Printf.printf "%-28s %10s %12s %8s %14s %12s\n" "strategy" "served" "failovers" "hedges"
+    "mean lat (ms)" "p-max (ms)";
   let run_strategy use_discovery =
     let net, services = fresh () in
     (* Failover against discovery alone: both arms give the bus a breaker
@@ -813,13 +814,14 @@ let e12_discovery_ablation () =
     Net.run ~until:(float_of_int duration +. 20.0) net;
     ( !served,
       (Pep.stats pep).Pep.failovers,
+      (Pdp_tier.stats tier).Pdp_tier.hedges,
       1000.0 *. !lat /. float_of_int (max 1 !served),
       1000.0 *. !worst )
   in
   List.iter
     (fun (label, use_discovery) ->
-      let served, failovers, lat, worst = run_strategy use_discovery in
-      Printf.printf "%-28s %10d %12d %14.2f %12.0f\n" label served failovers lat worst)
+      let served, failovers, hedges, lat, worst = run_strategy use_discovery in
+      Printf.printf "%-28s %10d %12d %8d %14.2f %12.0f\n" label served failovers hedges lat worst)
     [ ("timeout failover only", false); ("discovery rebinding", true) ]
 
 (* ==================================================================== *)

@@ -772,11 +772,13 @@ let test_pep_pull_failover () =
   check int_ "three attempts" 3 (s.Pep.pdp_calls + s.Pep.failovers)
 
 (* A pull PEP's failover list is an ordered tier, so the tier's failure
-   detector guards it: once the primary has answered, one RTO of its
-   silence (0.2 s here) moves the query to the next replica, well before
-   the 0.5 s call timeout. *)
-let test_pep_pull_fails_over_at_rto () =
-  let net, _tier, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
+   detector guards it: once the primary has answered, its silence for
+   the suspicion threshold hedges the query to the next replica, well
+   before the primary's 0.2 s RTO and the 0.5 s call timeout.  The
+   primary's frame still expires at the RTO, but the query is answered,
+   so nothing fails over. *)
+let test_pep_pull_hedges_before_rto () =
+  let net, tier, pep, _client, pdp_nodes = pull_setup ~pdps:2 () in
   let decide_at at user answer =
     Dacs_net.Engine.schedule_at (Net.engine net) ~at (fun () ->
         let ctx =
@@ -801,10 +803,15 @@ let test_pep_pull_fails_over_at_rto () =
   | Some (at, r, p) ->
     check bool_ "granted by the secondary" true (Decision.is_permit r);
     check (Alcotest.option string_) "secondary" (Some (List.nth pdp_nodes 1)) p.Provenance.shard;
-    check int_ "one failover" 1 p.Provenance.failovers;
-    check bool_ "not before the RTO" true (at >= 2.2);
-    check bool_ "before the call timeout" true (at < 2.5);
-    check int_ "failover counted" 1 (Pep.stats pep).Pep.failovers
+    check int_ "the primary counted as left" 1 p.Provenance.failovers;
+    check bool_ "hedged" true p.Provenance.hedged;
+    (* One 10 ms sample: srtt 10 ms and rttvar 5 ms, so the primary is
+       suspected 30 ms into its silence and the secondary answers one
+       round trip later. *)
+    check (Alcotest.float 1e-9) "hedged at srtt + 4·rttvar, answered a round trip later" 2.04 at;
+    check int_ "one hedge" 1 (Pdp_tier.stats tier).Pdp_tier.hedges;
+    check int_ "the primary's frame still expired" 1 (Pdp_tier.stats tier).Pdp_tier.expiries;
+    check int_ "no failover counted" 0 (Pep.stats pep).Pep.failovers
   | None -> Alcotest.fail "no second decision"
 
 (* A pull PEP asks the PDP list its tier holds now: the list the tier
@@ -1657,8 +1664,8 @@ let () =
           Alcotest.test_case "grant and deny" `Quick test_pep_pull_grant_and_deny;
           Alcotest.test_case "decision cache" `Quick test_pep_pull_cache;
           Alcotest.test_case "failover" `Quick test_pep_pull_failover;
-          Alcotest.test_case "a silent primary fails over at its RTO" `Quick
-            test_pep_pull_fails_over_at_rto;
+          Alcotest.test_case "a silent primary's query is hedged before its RTO" `Quick
+            test_pep_pull_hedges_before_rto;
           Alcotest.test_case "rebinding the tier moves the PEP's queries" `Quick
             test_pep_pull_follows_tier_rebind;
           Alcotest.test_case "all PDPs down fails closed" `Quick test_pep_pull_all_pdps_down;

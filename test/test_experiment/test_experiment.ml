@@ -1,8 +1,8 @@
 (* Gate-harness suite: a failing or never-evaluated gate makes the exit
    status non-zero, ledger gates read (experiment, key) from the right
    snapshot of the baseline entry, a perturbed or unparseable baseline
-   fails, a run that selects every experiment with a ledger gate appends
-   one entry and a partial one none, experiments do not share process
+   fails, a passing run that selects every experiment with a ledger gate
+   appends one entry and a failed or partial one none, experiments do not share process
    state, and every gated dacs subcommand's golden prints exactly the
    gates its registry entry declares. *)
 
@@ -179,16 +179,21 @@ let test_run_appends_entry () =
   status "a partial selection passes" 0 (run dir (experiments 1.0) [ "a"; "b"; "plain" ]);
   Alcotest.(check int) "and appends nothing" 1 (List.length (ledger_lines dir));
   status "b judged against the entry that preceded the run" 1 (run dir (experiments 5.0) []);
+  Alcotest.(check int) "a full selection that failed appends nothing" 1
+    (List.length (ledger_lines dir));
+  status "so a second run on the same ledger still fails" 1 (run dir (experiments 5.0) []);
+  Alcotest.(check int) "and appends nothing either" 1 (List.length (ledger_lines dir));
+  status "a full selection within tolerance passes" 0 (run dir (experiments 1.05) []);
   Alcotest.(check (list string))
-    "the full selection appended one entry"
+    "and appends one entry"
     [
-      {|{"pr":"test","snapshots":{"a":{   "m": 1.0000,   "gate_failures": 0 },"b":{   "k": 5.0000,   "gate_failures": 1 },"c":{   "k": 7.0000,   "gate_failures": 0 }}}|};
+      {|{"pr":"test","snapshots":{"a":{   "m": 1.0000,   "gate_failures": 0 },"b":{   "k": 1.0500,   "gate_failures": 0 },"c":{   "k": 7.0000,   "gate_failures": 0 }}}|};
       {|{"pr":"base","snapshots":{"b":{"k":1.0}}}|};
     ]
     (ledger_lines dir);
-  status "b within tolerance of the appended 5.0" 0 (run dir (experiments 5.4) [ "b" ]);
+  status "b within tolerance of the appended 1.05" 0 (run dir (experiments 1.1) [ "b" ]);
   status "c beyond tolerance of the appended 7.0" 1
-    (run dir [ gated_on "b" 5.0; gated_on "c" 8.0 ] [ "c" ]);
+    (run dir [ gated_on "b" 1.05; gated_on "c" 8.0 ] [ "c" ]);
   Alcotest.(check int) "neither partial run appended" 2 (List.length (ledger_lines dir))
 
 let test_isolation () =

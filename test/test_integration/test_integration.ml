@@ -397,13 +397,9 @@ let test_replicated_pdps_survive_crash () =
   ignore
     (Pdp_service.create services ~node:"d.pdp2" ~name:"d-pdp2" ~pap:(Pap.node (Domain.pap domain)) ());
   Net.add_node net "d.pep.ws";
+  let tier = Pdp_tier.ordered services ~node:"d.pep.ws" ~pdps:[ pdp_node; "d.pdp2" ] ~call_timeout:0.3 in
   let pep =
-    Pep.create services ~node:"d.pep.ws" ~domain:"d" ~resource:"ws"
-      (Pep.Sharded
-         {
-           tier = Pdp_tier.ordered services ~node:"d.pep.ws" ~pdps:[ pdp_node; "d.pdp2" ] ~call_timeout:0.3;
-           cache = None;
-         })
+    Pep.create services ~node:"d.pep.ws" ~domain:"d" ~resource:"ws" (Pep.Sharded { tier; cache = None })
   in
   Net.add_node net "c";
   let client = Client.create services ~node:"c" ~subject:(doctor_subject "alice") in
@@ -423,7 +419,10 @@ let test_replicated_pdps_survive_crash () =
   Net.run net;
   check int_ "survived primary crash" 2 !succeeded;
   check int_ "no failures" 0 !failed;
-  check bool_ "failover recorded" true ((Pep.stats pep).Pep.failovers > 0);
+  (* The silent primary's query moved to the replica: hedged at its
+     suspicion, or failed over at its timeout. *)
+  check bool_ "the move to the replica recorded" true
+    ((Pep.stats pep).Pep.failovers + (Pdp_tier.stats tier).Pdp_tier.hedges > 0);
   (* Recover the primary, crash the replica: still fine. *)
   Net.recover net pdp_node;
   Net.crash net "d.pdp2";

@@ -199,7 +199,15 @@ let tier_evaluate root ctx =
   Net.add_node net "dispatch";
   let tier = Pdp_tier.create services ~node:"dispatch" ~shards () in
   let answer = ref None in
-  Pdp_tier.decide ~key:(Decision_cache.request_key ctx) tier ctx (fun r _ -> answer := Some r);
+  Pdp_tier.decide ~key:(Decision_cache.request_key ctx) tier ctx (fun r _ ->
+      match r with
+      | Pdp_tier.Decided r ->
+        answer := Some (Ok r);
+        true
+      | Pdp_tier.Exhausted e ->
+        answer := Some (Error e);
+        true
+      | Pdp_tier.Suspected -> false);
   Net.run net;
   !answer
 

@@ -239,10 +239,20 @@ let test_monotone_growth () =
 (* --- batch coalescing -------------------------------------------------------- *)
 
 (* [Pdp_tier.decide] routed by [key], by default the request's own key
-   as the PEP passes it. *)
+   as the PEP passes it, for a caller with no lower rung: [k] gets the
+   answer as [Ok], or [Error] when the tier is exhausted, and an offer
+   is declined. *)
 let tier_decide ?key tier ctx k =
   let key = match key with Some key -> key | None -> Decision_cache.request_key ctx in
-  Pdp_tier.decide ~key tier ctx k
+  Pdp_tier.decide ~key tier ctx (fun answer p ->
+      match answer with
+      | Pdp_tier.Decided r ->
+        k (Ok r) p;
+        true
+      | Pdp_tier.Exhausted e ->
+        k (Error e) p;
+        true
+      | Pdp_tier.Suspected -> false)
 
 let test_batching () =
   let fx = setup ~batch:4 () in
@@ -597,51 +607,156 @@ let test_breaker_recloses () =
 let owner_of_alice fx =
   Option.get (Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for "alice" "read")))
 
-(* Five answered queries to alice's shard, one every 100 ms from 0.1. *)
-let warm_up fx =
+(* Five answered queries to [user]'s shard, one every 100 ms from
+   0.1 + [from]. *)
+let warm_up ?(user = "alice") ?(from = 0.0) fx =
   let answers = List.init 5 (fun _ -> ref None) in
   List.iteri
-    (fun i a -> decide_at fx ~at:(0.1 *. float_of_int (i + 1)) (ctx_for "alice" "read") a)
+    (fun i a -> decide_at fx ~at:(from +. (0.1 *. float_of_int (i + 1))) (ctx_for user "read") a)
     answers;
   Net.run fx.net;
   List.iter (fun a -> ignore (answered_by "warm-up" a)) answers
 
 let expiries fx = (Pdp_tier.stats fx.tier).Pdp_tier.expiries
 
-(* A shard cut off after warm-up is suspected one RTO after its frame
-   went out — not at the 1 s call timeout — and the frame's query is
-   answered by the next shard in its key's ranking. *)
-let test_silent_shard_detected () =
+let hedges fx = (Pdp_tier.stats fx.tier).Pdp_tier.hedges
+
+(* The first of user0..user99 whose read [wanted] says yes to the owner of. *)
+let user_where fx wanted =
+  List.find
+    (fun user ->
+      wanted (Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for user "read"))))
+    (List.init 100 (Printf.sprintf "user%d"))
+
+(* [user]'s read asked of the PEP at [at]; the decision, its delivery
+   instant and its provenance land in the ref. *)
+let explain_at fx ~at user answer =
+  Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
+      Pep.decide_explained fx.pep (ctx_for user "read") (fun r p ->
+          answer := Some (Net.now fx.net, r, p)))
+
+let explained what answer =
+  match !answer with Some a -> a | None -> Alcotest.failf "%s: no decision" what
+
+(* A shard crashed after warm-up, with its next shards live.  Four of
+   its queries, issued together, ride one frame; the shard is suspected
+   before its RTO, and each query is hedged to the next shard in its
+   own ranking, whose answer settles it.  The crashed shard's frame
+   still expires at the RTO, but that expiry neither answers a query a
+   second time nor fails one over: every query is answered exactly
+   once, and every query sent is one asked or one hedge. *)
+let test_hedge_settles_once () =
   let fx = setup () in
   warm_up fx;
   let victim = owner_of_alice fx in
   let rto = Pdp_tier.rto fx.tier victim in
   check bool_ "a measured RTO below the call timeout" true (rto < 1.0);
+  let users =
+    List.filteri
+      (fun i _ -> i < 4)
+      (List.filter
+         (fun user ->
+           Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for user "read"))
+           = Some victim)
+         ("alice" :: List.init 100 (Printf.sprintf "user%d")))
+  in
   Engine.schedule_at (Net.engine fx.net) ~at:2.0 (fun () -> Net.crash fx.net victim);
-  let answer = ref None in
-  decide_at fx ~at:3.0 (ctx_for "alice" "read") answer;
+  let deliveries = ref [] in
+  Engine.schedule_at (Net.engine fx.net) ~at:3.0 (fun () ->
+      List.iter
+        (fun user ->
+          tier_decide fx.tier (ctx_for user "read") (fun outcome p ->
+              deliveries := (user, Net.now fx.net, outcome, p) :: !deliveries))
+        users);
+  let dispatched = (Pdp_tier.stats fx.tier).Pdp_tier.dispatched in
   Net.run fx.net;
-  let successor = answered_by "after the cut" answer in
-  check bool_ "answered by another shard" true (successor <> victim);
-  (match !answer with
-  | Some (at, _, p) ->
-    check int_ "one failover" 1 p.Provenance.failovers;
-    (* Failed over at 3.0 + RTO, then one round trip to the successor. *)
-    check bool_ "not before one RTO" true (at >= 3.0 +. rto);
-    check bool_ "well before the call timeout" true (at < 3.0 +. rto +. 0.05)
-  | None -> ());
-  check int_ "one expiry" 1 (expiries fx);
-  check int_ "one failover counted" 1 (Pdp_tier.stats fx.tier).Pdp_tier.failovers
+  List.iter
+    (fun user ->
+      match List.filter (fun (u, _, _, _) -> u = user) !deliveries with
+      | [ (_, at, Ok r, p) ] ->
+        check bool_ (user ^ " granted") true (Decision.is_permit r);
+        check bool_ (user ^ " answered by another shard") true (p.Provenance.shard <> Some victim);
+        check bool_ (user ^ " hedged") true p.Provenance.hedged;
+        check int_ (user ^ " left the crashed shard") 1 p.Provenance.failovers;
+        check bool_ (user ^ " answered before the RTO") true (at < 3.0 +. rto)
+      | [ (_, _, Error e, _) ] -> Alcotest.failf "%s failed closed: %s" user e
+      | answers -> Alcotest.failf "%s answered %d times" user (List.length answers))
+    users;
+  check int_ "four queries" 4 (List.length users);
+  check int_ "one hedge each" 4 (hedges fx);
+  check int_ "the crashed shard's frame still expired" 1 (expiries fx);
+  check int_ "its expiry failed nothing over" 0 (Pdp_tier.stats fx.tier).Pdp_tier.failovers;
+  check int_ "nothing failed closed" 0 (Pdp_tier.stats fx.tier).Pdp_tier.exhausted;
+  check int_ "sent: each query and its hedge" (dispatched + 8)
+    (Pdp_tier.stats fx.tier).Pdp_tier.dispatched
 
-(* A suspicion spends the silence that raised it.  Alice's frame to her
-   shard is lost and expired after one RTO, then waits out a long
-   backoff before its retry; a frame sent to the shard meanwhile, once
-   it is back up, must get its own RTO to be answered, not be expired at
-   the instant it is sent.  The retry is a frame of the tier's too: it
-   restarts the silence clock, so the shard that came back answers it,
-   and the one lost frame is the only expiry. *)
+(* Both shards warm, then cut off from the PEP, which holds an offline
+   replica.  Alice's query is in flight when her owner is suspected; it
+   is hedged to the other shard, which is suspected in turn, and the
+   offline rung answers.  Each warm-up leaves srtt 10 ms and rttvar
+   5·0.75⁴ ms, a suspicion threshold of 16.3 ms, so the answer comes
+   within two thresholds of the query, far from the 0.2 s RTO. *)
+let test_cut_tier_answers_offline_early () =
+  let fx = setup ~shards:2 () in
+  let owner = owner_of_alice fx in
+  warm_up fx;
+  warm_up ~user:(user_where fx (fun s -> s <> Some owner)) ~from:2.0 fx;
+  let offline = Offline.create ~now:(fun () -> Net.now fx.net) ~key:"tier-mesh-key" ~author:"a" () in
+  Offline.publish offline (doctor_policy "r");
+  Pep.set_offline_replica fx.pep (Some offline);
+  Engine.schedule_at (Net.engine fx.net) ~at:4.0 (fun () ->
+      Net.partition fx.net [ "pep" ] fx.shard_nodes);
+  let answer = ref None in
+  explain_at fx ~at:5.0 "alice" answer;
+  Net.run fx.net;
+  let at, r, p = explained "alice" answer in
+  let threshold = 0.010 +. (4.0 *. 0.005 *. (0.75 ** 4.0)) in
+  check bool_ "granted" true (Decision.is_permit r);
+  check string_ "by the offline rung" "offline" (Provenance.stage_name p.Provenance.stage);
+  check bool_ "hedged" true p.Provenance.hedged;
+  check bool_ "within two suspicion thresholds" true (at -. 5.0 <= (2.0 *. threshold) +. 1e-9);
+  check bool_ "after the owner's threshold" true (at -. 5.0 > threshold);
+  check int_ "one hedge" 1 (hedges fx)
+
+(* Both shards warm, then slow: 60 ms each way, so every round trip
+   (120 ms) outlasts the suspicion threshold but not the 0.2 s RTO.  A
+   PEP with no lower rung declines the offer and keeps waiting, and its
+   owner's frame answers the query live: suspicion never fails a query
+   closed. *)
+let test_slow_tier_answers_live () =
+  let fx = setup ~shards:2 () in
+  let owner = owner_of_alice fx in
+  warm_up fx;
+  warm_up ~user:(user_where fx (fun s -> s <> Some owner)) ~from:2.0 fx;
+  Faults.apply fx.net
+    (List.map
+       (fun shard ->
+         Faults.Latency_spike
+           { a = "pep"; b = shard; latency = 0.06; window = { from_ = 4.0; until_ = 7.0 } })
+       fx.shard_nodes);
+  let answer = ref None in
+  explain_at fx ~at:5.0 "alice" answer;
+  Net.run fx.net;
+  let at, r, p = explained "alice" answer in
+  check bool_ "granted" true (Decision.is_permit r);
+  check string_ "live" "live" (Provenance.stage_name p.Provenance.stage);
+  check (Alcotest.option string_) "by the owner's own frame" (Some owner) p.Provenance.shard;
+  check bool_ "within the RTO" true (at < 5.2);
+  check bool_ "the owner was suspected and the query hedged" true p.Provenance.hedged;
+  check int_ "no expiry" 0 (expiries fx);
+  check int_ "nothing failed closed" 0 (Pdp_tier.stats fx.tier).Pdp_tier.exhausted
+
+(* An expiry spends the silence that raised it.  Alice's frame to her
+   shard is lost and expired after one RTO (suspected before that, but
+   a one-shard tier has nowhere to hedge to, and no lower rung takes
+   the offer), then waits out a long backoff before its retry; a frame
+   sent to the shard meanwhile, once it is back up, must get its own
+   RTO to be answered, not be expired at the instant it is sent.  The
+   retry is a frame of the tier's too: it restarts the silence clock,
+   so the shard that came back answers it, and the one lost frame is
+   the only expiry. *)
 let test_frame_after_suspicion_gets_an_rto () =
-  let fx = setup () in
+  let fx = setup ~shards:1 () in
   Pdp_tier.set_retry_policy fx.tier
     { Rpc.attempts = 2; base_delay = 0.3; multiplier = 2.0; max_delay = 1.0; jitter = 0.0 };
   warm_up fx;
@@ -728,6 +843,7 @@ let test_saturated_shard_not_suspected () =
     answers;
   check bool_ "queued round trips exceeded 200 ms" true (!last -. 2.0 > 0.2);
   check int_ "no expiry" 0 (expiries fx);
+  check int_ "no hedge" 0 (hedges fx);
   check int_ "no failover" 0 (Pdp_tier.stats fx.tier).Pdp_tier.failovers;
   check int_ "nothing failed closed" 0 (Pdp_tier.stats fx.tier).Pdp_tier.exhausted
 
@@ -766,23 +882,6 @@ let test_rto_clamps () =
 (* The provenance flags are facts about one query's trip through the
    tier.  Another query's re-send, breaker trip or breaker skip on the
    same PEP, landing while this one is in flight, must not set them. *)
-
-(* The first of user0..user99 whose read [wanted] says yes to the owner of. *)
-let user_where fx wanted =
-  List.find
-    (fun user ->
-      wanted (Pdp_tier.shard_for fx.tier (Decision_cache.request_key (ctx_for user "read"))))
-    (List.init 100 (Printf.sprintf "user%d"))
-
-(* [user]'s read asked of the PEP at [at]; the decision, its delivery
-   instant and its provenance land in the ref. *)
-let explain_at fx ~at user answer =
-  Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
-      Pep.decide_explained fx.pep (ctx_for user "read") (fun r p ->
-          answer := Some (Net.now fx.net, r, p)))
-
-let explained what answer =
-  match !answer with Some a -> a | None -> Alcotest.failf "%s: no decision" what
 
 (* Alice's owner is down from 0.4 s to 0.6 s, so her frame sent at 0.5 s
    (with no L2 to ask first) times out at 1.5 s and, under a two-attempt
@@ -918,7 +1017,8 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 426.5 words (428.5 while the tier took the request key as
+(* Measured: 423.5 words (426.5 while each frame's reply closure held
+   its boxed send instant; 428.5 while the tier took the request key as
    an optional argument, boxed in a [Some]; 433.5 when each call's
    timeout timer was an event of its own, with a closure; 439.5 when the
    tier answered with a
@@ -984,8 +1084,12 @@ let () =
         ] );
       ( "detection",
         [
-          Alcotest.test_case "a shard cut after warm-up fails over after one RTO" `Quick
-            test_silent_shard_detected;
+          Alcotest.test_case "a hedge answers a crashed shard's queries once, before its RTO"
+            `Quick test_hedge_settles_once;
+          Alcotest.test_case "a cut tier's query is answered offline within two thresholds"
+            `Quick test_cut_tier_answers_offline_early;
+          Alcotest.test_case "a slow tier with no lower rung still answers live" `Quick
+            test_slow_tier_answers_live;
           Alcotest.test_case "a saturated shard that keeps answering is never suspected" `Quick
             test_saturated_shard_not_suspected;
           Alcotest.test_case "a lost flush is re-sent whole after one backoff" `Quick
