@@ -17,18 +17,19 @@ type stats = {
 
 type answer = Decided of Decision.result | Exhausted of string | Suspected
 
-(* One authorisation query, one record for its whole trip (and one more
-   for its hedge): its point (the hash of its routing key, computed
-   once) survives re-routing, [excluded] accumulates the shards that
-   already failed it so a remap never bounces back to a dead replica,
-   [tries] counts the frames carrying it that its current shard has
-   lost, and [flags] holds the bits below. *)
+(* One authorisation query, one record for its whole trip: its point
+   (the hash of its routing key, computed once) survives re-routing,
+   [excluded] accumulates the shards that already failed it so a remap
+   never bounces back to a dead replica, and [flags] holds the bits
+   below and, above them, the frames carrying it that its current shard
+   has lost.  A hedge is one more record whose [origin] is the query:
+   every flag and answer is the query's, read and set in one place. *)
 type item = {
   point : int;
   ctx : Context.t;
   deliver : answer -> Provenance.t -> bool;
+  origin : item option;  (** [Some query] for a hedge *)
   mutable excluded : Dacs_net.Net.node_id list;
-  mutable tries : int;
   mutable flags : int;
 }
 
@@ -51,11 +52,20 @@ let flag_offered = 8
    carrying it is dropped. *)
 let flag_settled = 16
 
-(* This record is a hedge: a copy of the query sent to the next shard
-   while the query's own frames stay in flight.  It answers through the
-   query's record, and its frame's failure is dropped, so a hedge adds
-   one frame and nothing else. *)
-let flag_copy = 32
+(* Its hedge is in flight, on a shard not suspected since. *)
+let flag_hedge_live = 32
+
+(* Its own frames failed over while its hedge was in flight: the hedge
+   took the failover's place, so its failure is now the query's. *)
+let flag_handed = 64
+
+(* Above the bits, [flags] counts lost frames in this unit. *)
+let try_unit = 128
+
+let tries item = item.flags lsr 7 [@@inline]
+
+(* The query a record carries: itself, or a hedge's original. *)
+let query item = match item.origin with Some q -> q | None -> item [@@inline]
 
 (* Slots of a shard's [timing] array: the Jacobson/Karels smoothed
    round trip and its mean deviation over the shard's answered frames,
@@ -333,8 +343,7 @@ let take_slot t s items =
 
 (* The provenance record of a query's trip, built when the tier
    delivers: [Live] with the answering shard, or [Fail_closed] with
-   none.  A hedge's answer counts the shard it was hedged from among its
-   failovers. *)
+   none. *)
 let delivered t ~stage ~shard ~batch ~epoch item =
   {
     Provenance.stage;
@@ -351,29 +360,29 @@ let delivered t ~stage ~shard ~batch ~epoch item =
     log_head = None;
   }
 
-(* The one delivery of a query's answer; any later one is dropped. *)
-let settle item answer p =
-  if item.flags land flag_settled = 0 then begin
-    item.flags <- item.flags lor flag_settled;
-    ignore (item.deliver answer p)
+(* The one delivery of query [q]'s answer; any later one is dropped. *)
+let settle q answer p =
+  if q.flags land flag_settled = 0 then begin
+    q.flags <- q.flags lor flag_settled;
+    ignore (q.deliver answer p)
   end
 
-let fail_closed t item =
+let fail_closed t q =
   Metrics.inc t.c_exhausted;
-  settle item (Exhausted "pdp tier exhausted: no shard reachable")
-    (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item)
+  settle q (Exhausted "pdp tier exhausted: no shard reachable")
+    (delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 q)
 
-(* Offer the query, once, to the caller's lower rungs (a PEP's
-   bounded-stale L1, then its offline log): [true] when one answered
-   it.  Unanswered, it keeps waiting for its frames. *)
-let offer t item =
-  item.flags land flag_offered = 0
+(* Offer query [q], once and only while unanswered, to the caller's
+   lower rungs (a PEP's bounded-stale L1, then its offline log): [true]
+   when one answered it.  Unanswered, it keeps waiting for its frames. *)
+let offer t q =
+  q.flags land (flag_offered lor flag_settled) = 0
   && begin
-       item.flags <- item.flags lor flag_offered;
-       let p = delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 item in
-       item.deliver Suspected { p with Provenance.hedged = true }
+       q.flags <- q.flags lor flag_offered;
+       let p = delivered t ~stage:Provenance.Fail_closed ~shard:None ~batch:0 ~epoch:0 q in
+       q.deliver Suspected { p with Provenance.hedged = true }
        && begin
-            item.flags <- item.flags lor flag_settled lor flag_hedged;
+            q.flags <- q.flags lor flag_settled lor flag_hedged;
             true
           end
      end
@@ -385,17 +394,32 @@ let offer t item =
    0, a plain frame's; a sharded tier reports the queries its flush
    carried, plain frame or not. *)
 let answered t s ~batch item part =
-  if item.flags land flag_settled = 0 then begin
+  let q = query item in
+  if q.flags land flag_settled = 0 then begin
     let decision, epoch =
       match part with
       | Ok (Ok answer) -> answer
       | Ok (Error e) -> (Decision.indeterminate ("unacceptable PDP response: " ^ e), 0)
       | Error e -> (Decision.indeterminate ("PDP fault: " ^ Service.error_to_string e), 0)
     in
-    settle item (Decided decision)
+    settle q (Decided decision)
       (delivered t ~stage:Provenance.Live ~shard:s.answered_by
          ~batch:(if t.batch = 1 then 0 else batch)
-         ~epoch item)
+         ~epoch q)
+  end
+
+(* The query whose failure a failed frame's record reports: none for an
+   answered query, nor for a hedge whose query still has frames of its
+   own; a hedge that took its query's failover reports the query.
+   Either way the hedge is no longer in flight. *)
+let carrier item =
+  let q = query item in
+  if q.flags land flag_settled <> 0 then None
+  else if item == q then Some q
+  else begin
+    let handed = q.flags land flag_handed <> 0 in
+    q.flags <- q.flags land lnot (flag_hedge_live lor flag_handed);
+    if handed then Some q else None
   end
 
 (* The frame in [slot] is over: its slot is freed and its queries
@@ -455,32 +479,40 @@ and send_to t shard ~excluded ~failover item =
   enqueue t shard item
 
 (* Re-route every query to the next shard in its own key's ranking —
-   replica loss only remaps its own keys. *)
-and fail_over t shard items =
+   replica loss only remaps its own keys.  A query whose hedge is in
+   flight on a shard not suspected since is not sent again: the hedge
+   takes the failover's place, and counts as one. *)
+and fail_over t shard qs =
   if Trace.enabled (tracer t) then Trace.record (tracer t) ("tier:failover from " ^ shard);
   List.iter
-    (fun item ->
-      item.tries <- 0;
-      place t ~excluded:(shard :: item.excluded) ~failover:true item)
-    items
+    (fun q ->
+      q.flags <- q.flags land (try_unit - 1);
+      if q.flags land flag_hedge_live = 0 then
+        place t ~excluded:(shard :: q.excluded) ~failover:true q
+      else begin
+        Metrics.inc t.c_failovers;
+        q.excluded <- shard :: q.excluded;
+        q.flags <- q.flags lor flag_handed
+      end)
+    qs
 
-(* The whole frame failed.  A query already answered, or a hedge, is
-   dropped.  After a timeout or a breaker rejection, the queries with
+(* The whole frame failed, and so did each query its records report as
+   [carrier].  After a timeout or a breaker rejection, the queries with
    attempts left on this shard go to it again after one backoff, through
    [enqueue], unless answered meanwhile: the retry is a frame like any
    other, outstanding, watched by the silence clock, with its own RTO.
    The rest fail over.  A frame refused by the breaker, or whose failure
    left it open, flags every query it carried. *)
 and frame_failed t shard err items =
-  match List.filter (fun i -> i.flags land (flag_settled lor flag_copy) = 0) items with
+  match List.filter_map carrier items with
   | [] -> ()
   | items -> (
     if Dacs_net.Rpc.breaker_state (Service.rpc t.services) shard <> Dacs_net.Rpc.Closed then
       List.iter (fun i -> i.flags <- i.flags lor flag_breaker) items;
     match err with
     | Service.Transport err when t.retry.attempts > 1 ->
-      let again, spent = List.partition (fun i -> i.tries + 1 < t.retry.attempts) items in
-      let failures = List.fold_left (fun n i -> Int.max n (i.tries + 1)) 0 again in
+      let again, spent = List.partition (fun i -> tries i + 1 < t.retry.attempts) items in
+      let failures = List.fold_left (fun n i -> Int.max n (tries i + 1)) 0 again in
       if
         again <> []
         && Dacs_net.Rpc.retry_after (Service.rpc t.services) ~src:t.node ~dst:shard t.retry
@@ -488,8 +520,7 @@ and frame_failed t shard err items =
                List.iter
                  (fun i ->
                    if i.flags land flag_settled = 0 then begin
-                     i.tries <- i.tries + 1;
-                     i.flags <- i.flags lor flag_retried;
+                     i.flags <- (i.flags lor flag_retried) + try_unit;
                      enqueue t shard i
                    end)
                  again)
@@ -555,33 +586,26 @@ and flush t shard s =
       arm t s ~at:(Float.max (Engine.now (engine t)) (next_deadline t shard s))
   end
 
-(* A query waiting on [shard], which the tier now suspects, moves on
-   once: hedged to the next shard in its ranking that is neither
-   suspected nor breaker-open, or, with none left or its one hedge
-   spent, offered to the lower rungs.  Its own frames stay in flight
-   and fail, re-send or fail over as they would unhedged. *)
+(* A query waiting on [shard], which the tier now suspects, in a frame
+   of its own or as a hedge, moves on once: hedged to the next shard in
+   its ranking that is neither suspected nor breaker-open, or, with none
+   left or its one hedge spent, offered to the lower rungs.  Its own
+   frames stay in flight and fail, re-send or fail over as they would
+   unhedged. *)
 and move_on t shard item =
-  if item.flags land (flag_settled lor flag_offered) = 0 then
-    if item.flags land flag_hedged <> 0 then ignore (offer t item)
+  let q = query item in
+  (* A hedge waiting on a suspected shard is presumed lost: its query's
+     failover re-sends instead of handing over to it. *)
+  if item != q then q.flags <- q.flags land lnot flag_hedge_live;
+  if q.flags land (flag_settled lor flag_offered) = 0 then
+    if q.flags land flag_hedged <> 0 then ignore (offer t q)
     else
-      match route t ~excluded:(shard :: item.excluded) item with
-      | Some next when not (suspected t next) -> hedge t ~from:shard next item
-      | Some _ | None -> ignore (offer t item)
-
-(* The hedge: a copy of the query for [next], whose answer or offer is
-   the query's own. *)
-and hedge t ~from next item =
-  item.flags <- item.flags lor flag_hedged;
-  Metrics.inc (Lazy.force t.c_hedges);
-  let deliver answer p =
-    match answer with
-    | Suspected -> offer t item
-    | Decided _ | Exhausted _ ->
-      settle item answer p;
-      true
-  in
-  enqueue t next
-    { item with deliver; excluded = from :: item.excluded; tries = 0; flags = item.flags lor flag_copy }
+      match route t ~excluded:(shard :: q.excluded) q with
+      | Some next when not (suspected t next) ->
+        q.flags <- q.flags lor flag_hedged lor flag_hedge_live;
+        Metrics.inc (Lazy.force t.c_hedges);
+        enqueue t next { q with origin = Some q }
+      | Some _ | None -> ignore (offer t q)
 
 and suspect t shard s =
   s.suspected <- true;
@@ -615,7 +639,7 @@ and check t shard s =
   end
 
 let decide ~key t ctx deliver =
-  let item = { point = point_of key; ctx; deliver; excluded = []; tries = 0; flags = 0 } in
+  let item = { point = point_of key; ctx; deliver; origin = None; excluded = []; flags = 0 } in
   if Array.length t.seeded = 0 then begin
     Metrics.inc t.c_exhausted;
     settle item (Exhausted "pdp tier is empty")

@@ -70,9 +70,15 @@
     continuation's [Suspected]); if none answers it keeps waiting.  The
     query's own frames stay in flight and behave as they would
     unhedged; the first answer settles the query, and a later answer,
-    failure or re-send of an answered query is dropped, as is a copy's
-    failure.  Any answer from the shard, or the end of its last
-    outstanding frame, ends the suspicion.
+    failure, offer or re-send of an answered query is dropped.  A
+    hedge's failure is dropped while the query's own frames are in
+    flight.  When they fail over with the hedge in flight on a shard not
+    suspected since, the hedge takes the failover's place: no second
+    frame, one failover counted, and the hedge's failure is then the
+    query's.  A hedge on a suspected shard is presumed lost, so the
+    failover sends a frame as it would unhedged.  Any answer from the
+    shard, or the end of its last outstanding frame, ends the
+    suspicion.
 
     Silent for one RTO, {!Dacs_net.Rpc.expire} fails the shard's waiting
     frames with a timeout, and their queries are re-sent or fail over as
@@ -186,7 +192,8 @@ val decide :
     ([None] when none could); [batch] the queries in the flush that
     carried the answer on a sharded tier — 1 for a flush of one, though
     it rides a plain frame — and 0 on an ordered tier or when no shard
-    answered; [failovers] the shards the query left before the answer;
+    answered; [failovers] the shards that failed the query before the answer
+    (a move by suspicion is [hedged], not a failover);
     [epoch] the deciding PDP's compilation epoch (0 = unknown).
     [retried] says the tier re-sent this query after a failed frame.
     [breaker_tripped] says its route skipped a shard for its breaker,

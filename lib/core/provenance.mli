@@ -29,7 +29,9 @@ type t = {
   shard : string option;  (** serving PDP replica/shard for [Live] *)
   batch : int;  (** queries in the tier frame that carried the answer; 0 = n/a *)
   coalesced : bool;  (** folded onto an identical in-flight descent *)
-  failovers : int;  (** replicas/shards skipped before this answer *)
+  failovers : int;
+      (** replicas/shards that failed this query before this answer; a
+          move by suspicion is [hedged], not a failover *)
   retried : bool;  (** the tier re-sent this query after a failed frame *)
   breaker_tripped : bool;
       (** this query's route skipped a shard for its breaker, or a frame

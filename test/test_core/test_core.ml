@@ -803,7 +803,7 @@ let test_pep_pull_hedges_before_rto () =
   | Some (at, r, p) ->
     check bool_ "granted by the secondary" true (Decision.is_permit r);
     check (Alcotest.option string_) "secondary" (Some (List.nth pdp_nodes 1)) p.Provenance.shard;
-    check int_ "the primary counted as left" 1 p.Provenance.failovers;
+    check int_ "answered before the primary failed it: no failover" 0 p.Provenance.failovers;
     check bool_ "hedged" true p.Provenance.hedged;
     (* One 10 ms sample: srtt 10 ms and rttvar 5 ms, so the primary is
        suspected 30 ms into its silence and the secondary answers one

@@ -677,7 +677,8 @@ let test_hedge_settles_once () =
         check bool_ (user ^ " granted") true (Decision.is_permit r);
         check bool_ (user ^ " answered by another shard") true (p.Provenance.shard <> Some victim);
         check bool_ (user ^ " hedged") true p.Provenance.hedged;
-        check int_ (user ^ " left the crashed shard") 1 p.Provenance.failovers;
+        check int_ (user ^ " answered before its shard failed it: no failover") 0
+          p.Provenance.failovers;
         check bool_ (user ^ " answered before the RTO") true (at < 3.0 +. rto)
       | [ (_, _, Error e, _) ] -> Alcotest.failf "%s failed closed: %s" user e
       | answers -> Alcotest.failf "%s answered %d times" user (List.length answers))
@@ -717,6 +718,115 @@ let test_cut_tier_answers_offline_early () =
   check bool_ "within two suspicion thresholds" true (at -. 5.0 <= (2.0 *. threshold) +. 1e-9);
   check bool_ "after the owner's threshold" true (at -. 5.0 > threshold);
   check int_ "one hedge" 1 (hedges fx)
+
+(* Both shards warm; the PEP holds an offline replica.  Then the
+   owner turns slow (12.5 ms each way: a 25 ms round trip, between one
+   and two 16.3 ms suspicion thresholds) and the other shard is cut off.
+   Alice's query is hedged to the cut shard at the owner's threshold;
+   the owner's own frame answers it live at 25 ms, and the cut shard's
+   suspicion at 32.6 ms finds it answered: no offer, no offline episode,
+   one delivery. *)
+let test_answer_before_hedge_suspicion_is_the_only_one () =
+  let fx = setup ~shards:2 () in
+  let owner = owner_of_alice fx in
+  let other = List.find (fun s -> s <> owner) fx.shard_nodes in
+  warm_up fx;
+  warm_up ~user:(user_where fx (fun s -> s = Some other)) ~from:2.0 fx;
+  let offline = Offline.create ~now:(fun () -> Net.now fx.net) ~key:"tier-mesh-key" ~author:"a" () in
+  Offline.publish offline (doctor_policy "r");
+  Pep.set_offline_replica fx.pep (Some offline);
+  Faults.apply fx.net
+    [
+      Faults.Latency_spike
+        { a = "pep"; b = owner; latency = 0.0125; window = { from_ = 4.0; until_ = 7.0 } };
+    ];
+  Engine.schedule_at (Net.engine fx.net) ~at:4.0 (fun () -> Net.partition fx.net [ "pep" ] [ other ]);
+  let deliveries = ref [] in
+  Engine.schedule_at (Net.engine fx.net) ~at:5.0 (fun () ->
+      Pep.decide_explained fx.pep (ctx_for "alice" "read") (fun r p ->
+          deliveries := (Net.now fx.net, r, p) :: !deliveries));
+  Net.run fx.net;
+  match !deliveries with
+  | [ (at, r, p) ] ->
+    check bool_ "granted" true (Decision.is_permit r);
+    check string_ "live" "live" (Provenance.stage_name p.Provenance.stage);
+    check (Alcotest.option string_) "by the owner's own frame" (Some owner) p.Provenance.shard;
+    check (Alcotest.float 1e-9) "one slow round trip" 5.025 at;
+    check bool_ "hedged" true p.Provenance.hedged;
+    check int_ "one hedge" 1 (hedges fx);
+    check int_ "no offline serve" 0 (Pep.stats fx.pep).Pep.offline_serves;
+    check int_ "no offline episode" 0 (Offline.epoch offline)
+  | answers -> Alcotest.failf "alice answered %d times" (List.length answers)
+
+(* The shard after [excluded] in [user]'s ranking. *)
+let next_shard fx ~excluded user =
+  let rest = List.filter (fun s -> not (List.mem s excluded)) fx.shard_nodes in
+  owner_in (Pdp_tier.create fx.services ~node:"probe" ~shards:rest ())
+    (Decision_cache.request_key (ctx_for user "read"))
+
+(* Alice's warm owner and her next shard, never asked before, are both
+   crashed.  Her query is hedged to the next shard at the owner's
+   suspicion threshold; a shard never sampled is never suspected, so
+   when the owner's frame expires at its RTO the hedge still stands
+   there, and takes the failover's place instead of a second frame.
+   Its own timeout, at the tier's 1 s, is then the query's: it fails
+   over to the third shard, which answers.  Three frames in all: the
+   query, its hedge and one failover. *)
+let test_hedge_takes_the_failover () =
+  let fx = setup () in
+  warm_up fx;
+  let owner = owner_of_alice fx in
+  let next = next_shard fx ~excluded:[ owner ] "alice" in
+  let third = next_shard fx ~excluded:[ owner; next ] "alice" in
+  Engine.schedule_at (Net.engine fx.net) ~at:2.0 (fun () ->
+      Net.crash fx.net owner;
+      Net.crash fx.net next);
+  let deliveries = ref [] in
+  let dispatched = (Pdp_tier.stats fx.tier).Pdp_tier.dispatched in
+  Engine.schedule_at (Net.engine fx.net) ~at:3.0 (fun () ->
+      tier_decide fx.tier (ctx_for "alice" "read") (fun outcome p ->
+          deliveries := (Net.now fx.net, outcome, p) :: !deliveries));
+  Net.run fx.net;
+  (match !deliveries with
+  | [ (at, Ok r, p) ] ->
+    check bool_ "granted" true (Decision.is_permit r);
+    check (Alcotest.option string_) "by the third shard" (Some third) p.Provenance.shard;
+    check int_ "the owner and the next shard failed it" 2 p.Provenance.failovers;
+    check bool_ "hedged" true p.Provenance.hedged;
+    check bool_ "when the hedge's timeout ran out, not a second one" true (at < 4.1)
+  | [ (_, Error e, _) ] -> Alcotest.failf "failed closed: %s" e
+  | answers -> Alcotest.failf "alice answered %d times" (List.length answers));
+  check int_ "one hedge" 1 (hedges fx);
+  check int_ "two failovers, one of them the hedge's" 2 (Pdp_tier.stats fx.tier).Pdp_tier.failovers;
+  check int_ "three frames: the query, its hedge, one failover" (dispatched + 3)
+    (Pdp_tier.stats fx.tier).Pdp_tier.dispatched
+
+(* Both shards warm; at 4 s both crash, and the second comes back at
+   5.1 s.  Alice's query at 5 s is hedged to the second shard while it
+   is still down, and the hedge is lost there: the second shard is
+   suspected too.  A hedge on a suspected shard is presumed lost, so the
+   owner's expiry at 5.2 s fails the query over with a frame of its own,
+   which the recovered shard answers a round trip later. *)
+let test_hedge_on_a_suspect_is_resent () =
+  let fx = setup ~shards:2 () in
+  let owner = owner_of_alice fx in
+  let other = List.find (fun s -> s <> owner) fx.shard_nodes in
+  warm_up fx;
+  warm_up ~user:(user_where fx (fun s -> s = Some other)) ~from:2.0 fx;
+  let at t f = Engine.schedule_at (Net.engine fx.net) ~at:t f in
+  at 4.0 (fun () -> List.iter (Net.crash fx.net) fx.shard_nodes);
+  at 5.1 (fun () -> Net.recover fx.net other);
+  let answer = ref None in
+  decide_at fx ~at:5.0 (ctx_for "alice" "read") answer;
+  Net.run fx.net;
+  check string_ "the recovered shard answers" other (answered_by "alice" answer);
+  match !answer with
+  | Some (t, _, p) ->
+    check (Alcotest.float 1e-9) "one round trip after the owner's RTO" 5.21 t;
+    check int_ "failed over from the owner" 1 p.Provenance.failovers;
+    check bool_ "hedged" true p.Provenance.hedged;
+    check int_ "one hedge" 1 (hedges fx)
+  | None -> ()
 
 (* Both shards warm, then slow: 60 ms each way, so every round trip
    (120 ms) outlasts the suspicion threshold but not the 0.2 s RTO.  A
@@ -1017,7 +1127,9 @@ let test_same_seed_identical_runs () =
 
 (* --- allocation of one whole decision ------------------------------------- *)
 
-(* Measured: 423.5 words (426.5 while each frame's reply closure held
+(* Measured: 418.4 words (423.5 before the tier's query record kept its
+   lost-frame count in its flags word and a hedge's pointer to its
+   query in place of the count; 426.5 while each frame's reply closure held
    its boxed send instant; 428.5 while the tier took the request key as
    an optional argument, boxed in a [Some]; 433.5 when each call's
    timeout timer was an event of its own, with a closure; 439.5 when the
@@ -1088,6 +1200,12 @@ let () =
             `Quick test_hedge_settles_once;
           Alcotest.test_case "a cut tier's query is answered offline within two thresholds"
             `Quick test_cut_tier_answers_offline_early;
+          Alcotest.test_case "an answer before its hedge's suspicion is the only one" `Quick
+            test_answer_before_hedge_suspicion_is_the_only_one;
+          Alcotest.test_case "a hedge in flight takes its query's failover" `Quick
+            test_hedge_takes_the_failover;
+          Alcotest.test_case "a hedge on a suspected shard is re-sent at the RTO" `Quick
+            test_hedge_on_a_suspect_is_resent;
           Alcotest.test_case "a slow tier with no lower rung still answers live" `Quick
             test_slow_tier_answers_live;
           Alcotest.test_case "a saturated shard that keeps answering is never suspected" `Quick
