@@ -17,7 +17,8 @@
       policy update, so one VO publish purges each member once.
 
     The stale-degradation ladder composes unchanged:
-    L1 fresh -> L2 fresh -> live tier -> bounded-stale L1 -> fail closed. *)
+    L1 fresh -> L2 fresh -> live tier -> bounded-stale L1 -> fail closed,
+    with the L2 asked only for keys it has announced ({!Summary}). *)
 
 (** {1 PDP-side attribute cache} *)
 
@@ -88,6 +89,32 @@ module Single_flight : sig
   val coalesced : 'w t -> int
 end
 
+(** {1 Cache summaries} *)
+
+val fingerprint : string -> int
+(** A request key's 30-bit fingerprint ([Hashtbl.hash]): what an L2
+    announces and a {!Summary} lists. *)
+
+module Summary : sig
+  type t
+  (** A PEP's summary of the keys its L2 has announced: two Bloom
+      filters of about 8 bits per L2 entry.  The last [capacity]
+      fingerprints added are always listed; older ones age out a whole
+      filter at a time, and an absent key is listed at a rate of a few
+      per cent.  Advisory only: a listed key is worth an L2 lookup, an
+      unlisted one goes straight to the tier. *)
+
+  val create : capacity:int -> t
+  (** A summary of an L2 holding up to [capacity] entries, clamped to
+      [1 .. 2^18]: two filters of [capacity] bytes rounded up to a power
+      of two, whatever is added later. *)
+
+  val capacity : t -> int
+
+  val add : t -> int -> unit
+  val mem : t -> int -> bool
+end
+
 (** {1 Domain-level shared L2 decision cache} *)
 
 module L2 : sig
@@ -100,8 +127,11 @@ module L2 : sig
     ttl:float ->
     unit ->
     t
-  (** Registers [cache-lookup] and the one-way [cache-put] on [node];
-      [max_entries] defaults to 4096.  Storage is a {!Decision_cache}
+  (** Registers [cache-lookup] and the one-way [cache-put] and
+      [cache-subscribe] on [node]; [max_entries] defaults to 4096.  A
+      subscriber is cast a [cache-digest] of every live key's
+      {!fingerprint} at once, then one of the puts accepted since the
+      last, at most every 0.1 s and only while there are some.  Storage is a {!Decision_cache}
       (owner = node), so the usual [decision_cache_*{cache}] series apply
       on top of the [l2_*_total{node}] counters.  Nothing is purged over
       the network: the owner purges with {!invalidate_region} (a domain
@@ -135,6 +165,10 @@ module L2 : sig
   (** One plain call with a 1 s timeout.  Transport failures and
       malformed answers are reported as misses: the shared cache can
       never make a decision path fail. *)
+
+  val subscribe : Dacs_ws.Service.t -> src:Dacs_net.Net.node_id -> l2:Dacs_net.Net.node_id -> unit
+  (** Casts [cache-subscribe]: [l2] answers with [cache-digest]s to
+      [src]. *)
 
   val remote_put :
     Dacs_ws.Service.t ->

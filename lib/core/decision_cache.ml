@@ -69,13 +69,14 @@ type lookup =
   | Stale of { result : Dacs_policy.Decision.result; age : float }
   | Absent
 
+(* [Hashtbl.find], not [find_opt]: a hit allocates no option. *)
 let lookup t ~now ~max_stale ~key =
   let c = t.counters in
-  match Hashtbl.find_opt t.table key with
-  | None ->
+  match Hashtbl.find t.table key with
+  | exception Not_found ->
     Metrics.inc c.c_misses;
     Absent
-  | Some e ->
+  | e ->
     if now < e.expires then begin
       Metrics.inc c.c_hits;
       Fresh e.result
@@ -203,6 +204,9 @@ let invalidate_region t region =
     end
 
 let size t = Hashtbl.length t.table
+
+let fold_live t ~now f acc =
+  Hashtbl.fold (fun key e acc -> if now < e.expires then f key acc else acc) t.table acc
 
 let stats t =
   let v = Metrics.counter_value in

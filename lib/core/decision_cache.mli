@@ -79,6 +79,10 @@ val region_scans : t -> int
 
 val size : t -> int
 
+val fold_live : t -> now:float -> (string -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the keys still fresh at [now], in the table's order; no
+    counter moves.  What an L2 announces to a new subscriber. *)
+
 type stats = {
   hits : int;
   misses : int;

@@ -354,6 +354,7 @@ let delivered t ~stage ~shard ~batch ~epoch item =
     retried = item.flags land flag_retried <> 0;
     breaker_tripped = item.flags land flag_breaker <> 0;
     hedged = item.flags land flag_hedged <> 0;
+    l2_skipped = false;
     stale_age = 0.0;
     epoch;
     at = Engine.now (engine t);
@@ -572,26 +573,32 @@ and flush t shard s =
     let queue = s.queue in
     s.queue <- [];
     s.queued <- 0;
-    Metrics.inc s.sc_batches;
-    Metrics.observe t.h_batch_size (float_of_int n);
-    let items = match queue with [ _ ] -> queue | _ -> List.rev queue in
-    if s.outstanding = 0 then s.timing.(busy_since) <- Engine.now (engine t);
-    s.outstanding <- s.outstanding + 1;
-    let slot = take_slot t s items in
-    (match items with
-    | [ item ] -> send_plain t shard s ~slot item
-    | _ -> send_batch t shard s ~slot ~n items);
-    (* A frame shed by the breaker has already failed over by now. *)
-    if s.outstanding > 0 && not s.armed then
-      arm t s ~at:(Float.max (Engine.now (engine t)) (next_deadline t shard s))
+    dispatch t shard s ~n (match queue with [ _ ] -> queue | _ -> List.rev queue)
   end
+
+(* Send [items], [n] of them, to the shard as one frame, watched by its
+   silence clock. *)
+and dispatch t shard s ~n items =
+  Metrics.inc s.sc_batches;
+  Metrics.observe t.h_batch_size (float_of_int n);
+  if s.outstanding = 0 then s.timing.(busy_since) <- Engine.now (engine t);
+  s.outstanding <- s.outstanding + 1;
+  let slot = take_slot t s items in
+  (match items with
+  | [ item ] -> send_plain t shard s ~slot item
+  | _ -> send_batch t shard s ~slot ~n items);
+  (* A frame shed by the breaker has already failed over by now. *)
+  if s.outstanding > 0 && not s.armed then
+    arm t s ~at:(Float.max (Engine.now (engine t)) (next_deadline t shard s))
 
 (* A query waiting on [shard], which the tier now suspects, in a frame
    of its own or as a hedge, moves on once: hedged to the next shard in
    its ranking that is neither suspected nor breaker-open, or, with none
    left or its one hedge spent, offered to the lower rungs.  Its own
    frames stay in flight and fail, re-send or fail over as they would
-   unhedged. *)
+   unhedged.  A hedge goes at once in a plain frame of its own: hedges
+   batched together would scale the next shard's suspicion threshold
+   by their number, and delay its own suspicion if it is cut too. *)
 and move_on t shard item =
   let q = query item in
   (* A hedge waiting on a suspected shard is presumed lost: its query's
@@ -604,7 +611,9 @@ and move_on t shard item =
       | Some next when not (suspected t next) ->
         q.flags <- q.flags lor flag_hedged lor flag_hedge_live;
         Metrics.inc (Lazy.force t.c_hedges);
-        enqueue t next { q with origin = Some q }
+        let s = state_of t next in
+        Metrics.inc s.sc_dispatch;
+        dispatch t next s ~n:1 [ { q with origin = Some q } ]
       | Some _ | None -> ignore (offer t q)
 
 and suspect t shard s =

@@ -54,6 +54,7 @@ type counters = {
   c_breaker_rejections : Metrics.counter;
   c_cache_hits : Metrics.counter;
   c_l2_hits : Metrics.counter;
+  c_l2_skips : Metrics.counter Lazy.t;
   c_stale_serves : Metrics.counter;
   c_offline_serves : Metrics.counter;
   c_shed : Metrics.counter;
@@ -107,6 +108,10 @@ let make_counters metrics ~node =
     c_breaker_rejections = rpc "rpc_breaker_rejections_total";
     c_cache_hits = own "pep_cache_hits_total" ~help:"Decisions served fresh from cache";
     c_l2_hits = own "pep_l2_hits_total" ~help:"Decisions served fresh from the shared L2 cache";
+    (* Registered at the first skip, so a PEP without an L2 exports the
+       series it always did. *)
+    c_l2_skips =
+      lazy (own "pep_l2_skips_total" ~help:"L1 misses sent past the shared L2 its summary did not list");
     c_stale_serves = own "pep_stale_serves_total" ~help:"Degraded answers served from expired cache";
     c_offline_serves =
       own "pep_offline_serves_total" ~help:"Decisions served from the domain's offline event log";
@@ -143,6 +148,8 @@ type t = {
   mutable stale_window : float;
   mutable offline : Offline.t option;
   mutable l2 : Dacs_net.Net.node_id option;
+  mutable summary : Cache_hierarchy.Summary.t option;
+      (** what [l2] has announced; [None] until its first digest *)
   mutable admission : admission option;
   mutable inflight : int;
   waiting : (unit -> unit) Queue.t;
@@ -185,7 +192,35 @@ let invalidate_region t region =
   | Sharded { cache = Some cache; _ } -> Decision_cache.invalidate_region cache region
   | Sharded _ | Push _ | Agent _ -> 0
 
-let set_l2 t l2 = t.l2 <- l2
+(* Only a pull PEP consults an L2, so only one subscribes: the L2's
+   first digest starts its summary. *)
+let set_l2 t l2 =
+  t.l2 <- l2;
+  t.summary <- None;
+  match (t.mode, l2) with
+  | Sharded _, Some l2 -> Cache_hierarchy.L2.subscribe t.services ~src:t.node ~l2
+  | Sharded _, None | (Push _ | Agent _), _ -> ()
+
+(* A digest from the PEP's own L2 (and no other node) adds to its
+   summary, which is re-made when the L2's capacity is new to it. *)
+let learn t ~caller (capacity, fingerprints) =
+  match t.l2 with
+  | Some l2 when String.equal l2 caller ->
+    let summary =
+      match t.summary with
+      | Some s when Cache_hierarchy.Summary.capacity s = capacity -> s
+      | Some _ | None ->
+        let s = Cache_hierarchy.Summary.create ~capacity in
+        t.summary <- Some s;
+        s
+    in
+    List.iter (Cache_hierarchy.Summary.add summary) fingerprints
+  | Some _ | None -> ()
+
+let listed t key =
+  match t.summary with
+  | Some s -> Cache_hierarchy.Summary.mem s (Cache_hierarchy.fingerprint key)
+  | None -> false
 
 let set_admission t a =
   (match a with
@@ -299,7 +334,8 @@ let build_context t ~subject_attrs ~action =
     ()
 
 (* One ladder serves every tier, ordered (pull) or sharded: L1 fresh ->
-   L2 fresh -> live -> bounded-stale L1 -> offline log -> fail closed.
+   L2 fresh (for a key its summary lists) -> live -> bounded-stale L1 ->
+   offline log -> fail closed.
    Identical concurrent queries (same request key) are coalesced onto one
    descent.  Every exit answers with a provenance record naming the rung
    that answered: a cache hit makes its own, and every exit below it
@@ -358,13 +394,13 @@ let settle t flight ~admitted ~started ~tag k result prov =
    record alone. *)
 type descent = {
   pep : t;
-  tier : Pdp_tier.t;
   ctx : Context.t;
   key : string;
   cache : Decision_cache.t option;
   found : Decision_cache.lookup;
   since : int option;
       (** L1 purges before the live query: a publish landing meanwhile keeps its answer out *)
+  l2_skipped : bool;  (** the summary sent it past the L2 *)
   flight : (Decision.result -> Provenance.t -> unit) Cache_hierarchy.Single_flight.flight;
   admitted : bool;
   started : float;
@@ -372,7 +408,8 @@ type descent = {
   k : Decision.result -> Provenance.t -> unit;
 }
 
-let settle_descent d result prov =
+let settle_descent d result (prov : Provenance.t) =
+  let prov = if d.l2_skipped then { prov with Provenance.l2_skipped = true } else prov in
   settle d.pep d.flight ~admitted:d.admitted ~started:d.started ~tag:d.tag d.k result prov
 
 (* The offline rung: below bounded-stale, above fail-closed.  With every
@@ -448,17 +485,17 @@ let live_answer d ~started ~tag outcome p =
          true
        end
 
-let live d =
+let live d tier =
   let t = d.pep in
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
   Metrics.inc t.counters.c_pdp_calls;
-  Pdp_tier.decide ~key:d.key d.tier d.ctx (fun outcome p -> live_answer d ~started ~tag outcome p)
+  Pdp_tier.decide ~key:d.key tier d.ctx (fun outcome p -> live_answer d ~started ~tag outcome p)
 
 (* Consult the domain's shared cache between an L1 miss and the live
    tier.  A hit also warms L1, so the replica that asked converges to
    answering locally.  An unreachable or malformed L2 is a miss. *)
-let consult_l2 d l2 =
+let consult_l2 d tier l2 =
   let t = d.pep in
   let started = now t in
   let tag = Trace.exemplar_tag (tracer t) in
@@ -470,7 +507,7 @@ let consult_l2 d l2 =
         Trace.record (tracer t) "pep:l2-hit";
         l1_put t d.cache ~key:d.key result;
         settle_descent d result (Provenance.make ~at:(now t) Provenance.L2)
-      | None -> live d)
+      | None -> live d tier)
 
 let ladder t ~cache tier ctx ~admitted ~started ~tag k =
   let key = Decision_cache.request_key ctx in
@@ -496,15 +533,18 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
       answer t ~admitted ~started ~tag k result (Provenance.make ~at:(now t) Provenance.L1)
     | Decision_cache.Stale _ | Decision_cache.Absent -> (
       let flight = Cache_hierarchy.Single_flight.lead t.sf ~key in
+      (* Ask the L2 only for a key its summary lists: an unlisted key
+         would cost a round trip that almost always misses. *)
+      let l2_skipped = match t.l2 with Some _ -> not (listed t key) | None -> false in
       let d =
         {
           pep = t;
-          tier;
           ctx;
           key;
           cache;
           found;
           since = Option.map Decision_cache.purges cache;
+          l2_skipped;
           flight;
           admitted;
           started;
@@ -512,7 +552,12 @@ let ladder t ~cache tier ctx ~admitted ~started ~tag k =
           k;
         }
       in
-      match t.l2 with None -> live d | Some l2 -> consult_l2 d l2))
+      match t.l2 with
+      | Some l2 when not l2_skipped -> consult_l2 d tier l2
+      | Some _ ->
+        Metrics.inc (Lazy.force t.counters.c_l2_skips);
+        live d tier
+      | None -> live d tier))
 
 (* --- push mode --------------------------------------------------------------- *)
 
@@ -645,11 +690,13 @@ let create services ~node ~domain ~resource ?(content = "resource-content") ?aud
       stale_window = 0.0;
       offline = None;
       l2 = None;
+      summary = None;
       admission = None;
       inflight = 0;
       waiting = Queue.create ();
     }
   in
+  Service.serve_cast services ~node Wire.Services.cache_digest (learn t);
   Service.serve services ~node Wire.Services.access
     (fun ~caller:_ ~headers (subject_attrs, action) reply ->
       Metrics.inc t.counters.c_requests;

@@ -65,8 +65,9 @@ val invalidate_region : t -> Dacs_policy.Delta.t -> int
 
 val decide : t -> Dacs_policy.Context.t -> (Dacs_policy.Decision.result -> unit) -> unit
 (** The decision ladder for a context without the inbound access RPC or
-    enforcement: L1 fresh -> L2 fresh -> live -> bounded-stale L1 ->
-    offline log -> fail closed.  Identical concurrent queries (same
+    enforcement: L1 fresh -> L2 fresh (only for a key the L2 has
+    announced, see {!set_l2}) -> live -> bounded-stale L1 -> offline
+    log -> fail closed.  Identical concurrent queries (same
     {!Decision_cache.request_key}) always share one descent.  Its live
     step is one call to the PEP's tier.  A live answer in flight across an L1 purge is served
     but not stored, and an Indeterminate live answer is never published
@@ -104,7 +105,12 @@ val set_l2 : t -> Dacs_net.Net.node_id option -> unit
 (** Attach (or detach) the domain's shared {!Cache_hierarchy.L2} service:
     a pull PEP consults it between an L1 miss and the live
     tier, warm L1 from its hits, and publish live decisions back to it.
-    An unreachable L2 degrades to a miss, never a failure. *)
+    An unreachable L2 degrades to a miss, never a failure.  Attaching
+    casts [cache-subscribe] and forgets what the PEP was told before: it
+    asks the L2 only for keys the L2's [cache-digest]s have listed since
+    (a {!Cache_hierarchy.Summary}), and sends every other L1 miss
+    straight to the tier, counted in [pep_l2_skips_total{node}].  A
+    digest from any node but the attached L2 is dropped. *)
 
 (** {1 Overload protection} *)
 

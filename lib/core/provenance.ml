@@ -18,6 +18,7 @@ type t = {
   retried : bool;
   breaker_tripped : bool;
   hedged : bool;
+  l2_skipped : bool;
   stale_age : float;
   epoch : int;
   at : float;
@@ -34,6 +35,7 @@ let make ?(epoch = 0) ~at stage =
     retried = false;
     breaker_tripped = false;
     hedged = false;
+    l2_skipped = false;
     stale_age = 0.0;
     epoch;
     at;
@@ -73,6 +75,7 @@ let to_string p =
         (p.retried, "retried");
         (p.breaker_tripped, "breaker");
         (p.hedged, "hedged");
+        (p.l2_skipped, "l2-skipped");
       ]
   in
   String.concat ""
@@ -90,8 +93,8 @@ let to_string p =
 let to_json p =
   let json = Dacs_telemetry.Metrics.json_string in
   Printf.sprintf
-    "{\"stage\":%s,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"hedged\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
+    "{\"stage\":%s,\"shard\":%s,\"batch\":%d,\"coalesced\":%b,\"failovers\":%d,\"retried\":%b,\"breaker_tripped\":%b,\"hedged\":%b,\"l2_skipped\":%b,\"stale_age\":%g,\"epoch\":%d,\"at\":%g,\"log_head\":%s}"
     (json (stage_name p.stage))
     (match p.shard with None -> "null" | Some s -> json s)
-    p.batch p.coalesced p.failovers p.retried p.breaker_tripped p.hedged p.stale_age p.epoch p.at
+    p.batch p.coalesced p.failovers p.retried p.breaker_tripped p.hedged p.l2_skipped p.stale_age p.epoch p.at
     (match p.log_head with None -> "null" | Some h -> json h)

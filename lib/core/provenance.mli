@@ -5,7 +5,8 @@
     A record that reached the decision tier is built by
     {!Pdp_tier.decide} when it delivers, as the record of that query's
     trip; the PEP forwards it for a live answer and re-stages a copy for
-    a stale, offline or fail-closed one.  Every other rung's record is
+    a stale, offline or fail-closed one (flagging a copy [l2_skipped]
+    when the descent went past the L2).  Every other rung's record is
     the PEP's own ({!Pep.decide_explained} and the wire handler above
     it).  The record is attached to the audit entry and carried to
     coalesced waiters verbatim apart from their own [coalesced] flag — a
@@ -40,6 +41,10 @@ type t = {
       (** this query moved on from a shard the tier suspected: re-sent
           to the next shard in its ranking, routed past the suspected
           one, or answered by a lower rung before that shard's RTO *)
+  l2_skipped : bool;
+      (** the ladder went past the domain's shared L2 without asking it:
+          the PEP's summary of the L2 ({!Cache_hierarchy.Summary}) did
+          not list the key *)
   stale_age : float;  (** seconds past TTL for [Stale] serves; 0 otherwise *)
   epoch : int;
       (** deciding PDP's compilation epoch — or, for [Offline] serves,

@@ -383,6 +383,50 @@ let read_cache_put =
       let result = only_child c tag ~missing:"CachePut has no Response" Dacs_policy.Xacml_xml.read_result in
       (key, result, sent_at))
 
+let write_cache_subscribe buf = write_leaf buf "CacheSubscribe" []
+let read_cache_subscribe = total (Cursor.leaf0 "CacheSubscribe")
+
+(* A digest's fingerprints are its text: each one's low 32 bits as eight
+   lowercase hex digits, back to back. *)
+let hex_digits = "0123456789abcdef"
+
+let write_fingerprint buf fp =
+  for i = 7 downto 0 do
+    Buffer.add_char buf hex_digits.[(fp lsr (4 * i)) land 15]
+  done
+
+let write_cache_digest buf ~capacity fingerprints =
+  Buffer.add_string buf "<CacheDigest";
+  write_count buf "Capacity" capacity;
+  end_with buf "CacheDigest" write_fingerprint fingerprints
+
+let hex_value = function
+  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+  | _ -> -1
+
+let fingerprints c s =
+  if String.length s mod 8 <> 0 then Cursor.fail c "CacheDigest text is not whole fingerprints";
+  List.init
+    (String.length s / 8)
+    (fun i ->
+      let fp = ref 0 in
+      for j = 8 * i to (8 * i) + 7 do
+        let d = hex_value s.[j] in
+        if d < 0 then Cursor.fail c (Printf.sprintf "CacheDigest fingerprint is not lowercase hex: %C" s.[j]);
+        fp := (!fp lsl 4) lor d
+      done;
+      !fp)
+
+let read_cache_digest =
+  total (fun c ->
+      let tag = Cursor.enter_named c "CacheDigest" in
+      let capacity = count_attr c tag "Capacity" in
+      Cursor.end_attrs c tag;
+      let text = Cursor.text c tag in
+      Cursor.close c tag;
+      (capacity, fingerprints c text))
+
 (* --- policy distribution ------------------------------------------------------ *)
 
 let write_policy_query buf ~scope ~known_version =
@@ -772,6 +816,8 @@ module Services = struct
   let attribute_invalidate = one_way "attribute-invalidate" read_attribute_invalidate
   let cache_lookup = request_reply "cache-lookup" ~request:read_cache_lookup ~reply:read_cache_answer
   let cache_put = one_way "cache-put" read_cache_put
+  let cache_subscribe = one_way "cache-subscribe" read_cache_subscribe
+  let cache_digest = one_way "cache-digest" read_cache_digest
   let policy_query = request_reply "policy-query" ~request:read_policy_query ~reply:read_policy_response
   let policy_update = one_way "policy-update" read_policy_update
   let log_sync = request_reply "log-sync" ~request:read_log_sync_request ~reply:read_log_sync_response

@@ -19,7 +19,8 @@
     {!Dacs_ws.Service.serve} answers a request body its reader rejects
     with a Sender fault itself, and {!Dacs_ws.Service.serve_cast}, for a
     one-way frame (attribute subscription and invalidation, cache put,
-    policy update), drops it and has no reply.
+    subscription and digest, policy update), drops it and has no
+    reply.
 
     Content that needs canonical XML keeps its tree codec inside a
     frame: the policy of a policy response or update and the signed
@@ -96,6 +97,16 @@ val write_cache_put : sent_at:float -> Buffer.t -> key:string -> Dacs_policy.Dec
 (** [sent_at] stamps the frame with the sender's clock so a receiver
     that purged after this put left the sender can reject it instead of
     resurrecting a stale entry (the put/invalidate race). *)
+
+val write_cache_subscribe : Buffer.t -> unit
+(** PEP -> its L2: send the caller the fingerprints of every live key,
+    then of each put accepted from now on. *)
+
+val write_cache_digest : Buffer.t -> capacity:int -> int list -> unit
+(** L2 -> subscribed PEPs: the L2's [max_entries] and fingerprints of
+    keys it holds ({!Cache_hierarchy.fingerprint}), each as the eight
+    lowercase hex digits of its low 32 bits, concatenated as the
+    element's text. *)
 
 (** {1 Policy distribution (PDP/PAP, PAP/PAP syndication)} *)
 
@@ -222,6 +233,11 @@ module Services : sig
   val cache_lookup : (string, Dacs_policy.Decision.result option) call
   val cache_put : (string * Dacs_policy.Decision.result * float) cast
   (** A put with no finite [SentAt] is rejected: no purge orders it. *)
+
+  val cache_subscribe : unit cast
+
+  val cache_digest : (int * int list) cast
+  (** The capacity and the fingerprints, in the order written. *)
 
   val policy_query : (string * int, int * Dacs_policy.Policy.child option) call
   val policy_update : (int * Dacs_policy.Policy.child) cast

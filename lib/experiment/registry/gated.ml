@@ -1112,7 +1112,6 @@ let explain seed json =
   let net = Net.create ~seed:(Int64.of_int seed) () in
   let rpc = Rpc.create net in
   let services = Service.create rpc in
-  Rpc.set_tracing rpc true;
   let add id =
     Net.add_node net id;
     id
@@ -1144,6 +1143,10 @@ let explain seed json =
   and alice_dup = client "alice" "cli0b"
   and alice_replica = client "alice" "cli1"
   and bob = client "bob" "cli2" in
+  (* Traced from the first request on: the PEPs' cache subscriptions
+     settle first, as set-up rather than a decision's path. *)
+  Net.run net;
+  Rpc.set_tracing rpc true;
   let req client pep ~at =
     Engine.schedule_at (Net.engine net) ~at (fun () ->
         Client.request client ~pep:(Pep.node pep) ~action:"read" ~timeout:10.0 (fun _ -> ()))

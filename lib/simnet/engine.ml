@@ -99,10 +99,14 @@ let schedule t ~delay action =
   t.times.(t.size) <- t.clock +. delay;
   push t action
 
-(* Removes the earliest event, advances the clock to it and runs it. *)
+(* Removes the earliest event, advances the clock to it and runs it.
+   The clock is a boxed field: an event at the current instant (a
+   same-instant flush, simultaneous deliveries) leaves it as it is
+   rather than box the same time again. *)
 let run_first t =
   let action = t.actions.(0) in
-  t.clock <- t.times.(0);
+  let at = t.times.(0) in
+  if at <> t.clock then t.clock <- at;
   let last = t.size - 1 in
   t.size <- last;
   t.times.(0) <- t.times.(last);

@@ -378,6 +378,17 @@ type l2fx = {
   alice : Client.t;
 }
 
+(* A pull PEP for resource "r" over the one PDP, attached to the L2. *)
+let l2_pep net services node =
+  Net.add_node net node;
+  let cache = Some (Decision_cache.create ~ttl:60.0 ()) in
+  let pep =
+    Pep.create services ~node ~domain:"d" ~resource:"r" ~content:"c"
+      (Pep.Sharded { tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:5.0; cache })
+  in
+  Pep.set_l2 pep (Some "l2");
+  pep
+
 let setup_l2 () =
   let net = Net.create ~seed:9L () in
   let services = Service.create (Rpc.create net) in
@@ -388,15 +399,7 @@ let setup_l2 () =
   ignore
     (Pdp_service.create services ~node:(add "pdp") ~name:"pdp" ~root:doctor_policy ());
   let l2 = Cache_hierarchy.L2.create services ~node:(add "l2") ~ttl:60.0 () in
-  let mk node =
-    let cache = Some (Decision_cache.create ~ttl:60.0 ()) in
-    let node = add node in
-    Pep.create services ~node ~domain:"d" ~resource:"r" ~content:"c"
-      (Pep.Sharded { tier = Pdp_tier.ordered services ~node ~pdps:[ "pdp" ] ~call_timeout:5.0; cache })
-  in
-  let pep1 = mk "pep1" and pep2 = mk "pep2" in
-  Pep.set_l2 pep1 (Some "l2");
-  Pep.set_l2 pep2 (Some "l2");
+  let pep1 = l2_pep net services "pep1" and pep2 = l2_pep net services "pep2" in
   let alice =
     Client.create services ~node:(add "alice")
       ~subject:[ ("subject-id", Value.String "alice"); ("role", Value.String "doctor") ]
@@ -750,6 +753,9 @@ let test_call_to_policy_update () =
 
 let test_cast_to_cache_lookup () =
   let fx = setup_l2 () in
+  (* The PEPs' subscriptions are the fixture's own traffic. *)
+  Net.run fx.net;
+  Net.reset_stats fx.net;
   Rpc.cast_frame (Service.rpc fx.services) ~src:"pep1" ~dst:"l2" ~service:"cache-lookup" ~envelope:soap (fun buf ->
       Wire.write_cache_lookup buf ~key:(rkey "lab"));
   Net.run fx.net;
@@ -858,6 +864,11 @@ let test_l1_put_after_purge_race ~sharded () =
 (* The shared L2 drops an Indeterminate, so the ladder must not spend a
    cache-put on one.  A PDP with a zero in-flight bound sheds every query
    with an Indeterminate, which arrives as an ordinary live answer. *)
+(* A digest from [src] to [dst] listing [keys], as an L2 would cast it. *)
+let announce services ~src ~dst keys =
+  Service.cast services ~src ~dst Wire.Services.cache_digest (fun buf ->
+      Wire.write_cache_digest buf ~capacity:4096 (List.map Cache_hierarchy.fingerprint keys))
+
 let test_no_l2_put_for_indeterminate ~sharded () =
   let net = Net.create ~seed:31L () in
   let services = Service.create (Rpc.create net) in
@@ -874,6 +885,10 @@ let test_no_l2_put_for_indeterminate ~sharded () =
     pep_over_pdp services ~sharded ~resource:"lab" (Some (Decision_cache.create ~ttl:60.0 ()))
   in
   Pep.set_l2 pep (Some "l2");
+  (* The L2 lists the key without holding it, so the descent asks and
+     misses. *)
+  announce services ~src:"l2" ~dst:"pep" [ rkey "lab" ];
+  Net.run net;
   let answer = ref None in
   Pep.decide_explained pep (rctx "lab") (fun r p ->
       answer := Some (r.Decision.decision, p.Provenance.stage));
@@ -1697,6 +1712,127 @@ let test_region_purge_allocation () =
   let large = purge_words 4096 in
   check (Alcotest.float 0.0) "same minor words at 1,024 and 4,096 entries" small large
 
+(* --- cache summaries ------------------------------------------------------ *)
+
+let l2_skips fx = Metrics.sum_counter (Service.metrics fx.services) "pep_l2_skips_total"
+let l2_lookups fx = (Cache_hierarchy.L2.stats fx.l2).Cache_hierarchy.L2.lookups
+
+(* pep1's put reaches the L2 at 1.020 and leaves in its next digest at
+   1.120: pep2, asking at 1.05, has not heard of the key and goes
+   straight to its tier; once the digest lands it asks the L2 and hits. *)
+let test_summary_lists_after_digest () =
+  let fx = setup_l2 () in
+  let o1 = ref None and o2 = ref None in
+  l2_request fx ~pep:"pep1" ~at:1.0 o1;
+  l2_request fx ~pep:"pep2" ~at:1.05 o2;
+  Net.run fx.net;
+  check bool_ "both granted live" true (granted o1 && granted o2);
+  check int_ "before the digest pep2 asked its tier" 1 (Pep.stats fx.pep2).Pep.pdp_calls;
+  check int_ "and not the L2" 0 (l2_lookups fx);
+  check int_ "both descents skipped the L2" 2 (l2_skips fx);
+  ignore (Pep.invalidate_region fx.pep2 Delta.unbounded);
+  let o3 = ref None in
+  l2_request fx ~pep:"pep2" ~at:10.0 o3;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o3);
+  check int_ "after the digest pep2 hit the L2" 1 (Pep.stats fx.pep2).Pep.l2_hits;
+  check int_ "and sent its tier nothing more" 1 (Pep.stats fx.pep2).Pep.pdp_calls;
+  check int_ "no skip" 2 (l2_skips fx)
+
+(* A digest is taken only from the PEP's own L2: the same frame from a
+   stranger lists nothing, while from the L2 it sends the descent to
+   ask (and miss: the L2 holds nothing). *)
+let test_stranger_digest_ignored () =
+  let fx = setup_l2 () in
+  Net.add_node fx.net "mallory";
+  announce fx.services ~src:"mallory" ~dst:"pep2" [ rkey "r" ];
+  announce fx.services ~src:"l2" ~dst:"pep1" [ rkey "r" ];
+  Net.run fx.net;
+  let o1 = ref None and o2 = ref None in
+  l2_request fx ~pep:"pep1" ~at:1.0 o1;
+  l2_request fx ~pep:"pep2" ~at:1.0 o2;
+  Net.run fx.net;
+  check bool_ "both granted live" true (granted o1 && granted o2);
+  check int_ "only pep1 asked the L2" 1 (l2_lookups fx);
+  check int_ "pep2 skipped it" 1 (l2_skips fx);
+  check int_ "both asked their tier" 2 ((Pep.stats fx.pep1).Pep.pdp_calls + (Pep.stats fx.pep2).Pep.pdp_calls)
+
+(* A PEP attached after the L2 filled learns its live keys from the
+   first digest. *)
+let test_late_subscriber_learns_live_keys () =
+  let fx = setup_l2 () in
+  let o1 = ref None in
+  l2_request fx ~pep:"pep1" ~at:1.0 o1;
+  Net.run fx.net;
+  let pep3 = l2_pep fx.net fx.services "pep3" in
+  let o3 = ref None in
+  l2_request fx ~pep:"pep3" ~at:20.0 o3;
+  Net.run fx.net;
+  check bool_ "granted" true (granted o3);
+  check int_ "from the L2" 1 (Pep.stats pep3).Pep.l2_hits;
+  check int_ "no tier query" 0 (Pep.stats pep3).Pep.pdp_calls
+
+(* Ten capacities of announcements later the summary is the size it was
+   made, still lists the latest capacity's worth, and lists few keys it
+   was never told. *)
+let test_summary_stays_bounded () =
+  let capacity = 1024 in
+  let s = Cache_hierarchy.Summary.create ~capacity in
+  let words s = Obj.reachable_words (Obj.repr s) in
+  (* Two filters of 8 bits per entry (a header and a padding word each)
+     and the record. *)
+  let bound capacity = (2 * ((capacity / 8) + 2)) + 6 in
+  let size = words s in
+  check bool_ (Printf.sprintf "8 bits per entry in each filter (%d words)" size) true (size <= bound capacity);
+  let fp i = Cache_hierarchy.fingerprint (Printf.sprintf "key-%d" i) in
+  for i = 0 to (10 * capacity) - 1 do
+    Cache_hierarchy.Summary.add s (fp i)
+  done;
+  check int_ "no growth" size (words s);
+  let listed = ref 0 in
+  for i = 9 * capacity to (10 * capacity) - 1 do
+    if Cache_hierarchy.Summary.mem s (fp i) then incr listed
+  done;
+  check int_ "the latest capacity's worth listed" capacity !listed;
+  let wrong = ref 0 in
+  for i = 20 * capacity to (30 * capacity) - 1 do
+    if Cache_hierarchy.Summary.mem s (fp i) then incr wrong
+  done;
+  (* Two full filters list an absent key about 4.7 % of the time. *)
+  check bool_ (Printf.sprintf "few unannounced keys listed (%d in %d)" !wrong (10 * capacity)) true
+    (!wrong < capacity);
+  check bool_ "an absurd capacity is clamped" true
+    (words (Cache_hierarchy.Summary.create ~capacity:max_int) <= bound (1 lsl 18))
+
+(* A crashed L2 sends no more digests: a key it announced costs a failed
+   lookup, a key it never could goes straight to the tier, and every
+   decision is still made live, as over an L2 that never answered. *)
+let test_crashed_l2_decides_live () =
+  let fx = setup_l2 () in
+  let bob =
+    Client.create fx.services ~node:"bob"
+      ~subject:[ ("subject-id", Value.String "bob"); ("role", Value.String "doctor") ]
+  in
+  Net.add_node fx.net "bob";
+  let o1 = ref None in
+  l2_request fx ~pep:"pep1" ~at:1.0 o1;
+  Net.run fx.net;
+  Net.crash fx.net "l2";
+  let o2 = ref None and ob1 = ref None and ob2 = ref None in
+  l2_request fx ~pep:"pep2" ~at:20.0 o2;
+  let ask ~pep ~at o =
+    Engine.schedule_at (Net.engine fx.net) ~at (fun () ->
+        Client.request bob ~pep ~action:"read" ~timeout:5.0 (fun r -> o := Some r))
+  in
+  ask ~pep:"pep1" ~at:30.0 ob1;
+  ask ~pep:"pep2" ~at:32.0 ob2;
+  Net.run fx.net;
+  check bool_ "every decision granted" true (granted o1 && granted o2 && granted ob1 && granted ob2);
+  let s2 = Pep.stats fx.pep2 in
+  check int_ "no L2 hit" 0 s2.Pep.l2_hits;
+  check int_ "both of pep2's decided live" 2 s2.Pep.pdp_calls;
+  check int_ "the never-announced key skipped the L2" 3 (l2_skips fx)
+
 let () =
   Alcotest.run "dacs_cache"
     [
@@ -1743,6 +1879,15 @@ let () =
         [
           Alcotest.test_case "replicas share decisions through the domain L2" `Quick
             test_l2_shared_between_peps;
+          Alcotest.test_case "a PEP asks the L2 only once a digest lists the key" `Quick
+            test_summary_lists_after_digest;
+          Alcotest.test_case "a digest from a node other than the L2 lists nothing" `Quick
+            test_stranger_digest_ignored;
+          Alcotest.test_case "a late subscriber learns the L2's live keys" `Quick
+            test_late_subscriber_learns_live_keys;
+          Alcotest.test_case "the summary stays within its bound" `Quick test_summary_stays_bounded;
+          Alcotest.test_case "a crashed L2 leaves every decision live" `Quick
+            test_crashed_l2_decides_live;
           Alcotest.test_case "an unreachable L2 degrades to a miss" `Quick
             test_l2_unreachable_degrades_to_miss;
           Alcotest.test_case "a pull PEP sends no L2 put for an Indeterminate" `Quick

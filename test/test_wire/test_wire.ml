@@ -285,6 +285,13 @@ let frames =
           | key, r, Some sent_at -> Ok (key, r, sent_at)
           | _, _, None -> Error "CachePut has no numeric SentAt"))
       (fun (sent_at, key, r) -> Ref.cache_put ~sent_at ~key r);
+    ack "cache_subscribe" Wire.write_cache_subscribe Wire.Services.cache_subscribe.request
+      (Ref.cache_subscribe ());
+    plain ~name:"cache_digest"
+      ~gen:Gen.(pair count_gen (list_size (int_bound 6) (int_bound 0xffff_ffff)))
+      ~write:(fun buf (capacity, fps) -> Wire.write_cache_digest buf ~capacity fps)
+      ~read:Wire.Services.cache_digest.request ~parse:Ref.parse_cache_digest
+      (fun (capacity, fps) -> Ref.cache_digest ~capacity fps);
     plain ~name:"attribute_query" ~gen:(Gen.triple category_gen text_gen text_gen)
       ~write:(fun buf (category, attribute_id, subject) -> Wire.write_attribute_query buf ~category ~attribute_id ~subject)
       ~read:Wire.Services.attribute_query.request ~parse:Ref.parse_attribute_query
@@ -403,7 +410,8 @@ type declaration = Call : ('q, 'r) Service.call -> declaration | Cast : 'q Servi
 let declarations =
   Wire.Services.
     [ Call access; Call authz_query; Call attribute_query; Cast attribute_subscribe;
-      Cast attribute_invalidate; Call cache_lookup; Cast cache_put; Call policy_query; Cast policy_update;
+      Cast attribute_invalidate; Call cache_lookup; Cast cache_put; Cast cache_subscribe; Cast cache_digest;
+      Call policy_query; Cast policy_update;
       Call log_sync; Call capability_request; Call revocation_check; Call register; Call discover;
       Call attribute_assertion; Call negotiate ]
 

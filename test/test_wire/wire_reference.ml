@@ -332,6 +332,41 @@ let parse_cache_put node =
     let* result = Dacs_policy.Xacml_xml.result_of_xml r in
     Ok (key, result, sent_at)
 
+(* The cache-summary frames came after the rewrite and never had a tree
+   codec: these tree forms are written for the oracle, the printer the
+   writer must match and a reader at least as liberal as the cursor's. *)
+
+let cache_subscribe () = Xml.element "CacheSubscribe"
+let parse_cache_subscribe node = expect_tag node "CacheSubscribe"
+
+let cache_digest ~capacity fingerprints =
+  Xml.element "CacheDigest"
+    ~attrs:[ ("Capacity", string_of_int capacity) ]
+    ~children:
+      (match fingerprints with
+      | [] -> []
+      | fps -> [ Xml.text (String.concat "" (List.map (Printf.sprintf "%08x") fps)) ])
+
+let parse_cache_digest node =
+  let* () = expect_tag node "CacheDigest" in
+  let* capacity = attr_or_error node "Capacity" in
+  let* capacity =
+    match int_of_string_opt capacity with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error "CacheDigest has no count Capacity"
+  in
+  let text = Xml.text_content node in
+  if String.length text mod 8 <> 0 then Error "CacheDigest text is not whole fingerprints"
+  else
+    let rec chunks i acc =
+      if i < 0 then Ok (capacity, acc)
+      else
+        match int_of_string_opt ("0x" ^ String.sub text i 8) with
+        | Some fp -> chunks (i - 8) (fp :: acc)
+        | None -> Error "CacheDigest fingerprint is not hex"
+    in
+    chunks (String.length text - 8) []
+
 (* --- Wire: the offline log-event frames ------------------------------------- *)
 
 (* The tree printers the log-event frames had before they were written
